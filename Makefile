@@ -44,10 +44,14 @@ race:
 # goroutine boundary and whose scrape endpoints are hammered
 # concurrently with solving, and the solver layer, whose recycler
 # publishes atomic stats snapshots read concurrently by /v1/info while
-# the dispatcher mutates the basis. Short mode keeps it seconds-cheap
-# so the full -race suite only runs once this passes.
+# the dispatcher mutates the basis, and the assembly chain (hydro,
+# neighbor, sd), whose assembler and Verlet list are mutable state
+# carried along a trajectory: two chains in one process — a verifier
+# beside a runner, ensemble members — must share none of it. Short mode
+# keeps it seconds-cheap so the full -race suite only runs once this
+# passes.
 race-kernels:
-	$(GO) test -race -short ./internal/bcrs/ ./internal/parallel/ ./internal/serve/ ./internal/shard/ ./internal/obs/ ./internal/solver/
+	$(GO) test -race -short ./internal/bcrs/ ./internal/parallel/ ./internal/serve/ ./internal/shard/ ./internal/obs/ ./internal/solver/ ./internal/hydro/ ./internal/neighbor/ ./internal/sd/
 
 # chaos runs the fault-injection and recovery tests — seeded chaos
 # runs must reproduce clean-run trajectories bitwise — under -race,

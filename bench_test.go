@@ -20,7 +20,6 @@ import (
 	"repro/internal/hydro"
 	"repro/internal/model"
 	"repro/internal/multivec"
-	"repro/internal/neighbor"
 	"repro/internal/particles"
 	"repro/internal/partition"
 	"repro/internal/reorder"
@@ -629,7 +628,6 @@ func BenchmarkAblationCacheBlocking(b *testing.B) {
 func BenchmarkAblationNeighborList(b *testing.B) {
 	fixtures(b)
 	opt := hydro.Options{Phi: 0.5}.WithDefaults()
-	cutoff := hydro.SearchCutoff(fixSys, opt)
 	drift := func(s *particles.System, step int) {
 		u := make([]float64, 3*s.N)
 		rng.New(uint64(step)).FillNormal(u)
@@ -644,10 +642,31 @@ func BenchmarkAblationNeighborList(b *testing.B) {
 	})
 	b.Run("verlet-list", func(b *testing.B) {
 		sys := fixSys.Clone()
-		list := neighbor.NewList(sys.Box, cutoff, 0.05*cutoff)
+		as := hydro.NewAssembler(sys, opt)
 		for i := 0; i < b.N; i++ {
 			drift(sys, i)
-			hydro.BuildWithList(sys, opt, list)
+			as.Build(sys.Pos)
 		}
 	})
 }
+
+// BenchmarkConfBuild measures one resistance-matrix assembly on a
+// warmed sd.Conf chain at the repository benchmark's SD system
+// (N = 1000, phi = 0.4, seed 1, E. coli radii): the step's Construct
+// phase, twice per time step. Run with -benchmem: B/op should read
+// about the matrix's own size and allocs/op 4.
+func BenchmarkConfBuild(b *testing.B) {
+	sys, err := particles.New(particles.Options{N: 1000, Phi: 0.4, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := sd.NewConf(sys, hydro.Options{Phi: 0.4}, 1)
+	confBuildSink = c.Build()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		confBuildSink = c.Build()
+	}
+}
+
+var confBuildSink *bcrs.Matrix

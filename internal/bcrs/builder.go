@@ -1,16 +1,32 @@
 package bcrs
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/blas"
 )
 
+// NewMatrix wraps finished BCRS arrays as a one-thread Matrix without
+// copying them; the caller must not touch them afterwards. Every block
+// row's columns must be strictly ascending (Validate checks). It is
+// the constructor for assemblers that can write rows in place, such as
+// internal/hydro; everything else goes through a Builder.
+func NewMatrix(nb, ncb int, rowPtr, colIdx []int32, vals []float64) *Matrix {
+	if len(rowPtr) != nb+1 || int(rowPtr[nb]) != len(colIdx) || len(vals) != len(colIdx)*BlockSize {
+		panic("bcrs: NewMatrix array lengths disagree")
+	}
+	// One thread needs no row partition: the kernels run len(ranges)
+	// <= 1 serially.
+	return &Matrix{nb: nb, ncb: ncb, rowPtr: rowPtr, colIdx: colIdx, vals: vals, threads: 1}
+}
+
 // Builder accumulates 3x3 blocks in coordinate form and assembles them
-// into a BCRS matrix. Duplicate (i, j) insertions are summed, which is
-// the natural semantics for finite-element-style assembly and for the
-// pairwise lubrication contributions of internal/hydro.
+// into a BCRS matrix. Duplicate (i, j) insertions are summed in
+// insertion order, which is the natural semantics for finite-element-
+// style assembly and makes the builder the reference for assemblers
+// that promise a summation order (internal/hydro).
 type Builder struct {
 	nb   int
 	ncb  int
@@ -77,8 +93,9 @@ func (b *Builder) AddDiagScaled(s []float64) {
 }
 
 // Build assembles the accumulated blocks into an immutable Matrix,
-// sorting each block row by column and summing duplicates. The
-// builder may be reused afterwards (it is reset).
+// sorting each block row by column and summing duplicates in the
+// order they were added. The builder may be reused afterwards (it is
+// reset).
 func (b *Builder) Build() *Matrix {
 	nb := b.nb
 	ne := len(b.rows)
@@ -103,17 +120,19 @@ func (b *Builder) Build() *Matrix {
 		next[r]++
 	}
 
-	// Sort each row's entries by column index, then merge duplicates
+	// Sort each row's entries by column index, then by insertion
+	// index so that duplicates sum in a defined order, and merge them
 	// into the final arrays.
+	byColumn := func(x, y int32) int {
+		return cmp.Or(cmp.Compare(b.cols[x], b.cols[y]), cmp.Compare(x, y))
+	}
 	rowPtr := make([]int32, nb+1)
 	colIdx := make([]int32, 0, ne)
 	vals := make([]float64, 0, ne*BlockSize)
 	for i := 0; i < nb; i++ {
 		lo, hi := count[i], count[i+1]
 		row := perm[lo:hi]
-		sort.Slice(row, func(x, y int) bool {
-			return b.cols[row[x]] < b.cols[row[y]]
-		})
+		slices.SortFunc(row, byColumn)
 		for s := 0; s < len(row); {
 			c := b.cols[row[s]]
 			var acc [BlockSize]float64

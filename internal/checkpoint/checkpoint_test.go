@@ -159,7 +159,7 @@ func TestResumeReproducesTrajectory(t *testing.T) {
 			worst = d
 		}
 	}
-	if worst > 1e-7 {
+	if worst != 0 {
 		t.Fatalf("resumed trajectory diverged by %v", worst)
 	}
 }

@@ -232,6 +232,13 @@ type Runner struct {
 	// frame twice.
 	onStepHigh int
 
+	// buf holds the vectors of one time step — noise, Brownian force,
+	// right-hand side, first-solve guess and solution, midpoint
+	// velocity — reused from step to step. None outlives its step:
+	// OnStep must not retain its slice and the recycler copies what it
+	// harvests.
+	buf struct{ noise, fb, rhs, guess, u, uHalf []float64 }
+
 	Timings Timings
 	Records []StepRecord
 
@@ -420,9 +427,20 @@ func (r *Runner) noteFailure(kind string) {
 	r.obsReg().Counter(obs.Label("core_solve_failures_total", "kind", kind)).Inc()
 }
 
-// noise returns z_k for global step k, scaled by ForceScale.
+// vec returns the step buffer *b at the configuration's dimension.
+// The contents are whatever the previous step left.
+func (r *Runner) vec(b *[]float64) []float64 {
+	if dim := r.cur.Dim(); len(*b) != dim {
+		*b = make([]float64, dim)
+	}
+	return *b
+}
+
+// noise returns z_k for global step k, scaled by ForceScale, in the
+// runner's noise buffer.
 func (r *Runner) noise(k int) []float64 {
-	z := rng.NormalVector(r.cfg.Seed, uint64(k), r.cur.Dim())
+	z := r.vec(&r.buf.noise)
+	rng.Substream(r.cfg.Seed, uint64(k)).FillNormal(z)
 	if r.cfg.ForceScale != 1 {
 		blas.Scal(r.cfg.ForceScale, z)
 	}
@@ -485,9 +503,10 @@ func (r *Runner) externalForce(c Configuration) []float64 {
 // Brownian term is the paper's convention (Eq. 5) and is statistically
 // immaterial — S(R)z and -S(R)z are identically distributed. The
 // external force must enter with the mobility sign, u = +R^{-1} f^P,
-// so that overdamped particles move along the force.
+// so that overdamped particles move along the force. The result lives
+// in the runner's right-hand-side buffer.
 func (r *Runner) negRHS(fb, fp []float64) []float64 {
-	rhs := make([]float64, len(fb))
+	rhs := r.vec(&r.buf.rhs)
 	if fp == nil {
 		for i, v := range fb {
 			rhs[i] = -v
@@ -518,7 +537,6 @@ func (r *Runner) firstSolve(a *bcrs.Matrix, op DistOp, x, b []float64) solver.St
 // (Algorithm 1): build R_k, compute f_k = S(R_k) z_k, solve cold,
 // take the midpoint, solve warm, advance.
 func (r *Runner) StepOriginal() error {
-	dim := r.cur.Dim()
 	tm0 := r.Timings
 
 	t0 := time.Now()
@@ -531,7 +549,7 @@ func (r *Runner) StepOriginal() error {
 	if err != nil {
 		return fmt.Errorf("core: step %d: %w", r.k, err)
 	}
-	fb := make([]float64, dim)
+	fb := r.vec(&r.buf.fb)
 	s.Apply(fb, r.noise(r.k))
 	r.Timings.ChebSingle += time.Since(t0)
 	rhs := r.negRHS(fb, r.externalForce(r.cur))
@@ -541,7 +559,8 @@ func (r *Runner) StepOriginal() error {
 	// before iterating. The rebuild (one RecycleK-wide multiply against
 	// this step's fresh matrix) and the correction are both charged to
 	// FirstSolve time: they exist only to shorten it.
-	u := make([]float64, dim)
+	u := r.vec(&r.buf.u)
+	clear(u)
 	t0 = time.Now()
 	r.rec.BeginRound(op, true)
 	corrected := r.rec.CorrectZero(u, rhs)
@@ -583,7 +602,8 @@ func (r *Runner) advance(uHalf []float64) {
 
 // secondSolve builds the midpoint configuration from the current one
 // using velocity u, assembles its matrix, and solves warm-started
-// from u. It returns the midpoint velocity.
+// from u. It returns the midpoint velocity, in the runner's buffer for
+// it.
 func (r *Runner) secondSolve(u, rhs []float64) ([]float64, solver.Stats, error) {
 	half := r.cur.Displaced(u, r.cfg.Dt/2)
 
@@ -592,7 +612,8 @@ func (r *Runner) secondSolve(u, rhs []float64) ([]float64, solver.Stats, error) 
 	r.Timings.Construct += time.Since(t0)
 	opHalf := r.operator(aHalf, half)
 
-	uHalf := append([]float64(nil), u...)
+	uHalf := r.vec(&r.buf.uHalf)
+	copy(uHalf, u)
 	t0 = time.Now()
 	st := solver.CG(opHalf, uHalf, rhs, r.solveOpts())
 	r.Timings.SecondSolve += time.Since(t0)
@@ -662,9 +683,11 @@ func (r *Runner) StepMRHS(steps int) error {
 	u := multivec.New(dim, m)
 	t0 = time.Now()
 	r.rec.BeginRound(op0, true)
+	col, rhs := r.vec(&r.buf.u), r.vec(&r.buf.rhs)
 	for j := 0; j < m; j++ {
-		col := make([]float64, dim)
-		if r.rec.CorrectZero(col, fb.ColVector(j)) {
+		clear(col)
+		fb.Col(j, rhs)
+		if r.rec.CorrectZero(col, rhs) {
 			u.SetCol(j, col)
 		}
 	}
@@ -684,8 +707,9 @@ func (r *Runner) StepMRHS(steps int) error {
 	// Steps 4-6: the first time step uses u_0 directly (its first
 	// solve already happened inside the block solve).
 	tmStep := r.Timings
-	rhs0 := fb.ColVector(0)
-	u0 := u.ColVector(0)
+	rhs0, u0 := r.vec(&r.buf.rhs), r.vec(&r.buf.u)
+	fb.Col(0, rhs0)
+	u.Col(0, u0)
 	rec := StepRecord{Step: r.k, FirstIters: 0, HadGuess: true}
 	uHalf, st2, err := r.secondSolve(u0, rhs0)
 	if err != nil {
@@ -710,13 +734,14 @@ func (r *Runner) StepMRHS(steps int) error {
 		if err != nil {
 			return fmt.Errorf("core: step %d: %w", r.k, err)
 		}
-		fbk := make([]float64, dim)
+		fbk := r.vec(&r.buf.fb)
 		sk.Apply(fbk, r.noise(r.k))
 		r.Timings.ChebSingle += time.Since(t0)
 		rhs := r.negRHS(fbk, r.externalForce(r.cur))
 
-		guess := u.ColVector(j)
-		uk := append([]float64(nil), guess...)
+		guess, uk := r.vec(&r.buf.guess), r.vec(&r.buf.u)
+		u.Col(j, guess)
+		copy(uk, guess)
 		t0 = time.Now()
 		r.rec.BeginRound(opk, true)
 		corrected := r.rec.Correct(opk, uk, rhs)

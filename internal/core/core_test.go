@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/bcrs"
@@ -95,7 +96,7 @@ func TestNoiseIsStepIndexed(t *testing.T) {
 	// algorithm — this is what makes the two trajectories comparable.
 	a := NewRunner(newToy(10, 6), Config{Seed: 7})
 	b := NewRunner(newToy(10, 6), Config{Seed: 7})
-	na := a.noise(3)
+	na := slices.Clone(a.noise(3)) // noise returns the runner's own buffer
 	nb := b.noise(3)
 	for i := range na {
 		if na[i] != nb[i] {

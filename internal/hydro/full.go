@@ -82,30 +82,10 @@ func BuildFull(sys *particles.System, opt Options) (*blas.Dense, error) {
 	return rinf, nil
 }
 
-// buildLubOnly assembles Rlub alone (no far-field diagonal).
+// buildLubOnly assembles Rlub alone: the same assembly with a zero
+// far-field diagonal.
 func buildLubOnly(sys *particles.System, opt Options) *bcrs.Matrix {
-	opt = opt.WithDefaults()
-	b := bcrs.NewBuilder(sys.N)
-	// A zero diagonal block on every row keeps the structure square
-	// and the builder's diagonal bookkeeping trivial.
-	neighbor.ForEachPair(sys.Pos, sys.Box, SearchCutoff(sys, opt), func(p neighbor.Pair) {
-		a1, a2 := sys.Radius[p.I], sys.Radius[p.J]
-		xi := 2 * (p.R - a1 - a2) / (a1 + a2)
-		if xi >= opt.CutoffXi || p.R <= 0 {
-			return
-		}
-		d := p.D.Scale(1 / p.R)
-		a := PairTensor(a1, a2, xi, d, opt)
-		if a.Zero3() {
-			return
-		}
-		neg := a.ScaleM(-1)
-		b.AddBlock(p.I, p.I, a)
-		b.AddBlock(p.J, p.J, a)
-		b.AddBlock(p.I, p.J, neg)
-		b.AddBlock(p.J, p.I, neg)
-	})
-	return b.Build()
+	return newAssembler(sys, opt.WithDefaults(), make([]float64, sys.N)).Build(sys.Pos)
 }
 
 func setBlock(d *blas.Dense, i, j int, m blas.Mat3) {

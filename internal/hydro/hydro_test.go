@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/blas"
-	"repro/internal/neighbor"
 	"repro/internal/particles"
 )
 
@@ -170,6 +169,9 @@ func TestBuildSymmetric(t *testing.T) {
 }
 
 func TestBuildSPD(t *testing.T) {
+	if testing.Short() {
+		t.Skip("dense eigenvalue iteration: serial, and slow under -race")
+	}
 	sys, opt := buildSmall(t, 60, 0.45, 2)
 	r := Build(sys, opt)
 	// Dense Cholesky must succeed: R = muF*I + (PSD sum).
@@ -262,6 +264,9 @@ func TestRPYPairFarField(t *testing.T) {
 }
 
 func TestBuildRPYSymmetricSPD(t *testing.T) {
+	if testing.Short() {
+		t.Skip("dense eigenvalue iteration: serial, and slow under -race")
+	}
 	sys, _ := buildSmall(t, 50, 0.2, 6)
 	m := BuildRPY(sys, 1, sys.Box/3)
 	if !m.IsSymmetric(1e-10) {
@@ -293,46 +298,4 @@ func TestSearchCutoffCoversInteractions(t *testing.T) {
 	if !almostEqual(c, want, 1e-14) {
 		t.Fatalf("SearchCutoff = %v, want %v", c, want)
 	}
-}
-
-func TestBuildWithListMatchesBuild(t *testing.T) {
-	sys, opt := buildSmall(t, 150, 0.4, 8)
-	opt = opt.WithDefaults()
-	cutoff := SearchCutoff(sys, opt)
-	list := neighbor.NewList(sys.Box, cutoff, 0.05*cutoff)
-	a := Build(sys, opt)
-	b := BuildWithList(sys, opt, list)
-	da, db := a.Dense(), b.Dense()
-	for i := range da.Data {
-		if da.Data[i] != db.Data[i] {
-			t.Fatal("list-based assembly differs from direct assembly")
-		}
-	}
-	// Second build on slightly drifted positions must reuse the list
-	// and still agree with direct assembly.
-	for i := range sys.Pos {
-		sys.Pos[i][0] += 0.01
-	}
-	b2 := BuildWithList(sys, opt, list)
-	a2 := Build(sys, opt)
-	da2, db2 := a2.Dense(), b2.Dense()
-	for i := range da2.Data {
-		if da2.Data[i] != db2.Data[i] {
-			t.Fatal("reused-list assembly differs from direct assembly")
-		}
-	}
-	if list.Reuses != 1 {
-		t.Fatalf("list reuses = %d, want 1", list.Reuses)
-	}
-}
-
-func TestBuildWithListRejectsShortCutoff(t *testing.T) {
-	sys, opt := buildSmall(t, 30, 0.3, 9)
-	list := neighbor.NewList(sys.Box, 1, 0.1) // far too short
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for short list cutoff")
-		}
-	}()
-	BuildWithList(sys, opt, list)
 }

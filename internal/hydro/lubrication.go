@@ -25,6 +25,21 @@
 // motion — the projection of collective pair motion the paper adopts
 // from Cichocki et al. — and makes Rlub symmetric positive
 // semidefinite by construction (it is a sum of PSD pair terms).
+//
+// Assembly has one path, Assembler (Build is a one-shot use of it). A
+// pair contributes when its gap xi, evaluated by neighbor.Gap, is
+// below Options.CutoffXi — the neighbor list applies that very test
+// with each pair's own reach (a_i+a_j)(1+CutoffXi/2), so the pairs it
+// reports are the pairs assembled, not a superset sized by the largest
+// spheres. Rows are written straight into BCRS arrays in a canonical
+// order: columns ascending, off-diagonal blocks -A, and each diagonal
+// block summed as muF_i*I first, then the row's pair tensors in
+// ascending neighbor index. The matrix is therefore a pure function of
+// (positions, radii, options): bitwise the same from a long-lived
+// assembler or a fresh one, at any thread count, and bitwise what a
+// bcrs.Builder fed the far-field diagonal and then the (I, J)-sorted
+// pairs would produce. A returned matrix owns its arrays — nothing the
+// assembler does later touches it.
 package hydro
 
 import "math"

@@ -4,16 +4,15 @@ import (
 	"testing"
 
 	"repro/internal/bcrs"
-	"repro/internal/neighbor"
 	"repro/internal/parallel"
 	"repro/internal/particles"
 )
 
-// TestBuildExactAcrossThreadCounts: assembly evaluates pair tensors in
-// parallel but inserts blocks serially in pair order, so the assembled
-// matrix — probed here through a matrix-vector product — must be
-// bitwise-identical for any pool size, with and without the Verlet
-// list.
+// TestBuildExactAcrossThreadCounts: assembly evaluates pair tensors
+// and writes block rows in parallel, each into its own slots and in a
+// fixed summation order, so the assembled matrix — probed here through
+// a matrix-vector product — must be bitwise-identical for any pool
+// size, from a fresh assembler and from one that reuses its list.
 func TestBuildExactAcrossThreadCounts(t *testing.T) {
 	sys, err := particles.New(particles.Options{N: 400, Phi: 0.45, Seed: 9})
 	if err != nil {
@@ -32,10 +31,11 @@ func TestBuildExactAcrossThreadCounts(t *testing.T) {
 	}
 
 	builds := map[string]func() *bcrs.Matrix{
-		"cell": func() *bcrs.Matrix { return Build(sys, opt) },
-		"verlet": func() *bcrs.Matrix {
-			list := neighbor.NewList(sys.Box, SearchCutoff(sys, opt), 0)
-			return BuildWithList(sys, opt, list)
+		"fresh": func() *bcrs.Matrix { return Build(sys, opt) },
+		"reused": func() *bcrs.Matrix {
+			as := NewAssembler(sys, opt)
+			as.Build(sys.Pos)
+			return as.Build(sys.Pos)
 		},
 	}
 	for name, build := range builds {

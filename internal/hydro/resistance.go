@@ -1,6 +1,8 @@
 package hydro
 
 import (
+	"slices"
+
 	"repro/internal/bcrs"
 	"repro/internal/blas"
 	"repro/internal/neighbor"
@@ -87,81 +89,190 @@ func SearchCutoff(sys *particles.System, opt Options) float64 {
 // Build assembles the sparse resistance matrix R = muF*I + Rlub for
 // the current particle configuration. The result is symmetric
 // positive definite: muF*I is positive diagonal and every pair term
-// is PSD.
+// is PSD. A caller that assembles along a trajectory keeps an
+// Assembler instead, which this is one use of.
 func Build(sys *particles.System, opt Options) *bcrs.Matrix {
-	opt = opt.WithDefaults()
-	return assemble(sys, opt, func(fn func(neighbor.Pair)) {
-		neighbor.ForEachPair(sys.Pos, sys.Box, SearchCutoff(sys, opt), fn)
-	})
+	return NewAssembler(sys, opt).Build(sys.Pos)
 }
 
-// BuildWithList is Build using a Verlet neighbor list, which skips
-// the cell-list rebuild while the configuration has drifted less than
-// the list's skin — the dominant assembly cost across consecutive SD
-// steps. The list must have been created with the system's box and at
-// least SearchCutoff(sys, opt) as its cutoff.
-func BuildWithList(sys *particles.System, opt Options, list *neighbor.List) *bcrs.Matrix {
+// skinFraction sizes the Verlet skin against SearchCutoff: SD steps
+// move particles by a tiny fraction of the interaction range, so 5%
+// already lets one candidate search serve many steps.
+const skinFraction = 0.05
+
+// Assembler builds the resistance matrices of one trajectory: it is
+// bound to a system's radii, box and options, and is handed positions.
+// It owns what consecutive builds can share — the Verlet neighbor
+// list, the far-field coefficients, and the pair, tensor and row
+// scratch — so a warmed Build allocates only the matrix it returns.
+// Returned matrices never alias that scratch and are never written
+// again.
+//
+// The matrix is a pure function of (positions, radii, options): the
+// list reports pairs in (I, J) order whatever its history, and each
+// diagonal block is summed as the far-field term, then the pair
+// tensors in ascending neighbor index. List reuse, rebuild timing and
+// thread count cannot change a bit of it.
+//
+// An Assembler is not safe for concurrent use; every trajectory (each
+// ensemble member, each runner) needs its own.
+type Assembler struct {
+	opt    Options
+	radius []float64
+	far    []float64 // far-field diagonal coefficients
+	list   *neighbor.List
+
+	pairs []neighbor.Pair // the current build's pairs (the list's buffer)
+	tens  []blas.Mat3     // tensor per pair; zero for a dropped pair
+	ref   []int32         // pair behind each off-diagonal block
+	// below counts each row's neighbors of smaller index, then, with
+	// above, is the fill cursor of the row's two sides of the diagonal.
+	below, above []int32
+
+	// The matrix being written, for the pool callbacks below; they
+	// are bound once so that a build allocates nothing for them.
+	rowPtr, colIdx []int32
+	vals           []float64
+	tensorsFn      func(lo, hi int)
+	rowsFn         func(lo, hi int)
+}
+
+// NewAssembler returns an assembler for the system's radii and box.
+// The radius slice is retained, not copied.
+func NewAssembler(sys *particles.System, opt Options) *Assembler {
 	opt = opt.WithDefaults()
-	if list.Cutoff() < SearchCutoff(sys, opt) {
-		panic("hydro: neighbor list cutoff shorter than the interaction range")
+	return newAssembler(sys, opt, FarFieldCoefficients(sys, opt))
+}
+
+func newAssembler(sys *particles.System, opt Options, far []float64) *Assembler {
+	as := &Assembler{
+		opt: opt, radius: sys.Radius, far: far,
+		list:  neighbor.NewList(sys.Box, sys.Radius, opt.CutoffXi, skinFraction*SearchCutoff(sys, opt)),
+		below: make([]int32, sys.N),
+		above: make([]int32, sys.N),
 	}
-	return assemble(sys, opt, func(fn func(neighbor.Pair)) {
-		list.ForEach(sys.Pos, fn)
-	})
+	as.tensorsFn, as.rowsFn = as.tensors, as.rows
+	return as
 }
 
-// pairGrain is the minimum pairs per parallel chunk in assembly: each
-// pair costs two resistance-function evaluations, so chunks this size
-// comfortably amortize a dispatch.
-const pairGrain = 256
+// MinFarField returns the smallest far-field coefficient (see the
+// package-level MinFarField).
+func (as *Assembler) MinFarField() float64 { return slices.Min(as.far) }
 
-// assemble builds the matrix from any pair source in three phases:
-// collect the pairs (serial — the source order defines the matrix
-// build order), evaluate the lubrication tensors (parallel — each
-// pair writes its own slot), and insert the blocks (serial, in pair
-// order). Because insertion order never depends on the thread count,
-// the assembled matrix is bitwise-identical for any pool size.
-func assemble(sys *particles.System, opt Options, forEach func(func(neighbor.Pair))) *bcrs.Matrix {
-	b := bcrs.NewBuilder(sys.N)
-	b.AddDiagScaled(FarFieldCoefficients(sys, opt))
+// ListCounts returns how many builds searched for candidate pairs
+// afresh and how many reused the cached candidates.
+func (as *Assembler) ListCounts() (rebuilds, reuses int) {
+	return as.list.Rebuilds, as.list.Reuses
+}
 
-	var pairs []neighbor.Pair
-	forEach(func(p neighbor.Pair) {
-		pairs = append(pairs, p)
-	})
+// pairGrain and rowGrain are the minimum pairs and block rows per
+// parallel chunk: a pair costs two resistance-function evaluations and
+// a row a handful of block copies, so chunks this size comfortably
+// amortize a dispatch.
+const (
+	pairGrain = 256
+	rowGrain  = 512
+)
 
-	tens := make([]blas.Mat3, len(pairs))
-	keep := make([]bool, len(pairs))
-	parallel.Default().ForOp("hydro_pair_tensors", len(pairs), pairGrain, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			p := pairs[k]
-			a1, a2 := sys.Radius[p.I], sys.Radius[p.J]
-			xi := 2 * (p.R - a1 - a2) / (a1 + a2)
-			if xi >= opt.CutoffXi || p.R <= 0 {
-				continue
-			}
-			d := p.D.Scale(1 / p.R)
-			a := PairTensor(a1, a2, xi, d, opt)
-			if a.Zero3() {
-				continue
-			}
-			tens[k] = a
-			keep[k] = true
-		}
-	})
+// Build assembles the matrix at pos, reusing the neighbor candidates
+// when pos has drifted less than the list's skin since they were found.
+func (as *Assembler) Build(pos []blas.Vec3) *bcrs.Matrix {
+	return assemble(as, as.list.Pairs(pos))
+}
 
+// assemble is the package's one assembly routine: the matrix of the
+// given pairs, which must come in (I, J) order, in four passes — their
+// tensors (parallel, one slot per pair), the row sizes (serial count
+// and prefix sum), the column structure (serial; sorted pairs fill
+// every row in ascending column order), and the values (parallel, one
+// block row per write).
+func assemble(as *Assembler, pairs []neighbor.Pair) *bcrs.Matrix {
+	nb := len(as.radius)
+	pool := parallel.Default()
+	as.pairs = pairs
+	as.tens = slices.Grow(as.tens[:0], len(pairs))[:len(pairs)]
+	pool.ForOp("hydro_pair_tensors", len(pairs), pairGrain, as.tensorsFn)
+
+	// A row holds its diagonal block and one block per kept pair.
+	rowPtr := make([]int32, nb+1)
+	clear(as.below)
 	for k, p := range pairs {
-		if !keep[k] {
+		if !as.tens[k].Zero3() {
+			rowPtr[p.I+1]++
+			rowPtr[p.J+1]++
+			as.below[p.J]++
+		}
+	}
+	for i := 0; i < nb; i++ {
+		rowPtr[i+1] += rowPtr[i] + 1
+	}
+	nnzb := int(rowPtr[nb])
+	colIdx := make([]int32, nnzb)
+	vals := make([]float64, nnzb*bcrs.BlockSize)
+	as.ref = slices.Grow(as.ref[:0], nnzb)[:nnzb]
+
+	// Row i is [neighbors below i | i | neighbors above i], and each
+	// part fills left to right because the pairs are sorted.
+	for i := 0; i < nb; i++ {
+		d := rowPtr[i] + as.below[i]
+		colIdx[d] = int32(i)
+		as.below[i], as.above[i] = rowPtr[i], d+1
+	}
+	for k, p := range pairs {
+		if as.tens[k].Zero3() {
 			continue
 		}
-		a := tens[k]
-		neg := a.ScaleM(-1)
-		b.AddBlock(p.I, p.I, a)
-		b.AddBlock(p.J, p.J, a)
-		b.AddBlock(p.I, p.J, neg)
-		b.AddBlock(p.J, p.I, neg)
+		si, sj := as.above[p.I], as.below[p.J]
+		as.above[p.I], as.below[p.J] = si+1, sj+1
+		colIdx[si], as.ref[si] = int32(p.J), int32(k)
+		colIdx[sj], as.ref[sj] = int32(p.I), int32(k)
 	}
-	return b.Build()
+
+	as.rowPtr, as.colIdx, as.vals = rowPtr, colIdx, vals
+	pool.ForOp("hydro_rows", nb, rowGrain, as.rowsFn)
+	as.pairs, as.rowPtr, as.colIdx, as.vals = nil, nil, nil, nil
+	return bcrs.NewMatrix(nb, nb, rowPtr, colIdx, vals)
+}
+
+// tensors evaluates the lubrication tensor of pairs [lo, hi). A pair
+// whose tensor vanishes (the shifted resistance functions round to
+// zero just inside the cutoff) or whose centers coincide stores no
+// block.
+func (as *Assembler) tensors(lo, hi int) {
+	for k := lo; k < hi; k++ {
+		p := as.pairs[k]
+		if p.R <= 0 {
+			as.tens[k] = blas.Mat3{}
+			continue
+		}
+		a1, a2 := as.radius[p.I], as.radius[p.J]
+		as.tens[k] = PairTensor(a1, a2, neighbor.Gap(p.R, a1, a2), p.D.Scale(1/p.R), as.opt)
+	}
+}
+
+// rows writes the values of block rows [lo, hi): -A for each neighbor
+// and, on the diagonal, muF*I plus the same tensors in slot order,
+// which is ascending neighbor index.
+func (as *Assembler) rows(lo, hi int) {
+	const bs = bcrs.BlockSize
+	for i := lo; i < hi; i++ {
+		diag := blas.Ident3().ScaleM(as.far[i])
+		at := -1
+		for s := int(as.rowPtr[i]); s < int(as.rowPtr[i+1]); s++ {
+			if int(as.colIdx[s]) == i {
+				at = s
+				continue
+			}
+			a := &as.tens[as.ref[s]]
+			for q, v := range a {
+				diag[q] += v
+				// 0 - v, not -v: a zero entry is stored as +0, as
+				// summing into a zeroed block would leave it.
+				as.vals[s*bs+q] = 0 - v
+			}
+		}
+		copy(as.vals[at*bs:], diag[:])
+	}
 }
 
 // MinFarField returns the smallest diagonal far-field coefficient —

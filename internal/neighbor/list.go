@@ -1,7 +1,9 @@
 package neighbor
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"repro/internal/blas"
 	"repro/internal/obs"
@@ -16,119 +18,164 @@ var (
 	obsReuses   = obs.Default.Counter("neighbor_list_reuses_total")
 )
 
-// List is a Verlet neighbor list: a cached set of candidate pairs
-// found with an enlarged search radius (cutoff + skin), valid as long
-// as no particle has moved more than skin/2 since the list was built.
-// While valid, pair queries filter the cached candidates against the
-// current positions instead of re-binning the whole system — the
-// amortization the paper leans on when it folds partitioning into
-// "neighbor list construction ... amortize[d] over several time
-// steps" (Section IV-A2). For Stokesian dynamics steps, whose
-// displacements are a tiny fraction of the interaction range, one
-// build serves many steps.
+// Gap returns the dimensionless surface gap xi = 2h/(a1+a2) of two
+// spheres with radii a1, a2 whose centers are r apart (h the surface
+// separation). It is the one expression both the list's emission test
+// and the lubrication tensors evaluate, so a pair at the cutoff falls
+// on the same side of it everywhere.
+func Gap(r, a1, a2 float64) float64 {
+	return 2 * (r - a1 - a2) / (a1 + a2)
+}
+
+// List is a Verlet neighbor list over spheres of different radii: it
+// answers "which pairs have Gap < xiCut", i.e. which lie closer than
+// their own reach (a_i+a_j)(1+xiCut/2), from a cached set of candidate
+// pairs found with each reach enlarged by the skin. The cache is valid
+// as long as no particle has moved more than skin/2 since it was built.
+// While valid, a query filters the candidates against the current
+// positions instead of re-binning the whole system — the amortization
+// the paper leans on when it folds partitioning into "neighbor list
+// construction ... amortize[d] over several time steps" (Section
+// IV-A2). For Stokesian dynamics steps, whose displacements are a tiny
+// fraction of the interaction range, one build serves many steps.
+//
+// The reach is per pair, not the reach of the two largest spheres: in
+// a polydisperse system (E. coli radii: largest 115, mean 37) a single
+// global cutoff lists some twenty times more candidates than interact.
+//
+// A List owns its buffers and is not safe for concurrent use; every
+// trajectory needs its own.
 type List struct {
-	box    float64
-	cutoff float64
-	skin   float64
+	box, xiCut, skin float64
+	radius           []float64 // shared with the caller, never written
+	maxReach         float64   // reach of the two largest spheres
 
 	refPos []blas.Vec3
-	// candidates are the pairs within cutoff+skin of the reference
-	// configuration; indices only — geometry is recomputed per query.
+	// candidates are the pairs within reach+skin of the reference
+	// configuration, in (I, J) order; indices only — geometry is
+	// recomputed per query.
 	candidates [][2]int32
+	grid       cells
+	pairs      []Pair // the last query's answer
 
-	// scratch for the parallel candidate filter, reused across queries:
-	// the minimum-image displacement and squared distance per candidate.
-	scratchD  []blas.Vec3
-	scratchR2 []float64
+	// pos is the configuration being queried, for the pool callbacks
+	// below; they are bound once so that a query allocates nothing.
+	pos       []blas.Vec3
+	driftedFn func(lo, hi int) bool
+	geometry  func(lo, hi int)
 
 	// Rebuilds and Reuses count list constructions and avoided ones,
 	// for tests and instrumentation.
 	Rebuilds, Reuses int
 }
 
-// NewList creates a list for a box and interaction cutoff. skin <= 0
-// defaults to 10% of the cutoff.
-func NewList(box, cutoff, skin float64) *List {
-	if box <= 0 || cutoff <= 0 {
-		panic("neighbor: box and cutoff must be positive")
+// NewList creates a list for a box and the spheres' radii; pairs
+// interact while Gap < xiCut. The radius slice is retained, not copied.
+func NewList(box float64, radius []float64, xiCut, skin float64) *List {
+	if box <= 0 || xiCut < 0 || skin <= 0 {
+		panic("neighbor: box and skin must be positive and the gap cutoff nonnegative")
 	}
-	if skin <= 0 {
-		skin = 0.1 * cutoff
+	l := &List{box: box, xiCut: xiCut, skin: skin, radius: radius}
+	var amax float64
+	for _, a := range radius {
+		amax = max(amax, a)
 	}
-	return &List{box: box, cutoff: cutoff, skin: skin}
+	l.maxReach = l.reach(amax, amax)
+	l.driftedFn, l.geometry = l.drifted, l.fillGeometry
+	return l
 }
 
-// Cutoff returns the interaction cutoff the list serves.
-func (l *List) Cutoff() float64 { return l.cutoff }
+// reach is the center distance below which spheres of radii a1 and a2
+// interact.
+func (l *List) reach(a1, a2 float64) float64 {
+	return (a1 + a2) * (1 + l.xiCut/2)
+}
 
-// valid reports whether the cached candidates still cover every pair
-// within cutoff of pos: true when the maximum single-particle drift
-// from the reference is below skin/2 (two particles approaching each
-// other close at most 2 * skin/2 = skin, the search margin).
-func (l *List) valid(pos []blas.Vec3) bool {
-	if l.refPos == nil || len(l.refPos) != len(pos) {
+// valid reports whether the cached candidates still cover every
+// interacting pair of l.pos: true when the maximum single-particle
+// drift from the reference is below skin/2 (two particles approaching
+// each other close at most 2 * skin/2 = skin, the search margin).
+func (l *List) valid() bool {
+	if len(l.refPos) != len(l.pos) {
 		return false
 	}
-	limit := l.skin / 2
-	limit2 := limit * limit
 	// Blocked OR-reduction: each chunk reports whether any of its
 	// particles drifted past the limit. The combine is order-
 	// insensitive for booleans, so the verdict is identical for any
 	// thread count.
-	drifted := parallel.Reduce(parallel.Default(), len(pos), binGrain, func(lo, hi int) bool {
-		for i := lo; i < hi; i++ {
-			d := MinImage(Wrap(pos[i], l.box).Sub(Wrap(l.refPos[i], l.box)), l.box)
-			if d.Dot(d) >= limit2 {
-				return true
-			}
-		}
-		return false
-	}, func(a, b bool) bool { return a || b })
-	return !drifted
+	return !parallel.Reduce(parallel.Default(), len(l.pos), binGrain, l.driftedFn, orBool)
 }
 
-// rebuild refreshes the candidate set from pos.
-func (l *List) rebuild(pos []blas.Vec3) {
-	l.refPos = append(l.refPos[:0], pos...)
+func orBool(a, b bool) bool { return a || b }
+
+func (l *List) drifted(lo, hi int) bool {
+	limit := l.skin / 2
+	for i := lo; i < hi; i++ {
+		d := MinImage(Wrap(l.pos[i], l.box).Sub(Wrap(l.refPos[i], l.box)), l.box)
+		if d.Dot(d) >= limit*limit {
+			return true
+		}
+	}
+	return false
+}
+
+// rebuild refreshes the candidate set from l.pos: one search at the
+// largest reach, kept per pair by that pair's own reach.
+func (l *List) rebuild() {
+	l.refPos = append(l.refPos[:0], l.pos...)
 	l.candidates = l.candidates[:0]
-	ForEachPair(pos, l.box, l.cutoff+l.skin, func(p Pair) {
-		l.candidates = append(l.candidates, [2]int32{int32(p.I), int32(p.J)})
+	// The candidate test, unlike the emission test, may err on the
+	// wide side: the sliver covers the rounding of the drift test.
+	margin := l.skin * (1 + 1e-9)
+	l.grid.forEachPair(l.pos, l.box, l.maxReach+margin, func(p Pair) {
+		if p.R < l.reach(l.radius[p.I], l.radius[p.J])+margin {
+			l.candidates = append(l.candidates, [2]int32{int32(p.I), int32(p.J)})
+		}
+	})
+	// The cell search visits pairs cell by cell; sorting here is what
+	// makes every query's answer (I, J)-ordered whatever found it.
+	slices.SortFunc(l.candidates, func(a, b [2]int32) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
 	})
 	l.Rebuilds++
 	obsRebuilds.Inc()
 }
 
-// ForEach visits every pair of pos with minimum-image distance below
-// the cutoff, reusing the cached candidates when the configuration
-// has not drifted past the skin.
-func (l *List) ForEach(pos []blas.Vec3, fn func(Pair)) {
-	if !l.valid(pos) {
-		l.rebuild(pos)
+// Pairs returns every pair of pos with Gap < xiCut, in (I, J) order,
+// reusing the cached candidates when the configuration has not drifted
+// past the skin. The answer depends on pos alone, not on the list's
+// history or the thread count. The returned slice is the list's own
+// and is overwritten by the next call.
+func (l *List) Pairs(pos []blas.Vec3) []Pair {
+	if len(pos) != len(l.radius) {
+		panic("neighbor: position and radius counts differ")
+	}
+	l.pos = pos
+	if !l.valid() {
+		l.rebuild()
 	} else {
 		l.Reuses++
 		obsReuses.Inc()
 	}
-	cutoff2 := l.cutoff * l.cutoff
-	nc := len(l.candidates)
-	if cap(l.scratchD) < nc {
-		l.scratchD = make([]blas.Vec3, nc)
-		l.scratchR2 = make([]float64, nc)
+	// Geometry in parallel (one slot per candidate), then a serial
+	// in-place compaction down to the pairs inside their reach.
+	l.pairs = resize(l.pairs, len(l.candidates))
+	parallel.Default().ForOp("neighbor_filter", len(l.candidates), binGrain, l.geometry)
+	l.pos = nil
+	kept := l.pairs[:0]
+	for _, p := range l.pairs {
+		if Gap(p.R, l.radius[p.I], l.radius[p.J]) < l.xiCut {
+			kept = append(kept, p)
+		}
 	}
-	dist, r2s := l.scratchD[:nc], l.scratchR2[:nc]
-	// Geometry in parallel (disjoint writes per candidate), emission
-	// serial in candidate order — callers see the same pair sequence
-	// regardless of thread count.
-	parallel.Default().ForOp("neighbor_filter", nc, binGrain, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			c := l.candidates[k]
-			d := MinImage(Wrap(pos[c[1]], l.box).Sub(Wrap(pos[c[0]], l.box)), l.box)
-			dist[k] = d
-			r2s[k] = d.Dot(d)
-		}
-	})
-	for k, c := range l.candidates {
-		if r2 := r2s[k]; r2 < cutoff2 {
-			fn(Pair{I: int(c[0]), J: int(c[1]), D: dist[k], R: math.Sqrt(r2)})
-		}
+	l.pairs = kept
+	return kept
+}
+
+func (l *List) fillGeometry(lo, hi int) {
+	for k := lo; k < hi; k++ {
+		c := l.candidates[k]
+		d := MinImage(Wrap(l.pos[c[1]], l.box).Sub(Wrap(l.pos[c[0]], l.box)), l.box)
+		l.pairs[k] = Pair{I: int(c[0]), J: int(c[1]), D: d, R: math.Sqrt(d.Dot(d))}
 	}
 }

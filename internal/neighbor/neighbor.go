@@ -1,5 +1,4 @@
-// Package neighbor finds interacting particle pairs in a periodic box
-// using cell lists.
+// Package neighbor finds interacting particle pairs in a periodic box.
 //
 // The resistance matrix of Stokesian dynamics couples only particle
 // pairs closer than a cutoff (lubrication forces are short-range), so
@@ -8,13 +7,29 @@
 // divided into a grid of cells at least one cutoff wide, and only the
 // 13 half-neighbors of each cell (plus the cell itself) are searched.
 // When the box is too small for a 3x3x3 grid of cutoff-sized cells,
-// the implementation falls back to the O(n^2) brute-force scan, which
-// is also exported as the test oracle.
+// the search streams the O(n^2) scan instead; an independent copy of
+// that scan is exported as the test oracle (PairsBrute).
+//
+// Two surfaces sit on the search. ForEachPair visits every pair inside
+// one global cutoff — what packing relaxation and pair statistics
+// want. List is the Verlet list matrix assembly uses along a
+// trajectory, and its reach is per pair: spheres i and j interact
+// while their dimensionless surface gap (Gap) is below a cutoff, i.e.
+// while r < (a_i+a_j)(1+xiCut/2). A pair becomes a candidate when it
+// is within that reach plus the skin of the reference configuration
+// (this test may err wide), the candidates serve until some particle
+// has drifted skin/2, and a pair is reported exactly when Gap < xiCut
+// at the queried positions. Candidates are kept sorted, so an answer
+// is in (I, J) order and depends on the positions alone — not on when
+// the list was last rebuilt, which search rebuilt it, or the thread
+// count. A list owns every buffer it needs, so a query that reuses
+// the candidates allocates nothing; the returned pairs are valid until
+// the next query.
 package neighbor
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/blas"
 	"repro/internal/parallel"
@@ -71,19 +86,57 @@ func Pairs(pos []blas.Vec3, box, cutoff float64) []Pair {
 
 // ForEachPair calls fn for every pair with minimum-image distance
 // strictly less than cutoff, without materializing the pair list —
-// the allocation-free path used by matrix assembly and packing
-// relaxation. Each qualifying pair is visited exactly once, with
-// I < J. The visit order is deterministic.
+// the path used by packing relaxation and pair statistics. Each
+// qualifying pair is visited exactly once, with I < J. The visit
+// order is deterministic. Geometry comes from a snapshot of pos taken
+// on entry, so fn may move particles.
 func ForEachPair(pos []blas.Vec3, box, cutoff float64, fn func(Pair)) {
+	new(cells).forEachPair(pos, box, cutoff, fn)
+}
+
+// cells is the binning scratch of one pair search. The free functions
+// use a fresh one per call; a List owns one, so its rebuilds allocate
+// nothing once the buffers have grown to the system size.
+type cells struct {
+	wrapped []blas.Vec3
+	cellOf  []int
+	counts  []int // cell start offsets into members, then one past the end
+	fill    []int
+	members []int32
+}
+
+// halfSpace lists the 13 neighbor-cell offsets that, together with the
+// home cell, cover each pair exactly once. With g >= 3, distinct
+// offsets always reach distinct cells mod g, so no pair can be visited
+// twice.
+var halfSpace = [13][3]int{
+	{1, 0, 0}, {0, 1, 0}, {0, 0, 1},
+	{1, 1, 0}, {1, -1, 0}, {1, 0, 1}, {1, 0, -1},
+	{0, 1, 1}, {0, 1, -1},
+	{1, 1, 1}, {1, 1, -1}, {1, -1, 1}, {1, -1, -1},
+}
+
+func (cs *cells) forEachPair(pos []blas.Vec3, box, cutoff float64, fn func(Pair)) {
 	if box <= 0 || cutoff <= 0 {
 		panic("neighbor: box and cutoff must be positive")
 	}
+	n := len(pos)
+	cs.wrapped = resize(cs.wrapped, n)
+	wrapped := cs.wrapped
 	g := int(box / cutoff)
 	if g < 3 {
-		// Cells would alias through the periodic wrap; fall back to
-		// the quadratic scan.
-		for _, p := range PairsBrute(pos, box, cutoff) {
-			fn(p)
+		// Cells would alias through the periodic wrap: stream the
+		// quadratic scan, which visits pairs in (I, J) order.
+		for i, p := range pos {
+			wrapped[i] = Wrap(p, box)
+		}
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				d := MinImage(wrapped[j].Sub(wrapped[i]), box)
+				if r := d.Norm(); r < cutoff {
+					fn(Pair{I: i, J: j, D: d, R: r})
+				}
+			}
 		}
 		return
 	}
@@ -92,10 +145,11 @@ func ForEachPair(pos []blas.Vec3, box, cutoff float64, fn func(Pair)) {
 	}
 	cell := box / float64(g)
 
-	n := len(pos)
-	wrapped := make([]blas.Vec3, n)
-	cellOf := make([]int, n)
-	counts := make([]int, g*g*g+1)
+	cs.cellOf = resize(cs.cellOf, n)
+	cs.counts = resize(cs.counts, g*g*g+1)
+	cs.fill = resize(cs.fill, g*g*g)
+	cs.members = resize(cs.members, n)
+	cellOf, counts, fill, members := cs.cellOf, cs.counts, cs.fill, cs.members
 	idx := func(ix, iy, iz int) int { return (ix*g+iy)*g + iz }
 	// Binning: each particle's wrap and cell index are independent, so
 	// the pass parallelizes with disjoint writes; the histogram and
@@ -111,28 +165,17 @@ func ForEachPair(pos []blas.Vec3, box, cutoff float64, fn func(Pair)) {
 			cellOf[i] = idx(ix, iy, iz)
 		}
 	})
+	clear(counts)
 	for _, c := range cellOf {
 		counts[c+1]++
 	}
 	for c := 0; c < g*g*g; c++ {
 		counts[c+1] += counts[c]
 	}
-	members := make([]int32, n)
-	fill := append([]int(nil), counts[:g*g*g]...)
+	copy(fill, counts)
 	for i := 0; i < n; i++ {
 		members[fill[cellOf[i]]] = int32(i)
 		fill[cellOf[i]]++
-	}
-
-	// Half-space neighbor offsets: the 13 cells that, together with
-	// the home cell, cover each pair exactly once. With g >= 3,
-	// distinct offsets always reach distinct cells mod g, so no pair
-	// can be visited twice.
-	offsets := [][3]int{
-		{1, 0, 0}, {0, 1, 0}, {0, 0, 1},
-		{1, 1, 0}, {1, -1, 0}, {1, 0, 1}, {1, 0, -1},
-		{0, 1, 1}, {0, 1, -1},
-		{1, 1, 1}, {1, 1, -1}, {1, -1, 1}, {1, -1, -1},
 	}
 
 	emit := func(i, j int) {
@@ -158,7 +201,7 @@ func ForEachPair(pos []blas.Vec3, box, cutoff float64, fn func(Pair)) {
 					}
 				}
 				// Against each half-space neighbor.
-				for _, off := range offsets {
+				for _, off := range halfSpace {
 					jx := (ix + off[0] + g) % g
 					jy := (iy + off[1] + g) % g
 					jz := (iz + off[2] + g) % g
@@ -174,6 +217,12 @@ func ForEachPair(pos []blas.Vec3, box, cutoff float64, fn func(Pair)) {
 	}
 }
 
+// resize returns s with length n and unspecified contents, reusing its
+// storage when that is large enough.
+func resize[T any](s []T, n int) []T {
+	return slices.Grow(s[:0], n)[:n]
+}
+
 func clamp(c, g int) int {
 	if c < 0 {
 		return 0
@@ -184,7 +233,8 @@ func clamp(c, g int) int {
 	return c
 }
 
-// PairsBrute is the O(n^2) reference implementation.
+// PairsBrute is the O(n^2) reference implementation; its pairs come
+// out in (I, J) order.
 func PairsBrute(pos []blas.Vec3, box, cutoff float64) []Pair {
 	var pairs []Pair
 	for i := 0; i < len(pos); i++ {
@@ -197,15 +247,5 @@ func PairsBrute(pos []blas.Vec3, box, cutoff float64) []Pair {
 			}
 		}
 	}
-	sortPairs(pairs)
 	return pairs
-}
-
-func sortPairs(pairs []Pair) {
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a].I != pairs[b].I {
-			return pairs[a].I < pairs[b].I
-		}
-		return pairs[a].J < pairs[b].J
-	})
 }

@@ -1,8 +1,10 @@
 package neighbor
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/blas"
@@ -14,6 +16,12 @@ func randPositions(rng *rand.Rand, n int, box float64) []blas.Vec3 {
 		pos[i] = blas.Vec3{rng.Float64() * box, rng.Float64() * box, rng.Float64() * box}
 	}
 	return pos
+}
+
+func sortPairs(pairs []Pair) {
+	slices.SortFunc(pairs, func(a, b Pair) int {
+		return cmp.Or(cmp.Compare(a.I, b.I), cmp.Compare(a.J, b.J))
+	})
 }
 
 func samePairs(a, b []Pair) bool {

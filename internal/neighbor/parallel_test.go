@@ -49,17 +49,15 @@ func TestForEachPairExactAcrossThreadCounts(t *testing.T) {
 	}
 }
 
-func TestListForEachExactAcrossThreadCounts(t *testing.T) {
+func TestListPairsExactAcrossThreadCounts(t *testing.T) {
 	const n, box, cutoff = 3000, 20.0, 1.5
 	pos := randomPositions(n, box, 22)
 
 	collect := func() []Pair {
-		l := NewList(box, cutoff, 0)
-		var out []Pair
-		l.ForEach(pos, func(p Pair) { out = append(out, p) })
+		l := uniformList(box, cutoff, 0.1*cutoff, n)
+		l.Pairs(pos)
 		// Query again without drift: the cached-candidate filter path.
-		out = out[:0]
-		l.ForEach(pos, func(p Pair) { out = append(out, p) })
+		out := l.Pairs(pos)
 		if l.Reuses != 1 {
 			t.Fatalf("second query did not reuse the list (reuses=%d)", l.Reuses)
 		}

@@ -95,3 +95,26 @@ func TestChaosRunWithThreadsMatchesCleanChecksum(t *testing.T) {
 		t.Fatalf("threads=%d chaos checksum %016x differs from clean run %016x", threads, got, want)
 	}
 }
+
+// TestTwoChainsShareNoWorkspace steps two simulations over one particle
+// system from two goroutines — the shape of a verifier beside a runner,
+// or of ensemble members. Each NewConf must have given its chain its
+// own assembler: under -race a shared workspace is a reported race, and
+// without it a fork of the two (identically seeded) trajectories.
+func TestTwoChainsShareNoWorkspace(t *testing.T) {
+	sys := newTestSystem(t)
+	cfg := core.Config{Dt: 0.5, M: 3, Seed: 1, ChebOrder: 10}
+	sims := []*Simulation{New(sys, hydro.Options{}, cfg, 1), New(sys, hydro.Options{}, cfg, 1)}
+	errs := make(chan error, len(sims)) // one result per simulation
+	for _, sim := range sims {
+		go func() { errs <- sim.RunMRHS(6) }()
+	}
+	for range sims {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a, b := sims[0].System().Checksum(), sims[1].System().Checksum(); a != b {
+		t.Fatalf("concurrent chains forked: %016x vs %016x", a, b)
+	}
+}

@@ -15,9 +15,9 @@ import (
 	"time"
 
 	"repro/internal/bcrs"
+	"repro/internal/blas"
 	"repro/internal/core"
 	"repro/internal/hydro"
-	"repro/internal/neighbor"
 	"repro/internal/parallel"
 	"repro/internal/particles"
 )
@@ -30,10 +30,13 @@ type Conf struct {
 	Opt     hydro.Options
 	Threads int // kernel threads for the assembled matrices
 
-	// list is the Verlet neighbor list shared along the Displaced
-	// chain: SD displacements are a tiny fraction of the interaction
-	// range, so one cell-list build serves many steps.
-	list *neighbor.List
+	// asm is the resistance assembler — Verlet neighbor list, far-
+	// field coefficients, assembly scratch — shared along the
+	// Displaced chain: SD displacements are a tiny fraction of the
+	// interaction range, so one candidate search serves many steps.
+	// It is mutable state of the chain, so two chains never share one
+	// and a chain is built from one goroutine at a time.
+	asm *hydro.Assembler
 }
 
 // NewConf wraps a particle system. The hydro options' Phi is filled
@@ -50,44 +53,49 @@ func NewConf(sys *particles.System, opt hydro.Options, threads int) *Conf {
 	}
 	parallel.SetThreads(threads)
 	opt = opt.WithDefaults()
-	cutoff := hydro.SearchCutoff(sys, opt)
-	return &Conf{
-		Sys: sys, Opt: opt, Threads: threads,
-		list: neighbor.NewList(sys.Box, cutoff, 0.05*cutoff),
+	return &Conf{Sys: sys, Opt: opt, Threads: threads, asm: hydro.NewAssembler(sys, opt)}
+}
+
+// assembler returns the chain's assembler, or a fresh one for a Conf
+// that was not made by NewConf.
+func (c *Conf) assembler() *hydro.Assembler {
+	if c.asm != nil {
+		return c.asm
 	}
+	return hydro.NewAssembler(c.Sys, c.Opt)
 }
 
 // Dim returns 3N.
 func (c *Conf) Dim() int { return 3 * c.Sys.N }
 
 // Build assembles the sparse resistance matrix at this configuration,
-// reusing the shared Verlet neighbor list when the configuration has
-// drifted less than the list's skin.
+// reusing the chain's neighbor candidates when the configuration has
+// drifted less than the list's skin. The matrix is the caller's: later
+// builds on the chain do not touch it.
 func (c *Conf) Build() *bcrs.Matrix {
-	var a *bcrs.Matrix
-	if c.list != nil {
-		a = hydro.BuildWithList(c.Sys, c.Opt, c.list)
-	} else {
-		a = hydro.Build(c.Sys, c.Opt)
+	a := c.assembler().Build(c.Sys.Pos)
+	if c.Threads != a.Threads() {
+		a.SetThreads(c.Threads)
 	}
-	a.SetThreads(c.Threads)
 	return a
 }
 
 // SpectrumFloor returns the minimum far-field diagonal coefficient, a
 // rigorous lower bound on the spectrum of R.
 func (c *Conf) SpectrumFloor() float64 {
-	return hydro.MinFarField(c.Sys, c.Opt)
+	return c.assembler().MinFarField()
 }
 
 // Displaced returns a new configuration with positions advanced by
-// dt*u (wrapped periodically); the receiver is unchanged.
+// dt*u (wrapped periodically); the receiver is unchanged. The radii
+// are immutable along a trajectory, so the new system shares them.
 func (c *Conf) Displaced(u []float64, dt float64) core.Configuration {
-	next := c.Sys.Clone()
+	next := *c.Sys
+	next.Pos = make([]blas.Vec3, c.Sys.N)
 	next.DisplacedFrom(c.Sys, u, dt)
-	// The neighbor list travels with the trajectory: it revalidates
+	// The assembler travels with the trajectory: its list revalidates
 	// against whatever positions it is queried with.
-	return &Conf{Sys: next, Opt: c.Opt, Threads: c.Threads, list: c.list}
+	return &Conf{Sys: &next, Opt: c.Opt, Threads: c.Threads, asm: c.asm}
 }
 
 // Simulation bundles a runner with its SD configuration.
@@ -157,10 +165,6 @@ func (s *Simulation) Elapsed() time.Duration {
 	t := s.Timings
 	return t.Construct + t.ChebVectors + t.CalcGuesses + t.ChebSingle + t.FirstSolve + t.SecondSolve
 }
-
-// listOf exposes the configuration's neighbor list for tests and
-// instrumentation.
-func listOf(c *Conf) *neighbor.List { return c.list }
 
 // NewDistributed builds a simulation in which every matrix multiply —
 // the CG solves, the block solves, and the Chebyshev Brownian-force

@@ -2,6 +2,7 @@ package sd
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -336,16 +337,66 @@ func TestNeighborListAmortizesBuilds(t *testing.T) {
 	if c.Sys == nil {
 		t.Fatal("no system")
 	}
-	// Access the list through a fresh build to read its counters.
-	list := listOf(c)
-	if list == nil {
-		t.Fatal("conf carries no neighbor list")
+	if c.asm == nil {
+		t.Fatal("conf carries no assembler")
 	}
-	if list.Reuses == 0 {
+	rebuilds, reuses := c.asm.ListCounts()
+	if reuses == 0 {
 		t.Fatal("neighbor list never reused across steps")
 	}
-	if list.Rebuilds > list.Reuses {
-		t.Fatalf("list thrashing: %d rebuilds vs %d reuses", list.Rebuilds, list.Reuses)
+	if rebuilds > reuses {
+		t.Fatalf("list thrashing: %d rebuilds vs %d reuses", rebuilds, reuses)
+	}
+}
+
+// TestBuildAllocatesOnlyTheMatrix: on a warmed chain a build allocates
+// the matrix it returns — the struct and its three arrays — and nothing
+// else: no pair list, no tensors, no builder.
+func TestBuildAllocatesOnlyTheMatrix(t *testing.T) {
+	sys, err := particles.New(particles.Options{N: 300, Phi: 0.4, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewConf(sys, hydro.Options{}, 1)
+	a := c.Build()
+	own := 4*(a.NB()+1) + 4*a.NNZB() + 8*a.NNZ()
+
+	if n := testing.AllocsPerRun(20, func() { c.Build() }); n > 4 {
+		t.Fatalf("a warmed build allocated %v times, want at most 4", n)
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		c.Build()
+	}
+	runtime.ReadMemStats(&after)
+	if got := float64(after.TotalAlloc-before.TotalAlloc) / runs; got > 1.25*float64(own) {
+		t.Fatalf("a warmed build allocated %.0f bytes for a matrix of %d", got, own)
+	}
+}
+
+// TestBuildIndependentOfChainHistory: the matrix at a configuration is
+// the same bits from the chain that walked there, whose list was built
+// steps ago, and from a new chain started there — which is what lets a
+// checkpoint restore or a chaos replay rejoin the clean trajectory.
+func TestBuildIndependentOfChainHistory(t *testing.T) {
+	s := smallSim(t, 80, 0.4, core.Config{Dt: 2, M: 4, Seed: 9})
+	if err := s.RunMRHS(8); err != nil {
+		t.Fatal(err)
+	}
+	walked := s.Current().(*Conf)
+	if _, reuses := walked.asm.ListCounts(); reuses == 0 {
+		t.Fatal("the walked chain never reused its list")
+	}
+	a, b := walked.Build(), NewConf(walked.Sys.Clone(), walked.Opt, 1).Build()
+	if a.NNZB() != b.NNZB() {
+		t.Fatalf("nnzb %d vs %d", a.NNZB(), b.NNZB())
+	}
+	for k := 0; k < a.NNZB(); k++ {
+		if a.BlockCol(k) != b.BlockCol(k) || a.BlockAt(k) != b.BlockAt(k) {
+			t.Fatalf("block %d differs between the walked and the fresh chain", k)
+		}
 	}
 }
 
