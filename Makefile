@@ -24,8 +24,11 @@ ci: vet build docs-gate race-kernels race chaos serve-smoke shard-smoke serial b
 docs-gate:
 	$(GO) run ./cmd/docs-gate
 
+# The second line cross-vets the packages with assembly for an
+# architecture that has none, so their _noasm/_other files cannot rot.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/cpufeat/ ./internal/bcrs/ ./internal/multivec/
 
 build:
 	$(GO) build ./...
@@ -47,11 +50,13 @@ race:
 # the dispatcher mutates the basis, and the assembly chain (hydro,
 # neighbor, sd), whose assembler and Verlet list are mutable state
 # carried along a trajectory: two chains in one process — a verifier
-# beside a runner, ensemble members — must share none of it. Short mode
+# beside a runner, ensemble members — must share none of it; and
+# multivec, whose pooled reductions block CG runs every iteration and
+# whose solves draw their workspace from a shared pool. Short mode
 # keeps it seconds-cheap so the full -race suite only runs once this
 # passes.
 race-kernels:
-	$(GO) test -race -short ./internal/bcrs/ ./internal/parallel/ ./internal/serve/ ./internal/shard/ ./internal/obs/ ./internal/solver/ ./internal/hydro/ ./internal/neighbor/ ./internal/sd/
+	$(GO) test -race -short ./internal/bcrs/ ./internal/multivec/ ./internal/parallel/ ./internal/serve/ ./internal/shard/ ./internal/obs/ ./internal/solver/ ./internal/hydro/ ./internal/neighbor/ ./internal/sd/
 
 # chaos runs the fault-injection and recovery tests — seeded chaos
 # runs must reproduce clean-run trajectories bitwise — under -race,

@@ -2,6 +2,8 @@
 
 package bcrs
 
+import "repro/internal/cpufeat"
+
 // The wide-m GSPMV kernels have an AVX2 fast path (gspmv_amd64.s)
 // that vectorizes across the right-hand sides: 4 columns per ymm
 // lane group, each lane running the scalar kernels' exact operation
@@ -12,8 +14,6 @@ package bcrs
 // F in the r(m) model from scalar to SIMD throughput.
 
 // Implemented in gspmv_amd64.s.
-func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-func xgetbv0() (eax, edx uint32)
 func gspmvRowAVX2(vals *float64, colIdx *int32, nblk int, x *float64, yrow *float64, m int)
 
 // Implemented in sym_amd64.s.
@@ -35,37 +35,16 @@ var simdWidth = detectSIMD()
 var symSIMDWidth = detectSymSIMD()
 
 func detectSymSIMD() int {
-	if detectSIMD() == 0 {
-		return 0
-	}
 	// The symmetric kernels' operation order is an FMA chain
 	// (math.FMA in Go); matching it bitwise in asm needs FMA3.
-	_, _, c1, _ := cpuidex(1, 0)
-	const fma = 1 << 12
-	if c1&fma == 0 {
+	if !cpufeat.FMA {
 		return 0
 	}
 	return 2
 }
 
 func detectSIMD() int {
-	maxLeaf, _, _, _ := cpuidex(0, 0)
-	if maxLeaf < 7 {
-		return 0
-	}
-	_, _, c1, _ := cpuidex(1, 0)
-	const osxsave, avx = 1 << 27, 1 << 28
-	if c1&osxsave == 0 || c1&avx == 0 {
-		return 0
-	}
-	// OS must save the full ymm state (XCR0 bits 1 and 2).
-	xlo, _ := xgetbv0()
-	if xlo&0x6 != 0x6 {
-		return 0
-	}
-	_, b7, _, _ := cpuidex(7, 0)
-	const avx2 = 1 << 5
-	if b7&avx2 == 0 {
+	if !cpufeat.AVX2 {
 		return 0
 	}
 	return 8

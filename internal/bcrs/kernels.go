@@ -39,34 +39,43 @@ func (a *Matrix) mul(y, x *multivec.MultiVec, forceGeneric bool) {
 	if x.N != a.NCols() || y.N != a.N() || x.M != y.M {
 		panic("bcrs: Mul dimension mismatch")
 	}
-	m := x.M
-	kern := func(lo, hi int) {
-		gspmvGeneric(a.rowPtr, a.colIdx, a.vals, x.Data, y.Data, m, lo, hi)
+	t0 := time.Now()
+	if len(a.ranges) <= 1 {
+		// Called directly, not through parallel: a closure handed to
+		// the pool is a heap allocation per multiply.
+		a.mulRange(y, x, forceGeneric, 0, a.nb)
+	} else {
+		a.parallel(func(lo, hi int) { a.mulRange(y, x, forceGeneric, lo, hi) })
 	}
-	if !forceGeneric {
-		switch m {
-		case 1:
-			kern = func(lo, hi int) { spmv1(a.rowPtr, a.colIdx, a.vals, x.Data, y.Data, lo, hi) }
-		case 2:
-			kern = func(lo, hi int) { gspmv2(a.rowPtr, a.colIdx, a.vals, x.Data, y.Data, lo, hi) }
-		case 4:
-			kern = func(lo, hi int) { gspmv4(a.rowPtr, a.colIdx, a.vals, x.Data, y.Data, lo, hi) }
-		case 8:
-			kern = func(lo, hi int) { gspmv8(a.rowPtr, a.colIdx, a.vals, x.Data, y.Data, lo, hi) }
-		case 16:
-			kern = func(lo, hi int) { gspmv16(a.rowPtr, a.colIdx, a.vals, x.Data, y.Data, lo, hi) }
-		case 32:
-			kern = func(lo, hi int) { gspmv32(a.rowPtr, a.colIdx, a.vals, x.Data, y.Data, lo, hi) }
-		}
+	a.recordMul(x.M, time.Since(t0).Seconds())
+}
+
+// mulRange multiplies block rows [lo, hi) with the kernel Mul
+// dispatches for x.M.
+func (a *Matrix) mulRange(y, x *multivec.MultiVec, forceGeneric bool, lo, hi int) {
+	m := x.M
+	switch {
+	case forceGeneric:
+		gspmvGeneric(a.rowPtr, a.colIdx, a.vals, x.Data, y.Data, m, lo, hi)
+	case simdWidth > 0 && m >= simdWidth && m%simdWidth == 0:
 		// The AVX2 fast path (bitwise-identical lanes across the m
 		// dimension) takes over every specialized width it divides.
-		if simdWidth > 0 && m >= simdWidth && m%simdWidth == 0 {
-			kern = func(lo, hi int) { gspmvSIMD(a.rowPtr, a.colIdx, a.vals, x.Data, y.Data, m, lo, hi) }
-		}
+		gspmvSIMD(a.rowPtr, a.colIdx, a.vals, x.Data, y.Data, m, lo, hi)
+	case m == 1:
+		spmv1(a.rowPtr, a.colIdx, a.vals, x.Data, y.Data, lo, hi)
+	case m == 2:
+		gspmv2(a.rowPtr, a.colIdx, a.vals, x.Data, y.Data, lo, hi)
+	case m == 4:
+		gspmv4(a.rowPtr, a.colIdx, a.vals, x.Data, y.Data, lo, hi)
+	case m == 8:
+		gspmv8(a.rowPtr, a.colIdx, a.vals, x.Data, y.Data, lo, hi)
+	case m == 16:
+		gspmv16(a.rowPtr, a.colIdx, a.vals, x.Data, y.Data, lo, hi)
+	case m == 32:
+		gspmv32(a.rowPtr, a.colIdx, a.vals, x.Data, y.Data, lo, hi)
+	default:
+		gspmvGeneric(a.rowPtr, a.colIdx, a.vals, x.Data, y.Data, m, lo, hi)
 	}
-	t0 := time.Now()
-	a.parallel(kern)
-	a.recordMul(m, time.Since(t0).Seconds())
 }
 
 // parallel runs fn over the thread-blocked block-row ranges,

@@ -251,6 +251,49 @@ func TestLUSolveMatrix(t *testing.T) {
 	}
 }
 
+// A reused factorization must forget the matrix (and the pivoting,
+// and the failure) it held before, and refactoring at the same size
+// must not allocate: block CG does it twice per iteration.
+func TestLUFactorReusesStorage(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	const n = 5
+	pivoting := randDense(rng, n, n) // needs row swaps, so sign and piv change
+	singular := NewDense(n, n)
+	b := randDense(rng, n, 3)
+	a := randSPD(rng, n)
+	want, err := LUFactor(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var f LU
+	if err := f.Factor(pivoting); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Factor(singular); err != ErrSingular {
+		t.Fatalf("want ErrSingular, got %v", err)
+	}
+	x := NewDense(n, 3)
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := f.Factor(a); err != nil {
+			t.Fatal(err)
+		}
+		f.SolveMatrixInto(x, b)
+	})
+	if allocs != 0 {
+		t.Errorf("Factor + SolveMatrixInto at a reused size allocate %v times", allocs)
+	}
+	if f.Det() != want.Det() {
+		t.Errorf("reused Det %v, fresh %v", f.Det(), want.Det())
+	}
+	fresh := want.SolveMatrix(b)
+	for i := range x.Data {
+		if x.Data[i] != fresh.Data[i] {
+			t.Fatalf("reused factorization solves element %d to %v, a fresh one to %v", i, x.Data[i], fresh.Data[i])
+		}
+	}
+}
+
 func TestLUDetPermutation(t *testing.T) {
 	// A matrix requiring pivoting: det([[0,1],[1,0]]) = -1.
 	a := NewDense(2, 2)

@@ -15,19 +15,37 @@ var ErrSingular = errors.New("blas: matrix is singular")
 // number of right-hand sides — typically 4 to 32.
 type LU struct {
 	n    int
-	lu   *Dense // combined L (unit lower) and U factors
-	piv  []int  // row permutation
-	sign int    // permutation parity, +1 or -1
+	lu   *Dense    // combined L (unit lower) and U factors
+	piv  []int     // row permutation
+	sign int       // permutation parity, +1 or -1
+	work []float64 // SolveMatrixInto's column scratch, 2n
 }
 
 // LUFactor computes the factorization of a square matrix A with
 // partial pivoting. A is not modified.
 func LUFactor(a *Dense) (*LU, error) {
+	f := new(LU)
+	if err := f.Factor(a); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// Factor recomputes f as the factorization of the square matrix A,
+// reusing f's storage when A has the size of the previous one — the
+// block-CG iteration factors two m-by-m matrices per iteration and
+// must not allocate. A is not modified. After an error f holds no
+// usable factorization.
+func (f *LU) Factor(a *Dense) error {
 	if a.Rows != a.Cols {
-		return nil, errors.New("blas: LUFactor requires a square matrix")
+		return errors.New("blas: LUFactor requires a square matrix")
 	}
 	n := a.Rows
-	f := &LU{n: n, lu: a.Clone(), piv: make([]int, n), sign: 1}
+	if f.lu == nil || f.n != n {
+		f.n, f.lu, f.piv, f.work = n, NewDense(n, n), make([]int, n), make([]float64, 2*n)
+	}
+	copy(f.lu.Data, a.Data)
+	f.sign = 1
 	for i := range f.piv {
 		f.piv[i] = i
 	}
@@ -40,7 +58,7 @@ func LUFactor(a *Dense) (*LU, error) {
 			}
 		}
 		if pmax == 0 {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		if p != k {
 			rp, rk := f.lu.Row(p), f.lu.Row(k)
@@ -63,17 +81,21 @@ func LUFactor(a *Dense) (*LU, error) {
 			}
 		}
 	}
-	return f, nil
+	return nil
 }
 
 // Solve solves A*x = b, writing the solution to x. b and x may alias.
 func (f *LU) Solve(x, b []float64) {
+	f.solve(x, b, make([]float64, f.n))
+}
+
+// solve is Solve with caller-supplied scratch y of length n.
+func (f *LU) solve(x, b, y []float64) {
 	n := f.n
 	if len(x) != n || len(b) != n {
 		panic("blas: LU Solve dimension mismatch")
 	}
 	// Apply permutation into a scratch copy of b, then substitute.
-	y := make([]float64, n)
 	for i := 0; i < n; i++ {
 		y[i] = b[f.piv[i]]
 	}
@@ -101,22 +123,28 @@ func (f *LU) Solve(x, b []float64) {
 // SolveMatrix solves A*X = B column-block-wise where B is n-by-m,
 // returning X as a new matrix. Used for the block-CG small systems.
 func (f *LU) SolveMatrix(b *Dense) *Dense {
-	if b.Rows != f.n {
+	x := NewDense(b.Rows, b.Cols)
+	f.SolveMatrixInto(x, b)
+	return x
+}
+
+// SolveMatrixInto is SolveMatrix writing into x, which must have B's
+// shape, without allocating. It uses scratch owned by f, so unlike
+// Solve it must not run concurrently on one factorization.
+func (f *LU) SolveMatrixInto(x, b *Dense) {
+	if b.Rows != f.n || x.Rows != b.Rows || x.Cols != b.Cols {
 		panic("blas: LU SolveMatrix dimension mismatch")
 	}
-	x := NewDense(b.Rows, b.Cols)
-	col := make([]float64, f.n)
-	sol := make([]float64, f.n)
+	col, y := f.work[:f.n], f.work[f.n:]
 	for j := 0; j < b.Cols; j++ {
 		for i := 0; i < f.n; i++ {
 			col[i] = b.At(i, j)
 		}
-		f.Solve(sol, col)
+		f.solve(col, col, y)
 		for i := 0; i < f.n; i++ {
-			x.Set(i, j, sol[i])
+			x.Set(i, j, col[i])
 		}
 	}
-	return x
 }
 
 // Det returns the determinant of the factored matrix.

@@ -395,6 +395,8 @@ func (r *Runner) emitChunk(m int, st solver.BlockStats, before Timings) {
 	}
 	if r.Trace != nil {
 		r.Trace.AddInt("cg_iterations", int64(st.Iterations))
+		r.Trace.ObserveSpan("block_mul", time.Duration(st.MulSeconds*float64(time.Second)))
+		r.Trace.ObserveSpan("block_vec", time.Duration(st.VecSeconds*float64(time.Second)))
 	}
 	reg.Counter("core_chunks_total").Inc()
 	reg.Counter("core_block_iterations_total").Add(int64(st.Iterations))
@@ -407,6 +409,10 @@ func (r *Runner) emitChunk(m int, st solver.BlockStats, before Timings) {
 			"m":              m,
 			"block_iters":    st.Iterations,
 			"block_residual": st.Residual,
+			// calc_guesses_s split into the block solve's multiplies
+			// and its block-vector work.
+			"block_mul_s": st.MulSeconds,
+			"block_vec_s": st.VecSeconds,
 		}
 		if st.Fallback {
 			f["fallback_columns"] = st.FallbackColumns

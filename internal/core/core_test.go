@@ -1,12 +1,15 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"slices"
 	"testing"
 
 	"repro/internal/bcrs"
 	"repro/internal/blas"
+	"repro/internal/obs"
 	"repro/internal/solver"
 )
 
@@ -317,5 +320,48 @@ func TestMidpointSecondOrder(t *testing.T) {
 	// Second order: ratio ~ 4. Allow slack for the reference error.
 	if ratio < 2.8 || ratio > 6 {
 		t.Fatalf("halving dt cut the error by %.2fx, want ~4 (second order)", ratio)
+	}
+}
+
+// The chunk event splits calc_guesses_s into the block solve's
+// multiplies and its block-vector work, and the same split reaches
+// the trace; together they cannot exceed the phase they partition.
+func TestChunkEventSplitsBlockSolveTime(t *testing.T) {
+	var buf bytes.Buffer
+	events := obs.NewEventLog(&buf)
+	r := NewRunner(newToy(30, 4), Config{Dt: 0.1, M: 4, Seed: 5})
+	r.Events = events
+	r.Trace = obs.NewTracer(4, 4).Start("chunk-test")
+	if err := r.StepMRHS(4); err != nil {
+		t.Fatal(err)
+	}
+	if err := events.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var chunk map[string]any
+	for _, line := range bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n")) {
+		var rec map[string]any
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("event line %q: %v", line, err)
+		}
+		if rec["event"] == "chunk" {
+			chunk = rec
+		}
+	}
+	if chunk == nil {
+		t.Fatal("no chunk event")
+	}
+	mul, _ := chunk["block_mul_s"].(float64)
+	vec, _ := chunk["block_vec_s"].(float64)
+	guesses, _ := chunk["calc_guesses_s"].(float64)
+	if mul <= 0 || vec <= 0 || mul+vec > guesses {
+		t.Fatalf("block_mul_s %v + block_vec_s %v must be positive and within calc_guesses_s %v", mul, vec, guesses)
+	}
+	spans := map[string]bool{}
+	for _, sp := range r.Trace.Snapshot().Spans {
+		spans[sp.Name] = true
+	}
+	if !spans["block_mul"] || !spans["block_vec"] {
+		t.Fatalf("trace lacks the block_mul/block_vec spans: %v", spans)
 	}
 }

@@ -11,6 +11,24 @@
 // The package also supplies the block-vector operations needed by the
 // block conjugate-gradient method: Gram products X^T Y (small m-by-m
 // results) and right-multiplication by small m-by-m matrices.
+//
+// # Reproducibility contract
+//
+// Ops that write disjoint rows (Scale, Sub, Add, AddMul, SetMulAdd,
+// PackColumns) give the same bits for any thread count. The blocked
+// reductions (GramInto, ColNormsInto) sum fixed row chunks and combine
+// them in chunk order, so they give the same bits for a fixed thread
+// count. Within a row range every output element is one scalar
+// recurrence, acc = acc + (x*a) with the product rounded before the
+// add, taken in increasing k (AddMul, SetMulAdd) or increasing row
+// (Gram, column sums of squares). Each of those four kernels has
+// exactly two implementations — the Go loops in this file and, on
+// amd64 with AVX2, multivec_amd64.s for square small operands whose m
+// is a multiple of 4 — and both follow that recurrence, so which one
+// runs is chosen by CPU and shape alone and never changes a result
+// bit; the Go loops spell the product float64(x*a) so the compiler may
+// not fuse it (GOAMD64=v3, arm64). The one freedom left is which
+// payload a NaN result carries when both addends are NaN.
 package multivec
 
 import (
@@ -26,6 +44,13 @@ import (
 // must hold: below this the dispatch overhead exceeds the streaming
 // work. Row-blocked ops convert it with rowGrain.
 const elemGrain = 8192
+
+// simdShape reports whether a row-range kernel whose small operand is
+// rows-by-cols runs in multivec_amd64.s: it needs AVX2 and a square
+// operand with 4 columns per ymm group.
+func simdShape(rows, cols int) bool {
+	return simd && rows == cols && cols%4 == 0
+}
 
 // rowGrain returns the minimum rows per chunk for an op touching m
 // scalars per row.
@@ -250,7 +275,14 @@ func (v *MultiVec) AddMul(x *MultiVec, a *blas.Dense) {
 	}
 	addMulCalls.Inc()
 	addMulFlops.Add(2 * int64(v.N) * int64(x.M) * int64(v.M))
-	parallel.Default().ForOp("multivec_addmul", v.N, rowGrain(v.M), func(lo, hi int) {
+	pool, grain := parallel.Default(), rowGrain(v.M)
+	if !pool.Parallel(v.N, grain) {
+		// Not through ForOp: the closure it takes is a heap allocation,
+		// and block CG calls this twice per iteration.
+		addMulRange(v, x, a, 0, v.N)
+		return
+	}
+	pool.ForOp("multivec_addmul", v.N, grain, func(lo, hi int) {
 		addMulRange(v, x, a, lo, hi)
 	})
 }
@@ -258,7 +290,8 @@ func (v *MultiVec) AddMul(x *MultiVec, a *blas.Dense) {
 // addMulRange applies the AddMul update to rows [lo, hi).
 func addMulRange(v, x *MultiVec, a *blas.Dense, lo, hi int) {
 	mx, mv := x.M, v.M
-	if mx == mv && addMulFixed(v.Data, x.Data, a.Data, lo, hi, mv) {
+	if simdShape(mx, mv) {
+		mulAddSIMD(v.Data, v.Data, x.Data, a.Data, lo, hi, mv)
 		return
 	}
 	for i := lo; i < hi; i++ {
@@ -267,7 +300,7 @@ func addMulRange(v, x *MultiVec, a *blas.Dense, lo, hi int) {
 		for k, xv := range xr {
 			ar := a.Data[k*mv : k*mv+mv : k*mv+mv]
 			for j, av := range ar {
-				vr[j] += xv * av
+				vr[j] += float64(xv * av)
 			}
 		}
 	}
@@ -281,7 +314,12 @@ func (v *MultiVec) SetMulAdd(r, p *MultiVec, b *blas.Dense) {
 	}
 	setMulAddCalls.Inc()
 	setMulAddFlops.Add(2 * int64(v.N) * int64(p.M) * int64(v.M))
-	parallel.Default().ForOp("multivec_setmuladd", v.N, rowGrain(v.M), func(lo, hi int) {
+	pool, grain := parallel.Default(), rowGrain(v.M)
+	if !pool.Parallel(v.N, grain) {
+		setMulAddRange(v, r, p, b, 0, v.N) // as in AddMul
+		return
+	}
+	pool.ForOp("multivec_setmuladd", v.N, grain, func(lo, hi int) {
 		setMulAddRange(v, r, p, b, lo, hi)
 	})
 }
@@ -289,7 +327,8 @@ func (v *MultiVec) SetMulAdd(r, p *MultiVec, b *blas.Dense) {
 // setMulAddRange applies the SetMulAdd update to rows [lo, hi).
 func setMulAddRange(v, r, p *MultiVec, b *blas.Dense, lo, hi int) {
 	mp, mv := p.M, v.M
-	if mp == mv && setMulAddFixed(v.Data, r.Data, p.Data, b.Data, lo, hi, mv) {
+	if simdShape(mp, mv) {
+		mulAddSIMD(v.Data, r.Data, p.Data, b.Data, lo, hi, mv)
 		return
 	}
 	for i := lo; i < hi; i++ {
@@ -299,7 +338,7 @@ func setMulAddRange(v, r, p *MultiVec, b *blas.Dense, lo, hi int) {
 		for k, pv := range pr {
 			br := b.Data[k*mv : k*mv+mv : k*mv+mv]
 			for j, bv := range br {
-				vr[j] += pv * bv
+				vr[j] += float64(pv * bv)
 			}
 		}
 	}
@@ -349,7 +388,8 @@ func GramInto(g *blas.Dense, x, y *MultiVec) {
 // gramRange accumulates rows [lo, hi) of the Gram product into g.
 func gramRange(g []float64, x, y *MultiVec, lo, hi int) {
 	mx, my := x.M, y.M
-	if mx == my && gramFixed(g, x.Data, y.Data, lo, hi, my) {
+	if simdShape(mx, my) {
+		gramSIMD(g, x.Data, y.Data, lo, hi, my)
 		return
 	}
 	for i := lo; i < hi; i++ {
@@ -358,7 +398,7 @@ func gramRange(g []float64, x, y *MultiVec, lo, hi int) {
 		for a, xv := range xr {
 			gr := g[a*my : a*my+my : a*my+my]
 			for b, yv := range yr {
-				gr[b] += xv * yv
+				gr[b] += float64(xv * yv)
 			}
 		}
 	}
@@ -408,10 +448,14 @@ func (v *MultiVec) ColNormsInto(dst []float64) {
 // colSumSquares accumulates per-column sums of squares over rows
 // [lo, hi) into sums.
 func colSumSquares(sums []float64, v *MultiVec, lo, hi int) {
+	if simdShape(v.M, v.M) {
+		colSumSqSIMD(sums, v.Data, lo, hi, v.M)
+		return
+	}
 	for i := lo; i < hi; i++ {
 		r := v.Row(i)
 		for j, x := range r {
-			sums[j] += x * x
+			sums[j] += float64(x * x)
 		}
 	}
 }

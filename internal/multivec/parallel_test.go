@@ -38,8 +38,7 @@ func withThreads(t *testing.T, threads int, fn func()) {
 
 func TestDisjointOpsExactAcrossThreadCounts(t *testing.T) {
 	const n, seed = 5000, 7
-	// m=5 exercises the generic paths, m=8 the specialized fixed-m
-	// kernels.
+	// m=5 exercises the Go loops, m=8 the AVX2 kernels.
 	for _, m := range []int{5, 8} {
 		x := fillMV(n, m, seed)
 		y := fillMV(n, m, seed+1)

@@ -1,6 +1,9 @@
 package solver
 
 import (
+	"sync"
+	"time"
+
 	"repro/internal/blas"
 	"repro/internal/multivec"
 )
@@ -19,6 +22,76 @@ type BlockStats struct {
 	// (attempted, whether or not they then converged).
 	Fallback        bool
 	FallbackColumns int
+	// MulSeconds is the wall time spent inside the operator's
+	// multiplies and VecSeconds the rest of the block solve — the
+	// Gram products, block updates, norms and m-by-m solves. Their
+	// ratio says whether the solve ran at the multiply's cost, which
+	// is the premise of the MRHS algorithm. A fallback's per-column
+	// rescue is in neither.
+	MulSeconds, VecSeconds float64
+}
+
+// blockWork is the storage of one BlockCG call: the block vectors,
+// the m-by-m Gram and coefficient matrices, and the LU scratch. Calls
+// draw it from a pool, so a simulation's chunk after chunk of
+// same-shaped solves allocates it once; every buffer is fully
+// overwritten before it is read, so reuse cannot reach a result.
+type blockWork struct {
+	r, p, s, pNew *multivec.MultiVec
+	z             *multivec.MultiVec // preconditioned solves only
+	rcol, zcol    []float64          // likewise
+
+	ztr, ztrNew, pts *blas.Dense
+	coef, ridged     *blas.Dense
+	lu               blas.LU
+	bnorms, rn       []float64
+}
+
+var blockWorkPool = sync.Pool{New: func() any { return new(blockWork) }}
+
+// getBlockWork returns a workspace for an n-by-m solve.
+func getBlockWork(n, m int, precond bool) *blockWork {
+	w := blockWorkPool.Get().(*blockWork)
+	if w.r == nil || w.r.N != n || w.r.M != m {
+		*w = blockWork{
+			r: multivec.New(n, m), p: multivec.New(n, m),
+			s: multivec.New(n, m), pNew: multivec.New(n, m),
+			ztr: blas.NewDense(m, m), ztrNew: blas.NewDense(m, m), pts: blas.NewDense(m, m),
+			coef: blas.NewDense(m, m), ridged: blas.NewDense(m, m),
+			bnorms: make([]float64, m), rn: make([]float64, m),
+		}
+	}
+	if precond && w.z == nil {
+		w.z = multivec.New(n, m)
+		w.rcol, w.zcol = make([]float64, n), make([]float64, n)
+	}
+	return w
+}
+
+// solveSmall solves the m-by-m system G*X = H into w.coef,
+// regularizing a singular G with a relative diagonal ridge. It
+// reports failure only if the ridge does not help.
+func (w *blockWork) solveSmall(g, h *blas.Dense) (*blas.Dense, bool) {
+	if err := w.lu.Factor(g); err != nil {
+		ridge := 0.0
+		for i := 0; i < g.Rows; i++ {
+			if v := g.At(i, i); v > ridge {
+				ridge = v
+			}
+		}
+		if ridge == 0 {
+			ridge = 1
+		}
+		copy(w.ridged.Data, g.Data)
+		for i := 0; i < g.Rows; i++ {
+			w.ridged.Add(i, i, ridge*1e-13)
+		}
+		if err := w.lu.Factor(w.ridged); err != nil {
+			return nil, false
+		}
+	}
+	w.lu.SolveMatrixInto(w.coef, h)
+	return w.coef, true
 }
 
 // BlockCG solves A*X = B for SPD A and a block of m right-hand sides
@@ -28,6 +101,7 @@ type BlockStats struct {
 // small m-by-m solves — this is the kernel economics the MRHS
 // algorithm is built on: the augmented system of Algorithm 2, step 3,
 // is solved here at little more than the cost of a single-vector CG.
+// An iteration allocates nothing.
 //
 // Convergence is per column: the iteration stops when every column's
 // residual satisfies ||r_j|| <= tol*||b_j||. A numerically singular
@@ -42,39 +116,48 @@ func BlockCG(a BlockOperator, x, b *multivec.MultiVec, opt Options) (stats Block
 	}
 	m := x.M
 	opt = opt.withDefaults(n)
+	start := time.Now()
 
 	stats = BlockStats{
 		ColumnConverged: make([]bool, m),
 		ColumnResiduals: make([]float64, m),
 	}
+	w := getBlockWork(n, m, opt.Precond != nil)
 	// On return, mirror the per-column final residuals into
 	// Stats.Residuals so block solves feed the same residual
 	// reporting as single-vector CG, and record the obs metrics.
 	// stats is a named result, so these deferred writes reach the
 	// caller.
 	defer func() {
+		blockWorkPool.Put(w)
+		stats.VecSeconds = time.Since(start).Seconds() - stats.MulSeconds
 		stats.Residuals = append(stats.Residuals[:0], stats.ColumnResiduals...)
 		recordBlockCG(&stats)
 	}()
+	mul := func(y, x *multivec.MultiVec) {
+		t0 := time.Now()
+		a.Mul(y, x)
+		stats.MulSeconds += time.Since(t0).Seconds()
+		stats.MatMuls++
+	}
 
 	// R = B - A*X.
-	r := multivec.New(n, m)
-	a.Mul(r, x)
-	stats.MatMuls++
+	r := w.r
+	mul(r, x)
 	r.Sub(b, r)
 
-	bnorms := b.ColNorms()
+	bnorms := w.bnorms
+	b.ColNormsInto(bnorms)
 	// Zero columns are already solved by x_j = 0.
 	for j, bn := range bnorms {
 		if bn == 0 {
-			col := make([]float64, n)
-			x.SetCol(j, col)
+			for i := j; i < len(x.Data); i += m {
+				x.Data[i] = 0
+			}
 			stats.ColumnConverged[j] = true
 		}
 	}
-	// rn is the per-iteration residual-norm scratch: the convergence
-	// check runs every iteration and must not allocate.
-	rn := make([]float64, m)
+	rn := w.rn
 	check := func() bool {
 		r.ColNormsInto(rn)
 		all := true
@@ -108,28 +191,20 @@ func BlockCG(a BlockOperator, x, b *multivec.MultiVec, opt Options) (stats Block
 	z := r
 	applyPrecond := func() {}
 	if opt.Precond != nil {
-		z = multivec.New(n, m)
-		rcol := make([]float64, n)
-		zcol := make([]float64, n)
+		z = w.z
 		applyPrecond = func() {
 			for j := 0; j < m; j++ {
-				r.Col(j, rcol)
-				opt.Precond.Apply(zcol, rcol)
-				z.SetCol(j, zcol)
+				r.Col(j, w.rcol)
+				opt.Precond.Apply(w.zcol, w.rcol)
+				z.SetCol(j, w.zcol)
 			}
 		}
 		applyPrecond()
 	}
 
-	p := z.Clone()
-	s := multivec.New(n, m)
-	pNew := multivec.New(n, m)
-	// The small m-by-m Gram products are recomputed every iteration;
-	// holding their storage across iterations keeps the inner loop
-	// allocation-free apart from the LU solves of the m-by-m systems.
-	ztr := blas.NewDense(m, m)
-	ztrNew := blas.NewDense(m, m)
-	pts := blas.NewDense(m, m)
+	p, pNew, s := w.p, w.pNew, w.s
+	p.CopyFrom(z)
+	ztr, ztrNew, pts := w.ztr, w.ztrNew, w.pts
 	multivec.GramInto(ztr, z, r)
 
 	for it := 0; it < opt.MaxIter; it++ {
@@ -137,11 +212,10 @@ func BlockCG(a BlockOperator, x, b *multivec.MultiVec, opt Options) (stats Block
 			stats.Err = ErrCanceled
 			break
 		}
-		a.Mul(s, p) // S = A*P: the one GSPMV per iteration
-		stats.MatMuls++
+		mul(s, p) // S = A*P: the one GSPMV per iteration
 
 		multivec.GramInto(pts, p, s)
-		alpha, ok := solveSmall(pts, ztr)
+		alpha, ok := w.solveSmall(pts, ztr)
 		if !ok {
 			break // irrecoverable breakdown; return current iterate
 		}
@@ -160,7 +234,7 @@ func BlockCG(a BlockOperator, x, b *multivec.MultiVec, opt Options) (stats Block
 
 		applyPrecond()
 		multivec.GramInto(ztrNew, z, r)
-		beta, ok := solveSmall(ztr, ztrNew)
+		beta, ok := w.solveSmall(ztr, ztrNew)
 		if !ok {
 			break
 		}
@@ -170,31 +244,4 @@ func BlockCG(a BlockOperator, x, b *multivec.MultiVec, opt Options) (stats Block
 		p, pNew = pNew, p
 	}
 	return stats
-}
-
-// solveSmall solves the m-by-m system G*X = H, regularizing a
-// singular G with a relative diagonal ridge. It reports failure only
-// if the ridge does not help.
-func solveSmall(g, h *blas.Dense) (*blas.Dense, bool) {
-	f, err := blas.LUFactor(g)
-	if err != nil {
-		ridge := 0.0
-		for i := 0; i < g.Rows; i++ {
-			if v := g.At(i, i); v > ridge {
-				ridge = v
-			}
-		}
-		if ridge == 0 {
-			ridge = 1
-		}
-		gr := g.Clone()
-		for i := 0; i < gr.Rows; i++ {
-			gr.Add(i, i, ridge*1e-13)
-		}
-		f, err = blas.LUFactor(gr)
-		if err != nil {
-			return nil, false
-		}
-	}
-	return f.SolveMatrix(h), true
 }

@@ -21,6 +21,10 @@ var (
 	blockRHS      = obs.Default.Counter("solver_blockcg_rhs_total")
 	blockFailures = obs.Default.Counter("solver_blockcg_nonconverged_total")
 	blockResidual = obs.Default.Histogram("solver_blockcg_final_residual", obs.ResidualBuckets)
+	// Where a block solve's wall time went: inside the operator's
+	// multiplies, or in the block-vector and m-by-m work around them.
+	blockMulSeconds = obs.Default.FloatCounter("solver_blockcg_matmul_seconds_total")
+	blockVecSeconds = obs.Default.FloatCounter("solver_blockcg_vector_seconds_total")
 
 	multiSolves   = obs.Default.Counter("solver_multicg_solves_total")
 	multiColumns  = obs.Default.Counter("solver_multicg_rhs_total")
@@ -77,6 +81,8 @@ func recordBlockCG(st *BlockStats) {
 	blockIters.Add(int64(st.Iterations))
 	blockMatMuls.Add(int64(st.MatMuls))
 	blockRHS.Add(int64(len(st.ColumnResiduals)))
+	blockMulSeconds.Add(st.MulSeconds)
+	blockVecSeconds.Add(st.VecSeconds)
 	for _, r := range st.ColumnResiduals {
 		blockResidual.Observe(r)
 	}
