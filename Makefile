@@ -5,9 +5,10 @@ GO ?= go
 BENCH_FILES ?= BENCH_serve.json BENCH_symm.json BENCH_parallel.json BENCH_ensemble.json BENCH_shard.json BENCH_recycle.json
 BENCH_BASELINE_DIR ?= .bench-baseline
 
-.PHONY: ci docs-gate vet build test race race-kernels chaos serial serve-smoke shard-smoke bench bench-snapshot bench-scaling bench-serve bench-symm bench-ensemble bench-shard bench-recycle bench-diff
+.PHONY: ci docs-gate vet build test bench-test race race-kernels chaos serial serve-smoke shard-smoke bench bench-snapshot bench-scaling bench-serve bench-symm bench-ensemble bench-shard bench-recycle bench-diff
 
-# ci is the gate: vet, build everything, the full test suite under
+# ci is the gate: vet, build everything, the benchmark module's own
+# vet and tests (bench-test), the full test suite under
 # the race detector (the obs hot paths are lock-free and the worker
 # pool is the most concurrent code in the tree; -race is what
 # validates them), the seeded fault-injection suite, the serving
@@ -16,7 +17,7 @@ BENCH_BASELINE_DIR ?= .bench-baseline
 # nothing depends on real parallelism, and the advisory perf-
 # regression gate over the BENCH_*.json artifacts (fails only on >2x
 # regressions; warns otherwise; skips files with no baseline).
-ci: vet build docs-gate race-kernels race chaos serve-smoke shard-smoke serial bench-diff
+ci: vet build bench-test docs-gate race-kernels race chaos serve-smoke shard-smoke serial bench-diff
 
 # docs-gate fails when an internal/ package lacks a package comment or
 # a tracked markdown file has a broken relative link — documentation
@@ -35,6 +36,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# bench/ is its own module, so `./...` above never reaches it: without
+# this an API rename under internal/ breaks the canonical benchmark
+# (BENCHMARK.json) and nothing notices until it is run.
+bench-test:
+	$(GO) -C bench vet ./... && $(GO) -C bench test ./...
 
 race:
 	$(GO) test -race ./...

@@ -49,6 +49,7 @@ type DivergencePoint struct {
 // the equivalence the ensemble tests pin down.
 type EnsembleRunner struct {
 	members []*Runner
+	ws      *solver.MultiCGWorkspace // both fused solves of every step run in it
 
 	// Timings accumulates the ensemble's own phase wall time; the
 	// fused solve phases cannot be attributed to single members.
@@ -81,7 +82,7 @@ func NewEnsemble(base Configuration, cfg Config, opts EnsembleOptions) (*Ensembl
 	if cfg.Recovery != nil {
 		return nil, fmt.Errorf("core: ensemble does not support Config.Recovery")
 	}
-	e := &EnsembleRunner{members: make([]*Runner, len(opts.Seeds))}
+	e := &EnsembleRunner{members: make([]*Runner, len(opts.Seeds)), ws: solver.NewMultiCGWorkspace()}
 	dim := -1
 	for i, seed := range opts.Seeds {
 		c := base
@@ -162,7 +163,7 @@ func (e *EnsembleRunner) Step() error {
 	// First solves, cold, fused: one MultiCG whose column i multiplies
 	// through member i's operator.
 	t0 := time.Now()
-	st1 := solver.MultiCG(solver.NewEnsemble(ops), us, rhss, opts)
+	st1 := solver.MultiCGWith(e.ws, solver.NewEnsemble(ops), us, rhss, opts)
 	e.Timings.FirstSolve += time.Since(t0)
 	for i, st := range st1 {
 		if !st.Converged {
@@ -185,7 +186,7 @@ func (e *EnsembleRunner) Step() error {
 		uHalfs[i] = append([]float64(nil), us[i]...)
 	}
 	t0 = time.Now()
-	st2 := solver.MultiCG(solver.NewEnsemble(ops), uHalfs, rhss, opts)
+	st2 := solver.MultiCGWith(e.ws, solver.NewEnsemble(ops), uHalfs, rhss, opts)
 	e.Timings.SecondSolve += time.Since(t0)
 	for i, st := range st2 {
 		if !st.Converged {

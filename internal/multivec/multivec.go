@@ -29,6 +29,14 @@
 // bit; the Go loops spell the product float64(x*a) so the compiler may
 // not fuse it (GOAMD64=v3, arm64). The one freedom left is which
 // payload a NaN result carries when both addends are NaN.
+//
+// The column sweeps of lanes.go (ColDots, ColResidual, ColUpdate,
+// ColDirection — the vector work of CG on q interleaved columns) keep
+// the same recurrence per column lane and are serial, Go only: a
+// lane's reduction is the whole-column sequential sum in row order, so
+// these give the same bits for EVERY thread count, block width and
+// lane position — each lane is what the loop over that one contiguous
+// column gives. CompactColumns and UnpackLanes only move values.
 package multivec
 
 import (
@@ -173,6 +181,10 @@ func PackColumns(dst *MultiVec, cols [][]float64) {
 		}
 	}
 	m, q := dst.M, len(cols)
+	if m == 1 && q == 1 {
+		copy(dst.Data, cols[0]) // the block is the vector
+		return
+	}
 	parallel.Default().ForOp("multivec_pack", dst.N, rowGrain(m), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			row := dst.Data[i*m : (i+1)*m]

@@ -297,6 +297,12 @@ func (e *Engine) dispatch(batch []*call) {
 			// shared batch-wide in ModeBlock.
 			c.tr.SetAttr("iterations", int64(callIters))
 			c.tr.SetAttr("converged", converged)
+			if e.cfg.Mode != ModeBlock {
+				// Where the solve span's time went, batch-wide: the fused
+				// multiplies, and the vector work around them.
+				c.tr.SetAttr("mul_s", e.ws.MulSeconds)
+				c.tr.SetAttr("vec_s", e.ws.VecSeconds)
+			}
 			if e.rec.Enabled() {
 				rs := e.rec.Stats()
 				c.tr.SetAttr("recycle_basis", int64(rs.BasisSize))

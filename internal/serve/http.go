@@ -318,8 +318,10 @@ func Handler(e *Engine) http.Handler {
 			return
 		}
 		// Whole-ensemble cancellation mid-queue surfaces per member;
-		// report it as one request-level timeout.
-		if err := firstErr(rs); err != nil && errors.Is(err, ErrCanceled) {
+		// report it as one request-level timeout. A member that broke
+		// down fails the ensemble too: its residual may be NaN, which
+		// the response cannot carry.
+		if err := firstErr(rs); errors.Is(err, ErrCanceled) || errors.Is(err, ErrBreakdown) {
 			tr.SetAttr("http_status", int64(statusOf(err)))
 			writeErr(w, statusOf(err), err)
 			return
@@ -499,6 +501,8 @@ func statusOf(err error) int {
 		return http.StatusBadRequest // 400
 	case errors.Is(err, ErrCanceled):
 		return http.StatusGatewayTimeout // 504
+	case errors.Is(err, ErrBreakdown):
+		return http.StatusUnprocessableEntity // 422
 	default:
 		return http.StatusInternalServerError
 	}

@@ -191,6 +191,19 @@ func TestServeHTTPErrors(t *testing.T) {
 		t.Errorf("sdstep without dt = %d, want 400", resp.StatusCode)
 	}
 
+	// A right-hand side JSON can carry but CG cannot square: 422 for
+	// the solve, and for an ensemble holding it.
+	huge := testRHS(n, 1)
+	huge[0] = 1e200
+	resp, body := postJSON(t, base+"/v1/solve", SolveRequest{B: huge})
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(body), "breakdown") {
+		t.Errorf("overflowing right-hand side = %d %s, want 422", resp.StatusCode, body)
+	}
+	resp, body = postJSON(t, base+"/v1/ensemble", EnsembleRequest{Bs: [][]float64{testRHS(n, 2), huge}})
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Errorf("ensemble with an overflowing member = %d %s, want 422", resp.StatusCode, body)
+	}
+
 	// A 1ms deadline on a hopeless tolerance must come back 504. This
 	// needs a system big enough that the recursive residual cannot
 	// underflow to exact zero (converging the unreachable tolerance)

@@ -15,8 +15,9 @@ import (
 	"repro/internal/solver"
 )
 
-// Errors returned by Submit. ErrCanceled is re-exported from the
-// solver so callers can match either layer's cancellation uniformly.
+// Errors returned by Submit. ErrCanceled and ErrBreakdown are
+// re-exported from the solver so callers can match either layer's
+// uniformly.
 var (
 	// ErrOverloaded means the admission queue was full and the
 	// request was shed without being enqueued.
@@ -32,6 +33,11 @@ var (
 	// ErrCanceled mirrors solver.ErrCanceled: the request's context
 	// was canceled or its deadline expired before or during the solve.
 	ErrCanceled = solver.ErrCanceled
+	// ErrBreakdown mirrors solver.ErrBreakdown: this request's system
+	// could not be solved by CG — a NaN, Inf or overflowing right-hand
+	// side, or an operator that is not positive definite. Only its own
+	// column is affected; the rest of the batch is answered normally.
+	ErrBreakdown = solver.ErrBreakdown
 	// ErrShardFailure means the shard fleet lost too many shards to
 	// complete the batch's multiplies; the affected requests are
 	// answered 503 so clients retry against the re-formed fleet.
@@ -187,7 +193,8 @@ type Result struct {
 	QueueWait time.Duration
 	SolveTime time.Duration
 	// Err is ErrCanceled when the request's context expired before or
-	// during the solve. Non-convergence is not an error; see Stats.
+	// during the solve and ErrBreakdown when CG broke down on this
+	// request. Non-convergence is not an error; see Stats.
 	Err error
 }
 

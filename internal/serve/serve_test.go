@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -107,6 +108,53 @@ func TestServeBatchedBitwiseEquivalence(t *testing.T) {
 	// submitters and a 50ms window, at least some must share a batch.
 	if batched == 0 {
 		t.Error("no request was ever batched; batcher is degenerate")
+	}
+}
+
+// TestServeBreakdownIsolated submits a 32-wide ensemble — one fused
+// dispatch by construction — in which one right-hand side holds a NaN:
+// that member alone comes back ErrBreakdown, without iterating, and
+// the other 31 are their lone CG solves bit for bit.
+func TestServeBreakdownIsolated(t *testing.T) {
+	a := testMatrix()
+	n := a.N()
+	const q, victim, tol = 32, 19, 1e-8
+	reqs := make([]Req, q)
+	for i := range reqs {
+		reqs[i] = Req{B: testRHS(n, uint64(100+i))}
+	}
+	reqs[victim].B[n/3] = math.NaN()
+
+	e := NewEngine(a, Config{Tol: tol, MaxIter: 500})
+	defer e.Close(context.Background())
+	rs, err := e.SubmitEnsemble(context.Background(), reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range rs {
+		if r.BatchSize != q {
+			t.Fatalf("member %d solved in a batch of %d", i, r.BatchSize)
+		}
+		if i == victim {
+			if !errors.Is(r.Err, ErrBreakdown) || r.Stats.Converged || r.Stats.Iterations != 0 {
+				t.Fatalf("victim: err=%v stats=%+v", r.Err, r.Stats)
+			}
+			continue
+		}
+		ref := make([]float64, n)
+		rst := solver.CG(a, ref, reqs[i].B, solver.Options{Tol: tol, MaxIter: 500})
+		if r.Err != nil || !r.Stats.Converged || r.Stats.Iterations != rst.Iterations {
+			t.Fatalf("member %d: err=%v stats=%+v, alone %+v", i, r.Err, r.Stats, rst)
+		}
+		for j := range ref {
+			if r.X[j] != ref[j] {
+				t.Fatalf("member %d: x[%d] = %v batched, %v alone", i, j, r.X[j], ref[j])
+			}
+		}
+	}
+	// A lone Submit reports the breakdown as its error.
+	if _, err := e.Submit(context.Background(), reqs[victim]); !errors.Is(err, ErrBreakdown) {
+		t.Fatalf("Submit of the NaN right-hand side: %v", err)
 	}
 }
 

@@ -97,6 +97,19 @@ func TestServeTraceHTTPRoundTrip(t *testing.T) {
 			t.Errorf("attr %s = %v, want >= 1", key, td.Attrs[key])
 		}
 	}
+	// Where the solve span went: its multiplies and the vector work
+	// around them, which together cannot exceed the span.
+	mulS, _ := td.Attrs["mul_s"].(float64)
+	vecS, _ := td.Attrs["vec_s"].(float64)
+	var solveUS int64
+	for _, sp := range td.Spans {
+		if sp.Name == "solve" {
+			solveUS = sp.DurUS
+		}
+	}
+	if mulS <= 0 || vecS <= 0 || (mulS+vecS)*1e6 > float64(solveUS)+1 {
+		t.Errorf("mul_s=%v vec_s=%v against a solve span of %d us", td.Attrs["mul_s"], td.Attrs["vec_s"], solveUS)
+	}
 	if td.Attrs["path"] != "/v1/solve" || td.Attrs["http_status"] != float64(http.StatusOK) {
 		t.Errorf("attrs path=%v http_status=%v", td.Attrs["path"], td.Attrs["http_status"])
 	}

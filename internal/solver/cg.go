@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 
+	"sync"
+
 	"repro/internal/bcrs"
 	"repro/internal/blas"
-	"repro/internal/parallel"
+	"repro/internal/multivec"
 )
 
 // ErrCanceled is reported in Stats.Err when a solve stops early
@@ -14,6 +16,14 @@ import (
 // iterate holds the last completed iteration's state; the solve does
 // not panic or discard progress.
 var ErrCanceled = errors.New("solver: solve canceled")
+
+// ErrBreakdown is reported in Stats.Err when a CG recurrence cannot
+// continue: p.Ap is not a finite positive number (the operator is not
+// positive definite along p) or a squared norm of b or r is not finite
+// (NaN or Inf in the data, or overflow). The solve stops at once with
+// the last iterate it formed in x; running to MaxIter on NaN state
+// would hold a fused batch's other columns hostage.
+var ErrBreakdown = errors.New("solver: CG breakdown: operator not positive definite or data not finite")
 
 // Stats reports the outcome of an iterative solve.
 type Stats struct {
@@ -32,9 +42,10 @@ type Stats struct {
 	// solves instead store one entry per right-hand side: the final
 	// relative residual of each column.
 	Residuals []float64
-	// Err is ErrCanceled when the solve was stopped by Options.Ctx;
-	// nil otherwise (running out of iterations is not an error, it is
-	// reported through Converged).
+	// Err is ErrCanceled when the solve was stopped by Options.Ctx and
+	// ErrBreakdown when the recurrence broke down; nil otherwise
+	// (running out of iterations is not an error, it is reported
+	// through Converged).
 	Err error
 }
 
@@ -83,78 +94,32 @@ type Preconditioner interface {
 // The warm start is the mechanism the MRHS algorithm exploits: a good
 // guess from the augmented solve cuts the iteration count by 30-40%
 // (paper Table V).
+//
+// CG is the fused solve of MultiCG at one column (the package comment
+// has the contract), so a column of a batch equals the lone solve of
+// it by construction. x is written when the solve ends, not during it.
 func CG(a Operator, x, b []float64, opt Options) Stats {
 	n := a.N()
 	if len(x) != n || len(b) != n {
 		panic("solver: CG dimension mismatch")
 	}
-	opt = opt.withDefaults(n)
-
-	r := make([]float64, n)
-	a.MulVec(r, x)
-	blas.Sub(r, b, r)
-	stats := Stats{MatMuls: 1}
-	defer func() { recordCG(&stats); traceSolve(opt, &stats) }()
-
-	bnorm := blas.Nrm2(b)
-	if bnorm == 0 {
-		// Solution of A*x = 0 is x = 0.
-		blas.Fill(x, 0)
-		stats.Converged = true
-		return stats
-	}
-	rnorm := blas.Nrm2(r)
-	if rnorm <= opt.Tol*bnorm {
-		stats.Converged = true
-		stats.Residual = rnorm / bnorm
-		return stats
-	}
-
-	z := r
-	if opt.Precond != nil {
-		z = make([]float64, n)
-		opt.Precond.Apply(z, r)
-	}
-	p := append([]float64(nil), z...)
-	rz := blas.Dot(r, z)
-	ap := make([]float64, n)
-
-	for it := 0; it < opt.MaxIter; it++ {
-		if opt.canceled() {
-			stats.Err = ErrCanceled
-			break
-		}
-		a.MulVec(ap, p)
-		stats.MatMuls++
-		alpha := rz / blas.Dot(p, ap)
-		blas.Axpy(alpha, p, x)
-		blas.Axpy(-alpha, ap, r)
-		stats.Iterations = it + 1
-
-		rnorm = blas.Nrm2(r)
-		if opt.TrackResiduals {
-			stats.Residuals = append(stats.Residuals, rnorm/bnorm)
-		}
-		if rnorm <= opt.Tol*bnorm {
-			stats.Converged = true
-			break
-		}
-		if opt.Precond != nil {
-			opt.Precond.Apply(z, r)
-		}
-		rzNew := blas.Dot(r, z)
-		beta := rzNew / rz
-		rz = rzNew
-		// Disjoint writes: bitwise-identical for any thread count.
-		parallel.Default().ForOp("cg_update", n, 8192, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				p[i] = z[i] + beta*p[i]
-			}
-		})
-	}
-	stats.Residual = rnorm / bnorm
-	return stats
+	ws := cgWork.Get().(*MultiCGWorkspace)
+	defer cgWork.Put(ws)
+	stats := make([]Stats, 1)
+	defer recordCG(&stats[0])
+	ws.solve(vecOperator{a}, [][]float64{x}, [][]float64{b}, []Options{opt}, stats)
+	return stats[0]
 }
+
+// cgWork pools the workspaces of solves whose caller brought none:
+// every CG, and MultiCGWith(nil, ...).
+var cgWork = sync.Pool{New: func() any { return NewMultiCGWorkspace() }}
+
+// vecOperator presents a single-vector Operator as the n-by-1 block
+// operator the fused solve multiplies through.
+type vecOperator struct{ Operator }
+
+func (v vecOperator) Mul(y, x *multivec.MultiVec) { v.MulVec(y.Data, x.Data) }
 
 // BlockJacobi is a 3x3 block-diagonal preconditioner: each diagonal
 // block of the matrix is inverted once at construction.

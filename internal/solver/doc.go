@@ -10,6 +10,51 @@
 // these counters are the data behind the paper's Table V and
 // Figure 6.
 //
+// # The fused-solve contract
+//
+// There is one CG in this package: MultiCG solves q independent
+// systems with it, and CG is the same solve at q = 1.
+//
+//   - Layout. The state of all q columns lives in four row-major
+//     n-by-w blocks X, R, P, AP (w = KernelCeil(q); a fifth, Z, only
+//     when some column has a preconditioner) owned by a
+//     MultiCGWorkspace — the layout the GSPMV kernels multiply in.
+//     Guesses and right-hand sides are packed once on entry, each
+//     column's iterate is copied out once when it retires, and an
+//     iteration is one fused multiply AP = A*P plus three column
+//     sweeps of internal/multivec: ColDots (p.Ap), ColUpdate
+//     (X += P*diag(alpha), R -= AP*diag(alpha) and the sums of squares
+//     of the new R, in one pass) and ColDirection
+//     (P = Z + P*diag(beta)). At w = 1 a block is the vector.
+//   - Lane recurrence. Each column is a lane. Every lane value is the
+//     textbook recurrence on that column alone — products rounded
+//     before they are added, reductions summed sequentially in row
+//     order — and the sweeps are serial, so a lane's bits depend on
+//     neither q, w, the lane's position, nor the thread count. With
+//     the GSPMV kernels' identical per-column order this makes column
+//     j of MultiCG BITWISE what CG(a, x_j, b_j, opts[j]) returns:
+//     iterate, iteration count, residual.
+//   - Norms. A norm is the square root of the lane's sequential sum of
+//     squares: ||r||^2 is the same unscaled sum r.z and p.Ap always
+//     were (for an unpreconditioned column it *is* r.z, and is reused
+//     as such), not a scaled 2-norm. Its range is therefore that of a
+//     square: entries beyond about 1e+-154 overflow or vanish. A
+//     right-hand side whose sum of squares is zero is answered x = 0;
+//     one whose square overflows is a breakdown.
+//   - Retirement. A column leaves at an iteration boundary — converged,
+//     out of budget (MaxIter), cancelled (Ctx), broken down — in CG's
+//     own order of tests. The survivors are compacted to the leading
+//     lanes, in place while KernelCeil of their count holds and into
+//     the narrower block (the same storage, restrided) when it drops,
+//     with zero padding after them; ColumnOperator.MulCols is told the
+//     survivors' original indices.
+//   - Breakdown. When p.Ap is not a finite number > 0, or a sum of
+//     squares (of b on entry, of r after any update) is not finite,
+//     the column retires at once with Stats.Err = ErrBreakdown and the
+//     last iterate it formed: a NaN, an Inf, or an operator that is
+//     not positive definite costs that column at most the iteration it
+//     is found in, and no other column anything.
+//
 // # Invariants and failure semantics
 //
 //   - Operators have no error return. When the operator is a

@@ -23,7 +23,7 @@ func testEnsemble(k int) []*bcrs.Matrix {
 // sequence of a lone CG against that member's matrix — including
 // after early columns converge and the survivors are repacked.
 func TestMultiCGEnsembleBitwiseMatchesLoneCG(t *testing.T) {
-	for _, k := range []int{1, 2, 3, 5, 8} {
+	for _, k := range []int{1, 2, 3, 5, 8, 17, 33} {
 		mats := testEnsemble(k)
 		ops := make([]Operator, k)
 		for i, m := range mats {

@@ -1,9 +1,11 @@
 package solver
 
 import (
+	"math"
+	"time"
+
 	"repro/internal/blas"
 	"repro/internal/multivec"
-	"repro/internal/parallel"
 )
 
 // KernelSizes lists the vector counts with specialized fully-unrolled
@@ -33,84 +35,77 @@ func KernelCeil(q int) int {
 //
 // Unlike BlockCG, the columns share nothing but the matrix traffic:
 // each keeps its own scalar alpha/beta recurrence, converges against
-// its own tolerance and iteration budget, and drops out of the fused
-// multiply as soon as it is done (the remaining columns are repacked
-// to the next specialized kernel width). Because the GSPMV kernels
-// accumulate every column with an identical operation order for every
-// m, and all per-column vector operations run on contiguous scratch
-// the same way CG's do, each column's iterate is BITWISE-IDENTICAL to
-// what CG(a, x_j, b_j, opts[j]) alone would produce — the property
-// the serving layer's batched-vs-unbatched equivalence test pins down.
+// its own tolerance and iteration budget, and leaves the fused
+// multiply as soon as it is done. The state of all columns lives
+// interleaved, in the multiply's own layout, for the whole solve (the
+// package comment has the contract), and CG is this same solve at
+// q = 1, so each column's iterate is BITWISE-IDENTICAL to what
+// CG(a, x_j, b_j, opts[j]) alone would produce — the property the
+// serving layer's batched-vs-unbatched equivalence test pins down.
 //
-// opts[j] applies to column j (tolerance, iteration budget, shared
+// opts[j] applies to column j (tolerance, iteration budget,
 // preconditioner, per-request cancellation context). xs[j] supplies
 // the initial guess and receives the solution.
 func MultiCG(a BlockOperator, xs, bs [][]float64, opts []Options) []Stats {
 	return MultiCGWith(nil, a, xs, bs, opts)
 }
 
-// MultiCGWorkspace owns the scratch MultiCG needs — the per-column
-// residual/direction/product vectors and the padded pack-buffer pair
-// per kernel width — so a long-lived caller (the batching server's
-// dispatcher) can amortize allocations across batches instead of
-// paying them per solve. A workspace serves one MultiCGWith call at a
-// time; it is not safe for concurrent use.
+// MultiCGWorkspace owns the state of a fused solve — the interleaved
+// blocks X, R, P, AP (and Z when a column is preconditioned) and the
+// per-column scalars — so a long-lived caller (the batching server's
+// dispatcher, the ensemble runner) allocates it once instead of per
+// solve. A workspace serves one solve at a time; it is not safe for
+// concurrent use.
 type MultiCGWorkspace struct {
-	n     int
-	packs map[int][2]*multivec.MultiVec // kernel width -> {px, py}
-	vecs  [][]float64                   // length-n scratch, reused across calls
-	used  int
+	// MulSeconds is the wall time the most recent solve spent inside
+	// the operator's multiplies and VecSeconds the rest of it: packing,
+	// the column sweeps, preconditioning, retirement.
+	MulSeconds, VecSeconds float64
+
+	x, r, p, ap, z multivec.MultiVec
+	precond        bool      // some column has a preconditioner: Z is in use
+	zin, zout      []float64 // one column, contiguous, for Preconditioner.Apply
+
+	lanes   []lane
+	ids     []int
+	scalars []float64 // pap/bb, alpha, rr, beta: one kernel width each
+
+	keep, outLanes []int
+	outCols        [][]float64
+}
+
+// lane is the scalar state of one column of a fused solve. Lane j of
+// the workspace's blocks belongs to lanes[j].
+type lane struct {
+	id               int // original column index (ColumnOperator identity)
+	opt              Options
+	st               *Stats
+	rz, bnorm, rnorm float64
+	// A retired lane leaves the blocks at the next iteration boundary;
+	// copyOut says its iterate is still to be copied out of X then.
+	retired, copyOut bool
 }
 
 // NewMultiCGWorkspace returns an empty workspace; buffers are grown on
 // first use and retained across calls.
 func NewMultiCGWorkspace() *MultiCGWorkspace {
-	return &MultiCGWorkspace{packs: map[int][2]*multivec.MultiVec{}}
+	return &MultiCGWorkspace{}
 }
 
-// reset prepares the workspace for a solve over n-vectors, dropping
-// buffers if the operator dimension changed.
-func (ws *MultiCGWorkspace) reset(n int) {
-	if ws.n != n {
-		ws.n = n
-		ws.packs = map[int][2]*multivec.MultiVec{}
-		ws.vecs = nil
+// shape makes b an n-by-w block over its own storage, growing it when
+// too small. Contents are unspecified: every block is overwritten in
+// full before it is read, which keeps reuse bitwise-invisible.
+func shape(b *multivec.MultiVec, n, w int) {
+	if cap(b.Data) < n*w {
+		b.Data = make([]float64, n*w)
 	}
-	ws.used = 0
-}
-
-// vec hands out a length-n scratch vector. Contents are unspecified:
-// every MultiCG use overwrites the vector in full before reading it,
-// which is what keeps reuse bitwise-invisible.
-func (ws *MultiCGWorkspace) vec() []float64 {
-	if ws.used < len(ws.vecs) {
-		v := ws.vecs[ws.used]
-		ws.used++
-		return v
-	}
-	v := make([]float64, ws.n)
-	ws.vecs = append(ws.vecs, v)
-	ws.used++
-	return v
-}
-
-// pack returns the padded pack-buffer pair for kernel width w.
-// PackColumns zero-fills padding columns on every call, so reuse
-// cannot leak values between batches.
-func (ws *MultiCGWorkspace) pack(w int) (px, py *multivec.MultiVec) {
-	if pair, ok := ws.packs[w]; ok {
-		return pair[0], pair[1]
-	}
-	px = multivec.New(ws.n, w)
-	py = multivec.New(ws.n, w)
-	ws.packs[w] = [2]*multivec.MultiVec{px, py}
-	return px, py
+	b.N, b.M, b.Data = n, w, b.Data[:n*w]
 }
 
 // MultiCGWith is MultiCG solving through caller-owned scratch: ws,
-// when non-nil, supplies every temporary the solve needs. Results are
-// bitwise-identical with or without a workspace — all scratch is
-// fully overwritten before it is read.
+// when non-nil, supplies every temporary the solve needs (a nil ws
+// borrows one from the pool lone CG solves draw on). Results are
+// bitwise-identical with or without a workspace.
 func MultiCGWith(ws *MultiCGWorkspace, a BlockOperator, xs, bs [][]float64, opts []Options) []Stats {
 	n := a.N()
 	q := len(xs)
@@ -126,161 +121,252 @@ func MultiCGWith(ws *MultiCGWorkspace, a BlockOperator, xs, bs [][]float64, opts
 	if q == 0 {
 		return stats
 	}
-	defer recordMultiCG(stats)
 	if ws == nil {
-		ws = NewMultiCGWorkspace()
+		ws = cgWork.Get().(*MultiCGWorkspace)
+		defer cgWork.Put(ws)
 	}
-	ws.reset(n)
+	defer recordMultiCG(stats, ws)
+	ws.solve(a, xs, bs, opts, stats)
+	return stats
+}
 
-	type col struct {
-		id                int // original column index (ColumnOperator identity)
-		x, b, r, z, p, ap []float64
-		rz, bnorm, rnorm  float64
-		opt               Options
-		st                *Stats
-	}
-	cols := make([]*col, q)
-	for j := 0; j < q; j++ {
-		cols[j] = &col{
-			id: j,
-			x:  xs[j], b: bs[j],
-			r:   ws.vec(),
-			opt: opts[j].withDefaults(n),
-			st:  &stats[j],
-		}
-	}
+// finite reports whether v is neither an infinity nor a NaN.
+func finite(v float64) bool { return !math.IsInf(v, 0) && !math.IsNaN(v) }
 
-	// The fused R = B - A*X: one padded GSPMV computes A*x_j for every
-	// column at once (columns are packed to the next specialized
-	// kernel width; the zero padding columns are ignored on unpack).
-	pool := parallel.Default()
+// retire ends a lane's solve. Each lane retires exactly once; its
+// request trace (if the serve layer attached one through Options.Ctx)
+// receives the column's own iteration count, not the batch's.
+func (l *lane) retire(copyOut bool) {
+	if l.bnorm != 0 { // a zero right-hand side has no relative residual; a NaN one has NaN
+		l.st.Residual = l.rnorm / l.bnorm
+	}
+	traceSolve(l.opt, l.st)
+	l.retired, l.copyOut = true, copyOut
+}
+
+// solve is the one CG in the package: CG runs it at q = 1 through a
+// vecOperator, MultiCGWith at any q. The package comment states the
+// contract; the comments below only say which rule a step implements.
+func (ws *MultiCGWorkspace) solve(a BlockOperator, xs, bs [][]float64, opts []Options, stats []Stats) {
+	start := time.Now()
+	ws.MulSeconds = 0
+	defer func() {
+		ws.VecSeconds = time.Since(start).Seconds() - ws.MulSeconds
+		// Drop the request contexts, preconditioners and stats the lanes
+		// point at: a retained workspace must not pin them.
+		clear(ws.lanes[:cap(ws.lanes)])
+	}()
+
+	n, q := a.N(), len(xs)
 	w := KernelCeil(q)
-	px, py := ws.pack(w)
-	rcols := make([][]float64, q)
-	xcols := make([][]float64, q)
-	ids := make([]int, q)
-	for j, c := range cols {
-		rcols[j] = c.r
-		xcols[j] = c.x
-		ids[j] = j
+	x, r, p, ap, z := &ws.x, &ws.r, &ws.p, &ws.ap, &ws.z
+	for _, b := range []*multivec.MultiVec{x, r, p, ap} {
+		shape(b, n, w)
 	}
-	multivec.PackColumns(px, xcols)
-	mulColumns(a, py, px, ids)
-	multivec.UnpackColumns(rcols, py)
+	if cap(ws.scalars) < 4*w {
+		ws.scalars = make([]float64, 4*w)
+	}
+	pap, alpha, rr, beta := ws.scalars[0:w], ws.scalars[w:2*w], ws.scalars[2*w:3*w], ws.scalars[3*w:4*w]
 
-	// Per-column setup, mirroring CG exactly: zero right-hand sides
-	// and already-converged guesses retire immediately.
-	active := make([]*col, 0, q)
-	retire := func(c *col) {
-		if c.bnorm > 0 {
-			c.st.Residual = c.rnorm / c.bnorm
-		}
-		// Each column retires exactly once; its request trace (if the
-		// serve layer attached one through Options.Ctx) receives the
-		// column's own iteration count, not the batch's.
-		traceSolve(c.opt, c.st)
+	lanes, ids := ws.lanes[:0], ws.ids[:0]
+	ws.precond = false
+	for j := 0; j < q; j++ {
+		lanes = append(lanes, lane{id: j, opt: opts[j].withDefaults(n), st: &stats[j]})
+		ids = append(ids, j)
+		ws.precond = ws.precond || opts[j].Precond != nil
 	}
-	for _, c := range cols {
-		c.st.MatMuls = 1
-		blas.Sub(c.r, c.b, c.r)
-		c.bnorm = blas.Nrm2(c.b)
-		if c.bnorm == 0 {
-			blas.Fill(c.x, 0)
-			c.st.Converged = true
-			traceSolve(c.opt, c.st)
+	ws.lanes, ws.ids = lanes, ids
+
+	// R = B - A*X and both norms, for every column at once.
+	multivec.PackColumns(x, xs)
+	ws.mul(a, ap, x, ids)
+	multivec.PackColumns(r, bs)
+	bb := pap // free until the first iteration
+	multivec.ColResidual(r, r, ap, bb[:q], rr[:q])
+	live := 0
+	for j := range lanes {
+		l := &lanes[j]
+		l.st.MatMuls = 1
+		if bb[j] == 0 {
+			// Solution of A*x = 0 is x = 0.
+			blas.Fill(xs[j], 0)
+			l.st.Converged = true
+			l.retire(false)
 			continue
 		}
-		c.rnorm = blas.Nrm2(c.r)
-		if c.rnorm <= c.opt.Tol*c.bnorm {
-			c.st.Converged = true
-			retire(c)
-			continue
+		l.bnorm, l.rnorm = math.Sqrt(bb[j]), math.Sqrt(rr[j])
+		switch {
+		case !finite(bb[j]) || !finite(rr[j]):
+			l.st.Err = ErrBreakdown
+			l.retire(false)
+		case l.rnorm <= l.opt.Tol*l.bnorm:
+			l.st.Converged = true
+			l.retire(false) // the guess in xs[j] is the answer
+		default:
+			l.rz = rr[j]
+			live++
 		}
-		c.z = c.r
-		if c.opt.Precond != nil {
-			c.z = ws.vec()
-			c.opt.Precond.Apply(c.z, c.r)
-		}
-		c.p = ws.vec()
-		copy(c.p, c.z)
-		c.rz = blas.Dot(c.r, c.z)
-		c.ap = ws.vec()
-		active = append(active, c)
 	}
+	if live == 0 {
+		return
+	}
+	zsrc := r // z aliases r when no column is preconditioned
+	if ws.precond {
+		shape(z, n, w)
+		clear(z.Data)
+		if len(ws.zin) != n {
+			ws.zin, ws.zout = make([]float64, n), make([]float64, n)
+		}
+		zsrc = z
+		ws.precondition(rr[:q])
+		for j := range lanes {
+			lanes[j].rz = rr[j]
+		}
+	}
+	p.CopyFrom(zsrc)
 
-	pcols := make([][]float64, 0, q)
-	apcols := make([][]float64, 0, q)
-	for len(active) > 0 {
-		// Budget and cancellation checks in the same order CG performs
-		// them: the iteration-count test guards the loop, the context
-		// test runs at the top of the body.
-		live := active[:0]
-		for _, c := range active {
+	for {
+		// Budget and cancellation, in CG's order: the iteration-count
+		// test guards the loop, the context test opens the body.
+		for j := range lanes {
+			l := &lanes[j]
 			switch {
-			case c.st.Iterations >= c.opt.MaxIter:
-				retire(c)
-			case c.opt.canceled():
-				c.st.Err = ErrCanceled
-				retire(c)
-			default:
-				live = append(live, c)
+			case l.retired:
+			case l.st.Iterations >= l.opt.MaxIter:
+				l.retire(true)
+			case l.opt.canceled():
+				l.st.Err = ErrCanceled
+				l.retire(true)
 			}
 		}
-		active = live
-		if len(active) == 0 {
-			break
+		if ws.flush(xs) == 0 {
+			return
 		}
+		lanes, ids = ws.lanes, ws.ids
+		q = len(lanes)
 
-		// One fused GSPMV over the active columns, padded to the next
-		// specialized kernel width.
-		w = KernelCeil(len(active))
-		if px.M != w {
-			px, py = ws.pack(w)
-		}
-		pcols, apcols, ids = pcols[:0], apcols[:0], ids[:0]
-		for _, c := range active {
-			pcols = append(pcols, c.p)
-			apcols = append(apcols, c.ap)
-			ids = append(ids, c.id)
-		}
-		multivec.PackColumns(px, pcols)
-		mulColumns(a, py, px, ids)
-		multivec.UnpackColumns(apcols, py)
-
-		live = active[:0]
-		for _, c := range active {
-			c.st.MatMuls++
-			alpha := c.rz / blas.Dot(c.p, c.ap)
-			blas.Axpy(alpha, c.p, c.x)
-			blas.Axpy(-alpha, c.ap, c.r)
-			c.st.Iterations++
-
-			c.rnorm = blas.Nrm2(c.r)
-			if c.opt.TrackResiduals {
-				c.st.Residuals = append(c.st.Residuals, c.rnorm/c.bnorm)
-			}
-			if c.rnorm <= c.opt.Tol*c.bnorm {
-				c.st.Converged = true
-				retire(c)
+		ws.mul(a, ap, p, ids)
+		multivec.ColDots(pap[:q], p, ap)
+		for j := range lanes {
+			l := &lanes[j]
+			l.st.MatMuls++
+			if pap[j] > 0 && finite(pap[j]) {
+				alpha[j] = l.rz / pap[j]
 				continue
 			}
-			if c.opt.Precond != nil {
-				c.opt.Precond.Apply(c.z, c.r)
-			}
-			rzNew := blas.Dot(c.r, c.z)
-			beta := rzNew / c.rz
-			c.rz = rzNew
-			p, z := c.p, c.z
-			// Disjoint writes, same op label and grain as CG: the
-			// update is bitwise-identical to the single-vector path.
-			pool.ForOp("cg_update", n, 8192, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					p[i] = z[i] + beta*p[i]
-				}
-			})
-			live = append(live, c)
+			// Breakdown before the update: the iterate stands as it is.
+			alpha[j] = 0
+			l.st.Err = ErrBreakdown
+			x.Col(j, xs[l.id])
+			l.retire(false)
 		}
-		active = live
+		multivec.ColUpdate(x, r, p, ap, alpha[:q], rr[:q])
+		live = 0
+		for j := range lanes {
+			l := &lanes[j]
+			if l.retired {
+				continue
+			}
+			l.st.Iterations++
+			l.rnorm = math.Sqrt(rr[j])
+			if l.opt.TrackResiduals {
+				l.st.Residuals = append(l.st.Residuals, l.rnorm/l.bnorm)
+			}
+			switch {
+			case !finite(rr[j]):
+				l.st.Err = ErrBreakdown
+				l.retire(true)
+			case l.rnorm <= l.opt.Tol*l.bnorm:
+				l.st.Converged = true
+				l.retire(true)
+			default:
+				live++
+			}
+		}
+		if live == 0 {
+			continue // to the boundary, which copies the iterates out
+		}
+		if ws.precond {
+			ws.precondition(rr[:q])
+		}
+		for j := range lanes {
+			l := &lanes[j]
+			beta[j] = 0
+			if !l.retired {
+				beta[j] = rr[j] / l.rz
+				l.rz = rr[j]
+			}
+		}
+		multivec.ColDirection(p, zsrc, beta[:q])
 	}
-	return stats
+}
+
+// mul is one fused multiply, timed.
+func (ws *MultiCGWorkspace) mul(a BlockOperator, y, x *multivec.MultiVec, ids []int) {
+	t0 := time.Now()
+	mulColumns(a, y, x, ids)
+	ws.MulSeconds += time.Since(t0).Seconds()
+}
+
+// precondition sets column j of Z to M_j^{-1} times column j of R for
+// every live lane (a copy of it for a lane without a preconditioner)
+// and rz[j] to their inner product r_j.z_j.
+func (ws *MultiCGWorkspace) precondition(rz []float64) {
+	for j := range ws.lanes {
+		l := &ws.lanes[j]
+		if l.retired {
+			continue
+		}
+		ws.r.Col(j, ws.zin)
+		out := ws.zin
+		if l.opt.Precond != nil {
+			out = ws.zout
+			l.opt.Precond.Apply(out, ws.zin)
+		}
+		ws.z.SetCol(j, out)
+	}
+	multivec.ColDots(rz, &ws.r, &ws.z)
+}
+
+// flush is the iteration boundary: the iterates of the lanes retired
+// since the last one are copied out of X in one pass, and the
+// survivors are compacted to the leading lanes — within the same
+// kernel width, or into the narrower one when KernelCeil of their
+// count drops — with zero padding after them. It returns the number of
+// surviving lanes.
+func (ws *MultiCGWorkspace) flush(xs [][]float64) int {
+	keep, outLanes, outCols := ws.keep[:0], ws.outLanes[:0], ws.outCols[:0]
+	for j := range ws.lanes {
+		switch l := &ws.lanes[j]; {
+		case !l.retired:
+			keep = append(keep, j)
+		case l.copyOut:
+			outLanes = append(outLanes, j)
+			outCols = append(outCols, xs[l.id])
+		}
+	}
+	if len(outCols) > 0 {
+		multivec.UnpackLanes(outCols, &ws.x, outLanes)
+		clear(outCols)
+	}
+	ws.keep, ws.outLanes, ws.outCols = keep, outLanes, outCols
+	if len(keep) == len(ws.lanes) || len(keep) == 0 {
+		return len(keep)
+	}
+	w := KernelCeil(len(keep))
+	for _, b := range []*multivec.MultiVec{&ws.x, &ws.r, &ws.p} {
+		b.CompactColumns(keep, w)
+	}
+	// AP and Z are rewritten in full before their next use.
+	shape(&ws.ap, ws.x.N, w)
+	if ws.precond {
+		shape(&ws.z, ws.x.N, w)
+	}
+	for d, s := range keep {
+		ws.lanes[d] = ws.lanes[s]
+		ws.ids[d] = ws.lanes[d].id
+	}
+	clear(ws.lanes[len(keep):])
+	ws.lanes, ws.ids = ws.lanes[:len(keep)], ws.ids[:len(keep)]
+	return len(keep)
 }

@@ -1,6 +1,10 @@
 package solver
 
-import "repro/internal/obs"
+import (
+	"errors"
+
+	"repro/internal/obs"
+)
 
 // Solver observability: every solve reports its iteration count,
 // matrix-multiply count, convergence outcome, and final relative
@@ -32,6 +36,12 @@ var (
 	multiFailures = obs.Default.Counter("solver_multicg_nonconverged_total")
 	multiCanceled = obs.Default.Counter("solver_multicg_canceled_total")
 	multiResidual = obs.Default.Histogram("solver_multicg_final_residual", obs.ResidualBuckets)
+	// The same split as block CG's: a fused solve should cost its
+	// multiplies, and the vector share says how far it is from that.
+	multiMulSeconds = obs.Default.FloatCounter("solver_multicg_matmul_seconds_total")
+	multiVecSeconds = obs.Default.FloatCounter("solver_multicg_vector_seconds_total")
+	// Columns retired with ErrBreakdown, from CG and MultiCG alike.
+	cgBreakdowns = obs.Default.Counter("solver_cg_breakdown_total")
 
 	refineSolves   = obs.Default.Counter("solver_refine_solves_total")
 	refineIters    = obs.Default.Counter("solver_refine_iterations_total")
@@ -70,10 +80,14 @@ func recordCG(st *Stats) {
 	cgSolves.Inc()
 	cgIters.Add(int64(st.Iterations))
 	cgMatMuls.Add(int64(st.MatMuls))
-	cgResidual.Observe(st.Residual)
 	if !st.Converged {
 		cgFailures.Inc()
 	}
+	if errors.Is(st.Err, ErrBreakdown) {
+		cgBreakdowns.Inc() // its residual may be NaN, which a histogram sum would keep
+		return
+	}
+	cgResidual.Observe(st.Residual)
 }
 
 func recordBlockCG(st *BlockStats) {
@@ -91,19 +105,25 @@ func recordBlockCG(st *BlockStats) {
 	}
 }
 
-func recordMultiCG(stats []Stats) {
+func recordMultiCG(stats []Stats, ws *MultiCGWorkspace) {
 	multiSolves.Inc()
 	multiColumns.Add(int64(len(stats)))
+	multiMulSeconds.Add(ws.MulSeconds)
+	multiVecSeconds.Add(ws.VecSeconds)
 	for i := range stats {
 		st := &stats[i]
 		multiIters.Add(int64(st.Iterations))
-		multiResidual.Observe(st.Residual)
 		if !st.Converged {
 			multiFailures.Inc()
 		}
-		if st.Err != nil {
+		switch {
+		case errors.Is(st.Err, ErrBreakdown):
+			cgBreakdowns.Inc() // as in recordCG
+			continue
+		case st.Err != nil:
 			multiCanceled.Inc()
 		}
+		multiResidual.Observe(st.Residual)
 	}
 }
 

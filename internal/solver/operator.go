@@ -32,12 +32,12 @@ type BlockOperator interface {
 // through *distinct* underlying systems — an ensemble of K
 // equal-dimension operators fused into one logical block operator
 // (core.EnsembleRunner's lockstep trajectories). MultiCG retires
-// converged columns and repacks the survivors, so the operator must
-// be told which logical system each surviving column belongs to:
-// ids[j] names the system column j of x multiplies through. Columns
-// of x beyond len(ids) are kernel padding; the operator may compute
-// anything for them (they are discarded on unpack) but must not read
-// ids out of range.
+// finished columns and compacts the survivors into the leading lanes,
+// so the operator must be told which logical system each surviving
+// column belongs to: ids[j] names the system column j of x multiplies
+// through. Columns of x beyond len(ids) are kernel padding, zero on
+// input; the operator may compute anything for them (the solve never
+// reads them) but must not read ids out of range.
 type ColumnOperator interface {
 	BlockOperator
 	// MulCols computes Y[:,j] = A_{ids[j]} * X[:,j] for each j.

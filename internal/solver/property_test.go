@@ -93,3 +93,36 @@ func TestIC0PreservesSolutionProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMultiCGMatchesLoneCGProperty: for arbitrary batch widths, warm
+// or cold guesses, tolerances, budgets and preconditioning, every
+// column of the fused solve is the lone solve of it, bit for bit.
+func TestMultiCGMatchesLoneCGProperty(t *testing.T) {
+	prop := func(seed uint64, qRaw uint8) bool {
+		q := 1 + int(qRaw)%36
+		a := bcrs.Random(bcrs.RandomOptions{NB: 40, BlocksPerRow: 5, Seed: seed})
+		n := a.N()
+		s := rng.Substream(seed, 4)
+		bj := NewBlockJacobi(a)
+		xs0, bs, opts := make([][]float64, q), make([][]float64, q), make([]Options, q)
+		for j := 0; j < q; j++ {
+			xs0[j], bs[j] = make([]float64, n), make([]float64, n)
+			s.FillNormal(bs[j])
+			if s.Intn(3) == 0 {
+				s.FillNormal(xs0[j]) // a (bad) warm start
+			}
+			opts[j] = Options{Tol: math.Pow(10, -1-8*s.Float64())}
+			if s.Intn(3) == 0 {
+				opts[j].MaxIter = 1 + s.Intn(12)
+			}
+			if s.Intn(8) == 0 {
+				opts[j].Precond = bj
+			}
+		}
+		checkFusedMatchesLone(t, "property", a, func(int) Operator { return a }, xs0, bs, opts)
+		return !t.Failed()
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
+	}
+}

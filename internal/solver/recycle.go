@@ -139,12 +139,12 @@ func RecycledCG(a Operator, x, b []float64, d *Deflation, opt Options) Stats {
 // hold zero initial guesses — the serving tier's case — so the
 // corrections need no residual multiplies. The CG recurrences
 // themselves are untouched: column j is bitwise-identical to a lone
-// CG started from its corrected guess, so retirement and repack
+// CG started from its corrected guess, so retirement and compaction
 // behave exactly as in MultiCG and the whole solve is per-column
 // bitwise-reproducible at a fixed basis and thread count. With
 // d == nil it degenerates to MultiCG.
 func RecycledMultiCG(a BlockOperator, xs, bs [][]float64, opts []Options, d *Deflation) []Stats {
-	return RecycledMultiCGWith(NewMultiCGWorkspace(), a, xs, bs, opts, d)
+	return RecycledMultiCGWith(nil, a, xs, bs, opts, d)
 }
 
 // RecycledMultiCGWith is RecycledMultiCG against a reusable
