@@ -19,17 +19,20 @@ BENCH_BASELINE_DIR ?= .bench-baseline
 # regressions; warns otherwise; skips files with no baseline).
 ci: vet build bench-test docs-gate race-kernels race chaos serve-smoke shard-smoke serial bench-diff
 
-# docs-gate fails when an internal/ package lacks a package comment or
-# a tracked markdown file has a broken relative link — documentation
-# drift is a build failure, not a review nit.
+# docs-gate fails when an internal/ package lacks a package comment,
+# a tracked markdown file has a broken relative link, or README.md /
+# ARCHITECTURE.md name an internal/ or cmd/ path that is not in the
+# tree — documentation drift is a build failure, not a review nit.
 docs-gate:
 	$(GO) run ./cmd/docs-gate
 
 # The second line cross-vets the packages with assembly for an
-# architecture that has none, so their _noasm/_other files cannot rot.
+# architecture that has none, so their _noasm/_other files cannot rot;
+# the third fails when any file is not gofmt-clean.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./internal/cpufeat/ ./internal/bcrs/ ./internal/multivec/
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -139,8 +142,8 @@ bench-ensemble:
 
 # bench-shard sweeps the serve-tier shard counts over the rate sweep
 # and writes BENCH_shard.json: per-shard-count throughput and latency
-# against the same m=1 baseline, the strip layout (owned/halo rows,
-# per-strip dedup ratio), "shard_speedup" (largest count over 1
+# against the same m=1 baseline, the strip layout (owned/halo rows),
+# "shard_speedup" (largest count over 1
 # shard; reads against "cores" — a single-core host measures routing
 # overhead, not scaling), and the shard-kill chaos pass, which must
 # complete every solve on the shrunk fleet ("completed_degraded").
@@ -151,18 +154,14 @@ bench-shard:
 # bench-symm races the parallel half-storage symmetric GSPMV against
 # the general kernels at equal thread counts on a banded (RCM-like,
 # -nowrap) matrix and writes BENCH_symm.json: per-(threads, m)
-# measured and model-predicted speedups (the auto cache-blocked plan
-# plus the forced single-pass and -dedup compressed ablations, so each
-# point carries tiled/tile_cols/dedup_ratio), measured r(m) vs
-# r_sym(m), and the bitwise-determinism verdict. "best" holds the
-# acceptance number: the top symmetric speedup at m >= 8.
-# The band models an RCM-ordered short-cutoff lubrication topology
-# (the generator's old nb/16 default put >60% of the multiply into
-# scatter-window stalls, an artifact no ordered physical matrix
-# shows); -unique models the repeated-interaction-tensor regime the
-# -dedup ablation compresses.
+# measured and model-predicted speedups, measured r(m) vs r_sym(m),
+# and the bitwise-determinism verdict. "best" holds the top symmetric
+# speedup at m >= 8. The band models an RCM-ordered short-cutoff
+# lubrication topology (the generator's nb/16 default puts >60% of the
+# multiply into scatter-window stalls, an artifact no ordered physical
+# matrix shows).
 bench-symm:
-	$(GO) run ./cmd/gspmv-bench -symmetric -nowrap -nb 150000 -bpr 20 -band 1200 -m 1,2,4,8,16,32 -threads 1,2 -dedup -unique 1024 -json $(CURDIR)/BENCH_symm.json
+	$(GO) run ./cmd/gspmv-bench -symmetric -nowrap -nb 150000 -bpr 20 -band 1200 -m 1,2,4,8,16,32 -threads 1,2 -json $(CURDIR)/BENCH_symm.json
 	-$(MAKE) bench-diff BENCH_FILES=BENCH_symm.json
 
 # bench-recycle measures cross-solve Krylov recycling end-to-end and

@@ -22,7 +22,6 @@ import (
 	"repro/internal/multivec"
 	"repro/internal/particles"
 	"repro/internal/partition"
-	"repro/internal/reorder"
 	"repro/internal/rng"
 	"repro/internal/sd"
 	"repro/internal/solver"
@@ -496,39 +495,6 @@ func BenchmarkAblationSymmetricStorage(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationRCMOrdering measures the ordering optimization:
-// GSPMV on a label-shuffled matrix versus its RCM-reordered form.
-func BenchmarkAblationRCMOrdering(b *testing.B) {
-	fixtures(b)
-	// Shuffle the labels of the fixture matrix to destroy locality.
-	nb := fixMat.NB()
-	s := rng.New(14)
-	shuffle := make([]int, nb)
-	for i := range shuffle {
-		shuffle[i] = i
-	}
-	for i := nb - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		shuffle[i], shuffle[j] = shuffle[j], shuffle[i]
-	}
-	shuffled := reorder.Apply(fixMat, shuffle)
-	ordered := reorder.Apply(shuffled, reorder.RCM(shuffled))
-	const m = 8
-	x := multivec.New(fixMat.N(), m)
-	rng.New(15).FillNormal(x.Data)
-	y := multivec.New(fixMat.N(), m)
-	b.Run("shuffled", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			shuffled.Mul(y, x)
-		}
-	})
-	b.Run("rcm-ordered", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ordered.Mul(y, x)
-		}
-	})
-}
-
 // BenchmarkExtIC0 measures the reused-preconditioner technique: IC(0)
 // factorization cost and the PCG iteration savings it buys.
 func BenchmarkExtIC0(b *testing.B) {
@@ -562,65 +528,6 @@ func BenchmarkExtIC0(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkAblationBlockFormat quantifies the natural 3x3 block
-// structure the paper relies on (Section IV-A1): BCRS versus scalar
-// CSR on the same matrix, single vector and a block of 8.
-func BenchmarkAblationBlockFormat(b *testing.B) {
-	fixtures(b)
-	csr := bcrs.NewCSR(fixMat)
-	x1 := make([]float64, fixMat.N())
-	rng.New(17).FillNormal(x1)
-	y1 := make([]float64, fixMat.N())
-	b.Run("bcrs-spmv", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			fixMat.MulVec(y1, x1)
-		}
-	})
-	b.Run("csr-spmv", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			csr.MulVec(y1, x1)
-		}
-	})
-	const m = 8
-	x := multivec.New(fixMat.N(), m)
-	rng.New(18).FillNormal(x.Data)
-	y := multivec.New(fixMat.N(), m)
-	b.Run("bcrs-gspmv", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			fixMat.Mul(y, x)
-		}
-	})
-	b.Run("csr-gspmv", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			csr.Mul(y, x)
-		}
-	})
-}
-
-// BenchmarkAblationCacheBlocking measures the paper's cache-blocking
-// optimization at a vector count whose X working set overflows the
-// cache.
-func BenchmarkAblationCacheBlocking(b *testing.B) {
-	fixtures(b)
-	const m = 32
-	x := multivec.New(fixMat.N(), m)
-	rng.New(19).FillNormal(x.Data)
-	y := multivec.New(fixMat.N(), m)
-	b.Run("plain", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			fixMat.Mul(y, x)
-		}
-	})
-	for _, bands := range []int{2, 4, 8} {
-		cb := bcrs.NewCacheBlocked(fixMat, bands)
-		b.Run(fmt.Sprintf("bands=%d", bands), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cb.Mul(y, x)
-			}
-		})
-	}
 }
 
 // BenchmarkAblationNeighborList measures the Verlet-list amortization

@@ -41,22 +41,14 @@ var directions = map[string]Direction{
 	// BENCH_symm.json
 	"general_secs":    lowerBetter,
 	"sym_secs":        lowerBetter,
-	"sym_flat_secs":   lowerBetter,  // forced single-pass ablation
-	"sym_dedup_secs":  lowerBetter,  // compressed-storage variant
-	"flat_speedup":    higherBetter, // general / single-pass symmetric
-	"dedup_speedup":   higherBetter, // general / compressed symmetric
-	"predicted_speed": ignored,      // model output, not a measurement
-	// Plan echoes and normalized ratios stay ungraded: tile_cols,
-	// working_set_bytes, and dedup_ratio describe the schedule, not
-	// performance, and r_general/r_sym are normalized by a moving
-	// m=1 baseline that the absolute secs columns already grade.
-	"tile_cols":         ignored,
-	"working_set_bytes": ignored,
-	"dedup_ratio":       ignored,
-	"r_general":         ignored,
-	"r_sym":             ignored,
-	"predicted_r_sym":   ignored,
-	"predicted_r_gen":   ignored,
+	"predicted_speed": ignored, // model output, not a measurement
+	// Normalized ratios stay ungraded: r_general/r_sym are normalized
+	// by a moving m=1 baseline that the absolute secs columns already
+	// grade.
+	"r_general":       ignored,
+	"r_sym":           ignored,
+	"predicted_r_sym": ignored,
+	"predicted_r_gen": ignored,
 
 	// BENCH_parallel.json
 	"total_seconds":    lowerBetter,
@@ -64,9 +56,8 @@ var directions = map[string]Direction{
 	"efficiency":       higherBetter,
 
 	// BENCH_shard.json: the headline scaling ratio is graded; the
-	// strip layout (block_rows/halo_rows, per-strip dedup_ratio above)
-	// and the chaos pass's counts describe topology and outcome, not
-	// performance.
+	// strip layout (block_rows/halo_rows) and the chaos pass's counts
+	// describe topology and outcome, not performance.
 	"shard_speedup": higherBetter,
 	"block_rows":    ignored,
 	"halo_rows":     ignored,

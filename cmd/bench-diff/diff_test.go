@@ -143,54 +143,3 @@ func TestDiffOneSkipsMissingBaseline(t *testing.T) {
 		t.Fatalf("missing baseline: got %+v, want clean skip", rep)
 	}
 }
-
-// The cache-blocked / compressed symmetric columns grade like any
-// other kernel timing: slower variant secs or collapsed variant
-// speedups FAIL, while the schedule echoes (tile plan, dedup ratio,
-// working set) and normalized r-columns stay out of the report.
-func TestSymmVariantFieldsGrade(t *testing.T) {
-	base := map[string]float64{
-		"sweeps.0.points.3.sym_flat_secs":     0.010,
-		"sweeps.0.points.3.sym_dedup_secs":    0.012,
-		"sweeps.0.points.3.flat_speedup":      1.5,
-		"sweeps.0.points.3.dedup_speedup":     1.2,
-		"sweeps.0.points.3.tile_cols":         8,
-		"sweeps.0.points.3.working_set_bytes": 14e6,
-		"sweeps.0.points.3.dedup_ratio":       0.16,
-		"sweeps.0.points.3.r_sym":             4.2,
-		"sweeps.0.points.3.predicted_r_sym":   4.0,
-	}
-	cur := map[string]float64{
-		"sweeps.0.points.3.sym_flat_secs":     0.030, // 3x slower ablation
-		"sweeps.0.points.3.sym_dedup_secs":    0.013, // within noise
-		"sweeps.0.points.3.flat_speedup":      0.5,   // 3x collapse
-		"sweeps.0.points.3.dedup_speedup":     1.1,
-		"sweeps.0.points.3.tile_cols":         4,    // plan changed: not a regression
-		"sweeps.0.points.3.working_set_bytes": 28e6, // echo, ungraded
-		"sweeps.0.points.3.dedup_ratio":       0.40,
-		"sweeps.0.points.3.r_sym":             9.0,
-		"sweeps.0.points.3.predicted_r_sym":   4.0,
-	}
-	st := statuses(Compare(base, cur, 1.25, 2.0))
-	for p, want := range map[string]string{
-		"sweeps.0.points.3.sym_flat_secs":  "FAIL",
-		"sweeps.0.points.3.flat_speedup":   "FAIL",
-		"sweeps.0.points.3.sym_dedup_secs": "PASS",
-		"sweeps.0.points.3.dedup_speedup":  "PASS",
-	} {
-		if st[p] != want {
-			t.Errorf("%s graded %q, want %q", p, st[p], want)
-		}
-	}
-	for _, p := range []string{
-		"sweeps.0.points.3.tile_cols",
-		"sweeps.0.points.3.working_set_bytes",
-		"sweeps.0.points.3.dedup_ratio",
-		"sweeps.0.points.3.r_sym",
-		"sweeps.0.points.3.predicted_r_sym",
-	} {
-		if _, graded := st[p]; graded {
-			t.Errorf("schedule echo %s should be ignored, graded %q", p, st[p])
-		}
-	}
-}

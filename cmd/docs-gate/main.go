@@ -1,5 +1,5 @@
 // Command docs-gate is the CI documentation gate. It fails (exit 1)
-// when either class of documentation drift appears:
+// when any of three classes of documentation drift appears:
 //
 //  1. An internal/ package has no package comment — every package
 //     must say what it implements and which part of the paper it
@@ -7,6 +7,9 @@
 //  2. A relative link in the top-level markdown docs (README.md,
 //     DESIGN.md, EXPERIMENTS.md, ARCHITECTURE.md, ROADMAP.md) points
 //     at a file that does not exist.
+//  3. A backticked `internal/<pkg>` or `cmd/<name>` path in README.md
+//     or ARCHITECTURE.md — the two files that map the tree as it is —
+//     names a package or file that is not on disk.
 //
 // Run from the repository root, normally via `make docs-gate` (part
 // of `make ci`).
@@ -28,6 +31,7 @@ func main() {
 	problems = append(problems, checkPackageComments("internal")...)
 	problems = append(problems, checkLinks(
 		"README.md", "DESIGN.md", "EXPERIMENTS.md", "ARCHITECTURE.md", "ROADMAP.md")...)
+	problems = append(problems, checkTreePaths("README.md", "ARCHITECTURE.md")...)
 
 	if len(problems) > 0 {
 		for _, p := range problems {
@@ -123,6 +127,33 @@ func checkLinks(files ...string) []string {
 				}
 				if _, err := os.Stat(rel); err != nil {
 					problems = append(problems, fmt.Sprintf("%s:%d: broken relative link %q", file, i+1, m[1]))
+				}
+			}
+		}
+	}
+	return problems
+}
+
+// treePath matches a backticked path under internal/ or cmd/. Globs
+// and placeholders (`cmd/*-bench`, `internal/<pkg>`) fall outside the
+// character class and are not paths to check.
+var treePath = regexp.MustCompile("`((?:internal|cmd)/[A-Za-z0-9_./-]+)`")
+
+// checkTreePaths verifies that every backticked internal/ or cmd/
+// path in the given markdown files exists on disk: a package map that
+// still lists a deleted package is drift.
+func checkTreePaths(files ...string) []string {
+	var problems []string
+	for _, file := range files {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			problems = append(problems, fmt.Sprintf("%s: %v", file, err))
+			continue
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			for _, m := range treePath.FindAllStringSubmatch(line, -1) {
+				if _, err := os.Stat(filepath.FromSlash(m[1])); err != nil {
+					problems = append(problems, fmt.Sprintf("%s:%d: path %q is not in the tree", file, i+1, m[1]))
 				}
 			}
 		}

@@ -44,11 +44,6 @@ func main() {
 		band      = flag.Int("band", 0, "matrix bandwidth in block columns (0: nb/16)")
 		noWrap    = flag.Bool("nowrap", false, "clip the band at nb instead of wrapping periodically (RCM-like structure)")
 		jsonOut   = flag.String("json", "", "symmetric mode: write the comparison artifact (BENCH_symm.json) to this file")
-
-		cacheBlock = flag.String("cacheblock", "auto", "symmetric mode: column-tile plan — auto, off, or a forced tile width")
-		cacheBytes = flag.Int64("cachebytes", 0, "symmetric mode: cache target for tile planning in bytes (0: bcrs default)")
-		dedup      = flag.Bool("dedup", false, "symmetric mode: also measure the repeated-block compressed variant")
-		unique     = flag.Int("unique", 0, "symmetric mode: draw off-diagonal blocks from a pool of this many values (0: independent)")
 	)
 	flag.Parse()
 
@@ -66,8 +61,7 @@ func main() {
 	if *symmetric {
 		runSymmetric(symConfig{
 			nb: *nb, bpr: *bpr, band: *band, noWrap: *noWrap,
-			seed: *seed, unique: *unique, k: *k,
-			cacheBlock: *cacheBlock, cacheBytes: *cacheBytes, dedup: *dedup,
+			seed: *seed, k: *k,
 			ms: ms, ts: ts, jsonPath: *jsonOut,
 		})
 		return

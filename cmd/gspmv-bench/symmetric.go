@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"strconv"
 
 	"repro/internal/bcrs"
 	"repro/internal/multivec"
@@ -21,40 +20,16 @@ type symConfig struct {
 	band   int
 	noWrap bool
 	seed   uint64
-	unique int // RandomOptions.UniqueBlocks (0 = independent blocks)
 	k      float64
-
-	cacheBlock string // "auto", "off", or a forced tile width
-	cacheBytes int64  // 0 = bcrs.DefaultCacheBytes
-	dedup      bool   // also measure the Compress()ed variant
 
 	ms, ts   []int
 	jsonPath string
 }
 
-// tileColsSetting converts the -cacheblock flag into the SetTileCols
-// encoding (0 auto, -1 off, >0 forced).
-func (c symConfig) tileColsSetting() (int, error) {
-	switch c.cacheBlock {
-	case "", "auto":
-		return 0, nil
-	case "off":
-		return -1, nil
-	default:
-		v, err := strconv.Atoi(c.cacheBlock)
-		if err != nil || v < 1 {
-			return 0, fmt.Errorf("bad -cacheblock %q (want auto, off, or a tile width)", c.cacheBlock)
-		}
-		return v, nil
-	}
-}
-
 // symBenchOut is the BENCH_symm.json artifact: the general-vs-
-// symmetric kernel comparison per (threads, m) pair — with the
-// cache-blocked and compressed variants broken out per point — the
-// model's plan-aware predictions alongside each measurement, a
-// bitwise-determinism verdict per thread count, and the headline
-// acceptance numbers.
+// symmetric kernel comparison per (threads, m) pair, the model's
+// predictions alongside each measurement, a bitwise-determinism
+// verdict per thread count, and the headline acceptance numbers.
 type symBenchOut struct {
 	NB        int     `json:"nb"`
 	BPR       float64 `json:"bpr"`
@@ -68,13 +43,6 @@ type symBenchOut struct {
 	BwGBps    float64 `json:"machine_bw_gbps"`
 	FGflops   float64 `json:"machine_gflops"`
 
-	CacheBlock string  `json:"cacheblock"`  // -cacheblock setting
-	CacheBytes int64   `json:"cache_bytes"` // tile-planning cache target
-	Dedup      bool    `json:"dedup"`       // compressed variant measured
-	DedupRatio float64 `json:"dedup_ratio,omitempty"`
-	UniqueBlk  int     `json:"unique_blocks,omitempty"` // compressed pool size
-	PoolKiB    float64 `json:"pool_kib,omitempty"`
-
 	Sweeps []symSweep `json:"sweeps"`
 	Best   symBest    `json:"best"`
 }
@@ -84,8 +52,7 @@ type symSweep struct {
 	Threads int `json:"threads"`
 	// Deterministic reports that repeated symmetric multiplies at this
 	// fixed thread count were bitwise-identical (NaN-poisoned outputs,
-	// so stale values cannot fake a match), for the planned schedule
-	// and — when measured — the compressed variant.
+	// so stale values cannot fake a match).
 	Deterministic bool            `json:"deterministic"`
 	Points        []perf.SymPoint `json:"points"`
 }
@@ -100,47 +67,22 @@ type symBest struct {
 }
 
 // runSymmetric is the -symmetric mode: build one banded SPD matrix,
-// extract its half storage (plus a compressed clone with -dedup), and
-// race the kernel families against each other at every requested
-// (threads, m) pair.
+// extract its half storage, and race the two kernel families against
+// each other at every requested (threads, m) pair.
 func runSymmetric(cfg symConfig) {
-	tileCols, err := cfg.tileColsSetting()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gspmv-bench:", err)
-		os.Exit(1)
-	}
 	a := bcrs.Random(bcrs.RandomOptions{
 		NB: cfg.nb, BlocksPerRow: cfg.bpr, Bandwidth: cfg.band,
-		NoWrap: cfg.noWrap, UniqueBlocks: cfg.unique, Seed: cfg.seed,
+		NoWrap: cfg.noWrap, Seed: cfg.seed,
 	})
 	s, err := bcrs.NewSym(a)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gspmv-bench:", err)
 		os.Exit(1)
 	}
-	s.SetTileCols(tileCols)
-	s.SetCacheBytes(cfg.cacheBytes)
-	variants := perf.SymVariants{Auto: s}
-	if cfg.dedup {
-		d := bcrs.NewSymUnchecked(a)
-		st := d.Compress()
-		d.SetTileCols(tileCols)
-		d.SetCacheBytes(cfg.cacheBytes)
-		variants.Dedup = d
-		fmt.Printf("dedup: %d of %d blocks unique (ratio %.4f), pool %.1f KiB, %.1f -> %.1f MiB\n",
-			st.Unique, st.Blocks, st.Ratio, float64(st.Unique*bcrs.BlockSize*8)/1024,
-			float64(st.BytesBefore)/(1<<20), float64(st.BytesAfter)/(1<<20))
-	}
 	st := a.Stats()
 	fmt.Printf("matrix: nb=%d nnzb=%d nnzb/nb=%.1f span=%d (%.1f MiB general, %.1f MiB symmetric)\n",
 		st.NB, st.NNZB, st.BlocksPerRow, s.Span(),
 		float64(st.Bytes)/(1<<20), float64(s.Bytes())/(1<<20))
-	fmt.Printf("cacheblock=%s cachebytes=%d: per-column window %.1f KiB",
-		cfg.cacheBlock, s.CacheBytes(), float64(s.WorkingSetBytes(1))/1024)
-	for _, m := range cfg.ms {
-		fmt.Printf("  ws(%d)=%.1fMiB->tile %d", m, float64(s.WorkingSetBytes(m))/(1<<20), s.PlanTileCols(m))
-	}
-	fmt.Println()
 
 	// The model runs on the rates this matrix's kernels can actually
 	// achieve (see perf.EffectiveMachine): a single-threaded miss
@@ -158,49 +100,26 @@ func runSymmetric(cfg symConfig) {
 		NNZB: a.NNZB(), SymNNZB: s.NNZB(), Span: s.Span(),
 		MatrixMiB: float64(st.Bytes) / (1 << 20), SymMiB: float64(s.Bytes()) / (1 << 20),
 		BwGBps: host.B / 1e9, FGflops: host.F / 1e9,
-		CacheBlock: cfg.cacheBlock, CacheBytes: s.CacheBytes(), Dedup: cfg.dedup,
-	}
-	if cfg.cacheBlock == "" {
-		out.CacheBlock = "auto"
-	}
-	if variants.Dedup != nil {
-		out.DedupRatio = variants.Dedup.DedupRatio()
-		out.UniqueBlk = variants.Dedup.UniqueBlocks()
-		out.PoolKiB = float64(variants.Dedup.UniqueBlocks()*bcrs.BlockSize*8) / 1024
 	}
 	for _, t := range cfg.ts {
 		a.SetThreads(t)
 		s.SetThreads(t)
-		if variants.Dedup != nil {
-			variants.Dedup.SetThreads(t)
-		}
 		parallel.SetThreads(t)
-		pts := perf.MeasureSymSpeedupsPlanned(a, variants, g, cfg.ms)
+		pts := perf.MeasureSymSpeedups(a, s, g, cfg.ms)
 		det := symDeterministic(s, cfg.ms)
-		if variants.Dedup != nil {
-			det = det && symDeterministic(variants.Dedup, cfg.ms)
-		}
 		out.Sweeps = append(out.Sweeps, symSweep{Threads: t, Deterministic: det, Points: pts})
 
 		fmt.Printf("\nthreads=%d (bitwise-deterministic: %v)\n", t, det)
-		fmt.Printf("%-5s %-12s %-12s %-9s %-9s %-8s %-8s %-8s %-5s %-9s %-9s\n",
-			"m", "general", "symmetric", "speedup", "pred", "r(m)", "r_sym", "pred r_s", "tile", "flat", "dedup")
+		fmt.Printf("%-5s %-12s %-12s %-9s %-9s %-8s %-8s %-8s\n",
+			"m", "general", "symmetric", "speedup", "pred", "r(m)", "r_sym", "pred r_s")
 		for _, p := range pts {
-			flat, dd := "-", "-"
-			if p.Tiled {
-				flat = fmt.Sprintf("%.2fx", p.FlatSpeedup)
-			}
-			if p.SymDedupSecs > 0 {
-				dd = fmt.Sprintf("%.2fx", p.DedupSpeedup)
-			}
-			fmt.Printf("%-5d %-12s %-12s %-9s %-9s %-8.2f %-8.2f %-8.2f %-5d %-9s %-9s\n",
+			fmt.Printf("%-5d %-12s %-12s %-9s %-9s %-8.2f %-8.2f %-8.2f\n",
 				p.M,
 				fmt.Sprintf("%.3fms", p.GeneralSecs*1e3),
 				fmt.Sprintf("%.3fms", p.SymSecs*1e3),
 				fmt.Sprintf("%.2fx", p.Speedup),
 				fmt.Sprintf("%.2fx", p.PredictedSpeed),
-				p.RGeneral, p.RSym, p.PredictedRSym,
-				p.TileCols, flat, dd)
+				p.RGeneral, p.RSym, p.PredictedRSym)
 			if p.M >= 8 && p.Speedup > out.Best.Speedup {
 				out.Best = symBest{Threads: t, M: p.M, Speedup: p.Speedup}
 			}

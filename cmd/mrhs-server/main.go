@@ -59,7 +59,6 @@ func main() {
 		shardSeed  = flag.Uint64("shard-fault-seed", 1, "seed for the shard fault injector")
 		shardPol   = flag.String("shard-policy", "shrink", "shard crash policy: shrink (re-partition over survivors) or restart (rebuild the same partition)")
 		symmetric  = flag.Bool("symmetric", false, "serve through half-storage symmetric GSPMV (halves matrix traffic)")
-		dedup      = flag.Bool("dedup", false, "compress the symmetric operator's repeated blocks (requires -symmetric; bit-exact)")
 		mode       = flag.String("mode", "fused", "batch solver: fused (bitwise-identical) or block")
 		tol        = flag.Float64("tol", 1e-6, "default relative-residual tolerance")
 		maxIter    = flag.Int("max-iter", 1000, "default iteration cap")
@@ -104,23 +103,15 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		if *dedup {
-			st := sm.Compress()
-			fmt.Printf("dedup: %d of %d blocks unique (ratio %.4f), %.1f -> %.1f MiB\n",
-				st.Unique, st.Blocks, st.Ratio,
-				float64(st.BytesBefore)/(1<<20), float64(st.BytesAfter)/(1<<20))
-		}
 		op = sm
-	} else if *dedup {
-		fail(fmt.Errorf("-dedup requires -symmetric (compression lives in the half-storage extraction)"))
 	}
 
 	cfg := serve.Config{
-		Tol:         *tol,
-		MaxIter:     *maxIter,
-		Mode:        serve.Mode(*mode),
-		MaxBatch:    *maxBatch,
-		QueueCap:    *queueCap,
+		Tol:             *tol,
+		MaxIter:         *maxIter,
+		Mode:            serve.Mode(*mode),
+		MaxBatch:        *maxBatch,
+		QueueCap:        *queueCap,
 		MaxWait:         *maxWait,
 		WaitFactor:      *waitFactor,
 		TraceSample:     *traceSample,

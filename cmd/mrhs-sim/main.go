@@ -58,7 +58,6 @@ func main() {
 		precond = flag.String("precond", "none", "first-solve preconditioning: none, ic0 (adaptive reuse), jacobi")
 
 		symmetric = flag.Bool("symmetric", false, "multiply through half-storage symmetric extractions (halves matrix traffic; ignored with -nodes)")
-		dedup     = flag.Bool("dedup", false, "compress repeated blocks of each symmetric extraction (requires -symmetric; trajectories stay bitwise-identical)")
 
 		ensemble = flag.Int("ensemble", 1, "advance K trajectories in lockstep with fused solves (kernel m >= K); seeds are -seed..-seed+K-1")
 		jitter   = flag.Float64("jitter", 0, "per-coordinate Gaussian jitter (Angstroms) on ensemble member starts")
@@ -104,10 +103,7 @@ func main() {
 	}
 	fmt.Printf("system: %d particles, phi=%.2f, box=%.1f A\n", sys.N, sys.VolumeFraction(), sys.Box)
 
-	cfg := core.Config{Dt: *dt, M: *m, Seed: *seed, Tol: *tol, Symmetric: *symmetric, Dedup: *dedup}
-	if *dedup && !*symmetric {
-		fail(fmt.Errorf("-dedup requires -symmetric (compression lives in the half-storage extraction)"))
-	}
+	cfg := core.Config{Dt: *dt, M: *m, Seed: *seed, Tol: *tol, Symmetric: *symmetric}
 	if *recycle > 0 {
 		if *alg == "cholesky" {
 			fail(fmt.Errorf("-recycle requires -alg mrhs or original (the direct solver has no iterations to save)"))

@@ -132,14 +132,14 @@ func main() {
 		threads = flag.Int("threads", 1, "kernel threads")
 		k       = flag.Int("k", 8, "deflation basis budget (vectors recycled)")
 
-		sdNs    = flag.String("sd-n", "96,160", "comma-separated particle counts for the SD sweep")
-		phi     = flag.Float64("phi", 0.30, "SD volume occupancy")
-		steps   = flag.Int("steps", 12, "SD time steps per run")
-		dt      = flag.Float64("dt", 0.002, "SD time step (small: the basis goes stale with configuration drift)")
-		sdTol   = flag.Float64("sd-tol", 1e-8, "SD solver tolerance")
-		amp     = flag.Float64("amp", 40, "smooth force-field amplitude (the slowly-varying component)")
-		noise   = flag.Float64("noise", 1e-4, "Brownian force scale (the uncorrelated component)")
-		sdSeed  = flag.Uint64("seed", 1, "SD packing and noise seed")
+		sdNs   = flag.String("sd-n", "96,160", "comma-separated particle counts for the SD sweep")
+		phi    = flag.Float64("phi", 0.30, "SD volume occupancy")
+		steps  = flag.Int("steps", 12, "SD time steps per run")
+		dt     = flag.Float64("dt", 0.002, "SD time step (small: the basis goes stale with configuration drift)")
+		sdTol  = flag.Float64("sd-tol", 1e-8, "SD solver tolerance")
+		amp    = flag.Float64("amp", 40, "smooth force-field amplitude (the slowly-varying component)")
+		noise  = flag.Float64("noise", 1e-4, "Brownian force scale (the uncorrelated component)")
+		sdSeed = flag.Uint64("seed", 1, "SD packing and noise seed")
 
 		nb       = flag.Int("nb", 2000, "block rows of the serve-tier synthetic SPD matrix")
 		bpr      = flag.Float64("bpr", 6, "target blocks per row")

@@ -17,12 +17,11 @@ import (
 // points as the plain report plus the strip layout the fleet settled
 // on.
 type shardPoint struct {
-	Shards     int         `json:"shards"`
-	BlockRows  []int       `json:"block_rows"`
-	HaloRows   []int       `json:"halo_rows"`
-	DedupRatio []float64   `json:"dedup_ratio"`
-	Rates      []ratePoint `json:"rates"`
-	Best       ratePoint   `json:"best"`
+	Shards    int         `json:"shards"`
+	BlockRows []int       `json:"block_rows"`
+	HaloRows  []int       `json:"halo_rows"`
+	Rates     []ratePoint `json:"rates"`
+	Best      ratePoint   `json:"best"`
 }
 
 // chaosResult is the shard-kill run: a crash rule tombstones one
@@ -87,7 +86,7 @@ func runShardSweep(a *bcrs.Matrix, cfg serve.Config, base baseline, pool [][]flo
 			fail(err)
 		}
 		top := f.Topology()
-		sp.BlockRows, sp.HaloRows, sp.DedupRatio = top.BlockRows, top.HaloRows, top.DedupRatio
+		sp.BlockRows, sp.HaloRows = top.BlockRows, top.HaloRows
 		f.Close()
 
 		for _, lf := range loads {

@@ -21,21 +21,8 @@
 //
 // Thread blocking partitions block rows into contiguous ranges with
 // approximately equal non-zero counts; each range is processed by one
-// goroutine. The half-storage symmetric variant (Sym) keeps only the
-// upper triangle and scatters transpose contributions through a
-// two-phase conflict-free schedule, halving matrix traffic again.
-//
-// Two further symmetric-storage optimizations target the large-m
-// regime. When the 2x-wide X/Y working set of a width-m multiply
-// overflows the cache target (SetCacheBytes), the schedule
-// cache-blocks over multivector columns: ceil(m/tw) passes over the
-// matrix, each touching a tile of tw columns at the full 3m stride
-// (PlanTileCols / SetTileCols), bitwise-identical to the single-pass
-// result because each column sees the exact single-pass operation
-// sequence. Compress deduplicates stored blocks that repeat up to
-// sign and transpose — bit-exact orientation involutions, so decoded
-// blocks and therefore results are unchanged — replacing the 72-byte
-// block stream with 4-byte references into a unique-block pool.
-// Each schedule records under its own obs counter family (see
-// SymKernelPathPrefixes).
+// goroutine. The half-storage symmetric variant (SymMatrix) keeps
+// only the upper triangle and scatters transpose contributions
+// through a two-phase conflict-free schedule, halving matrix traffic
+// again.
 package bcrs

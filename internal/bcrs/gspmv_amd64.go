@@ -64,19 +64,12 @@ func gspmvSIMD(rowPtr, colIdx []int32, vals, x, y []float64, m, lo, hi int) {
 	}
 }
 
-// symGspmvSIMD runs the AVX2 symmetric row kernel full-width over
-// [lo, hi), honoring the symKernel contract (accumulate into
-// pre-zeroed y rows, out-of-range scatter into part). m must be a
-// positive multiple of symSIMDWidth.
+// symGspmvSIMD runs the AVX2 symmetric row kernel over [lo, hi),
+// honoring the mulRange contract (accumulate into pre-zeroed y rows,
+// out-of-range scatter into part). m must be a positive multiple of
+// symSIMDWidth. The row kernel takes a column window [c0, c1) of the
+// m-column rows; it is always the whole row here.
 func symGspmvSIMD(rowPtr, colIdx []int32, vals, x, y, part []float64, m, lo, hi int) {
-	symGspmvSIMDTile(rowPtr, colIdx, vals, x, y, part, m, 0, m, lo, hi)
-}
-
-// symGspmvSIMDTile runs the AVX2 symmetric row kernel over columns
-// [c0, c1) of a width-m multiply — the cache-blocked schedule's tile
-// pass, with x/y/part addressed at the full m-column stride. c1 - c0
-// must be a positive multiple of symSIMDWidth.
-func symGspmvSIMDTile(rowPtr, colIdx []int32, vals, x, y, part []float64, m, c0, c1, lo, hi int) {
 	var pp *float64
 	if len(part) > 0 {
 		pp = &part[0]
@@ -86,6 +79,6 @@ func symGspmvSIMDTile(rowPtr, colIdx []int32, vals, x, y, part []float64, m, c0,
 		if k1 == k0 {
 			continue // accumulate semantics: empty rows contribute nothing
 		}
-		symGspmvRowAVX2(&vals[k0*BlockSize], &colIdx[k0], k1-k0, &x[0], &y[0], pp, i, hi, m, c0, c1)
+		symGspmvRowAVX2(&vals[k0*BlockSize], &colIdx[k0], k1-k0, &x[0], &y[0], pp, i, hi, m, 0, m)
 	}
 }

@@ -16,7 +16,3 @@ func gspmvSIMD(rowPtr, colIdx []int32, vals, x, y []float64, m, lo, hi int) {
 func symGspmvSIMD(rowPtr, colIdx []int32, vals, x, y, part []float64, m, lo, hi int) {
 	panic("bcrs: symGspmvSIMD without SIMD support")
 }
-
-func symGspmvSIMDTile(rowPtr, colIdx []int32, vals, x, y, part []float64, m, c0, c1, lo, hi int) {
-	panic("bcrs: symGspmvSIMDTile without SIMD support")
-}

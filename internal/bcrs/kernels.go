@@ -14,9 +14,13 @@ func (a *Matrix) MulVec(y, x []float64) {
 		panic("bcrs: MulVec dimension mismatch")
 	}
 	t0 := time.Now()
-	a.parallel(func(lo, hi int) {
-		spmv1(a.rowPtr, a.colIdx, a.vals, x, y, lo, hi)
-	})
+	if len(a.ranges) <= 1 {
+		spmv1(a.rowPtr, a.colIdx, a.vals, x, y, 0, a.nb)
+	} else {
+		a.parallel(func(lo, hi int) {
+			spmv1(a.rowPtr, a.colIdx, a.vals, x, y, lo, hi)
+		})
+	}
 	a.recordMul(1, time.Since(t0).Seconds())
 }
 
@@ -41,8 +45,6 @@ func (a *Matrix) mul(y, x *multivec.MultiVec, forceGeneric bool) {
 	}
 	t0 := time.Now()
 	if len(a.ranges) <= 1 {
-		// Called directly, not through parallel: a closure handed to
-		// the pool is a heap allocation per multiply.
 		a.mulRange(y, x, forceGeneric, 0, a.nb)
 	} else {
 		a.parallel(func(lo, hi int) { a.mulRange(y, x, forceGeneric, lo, hi) })
@@ -83,12 +85,9 @@ func (a *Matrix) mulRange(y, x *multivec.MultiVec, forceGeneric bool, lo, hi int
 // spawning fresh goroutines per multiply. Each range writes a
 // disjoint slice of the output, so the result is bitwise-identical
 // for any pool size and no synchronization beyond the final join is
-// needed.
+// needed. Callers run a single range themselves: the closure handed
+// over here is a heap allocation per multiply.
 func (a *Matrix) parallel(fn func(lo, hi int)) {
-	if len(a.ranges) <= 1 {
-		fn(0, a.nb)
-		return
-	}
 	ranges := a.ranges
 	parallel.Default().DoOp("bcrs_mul", len(ranges), func(i int) {
 		fn(ranges[i].lo, ranges[i].hi)

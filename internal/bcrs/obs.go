@@ -31,64 +31,6 @@ const KernelMetricPrefix = "bcrs_mul"
 // m (perf.KernelObsReport) never merge the two streams.
 const SymKernelMetricPrefix = "bcrs_sym_mul"
 
-// The cache-blocked and compressed symmetric paths get their own
-// counter families too: each path has a different bytes-per-multiply
-// profile (extra matrix passes, reference streams instead of block
-// values), so attributing empirical r(m) per executed path — which
-// perf.SymKernelObsReport does — requires they never share counters
-// with the single-pass plain kernels.
-const (
-	// TiledKernelMetricPrefix covers column-tiled plain-storage
-	// multiplies.
-	TiledKernelMetricPrefix = "bcrs_cb_mul"
-	// DedupKernelMetricPrefix covers single-pass compressed-storage
-	// multiplies.
-	DedupKernelMetricPrefix = "bcrs_dedup_mul"
-	// TiledDedupKernelMetricPrefix covers column-tiled compressed
-	// multiplies.
-	TiledDedupKernelMetricPrefix = "bcrs_cb_dedup_mul"
-)
-
-// SymKernelPathPrefixes lists every symmetric-kernel counter-family
-// prefix, single-pass plain first (the r(m) baseline path).
-var SymKernelPathPrefixes = []string{
-	SymKernelMetricPrefix,
-	TiledKernelMetricPrefix,
-	DedupKernelMetricPrefix,
-	TiledDedupKernelMetricPrefix,
-}
-
-// pathPrefix returns the counter-family prefix (and phase-1 parallel
-// op name) of the path a multiply executed.
-func (s *SymMatrix) pathPrefix(tiled bool) string {
-	switch {
-	case tiled && s.refs != nil:
-		return TiledDedupKernelMetricPrefix
-	case tiled:
-		return TiledKernelMetricPrefix
-	case s.refs != nil:
-		return DedupKernelMetricPrefix
-	default:
-		return SymKernelMetricPrefix
-	}
-}
-
-// opNames returns the phase-1 and fold-phase parallel op names for
-// the executed path, so parallel_op_seconds_total attributes pool
-// time per path just as the kernel counters do.
-func (s *SymMatrix) opNames(tiled bool) (mul, reduce string) {
-	switch {
-	case tiled && s.refs != nil:
-		return TiledDedupKernelMetricPrefix, "bcrs_cb_dedup_reduce"
-	case tiled:
-		return TiledKernelMetricPrefix, "bcrs_cb_reduce"
-	case s.refs != nil:
-		return DedupKernelMetricPrefix, "bcrs_dedup_reduce"
-	default:
-		return SymKernelMetricPrefix, "bcrs_sym_reduce"
-	}
-}
-
 type kernelCounters struct {
 	calls     *obs.Counter
 	flops     *obs.Counter
@@ -147,51 +89,24 @@ func (a *Matrix) recordMul(m int, secs float64) {
 }
 
 // TrafficBytes returns the minimum memory traffic of one multiply
-// with m vectors under the Section IV-B1 accounting, for the storage
-// and tile plan the multiply will actually execute: the matrix
-// streamed once per column tile (compressed storage streams 4-byte
-// block references per pass, with the unique-block pool charged once
-// while it fits the cache target), X read once, Y written with the
-// write-allocate read (2x). Partial-buffer traffic is excluded,
-// matching the footnote-1 minimum-traffic convention; for banded
-// matrices it is a small fraction of the savings.
+// with m vectors under the Section IV-B1 accounting: the half-stored
+// matrix once, X read once, Y written with the write-allocate read
+// (2x). Partial-buffer traffic is excluded, matching the footnote-1
+// minimum-traffic convention; for banded matrices it is a small
+// fraction of the savings.
 func (s *SymMatrix) TrafficBytes(m int) int64 {
-	return s.trafficBytesAt(m, s.PlanTileCols(m))
-}
-
-// trafficBytesAt is TrafficBytes at an explicit tile width (0 =
-// single pass).
-func (s *SymMatrix) trafficBytesAt(m, tw int) int64 {
-	passes := int64(1)
-	if tw > 0 && tw < m {
-		passes = int64((m + tw - 1) / tw)
-	}
-	var matrix int64
-	if s.refs != nil {
-		perPass := int64(s.NNZB())*(4+4) + int64(len(s.rowPtr))*4
-		poolBytes := int64(len(s.pool)) * 8
-		if poolBytes <= s.CacheBytes() {
-			matrix = passes*perPass + poolBytes
-		} else {
-			matrix = passes * (perPass + poolBytes)
-		}
-	} else {
-		matrix = passes * (int64(s.NNZB())*(BlockSize*8+4) + int64(len(s.rowPtr))*4)
-	}
+	matrix := int64(s.NNZB())*(BlockSize*8+4) + int64(len(s.rowPtr))*4
 	x := int64(s.nb) * BlockDim * int64(m) * 8
 	y := int64(s.nb) * BlockDim * int64(m) * 8 * 2
 	return matrix + x + y
 }
 
-// recordMul accounts one completed symmetric multiply with m vectors
-// under the executed path's counter families (tw is the tile width
-// the run used, 0 for single-pass), keeping the plain, tiled, and
-// compressed traffic streams separable.
-func (s *SymMatrix) recordMul(m int, secs float64, tw int) {
-	kc := kernelCountersFor(s.pathPrefix(tw > 0), m)
+// recordMul accounts one completed symmetric multiply with m vectors.
+func (s *SymMatrix) recordMul(m int, secs float64) {
+	kc := kernelCountersFor(SymKernelMetricPrefix, m)
 	kc.calls.Inc()
 	kc.seconds.Add(secs)
 	kc.flops.Add(s.FlopCount(m))
-	kc.bytes.Add(s.trafficBytesAt(m, tw))
+	kc.bytes.Add(s.TrafficBytes(m))
 	kc.blockRows.Add(int64(s.nb))
 }

@@ -23,16 +23,6 @@ type RandomOptions struct {
 	// the symmetric-kernel benchmarks use NoWrap so the scatter
 	// windows reflect the banded structure real systems present.
 	NoWrap bool
-	// UniqueBlocks, when positive, draws every off-diagonal block
-	// from a pool of this many distinct values, applying a random
-	// orientation (identity, transpose, negation, or both) at each
-	// insertion. This mimics the block repetition of regularized
-	// interaction tensors — identical pair geometries yield identical
-	// pair blocks up to sign and transpose — and is what
-	// SymMatrix.Compress exploits: compressing such a matrix yields
-	// DedupRatio ≈ UniqueBlocks / off-diagonal NNZB. Zero (the
-	// default) generates every block independently.
-	UniqueBlocks int
 	// Seed drives the deterministic generator.
 	Seed uint64
 }
@@ -66,49 +56,19 @@ func Random(opt RandomOptions) *Matrix {
 	s := rng.New(opt.Seed)
 	b := NewBuilder(nb)
 
-	// With UniqueBlocks set, pre-draw the value pool; each entry's
-	// absolute row sum is orientation-invariant (transposition
-	// permutes entries, negation flips signs), so the diagonal
-	// dominance bookkeeping below needs only the pool entry.
-	var pool [][BlockSize]float64
-	if opt.UniqueBlocks > 0 {
-		pool = make([][BlockSize]float64, opt.UniqueBlocks)
-		for p := range pool {
-			for q := range pool[p] {
-				pool[p][q] = s.Normal() * 0.1
-			}
-		}
-	}
-
 	// Each row receives on average (bpr-1)/2 generated pairs; the
 	// mirrored insertions double the off-diagonal count back to
 	// bpr-1.
 	pairsPerRow := (bpr - 1) / 2
 	rowSum := make([]float64, nb) // accumulated |off-diagonal| per block row
-	var used map[int]bool
 	for i := 0; i < nb; i++ {
 		// Deterministic fractional count: floor + Bernoulli remainder.
 		k := int(pairsPerRow)
 		if s.Float64() < pairsPerRow-float64(k) {
 			k++
 		}
-		if pool != nil {
-			// Duplicate (i, j) insertions sum in the builder, which
-			// would manufacture blocks outside the pool; the pooled
-			// generator skips repeated columns instead (mirrors only
-			// ever land below the diagonal, so a per-row offset set
-			// suffices).
-			used = make(map[int]bool, k)
-		}
 		for p := 0; p < k; p++ {
-			off := 1 + s.Intn(w)
-			if used != nil {
-				if used[off] {
-					continue
-				}
-				used[off] = true
-			}
-			j := i + off
+			j := i + 1 + s.Intn(w)
 			if opt.NoWrap {
 				if j >= nb {
 					continue
@@ -121,24 +81,12 @@ func Random(opt RandomOptions) *Matrix {
 			}
 			var blk blas.Mat3
 			var sum float64
-			if pool != nil {
-				v := orientBlock(&pool[s.Intn(len(pool))], uint32(s.Intn(4)))
-				copy(blk[:], v[:])
-				for q := range blk {
-					if blk[q] < 0 {
-						sum -= blk[q]
-					} else {
-						sum += blk[q]
-					}
-				}
-			} else {
-				for q := range blk {
-					blk[q] = s.Normal() * 0.1
-					if blk[q] < 0 {
-						sum -= blk[q]
-					} else {
-						sum += blk[q]
-					}
+			for q := range blk {
+				blk[q] = s.Normal() * 0.1
+				if blk[q] < 0 {
+					sum -= blk[q]
+				} else {
+					sum += blk[q]
 				}
 			}
 			b.AddBlock(i, j, blk)

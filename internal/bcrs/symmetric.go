@@ -40,27 +40,13 @@ import (
 //     ascending range order per element, parallel over disjoint y
 //     rows.
 //
-// At large m the X gathers and Y scatter touch a span-wide window of
-// m-column rows; once that window overflows the cache the kernel goes
-// latency-bound (the measured r(m) collapse at m = 16, 32). The
-// schedule therefore cache-blocks the MULTIVECTOR: PlanTileCols picks
-// a column-tile width whose X+Y window fits CacheBytes, and the
-// multiply streams the matrix once per tile (the paper's Section
-// IV-A1 cache-blocking applied to the column dimension, where — unlike
-// Nishtala-style column bands of the matrix — the per-column operation
-// sequence is untouched). Repeated-block compression (Compress) makes
-// the extra matrix passes cheap: each pass re-reads 4-byte block
-// references instead of 72-byte blocks.
-//
 // Chunk boundaries and the reduction order are pure functions of the
 // sparsity pattern and the thread count, so results are
 // bitwise-identical across runs at a fixed thread count (they differ
 // from the serial result only by the usual floating-point
 // reassociation). Per column, the operation sequence is independent
-// of m AND of the tile plan — a column tile runs the same per-column
-// FMA chain in the same order a single pass would — so column c of Mul
-// with any m, any tiling, and compressed or plain storage is
-// bitwise-identical to MulVec of that column at the same thread count.
+// of m, so column c of Mul with any m is bitwise-identical to MulVec
+// of that column at the same thread count.
 //
 // Mul and MulVec use receiver-owned scratch for the partial buffers;
 // concurrent multiplies on the same receiver are not safe (the
@@ -69,11 +55,9 @@ type SymMatrix struct {
 	nb     int
 	rowPtr []int32
 	colIdx []int32
-	vals   []float64 // nil once compressed
-	pool   []float64 // compressed: unique canonical blocks
-	refs   []uint32  // compressed: per block, id<<2 | orientation bits
-	ndiag  int       // stored diagonal blocks (scattered once, not twice)
-	span   int       // max block-column reach of any row: max(colmax(i)+1-i)
+	vals   []float64
+	ndiag  int // stored diagonal blocks (scattered once, not twice)
+	span   int // max block-column reach of any row: max(colmax(i)+1-i)
 
 	threads int
 	ranges  []rowRange
@@ -81,18 +65,7 @@ type SymMatrix struct {
 	winOff  []int // per range: prefix sum of window rows (winHi - hi)
 	winRows int   // total partial-buffer block rows
 	scratch []float64
-
-	tileCols   int   // 0 auto, < 0 tiling disabled, > 0 forced tile width
-	cacheBytes int64 // PlanTileCols target; 0 means DefaultCacheBytes
 }
-
-// DefaultCacheBytes is the per-core cache capacity PlanTileCols sizes
-// column tiles against when SetCacheBytes has not been called. The
-// scatter makes the symmetric working set L2-scale, not L3-scale: the
-// X gathers and Y read-modify-writes revisit a span-wide row window
-// per block row, and on shared-L3 hosts it is the private L2 that
-// determines whether those revisits hit.
-var DefaultCacheBytes int64 = 2 << 20
 
 // NewSym extracts the symmetric storage from a full matrix. It
 // returns an error if the matrix is not numerically symmetric. The
@@ -175,9 +148,7 @@ func (s *SymMatrix) Span() int { return s.span }
 
 // Bytes returns the storage footprint.
 func (s *SymMatrix) Bytes() int64 {
-	b := int64(len(s.vals))*8 + int64(len(s.colIdx))*4 + int64(len(s.rowPtr))*4
-	b += int64(len(s.pool))*8 + int64(len(s.refs))*4
-	return b
+	return int64(len(s.vals))*8 + int64(len(s.colIdx))*4 + int64(len(s.rowPtr))*4
 }
 
 // Threads returns the current kernel thread count.
@@ -218,92 +189,11 @@ func (s *SymMatrix) SetThreads(t int) {
 	s.scratch = nil
 }
 
-// SetTileCols overrides the column-tile plan: 0 restores the
-// automatic PlanTileCols policy, a negative value disables tiling
-// (the single-pass reference schedule), and a positive value forces
-// that tile width for every m it is narrower than.
-func (s *SymMatrix) SetTileCols(cols int) { s.tileCols = cols }
-
-// TileCols returns the SetTileCols override (0 = automatic).
-func (s *SymMatrix) TileCols() int { return s.tileCols }
-
-// SetCacheBytes sets the cache-capacity target PlanTileCols sizes
-// tiles against. v <= 0 restores DefaultCacheBytes.
-func (s *SymMatrix) SetCacheBytes(v int64) { s.cacheBytes = v }
-
-// CacheBytes returns the effective cache-capacity target.
-func (s *SymMatrix) CacheBytes() int64 {
-	if s.cacheBytes > 0 {
-		return s.cacheBytes
-	}
-	return DefaultCacheBytes
-}
-
-// WorkingSetBytes returns the cache footprint of the row window one
-// pass with the given column count must keep resident: span rows of X
-// (gathers) plus span rows of Y (transposed read-modify-write
-// scatter).
-func (s *SymMatrix) WorkingSetBytes(cols int) int64 {
-	return 2 * int64(s.span) * BlockDim * 8 * int64(cols)
-}
-
-// PlanTileCols returns the column-tile width a width-m multiply will
-// run with: 0 for a single full-width pass, otherwise the tile width
-// (the multiply makes ceil(m/width) passes over the matrix). The
-// automatic policy tiles only when the full-width window overflows
-// CacheBytes, picks the widest tile from {16, 8, 4} that fits (at
-// least halving the width), and then applies the economics gate:
-// every pass past the first re-streams the whole matrix payload (and
-// re-pays the per-block loop and scatter overhead), while residency
-// is only guaranteed to save refetches of the window's excess over
-// the cache — and on hosts with hardware prefetch and deep
-// memory-level parallelism those refetches are far cheaper than
-// their byte count suggests (measured here: a reuse-weighted
-// estimate overshot real savings by ~10x and planned tiles that lost
-// 3x). The gate therefore credits tiling with ONE refetch of the
-// excess and requires the re-stream to cost less than that. In
-// practice this admits tiling only when the payload is tiny next to
-// the window — compressed storage over a wide-band matrix, or very
-// sparse rows — which is exactly where it measures as a win;
-// SetTileCols(>0) bypasses the gate for ablation.
-func (s *SymMatrix) PlanTileCols(m int) int {
-	if s.tileCols < 0 {
-		return 0
-	}
-	if s.tileCols > 0 {
-		if s.tileCols >= m {
-			return 0
-		}
-		return s.tileCols
-	}
-	if m < 8 || s.span == 0 {
-		return 0
-	}
-	c := s.CacheBytes()
-	if s.WorkingSetBytes(m) <= c {
-		return 0
-	}
-	for _, tw := range []int{16, 8, 4} {
-		if 2*tw > m || s.WorkingSetBytes(tw) > c {
-			continue
-		}
-		passes := (m + tw - 1) / tw
-		restream := int64(passes-1) * s.Bytes()
-		saved := s.WorkingSetBytes(m) - c
-		if restream <= saved {
-			return tw
-		}
-		return 0
-	}
-	return 0
-}
-
 // FlopCount returns the floating point operations performed by one
 // multiply with m vectors: every stored block is applied directly and
 // every stored off-diagonal block is applied a second time,
 // transposed, at 18 flops per application per vector — the same total
-// as the full matrix's FlopCount. Orientation decode on compressed
-// storage (sign flips and transposes) is bookkeeping, not flops.
+// as the full matrix's FlopCount.
 func (s *SymMatrix) FlopCount(m int) int64 {
 	apps := 2*int64(s.NNZB()) - int64(s.ndiag)
 	return apps * 18 * int64(m)
@@ -315,23 +205,20 @@ func (s *SymMatrix) MulVec(y, x []float64) {
 		panic("bcrs: SymMatrix MulVec dimension mismatch")
 	}
 	t0 := time.Now()
-	tw := s.run(y, x, 1, false)
-	s.recordMul(1, time.Since(t0).Seconds(), tw)
+	s.run(y, x, 1, false)
+	s.recordMul(1, time.Since(t0).Seconds())
 }
 
 // Mul computes Y = A*X for a block of vectors from the half storage.
 // For m in {1, 2, 4, 8, 16, 32} a fully-unrolled specialized kernel
 // is dispatched (with an AVX2 across-m fast path when available);
-// other m use the generic kernel. When PlanTileCols tiles the width,
-// the matrix is streamed once per column tile so the X/Y window stays
-// cache-resident; the result is bitwise-identical either way.
+// other m use the generic kernel.
 func (s *SymMatrix) Mul(y, x *multivec.MultiVec) {
 	s.mulMV(y, x, false)
 }
 
-// MulGenericKernel is Mul but always uses the generic kernel and the
-// single-pass schedule. It exists for the kernel-dispatch ablation
-// benchmark.
+// MulGenericKernel is Mul but always uses the generic kernel. It
+// exists for the kernel-dispatch ablation benchmark.
 func (s *SymMatrix) MulGenericKernel(y, x *multivec.MultiVec) {
 	s.mulMV(y, x, true)
 }
@@ -341,182 +228,62 @@ func (s *SymMatrix) mulMV(y, x *multivec.MultiVec, forceGeneric bool) {
 		panic("bcrs: SymMatrix Mul dimension mismatch")
 	}
 	t0 := time.Now()
-	tw := s.run(y.Data, x.Data, x.M, forceGeneric)
-	s.recordMul(x.M, time.Since(t0).Seconds(), tw)
+	s.run(y.Data, x.Data, x.M, forceGeneric)
+	s.recordMul(x.M, time.Since(t0).Seconds())
 }
 
-// symKernel processes block rows [lo, hi): it accumulates the direct
-// part and in-range scatter into y (whose rows [lo, hi) the caller
-// has zeroed) and out-of-range scatter (block rows >= hi) into part,
-// which covers block rows [hi, hi+len(part)/(3m)) and is pre-zeroed.
-// Tile kernels touch only their columns of the same full-stride y and
-// part rows.
-type symKernel = func(x, y, part []float64, lo, hi int)
-
-// kernel dispatches the full-width plain-storage kernels.
-func (s *SymMatrix) kernel(m int, forceGeneric bool) symKernel {
-	kern := func(x, y, part []float64, lo, hi int) {
+// mulRange processes block rows [lo, hi) of a width-m multiply with
+// the kernel Mul dispatches for m: it accumulates the direct part and
+// in-range scatter into y (whose rows [lo, hi) the caller has zeroed)
+// and out-of-range scatter (block rows >= hi) into part, which covers
+// block rows [hi, hi+len(part)/(3m)) and is pre-zeroed.
+func (s *SymMatrix) mulRange(y, x, part []float64, m int, forceGeneric bool, lo, hi int) {
+	switch {
+	case forceGeneric:
+		symGspmvGeneric(s.rowPtr, s.colIdx, s.vals, x, y, part, m, lo, hi)
+	case symSIMDWidth > 0 && m >= symSIMDWidth && m%symSIMDWidth == 0:
+		// The AVX2 fast path (bitwise-identical lanes across the m
+		// dimension) takes over every width it divides.
+		symGspmvSIMD(s.rowPtr, s.colIdx, s.vals, x, y, part, m, lo, hi)
+	case m == 1:
+		symSpmv1(s.rowPtr, s.colIdx, s.vals, x, y, part, lo, hi)
+	case m == 2:
+		symGspmv2(s.rowPtr, s.colIdx, s.vals, x, y, part, lo, hi)
+	case m == 4:
+		symGspmv4(s.rowPtr, s.colIdx, s.vals, x, y, part, lo, hi)
+	case m == 8:
+		symGspmv8(s.rowPtr, s.colIdx, s.vals, x, y, part, lo, hi)
+	case m == 16:
+		symGspmv16(s.rowPtr, s.colIdx, s.vals, x, y, part, lo, hi)
+	case m == 32:
+		symGspmv32(s.rowPtr, s.colIdx, s.vals, x, y, part, lo, hi)
+	default:
 		symGspmvGeneric(s.rowPtr, s.colIdx, s.vals, x, y, part, m, lo, hi)
 	}
-	if forceGeneric {
-		return kern
-	}
-	switch m {
-	case 1:
-		kern = func(x, y, part []float64, lo, hi int) {
-			symSpmv1(s.rowPtr, s.colIdx, s.vals, x, y, part, lo, hi)
-		}
-	case 2:
-		kern = func(x, y, part []float64, lo, hi int) {
-			symGspmv2(s.rowPtr, s.colIdx, s.vals, x, y, part, lo, hi)
-		}
-	case 4:
-		kern = func(x, y, part []float64, lo, hi int) {
-			symGspmv4(s.rowPtr, s.colIdx, s.vals, x, y, part, lo, hi)
-		}
-	case 8:
-		kern = func(x, y, part []float64, lo, hi int) {
-			symGspmv8(s.rowPtr, s.colIdx, s.vals, x, y, part, lo, hi)
-		}
-	case 16:
-		kern = func(x, y, part []float64, lo, hi int) {
-			symGspmv16(s.rowPtr, s.colIdx, s.vals, x, y, part, lo, hi)
-		}
-	case 32:
-		kern = func(x, y, part []float64, lo, hi int) {
-			symGspmv32(s.rowPtr, s.colIdx, s.vals, x, y, part, lo, hi)
-		}
-	}
-	// The AVX2 fast path (bitwise-identical lanes across the m
-	// dimension) takes over every width it divides.
-	if symSIMDWidth > 0 && m >= symSIMDWidth && m%symSIMDWidth == 0 {
-		kern = func(x, y, part []float64, lo, hi int) {
-			symGspmvSIMD(s.rowPtr, s.colIdx, s.vals, x, y, part, m, lo, hi)
-		}
-	}
-	return kern
 }
 
-// tileKernel dispatches the kernel for columns [c0, c0+w) of a
-// width-m multiply, for whichever storage (plain or compressed) the
-// matrix holds. c0 = 0, w = m is the full-width case.
-func (s *SymMatrix) tileKernel(m, c0, w int, forceGeneric bool) symKernel {
-	if s.refs != nil {
-		return s.poolKernel(m, c0, w, forceGeneric)
-	}
-	if c0 == 0 && w == m {
-		return s.kernel(m, forceGeneric)
-	}
-	kern := func(x, y, part []float64, lo, hi int) {
-		symTileGeneric(s.rowPtr, s.colIdx, s.vals, x, y, part, m, c0, w, lo, hi)
-	}
-	if forceGeneric {
-		return kern
-	}
-	switch w {
-	case 4:
-		kern = func(x, y, part []float64, lo, hi int) {
-			symTile4(s.rowPtr, s.colIdx, s.vals, x, y, part, m, c0, lo, hi)
-		}
-	case 8:
-		kern = func(x, y, part []float64, lo, hi int) {
-			symTile8(s.rowPtr, s.colIdx, s.vals, x, y, part, m, c0, lo, hi)
-		}
-	case 16:
-		kern = func(x, y, part []float64, lo, hi int) {
-			symTile16(s.rowPtr, s.colIdx, s.vals, x, y, part, m, c0, lo, hi)
-		}
-	}
-	if symSIMDWidth > 0 && w >= symSIMDWidth && w%symSIMDWidth == 0 {
-		kern = func(x, y, part []float64, lo, hi int) {
-			symGspmvSIMDTile(s.rowPtr, s.colIdx, s.vals, x, y, part, m, c0, c0+w, lo, hi)
-		}
-	}
-	return kern
-}
-
-// run executes one multiply over flat row-major data with m columns
-// and returns the tile width used (0 for a single pass).
-func (s *SymMatrix) run(y, x []float64, m int, forceGeneric bool) int {
-	tw := 0
-	if !forceGeneric {
-		tw = s.PlanTileCols(m)
-	}
-	if tw <= 0 || tw >= m {
-		s.runOnce(y, x, m, forceGeneric)
-		return 0
-	}
-	s.runTiled(y, x, m, tw)
-	return tw
-}
-
-// runOnce is the single-pass schedule.
-func (s *SymMatrix) runOnce(y, x []float64, m int, forceGeneric bool) {
-	kern := s.tileKernel(m, 0, m, forceGeneric)
+// run executes one multiply over flat row-major data with m columns.
+func (s *SymMatrix) run(y, x []float64, m int, forceGeneric bool) {
 	if len(s.ranges) <= 1 {
 		clear(y)
-		kern(x, y, nil, 0, s.nb)
+		s.mulRange(y, x, nil, m, forceGeneric, 0, s.nb)
 		return
 	}
-	mulOp, reduceOp := s.opNames(false)
 	bm := BlockDim * m
 	scratch := s.growScratch(bm)
 	ranges := s.ranges
 
 	// Phase 1: each worker zeroes and fills its own y rows plus its
 	// column-bounded partial window. Disjoint writes; no races.
-	parallel.Default().DoOp(mulOp, len(ranges), func(w int) {
+	parallel.Default().DoOp(SymKernelMetricPrefix, len(ranges), func(w int) {
 		r := ranges[w]
 		clear(y[r.lo*bm : r.hi*bm])
 		part := scratch[s.winOff[w]*bm : (s.winOff[w]+s.winHi[w]-r.hi)*bm]
 		clear(part)
-		kern(x, y, part, r.lo, r.hi)
+		s.mulRange(y, x, part, m, forceGeneric, r.lo, r.hi)
 	})
 
-	s.fold(reduceOp, y, scratch, bm)
-}
-
-// runTiled is the cache-blocked schedule: the matrix is streamed once
-// per column tile, each pass touching only its tile's columns of the
-// full-stride Y rows and partial windows. Zeroing happens once up
-// front and the fold once at the end, so per column the operation
-// sequence — zero, direct/scatter accumulation in row order, ordered
-// fold — is exactly the single-pass schedule's.
-func (s *SymMatrix) runTiled(y, x []float64, m, tw int) {
-	if len(s.ranges) <= 1 {
-		clear(y)
-		for c0 := 0; c0 < m; c0 += tw {
-			w := m - c0
-			if w > tw {
-				w = tw
-			}
-			s.tileKernel(m, c0, w, false)(x, y, nil, 0, s.nb)
-		}
-		return
-	}
-	mulOp, reduceOp := s.opNames(true)
-	bm := BlockDim * m
-	scratch := s.growScratch(bm)
-	ranges := s.ranges
-
-	parallel.Default().DoOp(mulOp, len(ranges), func(w int) {
-		r := ranges[w]
-		clear(y[r.lo*bm : r.hi*bm])
-		clear(scratch[s.winOff[w]*bm : (s.winOff[w]+s.winHi[w]-r.hi)*bm])
-	})
-	for c0 := 0; c0 < m; c0 += tw {
-		w := m - c0
-		if w > tw {
-			w = tw
-		}
-		kern := s.tileKernel(m, c0, w, false)
-		parallel.Default().DoOp(mulOp, len(ranges), func(w int) {
-			r := ranges[w]
-			part := scratch[s.winOff[w]*bm : (s.winOff[w]+s.winHi[w]-r.hi)*bm]
-			kern(x, y, part, r.lo, r.hi)
-		})
-	}
-	s.fold(reduceOp, y, scratch, bm)
+	s.fold(y, scratch, bm)
 }
 
 func (s *SymMatrix) growScratch(bm int) []float64 {
@@ -530,9 +297,9 @@ func (s *SymMatrix) growScratch(bm int) []float64 {
 // fold is phase 2: the partial windows are folded into y, each y row
 // touched by exactly one chunk, partials added in ascending range
 // order — a deterministic ordered reduction at fixed thread count.
-func (s *SymMatrix) fold(op string, y, scratch []float64, bm int) {
+func (s *SymMatrix) fold(y, scratch []float64, bm int) {
 	ranges := s.ranges
-	parallel.Default().ForOp(op, s.nb, 256, func(lo, hi int) {
+	parallel.Default().ForOp("bcrs_sym_reduce", s.nb, 256, func(lo, hi int) {
 		for w := range ranges {
 			rhi := ranges[w].hi
 			a, b := rhi, s.winHi[w]

@@ -67,14 +67,6 @@ type Config struct {
 	// exists anyway as the assembly product. Ignored when Distribute
 	// is set (the distributed operator owns its storage layout).
 	Symmetric bool
-	// Dedup additionally compresses each symmetric extraction's
-	// repeated blocks (bcrs.Compress): hydrodynamic interaction
-	// tensors repeat up to sign and transpose across particle pairs
-	// at equal separations, so the kernels stream 4-byte block
-	// references against a small unique-block pool instead of 72-byte
-	// blocks. Decode is bit-exact, so trajectories are bitwise
-	// unchanged. No effect unless Symmetric is set.
-	Dedup bool
 	// FirstSolve, if non-nil, replaces plain CG for each step's
 	// first solve. It receives the step's matrix, the right-hand
 	// side, and x holding the initial guess (zero for the original
@@ -465,11 +457,7 @@ func (r *Runner) operator(a *bcrs.Matrix, c Configuration) DistOp {
 		// (pair tensors are inserted with mirrored transposes), and
 		// the O(nnz) verification would recur every rebuild. The
 		// extraction inherits a's thread count.
-		s := bcrs.NewSymUnchecked(a)
-		if r.cfg.Dedup {
-			s.Compress()
-		}
-		return s
+		return bcrs.NewSymUnchecked(a)
 	}
 	return a
 }

@@ -62,37 +62,3 @@ func TestSymmetricStepDeterministic(t *testing.T) {
 		}
 	}
 }
-
-// TestDedupStepBitwiseMatchesSymmetric is the compression guarantee
-// at the trajectory level: Compress decodes blocks bit-exactly and
-// the pool kernels replay the plain kernels' operation order, so
-// Config.Dedup must not move a single output bit relative to plain
-// symmetric storage — across both time-stepping algorithms.
-func TestDedupStepBitwiseMatchesSymmetric(t *testing.T) {
-	mk := func(dedup bool) *Runner {
-		return NewRunner(newToy(15, 10), Config{Dt: 0.05, M: 4, Seed: 11, Tol: 1e-12, Symmetric: true, Dedup: dedup})
-	}
-	for _, alg := range []struct {
-		name string
-		run  func(r *Runner) error
-	}{
-		{"original", func(r *Runner) error { return r.RunOriginal(6) }},
-		{"mrhs", func(r *Runner) error { return r.RunMRHS(6) }},
-	} {
-		p, d := mk(false), mk(true)
-		if err := alg.run(p); err != nil {
-			t.Fatalf("%s plain: %v", alg.name, err)
-		}
-		if err := alg.run(d); err != nil {
-			t.Fatalf("%s dedup: %v", alg.name, err)
-		}
-		sp := p.Current().(*toyConfig).state
-		sd := d.Current().(*toyConfig).state
-		for i := range sp {
-			if math.Float64bits(sp[i]) != math.Float64bits(sd[i]) {
-				t.Fatalf("%s: dedup trajectory diverged bitwise at %d: %v vs %v",
-					alg.name, i, sp[i], sd[i])
-			}
-		}
-	}
-}

@@ -1,16 +1,6 @@
 package model
 
-import (
-	"math"
-	"testing"
-)
-
-func capMachine() GSPMV {
-	return GSPMV{
-		Machine: Machine{B: 35e9, F: 45e9},
-		Shape:   Shape{NB: 150000, NNZB: 2909058},
-	}
-}
+import "testing"
 
 func TestCapacityKRegimes(t *testing.T) {
 	const perVec, cache = 450_000, 2 << 20
@@ -37,86 +27,5 @@ func TestCapacityKRegimes(t *testing.T) {
 	// Asymptote: k(m) -> kmiss as the resident fraction vanishes.
 	if got := k(1 << 20); got < 59.9 {
 		t.Fatalf("k(huge) = %v, want ~kmiss", got)
-	}
-}
-
-func TestSymStoragePlanReducesTraffic(t *testing.T) {
-	g := capMachine()
-	// Symmetric window per column: span rows of X and Y.
-	g.K = CapacityK(3, 57, 225_000, 2<<20)
-	g.KSym = CapacityK(3, 114, 450_000, 2<<20)
-	single := SymStorage{}
-	tiled := SymStorage{TileCols: 4}
-	const m = 32
-	// A fitting tile holds k at kbase, so despite 8x matrix streams
-	// the vector term collapses and total planned traffic drops.
-	if tb, sb := g.SymTrafficBytesFor(m, tiled), g.SymTrafficBytesFor(m, single); tb >= sb {
-		t.Fatalf("tiling did not pay: tiled %v >= single %v", tb, sb)
-	}
-	// Compression shrinks each extra pass further.
-	comp := SymStorage{TileCols: 4, UniqueFrac: 0.01, PoolResident: true}
-	if cb, tb := g.SymTrafficBytesFor(m, comp), g.SymTrafficBytesFor(m, tiled); cb >= tb {
-		t.Fatalf("compression did not pay on tiled streams: %v >= %v", cb, tb)
-	}
-	// TileCols >= m or 0 is exactly the classic single-pass model.
-	for _, st := range []SymStorage{{}, {TileCols: m}, {TileCols: 64}} {
-		if got, want := g.SymTrafficBytesFor(m, st), g.SymTrafficBytes(m); got != want {
-			t.Fatalf("plan %+v: traffic %v, want single-pass %v", st, got, want)
-		}
-	}
-}
-
-func TestSymSpeedupForExceedsOnePastSwitch(t *testing.T) {
-	// The flat predicted_speed bug: with constant k both kernels go
-	// compute-bound past m_s and SymSpeedup caps at 1. Under the
-	// capacity model the general kernel's k(m) grows while a fitting
-	// tile pins the symmetric kernel's, so the planned speedup stays
-	// above 1 at every m — what the measured sweep shows.
-	g := capMachine()
-	g.K = CapacityK(3, 57, 225_000, 2<<20)
-	g.KSym = CapacityK(3, 114, 450_000, 2<<20)
-	for _, m := range []int{1, 2, 4, 8, 16, 32} {
-		st := SymStorage{}
-		if m >= 8 {
-			st.TileCols = 4
-		}
-		sp := g.SymSpeedupFor(m, st)
-		// Never below parity (at small compute-bound m both kernels
-		// hit the same flop ceiling and the prediction is exactly 1).
-		if sp < 1 {
-			t.Fatalf("planned speedup at m=%d is %v, want >= 1", m, sp)
-		}
-		if sp > 3 {
-			t.Fatalf("planned speedup at m=%d is %v, implausibly high", m, sp)
-		}
-	}
-	// Strictly above parity where the half storage pays (m=1,
-	// bandwidth-bound) and where the tile pins k (m=32).
-	if sp := g.SymSpeedupFor(1, SymStorage{}); sp <= 1 {
-		t.Fatalf("m=1 speedup %v, want > 1", sp)
-	}
-	if sp := g.SymSpeedupFor(32, SymStorage{TileCols: 4}); sp <= 1 {
-		t.Fatalf("m=32 tiled speedup %v, want > 1", sp)
-	}
-	// And the plain single-pass prediction still decays toward 1 at
-	// large m relative to the planned one.
-	plain := g.SymSpeedupFor(32, SymStorage{})
-	planned := g.SymSpeedupFor(32, SymStorage{TileCols: 4})
-	if planned <= plain {
-		t.Fatalf("tiled plan (%v) should beat single pass (%v) at m=32", planned, plain)
-	}
-}
-
-func TestRelativeTimeSymForBaseline(t *testing.T) {
-	g := capMachine()
-	g.K = ConstK(3)
-	// With no plan and matching k, For-variants equal the classics.
-	for _, m := range []int{1, 4, 32} {
-		if got, want := g.RelativeTimeSymFor(m, SymStorage{}), g.RelativeTimeSym(m); math.Abs(got-want) > 1e-12 {
-			t.Fatalf("m=%d: RelativeTimeSymFor %v != RelativeTimeSym %v", m, got, want)
-		}
-		if got, want := g.TSymFor(m, SymStorage{}), g.TSym(m); got != want {
-			t.Fatalf("m=%d: TSymFor %v != TSym %v", m, got, want)
-		}
 	}
 }

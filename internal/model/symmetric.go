@@ -77,96 +77,3 @@ func (g GSPMV) MSwitchSym(maxM int) int {
 	}
 	return maxM + 1
 }
-
-// SymStorage describes how the symmetric multiply will actually
-// execute, extending the half-storage model to the cache-blocked and
-// compressed kernels (see bcrs.SymMatrix.PlanTileCols and Compress).
-type SymStorage struct {
-	// TileCols is the column-tile width of the cache-blocked
-	// schedule; 0 (or >= m) means a single full-width pass. Tiling
-	// trades extra matrix streams — ceil(m/TileCols) passes — for a
-	// per-pass X/Y window narrow enough to stay cache-resident, so
-	// k is evaluated at the tile width instead of m.
-	TileCols int
-	// UniqueFrac is the unique-to-stored block ratio of the
-	// compressed value stream (bcrs SymMatrix.DedupRatio); 1 or 0
-	// means uncompressed. Compression replaces the 72-byte block
-	// values of each matrix pass with 4-byte pool references.
-	UniqueFrac float64
-	// PoolResident charges the unique-block pool once instead of
-	// once per pass — the regime the compression targets, where the
-	// pool fits in cache and re-streaming references is nearly free.
-	PoolResident bool
-}
-
-// passes returns the matrix streams a width-m multiply makes.
-func (st SymStorage) passes(m int) float64 {
-	if st.TileCols <= 0 || st.TileCols >= m {
-		return 1
-	}
-	return float64((m + st.TileCols - 1) / st.TileCols)
-}
-
-// kWidth returns the column count k is evaluated at: the per-pass
-// window width.
-func (st SymStorage) kWidth(m int) int {
-	if st.TileCols > 0 && st.TileCols < m {
-		return st.TileCols
-	}
-	return m
-}
-
-// compressed reports whether the value stream is deduplicated.
-func (st SymStorage) compressed() bool {
-	return st.UniqueFrac > 0 && st.UniqueFrac < 1
-}
-
-// SymTrafficBytesFor returns Mtr_sym(m) for an executed storage plan:
-// the vector terms with k evaluated at the per-pass window width, the
-// index-and-value stream once per pass, and the compressed pool
-// charged once when resident.
-func (g GSPMV) SymTrafficBytesFor(m int, st SymStorage) float64 {
-	nb := float64(g.Shape.NB)
-	nnzbSym := float64(g.Shape.SymNNZB())
-	passes := st.passes(m)
-	vectors := float64(m)*nb*(3+g.kSym(st.kWidth(m)))*Sx + IdxRow*nb
-	var matrix float64
-	if st.compressed() {
-		perPass := nnzbSym * (IdxBlock + IdxBlock) // column index + pool reference
-		pool := st.UniqueFrac * nnzbSym * Sa
-		if st.PoolResident {
-			matrix = passes*perPass + pool
-		} else {
-			matrix = passes * (perPass + pool)
-		}
-	} else {
-		matrix = passes * nnzbSym * (IdxBlock + Sa)
-	}
-	return vectors + matrix
-}
-
-// TbwSymFor returns the bandwidth-bound time of the planned multiply.
-func (g GSPMV) TbwSymFor(m int, st SymStorage) float64 {
-	return g.SymTrafficBytesFor(m, st) / g.Machine.B
-}
-
-// TSymFor returns the modeled multiply time of the planned storage:
-// max of its bandwidth bound and the (storage-independent) compute
-// bound.
-func (g GSPMV) TSymFor(m int, st SymStorage) float64 {
-	return math.Max(g.TbwSymFor(m, st), g.Tcomp(m))
-}
-
-// RelativeTimeSymFor returns r_sym(m) of the planned storage against
-// the general m=1 bandwidth bound, comparable with RelativeTime.
-func (g GSPMV) RelativeTimeSymFor(m int, st SymStorage) float64 {
-	return g.TSymFor(m, st) / g.Tbw(1)
-}
-
-// SymSpeedupFor returns the predicted T(m)/T_sym(m) of the planned
-// storage. Unlike SymSpeedup it does not decay to 1 past the general
-// switch point when tiling holds the symmetric kernel's k at the
-// resident value while the general kernel's k(m) grows.
-func (g GSPMV) SymSpeedupFor(m int, st SymStorage) float64 {
-	return g.T(m) / g.TSymFor(m, st)
-}

@@ -34,74 +34,21 @@ func KernelObsReport(reg *obs.Registry) []KernelObs {
 // mean symmetric multiply seconds at m relative to the symmetric m=1
 // baseline. Comparing its entries against KernelObsReport's at equal
 // m gives the measured symmetric-vs-general speedup on the production
-// multiply stream. Only the single-pass plain-storage path is
-// covered; SymKernelPathReport breaks out the cache-blocked and
-// compressed paths.
+// multiply stream.
 func SymKernelObsReport(reg *obs.Registry) []KernelObs {
 	return kernelObsReport(reg, bcrs.SymKernelMetricPrefix)
-}
-
-// SymKernelPathObs is one executed symmetric kernel path's worth of
-// per-m observations.
-type SymKernelPathObs struct {
-	// Path is the counter-family prefix the path records under (one
-	// of bcrs.SymKernelPathPrefixes, e.g. "bcrs_cb_mul" for the
-	// cache-blocked plain-storage schedule).
-	Path   string
-	Points []KernelObs
-}
-
-// SymKernelPathReport attributes the empirical r_sym(m) per executed
-// kernel path: single-pass plain, cache-blocked, compressed, and
-// cache-blocked compressed, each from its own counter families. A
-// path that never ran at m=1 (the tiled paths only engage at large m)
-// borrows the single-pass plain m=1 baseline, so every path's r(m)
-// column shares one denominator and the paths are directly
-// comparable. Paths with no recorded calls are omitted.
-func SymKernelPathReport(reg *obs.Registry) []SymKernelPathObs {
-	if reg == nil {
-		reg = obs.Default
-	}
-	snap := reg.Snapshot()
-	base := kernelObsAccum(snap, bcrs.SymKernelMetricPrefix)
-	var fallback float64
-	if a := base[1]; a != nil && a.calls > 0 {
-		fallback = a.secs / float64(a.calls)
-	}
-	var out []SymKernelPathObs
-	for _, prefix := range bcrs.SymKernelPathPrefixes {
-		byM := base
-		if prefix != bcrs.SymKernelMetricPrefix {
-			byM = kernelObsAccum(snap, prefix)
-		}
-		pts := renderKernelObs(byM, fallback)
-		if len(pts) > 0 {
-			out = append(out, SymKernelPathObs{Path: prefix, Points: pts})
-		}
-	}
-	return out
 }
 
 func kernelObsReport(reg *obs.Registry, prefix string) []KernelObs {
 	if reg == nil {
 		reg = obs.Default
 	}
-	byM := kernelObsAccum(reg.Snapshot(), prefix)
-	var mean1 float64
-	if a := byM[1]; a != nil && a.calls > 0 {
-		mean1 = a.secs / float64(a.calls)
+	snap := reg.Snapshot()
+
+	type kernelAcc struct {
+		calls, flops, bytes int64
+		secs                float64
 	}
-	return renderKernelObs(byM, mean1)
-}
-
-type kernelAcc struct {
-	calls, flops, bytes int64
-	secs                float64
-}
-
-// kernelObsAccum gathers one counter-family prefix's per-m totals out
-// of a registry snapshot.
-func kernelObsAccum(snap obs.Snapshot, prefix string) map[int]*kernelAcc {
 	byM := map[int]*kernelAcc{}
 	get := func(labels map[string]string) *kernelAcc {
 		m, err := strconv.Atoi(labels["m"])
@@ -144,13 +91,11 @@ func kernelObsAccum(snap obs.Snapshot, prefix string) map[int]*kernelAcc {
 			a.secs = v
 		}
 	}
-	return byM
-}
 
-// renderKernelObs converts accumulated totals into the Table-II-style
-// rows, deriving r(m) against the given m=1 mean (0 disables the R
-// column).
-func renderKernelObs(byM map[int]*kernelAcc, mean1 float64) []KernelObs {
+	var mean1 float64
+	if a := byM[1]; a != nil && a.calls > 0 {
+		mean1 = a.secs / float64(a.calls)
+	}
 	out := make([]KernelObs, 0, len(byM))
 	for m, a := range byM {
 		if a.calls == 0 || a.secs <= 0 {

@@ -80,26 +80,13 @@ func MeasureRatesSym(s *bcrs.SymMatrix, m int, k float64) Rates {
 type SymPoint struct {
 	M              int     `json:"m"`
 	GeneralSecs    float64 `json:"general_secs"`    // measured general multiply seconds
-	SymSecs        float64 `json:"sym_secs"`        // measured symmetric multiply seconds (planned schedule)
+	SymSecs        float64 `json:"sym_secs"`        // measured symmetric multiply seconds
 	Speedup        float64 `json:"speedup"`         // GeneralSecs / SymSecs
-	PredictedSpeed float64 `json:"predicted_speed"` // model SymSpeedupFor(m, plan) under the calibrated machine
+	PredictedSpeed float64 `json:"predicted_speed"` // model SymSpeedup(m) under the calibrated machine
 	RGeneral       float64 `json:"r_general"`       // measured r(m), general baseline T(1)
 	RSym           float64 `json:"r_sym"`           // measured r_sym(m), same general baseline
-	PredictedRSym  float64 `json:"predicted_r_sym"` // model RelativeTimeSymFor(m, plan)
+	PredictedRSym  float64 `json:"predicted_r_sym"` // model RelativeTimeSym(m)
 	PredictedRGen  float64 `json:"predicted_r_gen"` // model RelativeTime(m)
-
-	// Cache-blocked schedule attribution.
-	Tiled           bool  `json:"tiled"`             // plan streams the matrix more than once
-	TileCols        int   `json:"tile_cols"`         // planned column-tile width (0 = single pass)
-	WorkingSetBytes int64 `json:"working_set_bytes"` // full-width per-pass X+Y window
-
-	// Ablation columns (0 when the variant was not measured).
-	SymFlatSecs float64 `json:"sym_flat_secs,omitempty"` // forced single-pass symmetric multiply
-	FlatSpeedup float64 `json:"flat_speedup,omitempty"`  // GeneralSecs / SymFlatSecs
-
-	SymDedupSecs float64 `json:"sym_dedup_secs,omitempty"` // compressed-storage multiply (planned schedule)
-	DedupSpeedup float64 `json:"dedup_speedup,omitempty"`  // GeneralSecs / SymDedupSecs
-	DedupRatio   float64 `json:"dedup_ratio,omitempty"`    // unique/stored blocks of the compressed variant
 }
 
 // KMissFactor converts blocks-per-row into the capacity model's
@@ -111,111 +98,58 @@ type SymPoint struct {
 // on the bench host.
 const KMissFactor = 3.0
 
+// symL2Bytes is the per-core cache capacity the capacity model
+// measures the kernels' row window against. The scatter makes the
+// symmetric working set L2-scale, not L3-scale: the X gathers and Y
+// read-modify-writes revisit a span-wide row window per block row,
+// and on shared-L3 hosts it is the private L2 that determines whether
+// those revisits hit.
+const symL2Bytes = 2 << 20
+
 // SymGSPMV assembles the capacity-aware kernel model for a matrix and
 // its half storage: k(m) ramps from the resident kbase toward the
 // miss ceiling as the kernel's X/Y row window — span block rows wide,
 // twice that for the symmetric kernel, whose transposed scatter
-// read-modify-writes Y across the same window — overflows the
-// matrix's cache target. This is what replaces the flat ConstK
-// predictions, whose predicted_speed saturated at 1 past the compute
-// switch point while measurements kept moving.
+// read-modify-writes Y across the same window — overflows
+// symL2Bytes. This is what replaces the flat ConstK predictions,
+// whose predicted_speed saturated at 1 past the compute switch point
+// while measurements kept moving.
 func SymGSPMV(a *bcrs.Matrix, s *bcrs.SymMatrix, mc model.Machine, k float64) model.GSPMV {
 	winGen := int64(s.Span()) * bcrs.BlockDim * 8
 	kmiss := k + KMissFactor*(float64(a.NNZB())/float64(a.NB())-1)
-	cache := s.CacheBytes()
 	return model.GSPMV{
 		Machine: mc,
 		Shape:   model.Shape{NB: a.NB(), NNZB: a.NNZB()},
-		K:       model.CapacityK(k, kmiss, winGen, cache),
-		KSym:    model.CapacityK(k, 2*kmiss, 2*winGen, cache),
+		K:       model.CapacityK(k, kmiss, winGen, symL2Bytes),
+		KSym:    model.CapacityK(k, 2*kmiss, 2*winGen, symL2Bytes),
 	}
-}
-
-// SymPlan captures how s would execute a width-m multiply, in the
-// model's terms.
-func SymPlan(s *bcrs.SymMatrix, m int) model.SymStorage {
-	st := model.SymStorage{TileCols: s.PlanTileCols(m)}
-	if s.Compressed() {
-		st.UniqueFrac = s.DedupRatio()
-		st.PoolResident = int64(s.UniqueBlocks())*bcrs.BlockSize*8 <= s.CacheBytes()
-	}
-	return st
-}
-
-// SymVariants names the symmetric operators a planned sweep races
-// against the general matrix.
-type SymVariants struct {
-	// Auto follows its own tile plan (and carries the sweep's
-	// SetTileCols/SetCacheBytes configuration). Required.
-	Auto *bcrs.SymMatrix
-	// Dedup is a Compress()ed extraction of the same matrix; nil
-	// skips the compressed columns.
-	Dedup *bcrs.SymMatrix
 }
 
 // MeasureSymSpeedups runs the calibration sweep the Section-IV
 // extension needs: for each m it measures the general and symmetric
 // multiply on the same matrix at the current thread settings and
-// pairs the measured speedup and relative times with the model's
-// predictions under the supplied machine (typically EffectiveMachine
-// output) at constant k. Both relative-time columns share the
-// measured GENERAL m=1 baseline, so measured and predicted columns
-// are directly comparable.
-func MeasureSymSpeedups(a *bcrs.Matrix, s *bcrs.SymMatrix, mc model.Machine, k float64, ms []int) []SymPoint {
-	g := model.GSPMV{
-		Machine: mc,
-		Shape:   model.Shape{NB: a.NB(), NNZB: a.NNZB()},
-		K:       model.ConstK(k),
-	}
-	return MeasureSymSpeedupsPlanned(a, SymVariants{Auto: s}, g, ms)
-}
-
-// MeasureSymSpeedupsPlanned is the full sweep: for each m it measures
-// the general multiply, the symmetric multiply as planned (tiled when
-// the plan says so), the forced single-pass symmetric multiply (the
-// tiling ablation — skipped when the plan is single-pass anyway), and
-// the compressed variant when provided, pairing each measurement with
-// the supplied model's plan-aware predictions.
-func MeasureSymSpeedupsPlanned(a *bcrs.Matrix, v SymVariants, g model.GSPMV, ms []int) []SymPoint {
-	s := v.Auto
+// pairs the measured speedup and relative times with the predictions
+// of the supplied model (typically SymGSPMV over EffectiveMachine
+// output). Both relative-time columns share the measured GENERAL m=1
+// baseline, so measured and predicted columns are directly
+// comparable.
+func MeasureSymSpeedups(a *bcrs.Matrix, s *bcrs.SymMatrix, g model.GSPMV, ms []int) []SymPoint {
 	t1 := timeMultiplyStable(a, 1)
 	out := make([]SymPoint, 0, len(ms))
 	for _, m := range ms {
-		plan := SymPlan(s, m)
 		gt := timeMultiplyOpStable(a, m)
 		st := timeMultiplyOpStable(s, m)
-		p := SymPoint{
+		out = append(out, SymPoint{
 			M:              m,
 			GeneralSecs:    gt,
 			SymSecs:        st,
 			Speedup:        gt / st,
-			PredictedSpeed: g.SymSpeedupFor(m, plan),
+			PredictedSpeed: g.SymSpeedup(m),
 			RGeneral:       gt / t1,
 			RSym:           st / t1,
-			PredictedRSym:  g.RelativeTimeSymFor(m, plan),
+			PredictedRSym:  g.RelativeTimeSym(m),
 			PredictedRGen:  g.RelativeTime(m),
-
-			Tiled:           plan.TileCols > 0,
-			TileCols:        plan.TileCols,
-			WorkingSetBytes: s.WorkingSetBytes(m),
-		}
-		if plan.TileCols > 0 {
-			// Tiling ablation: same storage, single pass forced.
-			saved := s.TileCols()
-			s.SetTileCols(-1)
-			p.SymFlatSecs = timeMultiplyOpStable(s, m)
-			s.SetTileCols(saved)
-			p.FlatSpeedup = gt / p.SymFlatSecs
-		} else {
-			p.SymFlatSecs = st
-			p.FlatSpeedup = p.Speedup
-		}
-		if v.Dedup != nil {
-			p.SymDedupSecs = timeMultiplyOpStable(v.Dedup, m)
-			p.DedupSpeedup = gt / p.SymDedupSecs
-			p.DedupRatio = v.Dedup.DedupRatio()
-		}
-		out = append(out, p)
+		})
 	}
 	return out
 }

@@ -104,8 +104,8 @@ func TestServeEnsembleAtomicAdmission(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			reqs := []Req{
-				{B: testRHS(n, uint64(2 * i))},
-				{B: testRHS(n, uint64(2*i + 1))},
+				{B: testRHS(n, uint64(2*i))},
+				{B: testRHS(n, uint64(2*i+1))},
 			}
 			results[i], errs[i] = e.SubmitEnsemble(context.Background(), reqs)
 		}(i)

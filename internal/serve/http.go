@@ -122,10 +122,6 @@ type Info struct {
 	// Symmetric reports a half-storage (bcrs.SymMatrix) operator:
 	// every batched GSPMV moves half the matrix bytes.
 	Symmetric bool `json:"symmetric"`
-	// DedupRatio is the compressed operator's unique-to-stored block
-	// ratio (0: plain storage) — the matrix-payload fraction each
-	// batched GSPMV streams after repeated-block compression.
-	DedupRatio float64 `json:"dedup_ratio,omitempty"`
 	// MaxEnsemble is the widest /v1/ensemble accepted (== MaxBatch);
 	// DefaultEnsemble the member count used when a request names none.
 	MaxEnsemble     int `json:"max_ensemble"`
@@ -138,8 +134,8 @@ type Info struct {
 	Recycle *solver.RecycleStats `json:"recycle,omitempty"`
 	// Shard is the live fleet topology when the engine routes solves
 	// across RCB-partitioned shards: live/configured/tombstoned shard
-	// counts, the crash policy, per-shard owned and halo row counts,
-	// and each strip's block dedup ratio. Absent when unsharded.
+	// counts, the crash policy, and per-shard owned and halo row
+	// counts. Absent when unsharded.
 	Shard *shard.Topology `json:"shard,omitempty"`
 }
 
@@ -178,8 +174,9 @@ func requestID(e *Engine, w http.ResponseWriter, r *http.Request) string {
 //	GET  /metrics.json JSON snapshot of obs.Default
 //	GET  /debug/traces recent + slowest request traces; ?id= fetches one
 //
-// Solver outcomes map onto status codes: 400 for malformed bodies or
-// dimension mismatches, 429 when the admission queue sheds, 503 while
+// Solver outcomes map onto status codes: 400 for malformed bodies,
+// dimension mismatches or over-wide ensembles, 413 for a body longer
+// than any legal request, 429 when the admission queue sheds, 503 while
 // draining, 504 when the request's deadline expired mid-queue or
 // mid-solve.
 //
@@ -197,8 +194,7 @@ func Handler(e *Engine) http.Handler {
 			return
 		}
 		var sr SolveRequest
-		if err := json.NewDecoder(r.Body).Decode(&sr); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("serve: bad JSON: %w", err))
+		if !decodeBody(e, w, r, 1, &sr) {
 			return
 		}
 		b, err := rhsOf(e, sr.B, sr.Seed)
@@ -241,8 +237,7 @@ func Handler(e *Engine) http.Handler {
 			return
 		}
 		var sr SDStepRequest
-		if err := json.NewDecoder(r.Body).Decode(&sr); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("serve: bad JSON: %w", err))
+		if !decodeBody(e, w, r, 1, &sr) {
 			return
 		}
 		if sr.Dt <= 0 {
@@ -293,8 +288,7 @@ func Handler(e *Engine) http.Handler {
 			return
 		}
 		var er EnsembleRequest
-		if err := json.NewDecoder(r.Body).Decode(&er); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("serve: bad JSON: %w", err))
+		if !decodeBody(e, w, r, e.cfg.MaxBatch, &er) {
 			return
 		}
 		bs, err := ensembleRHS(e, er)
@@ -374,16 +368,15 @@ func Handler(e *Engine) http.Handler {
 	mux.HandleFunc("/v1/info", func(w http.ResponseWriter, _ *http.Request) {
 		cfg := e.Config()
 		info := Info{
-			N:          e.N(),
-			Mode:       cfg.Mode,
-			MaxBatch:   cfg.MaxBatch,
-			QueueCap:   cfg.QueueCap,
-			MaxWaitMS:  float64(cfg.MaxWait) / float64(time.Millisecond),
-			WaitFactor: cfg.WaitFactor,
-			Tol:        cfg.Tol,
+			N:               e.N(),
+			Mode:            cfg.Mode,
+			MaxBatch:        cfg.MaxBatch,
+			QueueCap:        cfg.QueueCap,
+			MaxWaitMS:       float64(cfg.MaxWait) / float64(time.Millisecond),
+			WaitFactor:      cfg.WaitFactor,
+			Tol:             cfg.Tol,
 			HasModel:        cfg.Model != nil,
 			Symmetric:       e.Symmetric(),
-			DedupRatio:      e.DedupRatio(),
 			MaxEnsemble:     cfg.MaxBatch,
 			DefaultEnsemble: cfg.DefaultEnsemble,
 		}
@@ -405,6 +398,30 @@ func Handler(e *Engine) http.Handler {
 	return mux
 }
 
+// bytesPerNumber bounds one float64 or seed as JSON text: sign, 17
+// significant digits, point, exponent, separator, with room to spare.
+const bytesPerNumber = 32
+
+// decodeBody decodes a JSON request body into v, reading no more than
+// a legal request of the given width can hold: vectors right-hand
+// sides of n numbers each, plus slack for field names and scalars. It
+// answers 413 for a longer body and 400 for malformed JSON, and
+// reports whether v is usable.
+func decodeBody(e *Engine, w http.ResponseWriter, r *http.Request, vectors int, v any) bool {
+	limit := int64(e.N())*int64(vectors)*bytesPerNumber + 4<<10
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeErr(w, http.StatusRequestEntityTooLarge, fmt.Errorf("serve: request body over %d bytes", limit))
+	default:
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("serve: bad JSON: %w", err))
+	}
+	return false
+}
+
 // ensembleRHS resolves an EnsembleRequest's member right-hand sides:
 // explicit vectors, explicit seeds, or a member count with a base
 // seed (engine defaults fill the gaps).
@@ -421,6 +438,15 @@ func ensembleRHS(e *Engine, er EnsembleRequest) ([][]float64, error) {
 	}
 	if specified > 1 {
 		return nil, errors.New("serve: give exactly one of bs, seeds, or members+seed")
+	}
+	// The width is checked here, before any right-hand side is
+	// generated: each is n floats, and SubmitEnsemble's own check comes
+	// only after all of them exist.
+	if er.Members < 0 {
+		return nil, fmt.Errorf("serve: members must not be negative, got %d", er.Members)
+	}
+	if k := max(len(er.Bs), len(er.Seeds), er.Members); k > e.cfg.MaxBatch {
+		return nil, fmt.Errorf("%w: %d members, max %d", ErrTooWide, k, e.cfg.MaxBatch)
 	}
 	switch {
 	case er.Bs != nil:

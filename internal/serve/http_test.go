@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -202,6 +203,38 @@ func TestServeHTTPErrors(t *testing.T) {
 	resp, body = postJSON(t, base+"/v1/ensemble", EnsembleRequest{Bs: [][]float64{testRHS(n, 2), huge}})
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Errorf("ensemble with an overflowing member = %d %s, want 422", resp.StatusCode, body)
+	}
+
+	// A body longer than any legal request is cut off at the limit: 413
+	// from each endpoint, although the JSON inside it is valid.
+	for path, vectors := range map[string]int{"/v1/solve": 1, "/v1/sdstep": 1, "/v1/ensemble": s.Engine.Config().MaxBatch} {
+		pad := strings.Repeat(" ", n*vectors*bytesPerNumber+8<<10)
+		resp, err = http.Post(base+path, "application/json", strings.NewReader(`{"seed":1,"dt":1`+pad+`}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("oversize body to %s = %d, want 413", path, resp.StatusCode)
+		}
+	}
+
+	// An over-wide ensemble is refused before its right-hand sides are
+	// generated: the request may not cost the n floats per seed.
+	seeds := make([]uint64, 2000)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp, body = postJSON(t, base+"/v1/ensemble", EnsembleRequest{Seeds: seeds})
+	runtime.ReadMemStats(&after)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "wider than max batch") {
+		t.Errorf("over-wide seed list = %d %s, want 400 too wide", resp.StatusCode, body)
+	}
+	if got, rhs := after.TotalAlloc-before.TotalAlloc, uint64(len(seeds)*n*8); got > rhs/4 {
+		t.Errorf("over-wide seed list allocated %d bytes; generating its right-hand sides takes %d", got, rhs)
+	}
+	resp, body = postJSON(t, base+"/v1/ensemble", EnsembleRequest{Members: -1})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("negative member count = %d %s, want 400", resp.StatusCode, body)
 	}
 
 	// A 1ms deadline on a hopeless tolerance must come back 504. This

@@ -206,7 +206,7 @@ func TestServeRecycleInfo(t *testing.T) {
 	n := s.Engine.N()
 
 	for i := 0; i < 4; i++ {
-		resp, data := postJSON(t, base+"/v1/solve", SolveRequest{B: similarRHS(n, 800 + i), OmitX: true})
+		resp, data := postJSON(t, base+"/v1/solve", SolveRequest{B: similarRHS(n, 800+i), OmitX: true})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("solve %d: status %d: %s", i, resp.StatusCode, data)
 		}

@@ -324,21 +324,6 @@ func (e *Engine) Symmetric() bool {
 	return ok
 }
 
-// DedupRatio reports the operator's unique-to-stored block ratio when
-// it is a Compress()ed symmetric matrix — the fraction of block
-// payload the batched GSPMV still has to stream — and 0 when the
-// operator carries plain (uncompressed) storage.
-func (e *Engine) DedupRatio() float64 {
-	c, ok := e.op.(interface {
-		Compressed() bool
-		DedupRatio() float64
-	})
-	if !ok || !c.Compressed() {
-		return 0
-	}
-	return c.DedupRatio()
-}
-
 // Config returns the engine's effective (defaulted) configuration.
 func (e *Engine) Config() Config { return e.cfg }
 

@@ -92,17 +92,13 @@ func TestServeInfoSymmetric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dm := bcrs.NewSymUnchecked(a)
-	dm.Compress()
 	for _, tc := range []struct {
-		name      string
-		eng       *Engine
-		want      bool
-		wantDedup bool
+		name string
+		eng  *Engine
+		want bool
 	}{
-		{"general", NewEngine(a, Config{}), false, false},
-		{"symmetric", NewEngine(sm, Config{}), true, false},
-		{"dedup", NewEngine(dm, Config{}), true, true},
+		{"general", NewEngine(a, Config{}), false},
+		{"symmetric", NewEngine(sm, Config{}), true},
 	} {
 		srv := httptest.NewServer(Handler(tc.eng))
 		resp, err := http.Get(srv.URL + "/v1/info")
@@ -118,12 +114,6 @@ func TestServeInfoSymmetric(t *testing.T) {
 		tc.eng.Close(context.Background())
 		if info.Symmetric != tc.want {
 			t.Fatalf("%s: /v1/info symmetric = %v, want %v", tc.name, info.Symmetric, tc.want)
-		}
-		if got := info.DedupRatio > 0; got != tc.wantDedup {
-			t.Fatalf("%s: /v1/info dedup_ratio = %v, want reported=%v", tc.name, info.DedupRatio, tc.wantDedup)
-		}
-		if tc.wantDedup && (info.DedupRatio <= 0 || info.DedupRatio > 1) {
-			t.Fatalf("%s: dedup_ratio %v out of (0, 1]", tc.name, info.DedupRatio)
 		}
 	}
 }

@@ -76,7 +76,7 @@ func TestServeBatchedBitwiseEquivalence(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = e.Submit(context.Background(), Req{B: testRHS(n, uint64(100 + i))})
+			results[i], errs[i] = e.Submit(context.Background(), Req{B: testRHS(n, uint64(100+i))})
 		}(i)
 	}
 	wg.Wait()
@@ -311,7 +311,7 @@ func TestServeBlockMode(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = e.Submit(context.Background(), Req{B: testRHS(n, uint64(200 + i))})
+			results[i], errs[i] = e.Submit(context.Background(), Req{B: testRHS(n, uint64(200+i))})
 		}(i)
 	}
 	wg.Wait()

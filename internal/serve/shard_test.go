@@ -79,7 +79,7 @@ func TestServeShardSingleBitwise(t *testing.T) {
 }
 
 // TestServeShardInfoAndHealth: /v1/info exposes the shard topology
-// (live count, per-shard dedup ratios) and /healthz aggregates over
+// (live count, per-shard row counts) and /healthz aggregates over
 // the fleet — ok while whole, degraded once a shard is tombstoned.
 func TestServeShardInfoAndHealth(t *testing.T) {
 	cfg := Config{Tol: 1e-8, MaxIter: 800, Shards: 3, TraceSample: -1}
@@ -98,13 +98,8 @@ func TestServeShardInfoAndHealth(t *testing.T) {
 	if info.Shard == nil || info.Shard.Shards != 3 || info.Shard.Tombstoned != 0 {
 		t.Fatalf("fresh shard topology = %+v", info.Shard)
 	}
-	if len(info.Shard.DedupRatio) != 3 {
-		t.Fatalf("dedup ratios = %v, want one per shard", info.Shard.DedupRatio)
-	}
-	for i, r := range info.Shard.DedupRatio {
-		if r <= 0 || r > 1 {
-			t.Errorf("shard %d dedup ratio %g out of (0, 1]", i, r)
-		}
+	if len(info.Shard.BlockRows) != 3 {
+		t.Fatalf("block rows = %v, want one entry per shard", info.Shard.BlockRows)
 	}
 	health := healthBody(t, base)
 	if health["status"] != "ok" {

@@ -76,10 +76,6 @@ type Topology struct {
 	// row counts — the compute/communication split of each strip.
 	BlockRows []int `json:"block_rows"`
 	HaloRows  []int `json:"halo_rows"`
-	// DedupRatio is each strip's unique-block ratio under the Klein-4
-	// orientation group (bcrs.BlockDedupRatio): the repeated-block
-	// compression opportunity that survives partitioning.
-	DedupRatio []float64 `json:"dedup_ratio"`
 }
 
 // Fleet routes multiplies across RCB-partitioned shard workers. It
@@ -108,7 +104,6 @@ type topology struct {
 	p       int
 	part    []int
 	workers []*worker
-	dedup   []float64
 	gen     int
 }
 
@@ -151,14 +146,6 @@ func (f *Fleet) install(p int, part []int) {
 	}
 	ws := buildWorkers(f, f.a, part, p, parallel.ShardBudget(f.opt.Threads, p))
 	t := &topology{p: p, part: part, workers: ws, gen: int(f.gen.Add(1))}
-	t.dedup = make([]float64, p)
-	for i, w := range ws {
-		ms := []*bcrs.Matrix{w.interior}
-		if w.boundary != nil {
-			ms = append(ms, w.boundary)
-		}
-		t.dedup[i] = bcrs.BlockDedupRatio(ms...)
-	}
 	old := f.topo.Swap(t)
 	if old != nil {
 		for _, w := range old.workers {
@@ -335,7 +322,6 @@ func (f *Fleet) Topology() Topology {
 		Policy:     string(f.opt.Policy),
 		BlockRows:  make([]int, t.p),
 		HaloRows:   make([]int, t.p),
-		DedupRatio: append([]float64(nil), t.dedup...),
 	}
 	for i, w := range t.workers {
 		top.BlockRows[i] = len(w.owned)

@@ -165,14 +165,6 @@ func TestFleetTopology(t *testing.T) {
 	if sum != a.NB() {
 		t.Errorf("owned rows sum to %d, want %d", sum, a.NB())
 	}
-	if len(top.DedupRatio) != 4 {
-		t.Fatalf("dedup ratios: %v", top.DedupRatio)
-	}
-	for i, r := range top.DedupRatio {
-		if r <= 0 || r > 1 {
-			t.Errorf("shard %d dedup ratio %g out of (0, 1]", i, r)
-		}
-	}
 	if f.Degraded() {
 		t.Error("fresh fleet reports degraded")
 	}
