@@ -5,7 +5,7 @@ GO ?= go
 BENCH_FILES ?= BENCH_serve.json BENCH_symm.json BENCH_parallel.json BENCH_ensemble.json BENCH_shard.json BENCH_recycle.json
 BENCH_BASELINE_DIR ?= .bench-baseline
 
-.PHONY: ci docs-gate vet build test bench-test race race-kernels chaos serial serve-smoke shard-smoke bench bench-snapshot bench-scaling bench-serve bench-symm bench-ensemble bench-shard bench-recycle bench-diff
+.PHONY: ci docs-gate vet build test bench-test race race-kernels chaos fuzz-faults serial serve-smoke shard-smoke bench bench-snapshot bench-scaling bench-serve bench-symm bench-ensemble bench-shard bench-recycle bench-diff
 
 # ci is the gate: vet, build everything, the benchmark module's own
 # vet and tests (bench-test), the full test suite under
@@ -14,10 +14,12 @@ BENCH_BASELINE_DIR ?= .bench-baseline
 # validates them), the seeded fault-injection suite, the serving
 # suite (batched-vs-unbatched bitwise equivalence, shedding,
 # cancellation, drain), one serial pass with GOMAXPROCS=1 to prove
-# nothing depends on real parallelism, and the advisory perf-
-# regression gate over the BENCH_*.json artifacts (fails only on >2x
-# regressions; warns otherwise; skips files with no baseline).
-ci: vet build bench-test docs-gate race-kernels race chaos serve-smoke shard-smoke serial bench-diff
+# nothing depends on real parallelism, ten seconds of fuzzing the
+# fault-spec parser (its input is a command-line flag), and the
+# advisory perf-regression gate over the BENCH_*.json artifacts (fails
+# only on >2x regressions; warns otherwise; skips files with no
+# baseline).
+ci: vet build bench-test docs-gate race-kernels race chaos fuzz-faults serve-smoke shard-smoke serial bench-diff
 
 # docs-gate fails when an internal/ package lacks a package comment,
 # a tracked markdown file has a broken relative link, or README.md /
@@ -74,6 +76,12 @@ race-kernels:
 chaos:
 	$(GO) test -race -run 'Chaos|Recovery|Fault|Fallback|Backoff|Crash|Degrad' ./internal/cluster/... ./internal/core/ ./internal/sd/ ./internal/solver/ ./internal/shard/
 
+# fuzz-faults fuzzes faults.Parse — the value of -faults and
+# -shard-faults — for ten seconds: no panic, an accepted plan prints to
+# a spec that parses back to itself, and its injector answers.
+fuzz-faults:
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/cluster/faults/
+
 # serial runs the full suite pinned to one OS thread: the worker pool
 # must produce identical results (and never deadlock) when the runtime
 # has no parallelism to give it.
@@ -100,9 +108,11 @@ serve-smoke:
 
 # shard-smoke runs the sharded-serve suite under -race: the fleet's
 # split/halo/gather determinism (1-shard bitwise identity with the
-# plain engine, multi-shard bitwise stability), crash-shrink recovery,
-# and the HTTP surface over a sharded engine (topology in /v1/info,
-# degraded /healthz, per-shard trace spans, ID echo on rejections).
+# plain engine, multi-shard bits pinned to the pre-refactor fleet and
+# equal to a bare cluster.Cluster), crash-shrink recovery, no goroutine
+# left behind, and the HTTP surface over a sharded engine (topology in
+# /v1/info, degraded /healthz, per-shard trace spans, ID echo on
+# rejections).
 shard-smoke:
 	$(GO) test -race -run 'TestFleet|TestShard|TestServeShard' ./internal/shard/ ./internal/serve/
 

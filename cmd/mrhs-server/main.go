@@ -8,7 +8,7 @@
 // Examples:
 //
 //	mrhs-server -addr :8707 -matrix random -nb 2000 -bpr 6
-//	mrhs-server -matrix sd -n 500 -phi 0.30 -mode fused
+//	mrhs-server -matrix sd -n 500 -phi 0.30
 //	mrhs-server -shards 4 -threads 4           # RCB shard engines, threads split across shards
 //	mrhs-server -shards 4 -shard-faults chaos  # chaos-inject the halo transport
 //	curl -s localhost:8707/v1/solve -d '{"seed":1,"omit_x":true}'
@@ -59,7 +59,6 @@ func main() {
 		shardSeed  = flag.Uint64("shard-fault-seed", 1, "seed for the shard fault injector")
 		shardPol   = flag.String("shard-policy", "shrink", "shard crash policy: shrink (re-partition over survivors) or restart (rebuild the same partition)")
 		symmetric  = flag.Bool("symmetric", false, "serve through half-storage symmetric GSPMV (halves matrix traffic)")
-		mode       = flag.String("mode", "fused", "batch solver: fused (bitwise-identical) or block")
 		tol        = flag.Float64("tol", 1e-6, "default relative-residual tolerance")
 		maxIter    = flag.Int("max-iter", 1000, "default iteration cap")
 		maxBatch   = flag.Int("max-batch", 32, "max right-hand sides per dispatch")
@@ -109,7 +108,6 @@ func main() {
 	cfg := serve.Config{
 		Tol:             *tol,
 		MaxIter:         *maxIter,
-		Mode:            serve.Mode(*mode),
 		MaxBatch:        *maxBatch,
 		QueueCap:        *queueCap,
 		MaxWait:         *maxWait,
@@ -192,8 +190,8 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("mrhs-server: n=%d nnzb=%d mode=%s max-batch=%d threads=%d symmetric=%v on http://%s\n",
-		a.N(), a.NNZB(), cfg.Mode, cfg.MaxBatch, *threads, *symmetric, s.Addr())
+	fmt.Printf("mrhs-server: n=%d nnzb=%d max-batch=%d threads=%d symmetric=%v on http://%s\n",
+		a.N(), a.NNZB(), cfg.MaxBatch, *threads, *symmetric, s.Addr())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

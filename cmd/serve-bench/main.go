@@ -101,7 +101,6 @@ type report struct {
 	N         int     `json:"n"`
 	NNZB      int     `json:"nnzb"`
 	Threads   int     `json:"threads"`
-	Mode      string  `json:"mode"`
 	MaxBatch  int     `json:"max_batch"`
 	MaxWaitMS float64 `json:"max_wait_ms"`
 	Tol       float64 `json:"tol"`
@@ -124,7 +123,6 @@ func main() {
 
 		tol        = flag.Float64("tol", 1e-6, "relative-residual tolerance")
 		maxIter    = flag.Int("max-iter", 2000, "iteration cap")
-		mode       = flag.String("mode", "fused", "batch solver: fused or block")
 		maxBatch   = flag.Int("max-batch", 32, "max right-hand sides per dispatch")
 		maxWait    = flag.Duration("max-wait", 2*time.Millisecond, "hard cap on the batching window")
 		waitFactor = flag.Float64("wait-factor", 1.5, "latency stretch allowed to reach the next kernel size")
@@ -185,7 +183,6 @@ func main() {
 	cfg := serve.Config{
 		Tol:        *tol,
 		MaxIter:    *maxIter,
-		Mode:       serve.Mode(*mode),
 		MaxBatch:   *maxBatch,
 		MaxWait:    *maxWait,
 		WaitFactor: *waitFactor,
@@ -207,7 +204,7 @@ func main() {
 
 	if *ensembleF != "" {
 		rep := ensembleReport{
-			N: n, NNZB: a.NNZB(), Threads: *threads, Mode: string(cfg.Mode),
+			N: n, NNZB: a.NNZB(), Threads: *threads,
 			MaxBatch: *maxBatch, MaxWaitMS: float64(*maxWait) / float64(time.Millisecond),
 			Tol: *tol, Baseline: base,
 		}
@@ -237,7 +234,7 @@ func main() {
 	}
 
 	rep := report{
-		N: n, NNZB: a.NNZB(), Threads: *threads, Mode: string(cfg.Mode),
+		N: n, NNZB: a.NNZB(), Threads: *threads,
 		MaxBatch: *maxBatch, MaxWaitMS: float64(*maxWait) / float64(time.Millisecond),
 		Tol: *tol, Baseline: base,
 	}
@@ -309,7 +306,6 @@ type ensembleReport struct {
 	N         int     `json:"n"`
 	NNZB      int     `json:"nnzb"`
 	Threads   int     `json:"threads"`
-	Mode      string  `json:"mode"`
 	MaxBatch  int     `json:"max_batch"`
 	MaxWaitMS float64 `json:"max_wait_ms"`
 	Tol       float64 `json:"tol"`

@@ -43,7 +43,6 @@ type shardReport struct {
 	NNZB      int     `json:"nnzb"`
 	Threads   int     `json:"threads"`
 	Cores     int     `json:"cores"`
-	Mode      string  `json:"mode"`
 	MaxBatch  int     `json:"max_batch"`
 	MaxWaitMS float64 `json:"max_wait_ms"`
 	Tol       float64 `json:"tol"`
@@ -68,9 +67,8 @@ func runShardSweep(a *bcrs.Matrix, cfg serve.Config, base baseline, pool [][]flo
 	counts []int, loads []float64, window time.Duration, seed uint64, threads int, jsonPath string) {
 	rep := shardReport{
 		N: a.N(), NNZB: a.NNZB(), Threads: threads, Cores: runtime.NumCPU(),
-		Mode: string(cfg.Mode), MaxBatch: cfg.MaxBatch,
-		MaxWaitMS: float64(cfg.MaxWait) / float64(time.Millisecond),
-		Tol:       cfg.Tol, Baseline: base,
+		MaxBatch: cfg.MaxBatch, MaxWaitMS: float64(cfg.MaxWait) / float64(time.Millisecond),
+		Tol: cfg.Tol, Baseline: base,
 	}
 
 	fmt.Printf("%7s %8s %12s %12s %9s %8s %8s %8s %7s\n",
@@ -81,13 +79,12 @@ func runShardSweep(a *bcrs.Matrix, cfg serve.Config, base baseline, pool [][]flo
 		scfg.ShardOpts = shard.Options{Threads: threads}
 		sp := shardPoint{Shards: s}
 		// One throwaway fleet to record the strip layout the sweep runs on.
-		f, err := shard.New(a, shard.Options{Shards: s, Threads: threads})
+		f, err := shard.New(a, s, scfg.ShardOpts)
 		if err != nil {
 			fail(err)
 		}
 		top := f.Topology()
 		sp.BlockRows, sp.HaloRows = top.BlockRows, top.HaloRows
-		f.Close()
 
 		for _, lf := range loads {
 			pt := runRate(a, scfg, pool, lf, lf*base.ThroughputRPS, window, seed)

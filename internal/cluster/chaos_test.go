@@ -142,53 +142,6 @@ func TestChaosMulPanicsWithFault(t *testing.T) {
 	cl.Mul(y, x)
 }
 
-// TestChaosReduce: the tree reductions deliver exact results through
-// message chaos, and agree with a serial fold.
-func TestChaosReduce(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 4, 7, 8} {
-		cl, _, _ := chaosCluster(t, 60, p,
-			"drop:rate=0.15;dup:rate=0.1;corrupt:rate=0.1", uint64(20+p))
-		vals := make([]float64, p)
-		st := rng.New(uint64(p))
-		for i := range vals {
-			vals[i] = st.Normal()
-		}
-		wantMax := math.Inf(-1)
-		wantSum := 0.0
-		for _, v := range vals {
-			wantMax = math.Max(wantMax, v)
-			wantSum += v
-		}
-		gotMax, err := cl.ReduceMax(vals)
-		if err != nil {
-			t.Fatalf("p=%d: ReduceMax: %v", p, err)
-		}
-		if gotMax != wantMax {
-			t.Fatalf("p=%d: ReduceMax = %g, want %g", p, gotMax, wantMax)
-		}
-		gotSum, err := cl.ReduceSum(vals)
-		if err != nil {
-			t.Fatalf("p=%d: ReduceSum: %v", p, err)
-		}
-		if math.Abs(gotSum-wantSum) > 1e-12*(1+math.Abs(wantSum)) {
-			t.Fatalf("p=%d: ReduceSum = %g, want %g", p, gotSum, wantSum)
-		}
-	}
-}
-
-// TestReduceHealthy: reductions also work with no injector armed.
-func TestReduceHealthy(t *testing.T) {
-	cl, _, _ := chaosCluster(t, 60, 4, "", 1)
-	got, err := cl.ReduceMax([]float64{1, 9, 4, 2})
-	if err != nil || got != 9 {
-		t.Fatalf("ReduceMax = %v, %v; want 9, nil", got, err)
-	}
-	got, err = cl.ReduceSum([]float64{1, 2, 3, 4})
-	if err != nil || got != 10 {
-		t.Fatalf("ReduceSum = %v, %v; want 10, nil", got, err)
-	}
-}
-
 // TestChaosDeterministicDetections: two identically seeded chaos runs
 // inject exactly the same faults.
 func TestChaosDeterministicDetections(t *testing.T) {

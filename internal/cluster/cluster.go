@@ -3,12 +3,10 @@ package cluster
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/bcrs"
-	"repro/internal/blas"
 	"repro/internal/cluster/faults"
 	"repro/internal/model"
 	"repro/internal/multivec"
@@ -42,19 +40,11 @@ type Cluster struct {
 	// the lean healthy transport.
 	inj      *faults.Injector
 	retry    Backoff
-	mulSeq   atomic.Int64   // sequence number per distributed multiply
-	redSeq   atomic.Int64   // sequence number per reduction
+	mulSeq   atomic.Int64   // sequence number per faulty multiply
 	nodeMuls []atomic.Int64 // per-node multiply counter (crash schedule)
 
-	trace atomic.Pointer[obs.Trace] // see AttachTrace
+	observe func(node int, solve, haloWait time.Duration) // see SetObserver
 }
-
-// AttachTrace routes every distributed multiply's wall time into tr
-// as cluster/mul trace spans (with the faulty-transport outcome as an
-// attribute), giving a request trace visibility into the halo-
-// exchange layer its solve crossed. A nil tr detaches. Safe to flip
-// concurrently with multiplies.
-func (c *Cluster) AttachTrace(tr *obs.Trace) { c.trace.Store(tr) }
 
 // node holds one row strip and its communication plan.
 type node struct {
@@ -88,7 +78,7 @@ func New(a *bcrs.Matrix, part []int, p int) (*Cluster, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("cluster: p must be >= 1")
 	}
-	c := &Cluster{p: p, nbG: a.NB(), part: append([]int(nil), part...)}
+	c := &Cluster{p: p, nbG: a.NB(), part: append([]int(nil), part...), retry: Backoff{}.WithDefaults()}
 
 	owned := make([][]int, p)
 	for i, pt := range part {
@@ -253,6 +243,10 @@ func (c *Cluster) NodeShape(id int) model.Shape {
 	return model.Shape{NB: len(nd.owned), NNZB: nd.nnzb()}
 }
 
+// HaloRows returns the number of remote block rows node id receives
+// per multiply — the column count of its boundary strip.
+func (c *Cluster) HaloRows(id int) int { return len(c.nodes[id].halo) }
+
 // Mul executes the distributed multiply Y = A*X functionally. X and Y
 // are global multivectors (a.N() rows). Every node runs as a
 // goroutine: it posts its halo sends, computes its interior product
@@ -286,85 +280,5 @@ func (c *Cluster) TryMul(y, x *multivec.MultiVec) error {
 	clusterMessages.Add(c.stats.Messages)
 	clusterBytes.Add(c.stats.VolumeBytes(m))
 	clusterHaloRows.Add(c.stats.RemoteBlockRows)
-
-	if tr := c.trace.Load(); tr != nil {
-		start := time.Now()
-		defer func() { tr.ObserveSpan("cluster/mul", time.Since(start)) }()
-	}
-	if c.inj != nil {
-		return c.mulFaulty(y, x)
-	}
-	c.mulHealthy(y, x)
-	return nil
-}
-
-// mulHealthy is the zero-overhead transport used when no fault
-// injector is armed: raw buffered channels, no packets, no checksums.
-func (c *Cluster) mulHealthy(y, x *multivec.MultiVec) {
-	m := x.M
-	// chans[src][dst] carries the packed halo payload.
-	chans := make([][]chan []float64, c.p)
-	for s := range chans {
-		chans[s] = make([]chan []float64, c.p)
-		for d := range chans[s] {
-			chans[s][d] = make(chan []float64, 1)
-		}
-	}
-
-	var wg sync.WaitGroup
-	for _, nd := range c.nodes {
-		wg.Add(1)
-		go func(nd *node) {
-			defer wg.Done()
-			rowsPerBlock := bcrs.BlockDim * m
-
-			// Gather owned rows of X into the local operand.
-			xOwn := multivec.New(len(nd.owned)*bcrs.BlockDim, m)
-			for l, g := range nd.owned {
-				copy(xOwn.Data[l*rowsPerBlock:(l+1)*rowsPerBlock],
-					x.Data[g*rowsPerBlock:(g+1)*rowsPerBlock])
-			}
-
-			// Post sends: pack the rows each destination needs.
-			for dst, rows := range nd.sendTo {
-				if len(rows) == 0 {
-					continue
-				}
-				buf := make([]float64, len(rows)*rowsPerBlock)
-				for bi, l := range rows {
-					copy(buf[bi*rowsPerBlock:(bi+1)*rowsPerBlock],
-						xOwn.Data[l*rowsPerBlock:(l+1)*rowsPerBlock])
-				}
-				chans[nd.id][dst] <- buf
-			}
-
-			// Interior product overlaps with the in-flight messages.
-			yLoc := multivec.New(len(nd.owned)*bcrs.BlockDim, m)
-			nd.interior.Mul(yLoc, xOwn)
-
-			// Receive the halo and apply the boundary strip.
-			if nd.boundary != nil {
-				xHalo := multivec.New(len(nd.halo)*bcrs.BlockDim, m)
-				for src := 0; src < c.p; src++ {
-					r := nd.recvFrom[src]
-					if r[0] == r[1] {
-						continue
-					}
-					buf := <-chans[src][nd.id]
-					copy(xHalo.Data[r[0]*rowsPerBlock:r[1]*rowsPerBlock], buf)
-				}
-				yB := multivec.New(len(nd.owned)*bcrs.BlockDim, m)
-				nd.boundary.Mul(yB, xHalo)
-				blas.Add(yLoc.Data, yLoc.Data, yB.Data)
-			}
-
-			// Scatter into the global result; rows are disjoint
-			// across nodes, so no locking is needed.
-			for l, g := range nd.owned {
-				copy(y.Data[g*rowsPerBlock:(g+1)*rowsPerBlock],
-					yLoc.Data[l*rowsPerBlock:(l+1)*rowsPerBlock])
-			}
-		}(nd)
-	}
-	wg.Wait()
+	return c.exchange(y, x)
 }

@@ -12,7 +12,10 @@
 // communication exactly as the paper's MPI implementation overlaps
 // the local multiply with the gather of remote elements. Results are
 // checked against the serial kernel, so the distributed algorithm is
-// real, not a stub.
+// real, not a stub. This is the repository's only copy of the strip
+// plan (New) and of the exchange step (TryMul): SD stepping multiplies
+// through a Cluster directly, and the serve tier's shard.Fleet is a
+// recovery policy holding one Cluster per topology generation.
 //
 // The timing layer is a calibrated cost model standing in for the
 // paper's 64-node InfiniBand cluster, which is not available here.
@@ -27,14 +30,14 @@
 // fractions), which depend only on these modeled ratios, not on
 // absolute host speed.
 //
-// The fault-tolerance layer (SetFaults, Backoff, TryMul, ReduceMax)
-// hardens the functional layer against an injected fault plan from
-// the faults subpackage: every halo and reduction message becomes a
-// checksummed packet, senders retransmit dropped or corrupted
+// The fault-tolerance layer (SetFaults, Backoff, TryMul) hardens the
+// functional layer against an injected fault plan from the faults
+// subpackage: every halo message becomes a checksummed packet, senders retransmit dropped or corrupted
 // messages after a deterministic exponential backoff, receivers
 // validate checksums, discard duplicates, and bound every blocking
-// receive with a deadline. Without an armed injector the healthy
-// zero-overhead transport runs instead.
+// receive with a deadline. Without an armed injector the same step
+// ships raw payloads: the two transports differ only at the send and
+// the receive.
 //
 // # Invariants and failure semantics
 //

@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -18,9 +17,7 @@ import (
 // the wire — retransmissions, rejected checksums, discarded
 // duplicates, expired deadlines, and node crashes. Together with the
 // injector's faults_injected_total these form the two sides of the
-// chaos ledger (injected vs detected/handled). The counters are
-// shared with every Transport user (the shard fleet included): they
-// describe the wire, not one consumer of it.
+// chaos ledger (injected vs detected/handled).
 var (
 	haloRetries         = obs.Default.Counter("cluster_halo_retries_total")
 	haloTimeouts        = obs.Default.Counter("cluster_halo_timeouts_total")
@@ -31,38 +28,44 @@ var (
 )
 
 // SetFaults arms the cluster's transport with a fault injector and a
-// retry policy. With a nil injector the multiply keeps its lean
-// healthy path; with one armed, every halo message flows through the
-// checksummed retry transport (Transport). Call before the first
-// multiply; the injector may be shared across clusters (its crash
-// rules are consumed globally).
+// retry policy. With a nil injector halo payloads cross raw channels;
+// with one armed, every halo message flows through the checksummed
+// retry transport (Transport). Call before the first multiply; the
+// injector may be shared across clusters (its crash rules are
+// consumed globally).
 func (c *Cluster) SetFaults(inj *faults.Injector, b Backoff) {
 	c.inj = inj
 	c.retry = b.WithDefaults()
 }
 
-// transport bundles the cluster's injector and retry policy into the
-// shared wire layer.
-func (c *Cluster) transport() Transport { return Transport{Inj: c.inj, Retry: c.retry} }
+// SetObserver registers fn to be called once per node per multiply,
+// from that node's goroutine, with the wall time of its two strip
+// products (solve) and of its blocking halo receive (haloWait; zero
+// on a node with no halo). A node that crashes or whose receive fails
+// reports nothing. Call before the first multiply; nil detaches.
+func (c *Cluster) SetObserver(fn func(node int, solve, haloWait time.Duration)) { c.observe = fn }
 
-// mulFaulty is the fault-tolerant twin of the healthy multiply: the
-// same owned-gather / post-sends / interior / receive-halo / boundary
-// / scatter phases, but every message crosses the checksummed retry
-// transport and each node can crash, stall, or time out. The first
-// error per node is collected; TryMul joins them.
-func (c *Cluster) mulFaulty(y, x *multivec.MultiVec) error {
-	m := x.M
-	seq := c.mulSeq.Add(1)
-	tp := c.transport()
-
-	// chans[src][dst] carries packets; capacity covers the worst case
-	// of one packet per delivery attempt plus a tombstone, so senders
-	// never block.
+// exchange is the distributed multiply: every node runs as a
+// goroutine over a per-multiply chans[src][dst] mesh, so a failed
+// attempt leaves no stale packets behind. The first error per node is
+// collected and joined.
+func (c *Cluster) exchange(y, x *multivec.MultiVec) error {
+	// tp.Inj == nil is the healthy transport: one raw payload per
+	// link, no sequence numbers, no checksums. Armed, the capacity
+	// covers one packet per delivery attempt plus a tombstone, so
+	// senders never block.
+	tp := Transport{Inj: c.inj, Retry: c.retry}
+	var seq int64
+	chanCap := 1
+	if tp.Inj != nil {
+		seq = c.mulSeq.Add(1)
+		chanCap = tp.ChanCap()
+	}
 	chans := make([][]chan Packet, c.p)
 	for s := range chans {
 		chans[s] = make([]chan Packet, c.p)
 		for d := range chans[s] {
-			chans[s][d] = make(chan Packet, tp.ChanCap())
+			chans[s][d] = make(chan Packet, chanCap)
 		}
 	}
 
@@ -72,157 +75,119 @@ func (c *Cluster) mulFaulty(y, x *multivec.MultiVec) error {
 		wg.Add(1)
 		go func(nd *node) {
 			defer wg.Done()
-			rowsPerBlock := bcrs.BlockDim * m
-
-			nth := c.nodeMuls[nd.id].Add(1)
-			if d := c.inj.SlowDelay(nd.id); d > 0 {
-				time.Sleep(d)
-			}
-			if c.inj.Crash(nd.id, nth) {
-				nodeCrashes.Inc()
-				// Tombstones let peers fail fast instead of waiting
-				// out their receive deadline.
-				for dst, rows := range nd.sendTo {
-					if len(rows) > 0 {
-						tp.SendTomb(chans[nd.id][dst], seq)
-					}
-				}
-				errs[nd.id] = &faults.Error{
-					Kind: faults.Crash, Node: nd.id, Src: -1, Dst: -1, Seq: seq,
-					Msg: fmt.Sprintf("node %d crashed at its multiply %d", nd.id, nth),
-				}
-				return
-			}
-
-			// Gather owned rows of X into the local operand.
-			xOwn := multivec.New(len(nd.owned)*bcrs.BlockDim, m)
-			for l, g := range nd.owned {
-				copy(xOwn.Data[l*rowsPerBlock:(l+1)*rowsPerBlock],
-					x.Data[g*rowsPerBlock:(g+1)*rowsPerBlock])
-			}
-
-			// Post sends through the retry transport.
-			for dst, rows := range nd.sendTo {
-				if len(rows) == 0 {
-					continue
-				}
-				buf := make([]float64, len(rows)*rowsPerBlock)
-				for bi, l := range rows {
-					copy(buf[bi*rowsPerBlock:(bi+1)*rowsPerBlock],
-						xOwn.Data[l*rowsPerBlock:(l+1)*rowsPerBlock])
-				}
-				if err := tp.Send(chans[nd.id][dst], nd.id, dst, seq, buf); err != nil && errs[nd.id] == nil {
-					errs[nd.id] = err
-					// Keep going: peers still need our other messages.
-				}
-			}
-
-			// Interior product overlaps with the in-flight messages.
-			yLoc := multivec.New(len(nd.owned)*bcrs.BlockDim, m)
-			nd.interior.Mul(yLoc, xOwn)
-
-			// Receive the halo and apply the boundary strip.
-			if nd.boundary != nil {
-				xHalo := multivec.New(len(nd.halo)*bcrs.BlockDim, m)
-				for src := 0; src < c.p; src++ {
-					r := nd.recvFrom[src]
-					if r[0] == r[1] {
-						continue
-					}
-					want := (r[1] - r[0]) * rowsPerBlock
-					buf, err := tp.Recv(chans[src][nd.id], nd.id, src, seq, want)
-					if err != nil {
-						if errs[nd.id] == nil {
-							errs[nd.id] = err
-						}
-						return
-					}
-					copy(xHalo.Data[r[0]*rowsPerBlock:r[1]*rowsPerBlock], buf)
-				}
-				yB := multivec.New(len(nd.owned)*bcrs.BlockDim, m)
-				nd.boundary.Mul(yB, xHalo)
-				blas.Add(yLoc.Data, yLoc.Data, yB.Data)
-			}
-
-			if errs[nd.id] != nil {
-				return // a send was lost; don't publish a result for this multiply
-			}
-
-			// Scatter into the global result; rows are disjoint
-			// across nodes, so no locking is needed.
-			for l, g := range nd.owned {
-				copy(y.Data[g*rowsPerBlock:(g+1)*rowsPerBlock],
-					yLoc.Data[l*rowsPerBlock:(l+1)*rowsPerBlock])
-			}
+			errs[nd.id] = c.runNode(nd, y, x, chans, tp, seq)
 		}(nd)
 	}
 	wg.Wait()
 	return errors.Join(errs...)
 }
 
-// reduceSeqBase keeps reduction sequence numbers out of the multiply
-// sequence space so injector verdicts never collide between the two.
-const reduceSeqBase = int64(1) << 40
+// runNode is one node's share of a multiply — the step of Section
+// IV-C: gather owned rows, post halo sends, interior product while
+// they fly, receive the halo, boundary product, scatter. The armed
+// and healthy transports differ only at the send and the receive.
+func (c *Cluster) runNode(nd *node, y, x *multivec.MultiVec, chans [][]chan Packet, tp Transport, seq int64) error {
+	m := x.M
+	rowsPerBlock := bcrs.BlockDim * m
+	armed := tp.Inj != nil
 
-// reduce combines one partial value per node up a binary tree, every
-// edge crossing the same deadline+retry transport as the halo
-// exchange. Node 0 holds the result.
-func (c *Cluster) reduce(perNode []float64, combine func(a, b float64) float64) (float64, error) {
-	if len(perNode) != c.p {
-		panic(fmt.Sprintf("cluster: reduce got %d values for %d nodes", len(perNode), c.p))
-	}
-	if c.retry.MaxAttempts == 0 {
-		c.retry = c.retry.WithDefaults()
-	}
-	seq := reduceSeqBase + c.redSeq.Add(1)
-	tp := c.transport()
-
-	// chans[src] carries src's single partial to its parent.
-	chans := make([]chan Packet, c.p)
-	for i := range chans {
-		chans[i] = make(chan Packet, tp.ChanCap())
-	}
-	errs := make([]error, c.p)
-	var result float64
-	var wg sync.WaitGroup
-	for id := 0; id < c.p; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			v := perNode[id]
-			for stride := 1; stride < c.p; stride *= 2 {
-				switch {
-				case id%(2*stride) == 0 && id+stride < c.p:
-					buf, err := tp.Recv(chans[id+stride], id, id+stride, seq, 1)
-					if err != nil {
-						errs[id] = err
-						return
-					}
-					v = combine(v, buf[0])
-				case id%(2*stride) == stride:
-					errs[id] = tp.Send(chans[id], id, id-stride, seq, []float64{v})
-					return
+	if armed {
+		// A slow node stalls; a crashed one tombstones its peers — so
+		// they fail fast instead of waiting out their receive
+		// deadline — and reports itself dead.
+		nth := c.nodeMuls[nd.id].Add(1)
+		if d := tp.Inj.SlowDelay(nd.id); d > 0 {
+			time.Sleep(d)
+		}
+		if tp.Inj.Crash(nd.id, nth) {
+			nodeCrashes.Inc()
+			for dst, rows := range nd.sendTo {
+				if len(rows) > 0 {
+					tp.SendTomb(chans[nd.id][dst], seq)
 				}
 			}
-			if id == 0 {
-				result = v
+			return &faults.Error{
+				Kind: faults.Crash, Node: nd.id, Src: -1, Dst: -1, Seq: seq,
+				Msg: fmt.Sprintf("node %d crashed at its multiply %d", nd.id, nth),
 			}
-		}(id)
+		}
 	}
-	wg.Wait()
-	return result, errors.Join(errs...)
-}
 
-// ReduceMax is a fault-tolerant all-to-root max reduction over one
-// value per node, the cluster-wide "worst of" a per-node quantity
-// (residual, error, load). It uses the same retry/backoff/deadline
-// policy as the halo exchange.
-func (c *Cluster) ReduceMax(perNode []float64) (float64, error) {
-	return c.reduce(perNode, math.Max)
-}
+	// Gather owned rows of X into the local operand.
+	xOwn := multivec.New(len(nd.owned)*bcrs.BlockDim, m)
+	for l, g := range nd.owned {
+		copy(xOwn.Data[l*rowsPerBlock:(l+1)*rowsPerBlock],
+			x.Data[g*rowsPerBlock:(g+1)*rowsPerBlock])
+	}
 
-// ReduceSum is the fault-tolerant sum reduction counterpart of
-// ReduceMax (the distributed inner-product building block).
-func (c *Cluster) ReduceSum(perNode []float64) (float64, error) {
-	return c.reduce(perNode, func(a, b float64) float64 { return a + b })
+	// Post sends: pack the rows each destination needs.
+	var sendErr error
+	for dst, rows := range nd.sendTo {
+		if len(rows) == 0 {
+			continue
+		}
+		buf := make([]float64, len(rows)*rowsPerBlock)
+		for bi, l := range rows {
+			copy(buf[bi*rowsPerBlock:(bi+1)*rowsPerBlock],
+				xOwn.Data[l*rowsPerBlock:(l+1)*rowsPerBlock])
+		}
+		if !armed {
+			chans[nd.id][dst] <- Packet{Data: buf}
+		} else if err := tp.Send(chans[nd.id][dst], nd.id, dst, seq, buf); err != nil && sendErr == nil {
+			sendErr = err // keep going: peers still need our other messages
+		}
+	}
+
+	// Interior product overlaps with the in-flight messages.
+	t0 := time.Now()
+	yLoc := multivec.New(len(nd.owned)*bcrs.BlockDim, m)
+	nd.interior.Mul(yLoc, xOwn)
+	solve := time.Since(t0)
+
+	// Receive the halo and apply the boundary strip.
+	var haloWait time.Duration
+	if nd.boundary != nil {
+		xHalo := multivec.New(len(nd.halo)*bcrs.BlockDim, m)
+		t0 = time.Now()
+		for src, r := range nd.recvFrom {
+			if r[0] == r[1] {
+				continue
+			}
+			var buf []float64
+			if !armed {
+				buf = (<-chans[src][nd.id]).Data
+			} else {
+				var err error
+				buf, err = tp.Recv(chans[src][nd.id], nd.id, src, seq, (r[1]-r[0])*rowsPerBlock)
+				if err != nil {
+					if sendErr != nil {
+						return sendErr
+					}
+					return err
+				}
+			}
+			copy(xHalo.Data[r[0]*rowsPerBlock:r[1]*rowsPerBlock], buf)
+		}
+		haloWait = time.Since(t0)
+
+		t0 = time.Now()
+		yB := multivec.New(len(nd.owned)*bcrs.BlockDim, m)
+		nd.boundary.Mul(yB, xHalo)
+		blas.Add(yLoc.Data, yLoc.Data, yB.Data)
+		solve += time.Since(t0)
+	}
+	if c.observe != nil {
+		c.observe(nd.id, solve, haloWait)
+	}
+	if sendErr != nil {
+		return sendErr // a send was lost; don't publish a result for this multiply
+	}
+
+	// Scatter into the global result; rows are disjoint across nodes,
+	// so no locking is needed.
+	for l, g := range nd.owned {
+		copy(y.Data[g*rowsPerBlock:(g+1)*rowsPerBlock],
+			yLoc.Data[l*rowsPerBlock:(l+1)*rowsPerBlock])
+	}
+	return nil
 }

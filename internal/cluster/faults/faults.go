@@ -3,6 +3,7 @@ package faults
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -127,8 +128,9 @@ func Chaos() *Plan {
 //	slow:node=N,ms=D       node N adds D ms to every multiply
 //	crash:node=N,at=K      node N crashes at its K-th multiply (fires once)
 //
-// Rates must lie in (0, 1]; ms must be positive; node and at must be
-// non-negative (at >= 1). Malformed specs return descriptive errors.
+// Rates must lie in (0, 1]; ms must be positive, between a nanosecond
+// and an hour; node and at must be non-negative (at >= 1). Malformed
+// specs return descriptive errors.
 func Parse(spec string) (*Plan, error) {
 	var rules []Rule
 	for _, raw := range strings.Split(spec, ";") {
@@ -147,6 +149,9 @@ func Parse(spec string) (*Plan, error) {
 	}
 	return &Plan{Rules: rules}, nil
 }
+
+// maxDelayMS bounds delay and slow rules at one hour.
+const maxDelayMS = float64(time.Hour / time.Millisecond)
 
 func parseClause(clause string) (Rule, error) {
 	head, rest, _ := strings.Cut(clause, ":")
@@ -187,11 +192,15 @@ func parseClause(clause string) (Rule, error) {
 			return 0, fmt.Errorf("faults: clause %q: %s requires ms=<milliseconds>", clause, head)
 		}
 		delete(params, "ms")
+		// Rounded, not truncated, and bounded, so that every accepted
+		// delay is a positive Duration whose printed form (Rule.String)
+		// parses back to itself.
 		v, err := strconv.ParseFloat(s, 64)
-		if err != nil || !(v > 0) {
-			return 0, fmt.Errorf("faults: clause %q: ms %q must be a positive number", clause, s)
+		ns := math.Round(v * float64(time.Millisecond))
+		if err != nil || !(ns >= 1) || v > maxDelayMS {
+			return 0, fmt.Errorf("faults: clause %q: ms %q must be a positive number, one nanosecond to one hour", clause, s)
 		}
-		return time.Duration(v * float64(time.Millisecond)), nil
+		return time.Duration(ns), nil
 	}
 	intParam := func(key string, min int64) (int64, error) {
 		s, ok := params[key]
@@ -439,8 +448,7 @@ type Error struct {
 	Node int
 	// Src and Dst are the message endpoints; -1 if not applicable.
 	Src, Dst int
-	// Seq is the multiply/reduction sequence number of the failed
-	// message.
+	// Seq is the multiply sequence number of the failed message.
 	Seq int64
 	// Msg is the human-readable description.
 	Msg string

@@ -78,6 +78,9 @@ func TestParseRejectsMalformed(t *testing.T) {
 		{"drop:rate", "not key=value"},
 		{"delay:ms=2", "requires rate"},
 		{"delay:rate=0.1,ms=-1", "positive"},
+		{"slow:node=0,ms=1e-9", "one nanosecond"},
+		{"slow:node=0,ms=1e300", "one hour"},
+		{"slow:node=0,ms=Inf", "one hour"},
 		{"slow:node=1", "requires ms"},
 		{"slow:ms=1", "requires node"},
 		{"crash:node=1", "requires at"},

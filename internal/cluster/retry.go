@@ -7,9 +7,9 @@ import (
 )
 
 // Backoff is the retry policy of the fault-tolerant transport: how
-// long a sender waits between delivery attempts of one halo or
-// reduction message, how many attempts it makes, and how long a
-// receiver waits before declaring a peer unreachable.
+// long a sender waits between delivery attempts of one halo message,
+// how many attempts it makes, and how long a receiver waits before
+// declaring a peer unreachable.
 //
 // Waits grow exponentially (Base * Factor^retry), are capped at Max,
 // and carry a deterministic jitter of ±Jitter drawn from (Seed, seq,

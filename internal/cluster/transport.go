@@ -8,9 +8,9 @@ import (
 	"repro/internal/cluster/faults"
 )
 
-// Packet is one simulated wire message: a packed halo payload (or a
-// reduction partial) plus the integrity metadata the receiver
-// validates. A tombstone announces the sender crashed, letting
+// Packet is one simulated wire message: a packed halo payload plus
+// the integrity metadata the receiver validates (the healthy
+// transport ships the payload alone). A tombstone announces the sender crashed, letting
 // receivers fail fast instead of waiting out their deadline.
 type Packet struct {
 	Seq  int64
@@ -45,14 +45,14 @@ func corruptCopy(data []float64) []float64 {
 
 // Transport is the retrying checksummed point-to-point message layer:
 // the pairing of a fault injector (verdicts per delivery attempt) with
-// a backoff/deadline policy. It is shared wire machinery — the cluster
-// multiply, its reductions, and the shard fleet's halo exchange all
-// move their payloads through the same Send/Recv pair, so every layer
-// detects (and survives) the same drop/corrupt/delay/dup/crash menu.
+// a backoff/deadline policy. The one exchange step (Cluster.TryMul)
+// moves its payloads through this Send/Recv pair whenever an injector
+// is armed, so every consumer of a Cluster — SD stepping, the shard
+// fleet — detects (and survives) the same drop/corrupt/delay/dup/crash
+// menu.
 //
 // The zero-value Retry must be defaulted (Backoff.WithDefaults) before
-// use; a nil Inj delivers every message on the first attempt, which is
-// how healthy runs keep the retry path out of their profile.
+// use; cluster.New does so.
 type Transport struct {
 	Inj   *faults.Injector
 	Retry Backoff

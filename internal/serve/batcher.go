@@ -4,27 +4,18 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/multivec"
 	"repro/internal/obs"
 	"repro/internal/solver"
 )
 
 // run is the dispatcher: it pulls the oldest waiting request, gathers
 // a batch around it under the cost-model window, and dispatches one
-// fused (or block) solve per batch. One goroutine runs all batches —
+// fused solve per batch. One goroutine runs all batches —
 // intra-solve parallelism comes from the worker pool underneath the
 // kernels, so serializing dispatches keeps the machine's cores on one
 // GSPMV at a time instead of thrashing between competing solves.
 func (e *Engine) run() {
-	defer func() {
-		// The dispatcher is the only goroutine multiplying through the
-		// fleet, so its exit is the safe point to stop the shard
-		// goroutines.
-		if e.fleet != nil {
-			e.fleet.Close()
-		}
-		close(e.done)
-	}()
+	defer close(e.done)
 	for {
 		// A call pulled by the previous gather that did not fit its
 		// batch (an ensemble would have pushed the width past MaxBatch)
@@ -233,9 +224,8 @@ func (e *Engine) dispatch(batch []*call) {
 		c.tr.SetAttr("batch", e.batchSeq)
 		c.tr.SetAttr("batch_size", int64(q))
 		c.tr.SetAttr("kernel_m", int64(kernelM))
-		c.tr.SetAttr("mode", string(e.cfg.Mode))
 		if e.fleet != nil {
-			c.tr.SetAttr("shards", int64(e.fleet.Topology().Shards))
+			c.tr.SetAttr("shards", int64(e.fleet.Shards()))
 		}
 		solveSpans = append(solveSpans, c.tr.StartSpan("solve"))
 	}
@@ -253,9 +243,8 @@ func (e *Engine) dispatch(batch []*call) {
 		}
 		e.fleet.AttachTrace(tr)
 	}
-	var stats []solver.Stats
 	xs := make([][]float64, q)
-	e.solveBatch(live, q, kernelM, &stats, xs)
+	stats := e.solveBatch(live, q, xs)
 	elapsed := time.Since(dispatchT0)
 	for _, sp := range solveSpans {
 		sp.End()
@@ -293,16 +282,13 @@ func (e *Engine) dispatch(batch []*call) {
 		if c.tr != nil {
 			// The iteration count also arrives from inside the solver
 			// (cg_iterations via the request context); these attrs are
-			// the dispatcher's view — summed over an ensemble's members,
-			// shared batch-wide in ModeBlock.
+			// the dispatcher's view, summed over an ensemble's members.
 			c.tr.SetAttr("iterations", int64(callIters))
 			c.tr.SetAttr("converged", converged)
-			if e.cfg.Mode != ModeBlock {
-				// Where the solve span's time went, batch-wide: the fused
-				// multiplies, and the vector work around them.
-				c.tr.SetAttr("mul_s", e.ws.MulSeconds)
-				c.tr.SetAttr("vec_s", e.ws.VecSeconds)
-			}
+			// Where the solve span's time went, batch-wide: the fused
+			// multiplies, and the vector work around them.
+			c.tr.SetAttr("mul_s", e.ws.MulSeconds)
+			c.tr.SetAttr("vec_s", e.ws.VecSeconds)
 			if e.rec.Enabled() {
 				rs := e.rec.Stats()
 				c.tr.SetAttr("recycle_basis", int64(rs.BasisSize))
@@ -322,13 +308,13 @@ func (e *Engine) dispatch(batch []*call) {
 	e.itersEWMA = a*float64(sumIters)/float64(q) + (1-a)*e.itersEWMA
 }
 
-// solveBatch runs the mode-selected solver over one coalesced batch,
+// solveBatch runs the fused solve over one coalesced batch,
 // converting an operator panic — an unrecoverable shard-fleet failure
 // (shard.Fleet.Mul panics once retries and re-sharding are exhausted)
 // — into per-column ErrShardFailure results instead of killing the
 // dispatcher. The engine keeps serving; only the batch in flight is
 // answered 503.
-func (e *Engine) solveBatch(live []*call, q, kernelM int, stats *[]solver.Stats, xs [][]float64) {
+func (e *Engine) solveBatch(live []*call, q int, xs [][]float64) (stats []solver.Stats) {
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -336,52 +322,46 @@ func (e *Engine) solveBatch(live []*call, q, kernelM int, stats *[]solver.Stats,
 		}
 		shardFailed.Inc()
 		err := fmt.Errorf("%w: %v", ErrShardFailure, r)
-		*stats = make([]solver.Stats, q)
-		for i := range *stats {
-			(*stats)[i] = solver.Stats{Err: err}
+		stats = make([]solver.Stats, q)
+		for i := range stats {
+			stats[i] = solver.Stats{Err: err}
 		}
 	}()
-	switch e.cfg.Mode {
-	case ModeBlock:
-		bstats, bxs := e.solveBlock(live, q, kernelM)
-		*stats = bstats
-		copy(xs, bxs)
-	default:
-		// Batch scratch is dispatcher-owned and reused across batches;
-		// only xs escapes (Result.X) and stays freshly allocated. The
-		// solver workspace makes the steady-state fused path
-		// allocation-free apart from the result vectors.
-		bs := e.bsBuf[:0]
-		opts := e.optsBuf[:0]
-		j := 0
-		for _, c := range live {
-			for _, r := range c.reqs {
-				xs[j] = make([]float64, e.n)
-				bs = append(bs, r.B)
-				opts = append(opts, e.colOptions(c, r))
-				j++
-			}
+	// Batch scratch is dispatcher-owned and reused across batches;
+	// only xs escapes (Result.X) and stays freshly allocated. The
+	// solver workspace makes the steady-state fused path
+	// allocation-free apart from the result vectors.
+	bs := e.bsBuf[:0]
+	opts := e.optsBuf[:0]
+	j := 0
+	for _, c := range live {
+		for _, r := range c.reqs {
+			xs[j] = make([]float64, e.n)
+			bs = append(bs, r.B)
+			opts = append(opts, e.colOptions(c, r))
+			j++
 		}
-		e.beginRecycleRound()
-		corrected := e.rec.CorrectZeroColumns(xs, bs)
-		if corrected {
-			recycleCorrected.Add(int64(q))
-		}
-		*stats = solver.MultiCGWith(e.ws, e.op, xs, bs, opts)
-		for i := range *stats {
-			st := &(*stats)[i]
-			if st.Err != nil {
-				continue
-			}
-			e.rec.Observe(st.Iterations, corrected)
-			if st.Converged {
-				e.rec.Harvest(xs[i])
-			}
-		}
-		clear(bs)   // drop request references so reuse does not pin them
-		clear(opts) // drop per-request contexts
-		e.bsBuf, e.optsBuf = bs[:0], opts[:0]
 	}
+	e.beginRecycleRound()
+	corrected := e.rec.CorrectZeroColumns(xs, bs)
+	if corrected {
+		recycleCorrected.Add(int64(q))
+	}
+	stats = solver.MultiCGWith(e.ws, e.op, xs, bs, opts)
+	for i := range stats {
+		st := &stats[i]
+		if st.Err != nil {
+			continue
+		}
+		e.rec.Observe(st.Iterations, corrected)
+		if st.Converged {
+			e.rec.Harvest(xs[i])
+		}
+	}
+	clear(bs)   // drop request references so reuse does not pin them
+	clear(opts) // drop per-request contexts
+	e.bsBuf, e.optsBuf = bs[:0], opts[:0]
+	return stats
 }
 
 // beginRecycleRound opens one recycler round for the batch about to
@@ -396,19 +376,6 @@ func (e *Engine) beginRecycleRound() {
 		}
 	}
 	e.rec.BeginRound(e.op, false)
-}
-
-// blockPack returns the dispatcher-owned packed right-hand-side and
-// solution MultiVecs for kernel width w, allocating on first use per
-// width and reusing them across batches thereafter.
-func (e *Engine) blockPack(w int) (b, x *multivec.MultiVec) {
-	if pair, ok := e.packs[w]; ok {
-		return pair[0], pair[1]
-	}
-	b = multivec.New(e.n, w)
-	x = multivec.New(e.n, w)
-	e.packs[w] = [2]*multivec.MultiVec{b, x}
-	return b, x
 }
 
 // colOptions builds the solver options for one of a call's requests.
@@ -426,71 +393,4 @@ func (e *Engine) colOptions(c *call, r Req) solver.Options {
 		opt.MaxIter = e.cfg.MaxIter
 	}
 	return opt
-}
-
-// solveBlock dispatches one BlockCGWithFallback over the batch,
-// zero-padding the right-hand-side block to the kernel width, and
-// splits the block outcome back into per-request stats. Per-request
-// tolerances are honored conservatively: the block solve runs at the
-// tightest tolerance in the batch.
-func (e *Engine) solveBlock(live []*call, q, kernelM int) ([]solver.Stats, [][]float64) {
-	b, x := e.blockPack(kernelM)
-	bs := e.bsBuf[:0]
-	opt := solver.Options{Tol: e.cfg.Tol, MaxIter: e.cfg.MaxIter, Precond: e.cfg.Precond}
-	for _, c := range live {
-		for _, r := range c.reqs {
-			bs = append(bs, r.B)
-			if r.Tol != 0 && (opt.Tol == 0 || r.Tol < opt.Tol) {
-				opt.Tol = r.Tol
-			}
-			if r.MaxIter != 0 && r.MaxIter > opt.MaxIter {
-				opt.MaxIter = r.MaxIter
-			}
-		}
-	}
-	multivec.PackColumns(b, bs) // fully overwrites b, zero-filling padding
-	clear(x.Data)               // reused buffer: restore the zero initial guess
-	// Galerkin-correct each column's zero guess from the recycled
-	// basis. The shared block recurrence iterates from the corrected
-	// block guess (BlockCG forms R = B - A*X); its iteration count is
-	// batch-shared, so block rounds feed no per-solve Observe — the
-	// model's economics run on fused dispatches only.
-	e.beginRecycleRound()
-	if e.rec.Enabled() {
-		if e.recCol == nil {
-			e.recCol = make([]float64, e.n)
-		}
-		hits := 0
-		for j := range bs {
-			clear(e.recCol)
-			if e.rec.CorrectZero(e.recCol, bs[j]) {
-				x.SetCol(j, e.recCol)
-				hits++
-			}
-		}
-		recycleCorrected.Add(int64(hits))
-	}
-	clear(bs)
-	e.bsBuf = bs[:0]
-	bst := solver.BlockCGWithFallback(e.op, x, b, opt)
-
-	stats := make([]solver.Stats, q)
-	xs := make([][]float64, q)
-	for j := 0; j < q; j++ {
-		xs[j] = make([]float64, e.n)
-	}
-	multivec.UnpackColumns(xs, x)
-	for j := 0; j < q; j++ {
-		stats[j] = solver.Stats{
-			Iterations: bst.Iterations,
-			MatMuls:    bst.MatMuls,
-			Converged:  bst.ColumnConverged[j],
-			Residual:   bst.ColumnResiduals[j],
-			Err:        bst.Err,
-		}
-		if bst.Err == nil && stats[j].Converged {
-			e.rec.Harvest(xs[j])
-		}
-	}
-	return stats, xs
 }

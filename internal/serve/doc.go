@@ -11,13 +11,10 @@
 // simulations this way; here the independent systems are independent
 // *user requests* against a shared operator.
 //
-// Two dispatch modes exist. The default, fused, runs one standard CG
-// recurrence per request sharing only the GSPMV (solver.MultiCG);
-// each request's answer is bitwise-identical to solving it alone,
-// which makes batching invisible to clients. Mode block dispatches
-// one solver.BlockCGWithFallback per batch — the block-Krylov
-// coupling converges in fewer iterations but answers are only
-// tolerance-equivalent, not bitwise.
+// A dispatch runs one standard CG recurrence per request sharing only
+// the GSPMV (solver.MultiCG); each request's answer is
+// bitwise-identical to solving it alone, which makes batching
+// invisible to clients.
 //
 // # Ensembles
 //

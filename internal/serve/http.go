@@ -112,7 +112,6 @@ type EnsembleResponse struct {
 // Info is the JSON body of GET /v1/info.
 type Info struct {
 	N          int     `json:"n"`
-	Mode       Mode    `json:"mode"`
 	MaxBatch   int     `json:"max_batch"`
 	QueueCap   int     `json:"queue_cap"`
 	MaxWaitMS  float64 `json:"max_wait_ms"`
@@ -369,7 +368,6 @@ func Handler(e *Engine) http.Handler {
 		cfg := e.Config()
 		info := Info{
 			N:               e.N(),
-			Mode:            cfg.Mode,
 			MaxBatch:        cfg.MaxBatch,
 			QueueCap:        cfg.QueueCap,
 			MaxWaitMS:       float64(cfg.MaxWait) / float64(time.Millisecond),

@@ -276,7 +276,7 @@ func TestServeHTTPHealthAndInfo(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if info.N != s.Engine.N() || info.MaxBatch != 8 || info.Mode != ModeFused {
+	if info.N != s.Engine.N() || info.MaxBatch != 8 {
 		t.Errorf("info = %+v", info)
 	}
 

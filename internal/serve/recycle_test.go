@@ -123,44 +123,6 @@ func TestServeRecycleRepackRetirementSafety(t *testing.T) {
 	}
 }
 
-// TestServeRecycleBlockMode: ModeBlock corrects each packed column
-// before the shared recurrence, so the block iteration count drops
-// across similar sequential requests, and the recycler stays silent on
-// the economics (block iterations feed no Observe).
-func TestServeRecycleBlockMode(t *testing.T) {
-	a := testMatrix()
-	n := a.N()
-	const tol = 1e-8
-	e := NewEngine(a, Config{Tol: tol, MaxIter: 500, RecycleK: 8,
-		Mode: ModeBlock, TraceSample: -1})
-	defer e.Close(context.Background())
-
-	var first, last int
-	for i := 0; i < 8; i++ {
-		b := similarRHS(n, 300+i)
-		r, err := e.Submit(context.Background(), Req{B: b})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !r.Stats.Converged {
-			t.Fatalf("request %d did not converge", i)
-		}
-		if res := relResidual(a, r.X, b); res > 10*tol {
-			t.Fatalf("request %d true residual %g", i, res)
-		}
-		if i == 0 {
-			first = r.Stats.Iterations
-		}
-		last = r.Stats.Iterations
-	}
-	if last >= first {
-		t.Fatalf("block-mode recycling saved nothing: %d then %d iterations", first, last)
-	}
-	if st := e.RecycleStats(); st.Corrections == 0 || st.BasisSize == 0 {
-		t.Fatalf("recycler never engaged in block mode: %+v", st)
-	}
-}
-
 // TestServeRecycleShardInvalidation: a shard crash re-partitions the
 // fleet mid-run; the next dispatch must drop the basis built against
 // the old layout (generation check) and keep answering correctly.

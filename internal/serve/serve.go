@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/bcrs"
 	"repro/internal/model"
-	"repro/internal/multivec"
 	"repro/internal/obs"
 	"repro/internal/shard"
 	"repro/internal/solver"
@@ -44,19 +43,6 @@ var (
 	ErrShardFailure = errors.New("serve: shard fleet failed mid-solve")
 )
 
-// Mode selects how a coalesced batch is solved.
-type Mode string
-
-const (
-	// ModeFused runs one CG recurrence per request with fused matrix
-	// multiplies (solver.MultiCG): bitwise-identical to unbatched.
-	ModeFused Mode = "fused"
-	// ModeBlock runs O'Leary block CG with per-column fallback
-	// (solver.BlockCGWithFallback): fastest convergence, tolerance-
-	// equivalent answers.
-	ModeBlock Mode = "block"
-)
-
 // Config parameterizes an Engine.
 type Config struct {
 	// Tol and MaxIter are the default solver options for requests
@@ -65,8 +51,6 @@ type Config struct {
 	MaxIter int
 	// Precond, if non-nil, preconditions every solve.
 	Precond solver.Preconditioner
-	// Mode selects the batch solver; default ModeFused.
-	Mode Mode
 	// MaxBatch caps the right-hand sides coalesced into one dispatch
 	// (clamped to the largest specialized kernel, 32). Default 32.
 	MaxBatch int
@@ -123,18 +107,15 @@ type Config struct {
 	// leaves the operator untouched.
 	Shards int
 	// ShardOpts carries the fleet's partition/fault/retry/thread
-	// options when Shards >= 1. ShardOpts.Shards is overwritten by
-	// Shards; ShardOpts.Threads is the host-wide kernel thread budget
-	// the fleet splits evenly across shards (parallel.ShardBudget).
+	// options when Shards >= 1. ShardOpts.Threads is the host-wide
+	// kernel thread budget the fleet splits evenly across shards
+	// (parallel.ShardBudget).
 	ShardOpts shard.Options
 }
 
 func (c Config) withDefaults() Config {
 	if c.Tol == 0 {
 		c.Tol = 1e-6
-	}
-	if c.Mode == "" {
-		c.Mode = ModeFused
 	}
 	if c.MaxBatch < 1 || c.MaxBatch > 32 {
 		c.MaxBatch = 32
@@ -176,12 +157,9 @@ type Req struct {
 
 // Result is the demultiplexed outcome of one request.
 type Result struct {
-	// X is the solution (bitwise-identical to an unbatched solve in
-	// ModeFused).
+	// X is the solution, bitwise-identical to an unbatched solve.
 	X []float64
-	// Stats is this request's solver outcome. In ModeBlock the
-	// iteration and matmul counts are those of the shared block
-	// solve.
+	// Stats is this request's solver outcome.
 	Stats solver.Stats
 	// BatchSize is the number of requests coalesced into the dispatch
 	// that served this one; KernelM is the padded multivector width
@@ -252,27 +230,24 @@ type Engine struct {
 	// per-batch allocations for everything that does not escape to
 	// callers (Result.X does escape and stays freshly allocated).
 	ws      *solver.MultiCGWorkspace
-	packs   map[int][2]*multivec.MultiVec // solveBlock: kernel width -> {b, x}
 	bsBuf   [][]float64
 	optsBuf []solver.Options
 
 	// Cross-batch recycling state, dispatcher-owned like the scratch
 	// above (Stats() reads are the one cross-goroutine window, via
 	// atomics inside the recycler). fleetGen tracks the shard topology
-	// generation the current basis was built under; recCol is the
-	// ModeBlock per-column correction scratch.
+	// generation the current basis was built under.
 	rec      *solver.Recycler
 	fleetGen int
-	recCol   []float64
 }
 
 // NewEngine starts an engine serving solves against op. Close it to
 // drain.
 //
 // With Config.Shards >= 1 the operator must be a plain *bcrs.Matrix;
-// NewEngine partitions it into a shard.Fleet it owns (and closes on
-// drain), so every dispatched solve's multiplies route across the
-// shard engines and gather back bitwise-deterministically.
+// NewEngine partitions it into a shard.Fleet it owns, so every
+// dispatched solve's multiplies route across the shard strips and
+// gather back bitwise-deterministically.
 func NewEngine(op solver.BlockOperator, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	var fleet *shard.Fleet
@@ -281,9 +256,7 @@ func NewEngine(op solver.BlockOperator, cfg Config) *Engine {
 		if !ok {
 			panic("serve: Config.Shards requires a plain *bcrs.Matrix operator")
 		}
-		so := cfg.ShardOpts
-		so.Shards = cfg.Shards
-		f, err := shard.New(a, so)
+		f, err := shard.New(a, cfg.Shards, cfg.ShardOpts)
 		if err != nil {
 			panic("serve: " + err.Error())
 		}
@@ -299,7 +272,6 @@ func NewEngine(op solver.BlockOperator, cfg Config) *Engine {
 		done:      make(chan struct{}),
 		itersEWMA: cfg.SeedIters,
 		ws:        solver.NewMultiCGWorkspace(),
-		packs:     map[int][2]*multivec.MultiVec{},
 		rec:       solver.NewRecycler(solver.RecycleConfig{K: cfg.RecycleK, Model: cfg.Model}),
 	}
 	if fleet != nil {

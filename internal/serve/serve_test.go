@@ -294,40 +294,6 @@ func TestServeBadRequestDimension(t *testing.T) {
 	}
 }
 
-// TestServeBlockMode: the block-CG dispatch path converges every
-// request to tolerance (tolerance-equivalence, not bitwise).
-func TestServeBlockMode(t *testing.T) {
-	a := testMatrix()
-	n := a.N()
-	const tol = 1e-8
-	e := NewEngine(a, Config{Tol: tol, MaxIter: 500, Mode: ModeBlock, MaxWait: 30 * time.Millisecond})
-	defer e.Close(context.Background())
-
-	const nreq = 5
-	results := make([]Result, nreq)
-	errs := make([]error, nreq)
-	var wg sync.WaitGroup
-	for i := 0; i < nreq; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = e.Submit(context.Background(), Req{B: testRHS(n, uint64(200+i))})
-		}(i)
-	}
-	wg.Wait()
-	for i := 0; i < nreq; i++ {
-		if errs[i] != nil {
-			t.Fatalf("request %d: %v", i, errs[i])
-		}
-		if !results[i].Stats.Converged {
-			t.Errorf("request %d not converged (residual %g)", i, results[i].Stats.Residual)
-		}
-		if results[i].Stats.Residual > tol {
-			t.Errorf("request %d residual %g > tol %g", i, results[i].Stats.Residual, tol)
-		}
-	}
-}
-
 // TestServePlanWait pins the dispatch-now edges of the batching
 // window: full batches and exhausted windows never wait.
 func TestServePlanWait(t *testing.T) {

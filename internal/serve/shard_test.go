@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -293,6 +294,48 @@ func TestServeShardChaosHTTP(t *testing.T) {
 	}
 	if top.Tombstoned == 0 {
 		t.Error("chaos crash rule never fired behind HTTP")
+	}
+}
+
+// TestServeShardGoroutines: a sharded engine holds no goroutines
+// between multiplies — after solves and Close, and after a shrink
+// recovery replaced the topology mid-solve, the process is back to the
+// goroutine count it started with (nothing to stop, nothing to leak).
+func TestServeShardGoroutines(t *testing.T) {
+	a := testMatrix()
+	n := a.N()
+	healthy := Config{Tol: 1e-8, MaxIter: 800, Shards: 4, TraceSample: -1}
+	crash := healthy
+	crash.ShardOpts.Faults = mustPlan(t, "crash:node=1,at=2").NewInjector(3)
+	crash.ShardOpts.Retry = fastRetry(1)
+	for _, cfg := range []Config{healthy, crash} {
+		name := "healthy"
+		if cfg.ShardOpts.Faults != nil {
+			name = "shrink"
+		}
+		before := runtime.NumGoroutine()
+		e := NewEngine(a, cfg)
+		for i := 0; i < 3; i++ {
+			r, err := e.Submit(context.Background(), Req{B: testRHS(n, uint64(40+i))})
+			if err != nil || !r.Stats.Converged {
+				t.Fatalf("%s: solve %d: err=%v converged=%v", name, i, err, r.Stats.Converged)
+			}
+		}
+		if name == "shrink" && !e.ShardDegraded() {
+			t.Fatalf("%s: crash rule never fired", name)
+		}
+		if err := e.Close(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		// Node goroutines signal their barrier before they exit, so
+		// give the scheduler a moment to retire them.
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("%s: %d goroutines before, %d after Close", name, before, after)
+		}
 	}
 }
 

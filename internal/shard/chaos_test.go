@@ -36,19 +36,17 @@ func TestShardChaosBitwise(t *testing.T) {
 	a := testMatrix(150, 7)
 	const p, rounds = 4, 12
 
-	healthy, err := New(a, Options{Shards: p})
+	healthy, err := New(a, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer healthy.Close()
 
 	plan, err := faults.Parse(faults.ChaosSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	inj := plan.NewInjector(11)
-	chaos, err := New(a, Options{
-		Shards: p,
+	chaos, err := New(a, p, Options{
 		Faults: inj,
 		Retry:  testBackoff(1),
 		Policy: PolicyRestart,
@@ -56,7 +54,6 @@ func TestShardChaosBitwise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer chaos.Close()
 
 	for r := 0; r < rounds; r++ {
 		x := randomMV(a.N(), 3, uint64(500+r))
@@ -108,15 +105,13 @@ func TestShardCrashDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := New(a, Options{
-		Shards: 3,
+	f, err := New(a, 3, Options{
 		Faults: plan.NewInjector(5),
 		Retry:  testBackoff(2),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
 
 	x := make([]float64, n)
 	if st := solver.CG(f, x, b, opt); !st.Converged {

@@ -1,37 +1,43 @@
-// Package shard is the horizontally-split serve tier: it partitions a
-// square BCRS operator across RCB row strips (internal/partition) and
-// runs one goroutine-isolated shard engine per strip, fronted by a
-// router (Fleet) that implements solver.BlockOperator — so the MRHS
-// batching engine in internal/serve, and every solver above it, runs
-// against a sharded fleet exactly as it runs against one matrix.
+// Package shard is the horizontally-split serve tier: a Fleet
+// partitions a square BCRS operator into RCB row strips
+// (internal/partition) and implements solver.BlockOperator over them —
+// so the MRHS batching engine in internal/serve, and every solver above
+// it, runs against a sharded fleet exactly as it runs against one
+// matrix.
 //
-// Each shard worker owns its sub-matrix pair (interior strip over
-// owned columns, boundary strip over halo columns), its own bounded
-// job queue (the per-shard batcher: one fused multiply job per fleet
-// multiply, carrying all coalesced right-hand sides at once), and its
-// own internal/obs counter family (shard_muls_total{shard=i}, halo and
-// solve seconds). A fleet multiply fans one job out per worker; each
-// worker gathers its owned rows of X, posts its packed halo sends,
-// overlaps its interior product with the in-flight messages, receives
-// the halo, applies the boundary strip, and scatters into the disjoint
-// rows of the global result — the cluster multiply's phase structure,
-// run by persistent per-shard goroutines instead of per-call ones.
+// The distributed multiply itself is not here. The strip plan
+// (interior and boundary strips, send and receive schedules) and the
+// exchange step (gather, post halo sends, interior product while they
+// fly, receive, boundary product, scatter) live once, in
+// internal/cluster; a Fleet holds one cluster.Cluster per topology
+// generation and calls its TryMul, which runs one goroutine per shard
+// for the length of the multiply. Nothing runs between multiplies, so
+// a fleet has nothing to close. What the fleet owns is the policy
+// around that step:
 //
-// Halo messages cross the retrying checksummed transport shared with
-// internal/cluster (cluster.Transport), so fault injection — drops,
-// corruption, duplicates, delays, crash tombstones — applies to the
-// serve tier unchanged. A shard crash degrades instead of failing the
-// fleet: the failed multiply is retried after an automatic rebuild,
-// either PolicyRestart (the same partition rebuilt in place, which
-// preserves bitwise-identical results) or PolicyShrink (re-partition
-// across the survivors; the tombstone persists and the fleet reports
-// itself degraded).
+//   - the partition: RCB over particle positions when given, over
+//     nnz-balanced row indices otherwise;
+//   - crash recovery: a multiply that fails because a shard crashed is
+//     retried after an automatic rebuild — PolicyRestart (the same
+//     partition rebuilt in place, which preserves bitwise-identical
+//     results) or PolicyShrink (re-partition across the survivors; the
+//     tombstone persists and the fleet reports itself degraded);
+//   - introspection: generation, topology, degraded state;
+//   - the per-shard view of the cluster's timings: the
+//     shard_*{shard=i} counter family and the shardN/shard_solve and
+//     shardN/halo_wait trace spans, fed from the cluster's per-node
+//     observer.
 //
-// Determinism: at Shards=1 the single strip rebuilds the matrix with
+// Fault injection — drops, corruption, duplicates, delays, crash
+// tombstones — is the cluster's checksummed retry transport, armed
+// through Options.Faults, so it applies to the serve tier unchanged.
+//
+// Determinism: at one shard the single strip rebuilds the matrix with
 // identical block order, so fleet solves are bitwise-identical to the
 // unsharded engine. At higher shard counts the interior/boundary split
 // changes the accumulation grouping — results differ from unsharded in
 // the last bits but are bitwise-deterministic at a fixed shard count
-// and thread budget, because strip schedules are fixed and the global
+// and thread budget (and bitwise equal to a cluster.Cluster over the
+// same partition), because strip schedules are fixed and the global
 // scatter writes disjoint rows.
 package shard

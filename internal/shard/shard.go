@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,7 +14,6 @@ import (
 	"repro/internal/cluster/faults"
 	"repro/internal/multivec"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/partition"
 )
 
@@ -36,8 +36,6 @@ const (
 
 // Options parameterizes a Fleet.
 type Options struct {
-	// Shards is the partition count (>= 1).
-	Shards int
 	// Pos optionally embeds block rows in space for true 3D RCB (the
 	// SD resistance matrix path). Nil selects the index-coordinate
 	// fallback: nnz-balanced contiguous row strips.
@@ -78,47 +76,44 @@ type Topology struct {
 	HaloRows  []int `json:"halo_rows"`
 }
 
-// Fleet routes multiplies across RCB-partitioned shard workers. It
-// implements solver.BlockOperator (plus MulVec), so solvers and the
-// serve engine treat it as one operator. Multiplies are issued by one
-// caller at a time (the serve dispatcher or a solver loop) — the
-// fan-out inside each multiply is where the concurrency lives.
+// Fleet is the recovery policy over a distributed multiply: it picks
+// the RCB partition, holds one cluster.Cluster per topology generation
+// (the cluster owns the strips and the halo exchange), and answers a
+// shard crash by rebuilding and retrying. It implements
+// solver.BlockOperator (plus MulVec), so solvers and the serve engine
+// treat it as one operator. Multiplies are issued by one caller at a
+// time (the serve dispatcher or a solver loop) — the fan-out inside
+// each multiply is where the concurrency lives, and it ends with the
+// multiply: a fleet holds no goroutines between calls.
 type Fleet struct {
-	a   *bcrs.Matrix
-	pos []blas.Vec3
-	n   int
-	opt Options
+	a      *bcrs.Matrix
+	shards int // configured count
+	opt    Options
 
 	topo      atomic.Pointer[topology]
 	rebuildMu sync.Mutex
 
-	mulSeq     atomic.Int64
 	tombstones atomic.Int64
 	gen        atomic.Int64
 	trace      atomic.Pointer[obs.Trace]
-	closed     atomic.Bool
 }
 
-// topology is one installed generation of workers.
+// topology is one installed generation: a partition and the cluster
+// built over it.
 type topology struct {
-	p       int
-	part    []int
-	workers []*worker
-	gen     int
+	part []int
+	c    *cluster.Cluster
+	gen  int
 }
 
-// New partitions a across opt.Shards workers and starts their
-// goroutines. The matrix must be square; it is retained for crash
-// rebuilds.
-func New(a *bcrs.Matrix, opt Options) (*Fleet, error) {
-	if a.NB() != a.NCB() {
-		return nil, fmt.Errorf("shard: matrix must be square")
+// New partitions a across shards RCB strips. The matrix must be
+// square; it is retained for crash rebuilds.
+func New(a *bcrs.Matrix, shards int, opt Options) (*Fleet, error) {
+	if shards < 1 {
+		return nil, fmt.Errorf("shard: shards must be >= 1, got %d", shards)
 	}
-	if opt.Shards < 1 {
-		return nil, fmt.Errorf("shard: shards must be >= 1, got %d", opt.Shards)
-	}
-	if opt.Shards > a.NB() {
-		return nil, fmt.Errorf("shard: %d shards for %d block rows", opt.Shards, a.NB())
+	if shards > a.NB() {
+		return nil, fmt.Errorf("shard: %d shards for %d block rows", shards, a.NB())
 	}
 	if opt.Pos != nil && len(opt.Pos) != a.NB() {
 		return nil, fmt.Errorf("shard: %d positions for %d block rows", len(opt.Pos), a.NB())
@@ -129,38 +124,44 @@ func New(a *bcrs.Matrix, opt Options) (*Fleet, error) {
 	if opt.Threads < 1 {
 		opt.Threads = 1
 	}
-	opt.Retry = opt.Retry.WithDefaults()
-	f := &Fleet{a: a, pos: opt.Pos, n: a.N(), opt: opt}
-	f.install(opt.Shards, nil)
+	f := &Fleet{a: a, shards: shards, opt: opt}
+	if err := f.install(shards, nil); err != nil {
+		return nil, err
+	}
 	return f, nil
 }
 
 // install builds and swaps in a new topology of p shards. A nil part
 // re-runs RCB; a non-nil one (PolicyRestart) reuses the old partition
-// verbatim. Old workers' job queues are closed so their goroutines
-// exit; install is only called from New and from recover (under
+// verbatim. install is only called from New and from recover (under
 // rebuildMu), never concurrently with an in-flight multiply.
-func (f *Fleet) install(p int, part []int) {
+func (f *Fleet) install(p int, part []int) error {
 	if part == nil {
-		part = partition.RCB(f.a, f.pos, p).Part
+		part = partition.RCB(f.a, f.opt.Pos, p).Part
 	}
-	ws := buildWorkers(f, f.a, part, p, parallel.ShardBudget(f.opt.Threads, p))
-	t := &topology{p: p, part: part, workers: ws, gen: int(f.gen.Add(1))}
-	old := f.topo.Swap(t)
-	if old != nil {
-		for _, w := range old.workers {
-			close(w.jobs)
-		}
+	c, err := cluster.New(f.a, part, p)
+	if err != nil {
+		return fmt.Errorf("shard: %w", err)
 	}
-	for _, w := range ws {
-		go w.loop()
+	c.SetThreads(f.opt.Threads)
+	if f.opt.Faults != nil {
+		c.SetFaults(f.opt.Faults, f.opt.Retry)
 	}
+	so := make([]shardObs, p)
+	for id := range so {
+		so[id] = newShardObs(id)
+	}
+	c.SetObserver(func(id int, solve, haloWait time.Duration) {
+		so[id].observe(f.trace.Load(), solve, haloWait)
+	})
+	f.topo.Store(&topology{part: part, c: c, gen: int(f.gen.Add(1))})
 	liveShards.Set(float64(p))
 	tombstonedShards.Set(float64(f.tombstones.Load()))
+	return nil
 }
 
 // N returns the global scalar dimension.
-func (f *Fleet) N() int { return f.n }
+func (f *Fleet) N() int { return f.a.N() }
 
 // MulVec runs the sharded multiply on a single vector.
 func (f *Fleet) MulVec(y, x []float64) {
@@ -190,9 +191,6 @@ func (f *Fleet) Mul(y, x *multivec.MultiVec) {
 // completed (possibly degraded) result. Non-crash transport failures
 // (lost messages, deadline timeouts) are returned as *faults.Error.
 func (f *Fleet) TryMul(y, x *multivec.MultiVec) error {
-	if x.N != f.n || y.N != x.N || y.M != x.M {
-		panic("shard: Mul dimension mismatch")
-	}
 	fleetMuls.Inc()
 	tr := f.trace.Load()
 	var start time.Time
@@ -201,7 +199,7 @@ func (f *Fleet) TryMul(y, x *multivec.MultiVec) error {
 	}
 	for attempt := 0; ; attempt++ {
 		t := f.topo.Load()
-		err := f.mulOnce(t, y, x)
+		err := t.c.TryMul(y, x)
 		if err == nil {
 			if tr != nil {
 				tr.ObserveSpan("shard/mul", time.Since(start))
@@ -209,7 +207,7 @@ func (f *Fleet) TryMul(y, x *multivec.MultiVec) error {
 			return nil
 		}
 		crashed := crashedShards(err)
-		if len(crashed) == 0 || attempt >= f.opt.Shards {
+		if len(crashed) == 0 || attempt >= f.shards {
 			return err
 		}
 		fleetRetries.Inc()
@@ -235,78 +233,36 @@ func (f *Fleet) recover(t *topology, crashed []int) {
 			"crashed": crashed, "policy": string(f.opt.Policy), "gen": t.gen,
 		})
 	}
+	var err error
 	switch f.opt.Policy {
 	case PolicyRestart:
-		f.install(t.p, t.part)
+		err = f.install(t.c.P(), t.part)
 	default: // PolicyShrink
-		p := t.p - len(crashed)
-		if p < 1 {
-			p = 1 // the last shard standing; the crash rule has fired, so the retry proceeds
-		}
-		f.install(p, nil)
+		// The last shard standing stays: its crash rule has fired, so
+		// the retry proceeds.
+		err = f.install(max(t.c.P()-len(crashed), 1), nil)
+	}
+	if err != nil {
+		panic(err) // unreachable: New accepted this matrix and p only shrank
 	}
 }
 
-// mulOnce fans one multiply across the topology's workers and waits
-// for the barrier. Channels are per-multiply, so a failed attempt
-// leaves no stale packets behind.
-func (f *Fleet) mulOnce(t *topology, y, x *multivec.MultiVec) error {
-	j := &job{
-		seq: f.mulSeq.Add(1),
-		x:   x, y: y,
-		errs: make([]error, t.p),
-	}
-	if f.opt.Faults == nil {
-		j.raw = makeChans[[]float64](t.p, 1)
-	} else {
-		j.tp = cluster.Transport{Inj: f.opt.Faults, Retry: f.opt.Retry}
-		j.pk = makeChans[cluster.Packet](t.p, j.tp.ChanCap())
-	}
-	j.wg.Add(t.p)
-	for _, w := range t.workers {
-		w.jobs <- j
-	}
-	j.wg.Wait()
-	return errors.Join(j.errs...)
-}
-
-// makeChans builds the per-multiply chans[src][dst] mesh.
-func makeChans[T any](p, cap int) [][]chan T {
-	chans := make([][]chan T, p)
-	for s := range chans {
-		chans[s] = make([]chan T, p)
-		for d := range chans[s] {
-			chans[s][d] = make(chan T, cap)
-		}
-	}
-	return chans
-}
-
-// crashedShards extracts the shard ids that crashed from a (possibly
-// joined) multiply error. Peer-observed crash errors (a tombstone
-// received from shard s) count toward s, so every worker's view of the
+// crashedShards extracts the shard ids that crashed from a multiply
+// error — the cluster's join of one *faults.Error per failed node —
+// in first-seen order. Peer-observed crash errors (a tombstone
+// received from shard s) count toward s, so every shard's view of the
 // same death converges on one id.
 func crashedShards(err error) []int {
-	seen := map[int]bool{}
-	var walk func(error)
-	walk = func(err error) {
-		if err == nil {
-			return
-		}
-		var fe *faults.Error
-		if errors.As(err, &fe) && fe.Kind == faults.Crash {
-			seen[fe.Node] = true
-		}
-		if j, ok := err.(interface{ Unwrap() []error }); ok {
-			for _, e := range j.Unwrap() {
-				walk(e)
-			}
-		}
+	errs := []error{err}
+	if j, ok := err.(interface{ Unwrap() []error }); ok {
+		errs = j.Unwrap()
 	}
-	walk(err)
-	out := make([]int, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
+	var out []int
+	for _, e := range errs {
+		var fe *faults.Error
+		if errors.As(e, &fe) && fe.Kind == faults.Crash && !slices.Contains(out, fe.Node) {
+			out = append(out, fe.Node)
+		}
 	}
 	return out
 }
@@ -314,25 +270,29 @@ func crashedShards(err error) []int {
 // Topology snapshots the fleet for introspection.
 func (f *Fleet) Topology() Topology {
 	t := f.topo.Load()
+	p := t.c.P()
 	top := Topology{
-		Shards:     t.p,
-		Configured: f.opt.Shards,
+		Shards:     p,
+		Configured: f.shards,
 		Tombstoned: int(f.tombstones.Load()),
 		Gen:        t.gen,
 		Policy:     string(f.opt.Policy),
-		BlockRows:  make([]int, t.p),
-		HaloRows:   make([]int, t.p),
+		BlockRows:  make([]int, p),
+		HaloRows:   make([]int, p),
 	}
-	for i, w := range t.workers {
-		top.BlockRows[i] = len(w.owned)
-		top.HaloRows[i] = len(w.halo)
+	for i := range top.BlockRows {
+		top.BlockRows[i] = t.c.NodeShape(i).NB
+		top.HaloRows[i] = t.c.HaloRows(i)
 	}
 	return top
 }
 
+// Shards returns the live shard count.
+func (f *Fleet) Shards() int { return f.topo.Load().c.P() }
+
 // Degraded reports whether the fleet is running below its configured
 // shard count (a crash shrank it).
-func (f *Fleet) Degraded() bool { return f.topo.Load().p < f.opt.Shards }
+func (f *Fleet) Degraded() bool { return f.Shards() < f.shards }
 
 // Gen returns the live topology's generation, bumped by every
 // re-partition (crash recovery installs a survivor layout). Consumers
@@ -340,15 +300,3 @@ func (f *Fleet) Degraded() bool { return f.topo.Load().p < f.opt.Shards }
 // recycled deflation basis — compare generations to invalidate when
 // the layout, and hence the degraded operator, changes under them.
 func (f *Fleet) Gen() int { return f.topo.Load().gen }
-
-// Close stops the worker goroutines. Call only after the last
-// multiply has returned (the serve engine closes its owned fleet after
-// the dispatcher drains).
-func (f *Fleet) Close() {
-	if !f.closed.CompareAndSwap(false, true) {
-		return
-	}
-	for _, w := range f.topo.Load().workers {
-		close(w.jobs)
-	}
-}

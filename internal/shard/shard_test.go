@@ -37,11 +37,10 @@ func bitwiseEqual(a, b []float64) bool {
 // a fleet multiply is bitwise-identical to the plain matrix multiply.
 func TestFleetSingleShardBitwise(t *testing.T) {
 	a := testMatrix(120, 3)
-	f, err := New(a, Options{Shards: 1})
+	f, err := New(a, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
 	for _, m := range []int{1, 4, 9} {
 		x := randomMV(a.N(), m, uint64(40+m))
 		yRef := multivec.New(a.N(), m)
@@ -60,7 +59,7 @@ func TestFleetSingleShardBitwise(t *testing.T) {
 func TestFleetMatchesSerial(t *testing.T) {
 	a := testMatrix(150, 5)
 	for _, p := range []int{2, 3, 4} {
-		f, err := New(a, Options{Shards: p})
+		f, err := New(a, p, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +73,6 @@ func TestFleetMatchesSerial(t *testing.T) {
 				t.Fatalf("p=%d: element %d differs: %g vs %g", p, i, yRef.Data[i], yF.Data[i])
 			}
 		}
-		f.Close()
 	}
 }
 
@@ -84,11 +82,11 @@ func TestFleetMatchesSerial(t *testing.T) {
 func TestFleetDeterministic(t *testing.T) {
 	a := testMatrix(150, 5)
 	for _, p := range []int{2, 4} {
-		f1, err := New(a, Options{Shards: p})
+		f1, err := New(a, p, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		f2, err := New(a, Options{Shards: p})
+		f2, err := New(a, p, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,8 +102,6 @@ func TestFleetDeterministic(t *testing.T) {
 		if !bitwiseEqual(ys[0].Data, ys[2].Data) {
 			t.Errorf("p=%d: independently-built fleets disagree bitwise", p)
 		}
-		f1.Close()
-		f2.Close()
 	}
 }
 
@@ -123,11 +119,10 @@ func TestFleetCGSolve(t *testing.T) {
 	if st := solver.CG(a, xRef, b, opt); !st.Converged {
 		t.Fatalf("reference CG did not converge: %+v", st)
 	}
-	f, err := New(a, Options{Shards: 3})
+	f, err := New(a, 3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
 	xF := make([]float64, n)
 	if st := solver.CG(f, xF, b, opt); !st.Converged {
 		t.Fatalf("fleet CG did not converge: %+v", st)
@@ -143,11 +138,10 @@ func TestFleetCGSolve(t *testing.T) {
 // and the partition is a complete disjoint cover of the block rows.
 func TestFleetTopology(t *testing.T) {
 	a := testMatrix(90, 2)
-	f, err := New(a, Options{Shards: 4})
+	f, err := New(a, 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
 	top := f.Topology()
 	if top.Shards != 4 || top.Configured != 4 || top.Tombstoned != 0 || top.Gen != 1 {
 		t.Fatalf("unexpected topology: %+v", top)
@@ -173,10 +167,10 @@ func TestFleetTopology(t *testing.T) {
 // TestFleetRejectsBadOptions: constructor validation.
 func TestFleetRejectsBadOptions(t *testing.T) {
 	a := testMatrix(20, 1)
-	if _, err := New(a, Options{Shards: 0}); err == nil {
+	if _, err := New(a, 0, Options{}); err == nil {
 		t.Error("Shards=0 accepted")
 	}
-	if _, err := New(a, Options{Shards: 21}); err == nil {
+	if _, err := New(a, 21, Options{}); err == nil {
 		t.Error("more shards than block rows accepted")
 	}
 }
