@@ -2,10 +2,10 @@ GO ?= go
 
 # The perf artifacts the regression gate watches, and where their
 # committed (HEAD) versions are staged for comparison.
-BENCH_FILES ?= BENCH_serve.json BENCH_symm.json BENCH_parallel.json BENCH_ensemble.json BENCH_shard.json BENCH_recycle.json
+BENCH_FILES ?= BENCH_serve.json BENCH_symm.json BENCH_parallel.json BENCH_ensemble.json BENCH_shard.json
 BENCH_BASELINE_DIR ?= .bench-baseline
 
-.PHONY: ci docs-gate vet build test bench-test race race-kernels chaos fuzz-faults serial serve-smoke shard-smoke bench bench-snapshot bench-scaling bench-serve bench-symm bench-ensemble bench-shard bench-recycle bench-diff
+.PHONY: ci docs-gate vet build test bench-test race race-kernels chaos fuzz-faults serial serve-smoke shard-smoke bench bench-snapshot bench-scaling bench-serve bench-symm bench-ensemble bench-shard bench-diff
 
 # ci is the gate: vet, build everything, the benchmark module's own
 # vet and tests (bench-test), the full test suite under
@@ -22,9 +22,11 @@ BENCH_BASELINE_DIR ?= .bench-baseline
 ci: vet build bench-test docs-gate race-kernels race chaos fuzz-faults serve-smoke shard-smoke serial bench-diff
 
 # docs-gate fails when an internal/ package lacks a package comment,
-# a tracked markdown file has a broken relative link, or README.md /
+# a tracked markdown file has a broken relative link, README.md /
 # ARCHITECTURE.md name an internal/ or cmd/ path that is not in the
-# tree — documentation drift is a build failure, not a review nit.
+# tree, or a fenced command in the docs names a make target or a
+# cmd/ flag that no longer exists — documentation drift is a build
+# failure, not a review nit.
 docs-gate:
 	$(GO) run ./cmd/docs-gate
 
@@ -57,9 +59,8 @@ race:
 # dispatcher that reuses solver scratch across batches — plus the obs
 # layer, whose spans and traces cross the submitter/dispatcher
 # goroutine boundary and whose scrape endpoints are hammered
-# concurrently with solving, and the solver layer, whose recycler
-# publishes atomic stats snapshots read concurrently by /v1/info while
-# the dispatcher mutates the basis, and the assembly chain (hydro,
+# concurrently with solving, and the solver layer, whose concurrent
+# solves share workspace pools, and the assembly chain (hydro,
 # neighbor, sd), whose assembler and Verlet list are mutable state
 # carried along a trajectory: two chains in one process — a verifier
 # beside a runner, ensemble members — must share none of it; and
@@ -173,19 +174,6 @@ bench-shard:
 bench-symm:
 	$(GO) run ./cmd/gspmv-bench -symmetric -nowrap -nb 150000 -bpr 20 -band 1200 -m 1,2,4,8,16,32 -threads 1,2 -json $(CURDIR)/BENCH_symm.json
 	-$(MAKE) bench-diff BENCH_FILES=BENCH_symm.json
-
-# bench-recycle measures cross-solve Krylov recycling end-to-end and
-# writes BENCH_recycle.json: paired SD runs (recycled vs plain) in the
-# slowly-varying regime, graded by sd.iters_saved_frac (the fraction
-# of first-solve iterations the deflation basis removes; acceptance
-# >= 0.20), and a serve-tier load sweep with similar right-hand sides
-# run twice per point (recycling off/on), graded by
-# serve.recycle_p50_speedup (worst-case p50_off/p50_on; acceptance
-# >= 1 — the cost model auto-disables recycling wherever the projector
-# would cost more than the iterations it saves).
-bench-recycle:
-	$(GO) run ./cmd/recycle-bench -json $(CURDIR)/BENCH_recycle.json
-	-$(MAKE) bench-diff BENCH_FILES=BENCH_recycle.json
 
 # bench-scaling sweeps the worker-pool size over full MRHS steps and
 # writes BENCH_parallel.json: per-phase seconds, speedup, and parallel

@@ -63,23 +63,6 @@ var directions = map[string]Direction{
 	"halo_rows":     ignored,
 	"tombstoned":    ignored,
 	"shards_live":   ignored,
-
-	// BENCH_recycle.json: the two acceptance aggregates are graded —
-	// the fraction of first-solve iterations the deflation basis saves
-	// on the slowly-varying SD sweep, and the worst-case p50_off/p50_on
-	// over the serve load sweep (recycling must never cost median
-	// latency; the model auto-disables where it would). The per-point
-	// raw halves (iters_off/iters_on, p50_off_ms/p50_on_ms) and the
-	// recycler's engagement echoes (hit_rate, basis_size, corrections)
-	// stay ungraded: the ratios already grade them, and engagement
-	// counts describe the decision trace, not performance.
-	"iters_saved_frac":    higherBetter,
-	"recycle_p50_speedup": higherBetter,
-	"iters_off":           ignored,
-	"iters_on":            ignored,
-	"p50_off_ms":          ignored,
-	"p50_on_ms":           ignored,
-	"hit_rate":            ignored,
 }
 
 // Flatten walks a decoded JSON value and collects every numeric leaf

@@ -1,5 +1,5 @@
 // Command docs-gate is the CI documentation gate. It fails (exit 1)
-// when any of three classes of documentation drift appears:
+// when any of four classes of documentation drift appears:
 //
 //  1. An internal/ package has no package comment — every package
 //     must say what it implements and which part of the paper it
@@ -10,6 +10,9 @@
 //  3. A backticked `internal/<pkg>` or `cmd/<name>` path in README.md
 //     or ARCHITECTURE.md — the two files that map the tree as it is —
 //     names a package or file that is not on disk.
+//  4. A fenced command in README.md, DESIGN.md, EXPERIMENTS.md or
+//     ARCHITECTURE.md names a `make` target the Makefile lacks, or a
+//     `-flag` that its `go run ./cmd/<name>` does not declare.
 //
 // Run from the repository root, normally via `make docs-gate` (part
 // of `make ci`).
@@ -32,6 +35,8 @@ func main() {
 	problems = append(problems, checkLinks(
 		"README.md", "DESIGN.md", "EXPERIMENTS.md", "ARCHITECTURE.md", "ROADMAP.md")...)
 	problems = append(problems, checkTreePaths("README.md", "ARCHITECTURE.md")...)
+	problems = append(problems, checkCommands(".",
+		"README.md", "DESIGN.md", "EXPERIMENTS.md", "ARCHITECTURE.md")...)
 
 	if len(problems) > 0 {
 		for _, p := range problems {
@@ -154,6 +159,58 @@ func checkTreePaths(files ...string) []string {
 			for _, m := range treePath.FindAllStringSubmatch(line, -1) {
 				if _, err := os.Stat(filepath.FromSlash(m[1])); err != nil {
 					problems = append(problems, fmt.Sprintf("%s:%d: path %q is not in the tree", file, i+1, m[1]))
+				}
+			}
+		}
+	}
+	return problems
+}
+
+// checkCommands verifies the commands in the fenced code blocks of the
+// given markdown files against the tree at root: the targets of a
+// `make` line must be defined in root's Makefile, and the -flags of a
+// `go run ./cmd/<name>` line declared by a flag.*("<flag>", …) call in
+// that command's sources. Continuation lines are joined, and what
+// follows the first `|`, `&` or `#` of a command is not part of it.
+func checkCommands(root string, files ...string) []string {
+	mk, err := os.ReadFile(filepath.Join(root, "Makefile"))
+	if err != nil {
+		return []string{err.Error()}
+	}
+	var problems []string
+	for _, file := range files {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			problems = append(problems, err.Error())
+			continue
+		}
+		blocks := strings.Split(strings.ReplaceAll(string(data), "\\\n", " "), "```")
+		for k := 1; k < len(blocks); k += 2 { // the odd pieces are inside fences
+			for _, command := range strings.Split(blocks[k], "\n") {
+				if j := strings.IndexAny(command, "|&#"); j >= 0 {
+					command = command[:j]
+				}
+				words := strings.Fields(command)
+				switch {
+				case len(words) > 1 && words[0] == "make":
+					for _, w := range words[1:] {
+						if !regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(w) + `:`).Match(mk) {
+							problems = append(problems, fmt.Sprintf("%s: %q: no Makefile target %s", file, command, w))
+						}
+					}
+				case len(words) > 2 && words[0] == "go" && words[1] == "run" && strings.HasPrefix(words[2], "./cmd/"):
+					var code []byte
+					srcs, _ := filepath.Glob(filepath.Join(root, words[2], "*.go"))
+					for _, src := range srcs {
+						data, _ := os.ReadFile(src) // an unreadable source declares no flags
+						code = append(code, data...)
+					}
+					for _, w := range words[3:] {
+						f, _, _ := strings.Cut(strings.TrimLeft(w, "-"), "=")
+						if w[0] == '-' && !regexp.MustCompile(`flag\.\w+\("`+regexp.QuoteMeta(f)+`"`).Match(code) {
+							problems = append(problems, fmt.Sprintf("%s: %q: %s declares no flag -%s", file, command, words[2], f))
+						}
+					}
 				}
 			}
 		}

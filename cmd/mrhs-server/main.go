@@ -67,7 +67,6 @@ func main() {
 		waitFactor = flag.Float64("wait-factor", 1.5, "latency stretch allowed to reach the next kernel size")
 		ensemble   = flag.Int("ensemble", 4, "default member count for /v1/ensemble requests that give only a seed")
 		useModel   = flag.Bool("model", true, "calibrate this host and drive the batching window with the r(m) cost model")
-		recycle    = flag.Int("recycle", 0, "recycle a k-vector deflation basis across batches (0: off); /v1/info reports the live hit rate")
 
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /metrics.json and /debug/pprof separately on this address")
 		traceJSONL  = flag.String("trace-jsonl", "", "append every finished request trace as one JSON line to this file")
@@ -114,10 +113,6 @@ func main() {
 		WaitFactor:      *waitFactor,
 		TraceSample:     *traceSample,
 		DefaultEnsemble: *ensemble,
-		RecycleK:        *recycle,
-	}
-	if *recycle > 0 {
-		fmt.Printf("recycle: cross-batch deflation basis k=%d armed\n", *recycle)
 	}
 	if *shards > 0 {
 		if *symmetric {

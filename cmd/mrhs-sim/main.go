@@ -30,7 +30,6 @@ import (
 	"repro/internal/cluster/faults"
 	"repro/internal/core"
 	"repro/internal/hydro"
-	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/particles"
 	"repro/internal/perf"
@@ -51,7 +50,6 @@ func main() {
 		dynSeed = flag.Uint64("dyn-seed", 0, "noise-stream seed, decoupled from the packing (0: use -seed); lets a lone run reproduce ensemble member i via -dyn-seed seed+i")
 		threads = flag.Int("threads", 1, "kernel threads")
 		tol     = flag.Float64("tol", 1e-6, "solver tolerance")
-		recycle = flag.Int("recycle", 0, "recycle a k-vector deflation basis across steps (0: off); runs stay bitwise-reproducible but differ from unrecycled ones")
 		ckpt    = flag.String("ckpt", "", "write a checkpoint to this file after the run")
 		resume  = flag.String("resume", "", "resume from a checkpoint file (overrides -n, -phi, -seed)")
 		xyz     = flag.String("xyz", "", "write an XYZ trajectory (one frame per step) to this file")
@@ -104,22 +102,6 @@ func main() {
 	fmt.Printf("system: %d particles, phi=%.2f, box=%.1f A\n", sys.N, sys.VolumeFraction(), sys.Box)
 
 	cfg := core.Config{Dt: *dt, M: *m, Seed: *seed, Tol: *tol, Symmetric: *symmetric}
-	if *recycle > 0 {
-		if *alg == "cholesky" {
-			fail(fmt.Errorf("-recycle requires -alg mrhs or original (the direct solver has no iterations to save)"))
-		}
-		cfg.RecycleK = *recycle
-		// Price the per-step projector rebuild against the iterations it
-		// saves on this host and matrix shape, so recycling auto-disables
-		// when the basis stops paying (fresh random forcing, tiny systems).
-		probe := sd.NewConf(sys, hydro.Options{Phi: *phi}, *threads).Build()
-		cfg.RecycleModel = &model.GSPMV{
-			Machine: perf.CalibratedMachine(),
-			Shape:   model.Shape{NB: probe.NB(), NNZB: probe.NNZB()},
-			K:       model.DefaultK,
-		}
-		fmt.Printf("recycle: deflation basis k=%d armed (model-priced auto-disable)\n", *recycle)
-	}
 	if *dynSeed != 0 {
 		cfg.Seed = *dynSeed
 	}
@@ -269,11 +251,6 @@ func main() {
 		// chaos runs are validated against fault-free ones (use the
 		// same -seed and -nodes).
 		fmt.Printf("trajectory checksum: %016x\n", sim.System().Checksum())
-		if *recycle > 0 {
-			rs := sim.RecycleStats()
-			fmt.Printf("recycle: basis %d/%d, %d rebuilds, %d corrected / %d skipped solves (hit rate %.2f), ~%.0f iterations saved\n",
-				rs.BasisSize, rs.K, rs.Builds, rs.Corrections, rs.Skips, rs.HitRate, rs.ItersSavedEst)
-		}
 		if inj != nil {
 			reportFaults(inj)
 		}

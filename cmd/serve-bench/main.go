@@ -127,7 +127,6 @@ func main() {
 		maxWait    = flag.Duration("max-wait", 2*time.Millisecond, "hard cap on the batching window")
 		waitFactor = flag.Float64("wait-factor", 1.5, "latency stretch allowed to reach the next kernel size")
 		useModel   = flag.Bool("model", true, "drive the batching window with the calibrated r(m) cost model")
-		recycle    = flag.Int("recycle", 0, "recycle a k-vector deflation basis across batches in each swept engine (0: off)")
 
 		loadsF    = flag.String("load", "0.5,2,8,32", "load factors relative to the baseline service rate")
 		ensembleF = flag.String("ensemble", "", "comma-separated member counts K: sweep fused K-wide ensemble requests instead of single-RHS traffic")
@@ -186,7 +185,6 @@ func main() {
 		MaxBatch:   *maxBatch,
 		MaxWait:    *maxWait,
 		WaitFactor: *waitFactor,
-		RecycleK:   *recycle,
 	}
 	if *useModel {
 		cfg.Model = &model.GSPMV{

@@ -8,7 +8,6 @@ import (
 	"repro/internal/bcrs"
 	"repro/internal/blas"
 	"repro/internal/chebyshev"
-	"repro/internal/model"
 	"repro/internal/multivec"
 	"repro/internal/obs"
 	"repro/internal/rng"
@@ -88,22 +87,6 @@ type Config struct {
 	// guesses phase. This composes the paper's MRHS approach with
 	// the Section III preconditioner-reuse technique.
 	BlockPrecond func(a *bcrs.Matrix) solver.Preconditioner
-	// RecycleK arms cross-step Krylov recycling (solver.Recycler):
-	// each step's converged midpoint velocity is harvested into a
-	// bounded orthonormal basis of the newest RecycleK directions,
-	// re-orthogonalized against every step's drifting matrix, and the
-	// per-step first solves are Galerkin-corrected before iterating.
-	// Trajectories remain bitwise-reproducible at a fixed thread
-	// count — the corrections are a deterministic function of the
-	// solve sequence — but differ bitwise from an unrecycled run (they
-	// converge to the same tolerance along a different iterate path).
-	// 0 disables recycling.
-	RecycleK int
-	// RecycleModel, if non-nil, prices the per-step projector rebuild
-	// (one RecycleK-wide GSPMV) against the iterations the correction
-	// saves (model.GSPMV.RecyclePays) and auto-disables recycling when
-	// it loses. Nil leaves recycling always on.
-	RecycleModel *model.GSPMV
 	// Recovery, if non-nil, arms crash recovery in the Run loops:
 	// transport faults that unwind out of a step or chunk restore the
 	// last snapshot and replay it (see Recovery). Nil converts fault
@@ -213,12 +196,6 @@ type Runner struct {
 	cur Configuration
 	k   int // global step index
 
-	// rec is the cross-step Krylov recycler (nil unless
-	// Config.RecycleK > 0). Its state is captured in recovery
-	// snapshots so fault replays correct exactly as the interrupted
-	// attempt would have.
-	rec *solver.Recycler
-
 	// onStepHigh is the watermark of steps already reported through
 	// OnStep, so a fault-recovery replay never emits a trajectory
 	// frame twice.
@@ -227,8 +204,7 @@ type Runner struct {
 	// buf holds the vectors of one time step — noise, Brownian force,
 	// right-hand side, first-solve guess and solution, midpoint
 	// velocity — reused from step to step. None outlives its step:
-	// OnStep must not retain its slice and the recycler copies what it
-	// harvests.
+	// OnStep must not retain its slice.
 	buf struct{ noise, fb, rhs, guess, u, uHalf []float64 }
 
 	Timings Timings
@@ -264,16 +240,8 @@ type Runner struct {
 // NewRunner wraps the starting configuration.
 func NewRunner(c Configuration, cfg Config) *Runner {
 	cfg = cfg.withDefaults()
-	return &Runner{
-		cfg: cfg,
-		cur: c,
-		rec: solver.NewRecycler(solver.RecycleConfig{K: cfg.RecycleK, Model: cfg.RecycleModel}),
-	}
+	return &Runner{cfg: cfg, cur: c}
 }
-
-// RecycleStats snapshots the cross-step recycler's observable state
-// (zero when recycling is off).
-func (r *Runner) RecycleStats() solver.RecycleStats { return r.rec.Stats() }
 
 // Current returns the present configuration.
 func (r *Runner) Current() Configuration { return r.cur }
@@ -548,23 +516,16 @@ func (r *Runner) StepOriginal() error {
 	r.Timings.ChebSingle += time.Since(t0)
 	rhs := r.negRHS(fb, r.externalForce(r.cur))
 
-	// First solve, cold — unless the recycler holds directions from
-	// earlier steps, in which case the zero guess is Galerkin-corrected
-	// before iterating. The rebuild (one RecycleK-wide multiply against
-	// this step's fresh matrix) and the correction are both charged to
-	// FirstSolve time: they exist only to shorten it.
+	// First solve, cold.
 	u := r.vec(&r.buf.u)
 	clear(u)
 	t0 = time.Now()
-	r.rec.BeginRound(op, true)
-	corrected := r.rec.CorrectZero(u, rhs)
 	st1 := r.firstSolve(a, op, u, rhs)
 	r.Timings.FirstSolve += time.Since(t0)
 	if !st1.Converged {
 		r.noteFailure("first_solve")
 		return fmt.Errorf("core: step %d first solve stalled at residual %g", r.k, st1.Residual)
 	}
-	r.rec.Observe(st1.Iterations, corrected)
 
 	rec := StepRecord{Step: r.k, FirstIters: st1.Iterations}
 
@@ -615,11 +576,6 @@ func (r *Runner) secondSolve(u, rhs []float64) ([]float64, solver.Stats, error) 
 		r.noteFailure("second_solve")
 		return nil, st, fmt.Errorf("core: step %d second solve stalled at residual %g", r.k, st.Residual)
 	}
-	// The converged midpoint velocity is the best available sample of
-	// the slowly-drifting solution subspace: harvest it for the next
-	// step's deflation basis. Both algorithms funnel through here, so
-	// recycling covers original and MRHS stepping alike.
-	r.rec.Harvest(uHalf)
 	return uHalf, st, nil
 }
 
@@ -670,21 +626,9 @@ func (r *Runner) StepMRHS(steps int) error {
 		}
 	}
 
-	// Step 3: solve the augmented system R_0 * U = -F^B. Recycled
-	// directions from earlier chunks correct each zero column before
-	// the block iteration starts; the fused iterations are not fed to
-	// the recycler's economics (they are block-rate, not single-rate).
+	// Step 3: solve the augmented system R_0 * U = -F^B.
 	u := multivec.New(dim, m)
 	t0 = time.Now()
-	r.rec.BeginRound(op0, true)
-	col, rhs := r.vec(&r.buf.u), r.vec(&r.buf.rhs)
-	for j := 0; j < m; j++ {
-		clear(col)
-		fb.Col(j, rhs)
-		if r.rec.CorrectZero(col, rhs) {
-			u.SetCol(j, col)
-		}
-	}
 	blockOpts := r.solveOpts()
 	if r.cfg.BlockPrecond != nil {
 		blockOpts.Precond = r.cfg.BlockPrecond(a0)
@@ -694,6 +638,9 @@ func (r *Runner) StepMRHS(steps int) error {
 	r.BlockIters += stB.Iterations
 	if !stB.Converged {
 		r.noteFailure("block_solve")
+		if stB.Err != nil {
+			return fmt.Errorf("core: chunk at step %d augmented solve: %w", r.k, stB.Err)
+		}
 		return fmt.Errorf("core: chunk at step %d augmented solve stalled at residual %g", r.k, stB.Residual)
 	}
 	r.emitChunk(m, stB, tm0)
@@ -737,15 +684,12 @@ func (r *Runner) StepMRHS(steps int) error {
 		u.Col(j, guess)
 		copy(uk, guess)
 		t0 = time.Now()
-		r.rec.BeginRound(opk, true)
-		corrected := r.rec.Correct(opk, uk, rhs)
 		st1 := r.firstSolve(ak, opk, uk, rhs)
 		r.Timings.FirstSolve += time.Since(t0)
 		if !st1.Converged {
 			r.noteFailure("first_solve")
 			return fmt.Errorf("core: step %d first solve stalled at residual %g", r.k, st1.Residual)
 		}
-		r.rec.Observe(st1.Iterations, corrected)
 
 		rec := StepRecord{Step: r.k, FirstIters: st1.Iterations, HadGuess: true}
 		rec.GuessRelError = relError(uk, guess)

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"slices"
 	"testing"
@@ -200,6 +201,21 @@ func TestMaxIterPropagates(t *testing.T) {
 	r := NewRunner(newToy(30, 15), Config{Dt: 0.1, Seed: 15, MaxIter: 1, Tol: 1e-14})
 	if err := r.StepOriginal(); err == nil {
 		t.Fatal("expected convergence failure with MaxIter=1")
+	}
+}
+
+// A non-finite right-hand side must fail the chunk's augmented solve
+// with the solver's typed breakdown error, in its first iteration, not
+// spin to MaxIter on NaN state.
+func TestStepMRHSNonFiniteFailsTyped(t *testing.T) {
+	tc := newToy(30, 16)
+	force := make([]float64, tc.Dim())
+	force[4] = math.NaN()
+	r := NewRunner(tc, Config{Dt: 0.1, M: 4, Seed: 16,
+		ExternalForce: func(Configuration) []float64 { return force }})
+	err := r.StepMRHS(4)
+	if !errors.Is(err, solver.ErrBreakdown) || r.BlockIters != 0 {
+		t.Fatalf("err = %v after %d block iterations, want ErrBreakdown after 0", err, r.BlockIters)
 	}
 }
 

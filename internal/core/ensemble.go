@@ -132,7 +132,6 @@ func (e *EnsembleRunner) Step() error {
 	rhss := make([][]float64, kk)
 	us := make([][]float64, kk)
 	opts := make([]solver.Options, kk)
-	corrected := make([]bool, kk)
 	for i, r := range e.members {
 		t0 := time.Now()
 		a := r.cur.Build()
@@ -152,12 +151,6 @@ func (e *EnsembleRunner) Step() error {
 		ops[i] = op
 		us[i] = make([]float64, dim)
 		opts[i] = r.solveOpts()
-		// Each member keeps its own recycler (NewRunner built one per
-		// seed), correcting column i before the fused solve. MultiCG is
-		// bitwise-identical per column to a lone CG, so the member ==
-		// RunOriginal equivalence survives recycling.
-		r.rec.BeginRound(op, true)
-		corrected[i] = r.rec.CorrectZero(us[i], rhss[i])
 	}
 
 	// First solves, cold, fused: one MultiCG whose column i multiplies
@@ -171,7 +164,6 @@ func (e *EnsembleRunner) Step() error {
 			return fmt.Errorf("core: ensemble member %d step %d first solve stalled at residual %g",
 				i, k, st.Residual)
 		}
-		e.members[i].rec.Observe(st.Iterations, corrected[i])
 	}
 
 	// Midpoint configurations and their matrices, then the fused
@@ -196,13 +188,10 @@ func (e *EnsembleRunner) Step() error {
 		}
 	}
 
-	// Advance every member and record its step. The converged midpoint
-	// velocity feeds member i's own deflation basis, mirroring
-	// secondSolve's harvest in the unfused path.
+	// Advance every member and record its step.
 	for i, r := range e.members {
 		rec := StepRecord{Step: r.k, FirstIters: st1[i].Iterations, SecondIters: st2[i].Iterations}
 		r.Records = append(r.Records, rec)
-		r.rec.Harvest(uHalfs[i])
 		r.advance(uHalfs[i])
 	}
 	e.Timings.Steps++

@@ -1,0 +1,127 @@
+package core_test
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/bcrs"
+	"repro/internal/cluster"
+	"repro/internal/cluster/faults"
+	"repro/internal/core"
+	"repro/internal/hydro"
+	"repro/internal/obs"
+	"repro/internal/particles"
+	"repro/internal/partition"
+	"repro/internal/sd"
+)
+
+// pinned is one trajectory's fingerprint: the bitwise checksum of the
+// final particle system and the total iterations of each solve kind.
+type pinned struct {
+	checksum             uint64
+	first, second, block int
+}
+
+func fingerprint(sys *particles.System, r *core.Runner) pinned {
+	p := pinned{checksum: sys.Checksum(), block: r.BlockIters}
+	for _, rec := range r.Records {
+		p.first += rec.FirstIters
+		p.second += rec.SecondIters
+	}
+	return p
+}
+
+// TestPinnedTrajectories pins one small SD system, stepped by every
+// path through the stepper, to the bits of the commit before Krylov
+// recycling left the stepper (amd64, one thread): the edit to
+// StepOriginal, StepMRHS, secondSolve, Ensemble.Step and the recovery
+// snapshot must not move a trajectory by one ulp or a solve by one
+// iteration.
+func TestPinnedTrajectories(t *testing.T) {
+	const steps = 8 // two chunks of m = 4
+	opt := hydro.Options{Phi: 0.3}
+	cfg := core.Config{Dt: 2, M: 4, Seed: 3}
+	newSys := func() *particles.System {
+		sys, err := particles.New(particles.Options{N: 60, Phi: 0.3, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	check := func(name string, got, want pinned) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s: got {%#016x, %d, %d, %d}, pinned {%#016x, %d, %d, %d}", name,
+				got.checksum, got.first, got.second, got.block,
+				want.checksum, want.first, want.second, want.block)
+		}
+	}
+
+	orig := sd.New(newSys(), opt, cfg, 1)
+	if err := orig.RunOriginal(steps); err != nil {
+		t.Fatal(err)
+	}
+	check("original", fingerprint(orig.System(), orig.Runner), pinned{0xa0101326492d7ad0, 265, 156, 0})
+
+	mrhs := sd.New(newSys(), opt, cfg, 1)
+	if err := mrhs.RunMRHS(steps); err != nil {
+		t.Fatal(err)
+	}
+	check("mrhs", fingerprint(mrhs.System(), mrhs.Runner), pinned{0x8a78d8563900e7c9, 115, 156, 42})
+
+	ens, err := sd.NewEnsemble(newSys(), opt, cfg, 1, sd.EnsembleOptions{Seeds: []uint64{3, 4, 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ens.Run(steps); err != nil {
+		t.Fatal(err)
+	}
+	// Member 0 shares the lone original run's seed, hence its bits.
+	for i, want := range []pinned{
+		{0xa0101326492d7ad0, 265, 156, 0},
+		{0x94d163a19f0a83a8, 265, 153, 0},
+		{0xeb4a35f9dd17c21d, 264, 158, 0},
+	} {
+		r := ens.Member(i)
+		check("ensemble member", fingerprint(r.Current().(*sd.Conf).Sys, r), want)
+	}
+
+	// One node crash in the second chunk's block solve (the injector is
+	// armed only once the first chunk is done; a cluster counts its own
+	// multiplies, 30 Chebyshev terms and then the block iterations), so
+	// the replay has records and block iterations to roll back.
+	plan, err := faults.Parse("crash:node=1,at=40")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := plan.NewInjector(1)
+	armed := false
+	rcfg := cfg
+	rcfg.Recovery = &core.Recovery{MaxRetries: 3}
+	rcfg.Distribute = func(a *bcrs.Matrix, c core.Configuration) core.DistOp {
+		const p = 2
+		cl, err := cluster.New(a, partition.RCB(a, c.(*sd.Conf).Sys.Pos, p).Part, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if armed {
+			cl.SetFaults(inj, cluster.Backoff{Base: 20 * time.Microsecond, Max: 200 * time.Microsecond,
+				MaxAttempts: 10, Deadline: 5 * time.Second, Seed: 1})
+		}
+		return cl
+	}
+	chaos := sd.New(newSys(), opt, rcfg, 1)
+	reg := obs.NewRegistry()
+	chaos.Obs = reg
+	if err := chaos.RunMRHS(steps / 2); err != nil {
+		t.Fatal(err)
+	}
+	armed = true
+	if err := chaos.RunMRHS(steps / 2); err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Counter(obs.Label("core_fault_recoveries_total", "phase", "chunk")).Value(); n != 1 {
+		t.Fatalf("chunk recoveries = %d, want the one injected crash replayed once", n)
+	}
+	check("mrhs under recovery", fingerprint(chaos.System(), chaos.Runner), pinned{0x33d364e06ef3c3bb, 115, 156, 42})
+}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cluster/faults"
 	"repro/internal/obs"
-	"repro/internal/solver"
 )
 
 // Snapshotter persists recovery state outside the process, so a
@@ -47,19 +46,13 @@ type memSnap struct {
 	steps      int // Timings.Steps
 	records    int // len(Records)
 	blockIters int
-	// recycle freezes the Krylov recycler's decision state so a replay
-	// applies exactly the corrections the interrupted attempt would
-	// have — without it, the partial attempt's harvests and EWMA drift
-	// would leak into the replay and break bitwise determinism.
-	recycle solver.RecycleSnapshot
 }
 
 // takeSnap captures the rollback point and, when a Snapshotter is
 // configured, persists it.
 func (r *Runner) takeSnap() (memSnap, error) {
 	s := memSnap{cur: r.cur, k: r.k, steps: r.Timings.Steps,
-		records: len(r.Records), blockIters: r.BlockIters,
-		recycle: r.rec.Snapshot()}
+		records: len(r.Records), blockIters: r.BlockIters}
 	if rc := r.cfg.Recovery; rc != nil && rc.Snapshotter != nil {
 		if err := rc.Snapshotter.Save(r.cur, r.k); err != nil {
 			return memSnap{}, fmt.Errorf("core: snapshot at step %d: %w", r.k, err)
@@ -90,7 +83,6 @@ func (r *Runner) restoreSnap(s memSnap) error {
 	r.Timings.Steps = s.steps
 	r.Records = r.Records[:s.records]
 	r.BlockIters = s.blockIters
-	r.rec.Restore(s.recycle)
 	return nil
 }
 

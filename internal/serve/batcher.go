@@ -289,11 +289,6 @@ func (e *Engine) dispatch(batch []*call) {
 			// multiplies, and the vector work around them.
 			c.tr.SetAttr("mul_s", e.ws.MulSeconds)
 			c.tr.SetAttr("vec_s", e.ws.VecSeconds)
-			if e.rec.Enabled() {
-				rs := e.rec.Stats()
-				c.tr.SetAttr("recycle_basis", int64(rs.BasisSize))
-				c.tr.SetAttr("recycle_enabled", rs.Enabled)
-			}
 			// Tail latencies become traceable: the request-latency
 			// histogram bucket this observation lands in remembers
 			// this trace's ID as its exemplar.
@@ -342,40 +337,11 @@ func (e *Engine) solveBatch(live []*call, q int, xs [][]float64) (stats []solver
 			j++
 		}
 	}
-	e.beginRecycleRound()
-	corrected := e.rec.CorrectZeroColumns(xs, bs)
-	if corrected {
-		recycleCorrected.Add(int64(q))
-	}
 	stats = solver.MultiCGWith(e.ws, e.op, xs, bs, opts)
-	for i := range stats {
-		st := &stats[i]
-		if st.Err != nil {
-			continue
-		}
-		e.rec.Observe(st.Iterations, corrected)
-		if st.Converged {
-			e.rec.Harvest(xs[i])
-		}
-	}
 	clear(bs)   // drop request references so reuse does not pin them
 	clear(opts) // drop per-request contexts
 	e.bsBuf, e.optsBuf = bs[:0], opts[:0]
 	return stats
-}
-
-// beginRecycleRound opens one recycler round for the batch about to
-// dispatch, first dropping the basis if the shard fleet re-partitioned
-// since it was built — a degraded layout changes the operator the
-// basis was orthonormalized against.
-func (e *Engine) beginRecycleRound() {
-	if e.fleet != nil {
-		if g := e.fleet.Gen(); g != e.fleetGen {
-			e.fleetGen = g
-			e.rec.Invalidate()
-		}
-	}
-	e.rec.BeginRound(e.op, false)
 }
 
 // colOptions builds the solver options for one of a call's requests.

@@ -12,7 +12,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/shard"
-	"repro/internal/solver"
 	"repro/internal/stats"
 )
 
@@ -125,12 +124,6 @@ type Info struct {
 	// DefaultEnsemble the member count used when a request names none.
 	MaxEnsemble     int `json:"max_ensemble"`
 	DefaultEnsemble int `json:"default_ensemble"`
-	// Recycle is the cross-batch Krylov-recycling state when
-	// Config.RecycleK armed it: configured budget, live basis size,
-	// the model's current payoff verdict, hit rate, and the estimated
-	// iterations saved per corrected solve. Absent when recycling is
-	// off.
-	Recycle *solver.RecycleStats `json:"recycle,omitempty"`
 	// Shard is the live fleet topology when the engine routes solves
 	// across RCB-partitioned shards: live/configured/tombstoned shard
 	// counts, the crash policy, and per-shard owned and halo row
@@ -377,9 +370,6 @@ func Handler(e *Engine) http.Handler {
 			Symmetric:       e.Symmetric(),
 			MaxEnsemble:     cfg.MaxBatch,
 			DefaultEnsemble: cfg.DefaultEnsemble,
-		}
-		if rs := e.RecycleStats(); rs.K > 0 {
-			info.Recycle = &rs
 		}
 		if top, ok := e.ShardTopology(); ok {
 			info.Shard = &top

@@ -17,11 +17,6 @@ var (
 	canceledQueued = obs.Default.Counter("serve_canceled_in_queue_total")
 	nonConverged   = obs.Default.Counter("serve_nonconverged_total")
 	shardFailed    = obs.Default.Counter("serve_shard_failures_total")
-	// recycleCorrected counts right-hand sides whose zero guess was
-	// Galerkin-corrected from the cross-batch deflation basis before
-	// the dispatch's solve; the solver-side solver_deflation_* family
-	// carries the basis lifecycle (builds, drops, invalidations).
-	recycleCorrected = obs.Default.Counter("serve_recycle_corrected_total")
 
 	batches  = obs.Default.Counter("serve_batches_total")
 	batchRHS = obs.Default.Counter("serve_batch_rhs_total")

@@ -84,20 +84,6 @@ type Config struct {
 	// DefaultEnsemble is the member count /v1/ensemble uses when the
 	// request names neither explicit vectors nor seeds. Default 4.
 	DefaultEnsemble int
-	// RecycleK arms cross-batch Krylov recycling: converged solutions
-	// are harvested into a bounded deflation basis (the newest RecycleK
-	// directions, orthonormalized) and every later batch's zero guesses
-	// are Galerkin-corrected against it before the solve — the serve
-	// analogue of warm-starting, sound here because the operator is
-	// fixed for the engine's lifetime. Corrected solves still converge
-	// to the requested tolerance and are bitwise-reproducible at a
-	// fixed basis, but no longer bitwise-match a recycling-off solve
-	// (the iterate path starts elsewhere). With Model set, recycling
-	// auto-disables whenever the measured iterations saved stop paying
-	// for the basis rebuilds. On a sharded engine the basis is
-	// invalidated whenever the fleet re-partitions (shard.Fleet.Gen).
-	// 0 disables recycling.
-	RecycleK int
 	// Shards, when >= 1, partitions the operator into that many
 	// RCB-owned shard engines (internal/shard) and routes every
 	// batched multiply across them. Requires a plain *bcrs.Matrix
@@ -232,13 +218,6 @@ type Engine struct {
 	ws      *solver.MultiCGWorkspace
 	bsBuf   [][]float64
 	optsBuf []solver.Options
-
-	// Cross-batch recycling state, dispatcher-owned like the scratch
-	// above (Stats() reads are the one cross-goroutine window, via
-	// atomics inside the recycler). fleetGen tracks the shard topology
-	// generation the current basis was built under.
-	rec      *solver.Recycler
-	fleetGen int
 }
 
 // NewEngine starts an engine serving solves against op. Close it to
@@ -272,18 +251,10 @@ func NewEngine(op solver.BlockOperator, cfg Config) *Engine {
 		done:      make(chan struct{}),
 		itersEWMA: cfg.SeedIters,
 		ws:        solver.NewMultiCGWorkspace(),
-		rec:       solver.NewRecycler(solver.RecycleConfig{K: cfg.RecycleK, Model: cfg.Model}),
-	}
-	if fleet != nil {
-		e.fleetGen = fleet.Gen()
 	}
 	go e.run()
 	return e
 }
-
-// RecycleStats snapshots the engine's cross-batch recycler (zero when
-// Config.RecycleK is 0). Safe from any goroutine.
-func (e *Engine) RecycleStats() solver.RecycleStats { return e.rec.Stats() }
 
 // N returns the scalar dimension requests must match.
 func (e *Engine) N() int { return e.n }

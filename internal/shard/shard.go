@@ -293,10 +293,3 @@ func (f *Fleet) Shards() int { return f.topo.Load().c.P() }
 // Degraded reports whether the fleet is running below its configured
 // shard count (a crash shrank it).
 func (f *Fleet) Degraded() bool { return f.Shards() < f.shards }
-
-// Gen returns the live topology's generation, bumped by every
-// re-partition (crash recovery installs a survivor layout). Consumers
-// caching state derived from the fleet's arithmetic — the serve tier's
-// recycled deflation basis — compare generations to invalidate when
-// the layout, and hence the degraded operator, changes under them.
-func (f *Fleet) Gen() int { return f.topo.Load().gen }

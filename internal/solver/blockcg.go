@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"math"
 	"sync"
 	"time"
 
@@ -109,6 +110,8 @@ func (w *blockWork) solveSmall(g, h *blas.Dense) (*blas.Dense, bool) {
 // linearly dependent — the classic block-CG breakdown) is regularized
 // with a small diagonal ridge; if it remains singular the solve
 // returns with the current iterate and per-column convergence flags.
+// A residual that is not finite ends the solve at once with Err =
+// ErrBreakdown: the iteration mixes columns, so one NaN reaches all.
 func BlockCG(a BlockOperator, x, b *multivec.MultiVec, opt Options) (stats BlockStats) {
 	n := a.N()
 	if x.N != n || b.N != n || x.M != b.M {
@@ -158,6 +161,9 @@ func BlockCG(a BlockOperator, x, b *multivec.MultiVec, opt Options) (stats Block
 		}
 	}
 	rn := w.rn
+	// check refreshes the per-column residuals and reports whether the
+	// solve is over: every column converged, or a residual is not finite
+	// (NaN or Inf in B, in the guess or out of the operator): breakdown.
 	check := func() bool {
 		r.ColNormsInto(rn)
 		all := true
@@ -174,15 +180,19 @@ func BlockCG(a BlockOperator, x, b *multivec.MultiVec, opt Options) (stats Block
 				stats.ColumnConverged[j] = false
 				all = false
 			}
-			if rel > worst {
+			if rel > worst || rel != rel { // a NaN sticks: nothing compares above it
 				worst = rel
 			}
 		}
 		stats.Residual = worst
+		if math.IsNaN(worst) || math.IsInf(worst, 0) {
+			stats.Err = ErrBreakdown
+			return true
+		}
+		stats.Converged = all
 		return all
 	}
 	if check() {
-		stats.Converged = true
 		return stats
 	}
 
@@ -228,7 +238,6 @@ func BlockCG(a BlockOperator, x, b *multivec.MultiVec, opt Options) (stats Block
 		stats.Iterations = it + 1
 
 		if check() {
-			stats.Converged = true
 			break
 		}
 

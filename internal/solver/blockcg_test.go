@@ -1,6 +1,8 @@
 package solver
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/bcrs"
@@ -114,4 +116,55 @@ func BenchmarkBlockCG(b *testing.B) {
 	b.ReportMetric(vec/(mul+vec), "vec-share")
 	b.ReportMetric(float64(iters)/float64(b.N), "iters/op")
 	b.ReportMetric((mul+vec)/float64(iters)*1e6, "µs/iter")
+}
+
+// nanAfter is a healthy operator until its nth block multiply, whose
+// product carries one NaN.
+type nanAfter struct {
+	*bcrs.Matrix
+	n, muls int
+}
+
+func (o *nanAfter) Mul(y, x *multivec.MultiVec) {
+	o.Matrix.Mul(y, x)
+	if o.muls++; o.muls == o.n {
+		y.Data[len(y.Data)/2] = math.NaN()
+	}
+}
+
+// TestBlockCGNonFinite: a NaN or an Inf in one column of B, or a NaN
+// out of the operator mid-solve, ends BlockCG — and BlockCGWithFallback,
+// without a rescue — with ErrBreakdown in the iteration it appears in.
+// The block iteration used to run all MaxIter = 10n iterations on NaN
+// state and return Err == nil.
+func TestBlockCGNonFinite(t *testing.T) {
+	a := bcrs.Random(bcrs.RandomOptions{NB: 300, BlocksPerRow: 6, Seed: 4})
+	n, m := a.N(), 4
+	for _, tc := range []struct {
+		name     string
+		poison   float64 // written into one entry of B unless zero
+		nanMul   int     // the operator's nanMul-th product carries a NaN
+		maxIters int
+	}{
+		{"NaN rhs", math.NaN(), 0, 0},
+		{"Inf rhs", math.Inf(1), 0, 0},
+		{"NaN from the operator", 0, 4, 3}, // multiply 1 forms R: the 4th is iteration 3's
+	} {
+		for name, solve := range map[string]func(BlockOperator, *multivec.MultiVec, *multivec.MultiVec, Options) BlockStats{
+			"BlockCG": BlockCG, "BlockCGWithFallback": BlockCGWithFallback,
+		} {
+			b := multivec.New(n, m)
+			for j := 0; j < m; j++ {
+				b.SetCol(j, testRHS(n, uint64(40+j)))
+			}
+			if tc.poison != 0 {
+				b.Data[(n/3)*m+2] = tc.poison
+			}
+			st := solve(&nanAfter{Matrix: a, n: tc.nanMul}, multivec.New(n, m), b, Options{})
+			if !errors.Is(st.Err, ErrBreakdown) || st.Converged || st.Fallback || st.Iterations > tc.maxIters {
+				t.Errorf("%s, %s: Err %v, converged %v, fallback %v after %d iterations (want ErrBreakdown within %d)",
+					tc.name, name, st.Err, st.Converged, st.Fallback, st.Iterations, tc.maxIters)
+			}
+		}
+	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/bcrs"
 	"repro/internal/blas"
-	"repro/internal/model"
 )
 
 func recycleMatrix(seed uint64) *bcrs.Matrix {
@@ -43,11 +42,11 @@ func TestDeflationProjectionProperty(t *testing.T) {
 	}
 }
 
-// TestRecycledCGAcrossBatches models the serving sequence the recycler
-// exists for: successive batches of differing width against the same
-// operator, each batch's solutions feeding the next batch's deflation
-// space. Recycling must (a) keep every solve correct and (b) never
-// take more iterations than cold CG on the same system.
+// TestRecycledCGAcrossBatches models a serving sequence: successive
+// batches of differing width against the same operator, each batch's
+// solutions feeding the next batch's deflation space. Recycling must
+// (a) keep every solve correct and (b) never take more iterations
+// than cold CG on the same system.
 func TestRecycledCGAcrossBatches(t *testing.T) {
 	a := recycleMatrix(22)
 	n := a.N()
@@ -249,7 +248,7 @@ func TestNewDeflationRelativeDropTolerance(t *testing.T) {
 
 // TestCorrectZeroMatchesCorrect: CorrectZero must be bitwise-identical
 // to Correct called with a zero initial guess — the equivalence that
-// lets the batched zero-guess path skip the residual multiply.
+// lets a zero-guess solve skip the residual multiply.
 func TestCorrectZeroMatchesCorrect(t *testing.T) {
 	a := recycleMatrix(28)
 	n := a.N()
@@ -266,197 +265,5 @@ func TestCorrectZeroMatchesCorrect(t *testing.T) {
 		if x1[i] != x2[i] {
 			t.Fatalf("x[%d]: Correct %v != CorrectZero %v", i, x1[i], x2[i])
 		}
-	}
-}
-
-// TestRecycledMultiCGMatchesPerColumn pins the tentpole guarantee:
-// under retirement and repack (mixed tolerances force columns out at
-// different iterations, repacking survivors through the kernel-width
-// ladder), every column of RecycledMultiCG is bitwise-identical to
-// the same column solved alone with the same deflation basis.
-func TestRecycledMultiCGMatchesPerColumn(t *testing.T) {
-	a := recycleMatrix(29)
-	n := a.N()
-	d, err := NewDeflation(a, [][]float64{testRHS(n, 31), testRHS(n, 32), testRHS(n, 33), testRHS(n, 34)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const q = 7 // pads to the 8-kernel, then repacks 4 -> 2 -> 1
-	xs := make([][]float64, q)
-	bs := make([][]float64, q)
-	opts := make([]Options, q)
-	tols := []float64{1e-2, 1e-4, 1e-6, 1e-8, 1e-3, 1e-9, 1e-5}
-	for j := 0; j < q; j++ {
-		bs[j] = testRHS(n, uint64(40+j))
-		xs[j] = make([]float64, n)
-		opts[j] = Options{Tol: tols[j], MaxIter: 1000}
-	}
-	stats := RecycledMultiCG(a, xs, bs, opts, d)
-
-	iters := map[int]bool{}
-	for j := 0; j < q; j++ {
-		if !stats[j].Converged {
-			t.Fatalf("column %d did not converge", j)
-		}
-		iters[stats[j].Iterations] = true
-		x := make([]float64, n)
-		d.CorrectZero(x, bs[j])
-		st := CG(a, x, bs[j], opts[j])
-		if st.Iterations != stats[j].Iterations {
-			t.Errorf("column %d: fused %d iterations, lone %d", j, stats[j].Iterations, st.Iterations)
-		}
-		for i := range x {
-			if x[i] != xs[j][i] {
-				t.Fatalf("column %d: x[%d] differs from lone recycled solve", j, i)
-			}
-		}
-	}
-	if len(iters) < 3 {
-		t.Fatalf("tolerance spread produced only %d distinct retirement points; repack untested", len(iters))
-	}
-	// Nil deflation degenerates to plain MultiCG bitwise.
-	xs2 := make([][]float64, q)
-	for j := range xs2 {
-		xs2[j] = make([]float64, n)
-	}
-	plain := MultiCG(a, xs2, bs, opts)
-	stats2 := RecycledMultiCG(a, xs2, bs, opts, nil)
-	_ = stats2
-	_ = plain
-}
-
-// TestRecyclerRoundLifecycle drives a Recycler through the harvest /
-// rebuild / correct / observe cycle and checks the observable
-// bookkeeping: basis growth to the budget, hit counting, probe
-// skips, and invalidation.
-func TestRecyclerRoundLifecycle(t *testing.T) {
-	a := recycleMatrix(35)
-	n := a.N()
-	rc := NewRecycler(RecycleConfig{K: 3, ProbeEvery: 4})
-	if rc == nil || !rc.Enabled() {
-		t.Fatal("recycler disabled with positive budget")
-	}
-	if NewRecycler(RecycleConfig{}) != nil {
-		t.Fatal("K=0 must return a nil recycler")
-	}
-
-	opt := Options{Tol: 1e-8, MaxIter: 1000}
-	var corrected, skipped int
-	for round := 1; round <= 12; round++ {
-		rc.BeginRound(a, true)
-		b := testRHS(n, uint64(50+round))
-		x := make([]float64, n)
-		was := rc.CorrectZero(x, b)
-		st := CG(a, x, b, opt)
-		if !st.Converged {
-			t.Fatalf("round %d did not converge", round)
-		}
-		rc.Observe(st.Iterations, was)
-		rc.Harvest(x)
-		if was {
-			corrected++
-		} else {
-			skipped++
-		}
-	}
-	st := rc.Stats()
-	if st.BasisSize != 3 {
-		t.Errorf("basis size %d, want budget 3", st.BasisSize)
-	}
-	if st.Corrections != int64(corrected) || st.Skips != int64(skipped) {
-		t.Errorf("stats count corrections=%d skips=%d, observed %d/%d",
-			st.Corrections, st.Skips, corrected, skipped)
-	}
-	// Round 1 has no basis yet and rounds 4, 8, 12 probe: at least
-	// those four skip; the others correct.
-	if corrected == 0 || skipped < 4 {
-		t.Errorf("corrected=%d skipped=%d: probe cadence broken", corrected, skipped)
-	}
-	if st.HitRate <= 0 || st.HitRate >= 1 {
-		t.Errorf("hit rate %g, want in (0,1)", st.HitRate)
-	}
-
-	rc.Invalidate()
-	st = rc.Stats()
-	if st.BasisSize != 0 || st.Invalidations != 1 {
-		t.Errorf("invalidate left basis=%d invalidations=%d", st.BasisSize, st.Invalidations)
-	}
-	rc.BeginRound(a, true)
-	if rc.RoundDeflation() != nil {
-		t.Error("deflation survived invalidation with no new harvests")
-	}
-}
-
-// TestRecyclerSnapshotRestoreReplaysBitwise: restoring a snapshot and
-// replaying the same solve sequence must reproduce identical
-// corrections — the recovery-replay determinism contract.
-func TestRecyclerSnapshotRestoreReplaysBitwise(t *testing.T) {
-	a := recycleMatrix(36)
-	n := a.N()
-	rc := NewRecycler(RecycleConfig{K: 2, ProbeEvery: 3})
-	opt := Options{Tol: 1e-8, MaxIter: 1000}
-
-	run := func(seed uint64) []float64 {
-		rc.BeginRound(a, true)
-		b := testRHS(n, seed)
-		x := make([]float64, n)
-		was := rc.CorrectZero(x, b)
-		st := CG(a, x, b, opt)
-		rc.Observe(st.Iterations, was)
-		rc.Harvest(x)
-		return x
-	}
-	run(60)
-	run(61)
-	snap := rc.Snapshot()
-	first := [][]float64{run(62), run(63)}
-	rc.Restore(snap)
-	replay := [][]float64{run(62), run(63)}
-	for k := range first {
-		for i := range first[k] {
-			if first[k][i] != replay[k][i] {
-				t.Fatalf("replayed solve %d: x[%d] differs", k, i)
-			}
-		}
-	}
-}
-
-// TestRecyclerAutoDisable: with a model attached and corrections that
-// save nothing (identical warm/cold iteration EWMAs), the payoff
-// verdict must flip recycling off — and the probe cadence must keep
-// re-measuring afterwards.
-func TestRecyclerAutoDisable(t *testing.T) {
-	g := &model.GSPMV{Machine: model.WSM, Shape: model.Shape{NB: 100, NNZB: 500}}
-	rc := NewRecycler(RecycleConfig{K: 4, ProbeEvery: 5, Model: g})
-	a := recycleMatrix(37)
-	n := a.N()
-	// Seed a basis so rounds actually correct.
-	rc.Harvest(testRHS(n, 70))
-	rc.Harvest(testRHS(n, 71))
-
-	// Feed equal cold and warm iteration counts: savings are zero, so
-	// the model must declare the rebuild a pure loss.
-	for round := 0; round < 20; round++ {
-		rc.BeginRound(a, true)
-		corrected := rc.CorrectZero(make([]float64, n), testRHS(n, uint64(80+round)))
-		rc.Observe(100, corrected)
-	}
-	st := rc.Stats()
-	if st.Enabled {
-		t.Fatalf("recycling still enabled with zero measured savings: %+v", st)
-	}
-	if st.Disables < 1 {
-		t.Fatalf("disable transition not counted: %+v", st)
-	}
-	// Once disabled, steady-state rounds skip and only probes correct.
-	before := rc.Stats().Corrections
-	for round := 0; round < 10; round++ {
-		rc.BeginRound(a, true)
-		corrected := rc.CorrectZero(make([]float64, n), testRHS(n, uint64(120+round)))
-		rc.Observe(100, corrected)
-	}
-	delta := rc.Stats().Corrections - before
-	if delta == 0 || delta > 3 {
-		t.Errorf("disabled recycler corrected %d of 10 rounds, want only probes", delta)
 	}
 }

@@ -66,7 +66,9 @@
 //   - BlockCG never panics on numerical breakdown: a singular m-by-m
 //     projected system is ridge-regularized, and if that fails the
 //     solve returns the current iterate with per-column convergence
-//     flags. Callers must inspect BlockStats.Converged.
+//     flags. Callers must inspect BlockStats.Converged. A residual
+//     that is not finite ends the solve in the iteration it appears in
+//     with Err = ErrBreakdown; BlockCGWithFallback then rescues nothing.
 //   - BlockCGWithFallback is the graceful-degradation surface: when
 //     the block solve leaves columns above tolerance it re-solves
 //     each by warm-started single-vector CG plus bounded iterative

@@ -56,6 +56,7 @@ func BlockCGWithFallback(a BlockOperator, x, b *multivec.MultiVec, opt Options) 
 	if stats.Converged || stats.Err != nil {
 		// A canceled block solve stays canceled: spending the rescue
 		// budget after the caller's deadline has passed helps nobody.
+		// A broken-down one (non-finite data) has nothing to rescue.
 		return stats
 	}
 	fallbackSolves.Inc()

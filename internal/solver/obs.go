@@ -48,20 +48,11 @@ var (
 	refineFailures = obs.Default.Counter("solver_refine_nonconverged_total")
 	refineResidual = obs.Default.Histogram("solver_refine_final_residual", obs.ResidualBuckets)
 
-	// Deflation / Krylov recycling: projector rebuilds, the dependent
-	// directions Gram-Schmidt drops, corrections applied vs correction
-	// opportunities passed (the hit rate), operator-identity
-	// invalidations, model auto-disables, and two gauges — the live
-	// basis size and the EWMA estimate of iterations saved per
-	// corrected solve (cold minus warm).
-	deflBuilds        = obs.Default.Counter("solver_deflation_builds_total")
-	deflDropped       = obs.Default.Counter("solver_deflation_dropped_total")
-	deflCorrections   = obs.Default.Counter("solver_deflation_corrections_total")
-	deflSkips         = obs.Default.Counter("solver_deflation_skipped_total")
-	deflInvalidations = obs.Default.Counter("solver_deflation_invalidations_total")
-	deflDisables      = obs.Default.Counter("solver_deflation_disabled_total")
-	deflBasis         = obs.Default.Gauge("solver_deflation_basis_vectors")
-	deflSaved         = obs.Default.Gauge("solver_deflation_iters_saved_est")
+	// Deflation (the Section III Krylov-recycling comparison): builds,
+	// dependent directions Gram-Schmidt dropped, corrections applied.
+	deflBuilds      = obs.Default.Counter("solver_deflation_builds_total")
+	deflDropped     = obs.Default.Counter("solver_deflation_dropped_total")
+	deflCorrections = obs.Default.Counter("solver_deflation_corrections_total")
 )
 
 // traceSolve adds one solve's outcome to the request trace carried
@@ -97,11 +88,14 @@ func recordBlockCG(st *BlockStats) {
 	blockRHS.Add(int64(len(st.ColumnResiduals)))
 	blockMulSeconds.Add(st.MulSeconds)
 	blockVecSeconds.Add(st.VecSeconds)
-	for _, r := range st.ColumnResiduals {
-		blockResidual.Observe(r)
-	}
 	if !st.Converged {
 		blockFailures.Inc()
+	}
+	if errors.Is(st.Err, ErrBreakdown) {
+		return // as in recordCG: its residuals are not finite
+	}
+	for _, r := range st.ColumnResiduals {
+		blockResidual.Observe(r)
 	}
 }
 
