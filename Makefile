@@ -2,10 +2,10 @@ GO ?= go
 
 # The perf artifacts the regression gate watches, and where their
 # committed (HEAD) versions are staged for comparison.
-BENCH_FILES ?= BENCH_serve.json BENCH_symm.json BENCH_parallel.json BENCH_ensemble.json BENCH_shard.json
+BENCH_FILES ?= BENCH_serve.json BENCH_ensemble.json BENCH_shard.json
 BENCH_BASELINE_DIR ?= .bench-baseline
 
-.PHONY: ci docs-gate vet build test bench-test race race-kernels chaos fuzz-faults serial serve-smoke shard-smoke bench bench-snapshot bench-scaling bench-serve bench-symm bench-ensemble bench-shard bench-diff
+.PHONY: ci docs-gate vet build test bench-test race race-kernels chaos fuzz-faults serial serve-smoke shard-smoke bench experiments bench-serve bench-ensemble bench-shard bench-diff
 
 # ci is the gate: vet, build everything, the benchmark module's own
 # vet and tests (bench-test), the full test suite under
@@ -24,9 +24,10 @@ ci: vet build bench-test docs-gate race-kernels race chaos fuzz-faults serve-smo
 # docs-gate fails when an internal/ package lacks a package comment,
 # a tracked markdown file has a broken relative link, README.md /
 # ARCHITECTURE.md name an internal/ or cmd/ path that is not in the
-# tree, or a fenced command in the docs names a make target or a
-# cmd/ flag that no longer exists — documentation drift is a build
-# failure, not a review nit.
+# tree, a fenced command in the docs names a make target, a cmd/ flag
+# or an experiment id that no longer exists, or experiments_output.txt
+# lacks (or repeats) a registered experiment — documentation drift is
+# a build failure, not a review nit.
 docs-gate:
 	$(GO) run ./cmd/docs-gate
 
@@ -92,13 +93,12 @@ serial:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
-# bench-snapshot produces the BENCH_obs.json artifact two ways: the
-# quick test-fixture route (BENCH_OBS_JSON env var) and the heavier
-# gspmv-bench sweep with kernel counters — then the step-scaling
-# artifact alongside it.
-bench-snapshot: bench-scaling
-	BENCH_OBS_JSON=$(CURDIR)/BENCH_obs.json $(GO) test -run TestBenchObsSnapshot .
-	$(GO) run ./cmd/gspmv-bench -nb 10000 -m 1,2,4,8,16 -obs-json $(CURDIR)/BENCH_obs.json
+# experiments regenerates experiments_output.txt, the only committed
+# paper-table artifact: every table and figure of the evaluation plus
+# the ext-* extensions at default sizes (about three minutes on two
+# cores). EXPERIMENTS.md records the host and commit it was produced at.
+experiments:
+	$(GO) run ./cmd/experiments -run all > experiments_output.txt
 
 # serve-smoke runs the batching-server suite (engine + HTTP) under
 # -race: the dispatcher/submitter handoff and the drain path are the
@@ -161,22 +161,3 @@ bench-ensemble:
 bench-shard:
 	$(GO) run ./cmd/serve-bench -nb 3000 -load 0.5,2,8 -shards 1,2,4 -json $(CURDIR)/BENCH_shard.json
 	-$(MAKE) bench-diff BENCH_FILES=BENCH_shard.json
-
-# bench-symm races the parallel half-storage symmetric GSPMV against
-# the general kernels at equal thread counts on a banded (RCM-like,
-# -nowrap) matrix and writes BENCH_symm.json: per-(threads, m)
-# measured and model-predicted speedups, measured r(m) vs r_sym(m),
-# and the bitwise-determinism verdict. "best" holds the top symmetric
-# speedup at m >= 8. The band models an RCM-ordered short-cutoff
-# lubrication topology (the generator's nb/16 default puts >60% of the
-# multiply into scatter-window stalls, an artifact no ordered physical
-# matrix shows).
-bench-symm:
-	$(GO) run ./cmd/gspmv-bench -symmetric -nowrap -nb 150000 -bpr 20 -band 1200 -m 1,2,4,8,16,32 -threads 1,2 -json $(CURDIR)/BENCH_symm.json
-	-$(MAKE) bench-diff BENCH_FILES=BENCH_symm.json
-
-# bench-scaling sweeps the worker-pool size over full MRHS steps and
-# writes BENCH_parallel.json: per-phase seconds, speedup, and parallel
-# efficiency per thread count (1,2,4,... up to NumCPU by default).
-bench-scaling:
-	$(GO) run ./cmd/scaling-bench -n 1000 -steps 4 -m 16 -json $(CURDIR)/BENCH_parallel.json

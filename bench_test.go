@@ -1,11 +1,10 @@
-// Package repro_test holds the benchmark harness: one testing.B
-// benchmark per table and figure of the paper's evaluation, plus the
-// ablation benchmarks for the design choices called out in DESIGN.md.
+// Package repro_test holds the ablation benchmarks for the design
+// choices called out in DESIGN.md — measurements nothing else in the
+// tree takes. The paper's tables and figures come from cmd/experiments
+// and the regression ladder from bench/; neither is mirrored here.
 //
 // Benchmarks use scaled-down systems so `go test -bench=. -benchmem`
-// finishes in minutes on a laptop; the cmd/experiments binary runs
-// the same machinery at configurable scale and prints the paper-style
-// tables.
+// finishes in minutes on a laptop.
 package repro_test
 
 import (
@@ -15,13 +14,9 @@ import (
 
 	"repro/internal/bcrs"
 	"repro/internal/chebyshev"
-	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/hydro"
-	"repro/internal/model"
 	"repro/internal/multivec"
 	"repro/internal/particles"
-	"repro/internal/partition"
 	"repro/internal/rng"
 	"repro/internal/sd"
 	"repro/internal/solver"
@@ -32,7 +27,6 @@ var (
 	fixOnce sync.Once
 	fixSys  *particles.System // 1500 particles, phi=0.5
 	fixMat  *bcrs.Matrix      // its resistance matrix (mat2-like density)
-	fixMat1 *bcrs.Matrix      // sparse-row matrix (mat1-like density)
 )
 
 func fixtures(b *testing.B) {
@@ -47,258 +41,6 @@ func buildFixtures() {
 		panic(err)
 	}
 	fixMat = hydro.Build(fixSys, hydro.Options{Phi: 0.5, CutoffXi: 2.5})
-	fixMat1 = hydro.Build(fixSys, hydro.Options{Phi: 0.5, CutoffXi: 0.15})
-}
-
-// ---- Table I: matrix generation ----
-
-func BenchmarkTable1MatrixGen(b *testing.B) {
-	fixtures(b)
-	for i := 0; i < b.N; i++ {
-		a := hydro.Build(fixSys, hydro.Options{Phi: 0.5})
-		if a.NNZB() == 0 {
-			b.Fatal("empty matrix")
-		}
-	}
-}
-
-// ---- Table II: single-vector SPMV ----
-
-func benchSPMV(b *testing.B, a *bcrs.Matrix) {
-	x := make([]float64, a.N())
-	rng.New(1).FillNormal(x)
-	y := make([]float64, a.N())
-	b.SetBytes(a.Stats().Bytes)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.MulVec(y, x)
-	}
-}
-
-func BenchmarkTable2SPMVmat1(b *testing.B) { fixtures(b); benchSPMV(b, fixMat1) }
-func BenchmarkTable2SPMVmat2(b *testing.B) { fixtures(b); benchSPMV(b, fixMat) }
-
-// ---- Figure 1: model profile ----
-
-func BenchmarkFig1ModelProfile(b *testing.B) {
-	bprs := []float64{6, 24, 48, 84}
-	bofs := []float64{0.02, 0.2, 0.6}
-	for i := 0; i < b.N; i++ {
-		model.Fig1Profile(bprs, bofs, 256)
-	}
-}
-
-// ---- Figure 2: GSPMV relative time ----
-
-func BenchmarkFig2GSPMV(b *testing.B) {
-	fixtures(b)
-	for _, m := range []int{1, 2, 4, 8, 16, 32} {
-		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
-			x := multivec.New(fixMat.N(), m)
-			rng.New(2).FillNormal(x.Data)
-			y := multivec.New(fixMat.N(), m)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				fixMat.Mul(y, x)
-			}
-		})
-	}
-}
-
-// ---- Figures 3, 4 and Table III: simulated cluster ----
-
-func clusterFixture(b *testing.B, p int) *cluster.Cluster {
-	b.Helper()
-	fixtures(b)
-	r := partition.Coordinate(fixMat1, fixSys.Pos, fixSys.Box, p, 0)
-	cl, err := cluster.New(fixMat1, r.Part, p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return cl
-}
-
-func BenchmarkFig3ClusterGSPMV(b *testing.B) {
-	for _, p := range []int{4, 16, 64} {
-		cl := clusterFixture(b, p)
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			x := multivec.New(fixMat1.N(), 8)
-			rng.New(3).FillNormal(x.Data)
-			y := multivec.New(fixMat1.N(), 8)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cl.Mul(y, x) // functional halo-exchange multiply
-			}
-		})
-	}
-}
-
-func BenchmarkFig4RelativeTimeModel(b *testing.B) {
-	cl := clusterFixture(b, 64)
-	cm := cluster.PaperCost()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if cl.RelativeTime(16, cm) <= 0 {
-			b.Fatal("bad relative time")
-		}
-	}
-}
-
-func BenchmarkTable3CommFractions(b *testing.B) {
-	cl := clusterFixture(b, 32)
-	cm := cluster.PaperCost()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, m := range []int{1, 8, 32} {
-			if f := cl.Estimate(m, cm).CommFraction; f < 0 || f > 1 {
-				b.Fatal("bad fraction")
-			}
-		}
-	}
-}
-
-// ---- Table IV: radii sampling ----
-
-func BenchmarkTable4RadiiSampling(b *testing.B) {
-	s := rng.New(4)
-	for i := 0; i < b.N; i++ {
-		particles.SampleRadii(s, 10000)
-	}
-}
-
-// ---- Figures 5-6, Table V: solves with initial guesses ----
-
-func newBenchSim(b *testing.B, m int) *sd.Simulation {
-	b.Helper()
-	sys, err := particles.New(particles.Options{N: 250, Phi: 0.5, Seed: 17})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return sd.New(sys, hydro.Options{Phi: 0.5}, core.Config{Dt: 2, M: m, Seed: 17}, 1)
-}
-
-func BenchmarkFig5GuessError(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sim := newBenchSim(b, 8)
-		if err := sim.RunMRHS(8); err != nil {
-			b.Fatal(err)
-		}
-		if sim.Records[7].GuessRelError <= 0 {
-			b.Fatal("no guess error recorded")
-		}
-	}
-}
-
-func BenchmarkFig6IterationsWithGuesses(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sim := newBenchSim(b, 6)
-		if err := sim.RunMRHS(6); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable5Iterations(b *testing.B) {
-	b.Run("with-guesses", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sim := newBenchSim(b, 6)
-			if err := sim.RunMRHS(6); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("without-guesses", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sim := newBenchSim(b, 1)
-			if err := sim.RunOriginal(6); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// ---- Tables VI-VII: end-to-end step cost ----
-
-func BenchmarkTable6Breakdown(b *testing.B) {
-	b.Run("mrhs", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sim := newBenchSim(b, 8)
-			if err := sim.RunMRHS(8); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("original", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sim := newBenchSim(b, 1)
-			if err := sim.RunOriginal(8); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func BenchmarkTable7Occupancy(b *testing.B) {
-	for _, phi := range []float64{0.1, 0.5} {
-		b.Run(fmt.Sprintf("phi=%.1f", phi), func(b *testing.B) {
-			sys, err := particles.New(particles.Options{N: 250, Phi: phi, Seed: 19})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < b.N; i++ {
-				sim := sd.New(sys.Clone(), hydro.Options{Phi: phi}, core.Config{Dt: 2, M: 8, Seed: 19}, 1)
-				if err := sim.RunMRHS(8); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// ---- Table VIII and Figure 7: the step-time model ----
-
-func BenchmarkTable8ModelSweep(b *testing.B) {
-	p := model.MRHS{
-		GSPMV: model.GSPMV{Machine: model.WSM, Shape: model.Shape{NB: 300000, NNZB: 7500000}},
-		N:     162, N1: 80, N2: 63, Cmax: 30,
-	}
-	for i := 0; i < b.N; i++ {
-		if p.MOptimal(64) < 1 {
-			b.Fatal("bad optimum")
-		}
-	}
-}
-
-func BenchmarkFig7TmrhsSweep(b *testing.B) {
-	for _, m := range []int{4, 8, 16} {
-		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sim := newBenchSim(b, m)
-				if err := sim.RunMRHS(m); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// ---- Figure 8: thread scaling ----
-
-func BenchmarkFig8Threads(b *testing.B) {
-	fixtures(b)
-	for _, t := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("t=%d", t), func(b *testing.B) {
-			fixMat.SetThreads(t)
-			defer fixMat.SetThreads(1)
-			x := multivec.New(fixMat.N(), 16)
-			rng.New(5).FillNormal(x.Data)
-			y := multivec.New(fixMat.N(), 16)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				fixMat.Mul(y, x)
-			}
-		})
-	}
 }
 
 // ---- Ablations (DESIGN.md section 5) ----

@@ -27,7 +27,7 @@ const (
 )
 
 // directions classifies metric leaf keys across every BENCH_*.json
-// artifact this repo emits (serve, symm, parallel, obs).
+// artifact this repo emits (serve, ensemble, shard).
 var directions = map[string]Direction{
 	// BENCH_serve.json
 	"throughput_rps": higherBetter,
@@ -37,23 +37,6 @@ var directions = map[string]Direction{
 	"p99_ms":         lowerBetter,
 	"shed_rate":      lowerBetter,
 	"mean_batch":     higherBetter,
-
-	// BENCH_symm.json
-	"general_secs":    lowerBetter,
-	"sym_secs":        lowerBetter,
-	"predicted_speed": ignored, // model output, not a measurement
-	// Normalized ratios stay ungraded: r_general/r_sym are normalized
-	// by a moving m=1 baseline that the absolute secs columns already
-	// grade.
-	"r_general":       ignored,
-	"r_sym":           ignored,
-	"predicted_r_sym": ignored,
-	"predicted_r_gen": ignored,
-
-	// BENCH_parallel.json
-	"total_seconds":    lowerBetter,
-	"per_step_seconds": lowerBetter,
-	"efficiency":       higherBetter,
 
 	// BENCH_shard.json: the headline scaling ratio is graded; the
 	// strip layout (block_rows/halo_rows) and the chaos pass's counts

@@ -29,7 +29,7 @@ func statuses(fs []Finding) map[string]string {
 // The committed baseline compared against itself must be all-PASS:
 // that is the steady state of `make ci` on an untouched tree.
 func TestSelfComparePasses(t *testing.T) {
-	for _, name := range []string{"BENCH_serve.json", "BENCH_symm.json", "BENCH_parallel.json"} {
+	for _, name := range []string{"BENCH_serve.json", "BENCH_ensemble.json", "BENCH_shard.json"} {
 		base := loadRepoArtifact(t, name)
 		for _, f := range Compare(base, base, 1.25, 2.0) {
 			if f.Status != "PASS" {

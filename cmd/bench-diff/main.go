@@ -3,8 +3,8 @@
 // per-metric, direction-aware tolerances and emits a pass/warn/fail
 // report.
 //
-// The repo's whole argument is measured — r(m) curves, serve
-// throughput, symmetric-kernel speedups — so a PR that silently
+// The repo's whole argument is measured — serve throughput, ensemble
+// and shard scaling — so a PR that silently
 // halves BENCH_serve.json's best throughput is as broken as one that
 // fails a unit test. bench-diff makes that visible: metrics that
 // regress by more than -warn (default 1.25x) warn, more than -fail
@@ -20,7 +20,7 @@
 // Examples:
 //
 //	bench-diff -baseline-dir .bench-baseline BENCH_serve.json
-//	bench-diff -fail 2 -warn 1.25 BENCH_serve.json BENCH_symm.json
+//	bench-diff -fail 2 -warn 1.25 BENCH_serve.json BENCH_shard.json
 package main
 
 import (

@@ -1,5 +1,5 @@
 // Command docs-gate is the CI documentation gate. It fails (exit 1)
-// when any of four classes of documentation drift appears:
+// when any of five classes of documentation drift appears:
 //
 //  1. An internal/ package has no package comment — every package
 //     must say what it implements and which part of the paper it
@@ -13,6 +13,9 @@
 //  4. A fenced command in README.md, DESIGN.md, EXPERIMENTS.md or
 //     ARCHITECTURE.md names a `make` target the Makefile lacks, or a
 //     `-flag` that its `go run ./cmd/<name>` does not declare.
+//  5. A fenced `go run ./cmd/experiments` command passes `-run` an id
+//     the registry lacks, or experiments_output.txt does not hold
+//     exactly one `--- <id>:` section per registered experiment.
 //
 // Run from the repository root, normally via `make docs-gate` (part
 // of `make ci`).
@@ -27,6 +30,8 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+
+	"repro/internal/experiments"
 )
 
 func main() {
@@ -36,6 +41,8 @@ func main() {
 		"README.md", "DESIGN.md", "EXPERIMENTS.md", "ARCHITECTURE.md", "ROADMAP.md")...)
 	problems = append(problems, checkTreePaths("README.md", "ARCHITECTURE.md")...)
 	problems = append(problems, checkCommands(".",
+		"README.md", "DESIGN.md", "EXPERIMENTS.md", "ARCHITECTURE.md")...)
+	problems = append(problems, checkExperiments(experiments.IDs(), "experiments_output.txt",
 		"README.md", "DESIGN.md", "EXPERIMENTS.md", "ARCHITECTURE.md")...)
 
 	if len(problems) > 0 {
@@ -179,40 +186,119 @@ func checkCommands(root string, files ...string) []string {
 	}
 	var problems []string
 	for _, file := range files {
-		data, err := os.ReadFile(file)
+		commands, err := fencedCommands(file)
 		if err != nil {
 			problems = append(problems, err.Error())
 			continue
 		}
-		blocks := strings.Split(strings.ReplaceAll(string(data), "\\\n", " "), "```")
-		for k := 1; k < len(blocks); k += 2 { // the odd pieces are inside fences
-			for _, command := range strings.Split(blocks[k], "\n") {
-				if j := strings.IndexAny(command, "|&#"); j >= 0 {
-					command = command[:j]
+		for _, command := range commands {
+			words := strings.Fields(command)
+			switch {
+			case len(words) > 1 && words[0] == "make":
+				for _, w := range words[1:] {
+					if !regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(w) + `:`).Match(mk) {
+						problems = append(problems, fmt.Sprintf("%s: %q: no Makefile target %s", file, command, w))
+					}
 				}
-				words := strings.Fields(command)
-				switch {
-				case len(words) > 1 && words[0] == "make":
-					for _, w := range words[1:] {
-						if !regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(w) + `:`).Match(mk) {
-							problems = append(problems, fmt.Sprintf("%s: %q: no Makefile target %s", file, command, w))
-						}
-					}
-				case len(words) > 2 && words[0] == "go" && words[1] == "run" && strings.HasPrefix(words[2], "./cmd/"):
-					var code []byte
-					srcs, _ := filepath.Glob(filepath.Join(root, words[2], "*.go"))
-					for _, src := range srcs {
-						data, _ := os.ReadFile(src) // an unreadable source declares no flags
-						code = append(code, data...)
-					}
-					for _, w := range words[3:] {
-						f, _, _ := strings.Cut(strings.TrimLeft(w, "-"), "=")
-						if w[0] == '-' && !regexp.MustCompile(`flag\.\w+\("`+regexp.QuoteMeta(f)+`"`).Match(code) {
-							problems = append(problems, fmt.Sprintf("%s: %q: %s declares no flag -%s", file, command, words[2], f))
-						}
+			case len(words) > 2 && words[0] == "go" && words[1] == "run" && strings.HasPrefix(words[2], "./cmd/"):
+				var code []byte
+				srcs, _ := filepath.Glob(filepath.Join(root, words[2], "*.go"))
+				for _, src := range srcs {
+					data, _ := os.ReadFile(src) // an unreadable source declares no flags
+					code = append(code, data...)
+				}
+				for _, w := range words[3:] {
+					f, _, _ := strings.Cut(strings.TrimLeft(w, "-"), "=")
+					if w[0] == '-' && !regexp.MustCompile(`flag\.\w+\("`+regexp.QuoteMeta(f)+`"`).Match(code) {
+						problems = append(problems, fmt.Sprintf("%s: %q: %s declares no flag -%s", file, command, words[2], f))
 					}
 				}
 			}
+		}
+	}
+	return problems
+}
+
+// fencedCommands returns the lines inside the fenced code blocks of a
+// markdown file, continuation lines joined and what follows the first
+// `|`, `&` or `#` of a line cut.
+func fencedCommands(file string) ([]string, error) {
+	data, err := os.ReadFile(file)
+	if err != nil {
+		return nil, err
+	}
+	var commands []string
+	blocks := strings.Split(strings.ReplaceAll(string(data), "\\\n", " "), "```")
+	for k := 1; k < len(blocks); k += 2 { // the odd pieces are inside fences
+		for _, command := range strings.Split(blocks[k], "\n") {
+			if j := strings.IndexAny(command, "|&#"); j >= 0 {
+				command = command[:j]
+			}
+			commands = append(commands, command)
+		}
+	}
+	return commands, nil
+}
+
+// sectionHeader matches the line RunAll prints before each experiment.
+var sectionHeader = regexp.MustCompile(`(?m)^--- ([a-z0-9-]+): `)
+
+// checkExperiments verifies, against the registered experiment ids,
+// that every `-run <id>` of a fenced `go run ./cmd/experiments`
+// command in the given markdown files names one of them (or `all`),
+// and that the committed artifact holds exactly one `--- <id>:`
+// section per id — a registry entry the artifact lacks means the
+// artifact predates it.
+func checkExperiments(ids []string, artifact string, files ...string) []string {
+	known := map[string]bool{"all": true}
+	for _, id := range ids {
+		known[id] = true
+	}
+	var problems []string
+	for _, file := range files {
+		commands, err := fencedCommands(file)
+		if err != nil {
+			problems = append(problems, err.Error())
+			continue
+		}
+		for _, command := range commands {
+			words := strings.Fields(command)
+			if len(words) < 3 || words[0] != "go" || words[1] != "run" || words[2] != "./cmd/experiments" {
+				continue
+			}
+			args := words[3:]
+			for i, w := range args {
+				name, id, inline := strings.Cut(strings.TrimLeft(w, "-"), "=")
+				if w[0] != '-' || name != "run" {
+					continue
+				}
+				if !inline {
+					if i+1 == len(args) {
+						continue
+					}
+					id = args[i+1]
+				}
+				if !known[id] {
+					problems = append(problems, fmt.Sprintf("%s: %q: no registered experiment %s", file, command, id))
+				}
+			}
+		}
+	}
+
+	data, err := os.ReadFile(artifact)
+	if err != nil {
+		return append(problems, err.Error())
+	}
+	sections := map[string]int{}
+	for _, m := range sectionHeader.FindAllStringSubmatch(string(data), -1) {
+		sections[m[1]]++
+		if !known[m[1]] {
+			problems = append(problems, fmt.Sprintf("%s: section %s is not a registered experiment", artifact, m[1]))
+		}
+	}
+	for _, id := range ids {
+		if n := sections[id]; n != 1 {
+			problems = append(problems, fmt.Sprintf("%s: %d sections for experiment %s, want 1", artifact, n, id))
 		}
 	}
 	return problems

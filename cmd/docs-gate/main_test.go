@@ -67,3 +67,46 @@ func TestCheckCommands(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckExperiments: a fenced `go run ./cmd/experiments -run <id>`
+// must name a registered id (or all), and the artifact must hold one
+// `--- <id>:` section per registered id — a missing, repeated or
+// unregistered section is reported.
+func TestCheckExperiments(t *testing.T) {
+	dir := t.TempDir()
+	ids := []string{"ext-symmetric", "fig8", "table1"}
+
+	good := write(t, dir, "GOOD.md", strings.Join([]string{
+		"Prose may say go run ./cmd/experiments -run fig9.",
+		"```sh",
+		"go run ./cmd/experiments -run all > experiments_output.txt",
+		"go run ./cmd/experiments -run fig8 -threads 2   # -run fig9 in a comment",
+		"go run ./cmd/experiments --run=ext-symmetric \\",
+		"    -matrix-nb 150000",
+		"go run ./cmd/other -run fig9",
+		"```",
+	}, "\n"))
+	artifact := write(t, dir, "out.txt", "--- ext-symmetric: a ---\n== t ==\n--- fig8: b ---\n--- table1: c ---\n")
+	if p := checkExperiments(ids, artifact, good); len(p) != 0 {
+		t.Errorf("clean document and artifact reported: %q", p)
+	}
+
+	stale := write(t, dir, "STALE.md", "```sh\ngo run ./cmd/experiments -run fig9\ngo run ./cmd/experiments -steps 4 -run=table9\n```\n")
+	staleOut := write(t, dir, "stale.txt", "--- fig8: b ---\n--- fig8: again ---\n--- fig9: gone ---\n--- table1: c ---\n")
+	got := checkExperiments(ids, staleOut, stale)
+	want := []string{
+		stale + `: "go run ./cmd/experiments -run fig9": no registered experiment fig9`,
+		stale + `: "go run ./cmd/experiments -steps 4 -run=table9": no registered experiment table9`,
+		staleOut + `: section fig9 is not a registered experiment`,
+		staleOut + `: 0 sections for experiment ext-symmetric, want 1`,
+		staleOut + `: 2 sections for experiment fig8, want 1`,
+	}
+	if len(got) != len(want) {
+		t.Fatalf("got %q, want %d problems", got, len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("problem %d = %q, want %q", i, got[i], want[i])
+		}
+	}
+}

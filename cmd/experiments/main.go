@@ -1,4 +1,6 @@
-// Command experiments regenerates the paper's tables and figures.
+// Command experiments regenerates the paper's tables and figures, and
+// is the only producer of one: `make experiments` rewrites the
+// committed experiments_output.txt with `-run all`.
 //
 // Usage:
 //
@@ -20,7 +22,7 @@ import (
 
 func main() {
 	var (
-		run       = flag.String("run", "all", "experiment id (table1..table8, fig1..fig8) or 'all'")
+		run       = flag.String("run", "all", "experiment id (see -list) or 'all'")
 		list      = flag.Bool("list", false, "list experiment ids and exit")
 		small     = flag.Int("small", 0, "small system size (default 300; paper 3,000)")
 		medium    = flag.Int("medium", 0, "medium system size (default 1000; paper 30,000)")
@@ -40,7 +42,7 @@ func main() {
 
 	if *list {
 		for _, id := range experiments.IDs() {
-			fmt.Printf("%-8s %s\n", id, experiments.Describe(id))
+			fmt.Printf("%-14s %s\n", id, experiments.Describe(id))
 		}
 		return
 	}

@@ -73,6 +73,7 @@ paper's multicore SIMD machines GSPMV is memory-bandwidth-bound, so
 out ahead. A single scalar Go thread is compute-bound from m=1 (no
 bandwidth to amortize), so the measured speedup here may hover near
 1x even though the iteration reduction above reproduces the paper's
-30-40%. Run 'go run ./cmd/model-profile -mrhs' to see the same
-iteration counts priced on the paper's hardware parameters.`)
+30-40%. Run 'go run ./cmd/experiments -run fig7' to see measured
+iteration counts priced by the Eq. 9 model on this host's rates and on
+the paper's hardware parameters.`)
 }

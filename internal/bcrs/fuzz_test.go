@@ -1,51 +1,11 @@
 package bcrs
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"repro/internal/multivec"
 	"repro/internal/rng"
 )
-
-// FuzzReadMatrixMarket hardens the parser against malformed input:
-// it must never panic, and anything it accepts must round-trip
-// through the writer to an equivalent matrix.
-func FuzzReadMatrixMarket(f *testing.F) {
-	f.Add("%%MatrixMarket matrix coordinate real general\n3 3 1\n1 1 2.5\n")
-	f.Add("%%MatrixMarket matrix coordinate real symmetric\n6 6 2\n1 1 1.0\n4 1 -2\n")
-	f.Add("%%MatrixMarket matrix coordinate real general\n3 3 0\n")
-	f.Add("")
-	f.Add("%%MatrixMarket matrix coordinate real general\n3 3 1\n9 9 1\n")
-	f.Add("%%MatrixMarket matrix array real general\n3 3\n")
-	f.Fuzz(func(t *testing.T, in string) {
-		a, err := ReadMatrixMarket(strings.NewReader(in))
-		if err != nil {
-			return // rejected input is fine; panics are not
-		}
-		if err := a.Validate(); err != nil {
-			t.Fatalf("accepted matrix fails validation: %v", err)
-		}
-		var buf bytes.Buffer
-		if err := a.WriteMatrixMarket(&buf); err != nil {
-			t.Fatalf("write-back failed: %v", err)
-		}
-		back, err := ReadMatrixMarket(&buf)
-		if err != nil {
-			t.Fatalf("round trip rejected: %v", err)
-		}
-		da, db := a.Dense(), back.Dense()
-		if da.Rows != db.Rows || da.Cols != db.Cols {
-			t.Fatal("round trip changed dimensions")
-		}
-		for i := range da.Data {
-			if da.Data[i] != db.Data[i] {
-				t.Fatal("round trip changed values")
-			}
-		}
-	})
-}
 
 // FuzzNewSym drives symmetric extraction round-trips from fuzzed
 // shape parameters: for any generated symmetric matrix, NewSym must

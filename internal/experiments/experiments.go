@@ -1,7 +1,8 @@
 // Package experiments regenerates every table and figure of the
 // paper's evaluation. Each experiment is a named function producing
-// one or more printable tables; cmd/experiments runs them by id and
-// the repository's benchmarks reuse the underlying runners.
+// one or more printable tables; cmd/experiments runs them by id and is
+// the only producer of a paper table or figure (bench/ measures the
+// system, experiments_output.txt is this package's committed output).
 //
 // Absolute numbers differ from the paper's (different hardware, Go
 // instead of hand-tuned SIMD C, scaled-down default system sizes);
@@ -106,9 +107,6 @@ type Config struct {
 	Seed uint64
 	// Threads for kernels.
 	Threads int
-	// UseHostMachine measures this host's (B, F) for model curves in
-	// addition to the paper's machine parameters.
-	UseHostMachine bool
 }
 
 // WithDefaults fills unset fields.

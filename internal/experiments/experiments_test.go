@@ -18,7 +18,7 @@ func tinyConfig() Config {
 
 func TestIDsRegistered(t *testing.T) {
 	want := []string{
-		"ext-techniques",
+		"ext-symmetric", "ext-techniques",
 		"fig1", "fig2a", "fig2b", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
 		"table1", "table2", "table3", "table4", "table5", "table6", "table7", "table8",
 	}
@@ -256,6 +256,60 @@ func TestExtTechniques(t *testing.T) {
 	mrhs, _ := strconv.ParseFloat(rows[4][1], 64)
 	if !(ic < cold && mrhs < cold) {
 		t.Fatalf("techniques did not beat cold: cold=%v ic=%v mrhs=%v", cold, ic, mrhs)
+	}
+}
+
+// TestExtSymmetric: every (threads, m) row carries a finite positive
+// measured speed-up and a true bitwise-determinism flag.
+func TestExtSymmetric(t *testing.T) {
+	tabs, err := Run("ext-symmetric", tinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := tabs[0].Rows
+	if len(rows) == 0 || len(rows)%6 != 0 {
+		t.Fatalf("ext-symmetric rows %d, want six per thread count", len(rows))
+	}
+	for _, row := range rows {
+		sp, err := strconv.ParseFloat(strings.TrimSuffix(row[2], "x"), 64)
+		if err != nil || sp <= 0 || math.IsInf(sp, 0) {
+			t.Fatalf("threads=%s m=%s: speed-up cell %q", row[0], row[1], row[2])
+		}
+		if row[7] != "true" {
+			t.Fatalf("threads=%s m=%s: symmetric multiply not bitwise deterministic", row[0], row[1])
+		}
+	}
+}
+
+// TestFig8PhasesSumToAverage: in every thread column of the per-phase
+// table the five solver phases (all rows but Construct) sum to the
+// MRHS s/step the first table prints, to the printed digits.
+func TestFig8PhasesSumToAverage(t *testing.T) {
+	tabs, err := Run("fig8", tinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tabs) != 2 {
+		t.Fatalf("fig8 tables %d, want speed-up and per-phase", len(tabs))
+	}
+	avg, phases := tabs[0], tabs[1]
+	if len(phases.Header) != 1+len(avg.Rows) || phases.Rows[0][0] != "Construct" || len(phases.Rows) != 6 {
+		t.Fatalf("per-phase table shape: header %v, %d rows", phases.Header, len(phases.Rows))
+	}
+	for col, row := range avg.Rows {
+		want, _ := strconv.ParseFloat(row[2], 64)
+		var sum float64
+		for _, ph := range phases.Rows[1:] {
+			v, err := strconv.ParseFloat(ph[1+col], 64)
+			if err != nil {
+				t.Fatalf("bad phase cell %q", ph[1+col])
+			}
+			sum += v
+		}
+		// Six cells each rounded to 1e-4.
+		if want <= 0 || math.Abs(sum-want) > 3.5e-4 {
+			t.Fatalf("threads=%s: phases sum to %.4f, MRHS s/step is %.4f", row[0], sum, want)
+		}
 	}
 }
 

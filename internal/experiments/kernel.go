@@ -2,10 +2,15 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
+	"math"
+	"runtime"
 
+	"repro/internal/bcrs"
 	"repro/internal/model"
+	"repro/internal/multivec"
+	"repro/internal/parallel"
 	"repro/internal/perf"
+	"repro/internal/rng"
 )
 
 func init() {
@@ -13,18 +18,7 @@ func init() {
 	register("fig1", "model profile: vectors multipliable in 2x single-vector time", fig1)
 	register("fig2a", "predicted vs achieved relative time r(m) for mat2", fig2a)
 	register("fig2b", "relative time r(m) for mat1, mat2, mat3", fig2b)
-}
-
-// hostMachine caches the host (B, F) calibration.
-var (
-	hostOnce sync.Once
-	hostMach model.Machine
-)
-
-// HostMachine measures and caches this host's model parameters.
-func HostMachine() model.Machine {
-	hostOnce.Do(func() { hostMach = perf.CalibratedMachine() })
-	return hostMach
+	register("ext-symmetric", "EXTENSION: half-storage symmetric GSPMV vs the general kernels, measured and modeled", extSymmetric)
 }
 
 func table2(cfg Config) ([]*Table, error) {
@@ -32,7 +26,7 @@ func table2(cfg Config) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	host := HostMachine()
+	host := perf.CalibratedMachine()
 	t := &Table{
 		Title:  "Table II: performance and bandwidth usage of SPMV (m=1)",
 		Header: []string{"Matrix", "GB/s", "Gflops", "paper GB/s", "paper Gflops"},
@@ -52,8 +46,8 @@ func table2(cfg Config) ([]*Table, error) {
 		})
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("host STREAM bandwidth %.1f GB/s, basic-kernel rate %.1f Gflops (paper: WSM 23/45, SNB 33/90)",
-			host.B/1e9, host.F/1e9))
+		fmt.Sprintf("host STREAM bandwidth %.1f GB/s, basic-kernel rate %.1f Gflops, B/F %.2f on Figure 1's axis (paper: WSM 23/45, SNB 33/90)",
+			host.B/1e9, host.F/1e9, host.ByteFlopRatio()))
 	return []*Table{t}, nil
 }
 
@@ -97,7 +91,7 @@ func fig2a(cfg Config) ([]*Table, error) {
 		Notes: []string{fmt.Sprintf(
 			"host model uses achievable rates measured on this matrix: B=%.1f GB/s, F=%.1f Gflops (see EffectiveMachine)",
 			host.B/1e9, host.F/1e9),
-			"model.EstimateK can invert the traffic model for k(m), but only on a bandwidth-bound kernel; this host is compute-bound from m~1, so no meaningful k(m) is measurable here (paper: k(m) ~ 3)"},
+			"the host model takes the paper's k(m) ~ 3; model.EstimateK can invert the traffic model for a measured k(m), but only on rows where bw-bound exceeds comp-bound"},
 	}
 	for i, m := range fig2Ms {
 		t.Rows = append(t.Rows, []string{
@@ -144,6 +138,77 @@ func fig2b(cfg Config) ([]*Table, error) {
 		t.Notes = append(t.Notes, fmt.Sprintf("%s: %d vectors within 2x (paper: mat1 8, mat2 12, mat3 16)", spec.Name, at2))
 	}
 	return []*Table{t}, nil
+}
+
+// extSymmetric races the half-storage symmetric multiply against the
+// general one at equal thread counts on a banded matrix: the band
+// models an RCM-ordered short-cutoff lubrication topology (Random's
+// nb/16 default puts most of the multiply into scatter-window stalls
+// no ordered physical matrix shows).
+func extSymmetric(cfg Config) ([]*Table, error) {
+	a := bcrs.Random(bcrs.RandomOptions{
+		NB: cfg.MatrixNB, BlocksPerRow: 20, Bandwidth: 1200, NoWrap: true, Seed: cfg.Seed,
+	})
+	s, err := bcrs.NewSym(a)
+	if err != nil {
+		return nil, err
+	}
+	host := perf.EffectiveMachine(a, 3)
+	g := perf.SymGSPMV(a, s, host, 3)
+	t := &Table{
+		Title: fmt.Sprintf("EXT: symmetric vs general GSPMV, nb=%d, %.1f blocks/row, span %d (%.0f MiB general, %.0f MiB symmetric)",
+			a.NB(), a.BlocksPerRow(), s.Span(), float64(a.Stats().Bytes)/(1<<20), float64(s.Bytes())/(1<<20)),
+		Header: []string{"threads", "m", "speedup", "pred speedup", "r(m)", "r_sym(m)", "pred r_sym", "bitwise"},
+		Notes: []string{
+			fmt.Sprintf("model on this matrix's achievable rates: B=%.1f GB/s, F=%.1f Gflops; compute-bound from m_s=%d general, m_s=%d symmetric",
+				host.B/1e9, host.F/1e9, g.MSwitch(256), g.MSwitchSym(256)),
+			"r and r_sym share the general m=1 time; bitwise: three symmetric multiplies into NaN-poisoned outputs are bit-equal at this thread count",
+		},
+	}
+	threads := []int{1}
+	if n := runtime.NumCPU(); n > 1 {
+		threads = append(threads, n)
+	}
+	defer parallel.SetThreads(cfg.Threads)
+	for _, th := range threads {
+		a.SetThreads(th)
+		s.SetThreads(th)
+		parallel.SetThreads(th)
+		for _, p := range perf.MeasureSymSpeedups(a, s, g, []int{1, 2, 4, 8, 16, 32}) {
+			t.Rows = append(t.Rows, []string{
+				fmtInt(th), fmtInt(p.M),
+				fmt.Sprintf("%.2fx", p.Speedup), fmt.Sprintf("%.2fx", p.PredictedSpeed),
+				fmt.Sprintf("%.2f", p.RGeneral), fmt.Sprintf("%.2f", p.RSym), fmt.Sprintf("%.2f", p.PredictedRSym),
+				fmt.Sprint(symDeterministic(s, p.M)),
+			})
+		}
+	}
+	return []*Table{t}, nil
+}
+
+// symDeterministic multiplies three times with m vectors into
+// NaN-poisoned outputs (so a stale value cannot fake a match) and
+// reports whether the results are bitwise identical.
+func symDeterministic(s *bcrs.SymMatrix, m int) bool {
+	x := multivec.New(s.N(), m)
+	rng.New(42).FillNormal(x.Data)
+	poisoned := func(y *multivec.MultiVec) {
+		for i := range y.Data {
+			y.Data[i] = math.NaN()
+		}
+		s.Mul(y, x)
+	}
+	ref, y := multivec.New(s.N(), m), multivec.New(s.N(), m)
+	poisoned(ref)
+	for rep := 0; rep < 2; rep++ {
+		poisoned(y)
+		for i, v := range y.Data {
+			if math.Float64bits(v) != math.Float64bits(ref.Data[i]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func mapF(vs []float64, f func(float64) string) []string {

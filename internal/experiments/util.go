@@ -4,15 +4,8 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/bcrs"
 	"repro/internal/particles"
-	"repro/internal/perf"
 )
-
-// timeMultiplyMS measures one GSPMV with m vectors in milliseconds.
-func timeMultiplyMS(a *bcrs.Matrix, m int) float64 {
-	return perf.TimeMultiply(a, m, 0) * 1e3
-}
 
 // sysCache memoizes overlap-free packings, whose relaxation is by far
 // the most expensive setup step. Callers receive clones, so cached

@@ -152,14 +152,6 @@ func (g GSPMV) RelativeTime(m int) float64 {
 	return g.T(m) / g.Tbw(1)
 }
 
-// Bound reports which bound governs at m.
-func (g GSPMV) Bound(m int) string {
-	if g.Tcomp(m) > g.Tbw(m) {
-		return "compute"
-	}
-	return "bandwidth"
-}
-
 // MSwitch returns m_s, the smallest vector count at which GSPMV
 // becomes compute-bound, searching up to maxM. If the kernel stays
 // bandwidth-bound through maxM (e.g. mat1's low nnzb/nb), it returns

@@ -62,10 +62,10 @@ func TestBoundCrossover(t *testing.T) {
 	if ms <= 1 || ms > 64 {
 		t.Fatalf("m_s = %d, expected an interior crossover for the SD matrix", ms)
 	}
-	if g.Bound(ms-1) != "bandwidth" {
+	if g.Tcomp(ms-1) >= g.Tbw(ms-1) {
 		t.Fatalf("below m_s should be bandwidth-bound")
 	}
-	if g.Bound(ms) != "compute" {
+	if g.Tcomp(ms) < g.Tbw(ms) {
 		t.Fatalf("at m_s should be compute-bound")
 	}
 }

@@ -58,14 +58,6 @@ func (g GSPMV) SymSpeedup(m int) float64 {
 	return g.T(m) / g.TSym(m)
 }
 
-// BoundSym reports which bound governs the symmetric multiply at m.
-func (g GSPMV) BoundSym(m int) string {
-	if g.Tcomp(m) > g.TbwSym(m) {
-		return "compute"
-	}
-	return "bandwidth"
-}
-
 // MSwitchSym returns the smallest vector count at which the symmetric
 // multiply becomes compute-bound (never later than MSwitch: halving B
 // moves the crossover left).

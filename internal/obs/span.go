@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"sync/atomic"
 	"time"
 )
@@ -30,14 +29,6 @@ type Span struct {
 // StartSpan begins timing a phase recorded into the registry.
 func (r *Registry) StartSpan(name string) *Span {
 	return &Span{reg: r, name: name, start: time.Now()}
-}
-
-// StartSpanCtx begins timing a phase recorded into the registry and,
-// when ctx carries a request trace (ContextWithTrace), into that
-// trace as well — how shared phase instrumentation gains per-request
-// attribution without new plumbing.
-func (r *Registry) StartSpanCtx(ctx context.Context, name string) *Span {
-	return &Span{reg: r, tr: TraceFrom(ctx), name: name, start: time.Now()}
 }
 
 // Name returns the span's full phase path.

@@ -26,20 +26,7 @@ type KernelObs struct {
 // a registry snapshot and derives the Table-II-style achieved rates.
 // Entries are sorted by m; ms with no recorded calls are omitted.
 func KernelObsReport(reg *obs.Registry) []KernelObs {
-	return kernelObsReport(reg, "bcrs_mul")
-}
-
-// SymKernelObsReport is KernelObsReport over the symmetric-kernel
-// counter families (bcrs_sym_mul_*), yielding the empirical r_sym(m):
-// mean symmetric multiply seconds at m relative to the symmetric m=1
-// baseline. Comparing its entries against KernelObsReport's at equal
-// m gives the measured symmetric-vs-general speedup on the production
-// multiply stream.
-func SymKernelObsReport(reg *obs.Registry) []KernelObs {
-	return kernelObsReport(reg, bcrs.SymKernelMetricPrefix)
-}
-
-func kernelObsReport(reg *obs.Registry, prefix string) []KernelObs {
+	const prefix = bcrs.KernelMetricPrefix
 	if reg == nil {
 		reg = obs.Default
 	}

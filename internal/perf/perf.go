@@ -90,11 +90,18 @@ func MeasureKernelFlops(ms []int) float64 {
 	return total / float64(len(ms))
 }
 
+// BlockMultiplier is the measurable multiply surface shared by the
+// general and symmetric BCRS matrices.
+type BlockMultiplier interface {
+	N() int
+	Mul(y, x *multivec.MultiVec)
+}
+
 // TimeMultiply returns the wall time in seconds of one Y = A*X with m
 // vectors, taking the minimum over enough repetitions to accumulate
 // at least ~20 ms of work (or reps repetitions if reps > 0). X is
 // filled deterministically.
-func TimeMultiply(a *bcrs.Matrix, m, reps int) float64 {
+func TimeMultiply(a BlockMultiplier, m, reps int) float64 {
 	x := multivec.New(a.N(), m)
 	rng.New(7).FillNormal(x.Data)
 	y := multivec.New(a.N(), m)
@@ -152,7 +159,7 @@ func RelativeTimes(a *bcrs.Matrix, ms []int) []float64 {
 
 // timeMultiplyStable is TimeMultiply repeated three times, keeping
 // the minimum.
-func timeMultiplyStable(a *bcrs.Matrix, m int) float64 {
+func timeMultiplyStable(a BlockMultiplier, m int) float64 {
 	best := TimeMultiply(a, m, 0)
 	for i := 0; i < 2; i++ {
 		if t := TimeMultiply(a, m, 0); t < best {

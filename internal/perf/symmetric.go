@@ -1,92 +1,18 @@
 package perf
 
 import (
-	"time"
-
 	"repro/internal/bcrs"
 	"repro/internal/model"
-	"repro/internal/multivec"
-	"repro/internal/rng"
 )
-
-// BlockMultiplier is the measurable multiply surface shared by the
-// general and symmetric BCRS matrices.
-type BlockMultiplier interface {
-	N() int
-	Mul(y, x *multivec.MultiVec)
-}
-
-// TimeMultiplyOp is TimeMultiply over any block multiplier: the wall
-// time in seconds of one Y = A*X with m vectors, minimum over enough
-// repetitions to accumulate ~20 ms of work (or reps if reps > 0).
-func TimeMultiplyOp(a BlockMultiplier, m, reps int) float64 {
-	x := multivec.New(a.N(), m)
-	rng.New(7).FillNormal(x.Data)
-	y := multivec.New(a.N(), m)
-	a.Mul(y, x) // warm-up
-	if reps > 0 {
-		best := 1e300
-		for i := 0; i < reps; i++ {
-			t0 := time.Now()
-			a.Mul(y, x)
-			if s := time.Since(t0).Seconds(); s < best {
-				best = s
-			}
-		}
-		sink += y.Data[0]
-		return best
-	}
-	const target = 20 * time.Millisecond
-	batch := 1
-	for {
-		t0 := time.Now()
-		for i := 0; i < batch; i++ {
-			a.Mul(y, x)
-		}
-		d := time.Since(t0)
-		if d >= target {
-			sink += y.Data[0]
-			return d.Seconds() / float64(batch)
-		}
-		if d <= 0 {
-			batch *= 8
-			continue
-		}
-		grow := int(float64(target)/float64(d)) + 1
-		if grow < 2 {
-			grow = 2
-		}
-		batch *= grow
-	}
-}
-
-// MeasureRatesSym times one half-storage multiply with m vectors and
-// converts to the Table II quantities, charging traffic with the
-// symmetric model's Mtr_sym(m) at the given k.
-func MeasureRatesSym(s *bcrs.SymMatrix, m int, k float64) Rates {
-	secs := TimeMultiplyOp(s, m, 0)
-	g := model.GSPMV{
-		Shape: model.Shape{NB: s.NB(), NNZB: 2*s.NNZB() - s.NB()},
-		K:     model.ConstK(k),
-	}
-	return Rates{
-		GBps:   g.SymTrafficBytes(m) / secs / 1e9,
-		Gflops: float64(s.FlopCount(m)) / secs / 1e9,
-		Secs:   secs,
-	}
-}
 
 // SymPoint is one row of a symmetric-vs-general calibration sweep.
 type SymPoint struct {
-	M              int     `json:"m"`
-	GeneralSecs    float64 `json:"general_secs"`    // measured general multiply seconds
-	SymSecs        float64 `json:"sym_secs"`        // measured symmetric multiply seconds
-	Speedup        float64 `json:"speedup"`         // GeneralSecs / SymSecs
-	PredictedSpeed float64 `json:"predicted_speed"` // model SymSpeedup(m) under the calibrated machine
-	RGeneral       float64 `json:"r_general"`       // measured r(m), general baseline T(1)
-	RSym           float64 `json:"r_sym"`           // measured r_sym(m), same general baseline
-	PredictedRSym  float64 `json:"predicted_r_sym"` // model RelativeTimeSym(m)
-	PredictedRGen  float64 `json:"predicted_r_gen"` // model RelativeTime(m)
+	M              int
+	Speedup        float64 // measured general seconds / symmetric seconds
+	PredictedSpeed float64 // model SymSpeedup(m) under the calibrated machine
+	RGeneral       float64 // measured r(m), general baseline T(1)
+	RSym           float64 // measured r_sym(m), same general baseline
+	PredictedRSym  float64 // model RelativeTimeSym(m)
 }
 
 // KMissFactor converts blocks-per-row into the capacity model's
@@ -137,31 +63,16 @@ func MeasureSymSpeedups(a *bcrs.Matrix, s *bcrs.SymMatrix, g model.GSPMV, ms []i
 	t1 := timeMultiplyStable(a, 1)
 	out := make([]SymPoint, 0, len(ms))
 	for _, m := range ms {
-		gt := timeMultiplyOpStable(a, m)
-		st := timeMultiplyOpStable(s, m)
+		gt := timeMultiplyStable(a, m)
+		st := timeMultiplyStable(s, m)
 		out = append(out, SymPoint{
 			M:              m,
-			GeneralSecs:    gt,
-			SymSecs:        st,
 			Speedup:        gt / st,
 			PredictedSpeed: g.SymSpeedup(m),
 			RGeneral:       gt / t1,
 			RSym:           st / t1,
 			PredictedRSym:  g.RelativeTimeSym(m),
-			PredictedRGen:  g.RelativeTime(m),
 		})
 	}
 	return out
-}
-
-// timeMultiplyOpStable is TimeMultiplyOp repeated three times, keeping
-// the minimum.
-func timeMultiplyOpStable(a BlockMultiplier, m int) float64 {
-	best := TimeMultiplyOp(a, m, 0)
-	for i := 0; i < 2; i++ {
-		if t := TimeMultiplyOp(a, m, 0); t < best {
-			best = t
-		}
-	}
-	return best
 }

@@ -1,7 +1,6 @@
 package repro_test
 
 import (
-	"os"
 	"testing"
 
 	"repro/internal/multivec"
@@ -11,11 +10,8 @@ import (
 )
 
 // TestBenchObsSnapshot exercises the instrumented GSPMV and block-CG
-// paths on the shared fixture and, when BENCH_OBS_JSON names a file,
-// writes the accumulated obs snapshot there (the BENCH_obs.json
-// artifact; `make bench-snapshot` uses the gspmv-bench -obs-json
-// route for a heavier version). Without the env var it still checks
-// that the kernel and solver counters advanced.
+// paths on the shared fixture and checks that the kernel and solver
+// counters advanced.
 func TestBenchObsSnapshot(t *testing.T) {
 	fixOnce.Do(buildFixtures)
 	a := fixMat
@@ -40,12 +36,5 @@ func TestBenchObsSnapshot(t *testing.T) {
 	}
 	if snap.Counters["solver_blockcg_solves_total"] == 0 {
 		t.Fatal("solver_blockcg_solves_total did not advance")
-	}
-
-	if path := os.Getenv("BENCH_OBS_JSON"); path != "" {
-		if err := snap.SaveFile(path); err != nil {
-			t.Fatalf("writing %s: %v", path, err)
-		}
-		t.Logf("obs snapshot written to %s", path)
 	}
 }
