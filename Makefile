@@ -5,10 +5,11 @@ GO ?= go
 BENCH_FILES ?= BENCH_serve.json BENCH_ensemble.json BENCH_shard.json
 BENCH_BASELINE_DIR ?= .bench-baseline
 
-.PHONY: ci docs-gate vet build test bench-test race race-kernels chaos fuzz-faults serial serve-smoke shard-smoke bench experiments bench-serve bench-ensemble bench-shard bench-diff
+.PHONY: ci docs-gate vet build test bench-test bench-trace race race-kernels chaos fuzz-faults serial serve-smoke shard-smoke bench experiments bench-serve bench-ensemble bench-shard bench-diff
 
 # ci is the gate: vet, build everything, the benchmark module's own
-# vet and tests (bench-test), the full test suite under
+# vet and tests (bench-test), one traced run of each SD workload
+# (bench-trace), the full test suite under
 # the race detector (the obs hot paths are lock-free and the worker
 # pool is the most concurrent code in the tree; -race is what
 # validates them), the seeded fault-injection suite, the serving
@@ -19,7 +20,7 @@ BENCH_BASELINE_DIR ?= .bench-baseline
 # advisory perf-regression gate over the BENCH_*.json artifacts (fails
 # only on >2x regressions; warns otherwise; skips files with no
 # baseline).
-ci: vet build bench-test docs-gate race-kernels race chaos fuzz-faults serve-smoke shard-smoke serial bench-diff
+ci: vet build bench-test bench-trace docs-gate race-kernels race chaos fuzz-faults serve-smoke shard-smoke serial bench-diff
 
 # docs-gate fails when an internal/ package lacks a package comment,
 # a tracked markdown file has a broken relative link, README.md /
@@ -50,6 +51,17 @@ test:
 # (BENCHMARK.json) and nothing notices until it is run.
 bench-test:
 	$(GO) -C bench vet ./... && $(GO) -C bench test ./...
+
+# bench-trace runs both SD workloads traced for two seconds. A traced
+# run steps through the hooks of core.Config (FirstSolve, Distribute,
+# BlockPrecond) and fails when its set-up digest differs from the
+# untraced one, so a stepper change that reaches only one of the two
+# paths — a preconditioner the hooked first solve is not handed, a hook
+# result read differently — stops here; bench-test's smoke run is
+# untraced and `go test ./...` does not see bench/.
+bench-trace:
+	bash bench/run.sh --workload sd_mrhs --seed 1 --seconds 2 --trace 1 > /dev/null
+	bash bench/run.sh --workload sd_orig --seed 1 --seconds 2 --trace 1 > /dev/null
 
 race:
 	$(GO) test -race ./...

@@ -53,7 +53,7 @@ func main() {
 		ckpt    = flag.String("ckpt", "", "write a checkpoint to this file after the run")
 		resume  = flag.String("resume", "", "resume from a checkpoint file (overrides -n, -phi, -seed)")
 		xyz     = flag.String("xyz", "", "write an XYZ trajectory (one frame per step) to this file")
-		precond = flag.String("precond", "none", "first-solve preconditioning: none, ic0 (adaptive reuse), jacobi")
+		precond = flag.String("precond", "ic0", "preconditioner reused by every solve of a window of -m steps: ic0, jacobi, none (the paper's setting)")
 
 		symmetric = flag.Bool("symmetric", false, "multiply through half-storage symmetric extractions (halves matrix traffic; ignored with -nodes)")
 
@@ -106,24 +106,11 @@ func main() {
 		cfg.Seed = *dynSeed
 	}
 	switch *precond {
+	case "ic0": // core's default
 	case "none":
-	case "ic0":
-		ap := &solver.AdaptivePrecond{}
-		cfg.FirstSolve = func(a *bcrs.Matrix, x, b []float64, opt solver.Options) solver.Stats {
-			return ap.Solve(a, x, b, opt)
-		}
-		cfg.BlockPrecond = func(a *bcrs.Matrix) solver.Preconditioner {
-			p, err := solver.NewIC0(a)
-			if err != nil {
-				return nil
-			}
-			return p
-		}
+		cfg.Precond = core.NoPrecond
 	case "jacobi":
-		cfg.FirstSolve = func(a *bcrs.Matrix, x, b []float64, opt solver.Options) solver.Stats {
-			opt.Precond = solver.NewBlockJacobi(a)
-			return solver.CG(a, x, b, opt)
-		}
+		cfg.Precond = func(a *bcrs.Matrix) solver.Preconditioner { return solver.NewBlockJacobi(a) }
 	default:
 		fail(fmt.Errorf("unknown preconditioner %q", *precond))
 	}
@@ -167,8 +154,8 @@ func main() {
 	}
 
 	if *ensemble > 1 {
-		if spec != "" || *nodes > 0 || *precond != "none" || *resume != "" {
-			fail(fmt.Errorf("-ensemble is incompatible with -faults/-chaos, -nodes, -precond, and -resume"))
+		if spec != "" || *nodes > 0 || *resume != "" {
+			fail(fmt.Errorf("-ensemble is incompatible with -faults/-chaos, -nodes, and -resume"))
 		}
 		runEnsemble(sys, hopt, cfg, *threads, *ensemble, *jitter, *steps, *events)
 		if *obsJSON != "" {

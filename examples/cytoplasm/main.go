@@ -33,7 +33,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		cfg := core.Config{Dt: 2, M: 8, Seed: 77}
+		// Unpreconditioned, as in the paper: the stepper's default IC(0)
+		// window would hide the conditioning this example is about.
+		cfg := core.Config{Dt: 2, M: 8, Seed: 77, Precond: core.NoPrecond}
 
 		// Original algorithm: every first solve is cold.
 		orig := sd.New(sys.Clone(), hydro.Options{Phi: phi}, cfg, 1)

@@ -42,6 +42,12 @@ func main() {
 			Dt:   2,  // ps, as in the paper
 			M:    16, // right-hand sides per augmented solve
 			Seed: 2012,
+			// The paper's solves are unpreconditioned. Leave Precond
+			// unset for the stepper's default — one IC(0) factor per
+			// 16 steps preconditioning every solve — which is about
+			// three times faster in both algorithms and leaves the
+			// guesses little to save.
+			Precond: core.NoPrecond,
 		}, 1)
 		var err error
 		if mrhs {

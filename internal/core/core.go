@@ -69,9 +69,9 @@ type Config struct {
 	// FirstSolve, if non-nil, replaces plain CG for each step's
 	// first solve. It receives the step's matrix, the right-hand
 	// side, and x holding the initial guess (zero for the original
-	// algorithm). This hook is how the alternative techniques of
-	// Section III — reused preconditioners, Krylov recycling — plug
-	// into the same time-stepping loop for comparison.
+	// algorithm) and, in its options, the window's preconditioner.
+	// This hook is how Krylov recycling, Section III's second
+	// technique, plugs into the same time-stepping loop for comparison.
 	FirstSolve SolveFunc
 	// Distribute, if non-nil, wraps each assembled matrix into the
 	// operator used for every multiply of the step — CG, block CG,
@@ -81,11 +81,23 @@ type Config struct {
 	// have (Section V-A). The callback receives the configuration
 	// the matrix was assembled at (for geometric partitioning).
 	Distribute func(a *bcrs.Matrix, c Configuration) DistOp
-	// BlockPrecond, if non-nil, builds a preconditioner from each
-	// chunk's matrix R_0 for the augmented block solve (e.g.
-	// solver.NewIC0). Construction time is charged to the Calc
-	// guesses phase. This composes the paper's MRHS approach with
-	// the Section III preconditioner-reuse technique.
+	// Precond builds the one preconditioner every solve of a reuse
+	// window shares — the augmented block solve and each first and
+	// second solve — which composes the first technique of Section III
+	// (a preconditioner reused while the matrices drift) with the MRHS
+	// guesses. A window is a chunk in Algorithm 2, built from its R_0
+	// and charged to Calc guesses, and M steps in Algorithm 1, built
+	// from the matrix of every step k with k % M == 0 (or of the first
+	// step a runner takes) and charged to that step's first solve. Nil
+	// means block IC(0) (solver.IC0, refactored in place; a breakdown
+	// leaves that window unpreconditioned and is counted, the step goes
+	// on). A nil result means an unpreconditioned window: NoPrecond is
+	// the paper's setting.
+	Precond func(a *bcrs.Matrix) solver.Preconditioner
+	// BlockPrecond, if non-nil, is called with each chunk's R_0 right
+	// before the augmented block solve and may return a preconditioner
+	// for that solve alone; a nil result keeps the window's. The traced
+	// benchmark uses the call to mark where the block solve begins.
 	BlockPrecond func(a *bcrs.Matrix) solver.Preconditioner
 	// Recovery, if non-nil, arms crash recovery in the Run loops:
 	// transport faults that unwind out of a step or chunk restore the
@@ -102,7 +114,12 @@ type Config struct {
 	ExternalForce func(c Configuration) []float64
 }
 
-// SolveFunc solves a*x = b starting from the guess in x.
+// NoPrecond is the Config.Precond of the paper's experiments: every
+// solve unpreconditioned.
+func NoPrecond(*bcrs.Matrix) solver.Preconditioner { return nil }
+
+// SolveFunc solves a*x = b starting from the guess in x; opt carries
+// the tolerance and the window's preconditioner.
 type SolveFunc func(a *bcrs.Matrix, x, b []float64, opt solver.Options) solver.Stats
 
 // DistOp is the operator surface a distributed wrapper must provide:
@@ -142,7 +159,11 @@ type Timings struct {
 	ChebSingle  time.Duration // S(R_k)*z_k single vector
 	FirstSolve  time.Duration // step solve (with guess under MRHS)
 	SecondSolve time.Duration // midpoint corrector solve
-	Steps       int           // time steps accumulated
+	// Factor is the time spent building the windows' preconditioners.
+	// It is not a phase of its own: it is already inside CalcGuesses
+	// (Algorithm 2) or FirstSolve (Algorithm 1).
+	Factor time.Duration
+	Steps  int // time steps accumulated
 }
 
 // PhaseOrder lists the PerStep keys in the paper's table-row order.
@@ -201,6 +222,18 @@ type Runner struct {
 	// frame twice.
 	onStepHigh int
 
+	// pre preconditions every solve of the current reuse window (nil:
+	// the window is unpreconditioned), preStep is the step it was built
+	// at (-1: no window yet) and ic the default factor, refilled in
+	// place window after window.
+	pre     solver.Preconditioner
+	preStep int
+	ic      solver.IC0
+
+	// audit, set by tests, sees every converged solve's system and
+	// solution (the block solve column by column).
+	audit func(kind string, a *bcrs.Matrix, x, b []float64)
+
 	// buf holds the vectors of one time step — noise, Brownian force,
 	// right-hand side, first-solve guess and solution, midpoint
 	// velocity — reused from step to step. None outlives its step:
@@ -240,7 +273,7 @@ type Runner struct {
 // NewRunner wraps the starting configuration.
 func NewRunner(c Configuration, cfg Config) *Runner {
 	cfg = cfg.withDefaults()
-	return &Runner{cfg: cfg, cur: c}
+	return &Runner{cfg: cfg, cur: c, preStep: -1}
 }
 
 // Current returns the present configuration.
@@ -335,6 +368,7 @@ func (r *Runner) emitStep(rec StepRecord, alg string, before Timings) {
 				f[phase+"_s"] = d.Seconds()
 			}
 		}
+		r.precondFields(f, rec.Step, before)
 		r.Events.Emit("step", f)
 	}
 }
@@ -382,6 +416,7 @@ func (r *Runner) emitChunk(m int, st solver.BlockStats, before Timings) {
 				f[phase+"_s"] = d.Seconds()
 			}
 		}
+		r.precondFields(f, r.k, before)
 		r.Events.Emit("chunk", f)
 	}
 }
@@ -448,8 +483,56 @@ func (r *Runner) sqrtOp(a *bcrs.Matrix, op DistOp) (*chebyshev.SqrtOp, error) {
 	return chebyshev.NewSqrt(op, floor, hi, r.cfg.ChebOrder, r.cfg.ChebTol)
 }
 
+// solveOpts is what every solve of the step runs under: the block
+// solve, the first solve (the FirstSolve hook receives it), the second
+// solve and an ensemble's fused solves.
 func (r *Runner) solveOpts() solver.Options {
-	return solver.Options{Tol: r.cfg.Tol, MaxIter: r.cfg.MaxIter}
+	return solver.Options{Tol: r.cfg.Tol, MaxIter: r.cfg.MaxIter, Precond: r.pre}
+}
+
+// beginWindow opens a reuse window at the current step: the
+// preconditioner built from a serves every solve until the next call.
+// The caller's running phase timer covers it.
+func (r *Runner) beginWindow(a *bcrs.Matrix) {
+	t0 := time.Now()
+	reg := r.obsReg()
+	r.pre, r.preStep = nil, r.k
+	if r.cfg.Precond != nil {
+		r.pre = r.cfg.Precond(a)
+	} else if err := r.ic.Refactor(a); err == nil {
+		r.pre = &r.ic
+	} else {
+		// IC(0) broke down on this matrix: the window's solves run
+		// unpreconditioned, which costs iterations, not correctness.
+		reg.Counter("core_precond_fallbacks_total").Inc()
+	}
+	if r.pre != nil {
+		reg.Counter("core_precond_rebuilds_total").Inc()
+	}
+	d := time.Since(t0)
+	r.Timings.Factor += d
+	reg.FloatCounter("core_precond_factor_seconds_total").Add(d.Seconds())
+}
+
+// stepWindow is Algorithm 1's window rule, shared with the ensemble's
+// lockstep step: a new window every M steps and at a runner's first.
+func (r *Runner) stepWindow(a *bcrs.Matrix) {
+	if r.preStep < 0 || r.k%r.cfg.M == 0 {
+		r.beginWindow(a)
+	}
+}
+
+// precondFields adds to a step or chunk record the factor time spent
+// since the before snapshot and the age in steps of the preconditioner
+// the record's solves ran under, so a window going stale shows as
+// iterations rising with age.
+func (r *Runner) precondFields(f map[string]any, step int, before Timings) {
+	if d := r.Timings.Factor - before.Factor; d > 0 {
+		f["factor_s"] = d.Seconds()
+	}
+	if r.pre != nil {
+		f["precond_age_steps"] = step - r.preStep
+	}
 }
 
 // externalForce evaluates f^P at c, or nil when no force field is
@@ -489,10 +572,16 @@ func (r *Runner) negRHS(fb, fp []float64) []float64 {
 // the default path multiplies through the (possibly distributed)
 // operator.
 func (r *Runner) firstSolve(a *bcrs.Matrix, op DistOp, x, b []float64) solver.Stats {
+	var st solver.Stats
 	if r.cfg.FirstSolve != nil {
-		return r.cfg.FirstSolve(a, x, b, r.solveOpts())
+		st = r.cfg.FirstSolve(a, x, b, r.solveOpts())
+	} else {
+		st = solver.CG(op, x, b, r.solveOpts())
 	}
-	return solver.CG(op, x, b, r.solveOpts())
+	if r.audit != nil && st.Converged {
+		r.audit("first", a, x, b)
+	}
+	return st
 }
 
 // StepOriginal performs one step of the original algorithm
@@ -520,6 +609,7 @@ func (r *Runner) StepOriginal() error {
 	u := r.vec(&r.buf.u)
 	clear(u)
 	t0 = time.Now()
+	r.stepWindow(a)
 	st1 := r.firstSolve(a, op, u, rhs)
 	r.Timings.FirstSolve += time.Since(t0)
 	if !st1.Converged {
@@ -576,6 +666,9 @@ func (r *Runner) secondSolve(u, rhs []float64) ([]float64, solver.Stats, error) 
 		r.noteFailure("second_solve")
 		return nil, st, fmt.Errorf("core: step %d second solve stalled at residual %g", r.k, st.Residual)
 	}
+	if r.audit != nil {
+		r.audit("second", aHalf, uHalf, rhs)
+	}
 	return uHalf, st, nil
 }
 
@@ -629,9 +722,12 @@ func (r *Runner) StepMRHS(steps int) error {
 	// Step 3: solve the augmented system R_0 * U = -F^B.
 	u := multivec.New(dim, m)
 	t0 = time.Now()
+	r.beginWindow(a0)
 	blockOpts := r.solveOpts()
 	if r.cfg.BlockPrecond != nil {
-		blockOpts.Precond = r.cfg.BlockPrecond(a0)
+		if p := r.cfg.BlockPrecond(a0); p != nil {
+			blockOpts.Precond = p
+		}
 	}
 	stB := solver.BlockCGWithFallback(op0, u, fb, blockOpts)
 	r.Timings.CalcGuesses += time.Since(t0)
@@ -644,6 +740,14 @@ func (r *Runner) StepMRHS(steps int) error {
 		return fmt.Errorf("core: chunk at step %d augmented solve stalled at residual %g", r.k, stB.Residual)
 	}
 	r.emitChunk(m, stB, tm0)
+	if r.audit != nil {
+		x, b := make([]float64, dim), make([]float64, dim)
+		for j := 0; j < m; j++ {
+			u.Col(j, x)
+			fb.Col(j, b)
+			r.audit("block", a0, x, b)
+		}
+	}
 
 	// Steps 4-6: the first time step uses u_0 directly (its first
 	// solve already happened inside the block solve).

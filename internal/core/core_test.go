@@ -381,3 +381,46 @@ func TestChunkEventSplitsBlockSolveTime(t *testing.T) {
 		t.Fatalf("trace lacks the block_mul/block_vec spans: %v", spans)
 	}
 }
+
+// A factorisation breakdown must cost the window its preconditioner,
+// never the step: the window is counted as a fallback, its solves run
+// unpreconditioned, and the next window factors again.
+func TestPrecondBreakdownLeavesWindowUnpreconditioned(t *testing.T) {
+	r := NewRunner(newToy(12, 40), Config{Dt: 0.1, M: 3, Seed: 41})
+	r.Obs = obs.NewRegistry()
+	good := r.cur.Build()
+	bad := bcrs.NewBuilder(good.NB())
+	for i := 0; i < good.NB(); i++ {
+		lo, hi := good.RowBlocks(i)
+		for k := lo; k < hi; k++ {
+			blk := good.BlockAt(k)
+			if i == 5 && good.BlockCol(k) == 5 {
+				blk[0] = math.NaN()
+			}
+			bad.AddBlock(i, good.BlockCol(k), blk)
+		}
+	}
+
+	r.beginWindow(bad.Build())
+	if r.pre != nil || r.solveOpts().Precond != nil {
+		t.Fatal("a broken-down factor is still installed")
+	}
+	if n := r.Obs.Counter("core_precond_fallbacks_total").Value(); n != 1 {
+		t.Fatalf("fallbacks = %d, want 1", n)
+	}
+	// Steps 0..2 share the window that broke down; step 0 would reopen
+	// it, so start inside it.
+	r.k = 1
+	if err := r.RunOriginal(2); err != nil {
+		t.Fatalf("steps in an unpreconditioned window: %v", err)
+	}
+	if n := r.Obs.Counter("core_precond_rebuilds_total").Value(); n != 0 {
+		t.Fatalf("rebuilds inside the broken window = %d, want 0", n)
+	}
+	if err := r.RunOriginal(1); err != nil { // step 3 opens the next window
+		t.Fatal(err)
+	}
+	if r.pre == nil || r.Obs.Counter("core_precond_rebuilds_total").Value() != 1 {
+		t.Fatal("the next window did not factor again")
+	}
+}

@@ -150,6 +150,11 @@ func (e *EnsembleRunner) Step() error {
 		rhss[i] = r.negRHS(fb, r.externalForce(r.cur))
 		ops[i] = op
 		us[i] = make([]float64, dim)
+		// Each member keeps its own window, opened when the lone runner
+		// would open it, so a member stays bitwise the lone run.
+		t0 = time.Now()
+		r.stepWindow(a)
+		e.Timings.FirstSolve += time.Since(t0)
 		opts[i] = r.solveOpts()
 	}
 

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"repro/internal/particles"
 	"repro/internal/partition"
 	"repro/internal/sd"
+	"repro/internal/solver"
 )
 
 // pinned is one trajectory's fingerprint: the bitwise checksum of the
@@ -31,16 +33,62 @@ func fingerprint(sys *particles.System, r *core.Runner) pinned {
 	return p
 }
 
+// pinnedSet is what one preconditioner setting pins: the lone
+// original and MRHS runs, three ensemble members (member 0 shares the
+// lone original run's seed, hence its bits) and the MRHS run replayed
+// across a node crash on two nodes.
+type pinnedSet struct {
+	name                  string
+	precond               func(*bcrs.Matrix) solver.Preconditioner
+	original, mrhs, chaos pinned
+	members               [3]pinned
+	// crashAt is the cluster multiply of the second chunk the crash is
+	// injected at: inside its block solve, past the 30 Chebyshev terms.
+	crashAt int
+}
+
 // TestPinnedTrajectories pins one small SD system, stepped by every
-// path through the stepper, to the bits of the commit before Krylov
-// recycling left the stepper (amd64, one thread): the edit to
-// StepOriginal, StepMRHS, secondSolve, Ensemble.Step and the recovery
-// snapshot must not move a trajectory by one ulp or a solve by one
-// iteration.
+// path through the stepper (amd64, one thread). Under core.NoPrecond —
+// the paper's setting, which Tables V-VII and Fig. 5-6 regenerate
+// under — the pins are the bits of the commit before Krylov recycling
+// left the stepper, unmoved by the reuse window that became the
+// default since: an edit to StepOriginal, StepMRHS, secondSolve,
+// Ensemble.Step or the recovery snapshot must not move a trajectory by
+// one ulp or a solve by one iteration. The default's pins (one IC(0)
+// factor per window) were taken when it became the default.
 func TestPinnedTrajectories(t *testing.T) {
+	for _, set := range []pinnedSet{
+		{
+			name: "NoPrecond", precond: core.NoPrecond, crashAt: 40,
+			original: pinned{0xa0101326492d7ad0, 265, 156, 0},
+			mrhs:     pinned{0x8a78d8563900e7c9, 115, 156, 42},
+			chaos:    pinned{0x33d364e06ef3c3bb, 115, 156, 42},
+			members: [3]pinned{
+				{0xa0101326492d7ad0, 265, 156, 0},
+				{0x94d163a19f0a83a8, 265, 153, 0},
+				{0xeb4a35f9dd17c21d, 264, 158, 0},
+			},
+		},
+		{
+			name: "default", precond: nil, crashAt: 33,
+			original: pinned{0x6972dbc827823b69, 48, 31, 0},
+			mrhs:     pinned{0x3096196f0a1aa89b, 23, 31, 10},
+			chaos:    pinned{0x1bc59a4909572047, 23, 31, 10},
+			members: [3]pinned{
+				{0x6972dbc827823b69, 48, 31, 0},
+				{0x950dc7c74492c668, 48, 28, 0},
+				{0xc2571e3c43f28f7c, 48, 31, 0},
+			},
+		},
+	} {
+		t.Run(set.name, func(t *testing.T) { checkPinned(t, set) })
+	}
+}
+
+func checkPinned(t *testing.T, set pinnedSet) {
 	const steps = 8 // two chunks of m = 4
 	opt := hydro.Options{Phi: 0.3}
-	cfg := core.Config{Dt: 2, M: 4, Seed: 3}
+	cfg := core.Config{Dt: 2, M: 4, Seed: 3, Precond: set.precond}
 	newSys := func() *particles.System {
 		sys, err := particles.New(particles.Options{N: 60, Phi: 0.3, Seed: 3})
 		if err != nil {
@@ -61,13 +109,13 @@ func TestPinnedTrajectories(t *testing.T) {
 	if err := orig.RunOriginal(steps); err != nil {
 		t.Fatal(err)
 	}
-	check("original", fingerprint(orig.System(), orig.Runner), pinned{0xa0101326492d7ad0, 265, 156, 0})
+	check("original", fingerprint(orig.System(), orig.Runner), set.original)
 
 	mrhs := sd.New(newSys(), opt, cfg, 1)
 	if err := mrhs.RunMRHS(steps); err != nil {
 		t.Fatal(err)
 	}
-	check("mrhs", fingerprint(mrhs.System(), mrhs.Runner), pinned{0x8a78d8563900e7c9, 115, 156, 42})
+	check("mrhs", fingerprint(mrhs.System(), mrhs.Runner), set.mrhs)
 
 	ens, err := sd.NewEnsemble(newSys(), opt, cfg, 1, sd.EnsembleOptions{Seeds: []uint64{3, 4, 5}})
 	if err != nil {
@@ -76,21 +124,16 @@ func TestPinnedTrajectories(t *testing.T) {
 	if err := ens.Run(steps); err != nil {
 		t.Fatal(err)
 	}
-	// Member 0 shares the lone original run's seed, hence its bits.
-	for i, want := range []pinned{
-		{0xa0101326492d7ad0, 265, 156, 0},
-		{0x94d163a19f0a83a8, 265, 153, 0},
-		{0xeb4a35f9dd17c21d, 264, 158, 0},
-	} {
+	for i, want := range set.members {
 		r := ens.Member(i)
 		check("ensemble member", fingerprint(r.Current().(*sd.Conf).Sys, r), want)
 	}
 
 	// One node crash in the second chunk's block solve (the injector is
 	// armed only once the first chunk is done; a cluster counts its own
-	// multiplies, 30 Chebyshev terms and then the block iterations), so
-	// the replay has records and block iterations to roll back.
-	plan, err := faults.Parse("crash:node=1,at=40")
+	// multiplies), so the replay has records and block iterations to
+	// roll back.
+	plan, err := faults.Parse(fmt.Sprintf("crash:node=1,at=%d", set.crashAt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,5 +166,5 @@ func TestPinnedTrajectories(t *testing.T) {
 	if n := reg.Counter(obs.Label("core_fault_recoveries_total", "phase", "chunk")).Value(); n != 1 {
 		t.Fatalf("chunk recoveries = %d, want the one injected crash replayed once", n)
 	}
-	check("mrhs under recovery", fingerprint(chaos.System(), chaos.Runner), pinned{0x33d364e06ef3c3bb, 115, 156, 42})
+	check("mrhs under recovery", fingerprint(chaos.System(), chaos.Runner), set.chaos)
 }

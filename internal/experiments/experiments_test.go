@@ -248,14 +248,21 @@ func TestExtTechniques(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := tabs[0].Rows
-	if len(rows) != 6 {
+	if len(rows) != 5 {
 		t.Fatalf("techniques rows %d", len(rows))
 	}
 	cold, _ := strconv.ParseFloat(rows[0][1], 64)
 	ic, _ := strconv.ParseFloat(rows[1][1], 64)
-	mrhs, _ := strconv.ParseFloat(rows[4][1], 64)
-	if !(ic < cold && mrhs < cold) {
-		t.Fatalf("techniques did not beat cold: cold=%v ic=%v mrhs=%v", cold, ic, mrhs)
+	mrhs, _ := strconv.ParseFloat(rows[3][1], 64)
+	both, _ := strconv.ParseFloat(rows[4][1], 64)
+	if !(ic < cold && mrhs < cold && both < mrhs) {
+		t.Fatalf("techniques did not beat cold: cold=%v ic=%v mrhs=%v mrhs+ic=%v", cold, ic, mrhs, both)
+	}
+	// Every row carries its time beside its iterations.
+	for _, row := range rows {
+		if ms, err := strconv.ParseFloat(row[4], 64); err != nil || !(ms > 0) {
+			t.Fatalf("row %q has no ms/step: %q", row[0], row[4])
+		}
 	}
 }
 

@@ -40,7 +40,7 @@ type BlockStats struct {
 type blockWork struct {
 	r, p, s, pNew *multivec.MultiVec
 	z             *multivec.MultiVec // preconditioned solves only
-	rcol, zcol    []float64          // likewise
+	rcol, zcol    []float64          // column-by-column preconditioning only
 
 	ztr, ztrNew, pts *blas.Dense
 	coef, ridged     *blas.Dense
@@ -64,7 +64,6 @@ func getBlockWork(n, m int, precond bool) *blockWork {
 	}
 	if precond && w.z == nil {
 		w.z = multivec.New(n, m)
-		w.rcol, w.zcol = make([]float64, n), make([]float64, n)
 	}
 	return w
 }
@@ -197,11 +196,20 @@ func BlockCG(a BlockOperator, x, b *multivec.MultiVec, opt Options) (stats Block
 	}
 
 	// z is the preconditioned residual M^{-1} R; without a
-	// preconditioner it aliases r and the extra work vanishes.
+	// preconditioner it aliases r and the extra work vanishes. A
+	// preconditioner that can sweep a whole block does (IC0: the factor
+	// is read once for all m columns); any other is applied column by
+	// column through contiguous copies.
 	z := r
 	applyPrecond := func() {}
-	if opt.Precond != nil {
+	if bp, ok := opt.Precond.(blockPreconditioner); ok {
 		z = w.z
+		applyPrecond = func() { bp.ApplyBlock(z, r) }
+	} else if opt.Precond != nil {
+		z = w.z
+		if w.rcol == nil {
+			w.rcol, w.zcol = make([]float64, n), make([]float64, n)
+		}
 		applyPrecond = func() {
 			for j := 0; j < m; j++ {
 				r.Col(j, w.rcol)
@@ -209,8 +217,8 @@ func BlockCG(a BlockOperator, x, b *multivec.MultiVec, opt Options) (stats Block
 				z.SetCol(j, w.zcol)
 			}
 		}
-		applyPrecond()
 	}
+	applyPrecond()
 
 	p, pNew, s := w.p, w.pNew, w.s
 	p.CopyFrom(z)

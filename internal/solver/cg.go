@@ -89,6 +89,13 @@ type Preconditioner interface {
 	Apply(z, r []float64)
 }
 
+// blockPreconditioner is what BlockCG looks for in a Preconditioner:
+// M^{-1} applied to every column of a block in one pass, column j
+// bitwise equal to Apply on column j.
+type blockPreconditioner interface {
+	ApplyBlock(z, r *multivec.MultiVec)
+}
+
 // CG solves A*x = b for SPD A by (preconditioned) conjugate
 // gradients, starting from the initial guess already stored in x.
 // The warm start is the mechanism the MRHS algorithm exploits: a good

@@ -4,7 +4,13 @@
 // gradient method of O'Leary for the augmented multiple-right-hand-
 // side systems, Cholesky-based direct solution with iterative
 // refinement for small systems (the paper's Section II-C baseline),
-// and an optional block-Jacobi preconditioner.
+// and two preconditioners: block Jacobi, and the block incomplete
+// Cholesky factor IC0 that the SD stepper reuses for every solve of a
+// window of time steps (the first technique of the paper's Section
+// III). IC0 keeps its factor in flat bcrs-style arrays, so Apply is two
+// sweeps at about the cost of one multiply, ApplyBlock runs them once
+// for all columns of a block solve, and Refactor refills the storage
+// for the next window's matrix; none of the three allocates.
 //
 // All iterative solvers count iterations and matrix multiplications;
 // these counters are the data behind the paper's Table V and
@@ -69,6 +75,13 @@
 //     flags. Callers must inspect BlockStats.Converged. A residual
 //     that is not finite ends the solve in the iteration it appears in
 //     with Err = ErrBreakdown; BlockCGWithFallback then rescues nothing.
+//   - A preconditioner changes the iterates, never the stopping rule:
+//     every solver stops on ||r|| <= tol*||b|| for the recurrence
+//     residual of the system itself, not the preconditioned one, so a
+//     stale or poor factor costs iterations and cannot pass a wrong
+//     answer. NewIC0 / Refactor fail with ErrICBreakdown — on a pivot
+//     block that stays indefinite through the diagonal shifts, at once
+//     on one that is not finite — and never hand back a NaN factor.
 //   - BlockCGWithFallback is the graceful-degradation surface: when
 //     the block solve leaves columns above tolerance it re-solves
 //     each by warm-started single-vector CG plus bounded iterative

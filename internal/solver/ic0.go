@@ -6,48 +6,77 @@ import (
 
 	"repro/internal/bcrs"
 	"repro/internal/blas"
+	"repro/internal/multivec"
 )
 
 // IC0 is a block incomplete Cholesky factorization with zero fill-in:
 // a block lower-triangular L with exactly the lower-triangular
 // sparsity of A such that L*L^T ~ A. Applying it costs one block
-// forward and one block backward substitution.
+// forward and one block backward substitution — about one multiply by
+// A: the two sweeps together read each stored block of A's pattern
+// once.
 //
 // This is the first of the three techniques the paper lists for
 // sequences of slowly-varying systems (Section III): "invest in
 // constructing a preconditioner that can be reused for solving with
 // many matrices ... recomputed when the convergence rate has
-// sufficiently degraded". The experiments compare it, Krylov
-// recycling, and the MRHS initial guesses.
+// sufficiently degraded". internal/core reuses one factor for every
+// solve of a window of time steps.
+//
+// The factor is stored the way bcrs stores a matrix, so the sweeps
+// are written like its m=1 kernel: the strict-lower blocks of L in one
+// flat array under a rowPtr/colIdx pattern, and per block row the
+// INVERSE of the diagonal block's 3x3 Cholesky factor, so that a sweep
+// multiplies where a substitution would divide.
 type IC0 struct {
 	nb     int
-	rowPtr []int32
-	colIdx []int32
-	blocks []blas.Mat3 // stored lower-triangular blocks, row-wise
-	diag   []int       // index into blocks of each row's diagonal block
-	// invDiag caches the inverses of the diagonal blocks' Cholesky
-	// factors for the substitution sweeps.
-	diagChol []blas.Mat3 // lower Cholesky factor of each diagonal block
+	rowPtr []int32   // strict-lower pattern of L: row i's blocks are
+	colIdx []int32   // rowPtr[i]..rowPtr[i+1], columns ascending
+	lower  []float64 // 9 values per strict-lower block, row-major
+	// invDiag holds 9 values per block row: the inverse of the lower
+	// Cholesky factor of L's diagonal block (lower triangular itself).
+	invDiag []float64
+	colPos  []int32 // factorization scratch: where block column j sits in the current row, -1 when absent
 }
 
 // ErrICBreakdown is returned when a pivot block loses positive
-// definiteness during the incomplete factorization.
+// definiteness during the incomplete factorization, or is not finite.
 var ErrICBreakdown = errors.New("solver: incomplete Cholesky breakdown")
 
-// NewIC0 factors the SPD block matrix a. Only the lower triangle of
-// a's sparsity is used. A diagonal shift is applied on breakdown:
-// the factorization retries with A + shift*diag(A) doubling the shift
-// until it succeeds (standard Manteuffel-style remedy), up to a
-// failure bound.
+// NewIC0 factors the SPD block matrix a; see Refactor, which the zero
+// IC0 is ready for.
 func NewIC0(a *bcrs.Matrix) (*IC0, error) {
+	ic := new(IC0)
+	if err := ic.Refactor(a); err != nil {
+		return nil, err
+	}
+	return ic, nil
+}
+
+// Refactor replaces the factor with that of a, in the storage the
+// receiver already holds when a's lower triangle fits it (a sequence
+// of same-shaped matrices allocates once). Only the lower triangle of
+// a's sparsity is read. A pivot block that is not positive definite
+// is answered with a diagonal shift: the factorization retries on
+// A + shift*diag(A), quadrupling the shift (the Manteuffel remedy), up
+// to a bound. A pivot that is not finite — NaN or Inf in a, or
+// overflow — cannot be shifted away and fails at once. After an error
+// the receiver holds no usable factor until a Refactor succeeds.
+func (ic *IC0) Refactor(a *bcrs.Matrix) error {
 	if a.NB() != a.NCB() {
-		return nil, errors.New("solver: IC0 requires a square matrix")
+		return errors.New("solver: IC0 requires a square matrix")
+	}
+	if err := ic.setPattern(a); err != nil {
+		return err
 	}
 	shift := 0.0
 	for try := 0; try < 8; try++ {
-		ic, err := factorIC0(a, shift)
-		if err == nil {
-			return ic, nil
+		pivot, ok := ic.factor(a, shift)
+		if ok {
+			return nil
+		}
+		if math.IsNaN(pivot) || math.IsInf(pivot, 0) {
+			break
 		}
 		if shift == 0 {
 			shift = 1e-3
@@ -55,127 +84,118 @@ func NewIC0(a *bcrs.Matrix) (*IC0, error) {
 			shift *= 4
 		}
 	}
-	return nil, ErrICBreakdown
+	return ErrICBreakdown
 }
 
-// factorIC0 attempts the factorization with a relative diagonal
-// shift.
-func factorIC0(a *bcrs.Matrix, shift float64) (*IC0, error) {
+// setPattern sizes the factor for a and records the strict-lower
+// pattern. Block columns are sorted within a row, so row i's
+// strict-lower blocks are the leading blocks of a's row i and its
+// diagonal block follows them; factor relies on that to find a's
+// values again without a second index.
+func (ic *IC0) setPattern(a *bcrs.Matrix) error {
 	nb := a.NB()
-	ic := &IC0{nb: nb}
-
-	// Extract the lower-triangular pattern and values.
-	rowPtr := make([]int32, nb+1)
-	var colIdx []int32
-	var blocks []blas.Mat3
-	diag := make([]int, nb)
+	ic.nb = nb
+	if cap(ic.rowPtr) < nb+1 {
+		ic.rowPtr = make([]int32, nb+1)
+		ic.colPos = make([]int32, nb)
+		ic.invDiag = make([]float64, nb*bcrs.BlockSize)
+	}
+	ic.rowPtr, ic.colPos, ic.invDiag = ic.rowPtr[:nb+1], ic.colPos[:nb], ic.invDiag[:nb*bcrs.BlockSize]
+	ic.colIdx = ic.colIdx[:0]
 	for i := 0; i < nb; i++ {
 		lo, hi := a.RowBlocks(i)
-		found := false
-		for k := lo; k < hi; k++ {
-			j := a.BlockCol(k)
-			if j > i {
-				break // columns sorted
-			}
-			blk := a.BlockAt(k)
-			if j == i {
-				found = true
-				diag[i] = len(blocks)
-				if shift > 0 {
-					for q := 0; q < 3; q++ {
-						blk[q*3+q] *= 1 + shift
-					}
-				}
-			}
-			colIdx = append(colIdx, int32(j))
-			blocks = append(blocks, blk)
+		k := lo
+		for ; k < hi && a.BlockCol(k) < i; k++ {
+			ic.colIdx = append(ic.colIdx, int32(a.BlockCol(k)))
 		}
-		if !found {
-			return nil, errors.New("solver: IC0 requires stored diagonal blocks")
+		if k == hi || a.BlockCol(k) != i {
+			return errors.New("solver: IC0 requires stored diagonal blocks")
 		}
-		rowPtr[i+1] = int32(len(colIdx))
+		ic.rowPtr[i+1] = int32(len(ic.colIdx))
 	}
-	ic.rowPtr = rowPtr
-	ic.colIdx = colIdx
-	ic.blocks = blocks
-	ic.diag = diag
-	ic.diagChol = make([]blas.Mat3, nb)
-
-	// colPos[j] maps block column j to its position in the current
-	// row during the update scan; -1 when absent.
-	colPos := make([]int, nb)
-	for i := range colPos {
-		colPos[i] = -1
+	if need := len(ic.colIdx) * bcrs.BlockSize; cap(ic.lower) < need {
+		ic.lower = make([]float64, need)
+	} else {
+		ic.lower = ic.lower[:need]
 	}
+	return nil
+}
 
-	for i := 0; i < nb; i++ {
+// factor runs the factorization of a + shift*diag(a) over the pattern
+// setPattern recorded, reading a's blocks in place. On a pivot that is
+// not a finite positive number it stops and returns that pivot.
+func (ic *IC0) factor(a *bcrs.Matrix, shift float64) (pivot float64, ok bool) {
+	const bs = bcrs.BlockSize
+	rowPtr, colIdx, colPos := ic.rowPtr, ic.colIdx, ic.colPos
+	for j := range colPos {
+		colPos[j] = -1
+	}
+	for i := 0; i < ic.nb; i++ {
 		lo, hi := int(rowPtr[i]), int(rowPtr[i+1])
+		aLo, _ := a.RowBlocks(i)
 		for k := lo; k < hi; k++ {
-			colPos[colIdx[k]] = k
+			colPos[colIdx[k]] = int32(k)
 		}
 		// For each stored block (i, j), j < i:
 		// L_ij = (A_ij - sum_{p<j, p in both rows} L_ip * L_jp^T) * L_jj^{-T}
-		for k := lo; k < hi-1; k++ {
+		diag := a.BlockAt(aLo + hi - lo)
+		for q := 0; q < 3; q++ {
+			diag[q*3+q] *= 1 + shift
+		}
+		for k := lo; k < hi; k++ {
 			j := int(colIdx[k])
-			acc := ic.blocks[k]
-			jlo, jhi := int(rowPtr[j]), int(rowPtr[j+1])
-			for q := jlo; q < jhi-1; q++ {
-				p := int(colIdx[q])
-				if kp := colPos[p]; kp >= 0 && kp < k {
-					acc = acc.SubM(mulABt(ic.blocks[kp], ic.blocks[q]))
+			acc := a.BlockAt(aLo + k - lo)
+			for q := int(rowPtr[j]); q < int(rowPtr[j+1]); q++ {
+				if kp := int(colPos[colIdx[q]]); kp >= 0 && kp < k {
+					subMulABt(&acc, ic.lower[kp*bs:kp*bs+bs], ic.lower[q*bs:q*bs+bs])
 				}
 			}
-			// Solve L_ij * L_jj^T = acc for L_ij.
-			ic.blocks[k] = solveRightTranspose(acc, ic.diagChol[j])
-		}
-		// Diagonal: L_ii L_ii^T = A_ii - sum_p L_ip L_ip^T.
-		kd := diag[i]
-		acc := ic.blocks[kd]
-		for k := lo; k < hi-1; k++ {
-			acc = acc.SubM(mulABt(ic.blocks[k], ic.blocks[k]))
-		}
-		chol, ok := chol3(acc)
-		if !ok {
-			// Clear colPos before bailing.
-			for k := lo; k < hi; k++ {
-				colPos[colIdx[k]] = -1
+			// L_ij = acc * L_jj^{-T}: row r of it is inv(L_jj) times row r of acc.
+			d := ic.invDiag[j*bs : j*bs+bs : j*bs+bs]
+			l := ic.lower[k*bs : k*bs+bs : k*bs+bs]
+			for r := 0; r < 3; r++ {
+				b0, b1, b2 := acc[3*r], acc[3*r+1], acc[3*r+2]
+				l[3*r] = d[0] * b0
+				l[3*r+1] = d[3]*b0 + d[4]*b1
+				l[3*r+2] = d[6]*b0 + d[7]*b1 + d[8]*b2
 			}
-			return nil, ErrICBreakdown
+			// Diagonal: L_ii L_ii^T = A_ii - sum_p L_ip L_ip^T.
+			subMulABt(&diag, l, l)
 		}
-		ic.diagChol[i] = chol
-		ic.blocks[kd] = chol
+		chol, bad, ok := chol3(diag)
+		if !ok {
+			return bad, false
+		}
+		invLower3(ic.invDiag[i*bs:i*bs+bs:i*bs+bs], chol)
 		for k := lo; k < hi; k++ {
 			colPos[colIdx[k]] = -1
 		}
 	}
-	return ic, nil
+	return 0, true
 }
 
-// mulABt returns A * B^T for 3x3 blocks.
-func mulABt(a, b blas.Mat3) blas.Mat3 {
-	var r blas.Mat3
+// subMulABt subtracts A * B^T from acc, for 3x3 row-major blocks.
+func subMulABt(acc *blas.Mat3, a, b []float64) {
+	_, _ = a[8], b[8]
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
-			var s float64
-			for k := 0; k < 3; k++ {
-				s += a[i*3+k] * b[j*3+k]
-			}
-			r[i*3+j] = s
+			acc[i*3+j] -= a[i*3]*b[j*3] + a[i*3+1]*b[j*3+1] + a[i*3+2]*b[j*3+2]
 		}
 	}
-	return r
 }
 
-// chol3 returns the lower Cholesky factor of a 3x3 SPD block.
-func chol3(a blas.Mat3) (blas.Mat3, bool) {
-	var l blas.Mat3
+// chol3 returns the lower Cholesky factor of a 3x3 SPD block. A pivot
+// that is not a finite positive number — NaN compares false against
+// everything, so the test is on what a pivot must be — ends it: the
+// pivot comes back with ok false.
+func chol3(a blas.Mat3) (l blas.Mat3, pivot float64, ok bool) {
 	for j := 0; j < 3; j++ {
 		d := a[j*3+j]
 		for k := 0; k < j; k++ {
 			d -= l[j*3+k] * l[j*3+k]
 		}
-		if d <= 0 {
-			return l, false
+		if !(d > 0) || math.IsInf(d, 0) {
+			return l, d, false
 		}
 		d = math.Sqrt(d)
 		l[j*3+j] = d
@@ -187,79 +207,120 @@ func chol3(a blas.Mat3) (blas.Mat3, bool) {
 			l[i*3+j] = s / d
 		}
 	}
-	return l, true
+	return l, 0, true
 }
 
-// solveRightTranspose solves X * L^T = B for X given a 3x3 lower
-// Cholesky factor L (i.e. X = B * L^{-T}).
-func solveRightTranspose(b, l blas.Mat3) blas.Mat3 {
-	var x blas.Mat3
-	// Row r of X solves x_r * L^T = b_r, i.e. L * x_r^T = b_r^T:
-	// forward substitution with L.
-	for r := 0; r < 3; r++ {
-		for i := 0; i < 3; i++ {
-			s := b[r*3+i]
-			for k := 0; k < i; k++ {
-				s -= l[i*3+k] * x[r*3+k]
-			}
-			x[r*3+i] = s / l[i*3+i]
-		}
-	}
-	return x
+// invLower3 writes the inverse of the 3x3 lower-triangular l into dst.
+func invLower3(dst []float64, l blas.Mat3) {
+	i0, i1, i2 := 1/l[0], 1/l[4], 1/l[8]
+	i10 := -l[3] * i0 * i1
+	dst[0], dst[1], dst[2] = i0, 0, 0
+	dst[3], dst[4], dst[5] = i10, i1, 0
+	dst[6], dst[7], dst[8] = -(l[6]*i0+l[7]*i10)*i2, -l[7]*i1*i2, i2
 }
 
 // Apply computes z = (L L^T)^{-1} r: one forward and one backward
-// block substitution. It satisfies the Preconditioner interface.
+// block substitution. It satisfies the Preconditioner interface and
+// allocates nothing.
 func (ic *IC0) Apply(z, r []float64) {
-	n := ic.nb * 3
-	if len(z) != n || len(r) != n {
+	const bs = bcrs.BlockSize
+	if n := ic.nb * 3; len(z) != n || len(r) != n {
 		panic("solver: IC0 dimension mismatch")
 	}
-	// Forward: L*y = r (y stored in z).
+	rowPtr, colIdx, lower, inv := ic.rowPtr, ic.colIdx, ic.lower, ic.invDiag
+	// Forward: L*y = r, y stored in z. Row i gathers from the rows
+	// before it.
 	for i := 0; i < ic.nb; i++ {
-		var acc blas.Vec3
-		acc[0], acc[1], acc[2] = r[3*i], r[3*i+1], r[3*i+2]
-		lo, hi := int(ic.rowPtr[i]), int(ic.rowPtr[i+1])
-		for k := lo; k < hi-1; k++ {
-			j := int(ic.colIdx[k])
-			v := ic.blocks[k].MulV(blas.Vec3{z[3*j], z[3*j+1], z[3*j+2]})
-			acc = acc.Sub(v)
+		s0, s1, s2 := r[3*i], r[3*i+1], r[3*i+2]
+		for k := int(rowPtr[i]); k < int(rowPtr[i+1]); k++ {
+			v := lower[k*bs : k*bs+bs : k*bs+bs]
+			j := int(colIdx[k]) * 3
+			y0, y1, y2 := z[j], z[j+1], z[j+2]
+			s0 -= v[0]*y0 + v[1]*y1 + v[2]*y2
+			s1 -= v[3]*y0 + v[4]*y1 + v[5]*y2
+			s2 -= v[6]*y0 + v[7]*y1 + v[8]*y2
 		}
-		y := forward3(ic.diagChol[i], acc)
-		z[3*i], z[3*i+1], z[3*i+2] = y[0], y[1], y[2]
+		d := inv[i*bs : i*bs+bs : i*bs+bs]
+		z[3*i] = d[0] * s0
+		z[3*i+1] = d[3]*s0 + d[4]*s1
+		z[3*i+2] = d[6]*s0 + d[7]*s1 + d[8]*s2
 	}
-	// Backward: L^T*z = y. Accumulate the transposed couplings by
-	// scattering from each row to its columns.
+	// Backward: L^T*x = y. L^T's rows are L's columns, so row i, once
+	// solved, scatters its coupling to the pending rows before it.
 	for i := ic.nb - 1; i >= 0; i-- {
-		v := blas.Vec3{z[3*i], z[3*i+1], z[3*i+2]}
-		x := backward3(ic.diagChol[i], v)
-		z[3*i], z[3*i+1], z[3*i+2] = x[0], x[1], x[2]
-		lo, hi := int(ic.rowPtr[i]), int(ic.rowPtr[i+1])
-		for k := lo; k < hi-1; k++ {
-			j := int(ic.colIdx[k])
-			// Subtract L_ij^T * x_i from the pending entry j < i.
-			w := ic.blocks[k].Transpose3().MulV(x)
-			z[3*j] -= w[0]
-			z[3*j+1] -= w[1]
-			z[3*j+2] -= w[2]
+		d := inv[i*bs : i*bs+bs : i*bs+bs]
+		s0, s1, s2 := z[3*i], z[3*i+1], z[3*i+2]
+		x0 := d[0]*s0 + d[3]*s1 + d[6]*s2
+		x1 := d[4]*s1 + d[7]*s2
+		x2 := d[8] * s2
+		z[3*i], z[3*i+1], z[3*i+2] = x0, x1, x2
+		for k := int(rowPtr[i]); k < int(rowPtr[i+1]); k++ {
+			v := lower[k*bs : k*bs+bs : k*bs+bs]
+			j := int(colIdx[k]) * 3
+			z[j] -= v[0]*x0 + v[3]*x1 + v[6]*x2
+			z[j+1] -= v[1]*x0 + v[4]*x1 + v[7]*x2
+			z[j+2] -= v[2]*x0 + v[5]*x1 + v[8]*x2
 		}
 	}
 }
 
-// forward3 solves L*y = b for a 3x3 lower factor.
-func forward3(l blas.Mat3, b blas.Vec3) blas.Vec3 {
-	var y blas.Vec3
-	y[0] = b[0] / l[0]
-	y[1] = (b[1] - l[3]*y[0]) / l[4]
-	y[2] = (b[2] - l[6]*y[0] - l[7]*y[1]) / l[8]
-	return y
-}
-
-// backward3 solves L^T*x = y for a 3x3 lower factor.
-func backward3(l blas.Mat3, y blas.Vec3) blas.Vec3 {
-	var x blas.Vec3
-	x[2] = y[2] / l[8]
-	x[1] = (y[1] - l[7]*x[2]) / l[4]
-	x[0] = (y[0] - l[3]*x[1] - l[6]*x[2]) / l[0]
-	return x
+// ApplyBlock is Apply on every column of a block at once: each sweep
+// runs once, a stored block is loaded once for all m row-major
+// columns, and column j of z is bitwise what Apply gives on column j
+// of r. BlockCG preconditions through it.
+func (ic *IC0) ApplyBlock(z, r *multivec.MultiVec) {
+	const bs = bcrs.BlockSize
+	m := z.M
+	if n := ic.nb * 3; z.N != n || r.N != n || r.M != m {
+		panic("solver: IC0 dimension mismatch")
+	}
+	rowPtr, colIdx, lower, inv := ic.rowPtr, ic.colIdx, ic.lower, ic.invDiag
+	zd := z.Data
+	for i := 0; i < ic.nb; i++ {
+		zi := zd[3*i*m : 3*(i+1)*m : 3*(i+1)*m]
+		copy(zi, r.Data[3*i*m:3*(i+1)*m])
+		z0, z1, z2 := zi[0:m], zi[m:2*m], zi[2*m:3*m]
+		for k := int(rowPtr[i]); k < int(rowPtr[i+1]); k++ {
+			v := lower[k*bs : k*bs+bs : k*bs+bs]
+			j := int(colIdx[k]) * 3 * m
+			y0, y1, y2 := zd[j:j+m], zd[j+m:j+2*m], zd[j+2*m:j+3*m]
+			v0, v1, v2, v3, v4, v5, v6, v7, v8 := v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7], v[8]
+			for c := 0; c < m; c++ {
+				a0, a1, a2 := y0[c], y1[c], y2[c]
+				z0[c] -= v0*a0 + v1*a1 + v2*a2
+				z1[c] -= v3*a0 + v4*a1 + v5*a2
+				z2[c] -= v6*a0 + v7*a1 + v8*a2
+			}
+		}
+		d := inv[i*bs : i*bs+bs : i*bs+bs]
+		for c := 0; c < m; c++ {
+			s0, s1, s2 := z0[c], z1[c], z2[c]
+			z0[c] = d[0] * s0
+			z1[c] = d[3]*s0 + d[4]*s1
+			z2[c] = d[6]*s0 + d[7]*s1 + d[8]*s2
+		}
+	}
+	for i := ic.nb - 1; i >= 0; i-- {
+		zi := zd[3*i*m : 3*(i+1)*m : 3*(i+1)*m]
+		z0, z1, z2 := zi[0:m], zi[m:2*m], zi[2*m:3*m]
+		d := inv[i*bs : i*bs+bs : i*bs+bs]
+		for c := 0; c < m; c++ {
+			s0, s1, s2 := z0[c], z1[c], z2[c]
+			z0[c] = d[0]*s0 + d[3]*s1 + d[6]*s2
+			z1[c] = d[4]*s1 + d[7]*s2
+			z2[c] = d[8] * s2
+		}
+		for k := int(rowPtr[i]); k < int(rowPtr[i+1]); k++ {
+			v := lower[k*bs : k*bs+bs : k*bs+bs]
+			j := int(colIdx[k]) * 3 * m
+			y0, y1, y2 := zd[j:j+m], zd[j+m:j+2*m], zd[j+2*m:j+3*m]
+			v0, v1, v2, v3, v4, v5, v6, v7, v8 := v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7], v[8]
+			for c := 0; c < m; c++ {
+				a0, a1, a2 := z0[c], z1[c], z2[c]
+				y0[c] -= v0*a0 + v3*a1 + v6*a2
+				y1[c] -= v1*a0 + v4*a1 + v7*a2
+				y2[c] -= v2*a0 + v5*a1 + v8*a2
+			}
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -49,19 +50,28 @@ func TestIC0ApplyIsInverseOfLLt(t *testing.T) {
 	z := randVec(4, n)
 	y := make([]float64, n)
 	ic.Apply(y, z)
-	// Verify L L^T y == z by building L densely from the factor.
+	// Verify L L^T y == z by building L densely from the factor: the
+	// strict-lower blocks as stored, the diagonal blocks back from their
+	// stored inverses.
 	l := blas.NewDense(n, n)
-	for i := 0; i < ic.nb; i++ {
-		lo, hi := int(ic.rowPtr[i]), int(ic.rowPtr[i+1])
-		for k := lo; k < hi; k++ {
-			j := int(ic.colIdx[k])
-			blk := ic.blocks[k]
-			for r := 0; r < 3; r++ {
-				for c := 0; c < 3; c++ {
-					l.Set(3*i+r, 3*j+c, blk[3*r+c])
-				}
+	put := func(i, j int, blk []float64) {
+		for r := 0; r < 3; r++ {
+			for c := 0; c < 3; c++ {
+				l.Set(3*i+r, 3*j+c, blk[3*r+c])
 			}
 		}
+	}
+	for i := 0; i < ic.nb; i++ {
+		for k := int(ic.rowPtr[i]); k < int(ic.rowPtr[i+1]); k++ {
+			put(i, int(ic.colIdx[k]), ic.lower[9*k:9*k+9])
+		}
+		var inv blas.Mat3
+		copy(inv[:], ic.invDiag[9*i:9*i+9])
+		d, ok := inv.Inv3()
+		if !ok {
+			t.Fatalf("diagonal block %d of the factor is singular", i)
+		}
+		put(i, i, d[:])
 	}
 	llt := l.Mul(l.Transpose())
 	back := make([]float64, n)
@@ -141,6 +151,204 @@ func TestIC0ReuseAcrossNearbyMatrices(t *testing.T) {
 	if stPre.Iterations >= stPlain.Iterations {
 		t.Fatalf("stale IC0 did not help: %d vs %d", stPre.Iterations, stPlain.Iterations)
 	}
+}
+
+// poisoned returns a copy of a in which one entry of the lower
+// triangle, from the middle row on, is v: in a diagonal block, or with
+// strict in the first strict-lower block found.
+func poisoned(a *bcrs.Matrix, strict bool, v float64) *bcrs.Matrix {
+	b := bcrs.NewBuilder(a.NB())
+	done := false
+	for i := 0; i < a.NB(); i++ {
+		lo, hi := a.RowBlocks(i)
+		for k := lo; k < hi; k++ {
+			j, blk := a.BlockCol(k), a.BlockAt(k)
+			if !done && i >= a.NB()/2 && ((strict && j < i) || (!strict && j == i)) {
+				blk[0], done = v, true
+			}
+			b.AddBlock(i, j, blk)
+		}
+	}
+	return b.Build()
+}
+
+// TestIC0NonFiniteFailsTyped: a NaN compares false against everything,
+// so a pivot test written as d <= 0 lets it through and hands back a
+// NaN factor with a nil error. Every non-finite input the lower
+// triangle can hold must come back as ErrICBreakdown, from the first
+// attempt (no shift makes a NaN positive).
+func TestIC0NonFiniteFailsTyped(t *testing.T) {
+	a := spdMatrix(31, 40, 6)
+	for _, tc := range []struct {
+		name   string
+		strict bool
+		v      float64
+	}{
+		{"NaN diagonal", false, math.NaN()},
+		{"+Inf diagonal", false, math.Inf(1)},
+		{"-Inf diagonal", false, math.Inf(-1)},
+		{"NaN lower", true, math.NaN()},
+		{"Inf lower", true, math.Inf(1)},
+		{"overflowing lower", true, 1e200},
+	} {
+		bad := poisoned(a, tc.strict, tc.v)
+		ic := new(IC0)
+		if err := ic.setPattern(bad); err != nil {
+			t.Fatal(err)
+		}
+		if pivot, ok := ic.factor(bad, 0); ok || !(math.IsNaN(pivot) || math.IsInf(pivot, 0)) {
+			t.Errorf("%s: factor gave pivot %v ok=%v, want a non-finite pivot reported", tc.name, pivot, ok)
+		}
+		if _, err := NewIC0(bad); !errors.Is(err, ErrICBreakdown) {
+			t.Errorf("%s: NewIC0 error %v, want ErrICBreakdown", tc.name, err)
+		}
+	}
+	if _, _, ok := chol3(blas.Mat3{1, 0, 0, 0, math.NaN(), 0, 0, 0, 1}); ok {
+		t.Error("chol3 accepted a NaN pivot")
+	}
+}
+
+// TestIC0ShiftRetry: a symmetric matrix whose second pivot goes
+// negative factors on the first shifted retry, over the pattern
+// extracted once, and the shifted factor still preconditions.
+func TestIC0ShiftRetry(t *testing.T) {
+	b := bcrs.NewBuilder(2)
+	b.AddBlock(0, 0, blas.Ident3())
+	b.AddBlock(1, 1, blas.Ident3())
+	b.AddBlock(1, 0, blas.Ident3().ScaleM(1.0005))
+	b.AddBlock(0, 1, blas.Ident3().ScaleM(1.0005))
+	a := b.Build()
+	ic := new(IC0)
+	if err := ic.setPattern(a); err != nil {
+		t.Fatal(err)
+	}
+	if pivot, ok := ic.factor(a, 0); ok || !(pivot < 0) {
+		t.Fatalf("unshifted factor: pivot %v ok=%v, want a negative pivot", pivot, ok)
+	}
+	if err := ic.Refactor(a); err != nil {
+		t.Fatalf("shifted retry failed: %v", err)
+	}
+	z, r := make([]float64, 6), []float64{1, 2, 3, 4, 5, 6}
+	ic.Apply(z, r)
+	for _, v := range z {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("shifted factor applied to %v gave %v", r, z)
+		}
+	}
+}
+
+// TestIC0RefactorMatchesFresh: a factor refilled in place — from a
+// smaller matrix, a larger one, another pattern of the same size —
+// applies bitwise like one built fresh from the same matrix.
+func TestIC0RefactorMatchesFresh(t *testing.T) {
+	ic, err := NewIC0(spdMatrix(41, 50, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []*bcrs.Matrix{spdMatrix(42, 50, 7), spdMatrix(43, 20, 4), spdMatrix(44, 90, 8), spdMatrix(45, 50, 6)} {
+		if err := ic.Refactor(a); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewIC0(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := randVec(46, a.N())
+		got, want := make([]float64, a.N()), make([]float64, a.N())
+		ic.Apply(got, r)
+		fresh.Apply(want, r)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("nb=%d: refactored Apply differs from fresh at %d: %v vs %v", a.NB(), i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestIC0ApplyBlockMatchesApply: column j of the block sweep is
+// bitwise the single-vector sweep of column j.
+func TestIC0ApplyBlockMatchesApply(t *testing.T) {
+	a := spdMatrix(51, 70, 7)
+	ic, err := NewIC0(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := a.N()
+	for _, m := range []int{1, 5, 16} {
+		r := multivec.New(n, m)
+		copy(r.Data, randVec(int64(52+m), n*m))
+		z := multivec.New(n, m)
+		ic.ApplyBlock(z, r)
+		rc, zc, want := make([]float64, n), make([]float64, n), make([]float64, n)
+		for j := 0; j < m; j++ {
+			r.Col(j, rc)
+			ic.Apply(want, rc)
+			z.Col(j, zc)
+			for i := range want {
+				if zc[i] != want[i] {
+					t.Fatalf("m=%d column %d row %d: ApplyBlock %v, Apply %v", m, j, i, zc[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// columnOnly hides a preconditioner's ApplyBlock, which sends BlockCG
+// down its column-by-column path.
+type columnOnly struct{ p Preconditioner }
+
+func (c columnOnly) Apply(z, r []float64) { c.p.Apply(z, r) }
+
+// TestBlockCGBlockPrecondMatchesColumns: preconditioning a block solve
+// through ApplyBlock is bitwise what the copy-out / Apply / copy-in
+// loop computes.
+func TestBlockCGBlockPrecondMatchesColumns(t *testing.T) {
+	a := spdMatrix(61, 80, 7)
+	ic, err := NewIC0(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const m = 6
+	b := multivec.New(a.N(), m)
+	copy(b.Data, randVec(62, a.N()*m))
+	x1, x2 := multivec.New(a.N(), m), multivec.New(a.N(), m)
+	st1 := BlockCG(a, x1, b, Options{Precond: ic})
+	st2 := BlockCG(a, x2, b, Options{Precond: columnOnly{ic}})
+	if !st1.Converged || st1.Iterations != st2.Iterations {
+		t.Fatalf("block path %+v, column path %+v", st1.Stats, st2.Stats)
+	}
+	for i := range x1.Data {
+		if x1.Data[i] != x2.Data[i] {
+			t.Fatalf("solutions differ at %d: %v vs %v", i, x1.Data[i], x2.Data[i])
+		}
+	}
+}
+
+// TestIC0DoesNotAllocate pins the sweeps and the in-place refactor at
+// zero heap allocations once warm: Apply runs in every iteration of
+// every solve of the SD step.
+func TestIC0DoesNotAllocate(t *testing.T) {
+	a := spdMatrix(71, 150, 8)
+	ic, err := NewIC0(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string, f func()) {
+		f()
+		if n := testing.AllocsPerRun(20, f); n != 0 {
+			t.Errorf("%s allocates %v times per call, want 0", name, n)
+		}
+	}
+	r, z := randVec(72, a.N()), make([]float64, a.N())
+	check("Apply", func() { ic.Apply(z, r) })
+	rb, zb := multivec.New(a.N(), 16), multivec.New(a.N(), 16)
+	copy(rb.Data, randVec(73, a.N()*16))
+	check("ApplyBlock", func() { ic.ApplyBlock(zb, rb) })
+	check("Refactor", func() {
+		if err := ic.Refactor(a); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestDeflationOrthonormalizes(t *testing.T) {
