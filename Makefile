@@ -5,7 +5,7 @@ GO ?= go
 BENCH_FILES ?= BENCH_serve.json BENCH_ensemble.json BENCH_shard.json
 BENCH_BASELINE_DIR ?= .bench-baseline
 
-.PHONY: ci docs-gate vet build test bench-test bench-trace race race-kernels chaos fuzz-faults serial serve-smoke shard-smoke bench experiments bench-serve bench-ensemble bench-shard bench-diff
+.PHONY: ci docs-gate vet build test bench-test bench-trace race race-kernels chaos fuzz-faults fuzz-neighbor serial serve-smoke shard-smoke bench experiments bench-serve bench-ensemble bench-shard bench-diff
 
 # ci is the gate: vet, build everything, the benchmark module's own
 # vet and tests (bench-test), one traced run of each SD workload
@@ -16,11 +16,12 @@ BENCH_BASELINE_DIR ?= .bench-baseline
 # suite (batched-vs-unbatched bitwise equivalence, shedding,
 # cancellation, drain), one serial pass with GOMAXPROCS=1 to prove
 # nothing depends on real parallelism, ten seconds of fuzzing the
-# fault-spec parser (its input is a command-line flag), and the
+# fault-spec parser (its input is a command-line flag) and ten of the
+# periodic wrap (its input is every coordinate a step produces), and the
 # advisory perf-regression gate over the BENCH_*.json artifacts (fails
 # only on >2x regressions; warns otherwise; skips files with no
 # baseline).
-ci: vet build bench-test bench-trace docs-gate race-kernels race chaos fuzz-faults serve-smoke shard-smoke serial bench-diff
+ci: vet build bench-test bench-trace docs-gate race-kernels race chaos fuzz-faults fuzz-neighbor serve-smoke shard-smoke serial bench-diff
 
 # docs-gate fails when an internal/ package lacks a package comment,
 # a tracked markdown file has a broken relative link, README.md /
@@ -58,7 +59,9 @@ bench-test:
 # untraced one, so a stepper change that reaches only one of the two
 # paths — a preconditioner the hooked first solve is not handed, a hook
 # result read differently — stops here; bench-test's smoke run is
-# untraced and `go test ./...` does not see bench/.
+# untraced and `go test ./...` does not see bench/. It is also the only
+# place where the hooked stepper hands matrices back (Recycle) through
+# bench/'s own Configuration wrapper.
 bench-trace:
 	bash bench/run.sh --workload sd_mrhs --seed 1 --seconds 2 --trace 1 > /dev/null
 	bash bench/run.sh --workload sd_orig --seed 1 --seconds 2 --trace 1 > /dev/null
@@ -78,11 +81,12 @@ race:
 # carried along a trajectory: two chains in one process — a verifier
 # beside a runner, ensemble members — must share none of it; and
 # multivec, whose pooled reductions block CG runs every iteration and
-# whose solves draw their workspace from a shared pool. Short mode
-# keeps it seconds-cheap so the full -race suite only runs once this
-# passes.
+# whose solves draw their workspace from a shared pool; and core, whose
+# stepper decides when a matrix goes back to the assembler that will
+# write over it. Short mode keeps it seconds-cheap so the full -race
+# suite only runs once this passes.
 race-kernels:
-	$(GO) test -race -short ./internal/bcrs/ ./internal/multivec/ ./internal/parallel/ ./internal/serve/ ./internal/shard/ ./internal/obs/ ./internal/solver/ ./internal/hydro/ ./internal/neighbor/ ./internal/sd/
+	$(GO) test -race -short ./internal/bcrs/ ./internal/multivec/ ./internal/parallel/ ./internal/serve/ ./internal/shard/ ./internal/obs/ ./internal/solver/ ./internal/hydro/ ./internal/neighbor/ ./internal/sd/ ./internal/core/
 
 # chaos runs the fault-injection and recovery tests — seeded chaos
 # runs must reproduce clean-run trajectories bitwise — under -race,
@@ -95,6 +99,13 @@ chaos:
 # a spec that parses back to itself, and its injector answers.
 fuzz-faults:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/cluster/faults/
+
+# fuzz-neighbor fuzzes neighbor.Wrap and MinImage for ten seconds: any
+# float64 coordinate and box returns (they used to loop once per box
+# length, forever on an infinity), and a coordinate within two boxes
+# keeps the bits of the bare add/subtract loops.
+fuzz-neighbor:
+	$(GO) test -run '^$$' -fuzz FuzzWrapTerminates -fuzztime 10s ./internal/neighbor/
 
 # serial runs the full suite pinned to one OS thread: the worker pool
 # must produce identical results (and never deadlock) when the runtime

@@ -136,7 +136,7 @@ func BenchmarkAblationWarmSecondSolve(b *testing.B) {
 	// One representative pair: solve R u = f, then solve the
 	// perturbed-system corrector warm vs cold.
 	f := make([]float64, fixMat.N())
-	s, err := chebyshev.NewSqrtAuto(fixMat, hydro.MinFarField(fixSys, hydro.Options{Phi: 0.5}), 30, 0)
+	s, err := chebyshev.NewSqrtAuto(fixMat, fixMat, hydro.MinFarField(fixSys, hydro.Options{Phi: 0.5}), 30, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -19,6 +19,7 @@ package chebyshev
 import (
 	"errors"
 	"math"
+	"sync"
 
 	"repro/internal/bcrs"
 	"repro/internal/multivec"
@@ -36,21 +37,41 @@ func Coefficients(f func(float64) float64, a, b float64, order int) []float64 {
 		panic("chebyshev: negative order")
 	}
 	np := order + 1
+	cos := cosTable(np)
 	fv := make([]float64, np)
 	for k := 0; k < np; k++ {
 		// Chebyshev node t_k in (-1, 1), mapped to [a, b].
-		t := math.Cos(math.Pi * (float64(k) + 0.5) / float64(np))
-		fv[k] = f(0.5*(b-a)*t + 0.5*(b+a))
+		fv[k] = f(0.5*(b-a)*cos[np*np+k] + 0.5*(b+a))
 	}
 	c := make([]float64, np)
 	for j := 0; j < np; j++ {
 		var s float64
-		for k := 0; k < np; k++ {
-			s += fv[k] * math.Cos(math.Pi*float64(j)*(float64(k)+0.5)/float64(np))
+		for k, w := range cos[j*np : (j+1)*np] {
+			s += fv[k] * w
 		}
 		c[j] = 2 * s / float64(np)
 	}
 	return c
+}
+
+// cosTables holds, per np = order+1 ever asked for, what Coefficients
+// needs of the order alone — np rows of weights cos(pi*j*(k+1/2)/np),
+// then the np nodes — since a stepper asks at one order, every step.
+var cosTables sync.Map
+
+func cosTable(np int) []float64 {
+	if t, ok := cosTables.Load(np); ok {
+		return t.([]float64)
+	}
+	t := make([]float64, np*np+np)
+	for k := 0; k < np; k++ {
+		t[np*np+k] = math.Cos(math.Pi * (float64(k) + 0.5) / float64(np))
+		for j := 0; j < np; j++ {
+			t[j*np+k] = math.Cos(math.Pi * float64(j) * (float64(k) + 0.5) / float64(np))
+		}
+	}
+	cosTables.Store(np, t)
+	return t
 }
 
 // Eval evaluates the truncated series at x via the Clenshaw
@@ -95,8 +116,8 @@ const DefaultOrder = 30
 // first tail whose coefficients all fall below tol*|c0| — the
 // adaptive-order optimization.
 func NewSqrt(a Op, lmin, lmax float64, order int, tol float64) (*SqrtOp, error) {
-	if !(lmin > 0) || !(lmax > lmin) {
-		return nil, errors.New("chebyshev: need 0 < lmin < lmax")
+	if !(lmin > 0) || !(lmax > lmin) || math.IsInf(lmax, 1) {
+		return nil, errors.New("chebyshev: need 0 < lmin < lmax < +Inf")
 	}
 	if order <= 0 {
 		order = DefaultOrder
@@ -113,11 +134,14 @@ func NewSqrt(a Op, lmin, lmax float64, order int, tol float64) (*SqrtOp, error) 
 	return &SqrtOp{a: a, lmin: lmin, lmax: lmax, c: c}, nil
 }
 
-// NewSqrtAuto brackets the spectrum automatically: the Gershgorin
-// upper bound and the provided floor for the lower bound (pass the
-// minimum far-field coefficient of the resistance matrix).
-func NewSqrtAuto(a *bcrs.Matrix, floor float64, order int, tol float64) (*SqrtOp, error) {
+// NewSqrtAuto is NewSqrt over op with the spectrum bracketed from a, the
+// matrix op multiplies by: its Gershgorin bounds, the lower raised to floor
+// (SD's minimum far-field coefficient). A NaN or infinity in a is an error.
+func NewSqrtAuto(op Op, a *bcrs.Matrix, floor float64, order int, tol float64) (*SqrtOp, error) {
 	lo, hi := a.GershgorinInterval()
+	if lo-lo != 0 || hi-hi != 0 {
+		return nil, errors.New("chebyshev: spectrum bracket not finite")
+	}
 	if lo > floor {
 		floor = lo
 	}
@@ -127,7 +151,7 @@ func NewSqrtAuto(a *bcrs.Matrix, floor float64, order int, tol float64) (*SqrtOp
 	if hi <= floor {
 		hi = floor * (1 + 1e-6)
 	}
-	return NewSqrt(a, floor, hi, order, tol)
+	return NewSqrt(op, floor, hi, order, tol)
 }
 
 // Order returns the number of matrix multiplications one Apply

@@ -169,7 +169,7 @@ func TestAdaptiveTruncation(t *testing.T) {
 
 func TestNewSqrtAuto(t *testing.T) {
 	a, lo, _ := randSPDMatrix(8, 10)
-	op, err := NewSqrtAuto(a, lo, 40, 0)
+	op, err := NewSqrtAuto(a, a, lo, 40, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,6 +190,41 @@ func TestNewSqrtRejectsBadInterval(t *testing.T) {
 	}
 	if _, err := NewSqrt(a, 2, 1, 10, 0); err == nil {
 		t.Fatal("lmin>lmax must fail")
+	}
+	// Non-finite bounds are errors too, not NaN coefficients.
+	for _, b := range [][2]float64{{1, math.Inf(1)}, {1, math.NaN()}, {math.NaN(), 2}, {math.Inf(1), math.Inf(1)}, {math.Inf(-1), 2}} {
+		if _, err := NewSqrt(a, b[0], b[1], 10, 0); err == nil {
+			t.Fatalf("interval [%v, %v] must fail", b[0], b[1])
+		}
+	}
+}
+
+// TestCoefficientsFromTableMatchDirectSums: the cosines Coefficients
+// now reads from a table kept per order are the ones it used to
+// evaluate on every call, so the coefficients keep their bits — on the
+// first call at an order, which fills the table, and on the next.
+func TestCoefficientsFromTableMatchDirectSums(t *testing.T) {
+	for _, order := range []int{0, 1, 7, 30, 31} {
+		np := order + 1
+		a, b := 1208.0, 3.13e6
+		want := make([]float64, np)
+		for j := range want {
+			var s float64
+			for k := 0; k < np; k++ {
+				x := 0.5*(b-a)*math.Cos(math.Pi*(float64(k)+0.5)/float64(np)) + 0.5*(b+a)
+				s += math.Sqrt(x) * math.Cos(math.Pi*float64(j)*(float64(k)+0.5)/float64(np))
+			}
+			want[j] = 2 * s / float64(np)
+		}
+		for call := 0; call < 2; call++ {
+			got := Coefficients(math.Sqrt, a, b, order)
+			for j := range want {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("order %d call %d: c[%d] = %x, direct sum %x", order, call, j,
+						math.Float64bits(got[j]), math.Float64bits(want[j]))
+				}
+			}
+		}
 	}
 }
 

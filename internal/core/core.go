@@ -23,6 +23,9 @@ type Configuration interface {
 	Dim() int
 	// Build assembles the SPD system matrix at this configuration.
 	Build() *bcrs.Matrix
+	// Recycle hands back a matrix Build returned, which the caller will
+	// not touch again: a later Build may reuse its storage. Optional.
+	Recycle(a *bcrs.Matrix)
 	// SpectrumFloor returns a positive lower bound on the matrix
 	// spectrum (the far-field diagonal floor for SD).
 	SpectrumFloor() float64
@@ -69,7 +72,8 @@ type Config struct {
 	// FirstSolve, if non-nil, replaces plain CG for each step's
 	// first solve. It receives the step's matrix, the right-hand
 	// side, and x holding the initial guess (zero for the original
-	// algorithm) and, in its options, the window's preconditioner.
+	// algorithm) and, in its options, the window's preconditioner. The
+	// matrix is valid for the call only: the stepper recycles it after.
 	// This hook is how Krylov recycling, Section III's second
 	// technique, plugs into the same time-stepping loop for comparison.
 	FirstSolve SolveFunc
@@ -79,7 +83,9 @@ type Config struct {
 	// cluster operator here turns the stepper into a distributed-
 	// memory SD simulation, the code the paper notes it does not yet
 	// have (Section V-A). The callback receives the configuration
-	// the matrix was assembled at (for geometric partitioning).
+	// the matrix was assembled at (for geometric partitioning). The
+	// matrix, hence the operator over it, is valid until the solve it
+	// was built for returns; the step's midpoint matrix gets its own call.
 	Distribute func(a *bcrs.Matrix, c Configuration) DistOp
 	// Precond builds the one preconditioner every solve of a reuse
 	// window shares — the augmented block solve and each first and
@@ -92,12 +98,14 @@ type Config struct {
 	// means block IC(0) (solver.IC0, refactored in place; a breakdown
 	// leaves that window unpreconditioned and is counted, the step goes
 	// on). A nil result means an unpreconditioned window: NoPrecond is
-	// the paper's setting.
+	// the paper's setting. The matrix is valid for the call only, so the
+	// result must copy what it keeps (solver.IC0 and BlockJacobi do).
 	Precond func(a *bcrs.Matrix) solver.Preconditioner
 	// BlockPrecond, if non-nil, is called with each chunk's R_0 right
 	// before the augmented block solve and may return a preconditioner
 	// for that solve alone; a nil result keeps the window's. The traced
-	// benchmark uses the call to mark where the block solve begins.
+	// benchmark uses the call to mark where the block solve begins. The
+	// matrix is valid for the call only.
 	BlockPrecond func(a *bcrs.Matrix) solver.Preconditioner
 	// Recovery, if non-nil, arms crash recovery in the Run loops:
 	// transport faults that unwind out of a step or chunk restore the
@@ -469,18 +477,7 @@ func (r *Runner) operator(a *bcrs.Matrix, c Configuration) DistOp {
 // the spectrum from the concrete matrix (Gershgorin) and the
 // configuration's floor.
 func (r *Runner) sqrtOp(a *bcrs.Matrix, op DistOp) (*chebyshev.SqrtOp, error) {
-	floor := r.cur.SpectrumFloor()
-	lo, hi := a.GershgorinInterval()
-	if lo > floor {
-		floor = lo
-	}
-	if !(floor > 0) {
-		return nil, fmt.Errorf("core: spectrum floor %g not positive", floor)
-	}
-	if hi <= floor {
-		hi = floor * (1 + 1e-6)
-	}
-	return chebyshev.NewSqrt(op, floor, hi, r.cfg.ChebOrder, r.cfg.ChebTol)
+	return chebyshev.NewSqrtAuto(op, a, r.cur.SpectrumFloor(), r.cfg.ChebOrder, r.cfg.ChebTol)
 }
 
 // solveOpts is what every solve of the step runs under: the block
@@ -612,6 +609,7 @@ func (r *Runner) StepOriginal() error {
 	r.stepWindow(a)
 	st1 := r.firstSolve(a, op, u, rhs)
 	r.Timings.FirstSolve += time.Since(t0)
+	r.cur.Recycle(a)
 	if !st1.Converged {
 		r.noteFailure("first_solve")
 		return fmt.Errorf("core: step %d first solve stalled at residual %g", r.k, st1.Residual)
@@ -669,6 +667,7 @@ func (r *Runner) secondSolve(u, rhs []float64) ([]float64, solver.Stats, error) 
 	if r.audit != nil {
 		r.audit("second", aHalf, uHalf, rhs)
 	}
+	half.Recycle(aHalf)
 	return uHalf, st, nil
 }
 
@@ -748,6 +747,7 @@ func (r *Runner) StepMRHS(steps int) error {
 			r.audit("block", a0, x, b)
 		}
 	}
+	r.cur.Recycle(a0)
 
 	// Steps 4-6: the first time step uses u_0 directly (its first
 	// solve already happened inside the block solve).
@@ -779,8 +779,9 @@ func (r *Runner) StepMRHS(steps int) error {
 		if err != nil {
 			return fmt.Errorf("core: step %d: %w", r.k, err)
 		}
-		fbk := r.vec(&r.buf.fb)
-		sk.Apply(fbk, r.noise(r.k))
+		fbk, zk := r.vec(&r.buf.fb), r.vec(&r.buf.noise)
+		z.Col(j, zk) // step r.k's noise, drawn above
+		sk.Apply(fbk, zk)
 		r.Timings.ChebSingle += time.Since(t0)
 		rhs := r.negRHS(fbk, r.externalForce(r.cur))
 
@@ -790,6 +791,7 @@ func (r *Runner) StepMRHS(steps int) error {
 		t0 = time.Now()
 		st1 := r.firstSolve(ak, opk, uk, rhs)
 		r.Timings.FirstSolve += time.Since(t0)
+		r.cur.Recycle(ak)
 		if !st1.Converged {
 			r.noteFailure("first_solve")
 			return fmt.Errorf("core: step %d first solve stalled at residual %g", r.k, st1.Residual)

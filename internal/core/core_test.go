@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/bcrs"
 	"repro/internal/blas"
+	"repro/internal/multivec"
 	"repro/internal/obs"
 	"repro/internal/solver"
 )
@@ -47,6 +48,8 @@ func (c *toyConfig) Build() *bcrs.Matrix {
 	}
 	return b.Build()
 }
+
+func (c *toyConfig) Recycle(*bcrs.Matrix) {}
 
 func (c *toyConfig) SpectrumFloor() float64 { return 0.5 }
 
@@ -422,5 +425,143 @@ func TestPrecondBreakdownLeavesWindowUnpreconditioned(t *testing.T) {
 	}
 	if r.pre == nil || r.Obs.Counter("core_precond_rebuilds_total").Value() != 1 {
 		t.Fatal("the next window did not factor again")
+	}
+}
+
+// badToy is a toy configuration whose matrix holds one bad scalar, from
+// the step it is armed for on.
+type badToy struct {
+	*toyConfig
+	row, col, entry int
+	v               float64
+	from, step      int
+}
+
+func (c *badToy) Build() *bcrs.Matrix {
+	a := c.toyConfig.Build()
+	if c.step < c.from {
+		return a
+	}
+	b := bcrs.NewBuilder(a.NB())
+	for i := 0; i < a.NB(); i++ {
+		lo, hi := a.RowBlocks(i)
+		for k := lo; k < hi; k++ {
+			blk := a.BlockAt(k)
+			if i == c.row && a.BlockCol(k) == c.col {
+				blk[c.entry] = c.v
+			}
+			b.AddBlock(i, a.BlockCol(k), blk)
+		}
+	}
+	return b.Build()
+}
+
+func (c *badToy) Displaced(u []float64, dt float64) Configuration {
+	next := *c
+	next.toyConfig = c.toyConfig.Displaced(u, dt).(*toyConfig)
+	if dt == badToyDt { // a full step, not the half step to the midpoint
+		next.step++
+	}
+	return &next
+}
+
+const badToyDt = 0.1
+
+// TestNonFiniteMatrixFailsTheStepAtTheBracket: a NaN or an infinity in
+// the matrix — in the first row, in the last, in a diagonal or an
+// off-diagonal block — stops the step where the spectrum is bracketed,
+// with an error naming the step and before any solve, in both
+// algorithms. The old bracket folded rows with comparisons that are
+// false for NaN, so only a NaN in the first row was seen and every
+// other ran on into a solver breakdown; +Inf went through to NaN
+// Chebyshev coefficients.
+func TestNonFiniteMatrixFailsTheStepAtTheBracket(t *testing.T) {
+	const nb = 20
+	offDiag := func(row int) int {
+		base := newToy(nb, 21).base
+		lo, hi := base.RowBlocks(row)
+		for k := lo; k < hi; k++ {
+			if base.BlockCol(k) != row {
+				return base.BlockCol(k)
+			}
+		}
+		t.Fatalf("row %d has no off-diagonal block", row)
+		return 0
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, row := range []int{0, nb - 1} {
+			for _, col := range []int{row, offDiag(row)} {
+				for _, mrhs := range []bool{false, true} {
+					c := &badToy{toyConfig: newToy(nb, 21), row: row, col: col, entry: 1, v: v, from: 2}
+					r := NewRunner(c, Config{Dt: badToyDt, M: 4, Seed: 21})
+					var err error
+					if mrhs {
+						err = r.StepMRHS(4)
+					} else {
+						for i := 0; i < 4 && err == nil; i++ {
+							err = r.StepOriginal()
+						}
+					}
+					if err == nil || err.Error() != "core: step 2: chebyshev: spectrum bracket not finite" || r.StepIndex() != 2 {
+						t.Errorf("%v at block (%d, %d), mrhs %v: stopped at step %d with %v", v, row, col, mrhs, r.StepIndex(), err)
+					}
+				}
+			}
+		}
+	}
+	// At a chunk's R_0 the error names the chunk.
+	c := &badToy{toyConfig: newToy(nb, 21), row: 3, col: 3, entry: 0, v: math.Inf(1)}
+	err := NewRunner(c, Config{Dt: badToyDt, M: 4, Seed: 21}).StepMRHS(4)
+	if err == nil || err.Error() != "core: chunk at step 0: chebyshev: spectrum bracket not finite" {
+		t.Errorf("bad R_0: %v", err)
+	}
+}
+
+// firstMulSpy records the input of the first single-vector multiply it
+// is asked for: under the Chebyshev recurrence, T_1 = A z, that is the
+// step's noise.
+type firstMulSpy struct {
+	*bcrs.Matrix
+	seen *[][]float64
+	done bool
+}
+
+func (s *firstMulSpy) Mul(y, x *multivec.MultiVec) {
+	if !s.done && x.M == 1 {
+		*s.seen, s.done = append(*s.seen, slices.Clone(x.Data)), true
+	}
+	s.Matrix.Mul(y, x)
+}
+
+// TestMRHSStepNoiseIsItsColumnOfZ: steps 1..m-1 of a chunk take their
+// noise from column j of the Z the chunk drew for its block solve, not
+// from a second draw; the vector that reaches S(R_k) is bitwise the
+// noise of global step k, with and without a force scale.
+func TestMRHSStepNoiseIsItsColumnOfZ(t *testing.T) {
+	for _, scale := range []float64{0, 0.37} {
+		var seen [][]float64
+		cfg := Config{Dt: 0.1, M: 4, Seed: 23, ForceScale: scale}
+		cfg.Distribute = func(a *bcrs.Matrix, _ Configuration) DistOp { return &firstMulSpy{Matrix: a, seen: &seen} }
+		r := NewRunner(newToy(12, 23), cfg)
+		if err := r.StepMRHS(4); err != nil {
+			t.Fatal(err)
+		}
+		// Distribute is also asked for the midpoint operators, whose
+		// multiplies are CG's, on residuals: of the seven single-vector
+		// firsts, the Chebyshev ones are those of steps 1..3.
+		ref := NewRunner(newToy(12, 23), Config{Seed: 23, ForceScale: scale})
+		found := 0
+		for k := 1; k < 4; k++ {
+			want := ref.noise(k)
+			for _, x := range seen {
+				if slices.Equal(x, want) {
+					found++
+					break
+				}
+			}
+		}
+		if found != 3 {
+			t.Errorf("force scale %v: %d of 3 step noises reached the square root bitwise", scale, found)
+		}
 	}
 }

@@ -35,6 +35,16 @@
 // paper's unpreconditioned setting, which the paper's tables and
 // figures regenerate under.
 //
+// # Who owns a matrix
+//
+// A matrix Build returns is its caller's until handed back with
+// Configuration.Recycle; handing back is optional; hooks do not retain.
+// Every stepper hands a matrix back where it dies — after the first
+// solve, the second, a chunk's block solve — and sd.Conf's assembler
+// builds the next one into the same arrays, so what a Config hook
+// receives is valid for the call (Distribute's operator: until the solve
+// its matrix was built for returns — the midpoint matrix gets its own).
+//
 // # Ensembles
 //
 // EnsembleRunner is the second route to a wide kernel: instead of

@@ -5,6 +5,7 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/bcrs"
 	"repro/internal/obs"
 	"repro/internal/solver"
 )
@@ -132,9 +133,13 @@ func (e *EnsembleRunner) Step() error {
 	rhss := make([][]float64, kk)
 	us := make([][]float64, kk)
 	opts := make([]solver.Options, kk)
+	// Each member's live matrix, and who gets it back after the solve.
+	mats := make([]*bcrs.Matrix, kk)
+	built := make([]Configuration, kk)
 	for i, r := range e.members {
 		t0 := time.Now()
 		a := r.cur.Build()
+		mats[i], built[i] = a, r.cur
 		e.Timings.Construct += time.Since(t0)
 		op := r.operator(a, r.cur)
 
@@ -163,6 +168,9 @@ func (e *EnsembleRunner) Step() error {
 	t0 := time.Now()
 	st1 := solver.MultiCGWith(e.ws, solver.NewEnsemble(ops), us, rhss, opts)
 	e.Timings.FirstSolve += time.Since(t0)
+	for i, a := range mats {
+		built[i].Recycle(a)
+	}
 	for i, st := range st1 {
 		if !st.Converged {
 			e.members[i].noteFailure("first_solve")
@@ -179,12 +187,16 @@ func (e *EnsembleRunner) Step() error {
 		t0 := time.Now()
 		aHalf := half.Build()
 		e.Timings.Construct += time.Since(t0)
+		mats[i], built[i] = aHalf, half
 		ops[i] = r.operator(aHalf, half)
 		uHalfs[i] = append([]float64(nil), us[i]...)
 	}
 	t0 = time.Now()
 	st2 := solver.MultiCGWith(e.ws, solver.NewEnsemble(ops), uHalfs, rhss, opts)
 	e.Timings.SecondSolve += time.Since(t0)
+	for i, a := range mats {
+		built[i].Recycle(a)
+	}
 	for i, st := range st2 {
 		if !st.Converged {
 			e.members[i].noteFailure("second_solve")

@@ -55,7 +55,9 @@ type pinnedSet struct {
 // default since: an edit to StepOriginal, StepMRHS, secondSolve,
 // Ensemble.Step or the recovery snapshot must not move a trajectory by
 // one ulp or a solve by one iteration. The default's pins (one IC(0)
-// factor per window) were taken when it became the default.
+// factor per window) were taken when it became the default. Each set
+// is checked again over configurations that poison every matrix the
+// stepper hands back (poisonConf): the same pins.
 func TestPinnedTrajectories(t *testing.T) {
 	for _, set := range []pinnedSet{
 		{
@@ -81,11 +83,14 @@ func TestPinnedTrajectories(t *testing.T) {
 			},
 		},
 	} {
-		t.Run(set.name, func(t *testing.T) { checkPinned(t, set) })
+		t.Run(set.name, func(t *testing.T) {
+			checkPinned(t, set, plain)
+			t.Run("poisoned", func(t *testing.T) { checkPinned(t, set, poisoned) })
+		})
 	}
 }
 
-func checkPinned(t *testing.T, set pinnedSet) {
+func checkPinned(t *testing.T, set pinnedSet, wrap func(core.Configuration) core.Configuration) {
 	const steps = 8 // two chunks of m = 4
 	opt := hydro.Options{Phi: 0.3}
 	cfg := core.Config{Dt: 2, M: 4, Seed: 3, Precond: set.precond}
@@ -105,19 +110,29 @@ func checkPinned(t *testing.T, set pinnedSet) {
 		}
 	}
 
-	orig := sd.New(newSys(), opt, cfg, 1)
+	newRunner := func(cfg core.Config) *core.Runner {
+		return core.NewRunner(wrap(sd.NewConf(newSys(), opt, 1)), cfg)
+	}
+	orig := newRunner(cfg)
 	if err := orig.RunOriginal(steps); err != nil {
 		t.Fatal(err)
 	}
-	check("original", fingerprint(orig.System(), orig.Runner), set.original)
+	check("original", fingerprint(systemOf(orig.Current()), orig), set.original)
 
-	mrhs := sd.New(newSys(), opt, cfg, 1)
+	mrhs := newRunner(cfg)
 	if err := mrhs.RunMRHS(steps); err != nil {
 		t.Fatal(err)
 	}
-	check("mrhs", fingerprint(mrhs.System(), mrhs.Runner), set.mrhs)
+	check("mrhs", fingerprint(systemOf(mrhs.Current()), mrhs), set.mrhs)
 
-	ens, err := sd.NewEnsemble(newSys(), opt, cfg, 1, sd.EnsembleOptions{Seeds: []uint64{3, 4, 5}})
+	// What sd.NewEnsemble builds: every member on a clone of the system,
+	// with an assembler of its own.
+	ens, err := core.NewEnsemble(sd.NewConf(newSys(), opt, 1), cfg, core.EnsembleOptions{
+		Seeds: []uint64{3, 4, 5},
+		Perturb: func(_ int, base core.Configuration) core.Configuration {
+			return wrap(sd.NewConf(base.(*sd.Conf).Sys.Clone(), opt, 1))
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +141,7 @@ func checkPinned(t *testing.T, set pinnedSet) {
 	}
 	for i, want := range set.members {
 		r := ens.Member(i)
-		check("ensemble member", fingerprint(r.Current().(*sd.Conf).Sys, r), want)
+		check("ensemble member", fingerprint(systemOf(r.Current()), r), want)
 	}
 
 	// One node crash in the second chunk's block solve (the injector is
@@ -143,7 +158,7 @@ func checkPinned(t *testing.T, set pinnedSet) {
 	rcfg.Recovery = &core.Recovery{MaxRetries: 3}
 	rcfg.Distribute = func(a *bcrs.Matrix, c core.Configuration) core.DistOp {
 		const p = 2
-		cl, err := cluster.New(a, partition.RCB(a, c.(*sd.Conf).Sys.Pos, p).Part, p)
+		cl, err := cluster.New(a, partition.RCB(a, systemOf(c).Pos, p).Part, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +168,7 @@ func checkPinned(t *testing.T, set pinnedSet) {
 		}
 		return cl
 	}
-	chaos := sd.New(newSys(), opt, rcfg, 1)
+	chaos := newRunner(rcfg)
 	reg := obs.NewRegistry()
 	chaos.Obs = reg
 	if err := chaos.RunMRHS(steps / 2); err != nil {
@@ -166,5 +181,13 @@ func checkPinned(t *testing.T, set pinnedSet) {
 	if n := reg.Counter(obs.Label("core_fault_recoveries_total", "phase", "chunk")).Value(); n != 1 {
 		t.Fatalf("chunk recoveries = %d, want the one injected crash replayed once", n)
 	}
-	check("mrhs under recovery", fingerprint(chaos.System(), chaos.Runner), set.chaos)
+	check("mrhs under recovery", fingerprint(systemOf(chaos.Current()), chaos), set.chaos)
+
+	// The replay is the clean two-node run.
+	armed = false
+	clean := newRunner(rcfg)
+	if err := clean.RunMRHS(steps); err != nil {
+		t.Fatal(err)
+	}
+	check("mrhs on two nodes, no crash", fingerprint(systemOf(clean.Current()), clean), set.chaos)
 }

@@ -72,31 +72,39 @@ func TestHookedRunMatchesUnhooked(t *testing.T) {
 	}
 
 	for _, alg := range []string{"original", "mrhs"} {
-		run := func(cfg core.Config) pinned {
-			sim := sd.New(precondSystem(t, 9), opt, cfg, 1)
+		run := func(cfg core.Config, wrap func(core.Configuration) core.Configuration) pinned {
+			r := core.NewRunner(wrap(sd.NewConf(precondSystem(t, 9), opt, 1)), cfg)
 			var err error
 			if alg == "mrhs" {
-				err = sim.RunMRHS(steps)
+				err = r.RunMRHS(steps)
 			} else {
-				err = sim.RunOriginal(steps)
+				err = r.RunOriginal(steps)
 			}
 			if err != nil {
 				t.Fatalf("%s: %v", alg, err)
 			}
-			return fingerprint(sim.System(), sim.Runner)
+			return fingerprint(systemOf(r.Current()), r)
 		}
-		want := run(base)
-		if got := run(hooked); got != want {
+		want := run(base, plain)
+		if got := run(hooked, plain); got != want {
 			t.Errorf("%s: hooked run %+v, unhooked %+v", alg, got, want)
 		}
-		if got := run(oneNode); got != want {
-			t.Errorf("%s: one-node cluster run %+v, unhooked %+v", alg, got, want)
+		// The hooks are handed matrices the stepper later hands back:
+		// none of them may be reached again through what a hook built.
+		if got := run(hooked, poisoned); got != want {
+			t.Errorf("%s: hooked run over poisoned hand-backs %+v, unhooked %+v", alg, got, want)
+		}
+		for _, wrap := range []func(core.Configuration) core.Configuration{plain, poisoned} {
+			if got := run(oneNode, wrap); got != want {
+				t.Errorf("%s: one-node cluster run %+v, unhooked %+v", alg, got, want)
+			}
 		}
 	}
 	// Algorithm 1 solves first at every step, Algorithm 2 at every step
-	// but a chunk's first; three chunks cover ten steps.
-	if firstSolves != steps+(steps-3) || blockSolves != 3 {
-		t.Errorf("hooks saw %d first solves and %d block solves, want %d and 3", firstSolves, blockSolves, 2*steps-3)
+	// but a chunk's first; three chunks cover ten steps. The hooked
+	// configuration ran twice.
+	if firstSolves != 2*(steps+(steps-3)) || blockSolves != 2*3 {
+		t.Errorf("hooks saw %d first solves and %d block solves, want %d and 6", firstSolves, blockSolves, 2*(2*steps-3))
 	}
 }
 

@@ -258,3 +258,170 @@ func TestAssemblerRejectsWrongCount(t *testing.T) {
 	}()
 	NewAssembler(sys, opt).Build(sys.Pos[:20])
 }
+
+// TestPairCoefMatchesPairTensorBitwise: the constants the assembler
+// caches per listed pair, fed one logarithm, give PairTensor's bits —
+// over radius ratios on both sides of 1 and at it, gaps below the
+// floor, deep in the lubrication range, straddling the cutoff and past
+// it, and a cutoff other than the default.
+func TestPairCoefMatchesPairTensorBitwise(t *testing.T) {
+	radii := []float64{0.3, 1, 1.7, 2.5, 37.25, 115}
+	d := blas.Vec3{2, -3, 6}.Scale(1.0 / 7)
+	for _, opt := range []Options{{}, {CutoffXi: 0.6, Viscosity: 0.89, MinXi: 1e-3}} {
+		opt = opt.WithDefaults()
+		xc := opt.CutoffXi
+		gaps := []float64{-0.5, 0, opt.MinXi / 2, opt.MinXi, 3e-4, 1e-2, 0.1, 0.5,
+			math.Nextafter(xc, 0), xc, math.Nextafter(xc, 2*xc), 0.999 * xc, 1.5 * xc}
+		for _, a1 := range radii {
+			for _, a2 := range radii {
+				c := newPairCoef(a1, a2, opt)
+				for _, xi := range gaps {
+					got, want := c.tensor(xi, d, opt.MinXi), PairTensor(a1, a2, xi, d, opt)
+					for q := range want {
+						if math.Float64bits(got[q]) != math.Float64bits(want[q]) {
+							t.Fatalf("a1 %v a2 %v xi %v entry %d: cached %x, PairTensor %x", a1, a2, xi, q,
+								math.Float64bits(got[q]), math.Float64bits(want[q]))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAssemblerHandBackMatchesOracleBitwise walks a polydisperse system
+// for 300 steps large enough against the skin that the list rebuilds
+// every few of them and pairs cross the cutoff all the time, so that
+// consecutive matrices differ in size. Most matrices are handed back,
+// so nearly every build writes into arrays that held another matrix,
+// with a pair cache filled under an older list; each must still be the
+// bits of a fresh assembler and of the Builder oracle. Every seventh is
+// kept, and must be intact at the end.
+func TestAssemblerHandBackMatchesOracleBitwise(t *testing.T) {
+	t.Cleanup(func() { parallel.SetThreads(1) })
+	steps := 300
+	if testing.Short() {
+		steps = 60 // the quadratic oracle is slow under -race
+	}
+	sys, err := particles.New(particles.Options{N: 150, Phi: 0.4, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Phi: 0.4}
+	cutoff := SearchCutoff(sys, opt)
+	for _, threads := range []int{1, 4} {
+		parallel.SetThreads(threads)
+		cur := sys.Clone()
+		s := rng.New(uint64(threads))
+		long := NewAssembler(cur, opt)
+		var kept []*bcrs.Matrix
+		var keptWant []image
+		sizes := map[int]bool{}
+		for step := 0; step < steps; step++ {
+			a := long.Build(cur.Pos)
+			got, want := imageOf(a), imageOf(oracle(cur, opt))
+			if d := got.diff(want); d != "" {
+				rb, ru := long.ListCounts()
+				t.Fatalf("threads %d step %d (%d rebuilds, %d reuses): recycling assembler vs oracle: %s", threads, step, rb, ru, d)
+			}
+			if d := imageOf(Build(cur, opt)).diff(want); d != "" {
+				t.Fatalf("threads %d step %d: fresh assembler vs oracle: %s", threads, step, d)
+			}
+			if err := a.Validate(); err != nil {
+				t.Fatalf("threads %d step %d: %v", threads, step, err)
+			}
+			sizes[a.NNZB()] = true
+			if step%7 == 3 {
+				kept, keptWant = append(kept, a), append(keptWant, want)
+			} else {
+				long.Recycle(a)
+			}
+			walk(cur.Pos, s, 0.2*skinFraction*cutoff)
+		}
+		rb, ru := long.ListCounts()
+		if rb < steps/20 || ru < steps/20 || len(sizes) < steps/20 {
+			t.Fatalf("walk exercised %d rebuilds, %d reuses and %d matrix sizes; want many of each", rb, ru, len(sizes))
+		}
+		for i, a := range kept {
+			if d := imageOf(a).diff(keptWant[i]); d != "" {
+				t.Fatalf("threads %d: kept matrix %d changed under later builds: %s", threads, i, d)
+			}
+		}
+	}
+}
+
+// TestRecycleContract: a warmed Build that is handed its predecessor
+// allocates the matrix header and nothing else, and Recycle ignores
+// everything but the matrix built last.
+func TestRecycleContract(t *testing.T) {
+	if parallel.Threads() != 1 {
+		t.Skip("a parallel dispatch allocates its job")
+	}
+	sys, opt := buildSmall(t, 200, 0.4, 12)
+	as, other := NewAssembler(sys, opt), NewAssembler(sys, opt)
+	as.Recycle(as.Build(sys.Pos))
+	if n := testing.AllocsPerRun(20, func() { as.Recycle(as.Build(sys.Pos)) }); n != 1 {
+		t.Fatalf("a warmed Build + Recycle cycle allocated %v times, want 1 (the header)", n)
+	}
+
+	// Every build from here on is at new positions, so a matrix written
+	// over shows.
+	s := rng.New(12)
+	live := map[*bcrs.Matrix]image{}
+	build := func() *bcrs.Matrix {
+		walk(sys.Pos, s, 0.02*SearchCutoff(sys, opt))
+		m := as.Build(sys.Pos)
+		live[m] = imageOf(m)
+		return m
+	}
+	check := func(when string) {
+		t.Helper()
+		for m, want := range live {
+			if d := imageOf(m).diff(want); d != "" {
+				t.Fatalf("%s: a matrix still held was written over: %s", when, d)
+			}
+		}
+	}
+	a := build()
+	build() // a is no longer the matrix built last
+	as.Recycle(a)
+	as.Recycle(nil)
+	as.Recycle(other.Build(sys.Pos))
+	as.Recycle(bcrs.NewBuilder(sys.N).Build())
+	c := build()
+	check("after hand-backs that are not the assembler's to take")
+	delete(live, c)
+	as.Recycle(c)
+	as.Recycle(c)
+	d := build() // in c's arrays
+	build()      // d is out: not in them again
+	check("after a double hand-back")
+	as.Recycle(d)
+	build()
+	check("after handing back the matrix before last")
+}
+
+// TestNonFinitePositionMarksItsRow: a particle at a NaN or infinite
+// coordinate is in no pair, so only its diagonal block can say that the
+// matrix is not one of a configuration — and the spectrum bracket reads
+// it, whichever row it is. The next build at finite positions, into the
+// same arrays, is clean again.
+func TestNonFinitePositionMarksItsRow(t *testing.T) {
+	sys, opt := buildSmall(t, 60, 0.4, 9)
+	as := NewAssembler(sys, opt)
+	clean := imageOf(as.Build(sys.Pos))
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, at := range []int{0, 31, 59} {
+			pos := append([]blas.Vec3(nil), sys.Pos...)
+			pos[at][2] = v
+			m := as.Build(pos)
+			if lo, hi := m.GershgorinInterval(); !math.IsNaN(lo) || !math.IsNaN(hi) {
+				t.Fatalf("particle %d at %v: bracket [%v, %v]", at, v, lo, hi)
+			}
+			as.Recycle(m)
+			if d := imageOf(as.Build(sys.Pos)).diff(clean); d != "" {
+				t.Fatalf("after particle %d at %v: %s", at, v, d)
+			}
+		}
+	}
+}

@@ -38,8 +38,14 @@
 // (positions, radii, options): bitwise the same from a long-lived
 // assembler or a fresh one, at any thread count, and bitwise what a
 // bcrs.Builder fed the far-field diagonal and then the (I, J)-sorted
-// pairs would produce. A returned matrix owns its arrays — nothing the
-// assembler does later touches it.
+// pairs would produce.
+//
+// A warmed Build pays for what moved: the constants of a pair (XA's and
+// YA's coefficients, their cutoff values, the scale) are kept per
+// candidate slot of the Verlet list, so a build takes one logarithm per
+// pair in PairTensor's expressions and order — PairTensor, XA and YA
+// are the reference the cache is tested against, bit for bit. A
+// returned matrix owns its arrays until its holder hands it to Recycle.
 package hydro
 
 import "math"
@@ -61,12 +67,15 @@ func XA(xi, beta float64) float64 {
 	if xi <= 0 {
 		panic("hydro: XA requires xi > 0")
 	}
-	b3 := cube(1 + beta)
-	g1 := 2 * beta * beta / b3
-	g2 := beta * (1 + 7*beta + beta*beta) / (5 * b3)
-	g3 := (1 + 18*beta - 29*beta*beta + 18*beta*beta*beta + beta*beta*beta*beta) / (42 * b3)
+	g1, g2, g3 := xaCoef(beta)
 	l := math.Log(1 / xi)
 	return g1/xi + g2*l + g3*xi*l
+}
+
+func xaCoef(beta float64) (g1, g2, g3 float64) {
+	b3 := cube(1 + beta)
+	return 2 * beta * beta / b3, beta * (1 + 7*beta + beta*beta) / (5 * b3),
+		(1 + 18*beta - 29*beta*beta + 18*beta*beta*beta + beta*beta*beta*beta) / (42 * b3)
 }
 
 // YA returns the shear-mode (transverse) near-field resistance
@@ -82,11 +91,15 @@ func YA(xi, beta float64) float64 {
 	if xi <= 0 {
 		panic("hydro: YA requires xi > 0")
 	}
-	b3 := cube(1 + beta)
-	g2 := 4 * beta * (2 + beta + 2*beta*beta) / (15 * b3)
-	g3 := 2 * (16 - 45*beta + 58*beta*beta - 45*beta*beta*beta + 16*beta*beta*beta*beta) / (375 * b3)
+	g2, g3 := yaCoef(beta)
 	l := math.Log(1 / xi)
 	return g2*l + g3*xi*l
+}
+
+func yaCoef(beta float64) (g2, g3 float64) {
+	b3 := cube(1 + beta)
+	return 4 * beta * (2 + beta + 2*beta*beta) / (15 * b3),
+		2 * (16 - 45*beta + 58*beta*beta - 45*beta*beta*beta + 16*beta*beta*beta*beta) / (375 * b3)
 }
 
 func cube(x float64) float64 { return x * x * x }

@@ -1,6 +1,7 @@
 package hydro
 
 import (
+	"math"
 	"slices"
 
 	"repro/internal/bcrs"
@@ -64,6 +65,31 @@ func PairTensor(a1, a2, xi float64, d blas.Vec3, opt Options) blas.Mat3 {
 	return blas.AxialTensor(scale*xa, scale*ya, d)
 }
 
+// pairCoef is what PairTensor recomputes per call from radii and options:
+// XA = g1/xi + g2*l + g3*xi*l and YA = y2*l + y3*xi*l (l = log(1/xi)),
+// both at the cutoff, and the 6*pi*mu*a_avg scale (nonzero: a filled slot).
+type pairCoef struct{ g1, g2, g3, y2, y3, xaCut, yaCut, scale float64 }
+
+func newPairCoef(a1, a2 float64, opt Options) (c pairCoef) {
+	beta := a2 / a1
+	c.g1, c.g2, c.g3 = xaCoef(beta)
+	c.y2, c.y3 = yaCoef(beta)
+	c.xaCut, c.yaCut = XA(opt.CutoffXi, beta), YA(opt.CutoffXi, beta)
+	c.scale = 6 * 3.141592653589793 * opt.Viscosity * (a1 + a2) / 2
+	return c
+}
+
+// tensor is PairTensor bit for bit: the same expressions in the same
+// order around one logarithm, not four (neither sum can be -0, the one
+// value max and PairTensor's comparisons would clamp differently).
+func (c *pairCoef) tensor(xi float64, d blas.Vec3, minXi float64) blas.Mat3 {
+	xi = max(xi, minXi)
+	l := math.Log(1 / xi)
+	xa := max(0, c.g1/xi+c.g2*l+c.g3*xi*l-c.xaCut)
+	ya := max(0, c.y2*l+c.y3*xi*l-c.yaCut)
+	return blas.AxialTensor(c.scale*xa, c.scale*ya, d)
+}
+
 // FarFieldCoefficients returns the per-particle diagonal coefficients
 // muF_i = 6*pi*mu*a_i*eta_r(phi): the Stokes drag of each sphere in
 // an effective medium of relative viscosity eta_r.
@@ -103,16 +129,17 @@ const skinFraction = 0.05
 // Assembler builds the resistance matrices of one trajectory: it is
 // bound to a system's radii, box and options, and is handed positions.
 // It owns what consecutive builds can share — the Verlet neighbor
-// list, the far-field coefficients, and the pair, tensor and row
-// scratch — so a warmed Build allocates only the matrix it returns.
-// Returned matrices never alias that scratch and are never written
-// again.
+// list, the far-field coefficients, the lubrication constants of every
+// listed pair, and the pair, tensor and row scratch — so a warmed
+// Build computes only what depends on the positions. A returned matrix
+// never aliases that scratch and is its holder's; handed back before
+// the next Build (Recycle), its arrays are what that Build writes into.
 //
 // The matrix is a pure function of (positions, radii, options): the
 // list reports pairs in (I, J) order whatever its history, and each
 // diagonal block is summed as the far-field term, then the pair
-// tensors in ascending neighbor index. List reuse, rebuild timing and
-// thread count cannot change a bit of it.
+// tensors in ascending neighbor index. List reuse, rebuild timing,
+// recycled storage and thread count cannot change a bit of it.
 //
 // An Assembler is not safe for concurrent use; every trajectory (each
 // ensemble member, each runner) needs its own.
@@ -122,15 +149,22 @@ type Assembler struct {
 	far    []float64 // far-field diagonal coefficients
 	list   *neighbor.List
 
-	pairs []neighbor.Pair // the current build's pairs (the list's buffer)
+	// coef holds the pair constants by candidate slot of the list, as
+	// of its coefGen-th rebuild; a slot fills when its pair first lists.
+	coef    []pairCoef
+	coefGen int
+
+	pos   []blas.Vec3     // the current build's positions (the caller's)
+	pairs []neighbor.Pair // its pairs (the list's buffer)
 	tens  []blas.Mat3     // tensor per pair; zero for a dropped pair
 	ref   []int32         // pair behind each off-diagonal block
 	// below counts each row's neighbors of smaller index, then, with
 	// above, is the fill cursor of the row's two sides of the diagonal.
 	below, above []int32
 
-	// The matrix being written, for the pool callbacks below; they
-	// are bound once so that a build allocates nothing for them.
+	// The arrays of the matrix built last (lent, while it is out) and the
+	// pool callbacks that fill them, bound once so a build allocates none.
+	lent           *bcrs.Matrix
 	rowPtr, colIdx []int32
 	vals           []float64
 	tensorsFn      func(lo, hi int)
@@ -177,7 +211,22 @@ const (
 // Build assembles the matrix at pos, reusing the neighbor candidates
 // when pos has drifted less than the list's skin since they were found.
 func (as *Assembler) Build(pos []blas.Vec3) *bcrs.Matrix {
-	return assemble(as, as.list.Pairs(pos))
+	pairs := as.list.Pairs(pos)
+	if as.coefGen != as.list.Rebuilds {
+		_, n := as.list.Slots()
+		as.coef, as.coefGen = sized(as.coef, n), as.list.Rebuilds
+		clear(as.coef)
+	}
+	return assemble(as, pos, pairs)
+}
+
+// Recycle takes back the matrix built last, which its holder will not
+// touch again. Anything else — nil, an earlier or another assembler's
+// matrix, a second hand-back — is ignored, as is all on a nil receiver.
+func (as *Assembler) Recycle(a *bcrs.Matrix) {
+	if as != nil && a == as.lent {
+		as.lent = nil
+	}
 }
 
 // assemble is the package's one assembly routine: the matrix of the
@@ -186,15 +235,19 @@ func (as *Assembler) Build(pos []blas.Vec3) *bcrs.Matrix {
 // and prefix sum), the column structure (serial; sorted pairs fill
 // every row in ascending column order), and the values (parallel, one
 // block row per write).
-func assemble(as *Assembler, pairs []neighbor.Pair) *bcrs.Matrix {
+func assemble(as *Assembler, pos []blas.Vec3, pairs []neighbor.Pair) *bcrs.Matrix {
 	nb := len(as.radius)
 	pool := parallel.Default()
-	as.pairs = pairs
-	as.tens = slices.Grow(as.tens[:0], len(pairs))[:len(pairs)]
+	as.pos, as.pairs = pos, pairs
+	as.tens = sized(as.tens, len(pairs))
 	pool.ForOp("hydro_pair_tensors", len(pairs), pairGrain, as.tensorsFn)
 
+	if as.lent != nil { // not handed back: its arrays stay its own
+		as.rowPtr, as.colIdx, as.vals = nil, nil, nil
+	}
 	// A row holds its diagonal block and one block per kept pair.
-	rowPtr := make([]int32, nb+1)
+	rowPtr := sized(as.rowPtr, nb+1)
+	clear(rowPtr) // recycled colIdx and vals need none: every slot is written
 	clear(as.below)
 	for k, p := range pairs {
 		if !as.tens[k].Zero3() {
@@ -207,9 +260,9 @@ func assemble(as *Assembler, pairs []neighbor.Pair) *bcrs.Matrix {
 		rowPtr[i+1] += rowPtr[i] + 1
 	}
 	nnzb := int(rowPtr[nb])
-	colIdx := make([]int32, nnzb)
-	vals := make([]float64, nnzb*bcrs.BlockSize)
-	as.ref = slices.Grow(as.ref[:0], nnzb)[:nnzb]
+	colIdx := sized(as.colIdx, nnzb)
+	vals := sized(as.vals, nnzb*bcrs.BlockSize)
+	as.ref = sized(as.ref, nnzb)
 
 	// Row i is [neighbors below i | i | neighbors above i], and each
 	// part fills left to right because the pairs are sorted.
@@ -230,8 +283,17 @@ func assemble(as *Assembler, pairs []neighbor.Pair) *bcrs.Matrix {
 
 	as.rowPtr, as.colIdx, as.vals = rowPtr, colIdx, vals
 	pool.ForOp("hydro_rows", nb, rowGrain, as.rowsFn)
-	as.pairs, as.rowPtr, as.colIdx, as.vals = nil, nil, nil, nil
-	return bcrs.NewMatrix(nb, nb, rowPtr, colIdx, vals)
+	as.pos, as.pairs = nil, nil
+	as.lent = bcrs.NewMatrix(nb, nb, rowPtr, colIdx, vals)
+	return as.lent
+}
+
+// sized returns s at length n, contents unspecified, reallocated if short.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // tensors evaluates the lubrication tensor of pairs [lo, hi). A pair
@@ -239,6 +301,7 @@ func assemble(as *Assembler, pairs []neighbor.Pair) *bcrs.Matrix {
 // zero just inside the cutoff) or whose centers coincide stores no
 // block.
 func (as *Assembler) tensors(lo, hi int) {
+	slots, _ := as.list.Slots()
 	for k := lo; k < hi; k++ {
 		p := as.pairs[k]
 		if p.R <= 0 {
@@ -246,17 +309,26 @@ func (as *Assembler) tensors(lo, hi int) {
 			continue
 		}
 		a1, a2 := as.radius[p.I], as.radius[p.J]
-		as.tens[k] = PairTensor(a1, a2, neighbor.Gap(p.R, a1, a2), p.D.Scale(1/p.R), as.opt)
+		c := &as.coef[slots[k]]
+		if c.scale == 0 {
+			*c = newPairCoef(a1, a2, as.opt)
+		}
+		as.tens[k] = c.tensor(neighbor.Gap(p.R, a1, a2), p.D.Scale(1/p.R), as.opt.MinXi)
 	}
 }
 
 // rows writes the values of block rows [lo, hi): -A for each neighbor
 // and, on the diagonal, muF*I plus the same tensors in slot order,
-// which is ascending neighbor index.
+// which is ascending neighbor index. A NaN or infinite coordinate (x-x is
+// 0 for any other) is in no pair, every cutoff test being false: its block
+// is made NaN, which fails the step at the spectrum bracket or in a solve.
 func (as *Assembler) rows(lo, hi int) {
 	const bs = bcrs.BlockSize
 	for i := lo; i < hi; i++ {
 		diag := blas.Ident3().ScaleM(as.far[i])
+		if p := as.pos[i]; p[0]-p[0] != 0 || p[1]-p[1] != 0 || p[2]-p[2] != 0 {
+			diag[0] = math.NaN()
+		}
 		at := -1
 		for s := int(as.rowPtr[i]); s < int(as.rowPtr[i+1]); s++ {
 			if int(as.colIdx[s]) == i {
@@ -279,12 +351,5 @@ func (as *Assembler) rows(lo, hi int) {
 // a rigorous lower bound on the spectrum of R, used to bracket the
 // eigenvalue interval for the Chebyshev square root.
 func MinFarField(sys *particles.System, opt Options) float64 {
-	c := FarFieldCoefficients(sys, opt)
-	m := c[0]
-	for _, v := range c[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
+	return slices.Min(FarFieldCoefficients(sys, opt))
 }

@@ -56,7 +56,8 @@ type List struct {
 	// recomputed per query.
 	candidates [][2]int32
 	grid       cells
-	pairs      []Pair // the last query's answer
+	pairs      []Pair  // the last query's answer
+	slots      []int32 // the candidate behind each of those pairs
 
 	// pos is the configuration being queried, for the pool callbacks
 	// below; they are bound once so that a query allocates nothing.
@@ -145,7 +146,7 @@ func (l *List) rebuild() {
 // reusing the cached candidates when the configuration has not drifted
 // past the skin. The answer depends on pos alone, not on the list's
 // history or the thread count. The returned slice is the list's own
-// and is overwritten by the next call.
+// and is overwritten by the next call, as is that of Slots.
 func (l *List) Pairs(pos []blas.Vec3) []Pair {
 	if len(pos) != len(l.radius) {
 		panic("neighbor: position and radius counts differ")
@@ -162,15 +163,21 @@ func (l *List) Pairs(pos []blas.Vec3) []Pair {
 	l.pairs = resize(l.pairs, len(l.candidates))
 	parallel.Default().ForOp("neighbor_filter", len(l.candidates), binGrain, l.geometry)
 	l.pos = nil
-	kept := l.pairs[:0]
-	for _, p := range l.pairs {
+	kept, slots := l.pairs[:0], resize(l.slots, len(l.candidates))[:0]
+	for k, p := range l.pairs {
 		if Gap(p.R, l.radius[p.I], l.radius[p.J]) < l.xiCut {
 			kept = append(kept, p)
+			slots = append(slots, int32(k))
 		}
 	}
-	l.pairs = kept
+	l.pairs, l.slots = kept, slots
 	return kept
 }
+
+// Slots returns, for each pair of the last Pairs answer, its index
+// among the candidates, and their number. A pair keeps its slot while
+// Rebuilds does not change: a caller can cache pair constants by slot.
+func (l *List) Slots() ([]int32, int) { return l.slots, len(l.candidates) }
 
 func (l *List) fillGeometry(lo, hi int) {
 	for k := lo; k < hi; k++ {

@@ -230,3 +230,46 @@ func TestListRejectsWrongCount(t *testing.T) {
 	}()
 	uniformList(10, 2, 0.5, 50).Pairs(make([]blas.Vec3, 60))
 }
+
+// TestListSlotsNameCandidates: Slots pairs every reported pair with its
+// candidate, and a pair keeps its slot for as long as the list is not
+// rebuilt — what a cache of per-pair constants beside the list relies
+// on.
+func TestListSlotsNameCandidates(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	radius := make([]float64, 300)
+	for i := range radius {
+		radius[i] = 0.4 + rng.Float64()
+	}
+	pos := randPositions(rng, len(radius), 14)
+	l := NewList(14, radius, 0.5, 0.4)
+	slotOf := map[[2]int]int32{}
+	for step := 0; step < 30; step++ {
+		rebuilds := l.Rebuilds
+		pairs := l.Pairs(pos)
+		slots, candidates := l.Slots()
+		if len(slots) != len(pairs) {
+			t.Fatalf("step %d: %d slots for %d pairs", step, len(slots), len(pairs))
+		}
+		if l.Rebuilds != rebuilds {
+			clear(slotOf)
+		}
+		for k, p := range pairs {
+			s := slots[k]
+			if int(s) >= candidates || l.candidates[s] != [2]int32{int32(p.I), int32(p.J)} {
+				t.Fatalf("step %d: pair (%d, %d) reported in slot %d", step, p.I, p.J, s)
+			}
+			if was, ok := slotOf[[2]int{p.I, p.J}]; ok && was != s {
+				t.Fatalf("step %d: pair (%d, %d) moved from slot %d to %d without a rebuild", step, p.I, p.J, was, s)
+			}
+			slotOf[[2]int{p.I, p.J}] = s
+		}
+		for i := range pos {
+			d := blas.Vec3{rng.Float64() - 0.5, rng.Float64() - 0.5, rng.Float64() - 0.5}
+			pos[i] = pos[i].Add(d.Scale(0.15 * l.skin))
+		}
+	}
+	if l.Rebuilds < 2 || l.Reuses < 5 {
+		t.Fatalf("walk exercised %d rebuilds and %d reuses; want both", l.Rebuilds, l.Reuses)
+	}
+}

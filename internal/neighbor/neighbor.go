@@ -24,7 +24,11 @@
 // the list was last rebuilt, which search rebuilt it, or the thread
 // count. A list owns every buffer it needs, so a query that reuses
 // the candidates allocates nothing; the returned pairs are valid until
-// the next query.
+// the next query. Beside each pair the list reports its slot in the
+// candidate set (Slots), fixed until the next rebuild, so a caller can
+// keep per-pair constants by slot. Wrap and MinImage return for every
+// float64; an infinite position comes out NaN and in no pair (the tests
+// above are false for NaN), and hydro fails the step by marking its row.
 package neighbor
 
 import (
@@ -49,9 +53,15 @@ type Pair struct {
 }
 
 // MinImage returns the minimum-image displacement of d in a cubic
-// periodic box of edge length box.
+// periodic box of edge length box; see Wrap for what bounds its loops.
 func MinImage(d blas.Vec3, box float64) blas.Vec3 {
-	for c := 0; c < 3; c++ {
+	if box <= 0 {
+		return d
+	}
+	for c := range d {
+		for math.Abs(d[c]) > 2*box {
+			d[c] -= box * math.Floor(d[c]/box)
+		}
 		for d[c] > box/2 {
 			d[c] -= box
 		}
@@ -62,9 +72,18 @@ func MinImage(d blas.Vec3, box float64) blas.Vec3 {
 	return d
 }
 
-// Wrap maps p into [0, box)^3.
+// Wrap maps p into [0, box)^3. Its add/subtract loops decide every bit
+// of a coordinate within two boxes but never end on an infinity (1e297
+// turns on 1e300), so one further out first comes back by whole boxes:
+// an infinity becomes NaN, which passes every loop. Still inlines.
 func Wrap(p blas.Vec3, box float64) blas.Vec3 {
-	for c := 0; c < 3; c++ {
+	if box <= 0 {
+		return p
+	}
+	for c := range p {
+		for math.Abs(p[c]) > 2*box {
+			p[c] -= box * math.Floor(p[c]/box)
+		}
 		for p[c] < 0 {
 			p[c] += box
 		}

@@ -52,6 +52,7 @@ func (r *CholeskyRunner) Step() error {
 	t0 := time.Now()
 	f, err := solver.FactorDense(a)
 	r.FactorTime += time.Since(t0)
+	r.cur.Recycle(a) // the factor is a dense copy
 	if err != nil {
 		return fmt.Errorf("sd: step %d: factorization failed: %w", r.k, err)
 	}
@@ -85,6 +86,7 @@ func (r *CholeskyRunner) Step() error {
 	t0 = time.Now()
 	st := f.Refine(aHalf, uHalf, rhs, solver.Options{Tol: r.cfg.Tol})
 	r.RefineTime += time.Since(t0)
+	half.Recycle(aHalf)
 	if !st.Converged {
 		return fmt.Errorf("sd: step %d refinement stalled at residual %g", r.k, st.Residual)
 	}

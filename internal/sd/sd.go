@@ -70,8 +70,8 @@ func (c *Conf) Dim() int { return 3 * c.Sys.N }
 
 // Build assembles the sparse resistance matrix at this configuration,
 // reusing the chain's neighbor candidates when the configuration has
-// drifted less than the list's skin. The matrix is the caller's: later
-// builds on the chain do not touch it.
+// drifted less than the list's skin. The matrix is the caller's until
+// handed to Recycle: later builds on the chain do not touch it.
 func (c *Conf) Build() *bcrs.Matrix {
 	a := c.assembler().Build(c.Sys.Pos)
 	if c.Threads != a.Threads() {
@@ -79,6 +79,9 @@ func (c *Conf) Build() *bcrs.Matrix {
 	}
 	return a
 }
+
+// Recycle hands a matrix Build returned back to the chain's assembler.
+func (c *Conf) Recycle(a *bcrs.Matrix) { c.asm.Recycle(a) }
 
 // SpectrumFloor returns the minimum far-field diagonal coefficient, a
 // rigorous lower bound on the spectrum of R.

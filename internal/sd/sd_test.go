@@ -3,6 +3,7 @@ package sd
 import (
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -461,4 +462,56 @@ func TestDistributedSimulationMatchesSerial(t *testing.T) {
 			t.Fatal("distributed MRHS lost its guesses")
 		}
 	}
+}
+
+// TestNonFinitePositionFailsTheStep: a particle at a NaN or infinite
+// coordinate — a hostile checkpoint, or a dt*u that overflowed — loses
+// every pair (a comparison with NaN is false), so nothing but its
+// poisoned diagonal block tells. Every stepper must return an error
+// naming the step: not hang in Wrap, not run on with the particle. A
+// huge finite coordinate is wrapped and is no error.
+func TestNonFinitePositionFailsTheStep(t *testing.T) {
+	conf := func() *Conf {
+		sys, err := particles.New(particles.Options{N: 25, Phi: 0.35, Seed: 31})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewConf(sys, hydro.Options{Phi: 0.35}, 1)
+	}
+	cfg := core.Config{Dt: 2, M: 4, Seed: 31}
+	steppers := map[string]func(core.Configuration) error{
+		"original": func(c core.Configuration) error { return core.NewRunner(c, cfg).RunOriginal(2) },
+		"mrhs":     func(c core.Configuration) error { return core.NewRunner(c, cfg).RunMRHS(4) },
+		"cholesky": func(c core.Configuration) error { return NewCholeskyRunner(c.(*Conf), cfg).Run(2) },
+	}
+	for name, run := range steppers {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e300} {
+			for _, at := range []int{0, 24} {
+				c := conf()
+				c.Sys.Pos[at][1] = v
+				err := run(c)
+				if v == 1e300 && err != nil {
+					t.Errorf("%s, particle %d at %v: %v", name, at, v, err)
+				} else if v != 1e300 && (err == nil || !strings.Contains(err.Error(), "step 0")) {
+					t.Errorf("%s, particle %d at %v: %v", name, at, v, err)
+				}
+			}
+		}
+		// The midpoint matrix meets no bracket: the second solve refuses it.
+		if name != "cholesky" {
+			if err := run(overflowing{conf()}); err == nil || !strings.Contains(err.Error(), "step 0 second solve") {
+				t.Errorf("%s, a displacement that overflows: %v", name, err)
+			}
+		}
+	}
+}
+
+// overflowing is a Conf whose every displacement — the first is the
+// midpoint of its first step — sends one coordinate to infinity.
+type overflowing struct{ *Conf }
+
+func (c overflowing) Displaced(u []float64, dt float64) core.Configuration {
+	u = append([]float64(nil), u...)
+	u[7] = math.Inf(1)
+	return c.Conf.Displaced(u, dt)
 }
