@@ -38,7 +38,7 @@ docs-gate:
 # the third fails when any file is not gofmt-clean.
 vet:
 	$(GO) vet ./...
-	GOARCH=arm64 $(GO) vet ./internal/cpufeat/ ./internal/bcrs/ ./internal/multivec/
+	GOARCH=arm64 $(GO) vet ./internal/cpufeat/ ./internal/bcrs/ ./internal/multivec/ ./internal/solver/
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 build:
@@ -83,10 +83,12 @@ race:
 # multivec, whose pooled reductions block CG runs every iteration and
 # whose solves draw their workspace from a shared pool; and core, whose
 # stepper decides when a matrix goes back to the assembler that will
-# write over it. Short mode keeps it seconds-cheap so the full -race
-# suite only runs once this passes.
+# write over it; and chebyshev, whose evaluations — a verifier's beside
+# a runner's — draw the recurrence's blocks from one pool. Short mode
+# keeps it seconds-cheap so the full -race suite only runs once this
+# passes.
 race-kernels:
-	$(GO) test -race -short ./internal/bcrs/ ./internal/multivec/ ./internal/parallel/ ./internal/serve/ ./internal/shard/ ./internal/obs/ ./internal/solver/ ./internal/hydro/ ./internal/neighbor/ ./internal/sd/ ./internal/core/
+	$(GO) test -race -short ./internal/bcrs/ ./internal/multivec/ ./internal/parallel/ ./internal/serve/ ./internal/shard/ ./internal/obs/ ./internal/solver/ ./internal/hydro/ ./internal/neighbor/ ./internal/sd/ ./internal/core/ ./internal/chebyshev/
 
 # chaos runs the fault-injection and recovery tests — seeded chaos
 # runs must reproduce clean-run trajectories bitwise — under -race,

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/bcrs"
 	"repro/internal/chebyshev"
+	"repro/internal/cpufeat"
 	"repro/internal/hydro"
 	"repro/internal/multivec"
 	"repro/internal/particles"
@@ -243,7 +244,10 @@ func BenchmarkAblationSymmetricStorage(b *testing.B) {
 // application the augmented solve uses at m = 16 against 16 lone ones
 // (the triangular solve's own r(m)), and what a window pays to build
 // the factor, in fresh and in reused storage. The iteration counts it
-// buys are ext-techniques' table.
+// buys are ext-techniques' table. The three kernels with an m = 1 or
+// triangular assembly path run a second time as "-go", with the switch
+// their tests use cleared, so every scalar-to-SIMD ratio DESIGN quotes
+// is two lines of one run.
 func BenchmarkIC0(b *testing.B) {
 	sys, err := particles.New(particles.Options{N: 1000, Phi: 0.4, Seed: 1})
 	if err != nil {
@@ -259,26 +263,30 @@ func BenchmarkIC0(b *testing.B) {
 	rng.New(16).FillNormal(r)
 	rb, zb := multivec.New(a.N(), m), multivec.New(a.N(), m)
 	rng.New(17).FillNormal(rb.Data)
-	b.Run("mulvec", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			a.MulVec(z, r)
+	for _, k := range []struct {
+		name string
+		op   func()
+		asm  bool // has an assembly path that reads cpufeat.AVX2 per call
+	}{
+		{"mulvec", func() { a.MulVec(z, r) }, true},
+		{"apply", func() { ic.Apply(z, r) }, true},
+		{"mul-m16", func() { a.Mul(zb, rb) }, false},
+		{"apply-block-m16", func() { ic.ApplyBlock(zb, rb) }, true},
+	} {
+		loop := func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				k.op()
+			}
 		}
-	})
-	b.Run("apply", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ic.Apply(z, r)
+		b.Run(k.name, loop)
+		if k.asm {
+			b.Run(k.name+"-go", func(b *testing.B) {
+				defer func(saved bool) { cpufeat.AVX2 = saved }(cpufeat.AVX2)
+				cpufeat.AVX2 = false
+				loop(b)
+			})
 		}
-	})
-	b.Run("mul-m16", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			a.Mul(zb, rb)
-		}
-	})
-	b.Run("apply-block-m16", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ic.ApplyBlock(zb, rb)
-		}
-	})
+	}
 	b.Run("factor", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := solver.NewIC0(a); err != nil {

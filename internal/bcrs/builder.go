@@ -17,6 +17,19 @@ func NewMatrix(nb, ncb int, rowPtr, colIdx []int32, vals []float64) *Matrix {
 	if len(rowPtr) != nb+1 || int(rowPtr[nb]) != len(colIdx) || len(vals) != len(colIdx)*BlockSize {
 		panic("bcrs: NewMatrix array lengths disagree")
 	}
+	// The m = 1 kernel is assembly and checks no index, so a corrupt
+	// one stops here, with its row, and not as a wild read there.
+	for i, end := range rowPtr[1:] {
+		k := rowPtr[i]
+		if k > end || int(end) > len(colIdx) || (i == 0 && k != 0) {
+			panic(fmt.Sprintf("bcrs: NewMatrix row %d: rowPtr not monotone from 0", i))
+		}
+		for _, c := range colIdx[k:end] {
+			if uint32(c) >= uint32(ncb) {
+				panic(fmt.Sprintf("bcrs: NewMatrix row %d: column %d outside [0, %d)", i, c, ncb))
+			}
+		}
+	}
 	// One thread needs no row partition: the kernels run len(ranges)
 	// <= 1 serially.
 	return &Matrix{nb: nb, ncb: ncb, rowPtr: rowPtr, colIdx: colIdx, vals: vals, threads: 1}

@@ -16,6 +16,10 @@ import "repro/internal/cpufeat"
 // Implemented in gspmv_amd64.s.
 func gspmvRowAVX2(vals *float64, colIdx *int32, nblk int, x *float64, yrow *float64, m int)
 
+// Implemented in gspmv_amd64.s: the m = 1 multiply. It checks no index:
+// NewMatrix and Builder admit only in-range ones, spmv1SIMD the rows.
+func spmv1AVX2(rowPtr, colIdx *int32, vals, x, y *float64, lo, hi int)
+
 // Implemented in sym_amd64.s.
 func symGspmvRowAVX2(vals *float64, colIdx *int32, nblk int, x, y, part *float64, i, hi, m, c0, c1 int)
 
@@ -62,6 +66,13 @@ func gspmvSIMD(rowPtr, colIdx []int32, vals, x, y []float64, m, lo, hi int) {
 		}
 		gspmvRowAVX2(&vals[k0*BlockSize], &colIdx[k0], k1-k0, &x[0], yrow, m)
 	}
+}
+
+// spmv1SIMD runs the AVX2 m = 1 kernel over the non-empty row range
+// [lo, hi) of a matrix with at least one block.
+func spmv1SIMD(rowPtr, colIdx []int32, vals, x, y []float64, lo, hi int) {
+	_, _ = rowPtr[hi], y[3*hi-1]
+	spmv1AVX2(&rowPtr[0], &colIdx[0], &vals[0], &x[0], &y[0], lo, hi)
 }
 
 // symGspmvSIMD runs the AVX2 symmetric row kernel over [lo, hi),

@@ -147,3 +147,83 @@ store:
 done:
 	VZEROUPPER
 	RET
+
+// func spmv1AVX2(rowPtr, colIdx *int32, vals, x, y *float64, lo, hi int)
+//
+// The m = 1 multiply over block rows [lo, hi): y[3i..3i+2] = sum_k
+// vals[k] * x[3*colIdx[k]..]. With one right-hand side there is no m
+// to put in lanes, so the lanes hold the block's three ROWS — rows
+// (0, 1, 2) in lanes (0, 3, 2) of a ymm, lane 1 unused — and each runs
+// spmv1's scalar recurrence for its row,
+//
+//	t = a_r0*x0; u = a_r1*x1; t = t+u; u = a_r2*x2; t = t+u; acc += t
+//
+// so the three results carry the Go kernel's bits. That lane order is
+// what makes column c of the row-major block (v[c], v[3+c], v[6+c])
+// two overlapping loads and a blend, with no shuffle: the load at
+// vals[c:] has v[c] in lane 0 and v[c+3] in lane 3, the load at
+// vals[4+c:] has v[6+c] in lane 2. For c = 2 the second load would
+// pass the end of the block, so v[8] comes from a broadcast: nothing
+// is read outside [vals, vals + 72*nblk) or outside the three x values
+// a block addresses.
+//
+// Y0 accumulator, Y1..Y3 block columns, Y4..Y6 x broadcasts.
+TEXT ·spmv1AVX2(SB), NOSPLIT, $0-56
+	MOVQ rowPtr+0(FP), R8
+	MOVQ colIdx+8(FP), DI
+	MOVQ vals+16(FP), SI
+	MOVQ x+24(FP), DX
+	MOVQ y+32(FP), BX
+	MOVQ lo+40(FP), R9
+	MOVQ hi+48(FP), R10
+	LEAQ (R9)(R9*2), R11
+	LEAQ (BX)(R11*8), BX        // &y[3*lo]
+
+spmv1row:
+	CMPQ R9, R10
+	JGE  spmv1done
+	MOVLQSX (R8)(R9*4), R11     // k
+	MOVLQSX 4(R8)(R9*4), R12    // row end
+	VXORPD  Y0, Y0, Y0
+	LEAQ    (R11)(R11*8), R13
+	LEAQ    (SI)(R13*8), R13    // &vals[9k]
+	CMPQ    R11, R12
+	JGE     spmv1store
+
+spmv1blk:
+	MOVLQSX (DI)(R11*4), R14
+	LEAQ    (R14)(R14*2), R14
+	LEAQ    (DX)(R14*8), R14    // &x[3j]
+	VMOVUPD      (R13), Y1
+	VBLENDPD     $4, 32(R13), Y1, Y1    // column 0
+	VMOVUPD      8(R13), Y2
+	VBLENDPD     $4, 40(R13), Y2, Y2    // column 1
+	VMOVUPD      16(R13), Y3
+	VBROADCASTSD 64(R13), Y7
+	VBLENDPD     $4, Y7, Y3, Y3         // column 2
+	VBROADCASTSD (R14), Y4
+	VBROADCASTSD 8(R14), Y5
+	VBROADCASTSD 16(R14), Y6
+	VMULPD Y4, Y1, Y1
+	VMULPD Y5, Y2, Y2
+	VADDPD Y2, Y1, Y1
+	VMULPD Y6, Y3, Y3
+	VADDPD Y3, Y1, Y1
+	VADDPD Y1, Y0, Y0
+	ADDQ $72, R13
+	INCQ R11
+	CMPQ R11, R12
+	JLT  spmv1blk
+
+spmv1store:
+	VMOVSD       X0, (BX)       // lane 0: row 0
+	VEXTRACTF128 $1, Y0, X1
+	VMOVHPD      X1, 8(BX)      // lane 3: row 1
+	VMOVSD       X1, 16(BX)     // lane 2: row 2
+	ADDQ $24, BX
+	INCQ R9
+	JMP  spmv1row
+
+spmv1done:
+	VZEROUPPER
+	RET

@@ -16,3 +16,7 @@ func gspmvSIMD(rowPtr, colIdx []int32, vals, x, y []float64, m, lo, hi int) {
 func symGspmvSIMD(rowPtr, colIdx []int32, vals, x, y, part []float64, m, lo, hi int) {
 	panic("bcrs: symGspmvSIMD without SIMD support")
 }
+
+func spmv1SIMD(rowPtr, colIdx []int32, vals, x, y []float64, lo, hi int) {
+	panic("bcrs: spmv1SIMD without SIMD support")
+}

@@ -3,6 +3,7 @@ package bcrs
 import (
 	"time"
 
+	"repro/internal/cpufeat"
 	"repro/internal/multivec"
 	"repro/internal/parallel"
 )
@@ -94,9 +95,14 @@ func (a *Matrix) parallel(fn func(lo, hi int)) {
 	})
 }
 
-// spmv1 is the specialized m=1 kernel: a scalar 3x3 block-row SPMV
-// with the three accumulators held in locals.
+// spmv1 is the specialized m=1 kernel: a 3x3 block-row SPMV with the
+// three accumulators in locals — or, with AVX2, in three lanes that run
+// this loop's operation order (spmv1AVX2), to the same bits.
 func spmv1(rowPtr, colIdx []int32, vals, x, y []float64, lo, hi int) {
+	if cpufeat.AVX2 && lo < hi && len(colIdx) > 0 {
+		spmv1SIMD(rowPtr, colIdx, vals, x, y, lo, hi)
+		return
+	}
 	for i := lo; i < hi; i++ {
 		var s0, s1, s2 float64
 		for k := int(rowPtr[i]); k < int(rowPtr[i+1]); k++ {

@@ -22,6 +22,7 @@ import (
 	"sync"
 
 	"repro/internal/bcrs"
+	"repro/internal/blas"
 	"repro/internal/multivec"
 	"repro/internal/parallel"
 )
@@ -162,14 +163,38 @@ func (s *SqrtOp) Order() int { return len(s.c) - 1 }
 // on.
 func (s *SqrtOp) Interval() (lmin, lmax float64) { return s.lmin, s.lmax }
 
+// work is what one evaluation needs beyond its operands — the headers
+// Apply wraps its vectors in, the three blocks the recurrence rotates
+// through — pooled because a stepper builds a SqrtOp per matrix.
+type work struct{ y, z, prev, cur, next multivec.MultiVec }
+
+var workPool = sync.Pool{New: func() any { return new(work) }}
+
 // ApplyBlock computes Y = S(A)*Z for a block of vectors using the
 // three-term recurrence
 //
 //	T_0 = Z,  T_1 = As*Z,  T_{j+1} = 2*As*T_j - T_{j-1}
 //
 // with As the affine shift of A onto [-1, 1]. Each step is one GSPMV
-// with Z.M vectors. Y and Z must not alias.
+// with Z.M vectors and one pass over the elements. Y and Z must not
+// alias.
 func (s *SqrtOp) ApplyBlock(y, z *multivec.MultiVec) {
+	w := workPool.Get().(*work)
+	s.apply(w, y, z)
+	workPool.Put(w)
+}
+
+// Apply computes y = S(A)*z for a single vector (an SPMV per
+// polynomial degree).
+func (s *SqrtOp) Apply(y, z []float64) {
+	w := workPool.Get().(*work)
+	w.y, w.z = *multivec.FromVector(y), *multivec.FromVector(z)
+	s.apply(w, &w.y, &w.z)
+	w.y.Data, w.z.Data = nil, nil
+	workPool.Put(w)
+}
+
+func (s *SqrtOp) apply(w *work, y, z *multivec.MultiVec) {
 	n := s.a.N()
 	if z.N != n || y.N != n || z.M != y.M {
 		panic("chebyshev: ApplyBlock dimension mismatch")
@@ -177,58 +202,54 @@ func (s *SqrtOp) ApplyBlock(y, z *multivec.MultiVec) {
 	alpha := 2 / (s.lmax - s.lmin)                 // scale of the affine map
 	beta := -(s.lmax + s.lmin) / (s.lmax - s.lmin) // shift of the affine map
 
-	tPrev := z.Clone() // T_0 = Z
-	// Y = c0/2 * T_0.
+	tPrev, tCur, tNext := &w.prev, &w.cur, &w.next
+	for _, t := range []*multivec.MultiVec{tPrev, tCur, tNext} {
+		t.Reshape(n, z.M)
+	}
+	// T_0 = Z and Y = c0/2 * T_0.
+	tPrev.CopyFrom(z)
 	y.CopyFrom(z)
-	y.Scale(s.c[0] / 2)
+	blas.Scal(s.c[0]/2, y.Data)
 	if len(s.c) == 1 {
 		return
 	}
 
 	// T_1 = As*Z = alpha*A*Z + beta*Z.
-	tCur := multivec.New(n, z.M)
 	s.a.Mul(tCur, z)
-	pool := parallel.Default()
-	pool.ForOp("chebyshev_recurrence", len(tCur.Data), elemGrain, func(lo, hi int) {
-		tc, zd := tCur.Data, z.Data
-		for i := lo; i < hi; i++ {
-			tc[i] = alpha*tc[i] + beta*zd[i]
-		}
-	})
-	addScaled(y, tCur, s.c[1])
-
-	scratch := multivec.New(n, z.M)
+	elementwise(firstTerm, y.Data, tCur.Data, z.Data, z.Data, alpha, beta, s.c[1])
 	for j := 2; j < len(s.c); j++ {
 		// T_{j} = 2*As*T_{j-1} - T_{j-2}.
-		s.a.Mul(scratch, tCur)
-		pool.ForOp("chebyshev_recurrence", len(scratch.Data), elemGrain, func(lo, hi int) {
-			sc, tc, tp := scratch.Data, tCur.Data, tPrev.Data
-			for i := lo; i < hi; i++ {
-				sc[i] = 2*(alpha*sc[i]+beta*tc[i]) - tp[i]
-			}
-		})
-		tPrev, tCur, scratch = tCur, scratch, tPrev
-		addScaled(y, tCur, s.c[j])
+		s.a.Mul(tNext, tCur)
+		elementwise(multivec.ChebyshevStep, y.Data, tNext.Data, tCur.Data, tPrev.Data, alpha, beta, s.c[j])
+		tPrev, tCur, tNext = tCur, tNext, tPrev
 	}
 }
 
-// Apply computes y = S(A)*z for a single vector (an SPMV per
-// polynomial degree).
-func (s *SqrtOp) Apply(y, z []float64) {
-	s.ApplyBlock(multivec.FromVector(y), multivec.FromVector(z))
+// firstTerm has ChebyshevStep's shape for the degree that has no
+// predecessor: t = alpha*t + beta*z, then y += c*t.
+func firstTerm(y, t, z, _ []float64, alpha, beta, c float64) {
+	for i, ti := range t {
+		v := alpha*ti + beta*z[i]
+		t[i] = v
+		y[i] += c * v
+	}
 }
 
 // elemGrain matches the multivec streaming grain: below ~8k scalars a
 // parallel dispatch costs more than the loop.
 const elemGrain = 8192
 
-// addScaled computes y += c*x elementwise. Chunks write disjoint
-// ranges, so the update is bitwise-identical for any thread count.
-func addScaled(y, x *multivec.MultiVec, c float64) {
-	yd, xd := y.Data, x.Data
-	parallel.Default().ForOp("chebyshev_addscaled", len(yd), elemGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			yd[i] += c * xd[i]
-		}
+// elementwise runs one of the two passes over its arrays, split across
+// the pool when they are long enough: chunks write disjoint ranges, so
+// the bits are the same for any thread count. The serial call comes
+// first because the closure ForOp takes is a heap allocation.
+func elementwise(pass func(y, t, a, b []float64, alpha, beta, c float64), y, t, a, b []float64, alpha, beta, c float64) {
+	pool := parallel.Default()
+	if !pool.Parallel(len(y), elemGrain) {
+		pass(y, t, a, b, alpha, beta, c)
+		return
+	}
+	pool.ForOp("chebyshev_recurrence", len(y), elemGrain, func(lo, hi int) {
+		pass(y[lo:hi], t[lo:hi], a[lo:hi], b[lo:hi], alpha, beta, c)
 	})
 }

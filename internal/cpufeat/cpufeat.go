@@ -1,6 +1,6 @@
 // Package cpufeat reports the CPU vector extensions the hand-written
-// assembly kernels (internal/bcrs, internal/multivec) dispatch on.
-// Detection runs once at start-up; nothing here is configurable.
+// assembly kernels (internal/bcrs, multivec, solver) dispatch on.
+// Detection runs once at start-up; only tests assign to the results.
 package cpufeat
 
 // AVX2 reports that the CPU has AVX2 and the OS saves the ymm state.

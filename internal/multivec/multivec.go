@@ -221,6 +221,16 @@ func UnpackColumns(cols [][]float64, src *MultiVec) {
 	})
 }
 
+// Reshape makes v an n-by-m block over its own storage, growing it
+// when too small. Contents are unspecified: a caller that overwrites
+// the block in full before reading it keeps the reuse out of its bits.
+func (v *MultiVec) Reshape(n, m int) {
+	if cap(v.Data) < n*m {
+		v.Data = make([]float64, n*m)
+	}
+	v.N, v.M, v.Data = n, m, v.Data[:n*m]
+}
+
 // Clone returns a deep copy.
 func (v *MultiVec) Clone() *MultiVec {
 	c := New(v.N, v.M)
@@ -469,5 +479,27 @@ func colSumSquares(sums []float64, v *MultiVec, lo, hi int) {
 		for j, x := range r {
 			sums[j] += float64(x * x)
 		}
+	}
+}
+
+// ChebyshevStep advances the Chebyshev recurrence by one degree and
+// adds the new term to the sum, in one pass (t holds A*cur on entry):
+//
+//	t[i] = 2*(alpha*t[i] + beta*cur[i]) - prev[i];  y[i] += c*t[i]
+//
+// Each element is that expression, in that order, here and in
+// multivec_amd64.s, so which of the two ran never shows in a bit.
+func ChebyshevStep(y, t, cur, prev []float64, alpha, beta, c float64) {
+	if n := len(y); len(t) != n || len(cur) != n || len(prev) != n {
+		panic("multivec: ChebyshevStep length mismatch")
+	}
+	if simd && len(y) > 0 {
+		chebStepSIMD(y, t, cur, prev, alpha, beta, c)
+		return
+	}
+	for i, ti := range t {
+		v := 2*(alpha*ti+beta*cur[i]) - prev[i]
+		t[i] = v
+		y[i] += c * v
 	}
 }

@@ -8,6 +8,7 @@ import "repro/internal/cpufeat"
 func mulAddAVX2(dst, src, x, a *float64, nrows, m int)
 func gramAVX2(acc, x, y *float64, nrows, m int)
 func colSumSqAVX2(sums, v *float64, nrows, m int)
+func chebStepAVX2(y, t, cur, prev *float64, n int, alpha, beta, c float64)
 
 // simd enables the AVX2 row-range kernels. Tests may clear it to
 // force the generic Go loops, which are the oracle.
@@ -45,4 +46,9 @@ func colSumSqSIMD(sums, v []float64, lo, hi, m int) {
 	}
 	sums = sums[:m]
 	colSumSqAVX2(&sums[0], &v[lo*m : hi*m][0], hi-lo, m)
+}
+
+// chebStepSIMD is ChebyshevStep on non-empty arrays of one length.
+func chebStepSIMD(y, t, cur, prev []float64, alpha, beta, c float64) {
+	chebStepAVX2(&y[0], &t[0], &cur[0], &prev[0], len(y), alpha, beta, c)
 }

@@ -230,3 +230,62 @@ sumsqcols:
 
 	VZEROUPPER
 	RET
+
+// func chebStepAVX2(y, t, cur, prev *float64, n int, alpha, beta, c float64)
+//
+// One degree of the Chebyshev recurrence and its term of the sum, in
+// one pass over n >= 1 elements:
+//
+//	t[i] = 2*(alpha*t[i] + beta*cur[i]) - prev[i];  y[i] += c*t[i]
+//
+// Every element is ChebyshevStep's scalar expression in its order —
+// x+x is 2*x exactly — four to a register and then one at a time, so
+// where the vector loop ends never shows in a bit.
+TEXT ·chebStepAVX2(SB), NOSPLIT, $0-64
+	MOVQ y+0(FP), DI
+	MOVQ t+8(FP), SI
+	MOVQ cur+16(FP), DX
+	MOVQ prev+24(FP), BX
+	MOVQ n+32(FP), CX
+	VBROADCASTSD alpha+40(FP), Y4
+	VBROADCASTSD beta+48(FP), Y5
+	VBROADCASTSD c+56(FP), Y6
+	XORQ AX, AX
+	SUBQ $4, CX
+	JLT  chebtail
+
+cheb4:
+	VMULPD  (SI)(AX*8), Y4, Y0
+	VMULPD  (DX)(AX*8), Y5, Y1
+	VADDPD  Y1, Y0, Y0
+	VADDPD  Y0, Y0, Y0
+	VSUBPD  (BX)(AX*8), Y0, Y0
+	VMOVUPD Y0, (SI)(AX*8)
+	VMULPD  Y6, Y0, Y0
+	VADDPD  (DI)(AX*8), Y0, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JLE     cheb4
+
+chebtail:
+	ADDQ $4, CX
+
+cheb1:
+	CMPQ AX, CX
+	JGE  chebdone
+	VMULSD (SI)(AX*8), X4, X0
+	VMULSD (DX)(AX*8), X5, X1
+	VADDSD X1, X0, X0
+	VADDSD X0, X0, X0
+	VSUBSD (BX)(AX*8), X0, X0
+	VMOVSD X0, (SI)(AX*8)
+	VMULSD X6, X0, X0
+	VADDSD (DI)(AX*8), X0, X0
+	VMOVSD X0, (DI)(AX*8)
+	INCQ   AX
+	JMP    cheb1
+
+chebdone:
+	VZEROUPPER
+	RET

@@ -17,3 +17,7 @@ func gramSIMD(g, x, y []float64, lo, hi, m int) {
 func colSumSqSIMD(sums, v []float64, lo, hi, m int) {
 	panic("multivec: colSumSqSIMD without SIMD support")
 }
+
+func chebStepSIMD(y, t, cur, prev []float64, alpha, beta, c float64) {
+	panic("multivec: chebStepSIMD without SIMD support")
+}

@@ -2,10 +2,12 @@ package solver
 
 import (
 	"errors"
+	"fmt"
 	"math"
 
 	"repro/internal/bcrs"
 	"repro/internal/blas"
+	"repro/internal/cpufeat"
 	"repro/internal/multivec"
 )
 
@@ -106,6 +108,10 @@ func (ic *IC0) setPattern(a *bcrs.Matrix) error {
 		lo, hi := a.RowBlocks(i)
 		k := lo
 		for ; k < hi && a.BlockCol(k) < i; k++ {
+			// The assembly sweeps index z by it unchecked.
+			if a.BlockCol(k) < 0 {
+				return fmt.Errorf("solver: IC0 row %d: column %d out of range", i, a.BlockCol(k))
+			}
 			ic.colIdx = append(ic.colIdx, int32(a.BlockCol(k)))
 		}
 		if k == hi || a.BlockCol(k) != i {
@@ -113,8 +119,10 @@ func (ic *IC0) setPattern(a *bcrs.Matrix) error {
 		}
 		ic.rowPtr[i+1] = int32(len(ic.colIdx))
 	}
-	if need := len(ic.colIdx) * bcrs.BlockSize; cap(ic.lower) < need {
-		ic.lower = make([]float64, need)
+	// One float64 of slack: ic0BackwardAVX2 loads a block's last row
+	// four wide.
+	if need := len(ic.colIdx) * bcrs.BlockSize; cap(ic.lower) < need+1 {
+		ic.lower = make([]float64, need, need+1)
 	} else {
 		ic.lower = ic.lower[:need]
 	}
@@ -227,6 +235,12 @@ func (ic *IC0) Apply(z, r []float64) {
 	if n := ic.nb * 3; len(z) != n || len(r) != n {
 		panic("solver: IC0 dimension mismatch")
 	}
+	// ic0_amd64.s wants AVX2 and a strict-lower block to point at; the
+	// loops below are its oracle and every other host's path.
+	if cpufeat.AVX2 && len(ic.colIdx) > 0 {
+		ic.sweepSIMD(z, r, 1, 1)
+		return
+	}
 	rowPtr, colIdx, lower, inv := ic.rowPtr, ic.colIdx, ic.lower, ic.invDiag
 	// Forward: L*y = r, y stored in z. Row i gathers from the rows
 	// before it.
@@ -267,25 +281,37 @@ func (ic *IC0) Apply(z, r []float64) {
 // ApplyBlock is Apply on every column of a block at once: each sweep
 // runs once, a stored block is loaded once for all m row-major
 // columns, and column j of z is bitwise what Apply gives on column j
-// of r. BlockCG preconditions through it.
+// of r. BlockCG preconditions through it. With AVX2 only the m%4 last
+// columns go through the loops here.
 func (ic *IC0) ApplyBlock(z, r *multivec.MultiVec) {
 	const bs = bcrs.BlockSize
 	m := z.M
 	if n := ic.nb * 3; z.N != n || r.N != n || r.M != m {
 		panic("solver: IC0 dimension mismatch")
 	}
+	c0 := 0 // the loops take columns [c0, m)
+	if m >= 4 && cpufeat.AVX2 && len(ic.colIdx) > 0 {
+		c0 = m &^ 3
+		ic.sweepSIMD(z.Data, r.Data, m, c0)
+	}
+	if c0 == m {
+		return
+	}
 	rowPtr, colIdx, lower, inv := ic.rowPtr, ic.colIdx, ic.lower, ic.invDiag
 	zd := z.Data
 	for i := 0; i < ic.nb; i++ {
 		zi := zd[3*i*m : 3*(i+1)*m : 3*(i+1)*m]
-		copy(zi, r.Data[3*i*m:3*(i+1)*m])
+		ri := r.Data[3*i*m : 3*(i+1)*m]
 		z0, z1, z2 := zi[0:m], zi[m:2*m], zi[2*m:3*m]
+		copy(z0[c0:], ri[c0:m])
+		copy(z1[c0:], ri[m+c0:2*m])
+		copy(z2[c0:], ri[2*m+c0:])
 		for k := int(rowPtr[i]); k < int(rowPtr[i+1]); k++ {
 			v := lower[k*bs : k*bs+bs : k*bs+bs]
 			j := int(colIdx[k]) * 3 * m
 			y0, y1, y2 := zd[j:j+m], zd[j+m:j+2*m], zd[j+2*m:j+3*m]
 			v0, v1, v2, v3, v4, v5, v6, v7, v8 := v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7], v[8]
-			for c := 0; c < m; c++ {
+			for c := c0; c < m; c++ {
 				a0, a1, a2 := y0[c], y1[c], y2[c]
 				z0[c] -= v0*a0 + v1*a1 + v2*a2
 				z1[c] -= v3*a0 + v4*a1 + v5*a2
@@ -293,7 +319,7 @@ func (ic *IC0) ApplyBlock(z, r *multivec.MultiVec) {
 			}
 		}
 		d := inv[i*bs : i*bs+bs : i*bs+bs]
-		for c := 0; c < m; c++ {
+		for c := c0; c < m; c++ {
 			s0, s1, s2 := z0[c], z1[c], z2[c]
 			z0[c] = d[0] * s0
 			z1[c] = d[3]*s0 + d[4]*s1
@@ -304,7 +330,7 @@ func (ic *IC0) ApplyBlock(z, r *multivec.MultiVec) {
 		zi := zd[3*i*m : 3*(i+1)*m : 3*(i+1)*m]
 		z0, z1, z2 := zi[0:m], zi[m:2*m], zi[2*m:3*m]
 		d := inv[i*bs : i*bs+bs : i*bs+bs]
-		for c := 0; c < m; c++ {
+		for c := c0; c < m; c++ {
 			s0, s1, s2 := z0[c], z1[c], z2[c]
 			z0[c] = d[0]*s0 + d[3]*s1 + d[6]*s2
 			z1[c] = d[4]*s1 + d[7]*s2
@@ -315,7 +341,7 @@ func (ic *IC0) ApplyBlock(z, r *multivec.MultiVec) {
 			j := int(colIdx[k]) * 3 * m
 			y0, y1, y2 := zd[j:j+m], zd[j+m:j+2*m], zd[j+2*m:j+3*m]
 			v0, v1, v2, v3, v4, v5, v6, v7, v8 := v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7], v[8]
-			for c := 0; c < m; c++ {
+			for c := c0; c < m; c++ {
 				a0, a1, a2 := z0[c], z1[c], z2[c]
 				y0[c] -= v0*a0 + v3*a1 + v6*a2
 				y1[c] -= v1*a0 + v4*a1 + v7*a2

@@ -266,7 +266,10 @@ func TestIC0RefactorMatchesFresh(t *testing.T) {
 }
 
 // TestIC0ApplyBlockMatchesApply: column j of the block sweep is
-// bitwise the single-vector sweep of column j.
+// bitwise the single-vector sweep of column j — at the widths the Go
+// loops serve alone (1, 3), at those the assembly takes whole (4, 8,
+// 16, 32), and where it takes the leading columns and the loops the
+// odd tail (5, 7, 19); with the assembly on and off on either side.
 func TestIC0ApplyBlockMatchesApply(t *testing.T) {
 	a := spdMatrix(51, 70, 7)
 	ic, err := NewIC0(a)
@@ -274,19 +277,24 @@ func TestIC0ApplyBlockMatchesApply(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := a.N()
-	for _, m := range []int{1, 5, 16} {
+	for _, m := range []int{1, 3, 4, 5, 7, 8, 16, 19, 32} {
 		r := multivec.New(n, m)
 		copy(r.Data, randVec(int64(52+m), n*m))
-		z := multivec.New(n, m)
-		ic.ApplyBlock(z, r)
-		rc, zc, want := make([]float64, n), make([]float64, n), make([]float64, n)
-		for j := 0; j < m; j++ {
-			r.Col(j, rc)
-			ic.Apply(want, rc)
-			z.Col(j, zc)
-			for i := range want {
-				if zc[i] != want[i] {
-					t.Fatalf("m=%d column %d row %d: ApplyBlock %v, Apply %v", m, j, i, zc[i], want[i])
+		for _, simd := range simdModes {
+			z := multivec.New(n, m)
+			for i := range z.Data {
+				z.Data[i] = 123 // every entry must be written
+			}
+			withSIMD(simd, func() { ic.ApplyBlock(z, r) })
+			rc, zc, want := make([]float64, n), make([]float64, n), make([]float64, n)
+			for j := 0; j < m; j++ {
+				r.Col(j, rc)
+				withSIMD(!simd, func() { ic.Apply(want, rc) })
+				z.Col(j, zc)
+				for i := range want {
+					if zc[i] != want[i] {
+						t.Fatalf("m=%d simd=%v column %d row %d: ApplyBlock %v, Apply %v", m, simd, j, i, zc[i], want[i])
+					}
 				}
 			}
 		}

@@ -92,16 +92,6 @@ func NewMultiCGWorkspace() *MultiCGWorkspace {
 	return &MultiCGWorkspace{}
 }
 
-// shape makes b an n-by-w block over its own storage, growing it when
-// too small. Contents are unspecified: every block is overwritten in
-// full before it is read, which keeps reuse bitwise-invisible.
-func shape(b *multivec.MultiVec, n, w int) {
-	if cap(b.Data) < n*w {
-		b.Data = make([]float64, n*w)
-	}
-	b.N, b.M, b.Data = n, w, b.Data[:n*w]
-}
-
 // MultiCGWith is MultiCG solving through caller-owned scratch: ws,
 // when non-nil, supplies every temporary the solve needs (a nil ws
 // borrows one from the pool lone CG solves draw on). Results are
@@ -161,7 +151,7 @@ func (ws *MultiCGWorkspace) solve(a BlockOperator, xs, bs [][]float64, opts []Op
 	w := KernelCeil(q)
 	x, r, p, ap, z := &ws.x, &ws.r, &ws.p, &ws.ap, &ws.z
 	for _, b := range []*multivec.MultiVec{x, r, p, ap} {
-		shape(b, n, w)
+		b.Reshape(n, w)
 	}
 	if cap(ws.scalars) < 4*w {
 		ws.scalars = make([]float64, 4*w)
@@ -212,7 +202,7 @@ func (ws *MultiCGWorkspace) solve(a BlockOperator, xs, bs [][]float64, opts []Op
 	}
 	zsrc := r // z aliases r when no column is preconditioned
 	if ws.precond {
-		shape(z, n, w)
+		z.Reshape(n, w)
 		clear(z.Data)
 		if len(ws.zin) != n {
 			ws.zin, ws.zout = make([]float64, n), make([]float64, n)
@@ -317,6 +307,11 @@ func (ws *MultiCGWorkspace) precondition(rz []float64) {
 		if l.retired {
 			continue
 		}
+		if ws.r.M == 1 && l.opt.Precond != nil {
+			// The block is the column: no copy out and back.
+			l.opt.Precond.Apply(ws.z.Data, ws.r.Data)
+			continue
+		}
 		ws.r.Col(j, ws.zin)
 		out := ws.zin
 		if l.opt.Precond != nil {
@@ -358,9 +353,9 @@ func (ws *MultiCGWorkspace) flush(xs [][]float64) int {
 		b.CompactColumns(keep, w)
 	}
 	// AP and Z are rewritten in full before their next use.
-	shape(&ws.ap, ws.x.N, w)
+	ws.ap.Reshape(ws.x.N, w)
 	if ws.precond {
-		shape(&ws.z, ws.x.N, w)
+		ws.z.Reshape(ws.x.N, w)
 	}
 	for d, s := range keep {
 		ws.lanes[d] = ws.lanes[s]
