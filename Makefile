@@ -102,12 +102,17 @@ chaos:
 fuzz-faults:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/cluster/faults/
 
-# fuzz-neighbor fuzzes neighbor.Wrap and MinImage for ten seconds: any
-# float64 coordinate and box returns (they used to loop once per box
-# length, forever on an infinity), and a coordinate within two boxes
-# keeps the bits of the bare add/subtract loops.
+# fuzz-neighbor fuzzes the assembly chain's geometry, ten seconds per
+# target: neighbor.Wrap and MinImage return for any float64 coordinate
+# and box (they used to loop once per box length, forever on an
+# infinity) and keep the bits of the bare add/subtract loops within two
+# boxes; neighbor.Image is MinImage of the difference of two wrapped
+# coordinates, bit for bit; and hydro's assembler is the Builder oracle,
+# bit for bit, on small hostile systems stepped along a walk.
 fuzz-neighbor:
-	$(GO) test -run '^$$' -fuzz FuzzWrapTerminates -fuzztime 10s ./internal/neighbor/
+	$(GO) test -run '^$$' -fuzz '^FuzzWrapTerminates$$' -fuzztime 10s ./internal/neighbor/
+	$(GO) test -run '^$$' -fuzz '^FuzzImageMatchesMinImage$$' -fuzztime 10s ./internal/neighbor/
+	$(GO) test -run '^$$' -fuzz '^FuzzAssemblerMatchesOracle$$' -fuzztime 10s ./internal/hydro/
 
 # serial runs the full suite pinned to one OS thread: the worker pool
 # must produce identical results (and never deadlock) when the runtime

@@ -330,23 +330,43 @@ func BenchmarkAblationNeighborList(b *testing.B) {
 	})
 }
 
-// BenchmarkConfBuild measures one resistance-matrix assembly on a
-// warmed sd.Conf chain at the repository benchmark's SD system
-// (N = 1000, phi = 0.4, seed 1, E. coli radii): the step's Construct
-// phase, twice per time step. Run with -benchmem: B/op should read
-// about the matrix's own size and allocs/op 4.
+// BenchmarkConfBuild measures resistance-matrix assembly at the
+// repository benchmark's SD system (N = 1000, phi = 0.4, seed 1, E. coli
+// radii), the three numbers the docs quote. warm: one Build on a warmed
+// sd.Conf chain, handed back with Recycle as the steppers do — the
+// step's Construct phase, twice per time step; with -benchmem, allocs/op
+// 1 (the matrix header). cold: a fresh chain's first Build, the
+// candidate search included. particles-new: the packing itself.
 func BenchmarkConfBuild(b *testing.B) {
-	sys, err := particles.New(particles.Options{N: 1000, Phi: 0.4, Seed: 1})
+	popt := particles.Options{N: 1000, Phi: 0.4, Seed: 1}
+	sys, err := particles.New(popt)
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := sd.NewConf(sys, hydro.Options{Phi: 0.4}, 1)
-	confBuildSink = c.Build()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		confBuildSink = c.Build()
-	}
+	opt := hydro.Options{Phi: 0.4}
+	b.Run("warm", func(b *testing.B) {
+		c := sd.NewConf(sys, opt, 1)
+		c.Recycle(c.Build())
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Recycle(c.Build())
+		}
+	})
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			confBuildSink = sd.NewConf(sys, opt, 1).Build()
+		}
+	})
+	b.Run("particles-new", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := particles.New(popt); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 var confBuildSink *bcrs.Matrix

@@ -247,6 +247,10 @@ type Runner struct {
 	// velocity — reused from step to step. None outlives its step:
 	// OnStep must not retain its slice.
 	buf struct{ noise, fb, rhs, guess, u, uHalf []float64 }
+	// chunk holds StepMRHS's three n×m blocks — noise Z, Brownian forces
+	// F^B, augmented solutions U — reshaped chunk to chunk (a last chunk
+	// may be narrower); none outlives its chunk.
+	chunk struct{ z, fb, u multivec.MultiVec }
 
 	Timings Timings
 	Records []StepRecord
@@ -698,11 +702,13 @@ func (r *Runner) StepMRHS(steps int) error {
 	if err != nil {
 		return fmt.Errorf("core: chunk at step %d: %w", r.k, err)
 	}
-	z := multivec.New(dim, m)
+	z := &r.chunk.z
+	z.Reshape(dim, m)
 	for j := 0; j < m; j++ {
 		z.SetCol(j, r.noise(r.k+j))
 	}
-	fb := multivec.New(dim, m)
+	fb := &r.chunk.fb
+	fb.Reshape(dim, m) // ApplyBlock writes all of it
 	s0.ApplyBlock(fb, z)
 	r.Timings.ChebVectors += time.Since(t0)
 	fb.Scale(-1) // the systems are R u = -f^B + f^P (see negRHS)
@@ -719,7 +725,9 @@ func (r *Runner) StepMRHS(steps int) error {
 	}
 
 	// Step 3: solve the augmented system R_0 * U = -F^B.
-	u := multivec.New(dim, m)
+	u := &r.chunk.u
+	u.Reshape(dim, m)
+	u.Zero() // the block solve's initial guess
 	t0 = time.Now()
 	r.beginWindow(a0)
 	blockOpts := r.solveOpts()

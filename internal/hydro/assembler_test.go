@@ -259,6 +259,16 @@ func TestAssemblerRejectsWrongCount(t *testing.T) {
 	NewAssembler(sys, opt).Build(sys.Pos[:20])
 }
 
+// tensor is the assembler's six-entry pair tensor as a blas.Mat3.
+func (c *pairCoef) tensor(xi float64, d blas.Vec3, minXi float64) (m blas.Mat3) {
+	var a sym3
+	c.axial(&a, xi, &d, minXi)
+	for q, s := range symAt {
+		m[q] = a[s]
+	}
+	return m
+}
+
 // TestPairCoefMatchesPairTensorBitwise: the constants the assembler
 // caches per listed pair, fed one logarithm, give PairTensor's bits —
 // over radius ratios on both sides of 1 and at it, gaps below the

@@ -28,17 +28,18 @@
 //
 // Assembly has one path, Assembler (Build is a one-shot use of it). A
 // pair contributes when its gap xi, evaluated by neighbor.Gap, is
-// below Options.CutoffXi — the neighbor list applies that very test
-// with each pair's own reach (a_i+a_j)(1+CutoffXi/2), so the pairs it
-// reports are the pairs assembled, not a superset sized by the largest
-// spheres. Rows are written straight into BCRS arrays in a canonical
-// order: columns ascending, off-diagonal blocks -A, and each diagonal
-// block summed as muF_i*I first, then the row's pair tensors in
-// ascending neighbor index. The matrix is therefore a pure function of
-// (positions, radii, options): bitwise the same from a long-lived
-// assembler or a fresh one, at any thread count, and bitwise what a
-// bcrs.Builder fed the far-field diagonal and then the (I, J)-sorted
-// pairs would produce.
+// below Options.CutoffXi; the Verlet list's candidates lie within each
+// pair's own reach (a_i+a_j)(1+CutoffXi/2) plus a skin. One pass over
+// the sorted candidates computes each one's displacement, distance and
+// gap once and, for a kept pair, the six distinct entries of its
+// tensor; one pass over the kept pairs writes -A into both mirrored
+// blocks and sums the diagonals, straight into BCRS arrays: columns
+// ascending, each diagonal muF_i*I first, then the row's pair tensors in
+// ascending neighbor index (every pair (j, i), j < i, precedes every
+// pair (i, k)). The matrix is therefore a pure function of (positions,
+// radii, options): bitwise the same from a long-lived assembler or a
+// fresh one, at any thread count, and bitwise what a bcrs.Builder fed
+// the far-field diagonal and then the (I, J)-sorted pairs would produce.
 //
 // A warmed Build pays for what moved: the constants of a pair (XA's and
 // YA's coefficients, their cutoff values, the scale) are kept per

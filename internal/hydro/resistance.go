@@ -79,15 +79,35 @@ func newPairCoef(a1, a2 float64, opt Options) (c pairCoef) {
 	return c
 }
 
-// tensor is PairTensor bit for bit: the same expressions in the same
-// order around one logarithm, not four (neither sum can be -0, the one
-// value max and PairTensor's comparisons would clamp differently).
-func (c *pairCoef) tensor(xi float64, d blas.Vec3, minXi float64) blas.Mat3 {
+// sym3 is a symmetric 3x3 block by its six distinct entries, the upper
+// triangle row by row; symAt maps a blas.Mat3 index to its entry.
+type sym3 [6]float64
+
+var symAt = [9]int{0, 1, 2, 1, 3, 4, 2, 4, 5}
+
+// axial writes PairTensor into t bit for bit, by its six distinct
+// entries: the same expressions in the same order around one logarithm,
+// not four (neither sum can be -0, the one value max and PairTensor's
+// comparisons would clamp differently), and AxialTensor's expression
+// entry by entry. Its tensor is symmetric bit for bit, because
+// d_a*d_b = d_b*d_a.
+func (c *pairCoef) axial(t *sym3, xi float64, d *blas.Vec3, minXi float64) {
 	xi = max(xi, minXi)
 	l := math.Log(1 / xi)
-	xa := max(0, c.g1/xi+c.g2*l+c.g3*xi*l-c.xaCut)
-	ya := max(0, c.y2*l+c.y3*xi*l-c.yaCut)
-	return blas.AxialTensor(c.scale*xa, c.scale*ya, d)
+	xa := c.scale * max(0, c.g1/xi+c.g2*l+c.g3*xi*l-c.xaCut)
+	ya := c.scale * max(0, c.y2*l+c.y3*xi*l-c.yaCut)
+	xx, xy, xz := d[0]*d[0], d[0]*d[1], d[0]*d[2]
+	yy, yz, zz := d[1]*d[1], d[1]*d[2], d[2]*d[2]
+	*t = sym3{
+		xa*xx + ya*(1-xx), xa*xy + ya*(0-xy), xa*xz + ya*(0-xz),
+		xa*yy + ya*(1-yy), xa*yz + ya*(0-yz),
+		xa*zz + ya*(1-zz),
+	}
+}
+
+// zero reports whether every entry of t is zero (blas.Mat3.Zero3).
+func (t *sym3) zero() bool {
+	return t[0] == 0 && t[1] == 0 && t[2] == 0 && t[3] == 0 && t[4] == 0 && t[5] == 0
 }
 
 // FarFieldCoefficients returns the per-particle diagonal coefficients
@@ -130,21 +150,23 @@ const skinFraction = 0.05
 // bound to a system's radii, box and options, and is handed positions.
 // It owns what consecutive builds can share — the Verlet neighbor
 // list, the far-field coefficients, the lubrication constants of every
-// listed pair, and the pair, tensor and row scratch — so a warmed
-// Build computes only what depends on the positions. A returned matrix
-// never aliases that scratch and is its holder's; handed back before
-// the next Build (Recycle), its arrays are what that Build writes into.
+// listed pair, and the tensor and row scratch — so a warmed Build
+// computes only what depends on the positions. A returned matrix never
+// aliases that scratch and is its holder's; handed back before the next
+// Build (Recycle), its arrays are what that Build writes into.
 //
 // The matrix is a pure function of (positions, radii, options): the
-// list reports pairs in (I, J) order whatever its history, and each
-// diagonal block is summed as the far-field term, then the pair
-// tensors in ascending neighbor index. List reuse, rebuild timing,
-// recycled storage and thread count cannot change a bit of it.
+// list hands over its candidates in (I, J) order whatever its history,
+// and each diagonal block is summed as the far-field term, then the
+// pair tensors in that order, which is ascending neighbor index. List
+// reuse, rebuild timing, recycled storage and thread count cannot change
+// a bit of it.
 //
 // An Assembler is not safe for concurrent use; every trajectory (each
 // ensemble member, each runner) needs its own.
 type Assembler struct {
 	opt    Options
+	box    float64
 	radius []float64
 	far    []float64 // far-field diagonal coefficients
 	list   *neighbor.List
@@ -154,21 +176,24 @@ type Assembler struct {
 	coef    []pairCoef
 	coefGen int
 
-	pos   []blas.Vec3     // the current build's positions (the caller's)
-	pairs []neighbor.Pair // its pairs (the list's buffer)
-	tens  []blas.Mat3     // tensor per pair; zero for a dropped pair
-	ref   []int32         // pair behind each off-diagonal block
-	// below counts each row's neighbors of smaller index, then, with
-	// above, is the fill cursor of the row's two sides of the diagonal.
-	below, above []int32
+	// The current build's candidates and wrapped positions (the list's),
+	// whether each is kept, and the tensor of each kept one.
+	cand    [][2]int32
+	wrapped []blas.Vec3
+	kept    []bool
+	tens    []sym3
+	// below counts each row's neighbors of smaller index, then is the
+	// fill cursor of the row's lower side, as above is of its upper
+	// side; diag is the slot of the row's diagonal block.
+	below, above, diag []int32
 
 	// The arrays of the matrix built last (lent, while it is out) and the
-	// pool callbacks that fill them, bound once so a build allocates none.
+	// pool callback that fills the tensors, bound once so a build
+	// allocates none.
 	lent           *bcrs.Matrix
 	rowPtr, colIdx []int32
 	vals           []float64
 	tensorsFn      func(lo, hi int)
-	rowsFn         func(lo, hi int)
 }
 
 // NewAssembler returns an assembler for the system's radii and box.
@@ -180,12 +205,13 @@ func NewAssembler(sys *particles.System, opt Options) *Assembler {
 
 func newAssembler(sys *particles.System, opt Options, far []float64) *Assembler {
 	as := &Assembler{
-		opt: opt, radius: sys.Radius, far: far,
+		opt: opt, box: sys.Box, radius: sys.Radius, far: far,
 		list:  neighbor.NewList(sys.Box, sys.Radius, opt.CutoffXi, skinFraction*SearchCutoff(sys, opt)),
 		below: make([]int32, sys.N),
 		above: make([]int32, sys.N),
+		diag:  make([]int32, sys.N),
 	}
-	as.tensorsFn, as.rowsFn = as.tensors, as.rows
+	as.tensorsFn = as.tensors
 	return as
 }
 
@@ -199,25 +225,20 @@ func (as *Assembler) ListCounts() (rebuilds, reuses int) {
 	return as.list.Rebuilds, as.list.Reuses
 }
 
-// pairGrain and rowGrain are the minimum pairs and block rows per
-// parallel chunk: a pair costs two resistance-function evaluations and
-// a row a handful of block copies, so chunks this size comfortably
-// amortize a dispatch.
-const (
-	pairGrain = 256
-	rowGrain  = 512
-)
+// pairGrain is the minimum candidates per parallel chunk: a kept pair
+// costs a logarithm and a few dozen flops, so chunks this size
+// comfortably amortize a dispatch.
+const pairGrain = 256
 
 // Build assembles the matrix at pos, reusing the neighbor candidates
 // when pos has drifted less than the list's skin since they were found.
 func (as *Assembler) Build(pos []blas.Vec3) *bcrs.Matrix {
-	pairs := as.list.Pairs(pos)
+	as.cand, as.wrapped = as.list.Candidates(pos)
 	if as.coefGen != as.list.Rebuilds {
-		_, n := as.list.Slots()
-		as.coef, as.coefGen = sized(as.coef, n), as.list.Rebuilds
+		as.coef, as.coefGen = sized(as.coef, len(as.cand)), as.list.Rebuilds
 		clear(as.coef)
 	}
-	return assemble(as, pos, pairs)
+	return assemble(as, pos)
 }
 
 // Recycle takes back the matrix built last, which its holder will not
@@ -230,17 +251,16 @@ func (as *Assembler) Recycle(a *bcrs.Matrix) {
 }
 
 // assemble is the package's one assembly routine: the matrix of the
-// given pairs, which must come in (I, J) order, in four passes — their
-// tensors (parallel, one slot per pair), the row sizes (serial count
-// and prefix sum), the column structure (serial; sorted pairs fill
-// every row in ascending column order), and the values (parallel, one
-// block row per write).
-func assemble(as *Assembler, pos []blas.Vec3, pairs []neighbor.Pair) *bcrs.Matrix {
+// list's candidates, which come in (I, J) order, at pos, in three
+// passes — the candidate pass (parallel, one slot per candidate: the
+// gap test and the tensor of a kept pair), the row sizes (serial count
+// and prefix sum), and one serial pass over the kept pairs that writes
+// both mirrored off-diagonal blocks of each and sums the diagonals.
+func assemble(as *Assembler, pos []blas.Vec3) *bcrs.Matrix {
+	const bs = bcrs.BlockSize
 	nb := len(as.radius)
-	pool := parallel.Default()
-	as.pos, as.pairs = pos, pairs
-	as.tens = sized(as.tens, len(pairs))
-	pool.ForOp("hydro_pair_tensors", len(pairs), pairGrain, as.tensorsFn)
+	as.kept, as.tens = sized(as.kept, len(as.cand)), sized(as.tens, len(as.cand))
+	parallel.Default().ForOp("hydro_pair_tensors", len(as.cand), pairGrain, as.tensorsFn)
 
 	if as.lent != nil { // not handed back: its arrays stay its own
 		as.rowPtr, as.colIdx, as.vals = nil, nil, nil
@@ -249,11 +269,11 @@ func assemble(as *Assembler, pos []blas.Vec3, pairs []neighbor.Pair) *bcrs.Matri
 	rowPtr := sized(as.rowPtr, nb+1)
 	clear(rowPtr) // recycled colIdx and vals need none: every slot is written
 	clear(as.below)
-	for k, p := range pairs {
-		if !as.tens[k].Zero3() {
-			rowPtr[p.I+1]++
-			rowPtr[p.J+1]++
-			as.below[p.J]++
+	for k, c := range as.cand {
+		if as.kept[k] {
+			rowPtr[c[0]+1]++
+			rowPtr[c[1]+1]++
+			as.below[c[1]]++
 		}
 	}
 	for i := 0; i < nb; i++ {
@@ -261,29 +281,50 @@ func assemble(as *Assembler, pos []blas.Vec3, pairs []neighbor.Pair) *bcrs.Matri
 	}
 	nnzb := int(rowPtr[nb])
 	colIdx := sized(as.colIdx, nnzb)
-	vals := sized(as.vals, nnzb*bcrs.BlockSize)
-	as.ref = sized(as.ref, nnzb)
+	vals := sized(as.vals, nnzb*bs)
 
-	// Row i is [neighbors below i | i | neighbors above i], and each
-	// part fills left to right because the pairs are sorted.
+	// Row i is [neighbors below i | i | neighbors above i], and each part
+	// fills left to right because the candidates are sorted. Its diagonal
+	// block starts as muF*I, made NaN for a NaN or infinite coordinate
+	// (x-x is 0 for any other): such a particle is in no pair, every
+	// cutoff test being false, and the NaN fails the step at the
+	// spectrum bracket or in a solve.
 	for i := 0; i < nb; i++ {
 		d := rowPtr[i] + as.below[i]
 		colIdx[d] = int32(i)
-		as.below[i], as.above[i] = rowPtr[i], d+1
+		as.below[i], as.above[i], as.diag[i] = rowPtr[i], d+1, d
+		blk := (*blas.Mat3)(vals[int(d)*bs:])
+		f := as.far[i]
+		z := f * 0 // the bits ScaleM gives the identity's zeros
+		*blk = blas.Mat3{f, z, z, z, f, z, z, z, f}
+		if p := pos[i]; p[0]-p[0] != 0 || p[1]-p[1] != 0 || p[2]-p[2] != 0 {
+			blk[0] = math.NaN()
+		}
 	}
-	for k, p := range pairs {
-		if as.tens[k].Zero3() {
+	// Every pair (j, i) with j < i comes before every pair (i, k), so
+	// each diagonal sums its tensors in ascending neighbor index.
+	for k, c := range as.cand {
+		if !as.kept[k] {
 			continue
 		}
-		si, sj := as.above[p.I], as.below[p.J]
-		as.above[p.I], as.below[p.J] = si+1, sj+1
-		colIdx[si], as.ref[si] = int32(p.J), int32(k)
-		colIdx[sj], as.ref[sj] = int32(p.I), int32(k)
+		i, j := c[0], c[1]
+		si, sj := as.above[i], as.below[j]
+		as.above[i], as.below[j] = si+1, sj+1
+		colIdx[si], colIdx[sj] = j, i
+		a, neg := &as.tens[k], (*blas.Mat3)(vals[int(si)*bs:])
+		di, dj := (*blas.Mat3)(vals[int(as.diag[i])*bs:]), (*blas.Mat3)(vals[int(as.diag[j])*bs:])
+		for q, s := range symAt {
+			// 0 - v, not -v: a zero entry is stored as +0, as summing
+			// into a zeroed block would leave it.
+			neg[q] = 0 - a[s]
+			di[q] += a[s]
+			dj[q] += a[s]
+		}
+		*(*blas.Mat3)(vals[int(sj)*bs:]) = *neg
 	}
 
 	as.rowPtr, as.colIdx, as.vals = rowPtr, colIdx, vals
-	pool.ForOp("hydro_rows", nb, rowGrain, as.rowsFn)
-	as.pos, as.pairs = nil, nil
+	as.cand, as.wrapped = nil, nil
 	as.lent = bcrs.NewMatrix(nb, nb, rowPtr, colIdx, vals)
 	return as.lent
 }
@@ -296,54 +337,45 @@ func sized[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// tensors evaluates the lubrication tensor of pairs [lo, hi). A pair
-// whose tensor vanishes (the shifted resistance functions round to
-// zero just inside the cutoff) or whose centers coincide stores no
-// block.
+// tensors is the candidate pass over [lo, hi): each candidate's
+// displacement, distance and gap, once, and for a pair inside the
+// cutoff its tensor. A pair outside it, whose centers coincide, or whose
+// tensor vanishes (the shifted resistance functions round to zero just
+// inside the cutoff) is not kept and stores no block. It runs
+// in blocks, the geometry of a block's candidates before any of their
+// tensors: a gap test that waits on a square root and a division then
+// decides no branch, and the out-of-order core overlaps candidates.
 func (as *Assembler) tensors(lo, hi int) {
-	slots, _ := as.list.Slots()
-	for k := lo; k < hi; k++ {
-		p := as.pairs[k]
-		if p.R <= 0 {
-			as.tens[k] = blas.Mat3{}
-			continue
-		}
-		a1, a2 := as.radius[p.I], as.radius[p.J]
-		c := &as.coef[slots[k]]
-		if c.scale == 0 {
-			*c = newPairCoef(a1, a2, as.opt)
-		}
-		as.tens[k] = c.tensor(neighbor.Gap(p.R, a1, a2), p.D.Scale(1/p.R), as.opt.MinXi)
+	var geo [64]struct {
+		dir   blas.Vec3
+		r, xi float64
 	}
-}
-
-// rows writes the values of block rows [lo, hi): -A for each neighbor
-// and, on the diagonal, muF*I plus the same tensors in slot order,
-// which is ascending neighbor index. A NaN or infinite coordinate (x-x is
-// 0 for any other) is in no pair, every cutoff test being false: its block
-// is made NaN, which fails the step at the spectrum bracket or in a solve.
-func (as *Assembler) rows(lo, hi int) {
-	const bs = bcrs.BlockSize
-	for i := lo; i < hi; i++ {
-		diag := blas.Ident3().ScaleM(as.far[i])
-		if p := as.pos[i]; p[0]-p[0] != 0 || p[1]-p[1] != 0 || p[2]-p[2] != 0 {
-			diag[0] = math.NaN()
+	for b := lo; b < hi; b += len(geo) {
+		n := min(len(geo), hi-b)
+		for k := range n {
+			c, g := as.cand[b+k], &geo[k]
+			wa, wb := &as.wrapped[c[0]], &as.wrapped[c[1]]
+			x := neighbor.Image(wb[0]-wa[0], as.box)
+			y := neighbor.Image(wb[1]-wa[1], as.box)
+			z := neighbor.Image(wb[2]-wa[2], as.box)
+			g.r = math.Sqrt(x*x + y*y + z*z)
+			g.xi = neighbor.Gap(g.r, as.radius[c[0]], as.radius[c[1]])
+			s := 1 / g.r
+			g.dir = blas.Vec3{s * x, s * y, s * z}
 		}
-		at := -1
-		for s := int(as.rowPtr[i]); s < int(as.rowPtr[i+1]); s++ {
-			if int(as.colIdx[s]) == i {
-				at = s
-				continue
+		for k := range n {
+			t, g := &as.tens[b+k], &geo[k]
+			keep := g.xi < as.opt.CutoffXi && g.r > 0
+			if keep {
+				pc := &as.coef[b+k]
+				if pc.scale == 0 {
+					c := as.cand[b+k]
+					*pc = newPairCoef(as.radius[c[0]], as.radius[c[1]], as.opt)
+				}
+				pc.axial(t, g.xi, &g.dir, as.opt.MinXi)
 			}
-			a := &as.tens[as.ref[s]]
-			for q, v := range a {
-				diag[q] += v
-				// 0 - v, not -v: a zero entry is stored as +0, as
-				// summing into a zeroed block would leave it.
-				as.vals[s*bs+q] = 0 - v
-			}
+			as.kept[b+k] = keep && !t.zero()
 		}
-		copy(as.vals[at*bs:], diag[:])
 	}
 }
 

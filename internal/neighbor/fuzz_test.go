@@ -65,7 +65,7 @@ func checkBounded(t *testing.T, v, box float64) {
 // around them.
 func TestWrapBoundedOnHostileCoordinates(t *testing.T) {
 	inf, nan := math.Inf(1), math.NaN()
-	for _, box := range []float64{10, 1e-3, 1, 5e-324, 1e300, inf, 0, -1, nan} {
+	for _, box := range []float64{10, 1e-3, 1, 5e-324, 1e300, 1e308, math.MaxFloat64, inf, 0, -1, nan} {
 		for _, v := range []float64{0, math.Copysign(0, -1), 3, -3, 10, -10, 15, 20, -20, 20.000000000000004, 25,
 			-31, 1e15, -1e17, 1e300, -1e300, math.MaxFloat64, 5e-324, -5e-324, inf, -inf, nan} {
 			checkBounded(t, v, box)
@@ -89,4 +89,46 @@ func FuzzWrapTerminates(f *testing.F) {
 	f.Add(3.0, 5e-324)
 	f.Add(1.0, 0.0)
 	f.Fuzz(func(t *testing.T, v, box float64) { checkBounded(t, v, box) })
+}
+
+// checkImage is Image's contract: for any two coordinates and a box that
+// is not negative (NewList and ForEachPair reject those), Image of
+// Wrap(b)-Wrap(a) is MinImage of it, bit for bit — NaN, infinite and
+// subnormal boxes and coordinates included.
+func checkImage(t *testing.T, a, b, box float64) {
+	t.Helper()
+	if box < 0 {
+		return
+	}
+	wa, wb := Wrap(blas.Vec3{a, a, a}, box)[0], Wrap(blas.Vec3{b, b, b}, box)[0]
+	got, want := Image(wb-wa, box), MinImage(blas.Vec3{wb - wa}, box)[0]
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("box %v, a %v, b %v: Image %v (%x), MinImage %v (%x)", box, a, b,
+			got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
+func TestImageMatchesMinImage(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	boxes := []float64{10, 1e-3, 1, 3 * 5e-324, 5e-324, 1e300, math.MaxFloat64, inf, 0, math.Copysign(0, -1), nan}
+	for _, box := range boxes {
+		vals := []float64{0, math.Copysign(0, -1), 3, -3, 5, -5, box / 2, -box / 2, math.Nextafter(box/2, inf),
+			math.Nextafter(box, 0), box, -box, 2.5 * box, 1e15, -1e17, 1e300, math.MaxFloat64, 5e-324, -5e-324, inf, -inf, nan}
+		for _, a := range vals {
+			for _, b := range vals {
+				checkImage(t, a, b, box)
+			}
+		}
+	}
+}
+
+// FuzzImageMatchesMinImage runs checkImage over arbitrary bit patterns
+// (make fuzz-neighbor).
+func FuzzImageMatchesMinImage(f *testing.F) {
+	f.Add(0.1, 9.9, 10.0)
+	f.Add(9.999999999999998, 0.0, 10.0)
+	f.Add(-5e-324, 5.0, 10.0)
+	f.Add(1e300, -1e300, 7.0)
+	f.Add(3.0, 1.0, 1.5e-323)
+	f.Fuzz(func(t *testing.T, a, b, box float64) { checkImage(t, a, b, box) })
 }

@@ -1,6 +1,7 @@
 package neighbor
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"testing"
@@ -20,9 +21,21 @@ func uniformList(box, cutoff, skin float64, n int) *List {
 	return NewList(box, radius, 0, skin)
 }
 
-// listPairs copies a query's answer out of the list's buffer.
+// listPairs queries the list and keeps what its caller keeps: each
+// candidate's displacement between the wrapped positions, and the pair
+// exactly when its Gap is below the cutoff.
 func listPairs(l *List, pos []blas.Vec3) []Pair {
-	return slices.Clone(l.Pairs(pos))
+	var out []Pair
+	candidates, wrapped := l.Candidates(pos)
+	for _, c := range candidates {
+		i, j := int(c[0]), int(c[1])
+		wi, wj := wrapped[i], wrapped[j]
+		d := blas.Vec3{Image(wj[0]-wi[0], l.box), Image(wj[1]-wi[1], l.box), Image(wj[2]-wi[2], l.box)}
+		if r := d.Norm(); Gap(r, l.radius[i], l.radius[j]) < l.xiCut {
+			out = append(out, Pair{I: i, J: j, D: d, R: r})
+		}
+	}
+	return out
 }
 
 // brutePairs is the set a list must report, from the criterion it
@@ -58,7 +71,7 @@ func TestListReusedForSmallDrift(t *testing.T) {
 	box, cutoff, skin := 12.0, 2.0, 0.6
 	pos := randPositions(rng, 200, box)
 	l := uniformList(box, cutoff, skin, len(pos))
-	l.Pairs(pos)
+	listPairs(l, pos)
 
 	// Drift everything by far less than skin/2 and query repeatedly:
 	// no rebuild, results still exact.
@@ -85,7 +98,7 @@ func TestListRebuildsPastSkin(t *testing.T) {
 	box, cutoff, skin := 12.0, 2.0, 0.4
 	pos := randPositions(rng, 150, box)
 	l := uniformList(box, cutoff, skin, len(pos))
-	l.Pairs(pos)
+	listPairs(l, pos)
 	// Move one particle beyond skin/2.
 	pos[7] = Wrap(pos[7].Add(blas.Vec3{skin, 0, 0}), box)
 	got := listPairs(l, pos)
@@ -131,13 +144,13 @@ func TestListExactOnPolydisperseWalks(t *testing.T) {
 			// axis, so a particle crosses skin/2 after a few steps:
 			// the walk keeps ending reuse streaks and starting them.
 			for step := 0; step < 40; step++ {
-				got := l.Pairs(pos)
+				got := listPairs(l, pos)
 				want := brutePairs(pos, tc.box, radius, tc.xiCut)
 				if !slices.Equal(got, want) {
 					t.Fatalf("step %d (%d rebuilds, %d reuses): %d pairs, brute force %d",
 						step, l.Rebuilds, l.Reuses, len(got), len(want))
 				}
-				if fresh := NewList(tc.box, radius, tc.xiCut, skin).Pairs(pos); !slices.Equal(got, fresh) {
+				if fresh := listPairs(NewList(tc.box, radius, tc.xiCut, skin), pos); !slices.Equal(got, fresh) {
 					t.Fatalf("step %d: answer depends on the list's history", step)
 				}
 				for i := range pos {
@@ -170,13 +183,13 @@ func TestListSkinBoundary(t *testing.T) {
 		{0.5 * skin, true},
 	} {
 		l := NewList(box, radius, 0.5, skin)
-		if got := l.Pairs(start); len(got) != 0 {
+		if got := listPairs(l, start); len(got) != 0 {
 			t.Fatalf("pairs before the approach: %v", got)
 		}
 		pos := slices.Clone(start)
 		pos[0][0] += tc.drift
 		pos[1][0] -= tc.drift
-		got := l.Pairs(pos)
+		got := listPairs(l, pos)
 		if want := brutePairs(pos, box, radius, 0.5); !slices.Equal(got, want) || len(got) != 1 {
 			t.Fatalf("drift %v: got %v, want %v", tc.drift, got, want)
 		}
@@ -193,7 +206,7 @@ func TestListReachIsPerPair(t *testing.T) {
 	radius := []float64{3, 3, 0.5, 0.5}
 	pos := []blas.Vec3{{2, 10, 10}, {9, 10, 10}, {2, 10, 15.5}, {9, 10, 14.5}}
 	l := NewList(40, radius, 1, 0.5)
-	got := l.Pairs(pos)
+	got := listPairs(l, pos)
 	// (0,1): r = 7 < 9. (0,2): r = 5.5 >= 5.25. (1,3): r = 4.5 < 5.25.
 	want := [][2]int{{0, 1}, {1, 3}}
 	if len(got) != len(want) {
@@ -216,8 +229,8 @@ func TestListQueryDoesNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	pos := randPositions(rng, 500, 15)
 	l := uniformList(15, 2, 0.5, len(pos))
-	l.Pairs(pos)
-	if n := testing.AllocsPerRun(20, func() { l.Pairs(pos) }); n != 0 {
+	l.Candidates(pos)
+	if n := testing.AllocsPerRun(20, func() { l.Candidates(pos) }); n != 0 {
 		t.Fatalf("a reused list allocated %v times per query", n)
 	}
 }
@@ -228,13 +241,13 @@ func TestListRejectsWrongCount(t *testing.T) {
 			t.Fatal("expected panic for a position count that differs from the radii")
 		}
 	}()
-	uniformList(10, 2, 0.5, 50).Pairs(make([]blas.Vec3, 60))
+	uniformList(10, 2, 0.5, 50).Candidates(make([]blas.Vec3, 60))
 }
 
-// TestListSlotsNameCandidates: Slots pairs every reported pair with its
-// candidate, and a pair keeps its slot for as long as the list is not
-// rebuilt — what a cache of per-pair constants beside the list relies
-// on.
+// TestListSlotsNameCandidates: every pair with Gap < xiCut is among the
+// candidates, and a pair keeps its slot — its index among them — for as
+// long as the list is not rebuilt: what a cache of per-pair constants
+// beside the list relies on.
 func TestListSlotsNameCandidates(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	radius := make([]float64, 300)
@@ -243,26 +256,25 @@ func TestListSlotsNameCandidates(t *testing.T) {
 	}
 	pos := randPositions(rng, len(radius), 14)
 	l := NewList(14, radius, 0.5, 0.4)
-	slotOf := map[[2]int]int32{}
+	slotOf := map[[2]int32]int{}
 	for step := 0; step < 30; step++ {
 		rebuilds := l.Rebuilds
-		pairs := l.Pairs(pos)
-		slots, candidates := l.Slots()
-		if len(slots) != len(pairs) {
-			t.Fatalf("step %d: %d slots for %d pairs", step, len(slots), len(pairs))
-		}
+		candidates, _ := l.Candidates(pos)
 		if l.Rebuilds != rebuilds {
 			clear(slotOf)
 		}
-		for k, p := range pairs {
-			s := slots[k]
-			if int(s) >= candidates || l.candidates[s] != [2]int32{int32(p.I), int32(p.J)} {
-				t.Fatalf("step %d: pair (%d, %d) reported in slot %d", step, p.I, p.J, s)
+		for _, p := range brutePairs(pos, 14, radius, 0.5) {
+			pair := [2]int32{int32(p.I), int32(p.J)}
+			s, ok := slices.BinarySearchFunc(candidates, pair, func(a, b [2]int32) int {
+				return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+			})
+			if !ok {
+				t.Fatalf("step %d: pair (%d, %d) is no candidate", step, p.I, p.J)
 			}
-			if was, ok := slotOf[[2]int{p.I, p.J}]; ok && was != s {
+			if was, ok := slotOf[pair]; ok && was != s {
 				t.Fatalf("step %d: pair (%d, %d) moved from slot %d to %d without a rebuild", step, p.I, p.J, was, s)
 			}
-			slotOf[[2]int{p.I, p.J}] = s
+			slotOf[pair] = s
 		}
 		for i := range pos {
 			d := blas.Vec3{rng.Float64() - 0.5, rng.Float64() - 0.5, rng.Float64() - 0.5}

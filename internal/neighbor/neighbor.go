@@ -17,18 +17,20 @@
 // while their dimensionless surface gap (Gap) is below a cutoff, i.e.
 // while r < (a_i+a_j)(1+xiCut/2). A pair becomes a candidate when it
 // is within that reach plus the skin of the reference configuration
-// (this test may err wide), the candidates serve until some particle
-// has drifted skin/2, and a pair is reported exactly when Gap < xiCut
-// at the queried positions. Candidates are kept sorted, so an answer
-// is in (I, J) order and depends on the positions alone — not on when
-// the list was last rebuilt, which search rebuilt it, or the thread
-// count. A list owns every buffer it needs, so a query that reuses
-// the candidates allocates nothing; the returned pairs are valid until
-// the next query. Beside each pair the list reports its slot in the
-// candidate set (Slots), fixed until the next rebuild, so a caller can
-// keep per-pair constants by slot. Wrap and MinImage return for every
-// float64; an infinite position comes out NaN and in no pair (the tests
-// above are false for NaN), and hydro fails the step by marking its row.
+// (this test may err wide), and the candidates serve until some
+// particle has drifted skin/2. A query (Candidates) wraps every position
+// once and hands the candidates over with those wraps; the caller —
+// hydro, in the pass that evaluates the pair term — keeps a candidate
+// exactly when its Gap < xiCut. Candidates are kept sorted, so the kept
+// pairs are in (I, J) order and depend on the positions alone — not on
+// when the list was last rebuilt, which search rebuilt it, or the thread
+// count. A candidate's index is its slot until the next rebuild, so a
+// caller can keep per-pair constants by slot, and a query that reuses
+// the candidates allocates nothing. Image is MinImage of a component of
+// the difference of two wrapped points, bit for bit, in one branch.
+// Wrap and MinImage return for every float64; an infinite position comes
+// out NaN and in no pair (the tests above are false for NaN), and hydro
+// fails the step by marking its row.
 package neighbor
 
 import (
@@ -39,9 +41,9 @@ import (
 	"repro/internal/parallel"
 )
 
-// binGrain is the minimum particles (or candidate pairs) per parallel
-// chunk in the geometry passes: each element costs a few dozen flops,
-// so smaller chunks would be dominated by dispatch overhead.
+// binGrain is the minimum particles per parallel chunk in the binning
+// and wrap passes: each element costs a few dozen flops, so smaller
+// chunks would be dominated by dispatch overhead.
 const binGrain = 2048
 
 // Pair is an interacting particle pair with i < j, the minimum-image
@@ -59,7 +61,7 @@ func MinImage(d blas.Vec3, box float64) blas.Vec3 {
 		return d
 	}
 	for c := range d {
-		for math.Abs(d[c]) > 2*box {
+		for math.Abs(d[c])/2 > box {
 			d[c] -= box * math.Floor(d[c]/box)
 		}
 		for d[c] > box/2 {
@@ -75,13 +77,15 @@ func MinImage(d blas.Vec3, box float64) blas.Vec3 {
 // Wrap maps p into [0, box)^3. Its add/subtract loops decide every bit
 // of a coordinate within two boxes but never end on an infinity (1e297
 // turns on 1e300), so one further out first comes back by whole boxes:
-// an infinity becomes NaN, which passes every loop. Still inlines.
+// an infinity becomes NaN, which passes every loop. "Further out" is
+// |x|/2 > box, not |x| > 2*box, which is false for an infinity once
+// 2*box overflows (box past MaxFloat64/2 used to hang). Still inlines.
 func Wrap(p blas.Vec3, box float64) blas.Vec3 {
 	if box <= 0 {
 		return p
 	}
 	for c := range p {
-		for math.Abs(p[c]) > 2*box {
+		for math.Abs(p[c])/2 > box {
 			p[c] -= box * math.Floor(p[c]/box)
 		}
 		for p[c] < 0 {
@@ -92,6 +96,22 @@ func Wrap(p blas.Vec3, box float64) blas.Vec3 {
 		}
 	}
 	return p
+}
+
+// Image is MinImage of one component of b-a for two points as Wrap
+// leaves them and a box that is not negative, in one branch: such a
+// component lies in (-box, box), where MinImage's first loop never runs
+// and each of the other two at most once (past box/2, minus box is exact
+// and no further than box/2 out), so the bits are MinImage's. Called
+// once per axis, it keeps a displacement in registers.
+func Image(d, box float64) float64 {
+	if d > box/2 {
+		return d - box
+	}
+	if d < -box/2 {
+		return d + box
+	}
+	return d
 }
 
 // Pairs returns all pairs with minimum-image distance strictly less
@@ -145,15 +165,24 @@ func (cs *cells) forEachPair(pos []blas.Vec3, box, cutoff float64, fn func(Pair)
 	g := int(box / cutoff)
 	if g < 3 {
 		// Cells would alias through the periodic wrap: stream the
-		// quadratic scan, which visits pairs in (I, J) order.
+		// quadratic scan, which visits pairs in (I, J) order. The test
+		// is PairsBrute's, sqrt(r2) < cutoff, behind r2 <= cutoff²,
+		// which rejects none of its pairs: rounding is monotone, so
+		// sqrt(r2) rounding below cutoff puts r2 below cutoff² and at
+		// most at its rounding.
 		for i, p := range pos {
 			wrapped[i] = Wrap(p, box)
 		}
+		cut2 := cutoff * cutoff
 		for i := 0; i < n; i++ {
+			wi := wrapped[i]
 			for j := i + 1; j < n; j++ {
-				d := MinImage(wrapped[j].Sub(wrapped[i]), box)
-				if r := d.Norm(); r < cutoff {
-					fn(Pair{I: i, J: j, D: d, R: r})
+				wj := &wrapped[j]
+				x, y, z := Image(wj[0]-wi[0], box), Image(wj[1]-wi[1], box), Image(wj[2]-wi[2], box)
+				if r2 := x*x + y*y + z*z; r2 <= cut2 {
+					if r := math.Sqrt(r2); r < cutoff {
+						fn(Pair{I: i, J: j, D: blas.Vec3{x, y, z}, R: r})
+					}
 				}
 			}
 		}
@@ -197,15 +226,16 @@ func (cs *cells) forEachPair(pos []blas.Vec3, box, cutoff float64, fn func(Pair)
 		fill[cellOf[i]]++
 	}
 
+	cut2 := cutoff * cutoff
 	emit := func(i, j int) {
-		d := MinImage(wrapped[j].Sub(wrapped[i]), box)
-		r2 := d.Dot(d)
-		if r2 < cutoff*cutoff {
+		wi, wj := &wrapped[i], &wrapped[j]
+		x, y, z := Image(wj[0]-wi[0], box), Image(wj[1]-wi[1], box), Image(wj[2]-wi[2], box)
+		if r2 := x*x + y*y + z*z; r2 < cut2 {
 			if i > j {
 				i, j = j, i
-				d = d.Scale(-1)
+				x, y, z = -x, -y, -z
 			}
-			fn(Pair{I: i, J: j, D: d, R: math.Sqrt(r2)})
+			fn(Pair{I: i, J: j, D: blas.Vec3{x, y, z}, R: math.Sqrt(r2)})
 		}
 	}
 	for ix := 0; ix < g; ix++ {

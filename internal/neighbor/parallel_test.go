@@ -9,7 +9,7 @@ import (
 )
 
 // Pair enumeration must be exactly thread-count-invariant: the binning
-// and candidate-filter passes parallelize only the geometry, while
+// and wrap passes parallelize only the geometry, while
 // emission order comes from the serial membership/candidate order.
 
 func randomPositions(n int, box float64, seed uint64) []blas.Vec3 {
@@ -55,9 +55,9 @@ func TestListPairsExactAcrossThreadCounts(t *testing.T) {
 
 	collect := func() []Pair {
 		l := uniformList(box, cutoff, 0.1*cutoff, n)
-		l.Pairs(pos)
-		// Query again without drift: the cached-candidate filter path.
-		out := l.Pairs(pos)
+		listPairs(l, pos)
+		// Query again without drift: the cached-candidate path.
+		out := listPairs(l, pos)
 		if l.Reuses != 1 {
 			t.Fatalf("second query did not reuse the list (reuses=%d)", l.Reuses)
 		}
