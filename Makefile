@@ -79,7 +79,7 @@ race:
 # solves share workspace pools, and the assembly chain (hydro,
 # neighbor, sd), whose assembler and Verlet list are mutable state
 # carried along a trajectory: two chains in one process — a verifier
-# beside a runner, ensemble members — must share none of it; and
+# beside a runner, two runners — must share none of it; and
 # multivec, whose pooled reductions block CG runs every iteration and
 # whose solves draw their workspace from a shared pool; and core, whose
 # stepper decides when a matrix goes back to the assembler that will

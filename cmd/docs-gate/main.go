@@ -7,12 +7,13 @@
 //  2. A relative link in the top-level markdown docs (README.md,
 //     DESIGN.md, EXPERIMENTS.md, ARCHITECTURE.md, ROADMAP.md) points
 //     at a file that does not exist.
-//  3. A backticked `internal/<pkg>` or `cmd/<name>` path in README.md
-//     or ARCHITECTURE.md — the two files that map the tree as it is —
-//     names a package or file that is not on disk.
+//  3. A backticked `internal/<pkg>`, `cmd/<name>` or `examples/<name>`
+//     path in README.md or ARCHITECTURE.md — the two files that map the
+//     tree as it is — names a package or file that is not on disk.
 //  4. A fenced command in README.md, DESIGN.md, EXPERIMENTS.md or
-//     ARCHITECTURE.md names a `make` target the Makefile lacks, or a
-//     `-flag` that its `go run ./cmd/<name>` does not declare.
+//     ARCHITECTURE.md names a `make` target the Makefile lacks, a
+//     `go run ./<dir>` directory that does not exist, or a `-flag` that
+//     its `go run ./cmd/<name>` does not declare.
 //  5. A fenced `go run ./cmd/experiments` command passes `-run` an id
 //     the registry lacks, or experiments_output.txt does not hold
 //     exactly one `--- <id>:` section per registered experiment.
@@ -39,7 +40,7 @@ func main() {
 	problems = append(problems, checkPackageComments("internal")...)
 	problems = append(problems, checkLinks(
 		"README.md", "DESIGN.md", "EXPERIMENTS.md", "ARCHITECTURE.md", "ROADMAP.md")...)
-	problems = append(problems, checkTreePaths("README.md", "ARCHITECTURE.md")...)
+	problems = append(problems, checkTreePaths(".", "README.md", "ARCHITECTURE.md")...)
 	problems = append(problems, checkCommands(".",
 		"README.md", "DESIGN.md", "EXPERIMENTS.md", "ARCHITECTURE.md")...)
 	problems = append(problems, checkExperiments(experiments.IDs(), "experiments_output.txt",
@@ -146,15 +147,15 @@ func checkLinks(files ...string) []string {
 	return problems
 }
 
-// treePath matches a backticked path under internal/ or cmd/. Globs
-// and placeholders (`cmd/*-bench`, `internal/<pkg>`) fall outside the
-// character class and are not paths to check.
-var treePath = regexp.MustCompile("`((?:internal|cmd)/[A-Za-z0-9_./-]+)`")
+// treePath matches a backticked path under internal/, cmd/ or
+// examples/. Globs and placeholders (`cmd/*-bench`, `internal/<pkg>`)
+// fall outside the character class and are not paths to check.
+var treePath = regexp.MustCompile("`((?:internal|cmd|examples)/[A-Za-z0-9_./-]+)`")
 
-// checkTreePaths verifies that every backticked internal/ or cmd/
-// path in the given markdown files exists on disk: a package map that
-// still lists a deleted package is drift.
-func checkTreePaths(files ...string) []string {
+// checkTreePaths verifies that every backticked internal/, cmd/ or
+// examples/ path in the given markdown files exists under root: a
+// package map that still lists a deleted package is drift.
+func checkTreePaths(root string, files ...string) []string {
 	var problems []string
 	for _, file := range files {
 		data, err := os.ReadFile(file)
@@ -164,7 +165,7 @@ func checkTreePaths(files ...string) []string {
 		}
 		for i, line := range strings.Split(string(data), "\n") {
 			for _, m := range treePath.FindAllStringSubmatch(line, -1) {
-				if _, err := os.Stat(filepath.FromSlash(m[1])); err != nil {
+				if _, err := os.Stat(filepath.Join(root, filepath.FromSlash(m[1]))); err != nil {
 					problems = append(problems, fmt.Sprintf("%s:%d: path %q is not in the tree", file, i+1, m[1]))
 				}
 			}
@@ -175,8 +176,9 @@ func checkTreePaths(files ...string) []string {
 
 // checkCommands verifies the commands in the fenced code blocks of the
 // given markdown files against the tree at root: the targets of a
-// `make` line must be defined in root's Makefile, and the -flags of a
-// `go run ./cmd/<name>` line declared by a flag.*("<flag>", …) call in
+// `make` line must be defined in root's Makefile, the directory of a
+// `go run ./<dir>` line must exist, and the -flags of a `go run
+// ./cmd/<name>` line must be declared by a flag.*("<flag>", …) call in
 // that command's sources. Continuation lines are joined, and what
 // follows the first `|`, `&` or `#` of a command is not part of it.
 func checkCommands(root string, files ...string) []string {
@@ -200,7 +202,14 @@ func checkCommands(root string, files ...string) []string {
 						problems = append(problems, fmt.Sprintf("%s: %q: no Makefile target %s", file, command, w))
 					}
 				}
-			case len(words) > 2 && words[0] == "go" && words[1] == "run" && strings.HasPrefix(words[2], "./cmd/"):
+			case len(words) > 2 && words[0] == "go" && words[1] == "run" && strings.HasPrefix(words[2], "./"):
+				if fi, err := os.Stat(filepath.Join(root, words[2])); err != nil || !fi.IsDir() {
+					problems = append(problems, fmt.Sprintf("%s: %q: no directory %s", file, command, words[2]))
+					continue
+				}
+				if !strings.HasPrefix(words[2], "./cmd/") {
+					continue
+				}
 				var code []byte
 				srcs, _ := filepath.Glob(filepath.Join(root, words[2], "*.go"))
 				for _, src := range srcs {

@@ -21,14 +21,16 @@ func write(t *testing.T, dir, path, content string) string {
 }
 
 // TestCheckCommands: in fenced code blocks, a make target the Makefile
-// defines and a flag the command declares pass; a deleted target, a
-// deleted flag (also on a continuation line) and a flag of a deleted
-// command are each reported once, with the command. Prose, and what
-// follows `|`, `&` or `#`, is not checked.
+// defines, a flag the command declares and an existing directory pass;
+// a deleted target, a deleted flag (also on a continuation line) and a
+// deleted command or example, with flags or without, are each reported
+// once, with the command. Flags of a command outside cmd/ are not
+// checked, nor is prose or what follows `|`, `&` or `#`.
 func TestCheckCommands(t *testing.T) {
 	dir := t.TempDir()
 	write(t, dir, "Makefile", ".PHONY: ci bench-serve\nci: vet\n\tgo vet ./...\nbench-serve:\n\tgo run ./cmd/sim\n")
 	write(t, dir, "cmd/sim/main.go", "package main\n\nimport \"flag\"\n\nvar (\n\tn = flag.Int(\"n\", 1, \"\")\n\tphi = flag.Float64(\"phi\", 0.3, \"\")\n\tout = flag.String(\"obs-json\", \"\", \"\")\n)\n")
+	write(t, dir, "examples/quickstart/main.go", "package main\n")
 
 	good := write(t, dir, "GOOD.md", strings.Join([]string{
 		"Prose may say `make bench-recycle` or go run ./cmd/sim -recycle 8.",
@@ -38,6 +40,7 @@ func TestCheckCommands(t *testing.T) {
 		"    -obs-json /tmp/o.json | grep -recycle",
 		"go run ./cmd/sim -n 5 & curl -s localhost:1 -recycle",
 		"go run ./examples/quickstart -whatever",
+		"go run ./examples/quickstart/",
 		"```",
 	}, "\n"))
 	if p := checkCommands(dir, good); len(p) != 0 {
@@ -50,13 +53,55 @@ func TestCheckCommands(t *testing.T) {
 		"go run ./cmd/sim -n 300 \\",
 		"    -recycle 8",
 		"go run ./cmd/recycle-bench -json out.json",
+		"go run ./cmd/recycle-bench",
+		"go run ./examples/ensemble",
+		"go run ./cmd/sim/main.go",
 		"```",
 	}, "\n"))
 	got := checkCommands(dir, stale)
 	want := []string{
 		stale + `: "make bench-recycle": no Makefile target bench-recycle`,
 		stale + `: "go run ./cmd/sim -n 300      -recycle 8": ./cmd/sim declares no flag -recycle`,
-		stale + `: "go run ./cmd/recycle-bench -json out.json": ./cmd/recycle-bench declares no flag -json`,
+		stale + `: "go run ./cmd/recycle-bench -json out.json": no directory ./cmd/recycle-bench`,
+		stale + `: "go run ./cmd/recycle-bench": no directory ./cmd/recycle-bench`,
+		stale + `: "go run ./examples/ensemble": no directory ./examples/ensemble`,
+		stale + `: "go run ./cmd/sim/main.go": no directory ./cmd/sim/main.go`,
+	}
+	if len(got) != len(want) {
+		t.Fatalf("got %q, want %d problems", got, len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("problem %d = %q, want %q", i, got[i], want[i])
+		}
+	}
+}
+
+// TestCheckTreePaths: a backticked internal/, cmd/ or examples/ path
+// on disk passes, as do globs and placeholders; one that is gone is
+// reported with its line.
+func TestCheckTreePaths(t *testing.T) {
+	dir := t.TempDir()
+	write(t, dir, "internal/core/core.go", "package core\n")
+	write(t, dir, "cmd/sim/main.go", "package main\n")
+	write(t, dir, "examples/quickstart/main.go", "package main\n")
+
+	good := write(t, dir, "GOOD.md", strings.Join([]string{
+		"`internal/core`, `internal/core/core.go`, `cmd/sim` and `examples/quickstart/`",
+		"`internal/<pkg>`, `cmd/*-bench`, `examples/<name>` and bench/ensemble",
+	}, "\n"))
+	if p := checkTreePaths(dir, good); len(p) != 0 {
+		t.Errorf("clean document reported: %q", p)
+	}
+
+	stale := write(t, dir, "STALE.md", strings.Join([]string{
+		"`internal/core/ensemble.go`",
+		"the `examples/ensemble` program and `cmd/sim`",
+	}, "\n"))
+	got := checkTreePaths(dir, stale)
+	want := []string{
+		stale + `:1: path "internal/core/ensemble.go" is not in the tree`,
+		stale + `:2: path "examples/ensemble" is not in the tree`,
 	}
 	if len(got) != len(want) {
 		t.Fatalf("got %q, want %d problems", got, len(want))

@@ -46,8 +46,7 @@ func main() {
 		m       = flag.Int("m", 16, "right-hand sides per MRHS chunk")
 		steps   = flag.Int("steps", 32, "time steps to simulate")
 		dt      = flag.Float64("dt", 2, "time step size")
-		seed    = flag.Uint64("seed", 1, "random seed (particle packing and, unless -dyn-seed is set, the noise stream)")
-		dynSeed = flag.Uint64("dyn-seed", 0, "noise-stream seed, decoupled from the packing (0: use -seed); lets a lone run reproduce ensemble member i via -dyn-seed seed+i")
+		seed    = flag.Uint64("seed", 1, "random seed (particle packing and noise stream)")
 		threads = flag.Int("threads", 1, "kernel threads")
 		tol     = flag.Float64("tol", 1e-6, "solver tolerance")
 		ckpt    = flag.String("ckpt", "", "write a checkpoint to this file after the run")
@@ -56,9 +55,6 @@ func main() {
 		precond = flag.String("precond", "ic0", "preconditioner reused by every solve of a window of -m steps: ic0, jacobi, none (the paper's setting)")
 
 		symmetric = flag.Bool("symmetric", false, "multiply through half-storage symmetric extractions (halves matrix traffic; ignored with -nodes)")
-
-		ensemble = flag.Int("ensemble", 1, "advance K trajectories in lockstep with fused solves (kernel m >= K); seeds are -seed..-seed+K-1")
-		jitter   = flag.Float64("jitter", 0, "per-coordinate Gaussian jitter (Angstroms) on ensemble member starts")
 
 		nodes       = flag.Int("nodes", 0, "run every multiply on a simulated p-node cluster (0: single node; fault runs default to 4)")
 		faultsSpec  = flag.String("faults", "", "fault-injection spec, e.g. 'drop:rate=0.02;crash:node=1,at=5' (see internal/cluster/faults)")
@@ -102,9 +98,6 @@ func main() {
 	fmt.Printf("system: %d particles, phi=%.2f, box=%.1f A\n", sys.N, sys.VolumeFraction(), sys.Box)
 
 	cfg := core.Config{Dt: *dt, M: *m, Seed: *seed, Tol: *tol, Symmetric: *symmetric}
-	if *dynSeed != 0 {
-		cfg.Seed = *dynSeed
-	}
 	switch *precond {
 	case "ic0": // core's default
 	case "none":
@@ -151,20 +144,6 @@ func main() {
 			Snapshotter: sd.FileSnapshotter(path, hopt, *threads, *seed),
 		}
 		fmt.Printf("faults: plan %q armed on %d nodes (recovery checkpoint %s)\n", plan, *nodes, path)
-	}
-
-	if *ensemble > 1 {
-		if spec != "" || *nodes > 0 || *resume != "" {
-			fail(fmt.Errorf("-ensemble is incompatible with -faults/-chaos, -nodes, and -resume"))
-		}
-		runEnsemble(sys, hopt, cfg, *threads, *ensemble, *jitter, *steps, *events)
-		if *obsJSON != "" {
-			if err := obs.Default.Snapshot().SaveFile(*obsJSON); err != nil {
-				fail(err)
-			}
-			fmt.Printf("obs snapshot written to %s\n", *obsJSON)
-		}
-		return
 	}
 
 	switch *alg {
@@ -277,54 +256,6 @@ func main() {
 	}
 	if failures > 0 {
 		fail(fmt.Errorf("%d solver non-convergence event(s) recorded", failures))
-	}
-}
-
-// runEnsemble advances K lockstep trajectories with fused solves and
-// prints the divergence history and per-member trajectory checksums
-// (each member is bitwise-identical to a lone run at its seed).
-func runEnsemble(sys *particles.System, hopt hydro.Options, cfg core.Config, threads, k int, jitter float64, steps int, events string) {
-	seeds := make([]uint64, k)
-	for i := range seeds {
-		seeds[i] = cfg.Seed + uint64(i)
-	}
-	ens, err := sd.NewEnsemble(sys, hopt, cfg, threads, sd.EnsembleOptions{Seeds: seeds, Jitter: jitter})
-	if err != nil {
-		fail(err)
-	}
-	if events != "" {
-		f, err := os.Create(events)
-		if err != nil {
-			fail(err)
-		}
-		el := obs.NewEventLog(f)
-		defer el.Close()
-		ens.Events = el
-	}
-	fmt.Printf("ensemble: %d members in lockstep, fused kernel m >= %d\n", k, k)
-	if err := ens.Run(steps); err != nil {
-		fail(err)
-	}
-
-	fmt.Printf("\nper-step timing (s):\n")
-	per := ens.Timings.PerStep()
-	for _, key := range core.PhaseOrder {
-		fmt.Printf("  %-14s %.5f\n", key, per[key])
-	}
-	fmt.Printf("\ndivergence (cross-member RMSD, Angstroms):\n  %6s %12s %12s\n", "step", "mean", "max")
-	stride := len(ens.Divergence)/8 + 1
-	for i, p := range ens.Divergence {
-		if i%stride == 0 || i == len(ens.Divergence)-1 {
-			fmt.Printf("  %6d %12.5g %12.5g\n", p.Step, p.MeanRMSD, p.MaxRMSD)
-		}
-	}
-	if r := ens.SpreadGrowthRate(); r != 0 {
-		fmt.Printf("spread growth rate: %.4g per step (log-linear fit)\n", r)
-	}
-	fmt.Printf("\nmember trajectory checksums:\n")
-	for i := 0; i < k; i++ {
-		s := ens.Member(i).Current().(*sd.Conf).Sys
-		fmt.Printf("  member %2d (seed %d): %016x\n", i, seeds[i], s.Checksum())
 	}
 }
 

@@ -100,9 +100,9 @@ func TestChebyshevApplyDoesNotAllocate(t *testing.T) {
 }
 
 // TestConcurrentEvaluationsShareNoBlock: evaluations running at once —
-// a verifier beside a runner, ensemble members — draw the recurrence's
-// blocks from one pool and must each get their own: every result is
-// the one the same call gives alone.
+// a verifier beside a runner, two runners in one process — draw the
+// recurrence's blocks from one pool and must each get their own: every
+// result is the one the same call gives alone.
 func TestConcurrentEvaluationsShareNoBlock(t *testing.T) {
 	a, lo, hi := randSPDMatrix(46, 50)
 	s, err := NewSqrt(a, lo, hi, DefaultOrder, 0)

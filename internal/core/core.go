@@ -485,8 +485,8 @@ func (r *Runner) sqrtOp(a *bcrs.Matrix, op DistOp) (*chebyshev.SqrtOp, error) {
 }
 
 // solveOpts is what every solve of the step runs under: the block
-// solve, the first solve (the FirstSolve hook receives it), the second
-// solve and an ensemble's fused solves.
+// solve, the first solve (the FirstSolve hook receives it) and the
+// second solve.
 func (r *Runner) solveOpts() solver.Options {
 	return solver.Options{Tol: r.cfg.Tol, MaxIter: r.cfg.MaxIter, Precond: r.pre}
 }
@@ -513,14 +513,6 @@ func (r *Runner) beginWindow(a *bcrs.Matrix) {
 	d := time.Since(t0)
 	r.Timings.Factor += d
 	reg.FloatCounter("core_precond_factor_seconds_total").Add(d.Seconds())
-}
-
-// stepWindow is Algorithm 1's window rule, shared with the ensemble's
-// lockstep step: a new window every M steps and at a runner's first.
-func (r *Runner) stepWindow(a *bcrs.Matrix) {
-	if r.preStep < 0 || r.k%r.cfg.M == 0 {
-		r.beginWindow(a)
-	}
 }
 
 // precondFields adds to a step or chunk record the factor time spent
@@ -610,7 +602,11 @@ func (r *Runner) StepOriginal() error {
 	u := r.vec(&r.buf.u)
 	clear(u)
 	t0 = time.Now()
-	r.stepWindow(a)
+	if r.preStep < 0 || r.k%r.cfg.M == 0 {
+		// Algorithm 1's window rule: a new window every M steps and at a
+		// runner's first.
+		r.beginWindow(a)
+	}
 	st1 := r.firstSolve(a, op, u, rhs)
 	r.Timings.FirstSolve += time.Since(t0)
 	r.cur.Recycle(a)

@@ -27,11 +27,11 @@
 // IC(0) by default), built from the window's first matrix — a chunk's
 // R_0 in Algorithm 2, the matrix of every M-th step in Algorithm 1 —
 // and carried by solveOpts to the block solve, every first solve
-// (through the FirstSolve hook too), every second solve and an
-// ensemble's fused solves. A factorisation that breaks down leaves its
-// window unpreconditioned and is counted; it never fails a step. At
-// N = 1000 the factor cuts a solve from about 90 iterations to about 9
-// at twice the cost per iteration. Config.Precond = NoPrecond is the
+// (through the FirstSolve hook too) and every second solve. A
+// factorisation that breaks down leaves its window unpreconditioned
+// and is counted; it never fails a step. At N = 1000 the factor cuts a
+// solve from about 90 iterations to about 9 at twice the cost per
+// iteration. Config.Precond = NoPrecond is the
 // paper's unpreconditioned setting, which the paper's tables and
 // figures regenerate under.
 //
@@ -44,19 +44,6 @@
 // builds the next one into the same arrays, so what a Config hook
 // receives is valid for the call (Distribute's operator: until the solve
 // its matrix was built for returns — the midpoint matrix gets its own).
-//
-// # Ensembles
-//
-// EnsembleRunner is the second route to a wide kernel: instead of
-// chunking one trajectory's future steps, it advances K independent
-// trajectories in lockstep and fuses their per-member right-hand
-// sides into single MultiCG solves, so every solve carries m >= K
-// columns by construction (Krasnopolsky, arXiv:1711.10622). Each
-// column is multiplied through its own member's operator (see
-// solver.Ensemble), which keeps every member bitwise-identical to the
-// same trajectory run alone at the same seed and thread count. The
-// runner also tracks cross-member divergence (RMSD spread per step
-// and its growth rate) — the scientific payload of an ensemble run.
 //
 // The package is generic over a Configuration interface so the
 // technique applies beyond Stokesian dynamics, as the paper suggests;

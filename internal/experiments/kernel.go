@@ -90,8 +90,7 @@ func fig2a(cfg Config) ([]*Table, error) {
 		Header: []string{"m", "achieved", "model(host)", "bw-bound(host)", "comp-bound(host)", "model(paper WSM)"},
 		Notes: []string{fmt.Sprintf(
 			"host model uses achievable rates measured on this matrix: B=%.1f GB/s, F=%.1f Gflops (see EffectiveMachine)",
-			host.B/1e9, host.F/1e9),
-			"the host model takes the paper's k(m) ~ 3; model.EstimateK can invert the traffic model for a measured k(m), but only on rows where bw-bound exceeds comp-bound"},
+			host.B/1e9, host.F/1e9)},
 	}
 	for i, m := range fig2Ms {
 		t.Rows = append(t.Rows, []string{

@@ -163,7 +163,7 @@ const skinFraction = 0.05
 // a bit of it.
 //
 // An Assembler is not safe for concurrent use; every trajectory (each
-// ensemble member, each runner) needs its own.
+// runner, each verifier beside one) needs its own.
 type Assembler struct {
 	opt    Options
 	box    float64

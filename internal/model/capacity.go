@@ -19,8 +19,8 @@ package model
 // missing, each of the ~bpr blocks of a row charges one extra X
 // access per element, so kmiss ~ blocks-per-row for a general matrix
 // (and ~2x that for the symmetric kernel, whose transposed scatter
-// read-modify-writes the same window in Y). Calibrate both from
-// measured sweeps with EstimateK.
+// read-modify-writes the same window in Y). Calibrate both by solving
+// Eq. Mtr for k(m) on the bandwidth-bound rows of a measured sweep.
 func CapacityK(kbase, kmiss float64, windowBytesPerVec, cacheBytes int64) KFunc {
 	return func(m int) float64 {
 		w := float64(windowBytesPerVec) * float64(m)

@@ -178,23 +178,6 @@ func (g GSPMV) VectorsAtRatio(ratio float64, maxM int) int {
 	return best
 }
 
-// EstimateK inverts the traffic model: given a measured multiply time
-// for m vectors on a bandwidth-bound kernel, it returns the k(m) that
-// makes Eq. Mtr exact,
-//
-//	k(m) = (T*B - 4*nb - nnzb*(4+sa)) / (m*nb*sx) - 3.
-//
-// The paper reports k(m) ~ 3 for typical SD matrices; this function
-// lets an experiment measure the same quantity. The result is only
-// meaningful while the multiply is bandwidth-bound (it goes large and
-// meaningless once compute dominates).
-func (g GSPMV) EstimateK(m int, measuredSec float64) float64 {
-	nb := float64(g.Shape.NB)
-	nnzb := float64(g.Shape.NNZB)
-	bytes := measuredSec * g.Machine.B
-	return (bytes-IdxRow*nb-nnzb*(IdxBlock+Sa))/(float64(m)*nb*Sx) - 3
-}
-
 // Fig1Cell evaluates the Figure 1 profile at a single (nnzb/nb, B/F)
 // point with k(m)=0 as the figure optimistically assumes: the number
 // of vectors computable in twice the single-vector time. The absolute

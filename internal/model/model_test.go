@@ -225,18 +225,3 @@ func TestDefaultKUsedWhenNil(t *testing.T) {
 		t.Fatal("nil K must default to k=3")
 	}
 }
-
-func TestEstimateKInvertsTraffic(t *testing.T) {
-	// Round trip: compute Tbw at a known k, then recover that k.
-	g := GSPMV{Machine: WSM, Shape: sdShape, K: ConstK(3)}
-	for _, m := range []int{1, 4, 16} {
-		got := g.EstimateK(m, g.Tbw(m))
-		if math.Abs(got-3) > 1e-9 {
-			t.Fatalf("m=%d: EstimateK = %v, want 3", m, got)
-		}
-	}
-	g5 := GSPMV{Machine: WSM, Shape: sdShape, K: ConstK(5.5)}
-	if got := g5.EstimateK(8, g5.Tbw(8)); math.Abs(got-5.5) > 1e-9 {
-		t.Fatalf("EstimateK = %v, want 5.5", got)
-	}
-}

@@ -98,9 +98,10 @@ func TestChaosRunWithThreadsMatchesCleanChecksum(t *testing.T) {
 
 // TestTwoChainsShareNoWorkspace steps two simulations over one particle
 // system from two goroutines — the shape of a verifier beside a runner,
-// or of ensemble members. Each NewConf must have given its chain its
-// own assembler: under -race a shared workspace is a reported race, and
-// without it a fork of the two (identically seeded) trajectories.
+// or of two runners in one process. Each NewConf must have given its
+// chain its own assembler: under -race a shared workspace is a reported
+// race, and without it a fork of the two (identically seeded)
+// trajectories.
 func TestTwoChainsShareNoWorkspace(t *testing.T) {
 	sys := newTestSystem(t)
 	cfg := core.Config{Dt: 0.5, M: 3, Seed: 1, ChebOrder: 10}

@@ -52,8 +52,7 @@
 //     own order of tests. The survivors are compacted to the leading
 //     lanes, in place while KernelCeil of their count holds and into
 //     the narrower block (the same storage, restrided) when it drops,
-//     with zero padding after them; ColumnOperator.MulCols is told the
-//     survivors' original indices.
+//     with zero padding after them.
 //   - Breakdown. When p.Ap is not a finite number > 0, or a sum of
 //     squares (of b on entry, of r after any update) is not finite,
 //     the column retires at once with Stats.Err = ErrBreakdown and the

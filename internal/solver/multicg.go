@@ -53,9 +53,8 @@ func MultiCG(a BlockOperator, xs, bs [][]float64, opts []Options) []Stats {
 // MultiCGWorkspace owns the state of a fused solve — the interleaved
 // blocks X, R, P, AP (and Z when a column is preconditioned) and the
 // per-column scalars — so a long-lived caller (the batching server's
-// dispatcher, the ensemble runner) allocates it once instead of per
-// solve. A workspace serves one solve at a time; it is not safe for
-// concurrent use.
+// dispatcher) allocates it once instead of per solve. A workspace
+// serves one solve at a time; it is not safe for concurrent use.
 type MultiCGWorkspace struct {
 	// MulSeconds is the wall time the most recent solve spent inside
 	// the operator's multiplies and VecSeconds the rest of it: packing,
@@ -67,7 +66,6 @@ type MultiCGWorkspace struct {
 	zin, zout      []float64 // one column, contiguous, for Preconditioner.Apply
 
 	lanes   []lane
-	ids     []int
 	scalars []float64 // pap/bb, alpha, rr, beta: one kernel width each
 
 	keep, outLanes []int
@@ -77,7 +75,7 @@ type MultiCGWorkspace struct {
 // lane is the scalar state of one column of a fused solve. Lane j of
 // the workspace's blocks belongs to lanes[j].
 type lane struct {
-	id               int // original column index (ColumnOperator identity)
+	id               int // original column index: the lane's xs column
 	opt              Options
 	st               *Stats
 	rz, bnorm, rnorm float64
@@ -158,18 +156,17 @@ func (ws *MultiCGWorkspace) solve(a BlockOperator, xs, bs [][]float64, opts []Op
 	}
 	pap, alpha, rr, beta := ws.scalars[0:w], ws.scalars[w:2*w], ws.scalars[2*w:3*w], ws.scalars[3*w:4*w]
 
-	lanes, ids := ws.lanes[:0], ws.ids[:0]
+	lanes := ws.lanes[:0]
 	ws.precond = false
 	for j := 0; j < q; j++ {
 		lanes = append(lanes, lane{id: j, opt: opts[j].withDefaults(n), st: &stats[j]})
-		ids = append(ids, j)
 		ws.precond = ws.precond || opts[j].Precond != nil
 	}
-	ws.lanes, ws.ids = lanes, ids
+	ws.lanes = lanes
 
 	// R = B - A*X and both norms, for every column at once.
 	multivec.PackColumns(x, xs)
-	ws.mul(a, ap, x, ids)
+	ws.mul(a, ap, x)
 	multivec.PackColumns(r, bs)
 	bb := pap // free until the first iteration
 	multivec.ColResidual(r, r, ap, bb[:q], rr[:q])
@@ -232,10 +229,10 @@ func (ws *MultiCGWorkspace) solve(a BlockOperator, xs, bs [][]float64, opts []Op
 		if ws.flush(xs) == 0 {
 			return
 		}
-		lanes, ids = ws.lanes, ws.ids
+		lanes = ws.lanes
 		q = len(lanes)
 
-		ws.mul(a, ap, p, ids)
+		ws.mul(a, ap, p)
 		multivec.ColDots(pap[:q], p, ap)
 		for j := range lanes {
 			l := &lanes[j]
@@ -292,9 +289,9 @@ func (ws *MultiCGWorkspace) solve(a BlockOperator, xs, bs [][]float64, opts []Op
 }
 
 // mul is one fused multiply, timed.
-func (ws *MultiCGWorkspace) mul(a BlockOperator, y, x *multivec.MultiVec, ids []int) {
+func (ws *MultiCGWorkspace) mul(a BlockOperator, y, x *multivec.MultiVec) {
 	t0 := time.Now()
-	mulColumns(a, y, x, ids)
+	a.Mul(y, x)
 	ws.MulSeconds += time.Since(t0).Seconds()
 }
 
@@ -359,9 +356,8 @@ func (ws *MultiCGWorkspace) flush(xs [][]float64) int {
 	}
 	for d, s := range keep {
 		ws.lanes[d] = ws.lanes[s]
-		ws.ids[d] = ws.lanes[d].id
 	}
 	clear(ws.lanes[len(keep):])
-	ws.lanes, ws.ids = ws.lanes[:len(keep)], ws.ids[:len(keep)]
+	ws.lanes = ws.lanes[:len(keep)]
 	return len(keep)
 }

@@ -125,11 +125,11 @@ func checkColumn(t *testing.T, what string, x []float64, st Stats, ref []float64
 	}
 }
 
-// checkFusedMatchesLone solves the batch fused and every column alone,
-// by CG and by the textbook recurrence, from copies of the guesses in
-// xs0, and wants all three the same. member(j) is column j's own
-// operator. It returns the fused stats.
-func checkFusedMatchesLone(t *testing.T, what string, a BlockOperator, member func(j int) Operator, xs0, bs [][]float64, opts []Options) []Stats {
+// checkFusedMatchesLone solves the batch fused through a and every
+// column alone through lone, by CG and by the textbook recurrence, from
+// copies of the guesses in xs0, and wants all three the same. It
+// returns the fused stats.
+func checkFusedMatchesLone(t *testing.T, what string, a BlockOperator, lone Operator, xs0, bs [][]float64, opts []Options) []Stats {
 	t.Helper()
 	xs := make([][]float64, len(xs0))
 	for j := range xs {
@@ -138,18 +138,18 @@ func checkFusedMatchesLone(t *testing.T, what string, a BlockOperator, member fu
 	stats := MultiCG(a, xs, bs, opts)
 	for j := range xs {
 		ref := append([]float64(nil), xs0[j]...)
-		rst := CG(member(j), ref, bs[j], opts[j])
+		rst := CG(lone, ref, bs[j], opts[j])
 		checkColumn(t, what+": fused vs CG", xs[j], stats[j], ref, rst)
 		book := append([]float64(nil), xs0[j]...)
-		bst := textbookCG(member(j), book, bs[j], opts[j])
+		bst := textbookCG(lone, book, bs[j], opts[j])
 		checkColumn(t, what+": CG vs textbook", ref, rst, book, bst)
 	}
 	return stats
 }
 
-// spyOp is a ColumnOperator over one matrix that records the width
-// and live-column count of every fused multiply and can run a hook
-// before the k-th multiply (fused or single) it is asked for.
+// spyOp is an operator over one matrix that records the width and
+// live-column count of every fused multiply and can run a hook before
+// the k-th multiply (fused or single) it is asked for.
 type spyOp struct {
 	a      *bcrs.Matrix
 	calls  int
@@ -168,12 +168,27 @@ func (s *spyOp) tick() {
 
 func (s *spyOp) MulVec(y, x []float64) { s.tick(); s.a.MulVec(y, x) }
 
-func (s *spyOp) Mul(y, x *multivec.MultiVec) { s.MulCols(y, x, make([]int, x.M)) }
-
-func (s *spyOp) MulCols(y, x *multivec.MultiVec, ids []int) {
+func (s *spyOp) Mul(y, x *multivec.MultiVec) {
 	s.tick()
-	s.shapes = append(s.shapes, [2]int{x.M, len(ids)})
+	s.shapes = append(s.shapes, [2]int{x.M, liveCols(x)})
 	s.a.Mul(y, x)
+}
+
+// liveCols counts the leading columns of x up to its last nonzero one:
+// the fused solve's padding lanes follow its live ones and are zero on
+// input.
+func liveCols(x *multivec.MultiVec) int {
+	live := 0
+	for i := 0; i < x.N; i++ {
+		row := x.Row(i)
+		for j := x.M - 1; j >= live; j-- {
+			if row[j] != 0 {
+				live = j + 1
+				break
+			}
+		}
+	}
+	return live
 }
 
 // zeroGuesses returns q zero vectors of length n.
@@ -209,7 +224,7 @@ func TestMultiCGBitwiseMatchesCG(t *testing.T) {
 				bs[j] = testRHS(n, uint64(100+j))
 				opts[j] = Options{Tol: 1e-8}
 			}
-			stats := checkFusedMatchesLone(t, "uniform batch", a, func(int) Operator { return a }, zeroGuesses(q, n), bs, opts)
+			stats := checkFusedMatchesLone(t, "uniform batch", a, a, zeroGuesses(q, n), bs, opts)
 			for j, st := range stats {
 				if !st.Converged {
 					t.Fatalf("q=%d col=%d did not converge: %+v", q, j, st)
@@ -395,8 +410,11 @@ func TestMultiCGRetiresAcrossEveryWidth(t *testing.T) {
 			opts[j] = Options{Tol: 1e-12}
 		}
 		spy := &spyOp{a: a}
-		checkFusedMatchesLone(t, "staggered batch", spy, func(int) Operator { return a }, zeroGuesses(q, n), bs, opts)
+		checkFusedMatchesLone(t, "staggered batch", spy, a, zeroGuesses(q, n), bs, opts)
 
+		// The entry multiply is A times the zero guesses: no column of it
+		// is nonzero to count, and all q are live.
+		spy.shapes[0][1] = q
 		widths, inPlace := map[int]bool{}, false
 		for i, s := range spy.shapes {
 			widths[s[0]] = true
@@ -430,7 +448,7 @@ func TestMultiCGEntryRetirements(t *testing.T) {
 	bs := [][]float64{make([]float64, n), testRHS(n, 61), testRHS(n, 62), make([]float64, n), testRHS(n, 63)}
 	opts := []Options{{}, {Tol: 1e-9}, {}, {}, {Tol: 1e-10}}
 	forThreads(t, func(t *testing.T) {
-		stats := checkFusedMatchesLone(t, "entry retirements", a, func(int) Operator { return a }, xs0, bs, opts)
+		stats := checkFusedMatchesLone(t, "entry retirements", a, a, xs0, bs, opts)
 		for _, j := range []int{0, 1, 3} {
 			if !stats[j].Converged || stats[j].Iterations != 0 || stats[j].MatMuls != 1 {
 				t.Errorf("column %d should retire at entry: %+v", j, stats[j])
@@ -464,7 +482,7 @@ func TestMultiCGMixedPreconditioners(t *testing.T) {
 	}
 	opts[1].Precond, opts[4].Precond, opts[6].Precond = bj, ic, bj
 	forThreads(t, func(t *testing.T) {
-		stats := checkFusedMatchesLone(t, "mixed preconditioners", a, func(int) Operator { return a }, zeroGuesses(q, n), bs, opts)
+		stats := checkFusedMatchesLone(t, "mixed preconditioners", a, a, zeroGuesses(q, n), bs, opts)
 		for j, st := range stats {
 			if !st.Converged {
 				t.Errorf("column %d: %+v", j, st)
@@ -532,48 +550,66 @@ func (m negated) MulVec(y, x []float64) {
 	blas.Scal(-1, y)
 }
 
+// blockDiag is [A 0; 0 -B]: positive definite on A's rows, negative
+// definite on B's.
+type blockDiag struct{ a, b *bcrs.Matrix }
+
+func (d blockDiag) N() int { return d.a.N() + d.b.N() }
+
+func (d blockDiag) MulVec(y, x []float64) {
+	na := d.a.N()
+	d.a.MulVec(y[:na], x[:na])
+	negated{d.b}.MulVec(y[na:], x[na:])
+}
+
+func (d blockDiag) Mul(y, x *multivec.MultiVec) {
+	na, nb, m := d.a.N(), d.b.N(), x.M
+	d.a.Mul(&multivec.MultiVec{N: na, M: m, Data: y.Data[:na*m]}, &multivec.MultiVec{N: na, M: m, Data: x.Data[:na*m]})
+	d.b.Mul(&multivec.MultiVec{N: nb, M: m, Data: y.Data[na*m:]}, &multivec.MultiVec{N: nb, M: m, Data: x.Data[na*m:]})
+	blas.Scal(-1, y.Data[na*m:])
+}
+
 // TestMultiCGBreakdownIsolated puts one hostile column in a 32-wide
-// batch — a NaN right-hand side, an Inf one, an operator that is not
-// positive definite, a right-hand side whose square overflows: that
-// column returns ErrBreakdown at once, the way the lone solve of it
-// does, and the other 31 are their lone solves bit for bit.
+// batch over one shared operator — a NaN right-hand side, an Inf one, a
+// right-hand side whose square overflows, one on the negated block of
+// an operator that is not positive definite: that column returns
+// ErrBreakdown at once, the way the lone solve of it does, and the
+// other 31 are their lone solves bit for bit.
 func TestMultiCGBreakdownIsolated(t *testing.T) {
 	const q, victim = 32, 13
-	mats := make([]*bcrs.Matrix, q)
-	for j := range mats {
-		mats[j] = bcrs.Random(bcrs.RandomOptions{NB: 50, BlocksPerRow: 5, Seed: uint64(90 + j%3)})
-	}
-	n := mats[0].N()
+	a := bcrs.Random(bcrs.RandomOptions{NB: 50, BlocksPerRow: 5, Seed: 90})
+	n := a.N()
+	indef := blockDiag{a, bcrs.Random(bcrs.RandomOptions{NB: 50, BlocksPerRow: 5, Seed: 91})}
 	for _, tc := range []struct {
-		name     string
-		poison   func(b []float64)
-		op       func(a *bcrs.Matrix) Operator
-		maxIters int
+		name string
+		op   interface {
+			BlockOperator
+			Operator
+		}
+		poison func(b []float64)
 	}{
-		{"NaN rhs", func(b []float64) { b[n/2] = math.NaN() }, nil, 0},
-		{"Inf rhs", func(b []float64) { b[3] = math.Inf(-1) }, nil, 0},
-		{"overflowing rhs", func(b []float64) { b[0] = 1e200 }, nil, 0},
-		{"not positive definite", nil, func(a *bcrs.Matrix) Operator { return negated{a} }, 0},
+		{"NaN rhs", a, func(b []float64) { b[n/2] = math.NaN() }},
+		{"Inf rhs", a, func(b []float64) { b[3] = math.Inf(-1) }},
+		{"overflowing rhs", a, func(b []float64) { b[0] = 1e200 }},
+		// Every right-hand side lives on A's rows but the victim's, which
+		// moves to -B's.
+		{"not positive definite", indef, func(b []float64) { copy(b[n:], b[:n]); clear(b[:n]) }},
 	} {
 		forThreads(t, func(t *testing.T) {
-			ops := make([]Operator, q)
 			bs := make([][]float64, q)
 			opts := make([]Options, q)
-			for j := range ops {
-				ops[j], bs[j], opts[j] = mats[j], testRHS(n, uint64(300+j)), Options{Tol: 1e-9}
+			for j := range bs {
+				bs[j] = make([]float64, tc.op.N())
+				copy(bs[j], testRHS(n, uint64(300+j)))
+				opts[j] = Options{Tol: 1e-9}
 			}
-			if tc.poison != nil {
-				tc.poison(bs[victim])
-			}
-			if tc.op != nil {
-				ops[victim] = tc.op(mats[victim])
-			}
-			stats := checkFusedMatchesLone(t, tc.name, NewEnsemble(ops), func(j int) Operator { return ops[j] }, zeroGuesses(q, n), bs, opts)
+			tc.poison(bs[victim])
+			stats := checkFusedMatchesLone(t, tc.name, tc.op, tc.op, zeroGuesses(q, tc.op.N()), bs, opts)
 			for j, st := range stats {
 				switch {
 				case j != victim && (!st.Converged || st.Err != nil):
 					t.Errorf("%s: healthy column %d: %+v", tc.name, j, st)
-				case j == victim && (!errors.Is(st.Err, ErrBreakdown) || st.Converged || st.Iterations > tc.maxIters):
+				case j == victim && (!errors.Is(st.Err, ErrBreakdown) || st.Converged || st.Iterations > 0):
 					t.Errorf("%s: victim: %+v", tc.name, st)
 				}
 			}

@@ -27,30 +27,3 @@ type BlockOperator interface {
 	// not alias X.
 	Mul(y, x *multivec.MultiVec)
 }
-
-// ColumnOperator is a BlockOperator whose columns may multiply
-// through *distinct* underlying systems — an ensemble of K
-// equal-dimension operators fused into one logical block operator
-// (core.EnsembleRunner's lockstep trajectories). MultiCG retires
-// finished columns and compacts the survivors into the leading lanes,
-// so the operator must be told which logical system each surviving
-// column belongs to: ids[j] names the system column j of x multiplies
-// through. Columns of x beyond len(ids) are kernel padding, zero on
-// input; the operator may compute anything for them (the solve never
-// reads them) but must not read ids out of range.
-type ColumnOperator interface {
-	BlockOperator
-	// MulCols computes Y[:,j] = A_{ids[j]} * X[:,j] for each j.
-	MulCols(y, x *multivec.MultiVec, ids []int)
-}
-
-// mulColumns multiplies through the column-identity path when the
-// operator distinguishes its columns, and through the plain fused
-// GSPMV otherwise.
-func mulColumns(a BlockOperator, y, x *multivec.MultiVec, ids []int) {
-	if co, ok := a.(ColumnOperator); ok {
-		co.MulCols(y, x, ids)
-		return
-	}
-	a.Mul(y, x)
-}

@@ -119,7 +119,7 @@ func TestMultiCGMatchesLoneCGProperty(t *testing.T) {
 				opts[j].Precond = bj
 			}
 		}
-		checkFusedMatchesLone(t, "property", a, func(int) Operator { return a }, xs0, bs, opts)
+		checkFusedMatchesLone(t, "property", a, a, xs0, bs, opts)
 		return !t.Failed()
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {

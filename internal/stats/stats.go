@@ -178,9 +178,7 @@ func Multi(obs ...func(step int, u []float64, dt float64)) func(step int, u []fl
 // Divergence summarizes how far apart a set of equal-length vectors
 // sit: the mean and maximum pairwise root-mean-square distance. The
 // serve tier's /v1/ensemble reports it over the member solutions as a
-// quick spread indicator; core.EnsembleRunner computes the
-// configuration-space analogue (minimum-image RMSD) per step. Fewer
-// than two vectors yield zeros.
+// quick spread indicator. Fewer than two vectors yield zeros.
 func Divergence(vs [][]float64) (mean, max float64) {
 	if len(vs) < 2 {
 		return 0, 0
