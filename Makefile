@@ -5,7 +5,7 @@ GO ?= go
 BENCH_FILES ?= BENCH_serve.json BENCH_ensemble.json BENCH_shard.json
 BENCH_BASELINE_DIR ?= .bench-baseline
 
-.PHONY: ci docs-gate vet build test bench-test bench-trace race race-kernels chaos fuzz-faults fuzz-neighbor serial serve-smoke shard-smoke bench experiments bench-serve bench-ensemble bench-shard bench-diff
+.PHONY: ci docs-gate vet build test bench-test bench-trace race race-kernels chaos fuzz-faults fuzz-neighbor fuzz-sqrt serial serve-smoke shard-smoke bench experiments bench-serve bench-ensemble bench-shard bench-diff
 
 # ci is the gate: vet, build everything, the benchmark module's own
 # vet and tests (bench-test), one traced run of each SD workload
@@ -16,12 +16,14 @@ BENCH_BASELINE_DIR ?= .bench-baseline
 # suite (batched-vs-unbatched bitwise equivalence, shedding,
 # cancellation, drain), one serial pass with GOMAXPROCS=1 to prove
 # nothing depends on real parallelism, ten seconds of fuzzing the
-# fault-spec parser (its input is a command-line flag) and ten of the
-# periodic wrap (its input is every coordinate a step produces), and the
+# fault-spec parser (its input is a command-line flag), ten of the
+# periodic wrap (its input is every coordinate a step produces) and ten
+# of the preconditioned Brownian square root (its input is every matrix
+# a step assembles, through a factor up to a window old), and the
 # advisory perf-regression gate over the BENCH_*.json artifacts (fails
 # only on >2x regressions; warns otherwise; skips files with no
 # baseline).
-ci: vet build bench-test bench-trace docs-gate race-kernels race chaos fuzz-faults fuzz-neighbor serve-smoke shard-smoke serial bench-diff
+ci: vet build bench-test bench-trace docs-gate race-kernels race chaos fuzz-faults fuzz-neighbor fuzz-sqrt serve-smoke shard-smoke serial bench-diff
 
 # docs-gate fails when an internal/ package lacks a package comment,
 # a tracked markdown file has a broken relative link, README.md /
@@ -113,6 +115,15 @@ fuzz-neighbor:
 	$(GO) test -run '^$$' -fuzz '^FuzzWrapTerminates$$' -fuzztime 10s ./internal/neighbor/
 	$(GO) test -run '^$$' -fuzz '^FuzzImageMatchesMinImage$$' -fuzztime 10s ./internal/neighbor/
 	$(GO) test -run '^$$' -fuzz '^FuzzAssemblerMatchesOracle$$' -fuzztime 10s ./internal/hydro/
+
+# fuzz-sqrt fuzzes chebyshev.PrecondSqrt for ten seconds over small
+# SPD block matrices seen through the IC(0) factor of a drifted copy, at
+# one to five columns, with a NaN, an infinity or a negative diagonal
+# entry planted on request: it returns, every column meets the tolerance
+# against the dense oracle and equals the column run alone, or it fails
+# with ErrNotSPD — which a planted fault must produce.
+fuzz-sqrt:
+	$(GO) test -run '^$$' -fuzz '^FuzzPrecondSqrt$$' -fuzztime 10s ./internal/chebyshev/
 
 # serial runs the full suite pinned to one OS thread: the worker pool
 # must produce identical results (and never deadlock) when the runtime

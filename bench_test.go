@@ -9,11 +9,13 @@ package repro_test
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
 	"repro/internal/bcrs"
 	"repro/internal/chebyshev"
+	"repro/internal/core"
 	"repro/internal/cpufeat"
 	"repro/internal/hydro"
 	"repro/internal/multivec"
@@ -301,6 +303,237 @@ func BenchmarkIC0(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkBrownianSqrt prices and scores both Brownian square roots on
+// the system bench/ steps (N = 1000, φ = 0.4) at seeds 1, 3 and 17 — the
+// table in DESIGN §9, "The Brownian square root". The preconditioned
+// Lanczos path runs through the IC(0) factor of R_0 on R_0 ("fresh") and
+// on R_15, fifteen default Algorithm 1 steps later ("stale", the oldest
+// matrix a 16-step window factor serves), at m = 1 and m = 16; its
+// rel_err is the worst over 16 noise vectors against an order-150 series
+// for L*(L^{-1}RL^{-T})^{1/2}*z on that operator's spectrum, and kappa is
+// L^{-1}RL^{-T}'s condition number. The paper's order-30 series runs on
+// [far-field floor, Gershgorin]; its rel_err is the worst relative error
+// of the scalar series over R's true spectrum, and kappa is R's. True
+// spectra are the extreme Ritz values of 300 fully reorthogonalised
+// Lanczos steps.
+func BenchmarkBrownianSqrt(b *testing.B) {
+	const n1, m = 1000, 16
+	opt := hydro.Options{Phi: 0.4}
+	for _, seed := range []uint64{1, 3, 17} {
+		sys, err := particles.New(particles.Options{N: n1, Phi: 0.4, Seed: seed})
+		if err != nil {
+			b.Fatal(err)
+		}
+		conf := sd.NewConf(sys.Clone(), opt, 1)
+		r0 := conf.Build()
+		sim := sd.New(sys.Clone(), opt, core.Config{Dt: 2, M: m, Seed: seed}, 1)
+		if err := sim.RunOriginal(15); err != nil {
+			b.Fatal(err)
+		}
+		r15 := sim.Current().Build()
+		ic, err := solver.NewIC0(r0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		z := multivec.New(r0.N(), m)
+		rng.New(seed).FillNormal(z.Data)
+		z1, y1 := z.ColVector(0), make([]float64, r0.N())
+		y := multivec.New(r0.N(), m)
+
+		for _, c := range []struct {
+			name string
+			r    *bcrs.Matrix
+		}{{"fresh", r0}, {"stale", r15}} {
+			lo, hi := ritzBounds(c.r, ic, 300)
+			ref := multivec.New(r0.N(), m)
+			s, err := chebyshev.NewSqrt(precondOp{c.r, ic}, lo*(1-1e-3), hi*(1+1e-3), 150, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			lz := multivec.New(r0.N(), m)
+			ic.MulL(lz, z)
+			s.ApplyBlock(ref, lz)
+			worst, iters := 0.0, 0
+			for j := 0; j < m; j++ {
+				zc := z.ColVector(j)
+				st, err := chebyshev.PrecondSqrt(c.r, ic, multivec.FromVector(y1), multivec.FromVector(zc), 0, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				worst, iters = max(worst, relDiff(y1, ref.ColVector(j))), max(iters, st.Iterations)
+			}
+			report := func(b *testing.B) {
+				b.ReportMetric(float64(iters), "iters")
+				b.ReportMetric(worst, "rel_err")
+				b.ReportMetric(hi/lo, "kappa")
+			}
+			b.Run(fmt.Sprintf("seed=%d/lanczos-%s/m=1", seed, c.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					chebyshev.PrecondSqrt(c.r, ic, multivec.FromVector(y1), multivec.FromVector(z1), 0, 0)
+				}
+				report(b)
+			})
+			b.Run(fmt.Sprintf("seed=%d/lanczos-%s/m=%d", seed, c.name, m), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					chebyshev.PrecondSqrt(c.r, ic, y, z, 0, 0)
+				}
+				report(b)
+			})
+		}
+
+		lo, hi := ritzBounds(r0, nil, 300)
+		_, top := r0.GershgorinInterval()
+		floor := conf.SpectrumFloor()
+		coef := chebyshev.Coefficients(math.Sqrt, floor, top, chebyshev.DefaultOrder)
+		worst := 0.0
+		for i := 0; i <= 100000; i++ {
+			x := lo * math.Pow(hi/lo, float64(i)/100000)
+			worst = max(worst, math.Abs(chebyshev.Eval(coef, floor, top, x)-math.Sqrt(x))/math.Sqrt(x))
+		}
+		report := func(b *testing.B) {
+			b.ReportMetric(float64(chebyshev.DefaultOrder), "iters")
+			b.ReportMetric(worst, "rel_err")
+			b.ReportMetric(hi/lo, "kappa")
+			b.ReportMetric(top/hi, "gershgorin/lmax")
+		}
+		b.Run(fmt.Sprintf("seed=%d/series/m=1", seed), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				s, err := chebyshev.NewSqrtAuto(r0, r0, floor, chebyshev.DefaultOrder, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				s.Apply(y1, z1)
+			}
+			report(b)
+		})
+		b.Run(fmt.Sprintf("seed=%d/series/m=%d", seed, m), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				s, err := chebyshev.NewSqrtAuto(r0, r0, floor, chebyshev.DefaultOrder, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				s.ApplyBlock(y, z)
+			}
+			report(b)
+		})
+	}
+}
+
+// precondOp multiplies by R*M^{-1}, which is similar to L^{-1}RL^{-T}:
+// a polynomial p in it satisfies p(RM^{-1})*L = L*p(L^{-1}RL^{-T}).
+type precondOp struct {
+	r  *bcrs.Matrix
+	ic *solver.IC0
+}
+
+func (p precondOp) N() int { return p.r.N() }
+
+func (p precondOp) Mul(y, x *multivec.MultiVec) {
+	t := multivec.New(x.N, x.M)
+	p.ic.ApplyBlock(t, x)
+	p.r.Mul(y, t)
+}
+
+// ritzBounds returns the extreme Ritz values of k Lanczos steps, fully
+// reorthogonalised, on L^{-1}AL^{-T} (on A when ic is nil), carried in
+// the M^{-1}-inner product as chebyshev.PrecondSqrt carries it.
+func ritzBounds(a *bcrs.Matrix, ic *solver.IC0, k int) (lo, hi float64) {
+	n := a.N()
+	minv := func(s, q []float64) {
+		if ic == nil {
+			copy(s, q)
+		} else {
+			ic.Apply(s, q)
+		}
+	}
+	dot := func(x, y []float64) (d float64) {
+		for i := range x {
+			d += x[i] * y[i]
+		}
+		return d
+	}
+	var qs, ss [][]float64
+	var alpha, beta []float64
+	u := make([]float64, n)
+	rng.New(99).FillNormal(u)
+	for j := 0; ; j++ {
+		s := make([]float64, n)
+		minv(s, u)
+		nrm := math.Sqrt(dot(u, s))
+		if j > 0 {
+			beta = append(beta, nrm)
+		}
+		if j == k {
+			break
+		}
+		q := make([]float64, n)
+		for i := range q {
+			q[i], s[i] = u[i]/nrm, s[i]/nrm
+		}
+		qs, ss = append(qs, q), append(ss, s)
+		a.MulVec(u, s)
+		alpha = append(alpha, dot(s, u))
+		for pass := 0; pass < 2; pass++ {
+			for t := range qs {
+				c := dot(ss[t], u)
+				for i := range u {
+					u[i] -= c * qs[t][i]
+				}
+			}
+		}
+	}
+	beta = beta[:k-1]
+	// Sturm counts: how many eigenvalues of the tridiagonal lie below x.
+	below := func(x float64) int {
+		c, d := 0, 1.0
+		for i, al := range alpha {
+			off := 0.0
+			if i > 0 {
+				off = beta[i-1] * beta[i-1] / d
+			}
+			if d = al - x - off; d == 0 {
+				d = -1e-300
+			}
+			if d < 0 {
+				c++
+			}
+		}
+		return c
+	}
+	bisect := func(count int) float64 {
+		l, h := 0.0, 0.0
+		for i, al := range alpha {
+			r := 0.0
+			if i > 0 {
+				r += beta[i-1]
+			}
+			if i < len(beta) {
+				r += beta[i]
+			}
+			l, h = min(l, al-r), max(h, al+r)
+		}
+		for it := 0; it < 200; it++ {
+			mid := (l + h) / 2
+			if below(mid) >= count {
+				h = mid
+			} else {
+				l = mid
+			}
+		}
+		return h
+	}
+	return bisect(1), bisect(k)
+}
+
+func relDiff(y, ref []float64) float64 {
+	var num, den float64
+	for i := range y {
+		num += (y[i] - ref[i]) * (y[i] - ref[i])
+		den += ref[i] * ref[i]
+	}
+	return math.Sqrt(num / den)
 }
 
 // BenchmarkAblationNeighborList measures the Verlet-list amortization

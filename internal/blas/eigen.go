@@ -17,19 +17,37 @@ func EigenSym(a *Dense) (w []float64, v *Dense, err error) {
 	if a.Rows != a.Cols {
 		return nil, nil, errors.New("blas: EigenSym requires a square matrix")
 	}
-	if !a.IsSymmetric(1e-10 * (1 + a.MaxAbs())) {
-		return nil, nil, errors.New("blas: EigenSym requires a symmetric matrix")
-	}
 	n := a.Rows
-	m := a.Clone()
-	v = Eye(n)
+	w, v = make([]float64, n), NewDense(n, n)
+	if err := EigenSymInto(w, v, a.Clone()); err != nil {
+		return nil, nil, err
+	}
+	return w, v, nil
+}
+
+// EigenSymInto is EigenSym in storage the caller owns, for a caller
+// that decomposes a small matrix every iteration: the eigenvalues go to
+// w, the eigenvectors to the columns of v (n-by-n, overwritten), and m
+// is rotated into diagonal form in place.
+func EigenSymInto(w []float64, v, m *Dense) error {
+	if m.Rows != m.Cols || v.Rows != m.Rows || v.Cols != m.Rows || len(w) != m.Rows {
+		return errors.New("blas: EigenSymInto requires a square matrix and matching outputs")
+	}
+	if !m.IsSymmetric(1e-10 * (1 + m.MaxAbs())) {
+		return errors.New("blas: EigenSym requires a symmetric matrix")
+	}
+	n, md := m.Rows, m.Data
+	clear(v.Data)
+	for i := 0; i < n; i++ {
+		v.Data[i*n+i] = 1
+	}
 	const maxSweeps = 100
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		// Off-diagonal Frobenius norm; converged when negligible.
 		var off float64
 		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				off += m.At(i, j) * m.At(i, j)
+			for _, x := range md[i*n+i+1 : i*n+n] {
+				off += x * x
 			}
 		}
 		if math.Sqrt(2*off) <= 1e-14*(1+m.MaxAbs())*float64(n) {
@@ -37,11 +55,11 @@ func EigenSym(a *Dense) (w []float64, v *Dense, err error) {
 		}
 		for p := 0; p < n-1; p++ {
 			for q := p + 1; q < n; q++ {
-				apq := m.At(p, q)
+				apq := md[p*n+q]
 				if apq == 0 {
 					continue
 				}
-				app, aqq := m.At(p, p), m.At(q, q)
+				app, aqq := md[p*n+p], md[q*n+q]
 				// Rotation angle via the stable formula.
 				tau := (aqq - app) / (2 * apq)
 				var t float64
@@ -56,32 +74,32 @@ func EigenSym(a *Dense) (w []float64, v *Dense, err error) {
 			}
 		}
 	}
-	w = make([]float64, n)
 	for i := 0; i < n; i++ {
-		w[i] = m.At(i, i)
+		w[i] = md[i*n+i]
 	}
 	sortEigen(w, v)
-	return w, v, nil
+	return nil
 }
 
 // applyJacobiRotation applies the rotation G(p,q,theta) as
 // M <- G^T M G and accumulates V <- V G.
 func applyJacobiRotation(m, v *Dense, p, q int, c, s float64) {
-	n := m.Rows
+	n, md, vd := m.Rows, m.Data, v.Data
 	for k := 0; k < n; k++ {
-		mkp, mkq := m.At(k, p), m.At(k, q)
-		m.Set(k, p, c*mkp-s*mkq)
-		m.Set(k, q, s*mkp+c*mkq)
+		mkp, mkq := md[k*n+p], md[k*n+q]
+		md[k*n+p] = c*mkp - s*mkq
+		md[k*n+q] = s*mkp + c*mkq
+	}
+	rp, rq := md[p*n:p*n+n], md[q*n:q*n+n]
+	for k, mpk := range rp {
+		mqk := rq[k]
+		rp[k] = c*mpk - s*mqk
+		rq[k] = s*mpk + c*mqk
 	}
 	for k := 0; k < n; k++ {
-		mpk, mqk := m.At(p, k), m.At(q, k)
-		m.Set(p, k, c*mpk-s*mqk)
-		m.Set(q, k, s*mpk+c*mqk)
-	}
-	for k := 0; k < n; k++ {
-		vkp, vkq := v.At(k, p), v.At(k, q)
-		v.Set(k, p, c*vkp-s*vkq)
-		v.Set(k, q, s*vkp+c*vkq)
+		vkp, vkq := vd[k*n+p], vd[k*n+q]
+		vd[k*n+p] = c*vkp - s*vkq
+		vd[k*n+q] = s*vkp + c*vkq
 	}
 }
 

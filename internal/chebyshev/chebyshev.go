@@ -1,19 +1,27 @@
-// Package chebyshev computes Brownian forces as the action of a
-// matrix square root, f = S(R)*z, where S is a shifted Chebyshev
-// polynomial approximation of sqrt on the spectrum of R (Fixman's
-// method, paper Section II-C).
+// Package chebyshev computes Brownian forces f with covariance R, the
+// action of a matrix square root on Gaussian noise z, in two ways.
 //
-// The matrix S(R) is never formed: applying a degree-C polynomial
-// costs C multiplications by R via the three-term Chebyshev
-// recurrence. When a block of noise vectors Z is available — as in
-// the MRHS algorithm's step 2, F^B = S(R_0)*Z — the recurrence runs
-// on multivectors and every multiplication is a GSPMV, which is
-// exactly where Algorithm 2 harvests its first batch of savings.
+// SqrtOp is the paper's (Fixman's method, Section II-C): f = S(R)*z,
+// S a shifted Chebyshev polynomial approximation of sqrt on a bracket
+// [lmin, lmax] of R's spectrum. S(R) is never formed: a degree-C
+// polynomial costs C multiplications by R via the three-term Chebyshev
+// recurrence, and on a block of noise vectors Z — the MRHS algorithm's
+// step 2, F^B = S(R_0)*Z — every multiplication is a GSPMV, where
+// Algorithm 2 harvests its first batch of savings. NewSqrtAuto takes
+// the bracket from the Gershgorin bound (upper) and the far-field
+// diagonal floor (lower). Both are rigorous, so the bracket holds every
+// eigenvalue; the approximation is not uniformly good on it. On SD
+// matrices the bracket spans three to four decades, and the paper's
+// order 30 errs by 22-58 % at its lower end, the slow modes (DESIGN §9,
+// "The Brownian square root").
 //
-// The spectrum bracket [lmin, lmax] comes from the Gershgorin bound
-// (upper) and the far-field diagonal floor (lower); both are rigorous
-// for the sparse resistance matrix, so sqrt is approximated only
-// where eigenvalues can actually lie.
+// PrecondSqrt is the default stepper's (Chow & Saad, SISC 2014): f =
+// L*sqrt(L^{-1} R L^{-T})*z with L the factor of the preconditioner
+// the step's solves already use, covariance R for any L. With L an
+// incomplete Cholesky factor the operator under the root has a
+// condition number of a few units, and a Lanczos recurrence reaches a
+// stated tolerance in four to seven multiplies, each column of a block
+// stopping by its own test.
 package chebyshev
 
 import (

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/multivec"
 	"repro/internal/rng"
+	"repro/internal/solver"
 )
 
 // poolDropsPuts is set under -race (race_test.go), where sync.Pool
@@ -74,7 +75,9 @@ func TestApplyBlockMatchesUnfusedRecurrence(t *testing.T) {
 // one vector every step and on a block every chunk, each time through a
 // SqrtOp built for that step's matrix; once the pool is warm neither
 // call allocates — not the three blocks of the recurrence, not the
-// headers Apply wraps its vectors in, not a closure per pass.
+// headers Apply wraps its vectors in, not a closure per pass. Nor does
+// the preconditioned square root, whose basis, scalars and small
+// eigenproblems come from its own pool.
 func TestChebyshevApplyDoesNotAllocate(t *testing.T) {
 	if poolDropsPuts {
 		t.Skip("sync.Pool drops items under -race")
@@ -88,9 +91,18 @@ func TestChebyshevApplyDoesNotAllocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ic, err := solver.NewIC0(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	y1v, z1v := multivec.FromVector(y1), multivec.FromVector(z1)
 	for name, f := range map[string]func(){
 		"Apply":      func() { s.Apply(y1, z1) },
 		"ApplyBlock": func() { s.ApplyBlock(y, z) },
+		"PrecondSqrt": func() {
+			PrecondSqrt(a, ic, y1v, z1v, 0, 0)
+			PrecondSqrt(a, ic, y, z, 0, 0)
+		},
 	} {
 		f()
 		if n := testing.AllocsPerRun(10, f); n != 0 {
@@ -101,37 +113,51 @@ func TestChebyshevApplyDoesNotAllocate(t *testing.T) {
 
 // TestConcurrentEvaluationsShareNoBlock: evaluations running at once —
 // a verifier beside a runner, two runners in one process — draw the
-// recurrence's blocks from one pool and must each get their own: every
-// result is the one the same call gives alone.
+// recurrence's blocks from one pool, the series' or the preconditioned
+// square root's, and must each get their own: every result is the one
+// the same call gives alone.
 func TestConcurrentEvaluationsShareNoBlock(t *testing.T) {
 	a, lo, hi := randSPDMatrix(46, 50)
 	s, err := NewSqrt(a, lo, hi, DefaultOrder, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	widths := []int{1, 16, 4, 1, 8, 16}
-	zs, want := make([]*multivec.MultiVec, len(widths)), make([]*multivec.MultiVec, len(widths))
-	for g, m := range widths {
-		zs[g], want[g] = multivec.New(a.N(), m), multivec.New(a.N(), m)
-		rng.New(uint64(47 + g)).FillNormal(zs[g].Data)
-		s.ApplyBlock(want[g], zs[g])
+	ic, err := solver.NewIC0(a)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	for g, m := range widths {
-		wg.Add(1)
-		go func(g, m int) {
-			defer wg.Done()
-			got := multivec.New(a.N(), m)
-			for rep := 0; rep < 20; rep++ {
-				s.ApplyBlock(got, zs[g])
-				for i := range got.Data {
-					if math.Float64bits(got.Data[i]) != math.Float64bits(want[g].Data[i]) {
-						t.Errorf("goroutine %d (m=%d) rep %d: y[%d] = %v, alone %v", g, m, rep, i, got.Data[i], want[g].Data[i])
-						return
+	for name, eval := range map[string]func(y, z *multivec.MultiVec){
+		"series": s.ApplyBlock,
+		"lanczos": func(y, z *multivec.MultiVec) {
+			if _, err := PrecondSqrt(a, ic, y, z, 0, 0); err != nil {
+				t.Error(err)
+			}
+		},
+	} {
+		widths := []int{1, 16, 4, 1, 8, 16}
+		zs, want := make([]*multivec.MultiVec, len(widths)), make([]*multivec.MultiVec, len(widths))
+		for g, m := range widths {
+			zs[g], want[g] = multivec.New(a.N(), m), multivec.New(a.N(), m)
+			rng.New(uint64(47 + g)).FillNormal(zs[g].Data)
+			eval(want[g], zs[g])
+		}
+		var wg sync.WaitGroup
+		for g, m := range widths {
+			wg.Add(1)
+			go func(g, m int) {
+				defer wg.Done()
+				got := multivec.New(a.N(), m)
+				for rep := 0; rep < 20; rep++ {
+					eval(got, zs[g])
+					for i := range got.Data {
+						if math.Float64bits(got.Data[i]) != math.Float64bits(want[g].Data[i]) {
+							t.Errorf("%s, goroutine %d (m=%d) rep %d: y[%d] = %v, alone %v", name, g, m, rep, i, got.Data[i], want[g].Data[i])
+							return
+						}
 					}
 				}
-			}
-		}(g, m)
+			}(g, m)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 }

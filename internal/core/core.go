@@ -46,11 +46,17 @@ type Config struct {
 	Tol float64
 	// MaxIter caps solver iterations (0: solver default).
 	MaxIter int
-	// ChebOrder is the maximum Chebyshev order for the Brownian
-	// force (paper: 30).
+	// ChebOrder caps the multiplies of one Brownian force evaluation
+	// (paper: 30): the order of the Chebyshev series on the paper's
+	// path, the Lanczos iterations on the preconditioned one (see
+	// Precond). A Lanczos column that reaches it is counted in
+	// core_sqrt_unconverged_total and its step or chunk record.
 	ChebOrder int
-	// ChebTol, if positive, truncates the Chebyshev series
-	// adaptively.
+	// ChebTol, if positive, is the square root's tolerance: on the
+	// preconditioned path the relative 2-norm change of a Lanczos
+	// iterate at which it stops (chebyshev.DefaultTol, 1e-3, when not
+	// positive); on the paper's path the coefficient size at which the
+	// series is truncated (none when not positive).
 	ChebTol float64
 	// ForceScale multiplies the Brownian force (absorbs the
 	// neglected physical constants sqrt(2 kT / dt); default 1).
@@ -94,12 +100,21 @@ type Config struct {
 	// guesses. A window is a chunk in Algorithm 2, built from its R_0
 	// and charged to Calc guesses, and M steps in Algorithm 1, built
 	// from the matrix of every step k with k % M == 0 (or of the first
-	// step a runner takes) and charged to that step's first solve. Nil
-	// means block IC(0) (solver.IC0, refactored in place; a breakdown
-	// leaves that window unpreconditioned and is counted, the step goes
-	// on). A nil result means an unpreconditioned window: NoPrecond is
-	// the paper's setting. The matrix is valid for the call only, so the
-	// result must copy what it keeps (solver.IC0 and BlockJacobi do).
+	// step a runner takes) and charged to that step's first solve; it
+	// opens before the step's Brownian force. Nil means block IC(0)
+	// (solver.IC0, refactored in place; a breakdown leaves that window
+	// unpreconditioned and is counted, the step goes on). A nil result
+	// means an unpreconditioned window: NoPrecond is the paper's
+	// setting. The matrix is valid for the call only, so the result must
+	// copy what it keeps (solver.IC0 and BlockJacobi do).
+	//
+	// A window preconditioner that is also a chebyshev.Factor (IC(0)
+	// is) preconditions the Brownian force too: each force is
+	// L*sqrt(L^{-1} R L^{-T})*z by chebyshev.PrecondSqrt, of covariance
+	// R exactly whatever the factor, to ChebTol. Any other window —
+	// NoPrecond, a broken-down IC(0), a preconditioner without a
+	// factor — takes the paper's order-ChebOrder Chebyshev series on
+	// [SpectrumFloor, Gershgorin].
 	Precond func(a *bcrs.Matrix) solver.Preconditioner
 	// BlockPrecond, if non-nil, is called with each chunk's R_0 right
 	// before the augmented block solve and may return a preconditioner
@@ -169,7 +184,9 @@ type Timings struct {
 	SecondSolve time.Duration // midpoint corrector solve
 	// Factor is the time spent building the windows' preconditioners.
 	// It is not a phase of its own: it is already inside CalcGuesses
-	// (Algorithm 2) or FirstSolve (Algorithm 1).
+	// (Algorithm 2) or FirstSolve (Algorithm 1), which pay for the
+	// window although it opens before the Brownian force that also runs
+	// through it.
 	Factor time.Duration
 	Steps  int // time steps accumulated
 }
@@ -247,6 +264,9 @@ type Runner struct {
 	// velocity — reused from step to step. None outlives its step:
 	// OnStep must not retain its slice.
 	buf struct{ noise, fb, rhs, guess, u, uHalf []float64 }
+	// one holds the headers a single-vector Brownian force evaluation
+	// wraps buf.fb and its noise in.
+	one struct{ y, z multivec.MultiVec }
 	// chunk holds StepMRHS's three n×m blocks — noise Z, Brownian forces
 	// F^B, augmented solutions U — reshaped chunk to chunk (a last chunk
 	// may be narrower); none outlives its chunk.
@@ -343,9 +363,13 @@ func phaseDeltas(before, after Timings) map[string]time.Duration {
 // emitStep records one completed step's metrics and, when an event
 // log is attached, its JSONL record. before is the Timings snapshot
 // taken when the step's work began, so the deltas are this step's
-// phase costs alone.
-func (r *Runner) emitStep(rec StepRecord, alg string, before Timings) {
+// phase costs alone; sq is the step's own square root, nil for a
+// chunk's first step, whose force came from the chunk's.
+func (r *Runner) emitStep(rec StepRecord, sq *chebyshev.Stats, alg string, before Timings) {
 	reg := r.obsReg()
+	if sq != nil {
+		r.countSqrt(*sq)
+	}
 	deltas := phaseDeltas(before, r.Timings)
 	for phase, d := range deltas {
 		if d > 0 {
@@ -375,6 +399,9 @@ func (r *Runner) emitStep(rec StepRecord, alg string, before Timings) {
 		if rec.GuessRelError > 0 {
 			f["guess_rel_error"] = rec.GuessRelError
 		}
+		if sq != nil {
+			sqrtFields(f, *sq)
+		}
 		for phase, d := range deltas {
 			if d > 0 {
 				f[phase+"_s"] = d.Seconds()
@@ -386,10 +413,11 @@ func (r *Runner) emitStep(rec StepRecord, alg string, before Timings) {
 }
 
 // emitChunk records the chunk-level work of one MRHS augmented solve
-// (matrix construction at R_0, the m-vector Chebyshev evaluation, and
-// the block solve), which precedes the per-step records of the chunk.
-func (r *Runner) emitChunk(m int, st solver.BlockStats, before Timings) {
+// (matrix construction at R_0, the m-vector square root, and the block
+// solve), which precedes the per-step records of the chunk.
+func (r *Runner) emitChunk(m int, st solver.BlockStats, sq chebyshev.Stats, before Timings) {
 	reg := r.obsReg()
+	r.countSqrt(sq)
 	deltas := phaseDeltas(before, r.Timings)
 	for phase, d := range deltas {
 		if d > 0 {
@@ -423,6 +451,7 @@ func (r *Runner) emitChunk(m int, st solver.BlockStats, before Timings) {
 		if st.Fallback {
 			f["fallback_columns"] = st.FallbackColumns
 		}
+		sqrtFields(f, sq)
 		for phase, d := range deltas {
 			if d > 0 {
 				f[phase+"_s"] = d.Seconds()
@@ -430,6 +459,25 @@ func (r *Runner) emitChunk(m int, st solver.BlockStats, before Timings) {
 		}
 		r.precondFields(f, r.k, before)
 		r.Events.Emit("chunk", f)
+	}
+}
+
+// countSqrt counts one square-root evaluation's multiplies (a block's
+// widest column's) and the columns that ran out of them.
+func (r *Runner) countSqrt(sq chebyshev.Stats) {
+	reg := r.obsReg()
+	reg.Counter("core_sqrt_iterations_total").Add(int64(sq.Iterations))
+	if sq.Unconverged > 0 {
+		reg.Counter("core_sqrt_unconverged_total").Add(int64(sq.Unconverged))
+	}
+}
+
+// sqrtFields adds a square root's multiplies to a step or chunk record,
+// and the columns that reached ChebOrder unconverged when there are any.
+func sqrtFields(f map[string]any, sq chebyshev.Stats) {
+	f["sqrt_iters"] = sq.Iterations
+	if sq.Unconverged > 0 {
+		f["sqrt_unconverged"] = sq.Unconverged
 	}
 }
 
@@ -477,11 +525,27 @@ func (r *Runner) operator(a *bcrs.Matrix, c Configuration) DistOp {
 	return a
 }
 
-// sqrtOp builds the Brownian square-root operator over op, bracketing
-// the spectrum from the concrete matrix (Gershgorin) and the
-// configuration's floor.
-func (r *Runner) sqrtOp(a *bcrs.Matrix, op DistOp) (*chebyshev.SqrtOp, error) {
-	return chebyshev.NewSqrtAuto(op, a, r.cur.SpectrumFloor(), r.cfg.ChebOrder, r.cfg.ChebTol)
+// brownian computes the Brownian forces Y = S*Z of the matrix a,
+// multiplying through op: through the window's factor when it has one
+// (chebyshev.PrecondSqrt), else by the paper's series on the spectrum
+// bracketed from a (Gershgorin) and the configuration's floor.
+func (r *Runner) brownian(a *bcrs.Matrix, op DistOp, y, z *multivec.MultiVec) (chebyshev.Stats, error) {
+	if f, ok := r.pre.(chebyshev.Factor); ok {
+		return chebyshev.PrecondSqrt(op, f, y, z, r.cfg.ChebOrder, r.cfg.ChebTol)
+	}
+	s, err := chebyshev.NewSqrtAuto(op, a, r.cur.SpectrumFloor(), r.cfg.ChebOrder, r.cfg.ChebTol)
+	if err != nil {
+		return chebyshev.Stats{}, err
+	}
+	s.ApplyBlock(y, z)
+	return chebyshev.Stats{Iterations: s.Order()}, nil
+}
+
+// brownianOne is brownian on one vector: fb = S*z.
+func (r *Runner) brownianOne(a *bcrs.Matrix, op DistOp, fb, z []float64) (chebyshev.Stats, error) {
+	r.one.y = multivec.MultiVec{N: len(fb), M: 1, Data: fb}
+	r.one.z = multivec.MultiVec{N: len(z), M: 1, Data: z}
+	return r.brownian(a, op, &r.one.y, &r.one.z)
 }
 
 // solveOpts is what every solve of the step runs under: the block
@@ -588,13 +652,20 @@ func (r *Runner) StepOriginal() error {
 	r.Timings.Construct += time.Since(t0)
 	op := r.operator(a, r.cur)
 
+	if r.preStep < 0 || r.k%r.cfg.M == 0 {
+		// Algorithm 1's window rule: a new window every M steps and at a
+		// runner's first. The Brownian force runs through it, the first
+		// solve pays for it.
+		t0 = time.Now()
+		r.beginWindow(a)
+		r.Timings.FirstSolve += time.Since(t0)
+	}
 	t0 = time.Now()
-	s, err := r.sqrtOp(a, op)
+	fb := r.vec(&r.buf.fb)
+	sq, err := r.brownianOne(a, op, fb, r.noise(r.k))
 	if err != nil {
 		return fmt.Errorf("core: step %d: %w", r.k, err)
 	}
-	fb := r.vec(&r.buf.fb)
-	s.Apply(fb, r.noise(r.k))
 	r.Timings.ChebSingle += time.Since(t0)
 	rhs := r.negRHS(fb, r.externalForce(r.cur))
 
@@ -602,11 +673,6 @@ func (r *Runner) StepOriginal() error {
 	u := r.vec(&r.buf.u)
 	clear(u)
 	t0 = time.Now()
-	if r.preStep < 0 || r.k%r.cfg.M == 0 {
-		// Algorithm 1's window rule: a new window every M steps and at a
-		// runner's first.
-		r.beginWindow(a)
-	}
 	st1 := r.firstSolve(a, op, u, rhs)
 	r.Timings.FirstSolve += time.Since(t0)
 	r.cur.Recycle(a)
@@ -625,7 +691,7 @@ func (r *Runner) StepOriginal() error {
 	r.Records = append(r.Records, rec)
 
 	r.advance(uHalf)
-	r.emitStep(rec, "original", tm0)
+	r.emitStep(rec, &sq, "original", tm0)
 	return nil
 }
 
@@ -691,21 +757,26 @@ func (r *Runner) StepMRHS(steps int) error {
 	r.Timings.Construct += time.Since(t0)
 	op0 := r.operator(a0, r.cur)
 
-	// Step 2: F^B = S(R_0) * Z — one Chebyshev evaluation with m
+	// The chunk's window, which the Brownian forces run through and the
+	// guesses pay for.
+	t0 = time.Now()
+	r.beginWindow(a0)
+	r.Timings.CalcGuesses += time.Since(t0)
+
+	// Step 2: F^B = S(R_0) * Z — one square-root evaluation with m
 	// vectors (GSPMV).
 	t0 = time.Now()
-	s0, err := r.sqrtOp(a0, op0)
-	if err != nil {
-		return fmt.Errorf("core: chunk at step %d: %w", r.k, err)
-	}
 	z := &r.chunk.z
 	z.Reshape(dim, m)
 	for j := 0; j < m; j++ {
 		z.SetCol(j, r.noise(r.k+j))
 	}
 	fb := &r.chunk.fb
-	fb.Reshape(dim, m) // ApplyBlock writes all of it
-	s0.ApplyBlock(fb, z)
+	fb.Reshape(dim, m) // the square root writes all of it
+	sq, err := r.brownian(a0, op0, fb, z)
+	if err != nil {
+		return fmt.Errorf("core: chunk at step %d: %w", r.k, err)
+	}
 	r.Timings.ChebVectors += time.Since(t0)
 	fb.Scale(-1) // the systems are R u = -f^B + f^P (see negRHS)
 	if fp := r.externalForce(r.cur); fp != nil {
@@ -725,7 +796,6 @@ func (r *Runner) StepMRHS(steps int) error {
 	u.Reshape(dim, m)
 	u.Zero() // the block solve's initial guess
 	t0 = time.Now()
-	r.beginWindow(a0)
 	blockOpts := r.solveOpts()
 	if r.cfg.BlockPrecond != nil {
 		if p := r.cfg.BlockPrecond(a0); p != nil {
@@ -742,7 +812,7 @@ func (r *Runner) StepMRHS(steps int) error {
 		}
 		return fmt.Errorf("core: chunk at step %d augmented solve stalled at residual %g", r.k, stB.Residual)
 	}
-	r.emitChunk(m, stB, tm0)
+	r.emitChunk(m, stB, sq, tm0)
 	if r.audit != nil {
 		x, b := make([]float64, dim), make([]float64, dim)
 		for j := 0; j < m; j++ {
@@ -767,7 +837,7 @@ func (r *Runner) StepMRHS(steps int) error {
 	rec.SecondIters = st2.Iterations
 	r.Records = append(r.Records, rec)
 	r.advance(uHalf)
-	r.emitStep(rec, "mrhs", tmStep)
+	r.emitStep(rec, nil, "mrhs", tmStep)
 
 	// Steps 7-14: remaining m-1 steps, warm-started from the
 	// augmented solutions.
@@ -779,13 +849,12 @@ func (r *Runner) StepMRHS(steps int) error {
 		opk := r.operator(ak, r.cur)
 
 		t0 = time.Now()
-		sk, err := r.sqrtOp(ak, opk)
+		fbk, zk := r.vec(&r.buf.fb), r.vec(&r.buf.noise)
+		z.Col(j, zk) // step r.k's noise, drawn above
+		sq, err := r.brownianOne(ak, opk, fbk, zk)
 		if err != nil {
 			return fmt.Errorf("core: step %d: %w", r.k, err)
 		}
-		fbk, zk := r.vec(&r.buf.fb), r.vec(&r.buf.noise)
-		z.Col(j, zk) // step r.k's noise, drawn above
-		sk.Apply(fbk, zk)
 		r.Timings.ChebSingle += time.Since(t0)
 		rhs := r.negRHS(fbk, r.externalForce(r.cur))
 
@@ -812,7 +881,7 @@ func (r *Runner) StepMRHS(steps int) error {
 		r.Records = append(r.Records, rec)
 
 		r.advance(uHalf)
-		r.emitStep(rec, "mrhs", tmStep)
+		r.emitStep(rec, &sq, "mrhs", tmStep)
 	}
 	return nil
 }

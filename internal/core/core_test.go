@@ -6,10 +6,12 @@ import (
 	"errors"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/bcrs"
 	"repro/internal/blas"
+	"repro/internal/chebyshev"
 	"repro/internal/multivec"
 	"repro/internal/obs"
 	"repro/internal/solver"
@@ -467,14 +469,31 @@ func (c *badToy) Displaced(u []float64, dt float64) Configuration {
 
 const badToyDt = 0.1
 
+// runBadToy steps a badToy four steps, or one chunk of four, and returns
+// the error that stopped it.
+func runBadToy(c *badToy, precond func(*bcrs.Matrix) solver.Preconditioner, mrhs bool) (*Runner, error) {
+	r := NewRunner(c, Config{Dt: badToyDt, M: 4, Seed: 21, Precond: precond})
+	if mrhs {
+		return r, r.StepMRHS(4)
+	}
+	var err error
+	for i := 0; i < 4 && err == nil; i++ {
+		err = r.StepOriginal()
+	}
+	return r, err
+}
+
 // TestNonFiniteMatrixFailsTheStepAtTheBracket: a NaN or an infinity in
 // the matrix — in the first row, in the last, in a diagonal or an
-// off-diagonal block — stops the step where the spectrum is bracketed,
-// with an error naming the step and before any solve, in both
-// algorithms. The old bracket folded rows with comparisons that are
+// off-diagonal block — stops the step at its Brownian force, with an
+// error naming the step and before any solve, in both algorithms. Under
+// NoPrecond the paper's series finds it where the spectrum is
+// bracketed (the old bracket folded rows with comparisons that are
 // false for NaN, so only a NaN in the first row was seen and every
 // other ran on into a solver breakdown; +Inf went through to NaN
-// Chebyshev coefficients.
+// Chebyshev coefficients). Under the default the bad matrix arrives
+// mid-window, behind a good factor, and the Lanczos square root fails
+// with its typed error.
 func TestNonFiniteMatrixFailsTheStepAtTheBracket(t *testing.T) {
 	const nb = 20
 	offDiag := func(row int) int {
@@ -488,38 +507,55 @@ func TestNonFiniteMatrixFailsTheStepAtTheBracket(t *testing.T) {
 		t.Fatalf("row %d has no off-diagonal block", row)
 		return 0
 	}
+	const bracket = "core: step 2: chebyshev: spectrum bracket not finite"
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		for _, row := range []int{0, nb - 1} {
 			for _, col := range []int{row, offDiag(row)} {
 				for _, mrhs := range []bool{false, true} {
 					c := &badToy{toyConfig: newToy(nb, 21), row: row, col: col, entry: 1, v: v, from: 2}
-					r := NewRunner(c, Config{Dt: badToyDt, M: 4, Seed: 21})
-					var err error
-					if mrhs {
-						err = r.StepMRHS(4)
-					} else {
-						for i := 0; i < 4 && err == nil; i++ {
-							err = r.StepOriginal()
-						}
+					r, err := runBadToy(c, NoPrecond, mrhs)
+					if err == nil || err.Error() != bracket || r.StepIndex() != 2 {
+						t.Errorf("NoPrecond, %v at block (%d, %d), mrhs %v: stopped at step %d with %v", v, row, col, mrhs, r.StepIndex(), err)
 					}
-					if err == nil || err.Error() != "core: step 2: chebyshev: spectrum bracket not finite" || r.StepIndex() != 2 {
-						t.Errorf("%v at block (%d, %d), mrhs %v: stopped at step %d with %v", v, row, col, mrhs, r.StepIndex(), err)
+					r, err = runBadToy(c, nil, mrhs)
+					if !errors.Is(err, chebyshev.ErrNotSPD) || !strings.HasPrefix(err.Error(), "core: step 2: ") || r.StepIndex() != 2 {
+						t.Errorf("default, %v at block (%d, %d), mrhs %v: stopped at step %d with %v", v, row, col, mrhs, r.StepIndex(), err)
 					}
 				}
 			}
 		}
 	}
-	// At a chunk's R_0 the error names the chunk.
-	c := &badToy{toyConfig: newToy(nb, 21), row: 3, col: 3, entry: 0, v: math.Inf(1)}
-	err := NewRunner(c, Config{Dt: badToyDt, M: 4, Seed: 21}).StepMRHS(4)
-	if err == nil || err.Error() != "core: chunk at step 0: chebyshev: spectrum bracket not finite" {
-		t.Errorf("bad R_0: %v", err)
+	// At a chunk's R_0 the error names the chunk. The default window
+	// factors that R_0 first and breaks down on it, so the chunk takes
+	// the paper's series and its bracket.
+	for _, precond := range []func(*bcrs.Matrix) solver.Preconditioner{NoPrecond, nil} {
+		c := &badToy{toyConfig: newToy(nb, 21), row: 3, col: 3, entry: 0, v: math.Inf(1)}
+		_, err := runBadToy(c, precond, true)
+		if err == nil || err.Error() != "core: chunk at step 0: chebyshev: spectrum bracket not finite" {
+			t.Errorf("bad R_0, NoPrecond %v: %v", precond != nil, err)
+		}
+	}
+}
+
+// TestIndefiniteMatrixFailsTyped: a step-2 matrix with a negative
+// diagonal block is not SPD, and the default square root says so with
+// its typed error — at step 2, before any solve, in both algorithms —
+// where a recurrence without a guard would run to its cap or past it.
+func TestIndefiniteMatrixFailsTyped(t *testing.T) {
+	for _, mrhs := range []bool{false, true} {
+		for _, row := range []int{0, 11} {
+			c := &badToy{toyConfig: newToy(20, 21), row: row, col: row, entry: 4, v: -50, from: 2}
+			r, err := runBadToy(c, nil, mrhs)
+			if !errors.Is(err, chebyshev.ErrNotSPD) || !strings.HasPrefix(err.Error(), "core: step 2: ") || r.StepIndex() != 2 {
+				t.Errorf("negative block in row %d, mrhs %v: stopped at step %d with %v", row, mrhs, r.StepIndex(), err)
+			}
+		}
 	}
 }
 
 // firstMulSpy records the input of the first single-vector multiply it
-// is asked for: under the Chebyshev recurrence, T_1 = A z, that is the
-// step's noise.
+// is asked for: under the paper's Chebyshev recurrence, T_1 = A z, that
+// is the step's noise.
 type firstMulSpy struct {
 	*bcrs.Matrix
 	seen *[][]float64
@@ -533,35 +569,65 @@ func (s *firstMulSpy) Mul(y, x *multivec.MultiVec) {
 	s.Matrix.Mul(y, x)
 }
 
+// mulLSpy is an IC(0) window factor that records every single vector
+// the preconditioned square root multiplies by L: its first, L z, takes
+// the step's noise.
+type mulLSpy struct {
+	*solver.IC0
+	seen *[][]float64
+}
+
+func (s mulLSpy) MulL(y, x *multivec.MultiVec) {
+	if x.M == 1 {
+		*s.seen = append(*s.seen, slices.Clone(x.Data))
+	}
+	s.IC0.MulL(y, x)
+}
+
 // TestMRHSStepNoiseIsItsColumnOfZ: steps 1..m-1 of a chunk take their
 // noise from column j of the Z the chunk drew for its block solve, not
 // from a second draw; the vector that reaches S(R_k) is bitwise the
-// noise of global step k, with and without a force scale.
+// noise of global step k, with and without a force scale, on the
+// paper's series and through the window's factor.
 func TestMRHSStepNoiseIsItsColumnOfZ(t *testing.T) {
-	for _, scale := range []float64{0, 0.37} {
-		var seen [][]float64
-		cfg := Config{Dt: 0.1, M: 4, Seed: 23, ForceScale: scale}
-		cfg.Distribute = func(a *bcrs.Matrix, _ Configuration) DistOp { return &firstMulSpy{Matrix: a, seen: &seen} }
-		r := NewRunner(newToy(12, 23), cfg)
-		if err := r.StepMRHS(4); err != nil {
-			t.Fatal(err)
-		}
-		// Distribute is also asked for the midpoint operators, whose
-		// multiplies are CG's, on residuals: of the seven single-vector
-		// firsts, the Chebyshev ones are those of steps 1..3.
-		ref := NewRunner(newToy(12, 23), Config{Seed: 23, ForceScale: scale})
-		found := 0
-		for k := 1; k < 4; k++ {
-			want := ref.noise(k)
-			for _, x := range seen {
-				if slices.Equal(x, want) {
-					found++
-					break
+	for _, factor := range []bool{false, true} {
+		for _, scale := range []float64{0, 0.37} {
+			var seen [][]float64
+			cfg := Config{Dt: 0.1, M: 4, Seed: 23, ForceScale: scale}
+			if factor {
+				cfg.Precond = func(a *bcrs.Matrix) solver.Preconditioner {
+					ic, err := solver.NewIC0(a)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return mulLSpy{ic, &seen}
+				}
+			} else {
+				// Distribute is also asked for the midpoint operators, whose
+				// multiplies are CG's, on residuals: of the seven
+				// single-vector firsts, the Chebyshev ones are those of
+				// steps 1..3.
+				cfg.Precond = NoPrecond
+				cfg.Distribute = func(a *bcrs.Matrix, _ Configuration) DistOp { return &firstMulSpy{Matrix: a, seen: &seen} }
+			}
+			r := NewRunner(newToy(12, 23), cfg)
+			if err := r.StepMRHS(4); err != nil {
+				t.Fatal(err)
+			}
+			ref := NewRunner(newToy(12, 23), Config{Seed: 23, ForceScale: scale})
+			found := 0
+			for k := 1; k < 4; k++ {
+				want := ref.noise(k)
+				for _, x := range seen {
+					if slices.Equal(x, want) {
+						found++
+						break
+					}
 				}
 			}
-		}
-		if found != 3 {
-			t.Errorf("force scale %v: %d of 3 step noises reached the square root bitwise", scale, found)
+			if found != 3 {
+				t.Errorf("factor %v, force scale %v: %d of 3 step noises reached the square root bitwise", factor, scale, found)
+			}
 		}
 	}
 }

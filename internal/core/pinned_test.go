@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"testing"
 	"time"
@@ -43,7 +45,10 @@ type pinnedSet struct {
 	original, mrhs, chaos pinned
 	reseeded              [2]pinned
 	// crashAt is the cluster multiply of the second chunk the crash is
-	// injected at: inside its block solve, past the 30 Chebyshev terms.
+	// injected at: inside its block solve, past the square root's
+	// multiplies (30 Chebyshev terms under NoPrecond, the Lanczos steps
+	// of the slowest column under the default). The test asserts it from
+	// the chunk's record.
 	crashAt int
 }
 
@@ -54,8 +59,9 @@ type pinnedSet struct {
 // left the stepper, unmoved by the reuse window that became the
 // default since: an edit to StepOriginal, StepMRHS, secondSolve or the
 // recovery snapshot must not move a trajectory by one ulp or a solve by
-// one iteration. The default's pins (one IC(0) factor per window) were
-// taken when it became the default. Each set is checked again over
+// one iteration. The default's pins (one IC(0) factor per window, the
+// Brownian forces through it by preconditioned Lanczos) were taken when
+// the square root moved onto the factor. Each set is checked again over
 // configurations that poison every matrix the stepper hands back
 // (poisonConf): the same pins.
 func TestPinnedTrajectories(t *testing.T) {
@@ -71,13 +77,13 @@ func TestPinnedTrajectories(t *testing.T) {
 			},
 		},
 		{
-			name: "default", precond: nil, crashAt: 33,
-			original: pinned{0x6972dbc827823b69, 48, 31, 0},
-			mrhs:     pinned{0x3096196f0a1aa89b, 23, 31, 10},
-			chaos:    pinned{0x1bc59a4909572047, 23, 31, 10},
+			name: "default", precond: nil, crashAt: 6,
+			original: pinned{0x8e3fb66d3c504d1a, 48, 31, 0},
+			mrhs:     pinned{0x20a061b6da5fb73b, 22, 31, 10},
+			chaos:    pinned{0x528a8167dea80f72, 22, 31, 10},
 			reseeded: [2]pinned{
-				{0x950dc7c74492c668, 48, 28, 0},
-				{0xc2571e3c43f28f7c, 48, 31, 0},
+				{0x68b569ce35b1ca8e, 47, 28, 0},
+				{0x2ad9c2aac15b2fb7, 47, 31, 0},
 			},
 		},
 	} {
@@ -159,7 +165,8 @@ func checkPinned(t *testing.T, set pinnedSet, wrap func(core.Configuration) core
 	}
 	chaos := newRunner(rcfg)
 	reg := obs.NewRegistry()
-	chaos.Obs = reg
+	var events bytes.Buffer
+	chaos.Obs, chaos.Events = reg, obs.NewEventLog(&events)
 	if err := chaos.RunMRHS(steps / 2); err != nil {
 		t.Fatal(err)
 	}
@@ -171,6 +178,27 @@ func checkPinned(t *testing.T, set pinnedSet, wrap func(core.Configuration) core
 		t.Fatalf("chunk recoveries = %d, want the one injected crash replayed once", n)
 	}
 	check("mrhs under recovery", fingerprint(systemOf(chaos.Current()), chaos), set.chaos)
+	// The crash landed in the block solve: R_0's cluster multiplies for
+	// the square root first, then once for the block solve's residual
+	// and once per block iteration.
+	if err := chaos.Events.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var last map[string]any
+	for _, line := range bytes.Split(bytes.TrimSpace(events.Bytes()), []byte("\n")) {
+		var rec map[string]any
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec["event"] == "chunk" {
+			last = rec
+		}
+	}
+	sqrt, _ := last["sqrt_iters"].(float64)
+	block, _ := last["block_iters"].(float64)
+	if !(int(sqrt) < set.crashAt && set.crashAt <= int(sqrt+block)+1) {
+		t.Errorf("crash at multiply %d of the second chunk, whose square root took %v and block solve %v+1", set.crashAt, sqrt, block)
+	}
 
 	// The replay is the clean two-node run.
 	armed = false

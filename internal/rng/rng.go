@@ -116,10 +116,12 @@ func (s *Stream) Normal() float64 {
 		}
 		u2 := s.Float64()
 		r := math.Sqrt(-2 * math.Log(u1))
-		theta := 2 * math.Pi * u2
-		s.spare = r * math.Sin(theta)
+		// One range reduction for both: Sincos evaluates Sin's and Cos's
+		// polynomials on the same reduced argument, bit for bit.
+		sin, cos := math.Sincos(2 * math.Pi * u2)
+		s.spare = r * sin
 		s.hasSpare = true
-		return r * math.Cos(theta)
+		return r * cos
 	}
 }
 

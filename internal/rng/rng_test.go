@@ -210,3 +210,26 @@ func TestNormalVectorCrossStepDecorrelation(t *testing.T) {
 		t.Fatalf("cross-step correlation = %v", corr)
 	}
 }
+
+// TestNormalMatchesSinCos: the deviates Normal draws with one Sincos
+// call are bitwise the Box-Muller pair of separate Sin and Cos calls on
+// the same uniforms, which every noise history so far was drawn with.
+func TestNormalMatchesSinCos(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		s, u := Substream(seed, 3), Substream(seed, 3)
+		for i := 0; i < 50000; i++ {
+			u1 := u.Float64()
+			if u1 == 0 {
+				continue
+			}
+			u2 := u.Float64()
+			r := math.Sqrt(-2 * math.Log(u1))
+			theta := 2 * math.Pi * u2
+			for k, want := range []float64{r * math.Cos(theta), r * math.Sin(theta)} {
+				if got := s.Normal(); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("seed %d draw %d.%d: %v, Sin/Cos pair gives %v", seed, i, k, got, want)
+				}
+			}
+		}
+	}
+}

@@ -39,6 +39,13 @@ type IC0 struct {
 	// Cholesky factor of L's diagonal block (lower triangular itself).
 	invDiag []float64
 	colPos  []int32 // factorization scratch: where block column j sits in the current row, -1 when absent
+
+	// l is L itself as a BCRS matrix, for MulL; nil until MulL asks for
+	// it after a factorization. Its arrays are kept for the next one.
+	l       *bcrs.Matrix
+	lRowPtr []int32
+	lColIdx []int32
+	lVals   []float64
 }
 
 // ErrICBreakdown is returned when a pivot block loses positive
@@ -68,6 +75,7 @@ func (ic *IC0) Refactor(a *bcrs.Matrix) error {
 	if a.NB() != a.NCB() {
 		return errors.New("solver: IC0 requires a square matrix")
 	}
+	ic.l = nil
 	if err := ic.setPattern(a); err != nil {
 		return err
 	}
@@ -276,6 +284,47 @@ func (ic *IC0) Apply(z, r []float64) {
 			z[j+2] -= v[2]*x0 + v[5]*x1 + v[8]*x2
 		}
 	}
+}
+
+// MulL computes y = L*x, the factor itself rather than its inverse, on
+// every column of a block (m = 1 is a vector): a chunk's Brownian forces
+// are L times a function of L^{-1} A L^{-T}, so the square root needs L
+// once per evaluation. It multiplies through a BCRS copy of L — the
+// stored strict-lower blocks and each diagonal block inverted back from
+// its stored inverse — built at the first call after a factorization,
+// so every width runs bcrs's kernels. Like Refactor, that first call
+// must not race another. y and x must not alias.
+func (ic *IC0) MulL(y, x *multivec.MultiVec) {
+	if ic.l == nil {
+		ic.buildL()
+	}
+	ic.l.Mul(y, x)
+}
+
+// buildL lays L out as a BCRS matrix in storage kept across factors:
+// row i's strict-lower blocks, then its diagonal block.
+func (ic *IC0) buildL() {
+	const bs = bcrs.BlockSize
+	nb, nnzb := ic.nb, len(ic.colIdx)+ic.nb
+	if cap(ic.lRowPtr) < nb+1 {
+		ic.lRowPtr = make([]int32, nb+1)
+	}
+	if cap(ic.lColIdx) < nnzb {
+		ic.lColIdx, ic.lVals = make([]int32, nnzb), make([]float64, nnzb*bs)
+	}
+	rowPtr, colIdx, vals := ic.lRowPtr[:nb+1], ic.lColIdx[:nnzb], ic.lVals[:nnzb*bs]
+	k := 0
+	for i := 0; i < nb; i++ {
+		lo, hi := int(ic.rowPtr[i]), int(ic.rowPtr[i+1])
+		copy(colIdx[k:], ic.colIdx[lo:hi])
+		copy(vals[k*bs:], ic.lower[lo*bs:hi*bs])
+		k += hi - lo
+		colIdx[k] = int32(i)
+		invLower3(vals[k*bs:k*bs+bs], blas.Mat3(ic.invDiag[i*bs:i*bs+bs]))
+		k++
+		rowPtr[i+1] = int32(k)
+	}
+	ic.l = bcrs.NewMatrix(nb, nb, rowPtr, colIdx, vals)
 }
 
 // ApplyBlock is Apply on every column of a block at once: each sweep

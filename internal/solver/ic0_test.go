@@ -50,9 +50,23 @@ func TestIC0ApplyIsInverseOfLLt(t *testing.T) {
 	z := randVec(4, n)
 	y := make([]float64, n)
 	ic.Apply(y, z)
-	// Verify L L^T y == z by building L densely from the factor: the
-	// strict-lower blocks as stored, the diagonal blocks back from their
-	// stored inverses.
+	// Verify L L^T y == z by building L densely from the factor.
+	l := denseFactor(t, ic)
+	llt := l.Mul(l.Transpose())
+	back := make([]float64, n)
+	llt.MatVec(back, y)
+	for i := range back {
+		if math.Abs(back[i]-z[i]) > 1e-8*(1+math.Abs(z[i])) {
+			t.Fatalf("L L^T Apply(z) != z at %d: %v vs %v", i, back[i], z[i])
+		}
+	}
+}
+
+// denseFactor builds the factor's L densely: the strict-lower blocks as
+// stored, the diagonal blocks back from their stored inverses.
+func denseFactor(t *testing.T, ic *IC0) *blas.Dense {
+	t.Helper()
+	n := 3 * ic.nb
 	l := blas.NewDense(n, n)
 	put := func(i, j int, blk []float64) {
 		for r := 0; r < 3; r++ {
@@ -73,12 +87,39 @@ func TestIC0ApplyIsInverseOfLLt(t *testing.T) {
 		}
 		put(i, i, d[:])
 	}
-	llt := l.Mul(l.Transpose())
-	back := make([]float64, n)
-	llt.MatVec(back, y)
-	for i := range back {
-		if math.Abs(back[i]-z[i]) > 1e-8*(1+math.Abs(z[i])) {
-			t.Fatalf("L L^T Apply(z) != z at %d: %v vs %v", i, back[i], z[i])
+	return l
+}
+
+// TestIC0MulLIsTheFactor: MulL multiplies by the L whose L L^T Apply
+// inverts, at every width, and column j of a block is bitwise MulL on
+// column j alone.
+func TestIC0MulLIsTheFactor(t *testing.T) {
+	a := spdMatrix(5, 40, 6)
+	ic, err := NewIC0(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := a.N()
+	l := denseFactor(t, ic)
+	xc, yc, want := make([]float64, n), make([]float64, n), make([]float64, n)
+	for _, m := range []int{1, 3, 16} {
+		x, y := multivec.New(n, m), multivec.New(n, m)
+		copy(x.Data, randVec(int64(6+m), n*m))
+		ic.MulL(y, x)
+		for j := 0; j < m; j++ {
+			x.Col(j, xc)
+			l.MatVec(want, xc)
+			for i := range want {
+				if got := y.At(i, j); math.Abs(got-want[i]) > 1e-12*(1+math.Abs(want[i])) {
+					t.Fatalf("m=%d column %d row %d: MulL %v, dense L %v", m, j, i, got, want[i])
+				}
+			}
+			ic.MulL(multivec.FromVector(yc), multivec.FromVector(xc))
+			for i := range yc {
+				if yc[i] != y.At(i, j) {
+					t.Fatalf("m=%d column %d row %d: block %v, alone %v", m, j, i, y.At(i, j), yc[i])
+				}
+			}
 		}
 	}
 }
@@ -352,6 +393,7 @@ func TestIC0DoesNotAllocate(t *testing.T) {
 	rb, zb := multivec.New(a.N(), 16), multivec.New(a.N(), 16)
 	copy(rb.Data, randVec(73, a.N()*16))
 	check("ApplyBlock", func() { ic.ApplyBlock(zb, rb) })
+	check("MulL", func() { ic.MulL(zb, rb) })
 	check("Refactor", func() {
 		if err := ic.Refactor(a); err != nil {
 			t.Fatal(err)
