@@ -5,7 +5,7 @@ GO ?= go
 BENCH_FILES ?= BENCH_serve.json BENCH_ensemble.json BENCH_shard.json
 BENCH_BASELINE_DIR ?= .bench-baseline
 
-.PHONY: ci docs-gate vet build test bench-test bench-trace race race-kernels chaos fuzz-faults fuzz-neighbor fuzz-sqrt serial wide serve-smoke shard-smoke bench experiments bench-serve bench-ensemble bench-shard bench-diff
+.PHONY: ci docs-gate vet build test bench-test bench-trace race race-kernels chaos fuzz-faults fuzz-neighbor fuzz-sqrt serial wide noavx512 serve-smoke shard-smoke bench experiments bench-serve bench-ensemble bench-shard bench-diff
 
 # ci is the gate: vet, build everything, the benchmark module's own
 # vet and tests (bench-test), one traced run of each SD workload
@@ -18,7 +18,8 @@ BENCH_BASELINE_DIR ?= .bench-baseline
 # nothing depends on real parallelism (the process pool defaults to
 # GOMAXPROCS, so this is also the one-thread default), one wide pass
 # of the multiply's packages with GOMAXPROCS=4 (an oversubscribed
-# pool, sixteen row ranges per multiply, on any host), ten seconds of
+# pool, sixteen row ranges per multiply, on any host), one short pass
+# of the kernel packages with AVX-512 compiled out (noavx512), ten seconds of
 # fuzzing the
 # fault-spec parser (its input is a command-line flag), ten of the
 # periodic wrap (its input is every coordinate a step produces) and ten
@@ -27,7 +28,7 @@ BENCH_BASELINE_DIR ?= .bench-baseline
 # advisory perf-regression gate over the BENCH_*.json artifacts (fails
 # only on >2x regressions; warns otherwise; skips files with no
 # baseline).
-ci: vet build bench-test bench-trace docs-gate race-kernels race chaos fuzz-faults fuzz-neighbor fuzz-sqrt serve-smoke shard-smoke serial wide bench-diff
+ci: vet build bench-test bench-trace docs-gate race-kernels race chaos fuzz-faults fuzz-neighbor fuzz-sqrt serve-smoke shard-smoke serial wide noavx512 bench-diff
 
 # docs-gate fails when an internal/ package lacks a package comment,
 # a tracked markdown file has a broken relative link, README.md /
@@ -145,6 +146,15 @@ serial:
 # -count=1 as in serial.
 wide:
 	GOMAXPROCS=4 $(GO) test -count=1 ./internal/bcrs/ ./internal/solver/ ./internal/serve/ ./internal/shard/ ./internal/cluster/... ./internal/multivec/
+
+# noavx512 runs the kernel packages' tests with AVX-512 compiled out
+# (cpufeat/noavx512.go): on a host that has it, the m = 8k multiplies
+# and everything built on them otherwise never reach the AVX2 row
+# kernel, so the oracles and the whole-solve pins would cover one of
+# the two. There is no flag or environment variable for this; the
+# build tag is the switch. -count=1 as in serial.
+noavx512:
+	$(GO) test -tags noavx512 -short -count=1 ./internal/cpufeat/ ./internal/bcrs/ ./internal/multivec/ ./internal/solver/
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .

@@ -80,24 +80,40 @@ func BenchmarkAblationVectorLayout(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationKernelDispatch compares the specialized unrolled
-// kernels against the generic fallback.
+// BenchmarkAblationKernelDispatch compares the kernels a general
+// multiply can run at m = 8, 16 and 32: the one Mul dispatches, the
+// same with cpufeat.AVX512 cleared ("-avx2": the ymm row kernel where
+// AVX-512 would take over, the same kernel otherwise), and the generic
+// Go fallback. "hydro" is the 1500-particle resistance matrix, "served"
+// the serve workloads' NB = 6000 random matrix (24 blocks per row).
 func BenchmarkAblationKernelDispatch(b *testing.B) {
 	fixtures(b)
-	for _, m := range []int{8, 16} {
-		x := multivec.New(fixMat.N(), m)
-		rng.New(8).FillNormal(x.Data)
-		y := multivec.New(fixMat.N(), m)
-		b.Run(fmt.Sprintf("specialized/m=%d", m), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				fixMat.Mul(y, x)
+	served := bcrs.Random(bcrs.RandomOptions{NB: 6000, BlocksPerRow: 24, Seed: 1})
+	for _, a := range []struct {
+		name string
+		mat  *bcrs.Matrix
+	}{{"hydro", fixMat}, {"served", served}} {
+		for _, m := range []int{8, 16, 32} {
+			x := multivec.New(a.mat.N(), m)
+			rng.New(8).FillNormal(x.Data)
+			y := multivec.New(a.mat.N(), m)
+			mul := func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					a.mat.Mul(y, x)
+				}
 			}
-		})
-		b.Run(fmt.Sprintf("generic/m=%d", m), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				fixMat.MulGenericKernel(y, x)
-			}
-		})
+			b.Run(fmt.Sprintf("%s/specialized/m=%d", a.name, m), mul)
+			b.Run(fmt.Sprintf("%s/specialized-avx2/m=%d", a.name, m), func(b *testing.B) {
+				defer func(saved bool) { cpufeat.AVX512 = saved }(cpufeat.AVX512)
+				cpufeat.AVX512 = false
+				mul(b)
+			})
+			b.Run(fmt.Sprintf("%s/generic/m=%d", a.name, m), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					a.mat.MulGenericKernel(y, x)
+				}
+			})
+		}
 	}
 }
 

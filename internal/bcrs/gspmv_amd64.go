@@ -6,15 +6,17 @@ import "repro/internal/cpufeat"
 
 // The wide-m GSPMV kernels have an AVX2 fast path (gspmv_amd64.s)
 // that vectorizes across the right-hand sides: 4 columns per ymm
-// lane group, each lane running the scalar kernels' exact operation
-// order, so the SIMD result is bitwise-identical to the pure-Go
-// kernels. This is the paper's own implementation strategy — its
-// generated basic kernels vectorize the m dimension with SSE/AVX
-// intrinsics (Section IV-A) — and it is what moves the compute bound
-// F in the r(m) model from scalar to SIMD throughput.
+// lane group (8 per zmm with AVX-512), each lane running the scalar
+// kernels' exact operation order, so the SIMD result is
+// bitwise-identical to the pure-Go kernels. This is the paper's own
+// implementation strategy — its generated basic kernels vectorize the
+// m dimension with SSE/AVX intrinsics (Section IV-A) — and it is what
+// moves the compute bound F in the r(m) model from scalar to SIMD
+// throughput.
 
 // Implemented in gspmv_amd64.s.
 func gspmvRowAVX2(vals *float64, colIdx *int32, nblk int, x *float64, yrow *float64, m int)
+func gspmvRowAVX512(vals *float64, colIdx *int32, nblk int, x *float64, yrow *float64, m int)
 
 // Implemented in gspmv_amd64.s: the m = 1 multiply. It checks no index:
 // NewMatrix and Builder admit only in-range ones, spmv1SIMD the rows.
@@ -54,9 +56,14 @@ func detectSIMD() int {
 	return 8
 }
 
-// gspmvSIMD runs the AVX2 row kernel over [lo, hi). m must be a
-// positive multiple of 8.
+// gspmvSIMD runs the row kernel over [lo, hi): the AVX-512 one when
+// cpufeat.AVX512 is set (read here, so clearing it forces the AVX2
+// kernel), else the AVX2 one. m must be a positive multiple of 8.
 func gspmvSIMD(rowPtr, colIdx []int32, vals, x, y []float64, m, lo, hi int) {
+	row := gspmvRowAVX2
+	if cpufeat.AVX512 {
+		row = gspmvRowAVX512
+	}
 	for i := lo; i < hi; i++ {
 		k0, k1 := int(rowPtr[i]), int(rowPtr[i+1])
 		yrow := &y[i*BlockDim*m]
@@ -64,7 +71,7 @@ func gspmvSIMD(rowPtr, colIdx []int32, vals, x, y []float64, m, lo, hi int) {
 			clear(y[i*BlockDim*m : (i+1)*BlockDim*m])
 			continue
 		}
-		gspmvRowAVX2(&vals[k0*BlockSize], &colIdx[k0], k1-k0, &x[0], yrow, m)
+		row(&vals[k0*BlockSize], &colIdx[k0], k1-k0, &x[0], yrow, m)
 	}
 }
 

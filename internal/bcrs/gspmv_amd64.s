@@ -1,4 +1,6 @@
-// AVX2 GSPMV inner kernel: one 3x3-block row, 8 columns at a time.
+// GSPMV inner kernels: one 3x3-block row, 8 columns at a time in ymm
+// (AVX2, gspmvRowAVX2) or 16 at a time in zmm (AVX-512F,
+// gspmvRowAVX512).
 //
 // The SIMD lanes run ACROSS the right-hand sides (the m dimension),
 // never across the reduction: each lane carries one column's scalar
@@ -7,9 +9,9 @@
 //	t = a_r0*x0; u = a_r1*x1; t = t+u; u = a_r2*x2; t = t+u; acc += t
 //
 // so every column's result is bitwise-identical to the pure-Go
-// kernels (and therefore to a single-vector SPMV of that column).
-// FMA is deliberately NOT used: it would skip the intermediate
-// rounding the scalar expression performs.
+// kernels (and therefore to a single-vector SPMV of that column),
+// whichever of the two widths ran it. FMA is deliberately NOT used: it
+// would skip the intermediate rounding the scalar expression performs.
 
 #include "textflag.h"
 
@@ -145,6 +147,127 @@ store:
 	JMP  colloop
 
 done:
+	VZEROUPPER
+	RET
+
+// func gspmvRowAVX512(vals *float64, colIdx *int32, nblk int, x *float64, yrow *float64, m int)
+//
+// gspmvRowAVX2 at twice the width: 8 columns per zmm, two zmm groups
+// per block row, so 16 columns per pass over the row's blocks while 16
+// are left and one group for the last 8; m must be a multiple of 8.
+// Each block entry is broadcast by the multiply that reads it
+// ({1to8}), and the lanes keep the recurrence above.
+//
+// Register plan: Z0..Z5 accumulators (3 rows x 2 groups of 8 cols),
+// Z6..Z11 the three x block rows (2 groups each), Z12/Z13 temps.
+
+// One block row r of one group: acc += a_r0*x0 + a_r1*x1 + a_r2*x2,
+// in the recurrence's order; the block is at R15.
+#define ZROW(off, x0, x1, x2, acc) \
+	VMULPD.BCST off(R15), x0, Z12; \
+	VMULPD.BCST off+8(R15), x1, Z13; \
+	VADDPD      Z13, Z12, Z12; \
+	VMULPD.BCST off+16(R15), x2, Z13; \
+	VADDPD      Z13, Z12, Z12; \
+	VADDPD      Z12, acc, acc
+
+TEXT ·gspmvRowAVX512(SB), NOSPLIT, $0-48
+	MOVQ vals+0(FP), SI
+	MOVQ colIdx+8(FP), DI
+	MOVQ nblk+16(FP), CX
+	MOVQ x+24(FP), DX
+	MOVQ yrow+32(FP), BX
+	MOVQ m+40(FP), R13
+	LEAQ (R13)(R13*2), R12  // 3m
+	XORQ R9, R9             // column offset
+
+zcolloop:
+	MOVQ   R13, AX
+	SUBQ   R9, AX           // columns left
+	JLE    zdone
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	MOVQ   SI, R15          // this row's first block
+	XORQ   R10, R10         // block counter
+	CMPQ   AX, $16
+	JLT    z8loop
+
+z16loop:
+	CMPQ R10, CX
+	JGE  zstore16
+
+	// x block pointer: x + (colIdx[k]*3m + off)*8
+	MOVLQSX (DI)(R10*4), R11
+	IMULQ   R12, R11
+	ADDQ    R9, R11
+	LEAQ    (DX)(R11*8), R11
+	VMOVUPD (R11), Z6              // x row0, cols off..off+7
+	VMOVUPD 64(R11), Z7            // x row0, cols off+8..off+15
+	VMOVUPD (R11)(R13*8), Z8       // x row1
+	VMOVUPD 64(R11)(R13*8), Z9
+	LEAQ    (R11)(R13*8), R14
+	VMOVUPD (R14)(R13*8), Z10      // x row2
+	VMOVUPD 64(R14)(R13*8), Z11
+
+	ZROW(0, Z6, Z8, Z10, Z0)
+	ZROW(0, Z7, Z9, Z11, Z1)
+	ZROW(24, Z6, Z8, Z10, Z2)
+	ZROW(24, Z7, Z9, Z11, Z3)
+	ZROW(48, Z6, Z8, Z10, Z4)
+	ZROW(48, Z7, Z9, Z11, Z5)
+
+	ADDQ $72, R15
+	INCQ R10
+	JMP  z16loop
+
+zstore16:
+	// y row r lives at yrow + (r*m + off)*8
+	LEAQ    (BX)(R9*8), R11
+	VMOVUPD Z0, (R11)
+	VMOVUPD Z1, 64(R11)
+	LEAQ    (R11)(R13*8), R11
+	VMOVUPD Z2, (R11)
+	VMOVUPD Z3, 64(R11)
+	LEAQ    (R11)(R13*8), R11
+	VMOVUPD Z4, (R11)
+	VMOVUPD Z5, 64(R11)
+	ADDQ    $16, R9
+	JMP     zcolloop
+
+z8loop:
+	// The last 8 columns: one group.
+	CMPQ R10, CX
+	JGE  zstore8
+	MOVLQSX (DI)(R10*4), R11
+	IMULQ   R12, R11
+	ADDQ    R9, R11
+	LEAQ    (DX)(R11*8), R11
+	VMOVUPD (R11), Z6
+	VMOVUPD (R11)(R13*8), Z8
+	LEAQ    (R11)(R13*8), R14
+	VMOVUPD (R14)(R13*8), Z10
+
+	ZROW(0, Z6, Z8, Z10, Z0)
+	ZROW(24, Z6, Z8, Z10, Z2)
+	ZROW(48, Z6, Z8, Z10, Z4)
+
+	ADDQ $72, R15
+	INCQ R10
+	JMP  z8loop
+
+zstore8:
+	LEAQ    (BX)(R9*8), R11
+	VMOVUPD Z0, (R11)
+	LEAQ    (R11)(R13*8), R11
+	VMOVUPD Z2, (R11)
+	LEAQ    (R11)(R13*8), R11
+	VMOVUPD Z4, (R11)
+
+zdone:
 	VZEROUPPER
 	RET
 

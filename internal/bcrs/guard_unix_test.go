@@ -4,9 +4,12 @@ package bcrs
 
 import (
 	"runtime/debug"
+	"slices"
 	"syscall"
 	"testing"
 	"unsafe"
+
+	"repro/internal/multivec"
 )
 
 // guarded returns a copy of src, with room for slack more elements
@@ -68,6 +71,40 @@ func TestSpmv1ReadsNothingPastItsArrays(t *testing.T) {
 		}
 		if i := sameBits(got, want); i >= 0 {
 			t.Fatalf("simd=%v: y[%d] = %v, want %v", simd, i, got[i], want[i])
+		}
+	}
+}
+
+// TestGSPMVReadsNothingPastItsArrays runs the wide-m row kernels —
+// AVX-512, AVX2 and Go — with every array they read or write ending at
+// an unreadable page, at the widths that take the zmm kernel's
+// 16-column pass, its 8-column tail and both. Each case has a block in
+// the last block column, so the last x row is read up to its end.
+func TestGSPMVReadsNothingPastItsArrays(t *testing.T) {
+	for name, a := range spmv1Cases() {
+		if !slices.Contains(a.colIdx, int32(a.ncb-1)) {
+			t.Fatalf("%s: no block in the last block column", name)
+		}
+		g := NewMatrix(a.nb, a.ncb, guarded(t, a.rowPtr, 0), guarded(t, a.colIdx, 0), guarded(t, a.vals, 0))
+		for _, m := range gspmvWidths {
+			x := multivec.New(a.NCols(), m)
+			for i := range x.Data {
+				x.Data[i] = float64(i%7) - 3
+			}
+			want := multivec.New(a.N(), m)
+			withKernel(false, false, func() { a.Mul(want, x) })
+			gx := &multivec.MultiVec{N: x.N, M: m, Data: guarded(t, x.Data, 0)}
+			for _, k := range gspmvKernels {
+				got := &multivec.MultiVec{N: a.N(), M: m, Data: guarded(t, make([]float64, a.N()*m), 0)}
+				faulted := false
+				withKernel(k.simd, k.zmm, func() { faulted = faults(func() { g.Mul(got, gx) }) })
+				if faulted {
+					t.Fatalf("%s m=%d %s: Mul touched memory past one of its arrays", name, m, k.name)
+				}
+				if i := sameBits(got.Data, want.Data); i >= 0 {
+					t.Fatalf("%s m=%d %s: y[%d] = %v, want %v", name, m, k.name, i, got.Data[i], want.Data[i])
+				}
+			}
 		}
 	}
 }

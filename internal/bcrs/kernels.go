@@ -21,8 +21,11 @@ func (a *Matrix) MulVec(y, x []float64) {
 
 // Mul computes Y = A*X, the generalized SPMV with X.M simultaneous
 // vectors. X and Y must have a.N() rows and equal vector counts; Y
-// must not alias X. For m in {1, 2, 4, 8, 16} a fully-unrolled
-// specialized kernel is dispatched; other m use the generic kernel.
+// must not alias X. m = 1 has its own kernel. On amd64 every m that
+// is a multiple of 8 runs an assembly row kernel (AVX2, or AVX-512
+// where the host has it); elsewhere m in {2, 4, 8, 16, 32} runs a
+// fully-unrolled Go kernel and other m the generic one. All of them
+// give the same bits.
 func (a *Matrix) Mul(y, x *multivec.MultiVec) {
 	a.mul(y, x, false)
 }
@@ -92,8 +95,9 @@ func (a *Matrix) mulRange(y, x []float64, m int, forceGeneric bool, lo, hi int) 
 	case forceGeneric:
 		gspmvGeneric(a.rowPtr, a.colIdx, a.vals, x, y, m, lo, hi)
 	case simdWidth > 0 && m >= simdWidth && m%simdWidth == 0:
-		// The AVX2 fast path (bitwise-identical lanes across the m
-		// dimension) takes over every specialized width it divides.
+		// The SIMD fast path (bitwise-identical lanes across the m
+		// dimension, ymm or zmm) takes over every specialized width it
+		// divides.
 		gspmvSIMD(a.rowPtr, a.colIdx, a.vals, x, y, m, lo, hi)
 	case m == 1:
 		spmv1(a.rowPtr, a.colIdx, a.vals, x, y, lo, hi)

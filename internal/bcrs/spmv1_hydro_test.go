@@ -30,7 +30,7 @@ func TestThreadedMatchesSerial(t *testing.T) {
 		"hydro":  hydro.Build(sys, hydro.Options{Phi: 0.4}),
 		"random": bcrs.Random(bcrs.RandomOptions{NB: 500, BlocksPerRow: 12, Seed: 4}),
 	} {
-		for _, m := range []int{1, 2, 4, 5, 8, 16, 32} {
+		for _, m := range []int{1, 2, 4, 5, 8, 16, 32, 48} {
 			x := multivec.New(a.N(), m)
 			rng.New(uint64(m)).FillNormal(x.Data)
 			product := func() (y, yv []float64) {

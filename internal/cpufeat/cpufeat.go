@@ -4,5 +4,7 @@
 package cpufeat
 
 // AVX2 reports that the CPU has AVX2 and the OS saves the ymm state.
-// FMA additionally reports FMA3 (false whenever AVX2 is false).
-var AVX2, FMA = detect()
+// FMA additionally reports FMA3, and AVX512 AVX-512F with the OS saving
+// the opmask and all 32 zmm registers; both are false whenever AVX2 is
+// false.
+var AVX2, FMA, AVX512 = detect()

@@ -2,4 +2,4 @@
 
 package cpufeat
 
-func detect() (avx2, fma bool) { return false, false }
+func detect() (avx2, fma, avx512 bool) { return false, false, false }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/blas"
+	"repro/internal/parallel"
 )
 
 // benchN is the SD benchmark's shape: 1000 particles, 3 rows each.
@@ -63,4 +64,54 @@ func BenchmarkColNorms(b *testing.B) {
 	benchKernel(b, func(m int) int { return 2 * benchN * m }, func(x, _, _ *MultiVec, _, _ *blas.Dense) {
 		x.ColNormsInto(norms[:x.M])
 	})
+}
+
+// BenchmarkColumnSweeps times MultiCG's four column sweeps at the
+// served shape (n = 18000 rows: NB = 6000 blocks of 3) and at the SD
+// benchmark's (n = 3000), all w lanes live, on a pool of one and of
+// two threads — the rows of DESIGN §9's "Threads" table. "-go" runs
+// the Go loops (simd cleared) on the same split.
+func BenchmarkColumnSweeps(b *testing.B) {
+	for _, n := range []int{18000, benchN} {
+		for _, w := range []int{8, 16, 32} {
+			x, r, p, ap := New(n, w), New(n, w), New(n, w), New(n, w)
+			for i := range x.Data {
+				x.Data[i] = float64(i%7) + 0.5
+				r.Data[i] = float64(i%5) + 0.25
+				p.Data[i] = float64(i%3) - 0.75
+				ap.Data[i] = float64(i%11) + 0.125
+			}
+			s1, s2 := make([]float64, w), make([]float64, w)
+			for j := range s1 {
+				s1[j] = 1e-3 * float64(j+1)
+			}
+			sweeps := []struct {
+				name string
+				op   func()
+			}{
+				{"ColDots", func() { ColDots(s2, p, ap) }},
+				{"ColUpdate", func() { ColUpdate(x, r, p, ap, s1, s2) }},
+				{"ColDirection", func() { ColDirection(p, r, s1) }},
+				{"ColResidual", func() { ColResidual(x, r, ap, s1, s2) }},
+			}
+			for _, threads := range []int{1, 2} {
+				for _, sw := range sweeps {
+					for _, mode := range []string{"", "-go"} {
+						name := fmt.Sprintf("n=%d/w=%d/threads=%d/%s%s", n, w, threads, sw.name, mode)
+						b.Run(name, func(b *testing.B) {
+							defer parallel.SetThreads(parallel.Threads())
+							parallel.SetThreads(threads)
+							if mode != "" {
+								defer func(saved bool) { simd = saved }(simd)
+								simd = false
+							}
+							for i := 0; i < b.N; i++ {
+								sw.op()
+							}
+						})
+					}
+				}
+			}
+		}
+	}
 }

@@ -7,6 +7,8 @@ import (
 	"syscall"
 	"testing"
 	"unsafe"
+
+	"repro/internal/rng"
 )
 
 // guarded returns a copy of src, with room for slack more elements
@@ -67,6 +69,52 @@ func TestChebyshevStepStaysInsideItsArrays(t *testing.T) {
 			}
 			if i := sameBits(append(gy, gt...), want); i >= 0 {
 				t.Fatalf("n=%d simd=%v: element %d differs from the two passes", n, on, i)
+			}
+		}
+	}
+}
+
+// TestColumnSweepsStayInsideTheirLanes runs the column sweeps, AVX2
+// and Go, on blocks whose storage ends with lane q-1 of the last row,
+// flush against an unreadable page, and on scalar slices of exactly q
+// elements that do too: a kernel that touches a padding lane of the
+// last row, or anything past a slice, faults. q runs through the
+// four-wide groups' remainders at widths 8 and 32.
+func TestColumnSweepsStayInsideTheirLanes(t *testing.T) {
+	const n = 50
+	s := rng.New(4)
+	for _, w := range []int{8, 32} {
+		for _, q := range []int{1, 3, 4, 5, 7, 8, 17, 31, 32} {
+			if q > w {
+				continue
+			}
+			block := func() *MultiVec {
+				v := hostileBlock(n, w, s, false)
+				return &MultiVec{N: n, M: w, Data: guarded(t, v.Data[:(n-1)*w+q], 0)}
+			}
+			scalars := func() []float64 {
+				a := make([]float64, q)
+				s.FillNormal(a)
+				return guarded(t, a, 0)
+			}
+			x, r, p, ap := block(), block(), block(), block()
+			alpha, rr, dots := scalars(), scalars(), scalars()
+			for _, on := range []bool{true, false} {
+				sweeps := func() {
+					ColDots(dots, p, ap)
+					ColUpdate(x, r, p, ap, alpha, rr)
+					ColDirection(p, r, alpha)
+					ColResidual(r, p, ap, dots, rr)
+				}
+				faulted := false
+				if on {
+					faulted = faults(sweeps)
+				} else {
+					withoutSIMD(func() { faulted = faults(sweeps) })
+				}
+				if faulted {
+					t.Fatalf("w=%d q=%d simd=%v: a sweep touched memory past its lanes", w, q, on)
+				}
 			}
 		}
 	}

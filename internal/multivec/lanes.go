@@ -1,13 +1,29 @@
 package multivec
 
+import (
+	"sync/atomic"
+
+	"repro/internal/parallel"
+)
+
 // Column-lane sweeps: the vector work of conjugate gradients on q
 // independent columns held in the leading lanes of n-by-w row-major
 // blocks (solver.MultiCG), and at w = 1 of solver.CG itself, where the
 // block is the vector. The inner index is the column, so one sweep
 // streams every operand once at memory speed whatever q is; the lanes
 // at and beyond q are kernel padding and are neither read nor written.
-// Every sweep is serial: each lane's reduction is the one sequential
-// row-order recurrence of the package comment, at any thread count.
+// With AVX2, ColDots, ColUpdate and ColDirection run the lanes four to
+// a ymm and the last q%4 one at a time, in one pass over the rows;
+// ColResidual, once per solve, is the Go loop alone.
+//
+// Each lane's reduction is the one sequential row-order recurrence of
+// the package comment, so the reductions (ColDots, ColResidual,
+// ColUpdate's sums of squares) run their rows serially, whatever the
+// thread count. ColDirection has no reduction: it splits its rows over
+// the pool, and every element is the same expression whichever thread
+// computes it. Splitting the lanes instead — each thread a run of whole
+// cache lines of every row — keeps the bits but measured slower than
+// one thread at w = 16 and 32 (DESIGN §12), so no sweep does.
 
 // laneShape checks that the blocks share one n-by-w shape with room
 // for q lanes and returns that shape.
@@ -42,6 +58,10 @@ func ColDots(dst []float64, x, y *MultiVec) {
 		return
 	}
 	clear(dst)
+	if simd && n > 0 {
+		colDotsSIMD(dst, x, y)
+		return
+	}
 	for i := 0; i < n; i++ {
 		xr := x.Data[i*w : i*w+q : i*w+q]
 		yr := y.Data[i*w : i*w+q : i*w+q]
@@ -118,6 +138,10 @@ func ColUpdate(x, r, p, ap *MultiVec, alpha, rr []float64) {
 		return
 	}
 	clear(rr)
+	if simd && n > 0 {
+		colUpdateSIMD(x, r, p, ap, alpha, rr)
+		return
+	}
 	for i := 0; i < n; i++ {
 		xr := x.Data[i*w : i*w+q : i*w+q]
 		rw := r.Data[i*w : i*w+q : i*w+q]
@@ -134,7 +158,9 @@ func ColUpdate(x, r, p, ap *MultiVec, alpha, rr []float64) {
 }
 
 // ColDirection is the CG direction update P = Z + P*diag(beta) of the
-// len(beta) leading columns. z may be the residual block itself.
+// len(beta) leading columns. z may be the residual block itself. At
+// w > 1 the rows split over the pool, in For's blocked ranges of at
+// least dirGrain elements.
 func ColDirection(p, z *MultiVec, beta []float64) {
 	q := len(beta)
 	n, w := laneShape(q, p, z)
@@ -149,7 +175,52 @@ func ColDirection(p, z *MultiVec, beta []float64) {
 		}
 		return
 	}
-	for i := 0; i < n; i++ {
+	pool, grain := parallel.Default(), max(dirGrain/w, 1)
+	if !pool.Parallel(n, grain) {
+		colDirectionRows(p, z, beta, 0, n)
+		return
+	}
+	d := spareDirection.Swap(nil)
+	if d == nil {
+		d = new(direction)
+		d.fn = d.rows
+	}
+	d.p, d.z, d.beta = p, z, beta
+	pool.ForOp("multivec_coldirection", n, grain, d.fn)
+	d.p, d.z, d.beta = nil, nil, nil
+	spareDirection.Store(d)
+}
+
+// dirGrain is the fewest elements a ColDirection chunk holds: four
+// times elemGrain, because the AVX2 pass streams an element in about a
+// third of a nanosecond, so a smaller chunk costs less than waking a
+// worker for it (n = 3000, w = 8 read 9 µs on one thread and 22 µs
+// split in two, DESIGN §9).
+const dirGrain = 4 * elemGrain
+
+// direction is one ColDirection split over the pool: its operands, and
+// rows bound once to fn — handing the pool fn instead of a fresh
+// closure is what keeps a warmed split allocation-free (MultiCG calls
+// this every iteration). spareDirection holds one between calls; a
+// call that finds it taken, a concurrent solve's, makes its own.
+type direction struct {
+	p, z *MultiVec
+	beta []float64
+	fn   func(lo, hi int)
+}
+
+var spareDirection atomic.Pointer[direction]
+
+func (d *direction) rows(lo, hi int) { colDirectionRows(d.p, d.z, d.beta, lo, hi) }
+
+// colDirectionRows is ColDirection on rows [lo, hi).
+func colDirectionRows(p, z *MultiVec, beta []float64, lo, hi int) {
+	if simd && lo < hi {
+		colDirectionSIMD(p, z, beta, lo, hi)
+		return
+	}
+	w, q := p.M, len(beta)
+	for i := lo; i < hi; i++ {
 		pr := p.Data[i*w : i*w+q : i*w+q]
 		zr := z.Data[i*w : i*w+q : i*w+q]
 		be := beta[:len(pr)]

@@ -2,6 +2,9 @@ package multivec
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/rng"
@@ -10,7 +13,8 @@ import (
 // The column sweeps against one column at a time: each lane must hold
 // exactly what a lone contiguous vector gets from the textbook loop
 // (the blas.Dot/Axpy order, product rounded before the add), and the
-// padding lanes must come back untouched.
+// padding lanes must come back untouched — with the AVX2 kernels and
+// the Go loops, on every pool size.
 
 // hostileBlock returns an n-by-w block, padding lanes included, of
 // normal deviates with NaN, +-Inf, +-0 and a subnormal planted.
@@ -20,17 +24,35 @@ func hostileBlock(n, w int, s *rng.Stream, hostile bool) *MultiVec {
 	return v
 }
 
+// poison is the NaN the padding lanes of a swept block hold: a kernel
+// that wrote one back, even as some other NaN, changes its bits.
+var poison = math.Float64frombits(0x7ff4_dead_beef_0001)
+
+// poisonPadding sets lanes q and after of every row of v to poison.
+func poisonPadding(v *MultiVec, q int) *MultiVec {
+	for i := 0; i < v.N; i++ {
+		row := v.Data[i*v.M : (i+1)*v.M]
+		for j := q; j < len(row); j++ {
+			row[j] = poison
+		}
+	}
+	return v
+}
+
+// kernelSizes mirrors solver.KernelSizes, the widths MultiCG pads its
+// blocks to (solver imports this package, so it cannot be named here).
+var kernelSizes = []int{1, 2, 4, 8, 16, 32}
+
 // laneWidths returns the block widths a q-lane sweep is tried at: the
-// exact fit and the power of two a kernel width would pad it to.
+// exact fit and every kernel width that holds q lanes.
 func laneWidths(q int) []int {
-	w := 1
-	for w < q {
-		w *= 2
+	ws := []int{q}
+	for _, w := range kernelSizes {
+		if w > q {
+			ws = append(ws, w)
+		}
 	}
-	if w == q {
-		return []int{q}
-	}
-	return []int{q, w}
+	return ws
 }
 
 func refDot(x, y []float64) float64 {
@@ -42,18 +64,21 @@ func refDot(x, y []float64) float64 {
 }
 
 // checkLanes fails unless the q leading columns of got equal want's
-// contiguous columns and every other lane still equals before.
-func checkLanes(t *testing.T, what string, got, before *MultiVec, want [][]float64) {
+// contiguous columns and every other lane still holds the poison's
+// bits.
+func checkLanes(t *testing.T, what string, got *MultiVec, want [][]float64) {
 	t.Helper()
 	q := len(want)
 	for j := 0; j < got.M; j++ {
-		ref := before.ColVector(j)
+		i := -1
 		if j < q {
-			ref = want[j]
+			i = sameBits(got.ColVector(j), want[j])
+		} else {
+			i = slices.IndexFunc(got.ColVector(j), func(v float64) bool { return math.Float64bits(v) != math.Float64bits(poison) })
 		}
-		if i := sameBits(got.ColVector(j), ref); i >= 0 {
-			t.Fatalf("%s: lane %d (of %d live, width %d) differs at row %d: %v, want %v",
-				what, j, q, got.M, i, got.At(i, j), ref[i])
+		if i >= 0 {
+			t.Fatalf("%s: lane %d (of %d live, width %d) differs at row %d: %v",
+				what, j, q, got.M, i, got.At(i, j))
 		}
 	}
 }
@@ -61,7 +86,8 @@ func checkLanes(t *testing.T, what string, got, before *MultiVec, want [][]float
 func checkSweeps(t *testing.T, n, q, w int, seed uint64, hostile bool) {
 	t.Helper()
 	s := rng.New(seed)
-	x, r, p, ap := hostileBlock(n, w, s, hostile), hostileBlock(n, w, s, hostile), hostileBlock(n, w, s, hostile), hostileBlock(n, w, s, hostile)
+	block := func() *MultiVec { return poisonPadding(hostileBlock(n, w, s, hostile), q) }
+	x, r, p, ap := block(), block(), block(), block()
 	alpha, beta := make([]float64, q), make([]float64, q)
 	fillHostile(alpha, s, hostile)
 	fillHostile(beta, s, hostile)
@@ -96,19 +122,18 @@ func checkSweeps(t *testing.T, n, q, w int, seed uint64, hostile bool) {
 		wantBB[j], wantRR[j] = refDot(bc[j], bc[j]), refDot(wantR[j], wantR[j])
 	}
 	for _, alias := range []string{"none", "b", "ax"} {
-		b, ax, before := r.Clone(), ap.Clone(), x
-		dst := x.Clone()
+		b, ax, dst := r.Clone(), ap.Clone(), x.Clone()
 		switch alias {
 		case "b":
-			dst, before = b, r
+			dst = b
 		case "ax":
-			dst, before = ax, ap
+			dst = ax
 		}
 		bb, rr := make([]float64, q), make([]float64, q)
 		fillHostile(bb, s, hostile)
 		fillHostile(rr, s, hostile)
 		ColResidual(dst, b, ax, bb, rr)
-		checkLanes(t, what("ColResidual alias="+alias), dst, before, wantR)
+		checkLanes(t, what("ColResidual alias="+alias), dst, wantR)
 		if i := sameBits(bb, wantBB); i >= 0 {
 			t.Fatalf("%s: bb[%d] = %v, want %v", what("ColResidual"), i, bb[i], wantBB[i])
 		}
@@ -130,8 +155,8 @@ func checkSweeps(t *testing.T, n, q, w int, seed uint64, hostile bool) {
 	gx, gr, rr := x.Clone(), r.Clone(), make([]float64, q)
 	fillHostile(rr, s, hostile)
 	ColUpdate(gx, gr, p, ap, alpha, rr)
-	checkLanes(t, what("ColUpdate X"), gx, x, xc)
-	checkLanes(t, what("ColUpdate R"), gr, r, rc)
+	checkLanes(t, what("ColUpdate X"), gx, xc)
+	checkLanes(t, what("ColUpdate R"), gr, rc)
 	if i := sameBits(rr, wantRR); i >= 0 {
 		t.Fatalf("%s: rr[%d] = %v, want %v", what("ColUpdate"), i, rr[i], wantRR[i])
 	}
@@ -145,19 +170,37 @@ func checkSweeps(t *testing.T, n, q, w int, seed uint64, hostile bool) {
 	}
 	gp := p.Clone()
 	ColDirection(gp, r, beta)
-	checkLanes(t, what("ColDirection"), gp, p, pc)
+	checkLanes(t, what("ColDirection"), gp, pc)
 }
 
+// TestColumnSweepsMatchPerColumnLoops runs every lane count q in 1..33
+// at its exact width and at every kernel width above it, with the AVX2
+// kernels on and off, on pools of 1, 2 and 4 threads — ColDirection
+// splits its rows on the larger pools once a block has 2 x 8192
+// elements.
 func TestColumnSweepsMatchPerColumnLoops(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 3000} {
-		for q := 1; q <= 33; q++ {
-			if n == 3000 && q > 5 && q != 17 && q < 31 {
-				continue // the long blocks at a few widths only
+	for _, threads := range []int{1, 2, 4} {
+		for _, on := range []bool{true, false} {
+			sweep := func() {
+				for _, n := range []int{0, 1, 7, 3000} {
+					for q := 1; q <= 33; q++ {
+						if n == 3000 && q > 5 && q != 17 && q < 31 {
+							continue // the long blocks at a few lane counts only
+						}
+						for _, w := range laneWidths(q) {
+							checkSweeps(t, n, q, w, uint64(1000*n+q), false)
+							checkSweeps(t, n, q, w, uint64(1000*n+q)+7, true)
+						}
+					}
+				}
 			}
-			for _, w := range laneWidths(q) {
-				checkSweeps(t, n, q, w, uint64(1000*n+q), false)
-				checkSweeps(t, n, q, w, uint64(1000*n+q)+7, true)
-			}
+			withThreads(t, threads, func() {
+				if on {
+					sweep()
+				} else {
+					withoutSIMD(sweep)
+				}
+			})
 		}
 	}
 }
@@ -254,23 +297,66 @@ func TestUnpackLanes(t *testing.T) {
 	}
 }
 
-// TestColumnSweepsIgnoreThreadCount: the sweeps are serial by
-// contract, so a parallel pool must not change one bit.
+// TestColumnSweepsIgnoreThreadCount: the reductions run their rows
+// serially and ColDirection's split rows are elementwise, so a parallel
+// pool must not change one bit — at w = 4 and at the served width 32.
 func TestColumnSweepsIgnoreThreadCount(t *testing.T) {
-	run := func() []float64 {
-		s := rng.New(77)
-		x, r, p, ap := hostileBlock(9000, 4, s, false), hostileBlock(9000, 4, s, false), hostileBlock(9000, 4, s, false), hostileBlock(9000, 4, s, false)
-		out := make([]float64, 12)
-		ColDots(out[0:3], p, ap)
-		ColUpdate(x, r, p, ap, []float64{0.5, -2, 3}, out[3:6])
-		ColResidual(ap, r, x, out[6:9], out[9:12])
-		return append(out, ap.Data...)
-	}
-	var serial []float64
-	withThreads(t, 1, func() { serial = run() })
-	withThreads(t, 4, func() {
-		if i := sameBits(run(), serial); i >= 0 {
-			t.Fatalf("threads=4 differs from threads=1 at %d", i)
+	for _, w := range []int{4, 32} {
+		run := func() []float64 {
+			s := rng.New(77)
+			x, r, p, ap := hostileBlock(9000, w, s, false), hostileBlock(9000, w, s, false), hostileBlock(9000, w, s, false), hostileBlock(9000, w, s, false)
+			out := make([]float64, 12)
+			ColDots(out[0:3], p, ap)
+			ColUpdate(x, r, p, ap, []float64{0.5, -2, 3}, out[3:6])
+			ColDirection(p, r, []float64{0.25, 1.5, -1})
+			ColResidual(ap, r, x, out[6:9], out[9:12])
+			return slices.Concat(out, ap.Data, p.Data)
 		}
+		var serial []float64
+		withThreads(t, 1, func() { serial = run() })
+		for _, threads := range []int{2, 4} {
+			withThreads(t, threads, func() {
+				if i := sameBits(run(), serial); i >= 0 {
+					t.Fatalf("w=%d threads=%d differs from threads=1 at %d", w, threads, i)
+				}
+			})
+		}
+	}
+}
+
+// TestColDirectionConcurrentCalls: concurrent solves each run their own
+// split ColDirection, sharing one spare record between them and the
+// pool's workers; every result must be its serial one (run under -race).
+func TestColDirectionConcurrentCalls(t *testing.T) {
+	const n, w, callers = 6000, 16, 4
+	beta := []float64{0.5, -1, 2, 0.25, 3, -0.5, 1.5, 0, 1, 2, 3, 4, 5, 6, 7, 8}
+	s := rng.New(31)
+	ps, zs, want := make([]*MultiVec, callers), make([]*MultiVec, callers), make([]*MultiVec, callers)
+	for c := range ps {
+		ps[c], zs[c] = hostileBlock(n, w, s, false), hostileBlock(n, w, s, false)
+		want[c] = ps[c].Clone()
+	}
+	withThreads(t, 1, func() {
+		for c := range want {
+			ColDirection(want[c], zs[c], beta)
+		}
+	})
+	withThreads(t, 2, func() {
+		var wg sync.WaitGroup
+		for c := range ps {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := 0; k < 5; k++ {
+					p := ps[c].Clone()
+					ColDirection(p, zs[c], beta)
+					if i := sameBits(p.Data, want[c].Data); i >= 0 {
+						t.Errorf("caller %d: element %d differs from the serial pass", c, i)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	})
 }

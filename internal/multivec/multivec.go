@@ -32,11 +32,14 @@
 //
 // The column sweeps of lanes.go (ColDots, ColResidual, ColUpdate,
 // ColDirection — the vector work of CG on q interleaved columns) keep
-// the same recurrence per column lane and are serial, Go only: a
-// lane's reduction is the whole-column sequential sum in row order, so
-// these give the same bits for EVERY thread count, block width and
-// lane position — each lane is what the loop over that one contiguous
-// column gives. CompactColumns and UnpackLanes only move values.
+// the same recurrence per column lane, in Go and, for all but
+// ColResidual, in multivec_amd64.s four lanes to a ymm. A lane's
+// reduction is the whole-column sequential sum in row order, so the
+// reductions never split; ColDirection, elementwise, splits its rows
+// over the pool. These give the same bits for EVERY thread count, block
+// width and lane position — each lane is what the loop over that one
+// contiguous column gives. CompactColumns and UnpackLanes only move
+// values.
 package multivec
 
 import (

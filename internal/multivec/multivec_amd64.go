@@ -9,6 +9,9 @@ func mulAddAVX2(dst, src, x, a *float64, nrows, m int)
 func gramAVX2(acc, x, y *float64, nrows, m int)
 func colSumSqAVX2(sums, v *float64, nrows, m int)
 func chebStepAVX2(y, t, cur, prev *float64, n int, alpha, beta, c float64)
+func colDotsAVX2(dst, x, y *float64, nrows, w, lanes int)
+func colUpdateAVX2(x, r, p, ap, alpha, rr *float64, nrows, w, lanes int)
+func colDirectionAVX2(p, z, beta *float64, nrows, w, lanes int)
 
 // simd enables the AVX2 row-range kernels. Tests may clear it to
 // force the generic Go loops, which are the oracle.
@@ -51,4 +54,31 @@ func colSumSqSIMD(sums, v []float64, lo, hi, m int) {
 // chebStepSIMD is ChebyshevStep on non-empty arrays of one length.
 func chebStepSIMD(y, t, cur, prev []float64, alpha, beta, c float64) {
 	chebStepAVX2(&y[0], &t[0], &cur[0], &prev[0], len(y), alpha, beta, c)
+}
+
+// The lane sweeps below run lanes [0, q) of n-by-w blocks, q = the
+// length of their scalar slice, q <= w; the blocks have rows [lo, hi),
+// lo < hi, or n >= 1 rows.
+
+// rowBase returns the address of row lo of v after checking that lane
+// q-1 of row hi-1 is inside it.
+func rowBase(v *MultiVec, q, lo, hi int) *float64 {
+	_ = v.Data[(hi-1)*v.M+q-1]
+	return &v.Data[lo*v.M]
+}
+
+func colDotsSIMD(dst []float64, x, y *MultiVec) {
+	q, n := len(dst), x.N
+	colDotsAVX2(&dst[0], rowBase(x, q, 0, n), rowBase(y, q, 0, n), n, x.M, q)
+}
+
+func colUpdateSIMD(x, r, p, ap *MultiVec, alpha, rr []float64) {
+	q, n := len(alpha), x.N
+	colUpdateAVX2(rowBase(x, q, 0, n), rowBase(r, q, 0, n), rowBase(p, q, 0, n), rowBase(ap, q, 0, n),
+		&alpha[0], &rr[0], n, x.M, q)
+}
+
+func colDirectionSIMD(p, z *MultiVec, beta []float64, lo, hi int) {
+	q := len(beta)
+	colDirectionAVX2(rowBase(p, q, lo, hi), rowBase(z, q, lo, hi), &beta[0], hi-lo, p.M, q)
 }

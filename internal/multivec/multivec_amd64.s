@@ -1,5 +1,7 @@
 // AVX2 block-vector kernels for block CG: V = R + X*A (AddMul and
-// SetMulAdd), G += X^T*Y (Gram) and per-column sums of squares.
+// SetMulAdd), G += X^T*Y (Gram) and per-column sums of squares; and
+// for MultiCG, the column-lane sweeps of lanes.go (ColDots, ColUpdate,
+// ColDirection) over a run of lanes.
 //
 // As in internal/bcrs/gspmv_amd64.s the SIMD lanes run ACROSS the
 // columns (4 per ymm group), never across a reduction: each lane
@@ -287,5 +289,176 @@ cheb1:
 	JMP    cheb1
 
 chebdone:
+	VZEROUPPER
+	RET
+
+// The column-lane sweeps. Each takes the leading `lanes` columns of
+// nrows rows of w-wide row-major blocks, every block pointer at lane 0
+// of the first row, and walks the rows in increasing order. Per row
+// the lanes are covered four to a ymm and then one at a time for the
+// last lanes%4, in one pass, so every lane is the one sequential
+// row-order recurrence of its Go loop — the product rounded before the
+// add, VMULPD/VSUBPD/VADDPD kept apart. The reductions accumulate into
+// memory the caller cleared; a lane's add chain goes through its
+// store. Nothing at or past lane `lanes` of a row is read or written.
+// nrows >= 1, lanes >= 1.
+
+// LANEPROLOGUE loads w and lanes and leaves R8 = row stride in bytes,
+// R9 = bytes of the lanes, R10 = bytes of their whole ymm groups.
+#define LANEPROLOGUE(woff, loff) \
+	MOVQ woff(FP), R8; \
+	SHLQ $3, R8; \
+	MOVQ loff(FP), R9; \
+	MOVQ R9, R10; \
+	ANDQ $-4, R10; \
+	SHLQ $3, R9; \
+	SHLQ $3, R10
+
+// func colDotsAVX2(dst, x, y *float64, nrows, w, lanes int)
+//
+// dst[j] += x[i][j]*y[i][j] over the rows i, for the lanes j < lanes.
+TEXT ·colDotsAVX2(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ y+16(FP), DX
+	MOVQ nrows+24(FP), CX
+	LANEPROLOGUE(w+32, lanes+40)
+
+dotrow:
+	XORQ AX, AX
+	CMPQ AX, R10
+	JGE  dottail
+
+dot4:
+	VMOVUPD (SI)(AX*1), Y0
+	VMULPD  (DX)(AX*1), Y0, Y0
+	VADDPD  (DI)(AX*1), Y0, Y0
+	VMOVUPD Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, R10
+	JLT     dot4
+
+dottail:
+	CMPQ   AX, R9
+	JGE    dotnext
+	VMOVSD (SI)(AX*1), X0
+	VMULSD (DX)(AX*1), X0, X0
+	VADDSD (DI)(AX*1), X0, X0
+	VMOVSD X0, (DI)(AX*1)
+	ADDQ   $8, AX
+	JMP    dottail
+
+dotnext:
+	ADDQ R8, SI
+	ADDQ R8, DX
+	DECQ CX
+	JNZ  dotrow
+
+	VZEROUPPER
+	RET
+
+// func colUpdateAVX2(x, r, p, ap, alpha, rr *float64, nrows, w, lanes int)
+//
+// Per row i and lane j: x += p*alpha; v = r - ap*alpha; r = v;
+// rr[j] += v*v.
+TEXT ·colUpdateAVX2(SB), NOSPLIT, $0-72
+	MOVQ x+0(FP), DI
+	MOVQ r+8(FP), SI
+	MOVQ p+16(FP), DX
+	MOVQ ap+24(FP), BX
+	MOVQ alpha+32(FP), R11
+	MOVQ rr+40(FP), R12
+	MOVQ nrows+48(FP), CX
+	LANEPROLOGUE(w+56, lanes+64)
+
+updrow:
+	XORQ AX, AX
+	CMPQ AX, R10
+	JGE  updtail
+
+upd4:
+	VMOVUPD (R11)(AX*1), Y2       // alpha
+	VMULPD  (DX)(AX*1), Y2, Y0    // p*alpha
+	VADDPD  (DI)(AX*1), Y0, Y0
+	VMOVUPD Y0, (DI)(AX*1)        // x
+	VMULPD  (BX)(AX*1), Y2, Y1    // ap*alpha
+	VMOVUPD (SI)(AX*1), Y0
+	VSUBPD  Y1, Y0, Y0            // r - ap*alpha
+	VMOVUPD Y0, (SI)(AX*1)        // r
+	VMULPD  Y0, Y0, Y0
+	VADDPD  (R12)(AX*1), Y0, Y0
+	VMOVUPD Y0, (R12)(AX*1)       // rr
+	ADDQ    $32, AX
+	CMPQ    AX, R10
+	JLT     upd4
+
+updtail:
+	CMPQ   AX, R9
+	JGE    updnext
+	VMOVSD (R11)(AX*1), X2
+	VMULSD (DX)(AX*1), X2, X0
+	VADDSD (DI)(AX*1), X0, X0
+	VMOVSD X0, (DI)(AX*1)
+	VMULSD (BX)(AX*1), X2, X1
+	VMOVSD (SI)(AX*1), X0
+	VSUBSD X1, X0, X0
+	VMOVSD X0, (SI)(AX*1)
+	VMULSD X0, X0, X0
+	VADDSD (R12)(AX*1), X0, X0
+	VMOVSD X0, (R12)(AX*1)
+	ADDQ   $8, AX
+	JMP    updtail
+
+updnext:
+	ADDQ R8, DI
+	ADDQ R8, SI
+	ADDQ R8, DX
+	ADDQ R8, BX
+	DECQ CX
+	JNZ  updrow
+
+	VZEROUPPER
+	RET
+
+// func colDirectionAVX2(p, z, beta *float64, nrows, w, lanes int)
+//
+// Per row i and lane j: p = z + p*beta.
+TEXT ·colDirectionAVX2(SB), NOSPLIT, $0-48
+	MOVQ p+0(FP), DI
+	MOVQ z+8(FP), SI
+	MOVQ beta+16(FP), DX
+	MOVQ nrows+24(FP), CX
+	LANEPROLOGUE(w+32, lanes+40)
+
+dirrow:
+	XORQ AX, AX
+	CMPQ AX, R10
+	JGE  dirtail
+
+dir4:
+	VMOVUPD (DX)(AX*1), Y1
+	VMULPD  (DI)(AX*1), Y1, Y0
+	VADDPD  (SI)(AX*1), Y0, Y0
+	VMOVUPD Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, R10
+	JLT     dir4
+
+dirtail:
+	CMPQ   AX, R9
+	JGE    dirnext
+	VMOVSD (DX)(AX*1), X1
+	VMULSD (DI)(AX*1), X1, X0
+	VADDSD (SI)(AX*1), X0, X0
+	VMOVSD X0, (DI)(AX*1)
+	ADDQ   $8, AX
+	JMP    dirtail
+
+dirnext:
+	ADDQ R8, DI
+	ADDQ R8, SI
+	DECQ CX
+	JNZ  dirrow
+
 	VZEROUPPER
 	RET

@@ -21,3 +21,15 @@ func colSumSqSIMD(sums, v []float64, lo, hi, m int) {
 func chebStepSIMD(y, t, cur, prev []float64, alpha, beta, c float64) {
 	panic("multivec: chebStepSIMD without SIMD support")
 }
+
+func colDotsSIMD(dst []float64, x, y *MultiVec) {
+	panic("multivec: colDotsSIMD without SIMD support")
+}
+
+func colUpdateSIMD(x, r, p, ap *MultiVec, alpha, rr []float64) {
+	panic("multivec: colUpdateSIMD without SIMD support")
+}
+
+func colDirectionSIMD(p, z *MultiVec, beta []float64, lo, hi int) {
+	panic("multivec: colDirectionSIMD without SIMD support")
+}

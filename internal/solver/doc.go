@@ -35,8 +35,9 @@
 //   - Lane recurrence. Each column is a lane. Every lane value is the
 //     textbook recurrence on that column alone — products rounded
 //     before they are added, reductions summed sequentially in row
-//     order — and the sweeps are serial, so a lane's bits depend on
-//     neither q, w, the lane's position, nor the thread count. With
+//     order, the one split sweep (ColDirection) elementwise — so a
+//     lane's bits depend on neither q, w, the lane's position, the
+//     thread count, nor whether the AVX2 sweeps or the Go loops ran. With
 //     the GSPMV kernels' identical per-column order this makes column
 //     j of MultiCG BITWISE what CG(a, x_j, b_j, opts[j]) returns:
 //     iterate, iteration count, residual.

@@ -687,7 +687,9 @@ func TestMultiCGSteadyStateAllocs(t *testing.T) {
 // benchmark's serve_* matrix: NB = 6000, 24 blocks per row, solved to
 // 2e-6 from zero guesses) at widths 1, 8 and 32. vec-share is the
 // fraction of the solve outside its multiplies — what the paper's
-// "m right-hand sides for the price of ~2" does not cover.
+// "m right-hand sides for the price of ~2" does not cover — and
+// mul-ms/iter and vec-ms/iter the two halves per iteration of column
+// 0, which every column finishes within a few iterations of.
 func BenchmarkMultiCG(b *testing.B) {
 	a := bcrs.Random(bcrs.RandomOptions{NB: 6000, BlocksPerRow: 24, Seed: 1})
 	n := a.N()
@@ -715,6 +717,8 @@ func BenchmarkMultiCG(b *testing.B) {
 			b.ReportMetric(vec/(mul+vec), "vec-share")
 			b.ReportMetric(float64(iters)/float64(b.N), "iters/op")
 			b.ReportMetric((mul+vec)/float64(iters)*1e6, "µs/iter")
+			b.ReportMetric(mul/float64(iters)*1e3, "mul-ms/iter")
+			b.ReportMetric(vec/float64(iters)*1e3, "vec-ms/iter")
 		})
 	}
 }
