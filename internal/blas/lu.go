@@ -32,18 +32,20 @@ func LUFactor(a *Dense) (*LU, error) {
 }
 
 // Factor recomputes f as the factorization of the square matrix A,
-// reusing f's storage when A has the size of the previous one — the
-// block-CG iteration factors two m-by-m matrices per iteration and
-// must not allocate. A is not modified. After an error f holds no
-// usable factorization.
+// reusing f's storage when A is no larger than any matrix it factored
+// before — the block-CG iteration factors m-by-m and, once it drops a
+// direction, smaller matrices every iteration and must not allocate.
+// A is not modified. After an error f holds no usable factorization.
 func (f *LU) Factor(a *Dense) error {
 	if a.Rows != a.Cols {
 		return errors.New("blas: LUFactor requires a square matrix")
 	}
 	n := a.Rows
-	if f.lu == nil || f.n != n {
-		f.n, f.lu, f.piv, f.work = n, NewDense(n, n), make([]int, n), make([]float64, 2*n)
+	if f.lu == nil || cap(f.piv) < n {
+		f.lu, f.piv, f.work = NewDense(n, n), make([]int, n), make([]float64, 2*n)
 	}
+	f.n, f.piv, f.work = n, f.piv[:n], f.work[:2*n]
+	f.lu.Rows, f.lu.Cols, f.lu.Data = n, n, f.lu.Data[:n*n]
 	copy(f.lu.Data, a.Data)
 	f.sign = 1
 	for i := range f.piv {

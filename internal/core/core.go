@@ -434,9 +434,6 @@ func (r *Runner) emitChunk(m int, st solver.BlockStats, sq chebyshev.Stats, befo
 	}
 	reg.Counter("core_chunks_total").Inc()
 	reg.Counter("core_block_iterations_total").Add(int64(st.Iterations))
-	if st.Fallback {
-		reg.Counter("core_block_fallbacks_total").Inc()
-	}
 	if r.Events != nil {
 		f := map[string]any{
 			"step":           r.k,
@@ -448,8 +445,8 @@ func (r *Runner) emitChunk(m int, st solver.BlockStats, sq chebyshev.Stats, befo
 			"block_mul_s": st.MulSeconds,
 			"block_vec_s": st.VecSeconds,
 		}
-		if st.Fallback {
-			f["fallback_columns"] = st.FallbackColumns
+		if st.Dropped > 0 {
+			f["block_dropped"] = st.Dropped
 		}
 		sqrtFields(f, sq)
 		for phase, d := range deltas {
@@ -802,7 +799,7 @@ func (r *Runner) StepMRHS(steps int) error {
 			blockOpts.Precond = p
 		}
 	}
-	stB := solver.BlockCGWithFallback(op0, u, fb, blockOpts)
+	stB := solver.BlockCG(op0, u, fb, blockOpts)
 	r.Timings.CalcGuesses += time.Since(t0)
 	r.BlockIters += stB.Iterations
 	if !stB.Converged {

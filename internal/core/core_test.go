@@ -209,6 +209,24 @@ func TestMaxIterPropagates(t *testing.T) {
 	}
 }
 
+// A block solve that runs out of iterations fails the chunk with the
+// stalled error and a block_solve failure count, as a first or second
+// solve that runs out does: nothing re-solves its columns behind it.
+func TestStarvedBlockSolveFailsTheChunk(t *testing.T) {
+	r := NewRunner(newToy(30, 15), Config{Dt: 0.1, M: 4, Seed: 15, MaxIter: 2, Tol: 1e-14})
+	r.Obs = obs.NewRegistry()
+	err := r.StepMRHS(4)
+	if err == nil || errors.Is(err, solver.ErrBreakdown) || !strings.Contains(err.Error(), "augmented solve stalled") {
+		t.Fatalf("err = %v, want the augmented solve's stalled error", err)
+	}
+	if r.BlockIters != 2 || r.StepIndex() != 0 {
+		t.Errorf("%d block iterations, at step %d: want the 2 of the budget, at step 0", r.BlockIters, r.StepIndex())
+	}
+	if n := r.Obs.Counter(obs.Label("core_solve_failures_total", "kind", "block_solve")).Value(); n != 1 {
+		t.Errorf("core_solve_failures_total{kind=block_solve} = %d, want 1", n)
+	}
+}
+
 // A non-finite right-hand side must fail the chunk's augmented solve
 // with the solver's typed breakdown error, in its first iteration, not
 // spin to MaxIter on NaN state.

@@ -18,34 +18,45 @@ type BlockStats struct {
 	ColumnConverged []bool
 	// ColumnResiduals[j] is the final relative residual of column j.
 	ColumnResiduals []float64
-	// Fallback reports that BlockCGWithFallback had to degrade to
-	// per-column CG; FallbackColumns counts the columns it rescued
-	// (attempted, whether or not they then converged).
-	Fallback        bool
-	FallbackColumns int
+	// Dropped counts the search directions the rank test removed, summed
+	// over the solve's tests: zero whenever the block stayed independent,
+	// which is when BlockCG ran O'Leary's recurrence throughout.
+	Dropped int
 	// MulSeconds is the wall time spent inside the operator's
 	// multiplies and VecSeconds the rest of the block solve — the
 	// Gram products, block updates, norms and m-by-m solves. Their
 	// ratio says whether the solve ran at the multiply's cost, which
-	// is the premise of the MRHS algorithm. A fallback's per-column
-	// rescue is in neither.
+	// is the premise of the MRHS algorithm.
 	MulSeconds, VecSeconds float64
 }
 
+// rankTol is the rank test's δ. A direction whose pivot in the
+// unit-diagonal Gram matrix is not above it depends on the ones kept
+// before it and is dropped. The smallest pivot of a healthy SD chunk
+// (N = 1000, φ = 0.4, m = 16) is 1.5e-4 unpreconditioned and 4e-3
+// through IC(0); exactly dependent columns leave 6e-15 at most, so the
+// threshold sits four decades or more from both.
+const rankTol = 1e-10
+
 // blockWork is the storage of one BlockCG call: the block vectors,
-// the m-by-m Gram and coefficient matrices, and the LU scratch. Calls
-// draw it from a pool, so a simulation's chunk after chunk of
-// same-shaped solves allocates it once; every buffer is fully
-// overwritten before it is read, so reuse cannot reach a result.
+// the m-by-m Gram and coefficient matrices, and the LU and rank-test
+// scratch. Calls draw it from a pool, so a simulation's chunk after
+// chunk of same-shaped solves allocates it once; every buffer is fully
+// overwritten before it is read, so reuse cannot reach a result. The
+// search block and its matrices narrow to r < m columns after a drop,
+// over the same storage.
 type blockWork struct {
 	r, p, s, pNew *multivec.MultiVec
 	z             *multivec.MultiVec // preconditioned solves only
 	rcol, zcol    []float64          // column-by-column preconditioning only
 
 	ztr, ztrNew, pts *blas.Dense
-	coef, ridged     *blas.Dense
+	coef, cross      *blas.Dense
+	gram             *blas.Dense // the rank test's scaled copy
 	lu               blas.LU
-	bnorms, rn       []float64
+	bnorms, rn, l    []float64
+	kept             []bool
+	keep             []int
 }
 
 var blockWorkPool = sync.Pool{New: func() any { return new(blockWork) }}
@@ -58,8 +69,9 @@ func getBlockWork(n, m int, precond bool) *blockWork {
 			r: multivec.New(n, m), p: multivec.New(n, m),
 			s: multivec.New(n, m), pNew: multivec.New(n, m),
 			ztr: blas.NewDense(m, m), ztrNew: blas.NewDense(m, m), pts: blas.NewDense(m, m),
-			coef: blas.NewDense(m, m), ridged: blas.NewDense(m, m),
-			bnorms: make([]float64, m), rn: make([]float64, m),
+			coef: blas.NewDense(m, m), cross: blas.NewDense(m, m), gram: blas.NewDense(m, m),
+			bnorms: make([]float64, m), rn: make([]float64, m), l: make([]float64, m),
+			kept: make([]bool, m), keep: make([]int, 0, m),
 		}
 	}
 	if precond && w.z == nil {
@@ -68,30 +80,79 @@ func getBlockWork(n, m int, precond bool) *blockWork {
 	return w
 }
 
-// solveSmall solves the m-by-m system G*X = H into w.coef,
-// regularizing a singular G with a relative diagonal ridge. It
-// reports failure only if the ridge does not help.
-func (w *blockWork) solveSmall(g, h *blas.Dense) (*blas.Dense, bool) {
-	if err := w.lu.Factor(g); err != nil {
-		ridge := 0.0
-		for i := 0; i < g.Rows; i++ {
-			if v := g.At(i, i); v > ridge {
-				ridge = v
-			}
-		}
-		if ridge == 0 {
-			ridge = 1
-		}
-		copy(w.ridged.Data, g.Data)
-		for i := 0; i < g.Rows; i++ {
-			w.ridged.Add(i, i, ridge*1e-13)
-		}
-		if err := w.lu.Factor(w.ridged); err != nil {
+// shape makes d, allocated m-by-m, an r-by-c matrix over its own
+// storage.
+func shape(d *blas.Dense, r, c int) *blas.Dense {
+	d.Rows, d.Cols, d.Data = r, c, d.Data[:r*c]
+	return d
+}
+
+// independent is the rank test: a diagonally pivoted Cholesky
+// factorization of the symmetric part of the k-by-k Gram matrix g
+// (PᵀAP or ZᵀR), scaled to unit diagonal so that a column's pivot is
+// the squared sine of its angle to the columns kept before it, whatever
+// its length. The factorization stops at the first pivot at or below
+// rankTol, and a zero column has nothing to pivot on. It returns the
+// kept columns in ascending order, or ok = false when an entry is not
+// finite or a diagonal entry is negative: data that are not finite, or
+// an operator or preconditioner that is not positive definite.
+func (w *blockWork) independent(g *blas.Dense) (keep []int, ok bool) {
+	k := g.Rows
+	c, l, kept := shape(w.gram, k, k).Data, w.l[:k], w.kept[:k]
+	for i := range l {
+		d := g.Data[i*k+i]
+		if !(d >= 0) || math.IsInf(d, 0) {
 			return nil, false
 		}
+		l[i] = 0 // the column's scale, 1/sqrt(d), or 0 for a zero column
+		if d > 0 {
+			l[i] = 1 / math.Sqrt(d)
+		}
+		kept[i] = false
 	}
-	w.lu.SolveMatrixInto(w.coef, h)
-	return w.coef, true
+	for i := 0; i < k; i++ {
+		for j := 0; j < k; j++ {
+			v := 0.5 * (g.Data[i*k+j] + g.Data[j*k+i]) * l[i] * l[j]
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, false
+			}
+			c[i*k+j] = v
+		}
+	}
+	for {
+		q, best := -1, rankTol
+		for i := 0; i < k; i++ {
+			if !kept[i] && c[i*k+i] > best {
+				q, best = i, c[i*k+i]
+			}
+		}
+		if q < 0 {
+			break
+		}
+		kept[q] = true
+		piv := math.Sqrt(best)
+		for i := range l {
+			l[i] = 0
+			if !kept[i] {
+				l[i] = c[i*k+q] / piv
+			}
+		}
+		for i := 0; i < k; i++ {
+			if kept[i] {
+				continue // its row is never read again
+			}
+			for j := 0; j < k; j++ {
+				c[i*k+j] -= l[i] * l[j]
+			}
+		}
+	}
+	keep = w.keep[:0]
+	for i, in := range kept {
+		if in {
+			keep = append(keep, i)
+		}
+	}
+	return keep, true
 }
 
 // BlockCG solves A*X = B for SPD A and a block of m right-hand sides
@@ -104,13 +165,18 @@ func (w *blockWork) solveSmall(g, h *blas.Dense) (*blas.Dense, bool) {
 // An iteration allocates nothing.
 //
 // Convergence is per column: the iteration stops when every column's
-// residual satisfies ||r_j|| <= tol*||b_j||. A numerically singular
-// m-by-m system (which arises when columns converge early or become
-// linearly dependent — the classic block-CG breakdown) is regularized
-// with a small diagonal ridge; if it remains singular the solve
-// returns with the current iterate and per-column convergence flags.
-// A residual that is not finite ends the solve at once with Err =
-// ErrBreakdown: the iteration mixes columns, so one NaN reaches all.
+// residual satisfies ||r_j|| <= tol*||b_j||. Each iteration's PᵀAP
+// and ZᵀR pass the rank test (see independent). While no direction is
+// dropped the iteration is O'Leary's, LU solves and all. A drop —
+// duplicated, scaled, combined, zero or already-solved columns —
+// switches the solve to Ji and Li's breakdown-free form for good: the
+// search block P keeps only the r independent directions, the multiply
+// runs at width r, and α = (PᵀAP)⁻¹PᵀR, β = -(PᵀAP)⁻¹(AP)ᵀZ, P ← the
+// independent columns of Z, plus Pβ. X and R keep all m columns.
+// Running out of MaxIter is not an error: the solve returns its
+// iterate with Converged == false. A residual or Gram entry that is
+// not finite ends the solve at once with Err = ErrBreakdown: the
+// iteration mixes columns, so one NaN reaches all.
 func BlockCG(a BlockOperator, x, b *multivec.MultiVec, opt Options) (stats BlockStats) {
 	n := a.N()
 	if x.N != n || b.N != n || x.M != b.M {
@@ -150,11 +216,12 @@ func BlockCG(a BlockOperator, x, b *multivec.MultiVec, opt Options) (stats Block
 
 	bnorms := w.bnorms
 	b.ColNormsInto(bnorms)
-	// Zero columns are already solved by x_j = 0.
+	// Zero columns are already solved by x_j = 0, and their residual
+	// is zero whatever the guess was.
 	for j, bn := range bnorms {
 		if bn == 0 {
 			for i := j; i < len(x.Data); i += m {
-				x.Data[i] = 0
+				x.Data[i], r.Data[i] = 0, 0
 			}
 			stats.ColumnConverged[j] = true
 		}
@@ -221,22 +288,65 @@ func BlockCG(a BlockOperator, x, b *multivec.MultiVec, opt Options) (stats Block
 	applyPrecond()
 
 	p, pNew, s := w.p, w.pNew, w.s
-	p.CopyFrom(z)
-	ztr, ztrNew, pts := w.ztr, w.ztrNew, w.pts
+	ztr, ztrNew := w.ztr, w.ztrNew
 	multivec.GramInto(ztr, z, r)
+	// takeColumns sets dst to the columns keep of Z, the independent
+	// ones by the rank test of ZᵀR.
+	takeColumns := func(dst *multivec.MultiVec, keep []int) {
+		dst.Reshape(n, m)
+		dst.CopyFrom(z)
+		if len(keep) < m {
+			stats.Dropped += m - len(keep)
+			dst.CompactColumns(keep, len(keep))
+		}
+	}
+	// A preconditioner that maps a nonzero residual to zero keeps no
+	// column of ZᵀR: it is not positive definite.
+	keep, ok := w.independent(ztr)
+	if !ok || len(keep) == 0 {
+		stats.Err = ErrBreakdown
+		return stats
+	}
+	full := len(keep) == m // no direction dropped yet: O'Leary's form
+	takeColumns(p, keep)
 
 	for it := 0; it < opt.MaxIter; it++ {
 		if opt.canceled() {
 			stats.Err = ErrCanceled
 			break
 		}
+		s.Reshape(n, p.M)
 		mul(s, p) // S = A*P: the one GSPMV per iteration
 
+		pts := shape(w.pts, p.M, p.M)
 		multivec.GramInto(pts, p, s)
-		alpha, ok := w.solveSmall(pts, ztr)
-		if !ok {
-			break // irrecoverable breakdown; return current iterate
+		keep, ok = w.independent(pts)
+		if !ok || len(keep) == 0 {
+			stats.Err = ErrBreakdown
+			break
 		}
+		if len(keep) < p.M {
+			stats.Dropped += p.M - len(keep)
+			full = false
+			p.CompactColumns(keep, len(keep))
+			s.CompactColumns(keep, len(keep))
+			pts = shape(pts, p.M, p.M)
+			multivec.GramInto(pts, p, s)
+		}
+		if w.lu.Factor(pts) != nil {
+			stats.Err = ErrBreakdown
+			break
+		}
+		// α = (PᵀAP)⁻¹ ZᵀR in O'Leary's form, (PᵀAP)⁻¹ PᵀR in the
+		// breakdown-free one; the two agree in exact arithmetic until a
+		// direction is dropped.
+		rhs := ztr
+		if !full {
+			rhs = shape(w.cross, p.M, m)
+			multivec.GramInto(rhs, p, r)
+		}
+		alpha := shape(w.coef, p.M, m)
+		w.lu.SolveMatrixInto(alpha, rhs)
 		x.AddMul(p, alpha)
 		// R <- R - S*alpha, fused as an AddMul with negated alpha.
 		for i := range alpha.Data {
@@ -251,13 +361,34 @@ func BlockCG(a BlockOperator, x, b *multivec.MultiVec, opt Options) (stats Block
 
 		applyPrecond()
 		multivec.GramInto(ztrNew, z, r)
-		beta, ok := w.solveSmall(ztr, ztrNew)
-		if !ok {
+		if keep, ok = w.independent(ztrNew); !ok || len(keep) == 0 {
+			stats.Err = ErrBreakdown
 			break
 		}
+		if full = full && len(keep) == m; full {
+			// O'Leary: P <- Z + P*beta, beta = (ZᵀR)_old⁻¹ (ZᵀR)_new.
+			if w.lu.Factor(ztr) != nil {
+				stats.Err = ErrBreakdown
+				break
+			}
+			beta := shape(w.coef, m, m)
+			w.lu.SolveMatrixInto(beta, ztrNew)
+			pNew.Reshape(n, m)
+			pNew.SetMulAdd(z, p, beta)
+		} else {
+			// Breakdown-free: P <- Z_K + P*beta with
+			// beta = -(PᵀAP)⁻¹ (AP)ᵀ Z_K, PᵀAP still factored in lu.
+			takeColumns(pNew, keep)
+			cross := shape(w.cross, p.M, pNew.M)
+			multivec.GramInto(cross, s, pNew)
+			beta := shape(w.coef, p.M, pNew.M)
+			w.lu.SolveMatrixInto(beta, cross)
+			for i := range beta.Data {
+				beta.Data[i] = -beta.Data[i]
+			}
+			pNew.AddMul(p, beta)
+		}
 		ztr, ztrNew = ztrNew, ztr
-		// P <- Z + P*beta.
-		pNew.SetMulAdd(z, p, beta)
 		p, pNew = pNew, p
 	}
 	return stats

@@ -1,9 +1,10 @@
 // Package solver provides the linear solvers of the Stokesian
 // dynamics time step: conjugate gradients (with initial guesses —
 // the mechanism the MRHS algorithm feeds), the block conjugate
-// gradient method of O'Leary for the augmented multiple-right-hand-
-// side systems, Cholesky-based direct solution with iterative
-// refinement for small systems (the paper's Section II-C baseline),
+// gradient method of O'Leary, made breakdown-free by a rank test, for
+// the augmented multiple-right-hand-side systems, Cholesky-based
+// direct solution with iterative refinement for small systems (the
+// paper's Section II-C baseline),
 // and two preconditioners: block Jacobi, and the block incomplete
 // Cholesky factor IC0 that the SD stepper reuses for every solve of a
 // window of time steps (the first technique of the paper's Section
@@ -69,12 +70,20 @@
 //     exchange unwinds straight through the CG iteration to the core
 //     step boundary, where recovery replays from the last checkpoint.
 //     A solve therefore never runs to "convergence" on poisoned data.
-//   - BlockCG never panics on numerical breakdown: a singular m-by-m
-//     projected system is ridge-regularized, and if that fails the
-//     solve returns the current iterate with per-column convergence
-//     flags. Callers must inspect BlockStats.Converged. A residual
-//     that is not finite ends the solve in the iteration it appears in
-//     with Err = ErrBreakdown; BlockCGWithFallback then rescues nothing.
+//   - One block solve. BlockCG is the only block solver, and it does
+//     not break down on a rank-deficient block. Each iteration's PᵀAP
+//     and ZᵀR pass a diagonally pivoted
+//     Cholesky rank test on the unit-diagonal Gram matrix; a pivot at
+//     or below 1e-10 drops its direction. With nothing dropped the
+//     iteration is O'Leary's, bit for bit; after a drop it is Ji and
+//     Li's breakdown-free form over the r < m independent directions,
+//     with X and R still m wide. BlockStats.Dropped counts the drops.
+//     Running out of MaxIter returns the iterate with Converged ==
+//     false and Err == nil; the caller decides (core fails the chunk).
+//     A residual or Gram entry that is not finite, or a negative Gram
+//     diagonal (an operator or preconditioner that is not positive
+//     definite), ends the solve in the iteration it appears in with
+//     Err = ErrBreakdown.
 //   - A preconditioner changes the iterates, never the stopping rule:
 //     every solver stops on ||r|| <= tol*||b|| for the recurrence
 //     residual of the system itself, not the preconditioned one, so a
@@ -82,12 +91,6 @@
 //     answer. NewIC0 / Refactor fail with ErrICBreakdown — on a pivot
 //     block that stays indefinite through the diagonal shifts, at once
 //     on one that is not finite — and never hand back a NaN factor.
-//   - BlockCGWithFallback is the graceful-degradation surface: when
-//     the block solve leaves columns above tolerance it re-solves
-//     each by warm-started single-vector CG plus bounded iterative
-//     refinement, and reports the rescue in BlockStats.Fallback /
-//     FallbackColumns. It is a strict superset of BlockCG's contract
-//     and costs nothing on converged solves.
 //   - Warm starts are pure: solvers read the initial guess from x and
 //     overwrite it in place; they never consult other state, so a
 //     replayed solve with the same inputs is bitwise identical (the

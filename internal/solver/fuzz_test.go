@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/bcrs"
+	"repro/internal/blas"
+	"repro/internal/multivec"
 	"repro/internal/rng"
 )
 
@@ -99,4 +101,112 @@ func rowOf(a *bcrs.Matrix, k int) int {
 		}
 	}
 	panic("block index out of range")
+}
+
+// FuzzBlockCGDependentColumns builds a block of one to eight right-hand
+// sides from a recipe, one byte pair per column: a fresh random base
+// column, a copy of an earlier column, an earlier column scaled by
+// 10^k for k in -12..12, a zero column, or the sum of two earlier ones.
+// Every column is then c = sum_i w_i b_i over the bases b_i, w >= 0,
+// and the block owes what the bases alone deliver: every column
+// converges, to the tolerance by its true residual (a zero column to
+// x = 0), with Err == nil, plain or through BlockJacobi, in no more
+// iterations than the block of bases takes to the tolerance that
+// guarantees every column's by the triangle inequality,
+// tol * min_c ||c|| / sum_i w_i ||b_i||. With a NaN or an infinity
+// planted in B it owes ErrBreakdown instead.
+func FuzzBlockCGDependentColumns(f *testing.F) {
+	f.Add(uint64(1), uint8(3), []byte{0, 0, 2, 9, 0, 0}, false, uint8(0))
+	f.Add(uint64(2), uint8(4), []byte{0, 0, 1, 0, 1, 0, 1, 0}, true, uint8(0))
+	f.Add(uint64(3), uint8(5), []byte{0, 0, 3, 0, 0, 0, 4, 1, 2, 24}, false, uint8(0))
+	f.Add(uint64(4), uint8(8), []byte{0, 0, 0, 0, 4, 1, 2, 0, 2, 18, 0, 0, 4, 5, 3, 0}, true, uint8(0))
+	f.Add(uint64(5), uint8(2), []byte{0, 0, 2, 0}, false, uint8(1))
+	f.Add(uint64(6), uint8(3), []byte{0, 0, 1, 0, 0, 0}, true, uint8(2))
+	f.Fuzz(func(t *testing.T, seed uint64, m uint8, recipe []byte, jacobi bool, plant uint8) {
+		const tol = 1e-8
+		a := bcrs.Random(bcrs.RandomOptions{NB: 40, BlocksPerRow: 5, Seed: seed})
+		n, q := a.N(), 1+int(m)%8
+		src := rng.New(seed + 1)
+		var bases [][]float64
+		cols, w := make([][]float64, q), make([][]float64, q) // w[j][i]: base i's weight in column j
+		for j := range cols {
+			op, arg := 0, 0
+			if 2*j+1 < len(recipe) {
+				op, arg = int(recipe[2*j])%5, int(recipe[2*j+1])
+			}
+			if j == 0 && op != 3 {
+				op = 0 // nothing earlier to copy, scale or sum
+			}
+			col, wj := make([]float64, n), make([]float64, q)
+			k := arg % max(j, 1) // the earlier column
+			switch op {
+			case 0:
+				src.FillNormal(col)
+				wj[len(bases)] = 1
+				bases = append(bases, col)
+			case 1:
+				copy(col, cols[k])
+				copy(wj, w[k])
+			case 2:
+				s := math.Pow(10, float64(arg%25-12))
+				for i, v := range cols[k] {
+					col[i] = s * v
+				}
+				for i, v := range w[k] {
+					wj[i] = s * v
+				}
+			case 4:
+				l := (arg / 8) % j
+				for i := range col {
+					col[i] = cols[k][i] + cols[l][i]
+				}
+				for i := range wj {
+					wj[i] = w[k][i] + w[l][i]
+				}
+			}
+			cols[j], w[j] = col, wj
+		}
+		b := multivec.FromColumns(cols...)
+		opt := Options{Tol: tol}
+		if jacobi {
+			opt.Precond = NewBlockJacobi(a)
+		}
+		x := multivec.New(n, q)
+		if plant != 0 {
+			b.Data[int(plant)%len(b.Data)] = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[plant%3]
+			if st := BlockCG(a, x, b, opt); !errors.Is(st.Err, ErrBreakdown) || st.Converged {
+				t.Fatalf("non-finite B: Err %v, converged %v", st.Err, st.Converged)
+			}
+			return
+		}
+		st := BlockCG(a, x, b, opt)
+		if st.Err != nil || !st.Converged {
+			t.Fatalf("Err %v, converged %v after %d iterations, residuals %v", st.Err, st.Converged, st.Iterations, st.ColumnResiduals)
+		}
+		baseTol := tol
+		for j, col := range cols {
+			norm := blas.Nrm2(col)
+			if norm == 0 {
+				if blas.Nrm2(x.ColVector(j)) != 0 {
+					t.Fatalf("zero column %d has a nonzero solution", j)
+				}
+				continue
+			}
+			if r := residual(a, x.ColVector(j), col); !(r <= 10*tol) {
+				t.Fatalf("column %d: true residual %g", j, r)
+			}
+			bound := 0.0
+			for i, base := range bases {
+				bound += w[j][i] * blas.Nrm2(base)
+			}
+			baseTol = min(baseTol, tol*norm/bound)
+		}
+		if len(bases) > 0 {
+			opt.Tol = baseTol
+			indep := BlockCG(a, multivec.New(n, len(bases)), multivec.FromColumns(bases...), opt)
+			if st.Iterations > indep.Iterations {
+				t.Fatalf("%d iterations, %d for the %d bases alone to %g (%d dropped)", st.Iterations, indep.Iterations, len(bases), baseTol, st.Dropped)
+			}
+		}
+	})
 }

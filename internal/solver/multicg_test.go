@@ -344,9 +344,8 @@ func TestMultiCGCancel(t *testing.T) {
 	}
 }
 
-// TestCGCancel covers the satellite: the single-vector solver returns
-// ErrCanceled (with the current iterate, no panic) when its context
-// expires, and BlockCGWithFallback refuses to rescue past a deadline.
+// TestCGCancel: the single-vector solver returns ErrCanceled (with the
+// current iterate, no panic) when its context expires.
 func TestCGCancel(t *testing.T) {
 	a := bcrs.Random(bcrs.RandomOptions{NB: 100, BlocksPerRow: 6, Seed: 8})
 	n := a.N()

@@ -25,6 +25,9 @@ var (
 	blockRHS      = obs.Default.Counter("solver_blockcg_rhs_total")
 	blockFailures = obs.Default.Counter("solver_blockcg_nonconverged_total")
 	blockResidual = obs.Default.Histogram("solver_blockcg_final_residual", obs.ResidualBuckets)
+	// Search directions the rank test dropped: zero while every block
+	// stays independent, as every SD chunk does.
+	blockDropped = obs.Default.Counter("solver_blockcg_dropped_directions_total")
 	// Where a block solve's wall time went: inside the operator's
 	// multiplies, or in the block-vector and m-by-m work around them.
 	blockMulSeconds = obs.Default.FloatCounter("solver_blockcg_matmul_seconds_total")
@@ -86,6 +89,7 @@ func recordBlockCG(st *BlockStats) {
 	blockIters.Add(int64(st.Iterations))
 	blockMatMuls.Add(int64(st.MatMuls))
 	blockRHS.Add(int64(len(st.ColumnResiduals)))
+	blockDropped.Add(int64(st.Dropped))
 	blockMulSeconds.Add(st.MulSeconds)
 	blockVecSeconds.Add(st.VecSeconds)
 	if !st.Converged {

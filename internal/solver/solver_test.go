@@ -205,14 +205,21 @@ func TestBlockCGZeroColumn(t *testing.T) {
 		// Column 1 stays zero.
 		b.Set(i, 2, rnd.NormFloat64())
 	}
-	x := multivec.New(a.N(), m)
-	st := BlockCG(a, x, b, Options{})
-	if !st.Converged {
-		t.Fatalf("BlockCG with zero column did not converge: %+v", st.Stats)
-	}
-	for i := 0; i < a.N(); i++ {
-		if x.At(i, 1) != 0 {
-			t.Fatal("zero column must have zero solution")
+	// From a zero guess, and from a guess whose zero column is not zero:
+	// its residual is zero all the same.
+	for _, guess := range []float64{0, 1} {
+		x := multivec.New(a.N(), m)
+		for i := range x.Data {
+			x.Data[i] = guess
+		}
+		st := BlockCG(a, x, b, Options{})
+		if !st.Converged {
+			t.Fatalf("guess %v: BlockCG with zero column did not converge: %+v", guess, st.Stats)
+		}
+		for i := 0; i < a.N(); i++ {
+			if x.At(i, 1) != 0 {
+				t.Fatalf("guess %v: zero column must have zero solution", guess)
+			}
 		}
 	}
 }
