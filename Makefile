@@ -23,7 +23,7 @@ BENCH_BASELINE_DIR ?= .bench-baseline
 # fuzzing the
 # fault-spec parser (its input is a command-line flag), ten of the
 # periodic wrap (its input is every coordinate a step produces), ten
-# of the preconditioned Brownian square root (its input is every matrix
+# of the preconditioned Brownian roots, square and inverse square (their input is every matrix
 # a step assembles, through a factor up to a window old) and ten of the
 # block solve on dependent right-hand sides, and the
 # advisory perf-regression gate over the BENCH_*.json artifacts (fails
@@ -122,12 +122,14 @@ fuzz-neighbor:
 	$(GO) test -run '^$$' -fuzz '^FuzzImageMatchesMinImage$$' -fuzztime 10s ./internal/neighbor/
 	$(GO) test -run '^$$' -fuzz '^FuzzAssemblerMatchesOracle$$' -fuzztime 10s ./internal/hydro/
 
-# fuzz-sqrt fuzzes chebyshev.PrecondSqrt for ten seconds over small
-# SPD block matrices seen through the IC(0) factor of a drifted copy, at
-# one to five columns, with a NaN, an infinity or a negative diagonal
-# entry planted on request: it returns, every column meets the tolerance
-# against the dense oracle and equals the column run alone, or it fails
-# with ErrNotSPD — which a planted fault must produce.
+# fuzz-sqrt fuzzes chebyshev.PrecondSqrt and PrecondInvSqrt (the
+# direct velocity's force, A*M^{-1} times it) for ten seconds, both on
+# every input, over small SPD block matrices seen through the IC(0)
+# factor of a drifted copy, at one to five columns, with a NaN, an
+# infinity or a negative diagonal entry planted in the operator or a NaN
+# in the noise on request: each returns, every column's force meets the
+# tolerance against the dense oracle and equals the column run alone, or
+# it fails with ErrNotSPD — which a planted fault must produce.
 fuzz-sqrt:
 	$(GO) test -run '^$$' -fuzz '^FuzzPrecondSqrt$$' -fuzztime 10s ./internal/chebyshev/
 

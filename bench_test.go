@@ -286,7 +286,10 @@ func BenchmarkIC0(b *testing.B) {
 // matrix a 16-step window factor serves), at m = 1 and m = 16; its
 // rel_err is the worst over 16 noise vectors against an order-150 series
 // for L*(L^{-1}RL^{-T})^{1/2}*z on that operator's spectrum, and kappa is
-// L^{-1}RL^{-T}'s condition number. The paper's order-30 series runs on
+// L^{-1}RL^{-T}'s condition number. The inverse-* rows are the direct
+// velocity's inverse root (chebyshev.PrecondInvSqrt) on the same
+// operators; their rel_err is that of the force R*M^{-1}*y' it stands
+// for, against the same reference. The paper's order-30 series runs on
 // [far-field floor, Gershgorin]; its rel_err is the worst relative error
 // of the scalar series over R's true spectrum, and kappa is R's. True
 // spectra are the extreme Ritz values of 300 fully reorthogonalised
@@ -351,6 +354,32 @@ func BenchmarkBrownianSqrt(b *testing.B) {
 			b.Run(fmt.Sprintf("seed=%d/lanczos-%s/m=%d", seed, c.name, m), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					chebyshev.PrecondSqrt(c.r, ic, y, z, 0, 0)
+				}
+				report(b)
+			})
+
+			// The direct velocity's force R*M^{-1}*y', y' the inverse root,
+			// against the same reference.
+			worst, iters = 0, 0
+			u1, f1 := make([]float64, r0.N()), make([]float64, r0.N())
+			for j := 0; j < m; j++ {
+				st, err := chebyshev.PrecondInvSqrt(c.r, ic, multivec.FromVector(y1), multivec.FromVector(z.ColVector(j)), 0, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ic.Apply(u1, y1)
+				c.r.MulVec(f1, u1)
+				worst, iters = max(worst, relDiff(f1, ref.ColVector(j))), max(iters, st.Iterations)
+			}
+			b.Run(fmt.Sprintf("seed=%d/inverse-%s/m=1", seed, c.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					chebyshev.PrecondInvSqrt(c.r, ic, multivec.FromVector(y1), multivec.FromVector(z1), 0, 0)
+				}
+				report(b)
+			})
+			b.Run(fmt.Sprintf("seed=%d/inverse-%s/m=%d", seed, c.name, m), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					chebyshev.PrecondInvSqrt(c.r, ic, y, z, 0, 0)
 				}
 				report(b)
 			})

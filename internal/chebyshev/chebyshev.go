@@ -174,7 +174,10 @@ func (s *SqrtOp) Interval() (lmin, lmax float64) { return s.lmin, s.lmax }
 // work is what one evaluation needs beyond its operands — the headers
 // Apply wraps its vectors in, the three blocks the recurrence rotates
 // through — pooled because a stepper builds a SqrtOp per matrix.
-type work struct{ y, z, prev, cur, next multivec.MultiVec }
+type work struct {
+	y, z, prev, cur, next multivec.MultiVec
+	zz, za                []float64 // inBracket's per-column sums
+}
 
 var workPool = sync.Pool{New: func() any { return new(work) }}
 
@@ -186,23 +189,41 @@ var workPool = sync.Pool{New: func() any { return new(work) }}
 // with As the affine shift of A onto [-1, 1]. Each step is one GSPMV
 // with Z.M vectors and one pass over the elements. Y and Z must not
 // alias.
-func (s *SqrtOp) ApplyBlock(y, z *multivec.MultiVec) {
+//
+// The last multiply, A*T_{d-1}, gives each column's Rayleigh quotient
+// t^T A t / t^T t of t = T_{d-1}, which no operator with its spectrum in
+// the bracket puts below lmin: a quotient that is below it (past
+// rounding) or not finite fails the evaluation with ErrNotSPD, and Y is
+// then undefined. It is the last multiply's because T_j amplifies the
+// component of an eigenvalue below lmin geometrically, where z's own
+// quotient sees only a gross defect: a 60 × 60 matrix with one diagonal
+// entry at -50 keeps z's quotient above its floor, and the second
+// multiply's is already below it. A column too small for its squares
+// not to underflow — a zero one — is not checked.
+func (s *SqrtOp) ApplyBlock(y, z *multivec.MultiVec) error {
 	w := workPool.Get().(*work)
-	s.apply(w, y, z)
+	err := s.apply(w, y, z)
 	workPool.Put(w)
+	return err
 }
 
 // Apply computes y = S(A)*z for a single vector (an SPMV per
-// polynomial degree).
-func (s *SqrtOp) Apply(y, z []float64) {
+// polynomial degree), with ApplyBlock's check.
+func (s *SqrtOp) Apply(y, z []float64) error {
 	w := workPool.Get().(*work)
 	w.y, w.z = *multivec.FromVector(y), *multivec.FromVector(z)
-	s.apply(w, &w.y, &w.z)
+	err := s.apply(w, &w.y, &w.z)
 	w.y.Data, w.z.Data = nil, nil
 	workPool.Put(w)
+	return err
 }
 
-func (s *SqrtOp) apply(w *work, y, z *multivec.MultiVec) {
+// rayleighSlack is how far, relative to lmax, a Rayleigh quotient may
+// fall below lmin by rounding alone: the two dot products and the
+// multiply each err by a few units in n*eps of |A|*|z|^2.
+const rayleighSlack = 1e-10
+
+func (s *SqrtOp) apply(w *work, y, z *multivec.MultiVec) error {
 	n := s.a.N()
 	if z.N != n || y.N != n || z.M != y.M {
 		panic("chebyshev: ApplyBlock dimension mismatch")
@@ -219,18 +240,53 @@ func (s *SqrtOp) apply(w *work, y, z *multivec.MultiVec) {
 	y.CopyFrom(z)
 	blas.Scal(s.c[0]/2, y.Data)
 	if len(s.c) == 1 {
-		return
+		return nil
 	}
 
 	// T_1 = As*Z = alpha*A*Z + beta*Z.
 	s.a.Mul(tCur, z)
+	last := len(s.c) - 1
+	if last == 1 && !s.inBracket(w, z, tCur) {
+		return ErrNotSPD
+	}
 	elementwise(firstTerm, y.Data, tCur.Data, z.Data, z.Data, alpha, beta, s.c[1])
 	for j := 2; j < len(s.c); j++ {
 		// T_{j} = 2*As*T_{j-1} - T_{j-2}.
 		s.a.Mul(tNext, tCur)
+		if j == last && !s.inBracket(w, tCur, tNext) {
+			return ErrNotSPD
+		}
 		elementwise(multivec.ChebyshevStep, y.Data, tNext.Data, tCur.Data, tPrev.Data, alpha, beta, s.c[j])
 		tPrev, tCur, tNext = tCur, tNext, tPrev
 	}
+	return nil
+}
+
+// inBracket reports whether every nonzero column of z has a finite
+// Rayleigh quotient z^T (AZ) / z^T z no lower than lmin, az being A*Z:
+// two column dot products, in one pass over the block.
+func (s *SqrtOp) inBracket(w *work, z, az *multivec.MultiVec) bool {
+	m := z.M
+	w.zz, w.za = resize(w.zz, m), resize(w.za, m)
+	zz, za := w.zz, w.za
+	clear(zz)
+	clear(za)
+	for e := 0; e < len(z.Data); e += m {
+		zr, ar := z.Data[e:e+m], az.Data[e:e+m]
+		for j, v := range zr {
+			zz[j] += v * v
+			za[j] += v * ar[j]
+		}
+	}
+	for j := range zz {
+		if zz[j] < 0x1p-900 {
+			continue // zero, or so small that the products underflowed
+		}
+		if q := za[j] / zz[j]; !(q >= s.lmin-rayleighSlack*s.lmax) || math.IsInf(q, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // firstTerm has ChebyshevStep's shape for the degree that has no

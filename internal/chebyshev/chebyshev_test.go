@@ -322,3 +322,54 @@ func TestApplyDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestSeriesRejectsOperatorBelowItsBracket: the series checks the
+// Rayleigh quotients of its last multiply against the bracket's floor.
+// An operator with an eigenvalue far below it — one diagonal entry at
+// -50 — and a NaN in the noise both fail with ErrNotSPD, in the block
+// and column by column; the SPD operator and a zero column pass.
+func TestSeriesRejectsOperatorBelowItsBracket(t *testing.T) {
+	a, lo, hi := randSPDMatrix(12, 20)
+	b := bcrs.NewBuilder(a.NB())
+	for i := 0; i < a.NB(); i++ {
+		r0, r1 := a.RowBlocks(i)
+		for k := r0; k < r1; k++ {
+			blk := a.BlockAt(k)
+			if i == 7 && a.BlockCol(k) == 7 {
+				blk[4] = -50
+			}
+			b.AddBlock(i, a.BlockCol(k), blk)
+		}
+	}
+	bad := b.Build()
+	z := multivec.New(a.N(), 3)
+	rng.New(12).FillNormal(z.Data)
+	for j := 0; j < a.N(); j++ {
+		z.Set(j, 2, 0)
+	}
+	y := multivec.New(a.N(), 3)
+	for _, c := range []struct {
+		name string
+		op   *bcrs.Matrix
+		nan  bool
+		want error
+	}{{"SPD", a, false, nil}, {"indefinite", bad, false, ErrNotSPD}, {"NaN noise", a, true, ErrNotSPD}} {
+		s, err := NewSqrt(c.op, lo, hi, 30, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zc := z.Clone()
+		if c.nan {
+			zc.Set(5, 0, math.NaN())
+		}
+		if err := s.ApplyBlock(y, zc); err != c.want {
+			t.Errorf("%s block: %v, want %v", c.name, err, c.want)
+		}
+		if err := s.Apply(y.ColVector(0), zc.ColVector(0)); err != c.want {
+			t.Errorf("%s column 0: %v, want %v", c.name, err, c.want)
+		}
+		if err := s.Apply(y.ColVector(2), zc.ColVector(2)); err != nil {
+			t.Errorf("%s zero column: %v", c.name, err)
+		}
+	}
+}

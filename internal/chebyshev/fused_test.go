@@ -114,7 +114,7 @@ func TestChebyshevApplyDoesNotAllocate(t *testing.T) {
 // TestConcurrentEvaluationsShareNoBlock: evaluations running at once —
 // a verifier beside a runner, two runners in one process — draw the
 // recurrence's blocks from one pool, the series' or the preconditioned
-// square root's, and must each get their own: every result is the one
+// roots', and must each get their own: every result is the one
 // the same call gives alone.
 func TestConcurrentEvaluationsShareNoBlock(t *testing.T) {
 	a, lo, hi := randSPDMatrix(46, 50)
@@ -127,9 +127,18 @@ func TestConcurrentEvaluationsShareNoBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, eval := range map[string]func(y, z *multivec.MultiVec){
-		"series": s.ApplyBlock,
+		"series": func(y, z *multivec.MultiVec) {
+			if err := s.ApplyBlock(y, z); err != nil {
+				t.Error(err)
+			}
+		},
 		"lanczos": func(y, z *multivec.MultiVec) {
 			if _, err := PrecondSqrt(a, ic, y, z, 0, 0); err != nil {
+				t.Error(err)
+			}
+		},
+		"inverse lanczos": func(y, z *multivec.MultiVec) {
+			if _, err := PrecondInvSqrt(a, ic, y, z, 0, 0); err != nil {
 				t.Error(err)
 			}
 		},

@@ -13,22 +13,25 @@ import (
 	"repro/internal/solver"
 )
 
-// Operator faults FuzzPrecondSqrt plants, by bad % 4.
+// Faults FuzzPrecondSqrt plants, by bad % 5.
 const (
 	fuzzClean    = iota
-	fuzzNaN      // one entry NaN
-	fuzzInf      // one entry +Inf
+	fuzzNaN      // one operator entry NaN
+	fuzzInf      // one operator entry +Inf
 	fuzzNegative // one diagonal entry far below zero: an indefinite operator
+	fuzzNoise    // one noise entry NaN
 )
 
-// FuzzPrecondSqrt runs the preconditioned square root on small random
-// SPD block matrices through the IC(0) factor of a drifted copy — the
-// stale factor of a window's late steps — on m columns at once and on
-// each alone, optionally with a NaN, an infinity or a strongly negative
-// diagonal entry planted in the operator. It must return, never panic,
-// and either give every column within the tolerance of the dense
-// oracle, bitwise equal to the column alone, or fail with ErrNotSPD,
-// which it must for the planted faults.
+// FuzzPrecondSqrt runs both preconditioned roots — PrecondSqrt, and
+// PrecondInvSqrt followed by the direct velocity's A*M^{-1} — on small
+// random SPD block matrices through the IC(0) factor of a drifted copy
+// (the stale factor of a window's late steps), on m columns at once and
+// on each alone, optionally with a NaN, an infinity or a strongly
+// negative diagonal entry planted in the operator or a NaN in the
+// noise. Each must return, never panic, and either give every column's
+// force within the tolerance of the dense oracle, bitwise equal to the
+// column alone, or fail with ErrNotSPD, which it must for the planted
+// faults.
 func FuzzPrecondSqrt(f *testing.F) {
 	f.Add(uint64(1), uint8(5), uint8(3), 0.2, uint8(fuzzClean))
 	f.Add(uint64(2), uint8(9), uint8(1), 0.0, uint8(fuzzClean))
@@ -36,6 +39,7 @@ func FuzzPrecondSqrt(f *testing.F) {
 	f.Add(uint64(4), uint8(7), uint8(2), 0.5, uint8(fuzzNaN))
 	f.Add(uint64(5), uint8(6), uint8(5), 0.1, uint8(fuzzInf))
 	f.Add(uint64(6), uint8(8), uint8(3), 0.3, uint8(fuzzNegative))
+	f.Add(uint64(7), uint8(4), uint8(2), 0.4, uint8(fuzzNoise))
 	f.Fuzz(func(t *testing.T, seed uint64, nb, m uint8, drift float64, bad uint8) {
 		const tol = 1e-3
 		nbk, mm := 2+int(nb%10), 1+int(m%5)
@@ -47,44 +51,60 @@ func FuzzPrecondSqrt(f *testing.F) {
 		if err != nil {
 			t.Skip("the drifted copy has no IC(0) factor")
 		}
-		fault := int(bad % 4)
+		fault := int(bad % 5)
 		op := plant(a, fault, seed)
 		z := multivec.New(a.N(), mm)
 		rng.New(seed ^ 0x5eed).FillNormal(z.Data)
+		if fault == fuzzNoise {
+			z.Data[int(seed%uint64(len(z.Data)))] = math.NaN()
+		}
 
-		y := multivec.New(a.N(), mm)
-		st, err := chebyshev.PrecondSqrt(op, ic, y, z, chebyshev.DefaultOrder, tol)
-		if err != nil {
-			if !errors.Is(err, chebyshev.ErrNotSPD) {
-				t.Fatalf("untyped error %v", err)
-			}
-			if fault == fuzzClean {
-				t.Fatalf("an SPD operator failed: %v", err)
-			}
-			return
-		}
-		if fault != fuzzClean {
-			t.Fatalf("fault %d went unnoticed: %+v", fault, st)
-		}
-		if st.Iterations > chebyshev.DefaultOrder {
-			t.Fatalf("%d multiplies past a cap of %d", st.Iterations, chebyshev.DefaultOrder)
-		}
-		want := exactPrecondSqrt(t, op, ic, z)
-		y1 := make([]float64, a.N())
-		for j := 0; j < mm; j++ {
-			zc := z.ColVector(j)
-			if _, err := chebyshev.PrecondSqrt(op, ic, multivec.FromVector(y1), multivec.FromVector(zc), chebyshev.DefaultOrder, tol); err != nil {
-				t.Fatalf("column %d alone: %v", j, err)
-			}
-			yc := y.ColVector(j)
-			for i := range y1 {
-				if math.Float64bits(y1[i]) != math.Float64bits(yc[i]) {
-					t.Fatalf("column %d row %d: block %v, alone %v", j, i, yc[i], y1[i])
+		var want *multivec.MultiVec
+		for _, root := range []struct {
+			name string
+			eval func(a chebyshev.Op, f chebyshev.Factor, y, z *multivec.MultiVec, maxIter int, tol float64) (chebyshev.Stats, error)
+		}{{"PrecondSqrt", chebyshev.PrecondSqrt}, {"PrecondInvSqrt", chebyshev.PrecondInvSqrt}} {
+			y := multivec.New(a.N(), mm)
+			st, err := root.eval(op, ic, y, z, chebyshev.DefaultOrder, tol)
+			if err != nil {
+				if !errors.Is(err, chebyshev.ErrNotSPD) {
+					t.Fatalf("%s: untyped error %v", root.name, err)
 				}
+				if fault == fuzzClean {
+					t.Fatalf("%s: an SPD operator failed: %v", root.name, err)
+				}
+				continue
 			}
-			if st.Unconverged == 0 {
-				if e := relErr(yc, want.ColVector(j)); !(e <= tol) {
-					t.Fatalf("column %d: relative error %.3g", j, e)
+			if fault != fuzzClean {
+				t.Fatalf("%s: fault %d went unnoticed: %+v", root.name, fault, st)
+			}
+			if st.Iterations > chebyshev.DefaultOrder {
+				t.Fatalf("%s: %d multiplies past a cap of %d", root.name, st.Iterations, chebyshev.DefaultOrder)
+			}
+			if want == nil {
+				want = exactPrecondSqrt(t, op, ic, z)
+			}
+			y1, u, force := make([]float64, a.N()), make([]float64, a.N()), make([]float64, a.N())
+			for j := 0; j < mm; j++ {
+				zc := z.ColVector(j)
+				if _, err := root.eval(op, ic, multivec.FromVector(y1), multivec.FromVector(zc), chebyshev.DefaultOrder, tol); err != nil {
+					t.Fatalf("%s: column %d alone: %v", root.name, j, err)
+				}
+				yc := y.ColVector(j)
+				for i := range y1 {
+					if math.Float64bits(y1[i]) != math.Float64bits(yc[i]) {
+						t.Fatalf("%s: column %d row %d: block %v, alone %v", root.name, j, i, yc[i], y1[i])
+					}
+				}
+				if root.name == "PrecondInvSqrt" {
+					ic.Apply(u, yc)
+					op.MulVec(force, u)
+					yc = force
+				}
+				if st.Unconverged == 0 {
+					if e := relErr(yc, want.ColVector(j)); !(e <= tol) {
+						t.Fatalf("%s: column %d: relative error %.3g", root.name, j, e)
+					}
 				}
 			}
 		}

@@ -70,6 +70,37 @@ type Stats struct {
 // column's bits are those of the same call on that column alone.
 // Y and Z must not alias.
 func PrecondSqrt(a Op, f Factor, y, z *multivec.MultiVec, maxIter int, tol float64) (Stats, error) {
+	return precondLanczos(a, f, y, z, maxIter, tol, false)
+}
+
+// PrecondInvSqrt is PrecondSqrt's recurrence with the inverse root for
+// f: Y = L*(L^{-1} A L^{-T})^{-1/2}*Z, the column |z|*Q_k*T_k^{-1/2}*e_1.
+// It samples through the precision matrix (Chow & Saad): U = M^{-1} Y =
+// L^{-T}*X^{-1/2}*Z, and A*U = L*X^{1/2}*Z is PrecondSqrt's force, of
+// covariance A, while A*U = F holds to rounding — the velocity of that
+// force costs one ApplyBlock and, for F, one multiply, where a solve
+// would cost a Krylov run.
+//
+// The stop bounds the error of that force, not of Y. By the Lanczos
+// relation A*M^{-1}*Q_k*c = Q_k*T_k*c + beta_k*c_k*q_{k+1} with
+// c = T_k^{-1/2}*e_1*|z|, the force of step k is PrecondSqrt's iterate
+// Q_k*T_k^{1/2}*e_1*|z| plus a tail beta_k*c_k*q_{k+1}, which is c_k
+// times the next unnormalised basis vector. A column's root iterate is
+// checked as in PrecondSqrt until its move passes, once; from then on
+// the column stops at the first step whose tail has a 2-norm — one dot
+// product over the updated basis vector — of at most tol relative to
+// the root iterate's. The force is then within the root's error plus
+// tol; against dense oracles it stays within tol (DESIGN §9, "The
+// direct velocity"). The inverse root takes the root's multiplies or
+// one or two more, since 1/sqrt is steeper than sqrt at the bottom of
+// the spectrum.
+func PrecondInvSqrt(a Op, f Factor, y, z *multivec.MultiVec, maxIter int, tol float64) (Stats, error) {
+	return precondLanczos(a, f, y, z, maxIter, tol, true)
+}
+
+// precondLanczos is the recurrence of PrecondSqrt (inverse false) and
+// PrecondInvSqrt (inverse true).
+func precondLanczos(a Op, f Factor, y, z *multivec.MultiVec, maxIter int, tol float64, inverse bool) (Stats, error) {
 	n, m := a.N(), z.M
 	if z.N != n || y.N != n || y.M != m {
 		panic("chebyshev: PrecondSqrt dimension mismatch")
@@ -123,11 +154,11 @@ func PrecondSqrt(a Op, f Factor, y, z *multivec.MultiVec, maxIter int, tol float
 				return Stats{}, ErrNotSPD
 			}
 			c.alpha = append(c.alpha, al)
-			moved, ok := w.coefficients(c)
+			moved, ok := w.coefficients(c, inverse)
 			if !ok {
 				return Stats{}, ErrNotSPD
 			}
-			if i > 0 && moved <= tol {
+			if i > 0 && moved <= tol && !c.rootOK {
 				w.check = append(w.check, j)
 			}
 		}
@@ -136,12 +167,15 @@ func PrecondSqrt(a Op, f Factor, y, z *multivec.MultiVec, maxIter int, tol float
 		}
 		for _, j := range w.check {
 			c := &w.cols[j]
-			c.done = c.moved <= tol
+			// The inverse root's column still owes its tail, which the
+			// update below makes; its root is not checked again.
+			c.done = c.moved <= tol && !inverse
+			c.rootOK = c.moved <= tol && inverse
 		}
 		active := 0
 		for j := range w.cols {
 			c := &w.cols[j]
-			if !c.done && i+1 == maxIter {
+			if !c.done && !c.rootOK && i+1 == maxIter {
 				c.done = true
 				st.Unconverged++
 			}
@@ -162,13 +196,29 @@ func PrecondSqrt(a Op, f Factor, y, z *multivec.MultiVec, maxIter int, tol float
 		// M^{-1}-norm is beta_i.
 		prev := &w.p[max(i-1, 0)] // h is 0 at i = 0
 		lanczosUpdate(next, &w.p[i], prev, w.alpha, w.g, w.h)
+		if inverse {
+			stopped, err := w.tails(next, tol, i+1 == maxIter, &st)
+			if err != nil {
+				return Stats{}, err
+			}
+			if active -= stopped; active == 0 {
+				break
+			}
+		}
 		w.precondition(f, &w.r, next)
 	}
 	// Columns that stopped without a passing check — the cap, an
 	// invariant subspace, a zero z — are written with what they have.
+	// The inverse root writes every column once, from its own
+	// coefficients: what the checks wrote was the root's iterate.
 	w.check = w.check[:0]
 	for j := range w.cols {
-		if !w.cols[j].written {
+		c := &w.cols[j]
+		if inverse {
+			c.coef, c.inv = c.inv, c.coef
+			c.prev, c.written = c.prev[:0], false
+		}
+		if !c.written {
 			w.check = append(w.check, j)
 		}
 	}
@@ -176,6 +226,39 @@ func PrecondSqrt(a Op, f Factor, y, z *multivec.MultiVec, maxIter int, tol float
 		return Stats{}, err
 	}
 	return st, nil
+}
+
+// tails settles the inverse root's columns whose root iterate has passed
+// its check: u holds each one's next unnormalised basis vector, so its
+// force's tail is the last inverse-root coefficient times u's column. A
+// column stops when the tail's 2-norm is at most tol relative to the
+// root iterate's, or unconverged at the cap; tails returns how many
+// stopped.
+func (w *lanczos) tails(u *multivec.MultiVec, tol float64, capped bool, st *Stats) (int, error) {
+	m, stopped := u.M, 0
+	for j := range w.cols {
+		c := &w.cols[j]
+		if c.done || !c.rootOK {
+			continue
+		}
+		var uu float64
+		for e := j; e < len(u.Data); e += m {
+			uu += float64(u.Data[e] * u.Data[e])
+		}
+		tail := math.Abs(c.inv[len(c.inv)-1]) * math.Sqrt(uu)
+		if !(tail < math.Inf(1)) {
+			return 0, ErrNotSPD
+		}
+		pass := tail <= tol*c.norm
+		if pass || capped {
+			if !pass {
+				st.Unconverged++
+			}
+			c.done = true
+			stopped++
+		}
+	}
+	return stopped, nil
 }
 
 // invariantTol is the beta, relative to the largest alpha, below which
@@ -190,8 +273,11 @@ type column struct {
 	alpha, beta []float64 // T_k's diagonal and off-diagonal
 	gamma       []float64 // |p_t|_{M^{-1}}: |z|, then beta_0, beta_1, ...
 	coef, prev  []float64 // |z|*sqrt(T_k)*e_1 at this step and the last
+	inv         []float64 // |z|*T_k^{-1/2}*e_1, on the inverse root's path
 	moved       float64   // the 2-norm move of the last checked step
+	norm        float64   // the 2-norm of the last checked iterate
 	done        bool
+	rootOK      bool // on the inverse root's path: the root's check passed
 	written     bool // y's column holds this column's coef
 }
 
@@ -228,9 +314,9 @@ func (w *lanczos) reset(n, m int) {
 	w.cols = w.cols[:m]
 	for j := range w.cols {
 		c := &w.cols[j]
-		c.scale, c.moved, c.done, c.written = 0, 0, false, false
+		c.scale, c.moved, c.norm, c.done, c.rootOK, c.written = 0, 0, 0, false, false, false
 		c.alpha, c.beta, c.gamma = c.alpha[:0], c.beta[:0], c.gamma[:0]
-		c.coef, c.prev = c.coef[:0], c.prev[:0]
+		c.coef, c.prev, c.inv = c.coef[:0], c.prev[:0], c.inv[:0]
 	}
 	w.p = w.p[:0]
 }
@@ -323,13 +409,14 @@ func quad(x, y []float64, e, m int) float64 {
 }
 
 // coefficients sets c.coef to |z|*sqrt(T_k)*e_1 for the k steps c has
-// taken and returns how far it moved from the last step's, relative to
-// its length: the M^{-1}-norm move of the column, since the basis is
-// M^{-1}-orthonormal. ok is false when T_k has an eigenvalue that is
-// not a finite positive number. T_k is decomposed scaled by its largest
-// alpha, so the Jacobi sweep's absolute stopping test sees entries of
-// order one.
-func (w *lanczos) coefficients(c *column) (moved float64, ok bool) {
+// taken, and with inverse c.inv to |z|*T_k^{-1/2}*e_1 from the same
+// eigenpairs, and returns how far c.coef moved from the last step's,
+// relative to its length: the M^{-1}-norm move of the column, since the
+// basis is M^{-1}-orthonormal. ok is false when T_k has an eigenvalue
+// that is not a finite positive number. T_k is decomposed scaled by its
+// largest alpha, so the Jacobi sweep's absolute stopping test sees
+// entries of order one.
+func (w *lanczos) coefficients(c *column, inverse bool) (moved float64, ok bool) {
 	k := len(c.alpha)
 	c.scale = max(c.scale, c.alpha[k-1])
 	w.tBuf, w.vBuf, w.ev = resize(w.tBuf, k*k), resize(w.vBuf, k*k), resize(w.ev, k)
@@ -371,6 +458,17 @@ func (w *lanczos) coefficients(c *column) (moved float64, ok bool) {
 	}
 	if !(norm < math.Inf(1)) {
 		return 0, false
+	}
+	if inverse {
+		c.inv = resize(c.inv, k)
+		g := c.gamma[0] / math.Sqrt(c.scale)
+		for r := range c.inv {
+			var s float64
+			for t, l := range w.ev {
+				s += w.vBuf[r*k+t] / math.Sqrt(l) * w.vBuf[t]
+			}
+			c.inv[r] = s * g
+		}
 	}
 	return math.Sqrt(diff / norm), true
 }
@@ -487,7 +585,7 @@ func (w *lanczos) combine(y *multivec.MultiVec, cols []int) error {
 		if !(yy < math.Inf(1)) || !(dd < math.Inf(1)) {
 			return ErrNotSPD
 		}
-		c.moved = 0
+		c.moved, c.norm = 0, math.Sqrt(yy)
 		if yy > 0 {
 			c.moved = math.Sqrt(dd / yy)
 		}

@@ -181,3 +181,96 @@ func relErr(y, ref []float64) float64 {
 	}
 	return math.Sqrt(num / den)
 }
+
+// TestPrecondInvSqrtMatchesDenseOracle holds the direct velocity's force
+// to the square root's bound on the same N = 64 system: with y' from
+// PrecondInvSqrt, u = M^{-1} y' and f = R*u, f is within the tolerance
+// of L*(L^{-1} R L^{-T})^{1/2}*z from the dense eigendecomposition, R*u
+// = f holds against a multiply written here, and every column of a
+// block of 32 is bitwise the column run alone. The factor is R_0's,
+// applied to R_0 (fresh) and to R_15, fifteen default steps later
+// (stale, the oldest matrix a 16-step window factor serves).
+func TestPrecondInvSqrtMatchesDenseOracle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("four dense eigendecompositions of order 192")
+	}
+	const nz, tol = 32, chebyshev.DefaultTol
+	opt := hydro.Options{Phi: 0.4}
+	sys, err := particles.New(particles.Options{N: 64, Phi: 0.4, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r0 := sd.NewConf(sys.Clone(), opt, 1).Build()
+	sim := sd.New(sys.Clone(), opt, core.Config{Dt: 2, M: 16, Seed: 5}, 1)
+	if err := sim.RunOriginal(15); err != nil {
+		t.Fatal(err)
+	}
+	r15 := sim.Current().Build()
+	ic, err := solver.NewIC0(r0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := r0.N()
+	z := multivec.New(n, nz)
+	zc := make([]float64, n)
+	for k := 0; k < nz; k++ {
+		rng.Substream(5, uint64(k)).FillNormal(zc)
+		z.SetCol(k, zc)
+	}
+
+	for _, c := range []struct {
+		name string
+		r    *bcrs.Matrix
+	}{{"fresh", r0}, {"stale", r15}} {
+		want := exactPrecondSqrt(t, c.r, ic, z)
+		yb := multivec.New(n, nz)
+		st, err := chebyshev.PrecondInvSqrt(c.r, ic, yb, z, chebyshev.DefaultOrder, 0)
+		if err != nil || st.Unconverged != 0 {
+			t.Fatalf("%s block: %+v, %v", c.name, st, err)
+		}
+		worst, most := 0.0, 0
+		y1, u, f, ru := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+		for k := 0; k < nz; k++ {
+			z.Col(k, zc)
+			st1, err := chebyshev.PrecondInvSqrt(c.r, ic, multivec.FromVector(y1), multivec.FromVector(zc), chebyshev.DefaultOrder, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			most = max(most, st1.Iterations)
+			for i, v := range yb.ColVector(k) {
+				if math.Float64bits(v) != math.Float64bits(y1[i]) {
+					t.Fatalf("%s column %d row %d: block %v, alone %v", c.name, k, i, v, y1[i])
+				}
+			}
+			ic.Apply(u, y1)
+			c.r.MulVec(f, u)
+			denseMulVec(ru, c.r, u)
+			if e := relErr(ru, f); !(e <= 1e-12) {
+				t.Errorf("%s column %d: R*u differs from f by %.3g", c.name, k, e)
+			}
+			e := relErr(f, want.ColVector(k))
+			worst = max(worst, e)
+			if !(e <= tol) {
+				t.Errorf("%s column %d: force error %.3g after %d iterations, want <= %g", c.name, k, e, st1.Iterations, tol)
+			}
+		}
+		t.Logf("%s factor: worst force error %.2g, at most %d iterations alone, %d in the block", c.name, worst, most, st.Iterations)
+	}
+}
+
+// denseMulVec sets y = A*x by a loop over the stored blocks, sharing no
+// kernel with the multiply.
+func denseMulVec(y []float64, a *bcrs.Matrix, x []float64) {
+	clear(y)
+	for i := 0; i < a.NB(); i++ {
+		lo, hi := a.RowBlocks(i)
+		for k := lo; k < hi; k++ {
+			j, blk := a.BlockCol(k), a.BlockAt(k)
+			for p := 0; p < 3; p++ {
+				for q := 0; q < 3; q++ {
+					y[3*i+p] += blk[3*p+q] * x[3*j+q]
+				}
+			}
+		}
+	}
+}

@@ -53,10 +53,12 @@ type Config struct {
 	// core_sqrt_unconverged_total and its step or chunk record.
 	ChebOrder int
 	// ChebTol, if positive, is the square root's tolerance: on the
-	// preconditioned path the relative 2-norm change of a Lanczos
-	// iterate at which it stops (chebyshev.DefaultTol, 1e-3, when not
-	// positive); on the paper's path the coefficient size at which the
-	// series is truncated (none when not positive).
+	// preconditioned path the relative 2-norm error a Lanczos force may
+	// carry by its stopping test (chebyshev.DefaultTol, 1e-3, when not
+	// positive) — the root iterate's move, and for the direct velocity
+	// also the tail its force carries past that iterate; on the paper's path the
+	// coefficient size at which the series is truncated (none when not
+	// positive).
 	ChebTol float64
 	// ForceScale multiplies the Brownian force (absorbs the
 	// neglected physical constants sqrt(2 kT / dt); default 1).
@@ -78,7 +80,9 @@ type Config struct {
 	// FirstSolve, if non-nil, replaces plain CG for each step's
 	// first solve. It receives the step's matrix, the right-hand
 	// side, and x holding the initial guess (zero for the original
-	// algorithm) and, in its options, the window's preconditioner. The
+	// algorithm, the direct velocity under a factor window, which
+	// already solves the system) and, in its options, the window's
+	// preconditioner. The
 	// matrix is valid for the call only: the stepper recycles it after.
 	// This hook is how Krylov recycling, Section III's second
 	// technique, plugs into the same time-stepping loop for comparison.
@@ -111,10 +115,16 @@ type Config struct {
 	// A window preconditioner that is also a chebyshev.Factor (IC(0)
 	// is) preconditions the Brownian force too: each force is
 	// L*sqrt(L^{-1} R L^{-T})*z by chebyshev.PrecondSqrt, of covariance
-	// R exactly whatever the factor, to ChebTol. Any other window —
+	// R exactly whatever the factor, to ChebTol. Algorithm 1 under such
+	// a window samples the first velocity itself instead of solving for
+	// it (the direct velocity): u = -M^{-1}*L*(L^{-1} R L^{-T})^{-1/2}*z
+	// by chebyshev.PrecondInvSqrt and one Apply, and f^B = -R*u by one
+	// multiply, the same force to ChebTol with R*u = -f^B to rounding, so
+	// no first solve runs unless ExternalForce or FirstSolve asks for one.
+	// Algorithm 2 keeps its guessed first solves. Any other window —
 	// NoPrecond, a broken-down IC(0), a preconditioner without a
 	// factor — takes the paper's order-ChebOrder Chebyshev series on
-	// [SpectrumFloor, Gershgorin].
+	// [SpectrumFloor, Gershgorin] and Algorithm 1's cold first solve.
 	Precond func(a *bcrs.Matrix) solver.Preconditioner
 	// BlockPrecond, if non-nil, is called with each chunk's R_0 right
 	// before the augmented block solve and may return a preconditioner
@@ -230,6 +240,9 @@ type StepRecord struct {
 	FirstIters, SecondIters int
 	// HadGuess reports whether the first solve was warm-started.
 	HadGuess bool
+	// Direct reports whether the first velocity was sampled through the
+	// window's factor rather than solved for (see Config.Precond).
+	Direct bool
 	// GuessRelError is ||u_k - u'_k|| / ||u_k|| for warm-started
 	// first solves (Figure 5); 0 otherwise.
 	GuessRelError float64
@@ -381,6 +394,11 @@ func (r *Runner) emitStep(rec StepRecord, sq *chebyshev.Stats, alg string, befor
 	}
 	reg.Counter(obs.Label("core_steps_total", "alg", alg)).Inc()
 	reg.Counter("core_first_solve_iterations_total").Add(int64(rec.FirstIters))
+	velocity := "solve"
+	if rec.Direct {
+		velocity = "direct"
+		reg.Counter("core_direct_velocity_steps_total").Inc()
+	}
 	reg.Counter("core_second_solve_iterations_total").Add(int64(rec.SecondIters))
 	if rec.HadGuess {
 		reg.Counter("core_warm_steps_total").Inc()
@@ -395,6 +413,7 @@ func (r *Runner) emitStep(rec StepRecord, sq *chebyshev.Stats, alg string, befor
 			"first_iters":  rec.FirstIters,
 			"second_iters": rec.SecondIters,
 			"had_guess":    rec.HadGuess,
+			"velocity":     velocity,
 		}
 		if rec.GuessRelError > 0 {
 			f["guess_rel_error"] = rec.GuessRelError
@@ -534,7 +553,9 @@ func (r *Runner) brownian(a *bcrs.Matrix, op DistOp, y, z *multivec.MultiVec) (c
 	if err != nil {
 		return chebyshev.Stats{}, err
 	}
-	s.ApplyBlock(y, z)
+	if err := s.ApplyBlock(y, z); err != nil {
+		return chebyshev.Stats{}, err
+	}
 	return chebyshev.Stats{Iterations: s.Order()}, nil
 }
 
@@ -543,6 +564,26 @@ func (r *Runner) brownianOne(a *bcrs.Matrix, op DistOp, fb, z []float64) (chebys
 	r.one.y = multivec.MultiVec{N: len(fb), M: 1, Data: fb}
 	r.one.z = multivec.MultiVec{N: len(z), M: 1, Data: z}
 	return r.brownian(a, op, &r.one.y, &r.one.z)
+}
+
+// directVelocity samples a step's first velocity through the window's
+// factor f = L: y' = L*X^{-1/2}*z with X = L^{-1} R L^{-T}
+// (chebyshev.PrecondInvSqrt), u = -M^{-1} y' and rhs = R*u through op.
+// Then -rhs = L*X^{1/2}*z is the force brownianOne samples, to ChebTol,
+// and R*u = rhs holds to rounding: u needs no solve. The Brownian
+// force's minus is negRHS's convention.
+func (r *Runner) directVelocity(f chebyshev.Factor, op DistOp, u, rhs, z []float64) (chebyshev.Stats, error) {
+	yp := r.vec(&r.buf.fb)
+	r.one.y = multivec.MultiVec{N: len(yp), M: 1, Data: yp}
+	r.one.z = multivec.MultiVec{N: len(z), M: 1, Data: z}
+	sq, err := chebyshev.PrecondInvSqrt(op, f, &r.one.y, &r.one.z, r.cfg.ChebOrder, r.cfg.ChebTol)
+	if err != nil {
+		return chebyshev.Stats{}, err
+	}
+	f.Apply(u, yp)
+	blas.Scal(-1, u)
+	op.MulVec(rhs, u)
+	return sq, nil
 }
 
 // solveOpts is what every solve of the step runs under: the block
@@ -606,30 +647,39 @@ func (r *Runner) externalForce(c Configuration) []float64 {
 // in the runner's right-hand-side buffer.
 func (r *Runner) negRHS(fb, fp []float64) []float64 {
 	rhs := r.vec(&r.buf.rhs)
-	if fp == nil {
-		for i, v := range fb {
-			rhs[i] = -v
-		}
-		return rhs
+	for i, v := range fb {
+		rhs[i] = -v
 	}
-	if len(fp) != len(fb) {
+	addForce(rhs, fp)
+	return rhs
+}
+
+// addForce adds the external force fp, if any, to rhs.
+func addForce(rhs, fp []float64) {
+	if fp == nil {
+		return
+	}
+	if len(fp) != len(rhs) {
 		panic("core: external force dimension mismatch")
 	}
-	for i, v := range fb {
-		rhs[i] = -v + fp[i]
+	for i, v := range fp {
+		rhs[i] += v
 	}
-	return rhs
 }
 
 // firstSolve runs the configured first-solve strategy. The hook, when
 // set, receives the concrete matrix (preconditioners need structure);
 // the default path multiplies through the (possibly distributed)
-// operator.
-func (r *Runner) firstSolve(a *bcrs.Matrix, op DistOp, x, b []float64) solver.Stats {
+// operator, unless solved says that x already solves the system — b
+// was made as a*x — when it runs nothing.
+func (r *Runner) firstSolve(a *bcrs.Matrix, op DistOp, x, b []float64, solved bool) solver.Stats {
 	var st solver.Stats
-	if r.cfg.FirstSolve != nil {
+	switch {
+	case r.cfg.FirstSolve != nil:
 		st = r.cfg.FirstSolve(a, x, b, r.solveOpts())
-	} else {
+	case solved:
+		st.Converged = true
+	default:
 		st = solver.CG(op, x, b, r.solveOpts())
 	}
 	if r.audit != nil && st.Converged {
@@ -640,7 +690,9 @@ func (r *Runner) firstSolve(a *bcrs.Matrix, op DistOp, x, b []float64) solver.St
 
 // StepOriginal performs one step of the original algorithm
 // (Algorithm 1): build R_k, compute f_k = S(R_k) z_k, solve cold,
-// take the midpoint, solve warm, advance.
+// take the midpoint, solve warm, advance. Under a window with a factor
+// the first velocity is sampled directly (directVelocity) and the first
+// solve is left with the external force alone, from that velocity.
 func (r *Runner) StepOriginal() error {
 	tm0 := r.Timings
 
@@ -658,19 +710,29 @@ func (r *Runner) StepOriginal() error {
 		r.Timings.FirstSolve += time.Since(t0)
 	}
 	t0 = time.Now()
-	fb := r.vec(&r.buf.fb)
-	sq, err := r.brownianOne(a, op, fb, r.noise(r.k))
+	u, rhs := r.vec(&r.buf.u), r.vec(&r.buf.rhs)
+	f, direct := r.pre.(chebyshev.Factor)
+	var sq chebyshev.Stats
+	var err error
+	if direct {
+		sq, err = r.directVelocity(f, op, u, rhs, r.noise(r.k))
+	} else {
+		fb := r.vec(&r.buf.fb)
+		sq, err = r.brownianOne(a, op, fb, r.noise(r.k))
+		rhs = r.negRHS(fb, nil)
+		clear(u) // the first solve starts cold
+	}
 	if err != nil {
 		return fmt.Errorf("core: step %d: %w", r.k, err)
 	}
 	r.Timings.ChebSingle += time.Since(t0)
-	rhs := r.negRHS(fb, r.externalForce(r.cur))
+	fp := r.externalForce(r.cur)
+	addForce(rhs, fp)
 
-	// First solve, cold.
-	u := r.vec(&r.buf.u)
-	clear(u)
+	// First solve: cold, or from the direct velocity, which leaves it
+	// the external force to solve for, an initial residual of f^P.
 	t0 = time.Now()
-	st1 := r.firstSolve(a, op, u, rhs)
+	st1 := r.firstSolve(a, op, u, rhs, direct && fp == nil)
 	r.Timings.FirstSolve += time.Since(t0)
 	r.cur.Recycle(a)
 	if !st1.Converged {
@@ -678,7 +740,7 @@ func (r *Runner) StepOriginal() error {
 		return fmt.Errorf("core: step %d first solve stalled at residual %g", r.k, st1.Residual)
 	}
 
-	rec := StepRecord{Step: r.k, FirstIters: st1.Iterations}
+	rec := StepRecord{Step: r.k, FirstIters: st1.Iterations, Direct: direct}
 
 	uHalf, st2, err := r.secondSolve(u, rhs)
 	if err != nil {
@@ -859,7 +921,7 @@ func (r *Runner) StepMRHS(steps int) error {
 		u.Col(j, guess)
 		copy(uk, guess)
 		t0 = time.Now()
-		st1 := r.firstSolve(ak, opk, uk, rhs)
+		st1 := r.firstSolve(ak, opk, uk, rhs, false)
 		r.Timings.FirstSolve += time.Since(t0)
 		r.cur.Recycle(ak)
 		if !st1.Converged {

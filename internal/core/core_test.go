@@ -281,9 +281,14 @@ func TestExternalForceMRHSMatchesOriginal(t *testing.T) {
 		}
 		return f
 	}
+	// Algorithm 1 samples its Brownian force through the window's factor
+	// by the inverse root (the direct velocity), Algorithm 2 by the root:
+	// two forces that agree to ChebTol, not to the solves' 1e-12. A
+	// ChebTol of 1e-10 puts their gap below the 1e-6 this test allows the
+	// trajectories.
 	mk := func() *Runner {
 		return NewRunner(newToy(12, 22), Config{
-			Dt: 0.05, M: 4, Seed: 23, Tol: 1e-12, ExternalForce: force,
+			Dt: 0.05, M: 4, Seed: 23, Tol: 1e-12, ChebTol: 1e-10, ExternalForce: force,
 		})
 	}
 	o := mk()
@@ -556,16 +561,23 @@ func TestNonFiniteMatrixFailsTheStepAtTheBracket(t *testing.T) {
 }
 
 // TestIndefiniteMatrixFailsTyped: a step-2 matrix with a negative
-// diagonal block is not SPD, and the default square root says so with
-// its typed error — at step 2, before any solve, in both algorithms —
-// where a recurrence without a guard would run to its cap or past it.
+// diagonal block is not SPD, and every Brownian force says so with the
+// square root's typed error — at step 2, before any solve, in both
+// algorithms — where a recurrence without a guard would run to its cap
+// or past it: the default's roots through the window's factor (the
+// direct velocity's inverse root in Algorithm 1, the root in Algorithm
+// 2) and, under NoPrecond, the paper's series, whose bracket holds a
+// matrix with a negative diagonal entry but whose first multiply gives
+// a Rayleigh quotient below the bracket's floor.
 func TestIndefiniteMatrixFailsTyped(t *testing.T) {
-	for _, mrhs := range []bool{false, true} {
-		for _, row := range []int{0, 11} {
-			c := &badToy{toyConfig: newToy(20, 21), row: row, col: row, entry: 4, v: -50, from: 2}
-			r, err := runBadToy(c, nil, mrhs)
-			if !errors.Is(err, chebyshev.ErrNotSPD) || !strings.HasPrefix(err.Error(), "core: step 2: ") || r.StepIndex() != 2 {
-				t.Errorf("negative block in row %d, mrhs %v: stopped at step %d with %v", row, mrhs, r.StepIndex(), err)
+	for _, precond := range []func(*bcrs.Matrix) solver.Preconditioner{nil, NoPrecond} {
+		for _, mrhs := range []bool{false, true} {
+			for _, row := range []int{0, 11} {
+				c := &badToy{toyConfig: newToy(20, 21), row: row, col: row, entry: 4, v: -50, from: 2}
+				r, err := runBadToy(c, precond, mrhs)
+				if !errors.Is(err, chebyshev.ErrNotSPD) || !strings.HasPrefix(err.Error(), "core: step 2: ") || r.StepIndex() != 2 {
+					t.Errorf("NoPrecond %v, negative block in row %d, mrhs %v: stopped at step %d with %v", precond != nil, row, mrhs, r.StepIndex(), err)
+				}
 			}
 		}
 	}
@@ -647,5 +659,213 @@ func TestMRHSStepNoiseIsItsColumnOfZ(t *testing.T) {
 				t.Errorf("factor %v, force scale %v: %d of 3 step noises reached the square root bitwise", factor, scale, found)
 			}
 		}
+	}
+}
+
+// TestDirectVelocityHookSolvesInNoIterations: under a factor window
+// Algorithm 1 still hands its first system to the FirstSolve hook, which
+// finds it solved — the velocity it is handed is the direct one, and
+// the right-hand side was made from it — and takes 0 iterations. The
+// step records say so, the step events carry velocity "direct" and the
+// counter counts the steps; under NoPrecond the velocity is "solve".
+func TestDirectVelocityHookSolvesInNoIterations(t *testing.T) {
+	for _, precond := range []func(*bcrs.Matrix) solver.Preconditioner{nil, NoPrecond} {
+		var iters []int
+		var buf bytes.Buffer
+		r := NewRunner(newToy(20, 26), Config{
+			Dt: 0.1, M: 4, Seed: 27, Precond: precond,
+			FirstSolve: func(a *bcrs.Matrix, x, b []float64, opt solver.Options) solver.Stats {
+				st := solver.CG(a, x, b, opt)
+				iters = append(iters, st.Iterations)
+				return st
+			},
+		})
+		r.Obs, r.Events = obs.NewRegistry(), obs.NewEventLog(&buf)
+		if err := r.RunOriginal(6); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Events.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		direct := precond == nil
+		if len(iters) != 6 {
+			t.Fatalf("NoPrecond %v: the hook saw %d first solves, want 6", !direct, len(iters))
+		}
+		for k, rec := range r.Records {
+			if rec.Direct != direct || (rec.FirstIters == 0) != direct || rec.FirstIters != iters[k] {
+				t.Errorf("NoPrecond %v step %d: record %+v, hook iterations %d", !direct, k, rec, iters[k])
+			}
+		}
+		want, velocity := int64(0), "solve"
+		if direct {
+			want, velocity = 6, "direct"
+		}
+		if n := r.Obs.Counter("core_direct_velocity_steps_total").Value(); n != want {
+			t.Errorf("NoPrecond %v: core_direct_velocity_steps_total = %d, want %d", !direct, n, want)
+		}
+		for _, line := range bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n")) {
+			var rec map[string]any
+			if err := json.Unmarshal(line, &rec); err != nil {
+				t.Fatal(err)
+			}
+			if rec["event"] == "step" && rec["velocity"] != velocity {
+				t.Errorf("NoPrecond %v: step event velocity %v, want %q", !direct, rec["velocity"], velocity)
+			}
+		}
+	}
+}
+
+// TestDirectVelocityWithExternalForce: on the direct path an external
+// force leaves the first solve f^P to solve for, from the direct
+// velocity. Its solution meets the tolerance against -f^B + f^P by a
+// multiply written here, and -f^B is the root's force through the same
+// factor and noise, to the two roots' tolerance.
+func TestDirectVelocityWithExternalForce(t *testing.T) {
+	const tol = 1e-8
+	tc := newToy(20, 28)
+	fp := make([]float64, tc.Dim())
+	for i := range fp {
+		fp[i] = 0.3*float64(i%7) - 0.9
+	}
+	r := NewRunner(tc, Config{Dt: 0.1, Seed: 29, Tol: tol,
+		ExternalForce: func(Configuration) []float64 { return fp }})
+	var a *bcrs.Matrix
+	var u, rhs []float64
+	r.audit = func(kind string, am *bcrs.Matrix, x, b []float64) {
+		if kind == "first" {
+			a, u, rhs = am, slices.Clone(x), slices.Clone(b)
+		}
+	}
+	if err := r.StepOriginal(); err != nil {
+		t.Fatal(err)
+	}
+	if rec := r.Records[0]; !rec.Direct || rec.FirstIters == 0 {
+		t.Fatalf("record %+v: want a direct step whose first solve ran", rec)
+	}
+	res := make([]float64, len(u))
+	for i := 0; i < a.NB(); i++ {
+		lo, hi := a.RowBlocks(i)
+		for k := lo; k < hi; k++ {
+			j, blk := a.BlockCol(k), a.BlockAt(k)
+			for p := 0; p < 3; p++ {
+				for q := 0; q < 3; q++ {
+					res[3*i+p] += blk[3*p+q] * u[3*j+q]
+				}
+			}
+		}
+	}
+	var rr, bb float64
+	for i := range res {
+		rr += (rhs[i] - res[i]) * (rhs[i] - res[i])
+		bb += rhs[i] * rhs[i]
+	}
+	if e := math.Sqrt(rr / bb); !(e <= tol) {
+		t.Errorf("R*u misses -f^B + f^P by %.3g, want <= %g", e, tol)
+	}
+	fb := make([]float64, len(u))
+	f := r.pre.(chebyshev.Factor)
+	if _, err := chebyshev.PrecondSqrt(a, f, multivec.FromVector(fb), multivec.FromVector(r.noise(0)), 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	var dd, ff float64
+	for i := range fb {
+		d := rhs[i] - fp[i] + fb[i]
+		dd, ff = dd+d*d, ff+fb[i]*fb[i]
+	}
+	if e := math.Sqrt(dd / ff); !(e <= 2*chebyshev.DefaultTol) {
+		t.Errorf("the right-hand side less f^P is %.3g from minus the root's force, want <= %g", e, 2*chebyshev.DefaultTol)
+	}
+}
+
+// TestBrownianForceCovariance checks the distribution, not one call, of
+// every Brownian force the stepper draws: the paper's series (a window
+// without a factor), the root through a window's factor — both drawn in
+// blocks, as a chunk draws them, a block's column being bitwise the
+// column drawn alone — and the direct velocity's -R*u, one step's at a
+// time. Over 20000 noise vectors each force is whitened by R's dense
+// Cholesky factor, w = C^{-1} f, and the sample covariance of w must be
+// the identity within 0.05 in every entry — five standard deviations of
+// a diagonal entry at this sample count, and unlike a comparison against
+// R itself as sensitive to the slow modes as to the fast ones. The
+// factor is taken at another state, so it is not R's: the covariance is
+// R whatever L. A force of covariance M = L*L^T instead, L*z, must fail
+// the same bound, or the test could not tell.
+func TestBrownianForceCovariance(t *testing.T) {
+	const samples, width, bound = 20000, 200, 0.05
+	tc := newToy(8, 30)
+	a := tc.Build()
+	shift := make([]float64, tc.Dim())
+	for i := range shift {
+		shift[i] = 1
+	}
+	other := tc.Displaced(shift, 0.8).Build()
+	c, err := blas.Cholesky(a.Dense())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := a.N()
+	u, rhs := make([]float64, n), make([]float64, n)
+	z, f := multivec.New(n, width), multivec.New(n, width)
+	for _, path := range []string{"series", "root", "direct", "L*z"} {
+		precond := NoPrecond
+		if path != "series" {
+			precond = nil
+		}
+		r := NewRunner(tc, Config{Seed: 31, Precond: precond})
+		r.beginWindow(other)
+		fac, _ := r.pre.(chebyshev.Factor)
+		if (fac == nil) != (path == "series") {
+			t.Fatalf("%s: window factor %v", path, r.pre)
+		}
+		cov := blas.NewDense(n, n)
+		w := make([]float64, n)
+		for k0 := 0; k0 < samples; k0 += width {
+			for j := 0; j < width; j++ {
+				z.SetCol(j, r.noise(k0+j))
+			}
+			switch path {
+			case "series", "root":
+				_, err = r.brownian(a, a, f, z)
+			case "direct":
+				for j := 0; j < width && err == nil; j++ {
+					_, err = r.directVelocity(fac, a, u, rhs, r.noise(k0+j))
+					blas.Scal(-1, rhs)
+					f.SetCol(j, rhs)
+				}
+			case "L*z":
+				fac.MulL(f, z)
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+			for j := 0; j < width; j++ {
+				for i := range w { // w = C^{-1} f
+					s := f.At(i, j)
+					for l := 0; l < i; l++ {
+						s -= c.At(i, l) * w[l]
+					}
+					w[i] = s / c.At(i, i)
+				}
+				for i := range w {
+					for l := 0; l <= i; l++ {
+						cov.Add(i, l, w[i]*w[l])
+					}
+				}
+			}
+		}
+		worst := 0.0
+		for i := 0; i < n; i++ {
+			for j := 0; j <= i; j++ {
+				want := 0.0
+				if i == j {
+					want = 1
+				}
+				worst = max(worst, math.Abs(cov.At(i, j)/samples-want))
+			}
+		}
+		if pass := worst <= bound; pass != (path != "L*z") {
+			t.Errorf("%s: whitened covariance is %.3g from the identity, bound %g", path, worst, bound)
+		}
+		t.Logf("%s: whitened covariance within %.3g of the identity", path, worst)
 	}
 }

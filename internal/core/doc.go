@@ -41,7 +41,23 @@
 // whatever the factor's age, to Config.ChebTol in four to seven
 // multiplies where the paper's series on [floor, Gershgorin] takes 30
 // and errs by up to 58 % on the slow modes. A window without a factor
-// takes the paper's series.
+// takes the paper's series, which fails with chebyshev.ErrNotSPD when
+// its last multiply's Rayleigh quotient falls below its bracket.
+//
+// # The direct velocity
+//
+// Algorithm 1 under a factor window does not solve for its first
+// velocity; it samples it (Chow & Saad's precision-matrix sampling).
+// With X = L^{-1} R_k L^{-T}, u = -L^{-T} X^{-1/2} z_k =
+// -M^{-1} L X^{-1/2} z_k costs the inverse root
+// (chebyshev.PrecondInvSqrt) and one Apply, and R_k u = -L X^{1/2} z_k
+// is minus the force above, got by one multiply, with R_k u = -f^B to
+// rounding. The first solve is then left with the external force alone,
+// warm from u (none runs without one), and the FirstSolve hook, when
+// set, still receives the system and finds it solved. Algorithm 2 keeps
+// its guessed first solves: the direct velocity would leave its guesses
+// nothing to shorten and make it Algorithm 1 plus a block solve. Which
+// step to run is a question for the cost model, not for this package.
 //
 // # Who owns a matrix
 //

@@ -249,7 +249,7 @@ func table6(cfg Config) ([]*Table, error) {
 		{"Table VI under the default step: one IC(0) factor per 16 steps preconditions every solve", nil,
 			[]string{
 				"Calc guesses (MRHS) and 1st solve (orig) include the window's factorisation; beyond the paper",
-				"the factor helps Algorithm 1's cold first solve at least as much as Algorithm 2's warm one: with about ten iterations per solve the guesses have little left to save against the chunk's block solve, so the step speed-up falls below the paper-setting table's",
+				"Algorithm 1 samples its first velocity through the factor (the direct velocity) and runs no first solve: its 1st solve row is the factorisation alone and its Cheb single row the inverse root, one Apply and one multiply; Algorithm 2 keeps its guessed first solves, so the step speed-up falls below 1",
 			}},
 	} {
 		var mrhs, orig []map[string]float64

@@ -49,8 +49,10 @@ func TestOriginalRunAdvances(t *testing.T) {
 	if len(s.Records) != 3 {
 		t.Fatalf("records %d", len(s.Records))
 	}
+	// Under the default window every step samples its first velocity
+	// through the factor, and no first solve runs.
 	for _, r := range s.Records {
-		if r.FirstIters <= 0 || r.SecondIters < 0 {
+		if !r.Direct || r.FirstIters != 0 || r.SecondIters <= 0 {
 			t.Fatalf("bad record %+v", r)
 		}
 		if r.HadGuess {
@@ -93,7 +95,10 @@ func TestMRHSPartialChunk(t *testing.T) {
 // with identical noise streams and tight solver tolerances, the MRHS
 // algorithm must produce the *same physical trajectory* as the
 // original algorithm — initial guesses change the cost of the solves,
-// never their converged solutions.
+// never their converged solutions. The original samples its velocity
+// through the window's factor and the MRHS steps solve for theirs, two
+// Brownian forces that agree to ChebTol, so ChebTol is as tight as the
+// solves.
 func TestMRHSMatchesOriginalTrajectory(t *testing.T) {
 	mk := func() *Simulation {
 		sys, err := particles.New(particles.Options{N: 35, Phi: 0.35, Seed: 7})
@@ -101,7 +106,7 @@ func TestMRHSMatchesOriginalTrajectory(t *testing.T) {
 			t.Fatal(err)
 		}
 		return New(sys, hydro.Options{Phi: 0.35}, core.Config{
-			Dt: 2, M: 5, Seed: 99, Tol: 1e-11,
+			Dt: 2, M: 5, Seed: 99, Tol: 1e-11, ChebTol: 1e-11,
 		}, 1)
 	}
 	orig := mk()
@@ -131,13 +136,14 @@ func TestMRHSMatchesOriginalTrajectory(t *testing.T) {
 
 func TestMRHSGuessesReduceIterations(t *testing.T) {
 	// Table V's claim: warm-started first solves need ~30-40% fewer
-	// iterations than cold ones.
+	// iterations than cold ones, in the paper's unpreconditioned setting,
+	// where Algorithm 1 solves for every first velocity.
 	mk := func() *Simulation {
 		sys, err := particles.New(particles.Options{N: 60, Phi: 0.45, Seed: 11})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return New(sys, hydro.Options{Phi: 0.45}, core.Config{Dt: 2, M: 8, Seed: 5}, 1)
+		return New(sys, hydro.Options{Phi: 0.45}, core.Config{Dt: 2, M: 8, Seed: 5, Precond: core.NoPrecond}, 1)
 	}
 	orig := mk()
 	mrhs := mk()
@@ -277,13 +283,13 @@ func TestCholeskyRunner(t *testing.T) {
 
 func TestIterationsGrowWithOccupancy(t *testing.T) {
 	// Table V: higher volume occupancy -> worse conditioning -> more
-	// iterations.
+	// iterations, of the paper's unpreconditioned first solves.
 	iters := func(phi float64) float64 {
 		sys, err := particles.New(particles.Options{N: 60, Phi: phi, Seed: 37})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := New(sys, hydro.Options{Phi: phi}, core.Config{Dt: 2, Seed: 37}, 1)
+		s := New(sys, hydro.Options{Phi: phi}, core.Config{Dt: 2, Seed: 37, Precond: core.NoPrecond}, 1)
 		if err := s.RunOriginal(3); err != nil {
 			t.Fatal(err)
 		}
