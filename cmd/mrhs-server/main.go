@@ -39,7 +39,6 @@ import (
 	"repro/internal/sd"
 	"repro/internal/serve"
 	"repro/internal/shard"
-	"repro/internal/solver"
 )
 
 func main() {
@@ -54,18 +53,16 @@ func main() {
 		phi    = flag.Float64("phi", 0.30, "sd: volume occupancy")
 
 		threads    = flag.Int("threads", 0, "worker-pool threads every multiply splits over (0: the pool's default, GOMAXPROCS)")
-		shards     = flag.Int("shards", 0, "partition the operator into this many RCB shard engines (0: unsharded; incompatible with -symmetric)")
+		shards     = flag.Int("shards", 0, "partition the operator into this many RCB shard engines (0: unsharded)")
 		shardFault = flag.String("shard-faults", "", "fault spec armed on the shard halo transport (e.g. \"chaos\" or \"drop:rate=0.05\")")
 		shardSeed  = flag.Uint64("shard-fault-seed", 1, "seed for the shard fault injector")
 		shardPol   = flag.String("shard-policy", "shrink", "shard crash policy: shrink (re-partition over survivors) or restart (rebuild the same partition)")
-		symmetric  = flag.Bool("symmetric", false, "serve through half-storage symmetric GSPMV (halves matrix traffic)")
 		tol        = flag.Float64("tol", 1e-6, "default relative-residual tolerance")
 		maxIter    = flag.Int("max-iter", 1000, "default iteration cap")
 		maxBatch   = flag.Int("max-batch", 32, "max right-hand sides per dispatch")
 		queueCap   = flag.Int("queue-cap", 0, "admission queue bound (0: 4*max-batch)")
 		maxWait    = flag.Duration("max-wait", 2*time.Millisecond, "hard cap on the batching window")
 		waitFactor = flag.Float64("wait-factor", 1.5, "latency stretch allowed to reach the next kernel size")
-		ensemble   = flag.Int("ensemble", 4, "default member count for /v1/ensemble requests that give only a seed")
 		useModel   = flag.Bool("model", true, "calibrate this host and drive the batching window with the r(m) cost model")
 
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /metrics.json and /debug/pprof separately on this address")
@@ -94,31 +91,16 @@ func main() {
 		fail(fmt.Errorf("unknown -matrix %q (want random or sd)", *matrix))
 	}
 
-	// The engine only needs the multiply surface, so the half-storage
-	// extraction swaps in transparently; /v1/info reports it.
-	var op solver.BlockOperator = a
-	if *symmetric {
-		sm, err := bcrs.NewSym(a)
-		if err != nil {
-			fail(err)
-		}
-		op = sm
-	}
-
 	cfg := serve.Config{
-		Tol:             *tol,
-		MaxIter:         *maxIter,
-		MaxBatch:        *maxBatch,
-		QueueCap:        *queueCap,
-		MaxWait:         *maxWait,
-		WaitFactor:      *waitFactor,
-		TraceSample:     *traceSample,
-		DefaultEnsemble: *ensemble,
+		Tol:         *tol,
+		MaxIter:     *maxIter,
+		MaxBatch:    *maxBatch,
+		QueueCap:    *queueCap,
+		MaxWait:     *maxWait,
+		WaitFactor:  *waitFactor,
+		TraceSample: *traceSample,
 	}
 	if *shards > 0 {
-		if *symmetric {
-			fail(fmt.Errorf("-shards is incompatible with -symmetric (shard strips re-slice plain block storage)"))
-		}
 		if *shards > a.NB() {
 			fail(fmt.Errorf("-shards %d exceeds the %d block rows", *shards, a.NB()))
 		}
@@ -180,12 +162,12 @@ func main() {
 		fmt.Printf("traces: appending JSONL to %s\n", *traceJSONL)
 	}
 
-	s, err := serve.Start(*addr, serve.NewEngine(op, cfg))
+	s, err := serve.Start(*addr, serve.NewEngine(a, cfg))
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("mrhs-server: n=%d nnzb=%d max-batch=%d threads=%d symmetric=%v on http://%s\n",
-		a.N(), a.NNZB(), cfg.MaxBatch, parallel.Threads(), *symmetric, s.Addr())
+	fmt.Printf("mrhs-server: n=%d nnzb=%d max-batch=%d threads=%d on http://%s\n",
+		a.N(), a.NNZB(), cfg.MaxBatch, parallel.Threads(), s.Addr())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -54,8 +54,6 @@ func main() {
 		xyz     = flag.String("xyz", "", "write an XYZ trajectory (one frame per step) to this file")
 		precond = flag.String("precond", "ic0", "preconditioner reused by every solve of a window of -m steps: ic0, jacobi, none (the paper's setting)")
 
-		symmetric = flag.Bool("symmetric", false, "multiply through half-storage symmetric extractions (halves matrix traffic; ignored with -nodes)")
-
 		nodes       = flag.Int("nodes", 0, "run every multiply on a simulated p-node cluster (0: single node; fault runs default to 4)")
 		faultsSpec  = flag.String("faults", "", "fault-injection spec, e.g. 'drop:rate=0.02;crash:node=1,at=5' (see internal/cluster/faults)")
 		chaosRun    = flag.Bool("chaos", false, "run under the chaos preset fault plan (unless -faults overrides it)")
@@ -97,7 +95,7 @@ func main() {
 	}
 	fmt.Printf("system: %d particles, phi=%.2f, box=%.1f A\n", sys.N, sys.VolumeFraction(), sys.Box)
 
-	cfg := core.Config{Dt: *dt, M: *m, Seed: *seed, Tol: *tol, Symmetric: *symmetric}
+	cfg := core.Config{Dt: *dt, M: *m, Seed: *seed, Tol: *tol}
 	switch *precond {
 	case "ic0": // core's default
 	case "none":

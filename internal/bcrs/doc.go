@@ -21,8 +21,8 @@
 //
 // Thread blocking partitions block rows into contiguous ranges with
 // approximately equal non-zero counts; each range is processed by one
-// goroutine. The half-storage symmetric variant (SymMatrix) keeps
-// only the upper triangle and scatters transpose contributions
-// through a two-phase conflict-free schedule, halving matrix traffic
-// again.
+// goroutine. The half-storage symmetric variant (SymMatrix), only
+// measured (gspmv benchmarks, ext-symmetric) since it lost every SD and
+// serve point, keeps the upper triangle and scatters transpose
+// contributions through a two-phase conflict-free schedule.
 package bcrs

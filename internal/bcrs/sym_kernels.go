@@ -63,7 +63,7 @@ func symSpmv1(rowPtr, colIdx []int32, vals, x, y, part []float64, lo, hi int) {
 	}
 }
 
-// symGspmvGeneric is the fallback kernel for arbitrary m.
+// symGspmvGeneric is the kernel for every m > 1 the AVX2 path leaves.
 func symGspmvGeneric(rowPtr, colIdx []int32, vals, x, y, part []float64, m, lo, hi int) {
 	bm := BlockDim * m
 	for i := lo; i < hi; i++ {

@@ -1,7 +1,6 @@
 package bcrs
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/blas"
@@ -24,7 +23,7 @@ func symTestMatrices() map[string]*Matrix {
 
 // TestSymParallelMulMatchesGeneral is the property test: the parallel
 // symmetric Mul must match the general Mul within round-off for every
-// kernel width (specialized, generic, and SIMD-served) at every pool
+// kernel width (m = 1, generic, and SIMD-served) at every pool
 // size, including sizes beyond the host's cores.
 func TestSymParallelMulMatchesGeneral(t *testing.T) {
 	for name, a := range symTestMatrices() {
@@ -142,10 +141,12 @@ func TestSymMulDeterministicAcrossPoolSizes(t *testing.T) {
 	}
 }
 
-// TestSymSIMDBitwiseMatchesGo verifies the symmetric AVX2 fast path
-// is bitwise-identical to the pure-Go symmetric kernels for every
-// width it serves, serial and parallel (partial-window scatter
-// included). Skipped on hosts without the fast path.
+// TestSymSIMDBitwiseMatchesGo pins the one Go symmetric kernel
+// Mul dispatches past m = 1, symGspmvGeneric, at every width from 1 to
+// 33, serial and parallel (partial-window scatter included): at every
+// even m it is checked bit for bit against the AVX2 kernel, at odd
+// m > 1 it runs on both sides, and at m = 1 it is checked against
+// symSpmv1. Skipped on hosts without the fast path.
 func TestSymSIMDBitwiseMatchesGo(t *testing.T) {
 	if symSIMDWidth == 0 {
 		t.Skip("no symmetric SIMD fast path on this host")
@@ -157,7 +158,7 @@ func TestSymSIMDBitwiseMatchesGo(t *testing.T) {
 		}
 		for _, threads := range []int{1, 4} {
 			usePool(t, threads)
-			for _, m := range []int{4, 8, 16, 32} {
+			for m := 1; m <= 33; m++ {
 				r := rng.New(uint64(m) + 7)
 				x := multivec.New(a.N(), m)
 				for i := range x.Data {
@@ -165,16 +166,12 @@ func TestSymSIMDBitwiseMatchesGo(t *testing.T) {
 				}
 				want := multivec.New(a.N(), m)
 				got := multivec.New(a.N(), m)
-
-				saved := symSIMDWidth
-				symSIMDWidth = 0
-				s.Mul(want, x)
-				symSIMDWidth = saved
+				s.MulGenericKernel(want, x)
 				s.Mul(got, x)
 
 				for i := range want.Data {
 					if got.Data[i] != want.Data[i] {
-						t.Fatalf("%s threads=%d m=%d: data[%d] = %v SIMD, %v pure Go: not bitwise-identical",
+						t.Fatalf("%s threads=%d m=%d: data[%d] = %v dispatched, %v generic: not bitwise-identical",
 							name, threads, m, i, got.Data[i], want.Data[i])
 					}
 				}
@@ -283,27 +280,5 @@ func TestSymAccounting(t *testing.T) {
 		if ratio := float64(symMat) / float64(genMat); ratio > 0.60 {
 			t.Fatalf("m=%d: sym matrix traffic ratio %.3f, want ~0.5", m, ratio)
 		}
-	}
-}
-
-// TestNewSymUncheckedMatchesNewSym confirms the unchecked extraction
-// produces the identical operator for a genuinely symmetric matrix.
-func TestNewSymUncheckedMatchesNewSym(t *testing.T) {
-	a := Random(RandomOptions{NB: 60, BlocksPerRow: 6, Seed: 61})
-	s1, err := NewSym(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2 := NewSymUnchecked(a)
-	if s1.NNZB() != s2.NNZB() || s1.nb != s2.nb {
-		t.Fatal("unchecked extraction differs structurally")
-	}
-	for i := range s1.vals {
-		if s1.vals[i] != s2.vals[i] {
-			t.Fatal("unchecked extraction differs in values")
-		}
-	}
-	if fmt.Sprint(s1.colIdx) != fmt.Sprint(s2.colIdx) {
-		t.Fatal("unchecked extraction differs in structure")
 	}
 }

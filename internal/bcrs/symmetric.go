@@ -50,7 +50,7 @@ import (
 //
 // Mul and MulVec use receiver-owned scratch for the partial buffers;
 // concurrent multiplies on the same receiver are not safe (the
-// serving dispatcher and the SD stepper both multiply serially).
+// benchmarks and experiments that run it multiply serially).
 type SymMatrix struct {
 	nb     int
 	rowPtr []int32
@@ -85,15 +85,6 @@ func NewSym(a *Matrix) (*SymMatrix, error) {
 	if !a.IsSymmetric(1e-12) {
 		return nil, errors.New("bcrs: NewSym requires a symmetric matrix")
 	}
-	return NewSymUnchecked(a), nil
-}
-
-// NewSymUnchecked extracts the upper triangle without verifying
-// symmetry. It exists for the per-step extraction in the SD stepper,
-// where the resistance matrix is symmetric by construction and the
-// O(nnz) verification would be pure overhead. If a is not symmetric
-// the resulting operator applies (U + U^T - D), not A.
-func NewSymUnchecked(a *Matrix) *SymMatrix {
 	s := &SymMatrix{nb: a.nb}
 	// First pass: count upper-triangle blocks so the arrays are
 	// allocated exactly once.
@@ -132,7 +123,7 @@ func NewSymUnchecked(a *Matrix) *SymMatrix {
 		}
 	}
 	s.fillFn, s.foldFn = s.fill, s.fold
-	return s
+	return s, nil
 }
 
 // NB returns the block dimension.
@@ -154,11 +145,6 @@ func (s *SymMatrix) Span() int { return s.span }
 func (s *SymMatrix) Bytes() int64 {
 	return int64(len(s.vals))*8 + int64(len(s.colIdx))*4 + int64(len(s.rowPtr))*4
 }
-
-// SymmetricStorage marks the type as a half-storage operator so layers
-// that only hold a solver.BlockOperator (the serving engine) can
-// report symmetry without depending on the concrete type.
-func (s *SymMatrix) SymmetricStorage() bool { return true }
 
 // splitFor makes the split for pool p current: p.Threads()
 // nnz-balanced ranges, each with its scatter window. One range per
@@ -212,9 +198,8 @@ func (s *SymMatrix) MulVec(y, x []float64) {
 }
 
 // Mul computes Y = A*X for a block of vectors from the half storage.
-// For m in {1, 2, 4, 8, 16, 32} a fully-unrolled specialized kernel
-// is dispatched (with an AVX2 across-m fast path when available);
-// other m use the generic kernel.
+// The AVX2 across-m kernel takes every m its lane width divides (every
+// even m on an FMA host), symSpmv1 m = 1, and the generic loop the rest.
 func (s *SymMatrix) Mul(y, x *multivec.MultiVec) {
 	s.mulMV(y, x, false)
 }
@@ -249,16 +234,6 @@ func (s *SymMatrix) mulRange(y, x, part []float64, m int, forceGeneric bool, lo,
 		symGspmvSIMD(s.rowPtr, s.colIdx, s.vals, x, y, part, m, lo, hi)
 	case m == 1:
 		symSpmv1(s.rowPtr, s.colIdx, s.vals, x, y, part, lo, hi)
-	case m == 2:
-		symGspmv2(s.rowPtr, s.colIdx, s.vals, x, y, part, lo, hi)
-	case m == 4:
-		symGspmv4(s.rowPtr, s.colIdx, s.vals, x, y, part, lo, hi)
-	case m == 8:
-		symGspmv8(s.rowPtr, s.colIdx, s.vals, x, y, part, lo, hi)
-	case m == 16:
-		symGspmv16(s.rowPtr, s.colIdx, s.vals, x, y, part, lo, hi)
-	case m == 32:
-		symGspmv32(s.rowPtr, s.colIdx, s.vals, x, y, part, lo, hi)
 	default:
 		symGspmvGeneric(s.rowPtr, s.colIdx, s.vals, x, y, part, m, lo, hi)
 	}

@@ -81,7 +81,7 @@ func TestDistributedMatchesSerial(t *testing.T) {
 
 func TestDistributedContiguousPartition(t *testing.T) {
 	a, _, _ := testMatrix(2, 150)
-	r := partition.Contiguous(a, 5)
+	r := partition.RCB(a, nil, 5) // no positions: contiguous row strips
 	cl, err := New(a, r.Part, 5)
 	if err != nil {
 		t.Fatal(err)

@@ -67,16 +67,6 @@ type Config struct {
 	// (Seed, k), so the original and MRHS algorithms integrate
 	// identical noise histories.
 	Seed uint64
-	// Symmetric switches every multiply of the step onto half
-	// (upper-triangle) storage: each assembled resistance matrix is
-	// extracted once into a bcrs.SymMatrix — resistance matrices are
-	// symmetric by construction — and CG, block CG, and the Chebyshev
-	// recurrence all multiply through it, halving the matrix memory
-	// traffic per the Section IV-B model. Preconditioner construction
-	// and the Gershgorin bracket still read the full matrix, which
-	// exists anyway as the assembly product. Ignored when Distribute
-	// is set (the distributed operator owns its storage layout).
-	Symmetric bool
 	// FirstSolve, if non-nil, replaces plain CG for each step's
 	// first solve. It receives the step's matrix, the right-hand
 	// side, and x holding the initial guess (zero for the original
@@ -525,18 +515,10 @@ func (r *Runner) noise(k int) []float64 {
 }
 
 // operator returns the multiply operator for a matrix assembled at
-// configuration c: the distributed wrapper, the once-per-rebuild
-// symmetric extraction, or the matrix itself.
+// configuration c: the distributed wrapper, or the matrix itself.
 func (r *Runner) operator(a *bcrs.Matrix, c Configuration) DistOp {
 	if r.cfg.Distribute != nil {
 		return r.cfg.Distribute(a, c)
-	}
-	if r.cfg.Symmetric {
-		// Unchecked: resistance matrices are symmetric by assembly
-		// (pair tensors are inserted with mirrored transposes), and
-		// the O(nnz) verification would recur every rebuild. The
-		// extraction inherits a's thread count.
-		return bcrs.NewSymUnchecked(a)
 	}
 	return a
 }

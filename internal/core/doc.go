@@ -68,6 +68,9 @@
 // builds the next one into the same arrays, so what a Config hook
 // receives is valid for the call (Distribute's operator: until the solve
 // its matrix was built for returns — the midpoint matrix gets its own).
+// A step multiplies through that matrix or Config.Distribute's operator
+// over it; half storage (bcrs.SymMatrix) lost every SD step it was
+// measured in and has no switch here.
 //
 // The package is generic over a Configuration interface so the
 // technique applies beyond Stokesian dynamics, as the paper suggests;

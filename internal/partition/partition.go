@@ -9,8 +9,8 @@
 // load balance and communication volume for SD matrices, whose
 // interaction structure is geometrically local.
 //
-// A simple contiguous-row scheme is provided as the baseline for the
-// partitioning ablation.
+// RCB (rcb.go) is the scheme every distributed run uses; without
+// positions it cuts nnz-balanced contiguous row strips.
 package partition
 
 import (
@@ -82,26 +82,14 @@ func assignOrdered(order []int, nnz []int64, p int) *Result {
 	return res
 }
 
-// Contiguous splits block rows 0..nb into p contiguous ranges with
-// balanced nnz, ignoring geometry. The ablation baseline.
-func Contiguous(a *bcrs.Matrix, p int) *Result {
-	if p < 1 {
-		panic("partition: p must be >= 1")
-	}
-	order := make([]int, a.NB())
-	for i := range order {
-		order[i] = i
-	}
-	return assignOrdered(order, rowNNZ(a), p)
-}
-
 // Coordinate implements the paper's coordinate-based partitioning.
 // pos[i] is the position of the particle whose velocity block is
 // block row i; box is the periodic box edge length. Rows are binned
 // on a grid of g^3 cells (g chosen from p if g <= 0), the cells are
 // traversed in a boustrophedon (serpentine) order that keeps
 // consecutive cells adjacent, and the resulting row order is cut into
-// p nnz-balanced chunks.
+// p nnz-balanced chunks. No run uses it: it is the serpentine reference
+// TestRCBCutsCommVersusSerpentine measures RCB against.
 func Coordinate(a *bcrs.Matrix, pos []blas.Vec3, box float64, p, g int) *Result {
 	if p < 1 {
 		panic("partition: p must be >= 1")

@@ -60,9 +60,10 @@ func checkCovers(t *testing.T, r *Result, nb, p int) {
 }
 
 func TestContiguousCoversAndBalances(t *testing.T) {
+	// The contiguous-row partition is RCB without positions.
 	a, _ := localMatrix(1, 200, 10, 2)
 	for _, p := range []int{1, 2, 4, 7, 16} {
-		r := Contiguous(a, p)
+		r := RCB(a, nil, p)
 		checkCovers(t, r, a.NB(), p)
 		if imb := r.Imbalance(); imb > 1.6 {
 			t.Fatalf("p=%d: contiguous imbalance %v", p, imb)
@@ -96,12 +97,13 @@ func TestNNZPerPartSumsToTotal(t *testing.T) {
 func TestCoordinateBeatsContiguousOnCommVolume(t *testing.T) {
 	// For a geometrically local matrix with randomly ordered rows,
 	// coordinate partitioning should need clearly less communication
-	// than blind contiguous-row partitioning. This is the property
-	// that made the paper's cheap scheme competitive with METIS.
+	// than blind contiguous-row partitioning (RCB without positions).
+	// This is the property that made the paper's cheap scheme
+	// competitive with METIS.
 	a, pos := localMatrix(4, 600, 12, 2.2)
 	p := 8
 	co := Analyze(a, Coordinate(a, pos, 12, p, 0))
-	ct := Analyze(a, Contiguous(a, p))
+	ct := Analyze(a, RCB(a, nil, p))
 	if co.RemoteBlockRows >= ct.RemoteBlockRows {
 		t.Fatalf("coordinate comm %d not better than contiguous %d",
 			co.RemoteBlockRows, ct.RemoteBlockRows)

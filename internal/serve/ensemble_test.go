@@ -265,8 +265,8 @@ func TestServeHTTPEnsemble(t *testing.T) {
 	}
 	er = EnsembleResponse{}
 	mustUnmarshal(t, data, &er)
-	if len(er.Members) != 4 { // DefaultEnsemble default
-		t.Fatalf("default form members %d, want 4", len(er.Members))
+	if len(er.Members) != defaultEnsemble {
+		t.Fatalf("default form members %d, want %d", len(er.Members), defaultEnsemble)
 	}
 }
 

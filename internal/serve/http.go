@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"time"
@@ -76,7 +77,7 @@ type SDStepResponse struct {
 // regardless of server load). Exactly one of Bs (explicit vectors),
 // Seeds (server-generated standard-normal vectors, one per seed), or
 // Members+Seed (Members seeds counted up from Seed; Members defaults
-// to the engine's DefaultEnsemble) selects the member set.
+// to defaultEnsemble, capped at MaxBatch) selects the member set.
 type EnsembleRequest struct {
 	Bs        [][]float64 `json:"bs,omitempty"`
 	Seeds     []uint64    `json:"seeds,omitempty"`
@@ -118,9 +119,6 @@ type Info struct {
 	WaitFactor float64 `json:"wait_factor"`
 	Tol        float64 `json:"tol"`
 	HasModel   bool    `json:"has_model"`
-	// Symmetric reports a half-storage (bcrs.SymMatrix) operator:
-	// every batched GSPMV moves half the matrix bytes.
-	Symmetric bool `json:"symmetric"`
 	// Threads is the process pool's size, which every multiply —
 	// each shard strip's too — splits its block rows over.
 	Threads int `json:"threads"`
@@ -171,10 +169,11 @@ func requestID(e *Engine, w http.ResponseWriter, r *http.Request) string {
 //	GET  /debug/traces recent + slowest request traces; ?id= fetches one
 //
 // Solver outcomes map onto status codes: 400 for malformed bodies,
-// dimension mismatches or over-wide ensembles, 413 for a body longer
-// than any legal request, 429 when the admission queue sheds, 503 while
-// draining, 504 when the request's deadline expired mid-queue or
-// mid-solve.
+// dimension mismatches, over-wide ensembles, or a negative tol,
+// max_iter or timeout_ms, 413 for a body longer than any legal request,
+// 422 for a system CG cannot solve or an answer that overflows, 429
+// when the admission queue sheds, 503 while draining, 504 when the
+// request's deadline expired mid-queue or mid-solve.
 //
 // Both solve endpoints accept and echo X-Request-ID (see
 // RequestIDHeader) and record a full pipeline trace under that ID:
@@ -193,13 +192,16 @@ func Handler(e *Engine) http.Handler {
 		if !decodeBody(e, w, r, 1, &sr) {
 			return
 		}
+		ctx, cancel, ok := reqContext(w, r, sr.TimeoutMS)
+		if !ok {
+			return
+		}
+		defer cancel()
 		b, err := rhsOf(e, sr.B, sr.Seed)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		ctx, cancel := reqContext(r, sr.TimeoutMS)
-		defer cancel()
 		tr := e.cfg.Tracer.Start(id)
 		tr.SetAttr("path", "/v1/solve")
 		defer tr.Finish()
@@ -240,17 +242,32 @@ func Handler(e *Engine) http.Handler {
 			writeErr(w, http.StatusBadRequest, errors.New("serve: dt must be > 0"))
 			return
 		}
+		ctx, cancel, ok := reqContext(w, r, sr.TimeoutMS)
+		if !ok {
+			return
+		}
+		defer cancel()
 		f, err := rhsOf(e, sr.F, sr.Seed)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		ctx, cancel := reqContext(r, sr.TimeoutMS)
-		defer cancel()
 		tr := e.cfg.Tracer.Start(id)
 		tr.SetAttr("path", "/v1/sdstep")
 		defer tr.Finish()
 		res, err := e.Submit(obs.ContextWithTrace(ctx, tr), Req{B: f, Tol: sr.Tol, MaxIter: sr.MaxIter})
+		var dx []float64
+		if err == nil {
+			dx = make([]float64, len(res.X))
+			for i, u := range res.X {
+				dx[i] = sr.Dt * u
+			}
+			// A finite velocity can still overflow once scaled by dt,
+			// and the response cannot carry an infinity.
+			if !finite(dx...) {
+				err = fmt.Errorf("%w: displacement dt*u overflows", ErrBreakdown)
+			}
+		}
 		if err != nil {
 			tr.SetAttr("http_status", int64(statusOf(err)))
 			writeErr(w, statusOf(err), err)
@@ -267,12 +284,7 @@ func Handler(e *Engine) http.Handler {
 			SolveMS:     float64(res.SolveTime) / float64(time.Millisecond),
 		}
 		if !sr.OmitX {
-			resp.U = res.X
-			dx := make([]float64, len(res.X))
-			for i, u := range res.X {
-				dx[i] = sr.Dt * u
-			}
-			resp.Dx = dx
+			resp.U, resp.Dx = res.X, dx
 		}
 		writeJSON(w, http.StatusOK, resp)
 	})
@@ -287,6 +299,11 @@ func Handler(e *Engine) http.Handler {
 		if !decodeBody(e, w, r, e.cfg.MaxBatch, &er) {
 			return
 		}
+		ctx, cancel, ok := reqContext(w, r, er.TimeoutMS)
+		if !ok {
+			return
+		}
+		defer cancel()
 		bs, err := ensembleRHS(e, er)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, err)
@@ -296,8 +313,6 @@ func Handler(e *Engine) http.Handler {
 		for i, b := range bs {
 			reqs[i] = Req{B: b, Tol: er.Tol, MaxIter: er.MaxIter}
 		}
-		ctx, cancel := reqContext(r, er.TimeoutMS)
-		defer cancel()
 		tr := e.cfg.Tracer.Start(id)
 		tr.SetAttr("path", "/v1/ensemble")
 		defer tr.Finish()
@@ -309,14 +324,14 @@ func Handler(e *Engine) http.Handler {
 		}
 		// Whole-ensemble cancellation mid-queue surfaces per member;
 		// report it as one request-level timeout. A member that broke
-		// down fails the ensemble too: its residual may be NaN, which
-		// the response cannot carry.
-		if err := firstErr(rs); errors.Is(err, ErrCanceled) || errors.Is(err, ErrBreakdown) {
+		// down or lost its shard fails the ensemble too: its residual may
+		// be NaN and its solution missing, which the response cannot
+		// carry.
+		if err := firstErr(rs); err != nil {
 			tr.SetAttr("http_status", int64(statusOf(err)))
 			writeErr(w, statusOf(err), err)
 			return
 		}
-		tr.SetAttr("http_status", int64(http.StatusOK))
 		resp := EnsembleResponse{Members: make([]EnsembleMember, len(rs))}
 		xs := make([][]float64, len(rs))
 		for i, res := range rs {
@@ -335,6 +350,13 @@ func Handler(e *Engine) http.Handler {
 			resp.SolveMS = float64(res.SolveTime) / float64(time.Millisecond)
 		}
 		resp.MeanRMSD, resp.MaxRMSD = stats.Divergence(xs)
+		if !finite(resp.MeanRMSD, resp.MaxRMSD) {
+			err := fmt.Errorf("%w: member spread overflows", ErrBreakdown)
+			tr.SetAttr("http_status", int64(statusOf(err)))
+			writeErr(w, statusOf(err), err)
+			return
+		}
+		tr.SetAttr("http_status", int64(http.StatusOK))
 		writeJSON(w, http.StatusOK, resp)
 	})
 
@@ -371,10 +393,9 @@ func Handler(e *Engine) http.Handler {
 			WaitFactor:      cfg.WaitFactor,
 			Tol:             cfg.Tol,
 			HasModel:        cfg.Model != nil,
-			Symmetric:       e.Symmetric(),
 			Threads:         parallel.Threads(),
 			MaxEnsemble:     cfg.MaxBatch,
-			DefaultEnsemble: cfg.DefaultEnsemble,
+			DefaultEnsemble: min(defaultEnsemble, cfg.MaxBatch),
 		}
 		if top, ok := e.ShardTopology(); ok {
 			info.Shard = &top
@@ -414,6 +435,10 @@ func decodeBody(e *Engine, w http.ResponseWriter, r *http.Request, vectors int, 
 	}
 	return false
 }
+
+// defaultEnsemble is the member count of a /v1/ensemble request that
+// names neither vectors nor seeds nor a count (capped at MaxBatch).
+const defaultEnsemble = 4
 
 // ensembleRHS resolves an EnsembleRequest's member right-hand sides:
 // explicit vectors, explicit seeds, or a member count with a base
@@ -463,7 +488,7 @@ func ensembleRHS(e *Engine, er EnsembleRequest) ([][]float64, error) {
 	default:
 		k := er.Members
 		if k == 0 {
-			k = e.cfg.DefaultEnsemble
+			k = min(defaultEnsemble, e.cfg.MaxBatch)
 		}
 		var base uint64
 		if er.Seed != nil {
@@ -502,12 +527,29 @@ func rhsOf(e *Engine, b []float64, seed *uint64) ([]float64, error) {
 }
 
 // reqContext derives the request context, applying the body's
-// timeout_ms on top of client disconnect propagation.
-func reqContext(r *http.Request, timeoutMS int) (context.Context, context.CancelFunc) {
-	if timeoutMS > 0 {
-		return context.WithTimeout(r.Context(), time.Duration(timeoutMS)*time.Millisecond)
+// timeout_ms (0: none) on top of client disconnect propagation; it
+// answers 400 for a negative one and reports whether ctx is usable.
+func reqContext(w http.ResponseWriter, r *http.Request, timeoutMS int) (context.Context, context.CancelFunc, bool) {
+	if timeoutMS < 0 {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("%w: timeout_ms %d is negative", ErrBadRequest, timeoutMS))
+		return nil, nil, false
 	}
-	return context.WithCancel(r.Context())
+	if timeoutMS > 0 {
+		ctx, cancel := context.WithTimeout(r.Context(), time.Duration(timeoutMS)*time.Millisecond)
+		return ctx, cancel, true
+	}
+	ctx, cancel := context.WithCancel(r.Context())
+	return ctx, cancel, true
+}
+
+// finite reports whether JSON can carry every v: no NaN, no infinity.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 func statusOf(err error) int {
@@ -527,10 +569,16 @@ func statusOf(err error) int {
 	}
 }
 
+// writeJSON encodes v before writing the header: a value JSON cannot
+// carry answers 500 with an error body, never a 200 with an empty one.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		code, body = http.StatusInternalServerError, []byte(`{"error":"serve: response not representable as JSON"}`)
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
+	w.Write(append(body, '\n'))
 }
 
 func writeErr(w http.ResponseWriter, code int, err error) {

@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,8 +26,9 @@ var (
 	// ErrDraining means the engine is shutting down and refuses new
 	// work.
 	ErrDraining = errors.New("serve: draining, not accepting requests")
-	// ErrBadRequest means the right-hand side had the wrong dimension.
-	ErrBadRequest = errors.New("serve: right-hand side dimension mismatch")
+	// ErrBadRequest means a right-hand side of the wrong dimension, an
+	// empty ensemble, a negative or non-finite Tol or a negative MaxIter.
+	ErrBadRequest = errors.New("serve: bad request")
 	// ErrTooWide means an ensemble submission had more members than
 	// MaxBatch, so it could never be solved in one fused dispatch.
 	ErrTooWide = errors.New("serve: ensemble wider than max batch")
@@ -81,9 +84,6 @@ type Config struct {
 	// carry its own trace (1: all, the default). Negative disables
 	// engine-started traces entirely.
 	TraceSample int
-	// DefaultEnsemble is the member count /v1/ensemble uses when the
-	// request names neither explicit vectors nor seeds. Default 4.
-	DefaultEnsemble int
 	// Shards, when >= 1, partitions the operator into that many
 	// RCB-owned shard engines (internal/shard) and routes every
 	// batched multiply across them. Requires a plain *bcrs.Matrix
@@ -122,12 +122,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TraceSample == 0 {
 		c.TraceSample = 1
-	}
-	if c.DefaultEnsemble < 1 {
-		c.DefaultEnsemble = 4
-	}
-	if c.DefaultEnsemble > c.MaxBatch {
-		c.DefaultEnsemble = c.MaxBatch
 	}
 	return c
 }
@@ -258,14 +252,6 @@ func NewEngine(op solver.BlockOperator, cfg Config) *Engine {
 // N returns the scalar dimension requests must match.
 func (e *Engine) N() int { return e.n }
 
-// Symmetric reports whether the engine's operator is a half-storage
-// symmetric matrix (bcrs.SymMatrix), i.e. whether solves pay the
-// halved matrix-traffic cost.
-func (e *Engine) Symmetric() bool {
-	_, ok := e.op.(interface{ SymmetricStorage() bool })
-	return ok
-}
-
 // Config returns the engine's effective (defaulted) configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
@@ -338,8 +324,13 @@ func (e *Engine) SubmitEnsemble(ctx context.Context, reqs []Req) ([]Result, erro
 
 func (e *Engine) submit(ctx context.Context, reqs []Req) ([]Result, error) {
 	for _, r := range reqs {
-		if len(r.B) != e.n {
-			return nil, ErrBadRequest
+		switch {
+		case len(r.B) != e.n:
+			return nil, fmt.Errorf("%w: right-hand side has length %d, want %d", ErrBadRequest, len(r.B), e.n)
+		case r.Tol < 0 || math.IsNaN(r.Tol) || math.IsInf(r.Tol, 0):
+			return nil, fmt.Errorf("%w: tol %v is not a finite non-negative number", ErrBadRequest, r.Tol)
+		case r.MaxIter < 0:
+			return nil, fmt.Errorf("%w: max_iter %d is negative", ErrBadRequest, r.MaxIter)
 		}
 	}
 	e.mu.Lock()

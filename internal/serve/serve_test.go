@@ -294,6 +294,28 @@ func TestServeBadRequestDimension(t *testing.T) {
 	}
 }
 
+// TestServeBadRequestOptions: a tolerance that is negative or not
+// finite and a negative iteration cap are rejected before touching the
+// queue, for a single request and for an ensemble holding one.
+func TestServeBadRequestOptions(t *testing.T) {
+	e := NewEngine(testMatrix(), Config{})
+	defer e.Close(context.Background())
+	b := testRHS(e.N(), 1)
+	for _, req := range []Req{
+		{B: b, Tol: -1},
+		{B: b, Tol: math.NaN()},
+		{B: b, Tol: math.Inf(1)},
+		{B: b, MaxIter: -3},
+	} {
+		if _, err := e.Submit(context.Background(), req); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("Submit(tol=%v, max_iter=%d) = %v, want ErrBadRequest", req.Tol, req.MaxIter, err)
+		}
+		if _, err := e.SubmitEnsemble(context.Background(), []Req{{B: b}, req}); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("SubmitEnsemble(tol=%v, max_iter=%d) = %v, want ErrBadRequest", req.Tol, req.MaxIter, err)
+		}
+	}
+}
+
 // TestServePlanWait pins the dispatch-now edges of the batching
 // window: full batches and exhausted windows never wait.
 func TestServePlanWait(t *testing.T) {
