@@ -5,7 +5,7 @@ GO ?= go
 BENCH_FILES ?= BENCH_serve.json BENCH_ensemble.json BENCH_shard.json
 BENCH_BASELINE_DIR ?= .bench-baseline
 
-.PHONY: ci docs-gate vet build test bench-test bench-trace race race-kernels chaos fuzz-faults fuzz-neighbor fuzz-sqrt fuzz-blockcg fuzz-serve serial wide noavx512 serve-smoke shard-smoke bench experiments bench-serve bench-ensemble bench-shard bench-diff
+.PHONY: ci docs-gate vet build test bench-test bench-trace race race-kernels chaos fuzz-faults fuzz-neighbor fuzz-sqrt fuzz-blockcg fuzz-serve fuzz-checkpoint serial wide noavx512 serve-smoke shard-smoke bench experiments bench-serve bench-ensemble bench-shard bench-diff
 
 # ci is the gate: vet, build everything, the benchmark module's own
 # vet and tests (bench-test), one traced run of each SD workload
@@ -26,11 +26,12 @@ BENCH_BASELINE_DIR ?= .bench-baseline
 # of the preconditioned Brownian roots, square and inverse square (their input is every matrix
 # a step assembles, through a factor up to a window old) and ten of the
 # block solve on dependent right-hand sides, ten of the HTTP solve
-# endpoints on arbitrary bodies, and the
+# endpoints on arbitrary bodies, ten of checkpoint restore on arbitrary
+# bytes, and the
 # advisory perf-regression gate over the BENCH_*.json artifacts (fails
 # only on >2x regressions; warns otherwise; skips files with no
 # baseline).
-ci: vet build bench-test bench-trace docs-gate race-kernels race chaos fuzz-faults fuzz-neighbor fuzz-sqrt fuzz-blockcg fuzz-serve serve-smoke shard-smoke serial wide noavx512 bench-diff
+ci: vet build bench-test bench-trace docs-gate race-kernels race chaos fuzz-faults fuzz-neighbor fuzz-sqrt fuzz-blockcg fuzz-serve fuzz-checkpoint serve-smoke shard-smoke serial wide noavx512 bench-diff
 
 # docs-gate fails when an internal/ package lacks a package comment,
 # a tracked markdown file has a broken relative link, README.md /
@@ -149,6 +150,13 @@ fuzz-blockcg:
 # fixed deadline, and a 200's vectors must have length N.
 fuzz-serve:
 	$(GO) test -run '^$$' -fuzz '^FuzzHandler$$' -fuzztime 10s ./internal/serve/
+
+# fuzz-checkpoint fuzzes checkpoint.Load for ten seconds on arbitrary
+# bytes: it returns, and a state it accepts with at most 64 particles
+# builds a simulation that takes one step without a panic — a hostile
+# snapshot is ErrCorrupt at Load, not a panic in the stepper.
+fuzz-checkpoint:
+	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s ./internal/checkpoint/
 
 # serial runs the full suite pinned to one OS thread: the worker pool,
 # which defaults to GOMAXPROCS threads, starts serial, and must produce

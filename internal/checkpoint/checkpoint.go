@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"repro/internal/blas"
@@ -28,6 +29,15 @@ type State struct {
 
 // currentVersion is the format written by Save.
 const currentVersion = 1
+
+// ErrCorrupt is what Load returns, wrapped with the detail, for a
+// snapshot that decodes but describes no state a run can continue from.
+var ErrCorrupt = errors.New("checkpoint: corrupt snapshot")
+
+// maxPhi bounds the volume fraction a snapshot may carry: the far-field
+// viscosity the resistance matrix is assembled with
+// (hydro.EffectiveViscosity) is defined below random close packing.
+const maxPhi = 0.64
 
 // FromSystem captures a snapshot.
 func FromSystem(sys *particles.System, step int, seed uint64) *State {
@@ -70,10 +80,42 @@ func Load(r io.Reader) (*State, error) {
 	if s.Version != currentVersion {
 		return nil, fmt.Errorf("checkpoint: unsupported version %d", s.Version)
 	}
-	if len(s.Pos) != len(s.Radius) {
-		return nil, errors.New("checkpoint: corrupt snapshot (length mismatch)")
+	if err := s.validate(); err != nil {
+		return nil, fmt.Errorf("%w: %s", ErrCorrupt, err)
 	}
 	return &s, nil
+}
+
+// validate reports the first field of a decoded snapshot that a run
+// could not step from: each would otherwise surface as a panic deep in
+// the stepper (a non-positive or NaN box in the neighbor search or the
+// displacement, a negative step in Runner.SkipTo, no particles in the
+// neighbor search).
+func (s *State) validate() error {
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	switch {
+	case s.Step < 0:
+		return fmt.Errorf("step %d is negative", s.Step)
+	case !finite(s.Box) || s.Box <= 0:
+		return fmt.Errorf("box %v is not a finite positive length", s.Box)
+	case len(s.Pos) == 0:
+		return errors.New("no particles")
+	case len(s.Pos) != len(s.Radius):
+		return fmt.Errorf("%d positions but %d radii", len(s.Pos), len(s.Radius))
+	case !finite(s.Phi) || s.Phi < 0 || s.Phi >= maxPhi:
+		return fmt.Errorf("volume fraction %v is not in [0, %v)", s.Phi, maxPhi)
+	}
+	for i, a := range s.Radius {
+		if !finite(a) || a <= 0 {
+			return fmt.Errorf("particle %d: radius %v is not a finite positive length", i, a)
+		}
+	}
+	for i, p := range s.Pos {
+		if !finite(p[0]) || !finite(p[1]) || !finite(p[2]) {
+			return fmt.Errorf("particle %d: position %v is not finite", i, p)
+		}
+	}
+	return nil
 }
 
 // SaveFile writes the snapshot atomically: to a temp file in the same

@@ -2,6 +2,9 @@ package checkpoint_test
 
 import (
 	"bytes"
+	"encoding/gob"
+	"errors"
+	"math"
 	"path/filepath"
 	"testing"
 
@@ -178,4 +181,112 @@ func TestLoadFileMissing(t *testing.T) {
 	if _, err := checkpoint.LoadFile("/nonexistent-dir-xyz/missing.ckpt"); err == nil {
 		t.Fatal("expected error for missing file")
 	}
+}
+
+// stepFrom builds the simulation a resumed run builds from st — the
+// system, its volume fraction, the seed and the step — and takes one
+// step of Algorithm 1 under the default window.
+func stepFrom(st *checkpoint.State) error {
+	sim := sd.New(st.System(), hydro.Options{Phi: st.Phi}, core.Config{Dt: 2, M: 4, Seed: st.Seed}, 1)
+	sim.SkipTo(st.Step)
+	return sim.RunOriginal(1)
+}
+
+// hostile is a snapshot no run can step from, by the field that is
+// wrong.
+type hostile struct {
+	name string
+	st   *checkpoint.State
+}
+
+// hostileSnapshots returns a valid snapshot of eight particles and
+// copies of it with one field wrong each, those a resumed run used to
+// panic on first.
+func hostileSnapshots(t testing.TB) (*checkpoint.State, []hostile) {
+	sys, err := particles.New(particles.Options{N: 8, Phi: 0.2, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit := func(f func(s *checkpoint.State)) *checkpoint.State {
+		s := checkpoint.FromSystem(sys, 3, 5)
+		f(s)
+		return s
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	return checkpoint.FromSystem(sys, 3, 5), []hostile{
+		{"box 0", edit(func(s *checkpoint.State) { s.Box = 0 })},
+		{"box NaN", edit(func(s *checkpoint.State) { s.Box = nan })},
+		{"step -3", edit(func(s *checkpoint.State) { s.Step = -3 })},
+		{"no particles", edit(func(s *checkpoint.State) { s.Pos, s.Radius = nil, nil })},
+		{"box -5", edit(func(s *checkpoint.State) { s.Box = -5 })},
+		{"box +Inf", edit(func(s *checkpoint.State) { s.Box = inf })},
+		{"radius NaN", edit(func(s *checkpoint.State) { s.Radius[2] = nan })},
+		{"radius 0", edit(func(s *checkpoint.State) { s.Radius[0] = 0 })},
+		{"radius -1", edit(func(s *checkpoint.State) { s.Radius[7] = -1 })},
+		{"radius +Inf", edit(func(s *checkpoint.State) { s.Radius[1] = inf })},
+		{"position NaN", edit(func(s *checkpoint.State) { s.Pos[3][1] = nan })},
+		{"position -Inf", edit(func(s *checkpoint.State) { s.Pos[5][2] = -inf })},
+		{"phi NaN", edit(func(s *checkpoint.State) { s.Phi = nan })},
+		{"phi -0.1", edit(func(s *checkpoint.State) { s.Phi = -0.1 })},
+		{"phi 0.64", edit(func(s *checkpoint.State) { s.Phi = 0.64 })},
+		{"8 positions, 7 radii", edit(func(s *checkpoint.State) { s.Radius = s.Radius[:7] })},
+		{"no positions, 8 radii", edit(func(s *checkpoint.State) { s.Pos = s.Pos[:0] })},
+	}
+}
+
+// encode writes s with gob directly: Save refuses some of what Load must
+// refuse too.
+func encode(t testing.TB, s *checkpoint.State) []byte {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestLoadRejectsHostileSnapshots: a snapshot that decodes but that no
+// run can step from is ErrCorrupt, with the detail, where the stepper
+// used to panic on it — in the neighbor search (box 0, no particles),
+// in the displacement (box NaN) or in Runner.SkipTo (step -3). A
+// snapshot Load accepts is stepped, so an accepted hostile one fails
+// the test the way it used to fail a resumed run. The valid snapshot
+// they were made from loads and steps.
+func TestLoadRejectsHostileSnapshots(t *testing.T) {
+	valid, hostile := hostileSnapshots(t)
+	st, err := checkpoint.Load(bytes.NewReader(encode(t, valid)))
+	if err != nil {
+		t.Fatalf("valid snapshot: %v", err)
+	}
+	if err := stepFrom(st); err != nil {
+		t.Fatalf("valid snapshot: %v", err)
+	}
+	for _, h := range hostile {
+		st, err := checkpoint.Load(bytes.NewReader(encode(t, h.st)))
+		if errors.Is(err, checkpoint.ErrCorrupt) {
+			t.Logf("%s: %v", h.name, err)
+			continue
+		}
+		t.Errorf("%s: Load returned %v, want ErrCorrupt", h.name, err)
+		if err == nil {
+			t.Logf("%s: stepping from it gives %v", h.name, stepFrom(st))
+		}
+	}
+}
+
+// FuzzLoad decodes arbitrary bytes as a snapshot: Load returns, and a
+// state it accepts with at most 64 particles builds a simulation that
+// takes one step without a panic (an error is an answer).
+func FuzzLoad(f *testing.F) {
+	valid, hostile := hostileSnapshots(f)
+	f.Add(encode(f, valid))
+	for _, h := range hostile {
+		f.Add(encode(f, h.st))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := checkpoint.Load(bytes.NewReader(data))
+		if err != nil || len(st.Pos) > 64 {
+			return
+		}
+		_ = stepFrom(st)
+	})
 }

@@ -16,13 +16,22 @@
 //     the master noise seed, and the next global step index are
 //     everything needed to continue the run — solver state is
 //     deliberately absent, because every solve is a pure function of
-//     the configuration and (Seed, k).
+//     the configuration and (Seed, k). One exception: an MRHS chunk
+//     that runs block CG (a window without a factor, internal/core)
+//     stops it at a tolerance set from the previous chunk's guesses,
+//     which a resumed run does not have, so its first chunk solves to
+//     the full tolerance and the trajectory agrees with the
+//     uninterrupted one to that tolerance, not bit for bit.
 //   - SaveFile is atomic: the snapshot is written to a temp file in
 //     the target's directory and renamed over it, so a crash during
 //     save leaves the previous checkpoint intact, never a torn file.
-//   - Load validates before returning: a version mismatch or a
-//     corrupt snapshot (length mismatch) is an error, not a silently
-//     wrong state.
+//   - Load validates before returning: a version mismatch is an
+//     error, and so is a snapshot no run could step from — a negative
+//     step, a box that is not finite and positive, no particles,
+//     positions and radii of different lengths, a radius that is not
+//     finite and positive, a position that is not finite, a volume
+//     fraction outside [0, 0.64) — which Load returns as ErrCorrupt
+//     wrapped with the detail, where the stepper would have panicked.
 //   - Save never mutates or aliases the live system: FromSystem
 //     copies positions and radii, so a snapshot taken mid-run stays
 //     fixed while the run advances.

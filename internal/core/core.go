@@ -42,7 +42,10 @@ type Config struct {
 	// solve. The original algorithm ignores it. 16 in the paper's
 	// headline runs.
 	M int
-	// Tol is the solver relative-residual tolerance (paper: 1e-6).
+	// Tol is the solver relative-residual tolerance (paper: 1e-6). An
+	// MRHS chunk's block solve stops looser after a runner's first
+	// chunk, at what its guesses can use (StepMRHS); column 0 still
+	// meets Tol.
 	Tol float64
 	// MaxIter caps solver iterations (0: solver default).
 	MaxIter int
@@ -72,8 +75,11 @@ type Config struct {
 	// side, and x holding the initial guess (zero for the original
 	// algorithm, the direct velocity under a factor window, which
 	// already solves the system) and, in its options, the window's
-	// preconditioner. The
-	// matrix is valid for the call only: the stepper recycles it after.
+	// preconditioner. A chunk's step 0 has no first solve of its own:
+	// its velocity is column 0 of the chunk's augmented solution, and
+	// the CG that finishes that column is the chunk's, not the hook's.
+	// The matrix is valid for the call only: the stepper recycles it
+	// after.
 	// This hook is how Krylov recycling, Section III's second
 	// technique, plugs into the same time-stepping loop for comparison.
 	FirstSolve SolveFunc
@@ -111,15 +117,22 @@ type Config struct {
 	// by chebyshev.PrecondInvSqrt and one Apply, and f^B = -R*u by one
 	// multiply, the same force to ChebTol with R*u = -f^B to rounding, so
 	// no first solve runs unless ExternalForce or FirstSolve asks for one.
-	// Algorithm 2 keeps its guessed first solves. Any other window —
-	// NoPrecond, a broken-down IC(0), a preconditioner without a
-	// factor — takes the paper's order-ChebOrder Chebyshev series on
-	// [SpectrumFloor, Gershgorin] and Algorithm 1's cold first solve.
+	// Algorithm 2 under such a window, without ExternalForce, draws its
+	// chunk's augmented solution the same way, m columns at once, and
+	// runs no block solve (the direct guesses): column 0 is step 0's
+	// direct velocity, columns 1..m-1 the guesses its later steps solve
+	// warm from. Any other window — NoPrecond, a broken-down IC(0), a
+	// preconditioner without a factor — takes the paper's order-ChebOrder
+	// Chebyshev series on [SpectrumFloor, Gershgorin], Algorithm 1's cold
+	// first solve and Algorithm 2's block solve.
 	Precond func(a *bcrs.Matrix) solver.Preconditioner
-	// BlockPrecond, if non-nil, is called with each chunk's R_0 right
-	// before the augmented block solve and may return a preconditioner
-	// for that solve alone; a nil result keeps the window's. The traced
-	// benchmark uses the call to mark where the block solve begins. The
+	// BlockPrecond, if non-nil, is called with each chunk's R_0 where the
+	// chunk's guesses are made — after its m-vector square root, before
+	// the block solve or the direct guesses' Apply — and marks that
+	// point: the traced benchmark tags the multiplies that follow as the
+	// guesses'. A nil result keeps the chunk's own way of making them.
+	// A non-nil result selects block CG under that preconditioner alone,
+	// also where the window would have drawn the direct guesses. The
 	// matrix is valid for the call only.
 	BlockPrecond func(a *bcrs.Matrix) solver.Preconditioner
 	// Recovery, if non-nil, arms crash recovery in the Run loops:
@@ -177,8 +190,8 @@ func (c Config) withDefaults() Config {
 // paper's Tables VI and VII.
 type Timings struct {
 	Construct   time.Duration // matrix assembly
-	ChebVectors time.Duration // S(R_0)*Z with m vectors (MRHS only)
-	CalcGuesses time.Duration // augmented block solve (MRHS only)
+	ChebVectors time.Duration // the chunk's m-vector square root (MRHS only)
+	CalcGuesses time.Duration // the chunk's guesses from it (MRHS only)
 	ChebSingle  time.Duration // S(R_k)*z_k single vector
 	FirstSolve  time.Duration // step solve (with guess under MRHS)
 	SecondSolve time.Duration // midpoint corrector solve
@@ -231,7 +244,9 @@ type StepRecord struct {
 	// HadGuess reports whether the first solve was warm-started.
 	HadGuess bool
 	// Direct reports whether the first velocity was sampled through the
-	// window's factor rather than solved for (see Config.Precond).
+	// window's factor rather than solved for (see Config.Precond): every
+	// step of Algorithm 1 under a factor window, and step 0 of a chunk
+	// whose guesses were drawn directly.
 	Direct bool
 	// GuessRelError is ||u_k - u'_k|| / ||u_k|| for warm-started
 	// first solves (Figure 5); 0 otherwise.
@@ -258,8 +273,14 @@ type Runner struct {
 	preStep int
 	ic      solver.IC0
 
+	// guessErr is the smallest GuessRelError of the last completed
+	// chunk's warm steps (0: there were none), from which the next block
+	// solve sets its tolerance (blockTol).
+	guessErr float64
+
 	// audit, set by tests, sees every converged solve's system and
-	// solution (the block solve column by column).
+	// solution: a chunk's direct guesses column by column, of its block
+	// solve the column finished to Tol.
 	audit func(kind string, a *bcrs.Matrix, x, b []float64)
 
 	// buf holds the vectors of one time step — noise, Brownian force,
@@ -278,7 +299,8 @@ type Runner struct {
 	Timings Timings
 	Records []StepRecord
 
-	// BlockIters counts iterations of augmented block solves.
+	// BlockIters counts iterations of augmented block solves; chunks
+	// that drew their guesses directly add none.
 	BlockIters int
 
 	// OnStep, if non-nil, observes each completed step with the
@@ -421,10 +443,20 @@ func (r *Runner) emitStep(rec StepRecord, sq *chebyshev.Stats, alg string, befor
 	}
 }
 
-// emitChunk records the chunk-level work of one MRHS augmented solve
-// (matrix construction at R_0, the m-vector square root, and the block
-// solve), which precedes the per-step records of the chunk.
-func (r *Runner) emitChunk(m int, st solver.BlockStats, sq chebyshev.Stats, before Timings) {
+// chunkGuesses says how a chunk made its guesses: drawn directly, or by
+// block CG stopped at tol, column 0 then finished to Tol by a warm CG of
+// finish iterations.
+type chunkGuesses struct {
+	direct bool
+	block  solver.BlockStats
+	tol    float64
+	finish int
+}
+
+// emitChunk records the chunk-level work of one MRHS chunk (matrix
+// construction at R_0, the m-vector square root, and the guesses),
+// which precedes the per-step records of the chunk.
+func (r *Runner) emitChunk(m int, g chunkGuesses, sq chebyshev.Stats, before Timings) {
 	reg := r.obsReg()
 	r.countSqrt(sq)
 	deltas := phaseDeltas(before, r.Timings)
@@ -436,26 +468,35 @@ func (r *Runner) emitChunk(m int, st solver.BlockStats, sq chebyshev.Stats, befo
 			}
 		}
 	}
-	if r.Trace != nil {
-		r.Trace.AddInt("cg_iterations", int64(st.Iterations))
-		r.Trace.ObserveSpan("block_mul", time.Duration(st.MulSeconds*float64(time.Second)))
-		r.Trace.ObserveSpan("block_vec", time.Duration(st.VecSeconds*float64(time.Second)))
-	}
+	st := g.block
 	reg.Counter("core_chunks_total").Inc()
-	reg.Counter("core_block_iterations_total").Add(int64(st.Iterations))
-	if r.Events != nil {
-		f := map[string]any{
-			"step":           r.k,
-			"m":              m,
-			"block_iters":    st.Iterations,
-			"block_residual": st.Residual,
-			// calc_guesses_s split into the block solve's multiplies
-			// and its block-vector work.
-			"block_mul_s": st.MulSeconds,
-			"block_vec_s": st.VecSeconds,
+	if g.direct {
+		reg.Counter("core_direct_guess_chunks_total").Inc()
+	} else {
+		reg.Counter("core_block_iterations_total").Add(int64(st.Iterations))
+		if r.Trace != nil {
+			r.Trace.AddInt("cg_iterations", int64(st.Iterations+g.finish))
+			r.Trace.ObserveSpan("block_mul", time.Duration(st.MulSeconds*float64(time.Second)))
+			r.Trace.ObserveSpan("block_vec", time.Duration(st.VecSeconds*float64(time.Second)))
 		}
-		if st.Dropped > 0 {
-			f["block_dropped"] = st.Dropped
+	}
+	if r.Events != nil {
+		f := map[string]any{"step": r.k, "m": m, "guesses": "direct"}
+		if !g.direct {
+			f["guesses"] = "block"
+			f["block_tol"] = g.tol
+			f["block_iters"] = st.Iterations
+			f["block_residual"] = st.Residual
+			// calc_guesses_s split into the block solve's multiplies and
+			// its block-vector work; column 0's finish is the rest.
+			f["block_mul_s"] = st.MulSeconds
+			f["block_vec_s"] = st.VecSeconds
+			if g.finish > 0 {
+				f["finish_iters"] = g.finish
+			}
+			if st.Dropped > 0 {
+				f["block_dropped"] = st.Dropped
+			}
 		}
 		sqrtFields(f, sq)
 		for phase, d := range deltas {
@@ -779,8 +820,11 @@ func (r *Runner) secondSolve(u, rhs []float64) ([]float64, solver.Stats, error) 
 }
 
 // StepMRHS performs one chunk of the MRHS algorithm (Algorithm 2): up
-// to min(M, steps) time steps driven by a single augmented block
-// solve.
+// to min(M, steps) time steps driven by one augmented system at R_0,
+// solved only as far as its guesses are used. Under a factor window
+// with no external force the chunk draws the system's solution directly
+// (directGuesses); otherwise block CG stops at blockTol and column 0,
+// the only one used as a solution, is finished to Tol (blockGuesses).
 func (r *Runner) StepMRHS(steps int) error {
 	m := r.cfg.M
 	if steps < m {
@@ -803,9 +847,11 @@ func (r *Runner) StepMRHS(steps int) error {
 	t0 = time.Now()
 	r.beginWindow(a0)
 	r.Timings.CalcGuesses += time.Since(t0)
+	f, direct := r.pre.(chebyshev.Factor)
+	direct = direct && r.cfg.ExternalForce == nil
 
-	// Step 2: F^B = S(R_0) * Z — one square-root evaluation with m
-	// vectors (GSPMV).
+	// Step 2: one square-root evaluation with m vectors (GSPMV): F^B =
+	// S(R_0)*Z, or for the direct guesses Y' = L*X_0^{-1/2}*Z.
 	t0 = time.Now()
 	z := &r.chunk.z
 	z.Reshape(dim, m)
@@ -814,63 +860,67 @@ func (r *Runner) StepMRHS(steps int) error {
 	}
 	fb := &r.chunk.fb
 	fb.Reshape(dim, m) // the square root writes all of it
-	sq, err := r.brownian(a0, op0, fb, z)
+	var sq chebyshev.Stats
+	var err error
+	if direct {
+		sq, err = chebyshev.PrecondInvSqrt(op0, f, fb, z, r.cfg.ChebOrder, r.cfg.ChebTol)
+	} else {
+		sq, err = r.brownian(a0, op0, fb, z)
+	}
 	if err != nil {
 		return fmt.Errorf("core: chunk at step %d: %w", r.k, err)
 	}
 	r.Timings.ChebVectors += time.Since(t0)
-	fb.Scale(-1) // the systems are R u = -f^B + f^P (see negRHS)
-	if fp := r.externalForce(r.cur); fp != nil {
-		// The chunk-start external force stands in for every column;
-		// like R_0 it is a slowly-varying approximation that only
-		// affects guess quality, never the converged solutions.
-		for i := 0; i < dim; i++ {
-			row := fb.Row(i)
-			for j := range row {
-				row[j] += fp[i]
+
+	// Step 3: the guesses U, with step 0's velocity u_0 and right-hand
+	// side.
+	t0 = time.Now()
+	var bp solver.Preconditioner
+	if r.cfg.BlockPrecond != nil {
+		bp = r.cfg.BlockPrecond(a0)
+	}
+	u := &r.chunk.u
+	u.Reshape(dim, m)
+	rhs0, u0 := r.vec(&r.buf.rhs), r.vec(&r.buf.u)
+	g := chunkGuesses{direct: direct}
+	if direct {
+		r.directGuesses(f, op0, u, fb, u0, rhs0)
+		if bp != nil {
+			// Block CG on the forces the inverse root drew: -F^B = R_0*U.
+			op0.Mul(fb, u)
+			g.direct = false
+		}
+	} else {
+		fb.Scale(-1) // the systems are R u = -f^B + f^P (see negRHS)
+		if fp := r.externalForce(r.cur); fp != nil {
+			// The chunk-start external force stands in for every column;
+			// like R_0 it is a slowly-varying approximation that only
+			// affects guess quality, never the converged solutions.
+			for i := 0; i < dim; i++ {
+				row := fb.Row(i)
+				for j := range row {
+					row[j] += fp[i]
+				}
 			}
 		}
 	}
-
-	// Step 3: solve the augmented system R_0 * U = -F^B.
-	u := &r.chunk.u
-	u.Reshape(dim, m)
-	u.Zero() // the block solve's initial guess
-	t0 = time.Now()
-	blockOpts := r.solveOpts()
-	if r.cfg.BlockPrecond != nil {
-		if p := r.cfg.BlockPrecond(a0); p != nil {
-			blockOpts.Precond = p
-		}
+	if !g.direct {
+		g, err = r.blockGuesses(op0, u, fb, u0, rhs0, bp)
 	}
-	stB := solver.BlockCG(op0, u, fb, blockOpts)
 	r.Timings.CalcGuesses += time.Since(t0)
-	r.BlockIters += stB.Iterations
-	if !stB.Converged {
-		r.noteFailure("block_solve")
-		if stB.Err != nil {
-			return fmt.Errorf("core: chunk at step %d augmented solve: %w", r.k, stB.Err)
-		}
-		return fmt.Errorf("core: chunk at step %d augmented solve stalled at residual %g", r.k, stB.Residual)
+	if err != nil {
+		return err
 	}
-	r.emitChunk(m, stB, sq, tm0)
+	r.emitChunk(m, g, sq, tm0)
 	if r.audit != nil {
-		x, b := make([]float64, dim), make([]float64, dim)
-		for j := 0; j < m; j++ {
-			u.Col(j, x)
-			fb.Col(j, b)
-			r.audit("block", a0, x, b)
-		}
+		r.auditGuesses(a0, u, fb, u0, rhs0, g.direct)
 	}
 	r.cur.Recycle(a0)
 
 	// Steps 4-6: the first time step uses u_0 directly (its first
-	// solve already happened inside the block solve).
+	// solve already happened in making the guesses).
 	tmStep := r.Timings
-	rhs0, u0 := r.vec(&r.buf.rhs), r.vec(&r.buf.u)
-	fb.Col(0, rhs0)
-	u.Col(0, u0)
-	rec := StepRecord{Step: r.k, FirstIters: 0, HadGuess: true}
+	rec := StepRecord{Step: r.k, FirstIters: 0, HadGuess: true, Direct: g.direct}
 	uHalf, st2, err := r.secondSolve(u0, rhs0)
 	if err != nil {
 		return err
@@ -882,6 +932,7 @@ func (r *Runner) StepMRHS(steps int) error {
 
 	// Steps 7-14: remaining m-1 steps, warm-started from the
 	// augmented solutions.
+	guessErr := 0.0
 	for j := 1; j < m; j++ {
 		tmStep := r.Timings
 		t0 = time.Now()
@@ -913,6 +964,9 @@ func (r *Runner) StepMRHS(steps int) error {
 
 		rec := StepRecord{Step: r.k, FirstIters: st1.Iterations, HadGuess: true}
 		rec.GuessRelError = relError(uk, guess)
+		if e := rec.GuessRelError; e > 0 && (guessErr == 0 || e < guessErr) {
+			guessErr = e
+		}
 
 		uHalf, st2, err := r.secondSolve(uk, rhs)
 		if err != nil {
@@ -924,7 +978,87 @@ func (r *Runner) StepMRHS(steps int) error {
 		r.advance(uHalf)
 		r.emitStep(rec, &sq, "mrhs", tmStep)
 	}
+	r.guessErr = guessErr
 	return nil
+}
+
+// guessTolFactor is c in blockTol's c*min GuessRelError: drift moves a
+// step's solution that far from its guess anyway, so a column solved to
+// a tenth of it costs its first solve under one iteration. Measured in
+// DESIGN §9, "The direct guesses".
+const guessTolFactor = 0.1
+
+// blockTol is the tolerance a chunk's block solve stops at: Tol for a
+// runner's first chunk, else guessTolFactor times the smallest guess
+// error of the previous chunk's warm steps, never below Tol.
+func (r *Runner) blockTol() float64 {
+	return max(r.cfg.Tol, guessTolFactor*r.guessErr)
+}
+
+// directGuesses draws the chunk's augmented solution from the inverse
+// root y = L*X_0^{-1/2}*Z its square root left: U = -M^{-1}*y, whose
+// column j is Algorithm 1's direct velocity for z_j at R_0
+// (directVelocity), and step 0's right-hand side rhs0 = R_0*u_0 by one
+// multiply, so R_0*u_0 = -f^B_0 to rounding and F^B's other columns are
+// never formed.
+func (r *Runner) directGuesses(f chebyshev.Factor, op0 DistOp, u, y *multivec.MultiVec, u0, rhs0 []float64) {
+	f.ApplyBlock(u, y)
+	u.Scale(-1)
+	u.Col(0, u0)
+	op0.MulVec(rhs0, u0)
+}
+
+// blockGuesses solves the augmented system R_0*U = B by block CG from
+// zero, under the window's preconditioner or bp when it is not nil, to
+// blockTol: the guesses need no more. Column 0 is step 0's velocity, so
+// a warm CG finishes it to Tol. u0 and rhs0 receive column 0.
+func (r *Runner) blockGuesses(op0 DistOp, u, b *multivec.MultiVec, u0, rhs0 []float64, bp solver.Preconditioner) (chunkGuesses, error) {
+	opts := r.solveOpts()
+	if bp != nil {
+		opts.Precond = bp
+	}
+	opts.Tol = r.blockTol()
+	u.Zero()
+	st := solver.BlockCG(op0, u, b, opts)
+	r.BlockIters += st.Iterations
+	g := chunkGuesses{block: st, tol: opts.Tol}
+	if !st.Converged {
+		r.noteFailure("block_solve")
+		if st.Err != nil {
+			return g, fmt.Errorf("core: chunk at step %d augmented solve: %w", r.k, st.Err)
+		}
+		return g, fmt.Errorf("core: chunk at step %d augmented solve stalled at residual %g", r.k, st.Residual)
+	}
+	u.Col(0, u0)
+	b.Col(0, rhs0)
+	if opts.Tol > r.cfg.Tol {
+		opts.Tol = r.cfg.Tol
+		st0 := solver.CG(op0, u0, rhs0, opts)
+		g.finish = st0.Iterations
+		if !st0.Converged {
+			r.noteFailure("block_solve")
+			return g, fmt.Errorf("core: chunk at step %d augmented solve's column 0 stalled at residual %g", r.k, st0.Residual)
+		}
+	}
+	return g, nil
+}
+
+// auditGuesses hands the audit hook what a chunk solved to Tol, with
+// its system at R_0: every column of the direct guesses, whose
+// right-hand side is R_0*u_j by a multiply made here for the purpose,
+// or a block solve's finished column 0.
+func (r *Runner) auditGuesses(a0 *bcrs.Matrix, u, b *multivec.MultiVec, u0, rhs0 []float64, direct bool) {
+	if !direct {
+		r.audit("block", a0, u0, rhs0)
+		return
+	}
+	a0.Mul(b, u)
+	x, bj := make([]float64, u.N), make([]float64, u.N)
+	for j := 0; j < u.M; j++ {
+		u.Col(j, x)
+		b.Col(j, bj)
+		r.audit("block", a0, x, bj)
+	}
 }
 
 // relError returns ||sol - guess|| / ||sol||.

@@ -212,8 +212,9 @@ func TestMaxIterPropagates(t *testing.T) {
 // A block solve that runs out of iterations fails the chunk with the
 // stalled error and a block_solve failure count, as a first or second
 // solve that runs out does: nothing re-solves its columns behind it.
+// NoPrecond: a factor window draws its guesses and runs no block solve.
 func TestStarvedBlockSolveFailsTheChunk(t *testing.T) {
-	r := NewRunner(newToy(30, 15), Config{Dt: 0.1, M: 4, Seed: 15, MaxIter: 2, Tol: 1e-14})
+	r := NewRunner(newToy(30, 15), Config{Dt: 0.1, M: 4, Seed: 15, MaxIter: 2, Tol: 1e-14, Precond: NoPrecond})
 	r.Obs = obs.NewRegistry()
 	err := r.StepMRHS(4)
 	if err == nil || errors.Is(err, solver.ErrBreakdown) || !strings.Contains(err.Error(), "augmented solve stalled") {
@@ -370,10 +371,11 @@ func TestMidpointSecondOrder(t *testing.T) {
 // The chunk event splits calc_guesses_s into the block solve's
 // multiplies and its block-vector work, and the same split reaches
 // the trace; together they cannot exceed the phase they partition.
+// NoPrecond: a factor window draws its guesses and runs no block solve.
 func TestChunkEventSplitsBlockSolveTime(t *testing.T) {
 	var buf bytes.Buffer
 	events := obs.NewEventLog(&buf)
-	r := NewRunner(newToy(30, 4), Config{Dt: 0.1, M: 4, Seed: 5})
+	r := NewRunner(newToy(30, 4), Config{Dt: 0.1, M: 4, Seed: 5, Precond: NoPrecond})
 	r.Events = events
 	r.Trace = obs.NewTracer(4, 4).Start("chunk-test")
 	if err := r.StepMRHS(4); err != nil {
@@ -781,12 +783,14 @@ func TestDirectVelocityWithExternalForce(t *testing.T) {
 // every Brownian force the stepper draws: the paper's series (a window
 // without a factor), the root through a window's factor — both drawn in
 // blocks, as a chunk draws them, a block's column being bitwise the
-// column drawn alone — and the direct velocity's -R*u, one step's at a
-// time. Over 20000 noise vectors each force is whitened by R's dense
-// Cholesky factor, w = C^{-1} f, and the sample covariance of w must be
-// the identity within 0.05 in every entry — five standard deviations of
-// a diagonal entry at this sample count, and unlike a comparison against
-// R itself as sensitive to the slow modes as to the fast ones. The
+// column drawn alone — the direct velocity's -R*u, one step's at a
+// time, and a chunk's direct guesses' -R*u_j from the block inverse
+// root, whose column 0 is step 0's force. Over 20000 noise vectors each
+// force is whitened by R's dense Cholesky factor, w = C^{-1} f, and the
+// sample covariance of w must be the identity within 0.05 in every
+// entry — five standard deviations of a diagonal entry at this sample
+// count, and unlike a comparison against R itself as sensitive to the
+// slow modes as to the fast ones. The
 // factor is taken at another state, so it is not R's: the covariance is
 // R whatever L. A force of covariance M = L*L^T instead, L*z, must fail
 // the same bound, or the test could not tell.
@@ -805,8 +809,8 @@ func TestBrownianForceCovariance(t *testing.T) {
 	}
 	n := a.N()
 	u, rhs := make([]float64, n), make([]float64, n)
-	z, f := multivec.New(n, width), multivec.New(n, width)
-	for _, path := range []string{"series", "root", "direct", "L*z"} {
+	z, f, y, guesses := multivec.New(n, width), multivec.New(n, width), multivec.New(n, width), multivec.New(n, width)
+	for _, path := range []string{"series", "root", "direct", "chunk", "L*z"} {
 		precond := NoPrecond
 		if path != "series" {
 			precond = nil
@@ -831,6 +835,17 @@ func TestBrownianForceCovariance(t *testing.T) {
 					_, err = r.directVelocity(fac, a, u, rhs, r.noise(k0+j))
 					blas.Scal(-1, rhs)
 					f.SetCol(j, rhs)
+				}
+			case "chunk":
+				if _, err = chebyshev.PrecondInvSqrt(a, fac, y, z, r.cfg.ChebOrder, r.cfg.ChebTol); err == nil {
+					r.directGuesses(fac, a, guesses, y, u, rhs)
+					a.Mul(f, guesses)
+					f.Scale(-1)
+					for i := range rhs {
+						if d := f.At(i, 0) + rhs[i]; math.Abs(d) > 1e-12*(1+math.Abs(rhs[i])) {
+							t.Fatalf("chunk: step 0's right-hand side %v is not R*u_0 %v", rhs[i], -f.At(i, 0))
+						}
+					}
 				}
 			case "L*z":
 				fac.MulL(f, z)

@@ -18,6 +18,15 @@
 // to R_0 — good initial guesses u'_k for the remaining m-1 steps,
 // whose warm-started solves then need 30-40% fewer iterations.
 //
+// Only column 0 is used as a solution; the others are guesses that
+// drift moves 2e-3 to 8e-3 away from their steps' solutions whatever
+// the solve left. So the stepper solves the augmented system only as
+// far as that: where a chunk runs block CG (see the direct guesses
+// below for where it does not), the solve stops at max(Config.Tol, 0.1
+// times the smallest guess error of the previous chunk's warm steps) —
+// a runner's first chunk at Tol — and a warm CG finishes column 0 to
+// Tol. The chunk record carries that tolerance as block_tol.
+//
 // # The reuse window
 //
 // Section III lists a preconditioner reused across slowly varying
@@ -54,10 +63,21 @@
 // is minus the force above, got by one multiply, with R_k u = -f^B to
 // rounding. The first solve is then left with the external force alone,
 // warm from u (none runs without one), and the FirstSolve hook, when
-// set, still receives the system and finds it solved. Algorithm 2 keeps
-// its guessed first solves: the direct velocity would leave its guesses
-// nothing to shorten and make it Algorithm 1 plus a block solve. Which
-// step to run is a question for the cost model, not for this package.
+// set, still receives the system and finds it solved.
+//
+// # The direct guesses
+//
+// The same sampling gives Algorithm 2's augmented system its solution
+// exactly, m columns at once: under a factor window with no external
+// force a chunk draws U = -M^{-1} L X_0^{-1/2} Z by one m-wide inverse
+// root and one ApplyBlock, whose column j is the direct velocity for
+// z_j at R_0, and step 0's right-hand side R_0 u_0 by one multiply. No
+// block solve runs; step 0 is Algorithm 1's step bit for bit, and
+// columns 1..m-1 are the guesses, whose steps keep the forward root
+// and their warm first solves. The chunk record's guesses field
+// ("direct" or "block") and core_direct_guess_chunks_total say which
+// path a chunk took. Which algorithm to run is a question for the cost
+// model, not for this package.
 //
 // # Who owns a matrix
 //

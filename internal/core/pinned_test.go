@@ -45,27 +45,36 @@ type pinnedSet struct {
 	original, mrhs, chaos pinned
 	reseeded              [2]pinned
 	// crashAt is the cluster multiply of the second chunk the crash is
-	// injected at: inside its block solve, past the square root's
+	// injected at: where it makes its guesses, past the square root's
 	// multiplies (30 Chebyshev terms under NoPrecond, the Lanczos steps
-	// of the slowest column under the default). The test asserts it from
-	// the chunk's record.
+	// of the slowest column under the default) — inside the block solve
+	// under NoPrecond, the multiply giving step 0's right-hand side under
+	// the default. The test asserts it from the chunk's record.
 	crashAt int
 }
 
 // TestPinnedTrajectories pins one small SD system, stepped by every
 // path through the stepper (amd64, one thread). Under core.NoPrecond —
 // the paper's setting, which Tables V-VII and Fig. 5-6 regenerate
-// under — the pins are the bits of the commit before Krylov recycling
-// left the stepper, unmoved by the reuse window that became the
-// default since: an edit to StepOriginal, StepMRHS, secondSolve or the
+// under — the Algorithm 1 pins are the bits of the commit before Krylov
+// recycling left the stepper, unmoved by the reuse window that became
+// the default since: an edit to StepOriginal, secondSolve or the
 // recovery snapshot must not move a trajectory by one ulp or a solve by
-// one iteration. The default's pins (one IC(0) factor per window, the
-// Brownian forces through it by preconditioned Lanczos) were taken when
-// the square root moved onto the factor; its Algorithm 1 pins were taken
-// again when that algorithm began sampling the first velocity through
-// the factor (the inverse root's force differs from the root's within
-// ChebTol, so the bits move; no first solve runs, hence 0 first
-// iterations, and the second solves kept their counts). Each set is checked again over
+// one iteration. Its MRHS pins were taken again when the block solve
+// began stopping at a tolerance set from the previous chunk's guess
+// errors (the second chunk's block solve stops early and a warm CG
+// finishes its column 0, so the bits move; 42 block iterations became
+// 37 and the first solves kept their count). The default's pins (one
+// IC(0) factor per window, the Brownian forces through it by
+// preconditioned Lanczos) were taken when the square root moved onto
+// the factor; its Algorithm 1 pins were taken again when that algorithm
+// began sampling the first velocity through the factor (the inverse
+// root's force differs from the root's within ChebTol, so the bits
+// move; no first solve runs, hence 0 first iterations, and the second
+// solves kept their counts), its MRHS pins when Algorithm 2 began
+// drawing its guesses the same way (no block solve runs, hence 0 block
+// iterations; the first solves took 23 iterations where they took 22).
+// Each set is checked again over
 // configurations that poison every matrix the stepper hands back
 // (poisonConf): the same pins.
 func TestPinnedTrajectories(t *testing.T) {
@@ -73,18 +82,18 @@ func TestPinnedTrajectories(t *testing.T) {
 		{
 			name: "NoPrecond", precond: core.NoPrecond, crashAt: 40,
 			original: pinned{0xa0101326492d7ad0, 265, 156, 0},
-			mrhs:     pinned{0x8a78d8563900e7c9, 115, 156, 42},
-			chaos:    pinned{0x33d364e06ef3c3bb, 115, 156, 42},
+			mrhs:     pinned{0xf7cd8cb5d2aa7137, 115, 156, 37},
+			chaos:    pinned{0xf66aeb50e3e966be, 115, 156, 37},
 			reseeded: [2]pinned{
 				{0x94d163a19f0a83a8, 265, 153, 0},
 				{0xeb4a35f9dd17c21d, 264, 158, 0},
 			},
 		},
 		{
-			name: "default", precond: nil, crashAt: 6,
+			name: "default", precond: nil, crashAt: 4,
 			original: pinned{0x4b1e319819916795, 0, 31, 0},
-			mrhs:     pinned{0x20a061b6da5fb73b, 22, 31, 10},
-			chaos:    pinned{0x528a8167dea80f72, 22, 31, 10},
+			mrhs:     pinned{0x11e4b0ee0ffc705a, 23, 31, 0},
+			chaos:    pinned{0xb0a1d578321f7681, 23, 31, 0},
 			reseeded: [2]pinned{
 				{0x1958f224f9824cb2, 0, 28, 0},
 				{0x313d65d7c0ab74b5, 0, 31, 0},
@@ -143,7 +152,7 @@ func checkPinned(t *testing.T, set pinnedSet, wrap func(core.Configuration) core
 		check(fmt.Sprintf("original at noise seed %d", scfg.Seed), fingerprint(systemOf(r.Current()), r), want)
 	}
 
-	// One node crash in the second chunk's block solve (the injector is
+	// One node crash where the second chunk makes its guesses (the injector is
 	// armed only once the first chunk is done; a cluster counts its own
 	// multiplies), so the replay has records and block iterations to
 	// roll back.
@@ -182,9 +191,10 @@ func checkPinned(t *testing.T, set pinnedSet, wrap func(core.Configuration) core
 		t.Fatalf("chunk recoveries = %d, want the one injected crash replayed once", n)
 	}
 	check("mrhs under recovery", fingerprint(systemOf(chaos.Current()), chaos), set.chaos)
-	// The crash landed in the block solve: R_0's cluster multiplies for
-	// the square root first, then once for the block solve's residual
-	// and once per block iteration.
+	// The crash landed where the guesses are made: R_0's cluster
+	// multiplies for the square root first, then once for the block
+	// solve's residual and once per block iteration, or once for the
+	// direct guesses' R_0*u_0.
 	if err := chaos.Events.Flush(); err != nil {
 		t.Fatal(err)
 	}

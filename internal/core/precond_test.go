@@ -4,15 +4,18 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/bcrs"
+	"repro/internal/chebyshev"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/hydro"
 	"repro/internal/multivec"
 	"repro/internal/obs"
 	"repro/internal/particles"
+	"repro/internal/rng"
 	"repro/internal/sd"
 	"repro/internal/solver"
 )
@@ -247,6 +250,186 @@ func TestPrecondWindowObservability(t *testing.T) {
 	for _, rec := range recs {
 		if _, ok := rec["precond_age_steps"]; ok {
 			t.Errorf("NoPrecond %v record carries precond_age_steps", rec["event"])
+		}
+	}
+}
+
+// TestChunkStepZeroIsAlgorithmOne: under the default window a chunk's
+// first step is Algorithm 1's step from the same configuration and
+// seed, bit for bit — the midpoint velocity and the positions after it.
+// The chunk's block inverse root gives column 0 the bits of the
+// single-column root Algorithm 1 runs, and column 0 of the direct
+// guesses is Algorithm 1's direct velocity; no block solve runs.
+func TestChunkStepZeroIsAlgorithmOne(t *testing.T) {
+	const m = 16
+	sys, err := particles.New(particles.Options{N: 200, Phi: 0.4, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type after struct {
+		uHalf    []float64
+		checksum uint64
+	}
+	run := func(mrhs bool) after {
+		r := core.NewRunner(sd.NewConf(sys.Clone(), hydro.Options{Phi: 0.4}, 1), core.Config{Dt: 2, M: m, Seed: 11})
+		var got after
+		r.OnStep = func(step int, u []float64, _ float64) {
+			switch step {
+			case 0:
+				got.uHalf = slices.Clone(u)
+			case 1: // the configuration step 0 left
+				got.checksum = systemOf(r.Current()).Checksum()
+			}
+		}
+		if mrhs {
+			err = r.StepMRHS(m)
+		} else {
+			err = r.StepOriginal()
+			got.checksum = systemOf(r.Current()).Checksum()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec := r.Records[0]; !rec.Direct || rec.FirstIters != 0 || r.BlockIters != 0 {
+			t.Errorf("mrhs %v: step 0 record %+v after %d block iterations, want a direct step and none", mrhs, rec, r.BlockIters)
+		}
+		return got
+	}
+	want, got := run(false), run(true)
+	for i := range want.uHalf {
+		if math.Float64bits(got.uHalf[i]) != math.Float64bits(want.uHalf[i]) {
+			t.Fatalf("midpoint velocity entry %d: chunk %v, Algorithm 1 %v", i, got.uHalf[i], want.uHalf[i])
+		}
+	}
+	if got.checksum != want.checksum {
+		t.Errorf("positions after step 0: chunk %#x, Algorithm 1 %#x", got.checksum, want.checksum)
+	}
+}
+
+// TestDirectGuessesSolveTheirColumns: a chunk under the default window
+// hands the audit every column of its direct guesses, and R_0*u_j equals
+// the right-hand side it was handed to rounding, by a multiply written
+// here. That right-hand side is -f_j: minus the force the root draws
+// from z_j through a fresh IC(0) factor of R_0, to the two roots'
+// tolerance.
+func TestDirectGuessesSolveTheirColumns(t *testing.T) {
+	const m, chunks, seed = 4, 2, 12
+	sim := sd.New(precondSystem(t, seed), hydro.Options{Phi: 0.35}, core.Config{Dt: 2, M: m, Seed: seed}, 1)
+	cols := 0
+	sim.SetAudit(func(kind string, a *bcrs.Matrix, x, b []float64) {
+		if kind != "block" {
+			return
+		}
+		k := cols // the global step column j of the chunk is drawn for
+		cols++
+		if res := naiveResidual(a, x, b); !(res <= 1e-13) {
+			t.Errorf("step %d's guess: R_0*u misses its right-hand side by %.3g", k, res)
+		}
+		ic, err := solver.NewIC0(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		z, f := make([]float64, len(b)), make([]float64, len(b))
+		rng.Substream(seed, uint64(k)).FillNormal(z)
+		if _, err := chebyshev.PrecondSqrt(a, ic, multivec.FromVector(f), multivec.FromVector(z), 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		var dd, ff float64
+		for i := range f {
+			d := b[i] + f[i]
+			dd, ff = dd+d*d, ff+f[i]*f[i]
+		}
+		if e := math.Sqrt(dd / ff); !(e <= 2*chebyshev.DefaultTol) {
+			t.Errorf("step %d's guess: its right-hand side is %.3g from minus the root's force", k, e)
+		}
+	})
+	if err := sim.RunMRHS(chunks * m); err != nil {
+		t.Fatal(err)
+	}
+	if cols != chunks*m {
+		t.Errorf("audited %d guesses, want %d", cols, chunks*m)
+	}
+}
+
+// TestChunkGuessesObservability: the chunk record says how its guesses
+// were made — "direct" under the default window, counted in
+// core_direct_guess_chunks_total with step 0's record Direct; "block"
+// under NoPrecond or a non-nil BlockPrecond, with the block solve's
+// tolerance, which is Tol for a runner's first chunk and c times the
+// smallest guess error of the previous chunk's warm steps after it.
+func TestChunkGuessesObservability(t *testing.T) {
+	const m, tol = 4, 1e-6
+	for _, setting := range []string{"default", "NoPrecond", "BlockPrecond"} {
+		cfg := core.Config{Dt: 2, M: m, Seed: 13, Tol: tol}
+		switch setting {
+		case "NoPrecond":
+			cfg.Precond = core.NoPrecond
+		case "BlockPrecond":
+			cfg.BlockPrecond = func(a *bcrs.Matrix) solver.Preconditioner { return solver.NewBlockJacobi(a) }
+		}
+		var buf bytes.Buffer
+		sim := sd.New(precondSystem(t, 13), hydro.Options{Phi: 0.35}, cfg, 1)
+		sim.Obs, sim.Events = obs.NewRegistry(), obs.NewEventLog(&buf)
+		if err := sim.RunMRHS(3 * m); err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.Events.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		direct := setting == "default"
+		want := "block"
+		if direct {
+			want = "direct"
+		}
+		var chunks []map[string]any
+		for _, line := range bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n")) {
+			var rec map[string]any
+			if err := json.Unmarshal(line, &rec); err != nil {
+				t.Fatal(err)
+			}
+			if rec["event"] == "chunk" {
+				chunks = append(chunks, rec)
+			}
+		}
+		if len(chunks) != 3 {
+			t.Fatalf("%s: %d chunk records, want 3", setting, len(chunks))
+		}
+		for c, rec := range chunks {
+			if rec["guesses"] != want {
+				t.Errorf("%s chunk %d: guesses %v, want %q", setting, c, rec["guesses"], want)
+			}
+			blockTol, ran := rec["block_tol"].(float64)
+			if ran == direct {
+				t.Errorf("%s chunk %d: block_tol %v", setting, c, rec["block_tol"])
+			}
+			if direct {
+				continue
+			}
+			smallest := 0.0
+			if c > 0 {
+				smallest = math.Inf(1)
+				for _, step := range sim.Records[(c-1)*m+1 : c*m] {
+					smallest = min(smallest, step.GuessRelError)
+				}
+			}
+			if wantTol := max(tol, core.GuessTolFactor*smallest); blockTol != wantTol {
+				t.Errorf("%s chunk %d: block_tol %v, want %v", setting, c, blockTol, wantTol)
+			}
+		}
+		wantDirect := int64(0)
+		if direct {
+			wantDirect = 3
+		}
+		if n := sim.Obs.Counter("core_direct_guess_chunks_total").Value(); n != wantDirect {
+			t.Errorf("%s: core_direct_guess_chunks_total %d, want %d", setting, n, wantDirect)
+		}
+		if (sim.BlockIters == 0) != direct {
+			t.Errorf("%s: %d block iterations", setting, sim.BlockIters)
+		}
+		for _, rec := range sim.Records {
+			if rec.Direct != (direct && rec.Step%m == 0) {
+				t.Errorf("%s: step %d record Direct %v", setting, rec.Step, rec.Direct)
+			}
 		}
 	}
 }

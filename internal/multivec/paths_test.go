@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/bcrs"
 	"repro/internal/core"
 	"repro/internal/hydro"
 	"repro/internal/multivec"
@@ -64,23 +65,27 @@ func TestBlockCGSameOnBothPaths(t *testing.T) {
 }
 
 func TestMRHSChunkSameOnBothPaths(t *testing.T) {
-	chunk := func() (checksum uint64, blockIters int) {
-		conf := sd.NewConf(sdSystem(t, 200, 5), hydro.Options{Phi: 0.4}, 1)
-		r := core.NewRunner(conf, core.Config{Dt: 2, M: 16, Seed: 6})
-		if err := r.StepMRHS(16); err != nil {
-			t.Fatal(err)
+	// The default window draws the chunk's guesses; NoPrecond solves for
+	// them by block CG.
+	for _, precond := range []func(*bcrs.Matrix) solver.Preconditioner{nil, core.NoPrecond} {
+		chunk := func() (checksum uint64, blockIters int) {
+			conf := sd.NewConf(sdSystem(t, 200, 5), hydro.Options{Phi: 0.4}, 1)
+			r := core.NewRunner(conf, core.Config{Dt: 2, M: 16, Seed: 6, Precond: precond})
+			if err := r.StepMRHS(16); err != nil {
+				t.Fatal(err)
+			}
+			return r.Current().(*sd.Conf).Sys.Checksum(), r.BlockIters
 		}
-		return r.Current().(*sd.Conf).Sys.Checksum(), r.BlockIters
-	}
-	sum, iters := chunk()
-	var sumRef uint64
-	var itersRef int
-	multivec.WithoutSIMD(func() { sumRef, itersRef = chunk() })
-	if iters == 0 {
-		t.Fatal("chunk ran no block iterations")
-	}
-	if sum != sumRef || iters != itersRef {
-		t.Fatalf("chunk differs: SIMD checksum %016x after %d block iterations, generic %016x after %d",
-			sum, iters, sumRef, itersRef)
+		sum, iters := chunk()
+		var sumRef uint64
+		var itersRef int
+		multivec.WithoutSIMD(func() { sumRef, itersRef = chunk() })
+		if blockCG := precond != nil; (iters > 0) != blockCG {
+			t.Fatalf("block CG %v: chunk ran %d block iterations", blockCG, iters)
+		}
+		if sum != sumRef || iters != itersRef {
+			t.Fatalf("chunk differs: SIMD checksum %016x after %d block iterations, generic %016x after %d",
+				sum, iters, sumRef, itersRef)
+		}
 	}
 }

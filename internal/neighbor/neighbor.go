@@ -188,9 +188,10 @@ func (cs *cells) forEachPair(pos []blas.Vec3, box, cutoff float64, fn func(Pair)
 		}
 		return
 	}
-	if g > 1024 {
-		g = 1024
-	}
+	// Past 64 cells per particle a finer grid only costs memory: a few
+	// particles in a vast box (a hostile checkpoint's) would otherwise
+	// ask for 1024³ of them.
+	g = max(3, min(g, 1024, int(math.Cbrt(float64(64*n)))))
 	cell := box / float64(g)
 
 	cs.cellOf = resize(cs.cellOf, n)

@@ -191,3 +191,21 @@ func BenchmarkCellList(b *testing.B) {
 		Pairs(pos, 50, 2)
 	}
 }
+
+// TestSparseGridIsBounded: a few particles in a box two hundred cutoffs
+// wide — a hostile checkpoint's shape — get a grid of at most 64 cells
+// per particle, not 200³ of them, and the same pairs as the brute-force
+// scan.
+func TestSparseGridIsBounded(t *testing.T) {
+	const box, cutoff = 200.0, 1.0
+	pos := []blas.Vec3{{1, 1, 1}, {1.5, 1, 1}, {100, 50, 150}}
+	var cs cells
+	var got []Pair
+	cs.forEachPair(pos, box, cutoff, func(p Pair) { got = append(got, p) })
+	if n := len(cs.counts); n > 64*len(pos)+1 {
+		t.Errorf("%d cells for %d particles", n-1, len(pos))
+	}
+	if want := PairsBrute(pos, box, cutoff); !slices.Equal(got, want) {
+		t.Errorf("pairs %v, brute force %v", got, want)
+	}
+}

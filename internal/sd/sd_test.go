@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hydro"
+	"repro/internal/obs"
 	"repro/internal/particles"
 )
 
@@ -63,6 +64,7 @@ func TestOriginalRunAdvances(t *testing.T) {
 
 func TestMRHSRunAdvances(t *testing.T) {
 	s := smallSim(t, 40, 0.3, core.Config{Dt: 2, M: 4, Seed: 2})
+	s.Obs = obs.NewRegistry()
 	if err := s.RunMRHS(8); err != nil {
 		t.Fatal(err)
 	}
@@ -70,6 +72,28 @@ func TestMRHSRunAdvances(t *testing.T) {
 		t.Fatalf("step index %d", s.StepIndex())
 	}
 	// All MRHS steps are warm-started.
+	for _, r := range s.Records {
+		if !r.HadGuess {
+			t.Fatalf("MRHS step %d missing guess", r.Step)
+		}
+	}
+	// Two chunks of 4 -> two chunks' guesses, drawn through the IC(0)
+	// window's factor.
+	if n := s.Obs.Counter("core_direct_guess_chunks_total").Value(); n != 2 {
+		t.Fatalf("%d chunks drew their guesses directly, want 2", n)
+	}
+}
+
+// TestMRHSRunAdvancesUnpreconditioned is TestMRHSRunAdvances in the
+// paper's setting, where the guesses come from augmented block solves.
+func TestMRHSRunAdvancesUnpreconditioned(t *testing.T) {
+	s := smallSim(t, 40, 0.3, core.Config{Dt: 2, M: 4, Seed: 2, Precond: core.NoPrecond})
+	if err := s.RunMRHS(8); err != nil {
+		t.Fatal(err)
+	}
+	if s.StepIndex() != 8 {
+		t.Fatalf("step index %d", s.StepIndex())
+	}
 	for _, r := range s.Records {
 		if !r.HadGuess {
 			t.Fatalf("MRHS step %d missing guess", r.Step)
