@@ -2,19 +2,20 @@ GO ?= go
 
 # The perf artifacts the regression gate watches, and where their
 # committed (HEAD) versions are staged for comparison.
-BENCH_FILES ?= BENCH_serve.json BENCH_ensemble.json BENCH_shard.json
+BENCH_FILES ?= BENCH_serve.json BENCH_ensemble.json
 BENCH_BASELINE_DIR ?= .bench-baseline
 
-.PHONY: ci docs-gate vet build test bench-test bench-trace race race-kernels chaos fuzz-faults fuzz-neighbor fuzz-sqrt fuzz-blockcg fuzz-serve fuzz-checkpoint serial wide noavx512 serve-smoke shard-smoke bench experiments bench-serve bench-ensemble bench-shard bench-diff
+.PHONY: ci docs-gate vet build test bench-test bench-trace race race-kernels chaos fuzz-faults fuzz-neighbor fuzz-sqrt fuzz-blockcg fuzz-serve fuzz-checkpoint serial wide noavx512 serve-smoke bench experiments bench-serve bench-ensemble bench-diff
 
 # ci is the gate: vet, build everything, the benchmark module's own
 # vet and tests (bench-test), one traced run of each SD workload
 # (bench-trace), the full test suite under
 # the race detector (the obs hot paths are lock-free and the worker
 # pool is the most concurrent code in the tree; -race is what
-# validates them), the seeded fault-injection suite, the serving
-# suite (batched-vs-unbatched bitwise equivalence, shedding,
-# cancellation, drain), one serial pass with GOMAXPROCS=1 to prove
+# validates them), the seeded fault-injection suite (the distributed
+# multiply's transport and the SD step's recovery), the serving suite
+# (batched-vs-unbatched bitwise equivalence, shedding, cancellation,
+# drain, operator-failure containment), one serial pass with GOMAXPROCS=1 to prove
 # nothing depends on real parallelism (the process pool defaults to
 # GOMAXPROCS, so this is also the one-thread default), one wide pass
 # of the multiply's packages with GOMAXPROCS=4 (an oversubscribed
@@ -31,7 +32,7 @@ BENCH_BASELINE_DIR ?= .bench-baseline
 # advisory perf-regression gate over the BENCH_*.json artifacts (fails
 # only on >2x regressions; warns otherwise; skips files with no
 # baseline).
-ci: vet build bench-test bench-trace docs-gate race-kernels race chaos fuzz-faults fuzz-neighbor fuzz-sqrt fuzz-blockcg fuzz-serve fuzz-checkpoint serve-smoke shard-smoke serial wide noavx512 bench-diff
+ci: vet build bench-test bench-trace docs-gate race-kernels race chaos fuzz-faults fuzz-neighbor fuzz-sqrt fuzz-blockcg fuzz-serve fuzz-checkpoint serve-smoke serial wide noavx512 bench-diff
 
 # docs-gate fails when an internal/ package lacks a package comment,
 # a tracked markdown file has a broken relative link, README.md /
@@ -98,17 +99,17 @@ race:
 # keeps it seconds-cheap so the full -race suite only runs once this
 # passes.
 race-kernels:
-	$(GO) test -race -short ./internal/bcrs/ ./internal/multivec/ ./internal/parallel/ ./internal/serve/ ./internal/shard/ ./internal/obs/ ./internal/solver/ ./internal/hydro/ ./internal/neighbor/ ./internal/sd/ ./internal/core/ ./internal/chebyshev/
+	$(GO) test -race -short ./internal/bcrs/ ./internal/multivec/ ./internal/parallel/ ./internal/serve/ ./internal/obs/ ./internal/solver/ ./internal/hydro/ ./internal/neighbor/ ./internal/sd/ ./internal/core/ ./internal/chebyshev/
 
 # chaos runs the fault-injection and recovery tests — seeded chaos
 # runs must reproduce clean-run trajectories bitwise — under -race,
 # since the faulty transport is the most concurrent code in the tree.
 chaos:
-	$(GO) test -race -run 'Chaos|Recovery|Fault|Backoff|Crash|Degrad' ./internal/cluster/... ./internal/core/ ./internal/sd/ ./internal/solver/ ./internal/shard/
+	$(GO) test -race -run 'Chaos|Recovery|Fault|Backoff|Crash' ./internal/cluster/... ./internal/core/ ./internal/sd/ ./internal/solver/
 
-# fuzz-faults fuzzes faults.Parse — the value of -faults and
-# -shard-faults — for ten seconds: no panic, an accepted plan prints to
-# a spec that parses back to itself, and its injector answers.
+# fuzz-faults fuzzes faults.Parse — the value of mrhs-sim -faults —
+# for ten seconds: no panic, an accepted plan prints to a spec that
+# parses back to itself, and its injector answers.
 fuzz-faults:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/cluster/faults/
 
@@ -169,11 +170,11 @@ serial:
 
 # wide runs the packages a multiply reaches with a four-thread default
 # pool: every matrix splits into sixteen row ranges, more threads than
-# a two-core host has cores. Served, sharded and batched solves must
-# keep their pinned bits and their allocation contracts there too.
+# a two-core host has cores. Served, distributed and batched solves
+# must keep their pinned bits and their allocation contracts there too.
 # -count=1 as in serial.
 wide:
-	GOMAXPROCS=4 $(GO) test -count=1 ./internal/bcrs/ ./internal/solver/ ./internal/serve/ ./internal/shard/ ./internal/cluster/... ./internal/multivec/
+	GOMAXPROCS=4 $(GO) test -count=1 ./internal/bcrs/ ./internal/solver/ ./internal/serve/ ./internal/cluster/... ./internal/multivec/
 
 # noavx512 runs the kernel packages' tests with AVX-512 compiled out
 # (cpufeat/noavx512.go): on a host that has it, the m = 8k multiplies
@@ -200,16 +201,6 @@ experiments:
 # equivalence test is the serving layer's core guarantee.
 serve-smoke:
 	$(GO) test -race -run 'TestServe' ./internal/serve/
-
-# shard-smoke runs the sharded-serve suite under -race: the fleet's
-# split/halo/gather determinism (1-shard bitwise identity with the
-# plain engine, multi-shard bits pinned to the pre-refactor fleet and
-# equal to a bare cluster.Cluster), crash-shrink recovery, no goroutine
-# left behind, and the HTTP surface over a sharded engine (topology in
-# /v1/info, degraded /healthz, per-shard trace spans, ID echo on
-# rejections).
-shard-smoke:
-	$(GO) test -race -run 'TestFleet|TestShard|TestServeShard' ./internal/shard/ ./internal/serve/
 
 # bench-diff is the advisory perf-regression gate: stage the
 # committed (HEAD) BENCH_*.json artifacts as baselines, then grade
@@ -244,14 +235,3 @@ bench-serve:
 bench-ensemble:
 	$(GO) run ./cmd/serve-bench -ensemble 1,4,8,16 -load 0.5,1,1.5 -json $(CURDIR)/BENCH_ensemble.json
 	-$(MAKE) bench-diff BENCH_FILES=BENCH_ensemble.json
-
-# bench-shard sweeps the serve-tier shard counts over the rate sweep
-# and writes BENCH_shard.json: per-shard-count throughput and latency
-# against the same m=1 baseline, the strip layout (owned/halo rows),
-# "shard_speedup" (largest count over 1
-# shard; reads against "cores" — a single-core host measures routing
-# overhead, not scaling), and the shard-kill chaos pass, which must
-# complete every solve on the shrunk fleet ("completed_degraded").
-bench-shard:
-	$(GO) run ./cmd/serve-bench -nb 3000 -load 0.5,2,8 -shards 1,2,4 -json $(CURDIR)/BENCH_shard.json
-	-$(MAKE) bench-diff BENCH_FILES=BENCH_shard.json

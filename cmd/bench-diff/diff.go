@@ -27,7 +27,7 @@ const (
 )
 
 // directions classifies metric leaf keys across every BENCH_*.json
-// artifact this repo emits (serve, ensemble, shard).
+// artifact this repo emits (serve, ensemble).
 var directions = map[string]Direction{
 	// BENCH_serve.json
 	"throughput_rps": higherBetter,
@@ -37,15 +37,6 @@ var directions = map[string]Direction{
 	"p99_ms":         lowerBetter,
 	"shed_rate":      lowerBetter,
 	"mean_batch":     higherBetter,
-
-	// BENCH_shard.json: the headline scaling ratio is graded; the
-	// strip layout (block_rows/halo_rows) and the chaos pass's counts
-	// describe topology and outcome, not performance.
-	"shard_speedup": higherBetter,
-	"block_rows":    ignored,
-	"halo_rows":     ignored,
-	"tombstoned":    ignored,
-	"shards_live":   ignored,
 }
 
 // Flatten walks a decoded JSON value and collects every numeric leaf

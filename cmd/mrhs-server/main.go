@@ -9,8 +9,6 @@
 //
 //	mrhs-server -addr :8707 -matrix random -nb 2000 -bpr 6
 //	mrhs-server -matrix sd -n 500 -phi 0.30
-//	mrhs-server -shards 4 -threads 4           # RCB shard engines sharing a 4-thread pool
-//	mrhs-server -shards 4 -shard-faults chaos  # chaos-inject the halo transport
 //	curl -s localhost:8707/v1/solve -d '{"seed":1,"omit_x":true}'
 //	curl -s localhost:8707/v1/ensemble -d '{"members":8,"seed":1,"omit_x":true}'
 //
@@ -28,8 +26,6 @@ import (
 	"time"
 
 	"repro/internal/bcrs"
-	"repro/internal/blas"
-	"repro/internal/cluster/faults"
 	"repro/internal/hydro"
 	"repro/internal/model"
 	"repro/internal/obs"
@@ -38,7 +34,6 @@ import (
 	"repro/internal/perf"
 	"repro/internal/sd"
 	"repro/internal/serve"
-	"repro/internal/shard"
 )
 
 func main() {
@@ -53,10 +48,6 @@ func main() {
 		phi    = flag.Float64("phi", 0.30, "sd: volume occupancy")
 
 		threads    = flag.Int("threads", 0, "worker-pool threads every multiply splits over (0: the pool's default, GOMAXPROCS)")
-		shards     = flag.Int("shards", 0, "partition the operator into this many RCB shard engines (0: unsharded)")
-		shardFault = flag.String("shard-faults", "", "fault spec armed on the shard halo transport (e.g. \"chaos\" or \"drop:rate=0.05\")")
-		shardSeed  = flag.Uint64("shard-fault-seed", 1, "seed for the shard fault injector")
-		shardPol   = flag.String("shard-policy", "shrink", "shard crash policy: shrink (re-partition over survivors) or restart (rebuild the same partition)")
 		tol        = flag.Float64("tol", 1e-6, "default relative-residual tolerance")
 		maxIter    = flag.Int("max-iter", 1000, "default iteration cap")
 		maxBatch   = flag.Int("max-batch", 32, "max right-hand sides per dispatch")
@@ -76,7 +67,6 @@ func main() {
 	}
 
 	var a *bcrs.Matrix
-	var pos []blas.Vec3 // spatial embedding for RCB sharding, when one exists
 	switch *matrix {
 	case "random":
 		a = bcrs.Random(bcrs.RandomOptions{NB: *nb, BlocksPerRow: *bpr, Seed: *mseed})
@@ -86,7 +76,6 @@ func main() {
 			fail(err)
 		}
 		a = sd.NewConf(sys, hydro.Options{}, parallel.Threads()).Build()
-		pos = sys.Pos
 	default:
 		fail(fmt.Errorf("unknown -matrix %q (want random or sd)", *matrix))
 	}
@@ -99,34 +88,6 @@ func main() {
 		MaxWait:     *maxWait,
 		WaitFactor:  *waitFactor,
 		TraceSample: *traceSample,
-	}
-	if *shards > 0 {
-		if *shards > a.NB() {
-			fail(fmt.Errorf("-shards %d exceeds the %d block rows", *shards, a.NB()))
-		}
-		cfg.Shards = *shards
-		cfg.ShardOpts = shard.Options{
-			Pos:    pos, // nil for random matrices: RCB falls back to nnz-balanced strips
-			Policy: shard.Policy(*shardPol),
-		}
-		if cfg.ShardOpts.Policy != shard.PolicyShrink && cfg.ShardOpts.Policy != shard.PolicyRestart {
-			fail(fmt.Errorf("unknown -shard-policy %q (want shrink or restart)", *shardPol))
-		}
-		if *shardFault != "" {
-			spec := *shardFault
-			if spec == "chaos" {
-				spec = faults.ChaosSpec
-			}
-			plan, err := faults.Parse(spec)
-			if err != nil {
-				fail(err)
-			}
-			cfg.ShardOpts.Faults = plan.NewInjector(*shardSeed)
-			fmt.Printf("shard faults: %s (seed %d)\n", plan, *shardSeed)
-		}
-		fmt.Printf("shards: %d engines, policy %s\n", *shards, cfg.ShardOpts.Policy)
-	} else if *shardFault != "" || *shardPol != "shrink" {
-		fail(fmt.Errorf("-shard-faults/-shard-policy require -shards > 0"))
 	}
 	if *useModel {
 		mc := perf.CalibratedMachine()

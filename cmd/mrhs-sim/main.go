@@ -75,14 +75,14 @@ func main() {
 	}
 
 	var sys *particles.System
-	startStep := 0
+	startStep, guessErr := 0, 0.0
 	if *resume != "" {
 		st, err := checkpoint.LoadFile(*resume)
 		if err != nil {
 			fail(err)
 		}
 		sys = st.System()
-		startStep = st.Step
+		startStep, guessErr = st.Step, st.GuessErr
 		*seed = st.Seed
 		*phi = sys.Phi
 		fmt.Printf("resumed from %s at step %d\n", *resume, startStep)
@@ -163,6 +163,7 @@ func main() {
 			sim = sd.New(sys, hopt, cfg, *threads)
 		}
 		sim.SkipTo(startStep)
+		sim.SetGuessErr(guessErr)
 		if *events != "" {
 			f, err := os.Create(*events)
 			if err != nil {
@@ -220,6 +221,7 @@ func main() {
 		}
 		if *ckpt != "" {
 			st := checkpoint.FromSystem(sim.System(), sim.StepIndex(), *seed)
+			st.GuessErr = sim.GuessErr()
 			if err := checkpoint.SaveFile(*ckpt, st); err != nil {
 				fail(err)
 			}

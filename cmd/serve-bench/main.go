@@ -130,7 +130,6 @@ func main() {
 
 		loadsF    = flag.String("load", "0.5,2,8,32", "load factors relative to the baseline service rate")
 		ensembleF = flag.String("ensemble", "", "comma-separated member counts K: sweep fused K-wide ensemble requests instead of single-RHS traffic")
-		shardsF   = flag.String("shards", "", "comma-separated shard counts: sweep the RCB-sharded engine (emit with -json BENCH_shard.json)")
 		duration  = flag.Duration("duration", 2*time.Second, "offered-arrival window per rate point")
 		baseN     = flag.Int("baseline-solves", 12, "sequential solves timed for the baseline")
 		rhsPool   = flag.Int("rhs-pool", 64, "distinct right-hand sides cycled through")
@@ -191,12 +190,6 @@ func main() {
 			Shape:   model.Shape{NB: a.NB(), NNZB: a.NNZB()},
 			K:       model.DefaultK,
 		}
-	}
-
-	if *shardsF != "" {
-		runShardSweep(a, cfg, base, pool, mustInts(*shardsF), mustFloats(*loadsF),
-			*duration, *arrivSeed, *threads, *jsonPath)
-		return
 	}
 
 	if *ensembleF != "" {

@@ -19,7 +19,7 @@ import (
 // kernel, so Mul and MulVec are bitwise the one-thread product at
 // every pool size and width — on the resistance matrix the stepper
 // multiplies by and on the random one the server does. This is what
-// lets served and sharded solves ignore the thread count.
+// lets served and distributed solves ignore the thread count.
 func TestThreadedMatchesSerial(t *testing.T) {
 	sys, err := particles.New(particles.Options{N: 300, Phi: 0.4, Seed: 3})
 	if err != nil {

@@ -25,6 +25,11 @@ type State struct {
 	Phi    float64
 	Pos    []blas.Vec3
 	Radius []float64
+	// GuessErr is the MRHS runner's guess-error floor at Step
+	// (core.Runner.GuessErr), from which its next block solve sets its
+	// tolerance. A snapshot written without it loads as 0: the resumed
+	// run's first block solve then goes to Tol.
+	GuessErr float64
 }
 
 // currentVersion is the format written by Save.
@@ -104,6 +109,8 @@ func (s *State) validate() error {
 		return fmt.Errorf("%d positions but %d radii", len(s.Pos), len(s.Radius))
 	case !finite(s.Phi) || s.Phi < 0 || s.Phi >= maxPhi:
 		return fmt.Errorf("volume fraction %v is not in [0, %v)", s.Phi, maxPhi)
+	case !finite(s.GuessErr) || s.GuessErr < 0:
+		return fmt.Errorf("guess error %v is not a finite non-negative number", s.GuessErr)
 	}
 	for i, a := range s.Radius {
 		if !finite(a) || a <= 0 {

@@ -8,11 +8,13 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/bcrs"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/hydro"
 	"repro/internal/particles"
 	"repro/internal/sd"
+	"repro/internal/solver"
 )
 
 func TestRoundTrip(t *testing.T) {
@@ -109,7 +111,10 @@ func TestSaveFileAtomic(t *testing.T) {
 
 // TestResumeReproducesTrajectory is the contract that matters: run 8
 // steps straight versus run 4, checkpoint, restore in a "new
-// process", run 4 more — identical final positions.
+// process", run 4 more — identical final positions. The checkpoint
+// falls on a chunk boundary, so under NoPrecond or Jacobi the resumed
+// run's first block solve stops at the tolerance the straight run's
+// previous chunk set, which only the snapshot's GuessErr carries across.
 func TestResumeReproducesTrajectory(t *testing.T) {
 	const (
 		seed  = uint64(77)
@@ -121,49 +126,59 @@ func TestResumeReproducesTrajectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, tc := range []struct {
+		name    string
+		precond func(*bcrs.Matrix) solver.Preconditioner
+	}{
+		{"ic0", nil},
+		{"none", core.NoPrecond},
+		{"jacobi", func(a *bcrs.Matrix) solver.Preconditioner { return solver.NewBlockJacobi(a) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := core.Config{Dt: 2, M: 4, Seed: seed, Tol: 1e-11, Precond: tc.precond}
 
-	// Straight run.
-	straight := sd.New(base.Clone(), hydro.Options{Phi: phi}, core.Config{
-		Dt: 2, M: 4, Seed: seed, Tol: 1e-11,
-	}, 1)
-	if err := straight.RunMRHS(total); err != nil {
-		t.Fatal(err)
-	}
+			// Straight run.
+			straight := sd.New(base.Clone(), hydro.Options{Phi: phi}, cfg, 1)
+			if err := straight.RunMRHS(total); err != nil {
+				t.Fatal(err)
+			}
 
-	// Interrupted run.
-	first := sd.New(base.Clone(), hydro.Options{Phi: phi}, core.Config{
-		Dt: 2, M: 4, Seed: seed, Tol: 1e-11,
-	}, 1)
-	if err := first.RunMRHS(half); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := checkpoint.Save(&buf, checkpoint.FromSystem(first.System(), first.StepIndex(), seed)); err != nil {
-		t.Fatal(err)
-	}
+			// Interrupted run.
+			first := sd.New(base.Clone(), hydro.Options{Phi: phi}, cfg, 1)
+			if err := first.RunMRHS(half); err != nil {
+				t.Fatal(err)
+			}
+			snap := checkpoint.FromSystem(first.System(), first.StepIndex(), seed)
+			snap.GuessErr = first.GuessErr()
+			var buf bytes.Buffer
+			if err := checkpoint.Save(&buf, snap); err != nil {
+				t.Fatal(err)
+			}
 
-	// "New process": restore and continue.
-	st, err := checkpoint.Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed := sd.New(st.System(), hydro.Options{Phi: phi}, core.Config{
-		Dt: 2, M: 4, Seed: st.Seed, Tol: 1e-11,
-	}, 1)
-	resumed.SkipTo(st.Step)
-	if err := resumed.RunMRHS(total - st.Step); err != nil {
-		t.Fatal(err)
-	}
+			// "New process": restore and continue.
+			st, err := checkpoint.Load(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Seed = st.Seed
+			resumed := sd.New(st.System(), hydro.Options{Phi: phi}, cfg, 1)
+			resumed.SkipTo(st.Step)
+			resumed.SetGuessErr(st.GuessErr)
+			if err := resumed.RunMRHS(total - st.Step); err != nil {
+				t.Fatal(err)
+			}
 
-	a, b := straight.System(), resumed.System()
-	var worst float64
-	for i := range a.Pos {
-		if d := a.Pos[i].Sub(b.Pos[i]).Norm(); d > worst {
-			worst = d
-		}
-	}
-	if worst != 0 {
-		t.Fatalf("resumed trajectory diverged by %v", worst)
+			a, b := straight.System(), resumed.System()
+			var worst float64
+			for i := range a.Pos {
+				if d := a.Pos[i].Sub(b.Pos[i]).Norm(); d > worst {
+					worst = d
+				}
+			}
+			if worst != 0 {
+				t.Fatalf("resumed trajectory diverged by %v", worst)
+			}
+		})
 	}
 }
 
@@ -229,6 +244,9 @@ func hostileSnapshots(t testing.TB) (*checkpoint.State, []hostile) {
 		{"phi NaN", edit(func(s *checkpoint.State) { s.Phi = nan })},
 		{"phi -0.1", edit(func(s *checkpoint.State) { s.Phi = -0.1 })},
 		{"phi 0.64", edit(func(s *checkpoint.State) { s.Phi = 0.64 })},
+		{"guess error -1e-4", edit(func(s *checkpoint.State) { s.GuessErr = -1e-4 })},
+		{"guess error NaN", edit(func(s *checkpoint.State) { s.GuessErr = nan })},
+		{"guess error +Inf", edit(func(s *checkpoint.State) { s.GuessErr = inf })},
 		{"8 positions, 7 radii", edit(func(s *checkpoint.State) { s.Radius = s.Radius[:7] })},
 		{"no positions, 8 radii", edit(func(s *checkpoint.State) { s.Pos = s.Pos[:0] })},
 	}

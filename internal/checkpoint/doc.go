@@ -19,9 +19,10 @@
 //     the configuration and (Seed, k). One exception: an MRHS chunk
 //     that runs block CG (a window without a factor, internal/core)
 //     stops it at a tolerance set from the previous chunk's guesses,
-//     which a resumed run does not have, so its first chunk solves to
-//     the full tolerance and the trajectory agrees with the
-//     uninterrupted one to that tolerance, not bit for bit.
+//     so a State also carries that floor (GuessErr, from
+//     core.Runner.GuessErr); a resumed run restores it with
+//     Runner.SetGuessErr next to SkipTo and solves its first chunk bit
+//     for bit as the uninterrupted run does.
 //   - SaveFile is atomic: the snapshot is written to a temp file in
 //     the target's directory and renamed over it, so a crash during
 //     save leaves the previous checkpoint intact, never a torn file.
@@ -30,7 +31,8 @@
 //     step, a box that is not finite and positive, no particles,
 //     positions and radii of different lengths, a radius that is not
 //     finite and positive, a position that is not finite, a volume
-//     fraction outside [0, 0.64) — which Load returns as ErrCorrupt
+//     fraction outside [0, 0.64), a guess-error floor that is negative
+//     or not finite — which Load returns as ErrCorrupt
 //     wrapped with the detail, where the stepper would have panicked.
 //   - Save never mutates or aliases the live system: FromSystem
 //     copies positions and radii, so a snapshot taken mid-run stays

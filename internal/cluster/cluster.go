@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/bcrs"
 	"repro/internal/cluster/faults"
@@ -41,8 +40,6 @@ type Cluster struct {
 	retry    Backoff
 	mulSeq   atomic.Int64   // sequence number per faulty multiply
 	nodeMuls []atomic.Int64 // per-node multiply counter (crash schedule)
-
-	observe func(node int, solve, haloWait time.Duration) // see SetObserver
 }
 
 // node holds one row strip and its communication plan.
@@ -223,10 +220,6 @@ func (c *Cluster) NodeShape(id int) model.Shape {
 	nd := c.nodes[id]
 	return model.Shape{NB: len(nd.owned), NNZB: nd.nnzb()}
 }
-
-// HaloRows returns the number of remote block rows node id receives
-// per multiply — the column count of its boundary strip.
-func (c *Cluster) HaloRows(id int) int { return len(c.nodes[id].halo) }
 
 // Mul executes the distributed multiply Y = A*X functionally. X and Y
 // are global multivectors (a.N() rows). Every node runs as a

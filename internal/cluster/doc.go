@@ -13,9 +13,8 @@
 // the local multiply with the gather of remote elements. Results are
 // checked against the serial kernel, so the distributed algorithm is
 // real, not a stub. This is the repository's only copy of the strip
-// plan (New) and of the exchange step (TryMul): SD stepping multiplies
-// through a Cluster directly, and the serve tier's shard.Fleet is a
-// recovery policy holding one Cluster per topology generation.
+// plan (New) and of the exchange step (TryMul), through which SD
+// stepping multiplies.
 //
 // The timing layer is a calibrated cost model standing in for the
 // paper's 64-node InfiniBand cluster, which is not available here.

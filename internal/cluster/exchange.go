@@ -38,13 +38,6 @@ func (c *Cluster) SetFaults(inj *faults.Injector, b Backoff) {
 	c.retry = b.WithDefaults()
 }
 
-// SetObserver registers fn to be called once per node per multiply,
-// from that node's goroutine, with the wall time of its two strip
-// products (solve) and of its blocking halo receive (haloWait; zero
-// on a node with no halo). A node that crashes or whose receive fails
-// reports nothing. Call before the first multiply; nil detaches.
-func (c *Cluster) SetObserver(fn func(node int, solve, haloWait time.Duration)) { c.observe = fn }
-
 // exchange is the distributed multiply: every node runs as a
 // goroutine over a per-multiply chans[src][dst] mesh, so a failed
 // attempt leaves no stale packets behind. The first error per node is
@@ -139,16 +132,12 @@ func (c *Cluster) runNode(nd *node, y, x *multivec.MultiVec, chans [][]chan Pack
 	}
 
 	// Interior product overlaps with the in-flight messages.
-	t0 := time.Now()
 	yLoc := multivec.New(len(nd.owned)*bcrs.BlockDim, m)
 	nd.interior.Mul(yLoc, xOwn)
-	solve := time.Since(t0)
 
 	// Receive the halo and apply the boundary strip.
-	var haloWait time.Duration
 	if nd.boundary != nil {
 		xHalo := multivec.New(len(nd.halo)*bcrs.BlockDim, m)
-		t0 = time.Now()
 		for src, r := range nd.recvFrom {
 			if r[0] == r[1] {
 				continue
@@ -168,16 +157,9 @@ func (c *Cluster) runNode(nd *node, y, x *multivec.MultiVec, chans [][]chan Pack
 			}
 			copy(xHalo.Data[r[0]*rowsPerBlock:r[1]*rowsPerBlock], buf)
 		}
-		haloWait = time.Since(t0)
-
-		t0 = time.Now()
 		yB := multivec.New(len(nd.owned)*bcrs.BlockDim, m)
 		nd.boundary.Mul(yB, xHalo)
 		blas.Add(yLoc.Data, yLoc.Data, yB.Data)
-		solve += time.Since(t0)
-	}
-	if c.observe != nil {
-		c.observe(nd.id, solve, haloWait)
 	}
 	if sendErr != nil {
 		return sendErr // a send was lost; don't publish a result for this multiply

@@ -2,8 +2,8 @@ package faults
 
 import "testing"
 
-// FuzzParse: fault specs arrive from the command line (-faults,
-// -shard-faults), so Parse must reject or accept any string without
+// FuzzParse: fault specs arrive from the command line (mrhs-sim
+// -faults), so Parse must reject or accept any string without
 // panicking, an accepted plan must print to a spec that re-parses to
 // the same print, and an injector built from it must answer every
 // query.

@@ -47,9 +47,8 @@ func corruptCopy(data []float64) []float64 {
 // the pairing of a fault injector (verdicts per delivery attempt) with
 // a backoff/deadline policy. The one exchange step (Cluster.TryMul)
 // moves its payloads through this Send/Recv pair whenever an injector
-// is armed, so every consumer of a Cluster — SD stepping, the shard
-// fleet — detects (and survives) the same drop/corrupt/delay/dup/crash
-// menu.
+// is armed, so every consumer of a Cluster detects (and survives) the
+// same drop/corrupt/delay/dup/crash menu.
 //
 // The zero-value Retry must be defaulted (Backoff.WithDefaults) before
 // use; cluster.New does so.

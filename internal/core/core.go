@@ -354,6 +354,17 @@ func (r *Runner) SkipTo(step int) {
 	}
 }
 
+// GuessErr returns the smallest guess error of the last completed
+// chunk's warm steps (0: none yet), from which the next block solve
+// sets its tolerance. A checkpoint carries it, and SetGuessErr restores
+// it next to SkipTo, so a resumed run solves that block as the
+// uninterrupted run does.
+func (r *Runner) GuessErr() float64 { return r.guessErr }
+
+// SetGuessErr restores the value GuessErr returned when the checkpoint
+// being resumed from was written.
+func (r *Runner) SetGuessErr(e float64) { r.guessErr = e }
+
 // Cfg returns the effective (defaulted) configuration.
 func (r *Runner) Cfg() Config { return r.cfg }
 

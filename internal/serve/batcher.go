@@ -224,24 +224,7 @@ func (e *Engine) dispatch(batch []*call) {
 		c.tr.SetAttr("batch", e.batchSeq)
 		c.tr.SetAttr("batch_size", int64(q))
 		c.tr.SetAttr("kernel_m", int64(kernelM))
-		if e.fleet != nil {
-			c.tr.SetAttr("shards", int64(e.fleet.Shards()))
-		}
 		solveSpans = append(solveSpans, c.tr.StartSpan("solve"))
-	}
-	if e.fleet != nil {
-		// Route the batch's shard-side spans (shardN/shard_solve,
-		// shardN/halo_wait) onto the first traced request of the batch:
-		// every multiply of the fused solve is shared batch-wide anyway,
-		// so one trace carrying the per-shard split is representative.
-		var tr *obs.Trace
-		for _, c := range live {
-			if c.tr != nil {
-				tr = c.tr
-				break
-			}
-		}
-		e.fleet.AttachTrace(tr)
 	}
 	xs := make([][]float64, q)
 	stats := e.solveBatch(live, q, xs)
@@ -304,19 +287,19 @@ func (e *Engine) dispatch(batch []*call) {
 }
 
 // solveBatch runs the fused solve over one coalesced batch,
-// converting an operator panic — an unrecoverable shard-fleet failure
-// (shard.Fleet.Mul panics once retries and re-sharding are exhausted)
-// — into per-column ErrShardFailure results instead of killing the
+// converting an operator panic — NewEngine takes any BlockOperator,
+// and a distributed one panics when its transport fails — into
+// per-column ErrOperatorFailure results instead of killing the
 // dispatcher. The engine keeps serving; only the batch in flight is
-// answered 503.
+// answered 500.
 func (e *Engine) solveBatch(live []*call, q int, xs [][]float64) (stats []solver.Stats) {
 	defer func() {
 		r := recover()
 		if r == nil {
 			return
 		}
-		shardFailed.Inc()
-		err := fmt.Errorf("%w: %v", ErrShardFailure, r)
+		operatorFailed.Inc()
+		err := fmt.Errorf("%w: %v", ErrOperatorFailure, r)
 		stats = make([]solver.Stats, q)
 		for i := range stats {
 			stats[i] = solver.Stats{Err: err}

@@ -13,7 +13,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/rng"
-	"repro/internal/shard"
 	"repro/internal/stats"
 )
 
@@ -119,18 +118,13 @@ type Info struct {
 	WaitFactor float64 `json:"wait_factor"`
 	Tol        float64 `json:"tol"`
 	HasModel   bool    `json:"has_model"`
-	// Threads is the process pool's size, which every multiply —
-	// each shard strip's too — splits its block rows over.
+	// Threads is the process pool's size, which every multiply splits
+	// its block rows over.
 	Threads int `json:"threads"`
 	// MaxEnsemble is the widest /v1/ensemble accepted (== MaxBatch);
 	// DefaultEnsemble the member count used when a request names none.
 	MaxEnsemble     int `json:"max_ensemble"`
 	DefaultEnsemble int `json:"default_ensemble"`
-	// Shard is the live fleet topology when the engine routes solves
-	// across RCB-partitioned shards: live/configured/tombstoned shard
-	// counts, the crash policy, and per-shard owned and halo row
-	// counts. Absent when unsharded.
-	Shard *shard.Topology `json:"shard,omitempty"`
 }
 
 type errorBody struct {
@@ -140,7 +134,7 @@ type errorBody struct {
 // RequestIDHeader is the request-identity header accepted and echoed
 // by the solve endpoints. A client-supplied value becomes the
 // request's trace ID; absent one, the server generates an ID. The
-// header is echoed on every response, including 429/503/504 errors,
+// header is echoed on every response, including 429/500/503/504 errors,
 // so a rejected request is still attributable in client logs.
 const RequestIDHeader = "X-Request-ID"
 
@@ -172,8 +166,9 @@ func requestID(e *Engine, w http.ResponseWriter, r *http.Request) string {
 // dimension mismatches, over-wide ensembles, or a negative tol,
 // max_iter or timeout_ms, 413 for a body longer than any legal request,
 // 422 for a system CG cannot solve or an answer that overflows, 429
-// when the admission queue sheds, 503 while draining, 504 when the
-// request's deadline expired mid-queue or mid-solve.
+// when the admission queue sheds, 500 when the operator failed
+// mid-solve, 503 while draining, 504 when the request's deadline
+// expired mid-queue or mid-solve.
 //
 // Both solve endpoints accept and echo X-Request-ID (see
 // RequestIDHeader) and record a full pipeline trace under that ID:
@@ -324,9 +319,9 @@ func Handler(e *Engine) http.Handler {
 		}
 		// Whole-ensemble cancellation mid-queue surfaces per member;
 		// report it as one request-level timeout. A member that broke
-		// down or lost its shard fails the ensemble too: its residual may
-		// be NaN and its solution missing, which the response cannot
-		// carry.
+		// down or whose operator failed fails the ensemble too: its
+		// residual may be NaN and its solution missing, which the
+		// response cannot carry.
 		if err := firstErr(rs); err != nil {
 			tr.SetAttr("http_status", int64(statusOf(err)))
 			writeErr(w, statusOf(err), err)
@@ -367,17 +362,6 @@ func Handler(e *Engine) http.Handler {
 			})
 			return
 		}
-		// Health aggregates over the shard fleet: a tombstoned shard
-		// degrades the report (still 200 — the survivors serve) so
-		// orchestrators can alert without pulling the node.
-		if top, ok := e.ShardTopology(); ok && e.ShardDegraded() {
-			writeJSON(w, http.StatusOK, map[string]any{
-				"status": "degraded", "queue_depth": e.QueueDepth(),
-				"shards_live": top.Shards, "shards_configured": top.Configured,
-				"shards_tombstoned": top.Tombstoned,
-			})
-			return
-		}
 		writeJSON(w, http.StatusOK, map[string]any{
 			"status": "ok", "queue_depth": e.QueueDepth(),
 		})
@@ -385,7 +369,7 @@ func Handler(e *Engine) http.Handler {
 
 	mux.HandleFunc("/v1/info", func(w http.ResponseWriter, _ *http.Request) {
 		cfg := e.Config()
-		info := Info{
+		writeJSON(w, http.StatusOK, Info{
 			N:               e.N(),
 			MaxBatch:        cfg.MaxBatch,
 			QueueCap:        cfg.QueueCap,
@@ -396,11 +380,7 @@ func Handler(e *Engine) http.Handler {
 			Threads:         parallel.Threads(),
 			MaxEnsemble:     cfg.MaxBatch,
 			DefaultEnsemble: min(defaultEnsemble, cfg.MaxBatch),
-		}
-		if top, ok := e.ShardTopology(); ok {
-			info.Shard = &top
-		}
-		writeJSON(w, http.StatusOK, info)
+		})
 	})
 
 	mux.Handle("/metrics", obs.Handler(obs.Default))
@@ -556,7 +536,7 @@ func statusOf(err error) int {
 	switch {
 	case errors.Is(err, ErrOverloaded):
 		return http.StatusTooManyRequests // 429
-	case errors.Is(err, ErrDraining), errors.Is(err, ErrShardFailure):
+	case errors.Is(err, ErrDraining):
 		return http.StatusServiceUnavailable // 503
 	case errors.Is(err, ErrBadRequest), errors.Is(err, ErrTooWide):
 		return http.StatusBadRequest // 400
@@ -564,8 +544,8 @@ func statusOf(err error) int {
 		return http.StatusGatewayTimeout // 504
 	case errors.Is(err, ErrBreakdown):
 		return http.StatusUnprocessableEntity // 422
-	default:
-		return http.StatusInternalServerError
+	default: // ErrOperatorFailure among them
+		return http.StatusInternalServerError // 500
 	}
 }
 

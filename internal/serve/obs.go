@@ -16,7 +16,7 @@ var (
 	canceled       = obs.Default.Counter("serve_canceled_total")
 	canceledQueued = obs.Default.Counter("serve_canceled_in_queue_total")
 	nonConverged   = obs.Default.Counter("serve_nonconverged_total")
-	shardFailed    = obs.Default.Counter("serve_shard_failures_total")
+	operatorFailed = obs.Default.Counter("serve_operator_failures_total")
 
 	batches  = obs.Default.Counter("serve_batches_total")
 	batchRHS = obs.Default.Counter("serve_batch_rhs_total")

@@ -9,10 +9,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bcrs"
 	"repro/internal/model"
 	"repro/internal/obs"
-	"repro/internal/shard"
 	"repro/internal/solver"
 )
 
@@ -40,10 +38,10 @@ var (
 	// side, or an operator that is not positive definite. Only its own
 	// column is affected; the rest of the batch is answered normally.
 	ErrBreakdown = solver.ErrBreakdown
-	// ErrShardFailure means the shard fleet lost too many shards to
-	// complete the batch's multiplies; the affected requests are
-	// answered 503 so clients retry against the re-formed fleet.
-	ErrShardFailure = errors.New("serve: shard fleet failed mid-solve")
+	// ErrOperatorFailure means the operator panicked during the
+	// batch's solve; only the batch in flight is answered with it (a
+	// 500), and the engine keeps serving.
+	ErrOperatorFailure = errors.New("serve: operator failed mid-solve")
 )
 
 // Config parameterizes an Engine.
@@ -84,18 +82,6 @@ type Config struct {
 	// carry its own trace (1: all, the default). Negative disables
 	// engine-started traces entirely.
 	TraceSample int
-	// Shards, when >= 1, partitions the operator into that many
-	// RCB-owned shard engines (internal/shard) and routes every
-	// batched multiply across them. Requires a plain *bcrs.Matrix
-	// operator (NewEngine panics otherwise — sharding re-slices raw
-	// block storage). Shards=1 exercises the full route/gather path
-	// while staying bitwise-identical to the unsharded engine; 0
-	// leaves the operator untouched.
-	Shards int
-	// ShardOpts carries the fleet's partition/fault/retry options
-	// when Shards >= 1. It holds no thread count: every shard strip
-	// splits its multiply over the one process pool (parallel).
-	ShardOpts shard.Options
 }
 
 func (c Config) withDefaults() Config {
@@ -183,10 +169,9 @@ func (c *call) width() int { return len(c.reqs) }
 // dispatcher goroutine running the dynamic batcher, and the arrival /
 // iteration estimators feeding the cost model.
 type Engine struct {
-	op    solver.BlockOperator
-	fleet *shard.Fleet // non-nil when Config.Shards wrapped the operator; engine-owned
-	n     int
-	cfg   Config
+	op  solver.BlockOperator
+	n   int
+	cfg Config
 
 	queue chan *call
 	done  chan struct{}
@@ -215,29 +200,10 @@ type Engine struct {
 
 // NewEngine starts an engine serving solves against op. Close it to
 // drain.
-//
-// With Config.Shards >= 1 the operator must be a plain *bcrs.Matrix;
-// NewEngine partitions it into a shard.Fleet it owns, so every
-// dispatched solve's multiplies route across the shard strips and
-// gather back bitwise-deterministically.
 func NewEngine(op solver.BlockOperator, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
-	var fleet *shard.Fleet
-	if cfg.Shards >= 1 {
-		a, ok := op.(*bcrs.Matrix)
-		if !ok {
-			panic("serve: Config.Shards requires a plain *bcrs.Matrix operator")
-		}
-		f, err := shard.New(a, cfg.Shards, cfg.ShardOpts)
-		if err != nil {
-			panic("serve: " + err.Error())
-		}
-		fleet = f
-		op = f
-	}
 	e := &Engine{
 		op:        op,
-		fleet:     fleet,
 		n:         op.N(),
 		cfg:       cfg,
 		queue:     make(chan *call, cfg.QueueCap),
@@ -254,23 +220,6 @@ func (e *Engine) N() int { return e.n }
 
 // Config returns the engine's effective (defaulted) configuration.
 func (e *Engine) Config() Config { return e.cfg }
-
-// ShardTopology returns the live shard fleet topology and true when
-// the engine is sharded; the zero Topology and false otherwise.
-func (e *Engine) ShardTopology() (shard.Topology, bool) {
-	if e.fleet == nil {
-		return shard.Topology{}, false
-	}
-	return e.fleet.Topology(), true
-}
-
-// ShardDegraded reports whether the engine is sharded and running
-// with fewer live shards than configured (a tombstoned shard under
-// the shrink policy). Solves still complete — over the re-partitioned
-// survivor fleet — but capacity and layout differ from nominal.
-func (e *Engine) ShardDegraded() bool {
-	return e.fleet != nil && e.fleet.Degraded()
-}
 
 // QueueDepth returns the current admission-queue occupancy.
 func (e *Engine) QueueDepth() int { return len(e.queue) }
