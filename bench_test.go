@@ -10,8 +10,10 @@ package repro_test
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/bcrs"
 	"repro/internal/chebyshev"
@@ -19,6 +21,7 @@ import (
 	"repro/internal/cpufeat"
 	"repro/internal/hydro"
 	"repro/internal/multivec"
+	"repro/internal/parallel"
 	"repro/internal/particles"
 	"repro/internal/rng"
 	"repro/internal/sd"
@@ -80,12 +83,18 @@ func BenchmarkAblationVectorLayout(b *testing.B) {
 	})
 }
 
+// ablationWidths are the widths the kernel ablations run at: m = 1's
+// own kernel, the masked tails alone (2-5) and after an 8-column pass
+// (12), and the m % 8 = 0 row kernels.
+var ablationWidths = []int{1, 2, 3, 4, 5, 8, 12, 16, 32}
+
 // BenchmarkAblationKernelDispatch compares the kernels a general
-// multiply can run at m = 8, 16 and 32: the one Mul dispatches, the
-// same with cpufeat.AVX512 cleared ("-avx2": the ymm row kernel where
-// AVX-512 would take over, the same kernel otherwise), and the generic
-// Go fallback. "hydro" is the 1500-particle resistance matrix, "served"
-// the serve workloads' NB = 6000 random matrix (24 blocks per row).
+// multiply can run at each of ablationWidths: the one Mul dispatches,
+// the same with cpufeat.AVX512 cleared ("-avx2": the ymm row kernel
+// where AVX-512 would take over, the same kernel otherwise), and the
+// generic Go loop. "hydro" is the 1500-particle resistance matrix,
+// "served" the serve workloads' NB = 6000 random matrix (24 blocks per
+// row).
 func BenchmarkAblationKernelDispatch(b *testing.B) {
 	fixtures(b)
 	served := bcrs.Random(bcrs.RandomOptions{NB: 6000, BlocksPerRow: 24, Seed: 1})
@@ -93,7 +102,7 @@ func BenchmarkAblationKernelDispatch(b *testing.B) {
 		name string
 		mat  *bcrs.Matrix
 	}{{"hydro", fixMat}, {"served", served}} {
-		for _, m := range []int{8, 16, 32} {
+		for _, m := range ablationWidths {
 			x := multivec.New(a.mat.N(), m)
 			rng.New(8).FillNormal(x.Data)
 			y := multivec.New(a.mat.N(), m)
@@ -190,27 +199,90 @@ func BenchmarkAblationWarmSecondSolve(b *testing.B) {
 
 // BenchmarkAblationSymmetricStorage quantifies the symmetry the paper
 // chose not to exploit: half the matrix traffic per multiply, at the
-// cost of a scatter that blocks easy threading.
+// cost of a scatter that blocks easy threading. At each of
+// ablationWidths it runs the general multiply, the half-storage one
+// Mul dispatches and the half storage's generic Go loop.
 func BenchmarkAblationSymmetricStorage(b *testing.B) {
 	fixtures(b)
 	s, err := bcrs.NewSym(fixMat)
 	if err != nil {
 		b.Fatal(err)
 	}
-	const m = 8
-	x := multivec.New(fixMat.N(), m)
-	rng.New(13).FillNormal(x.Data)
-	y := multivec.New(fixMat.N(), m)
-	b.Run("full-storage", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			fixMat.Mul(y, x)
+	for _, m := range ablationWidths {
+		x := multivec.New(fixMat.N(), m)
+		rng.New(13).FillNormal(x.Data)
+		y := multivec.New(fixMat.N(), m)
+		for _, k := range []struct {
+			name string
+			mul  func(y, x *multivec.MultiVec)
+		}{{"full-storage", fixMat.Mul}, {"symmetric-storage", s.Mul}, {"symmetric-generic", s.MulGenericKernel}} {
+			b.Run(fmt.Sprintf("%s/m=%d", k.name, m), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					k.mul(y, x)
+				}
+			})
 		}
-	})
-	b.Run("symmetric-storage", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s.Mul(y, x)
+	}
+}
+
+// BenchmarkWidthSweep times the multiply at every m = 1..33 on the
+// matrix of bench/'s gspmv_* workloads (NB = 12000, 24 blocks per row,
+// bandwidth 1200), on pools of 1 and 2 threads, in general and in half
+// storage. Each iteration runs, back to back, the multiply Mul
+// dispatches at m, the same at m padded to a multiple of 8, and the
+// generic Go loop (MulGenericKernel) at m; the metrics are the
+// medians: "ms" and "generic-ms" at m, and "x-padded", the median
+// ratio of each pair T(m) / T(padded) — pairing cancels the drift of a
+// shared host. ns/op is the three together. DESIGN §9's width sweep is
+// its table.
+//
+//	go test -run '^$' -bench WidthSweep -benchtime 20x .
+func BenchmarkWidthSweep(b *testing.B) {
+	a := bcrs.Random(bcrs.RandomOptions{NB: 12000, BlocksPerRow: 24, Bandwidth: 1200, NoWrap: true, Seed: 1})
+	s, err := bcrs.NewSym(a)
+	if err != nil {
+		b.Fatal(err)
+	}
+	operands := func(m int) (y, x *multivec.MultiVec) {
+		x = multivec.New(a.N(), m)
+		rng.New(uint64(m)).FillNormal(x.Data)
+		return multivec.New(a.N(), m), x
+	}
+	median := func(v []float64) float64 {
+		slices.Sort(v)
+		return v[len(v)/2]
+	}
+	ms := func(t0 time.Time) float64 { return time.Since(t0).Seconds() * 1e3 }
+	defer parallel.SetThreads(parallel.Threads())
+	for _, threads := range []int{1, 2} {
+		parallel.SetThreads(threads)
+		for m := 1; m <= 33; m++ {
+			y, x := operands(m)
+			yp, xp := operands(8 * ((m + 7) / 8))
+			for _, f := range []struct {
+				name         string
+				mul, generic func(y, x *multivec.MultiVec)
+			}{{"general", a.Mul, a.MulGenericKernel}, {"sym", s.Mul, s.MulGenericKernel}} {
+				b.Run(fmt.Sprintf("threads=%d/m=%d/%s", threads, m, f.name), func(b *testing.B) {
+					var tm, tg, ratio []float64
+					for i := 0; i < b.N; i++ {
+						t0 := time.Now()
+						f.mul(y, x)
+						tm = append(tm, ms(t0))
+						t0 = time.Now()
+						f.mul(yp, xp)
+						ratio = append(ratio, tm[i]/ms(t0))
+						t0 = time.Now()
+						f.generic(y, x)
+						tg = append(tg, ms(t0))
+					}
+					b.ReportMetric(median(tm), "ms")
+					b.ReportMetric(median(tg), "generic-ms")
+					b.ReportMetric(median(ratio), "x-padded")
+				})
+			}
 		}
-	})
+	}
 }
 
 // BenchmarkIC0 prices the reused preconditioner on the system bench/
@@ -219,10 +291,9 @@ func BenchmarkAblationSymmetricStorage(b *testing.B) {
 // application the augmented solve uses at m = 16 against 16 lone ones
 // (the triangular solve's own r(m)), and what a window pays to build
 // the factor, in fresh and in reused storage. The iteration counts it
-// buys are ext-techniques' table. The three kernels with an m = 1 or
-// triangular assembly path run a second time as "-go", with the switch
-// their tests use cleared, so every scalar-to-SIMD ratio DESIGN quotes
-// is two lines of one run.
+// buys are ext-techniques' table. Every kernel with an assembly path
+// runs a second time as "-go", with the switch its tests use cleared,
+// so every scalar-to-SIMD ratio DESIGN quotes is two lines of one run.
 func BenchmarkIC0(b *testing.B) {
 	sys, err := particles.New(particles.Options{N: 1000, Phi: 0.4, Seed: 1})
 	if err != nil {
@@ -245,7 +316,7 @@ func BenchmarkIC0(b *testing.B) {
 	}{
 		{"mulvec", func() { a.MulVec(z, r) }, true},
 		{"apply", func() { ic.Apply(z, r) }, true},
-		{"mul-m16", func() { a.Mul(zb, rb) }, false},
+		{"mul-m16", func() { a.Mul(zb, rb) }, true},
 		{"apply-block-m16", func() { ic.ApplyBlock(zb, rb) }, true},
 	} {
 		loop := func(b *testing.B) {

@@ -4,15 +4,16 @@ package bcrs
 
 import "repro/internal/cpufeat"
 
-// The wide-m GSPMV kernels have an AVX2 fast path (gspmv_amd64.s)
-// that vectorizes across the right-hand sides: 4 columns per ymm
-// lane group (8 per zmm with AVX-512), each lane running the scalar
+// The GSPMV kernels have an AVX2 fast path (gspmv_amd64.s) that
+// vectorizes across the right-hand sides: 4 columns per ymm lane
+// group (8 per zmm with AVX-512), each lane running the scalar
 // kernels' exact operation order, so the SIMD result is
-// bitwise-identical to the pure-Go kernels. This is the paper's own
-// implementation strategy — its generated basic kernels vectorize the
-// m dimension with SSE/AVX intrinsics (Section IV-A) — and it is what
-// moves the compute bound F in the r(m) model from scalar to SIMD
-// throughput.
+// bitwise-identical to the pure-Go kernels. The last m % 8 columns run
+// under a lane mask, so every m takes the row kernel. This is the
+// paper's own implementation strategy — its generated basic kernels
+// vectorize the m dimension with SSE/AVX intrinsics (Section IV-A) —
+// and it is what moves the compute bound F in the r(m) model from
+// scalar to SIMD throughput.
 
 // Implemented in gspmv_amd64.s.
 func gspmvRowAVX2(vals *float64, colIdx *int32, nblk int, x *float64, yrow *float64, m int)
@@ -24,41 +25,25 @@ func spmv1AVX2(rowPtr, colIdx *int32, vals, x, y *float64, lo, hi int)
 
 // Implemented in sym_amd64.s.
 func symGspmvRowAVX2(vals *float64, colIdx *int32, nblk int, x, y, part *float64, i, hi, m, c0, c1 int)
+func symSpmv1AVX2(rowPtr, colIdx *int32, vals, x, y, part *float64, lo, hi int)
 
-// simdWidth is 8 (columns per inner-kernel call) when the host and
-// OS support AVX2, else 0. Tests may clear it to force the pure-Go
-// kernels.
-var simdWidth = detectSIMD()
-
-// symSIMDWidth is the symmetric kernel's column-group granularity: 2
-// when AVX2 and FMA3 are available. The asm kernel runs 4-wide ymm
-// groups with a 2-wide xmm tail, so it serves every even column count
-// — full-width m = 2 included — while the symmetric body's three live
-// vector sets (accumulators, x row i, x row j) keep it narrower than
-// the general kernel's 8. The scalar DAG is FMA-based, so the asm
-// path additionally needs the FMA extension. Tests may clear this to
-// force the pure-Go kernels.
+// symSIMDWidth is the symmetric assembly's column granularity: 1 —
+// every m, m = 1 by its own kernel — when AVX2 and FMA3 are available,
+// else 0. The symmetric kernels' operation order is an FMA chain
+// (math.FMA in Go), and matching it bitwise in asm needs FMA3. Tests
+// may clear it to force the pure-Go kernels.
 var symSIMDWidth = detectSymSIMD()
 
 func detectSymSIMD() int {
-	// The symmetric kernels' operation order is an FMA chain
-	// (math.FMA in Go); matching it bitwise in asm needs FMA3.
 	if !cpufeat.FMA {
 		return 0
 	}
-	return 2
-}
-
-func detectSIMD() int {
-	if !cpufeat.AVX2 {
-		return 0
-	}
-	return 8
+	return 1
 }
 
 // gspmvSIMD runs the row kernel over [lo, hi): the AVX-512 one when
 // cpufeat.AVX512 is set (read here, so clearing it forces the AVX2
-// kernel), else the AVX2 one. m must be a positive multiple of 8.
+// kernel), else the AVX2 one. m must be at least 2.
 func gspmvSIMD(rowPtr, colIdx []int32, vals, x, y []float64, m, lo, hi int) {
 	row := gspmvRowAVX2
 	if cpufeat.AVX512 {
@@ -82,15 +67,23 @@ func spmv1SIMD(rowPtr, colIdx []int32, vals, x, y []float64, lo, hi int) {
 	spmv1AVX2(&rowPtr[0], &colIdx[0], &vals[0], &x[0], &y[0], lo, hi)
 }
 
-// symGspmvSIMD runs the AVX2 symmetric row kernel over [lo, hi),
-// honoring the mulRange contract (accumulate into pre-zeroed y rows,
-// out-of-range scatter into part). m must be a positive multiple of
-// symSIMDWidth. The row kernel takes a column window [c0, c1) of the
+// symGspmvSIMD runs the AVX2 symmetric kernels over [lo, hi), honoring
+// the mulRange contract (accumulate into pre-zeroed y rows,
+// out-of-range scatter into part): symSpmv1AVX2 at m = 1, else the row
+// kernel. The row kernel takes a column window [c0, c1) of the
 // m-column rows; it is always the whole row here.
 func symGspmvSIMD(rowPtr, colIdx []int32, vals, x, y, part []float64, m, lo, hi int) {
+	if lo >= hi || len(colIdx) == 0 {
+		return // accumulate semantics: no block, nothing to add
+	}
 	var pp *float64
 	if len(part) > 0 {
 		pp = &part[0]
+	}
+	if m == 1 {
+		_, _ = rowPtr[hi], y[3*hi-1]
+		symSpmv1AVX2(&rowPtr[0], &colIdx[0], &vals[0], &x[0], &y[0], pp, lo, hi)
+		return
 	}
 	for i := lo; i < hi; i++ {
 		k0, k1 := int(rowPtr[i]), int(rowPtr[i+1])

@@ -2,11 +2,8 @@
 
 package bcrs
 
-// Non-amd64 builds have no SIMD fast path; the pure-Go kernels are
-// used for every m.
-var simdWidth = 0
-
-// symSIMDWidth mirrors simdWidth for the symmetric kernels.
+// Non-amd64 builds have no SIMD fast path: cpufeat reports no AVX2,
+// so the pure-Go kernels run at every m.
 var symSIMDWidth = 0
 
 func gspmvSIMD(rowPtr, colIdx []int32, vals, x, y []float64, m, lo, hi int) {

@@ -10,9 +10,9 @@ import (
 	"repro/internal/rng"
 )
 
-// gspmvKernels are the row kernels a width-m multiply with m a multiple
-// of 8 can run: the AVX-512 one (where the host has it), the AVX2 one
-// with cpufeat.AVX512 cleared, and the Go kernels with simdWidth
+// gspmvKernels are the row kernels a width-m multiply can run: the
+// AVX-512 one (where the host has it), the AVX2 one with
+// cpufeat.AVX512 cleared, and the Go kernels with cpufeat.AVX2
 // cleared, which are the oracle. On a host without a kernel its entry
 // runs the next one down.
 var gspmvKernels = []struct {
@@ -20,20 +20,24 @@ var gspmvKernels = []struct {
 	simd, zmm bool
 }{{"avx512", true, true}, {"avx2", true, false}, {"go", false, false}}
 
-// withKernel runs fn with the wide-m multiply limited to the given
-// kernels.
+// withKernel runs fn with the multiply limited to the given kernels.
 func withKernel(simd, zmm bool, fn func()) {
-	defer func(w int, z bool) { simdWidth, cpufeat.AVX512 = w, z }(simdWidth, cpufeat.AVX512)
-	if !simd {
-		simdWidth = 0
-	}
+	defer func(a, z bool) { cpufeat.AVX2, cpufeat.AVX512 = a, z }(cpufeat.AVX2, cpufeat.AVX512)
+	cpufeat.AVX2 = cpufeat.AVX2 && simd
 	cpufeat.AVX512 = cpufeat.AVX512 && zmm
 	fn()
 }
 
-// gspmvWidths are the widths the row kernels are checked at: the
-// 16-column zmm pass alone, with its 8-column tail, and repeated.
-var gspmvWidths = []int{8, 16, 24, 32, 48}
+// gspmvWidths are the widths the row kernels are checked at: every
+// m % 8 tail, alone (m < 8), after the 8-column pass and after the
+// zmm kernel's 16-column pass, and 48, the 16-column pass repeated.
+var gspmvWidths = func() []int {
+	var ms []int
+	for m := 2; m <= 33; m++ {
+		ms = append(ms, m)
+	}
+	return append(ms, 48)
+}()
 
 // TestSIMDKernelBitwiseMatchesGo verifies both SIMD row kernels give
 // the pure-Go kernels' bits at every width they serve — the property
@@ -43,7 +47,7 @@ var gspmvWidths = []int{8, 16, 24, 32, 48}
 // NaN, infinities, signed zeros and a subnormal planted in x and in
 // the blocks.
 func TestSIMDKernelBitwiseMatchesGo(t *testing.T) {
-	if simdWidth == 0 {
+	if !cpufeat.AVX2 {
 		t.Skip("no SIMD fast path on this host")
 	}
 	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 5e-324}
@@ -84,9 +88,10 @@ func TestSIMDKernelBitwiseMatchesGo(t *testing.T) {
 }
 
 // TestSIMDKernelEmptyRow covers the zero-blocks row edge the row
-// kernels cannot be handed (they would index past the vals slice).
+// kernels cannot be handed (they would index past the vals slice), at
+// every width, the masked tails included.
 func TestSIMDKernelEmptyRow(t *testing.T) {
-	if simdWidth == 0 {
+	if !cpufeat.AVX2 {
 		t.Skip("no SIMD fast path on this host")
 	}
 	// Build a 3-row matrix whose middle row is empty.

@@ -9,7 +9,10 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/blas"
 	"repro/internal/multivec"
+	"repro/internal/parallel"
+	"repro/internal/rng"
 )
 
 // guarded returns a copy of src, with room for slack more elements
@@ -103,6 +106,69 @@ func TestGSPMVReadsNothingPastItsArrays(t *testing.T) {
 				}
 				if i := sameBits(got.Data, want.Data); i >= 0 {
 					t.Fatalf("%s m=%d %s: y[%d] = %v, want %v", name, m, k.name, i, got.Data[i], want.Data[i])
+				}
+			}
+		}
+	}
+}
+
+// TestSymReadsNothingPastItsArrays runs the symmetric kernels — the
+// m = 1 three-lane one, the row kernel with its 1-, 2- and 3-column tails,
+// and the Go loops — with rowPtr, colIdx, vals, x, y and the partial
+// windows ending at an unreadable page, at m = 1..9, serially and on
+// two threads, where the first range scatters into its window. Each
+// case has a block in the last block column, which reads the last x
+// row to its end and writes the last y row; in "last-off-diagonal" the
+// last block row stores nothing, so the last block of vals is one that
+// scatters.
+func TestSymReadsNothingPastItsArrays(t *testing.T) {
+	cases := symTestMatrices()
+	b := NewBuilder(5)
+	r := rng.New(6)
+	for i := 0; i < 4; i++ {
+		b.AddBlock(i, i, blas.Ident3())
+	}
+	for _, ij := range [][2]int{{1, 4}, {3, 4}} {
+		var v blas.Mat3
+		r.FillNormal(v[:])
+		b.AddBlock(ij[0], ij[1], v)
+		b.AddBlock(ij[1], ij[0], v.Transpose3())
+	}
+	cases["last-off-diagonal"] = b.Build()
+	for name, a := range cases {
+		s, err := NewSym(a)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !slices.Contains(s.colIdx, int32(s.nb-1)) {
+			t.Fatalf("%s: no block in the last block column", name)
+		}
+		g := &SymMatrix{nb: s.nb, ndiag: s.ndiag, span: s.span,
+			rowPtr: guarded(t, s.rowPtr, 0), colIdx: guarded(t, s.colIdx, 0), vals: guarded(t, s.vals, 0)}
+		g.fillFn, g.foldFn = g.fill, g.fold
+		for _, threads := range []int{1, 2} {
+			usePool(t, threads)
+			for m := 1; m <= 9; m++ {
+				x := multivec.New(s.N(), m)
+				for i := range x.Data {
+					x.Data[i] = float64(i%7) - 3
+				}
+				want := multivec.New(s.N(), m)
+				withSymSIMD(false, func() { s.Mul(want, x) })
+				gx := &multivec.MultiVec{N: x.N, M: m, Data: guarded(t, x.Data, 0)}
+				for _, simd := range simdModes {
+					got := &multivec.MultiVec{N: s.N(), M: m, Data: guarded(t, make([]float64, s.N()*m), 0)}
+					// The windows, sized exactly: run makes no scratch of its own.
+					g.splitFor(parallel.Default())
+					g.scratch = guarded(t, make([]float64, g.winRows*BlockDim*m), 0)
+					faulted := false
+					withSymSIMD(simd, func() { faulted = faults(func() { g.Mul(got, gx) }) })
+					if faulted {
+						t.Fatalf("%s threads=%d m=%d simd=%v: Mul touched memory past one of its arrays", name, threads, m, simd)
+					}
+					if i := sameBits(got.Data, want.Data); i >= 0 {
+						t.Fatalf("%s threads=%d m=%d simd=%v: y[%d] = %v, want %v", name, threads, m, simd, i, got.Data[i], want.Data[i])
+					}
 				}
 			}
 		}

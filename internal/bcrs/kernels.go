@@ -21,11 +21,11 @@ func (a *Matrix) MulVec(y, x []float64) {
 
 // Mul computes Y = A*X, the generalized SPMV with X.M simultaneous
 // vectors. X and Y must have a.N() rows and equal vector counts; Y
-// must not alias X. m = 1 has its own kernel. On amd64 every m that
-// is a multiple of 8 runs an assembly row kernel (AVX2, or AVX-512
-// where the host has it); elsewhere m in {2, 4, 8, 16, 32} runs a
-// fully-unrolled Go kernel and other m the generic one. All of them
-// give the same bits.
+// must not alias X. On an AVX2 host every m runs assembly: m = 1 the
+// three-lane kernel, every other m a row kernel (AVX-512 where the
+// host has it) whose last m % 8 columns run under a lane mask. Without
+// AVX2, m = 1 runs its Go loop and every other m the generic one. All
+// of them give the same bits.
 func (a *Matrix) Mul(y, x *multivec.MultiVec) {
 	a.mul(y, x, false)
 }
@@ -89,28 +89,16 @@ func (s *mulSplit) runRange(i int) {
 }
 
 // mulRange multiplies block rows [lo, hi) with the kernel Mul
-// dispatches for m.
+// dispatches for m: the SIMD kernels where cpufeat.AVX2 (read per
+// call, so clearing it forces the Go loops), else the Go loops.
 func (a *Matrix) mulRange(y, x []float64, m int, forceGeneric bool, lo, hi int) {
 	switch {
 	case forceGeneric:
 		gspmvGeneric(a.rowPtr, a.colIdx, a.vals, x, y, m, lo, hi)
-	case simdWidth > 0 && m >= simdWidth && m%simdWidth == 0:
-		// The SIMD fast path (bitwise-identical lanes across the m
-		// dimension, ymm or zmm) takes over every specialized width it
-		// divides.
-		gspmvSIMD(a.rowPtr, a.colIdx, a.vals, x, y, m, lo, hi)
 	case m == 1:
 		spmv1(a.rowPtr, a.colIdx, a.vals, x, y, lo, hi)
-	case m == 2:
-		gspmv2(a.rowPtr, a.colIdx, a.vals, x, y, lo, hi)
-	case m == 4:
-		gspmv4(a.rowPtr, a.colIdx, a.vals, x, y, lo, hi)
-	case m == 8:
-		gspmv8(a.rowPtr, a.colIdx, a.vals, x, y, lo, hi)
-	case m == 16:
-		gspmv16(a.rowPtr, a.colIdx, a.vals, x, y, lo, hi)
-	case m == 32:
-		gspmv32(a.rowPtr, a.colIdx, a.vals, x, y, lo, hi)
+	case cpufeat.AVX2:
+		gspmvSIMD(a.rowPtr, a.colIdx, a.vals, x, y, m, lo, hi)
 	default:
 		gspmvGeneric(a.rowPtr, a.colIdx, a.vals, x, y, m, lo, hi)
 	}
@@ -140,9 +128,10 @@ func spmv1(rowPtr, colIdx []int32, vals, x, y []float64, lo, hi int) {
 	}
 }
 
-// gspmvGeneric is the fallback kernel for arbitrary m. Each 3x3 block
-// is loaded once into locals and applied to the m row-major values of
-// the three corresponding X rows.
+// gspmvGeneric is the Go kernel for every m > 1, the oracle the row
+// kernels are tested against. Each 3x3 block is loaded once into
+// locals and applied to the m row-major values of the three
+// corresponding X rows.
 func gspmvGeneric(rowPtr, colIdx []int32, vals, x, y []float64, m, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		yb := y[i*BlockDim*m : (i+1)*BlockDim*m]

@@ -31,7 +31,8 @@ import "math"
 // Per column the DAG is independent of m, preserving the per-column
 // bitwise invariance the solvers rely on.
 
-// symSpmv1 is the specialized m=1 kernel.
+// symSpmv1 is the m = 1 Go kernel: the oracle symSpmv1AVX2 is tested
+// against, and the path of hosts without AVX2 and FMA3.
 func symSpmv1(rowPtr, colIdx []int32, vals, x, y, part []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		s0, s1, s2 := y[i*BlockDim], y[i*BlockDim+1], y[i*BlockDim+2]
@@ -63,7 +64,9 @@ func symSpmv1(rowPtr, colIdx []int32, vals, x, y, part []float64, lo, hi int) {
 	}
 }
 
-// symGspmvGeneric is the kernel for every m > 1 the AVX2 path leaves.
+// symGspmvGeneric is the Go kernel for every m > 1: the oracle the
+// row kernel is tested against, and the path of hosts without AVX2 and
+// FMA3.
 func symGspmvGeneric(rowPtr, colIdx []int32, vals, x, y, part []float64, m, lo, hi int) {
 	bm := BlockDim * m
 	for i := lo; i < hi; i++ {

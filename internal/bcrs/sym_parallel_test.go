@@ -1,6 +1,7 @@
 package bcrs
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/blas"
@@ -180,9 +181,80 @@ func TestSymSIMDBitwiseMatchesGo(t *testing.T) {
 	}
 }
 
+// withSymSIMD runs fn with the symmetric assembly kernels allowed or
+// not. On a host without them both settings run the Go loops.
+func withSymSIMD(on bool, fn func()) {
+	defer func(saved int) { symSIMDWidth = saved }(symSIMDWidth)
+	if !on {
+		symSIMDWidth = 0
+	}
+	fn()
+}
+
+// TestSymSpmv1SIMDMatchesGoOnSpecials: the m = 1 three-lane kernel
+// gives symSpmv1's bits with NaN, infinities, signed zeros and a
+// subnormal planted in x and in the blocks, over the whole matrix and
+// over sub-ranges [lo, hi), one of which scatters into a partial
+// window. y rows outside the range and the window's untouched rows
+// must keep what they held.
+func TestSymSpmv1SIMDMatchesGoOnSpecials(t *testing.T) {
+	if symSIMDWidth == 0 {
+		t.Skip("no symmetric SIMD fast path on this host")
+	}
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 5e-324}
+	for name, a := range symTestMatrices() {
+		s, err := NewSym(a)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		r := rng.New(17)
+		x := make([]float64, s.N())
+		r.FillNormal(x)
+		vals := append([]float64(nil), s.vals...)
+		for k := 0; k < 1+len(x)/8; k++ {
+			x[r.Intn(len(x))] = specials[r.Intn(len(specials))]
+			vals[r.Intn(len(vals))] = specials[r.Intn(len(specials))]
+		}
+		nb := s.nb
+		ranges := [][2]int{{0, nb}, {nb / 3, 2 * nb / 3}, {nb / 2, nb}, {nb - 1, nb}}
+		if s.colIdx[s.rowPtr[2*nb/3]-1] < int32(2*nb/3) {
+			t.Fatalf("%s: rows [%d, %d) scatter into no window", name, nb/3, 2*nb/3)
+		}
+		for _, rg := range ranges {
+			lo, hi := rg[0], rg[1]
+			run := func(simd bool) (y, part []float64) {
+				y = make([]float64, s.N())
+				for i := range y {
+					y[i] = 123 // what the kernel must leave outside its range
+				}
+				clear(y[3*lo : 3*hi])
+				part = make([]float64, 3*(nb-hi))
+				for i := range part {
+					part[i] = float64(i%5) - 2
+				}
+				if simd {
+					symGspmvSIMD(s.rowPtr, s.colIdx, vals, x, y, part, 1, lo, hi)
+				} else {
+					symSpmv1(s.rowPtr, s.colIdx, vals, x, y, part, lo, hi)
+				}
+				return y, part
+			}
+			wantY, wantPart := run(false)
+			gotY, gotPart := run(true)
+			if i := sameBits(gotY, wantY); i >= 0 {
+				t.Fatalf("%s rows [%d,%d): y[%d] = %v, want %v", name, lo, hi, i, gotY[i], wantY[i])
+			}
+			if i := sameBits(gotPart, wantPart); i >= 0 {
+				t.Fatalf("%s rows [%d,%d): part[%d] = %v, want %v", name, lo, hi, i, gotPart[i], wantPart[i])
+			}
+		}
+	}
+}
+
 // TestSymSIMDEmptyRow covers the zero-blocks row edge for the
-// symmetric row kernel (the wrapper must skip it without disturbing
-// scatter already accumulated in that row).
+// symmetric kernels (the m = 1 one and the row kernel with and without
+// its tails must leave it without disturbing scatter already
+// accumulated in that row).
 func TestSymSIMDEmptyRow(t *testing.T) {
 	if symSIMDWidth == 0 {
 		t.Skip("no symmetric SIMD fast path on this host")
@@ -198,22 +270,20 @@ func TestSymSIMDEmptyRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const m = 4
-	r := rng.New(5)
-	x := multivec.New(a.N(), m)
-	for i := range x.Data {
-		x.Data[i] = r.Normal()
-	}
-	want := multivec.New(a.N(), m)
-	got := multivec.New(a.N(), m)
-	saved := symSIMDWidth
-	symSIMDWidth = 0
-	s.Mul(want, x)
-	symSIMDWidth = saved
-	s.Mul(got, x)
-	for i := range want.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("data[%d] = %v, want %v", i, got.Data[i], want.Data[i])
+	for _, m := range []int{1, 3, 4} {
+		r := rng.New(5)
+		x := multivec.New(a.N(), m)
+		for i := range x.Data {
+			x.Data[i] = r.Normal()
+		}
+		want := multivec.New(a.N(), m)
+		got := multivec.New(a.N(), m)
+		withSymSIMD(false, func() { s.Mul(want, x) })
+		s.Mul(got, x)
+		for i := range want.Data {
+			if got.Data[i] != want.Data[i] {
+				t.Fatalf("m=%d: data[%d] = %v, want %v", m, i, got.Data[i], want.Data[i])
+			}
 		}
 	}
 }

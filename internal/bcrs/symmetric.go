@@ -198,8 +198,9 @@ func (s *SymMatrix) MulVec(y, x []float64) {
 }
 
 // Mul computes Y = A*X for a block of vectors from the half storage.
-// The AVX2 across-m kernel takes every m its lane width divides (every
-// even m on an FMA host), symSpmv1 m = 1, and the generic loop the rest.
+// On an AVX2+FMA host every m runs assembly: m = 1 the three-lane
+// kernel, every other m the across-m row kernel. Elsewhere m = 1 runs
+// symSpmv1 and every other m the generic loop. All give the same bits.
 func (s *SymMatrix) Mul(y, x *multivec.MultiVec) {
 	s.mulMV(y, x, false)
 }
@@ -228,9 +229,7 @@ func (s *SymMatrix) mulRange(y, x, part []float64, m int, forceGeneric bool, lo,
 	switch {
 	case forceGeneric:
 		symGspmvGeneric(s.rowPtr, s.colIdx, s.vals, x, y, part, m, lo, hi)
-	case symSIMDWidth > 0 && m >= symSIMDWidth && m%symSIMDWidth == 0:
-		// The AVX2 fast path (bitwise-identical lanes across the m
-		// dimension) takes over every width it divides.
+	case symSIMDWidth > 0:
 		symGspmvSIMD(s.rowPtr, s.colIdx, s.vals, x, y, part, m, lo, hi)
 	case m == 1:
 		symSpmv1(s.rowPtr, s.colIdx, s.vals, x, y, part, lo, hi)

@@ -10,16 +10,14 @@ import (
 
 // KernelSizes lists the block widths fused multiplies are padded to:
 // the batching solve server rounds batch widths up to these sizes, and
-// MultiCG pads its multiplies and sweeps the same way. They are the
-// widths internal/bcrs has a kernel for at every m: on amd64 the
-// assembly row kernels serve 8, 16 and 32 (AVX-512 where the host has
-// it, else AVX2) and the fully-unrolled Go kernels 2 and 4; elsewhere
-// the Go kernels serve all of them.
+// MultiCG pads its multiplies and sweeps the same way. Every width has
+// an assembly multiply on an AVX2 host (internal/bcrs runs the last
+// m % 8 columns under a lane mask), so there the padding no longer
+// selects a kernel; without AVX2 the Go loops serve every width.
 var KernelSizes = [...]int{1, 2, 4, 8, 16, 32}
 
 // KernelCeil returns the smallest kernel width that is >= q, or q
-// itself when q exceeds the largest (the generic kernel, or on amd64
-// the row kernels when q is a multiple of 8, handles it).
+// itself when q exceeds the largest.
 func KernelCeil(q int) int {
 	for _, k := range KernelSizes {
 		if k >= q {
