@@ -49,7 +49,7 @@ docs-gate:
 # the third fails when any file is not gofmt-clean.
 vet:
 	$(GO) vet ./...
-	GOARCH=arm64 $(GO) vet ./internal/cpufeat/ ./internal/bcrs/ ./internal/multivec/ ./internal/solver/
+	GOARCH=arm64 $(GO) vet ./internal/cpufeat/ ./internal/bcrs/ ./internal/multivec/ ./internal/solver/ ./internal/hydro/
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 build:
@@ -118,12 +118,16 @@ fuzz-faults:
 # and box (they used to loop once per box length, forever on an
 # infinity) and keep the bits of the bare add/subtract loops within two
 # boxes; neighbor.Image is MinImage of the difference of two wrapped
-# coordinates, bit for bit; and hydro's assembler is the Builder oracle,
-# bit for bit, on small hostile systems stepped along a walk.
+# coordinates, bit for bit; hydro's assembler is the Builder oracle and
+# its own Go candidate pass, bit for bit, on small hostile systems and
+# options stepped along a walk; and the AVX2 candidate pass's logarithm
+# is math.Log, bit for bit, wherever its domain guard lets a lane
+# through, which is exactly at the positive normal numbers.
 fuzz-neighbor:
 	$(GO) test -run '^$$' -fuzz '^FuzzWrapTerminates$$' -fuzztime 10s ./internal/neighbor/
 	$(GO) test -run '^$$' -fuzz '^FuzzImageMatchesMinImage$$' -fuzztime 10s ./internal/neighbor/
 	$(GO) test -run '^$$' -fuzz '^FuzzAssemblerMatchesOracle$$' -fuzztime 10s ./internal/hydro/
+	$(GO) test -run '^$$' -fuzz '^FuzzLogLanesMatchArchLog$$' -fuzztime 10s ./internal/hydro/
 
 # fuzz-sqrt fuzzes chebyshev.PrecondSqrt and PrecondInvSqrt (the
 # direct velocity's force, A*M^{-1} times it) for ten seconds, both on

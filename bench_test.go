@@ -638,11 +638,13 @@ func BenchmarkAblationNeighborList(b *testing.B) {
 
 // BenchmarkConfBuild measures resistance-matrix assembly at the
 // repository benchmark's SD system (N = 1000, phi = 0.4, seed 1, E. coli
-// radii), the three numbers the docs quote. warm: one Build on a warmed
+// radii), the numbers the docs quote. warm: one Build on a warmed
 // sd.Conf chain, handed back with Recycle as the steppers do — the
 // step's Construct phase, twice per time step; with -benchmem, allocs/op
-// 1 (the matrix header). cold: a fresh chain's first Build, the
-// candidate search included. particles-new: the packing itself.
+// 1 (the matrix header). warm-pool2: the same on a two-thread pool, the
+// one-versus-two-thread comparison of the build. cold: a fresh chain's
+// first Build, the candidate search included. particles-new: the
+// packing itself.
 func BenchmarkConfBuild(b *testing.B) {
 	popt := particles.Options{N: 1000, Phi: 0.4, Seed: 1}
 	sys, err := particles.New(popt)
@@ -650,15 +652,20 @@ func BenchmarkConfBuild(b *testing.B) {
 		b.Fatal(err)
 	}
 	opt := hydro.Options{Phi: 0.4}
-	b.Run("warm", func(b *testing.B) {
-		c := sd.NewConf(sys, opt, 1)
-		c.Recycle(c.Build())
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+	warm := func(threads int) func(*testing.B) {
+		return func(b *testing.B) {
+			defer parallel.SetThreads(parallel.Threads())
+			c := sd.NewConf(sys, opt, threads)
 			c.Recycle(c.Build())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Recycle(c.Build())
+			}
 		}
-	})
+	}
+	b.Run("warm", warm(1))
+	b.Run("warm-pool2", warm(2))
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

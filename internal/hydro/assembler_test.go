@@ -264,10 +264,7 @@ func TestAssemblerRejectsWrongCount(t *testing.T) {
 func (c *pairCoef) tensor(xi float64, d blas.Vec3, minXi float64) (m blas.Mat3) {
 	var a sym3
 	c.axial(&a, xi, &d, minXi)
-	for q, s := range symAt {
-		m[q] = a[s]
-	}
-	return m
+	return blas.Mat3{a[0], a[1], a[2], a[1], a[3], a[4], a[2], a[4], a[5]}
 }
 
 // TestPairCoefMatchesPairTensorBitwise: the constants the assembler

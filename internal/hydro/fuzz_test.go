@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/bcrs"
 	"repro/internal/blas"
 	"repro/internal/parallel"
 	"repro/internal/particles"
@@ -22,11 +23,20 @@ const (
 	quirkWideCut               // CutoffXi 2.5 instead of the default
 )
 
+// Hostile options a fuzzed system can run under, one bit each; a later
+// bit overrides an earlier one.
+const (
+	hostileSubnormalMinXi = 1 << iota // MinXi the smallest subnormal
+	hostileNegativeMinXi              // MinXi -1e-3: 1/xi negative for an overlap
+	hostileZeroCutoff                 // CutoffXi 0, which WithDefaults makes 1
+	hostileHugeCutoff                 // CutoffXi 1e300: every candidate kept, xaCut -Inf
+)
+
 // fuzzSystem builds n spheres with radii spread by up to ratio in a box
 // sized for occupancy phi, placed uniformly (overlaps included) and then
 // bent by quirks. It returns the particle given a non-finite coordinate,
 // or -1.
-func fuzzSystem(s *rng.Stream, n int, ratio, phi float64, quirks uint8) (*particles.System, Options, int) {
+func fuzzSystem(s *rng.Stream, n int, ratio, phi float64, quirks, hostile uint8) (*particles.System, Options, int) {
 	sys := &particles.System{N: n, Phi: phi, Radius: make([]float64, n), Pos: make([]blas.Vec3, n)}
 	var vol float64
 	for i := range sys.Radius {
@@ -42,6 +52,18 @@ func fuzzSystem(s *rng.Stream, n int, ratio, phi float64, quirks uint8) (*partic
 	opt := Options{Phi: phi}
 	if quirks&quirkWideCut != 0 {
 		opt.CutoffXi = 2.5
+	}
+	if hostile&hostileSubnormalMinXi != 0 {
+		opt.MinXi = 5e-324
+	}
+	if hostile&hostileNegativeMinXi != 0 {
+		opt.MinXi = -1e-3
+	}
+	if hostile&hostileZeroCutoff != 0 {
+		opt.CutoffXi = 0
+	}
+	if hostile&hostileHugeCutoff != 0 {
+		opt.CutoffXi = 1e300
 	}
 	opt = opt.WithDefaults()
 	// at puts particle j at x-offset r from particle 0, then nudges that
@@ -106,9 +128,10 @@ func (im image) markNaN(i int) {
 // checkAssemblerMatchesOracle steps one long-lived assembler through
 // six configurations of a fuzzed system — walks of a tenth, a half and
 // twice the skin, so that its list is reused and rebuilt — and requires
-// the oracle's bits at each, the row of a non-finite particle NaN-marked
-// and every other row untouched by it.
-func checkAssemblerMatchesOracle(t *testing.T, seed uint64, n int, ratio, phi float64, quirks uint8) {
+// at each the bits of a second assembler whose candidate pass runs the
+// Go loop, and the oracle's bits, the row of a non-finite particle
+// NaN-marked and every other row untouched by it.
+func checkAssemblerMatchesOracle(t *testing.T, seed uint64, n int, ratio, phi float64, quirks, hostile uint8) {
 	t.Helper()
 	if !(ratio >= 1 && ratio <= 10) {
 		ratio = 1 + math.Mod(math.Abs(ratio), 9)
@@ -131,24 +154,66 @@ func checkAssemblerMatchesOracle(t *testing.T, seed uint64, n int, ratio, phi fl
 	t.Cleanup(func() { parallel.SetThreads(saved) })
 
 	s := rng.New(seed)
-	sys, opt, bad := fuzzSystem(s, n, ratio, phi, quirks)
+	sys, opt, bad := fuzzSystem(s, n, ratio, phi, quirks, hostile)
 	skin := skinFraction * SearchCutoff(sys, opt)
-	as := NewAssembler(sys, opt)
+	as, goLoop := NewAssembler(sys, opt), NewAssembler(sys, opt)
 	for step, scale := range []float64{0, 0.1, 0.1, 0.5, 2, 0.1} {
 		if scale > 0 {
 			walk(sys.Pos, s, scale*skin)
 		}
-		want := imageOf(oracle(sys, opt))
-		if bad >= 0 {
-			want.markNaN(bad)
+		fail := func(what, d string) {
+			rb, ru := as.ListCounts()
+			t.Fatalf("seed %d n %d ratio %v phi %v quirks %08b hostile %04b threads %d step %d (%d rebuilds, %d reuses): %s: %s",
+				seed, n, ratio, phi, quirks, hostile, threads, step, rb, ru, what, d)
 		}
 		a := as.Build(sys.Pos)
-		if d := imageOf(a).diff(want); d != "" {
-			rb, ru := as.ListCounts()
-			t.Fatalf("seed %d n %d ratio %v phi %v quirks %08b threads %d step %d (%d rebuilds, %d reuses): %s",
-				seed, n, ratio, phi, quirks, threads, step, rb, ru, d)
+		got := imageOf(a)
+		var ref *bcrs.Matrix
+		withAVX2(false, func() { ref = goLoop.Build(sys.Pos) })
+		if d := got.diff(imageOf(ref)); d != "" {
+			fail("vs the Go candidate pass", d)
+		}
+		want, ok := oracleImage(sys, opt, hostile != 0)
+		if ok && bad >= 0 {
+			want.markNaN(bad)
+		}
+		if hostile != 0 {
+			got.canonicalNaN()
+		}
+		if d := got.diff(want); ok && d != "" {
+			fail("vs the oracle", d)
 		}
 		as.Recycle(a)
+		goLoop.Recycle(ref)
+	}
+}
+
+// oracleImage is the oracle's matrix at the system. Under hostile
+// options it is not the assembler's reference to the bit: PairTensor
+// panics on a gap at or below zero that a negative MinXi lets through
+// (ok is then false), and where 1/xi overflows its NaNs carry another
+// sign than pairCoef.axial's, so every NaN is made one.
+func oracleImage(sys *particles.System, opt Options, hostile bool) (im image, ok bool) {
+	if hostile {
+		defer func() {
+			if r := recover(); r != nil {
+				ok = false
+			}
+		}()
+	}
+	im = imageOf(oracle(sys, opt))
+	if hostile {
+		im.canonicalNaN()
+	}
+	return im, true
+}
+
+// canonicalNaN makes every NaN entry of im the same NaN.
+func (im image) canonicalNaN() {
+	for q, b := range im.bits {
+		if math.IsNaN(math.Float64frombits(b)) {
+			im.bits[q] = math.Float64bits(math.NaN())
+		}
 	}
 }
 
@@ -156,16 +221,22 @@ func checkAssemblerMatchesOracle(t *testing.T, seed uint64, n int, ratio, phi fl
 // systems (make fuzz-neighbor): radius ratios up to 10, overlapping
 // spheres, coincident centres, gaps below MinXi, pairs at the cutoff
 // ± 1 ulp, coordinates outside the box and on its faces, a non-finite
-// coordinate, 1 and 4 threads, one assembler along a walk. The seeds
-// run under go test.
+// coordinate, 1 and 4 threads, one assembler along a walk, under
+// hostile options (a subnormal or negative MinXi, CutoffXi 0 or 1e300,
+// which send kept pairs off the AVX2 candidate pass's main path). The
+// seeds run under go test.
 func FuzzAssemblerMatchesOracle(f *testing.F) {
-	f.Add(uint64(1), uint8(12), 1.0, 0.3, uint8(0))
-	f.Add(uint64(2), uint8(38), 10.0, 0.45, uint8(quirkCoincide|quirkTouching|quirkCutoff))
-	f.Add(uint64(3), uint8(30), 3.0, 0.05, uint8(quirkOutside|quirkFaces|quirkThreads))
-	f.Add(uint64(4), uint8(25), 7.5, 0.2, uint8(quirkNonFinite|quirkWideCut))
-	f.Add(uint64(5), uint8(39), 1.0, 0.05, uint8(0xff))
-	f.Add(uint64(6), uint8(2), 10.0, 0.5, uint8(quirkNonFinite|quirkFaces|quirkOutside))
-	f.Fuzz(func(t *testing.T, seed uint64, n uint8, ratio, phi float64, quirks uint8) {
-		checkAssemblerMatchesOracle(t, seed, 2+int(n)%40, ratio, phi, quirks)
+	f.Add(uint64(1), uint8(12), 1.0, 0.3, uint8(0), uint8(0))
+	f.Add(uint64(2), uint8(38), 10.0, 0.45, uint8(quirkCoincide|quirkTouching|quirkCutoff), uint8(0))
+	f.Add(uint64(3), uint8(30), 3.0, 0.05, uint8(quirkOutside|quirkFaces|quirkThreads), uint8(0))
+	f.Add(uint64(4), uint8(25), 7.5, 0.2, uint8(quirkNonFinite|quirkWideCut), uint8(0))
+	f.Add(uint64(5), uint8(39), 1.0, 0.05, uint8(0xff), uint8(0))
+	f.Add(uint64(6), uint8(2), 10.0, 0.5, uint8(quirkNonFinite|quirkFaces|quirkOutside), uint8(0))
+	f.Add(uint64(7), uint8(33), 4.0, 0.45, uint8(quirkCoincide|quirkTouching|quirkThreads), uint8(hostileSubnormalMinXi))
+	f.Add(uint64(8), uint8(36), 2.0, 0.5, uint8(quirkTouching|quirkCutoff), uint8(hostileNegativeMinXi))
+	f.Add(uint64(9), uint8(20), 6.0, 0.3, uint8(quirkWideCut|quirkFaces), uint8(hostileZeroCutoff))
+	f.Add(uint64(10), uint8(14), 3.0, 0.4, uint8(quirkTouching), uint8(hostileHugeCutoff))
+	f.Fuzz(func(t *testing.T, seed uint64, n uint8, ratio, phi float64, quirks, hostile uint8) {
+		checkAssemblerMatchesOracle(t, seed, 2+int(n)%40, ratio, phi, quirks, hostile)
 	})
 }

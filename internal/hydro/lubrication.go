@@ -31,15 +31,17 @@
 // below Options.CutoffXi; the Verlet list's candidates lie within each
 // pair's own reach (a_i+a_j)(1+CutoffXi/2) plus a skin. One pass over
 // the sorted candidates computes each one's displacement, distance and
-// gap once and, for a kept pair, the six distinct entries of its
-// tensor; one pass over the kept pairs writes -A into both mirrored
-// blocks and sums the diagonals, straight into BCRS arrays: columns
-// ascending, each diagonal muF_i*I first, then the row's pair tensors in
-// ascending neighbor index (every pair (j, i), j < i, precedes every
-// pair (i, k)). The matrix is therefore a pure function of (positions,
-// radii, options): bitwise the same from a long-lived assembler or a
-// fresh one, at any thread count, and bitwise what a bcrs.Builder fed
-// the far-field diagonal and then the (I, J)-sorted pairs would produce.
+// gap once and, for a kept pair, the six distinct entries of its tensor
+// — on AVX2 four candidates to a ymm, with the Go loop's bits, the
+// logarithm included. One pass over the rows then writes each row's
+// blocks in column order straight into BCRS arrays, -A entry by entry
+// for each of its pairs, and sums its diagonal in registers: muF_i*I
+// first, then its pair tensors in ascending neighbor index (its pairs
+// (j, i), j < i, then its pairs (i, k)). The matrix is therefore a pure
+// function of (positions, radii, options): bitwise the same from a
+// long-lived assembler or a fresh one, at any thread count, with AVX2 or
+// without, and bitwise what a bcrs.Builder fed the far-field diagonal
+// and then the (I, J)-sorted pairs would produce.
 //
 // A warmed Build pays for what moved: the constants of a pair (XA's and
 // YA's coefficients, their cutoff values, the scale) are kept per

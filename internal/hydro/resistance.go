@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bcrs"
 	"repro/internal/blas"
+	"repro/internal/cpufeat"
 	"repro/internal/neighbor"
 	"repro/internal/parallel"
 	"repro/internal/particles"
@@ -80,10 +81,17 @@ func newPairCoef(a1, a2 float64, opt Options) (c pairCoef) {
 }
 
 // sym3 is a symmetric 3x3 block by its six distinct entries, the upper
-// triangle row by row; symAt maps a blas.Mat3 index to its entry.
+// triangle row by row: xx, xy, xz, yy, yz, zz.
 type sym3 [6]float64
 
-var symAt = [9]int{0, 1, 2, 1, 3, 4, 2, 4, 5}
+// negZero is the tensor of a candidate that is not kept: added into a
+// diagonal entry it leaves the entry's bits as they were, -0 included.
+var negZero = func() (t sym3) {
+	for q := range t {
+		t[q] = math.Copysign(0, -1)
+	}
+	return t
+}()
 
 // axial writes PairTensor into t bit for bit, by its six distinct
 // entries: the same expressions in the same order around one logarithm,
@@ -149,18 +157,19 @@ const skinFraction = 0.05
 // Assembler builds the resistance matrices of one trajectory: it is
 // bound to a system's radii, box and options, and is handed positions.
 // It owns what consecutive builds can share — the Verlet neighbor
-// list, the far-field coefficients, the lubrication constants of every
-// listed pair, and the tensor and row scratch — so a warmed Build
-// computes only what depends on the positions. A returned matrix never
-// aliases that scratch and is its holder's; handed back before the next
-// Build (Recycle), its arrays are what that Build writes into.
+// list, the far-field coefficients, the radii and lubrication constants
+// of every listed pair, the list's candidates indexed by row, and the
+// tensor and row scratch — so a warmed Build computes only what depends
+// on the positions. A returned matrix never aliases that scratch and is
+// its holder's; handed back before the next Build (Recycle), its arrays
+// are what that Build writes into.
 //
 // The matrix is a pure function of (positions, radii, options): the
 // list hands over its candidates in (I, J) order whatever its history,
 // and each diagonal block is summed as the far-field term, then the
-// pair tensors in that order, which is ascending neighbor index. List
-// reuse, rebuild timing, recycled storage and thread count cannot change
-// a bit of it.
+// pair tensors in ascending neighbor index. List reuse, rebuild timing,
+// recycled storage, thread count and the path of either pass (AVX2 or
+// Go) cannot change a bit of it.
 //
 // An Assembler is not safe for concurrent use; every trajectory (each
 // runner, each verifier beside one) needs its own.
@@ -170,31 +179,65 @@ type Assembler struct {
 	radius []float64
 	far    []float64 // far-field diagonal coefficients
 	list   *neighbor.List
+	prm    candParams
 
-	// coef holds the pair constants by candidate slot of the list, as
-	// of its coefGen-th rebuild; a slot fills when its pair first lists.
-	coef    []pairCoef
-	coefGen int
+	// As of the list's coefGen-th rebuild: slots holds each candidate
+	// slot's radii and, once its pair is first kept, its pairCoef, four
+	// slots to a group (slotGroup). Row i's visits are
+	// [rowStart[i], rowStart[i+1]): the slot and the column of each of
+	// its blocks in column order — its pairs (j, i), the diagonal (the
+	// slot past the last candidate's), its pairs (i, k).
+	slots                         []float64
+	coefGen                       int
+	rowStart, visitSlot, visitCol []int32
 
 	// The current build's candidates and wrapped positions (the list's),
-	// whether each is kept, and the tensor of each kept one.
+	// each one's tensor (negZero unless kept) and whether it is kept (1)
+	// or not (0), and past them the diagonal's visit: negZero, kept.
 	cand    [][2]int32
 	wrapped []blas.Vec3
-	kept    []bool
+	kept    []uint8
 	tens    []sym3
-	// below counts each row's neighbors of smaller index, then is the
-	// fill cursor of the row's lower side, as above is of its upper
-	// side; diag is the slot of the row's diagonal block.
-	below, above, diag []int32
 
-	// The arrays of the matrix built last (lent, while it is out) and the
-	// pool callback that fills the tensors, bound once so a build
-	// allocates none.
+	// The arrays of the matrix built last (lent, while it is out; colIdx
+	// and vals one block longer than it) and the pool callback that fills
+	// the tensors, bound once so a build allocates none.
 	lent           *bcrs.Matrix
 	rowPtr, colIdx []int32
 	vals           []float64
 	tensorsFn      func(lo, hi int)
 }
+
+// A slot group holds four candidate slots' radii and pair constants,
+// field by field, each field four lanes wide: the layout in which the
+// AVX2 candidate pass loads four candidates' inputs. A zero scale
+// marks constants not computed yet.
+const (
+	slotA1 = 4 * iota
+	slotA2
+	slotG1
+	slotG2
+	slotG3
+	slotY2
+	slotY3
+	slotXaCut
+	slotYaCut
+	slotScale
+	slotGroup
+)
+
+// candParams is what the AVX2 candidate pass reads of the assembler:
+// the box, box/2, -box/2 (neighbor.Image's), CutoffXi and MinXi, four
+// lanes each.
+type candParams struct{ box, half, nhalf, cut, minXi [4]float64 }
+
+// candBlock is the most candidates one call of the AVX2 pass takes.
+// candScratch is its workspace: it comes in with their raw
+// wrapped-coordinate differences by axis in the first three rows, and
+// the kernel keeps its geometry in all five.
+const candBlock = 64
+
+type candScratch [5][candBlock]float64
 
 // NewAssembler returns an assembler for the system's radii and box.
 // The radius slice is retained, not copied.
@@ -206,10 +249,11 @@ func NewAssembler(sys *particles.System, opt Options) *Assembler {
 func newAssembler(sys *particles.System, opt Options, far []float64) *Assembler {
 	as := &Assembler{
 		opt: opt, box: sys.Box, radius: sys.Radius, far: far,
-		list:  neighbor.NewList(sys.Box, sys.Radius, opt.CutoffXi, skinFraction*SearchCutoff(sys, opt)),
-		below: make([]int32, sys.N),
-		above: make([]int32, sys.N),
-		diag:  make([]int32, sys.N),
+		list: neighbor.NewList(sys.Box, sys.Radius, opt.CutoffXi, skinFraction*SearchCutoff(sys, opt)),
+	}
+	for l := range 4 {
+		as.prm.box[l], as.prm.half[l], as.prm.nhalf[l] = sys.Box, sys.Box/2, -sys.Box/2
+		as.prm.cut[l], as.prm.minXi[l] = opt.CutoffXi, opt.MinXi
 	}
 	as.tensorsFn = as.tensors
 	return as
@@ -235,10 +279,66 @@ const pairGrain = 256
 func (as *Assembler) Build(pos []blas.Vec3) *bcrs.Matrix {
 	as.cand, as.wrapped = as.list.Candidates(pos)
 	if as.coefGen != as.list.Rebuilds {
-		as.coef, as.coefGen = sized(as.coef, len(as.cand)), as.list.Rebuilds
-		clear(as.coef)
+		as.index()
+		as.coefGen = as.list.Rebuilds
 	}
 	return assemble(as, pos)
+}
+
+// index lays out the slots of a new candidate list: their radii, no
+// pair constants yet, and every row's visits.
+func (as *Assembler) index() {
+	nb, n := len(as.radius), len(as.cand)
+	as.slots = sized(as.slots, (n+3)/4*slotGroup)
+	clear(as.slots)
+	for k, c := range as.cand {
+		g, l := as.slots[k/4*slotGroup:], k%4
+		g[slotA1+l], g[slotA2+l] = as.radius[c[0]], as.radius[c[1]]
+	}
+	start := sized(as.rowStart, nb+1)
+	clear(start)
+	for _, c := range as.cand {
+		start[c[0]+1]++
+		start[c[1]+1]++
+	}
+	for i := range nb {
+		start[i+1] += start[i] + 1
+	}
+	slot, col := sized(as.visitSlot, 2*n+nb), sized(as.visitCol, 2*n+nb)
+	// start[i] is row i's cursor, and ends at row i+1's start. The
+	// candidates are sorted by I, then J: a row's pairs (j, i) come in
+	// ascending j, and its pairs (i, k) in ascending k.
+	for k, c := range as.cand {
+		v := start[c[1]]
+		slot[v], col[v] = int32(k), c[0]
+		start[c[1]]++
+	}
+	for i := range nb {
+		v := start[i]
+		slot[v], col[v] = int32(n), int32(i)
+		start[i]++
+	}
+	for k, c := range as.cand {
+		v := start[c[0]]
+		slot[v], col[v] = int32(k), c[1]
+		start[c[0]]++
+	}
+	copy(start[1:], start[:nb])
+	start[0] = 0
+	as.rowStart, as.visitSlot, as.visitCol = start, slot, col
+}
+
+// coef returns slot k's pair constants, computing them the first time.
+func (as *Assembler) coef(k int) pairCoef {
+	g, l := as.slots[k/4*slotGroup:k/4*slotGroup+slotGroup], k%4
+	if g[slotScale+l] == 0 {
+		c := newPairCoef(g[slotA1+l], g[slotA2+l], as.opt)
+		g[slotG1+l], g[slotG2+l], g[slotG3+l] = c.g1, c.g2, c.g3
+		g[slotY2+l], g[slotY3+l] = c.y2, c.y3
+		g[slotXaCut+l], g[slotYaCut+l], g[slotScale+l] = c.xaCut, c.yaCut, c.scale
+	}
+	return pairCoef{g[slotG1+l], g[slotG2+l], g[slotG3+l], g[slotY2+l], g[slotY3+l],
+		g[slotXaCut+l], g[slotYaCut+l], g[slotScale+l]}
 }
 
 // Recycle takes back the matrix built last, which its holder will not
@@ -251,82 +351,108 @@ func (as *Assembler) Recycle(a *bcrs.Matrix) {
 }
 
 // assemble is the package's one assembly routine: the matrix of the
-// list's candidates, which come in (I, J) order, at pos, in three
-// passes — the candidate pass (parallel, one slot per candidate: the
-// gap test and the tensor of a kept pair), the row sizes (serial count
-// and prefix sum), and one serial pass over the kept pairs that writes
-// both mirrored off-diagonal blocks of each and sums the diagonals.
+// list's candidates at pos, in two passes — the candidate pass
+// (parallel, one slot per candidate: its tensor and whether it is kept)
+// and the row fill (serial: each row's blocks in column order, its
+// diagonal summed in registers).
 func assemble(as *Assembler, pos []blas.Vec3) *bcrs.Matrix {
 	const bs = bcrs.BlockSize
 	nb := len(as.radius)
-	as.kept, as.tens = sized(as.kept, len(as.cand)), sized(as.tens, len(as.cand))
-	parallel.Default().ForOp("hydro_pair_tensors", len(as.cand), pairGrain, as.tensorsFn)
+	n := len(as.cand)
+	as.kept, as.tens = sized(as.kept, n+1), sized(as.tens, n+1)
+	as.kept[n], as.tens[n] = 1, negZero
+	parallel.Default().ForOp("hydro_pair_tensors", n, pairGrain, as.tensorsFn)
 
 	if as.lent != nil { // not handed back: its arrays stay its own
 		as.rowPtr, as.colIdx, as.vals = nil, nil, nil
 	}
-	// A row holds its diagonal block and one block per kept pair.
+	// A row holds its diagonal block and one block per kept pair. The
+	// fill writes a pair's block before it knows whether it is kept, so
+	// a pair that is not may write one block past the matrix.
+	kept := 0
+	for _, k := range as.kept[:n] {
+		kept += int(k)
+	}
+	nnzb := nb + 2*kept
 	rowPtr := sized(as.rowPtr, nb+1)
-	clear(rowPtr) // recycled colIdx and vals need none: every slot is written
-	clear(as.below)
-	for k, c := range as.cand {
-		if as.kept[k] {
-			rowPtr[c[0]+1]++
-			rowPtr[c[1]+1]++
-			as.below[c[1]]++
-		}
-	}
-	for i := 0; i < nb; i++ {
-		rowPtr[i+1] += rowPtr[i] + 1
-	}
-	nnzb := int(rowPtr[nb])
-	colIdx := sized(as.colIdx, nnzb)
-	vals := sized(as.vals, nnzb*bs)
-
-	// Row i is [neighbors below i | i | neighbors above i], and each part
-	// fills left to right because the candidates are sorted. Its diagonal
-	// block starts as muF*I, made NaN for a NaN or infinite coordinate
-	// (x-x is 0 for any other): such a particle is in no pair, every
-	// cutoff test being false, and the NaN fails the step at the
-	// spectrum bracket or in a solve.
-	for i := 0; i < nb; i++ {
-		d := rowPtr[i] + as.below[i]
-		colIdx[d] = int32(i)
-		as.below[i], as.above[i], as.diag[i] = rowPtr[i], d+1, d
-		blk := (*blas.Mat3)(vals[int(d)*bs:])
-		f := as.far[i]
-		z := f * 0 // the bits ScaleM gives the identity's zeros
-		*blk = blas.Mat3{f, z, z, z, f, z, z, z, f}
-		if p := pos[i]; p[0]-p[0] != 0 || p[1]-p[1] != 0 || p[2]-p[2] != 0 {
-			blk[0] = math.NaN()
-		}
-	}
-	// Every pair (j, i) with j < i comes before every pair (i, k), so
-	// each diagonal sums its tensors in ascending neighbor index.
-	for k, c := range as.cand {
-		if !as.kept[k] {
-			continue
-		}
-		i, j := c[0], c[1]
-		si, sj := as.above[i], as.below[j]
-		as.above[i], as.below[j] = si+1, sj+1
-		colIdx[si], colIdx[sj] = j, i
-		a, neg := &as.tens[k], (*blas.Mat3)(vals[int(si)*bs:])
-		di, dj := (*blas.Mat3)(vals[int(as.diag[i])*bs:]), (*blas.Mat3)(vals[int(as.diag[j])*bs:])
-		for q, s := range symAt {
-			// 0 - v, not -v: a zero entry is stored as +0, as summing
-			// into a zeroed block would leave it.
-			neg[q] = 0 - a[s]
-			di[q] += a[s]
-			dj[q] += a[s]
-		}
-		*(*blas.Mat3)(vals[int(sj)*bs:]) = *neg
-	}
+	colIdx := sized(as.colIdx, nnzb+1)
+	vals := sized(as.vals, (nnzb+1)*bs)
+	as.fill(pos, rowPtr, colIdx, vals)
 
 	as.rowPtr, as.colIdx, as.vals = rowPtr, colIdx, vals
 	as.cand, as.wrapped = nil, nil
-	as.lent = bcrs.NewMatrix(nb, nb, rowPtr, colIdx, vals)
+	as.lent = bcrs.NewMatrix(nb, nb, rowPtr, colIdx[:nnzb], vals[:nnzb*bs])
 	return as.lent
+}
+
+// fill writes the matrix row by row, each row's blocks in column order
+// by its visits. Every visit's block is written, -A entry by entry, and
+// the write position advances only past a kept one, so a block that is
+// not kept is written over by the next; every visit's tensor is added
+// into the diagonal, which one not kept (negZero) leaves as it was. The
+// diagonal block starts as muF*I, made NaN for a NaN or infinite
+// coordinate (x-x is 0 for any other): such a particle is in no pair,
+// every cutoff test being false, and the NaN fails the step at the
+// spectrum bracket or in a solve. Its sums are the Builder oracle's: far
+// field first, then every pair (j, i), j < i, in ascending j, then every
+// pair (i, k) in ascending k. On AVX2 each row is one pass of
+// fillRowAVX2, blocks and sums together; the Go loops are its oracle and
+// the path without it.
+func (as *Assembler) fill(pos []blas.Vec3, rowPtr, colIdx []int32, vals []float64) {
+	const bs = bcrs.BlockSize
+	p := 0
+	for i := range len(as.radius) {
+		rowPtr[i] = int32(p)
+		slots := as.visitSlot[as.rowStart[i]:as.rowStart[i+1]]
+		cols := as.visitCol[as.rowStart[i]:as.rowStart[i+1]]
+		f := as.far[i]
+		z := f * 0 // the bits ScaleM gives the identity's zeros
+		d0 := f
+		if q := &pos[i]; q[0]-q[0] != 0 || q[1]-q[1] != 0 || q[2]-q[2] != 0 {
+			d0 = math.NaN()
+		}
+		if cpufeat.AVX2 {
+			p = as.fillRowSIMD(vals, colIdx, slots, cols, p, d0, f, z)
+			continue
+		}
+		var diag int
+		p, diag = as.fillRow(vals, colIdx, slots, cols, p)
+		d1, d2, d3, d4, d5 := z, z, f, z, f
+		for _, k := range slots {
+			a := &as.tens[k]
+			d0, d1, d2, d3, d4, d5 = d0+a[0], d1+a[1], d2+a[2], d3+a[3], d4+a[4], d5+a[5]
+		}
+		b := (*[bs]float64)(vals[diag*bs:])
+		b[0], b[1], b[2] = d0, d1, d2
+		b[3], b[4], b[5] = d1, d3, d4
+		b[6], b[7], b[8] = d2, d4, d5
+	}
+	rowPtr[len(as.radius)] = int32(p)
+}
+
+// fillRow writes the blocks of one row's visits from position p on: -A
+// entry by entry, the column, and p advanced past a kept visit. It
+// returns the next row's first position and the diagonal block's.
+func (as *Assembler) fillRow(vals []float64, colIdx, slots, cols []int32, p int) (next, diag int) {
+	const bs = bcrs.BlockSize
+	tens, kept, diagSlot := as.tens, as.kept, int32(len(as.cand))
+	cols = cols[:len(slots)]
+	for v, k := range slots {
+		a := &tens[k]
+		// 0 - v, not -v: a zero entry is stored as +0, as summing into
+		// a zeroed block would leave it.
+		n0, n1, n2, n3, n4, n5 := 0-a[0], 0-a[1], 0-a[2], 0-a[3], 0-a[4], 0-a[5]
+		b := (*[bs]float64)(vals[p*bs:])
+		b[0], b[1], b[2] = n0, n1, n2
+		b[3], b[4], b[5] = n1, n3, n4
+		b[6], b[7], b[8] = n2, n4, n5
+		colIdx[p] = cols[v]
+		if k == diagSlot {
+			diag = p
+		}
+		p += int(kept[k])
+	}
+	return p, diag
 }
 
 // sized returns s at length n, contents unspecified, reallocated if short.
@@ -341,41 +467,53 @@ func sized[T any](s []T, n int) []T {
 // displacement, distance and gap, once, and for a pair inside the
 // cutoff its tensor. A pair outside it, whose centers coincide, or whose
 // tensor vanishes (the shifted resistance functions round to zero just
-// inside the cutoff) is not kept and stores no block. It runs
-// in blocks, the geometry of a block's candidates before any of their
-// tensors: a gap test that waits on a square root and a division then
-// decides no branch, and the out-of-order core overlaps candidates.
+// inside the cutoff) is not kept. With AVX2 it runs four candidates to a
+// ymm (candAVX2) from the first slot group inside [lo, hi), in blocks of
+// candBlock; the slots before that group and after the last whole one,
+// and any block in which a kept lane fails the kernel's guards, run the
+// Go loop, whose bits the kernel has everywhere else.
 func (as *Assembler) tensors(lo, hi int) {
-	var geo [64]struct {
-		dir   blas.Vec3
-		r, xi float64
+	if !cpufeat.AVX2 {
+		as.tensorsGo(lo, hi)
+		return
 	}
-	for b := lo; b < hi; b += len(geo) {
-		n := min(len(geo), hi-b)
-		for k := range n {
-			c, g := as.cand[b+k], &geo[k]
-			wa, wb := &as.wrapped[c[0]], &as.wrapped[c[1]]
-			x := neighbor.Image(wb[0]-wa[0], as.box)
-			y := neighbor.Image(wb[1]-wa[1], as.box)
-			z := neighbor.Image(wb[2]-wa[2], as.box)
-			g.r = math.Sqrt(x*x + y*y + z*z)
-			g.xi = neighbor.Gap(g.r, as.radius[c[0]], as.radius[c[1]])
-			s := 1 / g.r
-			g.dir = blas.Vec3{s * x, s * y, s * z}
+	head := min(hi, (lo+3)&^3)
+	as.tensorsGo(lo, head)
+	var d candScratch
+	for b := head; b < hi; b += candBlock {
+		n := min(candBlock, hi-b)
+		v := n &^ 3
+		if v > 0 && !as.candSIMD(&d, b, v) {
+			as.tensorsGo(b, b+v)
 		}
-		for k := range n {
-			t, g := &as.tens[b+k], &geo[k]
-			keep := g.xi < as.opt.CutoffXi && g.r > 0
-			if keep {
-				pc := &as.coef[b+k]
-				if pc.scale == 0 {
-					c := as.cand[b+k]
-					*pc = newPairCoef(as.radius[c[0]], as.radius[c[1]], as.opt)
-				}
-				pc.axial(t, g.xi, &g.dir, as.opt.MinXi)
+		as.tensorsGo(b+v, b+n)
+	}
+}
+
+// tensorsGo is the candidate pass over [lo, hi) in Go: the oracle of the
+// AVX2 kernel and the path without it.
+func (as *Assembler) tensorsGo(lo, hi int) {
+	for k := lo; k < hi; k++ {
+		c := as.cand[k]
+		wa, wb := &as.wrapped[c[0]], &as.wrapped[c[1]]
+		x := neighbor.Image(wb[0]-wa[0], as.box)
+		y := neighbor.Image(wb[1]-wa[1], as.box)
+		z := neighbor.Image(wb[2]-wa[2], as.box)
+		r := math.Sqrt(x*x + y*y + z*z)
+		xi := neighbor.Gap(r, as.radius[c[0]], as.radius[c[1]])
+		t, kept := &as.tens[k], uint8(0)
+		if xi < as.opt.CutoffXi && r > 0 {
+			pc := as.coef(k)
+			s := 1 / r
+			pc.axial(t, xi, &blas.Vec3{s * x, s * y, s * z}, as.opt.MinXi)
+			if !t.zero() {
+				kept = 1
 			}
-			as.kept[b+k] = keep && !t.zero()
 		}
+		if kept == 0 {
+			*t = negZero
+		}
+		as.kept[k] = kept
 	}
 }
 
