@@ -5,11 +5,13 @@ GO ?= go
 BENCH_FILES ?= BENCH_serve.json BENCH_ensemble.json
 BENCH_BASELINE_DIR ?= .bench-baseline
 
-.PHONY: ci docs-gate vet build test bench-test bench-trace race race-kernels chaos fuzz-faults fuzz-neighbor fuzz-sqrt fuzz-blockcg fuzz-serve fuzz-checkpoint serial wide noavx512 serve-smoke bench experiments bench-serve bench-ensemble bench-diff
+.PHONY: ci docs-gate reach vet build test bench-test bench-trace race race-kernels chaos fuzz-faults fuzz-neighbor fuzz-sqrt fuzz-blockcg fuzz-serve fuzz-checkpoint serial wide noavx512 serve-smoke bench experiments bench-serve bench-ensemble bench-diff
 
 # ci is the gate: vet, build everything, the benchmark module's own
 # vet and tests (bench-test), one traced run of each SD workload
-# (bench-trace), the full test suite under
+# (bench-trace), the reachability census (reach: every function under
+# internal/ is reached by a documented run or carries one checked
+# reason), the full test suite under
 # the race detector (the obs hot paths are lock-free and the worker
 # pool is the most concurrent code in the tree; -race is what
 # validates them), the seeded fault-injection suite (the distributed
@@ -32,7 +34,7 @@ BENCH_BASELINE_DIR ?= .bench-baseline
 # advisory perf-regression gate over the BENCH_*.json artifacts (fails
 # only on >2x regressions; warns otherwise; skips files with no
 # baseline).
-ci: vet build bench-test bench-trace docs-gate race-kernels race chaos fuzz-faults fuzz-neighbor fuzz-sqrt fuzz-blockcg fuzz-serve fuzz-checkpoint serve-smoke serial wide noavx512 bench-diff
+ci: vet build bench-test bench-trace docs-gate reach race-kernels race chaos fuzz-faults fuzz-neighbor fuzz-sqrt fuzz-blockcg fuzz-serve fuzz-checkpoint serve-smoke serial wide noavx512 bench-diff
 
 # docs-gate fails when an internal/ package lacks a package comment,
 # a tracked markdown file has a broken relative link, README.md /
@@ -43,6 +45,19 @@ ci: vet build bench-test bench-trace docs-gate race-kernels race chaos fuzz-faul
 # a build failure, not a review nit.
 docs-gate:
 	$(GO) run ./cmd/docs-gate
+
+# reach is the reachability census (scripts/reach.sh). It builds every
+# cmd/ binary, the examples and bench/ with coverage counters, runs the
+# invocations README and EXPERIMENTS document (the six bench/ workloads
+# untraced and traced, every experiment id at small sizes, the
+# mrhs-sim runbook, every mrhs-server endpoint with a mixed-tolerance
+# burst, serve-bench, the examples), merges the profiles and fails on a
+# function under internal/ that none of them entered unless
+# scripts/reach.allow gives it one reason from a closed set (oracle,
+# noavx2, failure, fault, fixture), and on a stale allowlist entry.
+# Binaries, profiles and outputs go to .reach/; nothing is timed.
+reach:
+	GO=$(GO) bash scripts/reach.sh
 
 # The second line cross-vets the packages with assembly for an
 # architecture that has none, so their _noasm/_other files cannot rot;

@@ -164,13 +164,13 @@ func BenchmarkAblationWarmSecondSolve(b *testing.B) {
 	// One representative pair: solve R u = f, then solve the
 	// perturbed-system corrector warm vs cold.
 	f := make([]float64, fixMat.N())
-	s, err := chebyshev.NewSqrtAuto(fixMat, fixMat, hydro.MinFarField(fixSys, hydro.Options{Phi: 0.5}), 30, 0)
+	s, err := chebyshev.NewSqrtAuto(fixMat, fixMat, slices.Min(hydro.FarFieldCoefficients(fixSys, hydro.Options{Phi: 0.5})), 30, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
 	z := make([]float64, fixMat.N())
 	rng.New(10).FillNormal(z)
-	s.Apply(f, z)
+	s.ApplyBlock(multivec.FromVector(f), multivec.FromVector(z))
 	u := make([]float64, fixMat.N())
 	if st := solver.CG(fixMat, u, f, solver.Options{}); !st.Converged {
 		b.Fatal("setup solve stalled")
@@ -477,7 +477,7 @@ func BenchmarkBrownianSqrt(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				s.Apply(y1, z1)
+				s.ApplyBlock(multivec.FromVector(y1), multivec.FromVector(z1))
 			}
 			report(b)
 		})
@@ -617,7 +617,7 @@ func BenchmarkAblationNeighborList(b *testing.B) {
 	drift := func(s *particles.System, step int) {
 		u := make([]float64, 3*s.N)
 		rng.New(uint64(step)).FillNormal(u)
-		s.Displace(u, 0.01) // tiny drift, well inside the skin
+		s.DisplacedFrom(s, u, 0.01) // tiny drift, well inside the skin
 	}
 	b.Run("rebuild-every-step", func(b *testing.B) {
 		sys := fixSys.Clone()

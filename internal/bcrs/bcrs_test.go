@@ -77,7 +77,7 @@ func TestBuilderReusableAfterBuild(t *testing.T) {
 	b := NewBuilder(2)
 	b.AddBlock(0, 0, blas.Ident3())
 	first := b.Build()
-	if b.Len() != 0 {
+	if len(b.rows) != 0 {
 		t.Fatal("builder not reset after Build")
 	}
 	b.AddBlock(1, 1, blas.Ident3())

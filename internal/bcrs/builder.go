@@ -64,13 +64,6 @@ func NewBuilderRect(nbr, nbc int) *Builder {
 	return &Builder{nb: nbr, ncb: nbc}
 }
 
-// NB returns the block dimension of the matrix being built.
-func (b *Builder) NB() int { return b.nb }
-
-// Len returns the number of coordinate entries added so far (before
-// duplicate merging).
-func (b *Builder) Len() int { return len(b.rows) }
-
 // AddBlock accumulates the block v at block position (i, j).
 func (b *Builder) AddBlock(i, j int, v blas.Mat3) {
 	if i < 0 || i >= b.nb || j < 0 || j >= b.ncb {

@@ -50,17 +50,17 @@ func TestSymParallelMulMatchesGeneral(t *testing.T) {
 							name, threads, m, i, y.Data[i], ref.Data[i])
 					}
 				}
-				// MulVec against column 0 of the reference.
+				// A one-column view against column 0 of the reference.
 				if m == 1 {
 					yv := make([]float64, a.N())
 					xv := make([]float64, a.N())
 					for i := 0; i < a.N(); i++ {
 						xv[i] = x.Data[i]
 					}
-					s.MulVec(yv, xv)
+					s.Mul(multivec.FromVector(yv), multivec.FromVector(xv))
 					for i := range yv {
 						if !almostEqual(yv[i], ref.Data[i], 1e-12) {
-							t.Fatalf("%s threads=%d: sym MulVec differs at %d", name, threads, i)
+							t.Fatalf("%s threads=%d: sym one-column Mul differs at %d", name, threads, i)
 						}
 					}
 				}
@@ -290,7 +290,7 @@ func TestSymSIMDEmptyRow(t *testing.T) {
 
 // TestSymPerColumnBitwiseInvariance checks the invariant the solvers
 // rely on: column c of a width-m symmetric Mul is bitwise-identical
-// to MulVec of that column at the same pool size, for every m —
+// to a one-column Mul of that column at the same pool size, for every m —
 // the per-column operation sequence does not depend on m.
 func TestSymPerColumnBitwiseInvariance(t *testing.T) {
 	a := Random(RandomOptions{NB: 90, BlocksPerRow: 7, Bandwidth: 10, NoWrap: true, Seed: 41})
@@ -314,10 +314,10 @@ func TestSymPerColumnBitwiseInvariance(t *testing.T) {
 				for i := 0; i < a.N(); i++ {
 					xc[i] = x.Data[i*m+c]
 				}
-				s.MulVec(yc, xc)
+				s.Mul(multivec.FromVector(yc), multivec.FromVector(xc))
 				for i := 0; i < a.N(); i++ {
 					if yc[i] != y.Data[i*m+c] {
-						t.Fatalf("threads=%d m=%d col=%d: row %d not bitwise-equal to MulVec",
+						t.Fatalf("threads=%d m=%d col=%d: row %d not bitwise-equal to its column alone",
 							threads, m, c, i)
 					}
 				}

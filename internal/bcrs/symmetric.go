@@ -126,9 +126,6 @@ func NewSym(a *Matrix) (*SymMatrix, error) {
 	return s, nil
 }
 
-// NB returns the block dimension.
-func (s *SymMatrix) NB() int { return s.nb }
-
 // N returns the scalar dimension.
 func (s *SymMatrix) N() int { return s.nb * BlockDim }
 
@@ -185,16 +182,6 @@ func (s *SymMatrix) splitFor(p *parallel.Pool) {
 func (s *SymMatrix) FlopCount(m int) int64 {
 	apps := 2*int64(s.NNZB()) - int64(s.ndiag)
 	return apps * 18 * int64(m)
-}
-
-// MulVec computes y = A*x from the half storage.
-func (s *SymMatrix) MulVec(y, x []float64) {
-	if len(x) != s.N() || len(y) != s.N() {
-		panic("bcrs: SymMatrix MulVec dimension mismatch")
-	}
-	t0 := time.Now()
-	s.run(y, x, 1, false)
-	s.recordMul(1, time.Since(t0).Seconds())
 }
 
 // Mul computes Y = A*X for a block of vectors from the half storage.

@@ -45,12 +45,12 @@ func TestSymMulVecMatchesFull(t *testing.T) {
 		x[i] = rnd.NormFloat64()
 	}
 	y := make([]float64, a.N())
-	s.MulVec(y, x)
+	s.Mul(multivec.FromVector(y), multivec.FromVector(x))
 	ref := make([]float64, a.N())
 	a.MulVec(ref, x)
 	for i := range y {
 		if !almostEqual(y[i], ref[i], 1e-12) {
-			t.Fatalf("symmetric MulVec differs at %d: %v vs %v", i, y[i], ref[i])
+			t.Fatalf("symmetric one-column Mul differs at %d: %v vs %v", i, y[i], ref[i])
 		}
 	}
 }
@@ -92,7 +92,7 @@ func TestSymDiagonalOnlyMatrix(t *testing.T) {
 		x[i] = float64(i)
 	}
 	y := make([]float64, a.N())
-	s.MulVec(y, x)
+	s.Mul(multivec.FromVector(y), multivec.FromVector(x))
 	for i := range y {
 		if y[i] != 2*x[i] {
 			t.Fatal("diagonal symmetric multiply wrong")

@@ -42,17 +42,6 @@ func Axpy(alpha float64, x, y []float64) {
 	}
 }
 
-// Axpby computes y = alpha*x + beta*y in place. The slices must have
-// equal length.
-func Axpby(alpha float64, x []float64, beta float64, y []float64) {
-	if len(x) != len(y) {
-		panic("blas: Axpby length mismatch")
-	}
-	for i, v := range x {
-		y[i] = alpha*v + beta*y[i]
-	}
-}
-
 // Scal scales x by alpha in place.
 func Scal(alpha float64, x []float64) {
 	for i := range x {
@@ -83,25 +72,6 @@ func Nrm2(x []float64) float64 {
 		return 0
 	}
 	return scale * math.Sqrt(ssq)
-}
-
-// NrmInf returns the maximum absolute entry of x.
-func NrmInf(x []float64) float64 {
-	var m float64
-	for _, v := range x {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// Copy copies src into dst. The slices must have equal length.
-func Copy(dst, src []float64) {
-	if len(dst) != len(src) {
-		panic("blas: Copy length mismatch")
-	}
-	copy(dst, src)
 }
 
 // Fill sets every entry of x to v.

@@ -52,15 +52,6 @@ func TestAxpyZeroAlpha(t *testing.T) {
 	}
 }
 
-func TestAxpby(t *testing.T) {
-	x := []float64{1, 2}
-	y := []float64{10, 20}
-	Axpby(2, x, 0.5, y)
-	if y[0] != 7 || y[1] != 14 {
-		t.Fatalf("Axpby got %v", y)
-	}
-}
-
 func TestScal(t *testing.T) {
 	x := []float64{1, -2, 3}
 	Scal(-2, x)
@@ -89,12 +80,6 @@ func TestNrm2Overflow(t *testing.T) {
 	}
 	if !almostEqual(got, big*math.Sqrt2, 1e-14) {
 		t.Fatalf("Nrm2 = %v, want %v", got, big*math.Sqrt2)
-	}
-}
-
-func TestNrmInf(t *testing.T) {
-	if got := NrmInf([]float64{1, -7, 3}); got != 7 {
-		t.Fatalf("NrmInf = %v, want 7", got)
 	}
 }
 

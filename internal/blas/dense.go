@@ -139,12 +139,3 @@ func (a *Dense) MaxAbs() float64 {
 	}
 	return m
 }
-
-// Eye returns the n-by-n identity matrix.
-func Eye(n int) *Dense {
-	a := NewDense(n, n)
-	for i := 0; i < n; i++ {
-		a.Data[i*n+i] = 1
-	}
-	return a
-}

@@ -61,7 +61,11 @@ func TestDenseMatVec(t *testing.T) {
 func TestDenseMulIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := randDense(rng, 4, 4)
-	p := a.Mul(Eye(4))
+	id := NewDense(4, 4)
+	for i := 0; i < 4; i++ {
+		id.Set(i, i, 1)
+	}
+	p := a.Mul(id)
 	for i := range a.Data {
 		if p.Data[i] != a.Data[i] {
 			t.Fatal("A*I != A")
@@ -243,10 +247,11 @@ func TestLUSolveMatrix(t *testing.T) {
 	}
 	want := randDense(rng, n, m)
 	b := a.Mul(want)
-	x := f.SolveMatrix(b)
+	x := NewDense(n, m)
+	f.SolveMatrixInto(x, b)
 	for i := range x.Data {
 		if !almostEqual(x.Data[i], want.Data[i], 1e-9) {
-			t.Fatal("SolveMatrix mismatch")
+			t.Fatal("SolveMatrixInto mismatch")
 		}
 	}
 }
@@ -257,7 +262,7 @@ func TestLUSolveMatrix(t *testing.T) {
 func TestLUFactorReusesStorage(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	const n = 5
-	pivoting := randDense(rng, n, n) // needs row swaps, so sign and piv change
+	pivoting := randDense(rng, n, n) // needs row swaps, so piv changes
 	singular := NewDense(n, n)
 	b := randDense(rng, n, 3)
 	a := randSPD(rng, n)
@@ -283,27 +288,12 @@ func TestLUFactorReusesStorage(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("Factor + SolveMatrixInto at a reused size allocate %v times", allocs)
 	}
-	if f.Det() != want.Det() {
-		t.Errorf("reused Det %v, fresh %v", f.Det(), want.Det())
-	}
-	fresh := want.SolveMatrix(b)
+	fresh := NewDense(n, 3)
+	want.SolveMatrixInto(fresh, b)
 	for i := range x.Data {
 		if x.Data[i] != fresh.Data[i] {
 			t.Fatalf("reused factorization solves element %d to %v, a fresh one to %v", i, x.Data[i], fresh.Data[i])
 		}
-	}
-}
-
-func TestLUDetPermutation(t *testing.T) {
-	// A matrix requiring pivoting: det([[0,1],[1,0]]) = -1.
-	a := NewDense(2, 2)
-	copy(a.Data, []float64{0, 1, 1, 0})
-	f, err := LUFactor(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(f.Det(), -1, 1e-14) {
-		t.Fatalf("Det = %v, want -1", f.Det())
 	}
 }
 
@@ -421,22 +411,8 @@ func TestMat3Ops(t *testing.T) {
 	if m.Transpose3().Transpose3() != m {
 		t.Fatal("Transpose3 not involutive")
 	}
-	if !Ident3().IsSymmetric3(0) {
-		t.Fatal("identity must be symmetric")
-	}
 	if Ident3().MulV(v) != v {
 		t.Fatal("I*v != v")
-	}
-}
-
-func TestMat3Zero(t *testing.T) {
-	var z Mat3
-	if !z.Zero3() {
-		t.Fatal("zero matrix not detected")
-	}
-	z[4] = 1e-300
-	if z.Zero3() {
-		t.Fatal("nonzero matrix reported zero")
 	}
 }
 
@@ -489,7 +465,7 @@ func TestAxialTensorDecomposition(t *testing.T) {
 				t.Fatalf("transverse action wrong")
 			}
 		}
-		if !m.IsSymmetric3(1e-14) {
+		if m != m.Transpose3() {
 			t.Fatal("axial tensor must be symmetric")
 		}
 	}

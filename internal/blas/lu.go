@@ -17,7 +17,6 @@ type LU struct {
 	n    int
 	lu   *Dense    // combined L (unit lower) and U factors
 	piv  []int     // row permutation
-	sign int       // permutation parity, +1 or -1
 	work []float64 // SolveMatrixInto's column scratch, 2n
 }
 
@@ -47,7 +46,6 @@ func (f *LU) Factor(a *Dense) error {
 	f.n, f.piv, f.work = n, f.piv[:n], f.work[:2*n]
 	f.lu.Rows, f.lu.Cols, f.lu.Data = n, n, f.lu.Data[:n*n]
 	copy(f.lu.Data, a.Data)
-	f.sign = 1
 	for i := range f.piv {
 		f.piv[i] = i
 	}
@@ -68,7 +66,6 @@ func (f *LU) Factor(a *Dense) error {
 				rp[j], rk[j] = rk[j], rp[j]
 			}
 			f.piv[p], f.piv[k] = f.piv[k], f.piv[p]
-			f.sign = -f.sign
 		}
 		pivot := f.lu.At(k, k)
 		for i := k + 1; i < n; i++ {
@@ -122,17 +119,9 @@ func (f *LU) solve(x, b, y []float64) {
 	copy(x, y)
 }
 
-// SolveMatrix solves A*X = B column-block-wise where B is n-by-m,
-// returning X as a new matrix. Used for the block-CG small systems.
-func (f *LU) SolveMatrix(b *Dense) *Dense {
-	x := NewDense(b.Rows, b.Cols)
-	f.SolveMatrixInto(x, b)
-	return x
-}
-
-// SolveMatrixInto is SolveMatrix writing into x, which must have B's
-// shape, without allocating. It uses scratch owned by f, so unlike
-// Solve it must not run concurrently on one factorization.
+// SolveMatrixInto solves A*X = B column by column into x, which must
+// have B's shape, without allocating. It uses scratch owned by f, so
+// unlike Solve it must not run concurrently on one factorization.
 func (f *LU) SolveMatrixInto(x, b *Dense) {
 	if b.Rows != f.n || x.Rows != b.Rows || x.Cols != b.Cols {
 		panic("blas: LU SolveMatrix dimension mismatch")
@@ -147,13 +136,4 @@ func (f *LU) SolveMatrixInto(x, b *Dense) {
 			x.Set(i, j, col[i])
 		}
 	}
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.n; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
 }

@@ -29,36 +29,8 @@ type Mat3 [9]float64
 // Ident3 returns the 3x3 identity.
 func Ident3() Mat3 { return Mat3{1, 0, 0, 0, 1, 0, 0, 0, 1} }
 
-// Zero3 reports whether every entry of m is exactly zero.
-func (m Mat3) Zero3() bool {
-	for _, v := range m {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // At returns element (i, j) of m.
 func (m Mat3) At(i, j int) float64 { return m[3*i+j] }
-
-// AddM returns m + b.
-func (m Mat3) AddM(b Mat3) Mat3 {
-	var r Mat3
-	for i := range m {
-		r[i] = m[i] + b[i]
-	}
-	return r
-}
-
-// SubM returns m - b.
-func (m Mat3) SubM(b Mat3) Mat3 {
-	var r Mat3
-	for i := range m {
-		r[i] = m[i] - b[i]
-	}
-	return r
-}
 
 // ScaleM returns s*m.
 func (m Mat3) ScaleM(s float64) Mat3 {
@@ -85,13 +57,6 @@ func (m Mat3) Transpose3() Mat3 {
 		m[1], m[4], m[7],
 		m[2], m[5], m[8],
 	}
-}
-
-// IsSymmetric3 reports whether m is symmetric to within tol.
-func (m Mat3) IsSymmetric3(tol float64) bool {
-	return math.Abs(m[1]-m[3]) <= tol &&
-		math.Abs(m[2]-m[6]) <= tol &&
-		math.Abs(m[5]-m[7]) <= tol
 }
 
 // Inv3 returns the inverse of m and reports whether m is invertible

@@ -37,7 +37,7 @@ func BenchmarkApplyBlockVsColumns(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for j := 0; j < m; j++ {
 				z.Col(j, zc)
-				op.Apply(yc, zc)
+				op.ApplyBlock(multivec.FromVector(yc), multivec.FromVector(zc))
 			}
 		}
 	})

@@ -163,20 +163,16 @@ func NewSqrtAuto(op Op, a *bcrs.Matrix, floor float64, order int, tol float64) (
 	return NewSqrt(op, floor, hi, order, tol)
 }
 
-// Order returns the number of matrix multiplications one Apply
+// Order returns the number of matrix multiplications one evaluation
 // performs (the truncated polynomial degree).
 func (s *SqrtOp) Order() int { return len(s.c) - 1 }
 
-// Interval returns the spectral bracket the approximation was built
-// on.
-func (s *SqrtOp) Interval() (lmin, lmax float64) { return s.lmin, s.lmax }
-
-// work is what one evaluation needs beyond its operands — the headers
-// Apply wraps its vectors in, the three blocks the recurrence rotates
-// through — pooled because a stepper builds a SqrtOp per matrix.
+// work is what one evaluation needs beyond its operands — the three
+// blocks the recurrence rotates through — pooled because a stepper
+// builds a SqrtOp per matrix.
 type work struct {
-	y, z, prev, cur, next multivec.MultiVec
-	zz, za                []float64 // inBracket's per-column sums
+	prev, cur, next multivec.MultiVec
+	zz, za          []float64 // inBracket's per-column sums
 }
 
 var workPool = sync.Pool{New: func() any { return new(work) }}
@@ -203,17 +199,6 @@ var workPool = sync.Pool{New: func() any { return new(work) }}
 func (s *SqrtOp) ApplyBlock(y, z *multivec.MultiVec) error {
 	w := workPool.Get().(*work)
 	err := s.apply(w, y, z)
-	workPool.Put(w)
-	return err
-}
-
-// Apply computes y = S(A)*z for a single vector (an SPMV per
-// polynomial degree), with ApplyBlock's check.
-func (s *SqrtOp) Apply(y, z []float64) error {
-	w := workPool.Get().(*work)
-	w.y, w.z = *multivec.FromVector(y), *multivec.FromVector(z)
-	err := s.apply(w, &w.y, &w.z)
-	w.y.Data, w.z.Data = nil, nil
 	workPool.Put(w)
 	return err
 }

@@ -73,7 +73,7 @@ func TestApplyMatchesDenseSqrt(t *testing.T) {
 		z := make([]float64, a.N())
 		rng.Substream(uint64(seed), 1).FillNormal(z)
 		y := make([]float64, a.N())
-		op.Apply(y, z)
+		op.ApplyBlock(multivec.FromVector(y), multivec.FromVector(z))
 		ref, err := blas.SymSqrtApply(a.Dense(), z)
 		if err != nil {
 			t.Fatal(err)
@@ -100,9 +100,9 @@ func TestApplySquaredIsMatrix(t *testing.T) {
 	z := make([]float64, a.N())
 	rng.New(9).FillNormal(z)
 	y1 := make([]float64, a.N())
-	op.Apply(y1, z)
+	op.ApplyBlock(multivec.FromVector(y1), multivec.FromVector(z))
 	y2 := make([]float64, a.N())
-	op.Apply(y2, y1)
+	op.ApplyBlock(multivec.FromVector(y2), multivec.FromVector(y1))
 	az := make([]float64, a.N())
 	a.MulVec(az, z)
 	var num, den float64
@@ -140,7 +140,7 @@ func TestApplyBlockMatchesColumnwise(t *testing.T) {
 	for j := 0; j < m; j++ {
 		zc := z.ColVector(j)
 		yc := make([]float64, a.N())
-		op.Apply(yc, zc)
+		op.ApplyBlock(multivec.FromVector(yc), multivec.FromVector(zc))
 		for i := range yc {
 			if math.Abs(y.At(i, j)-yc[i]) > 1e-10*(1+math.Abs(yc[i])) {
 				t.Fatalf("block apply column %d differs at %d", j, i)
@@ -175,8 +175,8 @@ func TestAdaptiveTruncation(t *testing.T) {
 	rng.New(13).FillNormal(z)
 	yf := make([]float64, a.N())
 	yt := make([]float64, a.N())
-	full.Apply(yf, z)
-	trunc.Apply(yt, z)
+	full.ApplyBlock(multivec.FromVector(yf), multivec.FromVector(z))
+	trunc.ApplyBlock(multivec.FromVector(yt), multivec.FromVector(z))
 	var num, den float64
 	for i := range yf {
 		num += (yf[i] - yt[i]) * (yf[i] - yt[i])
@@ -193,7 +193,7 @@ func TestNewSqrtAuto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lmin, lmax := op.Interval()
+	lmin, lmax := op.lmin, op.lmax
 	emin, emax, err := blas.ExtremeEigSym(a.Dense())
 	if err != nil {
 		t.Fatal(err)
@@ -270,7 +270,7 @@ func TestBrownianCovariance(t *testing.T) {
 	s := rng.New(17)
 	for it := 0; it < samples; it++ {
 		s.FillNormal(z)
-		op.Apply(f, z)
+		op.ApplyBlock(multivec.FromVector(f), multivec.FromVector(z))
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				cov.Add(i, j, f[i]*f[j])
@@ -314,8 +314,8 @@ func TestApplyDeterministic(t *testing.T) {
 	}
 	y1 := make([]float64, a.N())
 	y2 := make([]float64, a.N())
-	op.Apply(y1, z)
-	op.Apply(y2, z)
+	op.ApplyBlock(multivec.FromVector(y1), multivec.FromVector(z))
+	op.ApplyBlock(multivec.FromVector(y2), multivec.FromVector(z))
 	for i := range y1 {
 		if y1[i] != y2[i] {
 			t.Fatal("Apply not deterministic")
@@ -365,10 +365,10 @@ func TestSeriesRejectsOperatorBelowItsBracket(t *testing.T) {
 		if err := s.ApplyBlock(y, zc); err != c.want {
 			t.Errorf("%s block: %v, want %v", c.name, err, c.want)
 		}
-		if err := s.Apply(y.ColVector(0), zc.ColVector(0)); err != c.want {
+		if err := s.ApplyBlock(multivec.FromVector(y.ColVector(0)), multivec.FromVector(zc.ColVector(0))); err != c.want {
 			t.Errorf("%s column 0: %v, want %v", c.name, err, c.want)
 		}
-		if err := s.Apply(y.ColVector(2), zc.ColVector(2)); err != nil {
+		if err := s.ApplyBlock(multivec.FromVector(y.ColVector(2)), multivec.FromVector(zc.ColVector(2))); err != nil {
 			t.Errorf("%s zero column: %v", c.name, err)
 		}
 	}

@@ -91,7 +91,7 @@ func TestPrecondSqrtMatchesDenseOracle(t *testing.T) {
 		series := 0.0
 		for k := 0; k < nz; k++ {
 			z.Col(k, zc)
-			s.Apply(y1, zc)
+			s.ApplyBlock(multivec.FromVector(y1), multivec.FromVector(zc))
 			series = max(series, relErr(y1, ref.ColVector(k)))
 		}
 		t.Logf("%s matrix: the order-30 series on [floor, Gershgorin] errs by %.2g", c.name, series)

@@ -197,9 +197,6 @@ func (nd *node) nnzb() int {
 	return n
 }
 
-// P returns the node count.
-func (c *Cluster) P() int { return c.p }
-
 // N returns the global scalar dimension. Together with MulVec and Mul
 // it lets the cluster stand in for a matrix wherever the solvers
 // accept an operator, so the same CG/block-CG code runs distributed —
@@ -210,9 +207,6 @@ func (c *Cluster) N() int { return c.nbG * bcrs.BlockDim }
 func (c *Cluster) MulVec(y, x []float64) {
 	c.Mul(multivec.FromVector(y), multivec.FromVector(x))
 }
-
-// CommStats returns the communication statistics of the partitioning.
-func (c *Cluster) CommStats() partition.CommStats { return c.stats }
 
 // NodeShape returns the local matrix shape of node id, as the timing
 // model sees it.

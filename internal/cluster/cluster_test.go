@@ -312,17 +312,8 @@ func TestRCBReducesCommFraction(t *testing.T) {
 	cm := PaperCost()
 	rRCB := partition.RCB(a, pos, p)
 	rSweep := partition.Coordinate(a, pos, box, p, 0)
-	clRCB, err := New(a, rRCB.Part, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clSweep, err := New(a, rSweep.Part, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clRCB.CommStats().RemoteBlockRows > clSweep.CommStats().RemoteBlockRows {
-		t.Fatalf("RCB comm rows %d exceed serpentine %d",
-			clRCB.CommStats().RemoteBlockRows, clSweep.CommStats().RemoteBlockRows)
+	if rcb, sweep := partition.Analyze(a, rRCB), partition.Analyze(a, rSweep); rcb.RemoteBlockRows > sweep.RemoteBlockRows {
+		t.Fatalf("RCB comm rows %d exceed serpentine %d", rcb.RemoteBlockRows, sweep.RemoteBlockRows)
 	}
 	_ = cm
 }

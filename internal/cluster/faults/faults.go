@@ -109,15 +109,6 @@ func (p *Plan) String() string {
 // link, one slow node, and one deterministic crash early in the run.
 const ChaosSpec = "drop:rate=0.02;delay:rate=0.02,ms=1;dup:rate=0.01;corrupt:rate=0.01;slow:node=0,ms=0.2;crash:node=1,at=5"
 
-// Chaos returns the parsed ChaosSpec preset.
-func Chaos() *Plan {
-	p, err := Parse(ChaosSpec)
-	if err != nil {
-		panic("faults: ChaosSpec does not parse: " + err.Error())
-	}
-	return p
-}
-
 // Parse builds a Plan from a spec string: semicolon-separated
 // clauses, each "kind:key=value,...". The grammar:
 //

@@ -181,7 +181,10 @@ func TestSlowDelay(t *testing.T) {
 }
 
 func TestChaosPreset(t *testing.T) {
-	p := Chaos()
+	p, err := Parse(ChaosSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	have := map[Kind]bool{}
 	for _, r := range p.Rules {
 		have[r.Kind] = true

@@ -92,14 +92,3 @@ func (b Backoff) Wait(seq int64, attempt int) time.Duration {
 	}
 	return time.Duration(w)
 }
-
-// Schedule returns the full retry schedule of message seq: the waits
-// before retries 1..MaxAttempts-1.
-func (b Backoff) Schedule(seq int64) []time.Duration {
-	b = b.WithDefaults()
-	out := make([]time.Duration, 0, b.MaxAttempts-1)
-	for a := 1; a < b.MaxAttempts; a++ {
-		out = append(out, b.Wait(seq, a))
-	}
-	return out
-}

@@ -9,7 +9,7 @@ func TestBackoffScheduleTable(t *testing.T) {
 	cases := []struct {
 		name string
 		b    Backoff
-		// wantLen is the schedule length (MaxAttempts-1 retries).
+		// wantLen is the number of retries (MaxAttempts-1).
 		wantLen int
 		// maxWait is the cap no entry may exceed.
 		maxWait time.Duration
@@ -42,20 +42,21 @@ func TestBackoffScheduleTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			sched := tc.b.Schedule(3)
-			if len(sched) != tc.wantLen {
-				t.Fatalf("schedule length %d, want %d", len(sched), tc.wantLen)
+			retries := tc.b.WithDefaults().MaxAttempts - 1
+			if retries != tc.wantLen {
+				t.Fatalf("%d retries, want %d", retries, tc.wantLen)
 			}
-			for i, w := range sched {
+			for a := 1; a <= retries; a++ {
+				w := tc.b.Wait(3, a)
 				if w > tc.maxWait {
-					t.Errorf("wait %d = %v exceeds cap %v", i, w, tc.maxWait)
+					t.Errorf("wait %d = %v exceeds cap %v", a, w, tc.maxWait)
 				}
 				if w <= 0 {
-					t.Errorf("wait %d = %v not positive", i, w)
+					t.Errorf("wait %d = %v not positive", a, w)
 				}
 			}
-			if sched[0] < tc.minFirst {
-				t.Errorf("first wait %v below %v", sched[0], tc.minFirst)
+			if w := tc.b.Wait(3, 1); w < tc.minFirst {
+				t.Errorf("first wait %v below %v", w, tc.minFirst)
 			}
 		})
 	}
@@ -65,14 +66,13 @@ func TestBackoffScheduleTable(t *testing.T) {
 func TestBackoffMonotoneWithoutJitter(t *testing.T) {
 	b := Backoff{Base: 100 * time.Microsecond, Factor: 2, Max: time.Millisecond,
 		Jitter: -1, MaxAttempts: 8, Seed: 1}
-	sched := b.Schedule(0)
-	for i := 1; i < len(sched); i++ {
-		if sched[i] < sched[i-1] {
-			t.Fatalf("schedule decreased at %d: %v < %v", i, sched[i], sched[i-1])
+	for a := 2; a < b.MaxAttempts; a++ {
+		if w, prev := b.Wait(0, a), b.Wait(0, a-1); w < prev {
+			t.Fatalf("wait decreased at attempt %d: %v < %v", a, w, prev)
 		}
 	}
-	if sched[len(sched)-1] != time.Millisecond {
-		t.Fatalf("tail %v did not reach the cap", sched[len(sched)-1])
+	if w := b.Wait(0, b.MaxAttempts-1); w != time.Millisecond {
+		t.Fatalf("tail %v did not reach the cap", w)
 	}
 }
 
@@ -88,21 +88,16 @@ func TestBackoffJitterDeterministicUnderSeed(t *testing.T) {
 	crossSeedDiffer := false
 	crossSeqDiffer := false
 	for seq := int64(0); seq < 20; seq++ {
-		sa1, sa2, sb := a1.Schedule(seq), a2.Schedule(seq), b.Schedule(seq)
-		for i := range sa1 {
-			if sa1[i] != sa2[i] {
+		for a := 1; a < a1.MaxAttempts; a++ {
+			w := a1.Wait(seq, a)
+			if w != a2.Wait(seq, a) {
 				sameSeedSame = false
 			}
-			if sa1[i] != sb[i] {
+			if w != b.Wait(seq, a) {
 				crossSeedDiffer = true
 			}
-		}
-		if seq > 0 {
-			prev := a1.Schedule(seq - 1)
-			for i := range sa1 {
-				if sa1[i] != prev[i] {
-					crossSeqDiffer = true
-				}
+			if seq > 0 && w != a1.Wait(seq-1, a) {
+				crossSeqDiffer = true
 			}
 		}
 	}

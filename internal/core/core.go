@@ -319,12 +319,6 @@ type Runner struct {
 	// solve — the JSONL log from which a Table VI/VII-style phase
 	// breakdown is reproducible (see README "Observability").
 	Events *obs.EventLog
-
-	// Trace, if non-nil, additionally receives every step's and
-	// chunk's phase timings as trace spans — per-request attribution
-	// when a stepper run serves one client's trajectory (the serve
-	// tier's session workloads) rather than a global benchmark.
-	Trace *obs.Trace
 }
 
 // NewRunner wraps the starting configuration.
@@ -410,9 +404,6 @@ func (r *Runner) emitStep(rec StepRecord, sq *chebyshev.Stats, alg string, befor
 	for phase, d := range deltas {
 		if d > 0 {
 			reg.ObservePhase(phase, d)
-			if r.Trace != nil {
-				r.Trace.ObserveSpan(phase, d)
-			}
 		}
 	}
 	reg.Counter(obs.Label("core_steps_total", "alg", alg)).Inc()
@@ -474,9 +465,6 @@ func (r *Runner) emitChunk(m int, g chunkGuesses, sq chebyshev.Stats, before Tim
 	for phase, d := range deltas {
 		if d > 0 {
 			reg.ObservePhase(phase, d)
-			if r.Trace != nil {
-				r.Trace.ObserveSpan(phase, d)
-			}
 		}
 	}
 	st := g.block
@@ -485,11 +473,6 @@ func (r *Runner) emitChunk(m int, g chunkGuesses, sq chebyshev.Stats, before Tim
 		reg.Counter("core_direct_guess_chunks_total").Inc()
 	} else {
 		reg.Counter("core_block_iterations_total").Add(int64(st.Iterations))
-		if r.Trace != nil {
-			r.Trace.AddInt("cg_iterations", int64(st.Iterations+g.finish))
-			r.Trace.ObserveSpan("block_mul", time.Duration(st.MulSeconds*float64(time.Second)))
-			r.Trace.ObserveSpan("block_vec", time.Duration(st.VecSeconds*float64(time.Second)))
-		}
 	}
 	if r.Events != nil {
 		f := map[string]any{"step": r.k, "m": m, "guesses": "direct"}

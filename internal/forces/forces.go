@@ -76,19 +76,6 @@ func (h *Harmonic) Energy(sys *particles.System) float64 {
 	return e
 }
 
-// MaxStretch returns the largest |r - R0| over the bonds — a cheap
-// diagnostic of how far the chain sits from equilibrium.
-func (h *Harmonic) MaxStretch(sys *particles.System) float64 {
-	var worst float64
-	for _, b := range h.Bonds {
-		d := neighbor.MinImage(sys.Pos[b.J].Sub(sys.Pos[b.I]), sys.Box)
-		if s := abs(d.Norm() - b.R0); s > worst {
-			worst = s
-		}
-	}
-	return worst
-}
-
 // EndToEnd returns the minimum-image end-to-end vector of the chain
 // through the given particle index sequence.
 func EndToEnd(sys *particles.System, ids []int) blas.Vec3 {
@@ -98,11 +85,4 @@ func EndToEnd(sys *particles.System, ids []int) blas.Vec3 {
 		total = total.Add(seg)
 	}
 	return total
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -129,14 +129,6 @@ func TestForceIsNegativeEnergyGradient(t *testing.T) {
 	}
 }
 
-func TestMaxStretch(t *testing.T) {
-	sys := twoParticleSystem(3)
-	h := &Harmonic{Bonds: []Bond{{I: 0, J: 1, R0: 2, K: 1}}}
-	if s := h.MaxStretch(sys); math.Abs(s-1) > 1e-12 {
-		t.Fatalf("MaxStretch = %v, want 1", s)
-	}
-}
-
 func TestEndToEnd(t *testing.T) {
 	sys := &particles.System{
 		N:   3,

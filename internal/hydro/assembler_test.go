@@ -31,7 +31,7 @@ func oracle(sys *particles.System, opt Options) *bcrs.Matrix {
 			continue
 		}
 		a := PairTensor(a1, a2, xi, p.D.Scale(1/p.R), opt)
-		if a.Zero3() {
+		if a == (blas.Mat3{}) {
 			continue
 		}
 		neg := a.ScaleM(-1)
@@ -143,7 +143,7 @@ func TestAssemblerMatchesOracleBitwise(t *testing.T) {
 				for step := 0; step < tc.steps; step++ {
 					want := imageOf(oracle(cur, opt))
 					if d := imageOf(long.Build(cur.Pos)).diff(want); d != "" {
-						rb, ru := long.ListCounts()
+						rb, ru := long.list.Rebuilds, long.list.Reuses
 						t.Fatalf("threads %d step %d: long-lived assembler (%d rebuilds, %d reuses) vs oracle: %s", threads, step, rb, ru, d)
 					}
 					if d := imageOf(Build(cur, opt)).diff(want); d != "" {
@@ -153,7 +153,7 @@ func TestAssemblerMatchesOracleBitwise(t *testing.T) {
 					// skin/2 every few steps.
 					walk(cur.Pos, s, 0.2*skinFraction*cutoff)
 				}
-				if rb, ru := long.ListCounts(); rb < 2 || ru < 2 {
+				if rb, ru := long.list.Rebuilds, long.list.Reuses; rb < 2 || ru < 2 {
 					t.Fatalf("walk exercised %d rebuilds and %d reuses; want both", rb, ru)
 				}
 			}
@@ -211,7 +211,7 @@ func TestAssemblerReturnsImmutableMatrices(t *testing.T) {
 		walk(sys.Pos, s, 0.1*skinFraction*SearchCutoff(sys, opt))
 		as.Build(sys.Pos)
 	}
-	if rb, ru := as.ListCounts(); rb < 2 || ru < 2 {
+	if rb, ru := as.list.Rebuilds, as.list.Reuses; rb < 2 || ru < 2 {
 		t.Fatalf("later builds exercised %d rebuilds and %d reuses; want both", rb, ru)
 	}
 	if d := imageOf(first).diff(want); d != "" {
@@ -330,7 +330,7 @@ func TestAssemblerHandBackMatchesOracleBitwise(t *testing.T) {
 			a := long.Build(cur.Pos)
 			got, want := imageOf(a), imageOf(oracle(cur, opt))
 			if d := got.diff(want); d != "" {
-				rb, ru := long.ListCounts()
+				rb, ru := long.list.Rebuilds, long.list.Reuses
 				t.Fatalf("threads %d step %d (%d rebuilds, %d reuses): recycling assembler vs oracle: %s", threads, step, rb, ru, d)
 			}
 			if d := imageOf(Build(cur, opt)).diff(want); d != "" {
@@ -347,7 +347,7 @@ func TestAssemblerHandBackMatchesOracleBitwise(t *testing.T) {
 			}
 			walk(cur.Pos, s, 0.2*skinFraction*cutoff)
 		}
-		rb, ru := long.ListCounts()
+		rb, ru := long.list.Rebuilds, long.list.Reuses
 		if rb < steps/20 || ru < steps/20 || len(sizes) < steps/20 {
 			t.Fatalf("walk exercised %d rebuilds, %d reuses and %d matrix sizes; want many of each", rb, ru, len(sizes))
 		}

@@ -162,7 +162,7 @@ func checkAssemblerMatchesOracle(t *testing.T, seed uint64, n int, ratio, phi fl
 			walk(sys.Pos, s, scale*skin)
 		}
 		fail := func(what, d string) {
-			rb, ru := as.ListCounts()
+			rb, ru := as.list.Rebuilds, as.list.Reuses
 			t.Fatalf("seed %d n %d ratio %v phi %v quirks %08b hostile %04b threads %d step %d (%d rebuilds, %d reuses): %s: %s",
 				seed, n, ratio, phi, quirks, hostile, threads, step, rb, ru, what, d)
 		}

@@ -23,7 +23,7 @@ func TestPairTensorPSDProperty(t *testing.T) {
 		}
 		d = d.Scale(1 / n)
 		m := PairTensor(a1, a2, xi, d, Options{Phi: 0.2})
-		if !m.IsSymmetric3(1e-9 * (1 + m.At(0, 0))) {
+		if m != m.Transpose3() {
 			return false
 		}
 		// Quadratic form nonnegative on a few probes.

@@ -113,7 +113,7 @@ func (c *pairCoef) axial(t *sym3, xi float64, d *blas.Vec3, minXi float64) {
 	}
 }
 
-// zero reports whether every entry of t is zero (blas.Mat3.Zero3).
+// zero reports whether every entry of t is zero.
 func (t *sym3) zero() bool {
 	return t[0] == 0 && t[1] == 0 && t[2] == 0 && t[3] == 0 && t[4] == 0 && t[5] == 0
 }
@@ -259,15 +259,10 @@ func newAssembler(sys *particles.System, opt Options, far []float64) *Assembler 
 	return as
 }
 
-// MinFarField returns the smallest far-field coefficient (see the
-// package-level MinFarField).
+// MinFarField returns the smallest far-field coefficient — a rigorous
+// lower bound on the spectrum of R, used to bracket the eigenvalue
+// interval for the Chebyshev square root.
 func (as *Assembler) MinFarField() float64 { return slices.Min(as.far) }
-
-// ListCounts returns how many builds searched for candidate pairs
-// afresh and how many reused the cached candidates.
-func (as *Assembler) ListCounts() (rebuilds, reuses int) {
-	return as.list.Rebuilds, as.list.Reuses
-}
 
 // pairGrain is the minimum candidates per parallel chunk: a kept pair
 // costs a logarithm and a few dozen flops, so chunks this size
@@ -515,11 +510,4 @@ func (as *Assembler) tensorsGo(lo, hi int) {
 		}
 		as.kept[k] = kept
 	}
-}
-
-// MinFarField returns the smallest diagonal far-field coefficient —
-// a rigorous lower bound on the spectrum of R, used to bracket the
-// eigenvalue interval for the Chebyshev square root.
-func MinFarField(sys *particles.System, opt Options) float64 {
-	return slices.Min(FarFieldCoefficients(sys, opt))
 }

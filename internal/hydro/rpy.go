@@ -3,10 +3,7 @@ package hydro
 import (
 	"math"
 
-	"repro/internal/bcrs"
 	"repro/internal/blas"
-	"repro/internal/neighbor"
-	"repro/internal/particles"
 )
 
 // RPYSelf returns the self-mobility block of a sphere of radius a:
@@ -26,7 +23,8 @@ func RPYSelf(a, mu float64) blas.Mat3 {
 // M^inf (Section II-B); the full SD method inverts a mobility matrix
 // built from these blocks, while the sparse approximation this
 // repository uses for the experiments replaces that term with muF*I.
-// The tensors are retained for the far-field examples and tests.
+// BuildFull, the oracle the sparse approximation is compared against,
+// builds M^inf from these blocks.
 func RPYPair(a1, a2, r, mu float64, d blas.Vec3) blas.Mat3 {
 	if r < a1+a2 {
 		// Overlapping RPY correction (equal-sphere form applied to
@@ -44,26 +42,4 @@ func RPYPair(a1, a2, r, mu float64, d blas.Vec3) blas.Mat3 {
 	ci := pre * (1 + aa/(3*r*r))
 	cd := pre * (1 - aa/(r*r))
 	return blas.AxialTensor(ci+cd, ci, d)
-}
-
-// BuildRPY assembles a sparse truncated RPY mobility matrix with the
-// given center-to-center cutoff. Unlike the resistance matrix this is
-// a mobility (velocity = M * force); it is exported for the far-field
-// example and for tests of the block format on a second tensor
-// family.
-func BuildRPY(sys *particles.System, mu, cutoff float64) *bcrs.Matrix {
-	b := bcrs.NewBuilder(sys.N)
-	for i, a := range sys.Radius {
-		b.AddBlock(i, i, RPYSelf(a, mu))
-	}
-	neighbor.ForEachPair(sys.Pos, sys.Box, cutoff, func(p neighbor.Pair) {
-		if p.R <= 0 {
-			return
-		}
-		d := p.D.Scale(1 / p.R)
-		m := RPYPair(sys.Radius[p.I], sys.Radius[p.J], p.R, mu, d)
-		b.AddBlock(p.I, p.J, m)
-		b.AddBlock(p.J, p.I, m.Transpose3())
-	})
-	return b.Build()
 }

@@ -70,14 +70,6 @@ type Shape struct {
 	NNZB int // stored non-zero blocks
 }
 
-// BlocksPerRow returns nnzb/nb.
-func (s Shape) BlocksPerRow() float64 {
-	if s.NB == 0 {
-		return 0
-	}
-	return float64(s.NNZB) / float64(s.NB)
-}
-
 // KFunc gives k(m), the number of additional memory accesses per
 // element of X beyond the compulsory read of X and read+write of Y.
 // It depends on matrix structure and cache behavior; for the SD

@@ -8,7 +8,7 @@ import (
 
 // Column-lane sweeps: the vector work of conjugate gradients on q
 // independent columns held in the leading lanes of n-by-w row-major
-// blocks (solver.MultiCG), and at w = 1 of solver.CG itself, where the
+// blocks (solver.MultiCGWith), and at w = 1 of solver.CG itself, where the
 // block is the vector. The inner index is the column, so one sweep
 // streams every operand once at memory speed whatever q is; the lanes
 // at and beyond q are kernel padding and are neither read nor written.

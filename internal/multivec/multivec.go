@@ -201,29 +201,6 @@ func PackColumns(dst *MultiVec, cols [][]float64) {
 	})
 }
 
-// UnpackColumns scatters the leading len(cols) columns of src into the
-// given column vectors — the inverse of PackColumns, dropping any
-// padding columns.
-func UnpackColumns(cols [][]float64, src *MultiVec) {
-	if len(cols) > src.M {
-		panic("multivec: UnpackColumns has more columns than src")
-	}
-	for _, c := range cols {
-		if len(c) != src.N {
-			panic("multivec: UnpackColumns length mismatch")
-		}
-	}
-	m, q := src.M, len(cols)
-	parallel.Default().ForOp("multivec_unpack", src.N, rowGrain(m), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := src.Data[i*m : i*m+q]
-			for j, v := range row {
-				cols[j][i] = v
-			}
-		}
-	})
-}
-
 // Reshape makes v an n-by-m block over its own storage, growing it
 // when too small. Contents are unspecified: a caller that overwrites
 // the block in full before reading it keeps the reuse out of its bits.
@@ -275,18 +252,6 @@ func (v *MultiVec) Sub(a, b *MultiVec) {
 	dst, x, y := v.Data, a.Data, b.Data
 	parallel.Default().ForOp("multivec_sub", len(dst), elemGrain, func(lo, hi int) {
 		blas.Sub(dst[lo:hi], x[lo:hi], y[lo:hi])
-	})
-}
-
-// Add computes v = a + b elementwise, with the same aliasing rules as
-// Sub.
-func (v *MultiVec) Add(a, b *MultiVec) {
-	if v.N != a.N || v.M != a.M || a.N != b.N || a.M != b.M {
-		panic("multivec: Add dimension mismatch")
-	}
-	dst, x, y := v.Data, a.Data, b.Data
-	parallel.Default().ForOp("multivec_add", len(dst), elemGrain, func(lo, hi int) {
-		blas.Add(dst[lo:hi], x[lo:hi], y[lo:hi])
 	})
 }
 
@@ -427,13 +392,6 @@ func gramRange(g []float64, x, y *MultiVec, lo, hi int) {
 			}
 		}
 	}
-}
-
-// ColNorms returns the Euclidean norm of each column.
-func (v *MultiVec) ColNorms() []float64 {
-	dst := make([]float64, v.M)
-	v.ColNormsInto(dst)
-	return dst
 }
 
 // ColNormsInto writes the Euclidean norm of each column into dst

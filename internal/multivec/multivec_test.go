@@ -86,12 +86,12 @@ func TestSubAddScale(t *testing.T) {
 	b := randMV(rng, 5, 3)
 	d := New(5, 3)
 	d.Sub(a, b)
-	d.Add(d, b)
 	for i := range d.Data {
-		if !almostEqual(d.Data[i], a.Data[i], 1e-14) {
+		if !almostEqual(d.Data[i]+b.Data[i], a.Data[i], 1e-14) {
 			t.Fatal("a-b+b != a")
 		}
 	}
+	d.CopyFrom(a)
 	d.Scale(2)
 	for i := range d.Data {
 		if !almostEqual(d.Data[i], 2*a.Data[i], 1e-14) {
@@ -183,7 +183,8 @@ func TestSetMulAddMatchesDense(t *testing.T) {
 
 func TestColNorms(t *testing.T) {
 	v := FromColumns([]float64{3, 4}, []float64{0, 0}, []float64{1, 0})
-	norms := v.ColNorms()
+	norms := make([]float64, v.M)
+	v.ColNormsInto(norms)
 	want := []float64{5, 0, 1}
 	for j := range norms {
 		if !almostEqual(norms[j], want[j], 1e-14) {

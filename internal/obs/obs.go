@@ -340,18 +340,6 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	return h
 }
 
-// Reset removes every metric from the registry. Handles obtained
-// before the reset keep working but are no longer exported — intended
-// for tests, not for steady-state use.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.counters = map[string]*Counter{}
-	r.floats = map[string]*FloatCounter{}
-	r.gauges = map[string]*Gauge{}
-	r.hists = map[string]*Histogram{}
-}
-
 // Label encodes one label pair into a metric name:
 // Label("x_total", "m", "16") == `x_total{m="16"}`. Appending to an
 // already-labeled name inserts before the closing brace, so labels

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
@@ -166,8 +167,12 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := snap.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadSnapshot(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
+		t.Fatal(err)
+	}
+	var got Snapshot
+	if err := json.Unmarshal(data, &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Counters[Label("calls_total", "m", "8")] != 42 {
@@ -188,19 +193,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if hs.Counts[0] != 1 || hs.Counts[2] != 1 {
 		t.Fatalf("histogram counts = %v", hs.Counts)
-	}
-}
-
-func TestRegistryReset(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("a").Inc()
-	r.Reset()
-	snap := r.Snapshot()
-	if len(snap.Counters) != 0 {
-		t.Fatalf("counters survive reset: %v", snap.Counters)
-	}
-	if r.Counter("a").Value() != 0 {
-		t.Fatal("recreated counter not fresh")
 	}
 }
 

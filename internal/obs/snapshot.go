@@ -87,16 +87,3 @@ func (s Snapshot) SaveFile(path string) error {
 	}
 	return f.Close()
 }
-
-// LoadSnapshot reads a snapshot previously written by SaveFile or
-// WriteJSON — for tests and for perf-trajectory comparisons between
-// runs.
-func LoadSnapshot(path string) (Snapshot, error) {
-	var s Snapshot
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return s, err
-	}
-	err = json.Unmarshal(b, &s)
-	return s, err
-}

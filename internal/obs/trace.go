@@ -97,14 +97,6 @@ func (t *Trace) StartSpan(name string) *Span {
 	return &Span{tr: t, name: name, start: time.Now()}
 }
 
-// ObserveSpan records an externally timed phase that ended now — the
-// entry point for code that already measures its phases (the core
-// stepper's Timings deltas, the cluster's multiply wall time).
-func (t *Trace) ObserveSpan(name string, d time.Duration) {
-	now := time.Now()
-	t.addSpan(name, now.Add(-d), d)
-}
-
 func (t *Trace) addSpan(name string, start time.Time, d time.Duration) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -186,17 +178,6 @@ func (t *Trace) Finish() {
 	if t.tracer != nil {
 		t.tracer.finish(t)
 	}
-}
-
-// Duration returns the frozen duration of a finished trace, or the
-// running duration of a live one.
-func (t *Trace) Duration() time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.done {
-		return t.dur
-	}
-	return time.Since(t.start)
 }
 
 // Snapshot deep-copies the trace into its serializable form.

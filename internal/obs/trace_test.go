@@ -23,7 +23,7 @@ func TestTraceLifecycle(t *testing.T) {
 	if d := sp.End(); d <= 0 {
 		t.Fatal("span recorded no duration")
 	}
-	tc.ObserveSpan("solve", 5*time.Millisecond)
+	tc.StartSpan("solve").End()
 	tc.Event("dispatched", map[string]any{"batch": 3})
 	tc.SetAttr("kernel_m", int64(8))
 	tc.AddInt("cg_iterations", 7)
@@ -56,7 +56,7 @@ func TestTraceLifecycle(t *testing.T) {
 	// Recordings after Finish are dropped, not crashed.
 	tc.SetAttr("late", true)
 	tc.Event("late", nil)
-	tc.ObserveSpan("late", time.Millisecond)
+	tc.StartSpan("late").End()
 	td2, _ := tr.Get("req-1")
 	if len(td2.Spans) != 2 || td2.Attrs["late"] != nil {
 		t.Fatal("post-Finish recordings leaked into the trace")
@@ -148,11 +148,10 @@ func TestTracerSink(t *testing.T) {
 // -race (make race-kernels), this is the regression test for the
 // batcher's submitter/dispatcher handoff.
 func TestSpanHandoffConcurrentEnd(t *testing.T) {
-	reg := NewRegistry()
 	tracer := NewTracer(0, 0)
 	for i := 0; i < 100; i++ {
 		tc := tracer.Start("")
-		sp := reg.StartSpan("handoff_phase").Attach(tc)
+		sp := tc.StartSpan("handoff_phase")
 		ch := make(chan *Span, 1)
 		ch <- sp.Handoff()
 		var wg sync.WaitGroup
@@ -166,9 +165,6 @@ func TestSpanHandoffConcurrentEnd(t *testing.T) {
 			t.Fatalf("iteration %d: double-End recorded %d trace spans", i, len(td.Spans))
 		}
 	}
-	if calls := reg.Counter(Label("phase_calls_total", "phase", "handoff_phase")).Value(); calls != 100 {
-		t.Fatalf("phase_calls_total = %d, want exactly 100", calls)
-	}
 }
 
 func TestTraceConcurrentRecording(t *testing.T) {
@@ -181,7 +177,7 @@ func TestTraceConcurrentRecording(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				tc.AddInt("n", 1)
-				tc.ObserveSpan(fmt.Sprintf("g%d", g), time.Microsecond)
+				tc.StartSpan(fmt.Sprintf("g%d", g)).End()
 				tc.Event("e", map[string]any{"g": g})
 				_ = tc.Snapshot()
 			}

@@ -30,13 +30,13 @@
 // changes with the partition, as in any blocked summation).
 //
 // Scheduling. A Pool with t threads keeps t-1 persistent workers
-// parked on a channel; For/Do/Reduce enqueue a job, wake up to t-1
+// parked on a channel; ForOp/DoOp/Reduce enqueue a job, wake up to t-1
 // helpers without blocking, and the calling goroutine participates
 // until the chunk queue drains. The caller always makes progress on
 // its own job, so nested and concurrent dispatch (e.g. simulated
 // cluster nodes multiplying their row strips at once) cannot
 // deadlock or oversubscribe the pool, and a pool with t = 1 runs
 // everything inline with zero overhead — the serial fallback path.
-// Finished jobs are recycled, so For and Do allocate nothing of their
+// Finished jobs are recycled, so ForOp and DoOp allocate nothing of their
 // own once warm.
 package parallel

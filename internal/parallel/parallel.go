@@ -39,12 +39,12 @@ type Pool struct {
 	wake atomic.Int64
 }
 
-// job is one For/Do/Reduce dispatch: a fixed number of chunks claimed
+// job is one ForOp/DoOp/Reduce dispatch: a fixed number of chunks claimed
 // by atomic increment. Which goroutine runs a chunk is scheduling
 // noise; the chunk boundaries and the combine order are not.
 type job struct {
-	do   func(chunk int)  // Do: chunk c is task c
-	span func(lo, hi int) // For: chunk c is chunkBounds(n, k, c)
+	do   func(chunk int)  // DoOp: chunk c is task c
+	span func(lo, hi int) // ForOp: chunk c is chunkBounds(n, k, c)
 	n    int
 	k    int32
 	sent time.Time // when the dispatcher offered it to the workers
@@ -244,7 +244,7 @@ func chunkBounds(n, k, c int) (lo, hi int) {
 	return n * c / k, n * (c + 1) / k
 }
 
-// Parallel reports whether a For/Reduce over n elements with the
+// Parallel reports whether a ForOp/Reduce over n elements with the
 // given grain would actually split: callers use it to keep a
 // zero-allocation serial fast path.
 func (p *Pool) Parallel(n, grain int) bool {
@@ -252,7 +252,7 @@ func (p *Pool) Parallel(n, grain int) bool {
 }
 
 // Chunks returns how many pieces a pre-partitioned region that wants
-// every thread — a matrix's block rows — should be cut into for Do:
+// every thread — a matrix's block rows — should be cut into for DoOp:
 // overPartition per thread, or 1 on a serial pool.
 func (p *Pool) Chunks() int {
 	if p.threads <= 1 {
@@ -261,18 +261,13 @@ func (p *Pool) Chunks() int {
 	return p.threads * overPartition
 }
 
-// For runs fn over the fixed blocked partition of [0, n); each chunk
+// ForOp runs fn over the fixed blocked partition of [0, n); each chunk
 // holds at least grain elements (grain < 1 means 1). fn must be safe
 // to call concurrently on disjoint ranges. When the region does not
 // split (serial pool, or n <= grain), fn(0, n) runs inline — the
-// exact serial path.
-func (p *Pool) For(n, grain int, fn func(lo, hi int)) {
-	p.ForOp("", n, grain, fn)
-}
-
-// ForOp is For with an operation label: the wall time of parallel
-// dispatches is accumulated into parallel_op_seconds_total{op="..."},
-// giving a per-op view of where the pool's time goes.
+// exact serial path. The wall time of parallel dispatches is
+// accumulated into parallel_op_seconds_total{op="..."}, giving a
+// per-op view of where the pool's time goes.
 func (p *Pool) ForOp(op string, n, grain int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -290,16 +285,11 @@ func (p *Pool) ForOp(op string, n, grain int, fn func(lo, hi int)) {
 	}
 }
 
-// Do runs fn(i) for every i in [0, k), distributing the k tasks over
-// the pool. It is the dispatch surface for pre-partitioned work such
-// as the nnz-balanced block-row ranges of a BCRS matrix. Tasks must
-// write disjoint outputs. Like For, a split Do allocates nothing of its
-// own.
-func (p *Pool) Do(k int, fn func(i int)) {
-	p.DoOp("", k, fn)
-}
-
-// DoOp is Do with an operation label (see ForOp).
+// DoOp runs fn(i) for every i in [0, k), distributing the k tasks
+// over the pool. It is the dispatch surface for pre-partitioned work
+// such as the nnz-balanced block-row ranges of a BCRS matrix. Tasks
+// must write disjoint outputs. Like ForOp, a split DoOp allocates
+// nothing of its own; op labels its time as ForOp's does.
 func (p *Pool) DoOp(op string, k int, fn func(i int)) {
 	if k <= 0 {
 		return

@@ -12,7 +12,7 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 		p := NewPool(threads)
 		for _, n := range []int{0, 1, 5, 100, 4097} {
 			hits := make([]int32, n)
-			p.For(n, 16, func(lo, hi int) {
+			p.ForOp("", n, 16, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					atomic.AddInt32(&hits[i], 1)
 				}
@@ -32,7 +32,7 @@ func TestForGrainKeepsChunksLargeEnough(t *testing.T) {
 	defer p.Close()
 	var mu sync.Mutex
 	var sizes []int
-	p.For(1000, 300, func(lo, hi int) {
+	p.ForOp("", 1000, 300, func(lo, hi int) {
 		mu.Lock()
 		sizes = append(sizes, hi-lo)
 		mu.Unlock()
@@ -54,7 +54,7 @@ func TestDoRunsEveryTask(t *testing.T) {
 		p := NewPool(threads)
 		for _, k := range []int{0, 1, 3, 64} {
 			hits := make([]int32, k)
-			p.Do(k, func(i int) { atomic.AddInt32(&hits[i], 1) })
+			p.DoOp("", k, func(i int) { atomic.AddInt32(&hits[i], 1) })
 			for i, h := range hits {
 				if h != 1 {
 					t.Fatalf("threads=%d k=%d: task %d ran %d times", threads, k, i, h)
@@ -150,7 +150,7 @@ func TestPanicPropagatesToCaller(t *testing.T) {
 			t.Fatalf("recovered %v, want \"boom\"", r)
 		}
 	}()
-	p.For(1000, 1, func(lo, hi int) {
+	p.ForOp("", 1000, 1, func(lo, hi int) {
 		if lo == 0 {
 			panic("boom")
 		}
@@ -168,7 +168,7 @@ func TestConcurrentDispatchDoesNotDeadlock(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for it := 0; it < 50; it++ {
-				p.For(257, 8, func(lo, hi int) {
+				p.ForOp("", 257, 8, func(lo, hi int) {
 					total.Add(int64(hi - lo))
 				})
 			}
@@ -198,7 +198,7 @@ func TestSetThreadsSwapsDefaultPool(t *testing.T) {
 	}
 	// The old pool still works after being closed (caller-side runs).
 	var n atomic.Int64
-	p.For(100, 1, func(lo, hi int) { n.Add(int64(hi - lo)) })
+	p.ForOp("", 100, 1, func(lo, hi int) { n.Add(int64(hi - lo)) })
 	if n.Load() != 100 {
 		t.Fatalf("closed pool covered %d elements, want 100", n.Load())
 	}
@@ -209,12 +209,12 @@ func TestSerialPoolRunsInline(t *testing.T) {
 	// With one thread everything must run on the calling goroutine in
 	// ascending order — the exact serial path.
 	var order []int
-	p.For(10, 1, func(lo, hi int) { order = append(order, lo) })
+	p.ForOp("", 10, 1, func(lo, hi int) { order = append(order, lo) })
 	if len(order) != 1 || order[0] != 0 {
 		t.Fatalf("serial For split the range: %v", order)
 	}
 	order = order[:0]
-	p.Do(4, func(i int) { order = append(order, i) })
+	p.DoOp("", 4, func(i int) { order = append(order, i) })
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("serial Do out of order: %v", order)
@@ -241,7 +241,7 @@ func TestDispatchDoesNotAllocate(t *testing.T) {
 	task := func(i int) { sum.Add(int64(i)) }
 	for name, f := range map[string]func(){
 		"For": func() { p.ForOp("test", 1000, 1, span) },
-		"Do":  func() { p.Do(12, task) },
+		"Do":  func() { p.DoOp("", 12, task) },
 	} {
 		f()
 		if n := testing.AllocsPerRun(50, f); n != 0 {
@@ -259,7 +259,7 @@ func TestJobsSurviveLateWorkers(t *testing.T) {
 	defer p.Close()
 	for it := 0; it < 2000; it++ {
 		hits := make([]int32, 16)
-		p.Do(len(hits), func(i int) { atomic.AddInt32(&hits[i], 1) })
+		p.DoOp("", len(hits), func(i int) { atomic.AddInt32(&hits[i], 1) })
 		for i, h := range hits {
 			if h != 1 {
 				t.Fatalf("dispatch %d: task %d ran %d times", it, i, h)

@@ -282,17 +282,6 @@ func (sys *System) MaxRadius() float64 {
 	return m
 }
 
-// MinRadius returns the smallest sphere radius.
-func (sys *System) MinRadius() float64 {
-	m := math.Inf(1)
-	for _, r := range sys.Radius {
-		if r < m {
-			m = r
-		}
-	}
-	return m
-}
-
 // VolumeFraction returns the realized occupancy of the box.
 func (sys *System) VolumeFraction() float64 {
 	var vol float64
@@ -321,19 +310,6 @@ func (sys *System) Clone() *System {
 	c.Pos = append([]blas.Vec3(nil), sys.Pos...)
 	c.Radius = append([]float64(nil), sys.Radius...)
 	return &c
-}
-
-// Displace advances every position by dt times its velocity from the
-// packed velocity vector u (3 components per particle) and wraps into
-// the box. len(u) must be 3*N.
-func (sys *System) Displace(u []float64, dt float64) {
-	if len(u) != 3*sys.N {
-		panic("particles: Displace velocity length mismatch")
-	}
-	for i := 0; i < sys.N; i++ {
-		d := blas.Vec3{u[3*i], u[3*i+1], u[3*i+2]}.Scale(dt)
-		sys.Pos[i] = neighbor.Wrap(sys.Pos[i].Add(d), sys.Box)
-	}
 }
 
 // DisplacedFrom sets this system's positions to base's positions

@@ -2,6 +2,7 @@ package particles
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -145,8 +146,8 @@ func TestMinMaxRadius(t *testing.T) {
 	if sys.MaxRadius() != 115.24 {
 		t.Fatalf("MaxRadius %v", sys.MaxRadius())
 	}
-	if sys.MinRadius() != 21.42 {
-		t.Fatalf("MinRadius %v", sys.MinRadius())
+	if m := slices.Min(sys.Radius); m != 21.42 {
+		t.Fatalf("smallest radius %v", m)
 	}
 }
 
@@ -160,11 +161,11 @@ func TestDisplaceWrapsAndMoves(t *testing.T) {
 		u[i] = 1
 	}
 	before := sys.Clone()
-	sys.Displace(u, 2.5)
+	sys.DisplacedFrom(sys, u, 2.5)
 	for i := 0; i < sys.N; i++ {
 		for c := 0; c < 3; c++ {
 			if sys.Pos[i][c] < 0 || sys.Pos[i][c] >= sys.Box {
-				t.Fatal("Displace left position outside box")
+				t.Fatal("DisplacedFrom left position outside box")
 			}
 		}
 		moved := sys.Pos[i].Sub(before.Pos[i])

@@ -41,9 +41,6 @@ func NewCholeskyRunner(c *Conf, cfg core.Config) *CholeskyRunner {
 	return &CholeskyRunner{cfg: full, cur: c}
 }
 
-// Current returns the present configuration.
-func (r *CholeskyRunner) Current() *Conf { return r.cur }
-
 // Step advances one time step with the direct method.
 func (r *CholeskyRunner) Step() error {
 	dim := r.cur.Dim()

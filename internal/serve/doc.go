@@ -12,7 +12,7 @@
 // *user requests* against a shared operator.
 //
 // A dispatch runs one standard CG recurrence per request sharing only
-// the GSPMV (solver.MultiCG); each request's answer is
+// the GSPMV (solver.MultiCGWith); each request's answer is
 // bitwise-identical to solving it alone, which makes batching
 // invisible to clients.
 //

@@ -30,9 +30,6 @@ type Deflation struct {
 	r, y, c []float64 // correction scratch (single caller at a time)
 }
 
-// K returns the number of deflation vectors retained.
-func (d *Deflation) K() int { return len(d.cols) }
-
 // NewDeflation orthonormalizes the given basis vectors (modified
 // Gram-Schmidt, dropping near-dependent columns), computes A*W with a
 // single GSPMV, and factors the small Galerkin matrix. It returns an
@@ -94,15 +91,6 @@ func (d *Deflation) Correct(a Operator, x, b []float64) {
 	a.MulVec(d.r, x)
 	blas.Sub(d.r, b, d.r)
 	d.apply(x, d.r)
-}
-
-// CorrectZero applies the Galerkin correction to a zero initial
-// guess: with x = 0 the residual is b exactly, so no matrix-vector
-// product is needed and the whole projector cost stays at basis-build
-// time. The arithmetic is bitwise-identical to Correct called with a
-// zero x (A*0 is exactly zero).
-func (d *Deflation) CorrectZero(x, b []float64) {
-	d.apply(x, b)
 }
 
 // apply accumulates x += W (W^T A W)^{-1} W^T r.

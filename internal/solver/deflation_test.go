@@ -23,8 +23,8 @@ func TestDeflationProjectionProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.K() != 3 {
-		t.Fatalf("K = %d, want 3", d.K())
+	if len(d.cols) != 3 {
+		t.Fatalf("K = %d, want 3", len(d.cols))
 	}
 
 	b := testRHS(n, 9)
@@ -34,7 +34,7 @@ func TestDeflationProjectionProperty(t *testing.T) {
 	r := make([]float64, n)
 	a.MulVec(r, x)
 	blas.Sub(r, b, r)
-	for j := 0; j < d.K(); j++ {
+	for j := 0; j < len(d.cols); j++ {
 		dot := blas.Dot(d.cols[j], r)
 		if math.Abs(dot) > 1e-8*blas.Nrm2(b) {
 			t.Errorf("column %d: W^T r = %g, want ~0", j, dot)
@@ -194,8 +194,8 @@ func TestNewDeflationDropsDependentColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.K() != 2 {
-		t.Errorf("K = %d, want 2 (dependent column dropped)", d.K())
+	if len(d.cols) != 2 {
+		t.Errorf("K = %d, want 2 (dependent column dropped)", len(d.cols))
 	}
 }
 
@@ -217,14 +217,14 @@ func TestNewDeflationRelativeDropTolerance(t *testing.T) {
 	if err != nil {
 		t.Fatalf("tiny independent basis rejected: %v", err)
 	}
-	if d.K() != 2 {
-		t.Fatalf("tiny basis K = %d, want 2", d.K())
+	if len(d.cols) != 2 {
+		t.Fatalf("tiny basis K = %d, want 2", len(d.cols))
 	}
 	// The projector over the tiny basis must still correct: the
 	// basis is normalized, so scale must not leak into the result.
 	b := testRHS(n, 13)
 	x := make([]float64, n)
-	d.CorrectZero(x, b)
+	d.Correct(a, x, b)
 	for i := range x {
 		if math.IsNaN(x[i]) || math.IsInf(x[i], 0) {
 			t.Fatalf("correction produced non-finite x[%d]", i)
@@ -241,29 +241,7 @@ func TestNewDeflationRelativeDropTolerance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.K() != 1 {
-		t.Fatalf("huge duplicate basis K = %d, want 1", d.K())
-	}
-}
-
-// TestCorrectZeroMatchesCorrect: CorrectZero must be bitwise-identical
-// to Correct called with a zero initial guess — the equivalence that
-// lets a zero-guess solve skip the residual multiply.
-func TestCorrectZeroMatchesCorrect(t *testing.T) {
-	a := recycleMatrix(28)
-	n := a.N()
-	d, err := NewDeflation(a, [][]float64{testRHS(n, 15), testRHS(n, 16), testRHS(n, 17)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := testRHS(n, 18)
-	x1 := make([]float64, n)
-	x2 := make([]float64, n)
-	d.Correct(a, x1, b)
-	d.CorrectZero(x2, b)
-	for i := range x1 {
-		if x1[i] != x2[i] {
-			t.Fatalf("x[%d]: Correct %v != CorrectZero %v", i, x1[i], x2[i])
-		}
+	if len(d.cols) != 1 {
+		t.Fatalf("huge duplicate basis K = %d, want 1", len(d.cols))
 	}
 }

@@ -19,7 +19,7 @@
 //
 // # The fused-solve contract
 //
-// There is one CG in this package: MultiCG solves q independent
+// There is one CG in this package: MultiCGWith solves q independent
 // systems with it, and CG is the same solve at q = 1.
 //
 //   - Layout. The state of all q columns lives in four row-major

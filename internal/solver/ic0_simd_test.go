@@ -162,7 +162,7 @@ func TestMultiCGWidthOnePreconditionsInPlace(t *testing.T) {
 	lone := make([]float64, a.N())
 	st := CG(a, lone, b, opt)
 	xs := [][]float64{make([]float64, a.N()), make([]float64, a.N())}
-	sts := MultiCG(a, xs, [][]float64{b, b}, []Options{opt, opt})
+	sts := MultiCGWith(nil, a, xs, [][]float64{b, b}, []Options{opt, opt})
 	if !st.Converged || st.Iterations != sts[0].Iterations {
 		t.Fatalf("lone solve: converged=%v in %d iterations, fused column in %d", st.Converged, st.Iterations, sts[0].Iterations)
 	}

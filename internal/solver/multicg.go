@@ -27,30 +27,6 @@ func KernelCeil(q int) int {
 	return q
 }
 
-// MultiCG solves the q independent systems A*x_j = b_j by running one
-// standard (preconditioned) CG recurrence per column while fusing the
-// matrix multiplies of all still-active columns into a single GSPMV
-// per iteration — the multiple-right-hand-side economics of the paper
-// applied to *independent* solves, after Krasnopolsky's ensemble
-// fusion (arXiv:1711.10622).
-//
-// Unlike BlockCG, the columns share nothing but the matrix traffic:
-// each keeps its own scalar alpha/beta recurrence, converges against
-// its own tolerance and iteration budget, and leaves the fused
-// multiply as soon as it is done. The state of all columns lives
-// interleaved, in the multiply's own layout, for the whole solve (the
-// package comment has the contract), and CG is this same solve at
-// q = 1, so each column's iterate is BITWISE-IDENTICAL to what
-// CG(a, x_j, b_j, opts[j]) alone would produce — the property the
-// serving layer's batched-vs-unbatched equivalence test pins down.
-//
-// opts[j] applies to column j (tolerance, iteration budget,
-// preconditioner, per-request cancellation context). xs[j] supplies
-// the initial guess and receives the solution.
-func MultiCG(a BlockOperator, xs, bs [][]float64, opts []Options) []Stats {
-	return MultiCGWith(nil, a, xs, bs, opts)
-}
-
 // MultiCGWorkspace owns the state of a fused solve — the interleaved
 // blocks X, R, P, AP (and Z when a column is preconditioned) and the
 // per-column scalars — so a long-lived caller (the batching server's
@@ -91,8 +67,28 @@ func NewMultiCGWorkspace() *MultiCGWorkspace {
 	return &MultiCGWorkspace{}
 }
 
-// MultiCGWith is MultiCG solving through caller-owned scratch: ws,
-// when non-nil, supplies every temporary the solve needs (a nil ws
+// MultiCGWith solves the q independent systems A*x_j = b_j by running one
+// standard (preconditioned) CG recurrence per column while fusing the
+// matrix multiplies of all still-active columns into a single GSPMV
+// per iteration — the multiple-right-hand-side economics of the paper
+// applied to *independent* solves, after Krasnopolsky's ensemble
+// fusion (arXiv:1711.10622).
+//
+// Unlike BlockCG, the columns share nothing but the matrix traffic:
+// each keeps its own scalar alpha/beta recurrence, converges against
+// its own tolerance and iteration budget, and leaves the fused
+// multiply as soon as it is done. The state of all columns lives
+// interleaved, in the multiply's own layout, for the whole solve (the
+// package comment has the contract), and CG is this same solve at
+// q = 1, so each column's iterate is BITWISE-IDENTICAL to what
+// CG(a, x_j, b_j, opts[j]) alone would produce — the property the
+// serving layer's batched-vs-unbatched equivalence test pins down.
+//
+// opts[j] applies to column j (tolerance, iteration budget,
+// preconditioner, per-request cancellation context). xs[j] supplies
+// the initial guess and receives the solution.
+//
+// ws, when non-nil, supplies every temporary the solve needs (a nil ws
 // borrows one from the pool lone CG solves draw on). Results are
 // bitwise-identical with or without a workspace.
 func MultiCGWith(ws *MultiCGWorkspace, a BlockOperator, xs, bs [][]float64, opts []Options) []Stats {

@@ -135,7 +135,7 @@ func checkFusedMatchesLone(t *testing.T, what string, a BlockOperator, lone Oper
 	for j := range xs {
 		xs[j] = append([]float64(nil), xs0[j]...)
 	}
-	stats := MultiCG(a, xs, bs, opts)
+	stats := MultiCGWith(nil, a, xs, bs, opts)
 	for j := range xs {
 		ref := append([]float64(nil), xs0[j]...)
 		rst := CG(lone, ref, bs[j], opts[j])
@@ -255,7 +255,7 @@ func TestMultiCGBitwiseAcrossThreads(t *testing.T) {
 			bs[j] = testRHS(n, uint64(7+j))
 			opts[j] = Options{}
 		}
-		MultiCG(a, xs, bs, opts)
+		MultiCGWith(nil, a, xs, bs, opts)
 		for j := 0; j < q; j++ {
 			ref := make([]float64, n)
 			CG(a, ref, testRHS(n, uint64(7+j)), Options{})
@@ -283,7 +283,7 @@ func TestMultiCGMixedOptions(t *testing.T) {
 	xs := [][]float64{make([]float64, n), make([]float64, n), make([]float64, n)}
 	bs := [][]float64{testRHS(n, 1), testRHS(n, 2), testRHS(n, 3)}
 	opts := []Options{{Tol: 1e-2}, {Tol: 1e-10}, {MaxIter: 1}}
-	stats := MultiCG(a, xs, bs, opts)
+	stats := MultiCGWith(nil, a, xs, bs, opts)
 	if !stats[0].Converged || !stats[1].Converged {
 		t.Fatalf("columns 0/1 should converge: %+v %+v", stats[0], stats[1])
 	}
@@ -309,7 +309,7 @@ func TestMultiCGZeroRHS(t *testing.T) {
 	n := a.N()
 	xs := [][]float64{testRHS(n, 11), make([]float64, n)}
 	bs := [][]float64{make([]float64, n), testRHS(n, 12)}
-	stats := MultiCG(a, xs, bs, []Options{{}, {}})
+	stats := MultiCGWith(nil, a, xs, bs, []Options{{}, {}})
 	if !stats[0].Converged || stats[0].Iterations != 0 {
 		t.Fatalf("zero-b column: %+v", stats[0])
 	}
@@ -332,7 +332,7 @@ func TestMultiCGCancel(t *testing.T) {
 	cancel() // already expired: the column must stop on its first check
 	xs := [][]float64{make([]float64, n), make([]float64, n)}
 	bs := [][]float64{testRHS(n, 21), testRHS(n, 22)}
-	stats := MultiCG(a, xs, bs, []Options{{Ctx: ctx}, {}})
+	stats := MultiCGWith(nil, a, xs, bs, []Options{{Ctx: ctx}, {}})
 	if stats[0].Err != ErrCanceled || stats[0].Converged {
 		t.Fatalf("canceled column: %+v", stats[0])
 	}
@@ -527,7 +527,7 @@ func TestMultiCGCancelMidSolve(t *testing.T) {
 		defer cancel()
 		opts[victim].Ctx = ctx
 		xs := zeroGuesses(q, n)
-		stats := MultiCG(&spyOp{a: a, before: cancelAt(cancel)}, xs, bs, opts)
+		stats := MultiCGWith(nil, &spyOp{a: a, before: cancelAt(cancel)}, xs, bs, opts)
 
 		for j := range xs {
 			ref := make([]float64, n)

@@ -370,8 +370,11 @@ func TestBlockJacobiApply(t *testing.T) {
 		for q := range blk {
 			blk[q] = rnd.NormFloat64() * 0.1
 		}
-		sym := blk.AddM(blk.Transpose3())
-		sym = sym.AddM(blas.Ident3().ScaleM(2))
+		sym := blk.Transpose3()
+		for q := range sym {
+			sym[q] += blk[q]
+		}
+		sym[0], sym[4], sym[8] = sym[0]+2, sym[4]+2, sym[8]+2
 		b.AddBlock(i, i, sym)
 	}
 	a := b.Build()

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/particles"
 	"repro/internal/rng"
 )
 
@@ -27,8 +26,8 @@ func TestMSDUniformMotion(t *testing.T) {
 			t.Fatalf("MSD[%d] = %v, want %v", k, got, want)
 		}
 	}
-	if m.Steps() != 4 {
-		t.Fatalf("Steps = %d", m.Steps())
+	if len(m.Curve) != 4 {
+		t.Fatalf("Steps = %d", len(m.Curve))
 	}
 }
 
@@ -63,100 +62,6 @@ func TestMSDEmpty(t *testing.T) {
 	}
 }
 
-func TestRDFIdealGasNearOne(t *testing.T) {
-	// Random points (no interactions): g(r) ~ 1 away from zero.
-	sys := &particles.System{N: 4000, Box: 20}
-	s := rng.New(7)
-	for i := 0; i < sys.N; i++ {
-		sys.Pos = append(sys.Pos, [3]float64{s.Float64() * 20, s.Float64() * 20, s.Float64() * 20})
-		sys.Radius = append(sys.Radius, 0.1)
-	}
-	rdf := ComputeRDF(sys, 0.5, 8)
-	for i, g := range rdf.G {
-		if rdf.R[i] < 1 {
-			continue // tiny bins are noisy
-		}
-		if math.Abs(g-1) > 0.15 {
-			t.Fatalf("ideal-gas g(%v) = %v, want ~1", rdf.R[i], g)
-		}
-	}
-}
-
-func TestRDFExcludedVolume(t *testing.T) {
-	// A hard-sphere packing has g(r) = 0 inside contact and a peak
-	// near contact.
-	sys, err := particles.New(particles.Options{N: 600, Phi: 0.45, Seed: 9, MonodisperseRadius: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rdf := ComputeRDF(sys, 0.1, 6)
-	for i, g := range rdf.G {
-		if rdf.R[i] < 1.8 && g > 0 {
-			t.Fatalf("g(%v) = %v inside the excluded core", rdf.R[i], g)
-		}
-	}
-	pos, height := rdf.ContactPeak()
-	if height < 1.2 {
-		t.Fatalf("no contact peak: height %v", height)
-	}
-	if pos < 1.8 || pos > 3 {
-		t.Fatalf("contact peak at %v, want near contact (2)", pos)
-	}
-}
-
-func TestRDFClampsRange(t *testing.T) {
-	sys, err := particles.New(particles.Options{N: 50, Phi: 0.2, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rdf := ComputeRDF(sys, sys.Box/20, sys.Box) // rmax beyond box/2
-	last := rdf.R[len(rdf.R)-1]
-	if last > sys.Box/2 {
-		t.Fatalf("RDF bin center %v beyond box/2", last)
-	}
-}
-
-func TestVACFStartsAtOne(t *testing.T) {
-	v := NewVACF()
-	u := []float64{1, 2, 3}
-	v.Observe(0, u, 1)
-	if math.Abs(v.Curve[0]-1) > 1e-15 {
-		t.Fatalf("C(0) = %v, want 1", v.Curve[0])
-	}
-	// Orthogonal velocity: correlation 0.
-	v.Observe(1, []float64{2, -1, 0}, 1)
-	if math.Abs(v.Curve[1]) > 1e-15 {
-		t.Fatalf("C(1) = %v, want 0", v.Curve[1])
-	}
-	// Anti-parallel: -1.
-	v.Observe(2, []float64{-1, -2, -3}, 1)
-	if math.Abs(v.Curve[2]+1) > 1e-15 {
-		t.Fatalf("C(2) = %v, want -1", v.Curve[2])
-	}
-}
-
-func TestVACFZeroReference(t *testing.T) {
-	v := NewVACF()
-	v.Observe(0, []float64{0, 0}, 1)
-	v.Observe(1, []float64{1, 1}, 1)
-	if v.Curve[0] != 0 || v.Curve[1] != 0 {
-		t.Fatal("zero reference must give zero correlations")
-	}
-}
-
-func TestMultiFansOut(t *testing.T) {
-	var a, b int
-	obs := Multi(
-		func(int, []float64, float64) { a++ },
-		func(int, []float64, float64) { b++ },
-	)
-	obs(0, nil, 1)
-	obs(1, nil, 1)
-	if a != 2 || b != 2 {
-		t.Fatalf("Multi fan-out wrong: %d %d", a, b)
-	}
-}
-
 func TestMSDLengthMismatchDropped(t *testing.T) {
 	n, dt := 4, 0.5
 	m := NewMSD(n, dt)
@@ -173,11 +78,11 @@ func TestMSDLengthMismatchDropped(t *testing.T) {
 	if got := obs.Default.Counter("stats_msd_length_mismatch_total").Value(); got != before+1 {
 		t.Fatalf("mismatch counter = %d, want %d", got, before+1)
 	}
-	if m.Steps() != 1 {
-		t.Fatalf("Steps = %d, want 1 (bad sample must not extend the curve)", m.Steps())
+	if len(m.Curve) != 1 {
+		t.Fatalf("Steps = %d, want 1 (bad sample must not extend the curve)", len(m.Curve))
 	}
 	m.Observe(2, u, dt) // recovery: correct samples still accumulate
-	if m.Steps() != 2 {
-		t.Fatalf("Steps = %d after recovery, want 2", m.Steps())
+	if len(m.Curve) != 2 {
+		t.Fatalf("Steps = %d after recovery, want 2", len(m.Curve))
 	}
 }

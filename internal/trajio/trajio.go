@@ -9,7 +9,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -120,19 +119,4 @@ func Read(r io.Reader) ([]Frame, error) {
 		return nil, err
 	}
 	return frames, nil
-}
-
-// SpeciesTable returns the radius -> label mapping accumulated so
-// far, sorted by descending radius, for legends.
-func (t *Writer) SpeciesTable() []string {
-	radii := make([]float64, 0, len(t.names))
-	for r := range t.names {
-		radii = append(radii, r)
-	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(radii)))
-	out := make([]string, len(radii))
-	for i, r := range radii {
-		out[i] = fmt.Sprintf("%s: radius %.2f", t.names[r], r)
-	}
-	return out
 }
