@@ -1,11 +1,6 @@
 GO ?= go
 
-# The perf artifacts the regression gate watches, and where their
-# committed (HEAD) versions are staged for comparison.
-BENCH_FILES ?= BENCH_serve.json BENCH_ensemble.json
-BENCH_BASELINE_DIR ?= .bench-baseline
-
-.PHONY: ci docs-gate reach vet build test bench-test bench-trace race race-kernels chaos fuzz-faults fuzz-neighbor fuzz-sqrt fuzz-blockcg fuzz-serve fuzz-checkpoint serial wide noavx512 serve-smoke bench experiments bench-serve bench-ensemble bench-diff
+.PHONY: ci docs-gate reach vet build test bench-test bench-trace race race-kernels chaos fuzz-faults fuzz-neighbor fuzz-sqrt fuzz-blockcg fuzz-serve fuzz-checkpoint serial wide noavx512 serve-smoke bench experiments
 
 # ci is the gate: vet, build everything, the benchmark module's own
 # vet and tests (bench-test), one traced run of each SD workload
@@ -30,11 +25,10 @@ BENCH_BASELINE_DIR ?= .bench-baseline
 # a step assembles, through a factor up to a window old) and ten of the
 # block solve on dependent right-hand sides, ten of the HTTP solve
 # endpoints on arbitrary bodies, ten of checkpoint restore on arbitrary
-# bytes, and the
-# advisory perf-regression gate over the BENCH_*.json artifacts (fails
-# only on >2x regressions; warns otherwise; skips files with no
-# baseline).
-ci: vet build bench-test bench-trace docs-gate reach race-kernels race chaos fuzz-faults fuzz-neighbor fuzz-sqrt fuzz-blockcg fuzz-serve fuzz-checkpoint serve-smoke serial wide noavx512 bench-diff
+# bytes. Performance is not gated here: bench/run.sh's paired parent
+# and change runs under BENCHMARK.json's bounds are the one regression
+# instrument.
+ci: vet build bench-test bench-trace docs-gate reach race-kernels race chaos fuzz-faults fuzz-neighbor fuzz-sqrt fuzz-blockcg fuzz-serve fuzz-checkpoint serve-smoke serial wide noavx512
 
 # docs-gate fails when an internal/ package lacks a package comment,
 # a tracked markdown file has a broken relative link, README.md /
@@ -51,7 +45,7 @@ docs-gate:
 # invocations README and EXPERIMENTS document (the six bench/ workloads
 # untraced and traced, every experiment id at small sizes, the
 # mrhs-sim runbook, every mrhs-server endpoint with a mixed-tolerance
-# burst, serve-bench, the examples), merges the profiles and fails on a
+# burst, the examples), merges the profiles and fails on a
 # function under internal/ that none of them entered unless
 # scripts/reach.allow gives it one reason from a closed set (oracle,
 # noavx2, failure, fault, fixture), and on a stale allowlist entry.
@@ -209,7 +203,7 @@ bench:
 
 # experiments regenerates experiments_output.txt, the only committed
 # paper-table artifact: every table and figure of the evaluation plus
-# the ext-* extensions at default sizes (about three minutes on two
+# the ext-* extensions at default sizes (about two and a half minutes on two
 # cores). EXPERIMENTS.md records the host and commit it was produced at.
 experiments:
 	$(GO) run ./cmd/experiments -run all > experiments_output.txt
@@ -220,37 +214,3 @@ experiments:
 # equivalence test is the serving layer's core guarantee.
 serve-smoke:
 	$(GO) test -race -run 'TestServe' ./internal/serve/
-
-# bench-diff is the advisory perf-regression gate: stage the
-# committed (HEAD) BENCH_*.json artifacts as baselines, then grade
-# the working-tree artifacts against them with direction-aware
-# per-metric tolerances. Only >2x regressions fail; smaller moves
-# warn; artifacts without a committed baseline (fresh benchmarks,
-# no git) skip cleanly.
-bench-diff:
-	@mkdir -p $(BENCH_BASELINE_DIR)
-	@for f in $(BENCH_FILES); do \
-		git show HEAD:$$f > $(BENCH_BASELINE_DIR)/$$f 2>/dev/null || rm -f $(BENCH_BASELINE_DIR)/$$f; \
-	done
-	$(GO) run ./cmd/bench-diff -baseline-dir $(BENCH_BASELINE_DIR) $(BENCH_FILES)
-
-# bench-serve measures the batching server's operating curve — open-
-# loop Poisson load sweep against a sequential m=1 CG baseline — and
-# writes the BENCH_serve.json artifact (throughput, p50/p95/p99,
-# mean batch size, shed rate per load factor; "best" holds the
-# saturating-load acceptance numbers), then prints the regression
-# diff against the committed baseline (advisory: the fresh run is
-# the artifact, the diff is the reviewer's context).
-bench-serve:
-	$(GO) run ./cmd/serve-bench -json $(CURDIR)/BENCH_serve.json
-	-$(MAKE) bench-diff BENCH_FILES=BENCH_serve.json
-
-# bench-ensemble sweeps fused K-wide ensemble requests (K member
-# right-hand sides per atomic submission) against the same sequential
-# m=1 baseline, at ensemble-request rates below saturation, and writes
-# BENCH_ensemble.json. "best_low_load" holds the acceptance number:
-# member-solve speedup >= 1 at load_factor < 2, the regime where
-# single-RHS traffic batching regresses below 1x.
-bench-ensemble:
-	$(GO) run ./cmd/serve-bench -ensemble 1,4,8,16 -load 0.5,1,1.5 -json $(CURDIR)/BENCH_ensemble.json
-	-$(MAKE) bench-diff BENCH_FILES=BENCH_ensemble.json

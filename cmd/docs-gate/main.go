@@ -148,13 +148,16 @@ func checkLinks(files ...string) []string {
 }
 
 // treePath matches a backticked path under internal/, cmd/ or
-// examples/. Globs and placeholders (`cmd/*-bench`, `internal/<pkg>`)
-// fall outside the character class and are not paths to check.
-var treePath = regexp.MustCompile("`((?:internal|cmd|examples)/[A-Za-z0-9_./-]+)`")
+// examples/, or a backticked root-level BENCH_<name>.json artifact.
+// Globs and placeholders (`cmd/*-bench`, `internal/<pkg>`,
+// `BENCH_*.json`) fall outside the character class and are not paths
+// to check.
+var treePath = regexp.MustCompile("`((?:internal|cmd|examples)/[A-Za-z0-9_./-]+|BENCH_[A-Za-z0-9_]+\\.json)`")
 
 // checkTreePaths verifies that every backticked internal/, cmd/ or
-// examples/ path in the given markdown files exists under root: a
-// package map that still lists a deleted package is drift.
+// examples/ path and BENCH_*.json artifact in the given markdown files
+// exists under root: a package map that still lists a deleted package,
+// or a runbook that quotes a deleted artifact, is drift.
 func checkTreePaths(root string, files ...string) []string {
 	var problems []string
 	for _, file := range files {

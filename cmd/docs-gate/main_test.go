@@ -78,17 +78,19 @@ func TestCheckCommands(t *testing.T) {
 }
 
 // TestCheckTreePaths: a backticked internal/, cmd/ or examples/ path
-// on disk passes, as do globs and placeholders; one that is gone is
-// reported with its line.
+// or root-level BENCH_*.json artifact on disk passes, as do globs and
+// placeholders; one that is gone is reported with its line.
 func TestCheckTreePaths(t *testing.T) {
 	dir := t.TempDir()
 	write(t, dir, "internal/core/core.go", "package core\n")
 	write(t, dir, "cmd/sim/main.go", "package main\n")
 	write(t, dir, "examples/quickstart/main.go", "package main\n")
+	write(t, dir, "BENCH_y.json", "{}\n")
 
 	good := write(t, dir, "GOOD.md", strings.Join([]string{
 		"`internal/core`, `internal/core/core.go`, `cmd/sim` and `examples/quickstart/`",
 		"`internal/<pkg>`, `cmd/*-bench`, `examples/<name>` and bench/ensemble",
+		"`BENCH_y.json`, `BENCH_*.json` and BENCH_x.json",
 	}, "\n"))
 	if p := checkTreePaths(dir, good); len(p) != 0 {
 		t.Errorf("clean document reported: %q", p)
@@ -97,11 +99,13 @@ func TestCheckTreePaths(t *testing.T) {
 	stale := write(t, dir, "STALE.md", strings.Join([]string{
 		"`internal/core/ensemble.go`",
 		"the `examples/ensemble` program and `cmd/sim`",
+		"the `BENCH_x.json` artifact",
 	}, "\n"))
 	got := checkTreePaths(dir, stale)
 	want := []string{
 		stale + `:1: path "internal/core/ensemble.go" is not in the tree`,
 		stale + `:2: path "examples/ensemble" is not in the tree`,
+		stale + `:3: path "BENCH_x.json" is not in the tree`,
 	}
 	if len(got) != len(want) {
 		t.Fatalf("got %q, want %d problems", got, len(want))

@@ -18,7 +18,7 @@ func tinyConfig() Config {
 
 func TestIDsRegistered(t *testing.T) {
 	want := []string{
-		"ext-symmetric", "ext-techniques",
+		"ext-ensemble", "ext-symmetric", "ext-techniques",
 		"fig1", "fig2a", "fig2b", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
 		"table1", "table2", "table3", "table4", "table5", "table6", "table7", "table8",
 	}
@@ -284,6 +284,31 @@ func TestExtSymmetric(t *testing.T) {
 		}
 		if row[7] != "true" {
 			t.Fatalf("threads=%s m=%s: symmetric multiply not bitwise deterministic", row[0], row[1])
+		}
+	}
+}
+
+// TestExtEnsemble: one row per member count, a fused kernel at least
+// K wide and a finite positive member speed-up. The experiment itself
+// fails when a member's bits drift from its lone solve's.
+func TestExtEnsemble(t *testing.T) {
+	tabs, err := Run("ext-ensemble", tinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := tabs[0].Rows
+	if len(rows) != len(ensembleKs) {
+		t.Fatalf("ext-ensemble rows %d, want %d", len(rows), len(ensembleKs))
+	}
+	for i, row := range rows {
+		k, _ := strconv.Atoi(row[0])
+		km, _ := strconv.Atoi(row[1])
+		if k != ensembleKs[i] || km < k {
+			t.Fatalf("row %d: K=%q KernelM=%q", i, row[0], row[1])
+		}
+		sp, err := strconv.ParseFloat(strings.TrimSuffix(row[3], "x"), 64)
+		if err != nil || !(sp > 0) || math.IsInf(sp, 0) {
+			t.Fatalf("K=%d: member speed-up cell %q", k, row[3])
 		}
 	}
 }

@@ -10,6 +10,7 @@
 package perf
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/bcrs"
@@ -102,10 +103,7 @@ type BlockMultiplier interface {
 // at least ~20 ms of work (or reps repetitions if reps > 0). X is
 // filled deterministically.
 func TimeMultiply(a BlockMultiplier, m, reps int) float64 {
-	x := multivec.New(a.N(), m)
-	rng.New(7).FillNormal(x.Data)
-	y := multivec.New(a.N(), m)
-	a.Mul(y, x) // warm-up
+	y, x := operands(a, m)
 	if reps > 0 {
 		best := 1e300
 		for i := 0; i < reps; i++ {
@@ -144,15 +142,58 @@ func TimeMultiply(a BlockMultiplier, m, reps int) float64 {
 	}
 }
 
-// RelativeTimes measures r(m) = T(m)/T(1) for each m, with T(1) the
-// measured single-vector SPMV time (specialized m=1 kernel). Each
-// point is the minimum over repeated measurements, which suppresses
-// scheduler and frequency noise on shared hosts.
+// operands returns a deterministic m-wide X and its product Y = A*X;
+// the multiply is the warm-up that faults Y's pages in.
+func operands(a BlockMultiplier, m int) (y, x *multivec.MultiVec) {
+	x = multivec.New(a.N(), m)
+	rng.New(7).FillNormal(x.Data)
+	y = multivec.New(a.N(), m)
+	a.Mul(y, x)
+	return y, x
+}
+
+// TimePaired runs a and then its reference b, back to back, n times
+// and returns the median of the n ratios T(a)/T(b) and b's median time
+// in seconds. Timing every a beside its own b cancels the drift of a
+// shared host — frequency, a neighbour's load — that a ratio of two
+// minimums taken at different moments keeps.
+func TimePaired(n int, a, b func()) (ratio, ref float64) {
+	tb, ratios := make([]float64, n), make([]float64, n)
+	for i := range ratios {
+		t0 := time.Now()
+		a()
+		t1 := time.Now()
+		b()
+		tb[i] = time.Since(t1).Seconds()
+		ratios[i] = t1.Sub(t0).Seconds() / tb[i]
+	}
+	return median(ratios), median(tb)
+}
+
+// median returns the middle element of v (the upper one of an even
+// count), sorting v in place.
+func median(v []float64) float64 {
+	slices.Sort(v)
+	return v[len(v)/2]
+}
+
+// relativePairs is the number of T(m), T(1) pairs behind each r(m).
+const relativePairs = 11
+
+// RelativeTimes measures r(m) = T(m)/T(1) for each m: the median ratio
+// over relativePairs multiplies with m vectors, each timed back to
+// back with a single-vector one (the specialized m=1 kernel). r(1) is
+// 1 by definition and is not measured.
 func RelativeTimes(a *bcrs.Matrix, ms []int) []float64 {
-	t1 := timeMultiplyStable(a, 1)
+	y1, x1 := operands(a, 1)
 	out := make([]float64, len(ms))
 	for i, m := range ms {
-		out[i] = timeMultiplyStable(a, m) / t1
+		if m == 1 {
+			out[i] = 1
+			continue
+		}
+		y, x := operands(a, m)
+		out[i], _ = TimePaired(relativePairs, func() { a.Mul(y, x) }, func() { a.Mul(y1, x1) })
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package perf
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/bcrs"
 )
@@ -44,9 +45,9 @@ func TestRelativeTimesShape(t *testing.T) {
 	if len(rs) != 3 {
 		t.Fatalf("len = %d", len(rs))
 	}
-	// r(1) measured against itself: close to 1 (allow timer noise).
-	if rs[0] < 0.3 || rs[0] > 3 {
-		t.Fatalf("r(1) = %v, want ~1", rs[0])
+	// r(1) is 1 by definition, not a measurement.
+	if rs[0] != 1 {
+		t.Fatalf("r(1) = %v, want 1", rs[0])
 	}
 	// Multiplying by 16 vectors must cost less than 16x one vector —
 	// the paper's core observation — and at least as much as doing
@@ -60,6 +61,28 @@ func TestRelativeTimesShape(t *testing.T) {
 	// fast path serving m >= 8.
 	if rs[2] <= 0.01 {
 		t.Fatalf("r(16) = %v implausibly small", rs[2])
+	}
+}
+
+// TestTimePairedMedians: the ratio is the median of the per-pair
+// ratios, not the ratio of the medians, and the reference's time is its
+// own median.
+func TestTimePairedMedians(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing test")
+	}
+	// Pair ratios 40/20, 10/10, 40/10: their median is 2, the ratio of
+	// the medians 4.
+	ta := []time.Duration{40, 10, 40}
+	tb := []time.Duration{20, 10, 10}
+	i, j := 0, 0
+	ratio, ref := TimePaired(3, func() { time.Sleep(ta[i] * time.Millisecond); i++ },
+		func() { time.Sleep(tb[j] * time.Millisecond); j++ })
+	if i != 3 || j != 3 {
+		t.Fatalf("ran a %d and b %d times, want 3 each", i, j)
+	}
+	if ratio < 1.5 || ratio > 3 || ref < 10e-3 || ref > 20e-3 {
+		t.Fatalf("TimePaired = %v, %v s; want ratio ~2, reference ~10 ms", ratio, ref)
 	}
 }
 

@@ -6,8 +6,8 @@ import "repro/internal/obs"
 // drain-rejected / canceled), batching effectiveness (batch-size
 // histogram, total RHS per dispatch — mean batch size m̄ is
 // serve_batch_rhs_total / serve_batches_total), and the latency split
-// between queueing and solving. These are the series the serve-bench
-// report and the smoke test read back.
+// between queueing and solving. These are the series bench/'s serve_*
+// workloads and the smoke test read back.
 var (
 	requests       = obs.Default.Counter("serve_requests_total")
 	traced         = obs.Default.Counter("serve_traced_total")

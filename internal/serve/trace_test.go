@@ -234,7 +234,7 @@ func TestServeTraceErrorResponsesEchoID(t *testing.T) {
 
 // TestServeTraceEngineSampling: engine-level Submit (no HTTP, no
 // ambient trace) starts and finishes its own sampled traces — how
-// serve-bench runs gain traces without an HTTP layer.
+// an in-process caller gains traces without an HTTP layer.
 func TestServeTraceEngineSampling(t *testing.T) {
 	tracer := obs.NewTracer(32, 4)
 	e := NewEngine(testMatrix(), Config{Tol: 1e-8, MaxIter: 500, Tracer: tracer, TraceSample: 2})

@@ -23,7 +23,7 @@
 #            it; the line names those packages after the reason
 #
 # Everything it builds and writes goes to .reach/, so no committed
-# artifact changes (serve-bench's -json included). Nothing here is
+# artifact changes. Nothing here is
 # timed: coverage counters slow every loop, so any figure the runs
 # print is discarded. Sizes are small; the census takes a couple of
 # minutes on two cores. Usage: bash scripts/reach.sh
@@ -197,12 +197,6 @@ post /v1/solve '{"seed":1,"omit_x":true}' 200
 post /v1/sdstep '{"seed":2,"dt":0.001,"omit":true}' 200
 post /v1/ensemble '{"members":4,"seed":1,"omit_x":true}' 200
 stop
-
-# --- serve-bench, single right-hand sides and ensembles --------------
-run "$bin/serve-bench" -nb 500 -load 0.5,4 -duration 300ms -baseline-solves 4 \
-	-json "$tmp/serve.json"
-run "$bin/serve-bench" -nb 500 -ensemble 1,4 -load 0.5 -duration 300ms \
-	-baseline-solves 4 -json "$tmp/ensemble.json"
 
 # --- the examples ----------------------------------------------------
 for e in "$bin"/example-*; do
