@@ -1,13 +1,12 @@
 // Command mrhs-sim runs a Stokesian dynamics simulation with either
-// the MRHS algorithm (Algorithm 2), the original algorithm
-// (Algorithm 1), or the dense-Cholesky baseline for small systems,
-// and prints the per-phase timing breakdown and iteration statistics.
+// the MRHS algorithm (Algorithm 2) or the original algorithm
+// (Algorithm 1), and prints the per-phase timing breakdown and
+// iteration statistics.
 //
 // Example:
 //
 //	mrhs-sim -n 3000 -phi 0.5 -alg mrhs -m 16 -steps 32
 //	mrhs-sim -n 3000 -phi 0.5 -alg original -steps 32
-//	mrhs-sim -n 200 -phi 0.3 -alg cholesky -steps 16
 //
 // With -chaos (or a custom -faults spec) the run executes on a
 // simulated cluster under an injected fault plan — dropped, delayed,
@@ -22,6 +21,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/bcrs"
@@ -39,10 +39,24 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "mrhs-sim:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command. It returns every failure instead of
+// exiting, so the deferred cleanup (the recovery checkpoint, the
+// trajectory and event files, the metrics listener) runs on every exit.
+func run(args []string, stdout io.Writer) (err error) {
+	// The set shadows the package so each declaration still reads
+	// flag.X("name", …), the form cmd/docs-gate checks documented
+	// flags against.
+	flag := flag.NewFlagSet("mrhs-sim", flag.ExitOnError)
 	var (
 		n       = flag.Int("n", 3000, "number of particles")
 		phi     = flag.Float64("phi", 0.5, "volume occupancy (0, 0.55]")
-		alg     = flag.String("alg", "mrhs", "algorithm: mrhs, original, cholesky")
+		alg     = flag.String("alg", "mrhs", "algorithm: mrhs, original")
 		m       = flag.Int("m", 16, "right-hand sides per MRHS chunk")
 		steps   = flag.Int("steps", 32, "time steps to simulate")
 		dt      = flag.Float64("dt", 2, "time step size")
@@ -63,15 +77,30 @@ func main() {
 		obsJSON     = flag.String("obs-json", "", "write an obs metrics snapshot (JSON) to this file after the run")
 		events      = flag.String("events", "", "write per-step structured events (JSONL) to this file")
 	)
-	flag.Parse()
+	flag.Parse(args)
+	printf := func(format string, a ...any) { fmt.Fprintf(stdout, format, a...) }
+
+	if *alg != "mrhs" && *alg != "original" {
+		return fmt.Errorf("unknown algorithm %q", *alg)
+	}
+	var pre func(*bcrs.Matrix) solver.Preconditioner
+	switch *precond {
+	case "ic0": // core's default
+	case "none":
+		pre = core.NoPrecond
+	case "jacobi":
+		pre = func(a *bcrs.Matrix) solver.Preconditioner { return solver.NewBlockJacobi(a) }
+	default:
+		return fmt.Errorf("unknown preconditioner %q", *precond)
+	}
 
 	if *metricsAddr != "" {
 		srv, err := obs.Serve(*metricsAddr, obs.Default)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		defer srv.Close()
-		fmt.Printf("metrics: serving on http://%s/metrics\n", srv.Addr())
+		printf("metrics: serving on http://%s/metrics\n", srv.Addr())
 	}
 
 	var sys *particles.System
@@ -79,32 +108,23 @@ func main() {
 	if *resume != "" {
 		st, err := checkpoint.LoadFile(*resume)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		sys = st.System()
 		startStep, guessErr = st.Step, st.GuessErr
 		*seed = st.Seed
 		*phi = sys.Phi
-		fmt.Printf("resumed from %s at step %d\n", *resume, startStep)
+		printf("resumed from %s at step %d\n", *resume, startStep)
 	} else {
 		var err error
 		sys, err = particles.New(particles.Options{N: *n, Phi: *phi, Seed: *seed})
 		if err != nil {
-			fail(err)
+			return err
 		}
 	}
-	fmt.Printf("system: %d particles, phi=%.2f, box=%.1f A\n", sys.N, sys.VolumeFraction(), sys.Box)
+	printf("system: %d particles, phi=%.2f, box=%.1f A\n", sys.N, sys.VolumeFraction(), sys.Box)
 
-	cfg := core.Config{Dt: *dt, M: *m, Seed: *seed, Tol: *tol}
-	switch *precond {
-	case "ic0": // core's default
-	case "none":
-		cfg.Precond = core.NoPrecond
-	case "jacobi":
-		cfg.Precond = func(a *bcrs.Matrix) solver.Preconditioner { return solver.NewBlockJacobi(a) }
-	default:
-		fail(fmt.Errorf("unknown preconditioner %q", *precond))
-	}
+	cfg := core.Config{Dt: *dt, M: *m, Seed: *seed, Tol: *tol, Precond: pre}
 	hopt := hydro.Options{Phi: *phi}
 
 	// Fault injection: -chaos selects the preset plan, -faults any
@@ -116,12 +136,9 @@ func main() {
 	}
 	var inj *faults.Injector
 	if spec != "" {
-		if *alg == "cholesky" {
-			fail(fmt.Errorf("-faults/-chaos require -alg mrhs or original (cholesky has no distributed transport)"))
-		}
 		plan, err := faults.Parse(spec)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		inj = plan.NewInjector(*seed)
 		if *nodes == 0 {
@@ -131,7 +148,7 @@ func main() {
 		if path == "" {
 			f, err := os.CreateTemp("", "mrhs-recover-*.ckpt")
 			if err != nil {
-				fail(err)
+				return err
 			}
 			path = f.Name()
 			f.Close()
@@ -141,109 +158,101 @@ func main() {
 			MaxRetries:  5,
 			Snapshotter: sd.FileSnapshotter(path, hopt, *threads, *seed),
 		}
-		fmt.Printf("faults: plan %q armed on %d nodes (recovery checkpoint %s)\n", plan, *nodes, path)
+		printf("faults: plan %q armed on %d nodes (recovery checkpoint %s)\n", plan, *nodes, path)
 	}
 
-	switch *alg {
-	case "cholesky":
-		r := sd.NewCholeskyRunner(sd.NewConf(sys, hopt, *threads), cfg)
-		if err := r.Run(*steps); err != nil {
-			fail(err)
+	var sim *sd.Simulation
+	if *nodes > 0 {
+		sim = sd.NewDistributedOpts(sys, hopt, cfg, sd.DistOptions{
+			P: *nodes, Threads: *threads, Faults: inj, Retry: cluster.Backoff{Seed: *seed},
+		})
+	} else {
+		sim = sd.New(sys, hopt, cfg, *threads)
+	}
+	sim.SkipTo(startStep)
+	sim.SetGuessErr(guessErr)
+	if *events != "" {
+		// openErr, not err: keep must see the named result.
+		f, openErr := os.Create(*events)
+		if openErr != nil {
+			return openErr
 		}
-		fmt.Printf("cholesky: %d steps, factor %.3fs force %.3fs solve %.3fs refine %.3fs (%d refine sweeps)\n",
-			r.Steps, r.FactorTime.Seconds(), r.ForceTime.Seconds(),
-			r.SolveTime.Seconds(), r.RefineTime.Seconds(), r.RefineIters)
-	case "mrhs", "original":
-		var sim *sd.Simulation
-		if *nodes > 0 {
-			sim = sd.NewDistributedOpts(sys, hopt, cfg, sd.DistOptions{
-				P: *nodes, Threads: *threads, Faults: inj, Retry: cluster.Backoff{Seed: *seed},
-			})
-		} else {
-			sim = sd.New(sys, hopt, cfg, *threads)
-		}
-		sim.SkipTo(startStep)
-		sim.SetGuessErr(guessErr)
-		if *events != "" {
-			f, err := os.Create(*events)
-			if err != nil {
-				fail(err)
-			}
-			el := obs.NewEventLog(f)
-			defer el.Close()
-			sim.Events = el
-			if inj != nil {
-				inj.Events = el
-			}
-		}
-		if *xyz != "" {
-			f, err := os.Create(*xyz)
-			if err != nil {
-				fail(err)
-			}
-			defer f.Close()
-			tw := trajio.NewWriter(f)
-			defer tw.Flush()
-			sim.OnStep = func(step int, u []float64, dt float64) {
-				// Positions reflect the state *before* this step's
-				// displacement; frames trail by one step, which is
-				// immaterial for visualization.
-				if err := tw.WriteFrame(sim.System(), fmt.Sprintf("step %d t=%g", step, float64(step)*dt)); err != nil {
-					fail(err)
-				}
-			}
-		}
-		_, nb, nnz, nnzb, bpr := sim.MatrixStats()
-		fmt.Printf("matrix: nb=%d nnz=%d nnzb=%d nnzb/nb=%.1f\n", nb, nnz, nnzb, bpr)
-		var err error
-		if *alg == "mrhs" {
-			err = sim.RunMRHS(*steps)
-		} else {
-			err = sim.RunOriginal(*steps)
-		}
-		if err != nil {
-			fail(err)
-		}
-		rep := sim.Report()
-		fmt.Printf("\nper-step timing (s):\n")
-		for _, k := range core.PhaseOrder {
-			fmt.Printf("  %-14s %.5f\n", k, rep.PerStep[k])
-		}
-		fmt.Printf("\nmean iterations: first solve %.1f, second solve %.1f\n",
-			rep.MeanFirstIters, rep.MeanSecondIters)
-		// The checksum hashes the exact position bits: two runs agree
-		// iff their trajectories are bitwise identical, which is how
-		// chaos runs are validated against fault-free ones (use the
-		// same -seed and -nodes).
-		fmt.Printf("trajectory checksum: %016x\n", sim.System().Checksum())
+		el := obs.NewEventLog(f)
+		defer keep(&err, el.Close)
+		sim.Events = el
 		if inj != nil {
-			reportFaults(inj)
+			inj.Events = el
 		}
-		if *ckpt != "" {
-			st := checkpoint.FromSystem(sim.System(), sim.StepIndex(), *seed)
-			st.GuessErr = sim.GuessErr()
-			if err := checkpoint.SaveFile(*ckpt, st); err != nil {
-				fail(err)
+	}
+	var frameErr error
+	if *xyz != "" {
+		f, openErr := os.Create(*xyz)
+		if openErr != nil {
+			return openErr
+		}
+		defer keep(&err, f.Close)
+		tw := trajio.NewWriter(f)
+		defer keep(&err, tw.Flush)
+		sim.OnStep = func(step int, u []float64, dt float64) {
+			// Positions reflect the state *before* this step's
+			// displacement; frames trail by one step, which is
+			// immaterial for visualization. The first failed frame
+			// fails the run once it returns.
+			if frameErr == nil {
+				frameErr = tw.WriteFrame(sim.System(), fmt.Sprintf("step %d t=%g", step, float64(step)*dt))
 			}
-			fmt.Printf("checkpoint written to %s (step %d)\n", *ckpt, st.Step)
 		}
-	default:
-		fail(fmt.Errorf("unknown algorithm %q", *alg))
+	}
+	_, nb, nnz, nnzb, bpr := sim.MatrixStats()
+	printf("matrix: nb=%d nnz=%d nnzb=%d nnzb/nb=%.1f\n", nb, nnz, nnzb, bpr)
+	if *alg == "mrhs" {
+		err = sim.RunMRHS(*steps)
+	} else {
+		err = sim.RunOriginal(*steps)
+	}
+	if err == nil {
+		err = frameErr
+	}
+	if err != nil {
+		return err
+	}
+	rep := sim.Report()
+	printf("\nper-step timing (s):\n")
+	for _, k := range core.PhaseOrder {
+		printf("  %-14s %.5f\n", k, rep.PerStep[k])
+	}
+	printf("\nmean iterations: first solve %.1f, second solve %.1f\n",
+		rep.MeanFirstIters, rep.MeanSecondIters)
+	// The checksum hashes the exact position bits: two runs agree
+	// iff their trajectories are bitwise identical, which is how
+	// chaos runs are validated against fault-free ones (use the
+	// same -seed and -nodes).
+	printf("trajectory checksum: %016x\n", sim.System().Checksum())
+	if inj != nil {
+		reportFaults(stdout, inj)
+	}
+	if *ckpt != "" {
+		st := checkpoint.FromSystem(sim.System(), sim.StepIndex(), *seed)
+		st.GuessErr = sim.GuessErr()
+		if err := checkpoint.SaveFile(*ckpt, st); err != nil {
+			return err
+		}
+		printf("checkpoint written to %s (step %d)\n", *ckpt, st.Step)
 	}
 
 	if rep := perf.KernelObsReport(nil); len(rep) > 0 {
-		fmt.Printf("\nkernel counters (bcrs_mul, per m):\n")
-		fmt.Printf("  %4s %8s %10s %8s %9s %6s\n", "m", "calls", "secs", "GB/s", "Gflop/s", "r(m)")
+		printf("\nkernel counters (bcrs_mul, per m):\n")
+		printf("  %4s %8s %10s %8s %9s %6s\n", "m", "calls", "secs", "GB/s", "Gflop/s", "r(m)")
 		for _, k := range rep {
-			fmt.Printf("  %4d %8d %10.4f %8.2f %9.2f %6.2f\n",
+			printf("  %4d %8d %10.4f %8.2f %9.2f %6.2f\n",
 				k.M, k.Calls, k.Secs, k.GBps, k.Gflops, k.R)
 		}
 	}
 	if *obsJSON != "" {
 		if err := obs.Default.Snapshot().SaveFile(*obsJSON); err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Printf("obs snapshot written to %s\n", *obsJSON)
+		printf("obs snapshot written to %s\n", *obsJSON)
 	}
 	// Defensive backstop: solver non-convergence surfaces as an error
 	// from the run (handled above), but if any failure counter ticked
@@ -255,23 +264,33 @@ func main() {
 		}
 	}
 	if failures > 0 {
-		fail(fmt.Errorf("%d solver non-convergence event(s) recorded", failures))
+		return fmt.Errorf("%d solver non-convergence event(s) recorded", failures)
+	}
+	return nil
+}
+
+// keep runs a deferred flush or close and keeps its error when the run
+// has none, so a file left short on disk fails the run.
+func keep(err *error, close func() error) {
+	if cerr := close(); *err == nil {
+		*err = cerr
 	}
 }
 
 // reportFaults prints the chaos ledger: what the plan injected, what
 // the transport detected, and how often recovery replayed.
-func reportFaults(inj *faults.Injector) {
-	fmt.Printf("\nfault ledger:\n  injected:")
+func reportFaults(stdout io.Writer, inj *faults.Injector) {
+	printf := func(format string, a ...any) { fmt.Fprintf(stdout, format, a...) }
+	printf("\nfault ledger:\n  injected:")
 	for k := faults.Drop; k <= faults.Crash; k++ {
 		if v := inj.Injected(k); v > 0 {
-			fmt.Printf(" %s=%d", k, v)
+			printf(" %s=%d", k, v)
 		}
 	}
 	if inj.InjectedTotal() == 0 {
-		fmt.Printf(" none")
+		printf(" none")
 	}
-	fmt.Println()
+	printf("\n")
 	snap := obs.Default.Snapshot()
 	var detected, recovered int64
 	for name, v := range snap.Counters {
@@ -284,10 +303,5 @@ func reportFaults(inj *faults.Injector) {
 			recovered += v
 		}
 	}
-	fmt.Printf("  detected by transport: %d events\n  recoveries (checkpoint replays): %d\n", detected, recovered)
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "mrhs-sim:", err)
-	os.Exit(1)
+	printf("  detected by transport: %d events\n  recoveries (checkpoint replays): %d\n", detected, recovered)
 }

@@ -4,13 +4,11 @@
 // 3x3 block/vector helpers for the hydrodynamic tensors.
 //
 // The package is deliberately dependency-free and unoptimized relative
-// to the sparse kernels in internal/bcrs: it serves three roles.
-// First, it supplies the m-by-m "small solves" inside the block
-// conjugate-gradient method (internal/solver). Second, it provides the
-// dense Cholesky path the paper uses for small Stokesian-dynamics
-// systems (Section II-C). Third, it is an independent oracle for
-// property tests: sparse results are compared against dense reference
-// computations built from these routines.
+// to the sparse kernels in internal/bcrs: it serves two roles. First,
+// it supplies the m-by-m "small solves" inside the block
+// conjugate-gradient method (internal/solver). Second, it is an
+// independent oracle for property tests: sparse results are compared
+// against dense reference computations built from these routines.
 package blas
 
 import "math"

@@ -12,12 +12,9 @@ var ErrNotPositiveDefinite = errors.New("blas: matrix is not positive definite")
 
 // Cholesky computes the lower-triangular factor L with A = L*L^T for a
 // symmetric positive definite matrix A. Only the lower triangle of A
-// is read. The returned matrix has zeros above the diagonal.
-//
-// The paper's baseline Stokesian-dynamics implementation for small
-// systems computes the Brownian force as L*z using exactly this factor
-// (Section II-C), and reuses the factor for the two linear solves of
-// each time step.
+// is read. The returned matrix has zeros above the diagonal. It is a
+// dense reference: tests whiten forces and invert the far-field
+// mobility of the full SD matrix (hydro.BuildFull) with it.
 func Cholesky(a *Dense) (*Dense, error) {
 	if a.Rows != a.Cols {
 		return nil, errors.New("blas: Cholesky requires a square matrix")
@@ -71,23 +68,5 @@ func CholeskySolve(l *Dense, x, b []float64) {
 			s -= l.At(k, i) * x[k]
 		}
 		x[i] = s / l.At(i, i)
-	}
-}
-
-// LowerMatVec computes y = L*z for a lower-triangular matrix L. This
-// is the correlated-noise product f = L*z used by the Cholesky-based
-// Brownian force. y must not alias z.
-func LowerMatVec(l *Dense, y, z []float64) {
-	n := l.Rows
-	if len(y) != n || len(z) != n {
-		panic("blas: LowerMatVec dimension mismatch")
-	}
-	for i := 0; i < n; i++ {
-		row := l.Row(i)
-		var s float64
-		for k := 0; k <= i; k++ {
-			s += row[k] * z[k]
-		}
-		y[i] = s
 	}
 }

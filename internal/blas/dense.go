@@ -6,9 +6,7 @@ import (
 )
 
 // Dense is a small row-major dense matrix. It is used for reference
-// computations in tests, for the m-by-m systems inside block CG, and
-// for the dense Cholesky path used on small Stokesian-dynamics
-// problems.
+// computations in tests and for the m-by-m systems inside block CG.
 type Dense struct {
 	Rows, Cols int
 	// Data holds the entries row-major: element (i,j) is

@@ -175,32 +175,6 @@ func TestCholeskySolve(t *testing.T) {
 	}
 }
 
-func TestLowerMatVecCovariance(t *testing.T) {
-	// f = L*z must reproduce A*e_i columns when z is a basis vector.
-	rng := rand.New(rand.NewSource(7))
-	a := randSPD(rng, 5)
-	l, err := Cholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// (L e_i) . (L e_j) must equal (L L^T)_{ij}? No: that's rows.
-	// Verify directly: L*z against dense multiply by the lower
-	// triangle.
-	z := make([]float64, 5)
-	for i := range z {
-		z[i] = rng.NormFloat64()
-	}
-	y := make([]float64, 5)
-	LowerMatVec(l, y, z)
-	ref := make([]float64, 5)
-	l.MatVec(ref, z)
-	for i := range y {
-		if !almostEqual(y[i], ref[i], 1e-12) {
-			t.Fatal("LowerMatVec disagrees with dense MatVec")
-		}
-	}
-}
-
 func TestLUSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for n := 1; n <= 16; n++ {
@@ -209,21 +183,20 @@ func TestLUSolve(t *testing.T) {
 		for i := 0; i < n; i++ {
 			a.Add(i, i, float64(2*n))
 		}
-		f, err := LUFactor(a)
-		if err != nil {
+		var f LU
+		if err := f.Factor(a); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		want := make([]float64, n)
-		for i := range want {
-			want[i] = rng.NormFloat64()
+		want := NewDense(n, 1)
+		for i := range want.Data {
+			want.Data[i] = rng.NormFloat64()
 		}
-		b := make([]float64, n)
-		a.MatVec(b, want)
-		x := make([]float64, n)
-		f.Solve(x, b)
-		for i := range x {
-			if !almostEqual(x[i], want[i], 1e-9) {
-				t.Fatalf("n=%d: x[%d]=%v want %v", n, i, x[i], want[i])
+		b := a.Mul(want)
+		x := NewDense(n, 1)
+		f.SolveMatrixInto(x, b)
+		for i := range x.Data {
+			if !almostEqual(x.Data[i], want.Data[i], 1e-9) {
+				t.Fatalf("n=%d: x[%d]=%v want %v", n, i, x.Data[i], want.Data[i])
 			}
 		}
 	}
@@ -232,7 +205,8 @@ func TestLUSolve(t *testing.T) {
 func TestLUSingular(t *testing.T) {
 	a := NewDense(2, 2)
 	copy(a.Data, []float64{1, 2, 2, 4})
-	if _, err := LUFactor(a); err != ErrSingular {
+	var f LU
+	if err := f.Factor(a); err != ErrSingular {
 		t.Fatalf("want ErrSingular, got %v", err)
 	}
 }
@@ -241,8 +215,8 @@ func TestLUSolveMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	n, m := 6, 3
 	a := randSPD(rng, n)
-	f, err := LUFactor(a)
-	if err != nil {
+	var f LU
+	if err := f.Factor(a); err != nil {
 		t.Fatal(err)
 	}
 	want := randDense(rng, n, m)
@@ -259,15 +233,15 @@ func TestLUSolveMatrix(t *testing.T) {
 // A reused factorization must forget the matrix (and the pivoting,
 // and the failure) it held before, and refactoring at the same size
 // must not allocate: block CG does it twice per iteration.
-func TestLUFactorReusesStorage(t *testing.T) {
+func TestLURefactorReusesStorage(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	const n = 5
 	pivoting := randDense(rng, n, n) // needs row swaps, so piv changes
 	singular := NewDense(n, n)
 	b := randDense(rng, n, 3)
 	a := randSPD(rng, n)
-	want, err := LUFactor(a)
-	if err != nil {
+	var want LU
+	if err := want.Factor(a); err != nil {
 		t.Fatal(err)
 	}
 

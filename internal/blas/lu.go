@@ -20,16 +20,6 @@ type LU struct {
 	work []float64 // SolveMatrixInto's column scratch, 2n
 }
 
-// LUFactor computes the factorization of a square matrix A with
-// partial pivoting. A is not modified.
-func LUFactor(a *Dense) (*LU, error) {
-	f := new(LU)
-	if err := f.Factor(a); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
 // Factor recomputes f as the factorization of the square matrix A,
 // reusing f's storage when A is no larger than any matrix it factored
 // before — the block-CG iteration factors m-by-m and, once it drops a
@@ -37,7 +27,7 @@ func LUFactor(a *Dense) (*LU, error) {
 // A is not modified. After an error f holds no usable factorization.
 func (f *LU) Factor(a *Dense) error {
 	if a.Rows != a.Cols {
-		return errors.New("blas: LUFactor requires a square matrix")
+		return errors.New("blas: LU.Factor requires a square matrix")
 	}
 	n := a.Rows
 	if f.lu == nil || cap(f.piv) < n {
@@ -83,17 +73,10 @@ func (f *LU) Factor(a *Dense) error {
 	return nil
 }
 
-// Solve solves A*x = b, writing the solution to x. b and x may alias.
-func (f *LU) Solve(x, b []float64) {
-	f.solve(x, b, make([]float64, f.n))
-}
-
-// solve is Solve with caller-supplied scratch y of length n.
+// solve solves A*x = b into x with caller-supplied scratch y of
+// length n. b and x may alias.
 func (f *LU) solve(x, b, y []float64) {
 	n := f.n
-	if len(x) != n || len(b) != n {
-		panic("blas: LU Solve dimension mismatch")
-	}
 	// Apply permutation into a scratch copy of b, then substitute.
 	for i := 0; i < n; i++ {
 		y[i] = b[f.piv[i]]
@@ -121,7 +104,7 @@ func (f *LU) solve(x, b, y []float64) {
 
 // SolveMatrixInto solves A*X = B column by column into x, which must
 // have B's shape, without allocating. It uses scratch owned by f, so
-// unlike Solve it must not run concurrently on one factorization.
+// it must not run concurrently on one factorization.
 func (f *LU) SolveMatrixInto(x, b *Dense) {
 	if b.Rows != f.n || x.Rows != b.Rows || x.Cols != b.Cols {
 		panic("blas: LU SolveMatrix dimension mismatch")

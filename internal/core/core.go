@@ -80,8 +80,6 @@ type Config struct {
 	// the CG that finishes that column is the chunk's, not the hook's.
 	// The matrix is valid for the call only: the stepper recycles it
 	// after.
-	// This hook is how Krylov recycling, Section III's second
-	// technique, plugs into the same time-stepping loop for comparison.
 	FirstSolve SolveFunc
 	// Distribute, if non-nil, wraps each assembled matrix into the
 	// operator used for every multiply of the step — CG, block CG,

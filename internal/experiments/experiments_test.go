@@ -248,13 +248,13 @@ func TestExtTechniques(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := tabs[0].Rows
-	if len(rows) != 5 {
+	if len(rows) != 4 {
 		t.Fatalf("techniques rows %d", len(rows))
 	}
 	cold, _ := strconv.ParseFloat(rows[0][1], 64)
 	ic, _ := strconv.ParseFloat(rows[1][1], 64)
-	mrhs, _ := strconv.ParseFloat(rows[3][1], 64)
-	both, _ := strconv.ParseFloat(rows[4][1], 64)
+	mrhs, _ := strconv.ParseFloat(rows[2][1], 64)
+	both, _ := strconv.ParseFloat(rows[3][1], 64)
 	if !(ic < cold && mrhs < cold && both < mrhs) {
 		t.Fatalf("techniques did not beat cold: cold=%v ic=%v mrhs=%v mrhs+ic=%v", cold, ic, mrhs, both)
 	}

@@ -10,16 +10,16 @@ import (
 
 func init() {
 	register("ext-techniques",
-		"EXTENSION: Section III technique comparison — cold CG, reused IC(0), Krylov recycling, MRHS guesses",
+		"EXTENSION: Section III technique comparison — cold CG, reused IC(0), MRHS guesses",
 		extTechniques)
 }
 
-// extTechniques compares the techniques the paper lists for sequences
-// of slowly varying systems (Section III) and the paper's MRHS guesses
-// on identical SD trajectories, in iterations and in time: a technique
-// that buys iterations with a costlier iteration shows in the ms
-// column. The reused preconditioner is the stepper's Config.Precond
-// window; recycling plugs in through Config.FirstSolve.
+// extTechniques compares preconditioner reuse, the first technique the
+// paper lists for sequences of slowly varying systems (Section III),
+// with the paper's MRHS guesses on identical SD trajectories, in
+// iterations and in time: a technique that buys iterations with a
+// costlier iteration shows in the ms column. The reused preconditioner
+// is the stepper's Config.Precond window.
 func extTechniques(cfg Config) ([]*Table, error) {
 	// window is the chunk size under MRHS and the lifetime in steps of a
 	// reused factor under either algorithm.
@@ -27,32 +27,15 @@ func extTechniques(cfg Config) ([]*Table, error) {
 	n := cfg.SizeMedium
 	steps := cfg.Steps
 
-	// Krylov recycling: deflate with the most recent solutions.
-	var history [][]float64
-	recSolve := func(a *bcrs.Matrix, x, b []float64, opt solver.Options) solver.Stats {
-		var d *solver.Deflation
-		if len(history) > 0 {
-			d, _ = solver.NewDeflation(a, history)
-		}
-		st := solver.RecycledCG(a, x, b, d, opt)
-		history = append(history, append([]float64(nil), x...))
-		if len(history) > 4 {
-			history = history[1:]
-		}
-		return st
-	}
-
 	variants := []struct {
 		name    string
 		mrhs    bool
 		precond func(*bcrs.Matrix) solver.Preconditioner // nil: the default, IC(0)
-		solve   core.SolveFunc
 	}{
-		{"cold CG (baseline)", false, core.NoPrecond, nil},
-		{"reused IC(0), window 8, direct velocity", false, nil, nil},
-		{"Krylov recycling (k<=4)", false, core.NoPrecond, recSolve},
-		{"MRHS guesses (m=8)", true, core.NoPrecond, nil},
-		{"MRHS + IC(0) (m=8): the default", true, nil, nil},
+		{"cold CG (baseline)", false, core.NoPrecond},
+		{"reused IC(0), window 8, direct velocity", false, nil},
+		{"MRHS guesses (m=8)", true, core.NoPrecond},
+		{"MRHS + IC(0) (m=8): the default", true, nil},
 	}
 
 	t := &Table{
@@ -68,7 +51,7 @@ func extTechniques(cfg Config) ([]*Table, error) {
 		// Install the technique on a fresh runner over the same
 		// starting configuration.
 		c := sim.Cfg()
-		c.Precond, c.FirstSolve = v.precond, v.solve
+		c.Precond = v.precond
 		runner := core.NewRunner(sim.Current(), c)
 		if v.mrhs {
 			err = runner.RunMRHS(steps)
@@ -99,7 +82,6 @@ func extTechniques(cfg Config) ([]*Table, error) {
 			fmt.Sprintf("%.1f", float64(second)/float64(len(runner.Records))),
 			fmt.Sprintf("%.2f", ms), fmt.Sprintf("%.0f%%", 100*ms/coldMS),
 		})
-		history = nil
 	}
 	t.Notes = append(t.Notes,
 		"all variants run the same noise; 1st iters is the mean over the steps that ran a first solve, ms/step the five solver phases of Tables VI/VII (factorisations included, matrix construction excluded)",

@@ -334,14 +334,6 @@ func setMulAddRange(v, r, p *MultiVec, b *blas.Dense, lo, hi int) {
 	}
 }
 
-// Gram returns the small x.M-by-y.M matrix X^T * Y. The inputs must
-// have the same row count.
-func Gram(x, y *MultiVec) *blas.Dense {
-	g := blas.NewDense(x.M, y.M)
-	GramInto(g, x, y)
-	return g
-}
-
 // GramInto computes g = X^T * Y without allocating, so block-CG can
 // reuse one scratch matrix across iterations. g must be x.M-by-y.M
 // and is overwritten. The reduction is blocked over fixed row chunks

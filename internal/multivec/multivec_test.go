@@ -115,6 +115,13 @@ func denseOf(v *MultiVec) *blas.Dense {
 	return d
 }
 
+// gram returns X^T * Y in a fresh matrix.
+func gram(x, y *MultiVec) *blas.Dense {
+	g := blas.NewDense(x.M, y.M)
+	GramInto(g, x, y)
+	return g
+}
+
 func TestGramMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 20; trial++ {
@@ -123,7 +130,7 @@ func TestGramMatchesDense(t *testing.T) {
 		my := 1 + rng.Intn(5)
 		x := randMV(rng, n, mx)
 		y := randMV(rng, n, my)
-		g := Gram(x, y)
+		g := gram(x, y)
 		ref := denseOf(x).Transpose().Mul(denseOf(y))
 		for i := range g.Data {
 			if !almostEqual(g.Data[i], ref.Data[i], 1e-12) {
@@ -194,13 +201,13 @@ func TestColNorms(t *testing.T) {
 }
 
 func TestGramSymmetricProperty(t *testing.T) {
-	// Gram(x, x) must be symmetric positive semidefinite.
+	// X^T X must be symmetric positive semidefinite.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(30)
 		m := 1 + rng.Intn(6)
 		x := randMV(rng, n, m)
-		g := Gram(x, x)
+		g := gram(x, x)
 		if !g.IsSymmetric(1e-10) {
 			return false
 		}
@@ -223,7 +230,7 @@ func TestDimensionMismatchPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"Sub":      func() { v.Sub(v, w) },
 		"CopyFrom": func() { v.CopyFrom(w) },
-		"Gram":     func() { Gram(v, w) },
+		"Gram":     func() { GramInto(blas.NewDense(2, 2), v, w) },
 		"Col":      func() { v.Col(0, make([]float64, 2)) },
 		"SetCol":   func() { v.SetCol(5, make([]float64, 3)) },
 	} {

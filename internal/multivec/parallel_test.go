@@ -91,15 +91,15 @@ func TestGramParallelDeterministicAndAccurate(t *testing.T) {
 		x := fillMV(n, m, seed)
 		y := fillMV(n, m, seed+1)
 		var serial *blas.Dense
-		withThreads(t, 1, func() { serial = Gram(x, y) })
+		withThreads(t, 1, func() { serial = gram(x, y) })
 
 		withThreads(t, 4, func() {
 			if !parallel.Default().Parallel(n, 1) {
 				t.Fatal("pool unexpectedly serial")
 			}
-			first := Gram(x, y)
+			first := gram(x, y)
 			for rep := 0; rep < 10; rep++ {
-				g := Gram(x, y)
+				g := gram(x, y)
 				for i := range g.Data {
 					if g.Data[i] != first.Data[i] {
 						t.Fatalf("m=%d rep %d: Gram element %d not bitwise stable", m, rep, i)
@@ -147,11 +147,14 @@ func TestIntoVariantsMatchAllocatingOnes(t *testing.T) {
 	y := fillMV(n, m, seed+1)
 
 	g := blas.NewDense(m, m)
+	for i := range g.Data {
+		g.Data[i] = math.NaN() // stale scratch
+	}
 	GramInto(g, x, y)
-	want := Gram(x, y)
+	want := gram(x, y)
 	for i := range want.Data {
 		if g.Data[i] != want.Data[i] {
-			t.Fatalf("GramInto element %d = %x, Gram %x", i, g.Data[i], want.Data[i])
+			t.Fatalf("GramInto element %d = %x, into a fresh matrix %x", i, g.Data[i], want.Data[i])
 		}
 	}
 	// GramInto must overwrite, not accumulate.

@@ -131,13 +131,3 @@ func (s *Stream) FillNormal(x []float64) {
 		x[i] = s.Normal()
 	}
 }
-
-// NormalVector returns a fresh slice of n standard normal deviates
-// drawn from the substream (seed, id). This is how the simulation
-// obtains z_k: id is the time-step index, so the vector depends only
-// on (seed, k).
-func NormalVector(seed, id uint64, n int) []float64 {
-	x := make([]float64, n)
-	Substream(seed, id).FillNormal(x)
-	return x
-}

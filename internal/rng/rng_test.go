@@ -46,15 +46,23 @@ func TestSubstreamIndependence(t *testing.T) {
 	}
 }
 
+// normals returns n standard normal deviates from the substream
+// (seed, id): the simulation's z_k, with id the step index k.
+func normals(seed, id uint64, n int) []float64 {
+	x := make([]float64, n)
+	Substream(seed, id).FillNormal(x)
+	return x
+}
+
 func TestSubstreamReproducible(t *testing.T) {
-	x := NormalVector(99, 5, 16)
-	y := NormalVector(99, 5, 16)
+	x := normals(99, 5, 16)
+	y := normals(99, 5, 16)
 	for i := range x {
 		if x[i] != y[i] {
-			t.Fatal("NormalVector not reproducible")
+			t.Fatal("substream normals not reproducible")
 		}
 	}
-	z := NormalVector(99, 6, 16)
+	z := normals(99, 6, 16)
 	diff := false
 	for i := range x {
 		if x[i] != z[i] {
@@ -199,8 +207,8 @@ func TestNormalVectorCrossStepDecorrelation(t *testing.T) {
 	// Consecutive step vectors should have near-zero sample
 	// correlation.
 	n := 10000
-	x := NormalVector(11, 1, n)
-	y := NormalVector(11, 2, n)
+	x := normals(11, 1, n)
+	y := normals(11, 2, n)
 	var dot float64
 	for i := range x {
 		dot += x[i] * y[i]

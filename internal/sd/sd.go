@@ -3,11 +3,6 @@
 // resistance matrices R = muF*I + Rlub from internal/hydro, Brownian
 // forces via the Chebyshev square root, and the explicit midpoint
 // integrator.
-//
-// It also provides the paper's small-system baseline (Section II-C):
-// a dense Cholesky factorization per step, reused for the Brownian
-// force, the first solve, and — via iterative refinement — the second
-// solve.
 package sd
 
 import (

@@ -271,34 +271,6 @@ func TestOnStepObserver(t *testing.T) {
 	}
 }
 
-func TestCholeskyRunner(t *testing.T) {
-	sys, err := particles.New(particles.Options{N: 25, Phi: 0.35, Seed: 31})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewCholeskyRunner(NewConf(sys, hydro.Options{Phi: 0.35}, 1), core.Config{Dt: 2, Seed: 31})
-	if err := r.Run(3); err != nil {
-		t.Fatal(err)
-	}
-	if r.Steps != 3 {
-		t.Fatalf("steps %d", r.Steps)
-	}
-	// Refinement with the stale factor should converge in a handful
-	// of sweeps per step.
-	if r.RefineIters > 3*20 {
-		t.Fatalf("refinement too slow: %d sweeps over 3 steps", r.RefineIters)
-	}
-	moved := false
-	for i := range sys.Pos {
-		if r.cur.Sys.Pos[i] != sys.Pos[i] {
-			moved = true
-		}
-	}
-	if !moved {
-		t.Fatal("Cholesky runner did not move particles")
-	}
-}
-
 func TestIterationsGrowWithOccupancy(t *testing.T) {
 	// Table V: higher volume occupancy -> worse conditioning -> more
 	// iterations, of the paper's unpreconditioned first solves.
@@ -516,7 +488,6 @@ func TestNonFinitePositionFailsTheStep(t *testing.T) {
 	steppers := map[string]func(core.Configuration) error{
 		"original": func(c core.Configuration) error { return core.NewRunner(c, cfg).RunOriginal(2) },
 		"mrhs":     func(c core.Configuration) error { return core.NewRunner(c, cfg).RunMRHS(4) },
-		"cholesky": func(c core.Configuration) error { return NewCholeskyRunner(c.(*Conf), cfg).Run(2) },
 	}
 	for name, run := range steppers {
 		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e300} {
@@ -532,10 +503,8 @@ func TestNonFinitePositionFailsTheStep(t *testing.T) {
 			}
 		}
 		// The midpoint matrix meets no bracket: the second solve refuses it.
-		if name != "cholesky" {
-			if err := run(overflowing{conf()}); err == nil || !strings.Contains(err.Error(), "step 0 second solve") {
-				t.Errorf("%s, a displacement that overflows: %v", name, err)
-			}
+		if err := run(overflowing{conf()}); err == nil || !strings.Contains(err.Error(), "step 0 second solve") {
+			t.Errorf("%s, a displacement that overflows: %v", name, err)
 		}
 	}
 }

@@ -249,6 +249,7 @@ func TestServeGracefulDrain(t *testing.T) {
 	const nreq = 6
 	results := make([]Result, nreq)
 	errs := make([]error, nreq)
+	base := requests.Value()
 	var wg sync.WaitGroup
 	for i := 0; i < nreq; i++ {
 		wg.Add(1)
@@ -257,8 +258,13 @@ func TestServeGracefulDrain(t *testing.T) {
 			results[i], errs[i] = e.Submit(context.Background(), Req{B: testRHS(n, uint64(i))})
 		}(i)
 	}
-	// Give the submitters time to enqueue, then drain under them.
-	time.Sleep(5 * time.Millisecond)
+	// Submit counts a request only once it is past the draining check,
+	// so when all six are counted each is in flight: drain under them.
+	for deadline := time.Now().Add(10 * time.Second); requests.Value()-base < nreq; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d submitters admitted after 10 s", requests.Value()-base, nreq)
+		}
+	}
 	if err := e.Close(context.Background()); err != nil {
 		t.Fatalf("Close: %v", err)
 	}

@@ -2,10 +2,8 @@
 // dynamics time step: conjugate gradients (with initial guesses —
 // the mechanism the MRHS algorithm feeds), the block conjugate
 // gradient method of O'Leary, made breakdown-free by a rank test, for
-// the augmented multiple-right-hand-side systems, Cholesky-based
-// direct solution with iterative refinement for small systems (the
-// paper's Section II-C baseline),
-// and two preconditioners: block Jacobi, and the block incomplete
+// the augmented multiple-right-hand-side systems, and two
+// preconditioners: block Jacobi, and the block incomplete
 // Cholesky factor IC0 that the SD stepper reuses for every solve of a
 // window of time steps (the first technique of the paper's Section
 // III). IC0 keeps its factor in flat bcrs-style arrays, so Apply is two

@@ -404,114 +404,3 @@ func TestIC0DoesNotAllocate(t *testing.T) {
 		}
 	})
 }
-
-func TestDeflationOrthonormalizes(t *testing.T) {
-	a := spdMatrix(10, 40, 5)
-	v1 := randVec(11, a.N())
-	v2 := randVec(12, a.N())
-	dup := append([]float64(nil), v1...) // dependent copy
-	d, err := NewDeflation(a, [][]float64{v1, v2, dup})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.cols) != 2 {
-		t.Fatalf("K = %d, want 2 (duplicate dropped)", len(d.cols))
-	}
-}
-
-func TestDeflationRejectsEmpty(t *testing.T) {
-	a := spdMatrix(13, 10, 3)
-	zero := make([]float64, a.N())
-	if _, err := NewDeflation(a, [][]float64{zero}); err == nil {
-		t.Fatal("expected error for zero basis")
-	}
-}
-
-func TestDeflationExactInSubspace(t *testing.T) {
-	// If b = A*w for a basis vector w, the correction alone solves
-	// the system: CG afterwards does zero iterations.
-	a := spdMatrix(14, 50, 6)
-	w := randVec(15, a.N())
-	d, err := NewDeflation(a, [][]float64{w})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := make([]float64, a.N())
-	a.MulVec(b, w)
-	x := make([]float64, a.N())
-	st := RecycledCG(a, x, b, d, Options{})
-	if !st.Converged {
-		t.Fatal("did not converge")
-	}
-	if st.Iterations > 0 {
-		t.Fatalf("in-subspace solve took %d CG iterations, want 0", st.Iterations)
-	}
-	for i := range x {
-		if math.Abs(x[i]-w[i]) > 1e-8*(1+math.Abs(w[i])) {
-			t.Fatal("deflated solution wrong")
-		}
-	}
-}
-
-func TestRecycledCGReducesIterations(t *testing.T) {
-	// Recycling the previous solution against a nearby matrix and a
-	// right-hand side correlated with it must beat cold CG.
-	a := spdMatrix(16, 100, 8)
-	// First solve.
-	b1 := randVec(17, a.N())
-	x1 := make([]float64, a.N())
-	CG(a, x1, b1, Options{})
-	// Second RHS: the old one plus a modest perturbation.
-	b2 := append([]float64(nil), b1...)
-	pert := randVec(18, a.N())
-	blas.Axpy(0.2, pert, b2)
-	d, err := NewDeflation(a, [][]float64{x1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold := make([]float64, a.N())
-	stCold := CG(a, cold, b2, Options{})
-	rec := make([]float64, a.N())
-	stRec := RecycledCG(a, rec, b2, d, Options{})
-	if !stRec.Converged {
-		t.Fatal("recycled CG stalled")
-	}
-	if stRec.Iterations >= stCold.Iterations {
-		t.Fatalf("recycling did not help: %d vs %d", stRec.Iterations, stCold.Iterations)
-	}
-}
-
-func TestRecycledCGNilDeflation(t *testing.T) {
-	a := spdMatrix(19, 30, 4)
-	b := randVec(20, a.N())
-	x := make([]float64, a.N())
-	st := RecycledCG(a, x, b, nil, Options{})
-	if !st.Converged {
-		t.Fatal("nil-deflation recycled CG must be plain CG")
-	}
-}
-
-func TestDeflationUsesGSPMV(t *testing.T) {
-	// A*W must equal columnwise A*w — sanity check of the GSPMV path
-	// used by NewDeflation.
-	a := spdMatrix(21, 25, 5)
-	v1 := randVec(22, a.N())
-	v2 := randVec(23, a.N())
-	d, err := NewDeflation(a, [][]float64{v1, v2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wm := multivec.FromColumns(d.cols...)
-	for j := 0; j < len(d.cols); j++ {
-		w := d.cols[j]
-		want := make([]float64, a.N())
-		a.MulVec(want, w)
-		aw := multivec.New(a.N(), len(d.cols))
-		a.Mul(aw, wm)
-		for i := range want {
-			if math.Abs(aw.At(i, j)-want[i]) > 1e-12*(1+math.Abs(want[i])) {
-				t.Fatal("A*W column mismatch")
-			}
-		}
-	}
-}

@@ -45,17 +45,6 @@ var (
 	multiVecSeconds = obs.Default.FloatCounter("solver_multicg_vector_seconds_total")
 	// Columns retired with ErrBreakdown, from CG and MultiCG alike.
 	cgBreakdowns = obs.Default.Counter("solver_cg_breakdown_total")
-
-	refineSolves   = obs.Default.Counter("solver_refine_solves_total")
-	refineIters    = obs.Default.Counter("solver_refine_iterations_total")
-	refineFailures = obs.Default.Counter("solver_refine_nonconverged_total")
-	refineResidual = obs.Default.Histogram("solver_refine_final_residual", obs.ResidualBuckets)
-
-	// Deflation (the Section III Krylov-recycling comparison): builds,
-	// dependent directions Gram-Schmidt dropped, corrections applied.
-	deflBuilds      = obs.Default.Counter("solver_deflation_builds_total")
-	deflDropped     = obs.Default.Counter("solver_deflation_dropped_total")
-	deflCorrections = obs.Default.Counter("solver_deflation_corrections_total")
 )
 
 // traceSolve adds one solve's outcome to the request trace carried
@@ -122,14 +111,5 @@ func recordMultiCG(stats []Stats, ws *MultiCGWorkspace) {
 			multiCanceled.Inc()
 		}
 		multiResidual.Observe(st.Residual)
-	}
-}
-
-func recordRefine(st *Stats) {
-	refineSolves.Inc()
-	refineIters.Add(int64(st.Iterations))
-	refineResidual.Observe(st.Residual)
-	if !st.Converged {
-		refineFailures.Inc()
 	}
 }

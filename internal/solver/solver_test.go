@@ -266,100 +266,6 @@ func TestBlockCGWarmStart(t *testing.T) {
 	}
 }
 
-func TestFactorDenseSolve(t *testing.T) {
-	a := spdMatrix(26, 20, 4)
-	f, err := FactorDense(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := randVec(27, a.N())
-	b := make([]float64, a.N())
-	a.MulVec(b, want)
-	x := make([]float64, a.N())
-	f.Solve(x, b)
-	for i := range x {
-		if math.Abs(x[i]-want[i]) > 1e-8*(1+math.Abs(want[i])) {
-			t.Fatal("Cholesky solve wrong")
-		}
-	}
-}
-
-func TestBrownianForceCovariance(t *testing.T) {
-	// f = L*z has covariance A by construction; spot-check the
-	// second moment of a single component over many draws.
-	a := spdMatrix(28, 4, 2)
-	f, err := FactorDense(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := a.N()
-	d := a.Dense()
-	rnd := rand.New(rand.NewSource(29))
-	z := make([]float64, n)
-	fv := make([]float64, n)
-	var acc float64
-	const samples = 40000
-	for s := 0; s < samples; s++ {
-		for i := range z {
-			z[i] = rnd.NormFloat64()
-		}
-		f.BrownianForce(fv, z)
-		acc += fv[0] * fv[0]
-	}
-	got := acc / samples
-	want := d.At(0, 0)
-	if math.Abs(got-want) > 0.05*want {
-		t.Fatalf("E[f0^2] = %v, want %v", got, want)
-	}
-}
-
-func TestRefineWithNearbyMatrix(t *testing.T) {
-	// Factor A, then solve a perturbed A' via refinement with the
-	// stale factor — the paper's one-factorization-per-step trick.
-	a := spdMatrix(30, 30, 5)
-	f, err := FactorDense(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Perturb by scaling: A' = A * 1.01 keeps SPD and proximity.
-	d := a.Dense()
-	for i := range d.Data {
-		d.Data[i] *= 1.01
-	}
-	aNew := bcrs.FromDense(d)
-	b := randVec(31, a.N())
-	x := make([]float64, a.N())
-	f.Solve(x, b) // initial guess: solution with the stale matrix
-	st := f.Refine(aNew, x, b, Options{Tol: 1e-10})
-	if !st.Converged {
-		t.Fatalf("refinement did not converge: %+v", st)
-	}
-	if st.Iterations > 10 {
-		t.Fatalf("refinement took %d sweeps; nearby matrix should need few", st.Iterations)
-	}
-	if res := residual(aNew, x, b); res > 1e-9 {
-		t.Fatalf("refined residual %v", res)
-	}
-}
-
-func TestRefineZeroRHS(t *testing.T) {
-	a := spdMatrix(32, 10, 3)
-	f, err := FactorDense(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := randVec(33, a.N())
-	st := f.Refine(a, x, make([]float64, a.N()), Options{})
-	if !st.Converged {
-		t.Fatal("zero RHS refine must converge")
-	}
-	for _, v := range x {
-		if v != 0 {
-			t.Fatal("zero RHS refine must zero the solution")
-		}
-	}
-}
-
 func TestBlockJacobiApply(t *testing.T) {
 	// On a block-diagonal matrix the preconditioner is exact: PCG
 	// converges in one iteration.

@@ -95,7 +95,6 @@ run "${sim[@]}" -steps 6 -precond none
 run "${sim[@]}" -steps 6 -precond jacobi
 run "${sim[@]}" -steps 6 -alg original
 run "${sim[@]}" -steps 6 -alg original -precond none
-run "${sim[@]}" -steps 6 -alg cholesky
 run "${sim[@]}" -steps 6 -threads 2
 run "${sim[@]}" -steps 4 -precond none -ckpt "$tmp/sim.ckpt"
 run "${sim[@]}" -steps 4 -precond none -resume "$tmp/sim.ckpt"
