@@ -41,11 +41,12 @@ docs-gate:
 	$(GO) run ./cmd/docs-gate
 
 # reach is the reachability census (scripts/reach.sh). It builds every
-# cmd/ binary, the examples and bench/ with coverage counters, runs the
-# invocations README and EXPERIMENTS document (the six bench/ workloads
-# untraced and traced, every experiment id at small sizes, the
-# mrhs-sim runbook, every mrhs-server endpoint with a mixed-tolerance
-# burst, the examples), merges the profiles and fails on a
+# cmd/ binary and bench/ with coverage counters, runs the invocations
+# README and EXPERIMENTS document (the six bench/ workloads untraced and
+# traced, every experiment id at small sizes, the mrhs-sim runbook,
+# every mrhs-server endpoint with a mixed-tolerance burst), merges the
+# profiles and fails on a package under internal/ that no binary links
+# (it would be missing from the profile, not reported), and on a
 # function under internal/ that none of them entered unless
 # scripts/reach.allow gives it one reason from a closed set (oracle,
 # noavx2, failure, fault, fixture), and on a stale allowlist entry.

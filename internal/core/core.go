@@ -302,8 +302,8 @@ type Runner struct {
 	BlockIters int
 
 	// OnStep, if non-nil, observes each completed step with the
-	// midpoint velocity used to advance (for trajectory statistics
-	// such as diffusion constants). The slice must not be retained.
+	// midpoint velocity used to advance (mrhs-sim -xyz writes a
+	// trajectory frame from it). The slice must not be retained.
 	OnStep func(step int, u []float64, dt float64)
 
 	// Obs receives the runner's metrics: per-phase wall seconds

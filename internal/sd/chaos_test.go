@@ -34,7 +34,7 @@ func TestChaosRunMatchesCleanChecksum(t *testing.T) {
 		return sys
 	}
 
-	clean := NewDistributed(newSys(), opt, cfg, p)
+	clean := NewDistributedOpts(newSys(), opt, cfg, DistOptions{P: p})
 	if err := clean.RunMRHS(steps); err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,8 @@ import (
 	"repro/internal/partition"
 )
 
-// DistOptions extends NewDistributed with the fault-tolerance and
-// threading knobs.
+// DistOptions configures NewDistributedOpts: the node count and the
+// fault-tolerance and threading knobs.
 type DistOptions struct {
 	// P is the simulated node count.
 	P int
@@ -32,9 +32,15 @@ type DistOptions struct {
 	Retry cluster.Backoff
 }
 
-// NewDistributedOpts is NewDistributed with explicit distribution
-// options: the same RCB-partitioned per-step clusters, optionally
-// running over the fault-injected transport.
+// NewDistributedOpts builds a simulation in which every matrix multiply
+// — the CG solves, the block solves, and the Chebyshev Brownian-force
+// recurrence — executes on a simulated d.P-node cluster: each assembled
+// resistance matrix is RCB-partitioned by particle position and wrapped
+// in the halo-exchange operator of internal/cluster, optionally running
+// over the fault-injected transport. This is the distributed-memory SD
+// simulation the paper reports not yet having (Section V-A), at the
+// functional level (the physics and the message pattern are real; the
+// nodes are goroutines).
 func NewDistributedOpts(sys *particles.System, opt hydro.Options, cfg core.Config, d DistOptions) *Simulation {
 	cfg.Distribute = func(a *bcrs.Matrix, c core.Configuration) core.DistOp {
 		sc := c.(*Conf)

@@ -136,15 +136,3 @@ func (s *Simulation) Report() RunReport {
 	}
 	return rep
 }
-
-// NewDistributed builds a simulation in which every matrix multiply —
-// the CG solves, the block solves, and the Chebyshev Brownian-force
-// recurrence — executes on a simulated p-node cluster: each assembled
-// resistance matrix is RCB-partitioned by particle position and
-// wrapped in the halo-exchange operator of internal/cluster. This is
-// the distributed-memory SD simulation the paper reports not yet
-// having (Section V-A), at the functional level (the physics and the
-// message pattern are real; the nodes are goroutines).
-func NewDistributed(sys *particles.System, opt hydro.Options, cfg core.Config, p int) *Simulation {
-	return NewDistributedOpts(sys, opt, cfg, DistOptions{P: p})
-}

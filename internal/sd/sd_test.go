@@ -444,7 +444,7 @@ func TestDistributedSimulationMatchesSerial(t *testing.T) {
 	}
 	cfg := core.Config{Dt: 2, M: 4, Seed: 52, Tol: 1e-11}
 	serial := New(mkSys(), hydro.Options{Phi: 0.35}, cfg, 1)
-	dist := NewDistributed(mkSys(), hydro.Options{Phi: 0.35}, cfg, 5)
+	dist := NewDistributedOpts(mkSys(), hydro.Options{Phi: 0.35}, cfg, DistOptions{P: 5})
 	const steps = 8
 	if err := serial.RunMRHS(steps); err != nil {
 		t.Fatal(err)

@@ -13,7 +13,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/rng"
-	"repro/internal/stats"
 )
 
 // SolveRequest is the JSON body of POST /v1/solve. The right-hand
@@ -98,7 +97,7 @@ type EnsembleMember struct {
 
 // EnsembleResponse is the JSON body answered by POST /v1/ensemble.
 // MeanRMSD/MaxRMSD summarize the pairwise spread of the member
-// solutions (stats.Divergence).
+// solutions (divergence).
 type EnsembleResponse struct {
 	Members     []EnsembleMember `json:"members"`
 	BatchSize   int              `json:"batch_size"`
@@ -344,7 +343,7 @@ func Handler(e *Engine) http.Handler {
 			resp.QueueWaitMS = float64(res.QueueWait) / float64(time.Millisecond)
 			resp.SolveMS = float64(res.SolveTime) / float64(time.Millisecond)
 		}
-		resp.MeanRMSD, resp.MaxRMSD = stats.Divergence(xs)
+		resp.MeanRMSD, resp.MaxRMSD = divergence(xs)
 		if !finite(resp.MeanRMSD, resp.MaxRMSD) {
 			err := fmt.Errorf("%w: member spread overflows", ErrBreakdown)
 			tr.SetAttr("http_status", int64(statusOf(err)))
@@ -530,6 +529,33 @@ func finite(vs ...float64) bool {
 		}
 	}
 	return true
+}
+
+// divergence summarizes how far apart a set of equal-length vectors
+// sit: the mean and maximum pairwise root-mean-square distance, a quick
+// spread indicator over an ensemble's member solutions. Fewer than two
+// vectors yield zeros.
+func divergence(vs [][]float64) (mean, max float64) {
+	if len(vs) < 2 {
+		return 0, 0
+	}
+	pairs := 0
+	for i := 0; i < len(vs); i++ {
+		for j := i + 1; j < len(vs); j++ {
+			var sum float64
+			for k := range vs[i] {
+				d := vs[i][k] - vs[j][k]
+				sum += d * d
+			}
+			d := math.Sqrt(sum / float64(len(vs[i])))
+			mean += d
+			if d > max {
+				max = d
+			}
+			pairs++
+		}
+	}
+	return mean / float64(pairs), max
 }
 
 func statusOf(err error) int {

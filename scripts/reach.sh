@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
 # reach.sh is the reachability census behind `make reach`: coverage of
-# the product, not of the tests. It builds every cmd/ binary, the six
-# examples and the benchmark (bench/, its own module) with coverage
-# counters over the whole module, runs the invocations README and
-# EXPERIMENTS document, merges the profiles and lists every function
-# under internal/ that none of the runs entered. It fails when
+# the product, not of the tests. It builds every cmd/ binary and the
+# benchmark (bench/, its own module) with coverage counters over the
+# whole module, runs the invocations README and EXPERIMENTS document,
+# merges the profiles and lists every function under internal/ that
+# none of the runs entered. It fails when
 #
+#   - a package under internal/ is missing from the merged profile: no
+#     binary links it, so its functions would drop out of the census
+#     instead of being reported unreached;
 #   - such a function has no entry in scripts/reach.allow, or
 #   - an entry is stale: the function it names no longer exists, or a
 #     run now reaches it, or its reason is not one of the closed set.
@@ -51,10 +54,8 @@ trap cleanup EXIT
 
 # --- build -----------------------------------------------------------
 cover=(-cover -coverpkg=repro/...)
-for d in cmd/*/ examples/*/; do
-	name=$(basename "$d")
-	[[ $d == examples/* ]] && name=example-$name
-	$GO build "${cover[@]}" -o "$bin/$name" "./$d"
+for d in cmd/*/; do
+	$GO build "${cover[@]}" -o "$bin/$(basename "$d")" "./$d"
 done
 # go -C bench reads only bench/ (and the module it replaces repro with).
 $GO -C bench build "${cover[@]}" -o "$bin/bench" .
@@ -96,6 +97,10 @@ run "${sim[@]}" -steps 6 -precond jacobi
 run "${sim[@]}" -steps 6 -alg original
 run "${sim[@]}" -steps 6 -alg original -precond none
 run "${sim[@]}" -steps 6 -threads 2
+# The paper's unpreconditioned step on two threads at N >= 2 x binGrain:
+# the only run whose neighbor wrap reduce and Gram/column-norm reduces
+# split across workers.
+run "$bin/mrhs-sim" -n 5000 -phi 0.3 -m 4 -steps 4 -precond none -threads 2
 run "${sim[@]}" -steps 4 -precond none -ckpt "$tmp/sim.ckpt"
 run "${sim[@]}" -steps 4 -precond none -resume "$tmp/sim.ckpt"
 run "${sim[@]}" -steps 6 -xyz "$tmp/sim.xyz" -obs-json "$tmp/sim-obs.json" \
@@ -197,11 +202,6 @@ post /v1/sdstep '{"seed":2,"dt":0.001,"omit":true}' 200
 post /v1/ensemble '{"members":4,"seed":1,"omit_x":true}' 200
 stop
 
-# --- the examples ----------------------------------------------------
-for e in "$bin"/example-*; do
-	run "$e"
-done
-
 # --- merge and check -------------------------------------------------
 unset GOCOVERDIR
 $GO tool covdata func -i="$out/cov" -pkg='repro/internal/...' >"$out/func.txt"
@@ -211,6 +211,17 @@ awk -F'\t+' '$1 ~ /^repro\/internal\// {
 	split($1, a, ":"); sub(/^repro\//, "", a[1])
 	print a[1], $2, ($3 == "0.0%" ? "unreached" : "reached")
 }' "$out/func.txt" | sort -u >"$out/funcs.txt"
+
+bad=0
+# A package no binary links has no line in the profile at all.
+$GO list -f '{{if .GoFiles}}{{.ImportPath}}{{end}}' ./internal/... | sort -u >"$tmp/pkgs-tree.txt"
+awk '{ sub(/\/[^\/]*$/, "", $1); print "repro/" $1 }' "$out/funcs.txt" | sort -u >"$tmp/pkgs-cov.txt"
+unlinked=$(comm -23 "$tmp/pkgs-tree.txt" "$tmp/pkgs-cov.txt")
+if [[ -n $unlinked ]]; then
+	echo "reach: no binary links these packages, so the census cannot see their functions:" >&2
+	echo "$unlinked" >&2
+	bad=1
+fi
 # A name can repeat in a file (methods of two types): a key is unreached
 # when any function under it is.
 awk '$3 == "unreached" { print $1, $2 }' "$out/funcs.txt" | sort -u >"$out/unreached.txt"
@@ -235,7 +246,6 @@ fixture_pkgs() {
 	return $ok
 }
 
-bad=0
 reasons=' oracle noavx2 failure fault fixture '
 grep -v '^[[:space:]]*\(#\|$\)' "$allow" >"$tmp/allow.txt" || true
 while read -r file fn reason rest; do
