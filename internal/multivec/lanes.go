@@ -16,14 +16,27 @@ import (
 // a ymm and the last q%4 one at a time, in one pass over the rows;
 // ColResidual, once per solve, is the Go loop alone.
 //
-// Each lane's reduction is the one sequential row-order recurrence of
-// the package comment, so the reductions (ColDots, ColResidual,
-// ColUpdate's sums of squares) run their rows serially, whatever the
-// thread count. ColDirection has no reduction: it splits its rows over
-// the pool, and every element is the same expression whichever thread
-// computes it. Splitting the lanes instead — each thread a run of whole
-// cache lines of every row — keeps the bits but measured slower than
-// one thread at w = 16 and 32 (DESIGN §12), so no sweep does.
+// A lane's reduction (ColDots, ColResidual, ColUpdate's sums of
+// squares) is the fixed row-chunk sum of the package comment: the n
+// rows split into reduceChunks(n) equal chunks, each summed in row
+// order, and the chunk sums added in chunk order. The chunks are a
+// function of n alone, so they run over the pool (DoOp) once a sweep
+// is worth waking a worker for and inline below that, with the same
+// bits. ColDirection, PackColumns and UnpackLanes have no reduction:
+// they split their rows over the pool, and every element is the same
+// expression whichever thread computes it. Splitting the lanes
+// instead — each thread a run of whole cache lines of every row —
+// keeps the bits but measured slower than one thread at w = 16 and 32
+// (DESIGN §12), so no sweep does.
+
+// reduceRows is the row count a lane reduction's chunks hold: at or
+// below it (every SD system of the benchmark, n = 3000) a reduction is
+// one chunk, the whole-column sequential sum.
+const reduceRows = 4096
+
+// reduceChunks is the number of row chunks a lane reduction over n
+// rows sums separately.
+func reduceChunks(n int) int { return max(1, n/reduceRows) }
 
 // laneShape checks that the blocks share one n-by-w shape with room
 // for q lanes and returns that shape.
@@ -44,32 +57,13 @@ func laneShape(q int, blocks ...*MultiVec) (n, w int) {
 // column j of y, for the len(dst) leading columns.
 func ColDots(dst []float64, x, y *MultiVec) {
 	q := len(dst)
-	n, w := laneShape(q, x, y)
+	n, _ := laneShape(q, x, y)
 	if q == 0 {
 		return
 	}
-	if w == 1 {
-		var s float64
-		yd := y.Data[:n]
-		for i, v := range x.Data[:n] {
-			s += float64(v * yd[i])
-		}
-		dst[0] = s
-		return
-	}
-	clear(dst)
-	if simd && n > 0 {
-		colDotsSIMD(dst, x, y)
-		return
-	}
-	for i := 0; i < n; i++ {
-		xr := x.Data[i*w : i*w+q : i*w+q]
-		yr := y.Data[i*w : i*w+q : i*w+q]
-		d := dst[:len(xr)]
-		for j, v := range xr {
-			d[j] += float64(v * yr[j])
-		}
-	}
+	s := getReduction(n)
+	s.v[0], s.v[1], s.out[0] = x, y, dst
+	s.run("multivec_coldots", 1, s.dotsFn)
 }
 
 // ColResidual computes R = B - AX over the len(bb) leading columns
@@ -80,36 +74,13 @@ func ColResidual(r, b, ax *MultiVec, bb, rr []float64) {
 	if len(rr) != q {
 		panic("multivec: ColResidual scalar length mismatch")
 	}
-	n, w := laneShape(q, r, b, ax)
+	n, _ := laneShape(q, r, b, ax)
 	if q == 0 {
 		return
 	}
-	if w == 1 {
-		var sb, sr float64
-		rd, ad := r.Data[:n], ax.Data[:n]
-		for i, bv := range b.Data[:n] {
-			v := bv - ad[i]
-			rd[i] = v
-			sb += float64(bv * bv)
-			sr += float64(v * v)
-		}
-		bb[0], rr[0] = sb, sr
-		return
-	}
-	clear(bb)
-	clear(rr)
-	for i := 0; i < n; i++ {
-		br := b.Data[i*w : i*w+q : i*w+q]
-		ar := ax.Data[i*w : i*w+q : i*w+q]
-		rw := r.Data[i*w : i*w+q : i*w+q]
-		sb, sr := bb[:len(br)], rr[:len(br)]
-		for j, bv := range br {
-			v := bv - ar[j]
-			rw[j] = v
-			sb[j] += float64(bv * bv)
-			sr[j] += float64(v * v)
-		}
-	}
+	s := getReduction(n)
+	s.v[0], s.v[1], s.v[2], s.out[0], s.out[1] = r, b, ax, bb, rr
+	s.run("multivec_colresidual", 2, s.residualFn)
 }
 
 // ColUpdate is the CG iterate/residual update of the len(alpha)
@@ -120,41 +91,13 @@ func ColUpdate(x, r, p, ap *MultiVec, alpha, rr []float64) {
 	if len(rr) != q {
 		panic("multivec: ColUpdate scalar length mismatch")
 	}
-	n, w := laneShape(q, x, r, p, ap)
+	n, _ := laneShape(q, x, r, p, ap)
 	if q == 0 {
 		return
 	}
-	if w == 1 {
-		a := alpha[0]
-		var s float64
-		xd, rd, apd := x.Data[:n], r.Data[:n], ap.Data[:n]
-		for i, pv := range p.Data[:n] {
-			xd[i] += float64(pv * a)
-			v := rd[i] - float64(apd[i]*a)
-			rd[i] = v
-			s += float64(v * v)
-		}
-		rr[0] = s
-		return
-	}
-	clear(rr)
-	if simd && n > 0 {
-		colUpdateSIMD(x, r, p, ap, alpha, rr)
-		return
-	}
-	for i := 0; i < n; i++ {
-		xr := x.Data[i*w : i*w+q : i*w+q]
-		rw := r.Data[i*w : i*w+q : i*w+q]
-		pr := p.Data[i*w : i*w+q : i*w+q]
-		ar := ap.Data[i*w : i*w+q : i*w+q]
-		al, s := alpha[:len(xr)], rr[:len(xr)]
-		for j, a := range al {
-			xr[j] += float64(pr[j] * a)
-			v := rw[j] - float64(ar[j]*a)
-			rw[j] = v
-			s[j] += float64(v * v)
-		}
-	}
+	s := getReduction(n)
+	s.v[0], s.v[1], s.v[2], s.v[3], s.alpha, s.out[0] = x, r, p, ap, alpha, rr
+	s.run("multivec_colupdate", 1, s.updateFn)
 }
 
 // ColDirection is the CG direction update P = Z + P*diag(beta) of the
@@ -167,16 +110,8 @@ func ColDirection(p, z *MultiVec, beta []float64) {
 	if q == 0 {
 		return
 	}
-	if w == 1 {
-		b := beta[0]
-		pd := p.Data[:n]
-		for i, zv := range z.Data[:n] {
-			pd[i] = zv + float64(pd[i]*b)
-		}
-		return
-	}
 	pool, grain := parallel.Default(), max(dirGrain/w, 1)
-	if !pool.Parallel(n, grain) {
+	if w == 1 || !pool.Parallel(n, grain) {
 		colDirectionRows(p, z, beta, 0, n)
 		return
 	}
@@ -195,7 +130,8 @@ func ColDirection(p, z *MultiVec, beta []float64) {
 // times elemGrain, because the AVX2 pass streams an element in about a
 // third of a nanosecond, so a smaller chunk costs less than waking a
 // worker for it (n = 3000, w = 8 read 9 µs on one thread and 22 µs
-// split in two, DESIGN §9).
+// split in two, DESIGN §9). A reduction's chunks go to the pool once
+// the sweep holds twice that.
 const dirGrain = 4 * elemGrain
 
 // direction is one ColDirection split over the pool: its operands, and
@@ -213,19 +149,264 @@ var spareDirection atomic.Pointer[direction]
 
 func (d *direction) rows(lo, hi int) { colDirectionRows(d.p, d.z, d.beta, lo, hi) }
 
+// reduction is one ColDots, ColResidual or ColUpdate call: its
+// operands, the chunk sums it adds up, and the three chunk functions
+// bound once, as direction's rows is. spareReduction holds one between
+// calls with its partials; a call that finds it taken makes its own.
+type reduction struct {
+	n, k  int          // rows; chunks, reduceChunks(n)
+	v     [4]*MultiVec // block operands, in argument order
+	alpha []float64    // ColUpdate's coefficients
+	out   [2][]float64 // the sums: ColDots' dst; bb, rr; rr
+	nout  int          // how many of out are in use
+	part  []float64    // chunk c > 0's sums: nout runs of q from (c-1)*nout*q
+
+	dotsFn, residualFn, updateFn func(c int)
+}
+
+var spareReduction atomic.Pointer[reduction]
+
+func getReduction(n int) *reduction {
+	s := spareReduction.Swap(nil)
+	if s == nil {
+		s = new(reduction)
+		s.dotsFn, s.residualFn, s.updateFn = s.dots, s.residual, s.update
+	}
+	s.n, s.k = n, reduceChunks(n)
+	return s
+}
+
+// run sums nout lanes' worth of q columns with chunk: chunk c of k
+// accumulates its rows into out (c = 0) or its own runs of part, and
+// the chunk sums are then added to out in chunk order. It then drops
+// the operands — a spare must not pin a solve's blocks — and offers s
+// as the spare.
+func (s *reduction) run(op string, nout int, chunk func(c int)) {
+	q := len(s.out[0])
+	s.nout = nout
+	if need := (s.k - 1) * nout * q; cap(s.part) < need {
+		s.part = make([]float64, need)
+	} else {
+		s.part = s.part[:need]
+		clear(s.part)
+	}
+	for i := range nout {
+		clear(s.out[i])
+	}
+	if s.k > 1 && s.n*q >= 2*dirGrain {
+		parallel.Default().DoOp(op, s.k, chunk)
+	} else {
+		for c := range s.k {
+			chunk(c)
+		}
+	}
+	// Run r of part holds chunk r/nout+1's sums of out[r%nout], so
+	// taking the runs in order adds the chunk sums in chunk order.
+	for r := 0; r*q < len(s.part); r++ {
+		dst := s.out[r%nout]
+		for j, v := range s.part[r*q : (r+1)*q] {
+			dst[j] += v
+		}
+	}
+	s.v, s.alpha, s.out = [4]*MultiVec{}, nil, [2][]float64{}
+	spareReduction.Store(s)
+}
+
+// rows returns chunk c's row range and where its sums go.
+func (s *reduction) rows(c int) (lo, hi int, out [2][]float64) {
+	lo, hi = parallel.ChunkBounds(s.n, s.k, c)
+	out = s.out
+	if c > 0 {
+		q, run := len(out[0]), (c-1)*s.nout
+		for i := range s.nout {
+			out[i] = s.part[(run+i)*q : (run+i+1)*q]
+		}
+	}
+	return lo, hi, out
+}
+
+func (s *reduction) dots(c int) {
+	lo, hi, out := s.rows(c)
+	colDotsRows(out[0], s.v[0], s.v[1], lo, hi)
+}
+
+func (s *reduction) residual(c int) {
+	lo, hi, out := s.rows(c)
+	colResidualRows(s.v[0], s.v[1], s.v[2], out[0], out[1], lo, hi)
+}
+
+func (s *reduction) update(c int) {
+	lo, hi, out := s.rows(c)
+	colUpdateRows(s.v[0], s.v[1], s.v[2], s.v[3], s.alpha, out[0], lo, hi)
+}
+
+// UnpackLanes copies column lanes[k] of src into cols[k]: UnpackColumns
+// for a chosen subset of columns, in one pass over src whose rows split
+// over the pool.
+func UnpackLanes(cols [][]float64, src *MultiVec, lanes []int) {
+	if len(cols) != len(lanes) {
+		panic("multivec: UnpackLanes count mismatch")
+	}
+	for k, c := range cols {
+		if len(c) != src.N || lanes[k] < 0 || lanes[k] >= src.M {
+			panic("multivec: UnpackLanes column mismatch")
+		}
+	}
+	pool, grain := parallel.Default(), rowGrain(src.M)
+	switch {
+	case src.M == 1 && len(cols) == 1:
+		copy(cols[0], src.Data)
+		return
+	case !pool.Parallel(src.N, grain):
+		unpackRows(cols, src, lanes, 0, src.N)
+		return
+	}
+	u := spareUnpack.Swap(nil)
+	if u == nil {
+		u = new(unpack)
+		u.fn = u.rows
+	}
+	u.cols, u.src, u.lanes = cols, src, lanes
+	pool.ForOp("multivec_unpack", src.N, grain, u.fn)
+	u.cols, u.src, u.lanes = nil, nil, nil
+	spareUnpack.Store(u)
+}
+
+// unpack is one UnpackLanes split over the pool, bound once as
+// direction is (MultiCG unpacks at every retirement).
+type unpack struct {
+	cols  [][]float64
+	src   *MultiVec
+	lanes []int
+	fn    func(lo, hi int)
+}
+
+var spareUnpack atomic.Pointer[unpack]
+
+func (u *unpack) rows(lo, hi int) { unpackRows(u.cols, u.src, u.lanes, lo, hi) }
+
+// colDotsRows adds rows [lo, hi) of the lane inner products into d.
+func colDotsRows(d []float64, x, y *MultiVec, lo, hi int) {
+	w, q := x.M, len(d)
+	if w == 1 {
+		s := d[0]
+		yd := y.Data[lo:hi]
+		for i, v := range x.Data[lo:hi] {
+			s += float64(v * yd[i])
+		}
+		d[0] = s
+		return
+	}
+	if simd && lo < hi {
+		colDotsSIMD(d, x, y, lo, hi)
+		return
+	}
+	for i := lo; i < hi; i++ {
+		xr := x.Data[i*w : i*w+q : i*w+q]
+		yr := y.Data[i*w : i*w+q : i*w+q]
+		d := d[:len(xr)]
+		for j, v := range xr {
+			d[j] += float64(v * yr[j])
+		}
+	}
+}
+
+// colResidualRows is ColResidual on rows [lo, hi), adding into sb and
+// sr.
+func colResidualRows(r, b, ax *MultiVec, sb, sr []float64, lo, hi int) {
+	w, q := r.M, len(sb)
+	if w == 1 {
+		vb, vr := sb[0], sr[0]
+		rd, ad := r.Data[lo:hi], ax.Data[lo:hi]
+		for i, bv := range b.Data[lo:hi] {
+			v := bv - ad[i]
+			rd[i] = v
+			vb += float64(bv * bv)
+			vr += float64(v * v)
+		}
+		sb[0], sr[0] = vb, vr
+		return
+	}
+	for i := lo; i < hi; i++ {
+		br := b.Data[i*w : i*w+q : i*w+q]
+		ar := ax.Data[i*w : i*w+q : i*w+q]
+		rw := r.Data[i*w : i*w+q : i*w+q]
+		sb, sr := sb[:len(br)], sr[:len(br)]
+		for j, bv := range br {
+			v := bv - ar[j]
+			rw[j] = v
+			sb[j] += float64(bv * bv)
+			sr[j] += float64(v * v)
+		}
+	}
+}
+
+// colUpdateRows is ColUpdate on rows [lo, hi), adding into rr.
+func colUpdateRows(x, r, p, ap *MultiVec, alpha, rr []float64, lo, hi int) {
+	w, q := x.M, len(alpha)
+	if w == 1 {
+		a, s := alpha[0], rr[0]
+		xd, rd, apd := x.Data[lo:hi], r.Data[lo:hi], ap.Data[lo:hi]
+		for i, pv := range p.Data[lo:hi] {
+			xd[i] += float64(pv * a)
+			v := rd[i] - float64(apd[i]*a)
+			rd[i] = v
+			s += float64(v * v)
+		}
+		rr[0] = s
+		return
+	}
+	if simd && lo < hi {
+		colUpdateSIMD(x, r, p, ap, alpha, rr, lo, hi)
+		return
+	}
+	for i := lo; i < hi; i++ {
+		xr := x.Data[i*w : i*w+q : i*w+q]
+		rw := r.Data[i*w : i*w+q : i*w+q]
+		pr := p.Data[i*w : i*w+q : i*w+q]
+		ar := ap.Data[i*w : i*w+q : i*w+q]
+		al, s := alpha[:len(xr)], rr[:len(xr)]
+		for j, a := range al {
+			xr[j] += float64(pr[j] * a)
+			v := rw[j] - float64(ar[j]*a)
+			rw[j] = v
+			s[j] += float64(v * v)
+		}
+	}
+}
+
 // colDirectionRows is ColDirection on rows [lo, hi).
 func colDirectionRows(p, z *MultiVec, beta []float64, lo, hi int) {
+	w, q := p.M, len(beta)
+	if w == 1 {
+		b := beta[0]
+		pd := p.Data[lo:hi]
+		for i, zv := range z.Data[lo:hi] {
+			pd[i] = zv + float64(pd[i]*b)
+		}
+		return
+	}
 	if simd && lo < hi {
 		colDirectionSIMD(p, z, beta, lo, hi)
 		return
 	}
-	w, q := p.M, len(beta)
 	for i := lo; i < hi; i++ {
 		pr := p.Data[i*w : i*w+q : i*w+q]
 		zr := z.Data[i*w : i*w+q : i*w+q]
 		be := beta[:len(pr)]
 		for j, b := range be {
 			pr[j] = zr[j] + float64(pr[j]*b)
+		}
+	}
+}
+
+// unpackRows is UnpackLanes on rows [lo, hi).
+func unpackRows(cols [][]float64, src *MultiVec, lanes []int, lo, hi int) {
+	m := src.M
+	for i := lo; i < hi; i++ {
+		row := src.Data[i*m : i*m+m]
+		for k, l := range lanes {
+			cols[k][i] = row[l]
 		}
 	}
 }
@@ -256,28 +437,4 @@ func (v *MultiVec) CompactColumns(keep []int, w int) {
 		clear(dst[q:])
 	}
 	v.M, v.Data = w, data[:v.N*w]
-}
-
-// UnpackLanes copies column lanes[k] of src into cols[k]: UnpackColumns
-// for a chosen subset of columns, in one pass over src.
-func UnpackLanes(cols [][]float64, src *MultiVec, lanes []int) {
-	if len(cols) != len(lanes) {
-		panic("multivec: UnpackLanes count mismatch")
-	}
-	for k, c := range cols {
-		if len(c) != src.N || lanes[k] < 0 || lanes[k] >= src.M {
-			panic("multivec: UnpackLanes column mismatch")
-		}
-	}
-	m := src.M
-	if m == 1 && len(cols) == 1 {
-		copy(cols[0], src.Data)
-		return
-	}
-	for i := 0; i < src.N; i++ {
-		row := src.Data[i*m : i*m+m]
-		for k, l := range lanes {
-			cols[k][i] = row[l]
-		}
-	}
 }

@@ -12,9 +12,9 @@ import (
 
 // The column sweeps against one column at a time: each lane must hold
 // exactly what a lone contiguous vector gets from the textbook loop
-// (the blas.Dot/Axpy order, product rounded before the add), and the
-// padding lanes must come back untouched — with the AVX2 kernels and
-// the Go loops, on every pool size.
+// (the blas.Axpy order, product rounded before the add, and refDot's
+// chunked sum), and the padding lanes must come back untouched — with
+// the AVX2 kernels and the Go loops, on every pool size.
 
 // hostileBlock returns an n-by-w block, padding lanes included, of
 // normal deviates with NaN, +-Inf, +-0 and a subnormal planted.
@@ -55,10 +55,24 @@ func laneWidths(q int) []int {
 	return ws
 }
 
+// refDot is a lane reduction's order spelled out: the n rows in
+// k = max(1, n/4096) equal chunks [n*c/k, n*(c+1)/k), each summed in
+// row order, and the chunk sums added in chunk order. At n <= 8191 that
+// is one chunk, the whole-column sequential sum.
 func refDot(x, y []float64) float64 {
+	n := len(x)
+	k := max(1, n/4096)
 	var s float64
-	for i, v := range x {
-		s += float64(v * y[i])
+	for c := 0; c < k; c++ {
+		var part float64
+		for i := n * c / k; i < n*(c+1)/k; i++ {
+			part += float64(x[i] * y[i])
+		}
+		if c == 0 {
+			s = part
+		} else {
+			s += part
+		}
 	}
 	return s
 }
@@ -177,8 +191,18 @@ func checkSweeps(t *testing.T, n, q, w int, seed uint64, hostile bool) {
 // at its exact width and at every kernel width above it, with the AVX2
 // kernels on and off, on pools of 1, 2 and 4 threads — ColDirection
 // splits its rows on the larger pools once a block has 2 x 8192
-// elements.
+// elements. Past 2 x 4096 rows the reductions sum two and more row
+// chunks (9000 rows: two, 12500: three uneven ones), inline or, from
+// n*q = 65536 on, over the pool; those long blocks run at a few shapes,
+// and at two, one of each kind, under -short.
 func TestColumnSweepsMatchPerColumnLoops(t *testing.T) {
+	long := [][3]int{ // n, q, w
+		{9000, 32, 32}, {12500, 3, 4},
+		{9000, 1, 1}, {9000, 1, 32}, {9000, 8, 8}, {12500, 17, 32},
+	}
+	if testing.Short() {
+		long = long[:2]
+	}
 	for _, threads := range []int{1, 2, 4} {
 		for _, on := range []bool{true, false} {
 			sweep := func() {
@@ -192,6 +216,11 @@ func TestColumnSweepsMatchPerColumnLoops(t *testing.T) {
 							checkSweeps(t, n, q, w, uint64(1000*n+q)+7, true)
 						}
 					}
+				}
+				for _, c := range long {
+					n, q, w := c[0], c[1], c[2]
+					checkSweeps(t, n, q, w, uint64(1000*n+q), false)
+					checkSweeps(t, n, q, w, uint64(1000*n+q)+7, true)
 				}
 			}
 			withThreads(t, threads, func() {
@@ -279,66 +308,95 @@ func TestCompactColumnsRejectsBadLists(t *testing.T) {
 	}
 }
 
+// TestUnpackLanes copies lanes out on pools of 1, 2 and 4 threads, at
+// 50 rows and at 5000, where the rows split over the larger pools.
 func TestUnpackLanes(t *testing.T) {
 	s := rng.New(9)
-	for _, m := range []int{1, 4, 33} {
-		v := hostileBlock(50, m, s, true)
-		lanes := []int{m - 1, 0, m / 2}
-		cols := [][]float64{make([]float64, 50), make([]float64, 50), make([]float64, 50)}
-		if m == 1 {
-			lanes, cols = lanes[:1], cols[:1]
-		}
-		UnpackLanes(cols, v, lanes)
-		for k, l := range lanes {
-			if i := sameBits(cols[k], v.ColVector(l)); i >= 0 {
-				t.Fatalf("m=%d lane %d differs at row %d", m, l, i)
+	for _, threads := range []int{1, 2, 4} {
+		withThreads(t, threads, func() {
+			for _, n := range []int{50, 5000} {
+				for _, m := range []int{1, 4, 33} {
+					v := hostileBlock(n, m, s, true)
+					lanes := []int{m - 1, 0, m / 2}
+					cols := [][]float64{make([]float64, n), make([]float64, n), make([]float64, n)}
+					if m == 1 {
+						lanes, cols = lanes[:1], cols[:1]
+					}
+					UnpackLanes(cols, v, lanes)
+					for k, l := range lanes {
+						if i := sameBits(cols[k], v.ColVector(l)); i >= 0 {
+							t.Fatalf("threads=%d n=%d m=%d lane %d differs at row %d", threads, n, m, l, i)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestColumnSweepsIgnoreThreadCount: the reductions sum fixed row
+// chunks in chunk order whichever thread runs a chunk, and the split
+// sweeps are elementwise, so a parallel pool must not change one bit —
+// at w = 4 and at the served width 32, at 9000 rows (two chunks) and
+// 18000 (four, the served system), with the AVX2 kernels and the Go
+// loops, which must agree with each other too.
+func TestColumnSweepsIgnoreThreadCount(t *testing.T) {
+	for _, n := range []int{9000, 18000} {
+		for _, w := range []int{4, 32} {
+			run := func() []float64 {
+				s := rng.New(77)
+				x, r, p, ap := hostileBlock(n, w, s, false), hostileBlock(n, w, s, false), hostileBlock(n, w, s, false), hostileBlock(n, w, s, false)
+				out := make([]float64, 12)
+				ColDots(out[0:3], p, ap)
+				ColUpdate(x, r, p, ap, []float64{0.5, -2, 3}, out[3:6])
+				ColDirection(p, r, []float64{0.25, 1.5, -1})
+				ColResidual(ap, r, x, out[6:9], out[9:12])
+				return slices.Concat(out, ap.Data, p.Data)
+			}
+			var serial []float64
+			withThreads(t, 1, func() { serial = run() })
+			for _, threads := range []int{1, 2, 4} {
+				for _, on := range []bool{true, false} {
+					withThreads(t, threads, func() {
+						got := run()
+						if !on {
+							withoutSIMD(func() { got = run() })
+						}
+						if i := sameBits(got, serial); i >= 0 {
+							t.Fatalf("n=%d w=%d threads=%d simd=%v differs from threads=1 at %d", n, w, threads, on, i)
+						}
+					})
+				}
 			}
 		}
 	}
 }
 
-// TestColumnSweepsIgnoreThreadCount: the reductions run their rows
-// serially and ColDirection's split rows are elementwise, so a parallel
-// pool must not change one bit — at w = 4 and at the served width 32.
-func TestColumnSweepsIgnoreThreadCount(t *testing.T) {
-	for _, w := range []int{4, 32} {
-		run := func() []float64 {
-			s := rng.New(77)
-			x, r, p, ap := hostileBlock(9000, w, s, false), hostileBlock(9000, w, s, false), hostileBlock(9000, w, s, false), hostileBlock(9000, w, s, false)
-			out := make([]float64, 12)
-			ColDots(out[0:3], p, ap)
-			ColUpdate(x, r, p, ap, []float64{0.5, -2, 3}, out[3:6])
-			ColDirection(p, r, []float64{0.25, 1.5, -1})
-			ColResidual(ap, r, x, out[6:9], out[9:12])
-			return slices.Concat(out, ap.Data, p.Data)
-		}
-		var serial []float64
-		withThreads(t, 1, func() { serial = run() })
-		for _, threads := range []int{2, 4} {
-			withThreads(t, threads, func() {
-				if i := sameBits(run(), serial); i >= 0 {
-					t.Fatalf("w=%d threads=%d differs from threads=1 at %d", w, threads, i)
-				}
-			})
-		}
-	}
-}
-
 // TestColDirectionConcurrentCalls: concurrent solves each run their own
-// split ColDirection, sharing one spare record between them and the
-// pool's workers; every result must be its serial one (run under -race).
+// split sweeps — ColDirection, and the reductions with their chunk
+// partials — sharing the spare records between them and the pool's
+// workers; every result must be its serial one (run under -race).
 func TestColDirectionConcurrentCalls(t *testing.T) {
-	const n, w, callers = 6000, 16, 4
+	const n, w, callers = 9000, 16, 4
 	beta := []float64{0.5, -1, 2, 0.25, 3, -0.5, 1.5, 0, 1, 2, 3, 4, 5, 6, 7, 8}
 	s := rng.New(31)
-	ps, zs, want := make([]*MultiVec, callers), make([]*MultiVec, callers), make([]*MultiVec, callers)
+	ps, zs, want := make([]*MultiVec, callers), make([]*MultiVec, callers), make([][]float64, callers)
 	for c := range ps {
 		ps[c], zs[c] = hostileBlock(n, w, s, false), hostileBlock(n, w, s, false)
-		want[c] = ps[c].Clone()
+	}
+	// sweeps runs ColDirection, ColDots and ColUpdate on a copy of
+	// caller c's blocks and returns everything they wrote.
+	sweeps := func(c int) []float64 {
+		p, z := ps[c].Clone(), zs[c].Clone()
+		sums := make([]float64, 2*w)
+		ColDirection(p, z, beta)
+		ColDots(sums[:w], p, z)
+		ColUpdate(p, z, ps[c], zs[c], beta, sums[w:])
+		return slices.Concat(sums, p.Data, z.Data)
 	}
 	withThreads(t, 1, func() {
 		for c := range want {
-			ColDirection(want[c], zs[c], beta)
+			want[c] = sweeps(c)
 		}
 	})
 	withThreads(t, 2, func() {
@@ -348,9 +406,7 @@ func TestColDirectionConcurrentCalls(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for k := 0; k < 5; k++ {
-					p := ps[c].Clone()
-					ColDirection(p, zs[c], beta)
-					if i := sameBits(p.Data, want[c].Data); i >= 0 {
+					if i := sameBits(sweeps(c), want[c]); i >= 0 {
 						t.Errorf("caller %d: element %d differs from the serial pass", c, i)
 						return
 					}

@@ -34,12 +34,16 @@
 // ColDirection — the vector work of CG on q interleaved columns) keep
 // the same recurrence per column lane, in Go and, for all but
 // ColResidual, in multivec_amd64.s four lanes to a ymm. A lane's
-// reduction is the whole-column sequential sum in row order, so the
-// reductions never split; ColDirection, elementwise, splits its rows
-// over the pool. These give the same bits for EVERY thread count, block
-// width and lane position — each lane is what the loop over that one
-// contiguous column gives. CompactColumns and UnpackLanes only move
-// values.
+// reduction is a fixed row-chunk sum: the n rows split into
+// k = max(1, n/4096) equal chunks, each summed in row order, and the k
+// chunk sums added in chunk order — a plan of n alone, so the chunks
+// run over the pool or inline with the same bits, and at n <= 8191 it
+// is the whole-column sequential sum. ColDirection, elementwise,
+// splits its rows over the pool, as PackColumns and UnpackLanes do.
+// These give the same bits for EVERY thread count, block width and
+// lane position — each lane is what that chunked loop over the one
+// contiguous column gives. PackColumns, CompactColumns and UnpackLanes
+// only move values.
 package multivec
 
 import (

@@ -56,9 +56,8 @@ func chebStepSIMD(y, t, cur, prev []float64, alpha, beta, c float64) {
 	chebStepAVX2(&y[0], &t[0], &cur[0], &prev[0], len(y), alpha, beta, c)
 }
 
-// The lane sweeps below run lanes [0, q) of n-by-w blocks, q = the
-// length of their scalar slice, q <= w; the blocks have rows [lo, hi),
-// lo < hi, or n >= 1 rows.
+// The lane sweeps below run lanes [0, q) of rows [lo, hi), lo < hi, of
+// n-by-w blocks, q = the length of their scalar slice, q <= w.
 
 // rowBase returns the address of row lo of v after checking that lane
 // q-1 of row hi-1 is inside it.
@@ -67,15 +66,15 @@ func rowBase(v *MultiVec, q, lo, hi int) *float64 {
 	return &v.Data[lo*v.M]
 }
 
-func colDotsSIMD(dst []float64, x, y *MultiVec) {
-	q, n := len(dst), x.N
-	colDotsAVX2(&dst[0], rowBase(x, q, 0, n), rowBase(y, q, 0, n), n, x.M, q)
+func colDotsSIMD(dst []float64, x, y *MultiVec, lo, hi int) {
+	q := len(dst)
+	colDotsAVX2(&dst[0], rowBase(x, q, lo, hi), rowBase(y, q, lo, hi), hi-lo, x.M, q)
 }
 
-func colUpdateSIMD(x, r, p, ap *MultiVec, alpha, rr []float64) {
-	q, n := len(alpha), x.N
-	colUpdateAVX2(rowBase(x, q, 0, n), rowBase(r, q, 0, n), rowBase(p, q, 0, n), rowBase(ap, q, 0, n),
-		&alpha[0], &rr[0], n, x.M, q)
+func colUpdateSIMD(x, r, p, ap *MultiVec, alpha, rr []float64, lo, hi int) {
+	q := len(alpha)
+	colUpdateAVX2(rowBase(x, q, lo, hi), rowBase(r, q, lo, hi), rowBase(p, q, lo, hi), rowBase(ap, q, lo, hi),
+		&alpha[0], &rr[0], hi-lo, x.M, q)
 }
 
 func colDirectionSIMD(p, z *MultiVec, beta []float64, lo, hi int) {

@@ -22,11 +22,11 @@ func chebStepSIMD(y, t, cur, prev []float64, alpha, beta, c float64) {
 	panic("multivec: chebStepSIMD without SIMD support")
 }
 
-func colDotsSIMD(dst []float64, x, y *MultiVec) {
+func colDotsSIMD(dst []float64, x, y *MultiVec, lo, hi int) {
 	panic("multivec: colDotsSIMD without SIMD support")
 }
 
-func colUpdateSIMD(x, r, p, ap *MultiVec, alpha, rr []float64) {
+func colUpdateSIMD(x, r, p, ap *MultiVec, alpha, rr []float64, lo, hi int) {
 	panic("multivec: colUpdateSIMD without SIMD support")
 }
 

@@ -26,9 +26,11 @@ type Pool struct {
 	once    sync.Once
 
 	// free holds finished jobs no goroutine still refers to, so a
-	// warmed dispatch allocates nothing. Its 2 × threads slots hold
-	// every job one dispatcher cycles through: its own, one in each
-	// worker's hand and one in each slot of jobs.
+	// dispatch allocates nothing. Its 2 × threads slots hold every job
+	// one dispatcher cycles through: its own, one in each worker's hand
+	// and one in each slot of jobs. NewPool fills it: a list filled on
+	// demand meets a new high of jobs in flight long after warm-up, when
+	// workers happen to let go late, and allocates then.
 	free chan *job
 
 	// wake is how long, in nanoseconds, the last parked worker took to
@@ -44,7 +46,7 @@ type Pool struct {
 // noise; the chunk boundaries and the combine order are not.
 type job struct {
 	do   func(chunk int)  // DoOp: chunk c is task c
-	span func(lo, hi int) // ForOp: chunk c is chunkBounds(n, k, c)
+	span func(lo, hi int) // ForOp: chunk c is ChunkBounds(n, k, c)
 	n    int
 	k    int32
 	sent time.Time // when the dispatcher offered it to the workers
@@ -68,6 +70,9 @@ func NewPool(threads int) *Pool {
 		threads = 1
 	}
 	p := &Pool{threads: threads, workers: threads - 1, free: make(chan *job, 2*threads)}
+	for range cap(p.free) {
+		p.free <- new(job)
+	}
 	if p.workers > 0 {
 		p.jobs = make(chan *job, p.workers)
 		p.stop = make(chan struct{})
@@ -153,7 +158,7 @@ func (j *job) runChunk(c int) {
 		}
 	}()
 	if j.span != nil {
-		j.span(chunkBounds(j.n, int(j.k), c))
+		j.span(ChunkBounds(j.n, int(j.k), c))
 		return
 	}
 	j.do(c)
@@ -196,7 +201,8 @@ wake:
 	}
 }
 
-// newJob returns a recycled job, or a fresh one.
+// newJob returns a recycled job, or a fresh one when concurrent
+// dispatchers hold them all.
 func (p *Pool) newJob() *job {
 	select {
 	case j := <-p.free:
@@ -239,8 +245,10 @@ func (p *Pool) chunkCount(n, grain int) int {
 	return k
 }
 
-// chunkBounds returns the half-open range of chunk c of k over [0, n).
-func chunkBounds(n, k, c int) (lo, hi int) {
+// ChunkBounds returns the half-open range of chunk c of k over [0, n):
+// the partition ForOp and Reduce split by, and the one a DoOp caller
+// uses when its chunks must be a function of n and k alone.
+func ChunkBounds(n, k, c int) (lo, hi int) {
 	return n * c / k, n * (c + 1) / k
 }
 
@@ -326,7 +334,7 @@ func Reduce[T any](p *Pool, n, grain int, fn func(lo, hi int) T, combine func(ac
 	}
 	parts := make([]T, k)
 	p.dispatch(k, func(c int) {
-		lo, hi := chunkBounds(n, k, c)
+		lo, hi := ChunkBounds(n, k, c)
 		parts[c] = fn(lo, hi)
 	}, nil, 0)
 	acc := parts[0]

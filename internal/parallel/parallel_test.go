@@ -230,12 +230,17 @@ func TestDefaultPoolIsGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestDispatchDoesNotAllocate: a warmed split For or Do reuses its job,
-// so a caller that binds its function once allocates nothing per
-// region — what keeps the split multiply off the garbage collector.
+// TestDispatchDoesNotAllocate: a split For or Do reuses a job from the
+// pool's free list, so a caller that binds its function once allocates
+// nothing per region — what keeps the split multiply off the garbage
+// collector. The list starts full: one dispatcher's jobs in flight,
+// however late its workers let go of them, never outnumber it.
 func TestDispatchDoesNotAllocate(t *testing.T) {
 	p := NewPool(3)
 	defer p.Close()
+	if len(p.free) != cap(p.free) || cap(p.free) != 2*p.threads {
+		t.Fatalf("a new pool holds %d of %d free jobs, want %d", len(p.free), cap(p.free), 2*p.threads)
+	}
 	var sum atomic.Int64
 	span := func(lo, hi int) { sum.Add(int64(hi - lo)) }
 	task := func(i int) { sum.Add(int64(i)) }

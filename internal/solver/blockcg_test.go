@@ -5,6 +5,7 @@ import (
 	"errors"
 	"hash/fnv"
 	"math"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/bcrs"
@@ -23,11 +24,14 @@ var poolDropsPuts bool
 
 // An unreachable tolerance makes BlockCG run exactly MaxIter
 // iterations, so the allocation count of a call can be compared
-// across iteration counts.
+// across iteration counts. BlockCG draws its workspace from a
+// sync.Pool, which a collection empties, so the collector is held off
+// while the count runs.
 func blockCGAllocs(t *testing.T, a *bcrs.Matrix, b *multivec.MultiVec, opt Options) float64 {
 	if poolDropsPuts {
 		t.Skip("sync.Pool drops items under -race")
 	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	x := multivec.New(b.N, b.M)
 	return testing.AllocsPerRun(5, func() {
 		x.Zero()

@@ -30,7 +30,9 @@ type Stats struct {
 	// Iterations is the number of iterations performed.
 	Iterations int
 	// MatMuls is the number of matrix multiplications performed
-	// (for block solvers each multiplies a block of vectors).
+	// (for block solvers each multiplies a block of vectors). CG and
+	// MultiCG count no entry multiply for a column whose guess is all
+	// ±0: its residual is b itself (the package comment).
 	MatMuls int
 	// Converged reports whether the residual criterion was met.
 	Converged bool

@@ -31,16 +31,29 @@
 //     (X += P*diag(alpha), R -= AP*diag(alpha) and the sums of squares
 //     of the new R, in one pass) and ColDirection
 //     (P = Z + P*diag(beta)). At w = 1 a block is the vector.
+//   - Zero guesses. R = B - A*X on entry, except that a column whose
+//     guess is all ±0 (checked up to its first nonzero entry) takes
+//     R = B: that is B - (+0), bit for bit, for an operator whose
+//     product with a zero block is +0 (every bcrs kernel, the cluster
+//     operator). When every guess is zero the entry multiply is not
+//     run. When one is not, it runs for the batch, and the zero-guess
+//     columns' lanes of its product are set to +0 first, so a NaN an
+//     operator gives there never reaches them.
+//     Stats.MatMuls counts a column's entry multiply only when its
+//     guess is nonzero, so a cold solve of k iterations costs k
+//     multiplies and a warm one k+1, batched or alone.
 //   - Lane recurrence. Each column is a lane. Every lane value is the
 //     textbook recurrence on that column alone — products rounded
-//     before they are added, reductions summed sequentially in row
-//     order, the one split sweep (ColDirection) elementwise — so a
-//     lane's bits depend on neither q, w, the lane's position, the
-//     thread count, nor whether the AVX2 sweeps or the Go loops ran. With
-//     the GSPMV kernels' identical per-column order this makes column
-//     j of MultiCG BITWISE what CG(a, x_j, b_j, opts[j]) returns:
-//     iterate, iteration count, residual.
-//   - Norms. A norm is the square root of the lane's sequential sum of
+//     before they are added, reductions summed in multivec's fixed
+//     row-chunk order (k = max(1, n/4096) row chunks, each in row
+//     order, the chunk sums in chunk order: a plan of n alone), the
+//     split sweeps elementwise — so a lane's bits depend on neither q,
+//     w, the lane's position, the thread count, nor whether the AVX2
+//     sweeps or the Go loops ran. With the GSPMV kernels' identical
+//     per-column order this makes column j of MultiCG BITWISE what
+//     CG(a, x_j, b_j, opts[j]) returns: iterate, iteration count,
+//     multiply count, residual.
+//   - Norms. A norm is the square root of the lane's chunked sum of
 //     squares: ||r||^2 is the same unscaled sum r.z and p.Ap always
 //     were (for an unpreconditioned column it *is* r.z, and is reused
 //     as such), not a scaled 2-norm. Its range is therefore that of a
@@ -58,7 +71,9 @@
 //     the column retires at once with Stats.Err = ErrBreakdown and the
 //     last iterate it formed: a NaN, an Inf, or an operator that is
 //     not positive definite costs that column at most the iteration it
-//     is found in, and no other column anything.
+//     is found in, and no other column anything. A NaN in the operator
+//     under a zero guess shows first in p.Ap: the column ends in its
+//     first iteration with none counted and x = 0.
 //
 // # Invariants and failure semantics
 //

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/blas"
@@ -44,6 +45,7 @@ type MultiCGWorkspace struct {
 
 	lanes   []lane
 	scalars []float64 // pap/bb, alpha, rr, beta: one kernel width each
+	zero    []bool    // column j's guess is all ±0
 
 	keep, outLanes []int
 	outCols        [][]float64
@@ -161,16 +163,40 @@ func (ws *MultiCGWorkspace) solve(a BlockOperator, xs, bs [][]float64, opts []Op
 	}
 	ws.lanes = lanes
 
-	// R = B - A*X and both norms, for every column at once.
+	// R = B - A*X and both norms, for every column at once. A column
+	// whose guess is all ±0 has R = B and no multiply in its count; when
+	// every guess is, the multiply is not run. (The package comment,
+	// "Zero guesses".)
+	if cap(ws.zero) < q {
+		ws.zero = make([]bool, q)
+	}
+	zero := ws.zero[:q]
+	for j, xj := range xs {
+		zero[j] = !slices.ContainsFunc(xj, func(v float64) bool { return v != 0 })
+	}
 	multivec.PackColumns(x, xs)
-	ws.mul(a, ap, x)
 	multivec.PackColumns(r, bs)
 	bb := pap // free until the first iteration
-	multivec.ColResidual(r, r, ap, bb[:q], rr[:q])
+	if slices.Contains(zero, false) {
+		ws.mul(a, ap, x)
+		for j, z := range zero {
+			if z { // A*0 is +0, whatever a non-finite operator gave there
+				for i := j; i < len(ap.Data); i += w {
+					ap.Data[i] = 0
+				}
+			}
+		}
+		multivec.ColResidual(r, r, ap, bb[:q], rr[:q])
+	} else {
+		multivec.ColDots(bb[:q], r, r)
+		copy(rr, bb[:q])
+	}
 	live := 0
 	for j := range lanes {
 		l := &lanes[j]
-		l.st.MatMuls = 1
+		if !zero[j] {
+			l.st.MatMuls = 1
+		}
 		if bb[j] == 0 {
 			// Solution of A*x = 0 is x = 0.
 			blas.Fill(xs[j], 0)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/bcrs"
@@ -30,18 +31,43 @@ func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 }
 
+// laneDot is a lane reduction's order spelled out: the n rows in
+// max(1, n/4096) equal chunks, each summed in row order, and the chunk
+// sums added in chunk order.
+func laneDot(x, y []float64) float64 {
+	n := len(x)
+	k := max(1, n/4096)
+	var s float64
+	for c := 0; c < k; c++ {
+		var part float64
+		for i := n * c / k; i < n*(c+1)/k; i++ {
+			part += float64(x[i] * y[i])
+		}
+		if c == 0 {
+			s = part
+		} else {
+			s += part
+		}
+	}
+	return s
+}
+
 // textbookCG is the recurrence the package contract promises, spelled
-// out on contiguous vectors with the blas loops: the oracle CG itself
-// is held to, so a fault shared by CG and MultiCG cannot hide behind
-// their agreement. Breakdown stops it as the contract says.
+// out on contiguous vectors with the blas loops and laneDot: the oracle
+// CG itself is held to, so a fault shared by CG and MultiCG cannot hide
+// behind their agreement. A zero guess starts from r = b without a
+// multiply; breakdown stops it as the contract says.
 func textbookCG(a Operator, x, b []float64, opt Options) Stats {
 	n := a.N()
 	opt = opt.withDefaults(n)
-	r := make([]float64, n)
-	a.MulVec(r, x)
-	blas.Sub(r, b, r)
-	st := Stats{MatMuls: 1}
-	bb, rr := blas.Dot(b, b), blas.Dot(r, r)
+	r := append([]float64(nil), b...)
+	var st Stats
+	if slices.ContainsFunc(x, func(v float64) bool { return v != 0 }) {
+		a.MulVec(r, x)
+		blas.Sub(r, b, r)
+		st.MatMuls = 1
+	}
+	bb, rr := laneDot(b, b), laneDot(r, r)
 	if bb == 0 {
 		blas.Fill(x, 0)
 		st.Converged = true
@@ -63,7 +89,7 @@ func textbookCG(a Operator, x, b []float64, opt Options) Stats {
 		opt.Precond.Apply(z, r)
 	}
 	p := append([]float64(nil), z...)
-	rz := blas.Dot(r, z)
+	rz := laneDot(r, z)
 	ap := make([]float64, n)
 	for st.Iterations < opt.MaxIter {
 		if opt.canceled() {
@@ -72,7 +98,7 @@ func textbookCG(a Operator, x, b []float64, opt Options) Stats {
 		}
 		a.MulVec(ap, p)
 		st.MatMuls++
-		pap := blas.Dot(p, ap)
+		pap := laneDot(p, ap)
 		if !(pap > 0) || math.IsInf(pap, 1) {
 			st.Err = ErrBreakdown
 			break
@@ -81,7 +107,7 @@ func textbookCG(a Operator, x, b []float64, opt Options) Stats {
 		blas.Axpy(alpha, p, x)
 		blas.Axpy(-alpha, ap, r)
 		st.Iterations++
-		rr = blas.Dot(r, r)
+		rr = laneDot(r, r)
 		rnorm = math.Sqrt(rr)
 		if !finite(rr) {
 			st.Err = ErrBreakdown
@@ -94,7 +120,7 @@ func textbookCG(a Operator, x, b []float64, opt Options) Stats {
 		rzNew := rr
 		if opt.Precond != nil {
 			opt.Precond.Apply(z, r)
-			rzNew = blas.Dot(r, z)
+			rzNew = laneDot(r, z)
 		}
 		beta := rzNew / rz
 		rz = rzNew
@@ -419,9 +445,11 @@ func TestMultiCGRetiresAcrossEveryWidth(t *testing.T) {
 		spy := &spyOp{a: a}
 		checkFusedMatchesLone(t, "staggered batch", spy, a, zeroGuesses(q, n), bs, opts)
 
-		// The entry multiply is A times the zero guesses: no column of it
-		// is nonzero to count, and all q are live.
-		spy.shapes[0][1] = q
+		// Zero guesses need no entry multiply: the first is iteration
+		// 1's, with all q columns live.
+		if spy.shapes[0] != [2]int{q, q} {
+			t.Fatalf("first multiply ran %d columns at width %d, want all %d", spy.shapes[0][1], spy.shapes[0][0], q)
+		}
 		widths, inPlace := map[int]bool{}, false
 		for i, s := range spy.shapes {
 			widths[s[0]] = true
@@ -443,6 +471,173 @@ func TestMultiCGRetiresAcrossEveryWidth(t *testing.T) {
 	})
 }
 
+// TestMultiCGLongColumnsMatchLone is the staggered batch at 9000 rows
+// and at 12600, where every lane reduction sums two and three row
+// chunks — over the pool at four threads, inline at one: each column
+// is still its lone solve and the textbook recurrence with laneDot's
+// chunk order, bit for bit, while the batch narrows 32 -> 8 -> 1.
+func TestMultiCGLongColumnsMatchLone(t *testing.T) {
+	for _, nb := range []int{3000, 4200} {
+		a := bcrs.Random(bcrs.RandomOptions{NB: nb, BlocksPerRow: 6, Seed: 23})
+		n := a.N()
+		const q = 32
+		forThreads(t, func(t *testing.T) {
+			bs := make([][]float64, q)
+			opts := make([]Options, q)
+			for j := range bs {
+				bs[j] = testRHS(n, uint64(900+j))
+				switch {
+				case j%4 != 3: // 24 leave after one iteration
+					opts[j] = Options{MaxIter: 1}
+				case j != 3: // 7 more after three
+					opts[j] = Options{MaxIter: 3}
+				default: // and one converges alone
+					opts[j] = Options{Tol: 1e-9}
+				}
+			}
+			spy := &spyOp{a: a}
+			for j, st := range checkFusedMatchesLone(t, fmt.Sprintf("n=%d", n), spy, a, zeroGuesses(q, n), bs, opts) {
+				if opts[j].MaxIter == 0 && !st.Converged {
+					t.Fatalf("n=%d column %d did not converge: %+v", n, j, st)
+				}
+			}
+			widths := []int{}
+			for _, sh := range spy.shapes {
+				if len(widths) == 0 || widths[len(widths)-1] != sh[0] {
+					widths = append(widths, sh[0])
+				}
+			}
+			if !slices.Equal(widths, []int{32, 8, 1}) {
+				t.Fatalf("n=%d: multiplies at widths %v, want 32, 8, 1", n, widths)
+			}
+		})
+	}
+}
+
+// TestMultiCGZeroGuessSkipsMultiply: a column whose guess is all ±0
+// starts from R = B and counts no entry multiply, and that is bit for
+// bit what running the multiply gives — b - (A*0) = b - (+0) = b for
+// every b, -0 and NaN included. A batch of zero guesses runs no entry
+// multiply; one nonzero guess runs it for the batch, and its zero-guess
+// columns are still the lone solves that skipped it. At 9000 rows too,
+// where the reductions sum two chunks.
+func TestMultiCGZeroGuessSkipsMultiply(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, nb := range []int{60, 3000} {
+		a := bcrs.Random(bcrs.RandomOptions{NB: nb, BlocksPerRow: 5, Seed: 31})
+		n := a.N()
+		const q = 5
+		bs := make([][]float64, q)
+		for j := range bs {
+			bs[j] = testRHS(n, uint64(80+j))
+		}
+		for i := 0; i < n; i += 7 {
+			bs[1][i] = negZero // -0 entries survive as -0
+		}
+		bs[2][n/3] = math.NaN() // breaks down at entry, multiply or none
+		opts := make([]Options, q)
+		nan := nanOperator(nb)
+		forThreads(t, func(t *testing.T) {
+			// All zero: no entry multiply anywhere.
+			spy := &spyOp{a: a}
+			stats := checkFusedMatchesLone(t, "zero guesses", spy, a, zeroGuesses(q, n), bs, opts)
+			iters := 0
+			for j, st := range stats {
+				if st.MatMuls != st.Iterations {
+					t.Errorf("nb=%d column %d: %d multiplies for %d iterations", nb, j, st.MatMuls, st.Iterations)
+				}
+				iters = max(iters, st.Iterations)
+			}
+			if spy.calls != iters {
+				t.Errorf("nb=%d: %d fused multiplies for %d iterations", nb, spy.calls, iters)
+			}
+			// Column 4's guess is not zero: the entry multiply runs, its
+			// zero-guess neighbours subtract A*0 and must still be the
+			// lone solves that did not.
+			xs0 := zeroGuesses(q, n)
+			xs0[4] = testRHS(n, 99)
+			stats = checkFusedMatchesLone(t, "one warm guess", a, a, xs0, bs, opts)
+			for j, st := range stats {
+				want := st.Iterations
+				if j == 4 {
+					want++
+				}
+				if st.MatMuls != want {
+					t.Errorf("nb=%d column %d: %d multiplies for %d iterations", nb, j, st.MatMuls, st.Iterations)
+				}
+			}
+			if !errors.Is(stats[2].Err, ErrBreakdown) || stats[2].MatMuls != 0 {
+				t.Errorf("nb=%d NaN column: %+v", nb, stats[2])
+			}
+			// A guess of -0 entries is zero; one zero but for its last
+			// row is warm.
+			for i := range xs0[3] {
+				xs0[3][i] = negZero
+			}
+			xs0[4] = make([]float64, n)
+			xs0[4][n-1] = 0.5
+			stats = checkFusedMatchesLone(t, "-0 and last-row guesses", a, a, xs0, bs, opts)
+			if st := stats[3]; st.MatMuls != st.Iterations {
+				t.Errorf("nb=%d -0 guess: %d multiplies for %d iterations", nb, st.MatMuls, st.Iterations)
+			}
+			if st := stats[4]; st.MatMuls != st.Iterations+1 {
+				t.Errorf("nb=%d last-row guess: %d multiplies for %d iterations", nb, st.MatMuls, st.Iterations)
+			}
+			// The same mix over an operator with a NaN entry. The warm
+			// column breaks down at entry; the zero-guess ones, whose
+			// A*0 the batch computed as NaN rows, must still be their
+			// lone solves, which meet the NaN in their first p.Ap.
+			stats = checkFusedMatchesLone(t, "NaN operator", nan, nan, xs0, bs, opts)
+			for j, st := range stats {
+				muls := 1
+				if j == 2 {
+					muls = 0 // its NaN right-hand side ends it at entry
+				}
+				if !errors.Is(st.Err, ErrBreakdown) || st.Iterations != 0 || st.MatMuls != muls {
+					t.Errorf("nb=%d NaN operator, column %d: %+v", nb, j, st)
+				}
+			}
+		})
+	}
+}
+
+// nanOperator is a diagonal operator of nb blocks with a NaN entry in
+// the symmetric pair of blocks (3, 11) and (11, 3).
+func nanOperator(nb int) *bcrs.Matrix {
+	bld := bcrs.NewBuilder(nb)
+	bld.AddDiag(4)
+	var poisoned blas.Mat3
+	poisoned[4] = math.NaN()
+	bld.AddBlock(3, 11, poisoned)
+	bld.AddBlock(11, 3, poisoned)
+	return bld.Build()
+}
+
+// TestCGZeroGuessNaNOperatorBreaksDown: an operator with a NaN entry
+// no longer shows it in the entry residual of a zero guess, and the
+// solve must still end in its first iteration's p.Ap with
+// ErrBreakdown, no iteration done and x = 0; from a nonzero guess the
+// entry residual shows it.
+func TestCGZeroGuessNaNOperatorBreaksDown(t *testing.T) {
+	a := nanOperator(20)
+	b := testRHS(a.N(), 5)
+	x := make([]float64, a.N())
+	x[0] = math.Copysign(0, -1)
+	st := CG(a, x, b, Options{})
+	if !errors.Is(st.Err, ErrBreakdown) || st.Converged || st.Iterations != 0 || st.MatMuls != 1 {
+		t.Fatalf("zero guess: %+v", st)
+	}
+	for i, v := range x {
+		if v != 0 {
+			t.Fatalf("zero guess: x[%d] = %v, want 0", i, v)
+		}
+	}
+	warm := testRHS(a.N(), 6)
+	if st := CG(a, warm, b, Options{}); !errors.Is(st.Err, ErrBreakdown) || st.Iterations != 0 || st.MatMuls != 1 {
+		t.Fatalf("nonzero guess: %+v", st)
+	}
+}
+
 // TestMultiCGEntryRetirements mixes columns that are done before the
 // first iteration — a zero right-hand side under a nonzero guess, a
 // guess that already meets the tolerance — with ones that iterate.
@@ -456,9 +651,11 @@ func TestMultiCGEntryRetirements(t *testing.T) {
 	opts := []Options{{}, {Tol: 1e-9}, {}, {}, {Tol: 1e-10}}
 	forThreads(t, func(t *testing.T) {
 		stats := checkFusedMatchesLone(t, "entry retirements", a, a, xs0, bs, opts)
-		for _, j := range []int{0, 1, 3} {
-			if !stats[j].Converged || stats[j].Iterations != 0 || stats[j].MatMuls != 1 {
-				t.Errorf("column %d should retire at entry: %+v", j, stats[j])
+		// Columns 0 and 1 have a nonzero guess and so one multiply;
+		// column 3's zero guess has none.
+		for j, muls := range map[int]int{0: 1, 1: 1, 3: 0} {
+			if !stats[j].Converged || stats[j].Iterations != 0 || stats[j].MatMuls != muls {
+				t.Errorf("column %d should retire at entry after %d multiplies: %+v", j, muls, stats[j])
 			}
 		}
 		for _, j := range []int{2, 4} {
@@ -502,7 +699,8 @@ func TestMultiCGMixedPreconditioners(t *testing.T) {
 }
 
 // TestMultiCGCancelMidSolve cancels one column's context just before
-// the solve's fourth multiply: the column stops after it with the iterate a lone
+// the solve's third multiply (zero guesses have no entry multiply, so it
+// is iteration 3's): the column stops after it with the iterate a lone
 // solve cancelled at the same point holds, and its neighbours do not
 // notice.
 func TestMultiCGCancelMidSolve(t *testing.T) {
@@ -511,7 +709,7 @@ func TestMultiCGCancelMidSolve(t *testing.T) {
 	const q, victim, at = 5, 2, 3
 	cancelAt := func(cancel context.CancelFunc) func(int) {
 		return func(call int) {
-			if call == at {
+			if call == at-1 {
 				cancel()
 			}
 		}
@@ -633,7 +831,7 @@ func TestCGBreakdownStopsAtOnce(t *testing.T) {
 	b[7] = math.NaN()
 	x := make([]float64, a.N())
 	st := CG(a, x, b, Options{})
-	if !errors.Is(st.Err, ErrBreakdown) || st.Converged || st.Iterations != 0 || st.MatMuls != 1 {
+	if !errors.Is(st.Err, ErrBreakdown) || st.Converged || st.Iterations != 0 || st.MatMuls != 0 {
 		t.Fatalf("NaN rhs: %+v", st)
 	}
 	for i, v := range x {
@@ -641,19 +839,20 @@ func TestCGBreakdownStopsAtOnce(t *testing.T) {
 			t.Fatalf("guess disturbed at %d: %v", i, v)
 		}
 	}
-	if st := CG(negated{a}, x, testRHS(a.N(), 2), Options{}); !errors.Is(st.Err, ErrBreakdown) || st.Iterations != 0 || st.MatMuls != 2 {
+	if st := CG(negated{a}, x, testRHS(a.N(), 2), Options{}); !errors.Is(st.Err, ErrBreakdown) || st.Iterations != 0 || st.MatMuls != 1 {
 		t.Fatalf("negative definite operator: %+v", st)
 	}
 }
 
 // TestMultiCGSteadyStateAllocs: with a warmed workspace a fused solve
-// allocates its stats and a few closures — a count that does not grow
-// with the number of iterations, nor by more than a constant per
-// column.
+// allocates its stats and PackColumns' two closures — a count that
+// does not grow with the number of iterations, nor by more than a
+// constant per column. The served shape (NB = 6000, q = 32) on a
+// two-thread pool, where the lane reductions' four row chunks and
+// UnpackLanes run over the pool, allocates no more than the small one.
 func TestMultiCGSteadyStateAllocs(t *testing.T) {
-	a := bcrs.Random(bcrs.RandomOptions{NB: 100, BlocksPerRow: 6, Seed: 17})
-	n := a.N()
-	allocs := func(q, iters int) float64 {
+	allocs := func(a *bcrs.Matrix, q, iters int) float64 {
+		n := a.N()
 		xs, bs, opts := zeroGuesses(q, n), make([][]float64, q), make([]Options, q)
 		for j := range bs {
 			bs[j] = testRHS(n, uint64(40+j))
@@ -670,15 +869,23 @@ func TestMultiCGSteadyStateAllocs(t *testing.T) {
 			}
 		})
 	}
-	short, long := allocs(8, 3), allocs(8, 30)
+	a := bcrs.Random(bcrs.RandomOptions{NB: 100, BlocksPerRow: 6, Seed: 17})
+	short, long := allocs(a, 8, 3), allocs(a, 8, 30)
 	if long != short {
 		t.Errorf("allocations grow with the iteration count: %v for 3 iterations, %v for 30", short, long)
 	}
-	if wide := allocs(32, 3); wide > short+32 {
+	if wide := allocs(a, 32, 3); wide > short+32 {
 		t.Errorf("allocations per solve: %v at q=8, %v at q=32", short, wide)
 	}
 	if short > 8 {
 		t.Errorf("%v allocations for a warmed 8-column solve", short)
+	}
+
+	defer parallel.SetThreads(parallel.Threads())
+	parallel.SetThreads(2)
+	served := bcrs.Random(bcrs.RandomOptions{NB: 6000, BlocksPerRow: 24, Seed: 1})
+	if got, small := allocs(served, 32, 3), allocs(a, 32, 3); got > small {
+		t.Errorf("%v allocations for a warmed served solve on two threads, %v for the small one", got, small)
 	}
 }
 
