@@ -154,15 +154,16 @@ fuzz-sqrt:
 # from a recipe of fresh, copied, 10^k-scaled, zero and summed columns:
 # every column meets the tolerance by its true residual, with Err ==
 # nil and no more iterations than the block of its independent columns
-# takes, plain or through BlockJacobi; a NaN or an infinity planted in
+# takes, plain or through IC(0); a NaN or an infinity planted in
 # B must end it with ErrBreakdown.
 fuzz-blockcg:
 	$(GO) test -run '^$$' -fuzz '^FuzzBlockCGDependentColumns$$' -fuzztime 10s ./internal/solver/
 
 # fuzz-serve fuzzes the HTTP API for ten seconds: an arbitrary body
-# POSTed to /v1/solve, /v1/sdstep and /v1/ensemble of a small engine
-# must answer 200, 400, 413, 422, 429 or 504 with a JSON body, within a
-# fixed deadline, and a 200's vectors must have length N.
+# POSTed to /v1/solve and /v1/ensemble of a small engine must answer
+# 200, 400, 413, 422, 429 or 504 with a JSON body, within a fixed
+# deadline, a 200's vectors must have length N, and no 200 may answer a
+# body with a field the endpoint does not have.
 fuzz-serve:
 	$(GO) test -run '^$$' -fuzz '^FuzzHandler$$' -fuzztime 10s ./internal/serve/
 

@@ -66,7 +66,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		ckpt    = flag.String("ckpt", "", "write a checkpoint to this file after the run")
 		resume  = flag.String("resume", "", "resume from a checkpoint file (overrides -n, -phi, -seed)")
 		xyz     = flag.String("xyz", "", "write an XYZ trajectory (one frame per step) to this file")
-		precond = flag.String("precond", "ic0", "preconditioner reused by every solve of a window of -m steps: ic0, jacobi, none (the paper's setting)")
+		precond = flag.String("precond", "ic0", "preconditioner reused by every solve of a window of -m steps: ic0, none (the paper's setting)")
 
 		nodes       = flag.Int("nodes", 0, "run every multiply on a simulated p-node cluster (0: single node; fault runs default to 4)")
 		faultsSpec  = flag.String("faults", "", "fault-injection spec, e.g. 'drop:rate=0.02;crash:node=1,at=5' (see internal/cluster/faults)")
@@ -88,8 +88,6 @@ func run(args []string, stdout io.Writer) (err error) {
 	case "ic0": // core's default
 	case "none":
 		pre = core.NoPrecond
-	case "jacobi":
-		pre = func(a *bcrs.Matrix) solver.Preconditioner { return solver.NewBlockJacobi(a) }
 	default:
 		return fmt.Errorf("unknown preconditioner %q", *precond)
 	}

@@ -22,6 +22,20 @@ func TestUnknownAlgorithmFailsFirst(t *testing.T) {
 	}
 }
 
+// An unknown -precond fails as early: -precond jacobi names the block
+// Jacobi preconditioner, which is gone.
+func TestUnknownPreconditionerFailsFirst(t *testing.T) {
+	t.Setenv("TMPDIR", t.TempDir())
+	var out bytes.Buffer
+	err := run([]string{"-n", "30", "-phi", "0.3", "-steps", "1", "-precond", "jacobi"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "unknown preconditioner") {
+		t.Fatalf("-precond jacobi: err = %v, want an unknown preconditioner", err)
+	}
+	if strings.Contains(out.String(), "system:") {
+		t.Fatalf("-precond jacobi packed particles before failing:\n%s", out.String())
+	}
+}
+
 // A fault run that fails after its recovery checkpoint exists — here on
 // an -xyz path it cannot create — still removes the checkpoint.
 func TestFailedChaosRunRemovesRecoveryCheckpoint(t *testing.T) {

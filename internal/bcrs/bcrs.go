@@ -119,25 +119,6 @@ func (a *Matrix) BlockAt(k int) blas.Mat3 {
 	return b
 }
 
-// DiagBlocks returns copies of the diagonal blocks, identity-padded
-// for block rows with no stored diagonal. Used by the block-Jacobi
-// preconditioner extension.
-func (a *Matrix) DiagBlocks() []blas.Mat3 {
-	d := make([]blas.Mat3, a.nb)
-	for i := range d {
-		d[i] = blas.Ident3()
-	}
-	for i := 0; i < a.nb; i++ {
-		lo, hi := a.RowBlocks(i)
-		for k := lo; k < hi; k++ {
-			if int(a.colIdx[k]) == i {
-				d[i] = a.BlockAt(k)
-			}
-		}
-	}
-	return d
-}
-
 // Dense expands the matrix to a dense blas matrix. For tests and the
 // small-system Cholesky path only.
 func (a *Matrix) Dense() *blas.Dense {

@@ -169,20 +169,6 @@ func TestIsSymmetric(t *testing.T) {
 	}
 }
 
-func TestDiagBlocks(t *testing.T) {
-	b := NewBuilder(3)
-	b.AddBlock(1, 1, blas.Ident3().ScaleM(5))
-	b.AddBlock(0, 1, blas.Ident3())
-	a := b.Build()
-	d := a.DiagBlocks()
-	if d[1].At(0, 0) != 5 {
-		t.Fatal("diag block not extracted")
-	}
-	if d[0] != blas.Ident3() || d[2] != blas.Ident3() {
-		t.Fatal("missing diagonals must be identity-padded")
-	}
-}
-
 func TestBalanceRowsCoversAll(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 30; trial++ {

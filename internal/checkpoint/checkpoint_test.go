@@ -112,9 +112,11 @@ func TestSaveFileAtomic(t *testing.T) {
 // TestResumeReproducesTrajectory is the contract that matters: run 8
 // steps straight versus run 4, checkpoint, restore in a "new
 // process", run 4 more — identical final positions. The checkpoint
-// falls on a chunk boundary, so under NoPrecond or Jacobi the resumed
-// run's first block solve stops at the tolerance the straight run's
-// previous chunk set, which only the snapshot's GuessErr carries across.
+// falls on a chunk boundary, so where a chunk's guesses come from a
+// block solve — under NoPrecond, or through IC(0) when BlockPrecond
+// asks for it — the resumed run's first block solve stops at the
+// tolerance the straight run's previous chunk set, which only the
+// snapshot's GuessErr carries across.
 func TestResumeReproducesTrajectory(t *testing.T) {
 	const (
 		seed  = uint64(77)
@@ -126,16 +128,23 @@ func TestResumeReproducesTrajectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	blockIC0 := func(a *bcrs.Matrix) solver.Preconditioner {
+		ic, err := solver.NewIC0(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ic
+	}
 	for _, tc := range []struct {
-		name    string
-		precond func(*bcrs.Matrix) solver.Preconditioner
+		name           string
+		precond, block func(*bcrs.Matrix) solver.Preconditioner
 	}{
-		{"ic0", nil},
-		{"none", core.NoPrecond},
-		{"jacobi", func(a *bcrs.Matrix) solver.Preconditioner { return solver.NewBlockJacobi(a) }},
+		{"ic0", nil, nil},
+		{"none", core.NoPrecond, nil},
+		{"ic0-block", nil, blockIC0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := core.Config{Dt: 2, M: 4, Seed: seed, Tol: 1e-11, Precond: tc.precond}
+			cfg := core.Config{Dt: 2, M: 4, Seed: seed, Tol: 1e-11, Precond: tc.precond, BlockPrecond: tc.block}
 
 			// Straight run.
 			straight := sd.New(base.Clone(), hydro.Options{Phi: phi}, cfg, 1)

@@ -104,7 +104,9 @@ type Config struct {
 	// unpreconditioned and is counted, the step goes on). A nil result
 	// means an unpreconditioned window: NoPrecond is the paper's
 	// setting. The matrix is valid for the call only, so the result must
-	// copy what it keeps (solver.IC0 and BlockJacobi do).
+	// copy what it keeps (solver.IC0 does). It is one preconditioner per
+	// solve, whatever its width: a block solve sweeps it over all m
+	// columns by one ApplyBlock per iteration.
 	//
 	// A window preconditioner that is also a chebyshev.Factor (IC(0)
 	// is) preconditions the Brownian force too: each force is

@@ -365,7 +365,13 @@ func TestChunkGuessesObservability(t *testing.T) {
 		case "NoPrecond":
 			cfg.Precond = core.NoPrecond
 		case "BlockPrecond":
-			cfg.BlockPrecond = func(a *bcrs.Matrix) solver.Preconditioner { return solver.NewBlockJacobi(a) }
+			cfg.BlockPrecond = func(a *bcrs.Matrix) solver.Preconditioner {
+				ic, err := solver.NewIC0(a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ic
+			}
 		}
 		var buf bytes.Buffer
 		sim := sd.New(precondSystem(t, 13), hydro.Options{Phi: 0.35}, cfg, 1)

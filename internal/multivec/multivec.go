@@ -247,18 +247,6 @@ func (v *MultiVec) Scale(s float64) {
 	})
 }
 
-// Sub computes v = a - b elementwise. All three must have identical
-// dimensions; v may alias a or b.
-func (v *MultiVec) Sub(a, b *MultiVec) {
-	if v.N != a.N || v.M != a.M || a.N != b.N || a.M != b.M {
-		panic("multivec: Sub dimension mismatch")
-	}
-	dst, x, y := v.Data, a.Data, b.Data
-	parallel.Default().ForOp("multivec_sub", len(dst), elemGrain, func(lo, hi int) {
-		blas.Sub(dst[lo:hi], x[lo:hi], y[lo:hi])
-	})
-}
-
 // AddMul computes v += x * a, where a is a small x.M-by-v.M dense
 // matrix. This is the block-CG update X += P*alpha. x must not alias
 // v. Rows are written disjointly, so the result is bitwise-identical

@@ -44,14 +44,12 @@ func TestDisjointOpsExactAcrossThreadCounts(t *testing.T) {
 		y := fillMV(n, m, seed+1)
 		a := fillDense(m, m, seed+2)
 
-		type result struct{ scale, sub, addmul, setmuladd []float64 }
+		type result struct{ scale, addmul, setmuladd []float64 }
 		run := func() result {
 			var res result
 			v := x.Clone()
 			v.Scale(1.25)
 			res.scale = append([]float64(nil), v.Data...)
-			v.Sub(x, y)
-			res.sub = append([]float64(nil), v.Data...)
 			v.CopyFrom(y)
 			v.AddMul(x, a)
 			res.addmul = append([]float64(nil), v.Data...)
@@ -70,7 +68,6 @@ func TestDisjointOpsExactAcrossThreadCounts(t *testing.T) {
 				want, data []float64
 			}{
 				{"Scale", want.scale, got.scale},
-				{"Sub", want.sub, got.sub},
 				{"AddMul", want.addmul, got.addmul},
 				{"SetMulAdd", want.setmuladd, got.setmuladd},
 			} {

@@ -23,30 +23,32 @@ func hostileEngine(tb testing.TB) *Engine {
 	return e
 }
 
-// overflowSDStep is an /v1/sdstep body whose velocity is finite but
-// whose displacement dt*u overflows.
-func overflowSDStep(n int) string {
-	return `{"dt":1e200,"f":[` + strings.TrimSuffix(strings.Repeat("1e150,", n), ",") + `]}`
+// overflowRHS is a /v1/solve body whose right-hand side JSON carries
+// but whose sum of squares overflows.
+func overflowRHS(n int) string {
+	return `{"b":[1e200` + strings.Repeat(",1", n-1) + `]}`
 }
 
-// hostileBodies are request bodies whose numbers JSON carries but the
-// API must refuse: a displacement that overflows (422), a negative
-// tolerance, iteration cap and timeout (400 each).
+// hostileBodies are request bodies the API must refuse: a right-hand
+// side whose square overflows (422), a negative tolerance, iteration
+// cap and timeout, and a field no endpoint has (400 each).
 func hostileBodies(n int) []string {
 	return []string{
-		overflowSDStep(n),
+		overflowRHS(n),
 		`{"seed":1,"tol":-1}`,
 		`{"seed":1,"max_iter":-3}`,
 		`{"seed":1,"timeout_ms":-5}`,
+		`{"seed":1,"omit":true}`,
 	}
 }
 
 // solvePaths are the endpoints that take a request body.
-var solvePaths = []string{"/v1/solve", "/v1/sdstep", "/v1/ensemble"}
+var solvePaths = []string{"/v1/solve", "/v1/ensemble"}
 
 // TestServeHTTPHostileNumbers pins the answers to numerically hostile
-// bodies: an overflowing displacement is a 422 with a JSON error body,
-// and a negative tol, max_iter or timeout_ms a 400 from every endpoint.
+// bodies: a right-hand side whose square overflows is a 422 with a JSON
+// error body, and a negative tol, max_iter or timeout_ms a 400 from
+// every endpoint.
 func TestServeHTTPHostileNumbers(t *testing.T) {
 	e := hostileEngine(t)
 	h := Handler(e)
@@ -59,12 +61,12 @@ func TestServeHTTPHostileNumbers(t *testing.T) {
 		}
 		return rec.Code, eb
 	}
-	if code, eb := post("/v1/sdstep", overflowSDStep(e.N())); code != http.StatusUnprocessableEntity || eb.Error == "" {
-		t.Errorf("overflowing dt*u = %d %+v, want 422 with an error", code, eb)
+	if code, eb := post("/v1/solve", overflowRHS(e.N())); code != http.StatusUnprocessableEntity || eb.Error == "" {
+		t.Errorf("overflowing right-hand side = %d %+v, want 422 with an error", code, eb)
 	}
 	for _, field := range []string{`"tol":-1`, `"max_iter":-3`, `"timeout_ms":-5`} {
 		for _, path := range solvePaths {
-			body := `{"seed":1,"dt":0.01,` + field + `}`
+			body := `{"seed":1,` + field + `}`
 			if code, eb := post(path, body); code != http.StatusBadRequest || eb.Error == "" {
 				t.Errorf("%s %s = %d %+v, want 400 with an error", path, body, code, eb)
 			}
@@ -75,14 +77,15 @@ func TestServeHTTPHostileNumbers(t *testing.T) {
 // FuzzHandler posts an arbitrary body to each solve endpoint of a small
 // engine. Every answer must carry a status the API documents (200, 400,
 // 413, 422, 429 or 504), a body that decodes as JSON, on a 200 vectors
-// of length N, and it must arrive within a fixed deadline.
+// of length N, and it must arrive within a fixed deadline. A 200 must
+// answer a body whose fields are all the endpoint's own.
 func FuzzHandler(f *testing.F) {
 	e := hostileEngine(f)
 	h := Handler(e)
 	n := e.N()
 	for _, body := range append(hostileBodies(n),
-		`{"seed":1,"dt":0.01}`,
-		`{"members":3,"seed":2,"dt":0.5}`,
+		`{"seed":1}`,
+		`{"members":3,"seed":2}`,
 		`{"seeds":[1,2],"omit_x":true}`,
 		`{"b":[1e300],"bs":[[1]],"tol":1e-300,"max_iter":100000}`,
 		`{"seed":1,"tol":5e-324,"max_iter":2000000000}`,
@@ -118,9 +121,24 @@ func FuzzHandler(f *testing.F) {
 				if err := checkAnswer(path, rec.Body.Bytes(), n); err != nil {
 					t.Fatalf("%s %q: %v", path, body, err)
 				}
+				if err := decodeStrict(path, body); err != nil {
+					t.Fatalf("%s %q: 200 for a body the endpoint cannot read whole: %v", path, body, err)
+				}
 			}
 		}
 	})
+}
+
+// decodeStrict decodes a request body for path, refusing a field its
+// request type does not have.
+func decodeStrict(path, body string) error {
+	var v any = &SolveRequest{}
+	if path == "/v1/ensemble" {
+		v = &EnsembleRequest{}
+	}
+	dec := json.NewDecoder(strings.NewReader(body))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 // checkAnswer decodes a 200 from path and checks that every vector it
@@ -135,12 +153,6 @@ func checkAnswer(path string, data []byte, n int) error {
 			return err
 		}
 		vecs = append(vecs, r.X)
-	case "/v1/sdstep":
-		var r SDStepResponse
-		if err := json.Unmarshal(data, &r); err != nil {
-			return err
-		}
-		vecs = append(vecs, r.U, r.Dx)
 	case "/v1/ensemble":
 		var r EnsembleResponse
 		if err := json.Unmarshal(data, &r); err != nil {

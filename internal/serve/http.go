@@ -43,33 +43,6 @@ type SolveResponse struct {
 	SolveMS     float64   `json:"solve_ms"`
 }
 
-// SDStepRequest is the JSON body of POST /v1/sdstep: one resolvent
-// application of the Stokesian-dynamics update. Given a force vector
-// f (explicit F or server-generated from Seed), the server solves
-// R u = f for the velocities and returns the displacement dx = dt*u.
-type SDStepRequest struct {
-	F         []float64 `json:"f,omitempty"`
-	Seed      *uint64   `json:"seed,omitempty"`
-	Dt        float64   `json:"dt"`
-	Tol       float64   `json:"tol,omitempty"`
-	MaxIter   int       `json:"max_iter,omitempty"`
-	TimeoutMS int       `json:"timeout_ms,omitempty"`
-	OmitX     bool      `json:"omit_x,omitempty"`
-}
-
-// SDStepResponse is the JSON body answered by POST /v1/sdstep.
-type SDStepResponse struct {
-	U           []float64 `json:"u,omitempty"`
-	Dx          []float64 `json:"dx,omitempty"`
-	Converged   bool      `json:"converged"`
-	Iterations  int       `json:"iterations"`
-	Residual    float64   `json:"residual"`
-	BatchSize   int       `json:"batch_size"`
-	KernelM     int       `json:"kernel_m"`
-	QueueWaitMS float64   `json:"queue_wait_ms"`
-	SolveMS     float64   `json:"solve_ms"`
-}
-
 // EnsembleRequest is the JSON body of POST /v1/ensemble: K
 // right-hand sides solved as one atomic fused dispatch (kernel m >= K
 // regardless of server load). Exactly one of Bs (explicit vectors),
@@ -153,7 +126,6 @@ func requestID(e *Engine, w http.ResponseWriter, r *http.Request) string {
 // Handler returns the engine's HTTP API:
 //
 //	POST /v1/solve     solve A*x = b (request bodies batch server-side)
-//	POST /v1/sdstep    solve R*u = f, answer u and dx = dt*u
 //	POST /v1/ensemble  solve K right-hand sides in one fused dispatch
 //	GET  /healthz      200 while serving, 503 once draining
 //	GET  /v1/info      engine dimensions and batching configuration
@@ -161,8 +133,10 @@ func requestID(e *Engine, w http.ResponseWriter, r *http.Request) string {
 //	GET  /metrics.json JSON snapshot of obs.Default
 //	GET  /debug/traces recent + slowest request traces; ?id= fetches one
 //
-// Solver outcomes map onto status codes: 400 for malformed bodies,
-// dimension mismatches, over-wide ensembles, or a negative tol,
+// Solver outcomes map onto status codes: 400 for malformed bodies
+// (a field the endpoint does not know among them, so a misspelt one is
+// reported, not ignored), dimension mismatches, over-wide ensembles, or
+// a negative tol,
 // max_iter or timeout_ms, 413 for a body longer than any legal request,
 // 422 for a system CG cannot solve or an answer that overflows, 429
 // when the admission queue sheds, 500 when the operator failed
@@ -218,67 +192,6 @@ func Handler(e *Engine) http.Handler {
 		}
 		if !sr.OmitX {
 			resp.X = res.X
-		}
-		writeJSON(w, http.StatusOK, resp)
-	})
-
-	mux.HandleFunc("/v1/sdstep", func(w http.ResponseWriter, r *http.Request) {
-		id := requestID(e, w, r)
-		if r.Method != http.MethodPost {
-			writeErr(w, http.StatusMethodNotAllowed, errors.New("serve: POST required"))
-			return
-		}
-		var sr SDStepRequest
-		if !decodeBody(e, w, r, 1, &sr) {
-			return
-		}
-		if sr.Dt <= 0 {
-			writeErr(w, http.StatusBadRequest, errors.New("serve: dt must be > 0"))
-			return
-		}
-		ctx, cancel, ok := reqContext(w, r, sr.TimeoutMS)
-		if !ok {
-			return
-		}
-		defer cancel()
-		f, err := rhsOf(e, sr.F, sr.Seed)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		tr := e.cfg.Tracer.Start(id)
-		tr.SetAttr("path", "/v1/sdstep")
-		defer tr.Finish()
-		res, err := e.Submit(obs.ContextWithTrace(ctx, tr), Req{B: f, Tol: sr.Tol, MaxIter: sr.MaxIter})
-		var dx []float64
-		if err == nil {
-			dx = make([]float64, len(res.X))
-			for i, u := range res.X {
-				dx[i] = sr.Dt * u
-			}
-			// A finite velocity can still overflow once scaled by dt,
-			// and the response cannot carry an infinity.
-			if !finite(dx...) {
-				err = fmt.Errorf("%w: displacement dt*u overflows", ErrBreakdown)
-			}
-		}
-		if err != nil {
-			tr.SetAttr("http_status", int64(statusOf(err)))
-			writeErr(w, statusOf(err), err)
-			return
-		}
-		tr.SetAttr("http_status", int64(http.StatusOK))
-		resp := SDStepResponse{
-			Converged:   res.Stats.Converged,
-			Iterations:  res.Stats.Iterations,
-			Residual:    res.Stats.Residual,
-			BatchSize:   res.BatchSize,
-			KernelM:     res.KernelM,
-			QueueWaitMS: float64(res.QueueWait) / float64(time.Millisecond),
-			SolveMS:     float64(res.SolveTime) / float64(time.Millisecond),
-		}
-		if !sr.OmitX {
-			resp.U, resp.Dx = res.X, dx
 		}
 		writeJSON(w, http.StatusOK, resp)
 	})
@@ -398,11 +311,13 @@ const bytesPerNumber = 32
 // decodeBody decodes a JSON request body into v, reading no more than
 // a legal request of the given width can hold: vectors right-hand
 // sides of n numbers each, plus slack for field names and scalars. It
-// answers 413 for a longer body and 400 for malformed JSON, and
-// reports whether v is usable.
+// answers 413 for a longer body and 400 for malformed JSON or a field
+// v does not have, and reports whether v is usable.
 func decodeBody(e *Engine, w http.ResponseWriter, r *http.Request, vectors int, v any) bool {
 	limit := int64(e.N())*int64(vectors)*bytesPerNumber + 4<<10
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
 	var tooLarge *http.MaxBytesError
 	switch {
 	case err == nil:

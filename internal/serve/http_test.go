@@ -119,40 +119,6 @@ func TestServeHTTPSolve(t *testing.T) {
 	}
 }
 
-// TestServeHTTPSDStep checks u solves R*u = f and dx = dt*u.
-func TestServeHTTPSDStep(t *testing.T) {
-	const tol = 1e-8
-	s := startTestServer(t, Config{Tol: tol, MaxIter: 500})
-	base := "http://" + s.Addr()
-
-	a := testMatrix()
-	n := a.N()
-	f := testRHS(n, 7)
-	ref := make([]float64, n)
-	solver.CG(a, ref, f, solver.Options{Tol: tol, MaxIter: 500})
-
-	const dt = 0.01
-	resp, data := postJSON(t, base+"/v1/sdstep", SDStepRequest{F: f, Dt: dt})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, data)
-	}
-	var sr SDStepResponse
-	if err := json.Unmarshal(data, &sr); err != nil {
-		t.Fatal(err)
-	}
-	if !sr.Converged {
-		t.Error("sdstep did not converge")
-	}
-	for i := range ref {
-		if sr.U[i] != ref[i] {
-			t.Fatalf("u[%d] = %v, want %v", i, sr.U[i], ref[i])
-		}
-		if sr.Dx[i] != dt*ref[i] {
-			t.Fatalf("dx[%d] = %v, want dt*u = %v", i, sr.Dx[i], dt*ref[i])
-		}
-	}
-}
-
 // TestServeHTTPErrors pins the status-code mapping.
 func TestServeHTTPErrors(t *testing.T) {
 	s := startTestServer(t, Config{Tol: 1e-8, MaxIter: 500})
@@ -188,9 +154,14 @@ func TestServeHTTPErrors(t *testing.T) {
 		t.Errorf("b and seed together = %d, want 400", resp.StatusCode)
 	}
 
-	resp, _ = postJSON(t, base+"/v1/sdstep", SDStepRequest{F: testRHS(n, 1)})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("sdstep without dt = %d, want 400", resp.StatusCode)
+	// A field the endpoint does not have is a 400 naming it, not a
+	// silently ignored typo: "omit" for omit_x would otherwise answer
+	// the full solution.
+	for _, path := range []string{"/v1/solve", "/v1/ensemble"} {
+		resp, body := postJSON(t, base+path, map[string]any{"seed": 1, "omit": true})
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `unknown field \"omit\"`) {
+			t.Errorf("%s with an unknown field = %d %s, want 400 naming it", path, resp.StatusCode, body)
+		}
 	}
 
 	// A right-hand side JSON can carry but CG cannot square: 422 for
@@ -208,9 +179,9 @@ func TestServeHTTPErrors(t *testing.T) {
 
 	// A body longer than any legal request is cut off at the limit: 413
 	// from each endpoint, although the JSON inside it is valid.
-	for path, vectors := range map[string]int{"/v1/solve": 1, "/v1/sdstep": 1, "/v1/ensemble": s.Engine.Config().MaxBatch} {
+	for path, vectors := range map[string]int{"/v1/solve": 1, "/v1/ensemble": s.Engine.Config().MaxBatch} {
 		pad := strings.Repeat(" ", n*vectors*bytesPerNumber+8<<10)
-		resp, err = http.Post(base+path, "application/json", strings.NewReader(`{"seed":1,"dt":1`+pad+`}`))
+		resp, err = http.Post(base+path, "application/json", strings.NewReader(`{"seed":1`+pad+`}`))
 		if err != nil {
 			t.Fatal(err)
 		}

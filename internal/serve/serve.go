@@ -50,7 +50,9 @@ type Config struct {
 	// that do not override them.
 	Tol     float64
 	MaxIter int
-	// Precond, if non-nil, preconditions every solve.
+	// Precond, if non-nil, preconditions every solve: one
+	// preconditioner per fused solve, shared by all its columns and
+	// swept over the lane block by one ApplyBlock per iteration.
 	Precond solver.Preconditioner
 	// MaxBatch caps the right-hand sides coalesced into one dispatch
 	// (clamped to the largest specialized kernel, 32). Default 32.

@@ -161,32 +161,6 @@ func TestServeTraceHTTPRoundTrip(t *testing.T) {
 	}
 }
 
-// TestServeTraceSDStep: the sdstep endpoint shares the tracing
-// contract with solve.
-func TestServeTraceSDStep(t *testing.T) {
-	tracer := obs.NewTracer(32, 4)
-	s := startTestServer(t, Config{Tol: 1e-8, MaxIter: 500, Tracer: tracer})
-	n := s.Engine.N()
-
-	const reqID = "trace-sdstep-1"
-	body, _ := json.Marshal(SDStepRequest{F: testRHS(n, 7), Dt: 0.01, OmitX: true})
-	req, _ := http.NewRequest(http.MethodPost, "http://"+s.Addr()+"/v1/sdstep", strings.NewReader(string(body)))
-	req.Header.Set(RequestIDHeader, reqID)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || resp.Header.Get(RequestIDHeader) != reqID {
-		t.Fatalf("sdstep status %d, id %q", resp.StatusCode, resp.Header.Get(RequestIDHeader))
-	}
-	td := waitTraceDone(t, tracer, reqID)
-	if td.Attrs["path"] != "/v1/sdstep" {
-		t.Fatalf("sdstep trace = %+v", td)
-	}
-}
-
 // TestServeTraceErrorResponsesEchoID: rejected requests — bad method,
 // bad body, and 503 while draining — still carry the request ID, so
 // failures stay attributable in client logs.

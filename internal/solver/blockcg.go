@@ -2,6 +2,7 @@ package solver
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -48,7 +49,6 @@ const rankTol = 1e-10
 type blockWork struct {
 	r, p, s, pNew *multivec.MultiVec
 	z             *multivec.MultiVec // preconditioned solves only
-	rcol, zcol    []float64          // column-by-column preconditioning only
 
 	ztr, ztrNew, pts *blas.Dense
 	coef, cross      *blas.Dense
@@ -162,7 +162,10 @@ func (w *blockWork) independent(g *blas.Dense) (keep []int, ok bool) {
 // small m-by-m solves — this is the kernel economics the MRHS
 // algorithm is built on: the augmented system of Algorithm 2, step 3,
 // is solved here at little more than the cost of a single-vector CG.
-// An iteration allocates nothing.
+// A guess block that is all ±0 starts from R = B with no multiply, so
+// a cold solve of k iterations counts k multiplies and a warm one k+1.
+// The preconditioner is applied to the whole block by one ApplyBlock
+// per iteration. An iteration allocates nothing.
 //
 // Convergence is per column: the iteration stops when every column's
 // residual satisfies ||r_j|| <= tol*||b_j||. Each iteration's PᵀAP
@@ -209,10 +212,16 @@ func BlockCG(a BlockOperator, x, b *multivec.MultiVec, opt Options) (stats Block
 		stats.MatMuls++
 	}
 
-	// R = B - A*X.
+	// R = B - A*X, or R = B when every entry of X is ±0: that is
+	// B - (+0) bit for bit, and the multiply by the zero block is not
+	// run or counted.
 	r := w.r
-	mul(r, x)
-	r.Sub(b, r)
+	if slices.ContainsFunc(x.Data, func(v float64) bool { return v != 0 }) {
+		mul(r, x)
+		blas.Sub(r.Data, b.Data, r.Data)
+	} else {
+		r.CopyFrom(b)
+	}
 
 	bnorms := w.bnorms
 	b.ColNormsInto(bnorms)
@@ -262,28 +271,14 @@ func BlockCG(a BlockOperator, x, b *multivec.MultiVec, opt Options) (stats Block
 		return stats
 	}
 
-	// z is the preconditioned residual M^{-1} R; without a
-	// preconditioner it aliases r and the extra work vanishes. A
-	// preconditioner that can sweep a whole block does (IC0: the factor
-	// is read once for all m columns); any other is applied column by
-	// column through contiguous copies.
+	// z is the preconditioned residual M^{-1} R, one ApplyBlock over
+	// the block; without a preconditioner it aliases r and the extra
+	// work vanishes.
 	z := r
 	applyPrecond := func() {}
-	if bp, ok := opt.Precond.(blockPreconditioner); ok {
+	if opt.Precond != nil {
 		z = w.z
-		applyPrecond = func() { bp.ApplyBlock(z, r) }
-	} else if opt.Precond != nil {
-		z = w.z
-		if w.rcol == nil {
-			w.rcol, w.zcol = make([]float64, n), make([]float64, n)
-		}
-		applyPrecond = func() {
-			for j := 0; j < m; j++ {
-				r.Col(j, w.rcol)
-				opt.Precond.Apply(w.zcol, w.rcol)
-				z.SetCol(j, w.zcol)
-			}
-		}
+		applyPrecond = func() { opt.Precond.ApplyBlock(z, r) }
 	}
 	applyPrecond()
 

@@ -3,11 +3,8 @@ package solver
 import (
 	"context"
 	"errors"
-
 	"sync"
 
-	"repro/internal/bcrs"
-	"repro/internal/blas"
 	"repro/internal/multivec"
 )
 
@@ -32,7 +29,8 @@ type Stats struct {
 	// MatMuls is the number of matrix multiplications performed
 	// (for block solvers each multiplies a block of vectors). CG and
 	// MultiCG count no entry multiply for a column whose guess is all
-	// ±0: its residual is b itself (the package comment).
+	// ±0: its residual is b itself (the package comment). BlockCG
+	// counts none when its whole guess block is.
 	MatMuls int
 	// Converged reports whether the residual criterion was met.
 	Converged bool
@@ -58,7 +56,8 @@ type Options struct {
 	Tol float64
 	// MaxIter bounds the iterations. Defaults to 10*n.
 	MaxIter int
-	// Precond, if non-nil, turns CG into preconditioned CG.
+	// Precond, if non-nil, turns CG into preconditioned CG. Every
+	// column of one MultiCGWith batch names the same one (or none).
 	Precond Preconditioner
 	// TrackResiduals records the per-iteration relative residual in
 	// Stats.Residuals (single-vector CG only).
@@ -86,15 +85,13 @@ func (o Options) withDefaults(n int) Options {
 	return o
 }
 
-// Preconditioner applies z = M^{-1} r.
+// Preconditioner applies z = M^{-1} r, to one vector or to every
+// column of a row-major block in one pass. Column j of ApplyBlock is
+// bitwise Apply on column j: a fused solve sweeps its whole lane block
+// through ApplyBlock and still gives each column its lone solve's bits,
+// and BlockCG preconditions only through it.
 type Preconditioner interface {
 	Apply(z, r []float64)
-}
-
-// blockPreconditioner is what BlockCG looks for in a Preconditioner:
-// M^{-1} applied to every column of a block in one pass, column j
-// bitwise equal to Apply on column j.
-type blockPreconditioner interface {
 	ApplyBlock(z, r *multivec.MultiVec)
 }
 
@@ -129,35 +126,3 @@ var cgWork = sync.Pool{New: func() any { return NewMultiCGWorkspace() }}
 type vecOperator struct{ Operator }
 
 func (v vecOperator) Mul(y, x *multivec.MultiVec) { v.MulVec(y.Data, x.Data) }
-
-// BlockJacobi is a 3x3 block-diagonal preconditioner: each diagonal
-// block of the matrix is inverted once at construction.
-type BlockJacobi struct {
-	inv []blas.Mat3
-}
-
-// NewBlockJacobi builds the preconditioner from the matrix's diagonal
-// blocks. Singular diagonal blocks fall back to the identity.
-func NewBlockJacobi(a *bcrs.Matrix) *BlockJacobi {
-	d := a.DiagBlocks()
-	inv := make([]blas.Mat3, len(d))
-	for i, blk := range d {
-		if m, ok := blk.Inv3(); ok {
-			inv[i] = m
-		} else {
-			inv[i] = blas.Ident3()
-		}
-	}
-	return &BlockJacobi{inv: inv}
-}
-
-// Apply computes z = M^{-1} r blockwise.
-func (bj *BlockJacobi) Apply(z, r []float64) {
-	if len(z) != 3*len(bj.inv) || len(r) != len(z) {
-		panic("solver: BlockJacobi dimension mismatch")
-	}
-	for i, m := range bj.inv {
-		v := m.MulV(blas.Vec3{r[3*i], r[3*i+1], r[3*i+2]})
-		z[3*i], z[3*i+1], z[3*i+2] = v[0], v[1], v[2]
-	}
-}

@@ -2,14 +2,19 @@
 // dynamics time step: conjugate gradients (with initial guesses —
 // the mechanism the MRHS algorithm feeds), the block conjugate
 // gradient method of O'Leary, made breakdown-free by a rank test, for
-// the augmented multiple-right-hand-side systems, and two
-// preconditioners: block Jacobi, and the block incomplete
-// Cholesky factor IC0 that the SD stepper reuses for every solve of a
-// window of time steps (the first technique of the paper's Section
-// III). IC0 keeps its factor in flat bcrs-style arrays, so Apply is two
-// sweeps at about the cost of one multiply, ApplyBlock runs them once
-// for all columns of a block solve, and Refactor refills the storage
-// for the next window's matrix; none of the three allocates.
+// the augmented multiple-right-hand-side systems, and the block
+// incomplete Cholesky factor IC0 that the SD stepper reuses for every
+// solve of a window of time steps (the first technique of the paper's
+// Section III). IC0 keeps its factor in flat bcrs-style arrays, so Apply
+// is two sweeps at about the cost of one multiply, ApplyBlock runs them
+// once for all columns of a block, and Refactor refills the storage for
+// the next window's matrix; none of the three allocates.
+//
+// A Preconditioner is Apply on one vector and ApplyBlock on every
+// column of a row-major block, column j bitwise Apply on column j, and
+// each solver has one way to use it: BlockCG sweeps the whole block by
+// one ApplyBlock per iteration, and a fused solve shares one
+// preconditioner across all its columns (below).
 //
 // All iterative solvers count iterations and matrix multiplications;
 // these counters are the data behind the paper's Table V and
@@ -22,7 +27,7 @@
 //
 //   - Layout. The state of all q columns lives in four row-major
 //     n-by-w blocks X, R, P, AP (w = KernelCeil(q); a fifth, Z, only
-//     when some column has a preconditioner) owned by a
+//     when the batch is preconditioned) owned by a
 //     MultiCGWorkspace — the layout the GSPMV kernels multiply in.
 //     Guesses and right-hand sides are packed once on entry, each
 //     column's iterate is copied out once when it retires, and an
@@ -53,6 +58,14 @@
 //     per-column order this makes column j of MultiCG BITWISE what
 //     CG(a, x_j, b_j, opts[j]) returns: iterate, iteration count,
 //     multiply count, residual.
+//   - Preconditioning. A batch has one preconditioner or none: every
+//     column's Options.Precond names the same one, and a batch whose
+//     columns name different ones panics. Z = M^{-1} R is one Apply at
+//     w = 1 and one ApplyBlock over the whole lane block above it —
+//     padding lanes and the lanes retired since the last boundary
+//     included, since the block's columns do not mix — and r.z goes
+//     through ColDots. The contract of ApplyBlock makes each lane's z
+//     the lone solve's.
 //   - Norms. A norm is the square root of the lane's chunked sum of
 //     squares: ||r||^2 is the same unscaled sum r.z and p.Ap always
 //     were (for an unpreconditioned column it *is* r.z, and is reused

@@ -11,7 +11,7 @@ import (
 
 // Example solves four right-hand sides at once with the block
 // conjugate gradient method — one GSPMV per iteration instead of four
-// SPMVs.
+// SPMVs, and none to form the residual of a zero guess.
 func Example() {
 	a := bcrs.Random(bcrs.RandomOptions{NB: 50, BlocksPerRow: 5, Seed: 1})
 	b := multivec.New(a.N(), 4)
@@ -20,10 +20,10 @@ func Example() {
 	x := multivec.New(a.N(), 4)
 	st := solver.BlockCG(a, x, b, solver.Options{Tol: 1e-8})
 	fmt.Println("converged:", st.Converged)
-	fmt.Println("GSPMV calls == iterations+1:", st.MatMuls == st.Iterations+1)
+	fmt.Println("GSPMV calls == iterations:", st.MatMuls == st.Iterations)
 	// Output:
 	// converged: true
-	// GSPMV calls == iterations+1: true
+	// GSPMV calls == iterations: true
 }
 
 // ExampleCG shows the warm-start mechanism the MRHS algorithm relies

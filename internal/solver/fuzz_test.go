@@ -110,7 +110,7 @@ func rowOf(a *bcrs.Matrix, k int) int {
 // Every column is then c = sum_i w_i b_i over the bases b_i, w >= 0,
 // and the block owes what the bases alone deliver: every column
 // converges, to the tolerance by its true residual (a zero column to
-// x = 0), with Err == nil, plain or through BlockJacobi, in no more
+// x = 0), with Err == nil, plain or through IC(0), in no more
 // iterations than the block of bases takes to the tolerance that
 // guarantees every column's by the triangle inequality,
 // tol * min_c ||c|| / sum_i w_i ||b_i||. With a NaN or an infinity
@@ -122,7 +122,7 @@ func FuzzBlockCGDependentColumns(f *testing.F) {
 	f.Add(uint64(4), uint8(8), []byte{0, 0, 0, 0, 4, 1, 2, 0, 2, 18, 0, 0, 4, 5, 3, 0}, true, uint8(0))
 	f.Add(uint64(5), uint8(2), []byte{0, 0, 2, 0}, false, uint8(1))
 	f.Add(uint64(6), uint8(3), []byte{0, 0, 1, 0, 0, 0}, true, uint8(2))
-	f.Fuzz(func(t *testing.T, seed uint64, m uint8, recipe []byte, jacobi bool, plant uint8) {
+	f.Fuzz(func(t *testing.T, seed uint64, m uint8, recipe []byte, ic0 bool, plant uint8) {
 		const tol = 1e-8
 		a := bcrs.Random(bcrs.RandomOptions{NB: 40, BlocksPerRow: 5, Seed: seed})
 		n, q := a.N(), 1+int(m)%8
@@ -168,8 +168,12 @@ func FuzzBlockCGDependentColumns(f *testing.F) {
 		}
 		b := multivec.FromColumns(cols...)
 		opt := Options{Tol: tol}
-		if jacobi {
-			opt.Precond = NewBlockJacobi(a)
+		if ic0 {
+			ic, err := NewIC0(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt.Precond = ic
 		}
 		x := multivec.New(n, q)
 		if plant != 0 {

@@ -148,9 +148,9 @@ func TestIC0RejectsNegativeColumn(t *testing.T) {
 }
 
 // TestMultiCGWidthOnePreconditionsInPlace: at kernel width 1 the block IS the
-// column, so MultiCG preconditions it where it lies; the solve must be
-// bitwise the one that copies the column out and back, which a
-// two-column solve of the same system twice still does.
+// column, so MultiCG preconditions it where it lies through Apply; the
+// solve must be bitwise the one a two-column solve of the same system
+// twice gives, which sweeps both columns through one ApplyBlock.
 func TestMultiCGWidthOnePreconditionsInPlace(t *testing.T) {
 	a := spdMatrix(85, 70, 7)
 	ic, err := NewIC0(a)
@@ -167,6 +167,6 @@ func TestMultiCGWidthOnePreconditionsInPlace(t *testing.T) {
 		t.Fatalf("lone solve: converged=%v in %d iterations, fused column in %d", st.Converged, st.Iterations, sts[0].Iterations)
 	}
 	if i := firstDiff(lone, xs[0]); i >= 0 {
-		t.Fatalf("x[%d] = %v preconditioned in place, %v through the column copies", i, lone[i], xs[0][i])
+		t.Fatalf("x[%d] = %v through Apply, %v through ApplyBlock", i, lone[i], xs[0][i])
 	}
 }

@@ -311,10 +311,12 @@ func TestIC0RefactorMatchesFresh(t *testing.T) {
 }
 
 // TestIC0ApplyBlockMatchesApply: column j of the block sweep is
-// bitwise the single-vector sweep of column j — at the widths the Go
-// loops serve alone (1, 3), at those the assembly takes whole (4, 8,
-// 16, 32), and where it takes the leading columns and the loops the
-// odd tail (5, 7, 19); with the assembly on and off on either side.
+// bitwise the single-vector sweep of column j — the Preconditioner
+// contract — at every width 1..33, which covers every width a fused
+// solve compacts to: those the Go loops serve alone (1-3), those the
+// assembly takes whole (multiples of 4) and those where it takes the
+// leading columns and the loops the m%4 tail; with the assembly on and
+// off on either side.
 func TestIC0ApplyBlockMatchesApply(t *testing.T) {
 	a := spdMatrix(51, 70, 7)
 	ic, err := NewIC0(a)
@@ -322,7 +324,7 @@ func TestIC0ApplyBlockMatchesApply(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := a.N()
-	for _, m := range []int{1, 3, 4, 5, 7, 8, 16, 19, 32} {
+	for m := 1; m <= 33; m++ {
 		r := multivec.New(n, m)
 		copy(r.Data, randVec(int64(52+m), n*m))
 		for _, simd := range simdModes {
@@ -346,14 +348,24 @@ func TestIC0ApplyBlockMatchesApply(t *testing.T) {
 	}
 }
 
-// columnOnly hides a preconditioner's ApplyBlock, which sends BlockCG
-// down its column-by-column path.
+// columnOnly is the Preconditioner contract's oracle: its ApplyBlock
+// copies each column out, applies the wrapped Apply to it and copies it
+// back.
 type columnOnly struct{ p Preconditioner }
 
 func (c columnOnly) Apply(z, r []float64) { c.p.Apply(z, r) }
 
+func (c columnOnly) ApplyBlock(z, r *multivec.MultiVec) {
+	rc, zc := make([]float64, r.N), make([]float64, r.N)
+	for j := 0; j < r.M; j++ {
+		r.Col(j, rc)
+		c.p.Apply(zc, rc)
+		z.SetCol(j, zc)
+	}
+}
+
 // TestBlockCGBlockPrecondMatchesColumns: preconditioning a block solve
-// through ApplyBlock is bitwise what the copy-out / Apply / copy-in
+// through IC0.ApplyBlock is bitwise what the copy-out / Apply / copy-in
 // loop computes.
 func TestBlockCGBlockPrecondMatchesColumns(t *testing.T) {
 	a := spdMatrix(61, 80, 7)

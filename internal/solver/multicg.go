@@ -29,7 +29,7 @@ func KernelCeil(q int) int {
 }
 
 // MultiCGWorkspace owns the state of a fused solve — the interleaved
-// blocks X, R, P, AP (and Z when a column is preconditioned) and the
+// blocks X, R, P, AP (and Z when the batch is preconditioned) and the
 // per-column scalars — so a long-lived caller (the batching server's
 // dispatcher) allocates it once instead of per solve. A workspace
 // serves one solve at a time; it is not safe for concurrent use.
@@ -40,8 +40,7 @@ type MultiCGWorkspace struct {
 	MulSeconds, VecSeconds float64
 
 	x, r, p, ap, z multivec.MultiVec
-	precond        bool      // some column has a preconditioner: Z is in use
-	zin, zout      []float64 // one column, contiguous, for Preconditioner.Apply
+	pre            Preconditioner // the batch's, shared by every column; Z is in use when set
 
 	lanes   []lane
 	scalars []float64 // pap/bb, alpha, rr, beta: one kernel width each
@@ -87,8 +86,11 @@ func NewMultiCGWorkspace() *MultiCGWorkspace {
 // serving layer's batched-vs-unbatched equivalence test pins down.
 //
 // opts[j] applies to column j (tolerance, iteration budget,
-// preconditioner, per-request cancellation context). xs[j] supplies
-// the initial guess and receives the solution.
+// per-request cancellation context). The preconditioner is the batch's:
+// every opts[j].Precond must be the same one (or nil for all), and a
+// batch whose columns name different ones panics, as a dimension
+// mismatch does. xs[j] supplies the initial guess and receives the
+// solution.
 //
 // ws, when non-nil, supplies every temporary the solve needs (a nil ws
 // borrows one from the pool lone CG solves draw on). Results are
@@ -102,6 +104,9 @@ func MultiCGWith(ws *MultiCGWorkspace, a BlockOperator, xs, bs [][]float64, opts
 	for j := 0; j < q; j++ {
 		if len(xs[j]) != n || len(bs[j]) != n {
 			panic("solver: MultiCG dimension mismatch")
+		}
+		if opts[j].Precond != opts[0].Precond {
+			panic("solver: MultiCG columns name different preconditioners")
 		}
 	}
 	stats := make([]Stats, q)
@@ -139,9 +144,10 @@ func (ws *MultiCGWorkspace) solve(a BlockOperator, xs, bs [][]float64, opts []Op
 	ws.MulSeconds = 0
 	defer func() {
 		ws.VecSeconds = time.Since(start).Seconds() - ws.MulSeconds
-		// Drop the request contexts, preconditioners and stats the lanes
+		// Drop the request contexts, preconditioner and stats the lanes
 		// point at: a retained workspace must not pin them.
 		clear(ws.lanes[:cap(ws.lanes)])
+		ws.pre = nil
 	}()
 
 	n, q := a.N(), len(xs)
@@ -156,12 +162,11 @@ func (ws *MultiCGWorkspace) solve(a BlockOperator, xs, bs [][]float64, opts []Op
 	pap, alpha, rr, beta := ws.scalars[0:w], ws.scalars[w:2*w], ws.scalars[2*w:3*w], ws.scalars[3*w:4*w]
 
 	lanes := ws.lanes[:0]
-	ws.precond = false
 	for j := 0; j < q; j++ {
 		lanes = append(lanes, lane{id: j, opt: opts[j].withDefaults(n), st: &stats[j]})
-		ws.precond = ws.precond || opts[j].Precond != nil
 	}
 	ws.lanes = lanes
+	ws.pre = opts[0].Precond
 
 	// R = B - A*X and both norms, for every column at once. A column
 	// whose guess is all ±0 has R = B and no multiply in its count; when
@@ -220,13 +225,9 @@ func (ws *MultiCGWorkspace) solve(a BlockOperator, xs, bs [][]float64, opts []Op
 	if live == 0 {
 		return
 	}
-	zsrc := r // z aliases r when no column is preconditioned
-	if ws.precond {
+	zsrc := r // z aliases r when the batch is not preconditioned
+	if ws.pre != nil {
 		z.Reshape(n, w)
-		clear(z.Data)
-		if len(ws.zin) != n {
-			ws.zin, ws.zout = make([]float64, n), make([]float64, n)
-		}
 		zsrc = z
 		ws.precondition(rr[:q])
 		for j := range lanes {
@@ -296,7 +297,7 @@ func (ws *MultiCGWorkspace) solve(a BlockOperator, xs, bs [][]float64, opts []Op
 		if live == 0 {
 			continue // to the boundary, which copies the iterates out
 		}
-		if ws.precond {
+		if ws.pre != nil {
 			ws.precondition(rr[:q])
 		}
 		for j := range lanes {
@@ -318,27 +319,17 @@ func (ws *MultiCGWorkspace) mul(a BlockOperator, y, x *multivec.MultiVec) {
 	ws.MulSeconds += time.Since(t0).Seconds()
 }
 
-// precondition sets column j of Z to M_j^{-1} times column j of R for
-// every live lane (a copy of it for a lane without a preconditioner)
-// and rz[j] to their inner product r_j.z_j.
+// precondition sets Z = M^{-1} R over the whole lane block — Apply at
+// width 1, where the block is the column, one ApplyBlock above it —
+// and rz[j] to lane j's r_j.z_j. Padding lanes are zero in and out, and
+// the lanes retired since the last boundary are swept with the rest:
+// ApplyBlock's columns are independent, so no lane's bits depend on
+// another's.
 func (ws *MultiCGWorkspace) precondition(rz []float64) {
-	for j := range ws.lanes {
-		l := &ws.lanes[j]
-		if l.retired {
-			continue
-		}
-		if ws.r.M == 1 && l.opt.Precond != nil {
-			// The block is the column: no copy out and back.
-			l.opt.Precond.Apply(ws.z.Data, ws.r.Data)
-			continue
-		}
-		ws.r.Col(j, ws.zin)
-		out := ws.zin
-		if l.opt.Precond != nil {
-			out = ws.zout
-			l.opt.Precond.Apply(out, ws.zin)
-		}
-		ws.z.SetCol(j, out)
+	if ws.r.M == 1 {
+		ws.pre.Apply(ws.z.Data, ws.r.Data)
+	} else {
+		ws.pre.ApplyBlock(&ws.z, &ws.r)
 	}
 	multivec.ColDots(rz, &ws.r, &ws.z)
 }
@@ -374,7 +365,7 @@ func (ws *MultiCGWorkspace) flush(xs [][]float64) int {
 	}
 	// AP and Z are rewritten in full before their next use.
 	ws.ap.Reshape(ws.x.N, w)
-	if ws.precond {
+	if ws.pre != nil {
 		ws.z.Reshape(ws.x.N, w)
 	}
 	for d, s := range keep {

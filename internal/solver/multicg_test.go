@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/bcrs"
@@ -666,36 +667,132 @@ func TestMultiCGEntryRetirements(t *testing.T) {
 	})
 }
 
-// TestMultiCGMixedPreconditioners runs block-Jacobi columns beside
-// unpreconditioned ones (and an IC(0) one): the Z block exists for the
-// batch, and every column is still its own lone solve.
+// TestMultiCGMixedPreconditioners: the preconditioner is the batch's,
+// so a batch whose columns name different ones — a column without it,
+// or a second factor of the same matrix — panics before it solves, the
+// way a dimension mismatch does, and leaves the guesses alone.
 func TestMultiCGMixedPreconditioners(t *testing.T) {
 	a := bcrs.Random(bcrs.RandomOptions{NB: 90, BlocksPerRow: 6, Seed: 15})
 	n := a.N()
-	bj := NewBlockJacobi(a)
 	ic, err := NewIC0(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const q = 7
-	bs := make([][]float64, q)
-	opts := make([]Options, q)
-	for j := range bs {
-		bs[j] = testRHS(n, uint64(70+j))
-		opts[j] = Options{Tol: 1e-6 / float64(j+1)}
+	other, err := NewIC0(a)
+	if err != nil {
+		t.Fatal(err)
 	}
-	opts[1].Precond, opts[4].Precond, opts[6].Precond = bj, ic, bj
-	forThreads(t, func(t *testing.T) {
-		stats := checkFusedMatchesLone(t, "mixed preconditioners", a, a, zeroGuesses(q, n), bs, opts)
-		for j, st := range stats {
-			if !st.Converged {
-				t.Errorf("column %d: %+v", j, st)
+	for _, tc := range []struct {
+		name string
+		pres []Preconditioner
+	}{
+		{"unpreconditioned column", []Preconditioner{ic, nil, ic}},
+		{"unpreconditioned first column", []Preconditioner{nil, ic}},
+		{"second factor", []Preconditioner{ic, ic, other}},
+	} {
+		q := len(tc.pres)
+		xs, bs, opts := zeroGuesses(q, n), make([][]float64, q), make([]Options, q)
+		for j := range bs {
+			bs[j] = testRHS(n, uint64(70+j))
+			opts[j] = Options{Precond: tc.pres[j]}
+		}
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "different preconditioners") {
+					t.Errorf("%s: recovered %v, want the mixed-preconditioner panic", tc.name, r)
+				}
+			}()
+			MultiCGWith(nil, a, xs, bs, opts)
+		}()
+		for j := range xs {
+			if blas.Nrm2(xs[j]) != 0 {
+				t.Fatalf("%s: guess %d written before the panic", tc.name, j)
 			}
 		}
-		if stats[4].Iterations >= stats[3].Iterations {
-			t.Errorf("IC(0) column took %d iterations, its plain neighbour %d", stats[4].Iterations, stats[3].Iterations)
+	}
+}
+
+// sweepSpy is a shared preconditioner that records the width of every
+// ApplyBlock it is asked for.
+type sweepSpy struct {
+	*IC0
+	widths []int
+}
+
+func (s *sweepSpy) ApplyBlock(z, r *multivec.MultiVec) {
+	s.widths = append(s.widths, z.M)
+	s.IC0.ApplyBlock(z, r)
+}
+
+// TestMultiCGSharedIC0MatchesLone: one IC(0) factor shared by a whole
+// batch, applied by one ApplyBlock over the lane block per iteration
+// (Apply at width 1), leaves every column its lone PCG solve bit for
+// bit — at batch widths on and off the kernel widths, on pools of 1, 2
+// and 4 threads, with budgets that retire a third of the columns at
+// staggered iterations (so the block narrows through the widths), a
+// column whose context is already cancelled and one whose NaN
+// right-hand side retires it at entry while its lane still rides the
+// first sweep.
+func TestMultiCGSharedIC0MatchesLone(t *testing.T) {
+	defer parallel.SetThreads(parallel.Threads())
+	a := bcrs.Random(bcrs.RandomOptions{NB: 120, BlocksPerRow: 6, Seed: 27})
+	n := a.N()
+	ic, err := NewIC0(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, threads := range []int{1, 2, 4} {
+		parallel.SetThreads(threads)
+		for _, q := range []int{1, 2, 3, 5, 8, 17, 32, 33} {
+			spy := &sweepSpy{IC0: ic}
+			bs, opts := make([][]float64, q), make([]Options, q)
+			for j := range bs {
+				bs[j] = testRHS(n, uint64(600+j))
+				opts[j] = Options{Tol: 1e-10, Precond: spy}
+				if j%3 == 1 {
+					opts[j].MaxIter = 1 + j%7
+				}
+			}
+			cancelled, poisoned := -1, -1
+			if q > 1 {
+				cancelled = q - 1
+				opts[cancelled].Ctx = ctx
+			}
+			if q > 2 {
+				poisoned = q / 2
+				bs[poisoned][n/3] = math.NaN()
+			}
+			what := fmt.Sprintf("threads=%d q=%d", threads, q)
+			stats := checkFusedMatchesLone(t, what, a, a, zeroGuesses(q, n), bs, opts)
+			for j, st := range stats {
+				switch {
+				case j == cancelled:
+					if !errors.Is(st.Err, ErrCanceled) || st.Iterations != 0 {
+						t.Errorf("%s: cancelled column: %+v", what, st)
+					}
+				case j == poisoned:
+					if !errors.Is(st.Err, ErrBreakdown) || st.MatMuls != 0 {
+						t.Errorf("%s: NaN column: %+v", what, st)
+					}
+				case opts[j].MaxIter == 0 && !st.Converged:
+					t.Errorf("%s: column %d did not converge: %+v", what, j, st)
+				}
+			}
+			// Lone solves run at width 1 and sweep through Apply, so
+			// every ApplyBlock was the fused solve's, over its whole
+			// block: the batch's kernel width first.
+			if q > 1 && (len(spy.widths) == 0 || spy.widths[0] != KernelCeil(q)) {
+				t.Errorf("%s: ApplyBlock widths %v, want the first at %d", what, spy.widths, KernelCeil(q))
+			}
+			for _, w := range spy.widths {
+				if w < 2 || KernelCeil(w) != w {
+					t.Fatalf("%s: ApplyBlock at width %d", what, w)
+				}
+			}
 		}
-	})
+	}
 }
 
 // TestMultiCGCancelMidSolve cancels one column's context just before
@@ -891,20 +988,34 @@ func TestMultiCGSteadyStateAllocs(t *testing.T) {
 
 // BenchmarkMultiCG is the fused solve at the served shape (the
 // benchmark's serve_* matrix: NB = 6000, 24 blocks per row, solved to
-// 2e-6 from zero guesses) at widths 1, 8 and 32. vec-share is the
+// 2e-6 from zero guesses) at widths 1, 8 and 32, and under one IC(0)
+// factor shared by the batch (ic0/) at 2, 4 and 32. vec-share is the
 // fraction of the solve outside its multiplies — what the paper's
 // "m right-hand sides for the price of ~2" does not cover — and
 // mul-ms/iter and vec-ms/iter the two halves per iteration of column
-// 0, which every column finishes within a few iterations of.
+// 0, which every column finishes within a few iterations of; the
+// preconditioner's sweeps are vector time.
 func BenchmarkMultiCG(b *testing.B) {
 	a := bcrs.Random(bcrs.RandomOptions{NB: 6000, BlocksPerRow: 24, Seed: 1})
 	n := a.N()
-	for _, q := range []int{1, 8, 32} {
-		b.Run(fmt.Sprintf("q=%d", q), func(b *testing.B) {
+	ic, err := NewIC0(a)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		q    int
+		pre  Preconditioner
+	}{
+		{"q=1", 1, nil}, {"q=8", 8, nil}, {"q=32", 32, nil},
+		{"ic0/q=2", 2, ic}, {"ic0/q=4", 4, ic}, {"ic0/q=32", 32, ic},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			q := c.q
 			xs, bs, opts := zeroGuesses(q, n), make([][]float64, q), make([]Options, q)
 			for j := range bs {
 				bs[j] = testRHS(n, uint64(j+1))
-				opts[j] = Options{Tol: 2e-6}
+				opts[j] = Options{Tol: 2e-6, Precond: c.pre}
 			}
 			ws := NewMultiCGWorkspace()
 			var mul, vec float64

@@ -103,7 +103,14 @@ func TestMultiCGMatchesLoneCGProperty(t *testing.T) {
 		a := bcrs.Random(bcrs.RandomOptions{NB: 40, BlocksPerRow: 5, Seed: seed})
 		n := a.N()
 		s := rng.Substream(seed, 4)
-		bj := NewBlockJacobi(a)
+		var pre Preconditioner // the batch's: IC(0) one time in three
+		if s.Intn(3) == 0 {
+			ic, err := NewIC0(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pre = ic
+		}
 		xs0, bs, opts := make([][]float64, q), make([][]float64, q), make([]Options, q)
 		for j := 0; j < q; j++ {
 			xs0[j], bs[j] = make([]float64, n), make([]float64, n)
@@ -111,12 +118,9 @@ func TestMultiCGMatchesLoneCGProperty(t *testing.T) {
 			if s.Intn(3) == 0 {
 				s.FillNormal(xs0[j]) // a (bad) warm start
 			}
-			opts[j] = Options{Tol: math.Pow(10, -1-8*s.Float64())}
+			opts[j] = Options{Tol: math.Pow(10, -1-8*s.Float64()), Precond: pre}
 			if s.Intn(3) == 0 {
 				opts[j].MaxIter = 1 + s.Intn(12)
-			}
-			if s.Intn(8) == 0 {
-				opts[j].Precond = bj
 			}
 		}
 		checkFusedMatchesLone(t, "property", a, a, xs0, bs, opts)

@@ -93,7 +93,6 @@ run "$bin/experiments" -run fig1 -format csv
 sim=("$bin/mrhs-sim" -n 150 -phi 0.3 -m 4)
 run "${sim[@]}" -steps 6
 run "${sim[@]}" -steps 6 -precond none
-run "${sim[@]}" -steps 6 -precond jacobi
 run "${sim[@]}" -steps 6 -alg original
 run "${sim[@]}" -steps 6 -alg original -precond none
 run "${sim[@]}" -steps 6 -threads 2
@@ -167,10 +166,10 @@ get /v1/info
 post /v1/solve '{"seed":1,"omit_x":true}' 200
 post /v1/solve '{"seed":1,"omit_x":true}' 200 -H 'X-Request-ID: probe-1'
 post /v1/solve '{"seed":1}' 200
-post /v1/sdstep '{"seed":2,"dt":0.001,"omit":true}' 200
 post /v1/ensemble '{"members":8,"seed":1,"omit_x":true}' 200
 post /v1/solve '{"seed":1,"tol":-1}' 400
 post /v1/solve '{"seed":1,"max_iter":-3}' 400
+post /v1/solve '{"seed":1,"omit":true}' 400
 # A concurrent burst with mixed per-request tolerances: columns of one
 # fused batch retire at different iterations, so the solve narrows its
 # block as they go.
@@ -198,7 +197,6 @@ stop
 
 server -matrix sd -n 300
 post /v1/solve '{"seed":1,"omit_x":true}' 200
-post /v1/sdstep '{"seed":2,"dt":0.001,"omit":true}' 200
 post /v1/ensemble '{"members":4,"seed":1,"omit_x":true}' 200
 stop
 
