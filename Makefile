@@ -194,8 +194,9 @@ wide:
 # noavx512 runs the kernel packages' tests with AVX-512 compiled out
 # (cpufeat/noavx512.go): on a host that has it, the m = 8k multiplies
 # and everything built on them otherwise never reach the AVX2 row
-# kernel, so the oracles and the whole-solve pins would cover one of
-# the two. There is no flag or environment variable for this; the
+# kernel, and the half storage's AVX2 row kernel runs only the last
+# m % 8 columns, so the oracles and the whole-solve pins would cover
+# one of the two. There is no flag or environment variable for this; the
 # build tag is the switch. -count=1 as in serial.
 noavx512:
 	$(GO) test -tags noavx512 -short -count=1 ./internal/cpufeat/ ./internal/bcrs/ ./internal/multivec/ ./internal/solver/

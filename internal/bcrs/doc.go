@@ -26,5 +26,8 @@
 // goroutine. The half-storage symmetric variant (SymMatrix), only
 // measured (gspmv benchmarks, ext-symmetric) since it lost every SD and
 // serve point, keeps the upper triangle and scatters transpose
-// contributions through a two-phase conflict-free schedule.
+// contributions through a two-phase conflict-free schedule. Its
+// kernels run an FMA chain, so their assembly needs FMA3 as well; with
+// AVX-512 they run 16 columns a pass, and the last m % 8 in the AVX2
+// kernel's unmasked 4-wide groups and 1-3 column tail.
 package bcrs

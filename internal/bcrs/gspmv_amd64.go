@@ -23,23 +23,12 @@ func gspmvRowAVX512(vals *float64, colIdx *int32, nblk int, x *float64, yrow *fl
 // NewMatrix and Builder admit only in-range ones, spmv1SIMD the rows.
 func spmv1AVX2(rowPtr, colIdx *int32, vals, x, y *float64, lo, hi int)
 
-// Implemented in sym_amd64.s.
+// Implemented in sym_amd64.s. The symmetric kernels' operation order
+// is an FMA chain (math.FMA in Go), and matching it bitwise needs FMA3,
+// so Mul takes them where cpufeat.FMA is set.
 func symGspmvRowAVX2(vals *float64, colIdx *int32, nblk int, x, y, part *float64, i, hi, m, c0, c1 int)
+func symGspmvRowAVX512(vals *float64, colIdx *int32, nblk int, x, y, part *float64, i, hi, m, c0, c1 int)
 func symSpmv1AVX2(rowPtr, colIdx *int32, vals, x, y, part *float64, lo, hi int)
-
-// symSIMDWidth is the symmetric assembly's column granularity: 1 —
-// every m, m = 1 by its own kernel — when AVX2 and FMA3 are available,
-// else 0. The symmetric kernels' operation order is an FMA chain
-// (math.FMA in Go), and matching it bitwise in asm needs FMA3. Tests
-// may clear it to force the pure-Go kernels.
-var symSIMDWidth = detectSymSIMD()
-
-func detectSymSIMD() int {
-	if !cpufeat.FMA {
-		return 0
-	}
-	return 1
-}
 
 // gspmvSIMD runs the row kernel over [lo, hi): the AVX-512 one when
 // cpufeat.AVX512 is set (read here, so clearing it forces the AVX2
@@ -67,11 +56,12 @@ func spmv1SIMD(rowPtr, colIdx []int32, vals, x, y []float64, lo, hi int) {
 	spmv1AVX2(&rowPtr[0], &colIdx[0], &vals[0], &x[0], &y[0], lo, hi)
 }
 
-// symGspmvSIMD runs the AVX2 symmetric kernels over [lo, hi), honoring
-// the mulRange contract (accumulate into pre-zeroed y rows,
-// out-of-range scatter into part): symSpmv1AVX2 at m = 1, else the row
-// kernel. The row kernel takes a column window [c0, c1) of the
-// m-column rows; it is always the whole row here.
+// symGspmvSIMD runs the symmetric assembly kernels over [lo, hi),
+// honoring the mulRange contract (accumulate into pre-zeroed y rows,
+// out-of-range scatter into part): symSpmv1AVX2 at m = 1, else, per
+// row, the AVX-512 row kernel on columns [0, m&^7) when cpufeat.AVX512
+// is set (read here, as gspmvSIMD does) and the AVX2 one on the rest.
+// Per column the chain does not depend on which kernel ran it.
 func symGspmvSIMD(rowPtr, colIdx []int32, vals, x, y, part []float64, m, lo, hi int) {
 	if lo >= hi || len(colIdx) == 0 {
 		return // accumulate semantics: no block, nothing to add
@@ -85,11 +75,20 @@ func symGspmvSIMD(rowPtr, colIdx []int32, vals, x, y, part []float64, m, lo, hi 
 		symSpmv1AVX2(&rowPtr[0], &colIdx[0], &vals[0], &x[0], &y[0], pp, lo, hi)
 		return
 	}
+	wide := 0
+	if cpufeat.AVX512 {
+		wide = m &^ 7
+	}
 	for i := lo; i < hi; i++ {
 		k0, k1 := int(rowPtr[i]), int(rowPtr[i+1])
 		if k1 == k0 {
 			continue // accumulate semantics: empty rows contribute nothing
 		}
-		symGspmvRowAVX2(&vals[k0*BlockSize], &colIdx[k0], k1-k0, &x[0], &y[0], pp, i, hi, m, 0, m)
+		if wide > 0 {
+			symGspmvRowAVX512(&vals[k0*BlockSize], &colIdx[k0], k1-k0, &x[0], &y[0], pp, i, hi, m, 0, wide)
+		}
+		if wide < m {
+			symGspmvRowAVX2(&vals[k0*BlockSize], &colIdx[k0], k1-k0, &x[0], &y[0], pp, i, hi, m, wide, m)
+		}
 	}
 }

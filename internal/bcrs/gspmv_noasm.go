@@ -2,9 +2,8 @@
 
 package bcrs
 
-// Non-amd64 builds have no SIMD fast path: cpufeat reports no AVX2,
-// so the pure-Go kernels run at every m.
-var symSIMDWidth = 0
+// Non-amd64 builds have no SIMD fast path: cpufeat reports no AVX2
+// and no FMA, so the pure-Go kernels run at every m.
 
 func gspmvSIMD(rowPtr, colIdx []int32, vals, x, y []float64, m, lo, hi int) {
 	panic("bcrs: gspmvSIMD without SIMD support")

@@ -10,11 +10,12 @@ import (
 	"repro/internal/rng"
 )
 
-// gspmvKernels are the row kernels a width-m multiply can run: the
-// AVX-512 one (where the host has it), the AVX2 one with
-// cpufeat.AVX512 cleared, and the Go kernels with cpufeat.AVX2
-// cleared, which are the oracle. On a host without a kernel its entry
-// runs the next one down.
+// gspmvKernels are the row kernels a width-m multiply can run, general
+// or half storage: the AVX-512 one (where the host has it), the AVX2
+// one with cpufeat.AVX512 cleared, and the Go kernels with
+// cpufeat.AVX2 and cpufeat.FMA cleared, which are the oracle. The half
+// storage's assembly also needs FMA. On a host without a kernel its
+// entry runs the next one down.
 var gspmvKernels = []struct {
 	name      string
 	simd, zmm bool
@@ -22,8 +23,9 @@ var gspmvKernels = []struct {
 
 // withKernel runs fn with the multiply limited to the given kernels.
 func withKernel(simd, zmm bool, fn func()) {
-	defer func(a, z bool) { cpufeat.AVX2, cpufeat.AVX512 = a, z }(cpufeat.AVX2, cpufeat.AVX512)
+	defer func(a, f, z bool) { cpufeat.AVX2, cpufeat.FMA, cpufeat.AVX512 = a, f, z }(cpufeat.AVX2, cpufeat.FMA, cpufeat.AVX512)
 	cpufeat.AVX2 = cpufeat.AVX2 && simd
+	cpufeat.FMA = cpufeat.FMA && simd
 	cpufeat.AVX512 = cpufeat.AVX512 && zmm
 	fn()
 }

@@ -113,9 +113,11 @@ func TestGSPMVReadsNothingPastItsArrays(t *testing.T) {
 }
 
 // TestSymReadsNothingPastItsArrays runs the symmetric kernels — the
-// m = 1 three-lane one, the row kernel with its 1-, 2- and 3-column tails,
-// and the Go loops — with rowPtr, colIdx, vals, x, y and the partial
-// windows ending at an unreadable page, at m = 1..9, serially and on
+// m = 1 three-lane one, the AVX-512 row kernel's 16- and 8-column
+// passes, the AVX2 one with its 1-, 2- and 3-column tails, alone and
+// after the AVX-512 groups, and the Go loops — with rowPtr, colIdx,
+// vals, x, y and the partial windows ending at an unreadable page, at
+// m = 1..17 and 33, serially and on
 // two threads, where the first range scatters into its window. Each
 // case has a block in the last block column, which reads the last x
 // row to its end and writes the last y row; in "last-off-diagonal" the
@@ -148,26 +150,26 @@ func TestSymReadsNothingPastItsArrays(t *testing.T) {
 		g.fillFn, g.foldFn = g.fill, g.fold
 		for _, threads := range []int{1, 2} {
 			usePool(t, threads)
-			for m := 1; m <= 9; m++ {
+			for _, m := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 33} {
 				x := multivec.New(s.N(), m)
 				for i := range x.Data {
 					x.Data[i] = float64(i%7) - 3
 				}
 				want := multivec.New(s.N(), m)
-				withSymSIMD(false, func() { s.Mul(want, x) })
+				withKernel(false, false, func() { s.Mul(want, x) })
 				gx := &multivec.MultiVec{N: x.N, M: m, Data: guarded(t, x.Data, 0)}
-				for _, simd := range simdModes {
+				for _, k := range gspmvKernels {
 					got := &multivec.MultiVec{N: s.N(), M: m, Data: guarded(t, make([]float64, s.N()*m), 0)}
 					// The windows, sized exactly: run makes no scratch of its own.
 					g.splitFor(parallel.Default())
 					g.scratch = guarded(t, make([]float64, g.winRows*BlockDim*m), 0)
 					faulted := false
-					withSymSIMD(simd, func() { faulted = faults(func() { g.Mul(got, gx) }) })
+					withKernel(k.simd, k.zmm, func() { faulted = faults(func() { g.Mul(got, gx) }) })
 					if faulted {
-						t.Fatalf("%s threads=%d m=%d simd=%v: Mul touched memory past one of its arrays", name, threads, m, simd)
+						t.Fatalf("%s threads=%d m=%d %s: Mul touched memory past one of its arrays", name, threads, m, k.name)
 					}
 					if i := sameBits(got.Data, want.Data); i >= 0 {
-						t.Fatalf("%s threads=%d m=%d simd=%v: y[%d] = %v, want %v", name, threads, m, simd, i, got.Data[i], want.Data[i])
+						t.Fatalf("%s threads=%d m=%d %s: y[%d] = %v, want %v", name, threads, m, k.name, i, got.Data[i], want.Data[i])
 					}
 				}
 			}

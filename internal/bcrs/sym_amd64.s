@@ -1,7 +1,8 @@
-// AVX2+FMA symmetric GSPMV kernels: symGspmvRowAVX2, one
+// AVX2+FMA and AVX-512 symmetric GSPMV kernels: symGspmvRowAVX2, one
 // upper-triangle block row, columns [c0, c1) of an m-wide multivector,
-// 4 columns at a time and the last 1-3 in one more pass; and
-// symSpmv1AVX2, the m = 1 multiply over a range of block rows.
+// 4 columns at a time and the last 1-3 in one more pass;
+// symGspmvRowAVX512, the same row 16 columns at a time and a last 8;
+// and symSpmv1AVX2, the m = 1 multiply over a range of block rows.
 //
 // As in gspmv_amd64.s, SIMD lanes run ACROSS the right-hand sides
 // (the m dimension), never across the reduction, and each lane
@@ -12,23 +13,26 @@
 //
 // (see sym_kernels.go). VFMADD231PD performs the same single-rounded
 // fused step as math.FMA, so the SIMD result is bitwise-identical to
-// the pure-Go symmetric kernels; symSIMDWidth gates this path on the
-// FMA3 CPUID bit. The general kernels keep their historical
+// the pure-Go symmetric kernels; Mul takes this path only where
+// cpufeat.FMA is set. The general kernels keep their historical
 // mul-then-add DAG — the symmetric family is defined with FMA because
 // it applies every off-diagonal block twice, and halving its ALU ops
 // is what keeps the kernel bandwidth-bound (where the half storage
 // pays off) out to large m.
 //
 // The column bounds [c0, c1) leave m the row stride, so x/y/part
-// addressing does not depend on them (the caller passes the whole
-// row). After the 4-wide groups, the last 1-3 columns run the same
-// chain in one pass — in scalar registers, an xmm pair, or ymm lanes
-// 0-2 — so every m > 1 takes the row kernel.
+// addressing does not depend on them. symGspmvSIMD gives the AVX-512
+// kernel columns [0, m&^7) of each row and the AVX2 one the rest (all
+// of them without AVX-512). After its 4-wide groups, the AVX2 kernel
+// runs the last 1-3 columns in one pass — in scalar registers, an xmm
+// pair, or ymm lanes 0-2 — so every m > 1 takes a row kernel.
 //
-// The group width is 4 (not the general kernel's 8) because the
+// The AVX2 group width is 4 (not the general kernel's 8) because the
 // symmetric body keeps three vector sets live — direct accumulators,
 // x row i for the transposed scatter, and x row j — which at width 8
-// would need 18 ymm registers.
+// would need 18 of the 16 ymm registers. With 32 zmm registers the
+// AVX-512 kernel holds all three at 16 columns (18 registers) and the
+// block's nine broadcast coefficients besides.
 //
 // Each stored block is applied twice: directly into the accumulators
 // for row i (seeded from y, which carries earlier in-range scatter),
@@ -540,6 +544,293 @@ storeacc1:
 	VMOVSD X2, (R15)(R13*8)
 
 done:
+	VZEROUPPER
+	RET
+
+// func symGspmvRowAVX512(vals *float64, colIdx *int32, nblk int, x, y, part *float64, i, hi, m, c0, c1 int)
+//
+// symGspmvRowAVX2 at twice the width and with every coefficient in a
+// register: 8 columns per zmm, two zmm per block row, so a pass over
+// the row's blocks covers 16 columns while 16 are left, then one pass
+// of 8. c1 - c0 must be a multiple of 8; symGspmvSIMD hands the last
+// m % 8 columns to symGspmvRowAVX2's window. Each lane keeps the
+// chains above with the same operand roles (accumulator, coefficient,
+// x), so every column carries symGspmvGeneric's bits.
+//
+// With 32 registers the nine coefficients of a block are broadcast
+// once and serve both writes and both groups.
+//
+// Register plan: Z0..Z5 direct accumulators (rows 0..2 of y block row
+// i, two groups each: row r in Z(2r), Z(2r+1)), Z6..Z11 x block row i,
+// Z12..Z17 x block row j, Z18..Z26 coefficients v[0..8], Z27..Z31
+// scatter accumulators. GP as in symGspmvRowAVX2, except R15 is the
+// block pointer, advanced 72 bytes a block.
+// Z18..Z26 = the block at R15's nine entries, each in every lane.
+#define ZCOEFS \
+	VBROADCASTSD (R15), Z18; \
+	VBROADCASTSD 8(R15), Z19; \
+	VBROADCASTSD 16(R15), Z20; \
+	VBROADCASTSD 24(R15), Z21; \
+	VBROADCASTSD 32(R15), Z22; \
+	VBROADCASTSD 40(R15), Z23; \
+	VBROADCASTSD 48(R15), Z24; \
+	VBROADCASTSD 56(R15), Z25; \
+	VBROADCASTSD 64(R15), Z26
+
+TEXT ·symGspmvRowAVX512(SB), NOSPLIT, $0-88
+	MOVQ  vals+0(FP), SI
+	MOVQ  colIdx+8(FP), DI
+	MOVQ  nblk+16(FP), CX
+	MOVQ  x+24(FP), DX
+	MOVQ  y+32(FP), BX
+	MOVQ  part+40(FP), R8
+	MOVQ  m+64(FP), R13
+	LEAQ  (R13)(R13*2), R12 // 3m
+	MOVQ  i+48(FP), AX
+	IMULQ R12, AX           // i*3m: scalar offset of block row i
+	MOVQ  c0+72(FP), R9     // column offset
+
+zgrouploop:
+	MOVQ c1+80(FP), R14
+	SUBQ R9, R14            // columns left
+	CMPQ R14, $16
+	JLT  zgroup8
+
+	// x block row i (Z6..Z11) and the accumulators from y block row
+	// i (Z0..Z5) for these 16 columns.
+	LEAQ    (AX)(R9*1), R14
+	LEAQ    (DX)(R14*8), R15
+	VMOVUPD (R15), Z6
+	VMOVUPD 64(R15), Z7
+	VMOVUPD (R15)(R13*8), Z8
+	VMOVUPD 64(R15)(R13*8), Z9
+	LEAQ    (R15)(R13*8), R11
+	VMOVUPD (R11)(R13*8), Z10
+	VMOVUPD 64(R11)(R13*8), Z11
+	LEAQ    (BX)(R14*8), R15
+	VMOVUPD (R15), Z0
+	VMOVUPD 64(R15), Z1
+	VMOVUPD (R15)(R13*8), Z2
+	VMOVUPD 64(R15)(R13*8), Z3
+	LEAQ    (R15)(R13*8), R11
+	VMOVUPD (R11)(R13*8), Z4
+	VMOVUPD 64(R11)(R13*8), Z5
+	MOVQ    SI, R15         // this row's first block
+	XORQ    R10, R10        // block counter
+
+z16blk:
+	CMPQ R10, CX
+	JGE  z16store
+
+	// x block row j: x + (colIdx[k]*3m + off)*8
+	MOVLQSX (DI)(R10*4), R11
+	MOVQ    R11, R14
+	IMULQ   R12, R14
+	ADDQ    R9, R14
+	LEAQ    (DX)(R14*8), R14
+	VMOVUPD (R14), Z12
+	VMOVUPD 64(R14), Z13
+	VMOVUPD (R14)(R13*8), Z14
+	VMOVUPD 64(R14)(R13*8), Z15
+	LEAQ    (R14)(R13*8), R14
+	VMOVUPD (R14)(R13*8), Z16
+	VMOVUPD 64(R14)(R13*8), Z17
+
+	ZCOEFS
+
+	// Direct part: acc row r = fma(v[3r+2], xj2, fma(v[3r+1], xj1,
+	// fma(v[3r], xj0, acc))).
+	VFMADD231PD Z12, Z18, Z0
+	VFMADD231PD Z13, Z18, Z1
+	VFMADD231PD Z14, Z19, Z0
+	VFMADD231PD Z15, Z19, Z1
+	VFMADD231PD Z16, Z20, Z0
+	VFMADD231PD Z17, Z20, Z1
+
+	VFMADD231PD Z12, Z21, Z2
+	VFMADD231PD Z13, Z21, Z3
+	VFMADD231PD Z14, Z22, Z2
+	VFMADD231PD Z15, Z22, Z3
+	VFMADD231PD Z16, Z23, Z2
+	VFMADD231PD Z17, Z23, Z3
+
+	VFMADD231PD Z12, Z24, Z4
+	VFMADD231PD Z13, Z24, Z5
+	VFMADD231PD Z14, Z25, Z4
+	VFMADD231PD Z15, Z25, Z5
+	VFMADD231PD Z16, Z26, Z4
+	VFMADD231PD Z17, Z26, Z5
+
+	// Transposed scatter: skip the diagonal block.
+	CMPQ R11, i+48(FP)
+	JEQ  z16next
+
+	// dst base: y when j < hi, else the partial window at j - hi.
+	MOVQ hi+56(FP), R14
+	CMPQ R11, R14
+	JLT  z16y
+	SUBQ R14, R11
+	MOVQ R8, R14
+	JMP  z16go
+
+z16y:
+	MOVQ BX, R14
+
+z16go:
+	IMULQ R12, R11
+	ADDQ  R9, R11
+	LEAQ  (R14)(R11*8), R14 // dst row 0
+
+	// dst row r = fma(v[6+r], xi2, fma(v[3+r], xi1, fma(v[r], xi0, dst)))
+	VMOVUPD     (R14), Z27
+	VMOVUPD     64(R14), Z28
+	VFMADD231PD Z6, Z18, Z27
+	VFMADD231PD Z7, Z18, Z28
+	VFMADD231PD Z8, Z21, Z27
+	VFMADD231PD Z9, Z21, Z28
+	VFMADD231PD Z10, Z24, Z27
+	VFMADD231PD Z11, Z24, Z28
+	VMOVUPD     Z27, (R14)
+	VMOVUPD     Z28, 64(R14)
+
+	VMOVUPD     (R14)(R13*8), Z29
+	VMOVUPD     64(R14)(R13*8), Z30
+	VFMADD231PD Z6, Z19, Z29
+	VFMADD231PD Z7, Z19, Z30
+	VFMADD231PD Z8, Z22, Z29
+	VFMADD231PD Z9, Z22, Z30
+	VFMADD231PD Z10, Z25, Z29
+	VFMADD231PD Z11, Z25, Z30
+	VMOVUPD     Z29, (R14)(R13*8)
+	VMOVUPD     Z30, 64(R14)(R13*8)
+
+	LEAQ        (R14)(R13*8), R11
+	VMOVUPD     (R11)(R13*8), Z31
+	VMOVUPD     64(R11)(R13*8), Z27
+	VFMADD231PD Z6, Z20, Z31
+	VFMADD231PD Z7, Z20, Z27
+	VFMADD231PD Z8, Z23, Z31
+	VFMADD231PD Z9, Z23, Z27
+	VFMADD231PD Z10, Z26, Z31
+	VFMADD231PD Z11, Z26, Z27
+	VMOVUPD     Z31, (R11)(R13*8)
+	VMOVUPD     Z27, 64(R11)(R13*8)
+
+z16next:
+	ADDQ $72, R15
+	INCQ R10
+	JMP  z16blk
+
+z16store:
+	LEAQ    (AX)(R9*1), R14
+	LEAQ    (BX)(R14*8), R15
+	VMOVUPD Z0, (R15)
+	VMOVUPD Z1, 64(R15)
+	VMOVUPD Z2, (R15)(R13*8)
+	VMOVUPD Z3, 64(R15)(R13*8)
+	LEAQ    (R15)(R13*8), R15
+	VMOVUPD Z4, (R15)(R13*8)
+	VMOVUPD Z5, 64(R15)(R13*8)
+
+	ADDQ $16, R9
+	JMP  zgrouploop
+
+	// The last 8 columns: the same pass with one group.
+zgroup8:
+	CMPQ R14, $8
+	JLT  zdone
+
+	LEAQ    (AX)(R9*1), R14
+	LEAQ    (DX)(R14*8), R15
+	VMOVUPD (R15), Z6
+	VMOVUPD (R15)(R13*8), Z8
+	LEAQ    (R15)(R13*8), R11
+	VMOVUPD (R11)(R13*8), Z10
+	LEAQ    (BX)(R14*8), R15
+	VMOVUPD (R15), Z0
+	VMOVUPD (R15)(R13*8), Z2
+	LEAQ    (R15)(R13*8), R11
+	VMOVUPD (R11)(R13*8), Z4
+	MOVQ    SI, R15
+	XORQ    R10, R10
+
+z8blk:
+	CMPQ R10, CX
+	JGE  z8store
+
+	MOVLQSX (DI)(R10*4), R11
+	MOVQ    R11, R14
+	IMULQ   R12, R14
+	ADDQ    R9, R14
+	LEAQ    (DX)(R14*8), R14
+	VMOVUPD (R14), Z12
+	VMOVUPD (R14)(R13*8), Z14
+	LEAQ    (R14)(R13*8), R14
+	VMOVUPD (R14)(R13*8), Z16
+
+	ZCOEFS
+
+	VFMADD231PD Z12, Z18, Z0
+	VFMADD231PD Z14, Z19, Z0
+	VFMADD231PD Z16, Z20, Z0
+	VFMADD231PD Z12, Z21, Z2
+	VFMADD231PD Z14, Z22, Z2
+	VFMADD231PD Z16, Z23, Z2
+	VFMADD231PD Z12, Z24, Z4
+	VFMADD231PD Z14, Z25, Z4
+	VFMADD231PD Z16, Z26, Z4
+
+	CMPQ R11, i+48(FP)
+	JEQ  z8next
+
+	MOVQ hi+56(FP), R14
+	CMPQ R11, R14
+	JLT  z8y
+	SUBQ R14, R11
+	MOVQ R8, R14
+	JMP  z8go
+
+z8y:
+	MOVQ BX, R14
+
+z8go:
+	IMULQ R12, R11
+	ADDQ  R9, R11
+	LEAQ  (R14)(R11*8), R14
+
+	VMOVUPD     (R14), Z27
+	VFMADD231PD Z6, Z18, Z27
+	VFMADD231PD Z8, Z21, Z27
+	VFMADD231PD Z10, Z24, Z27
+	VMOVUPD     Z27, (R14)
+
+	VMOVUPD     (R14)(R13*8), Z29
+	VFMADD231PD Z6, Z19, Z29
+	VFMADD231PD Z8, Z22, Z29
+	VFMADD231PD Z10, Z25, Z29
+	VMOVUPD     Z29, (R14)(R13*8)
+
+	LEAQ        (R14)(R13*8), R11
+	VMOVUPD     (R11)(R13*8), Z31
+	VFMADD231PD Z6, Z20, Z31
+	VFMADD231PD Z8, Z23, Z31
+	VFMADD231PD Z10, Z26, Z31
+	VMOVUPD     Z31, (R11)(R13*8)
+
+z8next:
+	ADDQ $72, R15
+	INCQ R10
+	JMP  z8blk
+
+z8store:
+	LEAQ    (AX)(R9*1), R14
+	LEAQ    (BX)(R14*8), R15
+	VMOVUPD Z0, (R15)
+	VMOVUPD Z2, (R15)(R13*8)
+	LEAQ    (R15)(R13*8), R15
+	VMOVUPD Z4, (R15)(R13*8)
+
+zdone:
 	VZEROUPPER
 	RET
 

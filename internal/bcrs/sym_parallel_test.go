@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/blas"
+	"repro/internal/cpufeat"
 	"repro/internal/multivec"
 	"repro/internal/rng"
 )
@@ -143,13 +144,14 @@ func TestSymMulDeterministicAcrossPoolSizes(t *testing.T) {
 }
 
 // TestSymSIMDBitwiseMatchesGo pins the one Go symmetric kernel
-// Mul dispatches past m = 1, symGspmvGeneric, at every width from 1 to
-// 33, serial and parallel (partial-window scatter included): at every
-// even m it is checked bit for bit against the AVX2 kernel, at odd
-// m > 1 it runs on both sides, and at m = 1 it is checked against
-// symSpmv1. Skipped on hosts without the fast path.
+// Mul dispatches past m = 1, symGspmvGeneric, against every kernel Mul
+// can run — the AVX-512 row kernel with the AVX2 one on the last m % 8
+// columns, the AVX2 one alone, and the Go loops — at m = 1 (against
+// symSpmv1 and its three-lane kernel) and every width in gspmvWidths,
+// serial and parallel (partial-window scatter included). Skipped on
+// hosts without the fast path.
 func TestSymSIMDBitwiseMatchesGo(t *testing.T) {
-	if symSIMDWidth == 0 {
+	if !cpufeat.FMA {
 		t.Skip("no symmetric SIMD fast path on this host")
 	}
 	for name, a := range symTestMatrices() {
@@ -159,36 +161,28 @@ func TestSymSIMDBitwiseMatchesGo(t *testing.T) {
 		}
 		for _, threads := range []int{1, 4} {
 			usePool(t, threads)
-			for m := 1; m <= 33; m++ {
+			for _, m := range append([]int{1}, gspmvWidths...) {
 				r := rng.New(uint64(m) + 7)
 				x := multivec.New(a.N(), m)
 				for i := range x.Data {
 					x.Data[i] = r.Normal()
 				}
 				want := multivec.New(a.N(), m)
-				got := multivec.New(a.N(), m)
 				s.MulGenericKernel(want, x)
-				s.Mul(got, x)
+				for _, k := range gspmvKernels {
+					got := multivec.New(a.N(), m)
+					withKernel(k.simd, k.zmm, func() { s.Mul(got, x) })
 
-				for i := range want.Data {
-					if got.Data[i] != want.Data[i] {
-						t.Fatalf("%s threads=%d m=%d: data[%d] = %v dispatched, %v generic: not bitwise-identical",
-							name, threads, m, i, got.Data[i], want.Data[i])
+					for i := range want.Data {
+						if got.Data[i] != want.Data[i] {
+							t.Fatalf("%s threads=%d m=%d %s: data[%d] = %v dispatched, %v generic: not bitwise-identical",
+								name, threads, m, k.name, i, got.Data[i], want.Data[i])
+						}
 					}
 				}
 			}
 		}
 	}
-}
-
-// withSymSIMD runs fn with the symmetric assembly kernels allowed or
-// not. On a host without them both settings run the Go loops.
-func withSymSIMD(on bool, fn func()) {
-	defer func(saved int) { symSIMDWidth = saved }(symSIMDWidth)
-	if !on {
-		symSIMDWidth = 0
-	}
-	fn()
 }
 
 // TestSymSpmv1SIMDMatchesGoOnSpecials: the m = 1 three-lane kernel
@@ -198,65 +192,84 @@ func withSymSIMD(on bool, fn func()) {
 // window. y rows outside the range and the window's untouched rows
 // must keep what they held.
 func TestSymSpmv1SIMDMatchesGoOnSpecials(t *testing.T) {
-	if symSIMDWidth == 0 {
+	if !cpufeat.FMA {
 		t.Skip("no symmetric SIMD fast path on this host")
 	}
+	checkSymSpecials(t, 1)
+}
+
+// TestSymGspmvSIMDMatchesGoOnSpecials is the same check for the row
+// kernels at every width in gspmvWidths: the AVX-512 one with its AVX2
+// tail and the AVX2 one alone give symGspmvGeneric's bits.
+func TestSymGspmvSIMDMatchesGoOnSpecials(t *testing.T) {
+	if !cpufeat.FMA {
+		t.Skip("no symmetric SIMD fast path on this host")
+	}
+	for _, m := range gspmvWidths {
+		checkSymSpecials(t, m)
+	}
+}
+
+// checkSymSpecials runs one width-m range multiply of each test matrix,
+// with specials planted in x and in the blocks, under each assembly
+// kernel and under the Go loops, and compares y and the partial window
+// bit for bit.
+func checkSymSpecials(t *testing.T, m int) {
+	t.Helper()
 	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 5e-324}
 	for name, a := range symTestMatrices() {
 		s, err := NewSym(a)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		r := rng.New(17)
-		x := make([]float64, s.N())
+		r := rng.New(17 + uint64(m))
+		x := make([]float64, s.N()*m)
 		r.FillNormal(x)
-		vals := append([]float64(nil), s.vals...)
+		h := &SymMatrix{nb: s.nb, rowPtr: s.rowPtr, colIdx: s.colIdx, vals: append([]float64(nil), s.vals...)}
 		for k := 0; k < 1+len(x)/8; k++ {
 			x[r.Intn(len(x))] = specials[r.Intn(len(specials))]
-			vals[r.Intn(len(vals))] = specials[r.Intn(len(specials))]
+			h.vals[r.Intn(len(h.vals))] = specials[r.Intn(len(specials))]
 		}
-		nb := s.nb
+		nb, bm := s.nb, BlockDim*m
 		ranges := [][2]int{{0, nb}, {nb / 3, 2 * nb / 3}, {nb / 2, nb}, {nb - 1, nb}}
 		if s.colIdx[s.rowPtr[2*nb/3]-1] < int32(2*nb/3) {
 			t.Fatalf("%s: rows [%d, %d) scatter into no window", name, nb/3, 2*nb/3)
 		}
 		for _, rg := range ranges {
 			lo, hi := rg[0], rg[1]
-			run := func(simd bool) (y, part []float64) {
-				y = make([]float64, s.N())
+			run := func(simd, zmm bool) (y, part []float64) {
+				y = make([]float64, s.N()*m)
 				for i := range y {
 					y[i] = 123 // what the kernel must leave outside its range
 				}
-				clear(y[3*lo : 3*hi])
-				part = make([]float64, 3*(nb-hi))
+				clear(y[bm*lo : bm*hi])
+				part = make([]float64, bm*(nb-hi))
 				for i := range part {
 					part[i] = float64(i%5) - 2
 				}
-				if simd {
-					symGspmvSIMD(s.rowPtr, s.colIdx, vals, x, y, part, 1, lo, hi)
-				} else {
-					symSpmv1(s.rowPtr, s.colIdx, vals, x, y, part, lo, hi)
-				}
+				withKernel(simd, zmm, func() { h.mulRange(y, x, part, m, false, lo, hi) })
 				return y, part
 			}
-			wantY, wantPart := run(false)
-			gotY, gotPart := run(true)
-			if i := sameBits(gotY, wantY); i >= 0 {
-				t.Fatalf("%s rows [%d,%d): y[%d] = %v, want %v", name, lo, hi, i, gotY[i], wantY[i])
-			}
-			if i := sameBits(gotPart, wantPart); i >= 0 {
-				t.Fatalf("%s rows [%d,%d): part[%d] = %v, want %v", name, lo, hi, i, gotPart[i], wantPart[i])
+			wantY, wantPart := run(false, false)
+			for _, k := range gspmvKernels[:2] {
+				gotY, gotPart := run(k.simd, k.zmm)
+				if i := sameBits(gotY, wantY); i >= 0 {
+					t.Fatalf("%s m=%d %s rows [%d,%d): y[%d] = %v, want %v", name, m, k.name, lo, hi, i, gotY[i], wantY[i])
+				}
+				if i := sameBits(gotPart, wantPart); i >= 0 {
+					t.Fatalf("%s m=%d %s rows [%d,%d): part[%d] = %v, want %v", name, m, k.name, lo, hi, i, gotPart[i], wantPart[i])
+				}
 			}
 		}
 	}
 }
 
 // TestSymSIMDEmptyRow covers the zero-blocks row edge for the
-// symmetric kernels (the m = 1 one and the row kernel with and without
-// its tails must leave it without disturbing scatter already
+// symmetric kernels (the m = 1 one and the row kernels with and
+// without their tails must leave it without disturbing scatter already
 // accumulated in that row).
 func TestSymSIMDEmptyRow(t *testing.T) {
-	if symSIMDWidth == 0 {
+	if !cpufeat.FMA {
 		t.Skip("no symmetric SIMD fast path on this host")
 	}
 	// Row 1 has no stored upper-triangle blocks of its own but
@@ -270,19 +283,21 @@ func TestSymSIMDEmptyRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []int{1, 3, 4} {
+	for _, m := range []int{1, 3, 4, 8, 11, 16} {
 		r := rng.New(5)
 		x := multivec.New(a.N(), m)
 		for i := range x.Data {
 			x.Data[i] = r.Normal()
 		}
 		want := multivec.New(a.N(), m)
-		got := multivec.New(a.N(), m)
-		withSymSIMD(false, func() { s.Mul(want, x) })
-		s.Mul(got, x)
-		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("m=%d: data[%d] = %v, want %v", m, i, got.Data[i], want.Data[i])
+		withKernel(false, false, func() { s.Mul(want, x) })
+		for _, k := range gspmvKernels[:2] {
+			got := multivec.New(a.N(), m)
+			withKernel(k.simd, k.zmm, func() { s.Mul(got, x) })
+			for i := range want.Data {
+				if got.Data[i] != want.Data[i] {
+					t.Fatalf("m=%d %s: data[%d] = %v, want %v", m, k.name, i, got.Data[i], want.Data[i])
+				}
 			}
 		}
 	}

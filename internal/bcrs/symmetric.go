@@ -4,6 +4,7 @@ import (
 	"errors"
 	"time"
 
+	"repro/internal/cpufeat"
 	"repro/internal/multivec"
 	"repro/internal/parallel"
 )
@@ -186,8 +187,11 @@ func (s *SymMatrix) FlopCount(m int) int64 {
 
 // Mul computes Y = A*X for a block of vectors from the half storage.
 // On an AVX2+FMA host every m runs assembly: m = 1 the three-lane
-// kernel, every other m the across-m row kernel. Elsewhere m = 1 runs
-// symSpmv1 and every other m the generic loop. All give the same bits.
+// kernel, every other m the across-m row kernels — with AVX-512, 16
+// columns a pass while 16 are left, then 8, and the last m % 8 columns
+// in the AVX2 kernel's 4-wide groups and tail; without it, all of m
+// in those. Elsewhere m = 1 runs symSpmv1 and every other m the
+// generic loop. All give the same bits.
 func (s *SymMatrix) Mul(y, x *multivec.MultiVec) {
 	s.mulMV(y, x, false)
 }
@@ -216,7 +220,7 @@ func (s *SymMatrix) mulRange(y, x, part []float64, m int, forceGeneric bool, lo,
 	switch {
 	case forceGeneric:
 		symGspmvGeneric(s.rowPtr, s.colIdx, s.vals, x, y, part, m, lo, hi)
-	case symSIMDWidth > 0:
+	case cpufeat.FMA:
 		symGspmvSIMD(s.rowPtr, s.colIdx, s.vals, x, y, part, m, lo, hi)
 	case m == 1:
 		symSpmv1(s.rowPtr, s.colIdx, s.vals, x, y, part, lo, hi)

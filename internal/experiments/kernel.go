@@ -161,7 +161,7 @@ func extSymmetric(cfg Config) ([]*Table, error) {
 		Notes: []string{
 			fmt.Sprintf("model on this matrix's achievable rates: B=%.1f GB/s, F=%.1f Gflops; compute-bound from m_s=%d general, m_s=%d symmetric",
 				host.B/1e9, host.F/1e9, g.MSwitch(256), g.MSwitchSym(256)),
-			"r and r_sym share the general m=1 time; bitwise: three symmetric multiplies into NaN-poisoned outputs are bit-equal at this thread count",
+			"speedup, r and r_sym are medians of back-to-back pairs: general with symmetric at the same m, and each multiply with the general m=1 one; bitwise: three symmetric multiplies into NaN-poisoned outputs are bit-equal at this thread count",
 		},
 	}
 	threads := []int{1}

@@ -177,7 +177,8 @@ func median(v []float64) float64 {
 	return v[len(v)/2]
 }
 
-// relativePairs is the number of T(m), T(1) pairs behind each r(m).
+// relativePairs is the number of back-to-back pairs behind each paired
+// ratio: r(m) here, and the speed-ups and r(m) of MeasureSymSpeedups.
 const relativePairs = 11
 
 // RelativeTimes measures r(m) = T(m)/T(1) for each m: the median ratio
@@ -196,18 +197,6 @@ func RelativeTimes(a *bcrs.Matrix, ms []int) []float64 {
 		out[i], _ = TimePaired(relativePairs, func() { a.Mul(y, x) }, func() { a.Mul(y1, x1) })
 	}
 	return out
-}
-
-// timeMultiplyStable is TimeMultiply repeated three times, keeping
-// the minimum.
-func timeMultiplyStable(a BlockMultiplier, m int) float64 {
-	best := TimeMultiply(a, m, 0)
-	for i := 0; i < 2; i++ {
-		if t := TimeMultiply(a, m, 0); t < best {
-			best = t
-		}
-	}
-	return best
 }
 
 // Rates holds the achieved transfer and compute rates of a measured

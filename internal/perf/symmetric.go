@@ -8,10 +8,10 @@ import (
 // SymPoint is one row of a symmetric-vs-general calibration sweep.
 type SymPoint struct {
 	M              int
-	Speedup        float64 // measured general seconds / symmetric seconds
+	Speedup        float64 // measured general seconds / symmetric seconds, paired
 	PredictedSpeed float64 // model SymSpeedup(m) under the calibrated machine
-	RGeneral       float64 // measured r(m), general baseline T(1)
-	RSym           float64 // measured r_sym(m), same general baseline
+	RGeneral       float64 // measured r(m), paired with the general T(1)
+	RSym           float64 // measured r_sym(m), paired with the general T(1)
 	PredictedRSym  float64 // model RelativeTimeSym(m)
 }
 
@@ -52,25 +52,36 @@ func SymGSPMV(a *bcrs.Matrix, s *bcrs.SymMatrix, mc model.Machine, k float64) mo
 }
 
 // MeasureSymSpeedups runs the calibration sweep the Section-IV
-// extension needs: for each m it measures the general and symmetric
+// extension needs: for each m it times the general and symmetric
 // multiply on the same matrix at the current thread settings and
 // pairs the measured speedup and relative times with the predictions
 // of the supplied model (typically SymGSPMV over EffectiveMachine
-// output). Both relative-time columns share the measured GENERAL m=1
-// baseline, so measured and predicted columns are directly
-// comparable.
+// output). Every measured column is a median of relativePairs
+// back-to-back pairs (TimePaired): the speedup pairs general with
+// symmetric at the same m, and both relative times pair their multiply
+// with the GENERAL m = 1 one, so measured and predicted columns are
+// directly comparable. r(1) is 1 by definition and is not measured.
 func MeasureSymSpeedups(a *bcrs.Matrix, s *bcrs.SymMatrix, g model.GSPMV, ms []int) []SymPoint {
-	t1 := timeMultiplyStable(a, 1)
+	y1, x1 := operands(a, 1)
+	general1 := func() { a.Mul(y1, x1) }
 	out := make([]SymPoint, 0, len(ms))
 	for _, m := range ms {
-		gt := timeMultiplyStable(a, m)
-		st := timeMultiplyStable(s, m)
+		gy, gx := operands(a, m)
+		sy, sx := operands(s, m)
+		general := func() { a.Mul(gy, gx) }
+		sym := func() { s.Mul(sy, sx) }
+		speedup, _ := TimePaired(relativePairs, general, sym)
+		rGeneral := 1.0
+		if m > 1 {
+			rGeneral, _ = TimePaired(relativePairs, general, general1)
+		}
+		rSym, _ := TimePaired(relativePairs, sym, general1)
 		out = append(out, SymPoint{
 			M:              m,
-			Speedup:        gt / st,
+			Speedup:        speedup,
 			PredictedSpeed: g.SymSpeedup(m),
-			RGeneral:       gt / t1,
-			RSym:           st / t1,
+			RGeneral:       rGeneral,
+			RSym:           rSym,
 			PredictedRSym:  g.RelativeTimeSym(m),
 		})
 	}

@@ -26,11 +26,16 @@ var poolDropsPuts bool
 // iterations, so the allocation count of a call can be compared
 // across iteration counts. BlockCG draws its workspace from a
 // sync.Pool, which a collection empties, so the collector is held off
-// while the count runs.
+// while the count runs. The count runs on a one-thread default pool:
+// a worker that parks its goroutine inside AllocsPerRun can charge the
+// runtime's allocation to the call at random (TestDispatchDoesNotAllocate
+// pins the pool's own contract).
 func blockCGAllocs(t *testing.T, a *bcrs.Matrix, b *multivec.MultiVec, opt Options) float64 {
 	if poolDropsPuts {
 		t.Skip("sync.Pool drops items under -race")
 	}
+	defer parallel.SetThreads(parallel.Threads())
+	parallel.SetThreads(1)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	x := multivec.New(b.N, b.M)
 	return testing.AllocsPerRun(5, func() {
