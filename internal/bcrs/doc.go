@@ -14,12 +14,14 @@
 // vectors are stored row-major (see internal/multivec), so each loaded
 // matrix block is applied to m consecutive values of X — the matrix's
 // memory traffic is amortized over the vector count, which is the
-// entire performance story of the paper. On an AVX2 host every m runs
-// an assembly kernel with the Go loops' bits (the paper's code
-// generator emits a SIMD kernel per m): m = 1 keeps a block's three
-// rows in lanes, every other m puts the m columns in lanes and runs
-// the last m % 8 under a lane mask. Elsewhere m = 1 runs its own Go
-// loop and every other m one generic loop.
+// entire performance story of the paper. Every general kernel runs
+// one recurrence per block row, a product and two fused multiply-adds
+// (spmv1). On an AVX2 + FMA host every m runs an assembly kernel with
+// the Go loops' bits (the paper's code generator emits a SIMD kernel
+// per m): m = 1 keeps a block's three rows in lanes, every other m
+// puts the m columns in lanes and runs the last m % 8 under a lane
+// mask. Elsewhere m = 1 runs its own Go loop and every other m one
+// generic loop.
 //
 // Thread blocking partitions block rows into contiguous ranges with
 // approximately equal non-zero counts; each range is processed by one

@@ -4,18 +4,20 @@ package bcrs
 
 import "repro/internal/cpufeat"
 
-// The GSPMV kernels have an AVX2 fast path (gspmv_amd64.s) that
+// The GSPMV kernels have an AVX2 + FMA fast path (gspmv_amd64.s) that
 // vectorizes across the right-hand sides: 4 columns per ymm lane
 // group (8 per zmm with AVX-512), each lane running the scalar
-// kernels' exact operation order, so the SIMD result is
-// bitwise-identical to the pure-Go kernels. The last m % 8 columns run
-// under a lane mask, so every m takes the row kernel. This is the
-// paper's own implementation strategy — its generated basic kernels
-// vectorize the m dimension with SSE/AVX intrinsics (Section IV-A) —
-// and it is what moves the compute bound F in the r(m) model from
-// scalar to SIMD throughput.
+// kernels' exact operation order, fused steps included, so the SIMD
+// result is bitwise-identical to the pure-Go kernels. The last m % 8
+// columns run under a lane mask, so every m takes the row kernel. This
+// is the paper's own implementation strategy — its generated basic
+// kernels vectorize the m dimension with SSE/AVX intrinsics (Section
+// IV-A) — and it is what moves the compute bound F in the r(m) model
+// from scalar to SIMD throughput.
 
-// Implemented in gspmv_amd64.s.
+// Implemented in gspmv_amd64.s. Their operation order has two fused
+// steps (math.FMA in Go), so, like the symmetric kernels below, they
+// need FMA3 besides AVX2, and Mul takes them where cpufeat.FMA is set.
 func gspmvRowAVX2(vals *float64, colIdx *int32, nblk int, x *float64, yrow *float64, m int)
 func gspmvRowAVX512(vals *float64, colIdx *int32, nblk int, x *float64, yrow *float64, m int)
 

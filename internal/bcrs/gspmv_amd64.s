@@ -6,14 +6,16 @@
 //
 // The SIMD lanes run ACROSS the right-hand sides (the m dimension),
 // never across the reduction: each lane carries one column's scalar
-// recurrence with exactly the scalar kernels' operation order
+// recurrence with exactly the scalar kernels' operation order (spmv1
+// in kernels.go)
 //
-//	t = a_r0*x0; u = a_r1*x1; t = t+u; u = a_r2*x2; t = t+u; acc += t
+//	t = a_r0*x0; t = fma(a_r1, x1, t); t = fma(a_r2, x2, t); acc += t
 //
 // so every column's result is bitwise-identical to the pure-Go
 // kernels (and therefore to a single-vector SPMV of that column),
-// whichever of the two widths ran it. FMA is deliberately NOT used: it
-// would skip the intermediate rounding the scalar expression performs.
+// whichever of the two widths ran it. VFMADD231PD rounds once, as
+// math.FMA does, so the kernels need FMA3 besides AVX2 and Mul takes
+// them only where cpufeat.FMA is set.
 // A masked-off lane is neither read nor written (VMASKMOVPD, or an
 // opmask on AVX-512), so no pass touches a column past the row's end.
 
@@ -25,11 +27,9 @@
 	VBROADCASTSD off(R15), Y12; \
 	VMULPD       x0, Y12, Y12; \
 	VBROADCASTSD off+8(R15), Y13; \
-	VMULPD       x1, Y13, Y13; \
-	VADDPD       Y13, Y12, Y12; \
+	VFMADD231PD  x1, Y13, Y12; \
 	VBROADCASTSD off+16(R15), Y13; \
-	VMULPD       x2, Y13, Y13; \
-	VADDPD       Y13, Y12, Y12; \
+	VFMADD231PD  x2, Y13, Y12; \
 	VADDPD       Y12, acc, acc
 
 // R11 = &x[colIdx[k]*3m + off], R15 = &vals[9k] for block k = R10.
@@ -225,17 +225,15 @@ GLOBL lanemask<>(SB), RODATA|NOPTR, $64
 // the recurrence above.
 //
 // Register plan: Z0..Z5 accumulators (3 rows x 2 groups of 8 cols),
-// Z6..Z11 the three x block rows (2 groups each), Z12/Z13 temps.
+// Z6..Z11 the three x block rows (2 groups each), Z12 the temp.
 
 // One block row r of one group: acc += a_r0*x0 + a_r1*x1 + a_r2*x2,
 // in the recurrence's order; the block is at R15.
 #define ZROW(off, x0, x1, x2, acc) \
-	VMULPD.BCST off(R15), x0, Z12; \
-	VMULPD.BCST off+8(R15), x1, Z13; \
-	VADDPD      Z13, Z12, Z12; \
-	VMULPD.BCST off+16(R15), x2, Z13; \
-	VADDPD      Z13, Z12, Z12; \
-	VADDPD      Z12, acc, acc
+	VMULPD.BCST      off(R15), x0, Z12; \
+	VFMADD231PD.BCST off+8(R15), x1, Z12; \
+	VFMADD231PD.BCST off+16(R15), x2, Z12; \
+	VADDPD           Z12, acc, acc
 
 // K1 = the low (AX mod 8) lanes: the columns of the last group.
 #define ZMASK \
@@ -432,7 +430,7 @@ zdone:
 // (0, 1, 2) in lanes (0, 3, 2) of a ymm, lane 1 unused — and each runs
 // spmv1's scalar recurrence for its row,
 //
-//	t = a_r0*x0; u = a_r1*x1; t = t+u; u = a_r2*x2; t = t+u; acc += t
+//	t = a_r0*x0; t = fma(a_r1, x1, t); t = fma(a_r2, x2, t); acc += t
 //
 // so the three results carry the Go kernel's bits. That lane order is
 // what makes column c of the row-major block (v[c], v[3+c], v[6+c])
@@ -480,12 +478,10 @@ spmv1blk:
 	VBROADCASTSD (R14), Y4
 	VBROADCASTSD 8(R14), Y5
 	VBROADCASTSD 16(R14), Y6
-	VMULPD Y4, Y1, Y1
-	VMULPD Y5, Y2, Y2
-	VADDPD Y2, Y1, Y1
-	VMULPD Y6, Y3, Y3
-	VADDPD Y3, Y1, Y1
-	VADDPD Y1, Y0, Y0
+	VMULPD      Y4, Y1, Y1
+	VFMADD231PD Y5, Y2, Y1
+	VFMADD231PD Y6, Y3, Y1
+	VADDPD      Y1, Y0, Y0
 	ADDQ $72, R13
 	INCQ R11
 	CMPQ R11, R12

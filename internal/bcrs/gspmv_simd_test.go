@@ -2,6 +2,8 @@ package bcrs
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/blas"
@@ -123,6 +125,101 @@ func TestSIMDKernelEmptyRow(t *testing.T) {
 			if i := sameBits(got.Data, want.Data); i >= 0 {
 				t.Fatalf("m=%d %s: data[%d] = %v, want %v", m, k.name, i, got.Data[i], want.Data[i])
 			}
+		}
+	}
+}
+
+// fusedProbe is a block-diagonal matrix and an m-wide x on which every
+// output tells each of the recurrence's two fused steps from a multiply
+// and then an add. With p = 1+2⁻³⁰ and q = 1−2⁻³⁰, p·q = 1−2⁻⁶⁰ exactly,
+// which rounds to 1, so for s a power of two fma(p, q·s, −s) = −s·2⁻⁶⁰
+// where float64(p*q*s) − s = 0. x is (s, q·s, q·s) at every block; each
+// row of each block is (−1, p, 0) or (−1, 0, p), so t = −s and the
+// first or the second fused step decides the output. Rows alternate
+// between the two along the diagonal, so two neighbouring blocks probe
+// both steps in all three rows. Column j has s = 2^(j%5), so a lane
+// that takes its neighbour's column shows too.
+func fusedProbe(m int) (a *Matrix, x *multivec.MultiVec, want []float64) {
+	const nb = 8
+	p, q := 1+0x1p-30, 1-0x1p-30
+	first := [3]float64{-1, p, 0}  // t = fma(p, x1, t) decides
+	second := [3]float64{-1, 0, p} // t = fma(p, x2, t) decides
+	b := NewBuilder(nb)
+	for i := 0; i < nb; i++ {
+		var blk blas.Mat3
+		for r := 0; r < 3; r++ {
+			row := first
+			if (i+r)%2 == 1 {
+				row = second
+			}
+			copy(blk[3*r:3*r+3], row[:])
+		}
+		b.AddBlock(i, i, blk)
+	}
+	a = b.Build()
+	x = multivec.New(a.NCols(), m)
+	want = make([]float64, a.N()*m)
+	for i := 0; i < a.N(); i++ {
+		for j := 0; j < m; j++ {
+			s := math.Ldexp(1, j%5)
+			x.Data[i*m+j] = s
+			if i%3 != 0 {
+				x.Data[i*m+j] = q * s
+			}
+			want[i*m+j] = -s * 0x1p-60
+		}
+	}
+	return a, x, want
+}
+
+// TestKernelsFuseTheirMultiplyAdds runs fusedProbe through every
+// kernel at m = 1 and every width, on one thread and four: the Go
+// oracles and the assembly both give −s·2⁻⁶⁰, so each fused step is one
+// rounding, in every block row, lane and kernel.
+func TestKernelsFuseTheirMultiplyAdds(t *testing.T) {
+	for _, threads := range []int{1, 4} {
+		usePool(t, threads)
+		for _, m := range append([]int{1}, gspmvWidths...) {
+			a, x, want := fusedProbe(m)
+			for _, k := range gspmvKernels {
+				y := multivec.New(a.N(), m)
+				withKernel(k.simd, k.zmm, func() { a.Mul(y, x) })
+				if i := sameBits(y.Data, want); i >= 0 {
+					t.Fatalf("threads=%d m=%d %s: y[%d] = %v, want %v (block row %d, row %d, column %d)",
+						threads, m, k.name, i, y.Data[i], want[i], i/(3*m), i/m%3, i%m)
+				}
+			}
+		}
+	}
+}
+
+// TestNoFMARunsGoLoops: the general kernels' assembly needs FMA3 as
+// well as AVX2, so a host without it takes the Go loops at every width,
+// whatever else it has. The Go loops bounds-check where the assembly
+// checks no index, so a block column one past x, planted behind
+// NewMatrix's back, tells them apart: the Go loops panic on it, the
+// assembly reads on into the memory behind x.
+func TestNoFMARunsGoLoops(t *testing.T) {
+	usePool(t, 1)
+	a := Random(RandomOptions{NB: 8, BlocksPerRow: 2, Seed: 7})
+	wild := &Matrix{nb: a.nb, ncb: a.ncb, rowPtr: a.rowPtr, colIdx: slices.Clone(a.colIdx), vals: a.vals}
+	wild.colIdx[len(wild.colIdx)-1] = int32(a.ncb)
+	for _, m := range append([]int{1}, gspmvWidths...) {
+		n := a.NCols() * m
+		room := make([]float64, n+BlockDim*m) // the block column past x
+		x := &multivec.MultiVec{N: a.NCols(), M: m, Data: room[:n:n]}
+		boundsPanic := func(fma bool) (caught bool) {
+			defer func(saved bool) { cpufeat.FMA = saved }(cpufeat.FMA)
+			cpufeat.FMA = cpufeat.FMA && fma
+			defer func() { _, caught = recover().(runtime.Error) }()
+			wild.Mul(multivec.New(a.N(), m), x)
+			return false
+		}
+		if !boundsPanic(false) {
+			t.Fatalf("m=%d: without FMA the multiply read past x unchecked, so it ran the assembly", m)
+		}
+		if cpufeat.AVX2 && cpufeat.FMA && boundsPanic(true) {
+			t.Fatalf("m=%d: with AVX2 and FMA the multiply bounds-checked, so it ran the Go loops", m)
 		}
 	}
 }

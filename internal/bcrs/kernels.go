@@ -1,6 +1,7 @@
 package bcrs
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/cpufeat"
@@ -21,11 +22,12 @@ func (a *Matrix) MulVec(y, x []float64) {
 
 // Mul computes Y = A*X, the generalized SPMV with X.M simultaneous
 // vectors. X and Y must have a.N() rows and equal vector counts; Y
-// must not alias X. On an AVX2 host every m runs assembly: m = 1 the
-// three-lane kernel, every other m a row kernel (AVX-512 where the
+// must not alias X. On an AVX2 + FMA host every m runs assembly: m = 1
+// the three-lane kernel, every other m a row kernel (AVX-512 where the
 // host has it) whose last m % 8 columns run under a lane mask. Without
-// AVX2, m = 1 runs its Go loop and every other m the generic one. All
-// of them give the same bits.
+// AVX2 and FMA, m = 1 runs its Go loop and every other m the generic
+// one. All of them run spmv1's fused recurrence and give the same
+// bits.
 func (a *Matrix) Mul(y, x *multivec.MultiVec) {
 	a.mul(y, x, false)
 }
@@ -89,15 +91,16 @@ func (s *mulSplit) runRange(i int) {
 }
 
 // mulRange multiplies block rows [lo, hi) with the kernel Mul
-// dispatches for m: the SIMD kernels where cpufeat.AVX2 (read per
-// call, so clearing it forces the Go loops), else the Go loops.
+// dispatches for m: the SIMD kernels where cpufeat.AVX2 and
+// cpufeat.FMA (read per call, so clearing either forces the Go loops),
+// else the Go loops.
 func (a *Matrix) mulRange(y, x []float64, m int, forceGeneric bool, lo, hi int) {
 	switch {
 	case forceGeneric:
 		gspmvGeneric(a.rowPtr, a.colIdx, a.vals, x, y, m, lo, hi)
 	case m == 1:
 		spmv1(a.rowPtr, a.colIdx, a.vals, x, y, lo, hi)
-	case cpufeat.AVX2:
+	case cpufeat.AVX2 && cpufeat.FMA:
 		gspmvSIMD(a.rowPtr, a.colIdx, a.vals, x, y, m, lo, hi)
 	default:
 		gspmvGeneric(a.rowPtr, a.colIdx, a.vals, x, y, m, lo, hi)
@@ -105,10 +108,16 @@ func (a *Matrix) mulRange(y, x []float64, m int, forceGeneric bool, lo, hi int) 
 }
 
 // spmv1 is the specialized m=1 kernel: a 3x3 block-row SPMV with the
-// three accumulators in locals — or, with AVX2, in three lanes that run
-// this loop's operation order (spmv1AVX2), to the same bits.
+// three accumulators in locals — or, with AVX2 and FMA, in three lanes
+// that run this loop's operation order (spmv1AVX2), to the same bits.
+// That order, every general kernel's at every m, is per block row r
+//
+//	t = a_r0*x0; t = fma(a_r1, x1, t); t = fma(a_r2, x2, t); acc += t
+//
+// with the product pinned by float64(…), so no compiler fuses it
+// otherwise.
 func spmv1(rowPtr, colIdx []int32, vals, x, y []float64, lo, hi int) {
-	if cpufeat.AVX2 && lo < hi && len(colIdx) > 0 {
+	if cpufeat.AVX2 && cpufeat.FMA && lo < hi && len(colIdx) > 0 {
 		spmv1SIMD(rowPtr, colIdx, vals, x, y, lo, hi)
 		return
 	}
@@ -118,9 +127,9 @@ func spmv1(rowPtr, colIdx []int32, vals, x, y []float64, lo, hi int) {
 			v := vals[k*BlockSize : k*BlockSize+BlockSize : k*BlockSize+BlockSize]
 			j := int(colIdx[k]) * BlockDim
 			x0, x1, x2 := x[j], x[j+1], x[j+2]
-			s0 += v[0]*x0 + v[1]*x1 + v[2]*x2
-			s1 += v[3]*x0 + v[4]*x1 + v[5]*x2
-			s2 += v[6]*x0 + v[7]*x1 + v[8]*x2
+			s0 += math.FMA(v[2], x2, math.FMA(v[1], x1, float64(v[0]*x0)))
+			s1 += math.FMA(v[5], x2, math.FMA(v[4], x1, float64(v[3]*x0)))
+			s2 += math.FMA(v[8], x2, math.FMA(v[7], x1, float64(v[6]*x0)))
 		}
 		y[i*BlockDim] = s0
 		y[i*BlockDim+1] = s1
@@ -131,7 +140,7 @@ func spmv1(rowPtr, colIdx []int32, vals, x, y []float64, lo, hi int) {
 // gspmvGeneric is the Go kernel for every m > 1, the oracle the row
 // kernels are tested against. Each 3x3 block is loaded once into
 // locals and applied to the m row-major values of the three
-// corresponding X rows.
+// corresponding X rows, each column in spmv1's recurrence.
 func gspmvGeneric(rowPtr, colIdx []int32, vals, x, y []float64, m, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		yb := y[i*BlockDim*m : (i+1)*BlockDim*m]
@@ -152,9 +161,9 @@ func gspmvGeneric(rowPtr, colIdx []int32, vals, x, y []float64, m, lo, hi int) {
 			a20, a21, a22 := v[6], v[7], v[8]
 			for j := 0; j < m; j++ {
 				xv0, xv1, xv2 := x0[j], x1[j], x2[j]
-				y0[j] += a00*xv0 + a01*xv1 + a02*xv2
-				y1[j] += a10*xv0 + a11*xv1 + a12*xv2
-				y2[j] += a20*xv0 + a21*xv1 + a22*xv2
+				y0[j] += math.FMA(a02, xv2, math.FMA(a01, xv1, float64(a00*xv0)))
+				y1[j] += math.FMA(a12, xv2, math.FMA(a11, xv1, float64(a10*xv0)))
+				y2[j] += math.FMA(a22, xv2, math.FMA(a21, xv1, float64(a20*xv0)))
 			}
 		}
 	}

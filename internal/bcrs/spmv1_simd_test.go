@@ -44,10 +44,8 @@ func refSpmv1(a *Matrix, x, y []float64, lo, hi int) {
 			v, xj := a.vals[9*k:9*k+9], x[3*a.colIdx[k]:]
 			for r := range acc {
 				t := float64(v[3*r] * xj[0])
-				u := float64(v[3*r+1] * xj[1])
-				t = float64(t + u)
-				u = float64(v[3*r+2] * xj[2])
-				t = float64(t + u)
+				t = math.FMA(v[3*r+1], xj[1], t)
+				t = math.FMA(v[3*r+2], xj[2], t)
 				acc[r] = float64(acc[r] + t)
 			}
 		}

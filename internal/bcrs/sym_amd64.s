@@ -14,11 +14,15 @@
 // (see sym_kernels.go). VFMADD231PD performs the same single-rounded
 // fused step as math.FMA, so the SIMD result is bitwise-identical to
 // the pure-Go symmetric kernels; Mul takes this path only where
-// cpufeat.FMA is set. The general kernels keep their historical
-// mul-then-add DAG — the symmetric family is defined with FMA because
-// it applies every off-diagonal block twice, and halving its ALU ops
-// is what keeps the kernel bandwidth-bound (where the half storage
-// pays off) out to large m.
+// cpufeat.FMA is set. The general kernels fuse too, but start each
+// block row from a plain product, t = a_r0*x0, and add t to the
+// accumulator last (gspmv_amd64.s). Chaining all three fused steps onto
+// the accumulator, as here, measured up to 1.11x slower there at m = 1,
+// where they land on the lone accumulator, and at most 1.07x faster
+// above it; one order serves every width of a format. The symmetric
+// family takes the chain because it applies every off-diagonal block
+// twice, and fewer ALU ops are what keep the kernel bandwidth-bound
+// (where the half storage pays off) out to large m.
 //
 // The column bounds [c0, c1) leave m the row stride, so x/y/part
 // addressing does not depend on them. symGspmvSIMD gives the AVX-512

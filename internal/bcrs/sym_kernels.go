@@ -15,9 +15,10 @@ import "math"
 // before the block loop and stores back after, so earlier in-range
 // scatter is carried.
 //
-// Unlike the general kernels (whose scalar DAG predates them and is
-// frozen as mul-then-add), the symmetric family defines its operation
-// order as a fused-multiply-add chain:
+// Unlike the general kernels (whose block rows start from a plain
+// product and fuse the other two steps, spmv1), the symmetric family
+// defines its operation order as a fused-multiply-add chain through
+// the accumulator:
 //
 //	acc = fma(a_r2, x2, fma(a_r1, x1, fma(a_r0, x0, acc)))
 //

@@ -59,30 +59,6 @@ func (m Mat3) Transpose3() Mat3 {
 	}
 }
 
-// Inv3 returns the inverse of m and reports whether m is invertible
-// (determinant not numerically zero).
-func (m Mat3) Inv3() (Mat3, bool) {
-	c00 := m[4]*m[8] - m[5]*m[7]
-	c01 := m[5]*m[6] - m[3]*m[8]
-	c02 := m[3]*m[7] - m[4]*m[6]
-	det := m[0]*c00 + m[1]*c01 + m[2]*c02
-	if math.Abs(det) < 1e-300 {
-		return Mat3{}, false
-	}
-	inv := 1 / det
-	return Mat3{
-		c00 * inv,
-		(m[2]*m[7] - m[1]*m[8]) * inv,
-		(m[1]*m[5] - m[2]*m[4]) * inv,
-		c01 * inv,
-		(m[0]*m[8] - m[2]*m[6]) * inv,
-		(m[2]*m[3] - m[0]*m[5]) * inv,
-		c02 * inv,
-		(m[1]*m[6] - m[0]*m[7]) * inv,
-		(m[0]*m[4] - m[1]*m[3]) * inv,
-	}, true
-}
-
 // Outer returns the outer product d*d^T for a direction d. Combined
 // with the identity it builds the standard hydrodynamic tensor form
 //

@@ -74,29 +74,35 @@ type pinnedSet struct {
 // solves kept their counts), its MRHS pins when Algorithm 2 began
 // drawing its guesses the same way (no block solve runs, hence 0 block
 // iterations; the first solves took 23 iterations where they took 22).
-// Each set is checked again over
+// Every pin that moved was taken again when the general multiply began
+// fusing its block rows' multiply-adds (bcrs's spmv1 recurrence): the new
+// rounding moved Algorithm 1's first solves under NoPrecond from 265
+// iterations to 262 (264 to 265 at noise seed 5) and the MRHS run's
+// block solve from 37 iterations to 36 (first solves 115 to 116); under
+// the default only bits moved, and two of its trajectories kept
+// theirs. Each set is checked again over
 // configurations that poison every matrix the stepper hands back
 // (poisonConf): the same pins.
 func TestPinnedTrajectories(t *testing.T) {
 	for _, set := range []pinnedSet{
 		{
 			name: "NoPrecond", precond: core.NoPrecond, crashAt: 40,
-			original: pinned{0xa0101326492d7ad0, 265, 156, 0},
-			mrhs:     pinned{0xf7cd8cb5d2aa7137, 115, 156, 37},
-			chaos:    pinned{0xf66aeb50e3e966be, 115, 156, 37},
+			original: pinned{0x791558fe718f9ca0, 262, 156, 0},
+			mrhs:     pinned{0xd6e74479e38dca0e, 116, 156, 36},
+			chaos:    pinned{0xb502205a5bd51677, 115, 156, 37},
 			reseeded: [2]pinned{
-				{0x94d163a19f0a83a8, 265, 153, 0},
-				{0xeb4a35f9dd17c21d, 264, 158, 0},
+				{0x8c81930d9075538c, 265, 153, 0},
+				{0xdda8ab7dc709c43b, 265, 158, 0},
 			},
 		},
 		{
 			name: "default", precond: nil, crashAt: 4,
 			original: pinned{0x4b1e319819916795, 0, 31, 0},
-			mrhs:     pinned{0x11e4b0ee0ffc705a, 23, 31, 0},
-			chaos:    pinned{0xb0a1d578321f7681, 23, 31, 0},
+			mrhs:     pinned{0xbb9a066df14d6119, 23, 31, 0},
+			chaos:    pinned{0x11e4b0ee0ffc705a, 23, 31, 0},
 			reseeded: [2]pinned{
 				{0x1958f224f9824cb2, 0, 28, 0},
-				{0x313d65d7c0ab74b5, 0, 31, 0},
+				{0x2174e18cc633d72d, 0, 31, 0},
 			},
 		},
 	} {

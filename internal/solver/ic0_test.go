@@ -85,13 +85,37 @@ func denseFactor(t *testing.T, ic *IC0) *blas.Dense {
 		}
 		var inv blas.Mat3
 		copy(inv[:], ic.invDiag[9*i:9*i+9])
-		d, ok := inv.Inv3()
+		d, ok := inv3(inv)
 		if !ok {
 			t.Fatalf("diagonal block %d of the factor is singular", i)
 		}
 		put(i, i, d[:])
 	}
 	return l
+}
+
+// inv3 returns the inverse of m by its cofactors and reports whether
+// m is invertible (determinant not numerically zero).
+func inv3(m blas.Mat3) (blas.Mat3, bool) {
+	c00 := m[4]*m[8] - m[5]*m[7]
+	c01 := m[5]*m[6] - m[3]*m[8]
+	c02 := m[3]*m[7] - m[4]*m[6]
+	det := m[0]*c00 + m[1]*c01 + m[2]*c02
+	if math.Abs(det) < 1e-300 {
+		return blas.Mat3{}, false
+	}
+	inv := 1 / det
+	return blas.Mat3{
+		c00 * inv,
+		(m[2]*m[7] - m[1]*m[8]) * inv,
+		(m[1]*m[5] - m[2]*m[4]) * inv,
+		c01 * inv,
+		(m[0]*m[8] - m[2]*m[6]) * inv,
+		(m[2]*m[3] - m[0]*m[5]) * inv,
+		c02 * inv,
+		(m[1]*m[6] - m[0]*m[7]) * inv,
+		(m[0]*m[4] - m[1]*m[3]) * inv,
+	}, true
 }
 
 // TestIC0MulLIsTheFactor: MulL multiplies by the L whose L L^T Apply

@@ -12,9 +12,10 @@ import (
 // KernelSizes lists the block widths fused multiplies are padded to:
 // the batching solve server rounds batch widths up to these sizes, and
 // MultiCG pads its multiplies and sweeps the same way. Every width has
-// an assembly multiply on an AVX2 host (internal/bcrs runs the last
-// m % 8 columns under a lane mask), so there the padding no longer
-// selects a kernel; without AVX2 the Go loops serve every width.
+// an assembly multiply on an AVX2 + FMA host (internal/bcrs runs the
+// last m % 8 columns under a lane mask), so there the padding no longer
+// selects a kernel; without AVX2 and FMA the Go loops serve every
+// width.
 var KernelSizes = [...]int{1, 2, 4, 8, 16, 32}
 
 // KernelCeil returns the smallest kernel width that is >= q, or q
