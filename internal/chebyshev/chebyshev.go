@@ -83,18 +83,6 @@ func cosTable(np int) []float64 {
 	return t
 }
 
-// Eval evaluates the truncated series at x via the Clenshaw
-// recurrence (a scalar reference used by tests and for picking
-// truncation orders).
-func Eval(c []float64, a, b, x float64) float64 {
-	t := (2*x - (b + a)) / (b - a)
-	var d, dd float64
-	for j := len(c) - 1; j >= 1; j-- {
-		d, dd = 2*t*d-dd+c[j], d
-	}
-	return t*d - dd + c[0]/2
-}
-
 // Op is the operator contract of the Chebyshev recurrence: one block
 // multiply per polynomial degree. *bcrs.Matrix satisfies it, and so
 // does the distributed cluster operator, which is how Brownian forces

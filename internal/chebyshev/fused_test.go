@@ -75,9 +75,11 @@ func TestApplyBlockMatchesUnfusedRecurrence(t *testing.T) {
 // one vector every step and on a block every chunk, each time through a
 // SqrtOp built for that step's matrix; once the pool is warm neither
 // call allocates — not the three blocks of the recurrence, not the
-// headers Apply wraps its vectors in, not a closure per pass. Nor does
-// the preconditioned square root, whose basis, scalars and small
-// eigenproblems come from its own pool.
+// headers Apply wraps its vectors in, not a closure per pass. Nor do
+// the preconditioned roots, whose basis, scalars and small
+// eigenproblems come from their own pool and whose lane sweeps reuse
+// multivec's spare records: the inverse root, on one vector and on a
+// block, is what every default step runs.
 func TestChebyshevApplyDoesNotAllocate(t *testing.T) {
 	if poolDropsPuts {
 		t.Skip("sync.Pool drops items under -race")
@@ -103,6 +105,8 @@ func TestChebyshevApplyDoesNotAllocate(t *testing.T) {
 			PrecondSqrt(a, ic, y1v, z1v, 0, 0)
 			PrecondSqrt(a, ic, y, z, 0, 0)
 		},
+		"PrecondInvSqrt/1":  func() { PrecondInvSqrt(a, ic, y1v, z1v, 0, 0) },
+		"PrecondInvSqrt/16": func() { PrecondInvSqrt(a, ic, y, z, 0, 0) },
 	} {
 		f()
 		if n := testing.AllocsPerRun(10, f); n != 0 {

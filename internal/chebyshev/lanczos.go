@@ -122,13 +122,14 @@ func precondLanczos(a Op, f Factor, y, z *multivec.MultiVec, maxIter int, tol fl
 	w.precondition(f, &w.r, p0)
 	var st Stats
 	for i := 0; ; i++ {
-		// p_{i+1} starts as A r_i = gamma_i * u. One pass then gives
+		// p_{i+1} starts as A r_i = gamma_i * u. Two lane passes then give
 		// gamma_i^2 = p_i^T r_i (|z|^2 at i = 0, beta_{i-1}^2 after) and
 		// gamma_i^2 alpha_i = r_i^T A r_i.
 		next := w.basis(i + 1)
 		a.Mul(next, &w.r)
 		st.Iterations++
-		w.colDots2(w.pr, w.rw, &w.p[i], &w.r, next)
+		multivec.ColDots(w.pr, &w.p[i], &w.r)
+		multivec.ColDots(w.rw, &w.r, next)
 		w.check = w.check[:0]
 		for j := range w.cols {
 			c := &w.cols[j]
@@ -195,7 +196,7 @@ func precondLanczos(a Op, f Factor, y, z *multivec.MultiVec, maxIter int, tol fl
 		// the residual u - alpha_i q_i - beta_{i-1} q_{i-1} itself, so its
 		// M^{-1}-norm is beta_i.
 		prev := &w.p[max(i-1, 0)] // h is 0 at i = 0
-		lanczosUpdate(next, &w.p[i], prev, w.alpha, w.g, w.h)
+		multivec.ColThreeTerm(next, &w.p[i], prev, w.alpha, w.g, w.h)
 		if inverse {
 			stopped, err := w.tails(next, tol, i+1 == maxIter, &st)
 			if err != nil {
@@ -233,19 +234,24 @@ func precondLanczos(a Op, f Factor, y, z *multivec.MultiVec, maxIter int, tol fl
 // force's tail is the last inverse-root coefficient times u's column. A
 // column stops when the tail's 2-norm is at most tol relative to the
 // root iterate's, or unconverged at the cap; tails returns how many
-// stopped.
+// stopped. The 2-norms are one lane pass over u, taken only in a step
+// with such a column.
 func (w *lanczos) tails(u *multivec.MultiVec, tol float64, capped bool, st *Stats) (int, error) {
-	m, stopped := u.M, 0
+	settling := false
+	for j := range w.cols {
+		settling = settling || (!w.cols[j].done && w.cols[j].rootOK)
+	}
+	if !settling {
+		return 0, nil
+	}
+	multivec.ColDots(w.uu, u, u)
+	stopped := 0
 	for j := range w.cols {
 		c := &w.cols[j]
 		if c.done || !c.rootOK {
 			continue
 		}
-		var uu float64
-		for e := j; e < len(u.Data); e += m {
-			uu += float64(u.Data[e] * u.Data[e])
-		}
-		tail := math.Abs(c.inv[len(c.inv)-1]) * math.Sqrt(uu)
+		tail := math.Abs(c.inv[len(c.inv)-1]) * math.Sqrt(w.uu[j])
 		if !(tail < math.Inf(1)) {
 			return 0, ErrNotSPD
 		}
@@ -287,7 +293,8 @@ type column struct {
 type lanczos struct {
 	p              []multivec.MultiVec // p_0, p_1, ...: the basis, unnormalised
 	r              multivec.MultiVec   // M^{-1} p_i
-	pr, rw, alpha  []float64           // per column: colDots2's products, alpha_i
+	pr, rw, uu     []float64           // per column: p_i^T r_i, r_i^T A r_i; the tails' |u|^2
+	alpha          []float64           // per column: alpha_i
 	g, h           []float64           // per column: the update's 1/gamma_i, beta_{i-1}/gamma_{i-1}
 	cols           []column
 	check          []int       // columns the next combine writes
@@ -304,7 +311,7 @@ var lanczosPool = sync.Pool{New: func() any { return new(lanczos) }}
 
 func (w *lanczos) reset(n, m int) {
 	w.r.Reshape(n, m)
-	w.pr, w.rw = resize(w.pr, m), resize(w.rw, m)
+	w.pr, w.rw, w.uu = resize(w.pr, m), resize(w.rw, m), resize(w.uu, m)
 	w.alpha = resize(w.alpha, m)
 	w.g = resize(w.g, m)
 	w.h = resize(w.h, m)
@@ -350,62 +357,6 @@ func (w *lanczos) precondition(f Factor, z, r *multivec.MultiVec) {
 		return
 	}
 	f.ApplyBlock(z, r)
-}
-
-// colDots2 sets pr[j] and rw[j] to the inner products of column j of p
-// with r and of r with u, in one pass. Each column sums its rows four at
-// a time, ((x0 y0 + x1 y1) + (x2 y2 + x3 y3)) as quad writes it, into one
-// running sum: a single vector's add chain is a quarter of its length,
-// a block takes four columns at a time with their sums in registers
-// (the unrolled loop is quad on each of them, 1.5x faster at m = 16
-// than a pass per column), and a column of a block sums in exactly the
-// order it does alone.
-func (w *lanczos) colDots2(pr, rw []float64, p, r, u *multivec.MultiVec) {
-	n, m := r.N, r.M
-	pd, rd, ud := p.Data[:n*m], r.Data[:n*m], u.Data[:n*m]
-	n4, j := n&^3, 0
-	for ; j+4 <= m; j += 4 {
-		var a0, a1, a2, a3, b0, b1, b2, b3 float64
-		for i := 0; i < n4; i += 4 {
-			e := i*m + j
-			x0, x1, x2, x3 := pd[e:e+4:e+4], pd[e+m:e+m+4:e+m+4], pd[e+2*m:e+2*m+4:e+2*m+4], pd[e+3*m:e+3*m+4:e+3*m+4]
-			y0, y1, y2, y3 := rd[e:e+4:e+4], rd[e+m:e+m+4:e+m+4], rd[e+2*m:e+2*m+4:e+2*m+4], rd[e+3*m:e+3*m+4:e+3*m+4]
-			z0, z1, z2, z3 := ud[e:e+4:e+4], ud[e+m:e+m+4:e+m+4], ud[e+2*m:e+2*m+4:e+2*m+4], ud[e+3*m:e+3*m+4:e+3*m+4]
-			a0 += (float64(x0[0]*y0[0]) + float64(x1[0]*y1[0])) + (float64(x2[0]*y2[0]) + float64(x3[0]*y3[0]))
-			b0 += (float64(y0[0]*z0[0]) + float64(y1[0]*z1[0])) + (float64(y2[0]*z2[0]) + float64(y3[0]*z3[0]))
-			a1 += (float64(x0[1]*y0[1]) + float64(x1[1]*y1[1])) + (float64(x2[1]*y2[1]) + float64(x3[1]*y3[1]))
-			b1 += (float64(y0[1]*z0[1]) + float64(y1[1]*z1[1])) + (float64(y2[1]*z2[1]) + float64(y3[1]*z3[1]))
-			a2 += (float64(x0[2]*y0[2]) + float64(x1[2]*y1[2])) + (float64(x2[2]*y2[2]) + float64(x3[2]*y3[2]))
-			b2 += (float64(y0[2]*z0[2]) + float64(y1[2]*z1[2])) + (float64(y2[2]*z2[2]) + float64(y3[2]*z3[2]))
-			a3 += (float64(x0[3]*y0[3]) + float64(x1[3]*y1[3])) + (float64(x2[3]*y2[3]) + float64(x3[3]*y3[3]))
-			b3 += (float64(y0[3]*z0[3]) + float64(y1[3]*z1[3])) + (float64(y2[3]*z2[3]) + float64(y3[3]*z3[3]))
-		}
-		for i := n4; i < n; i++ {
-			x, y, z := pd[i*m+j:i*m+j+4], rd[i*m+j:i*m+j+4], ud[i*m+j:i*m+j+4]
-			a0, b0 = a0+float64(x[0]*y[0]), b0+float64(y[0]*z[0])
-			a1, b1 = a1+float64(x[1]*y[1]), b1+float64(y[1]*z[1])
-			a2, b2 = a2+float64(x[2]*y[2]), b2+float64(y[2]*z[2])
-			a3, b3 = a3+float64(x[3]*y[3]), b3+float64(y[3]*z[3])
-		}
-		pr[j], pr[j+1], pr[j+2], pr[j+3] = a0, a1, a2, a3
-		rw[j], rw[j+1], rw[j+2], rw[j+3] = b0, b1, b2, b3
-	}
-	for ; j < m; j++ {
-		var a, b float64
-		for i := 0; i < n4; i += 4 {
-			a, b = a+quad(pd, rd, i*m+j, m), b+quad(rd, ud, i*m+j, m)
-		}
-		for e := n4*m + j; e < n*m; e += m {
-			a, b = a+float64(pd[e]*rd[e]), b+float64(rd[e]*ud[e])
-		}
-		pr[j], rw[j] = a, b
-	}
-}
-
-// quad is the sum over four rows of a column, e the first row's index
-// and m the row length: (x0 y0 + x1 y1) + (x2 y2 + x3 y3).
-func quad(x, y []float64, e, m int) float64 {
-	return (float64(x[e]*y[e]) + float64(x[e+m]*y[e+m])) + (float64(x[e+2*m]*y[e+2*m]) + float64(x[e+3*m]*y[e+3*m]))
 }
 
 // coefficients sets c.coef to |z|*sqrt(T_k)*e_1 for the k steps c has
@@ -592,31 +543,4 @@ func (w *lanczos) combine(y *multivec.MultiVec, cols []int) error {
 		c.written = true
 	}
 	return nil
-}
-
-// lanczosUpdate computes, in every column j, u = (u - alpha[j]*q)*g[j]
-// - h[j]*prev, four columns at a time with their scalars in registers.
-func lanczosUpdate(u, q, prev *multivec.MultiVec, alpha, g, h []float64) {
-	m := u.M
-	ud := u.Data
-	qd, pd := q.Data[:len(ud)], prev.Data[:len(ud)]
-	j := 0
-	for ; j+4 <= m; j += 4 {
-		a0, a1, a2, a3 := alpha[j], alpha[j+1], alpha[j+2], alpha[j+3]
-		g0, g1, g2, g3 := g[j], g[j+1], g[j+2], g[j+3]
-		h0, h1, h2, h3 := h[j], h[j+1], h[j+2], h[j+3]
-		for e := j; e < len(ud); e += m {
-			x, y, z := ud[e:e+4:e+4], qd[e:e+4:e+4], pd[e:e+4:e+4]
-			x[0] = float64((x[0]-float64(a0*y[0]))*g0) - float64(h0*z[0])
-			x[1] = float64((x[1]-float64(a1*y[1]))*g1) - float64(h1*z[1])
-			x[2] = float64((x[2]-float64(a2*y[2]))*g2) - float64(h2*z[2])
-			x[3] = float64((x[3]-float64(a3*y[3]))*g3) - float64(h3*z[3])
-		}
-	}
-	for ; j < m; j++ {
-		a, gg, hh := alpha[j], g[j], h[j]
-		for e := j; e < len(ud); e += m {
-			ud[e] = float64((ud[e]-float64(a*qd[e]))*gg) - float64(hh*pd[e])
-		}
-	}
 }

@@ -41,7 +41,7 @@ func TestEvalWithinIntervalAccuracyProperty(t *testing.T) {
 	c := Coefficients(math.Sqrt, 0.25, 9, 30)
 	prop := func(xRaw float64) bool {
 		x := 0.25 + math.Mod(math.Abs(xRaw), 8.75)
-		got := Eval(c, 0.25, 9, x)
+		got := eval(c, 0.25, 9, x)
 		return math.Abs(got-math.Sqrt(x)) < 1e-6
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {

@@ -80,7 +80,10 @@ type pinnedSet struct {
 // iterations to 262 (264 to 265 at noise seed 5) and the MRHS run's
 // block solve from 37 iterations to 36 (first solves 115 to 116); under
 // the default only bits moved, and two of its trajectories kept
-// theirs. Each set is checked again over
+// theirs. The default's pins but noise seed 4's were taken again when
+// the Lanczos root's inner products moved onto multivec's lane sums
+// (row order, where the root's own pass had added rows in fours): only
+// bits moved, every iteration count held. Each set is checked again over
 // configurations that poison every matrix the stepper hands back
 // (poisonConf): the same pins.
 func TestPinnedTrajectories(t *testing.T) {
@@ -97,12 +100,12 @@ func TestPinnedTrajectories(t *testing.T) {
 		},
 		{
 			name: "default", precond: nil, crashAt: 4,
-			original: pinned{0x4b1e319819916795, 0, 31, 0},
-			mrhs:     pinned{0xbb9a066df14d6119, 23, 31, 0},
-			chaos:    pinned{0x11e4b0ee0ffc705a, 23, 31, 0},
+			original: pinned{0x06ad5c1c8caee5b6, 0, 31, 0},
+			mrhs:     pinned{0x908a343fa4aa7607, 23, 31, 0},
+			chaos:    pinned{0xf9ad803eb34038a6, 23, 31, 0},
 			reseeded: [2]pinned{
 				{0x1958f224f9824cb2, 0, 28, 0},
-				{0x2174e18cc633d72d, 0, 31, 0},
+				{0xc160bd9b7256fa80, 0, 31, 0},
 			},
 		},
 	} {

@@ -66,11 +66,12 @@ func BenchmarkColNorms(b *testing.B) {
 	})
 }
 
-// BenchmarkColumnSweeps times MultiCG's four column sweeps at the
-// served shape (n = 18000 rows: NB = 6000 blocks of 3) and at the SD
-// benchmark's (n = 3000), all w lanes live, on a pool of one and of
-// two threads — the rows of DESIGN §9's "Threads" table. "-go" runs
-// the Go loops (simd cleared) on the same split.
+// BenchmarkColumnSweeps times MultiCG's four column sweeps and the
+// Lanczos root's update at the served shape (n = 18000 rows: NB = 6000
+// blocks of 3) and at the SD benchmark's (n = 3000), all w lanes live,
+// on a pool of one and of two threads — the rows of DESIGN §9's
+// "Threads" table. "-go" runs the Go loops (simd cleared) on the same
+// split; ColThreeTerm has no other.
 func BenchmarkColumnSweeps(b *testing.B) {
 	for _, n := range []int{18000, benchN} {
 		for _, w := range []int{8, 16, 32} {
@@ -92,6 +93,7 @@ func BenchmarkColumnSweeps(b *testing.B) {
 				{"ColDots", func() { ColDots(s2, p, ap) }},
 				{"ColUpdate", func() { ColUpdate(x, r, p, ap, s1, s2) }},
 				{"ColDirection", func() { ColDirection(p, r, s1) }},
+				{"ColThreeTerm", func() { ColThreeTerm(x, r, p, s1, s1, s1) }},
 				{"ColResidual", func() { ColResidual(x, r, ap, s1, s2) }},
 			}
 			for _, threads := range []int{1, 2} {

@@ -104,6 +104,7 @@ func TestColumnSweepsStayInsideTheirLanes(t *testing.T) {
 					ColDots(dots, p, ap)
 					ColUpdate(x, r, p, ap, alpha, rr)
 					ColDirection(p, r, alpha)
+					ColThreeTerm(x, r, p, alpha, rr, dots)
 					ColResidual(r, p, ap, dots, rr)
 				}
 				faulted := false

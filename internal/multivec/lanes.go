@@ -6,15 +6,18 @@ import (
 	"repro/internal/parallel"
 )
 
-// Column-lane sweeps: the vector work of conjugate gradients on q
+// Column-lane sweeps: the vector work of both Krylov recurrences on q
 // independent columns held in the leading lanes of n-by-w row-major
-// blocks (solver.MultiCGWith), and at w = 1 of solver.CG itself, where the
-// block is the vector. The inner index is the column, so one sweep
-// streams every operand once at memory speed whatever q is; the lanes
-// at and beyond q are kernel padding and are neither read nor written.
-// With AVX2, ColDots, ColUpdate and ColDirection run the lanes four to
-// a ymm and the last q%4 one at a time, in one pass over the rows;
-// ColResidual, once per solve, is the Go loop alone.
+// blocks — conjugate gradients (solver.MultiCGWith, and at w = 1
+// solver.CG itself, where the block is the vector) and the
+// preconditioned Lanczos root (chebyshev.PrecondSqrt and
+// PrecondInvSqrt: its inner products are ColDots, its update
+// ColThreeTerm). The inner index is the column, so one sweep streams
+// every operand once at memory speed whatever q is; the lanes at and
+// beyond q are kernel padding and are neither read nor written. With
+// AVX2, ColDots, ColUpdate and ColDirection run the lanes four to a ymm
+// and the last q%4 one at a time, in one pass over the rows;
+// ColResidual, once per solve, and ColThreeTerm are the Go loops alone.
 //
 // A lane's reduction (ColDots, ColResidual, ColUpdate's sums of
 // squares) is the fixed row-chunk sum of the package comment: the n
@@ -22,9 +25,9 @@ import (
 // order, and the chunk sums added in chunk order. The chunks are a
 // function of n alone, so they run over the pool (DoOp) once a sweep
 // is worth waking a worker for and inline below that, with the same
-// bits. ColDirection, PackColumns and UnpackLanes have no reduction:
-// they split their rows over the pool, and every element is the same
-// expression whichever thread computes it. Splitting the lanes
+// bits. ColDirection, ColThreeTerm, PackColumns and UnpackLanes have no
+// reduction: they split their rows over the pool, and every element is
+// the same expression whichever thread computes it. Splitting the lanes
 // instead — each thread a run of whole cache lines of every row —
 // keeps the bits but measured slower than one thread at w = 16 and 32
 // (DESIGN §12), so no sweep does.
@@ -61,9 +64,9 @@ func ColDots(dst []float64, x, y *MultiVec) {
 	if q == 0 {
 		return
 	}
-	s := getReduction(n)
+	s := getSweep(n)
 	s.v[0], s.v[1], s.out[0] = x, y, dst
-	s.run("multivec_coldots", 1, s.dotsFn)
+	s.reduce("multivec_coldots", 1, s.dotsFn)
 }
 
 // ColResidual computes R = B - AX over the len(bb) leading columns
@@ -78,9 +81,9 @@ func ColResidual(r, b, ax *MultiVec, bb, rr []float64) {
 	if q == 0 {
 		return
 	}
-	s := getReduction(n)
+	s := getSweep(n)
 	s.v[0], s.v[1], s.v[2], s.out[0], s.out[1] = r, b, ax, bb, rr
-	s.run("multivec_colresidual", 2, s.residualFn)
+	s.reduce("multivec_colresidual", 2, s.residualFn)
 }
 
 // ColUpdate is the CG iterate/residual update of the len(alpha)
@@ -95,9 +98,9 @@ func ColUpdate(x, r, p, ap *MultiVec, alpha, rr []float64) {
 	if q == 0 {
 		return
 	}
-	s := getReduction(n)
-	s.v[0], s.v[1], s.v[2], s.v[3], s.alpha, s.out[0] = x, r, p, ap, alpha, rr
-	s.run("multivec_colupdate", 1, s.updateFn)
+	s := getSweep(n)
+	s.v[0], s.v[1], s.v[2], s.v[3], s.s[0], s.out[0] = x, r, p, ap, alpha, rr
+	s.reduce("multivec_colupdate", 1, s.updateFn)
 }
 
 // ColDirection is the CG direction update P = Z + P*diag(beta) of the
@@ -110,78 +113,88 @@ func ColDirection(p, z *MultiVec, beta []float64) {
 	if q == 0 {
 		return
 	}
-	pool, grain := parallel.Default(), max(dirGrain/w, 1)
-	if w == 1 || !pool.Parallel(n, grain) {
+	if !splits(n, w) {
 		colDirectionRows(p, z, beta, 0, n)
 		return
 	}
-	d := spareDirection.Swap(nil)
-	if d == nil {
-		d = new(direction)
-		d.fn = d.rows
-	}
-	d.p, d.z, d.beta = p, z, beta
-	pool.ForOp("multivec_coldirection", n, grain, d.fn)
-	d.p, d.z, d.beta = nil, nil, nil
-	spareDirection.Store(d)
+	s := getSweep(n)
+	s.v[0], s.v[1], s.s[0] = p, z, beta
+	s.split("multivec_coldirection", s.directionFn)
 }
 
-// dirGrain is the fewest elements a ColDirection chunk holds: four
-// times elemGrain, because the AVX2 pass streams an element in about a
-// third of a nanosecond, so a smaller chunk costs less than waking a
-// worker for it (n = 3000, w = 8 read 9 µs on one thread and 22 µs
-// split in two, DESIGN §9). A reduction's chunks go to the pool once
-// the sweep holds twice that.
+// ColThreeTerm is the Lanczos three-term update of the len(alpha)
+// leading columns: U = (U - Q*diag(alpha))*diag(g) - Prev*diag(h), each
+// product rounded before its add or subtract. prev may be q. Its rows
+// split over the pool as ColDirection's do; there is no AVX2 kernel.
+func ColThreeTerm(u, q, prev *MultiVec, alpha, g, h []float64) {
+	nq := len(alpha)
+	if len(g) != nq || len(h) != nq {
+		panic("multivec: ColThreeTerm scalar length mismatch")
+	}
+	n, w := laneShape(nq, u, q, prev)
+	if nq == 0 {
+		return
+	}
+	if !splits(n, w) {
+		colThreeTermRows(u, q, prev, alpha, g, h, 0, n)
+		return
+	}
+	s := getSweep(n)
+	s.v[0], s.v[1], s.v[2], s.s = u, q, prev, [3][]float64{alpha, g, h}
+	s.split("multivec_colthreeterm", s.threeTermFn)
+}
+
+// dirGrain is the fewest elements an elementwise sweep's chunk holds:
+// four times elemGrain, because the AVX2 pass streams an element in
+// about a third of a nanosecond, so a smaller chunk costs less than
+// waking a worker for it (n = 3000, w = 8 read 9 µs on one thread and
+// 22 µs split in two, DESIGN §9). A reduction's chunks go to the pool
+// once the sweep holds twice that.
 const dirGrain = 4 * elemGrain
 
-// direction is one ColDirection split over the pool: its operands, and
-// rows bound once to fn — handing the pool fn instead of a fresh
-// closure is what keeps a warmed split allocation-free (MultiCG calls
-// this every iteration). spareDirection holds one between calls; a
-// call that finds it taken, a concurrent solve's, makes its own.
-type direction struct {
-	p, z *MultiVec
-	beta []float64
-	fn   func(lo, hi int)
+// splits reports whether an elementwise sweep over n-by-w blocks runs
+// its rows over the pool: never at w = 1, and otherwise once For would
+// cut them into chunks of at least dirGrain elements.
+func splits(n, w int) bool {
+	return w > 1 && parallel.Default().Parallel(n, max(dirGrain/w, 1))
 }
 
-var spareDirection atomic.Pointer[direction]
-
-func (d *direction) rows(lo, hi int) { colDirectionRows(d.p, d.z, d.beta, lo, hi) }
-
-// reduction is one ColDots, ColResidual or ColUpdate call: its
-// operands, the chunk sums it adds up, and the three chunk functions
-// bound once, as direction's rows is. spareReduction holds one between
-// calls with its partials; a call that finds it taken makes its own.
-type reduction struct {
-	n, k  int          // rows; chunks, reduceChunks(n)
-	v     [4]*MultiVec // block operands, in argument order
-	alpha []float64    // ColUpdate's coefficients
-	out   [2][]float64 // the sums: ColDots' dst; bb, rr; rr
-	nout  int          // how many of out are in use
-	part  []float64    // chunk c > 0's sums: nout runs of q from (c-1)*nout*q
+// sweep is one lane sweep's call: its operands, a reduction's chunk
+// sums, and each sweep's chunk or row function bound once — handing the
+// pool a bound function instead of a fresh closure is what keeps a
+// warmed split allocation-free (MultiCG and the Lanczos root call these
+// every iteration). spareSweep holds one between calls with its
+// partials; a call that finds it taken, a concurrent solve's, makes its
+// own.
+type sweep struct {
+	n, k int          // rows; a reduction's chunks, reduceChunks(n)
+	v    [4]*MultiVec // block operands, in argument order
+	s    [3][]float64 // scalar operands, in argument order
+	out  [2][]float64 // a reduction's sums: ColDots' dst; bb, rr; rr
+	nout int          // how many of out are in use
+	part []float64    // chunk c > 0's sums: nout runs of q from (c-1)*nout*q
 
 	dotsFn, residualFn, updateFn func(c int)
+	directionFn, threeTermFn     func(lo, hi int)
 }
 
-var spareReduction atomic.Pointer[reduction]
+var spareSweep atomic.Pointer[sweep]
 
-func getReduction(n int) *reduction {
-	s := spareReduction.Swap(nil)
+func getSweep(n int) *sweep {
+	s := spareSweep.Swap(nil)
 	if s == nil {
-		s = new(reduction)
+		s = new(sweep)
 		s.dotsFn, s.residualFn, s.updateFn = s.dots, s.residual, s.update
+		s.directionFn, s.threeTermFn = s.direction, s.threeTerm
 	}
 	s.n, s.k = n, reduceChunks(n)
 	return s
 }
 
-// run sums nout lanes' worth of q columns with chunk: chunk c of k
+// reduce sums nout lanes' worth of q columns with chunk: chunk c of k
 // accumulates its rows into out (c = 0) or its own runs of part, and
-// the chunk sums are then added to out in chunk order. It then drops
-// the operands — a spare must not pin a solve's blocks — and offers s
-// as the spare.
-func (s *reduction) run(op string, nout int, chunk func(c int)) {
+// the chunk sums are then added to out in chunk order.
+func (s *sweep) reduce(op string, nout int, chunk func(c int)) {
 	q := len(s.out[0])
 	s.nout = nout
 	if need := (s.k - 1) * nout * q; cap(s.part) < need {
@@ -208,12 +221,25 @@ func (s *reduction) run(op string, nout int, chunk func(c int)) {
 			dst[j] += v
 		}
 	}
-	s.v, s.alpha, s.out = [4]*MultiVec{}, nil, [2][]float64{}
-	spareReduction.Store(s)
+	s.release()
+}
+
+// split runs rows on the pool over For's blocked ranges of the n rows,
+// at least dirGrain elements each.
+func (s *sweep) split(op string, rows func(lo, hi int)) {
+	parallel.Default().ForOp(op, s.n, max(dirGrain/s.v[0].M, 1), rows)
+	s.release()
+}
+
+// release drops the operands — a spare must not pin a solve's blocks —
+// and offers s as the spare.
+func (s *sweep) release() {
+	s.v, s.s, s.out = [4]*MultiVec{}, [3][]float64{}, [2][]float64{}
+	spareSweep.Store(s)
 }
 
 // rows returns chunk c's row range and where its sums go.
-func (s *reduction) rows(c int) (lo, hi int, out [2][]float64) {
+func (s *sweep) rows(c int) (lo, hi int, out [2][]float64) {
 	lo, hi = parallel.ChunkBounds(s.n, s.k, c)
 	out = s.out
 	if c > 0 {
@@ -225,19 +251,25 @@ func (s *reduction) rows(c int) (lo, hi int, out [2][]float64) {
 	return lo, hi, out
 }
 
-func (s *reduction) dots(c int) {
+func (s *sweep) dots(c int) {
 	lo, hi, out := s.rows(c)
 	colDotsRows(out[0], s.v[0], s.v[1], lo, hi)
 }
 
-func (s *reduction) residual(c int) {
+func (s *sweep) residual(c int) {
 	lo, hi, out := s.rows(c)
 	colResidualRows(s.v[0], s.v[1], s.v[2], out[0], out[1], lo, hi)
 }
 
-func (s *reduction) update(c int) {
+func (s *sweep) update(c int) {
 	lo, hi, out := s.rows(c)
-	colUpdateRows(s.v[0], s.v[1], s.v[2], s.v[3], s.alpha, out[0], lo, hi)
+	colUpdateRows(s.v[0], s.v[1], s.v[2], s.v[3], s.s[0], out[0], lo, hi)
+}
+
+func (s *sweep) direction(lo, hi int) { colDirectionRows(s.v[0], s.v[1], s.s[0], lo, hi) }
+
+func (s *sweep) threeTerm(lo, hi int) {
+	colThreeTermRows(s.v[0], s.v[1], s.v[2], s.s[0], s.s[1], s.s[2], lo, hi)
 }
 
 // UnpackLanes copies column lanes[k] of src into cols[k]: UnpackColumns
@@ -272,8 +304,8 @@ func UnpackLanes(cols [][]float64, src *MultiVec, lanes []int) {
 	spareUnpack.Store(u)
 }
 
-// unpack is one UnpackLanes split over the pool, bound once as
-// direction is (MultiCG unpacks at every retirement).
+// unpack is one UnpackLanes split over the pool, its rows bound once as
+// a sweep's are (MultiCG unpacks at every retirement).
 type unpack struct {
 	cols  [][]float64
 	src   *MultiVec
@@ -396,6 +428,47 @@ func colDirectionRows(p, z *MultiVec, beta []float64, lo, hi int) {
 		be := beta[:len(pr)]
 		for j, b := range be {
 			pr[j] = zr[j] + float64(pr[j]*b)
+		}
+	}
+}
+
+// colThreeTermRows is ColThreeTerm on rows [lo, hi). The lanes go four
+// at a time, each group's scalars held in registers over the rows, and
+// the last q%4 one at a time: a row-major pass that reloads every
+// lane's three scalars per element measured 1.4x slower at w = 16.
+func colThreeTermRows(u, q, prev *MultiVec, alpha, g, h []float64, lo, hi int) {
+	w, nq := u.M, len(alpha)
+	if w == 1 {
+		a, gg, hh := alpha[0], g[0], h[0]
+		ud := u.Data[lo:hi]
+		qd, pd := q.Data[lo:hi], prev.Data[lo:hi]
+		for i, v := range ud {
+			ud[i] = float64((v-float64(a*qd[i]))*gg) - float64(hh*pd[i])
+		}
+		return
+	}
+	if lo >= hi {
+		return
+	}
+	ud := u.Data[:(hi-1)*w+nq] // ends with the last row's last live lane
+	qd, pd := q.Data[:len(ud)], prev.Data[:len(ud)]
+	j := 0
+	for ; j+4 <= nq; j += 4 {
+		a0, a1, a2, a3 := alpha[j], alpha[j+1], alpha[j+2], alpha[j+3]
+		g0, g1, g2, g3 := g[j], g[j+1], g[j+2], g[j+3]
+		h0, h1, h2, h3 := h[j], h[j+1], h[j+2], h[j+3]
+		for e := lo*w + j; e < len(ud); e += w {
+			x, y, z := ud[e:e+4:e+4], qd[e:e+4:e+4], pd[e:e+4:e+4]
+			x[0] = float64((x[0]-float64(a0*y[0]))*g0) - float64(h0*z[0])
+			x[1] = float64((x[1]-float64(a1*y[1]))*g1) - float64(h1*z[1])
+			x[2] = float64((x[2]-float64(a2*y[2]))*g2) - float64(h2*z[2])
+			x[3] = float64((x[3]-float64(a3*y[3]))*g3) - float64(h3*z[3])
+		}
+	}
+	for ; j < nq; j++ {
+		a, gg, hh := alpha[j], g[j], h[j]
+		for e := lo*w + j; e < len(ud); e += w {
+			ud[e] = float64((ud[e]-float64(a*qd[e]))*gg) - float64(hh*pd[e])
 		}
 	}
 }

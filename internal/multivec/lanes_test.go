@@ -102,9 +102,11 @@ func checkSweeps(t *testing.T, n, q, w int, seed uint64, hostile bool) {
 	s := rng.New(seed)
 	block := func() *MultiVec { return poisonPadding(hostileBlock(n, w, s, hostile), q) }
 	x, r, p, ap := block(), block(), block(), block()
-	alpha, beta := make([]float64, q), make([]float64, q)
+	alpha, beta, g, h := make([]float64, q), make([]float64, q), make([]float64, q), make([]float64, q)
 	fillHostile(alpha, s, hostile)
 	fillHostile(beta, s, hostile)
+	fillHostile(g, s, hostile)
+	fillHostile(h, s, hostile)
 	cols := func(v *MultiVec) [][]float64 {
 		c := make([][]float64, q)
 		for j := range c {
@@ -156,6 +158,22 @@ func checkSweeps(t *testing.T, n, q, w int, seed uint64, hostile bool) {
 		}
 	}
 
+	// ColThreeTerm, with prev a block of its own and prev the q block.
+	for _, alias := range []bool{false, true} {
+		u, prev := x.Clone(), ap
+		if alias {
+			prev = p
+		}
+		uc, qc, prc := cols(u), cols(p), cols(prev)
+		for j := 0; j < q; j++ {
+			for i := 0; i < n; i++ {
+				uc[j][i] = float64((uc[j][i]-float64(alpha[j]*qc[j][i]))*g[j]) - float64(h[j]*prc[j][i])
+			}
+		}
+		ColThreeTerm(u, p, prev, alpha, g, h)
+		checkLanes(t, what(fmt.Sprintf("ColThreeTerm alias=%v", alias)), u, uc)
+	}
+
 	// ColUpdate.
 	xc, rc := cols(x), cols(r)
 	wantRR = make([]float64, q)
@@ -189,9 +207,9 @@ func checkSweeps(t *testing.T, n, q, w int, seed uint64, hostile bool) {
 
 // TestColumnSweepsMatchPerColumnLoops runs every lane count q in 1..33
 // at its exact width and at every kernel width above it, with the AVX2
-// kernels on and off, on pools of 1, 2 and 4 threads — ColDirection
-// splits its rows on the larger pools once a block has 2 x 8192
-// elements. Past 2 x 4096 rows the reductions sum two and more row
+// kernels on and off, on pools of 1, 2 and 4 threads — ColDirection and
+// ColThreeTerm split their rows on the larger pools once a block has
+// 2 x 8192 elements. Past 2 x 4096 rows the reductions sum two and more row
 // chunks (9000 rows: two, 12500: three uneven ones), inline or, from
 // n*q = 65536 on, over the pool; those long blocks run at a few shapes,
 // and at two, one of each kind, under -short.
@@ -350,8 +368,9 @@ func TestColumnSweepsIgnoreThreadCount(t *testing.T) {
 				ColDots(out[0:3], p, ap)
 				ColUpdate(x, r, p, ap, []float64{0.5, -2, 3}, out[3:6])
 				ColDirection(p, r, []float64{0.25, 1.5, -1})
+				ColThreeTerm(x, p, r, []float64{0.5, -2, 3}, []float64{1.25, -0.5, 2}, []float64{0.75, 1, -3})
 				ColResidual(ap, r, x, out[6:9], out[9:12])
-				return slices.Concat(out, ap.Data, p.Data)
+				return slices.Concat(out, ap.Data, p.Data, x.Data)
 			}
 			var serial []float64
 			withThreads(t, 1, func() { serial = run() })
@@ -373,8 +392,8 @@ func TestColumnSweepsIgnoreThreadCount(t *testing.T) {
 }
 
 // TestColDirectionConcurrentCalls: concurrent solves each run their own
-// split sweeps — ColDirection, and the reductions with their chunk
-// partials — sharing the spare records between them and the pool's
+// split sweeps — ColDirection and ColThreeTerm, and the reductions with
+// their chunk partials — sharing the spare records between them and the pool's
 // workers; every result must be its serial one (run under -race).
 func TestColDirectionConcurrentCalls(t *testing.T) {
 	const n, w, callers = 9000, 16, 4
@@ -384,12 +403,13 @@ func TestColDirectionConcurrentCalls(t *testing.T) {
 	for c := range ps {
 		ps[c], zs[c] = hostileBlock(n, w, s, false), hostileBlock(n, w, s, false)
 	}
-	// sweeps runs ColDirection, ColDots and ColUpdate on a copy of
-	// caller c's blocks and returns everything they wrote.
+	// sweeps runs ColDirection, ColThreeTerm, ColDots and ColUpdate on a
+	// copy of caller c's blocks and returns everything they wrote.
 	sweeps := func(c int) []float64 {
 		p, z := ps[c].Clone(), zs[c].Clone()
 		sums := make([]float64, 2*w)
 		ColDirection(p, z, beta)
+		ColThreeTerm(z, p, ps[c], beta, beta, beta)
 		ColDots(sums[:w], p, z)
 		ColUpdate(p, z, ps[c], zs[c], beta, sums[w:])
 		return slices.Concat(sums, p.Data, z.Data)

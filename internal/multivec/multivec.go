@@ -31,15 +31,17 @@
 // payload a NaN result carries when both addends are NaN.
 //
 // The column sweeps of lanes.go (ColDots, ColResidual, ColUpdate,
-// ColDirection — the vector work of CG on q interleaved columns) keep
-// the same recurrence per column lane, in Go and, for all but
-// ColResidual, in multivec_amd64.s four lanes to a ymm. A lane's
+// ColDirection, ColThreeTerm — the vector work of CG and of the
+// preconditioned Lanczos root on q interleaved columns) keep the same
+// recurrence per column lane, in Go and, for ColDots, ColUpdate and
+// ColDirection, in multivec_amd64.s four lanes to a ymm. A lane's
 // reduction is a fixed row-chunk sum: the n rows split into
 // k = max(1, n/4096) equal chunks, each summed in row order, and the k
 // chunk sums added in chunk order — a plan of n alone, so the chunks
 // run over the pool or inline with the same bits, and at n <= 8191 it
-// is the whole-column sequential sum. ColDirection, elementwise,
-// splits its rows over the pool, as PackColumns and UnpackLanes do.
+// is the whole-column sequential sum. ColDirection and ColThreeTerm,
+// elementwise, split their rows over the pool, as PackColumns and
+// UnpackLanes do.
 // These give the same bits for EVERY thread count, block width and
 // lane position — each lane is what that chunked loop over the one
 // contiguous column gives. PackColumns, CompactColumns and UnpackLanes

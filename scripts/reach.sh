@@ -100,6 +100,10 @@ run "${sim[@]}" -steps 6 -threads 2
 # the only run whose neighbor wrap reduce and Gram/column-norm reduces
 # split across workers.
 run "$bin/mrhs-sim" -n 5000 -phi 0.3 -m 4 -steps 4 -precond none -threads 2
+# The default step's m = 16 chunk on two threads: the only run whose
+# Lanczos root (the chunk's direct guesses) splits its three-term
+# update over the pool.
+run "$bin/mrhs-sim" -n 3000 -phi 0.3 -alg mrhs -m 16 -steps 16 -threads 2
 run "${sim[@]}" -steps 4 -precond none -ckpt "$tmp/sim.ckpt"
 run "${sim[@]}" -steps 4 -precond none -resume "$tmp/sim.ckpt"
 run "${sim[@]}" -steps 6 -xyz "$tmp/sim.xyz" -obs-json "$tmp/sim-obs.json" \
