@@ -4,9 +4,10 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/bcrs"
+	"repro/internal/hydro"
 	"repro/internal/multivec"
 	"repro/internal/parallel"
+	"repro/internal/particles"
 	"repro/internal/rng"
 	"repro/internal/solver"
 )
@@ -19,12 +20,19 @@ import (
 // inverse root's, must be bitwise-identical whatever the pool size. At
 // NB = 1500 the roots' passes run inline around the threaded multiply;
 // at NB = 6000 and m = 4 (n*m = 72 000) their reductions sum four row
-// chunks over the pool and their update splits its rows.
+// chunks over the pool and their update splits its rows. The matrices
+// are SD resistance matrices at phi = 0.4, on which IC(0) leaves the
+// roots at a tolerance of 1e-8 ten or more steps to run, so the
+// pool-split recurrence is compared over that many updates.
 func TestApplyBlockExactAcrossThreadCounts(t *testing.T) {
 	defer parallel.SetThreads(parallel.Threads())
-	const m = 4
+	const m, tol, minSteps = 4, 1e-8, 10
 	for _, nb := range []int{1500, 6000} {
-		a := bcrs.Random(bcrs.RandomOptions{NB: nb, BlocksPerRow: 8, Seed: 3})
+		sys, err := particles.New(particles.Options{N: nb, Phi: 0.4, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := hydro.Build(sys, hydro.Options{Phi: 0.4})
 		lo, hi := a.GershgorinInterval()
 		if lo <= 0 {
 			lo = 1e-3
@@ -39,18 +47,25 @@ func TestApplyBlockExactAcrossThreadCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		root := func(inverse bool) func(y *multivec.MultiVec) {
+			return func(y *multivec.MultiVec) {
+				sqrt := PrecondSqrt
+				if inverse {
+					sqrt = PrecondInvSqrt
+				}
+				st, err := sqrt(a, ic, y, z, 0, tol)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Iterations < minSteps {
+					t.Fatalf("NB=%d inverse %v: the root stopped after %d steps, want at least %d", nb, inverse, st.Iterations, minSteps)
+				}
+			}
+		}
 		for name, apply := range map[string]func(y *multivec.MultiVec){
-			"series": func(y *multivec.MultiVec) { op.ApplyBlock(y, z) },
-			"lanczos": func(y *multivec.MultiVec) {
-				if _, err := PrecondSqrt(a, ic, y, z, 0, 0); err != nil {
-					t.Fatal(err)
-				}
-			},
-			"inverse lanczos": func(y *multivec.MultiVec) {
-				if _, err := PrecondInvSqrt(a, ic, y, z, 0, 0); err != nil {
-					t.Fatal(err)
-				}
-			},
+			"series":          func(y *multivec.MultiVec) { op.ApplyBlock(y, z) },
+			"lanczos":         root(false),
+			"inverse lanczos": root(true),
 		} {
 			name := fmt.Sprintf("NB=%d %s", nb, name)
 			run := func() []float64 {

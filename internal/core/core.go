@@ -63,9 +63,6 @@ type Config struct {
 	// coefficient size at which the series is truncated (none when not
 	// positive).
 	ChebTol float64
-	// ForceScale multiplies the Brownian force (absorbs the
-	// neglected physical constants sqrt(2 kT / dt); default 1).
-	ForceScale float64
 	// Seed drives the noise streams; step k's noise depends only on
 	// (Seed, k), so the original and MRHS algorithms integrate
 	// identical noise histories.
@@ -116,9 +113,9 @@ type Config struct {
 	// it (the direct velocity): u = -M^{-1}*L*(L^{-1} R L^{-T})^{-1/2}*z
 	// by chebyshev.PrecondInvSqrt and one Apply, and f^B = -R*u by one
 	// multiply, the same force to ChebTol with R*u = -f^B to rounding, so
-	// no first solve runs unless ExternalForce or FirstSolve asks for one.
-	// Algorithm 2 under such a window, without ExternalForce, draws its
-	// chunk's augmented solution the same way, m columns at once, and
+	// no first solve runs unless FirstSolve asks for one. Algorithm 2
+	// under such a window draws its chunk's augmented solution the same
+	// way, m columns at once, and
 	// runs no block solve (the direct guesses): column 0 is step 0's
 	// direct velocity, columns 1..m-1 the guesses its later steps solve
 	// warm from. Any other window — NoPrecond, a broken-down IC(0), a
@@ -140,14 +137,6 @@ type Config struct {
 	// last snapshot and replay it (see Recovery). Nil converts fault
 	// panics to errors but does not replay.
 	Recovery *Recovery
-	// ExternalForce, if non-nil, returns the deterministic
-	// inter-particle force f^P at a configuration (the paper's
-	// bonded-chain case, Section II-A; its experiments use f^P = 0).
-	// Each step solves R u = -(f^B + f^P). The MRHS augmented system
-	// evaluates f^P at the chunk-start configuration — like R_0
-	// itself, it varies slowly, so the guesses stay good — while the
-	// per-step solves use the exact current force.
-	ExternalForce func(c Configuration) []float64
 }
 
 // NoPrecond is the Config.Precond of the paper's experiments: every
@@ -179,9 +168,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ChebOrder == 0 {
 		c.ChebOrder = chebyshev.DefaultOrder
-	}
-	if c.ForceScale == 0 {
-		c.ForceScale = 1
 	}
 	return c
 }
@@ -538,14 +524,10 @@ func (r *Runner) vec(b *[]float64) []float64 {
 	return *b
 }
 
-// noise returns z_k for global step k, scaled by ForceScale, in the
-// runner's noise buffer.
+// noise returns z_k for global step k in the runner's noise buffer.
 func (r *Runner) noise(k int) []float64 {
 	z := r.vec(&r.buf.noise)
 	rng.Substream(r.cfg.Seed, uint64(k)).FillNormal(z)
-	if r.cfg.ForceScale != 1 {
-		blas.Scal(r.cfg.ForceScale, z)
-	}
 	return z
 }
 
@@ -588,7 +570,7 @@ func (r *Runner) brownianOne(a *bcrs.Matrix, op DistOp, fb, z []float64) (chebys
 // (chebyshev.PrecondInvSqrt), u = -M^{-1} y' and rhs = R*u through op.
 // Then -rhs = L*X^{1/2}*z is the force brownianOne samples, to ChebTol,
 // and R*u = rhs holds to rounding: u needs no solve. The Brownian
-// force's minus is negRHS's convention.
+// force's minus is the paper's sign (Eq. 5).
 func (r *Runner) directVelocity(f chebyshev.Factor, op DistOp, u, rhs, z []float64) (chebyshev.Stats, error) {
 	yp := r.vec(&r.buf.fb)
 	r.one.y = multivec.MultiVec{N: len(yp), M: 1, Data: yp}
@@ -647,43 +629,6 @@ func (r *Runner) precondFields(f map[string]any, step int, before Timings) {
 	}
 }
 
-// externalForce evaluates f^P at c, or nil when no force field is
-// configured.
-func (r *Runner) externalForce(c Configuration) []float64 {
-	if r.cfg.ExternalForce == nil {
-		return nil
-	}
-	return r.cfg.ExternalForce(c)
-}
-
-// negRHS builds the right-hand side -f^B + f^P. The minus on the
-// Brownian term is the paper's convention (Eq. 5) and is statistically
-// immaterial — S(R)z and -S(R)z are identically distributed. The
-// external force must enter with the mobility sign, u = +R^{-1} f^P,
-// so that overdamped particles move along the force. The result lives
-// in the runner's right-hand-side buffer.
-func (r *Runner) negRHS(fb, fp []float64) []float64 {
-	rhs := r.vec(&r.buf.rhs)
-	for i, v := range fb {
-		rhs[i] = -v
-	}
-	addForce(rhs, fp)
-	return rhs
-}
-
-// addForce adds the external force fp, if any, to rhs.
-func addForce(rhs, fp []float64) {
-	if fp == nil {
-		return
-	}
-	if len(fp) != len(rhs) {
-		panic("core: external force dimension mismatch")
-	}
-	for i, v := range fp {
-		rhs[i] += v
-	}
-}
-
 // firstSolve runs the configured first-solve strategy. The hook, when
 // set, receives the concrete matrix (preconditioners need structure);
 // the default path multiplies through the (possibly distributed)
@@ -708,66 +653,115 @@ func (r *Runner) firstSolve(a *bcrs.Matrix, op DistOp, x, b []float64, solved bo
 // StepOriginal performs one step of the original algorithm
 // (Algorithm 1): build R_k, compute f_k = S(R_k) z_k, solve cold,
 // take the midpoint, solve warm, advance. Under a window with a factor
-// the first velocity is sampled directly (directVelocity) and the first
-// solve is left with the external force alone, from that velocity.
+// the first velocity is sampled directly (directVelocity) and no first
+// solve runs.
 func (r *Runner) StepOriginal() error {
-	tm0 := r.Timings
+	return r.step(nil, nil)
+}
+
+// step advances one time step on noise z, or, when z is nil, on the
+// step's own draw, timed with its Brownian force. A nil guess is
+// Algorithm 1's step: a window opens every M steps and at a runner's
+// first, and the first velocity is the direct one under a factor, else
+// a cold solve. Any other guess is a chunk's warm step: the forward
+// root's force and a first solve from the guess, under the chunk's
+// window.
+func (r *Runner) step(z, guess []float64) error {
+	before := r.Timings
 
 	t0 := time.Now()
 	a := r.cur.Build()
 	r.Timings.Construct += time.Since(t0)
 	op := r.operator(a, r.cur)
 
-	if r.preStep < 0 || r.k%r.cfg.M == 0 {
-		// Algorithm 1's window rule: a new window every M steps and at a
-		// runner's first. The Brownian force runs through it, the first
-		// solve pays for it.
+	if guess == nil && (r.preStep < 0 || r.k%r.cfg.M == 0) {
+		// Algorithm 1's window rule. The Brownian force runs through the
+		// window, the first solve pays for it.
 		t0 = time.Now()
 		r.beginWindow(a)
 		r.Timings.FirstSolve += time.Since(t0)
 	}
 	t0 = time.Now()
+	if z == nil {
+		z = r.noise(r.k)
+	}
 	u, rhs := r.vec(&r.buf.u), r.vec(&r.buf.rhs)
 	f, direct := r.pre.(chebyshev.Factor)
+	direct = direct && guess == nil
 	var sq chebyshev.Stats
 	var err error
 	if direct {
-		sq, err = r.directVelocity(f, op, u, rhs, r.noise(r.k))
+		sq, err = r.directVelocity(f, op, u, rhs, z)
 	} else {
 		fb := r.vec(&r.buf.fb)
-		sq, err = r.brownianOne(a, op, fb, r.noise(r.k))
-		rhs = r.negRHS(fb, nil)
-		clear(u) // the first solve starts cold
+		sq, err = r.brownianOne(a, op, fb, z)
+		// R u = -f^B: the paper's sign (Eq. 5), statistically immaterial,
+		// as S(R)z and -S(R)z are identically distributed.
+		for i, v := range fb {
+			rhs[i] = -v
+		}
+		if guess == nil {
+			clear(u) // the first solve starts cold
+		}
 	}
 	if err != nil {
 		return fmt.Errorf("core: step %d: %w", r.k, err)
 	}
 	r.Timings.ChebSingle += time.Since(t0)
-	fp := r.externalForce(r.cur)
-	addForce(rhs, fp)
+	copy(u, guess) // a warm step's first solve starts from its guess
 
-	// First solve: cold, or from the direct velocity, which leaves it
-	// the external force to solve for, an initial residual of f^P.
 	t0 = time.Now()
-	st1 := r.firstSolve(a, op, u, rhs, direct && fp == nil)
+	st1 := r.firstSolve(a, op, u, rhs, direct)
 	r.Timings.FirstSolve += time.Since(t0)
 	r.cur.Recycle(a)
 	if !st1.Converged {
 		r.noteFailure("first_solve")
 		return fmt.Errorf("core: step %d first solve stalled at residual %g", r.k, st1.Residual)
 	}
-
-	rec := StepRecord{Step: r.k, FirstIters: st1.Iterations, Direct: direct}
-
-	uHalf, st2, err := r.secondSolve(u, rhs)
-	if err != nil {
-		return err
+	rec := StepRecord{Step: r.k, FirstIters: st1.Iterations, HadGuess: guess != nil, Direct: direct}
+	if guess != nil {
+		rec.GuessRelError = relError(u, guess)
 	}
-	rec.SecondIters = st2.Iterations
-	r.Records = append(r.Records, rec)
+	return r.finish(rec, u, rhs, &sq, before)
+}
 
+// finish completes every step from its first velocity u, R*u = rhs: it
+// builds the midpoint configuration, assembles its matrix, solves warm
+// from u, records the step, advances by the midpoint velocity and emits
+// the step, whose algorithm is "mrhs" when it had a guess. sq is the
+// step's own square root, nil for a chunk's step 0, whose force came
+// from the chunk's; before is the Timings snapshot taken when the step
+// began.
+func (r *Runner) finish(rec StepRecord, u, rhs []float64, sq *chebyshev.Stats, before Timings) error {
+	half := r.cur.Displaced(u, r.cfg.Dt/2)
+
+	t0 := time.Now()
+	aHalf := half.Build()
+	r.Timings.Construct += time.Since(t0)
+	opHalf := r.operator(aHalf, half)
+
+	uHalf := r.vec(&r.buf.uHalf)
+	copy(uHalf, u)
+	t0 = time.Now()
+	st := solver.CG(opHalf, uHalf, rhs, r.solveOpts())
+	r.Timings.SecondSolve += time.Since(t0)
+	if !st.Converged {
+		r.noteFailure("second_solve")
+		return fmt.Errorf("core: step %d second solve stalled at residual %g", r.k, st.Residual)
+	}
+	if r.audit != nil {
+		r.audit("second", aHalf, uHalf, rhs)
+	}
+	half.Recycle(aHalf)
+
+	rec.SecondIters = st.Iterations
+	r.Records = append(r.Records, rec)
 	r.advance(uHalf)
-	r.emitStep(rec, &sq, "original", tm0)
+	alg := "original"
+	if rec.HadGuess {
+		alg = "mrhs"
+	}
+	r.emitStep(rec, sq, alg, before)
 	return nil
 }
 
@@ -785,40 +779,13 @@ func (r *Runner) advance(uHalf []float64) {
 	r.Timings.Steps++
 }
 
-// secondSolve builds the midpoint configuration from the current one
-// using velocity u, assembles its matrix, and solves warm-started
-// from u. It returns the midpoint velocity, in the runner's buffer for
-// it.
-func (r *Runner) secondSolve(u, rhs []float64) ([]float64, solver.Stats, error) {
-	half := r.cur.Displaced(u, r.cfg.Dt/2)
-
-	t0 := time.Now()
-	aHalf := half.Build()
-	r.Timings.Construct += time.Since(t0)
-	opHalf := r.operator(aHalf, half)
-
-	uHalf := r.vec(&r.buf.uHalf)
-	copy(uHalf, u)
-	t0 = time.Now()
-	st := solver.CG(opHalf, uHalf, rhs, r.solveOpts())
-	r.Timings.SecondSolve += time.Since(t0)
-	if !st.Converged {
-		r.noteFailure("second_solve")
-		return nil, st, fmt.Errorf("core: step %d second solve stalled at residual %g", r.k, st.Residual)
-	}
-	if r.audit != nil {
-		r.audit("second", aHalf, uHalf, rhs)
-	}
-	half.Recycle(aHalf)
-	return uHalf, st, nil
-}
-
 // StepMRHS performs one chunk of the MRHS algorithm (Algorithm 2): up
 // to min(M, steps) time steps driven by one augmented system at R_0,
 // solved only as far as its guesses are used. Under a factor window
-// with no external force the chunk draws the system's solution directly
-// (directGuesses); otherwise block CG stops at blockTol and column 0,
-// the only one used as a solution, is finished to Tol (blockGuesses).
+// the chunk draws the system's solution directly (directGuesses);
+// otherwise block CG stops at blockTol and column 0, the only one used
+// as a solution, is finished to Tol (blockGuesses). Step 0 ends in
+// finish from column 0; steps 1..m-1 are step's warm steps.
 func (r *Runner) StepMRHS(steps int) error {
 	m := r.cfg.M
 	if steps < m {
@@ -842,7 +809,6 @@ func (r *Runner) StepMRHS(steps int) error {
 	r.beginWindow(a0)
 	r.Timings.CalcGuesses += time.Since(t0)
 	f, direct := r.pre.(chebyshev.Factor)
-	direct = direct && r.cfg.ExternalForce == nil
 
 	// Step 2: one square-root evaluation with m vectors (GSPMV): F^B =
 	// S(R_0)*Z, or for the direct guesses Y' = L*X_0^{-1/2}*Z.
@@ -885,18 +851,7 @@ func (r *Runner) StepMRHS(steps int) error {
 			g.direct = false
 		}
 	} else {
-		fb.Scale(-1) // the systems are R u = -f^B + f^P (see negRHS)
-		if fp := r.externalForce(r.cur); fp != nil {
-			// The chunk-start external force stands in for every column;
-			// like R_0 it is a slowly-varying approximation that only
-			// affects guess quality, never the converged solutions.
-			for i := 0; i < dim; i++ {
-				row := fb.Row(i)
-				for j := range row {
-					row[j] += fp[i]
-				}
-			}
-		}
+		fb.Scale(-1) // the systems are R u = -f^B (Eq. 5's sign)
 	}
 	if !g.direct {
 		g, err = r.blockGuesses(op0, u, fb, u0, rhs0, bp)
@@ -913,64 +868,24 @@ func (r *Runner) StepMRHS(steps int) error {
 
 	// Steps 4-6: the first time step uses u_0 directly (its first
 	// solve already happened in making the guesses).
-	tmStep := r.Timings
-	rec := StepRecord{Step: r.k, FirstIters: 0, HadGuess: true, Direct: g.direct}
-	uHalf, st2, err := r.secondSolve(u0, rhs0)
-	if err != nil {
+	rec := StepRecord{Step: r.k, HadGuess: true, Direct: g.direct}
+	if err := r.finish(rec, u0, rhs0, nil, r.Timings); err != nil {
 		return err
 	}
-	rec.SecondIters = st2.Iterations
-	r.Records = append(r.Records, rec)
-	r.advance(uHalf)
-	r.emitStep(rec, nil, "mrhs", tmStep)
 
 	// Steps 7-14: remaining m-1 steps, warm-started from the
 	// augmented solutions.
 	guessErr := 0.0
 	for j := 1; j < m; j++ {
-		tmStep := r.Timings
-		t0 = time.Now()
-		ak := r.cur.Build()
-		r.Timings.Construct += time.Since(t0)
-		opk := r.operator(ak, r.cur)
-
-		t0 = time.Now()
-		fbk, zk := r.vec(&r.buf.fb), r.vec(&r.buf.noise)
+		zk, guess := r.vec(&r.buf.noise), r.vec(&r.buf.guess)
 		z.Col(j, zk) // step r.k's noise, drawn above
-		sq, err := r.brownianOne(ak, opk, fbk, zk)
-		if err != nil {
-			return fmt.Errorf("core: step %d: %w", r.k, err)
-		}
-		r.Timings.ChebSingle += time.Since(t0)
-		rhs := r.negRHS(fbk, r.externalForce(r.cur))
-
-		guess, uk := r.vec(&r.buf.guess), r.vec(&r.buf.u)
 		u.Col(j, guess)
-		copy(uk, guess)
-		t0 = time.Now()
-		st1 := r.firstSolve(ak, opk, uk, rhs, false)
-		r.Timings.FirstSolve += time.Since(t0)
-		r.cur.Recycle(ak)
-		if !st1.Converged {
-			r.noteFailure("first_solve")
-			return fmt.Errorf("core: step %d first solve stalled at residual %g", r.k, st1.Residual)
-		}
-
-		rec := StepRecord{Step: r.k, FirstIters: st1.Iterations, HadGuess: true}
-		rec.GuessRelError = relError(uk, guess)
-		if e := rec.GuessRelError; e > 0 && (guessErr == 0 || e < guessErr) {
-			guessErr = e
-		}
-
-		uHalf, st2, err := r.secondSolve(uk, rhs)
-		if err != nil {
+		if err := r.step(zk, guess); err != nil {
 			return err
 		}
-		rec.SecondIters = st2.Iterations
-		r.Records = append(r.Records, rec)
-
-		r.advance(uHalf)
-		r.emitStep(rec, &sq, "mrhs", tmStep)
+		if e := r.Records[len(r.Records)-1].GuessRelError; e > 0 && (guessErr == 0 || e < guessErr) {
+			guessErr = e
+		}
 	}
 	r.guessErr = guessErr
 	return nil

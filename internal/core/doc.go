@@ -61,17 +61,16 @@
 // -M^{-1} L X^{-1/2} z_k costs the inverse root
 // (chebyshev.PrecondInvSqrt) and one Apply, and R_k u = -L X^{1/2} z_k
 // is minus the force above, got by one multiply, with R_k u = -f^B to
-// rounding. The first solve is then left with the external force alone,
-// warm from u (none runs without one), and the FirstSolve hook, when
-// set, still receives the system and finds it solved.
+// rounding. No first solve runs; the FirstSolve hook, when set, still
+// receives the system and finds it solved.
 //
 // # The direct guesses
 //
 // The same sampling gives Algorithm 2's augmented system its solution
-// exactly, m columns at once: under a factor window with no external
-// force a chunk draws U = -M^{-1} L X_0^{-1/2} Z by one m-wide inverse
-// root and one ApplyBlock, whose column j is the direct velocity for
-// z_j at R_0, and step 0's right-hand side R_0 u_0 by one multiply. No
+// exactly, m columns at once: under a factor window a chunk draws
+// U = -M^{-1} L X_0^{-1/2} Z by one m-wide inverse root and one
+// ApplyBlock, whose column j is the direct velocity for z_j at R_0,
+// and step 0's right-hand side R_0 u_0 by one multiply. No
 // block solve runs; step 0 is Algorithm 1's step bit for bit, and
 // columns 1..m-1 are the guesses, whose steps keep the forward root
 // and their warm first solves. The chunk record's guesses field
@@ -91,6 +90,15 @@
 // A step multiplies through that matrix or Config.Distribute's operator
 // over it; half storage (bcrs.SymMatrix) lost every SD step it was
 // measured in and has no switch here.
+//
+// # One step body
+//
+// Both algorithms run one time step, Runner.step: Algorithm 1's with no
+// guess (its window rule, the direct velocity or a cold first solve),
+// Algorithm 2's steps 1..m-1 with their column of U as the guess, a
+// forward root and a warm first solve. Every step, a chunk's step 0
+// included, ends in one tail, Runner.finish: the second solve at the
+// midpoint, the record, the advance and the step event.
 //
 // The package is generic over a Configuration interface so the
 // technique applies beyond Stokesian dynamics, as the paper suggests;

@@ -306,7 +306,7 @@ func BlockCG(a BlockOperator, x, b *multivec.MultiVec, opt Options) (stats Block
 	takeColumns(p, keep)
 
 	for it := 0; it < opt.MaxIter; it++ {
-		if opt.canceled() {
+		if opt.canceled(new(time.Time)) {
 			stats.Err = ErrCanceled
 			break
 		}

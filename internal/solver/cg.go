@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"time"
 
 	"repro/internal/multivec"
 )
@@ -63,16 +64,34 @@ type Options struct {
 	// Stats.Residuals (single-vector CG only).
 	TrackResiduals bool
 	// Ctx, if non-nil, is checked once per iteration: when it is
-	// canceled or past its deadline the solve returns early with
-	// Stats.Err = ErrCanceled and the current iterate in x. This is
-	// how the batching solve server enforces per-request deadlines
-	// inside long iteration loops.
+	// canceled or its deadline has passed by the clock, the solve
+	// returns early with Stats.Err = ErrCanceled and the current
+	// iterate in x. This is how the batching solve server enforces
+	// per-request deadlines inside long iteration loops.
 	Ctx context.Context
 }
 
-// canceled reports whether the solve's context has been canceled.
-func (o Options) canceled() bool {
-	return o.Ctx != nil && o.Ctx.Err() != nil
+// canceled reports whether the solve's context has been canceled or its
+// deadline has passed. Only a timer sets Ctx.Err at the deadline, and a
+// CPU-bound solve on one P does not yield to it, so the deadline is
+// also read against the clock: *now is the time at this iteration
+// boundary, read by the first context that asks (zero until then), so
+// the lanes of a batch share one read.
+func (o Options) canceled(now *time.Time) bool {
+	if o.Ctx == nil {
+		return false
+	}
+	if o.Ctx.Err() != nil {
+		return true
+	}
+	d, ok := o.Ctx.Deadline()
+	if !ok {
+		return false
+	}
+	if now.IsZero() {
+		*now = time.Now()
+	}
+	return !now.Before(d)
 }
 
 func (o Options) withDefaults(n int) Options {

@@ -239,51 +239,17 @@ func invLower3(dst []float64, l blas.Mat3) {
 // block substitution. It satisfies the Preconditioner interface and
 // allocates nothing.
 func (ic *IC0) Apply(z, r []float64) {
-	const bs = bcrs.BlockSize
 	if n := ic.nb * 3; len(z) != n || len(r) != n {
 		panic("solver: IC0 dimension mismatch")
 	}
-	// ic0_amd64.s wants AVX2 and a strict-lower block to point at; the
-	// loops below are its oracle and every other host's path.
+	// ic0_amd64.s wants AVX2 and a strict-lower block to point at;
+	// ApplyBlock's loops at m = 1 are its oracle and every other host's
+	// path.
 	if cpufeat.AVX2 && len(ic.colIdx) > 0 {
 		ic.sweepSIMD(z, r, 1, 1)
 		return
 	}
-	rowPtr, colIdx, lower, inv := ic.rowPtr, ic.colIdx, ic.lower, ic.invDiag
-	// Forward: L*y = r, y stored in z. Row i gathers from the rows
-	// before it.
-	for i := 0; i < ic.nb; i++ {
-		s0, s1, s2 := r[3*i], r[3*i+1], r[3*i+2]
-		for k := int(rowPtr[i]); k < int(rowPtr[i+1]); k++ {
-			v := lower[k*bs : k*bs+bs : k*bs+bs]
-			j := int(colIdx[k]) * 3
-			y0, y1, y2 := z[j], z[j+1], z[j+2]
-			s0 -= v[0]*y0 + v[1]*y1 + v[2]*y2
-			s1 -= v[3]*y0 + v[4]*y1 + v[5]*y2
-			s2 -= v[6]*y0 + v[7]*y1 + v[8]*y2
-		}
-		d := inv[i*bs : i*bs+bs : i*bs+bs]
-		z[3*i] = d[0] * s0
-		z[3*i+1] = d[3]*s0 + d[4]*s1
-		z[3*i+2] = d[6]*s0 + d[7]*s1 + d[8]*s2
-	}
-	// Backward: L^T*x = y. L^T's rows are L's columns, so row i, once
-	// solved, scatters its coupling to the pending rows before it.
-	for i := ic.nb - 1; i >= 0; i-- {
-		d := inv[i*bs : i*bs+bs : i*bs+bs]
-		s0, s1, s2 := z[3*i], z[3*i+1], z[3*i+2]
-		x0 := d[0]*s0 + d[3]*s1 + d[6]*s2
-		x1 := d[4]*s1 + d[7]*s2
-		x2 := d[8] * s2
-		z[3*i], z[3*i+1], z[3*i+2] = x0, x1, x2
-		for k := int(rowPtr[i]); k < int(rowPtr[i+1]); k++ {
-			v := lower[k*bs : k*bs+bs : k*bs+bs]
-			j := int(colIdx[k]) * 3
-			z[j] -= v[0]*x0 + v[3]*x1 + v[6]*x2
-			z[j+1] -= v[1]*x0 + v[4]*x1 + v[7]*x2
-			z[j+2] -= v[2]*x0 + v[5]*x1 + v[8]*x2
-		}
-	}
+	ic.ApplyBlock(&multivec.MultiVec{N: len(z), M: 1, Data: z}, &multivec.MultiVec{N: len(r), M: 1, Data: r})
 }
 
 // MulL computes y = L*x, the factor itself rather than its inverse, on

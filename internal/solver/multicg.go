@@ -240,13 +240,14 @@ func (ws *MultiCGWorkspace) solve(a BlockOperator, xs, bs [][]float64, opts []Op
 	for {
 		// Budget and cancellation, in CG's order: the iteration-count
 		// test guards the loop, the context test opens the body.
+		var now time.Time
 		for j := range lanes {
 			l := &lanes[j]
 			switch {
 			case l.retired:
 			case l.st.Iterations >= l.opt.MaxIter:
 				l.retire(true)
-			case l.opt.canceled():
+			case l.opt.canceled(&now):
 				l.st.Err = ErrCanceled
 				l.retire(true)
 			}

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/bcrs"
 	"repro/internal/blas"
@@ -93,7 +94,7 @@ func textbookCG(a Operator, x, b []float64, opt Options) Stats {
 	rz := laneDot(r, z)
 	ap := make([]float64, n)
 	for st.Iterations < opt.MaxIter {
-		if opt.canceled() {
+		if opt.canceled(new(time.Time)) {
 			st.Err = ErrCanceled
 			break
 		}
@@ -388,6 +389,40 @@ func TestCGCancel(t *testing.T) {
 	x2 := make([]float64, n)
 	if st2 := CG(a, x2, b, Options{}); !st2.Converged || st2.Err != nil {
 		t.Fatalf("clean CG: %+v", st2)
+	}
+}
+
+// pastDeadline is a context whose deadline has passed while its Err is
+// still nil: what a CPU-bound solve on one P sees when the runtime has
+// not yet run the deadline's timer.
+type pastDeadline struct{ context.Context }
+
+func (pastDeadline) Deadline() (time.Time, bool) { return time.Now().Add(-time.Millisecond), true }
+func (pastDeadline) Err() error                  { return nil }
+
+// TestPastDeadlineStopsAtFirstBoundary: each solver reads a deadline
+// against the clock, not only through Ctx.Err, so a solve whose deadline
+// has passed stops with ErrCanceled at its first iteration boundary.
+func TestPastDeadlineStopsAtFirstBoundary(t *testing.T) {
+	a := bcrs.Random(bcrs.RandomOptions{NB: 100, BlocksPerRow: 6, Seed: 8})
+	n := a.N()
+	opt := Options{Ctx: pastDeadline{context.Background()}}
+	if st := CG(a, make([]float64, n), testRHS(n, 31), opt); st.Err != ErrCanceled || st.Iterations != 0 {
+		t.Errorf("CG: %+v", st)
+	}
+	xs := [][]float64{make([]float64, n), make([]float64, n)}
+	bs := [][]float64{testRHS(n, 21), testRHS(n, 22)}
+	for j, st := range MultiCGWith(nil, a, xs, bs, []Options{opt, opt}) {
+		if st.Err != ErrCanceled || st.Iterations != 0 {
+			t.Errorf("MultiCGWith column %d: %+v", j, st)
+		}
+	}
+	b := multivec.New(n, 4)
+	for j := 0; j < 4; j++ {
+		b.SetCol(j, testRHS(n, uint64(40+j)))
+	}
+	if st := BlockCG(a, multivec.New(n, 4), b, opt); st.Err != ErrCanceled || st.Iterations != 0 {
+		t.Errorf("BlockCG: %+v", st)
 	}
 }
 

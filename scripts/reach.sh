@@ -169,6 +169,7 @@ get /healthz
 get /v1/info
 post /v1/solve '{"seed":1,"omit_x":true}' 200
 post /v1/solve '{"seed":1,"omit_x":true}' 200 -H 'X-Request-ID: probe-1'
+post /v1/solve '{"seed":1,"omit_x":true,"timeout_ms":60000}' 200
 post /v1/solve '{"seed":1}' 200
 post /v1/ensemble '{"members":8,"seed":1,"omit_x":true}' 200
 post /v1/solve '{"seed":1,"tol":-1}' 400
