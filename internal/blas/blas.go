@@ -26,20 +26,6 @@ func Dot(x, y []float64) float64 {
 	return s
 }
 
-// Axpy computes y += alpha*x in place. The slices must have equal
-// length.
-func Axpy(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("blas: Axpy length mismatch")
-	}
-	if alpha == 0 {
-		return
-	}
-	for i, v := range x {
-		y[i] += alpha * v
-	}
-}
-
 // Scal scales x by alpha in place.
 func Scal(alpha float64, x []float64) {
 	for i := range x {

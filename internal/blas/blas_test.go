@@ -34,24 +34,6 @@ func TestDotMismatchPanics(t *testing.T) {
 	Dot([]float64{1}, []float64{1, 2})
 }
 
-func TestAxpy(t *testing.T) {
-	x := []float64{1, 2}
-	y := []float64{10, 20}
-	Axpy(3, x, y)
-	if y[0] != 13 || y[1] != 26 {
-		t.Fatalf("Axpy got %v", y)
-	}
-}
-
-func TestAxpyZeroAlpha(t *testing.T) {
-	x := []float64{1, 2}
-	y := []float64{10, 20}
-	Axpy(0, x, y)
-	if y[0] != 10 || y[1] != 20 {
-		t.Fatalf("Axpy(0) modified y: %v", y)
-	}
-}
-
 func TestScal(t *testing.T) {
 	x := []float64{1, -2, 3}
 	Scal(-2, x)

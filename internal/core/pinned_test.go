@@ -58,7 +58,7 @@ type pinnedSet struct {
 // the paper's setting, which Tables V-VII and Fig. 5-6 regenerate
 // under — the Algorithm 1 pins are the bits of the commit before Krylov
 // recycling left the stepper, unmoved by the reuse window that became
-// the default since: an edit to StepOriginal, secondSolve or the
+// the default since: an edit to StepOriginal, finish or the
 // recovery snapshot must not move a trajectory by one ulp or a solve by
 // one iteration. Its MRHS pins were taken again when the block solve
 // began stopping at a tolerance set from the previous chunk's guess

@@ -59,13 +59,6 @@ func BenchmarkSetMulAdd(b *testing.B) {
 	benchKernel(b, smallProductFlops, func(x, y, v *MultiVec, a, _ *blas.Dense) { v.SetMulAdd(x, y, a) })
 }
 
-func BenchmarkColNorms(b *testing.B) {
-	norms := make([]float64, benchWidths[len(benchWidths)-1])
-	benchKernel(b, func(m int) int { return 2 * benchN * m }, func(x, _, _ *MultiVec, _, _ *blas.Dense) {
-		x.ColNormsInto(norms[:x.M])
-	})
-}
-
 // BenchmarkColumnSweeps times MultiCG's four column sweeps and the
 // Lanczos root's update at the served shape (n = 18000 rows: NB = 6000
 // blocks of 3) and at the SD benchmark's (n = 3000), all w lanes live,

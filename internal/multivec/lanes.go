@@ -3,6 +3,7 @@ package multivec
 import (
 	"sync/atomic"
 
+	"repro/internal/blas"
 	"repro/internal/parallel"
 )
 
@@ -19,14 +20,16 @@ import (
 // and the last q%4 one at a time, in one pass over the rows;
 // ColResidual, once per solve, and ColThreeTerm are the Go loops alone.
 //
-// A lane's reduction (ColDots, ColResidual, ColUpdate's sums of
-// squares) is the fixed row-chunk sum of the package comment: the n
-// rows split into reduceChunks(n) equal chunks, each summed in row
-// order, and the chunk sums added in chunk order. The chunks are a
-// function of n alone, so they run over the pool (DoOp) once a sweep
-// is worth waking a worker for and inline below that, with the same
-// bits. ColDirection, ColThreeTerm, PackColumns and UnpackLanes have no
-// reduction: they split their rows over the pool, and every element is
+// This file is also the package's one engine for pooled work: a lane
+// reduction (ColDots, ColResidual, ColUpdate's sums of squares) and
+// block CG's Gram product (GramInto) are the fixed row-chunk sum of the
+// package comment: the n rows split into reduceChunks(n) equal chunks,
+// each summed in row order, and the chunk sums added in chunk order.
+// The chunks are a function of n alone, so they run over the pool
+// (DoOp) once a sweep is worth waking a worker for and inline below
+// that, with the same bits. ColDirection, ColThreeTerm, AddMul,
+// SetMulAdd, Scale, PackColumns and UnpackLanes have no reduction: they
+// split their rows over the pool (sweep.split), and every element is
 // the same expression whichever thread computes it. Splitting the lanes
 // instead — each thread a run of whole cache lines of every row —
 // keeps the bits but measured slower than one thread at w = 16 and 32
@@ -119,7 +122,7 @@ func ColDirection(p, z *MultiVec, beta []float64) {
 	}
 	s := getSweep(n)
 	s.v[0], s.v[1], s.s[0] = p, z, beta
-	s.split("multivec_coldirection", s.directionFn)
+	s.split("multivec_coldirection", dirRows(w), s.directionFn)
 }
 
 // ColThreeTerm is the Lanczos three-term update of the len(alpha)
@@ -141,7 +144,7 @@ func ColThreeTerm(u, q, prev *MultiVec, alpha, g, h []float64) {
 	}
 	s := getSweep(n)
 	s.v[0], s.v[1], s.v[2], s.s = u, q, prev, [3][]float64{alpha, g, h}
-	s.split("multivec_colthreeterm", s.threeTermFn)
+	s.split("multivec_colthreeterm", dirRows(w), s.threeTermFn)
 }
 
 // dirGrain is the fewest elements an elementwise sweep's chunk holds:
@@ -152,30 +155,39 @@ func ColThreeTerm(u, q, prev *MultiVec, alpha, g, h []float64) {
 // once the sweep holds twice that.
 const dirGrain = 4 * elemGrain
 
+// dirRows is the fewest rows of an n-by-w block an elementwise lane
+// sweep's chunk holds: dirGrain elements.
+func dirRows(w int) int { return max(dirGrain/w, 1) }
+
 // splits reports whether an elementwise sweep over n-by-w blocks runs
 // its rows over the pool: never at w = 1, and otherwise once For would
 // cut them into chunks of at least dirGrain elements.
 func splits(n, w int) bool {
-	return w > 1 && parallel.Default().Parallel(n, max(dirGrain/w, 1))
+	return w > 1 && parallel.Default().Parallel(n, dirRows(w))
 }
 
-// sweep is one lane sweep's call: its operands, a reduction's chunk
-// sums, and each sweep's chunk or row function bound once — handing the
-// pool a bound function instead of a fresh closure is what keeps a
-// warmed split allocation-free (MultiCG and the Lanczos root call these
-// every iteration). spareSweep holds one between calls with its
-// partials; a call that finds it taken, a concurrent solve's, makes its
-// own.
+// sweep is one call of a pooled op — a lane sweep, a Gram product, a
+// block update, a scale, a pack or an unpack: its operands, a
+// reduction's chunk sums, and each op's chunk or row function bound
+// once — handing the pool a bound function instead of a fresh closure
+// is what keeps a warmed split allocation-free (block CG, MultiCG and
+// the Lanczos root call these every iteration). spareSweep holds one
+// between calls with its partials; a call that finds it taken, a
+// concurrent solve's, makes its own.
 type sweep struct {
-	n, k int          // rows; a reduction's chunks, reduceChunks(n)
-	v    [4]*MultiVec // block operands, in argument order
-	s    [3][]float64 // scalar operands, in argument order
-	out  [2][]float64 // a reduction's sums: ColDots' dst; bb, rr; rr
-	nout int          // how many of out are in use
-	part []float64    // chunk c > 0's sums: nout runs of q from (c-1)*nout*q
+	n, k  int          // rows; a reduction's chunks, reduceChunks(n)
+	v     [4]*MultiVec // block operands, in argument order
+	s     [3][]float64 // scalar operands (AddMul's and SetMulAdd's matrix), in argument order
+	out   [2][]float64 // a reduction's sums: ColDots' dst; bb, rr; rr; the Gram matrix
+	nout  int          // how many of out are in use
+	part  []float64    // chunk c > 0's sums: nout runs of q from (c-1)*nout*q
+	fac   float64      // Scale's factor
+	cols  [][]float64  // PackColumns' sources, UnpackLanes' destinations
+	lanes []int        // and the lanes UnpackLanes copies
 
-	dotsFn, residualFn, updateFn func(c int)
-	directionFn, threeTermFn     func(lo, hi int)
+	dotsFn, residualFn, updateFn, gramFn            func(c int)
+	directionFn, threeTermFn, addMulFn, setMulAddFn func(lo, hi int)
+	scaleFn, packFn, unpackFn                       func(lo, hi int)
 }
 
 var spareSweep atomic.Pointer[sweep]
@@ -184,8 +196,9 @@ func getSweep(n int) *sweep {
 	s := spareSweep.Swap(nil)
 	if s == nil {
 		s = new(sweep)
-		s.dotsFn, s.residualFn, s.updateFn = s.dots, s.residual, s.update
-		s.directionFn, s.threeTermFn = s.direction, s.threeTerm
+		s.dotsFn, s.residualFn, s.updateFn, s.gramFn = s.dots, s.residual, s.update, s.gram
+		s.directionFn, s.threeTermFn, s.addMulFn, s.setMulAddFn = s.direction, s.threeTerm, s.addMul, s.setMulAdd
+		s.scaleFn, s.packFn, s.unpackFn = s.scale, s.pack, s.unpack
 	}
 	s.n, s.k = n, reduceChunks(n)
 	return s
@@ -225,9 +238,9 @@ func (s *sweep) reduce(op string, nout int, chunk func(c int)) {
 }
 
 // split runs rows on the pool over For's blocked ranges of the n rows,
-// at least dirGrain elements each.
-func (s *sweep) split(op string, rows func(lo, hi int)) {
-	parallel.Default().ForOp(op, s.n, max(dirGrain/s.v[0].M, 1), rows)
+// at least grain rows each.
+func (s *sweep) split(op string, grain int, rows func(lo, hi int)) {
+	parallel.Default().ForOp(op, s.n, grain, rows)
 	s.release()
 }
 
@@ -235,6 +248,7 @@ func (s *sweep) split(op string, rows func(lo, hi int)) {
 // and offers s as the spare.
 func (s *sweep) release() {
 	s.v, s.s, s.out = [4]*MultiVec{}, [3][]float64{}, [2][]float64{}
+	s.cols, s.lanes = nil, nil
 	spareSweep.Store(s)
 }
 
@@ -266,15 +280,32 @@ func (s *sweep) update(c int) {
 	colUpdateRows(s.v[0], s.v[1], s.v[2], s.v[3], s.s[0], out[0], lo, hi)
 }
 
+func (s *sweep) gram(c int) {
+	lo, hi, out := s.rows(c)
+	gramRange(out[0], s.v[0], s.v[1], lo, hi)
+}
+
 func (s *sweep) direction(lo, hi int) { colDirectionRows(s.v[0], s.v[1], s.s[0], lo, hi) }
 
 func (s *sweep) threeTerm(lo, hi int) {
 	colThreeTermRows(s.v[0], s.v[1], s.v[2], s.s[0], s.s[1], s.s[2], lo, hi)
 }
 
-// UnpackLanes copies column lanes[k] of src into cols[k]: UnpackColumns
-// for a chosen subset of columns, in one pass over src whose rows split
-// over the pool.
+func (s *sweep) addMul(lo, hi int) { addMulRange(s.v[0], s.v[1], s.s[0], lo, hi) }
+
+func (s *sweep) setMulAdd(lo, hi int) { setMulAddRange(s.v[0], s.v[1], s.v[2], s.s[0], lo, hi) }
+
+func (s *sweep) scale(lo, hi int) {
+	w := s.v[0].M
+	blas.Scal(s.fac, s.v[0].Data[lo*w:hi*w])
+}
+
+func (s *sweep) pack(lo, hi int) { packRows(s.v[0], s.cols, lo, hi) }
+
+func (s *sweep) unpack(lo, hi int) { unpackRows(s.cols, s.v[0], s.lanes, lo, hi) }
+
+// UnpackLanes copies column lanes[k] of src into cols[k], in one pass
+// over src whose rows split over the pool.
 func UnpackLanes(cols [][]float64, src *MultiVec, lanes []int) {
 	if len(cols) != len(lanes) {
 		panic("multivec: UnpackLanes count mismatch")
@@ -284,38 +315,19 @@ func UnpackLanes(cols [][]float64, src *MultiVec, lanes []int) {
 			panic("multivec: UnpackLanes column mismatch")
 		}
 	}
-	pool, grain := parallel.Default(), rowGrain(src.M)
+	grain := rowGrain(src.M)
 	switch {
 	case src.M == 1 && len(cols) == 1:
 		copy(cols[0], src.Data)
 		return
-	case !pool.Parallel(src.N, grain):
+	case !parallel.Default().Parallel(src.N, grain):
 		unpackRows(cols, src, lanes, 0, src.N)
 		return
 	}
-	u := spareUnpack.Swap(nil)
-	if u == nil {
-		u = new(unpack)
-		u.fn = u.rows
-	}
-	u.cols, u.src, u.lanes = cols, src, lanes
-	pool.ForOp("multivec_unpack", src.N, grain, u.fn)
-	u.cols, u.src, u.lanes = nil, nil, nil
-	spareUnpack.Store(u)
+	s := getSweep(src.N)
+	s.v[0], s.cols, s.lanes = src, cols, lanes
+	s.split("multivec_unpack", grain, s.unpackFn)
 }
-
-// unpack is one UnpackLanes split over the pool, its rows bound once as
-// a sweep's are (MultiCG unpacks at every retirement).
-type unpack struct {
-	cols  [][]float64
-	src   *MultiVec
-	lanes []int
-	fn    func(lo, hi int)
-}
-
-var spareUnpack atomic.Pointer[unpack]
-
-func (u *unpack) rows(lo, hi int) { unpackRows(u.cols, u.src, u.lanes, lo, hi) }
 
 // colDotsRows adds rows [lo, hi) of the lane inner products into d.
 func colDotsRows(d []float64, x, y *MultiVec, lo, hi int) {

@@ -7,12 +7,13 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/blas"
 	"repro/internal/rng"
 )
 
 // The column sweeps against one column at a time: each lane must hold
 // exactly what a lone contiguous vector gets from the textbook loop
-// (the blas.Axpy order, product rounded before the add, and refDot's
+// (y += a*x in row order, product rounded before the add, and refDot's
 // chunked sum), and the padding lanes must come back untouched — with
 // the AVX2 kernels and the Go loops, on every pool size.
 
@@ -352,28 +353,49 @@ func TestUnpackLanes(t *testing.T) {
 	}
 }
 
-// TestColumnSweepsIgnoreThreadCount: the reductions sum fixed row
-// chunks in chunk order whichever thread runs a chunk, and the split
-// sweeps are elementwise, so a parallel pool must not change one bit —
-// at w = 4 and at the served width 32, at 9000 rows (two chunks) and
-// 18000 (four, the served system), with the AVX2 kernels and the Go
-// loops, which must agree with each other too.
+// TestColumnSweepsIgnoreThreadCount: the reductions — the lane sweeps'
+// and block CG's Gram product — sum fixed row chunks in chunk order
+// whichever thread runs a chunk, and the split sweeps and block updates
+// (AddMul, SetMulAdd) are elementwise, so a parallel pool must not
+// change one bit — at w = 4 and at the served width 32, at 9000 rows
+// (two chunks) and 18000 (four, the served system), with the AVX2
+// kernels and the Go loops, which must agree with each other too. The
+// Gram product must be the per-chunk sum refDot spells out, entry by
+// entry.
 func TestColumnSweepsIgnoreThreadCount(t *testing.T) {
 	for _, n := range []int{9000, 18000} {
 		for _, w := range []int{4, 32} {
-			run := func() []float64 {
+			operands := func() (x, r, p, ap *MultiVec, a *blas.Dense) {
 				s := rng.New(77)
-				x, r, p, ap := hostileBlock(n, w, s, false), hostileBlock(n, w, s, false), hostileBlock(n, w, s, false), hostileBlock(n, w, s, false)
+				x, r, p, ap = hostileBlock(n, w, s, false), hostileBlock(n, w, s, false), hostileBlock(n, w, s, false), hostileBlock(n, w, s, false)
+				a = blas.NewDense(w, w)
+				s.FillNormal(a.Data)
+				return x, r, p, ap, a
+			}
+			run := func() []float64 {
+				x, r, p, ap, a := operands()
+				g := blas.NewDense(w, w)
+				GramInto(g, p, ap)
 				out := make([]float64, 12)
 				ColDots(out[0:3], p, ap)
 				ColUpdate(x, r, p, ap, []float64{0.5, -2, 3}, out[3:6])
 				ColDirection(p, r, []float64{0.25, 1.5, -1})
 				ColThreeTerm(x, p, r, []float64{0.5, -2, 3}, []float64{1.25, -0.5, 2}, []float64{0.75, 1, -3})
 				ColResidual(ap, r, x, out[6:9], out[9:12])
-				return slices.Concat(out, ap.Data, p.Data, x.Data)
+				x.AddMul(p, a)
+				r.SetMulAdd(ap, x, a)
+				return slices.Concat(g.Data, out, ap.Data, p.Data, x.Data, r.Data)
 			}
 			var serial []float64
 			withThreads(t, 1, func() { serial = run() })
+			_, _, p, ap, _ := operands()
+			for i := 0; i < w; i++ {
+				for j := 0; j < w; j++ {
+					if want, got := refDot(p.ColVector(i), ap.ColVector(j)), serial[i*w+j]; sameBits([]float64{got}, []float64{want}) >= 0 {
+						t.Fatalf("n=%d w=%d: Gram (%d, %d) = %v, per-chunk sum %v", n, w, i, j, got, want)
+					}
+				}
+			}
 			for _, threads := range []int{1, 2, 4} {
 				for _, on := range []bool{true, false} {
 					withThreads(t, threads, func() {

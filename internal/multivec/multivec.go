@@ -14,44 +14,37 @@
 //
 // # Reproducibility contract
 //
-// Ops that write disjoint rows (Scale, Sub, Add, AddMul, SetMulAdd,
-// PackColumns) give the same bits for any thread count. The blocked
-// reductions (GramInto, ColNormsInto) sum fixed row chunks and combine
-// them in chunk order, so they give the same bits for a fixed thread
-// count. Within a row range every output element is one scalar
-// recurrence, acc = acc + (x*a) with the product rounded before the
-// add, taken in increasing k (AddMul, SetMulAdd) or increasing row
-// (Gram, column sums of squares). Each of those four kernels has
-// exactly two implementations — the Go loops in this file and, on
-// amd64 with AVX2, multivec_amd64.s for square small operands whose m
-// is a multiple of 4 — and both follow that recurrence, so which one
-// runs is chosen by CPU and shape alone and never changes a result
-// bit; the Go loops spell the product float64(x*a) so the compiler may
-// not fuse it (GOAMD64=v3, arm64). The one freedom left is which
-// payload a NaN result carries when both addends are NaN.
-//
-// The column sweeps of lanes.go (ColDots, ColResidual, ColUpdate,
-// ColDirection, ColThreeTerm — the vector work of CG and of the
-// preconditioned Lanczos root on q interleaved columns) keep the same
-// recurrence per column lane, in Go and, for ColDots, ColUpdate and
-// ColDirection, in multivec_amd64.s four lanes to a ymm. A lane's
-// reduction is a fixed row-chunk sum: the n rows split into
+// Every op gives the same bits for EVERY thread count. Ops that write
+// disjoint rows (Scale, AddMul, SetMulAdd, PackColumns, and the
+// elementwise column sweeps ColDirection and ColThreeTerm) split their
+// rows over the pool, and every element is the same expression
+// whichever thread computes it. Every reduction — GramInto and the lane
+// reductions of lanes.go (ColDots, ColResidual, ColUpdate's sums of
+// squares) — is one fixed row-chunk sum: the n rows split into
 // k = max(1, n/4096) equal chunks, each summed in row order, and the k
-// chunk sums added in chunk order — a plan of n alone, so the chunks
-// run over the pool or inline with the same bits, and at n <= 8191 it
-// is the whole-column sequential sum. ColDirection and ColThreeTerm,
-// elementwise, split their rows over the pool, as PackColumns and
-// UnpackLanes do.
-// These give the same bits for EVERY thread count, block width and
-// lane position — each lane is what that chunked loop over the one
+// chunk sums added in chunk order. That plan is a function of n alone,
+// so the chunks run over the pool or inline with the same bits, and at
+// n <= 8191 it is the whole-column sequential sum.
+//
+// Within a chunk every output element is one scalar recurrence,
+// acc = acc + (x*a) with the product rounded before the add, taken in
+// increasing k (AddMul, SetMulAdd) or increasing row (Gram, the lane
+// reductions). Each kernel has the Go loops of this file or lanes.go
+// and, on amd64 with AVX2, one in multivec_amd64.s — for AddMul,
+// SetMulAdd and Gram on square small operands whose m is a multiple of
+// 4, for ColDots, ColUpdate and ColDirection four lanes to a ymm — and
+// both follow that recurrence, so which one runs is chosen by CPU and
+// shape alone and never changes a result bit; the Go loops spell the
+// product float64(x*a) so the compiler may not fuse it (GOAMD64=v3,
+// arm64). A lane's result does not depend on the block width or the
+// lane's position either: it is what the chunked loop over the one
 // contiguous column gives. PackColumns, CompactColumns and UnpackLanes
-// only move values.
+// only move values. The one freedom left is which payload a NaN result
+// carries when both addends are NaN.
 package multivec
 
 import (
 	"fmt"
-	"math"
-	"time"
 
 	"repro/internal/blas"
 	"repro/internal/parallel"
@@ -189,22 +182,25 @@ func PackColumns(dst *MultiVec, cols [][]float64) {
 			panic("multivec: PackColumns length mismatch")
 		}
 	}
-	m, q := dst.M, len(cols)
-	if m == 1 && q == 1 {
+	if dst.M == 1 && len(cols) == 1 {
 		copy(dst.Data, cols[0]) // the block is the vector
 		return
 	}
-	parallel.Default().ForOp("multivec_pack", dst.N, rowGrain(m), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := dst.Data[i*m : (i+1)*m]
-			for j := 0; j < q; j++ {
-				row[j] = cols[j][i]
-			}
-			for j := q; j < m; j++ {
-				row[j] = 0
-			}
+	s := getSweep(dst.N)
+	s.v[0], s.cols = dst, cols
+	s.split("multivec_pack", rowGrain(dst.M), s.packFn)
+}
+
+// packRows is PackColumns on rows [lo, hi).
+func packRows(dst *MultiVec, cols [][]float64, lo, hi int) {
+	m := dst.M
+	for i := lo; i < hi; i++ {
+		row := dst.Data[i*m : (i+1)*m]
+		for j, c := range cols {
+			row[j] = c[i]
 		}
-	})
+		clear(row[len(cols):])
+	}
 }
 
 // Reshape makes v an n-by-m block over its own storage, growing it
@@ -240,13 +236,12 @@ func (v *MultiVec) Zero() {
 	}
 }
 
-// Scale multiplies every entry by s. Chunks write disjoint ranges, so
+// Scale multiplies every entry by c. Chunks write disjoint rows, so
 // the result is bitwise-identical for any thread count.
-func (v *MultiVec) Scale(s float64) {
-	data := v.Data
-	parallel.Default().ForOp("multivec_scale", len(data), elemGrain, func(lo, hi int) {
-		blas.Scal(s, data[lo:hi])
-	})
+func (v *MultiVec) Scale(c float64) {
+	s := getSweep(v.N)
+	s.v[0], s.fac = v, c
+	s.split("multivec_scale", rowGrain(v.M), s.scaleFn)
 }
 
 // AddMul computes v += x * a, where a is a small x.M-by-v.M dense
@@ -259,30 +254,29 @@ func (v *MultiVec) AddMul(x *MultiVec, a *blas.Dense) {
 	}
 	addMulCalls.Inc()
 	addMulFlops.Add(2 * int64(v.N) * int64(x.M) * int64(v.M))
-	pool, grain := parallel.Default(), rowGrain(v.M)
-	if !pool.Parallel(v.N, grain) {
-		// Not through ForOp: the closure it takes is a heap allocation,
-		// and block CG calls this twice per iteration.
-		addMulRange(v, x, a, 0, v.N)
+	grain := rowGrain(v.M)
+	if !parallel.Default().Parallel(v.N, grain) {
+		addMulRange(v, x, a.Data, 0, v.N)
 		return
 	}
-	pool.ForOp("multivec_addmul", v.N, grain, func(lo, hi int) {
-		addMulRange(v, x, a, lo, hi)
-	})
+	s := getSweep(v.N)
+	s.v[0], s.v[1], s.s[0] = v, x, a.Data
+	s.split("multivec_addmul", grain, s.addMulFn)
 }
 
-// addMulRange applies the AddMul update to rows [lo, hi).
-func addMulRange(v, x *MultiVec, a *blas.Dense, lo, hi int) {
+// addMulRange applies the AddMul update by the x.M-by-v.M matrix a to
+// rows [lo, hi).
+func addMulRange(v, x *MultiVec, a []float64, lo, hi int) {
 	mx, mv := x.M, v.M
 	if simdShape(mx, mv) {
-		mulAddSIMD(v.Data, v.Data, x.Data, a.Data, lo, hi, mv)
+		mulAddSIMD(v.Data, v.Data, x.Data, a, lo, hi, mv)
 		return
 	}
 	for i := lo; i < hi; i++ {
 		xr := x.Data[i*mx : i*mx+mx : i*mx+mx]
 		vr := v.Data[i*mv : i*mv+mv : i*mv+mv]
 		for k, xv := range xr {
-			ar := a.Data[k*mv : k*mv+mv : k*mv+mv]
+			ar := a[k*mv : k*mv+mv : k*mv+mv]
 			for j, av := range ar {
 				vr[j] += float64(xv * av)
 			}
@@ -298,21 +292,22 @@ func (v *MultiVec) SetMulAdd(r, p *MultiVec, b *blas.Dense) {
 	}
 	setMulAddCalls.Inc()
 	setMulAddFlops.Add(2 * int64(v.N) * int64(p.M) * int64(v.M))
-	pool, grain := parallel.Default(), rowGrain(v.M)
-	if !pool.Parallel(v.N, grain) {
-		setMulAddRange(v, r, p, b, 0, v.N) // as in AddMul
+	grain := rowGrain(v.M)
+	if !parallel.Default().Parallel(v.N, grain) {
+		setMulAddRange(v, r, p, b.Data, 0, v.N)
 		return
 	}
-	pool.ForOp("multivec_setmuladd", v.N, grain, func(lo, hi int) {
-		setMulAddRange(v, r, p, b, lo, hi)
-	})
+	s := getSweep(v.N)
+	s.v[0], s.v[1], s.v[2], s.s[0] = v, r, p, b.Data
+	s.split("multivec_setmuladd", grain, s.setMulAddFn)
 }
 
-// setMulAddRange applies the SetMulAdd update to rows [lo, hi).
-func setMulAddRange(v, r, p *MultiVec, b *blas.Dense, lo, hi int) {
+// setMulAddRange applies the SetMulAdd update by the p.M-by-v.M matrix
+// b to rows [lo, hi).
+func setMulAddRange(v, r, p *MultiVec, b []float64, lo, hi int) {
 	mp, mv := p.M, v.M
 	if simdShape(mp, mv) {
-		mulAddSIMD(v.Data, r.Data, p.Data, b.Data, lo, hi, mv)
+		mulAddSIMD(v.Data, r.Data, p.Data, b, lo, hi, mv)
 		return
 	}
 	for i := lo; i < hi; i++ {
@@ -320,7 +315,7 @@ func setMulAddRange(v, r, p *MultiVec, b *blas.Dense, lo, hi int) {
 		copy(vr, r.Data[i*mv:i*mv+mv])
 		pr := p.Data[i*mp : i*mp+mp : i*mp+mp]
 		for k, pv := range pr {
-			br := b.Data[k*mv : k*mv+mv : k*mv+mv]
+			br := b[k*mv : k*mv+mv : k*mv+mv]
 			for j, bv := range br {
 				vr[j] += float64(pv * bv)
 			}
@@ -330,35 +325,18 @@ func setMulAddRange(v, r, p *MultiVec, b *blas.Dense, lo, hi int) {
 
 // GramInto computes g = X^T * Y without allocating, so block-CG can
 // reuse one scratch matrix across iterations. g must be x.M-by-y.M
-// and is overwritten. The reduction is blocked over fixed row chunks
-// with an ordered combine, so the result is bitwise-identical across
-// runs with the same thread count.
+// and is overwritten. Its rows are summed as a lane reduction's are
+// (lanes.go), in reduceChunks(n) fixed row chunks added in chunk order,
+// so the result is bitwise-identical for any thread count.
 func GramInto(g *blas.Dense, x, y *MultiVec) {
 	if x.N != y.N || g.Rows != x.M || g.Cols != y.M {
 		panic("multivec: Gram dimension mismatch")
 	}
 	gramCalls.Inc()
 	gramFlops.Add(2 * int64(x.N) * int64(x.M) * int64(y.M))
-	for i := range g.Data {
-		g.Data[i] = 0
-	}
-	pool := parallel.Default()
-	grain := rowGrain(x.M)
-	if !pool.Parallel(x.N, grain) {
-		gramRange(g.Data, x, y, 0, x.N)
-		return
-	}
-	t0 := time.Now()
-	part := parallel.Reduce(pool, x.N, grain, func(lo, hi int) []float64 {
-		buf := make([]float64, len(g.Data))
-		gramRange(buf, x, y, lo, hi)
-		return buf
-	}, func(acc, part []float64) []float64 {
-		blas.Axpy(1, part, acc)
-		return acc
-	})
-	copy(g.Data, part)
-	parallel.RecordOp("multivec_gram", time.Since(t0).Seconds())
+	s := getSweep(x.N)
+	s.v[0], s.v[1], s.out[0] = x, y, g.Data
+	s.reduce("multivec_gram", 1, s.gramFn)
 }
 
 // gramRange accumulates rows [lo, hi) of the Gram product into g.
@@ -376,55 +354,6 @@ func gramRange(g []float64, x, y *MultiVec, lo, hi int) {
 			for b, yv := range yr {
 				gr[b] += float64(xv * yv)
 			}
-		}
-	}
-}
-
-// ColNormsInto writes the Euclidean norm of each column into dst
-// (length M) without allocating on the serial path. Like GramInto the
-// blocked sum combines in fixed chunk order, so results are
-// bitwise-identical for a fixed thread count.
-func (v *MultiVec) ColNormsInto(dst []float64) {
-	if len(dst) != v.M {
-		panic("multivec: ColNormsInto length mismatch")
-	}
-	m := v.M
-	pool := parallel.Default()
-	grain := rowGrain(m)
-	sums := dst
-	if pool.Parallel(v.N, grain) {
-		t0 := time.Now()
-		sums = parallel.Reduce(pool, v.N, grain, func(lo, hi int) []float64 {
-			buf := make([]float64, m)
-			colSumSquares(buf, v, lo, hi)
-			return buf
-		}, func(acc, part []float64) []float64 {
-			blas.Axpy(1, part, acc)
-			return acc
-		})
-		parallel.RecordOp("multivec_colnorms", time.Since(t0).Seconds())
-	} else {
-		for j := range sums {
-			sums[j] = 0
-		}
-		colSumSquares(sums, v, 0, v.N)
-	}
-	for j := range dst {
-		dst[j] = math.Sqrt(sums[j])
-	}
-}
-
-// colSumSquares accumulates per-column sums of squares over rows
-// [lo, hi) into sums.
-func colSumSquares(sums []float64, v *MultiVec, lo, hi int) {
-	if simdShape(v.M, v.M) {
-		colSumSqSIMD(sums, v.Data, lo, hi, v.M)
-		return
-	}
-	for i := lo; i < hi; i++ {
-		r := v.Row(i)
-		for j, x := range r {
-			sums[j] += float64(x * x)
 		}
 	}
 }

@@ -7,7 +7,6 @@ import "repro/internal/cpufeat"
 // Implemented in multivec_amd64.s.
 func mulAddAVX2(dst, src, x, a *float64, nrows, m int)
 func gramAVX2(acc, x, y *float64, nrows, m int)
-func colSumSqAVX2(sums, v *float64, nrows, m int)
 func chebStepAVX2(y, t, cur, prev *float64, n int, alpha, beta, c float64)
 func colDotsAVX2(dst, x, y *float64, nrows, w, lanes int)
 func colUpdateAVX2(x, r, p, ap, alpha, rr *float64, nrows, w, lanes int)
@@ -39,16 +38,6 @@ func gramSIMD(g, x, y []float64, lo, hi, m int) {
 		end := min(lo+step, hi)
 		gramAVX2(&g[0], &x[lo*m : end*m][0], &y[lo*m : end*m][0], end-lo, m)
 	}
-}
-
-// colSumSqSIMD accumulates the column sums of squares of rows
-// [lo, hi) of v into sums.
-func colSumSqSIMD(sums, v []float64, lo, hi, m int) {
-	if lo >= hi {
-		return
-	}
-	sums = sums[:m]
-	colSumSqAVX2(&sums[0], &v[lo*m : hi*m][0], hi-lo, m)
 }
 
 // chebStepSIMD is ChebyshevStep on non-empty arrays of one length.

@@ -1,6 +1,5 @@
 // AVX2 block-vector kernels for block CG: V = R + X*A (AddMul and
-// SetMulAdd), G += X^T*Y (Gram) and per-column sums of squares; and
-// for MultiCG, the column-lane sweeps of lanes.go (ColDots, ColUpdate,
+// SetMulAdd) and G += X^T*Y (Gram); and for MultiCG, the column-lane sweeps of lanes.go (ColDots, ColUpdate,
 // ColDirection) over a run of lanes.
 //
 // As in internal/bcrs/gspmv_amd64.s the SIMD lanes run ACROSS the
@@ -9,7 +8,7 @@
 //
 //	acc = acc + (x * a)
 //
-// over k (or over the rows i, for the two reductions) in the generic
+// over k (or over the rows i, for the Gram product) in the generic
 // Go loops' exact order, with separate VMULPD/VADDPD — an FMA would
 // skip the product's rounding. Every result is therefore bitwise
 // identical to multivec.go's loops. All kernels require a square
@@ -198,37 +197,6 @@ gramsweep:
 	ADDQ $32, R12
 	CMPQ R12, R9
 	JLT  gramrows
-
-	VZEROUPPER
-	RET
-
-// func colSumSqAVX2(sums, v *float64, nrows, m int)
-//
-// sums[j] += sum_i v[i][j]^2, rows added in increasing i. The
-// accumulators stay in memory: the m/4 column groups of a row are
-// independent, which overlaps their store-to-load round trips.
-TEXT ·colSumSqAVX2(SB), NOSPLIT, $0-32
-	MOVQ sums+0(FP), DI
-	MOVQ v+8(FP), SI
-	MOVQ nrows+16(FP), CX
-	MOVQ m+24(FP), R9
-	SHLQ $3, R9
-
-sumsqrows:
-	XORQ R10, R10
-
-sumsqcols:
-	VMOVUPD (SI)(R10*1), Y0
-	VMULPD  Y0, Y0, Y0
-	VADDPD  (DI)(R10*1), Y0, Y0
-	VMOVUPD Y0, (DI)(R10*1)
-	ADDQ    $32, R10
-	CMPQ    R10, R9
-	JLT     sumsqcols
-
-	ADDQ R9, SI
-	DECQ CX
-	JNZ  sumsqrows
 
 	VZEROUPPER
 	RET

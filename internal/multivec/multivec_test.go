@@ -181,18 +181,6 @@ func TestSetMulAddMatchesDense(t *testing.T) {
 	}
 }
 
-func TestColNorms(t *testing.T) {
-	v := FromColumns([]float64{3, 4}, []float64{0, 0}, []float64{1, 0})
-	norms := make([]float64, v.M)
-	v.ColNormsInto(norms)
-	want := []float64{5, 0, 1}
-	for j := range norms {
-		if !almostEqual(norms[j], want[j], 1e-14) {
-			t.Fatalf("ColNorms = %v, want %v", norms, want)
-		}
-	}
-}
-
 func TestGramSymmetricProperty(t *testing.T) {
 	// X^T X must be symmetric positive semidefinite.
 	f := func(seed int64) bool {

@@ -3,6 +3,7 @@ package neighbor
 import (
 	"cmp"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/blas"
 	"repro/internal/obs"
@@ -60,9 +61,11 @@ type List struct {
 	grid       cells
 
 	// pos is the configuration being queried, for the pool callback
-	// below; it is bound once so that a query allocates nothing.
+	// below; it is bound once so that a query allocates nothing. moved
+	// is the callback's verdict: some particle has drifted.
 	pos    []blas.Vec3
-	wrapFn func(lo, hi int) bool
+	wrapFn func(lo, hi int)
+	moved  atomic.Bool
 
 	// Rebuilds and Reuses count list constructions and avoided ones,
 	// for tests and instrumentation.
@@ -91,14 +94,12 @@ func (l *List) reach(a1, a2 float64) float64 {
 	return (a1 + a2) * (1 + l.xiCut/2)
 }
 
-func orBool(a, b bool) bool { return a || b }
-
-// wrap wraps l.pos[lo:hi] into l.wrapped and reports whether any of
+// wrap wraps l.pos[lo:hi] into l.wrapped and sets l.moved when any of
 // them has drifted skin/2 or more from ref (two particles approaching
-// each other close at most 2 * skin/2 = skin, the search margin). The
-// combine is order-insensitive for booleans, so the verdict is
-// identical for any thread count.
-func (l *List) wrap(lo, hi int) bool {
+// each other close at most 2 * skin/2 = skin, the search margin). Chunks
+// only ever set it, so the verdict, their OR, is identical for any
+// thread count.
+func (l *List) wrap(lo, hi int) {
 	limit := l.skin / 2
 	check, moved := len(l.ref) == len(l.pos), false
 	for i := lo; i < hi; i++ {
@@ -110,7 +111,9 @@ func (l *List) wrap(lo, hi int) bool {
 			moved = moved || x*x+y*y+z*z >= limit*limit
 		}
 	}
-	return moved
+	if moved {
+		l.moved.Store(true)
+	}
 }
 
 // rebuild refreshes the candidate set from l.wrapped: one search at the
@@ -152,9 +155,10 @@ func (l *List) Candidates(pos []blas.Vec3) (candidates [][2]int32, wrapped []bla
 		panic("neighbor: position and radius counts differ")
 	}
 	l.pos, l.wrapped = pos, resize(l.wrapped, len(pos))
-	moved := parallel.Reduce(parallel.Default(), len(pos), binGrain, l.wrapFn, orBool)
+	l.moved.Store(false)
+	parallel.Default().ForOp("", len(pos), binGrain, l.wrapFn)
 	l.pos = nil
-	if moved || len(l.ref) != len(pos) {
+	if l.moved.Load() || len(l.ref) != len(pos) {
 		l.rebuild()
 	} else {
 		l.Reuses++

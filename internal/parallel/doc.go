@@ -1,6 +1,6 @@
 // Package parallel is the shared parallel runtime of the MRHS stack:
 // a dependency-free, persistent worker pool with a blocked
-// parallel-for and a deterministic blocked reduction.
+// parallel-for and a task dispatch.
 //
 // The paper's GSPMV amortizes matrix traffic across m right-hand
 // sides, which moves the bottleneck of an SD step onto everything
@@ -14,23 +14,25 @@
 // runtime.GOMAXPROCS, and nothing else in the tree holds a thread
 // count.
 //
-// Determinism contract. Results must be bitwise-identical across runs
-// with the same thread count, because the fault-tolerance layer
-// validates crash recovery by comparing trajectory checksums of a
-// replayed run against a clean one. Two rules deliver that:
-//
-//  1. Chunk boundaries are a pure function of (n, grain, pool
-//     threads) — never of load, timing, or which worker runs a chunk.
-//  2. Reduce stores one partial per chunk and folds them sequentially
-//     in ascending chunk order after the parallel phase.
-//
-// Operations with disjoint writes (parallel-for over distinct output
-// ranges) are bitwise-identical across *any* thread count; reductions
-// are bitwise-identical for a *fixed* thread count (the combine order
-// changes with the partition, as in any blocked summation).
+// Determinism contract. Results must be bitwise-identical at every
+// thread count: the fault-tolerance layer validates crash recovery by
+// comparing trajectory checksums of a replayed run against a clean
+// one, and a trajectory must not move with -threads. One rule delivers
+// that: a reduction's chunks are a function of n alone. ForOp's chunk
+// boundaries are a pure function of (n, grain, pool threads) — never
+// of load, timing, or which worker runs a chunk — so ForOp serves only
+// work whose chunks write disjoint outputs, or combine by an
+// order-free operation such as a boolean OR, and give the same bits
+// however the range is cut. A reduction fixes k from n, runs chunk c
+// over ChunkBounds(n, k, c) through DoOp, and adds the chunk sums in
+// chunk order (multivec's lane engine is the one that does). The one
+// exception is bcrs.SymMatrix, the half-storage multiply: its ordered
+// fold of per-thread partials follows the pool's split, so its bits
+// hold at a fixed thread count only, and no SD step or served solve
+// runs it.
 //
 // Scheduling. A Pool with t threads keeps t-1 persistent workers
-// parked on a channel; ForOp/DoOp/Reduce enqueue a job, wake up to t-1
+// parked on a channel; ForOp/DoOp enqueue a job, wake up to t-1
 // helpers without blocking, and the calling goroutine participates
 // until the chunk queue drains. The caller always makes progress on
 // its own job, so nested and concurrent dispatch (e.g. simulated

@@ -34,10 +34,3 @@ func opSeconds(op string) *obs.FloatCounter {
 	opSecondsCache.Store(op, c)
 	return c
 }
-
-// RecordOp accumulates seconds into the per-op parallel time counter.
-// Callers that drive Reduce (which carries no op label) use it to keep
-// their reductions visible alongside the ForOp/DoOp entries.
-func RecordOp(op string, seconds float64) {
-	opSeconds(op).Add(seconds)
-}

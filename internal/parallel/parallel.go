@@ -41,9 +41,9 @@ type Pool struct {
 	wake atomic.Int64
 }
 
-// job is one ForOp/DoOp/Reduce dispatch: a fixed number of chunks claimed
-// by atomic increment. Which goroutine runs a chunk is scheduling
-// noise; the chunk boundaries and the combine order are not.
+// job is one ForOp/DoOp dispatch: a fixed number of chunks claimed by
+// atomic increment. Which goroutine runs a chunk is scheduling noise;
+// the chunk boundaries are not.
 type job struct {
 	do   func(chunk int)  // DoOp: chunk c is task c
 	span func(lo, hi int) // ForOp: chunk c is ChunkBounds(n, k, c)
@@ -246,14 +246,14 @@ func (p *Pool) chunkCount(n, grain int) int {
 }
 
 // ChunkBounds returns the half-open range of chunk c of k over [0, n):
-// the partition ForOp and Reduce split by, and the one a DoOp caller
-// uses when its chunks must be a function of n and k alone.
+// the partition ForOp splits by, and the one a DoOp caller uses when
+// its chunks must be a function of n and k alone.
 func ChunkBounds(n, k, c int) (lo, hi int) {
 	return n * c / k, n * (c + 1) / k
 }
 
-// Parallel reports whether a ForOp/Reduce over n elements with the
-// given grain would actually split: callers use it to keep a
+// Parallel reports whether a ForOp over n elements with the given
+// grain would actually split: callers use it to keep a
 // zero-allocation serial fast path.
 func (p *Pool) Parallel(n, grain int) bool {
 	return p.chunkCount(n, grain) > 1
@@ -314,34 +314,6 @@ func (p *Pool) DoOp(op string, k int, fn func(i int)) {
 	if op != "" {
 		opSeconds(op).Add(time.Since(t0).Seconds())
 	}
-}
-
-// Reduce computes a deterministic blocked reduction over [0, n): fn
-// produces one partial per fixed chunk, and combine folds the
-// partials sequentially in ascending chunk order, so the result is
-// bitwise-identical across runs with the same thread count. combine
-// may mutate and return acc. When the region does not split, the
-// result is exactly fn(0, n) — the serial path, with no combine.
-func Reduce[T any](p *Pool, n, grain int, fn func(lo, hi int) T, combine func(acc, part T) T) T {
-	if n <= 0 {
-		var zero T
-		return zero
-	}
-	k := p.chunkCount(n, grain)
-	if k <= 1 {
-		obsSerial.Inc()
-		return fn(0, n)
-	}
-	parts := make([]T, k)
-	p.dispatch(k, func(c int) {
-		lo, hi := ChunkBounds(n, k, c)
-		parts[c] = fn(lo, hi)
-	}, nil, 0)
-	acc := parts[0]
-	for _, part := range parts[1:] {
-		acc = combine(acc, part)
-	}
-	return acc
 }
 
 // defaultPool holds the process-wide pool the instrumented packages

@@ -65,83 +65,6 @@ func TestDoRunsEveryTask(t *testing.T) {
 	}
 }
 
-func TestReduceMatchesSerialSum(t *testing.T) {
-	n := 10000
-	xs := make([]float64, n)
-	var want float64
-	for i := range xs {
-		xs[i] = float64(i%7) * 0.125 // exactly representable: order-independent
-		want += xs[i]
-	}
-	for _, threads := range []int{1, 2, 4} {
-		p := NewPool(threads)
-		got := Reduce(p, n, 64, func(lo, hi int) float64 {
-			var s float64
-			for i := lo; i < hi; i++ {
-				s += xs[i]
-			}
-			return s
-		}, func(a, b float64) float64 { return a + b })
-		if got != want {
-			t.Fatalf("threads=%d: reduce got %v want %v", threads, got, want)
-		}
-		p.Close()
-	}
-}
-
-// TestReduceBitwiseDeterministic is the determinism contract: for a
-// fixed thread count, repeated reductions over inputs whose sum is
-// order-sensitive in floating point must produce bitwise-identical
-// results, because chunk boundaries are fixed and the combine is
-// ordered.
-func TestReduceBitwiseDeterministic(t *testing.T) {
-	n := 50000
-	xs := make([]float64, n)
-	v := 1.0
-	for i := range xs {
-		v = v*1.0000001 + 1e-7
-		xs[i] = v
-	}
-	sum := func(p *Pool) float64 {
-		return Reduce(p, n, 128, func(lo, hi int) float64 {
-			var s float64
-			for i := lo; i < hi; i++ {
-				s += xs[i]
-			}
-			return s
-		}, func(a, b float64) float64 { return a + b })
-	}
-	p := NewPool(4)
-	defer p.Close()
-	first := sum(p)
-	for r := 0; r < 20; r++ {
-		if got := sum(p); got != first {
-			t.Fatalf("run %d: %x differs from first run %x", r, got, first)
-		}
-	}
-	// A second pool with the same thread count must agree too.
-	q := NewPool(4)
-	defer q.Close()
-	if got := sum(q); got != first {
-		t.Fatalf("fresh pool with same threads: %x != %x", got, first)
-	}
-}
-
-func TestReduceCombineOrder(t *testing.T) {
-	// Record the combine sequence with a non-commutative fold: the
-	// partials must arrive in ascending chunk order.
-	p := NewPool(3)
-	defer p.Close()
-	got := Reduce(p, 12, 1, func(lo, hi int) []int {
-		return []int{lo}
-	}, func(acc, part []int) []int { return append(acc, part...) })
-	for i := 1; i < len(got); i++ {
-		if got[i] <= got[i-1] {
-			t.Fatalf("combine saw chunk starts out of order: %v", got)
-		}
-	}
-}
-
 func TestPanicPropagatesToCaller(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()

@@ -22,24 +22,45 @@ func newTestSystem(t *testing.T) *particles.System {
 	return sys
 }
 
-// TestRunDeterministicAtFixedThreads: two identical runs at the same
-// pool size must produce bitwise-identical trajectories — the
-// fixed-thread-count half of the determinism contract that checkpoint
-// replay relies on.
-func TestRunDeterministicAtFixedThreads(t *testing.T) {
+// TestRunIgnoresThreadCount: every reduction of a step sums row chunks
+// fixed by the row count alone, and every other split writes disjoint
+// outputs, so a trajectory has the same bits on every pool size — the
+// determinism contract checkpoint replay relies on, and what keeps a
+// run's checksum from moving with -threads. Both algorithms run under
+// both windows, the default IC(0) one and the paper's unpreconditioned
+// one. At N = 3000 (9000 rows) the block solve's Gram products and the
+// lane reductions sum two row chunks and split them over the pool.
+func TestRunIgnoresThreadCount(t *testing.T) {
 	saved := parallel.Threads()
 	t.Cleanup(func() { parallel.SetThreads(saved) })
-	cfg := core.Config{Dt: 0.5, M: 3, Seed: 1, ChebOrder: 10}
-	run := func(threads int) uint64 {
-		sim := New(newTestSystem(t), hydro.Options{}, cfg, threads)
-		if err := sim.RunMRHS(5); err != nil {
-			t.Fatal(err)
-		}
-		return sim.System().Checksum()
+	sys, err := particles.New(particles.Options{N: 3000, Phi: 0.4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	first := run(2)
-	if again := run(2); again != first {
-		t.Fatalf("threads=2 reruns differ: %016x vs %016x", again, first)
+	for _, window := range []string{"default", "none"} {
+		cfg := core.Config{Dt: 2, M: 8, Seed: 1}
+		if window == "none" {
+			cfg.Precond = core.NoPrecond
+		}
+		for _, alg := range []string{"original", "mrhs"} {
+			var want uint64
+			for _, threads := range []int{1, 2, 4} {
+				sim := New(sys, hydro.Options{Phi: 0.4}, cfg, threads)
+				run := sim.RunMRHS
+				if alg == "original" {
+					run = sim.RunOriginal
+				}
+				if err := run(8); err != nil {
+					t.Fatal(err)
+				}
+				got := sim.System().Checksum()
+				if threads == 1 {
+					want = got
+				} else if got != want {
+					t.Errorf("%s window, %s: checksum %016x at %d threads, %016x at one", window, alg, got, threads, want)
+				}
+			}
+		}
 	}
 }
 

@@ -155,6 +155,15 @@ func (w *blockWork) independent(g *blas.Dense) (keep []int, ok bool) {
 	return keep, true
 }
 
+// colNorms sets dst[j] to the Euclidean norm of column j of v, for
+// every column: the square root of its ColDots sum of squares.
+func colNorms(dst []float64, v *multivec.MultiVec) {
+	multivec.ColDots(dst, v, v)
+	for j, s := range dst {
+		dst[j] = math.Sqrt(s)
+	}
+}
+
 // BlockCG solves A*X = B for SPD A and a block of m right-hand sides
 // simultaneously, starting from the guesses in X (O'Leary's block
 // conjugate gradient method, preconditioned when opt.Precond is set).
@@ -165,7 +174,7 @@ func (w *blockWork) independent(g *blas.Dense) (keep []int, ok bool) {
 // A guess block that is all ±0 starts from R = B with no multiply, so
 // a cold solve of k iterations counts k multiplies and a warm one k+1.
 // The preconditioner is applied to the whole block by one ApplyBlock
-// per iteration. An iteration allocates nothing.
+// per iteration. An iteration allocates nothing, on any pool.
 //
 // Convergence is per column: the iteration stops when every column's
 // residual satisfies ||r_j|| <= tol*||b_j||. Each iteration's PᵀAP
@@ -224,7 +233,7 @@ func BlockCG(a BlockOperator, x, b *multivec.MultiVec, opt Options) (stats Block
 	}
 
 	bnorms := w.bnorms
-	b.ColNormsInto(bnorms)
+	colNorms(bnorms, b)
 	// Zero columns are already solved by x_j = 0, and their residual
 	// is zero whatever the guess was.
 	for j, bn := range bnorms {
@@ -240,7 +249,7 @@ func BlockCG(a BlockOperator, x, b *multivec.MultiVec, opt Options) (stats Block
 	// solve is over: every column converged, or a residual is not finite
 	// (NaN or Inf in B, in the guess or out of the operator): breakdown.
 	check := func() bool {
-		r.ColNormsInto(rn)
+		colNorms(rn, r)
 		all := true
 		worst := 0.0
 		for j := range rn {

@@ -26,16 +26,16 @@ var poolDropsPuts bool
 // iterations, so the allocation count of a call can be compared
 // across iteration counts. BlockCG draws its workspace from a
 // sync.Pool, which a collection empties, so the collector is held off
-// while the count runs. The count runs on a one-thread default pool:
-// a worker that parks its goroutine inside AllocsPerRun can charge the
-// runtime's allocation to the call at random (TestDispatchDoesNotAllocate
-// pins the pool's own contract).
-func blockCGAllocs(t *testing.T, a *bcrs.Matrix, b *multivec.MultiVec, opt Options) float64 {
+// while the count runs. The count runs on a default pool of the given
+// threads; on more than one, a worker that parks its goroutine inside
+// AllocsPerRun can charge the runtime's allocation to the call at
+// random (TestDispatchDoesNotAllocate pins the pool's own contract).
+func blockCGAllocs(t *testing.T, threads int, a *bcrs.Matrix, b *multivec.MultiVec, opt Options) float64 {
 	if poolDropsPuts {
 		t.Skip("sync.Pool drops items under -race")
 	}
 	defer parallel.SetThreads(parallel.Threads())
-	parallel.SetThreads(1)
+	parallel.SetThreads(threads)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	x := multivec.New(b.N, b.M)
 	return testing.AllocsPerRun(5, func() {
@@ -68,7 +68,7 @@ func TestBlockCGIterationDoesNotAllocate(t *testing.T) {
 	} {
 		short, long := tc.opt, tc.opt
 		short.MaxIter, long.MaxIter = 2, 12
-		few, many := blockCGAllocs(t, a, b, short), blockCGAllocs(t, a, b, long)
+		few, many := blockCGAllocs(t, 1, a, b, short), blockCGAllocs(t, 1, a, b, long)
 		if few != many {
 			t.Errorf("%s: %v allocations for 2 iterations, %v for 12: the iteration allocates", tc.name, few, many)
 		}
@@ -77,6 +77,27 @@ func TestBlockCGIterationDoesNotAllocate(t *testing.T) {
 		if few > 8 {
 			t.Errorf("%s: a warmed call allocates %v times, want <= 8", tc.name, few)
 		}
+	}
+
+	// On a two-thread pool the SD system's solve (N = 1000, m = 16)
+	// splits its multiplies and block updates over the pool, and its
+	// Gram products and norms sum fixed row chunks: every split runs a
+	// bound function on a recycled job, so an iteration allocates
+	// nothing there either. The slack of 5 is for the runtime's own
+	// allocations a parking worker may charge to the call (the sudog
+	// of DESIGN §12, "PR 51"), not for the solve's.
+	sys, err := particles.New(particles.Options{N: 1000, Phi: 0.4, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sd := hydro.Build(sys, hydro.Options{Phi: 0.4})
+	rhs := multivec.New(sd.N(), 16)
+	rng.New(12).FillNormal(rhs.Data)
+	short, long := Options{Tol: 1e-300, MaxIter: 2}, Options{Tol: 1e-300, MaxIter: 12}
+	few, many := blockCGAllocs(t, 2, sd, rhs, short), blockCGAllocs(t, 2, sd, rhs, long)
+	t.Logf("two threads: %v allocations for 2 iterations, %v for 12", few, many)
+	if many > few+5 {
+		t.Errorf("two threads: the iteration allocates")
 	}
 }
 
@@ -93,7 +114,7 @@ func TestBlockCGDropPathDoesNotAllocate(t *testing.T) {
 	if st := BlockCG(a, multivec.New(a.N(), 2), b, short); st.Dropped == 0 {
 		t.Fatal("no direction dropped: the test needs a rank-deficient block")
 	}
-	if few, many := blockCGAllocs(t, a, b, short), blockCGAllocs(t, a, b, long); few != many {
+	if few, many := blockCGAllocs(t, 1, a, b, short), blockCGAllocs(t, 1, a, b, long); few != many {
 		t.Errorf("%v allocations for 2 iterations, %v for 8", few, many)
 	}
 }

@@ -33,6 +33,16 @@ func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 }
 
+// axpy is y += alpha*x in index order, left alone at alpha == 0.
+func axpy(alpha float64, x, y []float64) {
+	if alpha == 0 {
+		return
+	}
+	for i, v := range x {
+		y[i] += alpha * v
+	}
+}
+
 // laneDot is a lane reduction's order spelled out: the n rows in
 // max(1, n/4096) equal chunks, each summed in row order, and the chunk
 // sums added in chunk order.
@@ -106,8 +116,8 @@ func textbookCG(a Operator, x, b []float64, opt Options) Stats {
 			break
 		}
 		alpha := rz / pap
-		blas.Axpy(alpha, p, x)
-		blas.Axpy(-alpha, ap, r)
+		axpy(alpha, p, x)
+		axpy(-alpha, ap, r)
 		st.Iterations++
 		rr = laneDot(r, r)
 		rnorm = math.Sqrt(rr)

@@ -97,8 +97,9 @@ run "${sim[@]}" -steps 6 -alg original
 run "${sim[@]}" -steps 6 -alg original -precond none
 run "${sim[@]}" -steps 6 -threads 2
 # The paper's unpreconditioned step on two threads at N >= 2 x binGrain:
-# the only run whose neighbor wrap reduce and Gram/column-norm reduces
-# split across workers.
+# the only run whose neighbor wrap pass splits across workers; its block
+# solve's Gram products and norms (15 000 rows, three fixed chunks) do
+# too.
 run "$bin/mrhs-sim" -n 5000 -phi 0.3 -m 4 -steps 4 -precond none -threads 2
 # The default step's m = 16 chunk on two threads: the only run whose
 # Lanczos root (the chunk's direct guesses) splits its three-term
