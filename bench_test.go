@@ -137,7 +137,7 @@ func BenchmarkAblationBlockCG(b *testing.B) {
 	b.Run("block-cg", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			x := multivec.New(fixMat.N(), m)
-			st := solver.BlockCG(fixMat, x, bm, opts)
+			st := solver.BlockCG(nil, fixMat, x, bm, opts)
 			if !st.Converged {
 				b.Fatal("block CG stalled")
 			}
@@ -170,7 +170,7 @@ func BenchmarkAblationWarmSecondSolve(b *testing.B) {
 	}
 	z := make([]float64, fixMat.N())
 	rng.New(10).FillNormal(z)
-	s.ApplyBlock(multivec.FromVector(f), multivec.FromVector(z))
+	s.ApplyBlock(nil, multivec.FromVector(f), multivec.FromVector(z))
 	u := make([]float64, fixMat.N())
 	if st := solver.CG(fixMat, u, f, solver.Options{}); !st.Converged {
 		b.Fatal("setup solve stalled")
@@ -401,11 +401,11 @@ func BenchmarkBrownianSqrt(b *testing.B) {
 			}
 			lz := multivec.New(r0.N(), m)
 			ic.MulL(lz, z)
-			s.ApplyBlock(ref, lz)
+			s.ApplyBlock(nil, ref, lz)
 			worst, iters := 0.0, 0
 			for j := 0; j < m; j++ {
 				zc := z.ColVector(j)
-				st, err := chebyshev.PrecondSqrt(c.r, ic, multivec.FromVector(y1), multivec.FromVector(zc), 0, 0)
+				st, err := chebyshev.PrecondSqrt(nil, c.r, ic, multivec.FromVector(y1), multivec.FromVector(zc), 0, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -418,13 +418,13 @@ func BenchmarkBrownianSqrt(b *testing.B) {
 			}
 			b.Run(fmt.Sprintf("seed=%d/lanczos-%s/m=1", seed, c.name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					chebyshev.PrecondSqrt(c.r, ic, multivec.FromVector(y1), multivec.FromVector(z1), 0, 0)
+					chebyshev.PrecondSqrt(nil, c.r, ic, multivec.FromVector(y1), multivec.FromVector(z1), 0, 0)
 				}
 				report(b)
 			})
 			b.Run(fmt.Sprintf("seed=%d/lanczos-%s/m=%d", seed, c.name, m), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					chebyshev.PrecondSqrt(c.r, ic, y, z, 0, 0)
+					chebyshev.PrecondSqrt(nil, c.r, ic, y, z, 0, 0)
 				}
 				report(b)
 			})
@@ -434,7 +434,7 @@ func BenchmarkBrownianSqrt(b *testing.B) {
 			worst, iters = 0, 0
 			u1, f1 := make([]float64, r0.N()), make([]float64, r0.N())
 			for j := 0; j < m; j++ {
-				st, err := chebyshev.PrecondInvSqrt(c.r, ic, multivec.FromVector(y1), multivec.FromVector(z.ColVector(j)), 0, 0)
+				st, err := chebyshev.PrecondInvSqrt(nil, c.r, ic, multivec.FromVector(y1), multivec.FromVector(z.ColVector(j)), 0, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -444,13 +444,13 @@ func BenchmarkBrownianSqrt(b *testing.B) {
 			}
 			b.Run(fmt.Sprintf("seed=%d/inverse-%s/m=1", seed, c.name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					chebyshev.PrecondInvSqrt(c.r, ic, multivec.FromVector(y1), multivec.FromVector(z1), 0, 0)
+					chebyshev.PrecondInvSqrt(nil, c.r, ic, multivec.FromVector(y1), multivec.FromVector(z1), 0, 0)
 				}
 				report(b)
 			})
 			b.Run(fmt.Sprintf("seed=%d/inverse-%s/m=%d", seed, c.name, m), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					chebyshev.PrecondInvSqrt(c.r, ic, y, z, 0, 0)
+					chebyshev.PrecondInvSqrt(nil, c.r, ic, y, z, 0, 0)
 				}
 				report(b)
 			})
@@ -477,7 +477,7 @@ func BenchmarkBrownianSqrt(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				s.ApplyBlock(multivec.FromVector(y1), multivec.FromVector(z1))
+				s.ApplyBlock(nil, multivec.FromVector(y1), multivec.FromVector(z1))
 			}
 			report(b)
 		})
@@ -487,7 +487,7 @@ func BenchmarkBrownianSqrt(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				s.ApplyBlock(y, z)
+				s.ApplyBlock(nil, y, z)
 			}
 			report(b)
 		})

@@ -28,7 +28,7 @@ func BenchmarkApplyBlockVsColumns(b *testing.B) {
 
 	b.Run("block", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			op.ApplyBlock(y, z)
+			op.ApplyBlock(nil, y, z)
 		}
 	})
 	b.Run("columns", func(b *testing.B) {
@@ -37,7 +37,7 @@ func BenchmarkApplyBlockVsColumns(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for j := 0; j < m; j++ {
 				z.Col(j, zc)
-				op.ApplyBlock(multivec.FromVector(yc), multivec.FromVector(zc))
+				op.ApplyBlock(nil, multivec.FromVector(yc), multivec.FromVector(zc))
 			}
 		}
 	})

@@ -155,15 +155,26 @@ func NewSqrtAuto(op Op, a *bcrs.Matrix, floor float64, order int, tol float64) (
 // performs (the truncated polynomial degree).
 func (s *SqrtOp) Order() int { return len(s.c) - 1 }
 
-// work is what one evaluation needs beyond its operands — the three
-// blocks the recurrence rotates through — pooled because a stepper
-// builds a SqrtOp per matrix.
+// Workspace is the square roots' storage beyond their operands, grown on
+// first use and kept, so a caller that evaluates every force on its own
+// allocates it once. A zero Workspace is ready, and a nil one means a
+// fresh one for the call. It serves one evaluation at a time.
+type Workspace struct {
+	work    work
+	lanczos lanczos
+}
+
+// work is the series' storage: its three rotating blocks, inBracket's
+// sums, and a split pass's operands with the row function bound once.
 type work struct {
 	prev, cur, next multivec.MultiVec
 	zz, za          []float64 // inBracket's per-column sums
-}
 
-var workPool = sync.Pool{New: func() any { return new(work) }}
+	pass              func(y, t, a, b []float64, alpha, beta, c float64)
+	y, t, a, b        []float64
+	alpha, beta, coef float64
+	rowsFn            func(lo, hi int)
+}
 
 // ApplyBlock computes Y = S(A)*Z for a block of vectors using the
 // three-term recurrence
@@ -172,7 +183,7 @@ var workPool = sync.Pool{New: func() any { return new(work) }}
 //
 // with As the affine shift of A onto [-1, 1]. Each step is one GSPMV
 // with Z.M vectors and one pass over the elements. Y and Z must not
-// alias.
+// alias. The blocks are ws's (nil: a fresh workspace).
 //
 // The last multiply, A*T_{d-1}, gives each column's Rayleigh quotient
 // t^T A t / t^T t of t = T_{d-1}, which no operator with its spectrum in
@@ -184,11 +195,11 @@ var workPool = sync.Pool{New: func() any { return new(work) }}
 // entry at -50 keeps z's quotient above its floor, and the second
 // multiply's is already below it. A column too small for its squares
 // not to underflow — a zero one — is not checked.
-func (s *SqrtOp) ApplyBlock(y, z *multivec.MultiVec) error {
-	w := workPool.Get().(*work)
-	err := s.apply(w, y, z)
-	workPool.Put(w)
-	return err
+func (s *SqrtOp) ApplyBlock(ws *Workspace, y, z *multivec.MultiVec) error {
+	if ws == nil {
+		ws = new(Workspace)
+	}
+	return s.apply(&ws.work, y, z)
 }
 
 // rayleighSlack is how far, relative to lmax, a Rayleigh quotient may
@@ -222,14 +233,14 @@ func (s *SqrtOp) apply(w *work, y, z *multivec.MultiVec) error {
 	if last == 1 && !s.inBracket(w, z, tCur) {
 		return ErrNotSPD
 	}
-	elementwise(firstTerm, y.Data, tCur.Data, z.Data, z.Data, alpha, beta, s.c[1])
+	w.elementwise(firstTerm, y.Data, tCur.Data, z.Data, z.Data, alpha, beta, s.c[1])
 	for j := 2; j < len(s.c); j++ {
 		// T_{j} = 2*As*T_{j-1} - T_{j-2}.
 		s.a.Mul(tNext, tCur)
 		if j == last && !s.inBracket(w, tCur, tNext) {
 			return ErrNotSPD
 		}
-		elementwise(multivec.ChebyshevStep, y.Data, tNext.Data, tCur.Data, tPrev.Data, alpha, beta, s.c[j])
+		w.elementwise(multivec.ChebyshevStep, y.Data, tNext.Data, tCur.Data, tPrev.Data, alpha, beta, s.c[j])
 		tPrev, tCur, tNext = tCur, tNext, tPrev
 	}
 	return nil
@@ -278,15 +289,17 @@ const elemGrain = 8192
 
 // elementwise runs one of the two passes over its arrays, split across
 // the pool when they are long enough: chunks write disjoint ranges, so
-// the bits are the same for any thread count. The serial call comes
-// first because the closure ForOp takes is a heap allocation.
-func elementwise(pass func(y, t, a, b []float64, alpha, beta, c float64), y, t, a, b []float64, alpha, beta, c float64) {
-	pool := parallel.Default()
-	if !pool.Parallel(len(y), elemGrain) {
-		pass(y, t, a, b, alpha, beta, c)
-		return
+// the bits are the same for any thread count. The pool runs w.rows,
+// bound once, over the operands left in w, so no call allocates.
+func (w *work) elementwise(pass func(y, t, a, b []float64, alpha, beta, c float64), y, t, a, b []float64, alpha, beta, c float64) {
+	if w.rowsFn == nil {
+		w.rowsFn = w.rows
 	}
-	pool.ForOp("chebyshev_recurrence", len(y), elemGrain, func(lo, hi int) {
-		pass(y[lo:hi], t[lo:hi], a[lo:hi], b[lo:hi], alpha, beta, c)
-	})
+	w.pass, w.y, w.t, w.a, w.b, w.alpha, w.beta, w.coef = pass, y, t, a, b, alpha, beta, c
+	parallel.Default().ForOp("chebyshev_recurrence", len(y), elemGrain, w.rowsFn)
+}
+
+// rows runs the split pass on rows [lo, hi) of its operands.
+func (w *work) rows(lo, hi int) {
+	w.pass(w.y[lo:hi], w.t[lo:hi], w.a[lo:hi], w.b[lo:hi], w.alpha, w.beta, w.coef)
 }

@@ -84,7 +84,7 @@ func TestApplyMatchesDenseSqrt(t *testing.T) {
 		z := make([]float64, a.N())
 		rng.Substream(uint64(seed), 1).FillNormal(z)
 		y := make([]float64, a.N())
-		op.ApplyBlock(multivec.FromVector(y), multivec.FromVector(z))
+		op.ApplyBlock(nil, multivec.FromVector(y), multivec.FromVector(z))
 		ref, err := blas.SymSqrtApply(a.Dense(), z)
 		if err != nil {
 			t.Fatal(err)
@@ -111,9 +111,9 @@ func TestApplySquaredIsMatrix(t *testing.T) {
 	z := make([]float64, a.N())
 	rng.New(9).FillNormal(z)
 	y1 := make([]float64, a.N())
-	op.ApplyBlock(multivec.FromVector(y1), multivec.FromVector(z))
+	op.ApplyBlock(nil, multivec.FromVector(y1), multivec.FromVector(z))
 	y2 := make([]float64, a.N())
-	op.ApplyBlock(multivec.FromVector(y2), multivec.FromVector(y1))
+	op.ApplyBlock(nil, multivec.FromVector(y2), multivec.FromVector(y1))
 	az := make([]float64, a.N())
 	a.MulVec(az, z)
 	var num, den float64
@@ -144,20 +144,20 @@ func TestApplyBlockMatchesColumnwise(t *testing.T) {
 	z := multivec.New(a.N(), m)
 	rng.New(11).FillNormal(z.Data)
 	y, yl := multivec.New(a.N(), m), multivec.New(a.N(), m)
-	op.ApplyBlock(y, z)
-	if _, err := PrecondSqrt(a, ic, yl, z, 0, 0); err != nil {
+	op.ApplyBlock(nil, y, z)
+	if _, err := PrecondSqrt(nil, a, ic, yl, z, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	for j := 0; j < m; j++ {
 		zc := z.ColVector(j)
 		yc := make([]float64, a.N())
-		op.ApplyBlock(multivec.FromVector(yc), multivec.FromVector(zc))
+		op.ApplyBlock(nil, multivec.FromVector(yc), multivec.FromVector(zc))
 		for i := range yc {
 			if math.Abs(y.At(i, j)-yc[i]) > 1e-10*(1+math.Abs(yc[i])) {
 				t.Fatalf("block apply column %d differs at %d", j, i)
 			}
 		}
-		if _, err := PrecondSqrt(a, ic, multivec.FromVector(yc), multivec.FromVector(zc), 0, 0); err != nil {
+		if _, err := PrecondSqrt(nil, a, ic, multivec.FromVector(yc), multivec.FromVector(zc), 0, 0); err != nil {
 			t.Fatal(err)
 		}
 		for i := range yc {
@@ -186,8 +186,8 @@ func TestAdaptiveTruncation(t *testing.T) {
 	rng.New(13).FillNormal(z)
 	yf := make([]float64, a.N())
 	yt := make([]float64, a.N())
-	full.ApplyBlock(multivec.FromVector(yf), multivec.FromVector(z))
-	trunc.ApplyBlock(multivec.FromVector(yt), multivec.FromVector(z))
+	full.ApplyBlock(nil, multivec.FromVector(yf), multivec.FromVector(z))
+	trunc.ApplyBlock(nil, multivec.FromVector(yt), multivec.FromVector(z))
 	var num, den float64
 	for i := range yf {
 		num += (yf[i] - yt[i]) * (yf[i] - yt[i])
@@ -281,7 +281,7 @@ func TestBrownianCovariance(t *testing.T) {
 	s := rng.New(17)
 	for it := 0; it < samples; it++ {
 		s.FillNormal(z)
-		op.ApplyBlock(multivec.FromVector(f), multivec.FromVector(z))
+		op.ApplyBlock(nil, multivec.FromVector(f), multivec.FromVector(z))
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				cov.Add(i, j, f[i]*f[j])
@@ -325,8 +325,8 @@ func TestApplyDeterministic(t *testing.T) {
 	}
 	y1 := make([]float64, a.N())
 	y2 := make([]float64, a.N())
-	op.ApplyBlock(multivec.FromVector(y1), multivec.FromVector(z))
-	op.ApplyBlock(multivec.FromVector(y2), multivec.FromVector(z))
+	op.ApplyBlock(nil, multivec.FromVector(y1), multivec.FromVector(z))
+	op.ApplyBlock(nil, multivec.FromVector(y2), multivec.FromVector(z))
 	for i := range y1 {
 		if y1[i] != y2[i] {
 			t.Fatal("Apply not deterministic")
@@ -373,13 +373,13 @@ func TestSeriesRejectsOperatorBelowItsBracket(t *testing.T) {
 		if c.nan {
 			zc.Set(5, 0, math.NaN())
 		}
-		if err := s.ApplyBlock(y, zc); err != c.want {
+		if err := s.ApplyBlock(nil, y, zc); err != c.want {
 			t.Errorf("%s block: %v, want %v", c.name, err, c.want)
 		}
-		if err := s.ApplyBlock(multivec.FromVector(y.ColVector(0)), multivec.FromVector(zc.ColVector(0))); err != c.want {
+		if err := s.ApplyBlock(nil, multivec.FromVector(y.ColVector(0)), multivec.FromVector(zc.ColVector(0))); err != c.want {
 			t.Errorf("%s column 0: %v, want %v", c.name, err, c.want)
 		}
-		if err := s.ApplyBlock(multivec.FromVector(y.ColVector(2)), multivec.FromVector(zc.ColVector(2))); err != nil {
+		if err := s.ApplyBlock(nil, multivec.FromVector(y.ColVector(2)), multivec.FromVector(zc.ColVector(2))); err != nil {
 			t.Errorf("%s zero column: %v", c.name, err)
 		}
 	}

@@ -6,17 +6,13 @@ import (
 	"testing"
 
 	"repro/internal/multivec"
+	"repro/internal/parallel"
 	"repro/internal/rng"
 	"repro/internal/solver"
 )
 
-// poolDropsPuts is set under -race (race_test.go), where sync.Pool
-// discards a random quarter of Puts and the recurrence's blocks are
-// reallocated at random: allocation counts mean nothing there.
-var poolDropsPuts bool
-
 // unfused is ApplyBlock as it ran before the element passes were fused
-// and the blocks pooled: fresh blocks, the three-term update over all
+// and the blocks kept in a workspace: fresh blocks, the three-term update over all
 // elements, then the term added to the sum.
 func unfused(s *SqrtOp, y, z *multivec.MultiVec) {
 	alpha := 2 / (s.lmax - s.lmin)
@@ -45,8 +41,8 @@ func unfused(s *SqrtOp, y, z *multivec.MultiVec) {
 }
 
 // TestApplyBlockMatchesUnfusedRecurrence: one fused pass per degree
-// over pooled blocks gives the bits of the passes it replaced, at the
-// stepper's two widths and an odd one, also on a pool entry left
+// over a workspace's blocks gives the bits of the passes it replaced,
+// at the stepper's two widths and an odd one, also on storage left
 // behind by a larger evaluation.
 func TestApplyBlockMatchesUnfusedRecurrence(t *testing.T) {
 	a, lo, hi := randSPDMatrix(41, 40)
@@ -54,14 +50,15 @@ func TestApplyBlockMatchesUnfusedRecurrence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ws := new(Workspace)
 	for _, m := range []int{16, 1, 5} {
 		z := multivec.New(a.N(), m)
 		rng.New(uint64(42 + m)).FillNormal(z.Data)
 		want, got := multivec.New(a.N(), m), multivec.New(a.N(), m)
 		unfused(s, want, z)
-		s.ApplyBlock(got, z)
+		s.ApplyBlock(ws, got, z)
 		if m == 1 {
-			s.ApplyBlock(multivec.FromVector(got.Data), multivec.FromVector(z.Data))
+			s.ApplyBlock(ws, multivec.FromVector(got.Data), multivec.FromVector(z.Data))
 		}
 		for i := range want.Data {
 			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
@@ -73,17 +70,16 @@ func TestApplyBlockMatchesUnfusedRecurrence(t *testing.T) {
 
 // TestChebyshevApplyDoesNotAllocate: a stepper evaluates the series on
 // one vector every step and on a block every chunk, each time through a
-// SqrtOp built for that step's matrix; once the pool is warm neither
+// SqrtOp built for that step's matrix; on a warmed workspace neither
 // call allocates — not the three blocks of the recurrence, not the
 // headers Apply wraps its vectors in, not a closure per pass. Nor do
 // the preconditioned roots, whose basis, scalars and small
-// eigenproblems come from their own pool and whose lane sweeps reuse
+// eigenproblems the workspace also keeps and whose lane sweeps reuse
 // multivec's spare records: the inverse root, on one vector and on a
-// block, is what every default step runs.
+// block, is what every default step runs. On two threads a block of
+// more than elemGrain elements splits each pass over the pool, through
+// the row function the workspace binds once.
 func TestChebyshevApplyDoesNotAllocate(t *testing.T) {
-	if poolDropsPuts {
-		t.Skip("sync.Pool drops items under -race")
-	}
 	a, lo, hi := randSPDMatrix(43, 60)
 	z, y := multivec.New(a.N(), 16), multivec.New(a.N(), 16)
 	rng.New(44).FillNormal(z.Data)
@@ -97,29 +93,50 @@ func TestChebyshevApplyDoesNotAllocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ws := new(Workspace)
 	y1v, z1v := multivec.FromVector(y1), multivec.FromVector(z1)
 	for name, f := range map[string]func(){
-		"ApplyBlock/1": func() { s.ApplyBlock(y1v, z1v) },
-		"ApplyBlock":   func() { s.ApplyBlock(y, z) },
+		"ApplyBlock/1": func() { s.ApplyBlock(ws, y1v, z1v) },
+		"ApplyBlock":   func() { s.ApplyBlock(ws, y, z) },
 		"PrecondSqrt": func() {
-			PrecondSqrt(a, ic, y1v, z1v, 0, 0)
-			PrecondSqrt(a, ic, y, z, 0, 0)
+			PrecondSqrt(ws, a, ic, y1v, z1v, 0, 0)
+			PrecondSqrt(ws, a, ic, y, z, 0, 0)
 		},
-		"PrecondInvSqrt/1":  func() { PrecondInvSqrt(a, ic, y1v, z1v, 0, 0) },
-		"PrecondInvSqrt/16": func() { PrecondInvSqrt(a, ic, y, z, 0, 0) },
+		"PrecondInvSqrt/1":  func() { PrecondInvSqrt(ws, a, ic, y1v, z1v, 0, 0) },
+		"PrecondInvSqrt/16": func() { PrecondInvSqrt(ws, a, ic, y, z, 0, 0) },
 	} {
 		f()
 		if n := testing.AllocsPerRun(10, f); n != 0 {
 			t.Errorf("%s allocates %v times per call, want 0", name, n)
 		}
 	}
+
+	// The stepper's width on a matrix of 1200 rows: 19200 elements, two
+	// chunks of at least elemGrain on two threads.
+	big, lo, hi := randSPDMatrix(47, 400)
+	sb, err := NewSqrt(big, lo, hi, DefaultOrder, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zb, yb := multivec.New(big.N(), 16), multivec.New(big.N(), 16)
+	rng.New(48).FillNormal(zb.Data)
+	defer parallel.SetThreads(parallel.Threads())
+	parallel.SetThreads(2)
+	if !parallel.Default().Parallel(len(yb.Data), elemGrain) {
+		t.Fatalf("%d elements do not split on two threads", len(yb.Data))
+	}
+	f := func() { sb.ApplyBlock(ws, yb, zb) }
+	f()
+	if n := testing.AllocsPerRun(10, f); n != 0 {
+		t.Errorf("ApplyBlock split over two threads allocates %v times per call, want 0", n)
+	}
 }
 
 // TestConcurrentEvaluationsShareNoBlock: evaluations running at once —
-// a verifier beside a runner, two runners in one process — draw the
-// recurrence's blocks from one pool, the series' or the preconditioned
-// roots', and must each get their own: every result is the one
-// the same call gives alone.
+// a verifier beside a runner, two runners in one process — each on its
+// own workspace, share only multivec's spare sweep records, and must
+// each get their own blocks: every result is the one the same call
+// gives alone.
 func TestConcurrentEvaluationsShareNoBlock(t *testing.T) {
 	a, lo, hi := randSPDMatrix(46, 50)
 	s, err := NewSqrt(a, lo, hi, DefaultOrder, 0)
@@ -130,19 +147,19 @@ func TestConcurrentEvaluationsShareNoBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, eval := range map[string]func(y, z *multivec.MultiVec){
-		"series": func(y, z *multivec.MultiVec) {
-			if err := s.ApplyBlock(y, z); err != nil {
+	for name, eval := range map[string]func(ws *Workspace, y, z *multivec.MultiVec){
+		"series": func(ws *Workspace, y, z *multivec.MultiVec) {
+			if err := s.ApplyBlock(ws, y, z); err != nil {
 				t.Error(err)
 			}
 		},
-		"lanczos": func(y, z *multivec.MultiVec) {
-			if _, err := PrecondSqrt(a, ic, y, z, 0, 0); err != nil {
+		"lanczos": func(ws *Workspace, y, z *multivec.MultiVec) {
+			if _, err := PrecondSqrt(ws, a, ic, y, z, 0, 0); err != nil {
 				t.Error(err)
 			}
 		},
-		"inverse lanczos": func(y, z *multivec.MultiVec) {
-			if _, err := PrecondInvSqrt(a, ic, y, z, 0, 0); err != nil {
+		"inverse lanczos": func(ws *Workspace, y, z *multivec.MultiVec) {
+			if _, err := PrecondInvSqrt(ws, a, ic, y, z, 0, 0); err != nil {
 				t.Error(err)
 			}
 		},
@@ -152,16 +169,16 @@ func TestConcurrentEvaluationsShareNoBlock(t *testing.T) {
 		for g, m := range widths {
 			zs[g], want[g] = multivec.New(a.N(), m), multivec.New(a.N(), m)
 			rng.New(uint64(47 + g)).FillNormal(zs[g].Data)
-			eval(want[g], zs[g])
+			eval(nil, want[g], zs[g])
 		}
 		var wg sync.WaitGroup
 		for g, m := range widths {
 			wg.Add(1)
 			go func(g, m int) {
 				defer wg.Done()
-				got := multivec.New(a.N(), m)
+				got, ws := multivec.New(a.N(), m), new(Workspace)
 				for rep := 0; rep < 20; rep++ {
-					eval(got, zs[g])
+					eval(ws, got, zs[g])
 					for i := range got.Data {
 						if math.Float64bits(got.Data[i]) != math.Float64bits(want[g].Data[i]) {
 							t.Errorf("%s, goroutine %d (m=%d) rep %d: y[%d] = %v, alone %v", name, g, m, rep, i, got.Data[i], want[g].Data[i])

@@ -62,10 +62,10 @@ func FuzzPrecondSqrt(f *testing.F) {
 		var want *multivec.MultiVec
 		for _, root := range []struct {
 			name string
-			eval func(a chebyshev.Op, f chebyshev.Factor, y, z *multivec.MultiVec, maxIter int, tol float64) (chebyshev.Stats, error)
+			eval func(ws *chebyshev.Workspace, a chebyshev.Op, f chebyshev.Factor, y, z *multivec.MultiVec, maxIter int, tol float64) (chebyshev.Stats, error)
 		}{{"PrecondSqrt", chebyshev.PrecondSqrt}, {"PrecondInvSqrt", chebyshev.PrecondInvSqrt}} {
 			y := multivec.New(a.N(), mm)
-			st, err := root.eval(op, ic, y, z, chebyshev.DefaultOrder, tol)
+			st, err := root.eval(nil, op, ic, y, z, chebyshev.DefaultOrder, tol)
 			if err != nil {
 				if !errors.Is(err, chebyshev.ErrNotSPD) {
 					t.Fatalf("%s: untyped error %v", root.name, err)
@@ -87,7 +87,7 @@ func FuzzPrecondSqrt(f *testing.F) {
 			y1, u, force := make([]float64, a.N()), make([]float64, a.N()), make([]float64, a.N())
 			for j := 0; j < mm; j++ {
 				zc := z.ColVector(j)
-				if _, err := root.eval(op, ic, multivec.FromVector(y1), multivec.FromVector(zc), chebyshev.DefaultOrder, tol); err != nil {
+				if _, err := root.eval(nil, op, ic, multivec.FromVector(y1), multivec.FromVector(zc), chebyshev.DefaultOrder, tol); err != nil {
 					t.Fatalf("%s: column %d alone: %v", root.name, j, err)
 				}
 				yc := y.ColVector(j)

@@ -3,7 +3,7 @@ package chebyshev
 import (
 	"errors"
 	"math"
-	"sync"
+	"slices"
 
 	"repro/internal/blas"
 	"repro/internal/multivec"
@@ -68,9 +68,9 @@ type Stats struct {
 // The m columns run in lockstep: each step is one width-m multiply by
 // a (the GSPMV), one ApplyBlock and column dot products, and every
 // column's bits are those of the same call on that column alone.
-// Y and Z must not alias.
-func PrecondSqrt(a Op, f Factor, y, z *multivec.MultiVec, maxIter int, tol float64) (Stats, error) {
-	return precondLanczos(a, f, y, z, maxIter, tol, false)
+// Y and Z must not alias. The storage is ws's (nil: a fresh one).
+func PrecondSqrt(ws *Workspace, a Op, f Factor, y, z *multivec.MultiVec, maxIter int, tol float64) (Stats, error) {
+	return precondLanczos(ws, a, f, y, z, maxIter, tol, false)
 }
 
 // PrecondInvSqrt is PrecondSqrt's recurrence with the inverse root for
@@ -94,13 +94,13 @@ func PrecondSqrt(a Op, f Factor, y, z *multivec.MultiVec, maxIter int, tol float
 // direct velocity"). The inverse root takes the root's multiplies or
 // one or two more, since 1/sqrt is steeper than sqrt at the bottom of
 // the spectrum.
-func PrecondInvSqrt(a Op, f Factor, y, z *multivec.MultiVec, maxIter int, tol float64) (Stats, error) {
-	return precondLanczos(a, f, y, z, maxIter, tol, true)
+func PrecondInvSqrt(ws *Workspace, a Op, f Factor, y, z *multivec.MultiVec, maxIter int, tol float64) (Stats, error) {
+	return precondLanczos(ws, a, f, y, z, maxIter, tol, true)
 }
 
 // precondLanczos is the recurrence of PrecondSqrt (inverse false) and
 // PrecondInvSqrt (inverse true).
-func precondLanczos(a Op, f Factor, y, z *multivec.MultiVec, maxIter int, tol float64, inverse bool) (Stats, error) {
+func precondLanczos(ws *Workspace, a Op, f Factor, y, z *multivec.MultiVec, maxIter int, tol float64, inverse bool) (Stats, error) {
 	n, m := a.N(), z.M
 	if z.N != n || y.N != n || y.M != m {
 		panic("chebyshev: PrecondSqrt dimension mismatch")
@@ -111,8 +111,10 @@ func precondLanczos(a Op, f Factor, y, z *multivec.MultiVec, maxIter int, tol fl
 	if !(tol > 0) {
 		tol = DefaultTol
 	}
-	w := lanczosPool.Get().(*lanczos)
-	defer lanczosPool.Put(w)
+	if ws == nil {
+		ws = new(Workspace)
+	}
+	w := &ws.lanczos
 	w.reset(n, m)
 
 	// The basis is kept unnormalised, p_t = gamma_t * q_t with gamma_t
@@ -287,9 +289,8 @@ type column struct {
 	written     bool // y's column holds this column's coef
 }
 
-// lanczos is one evaluation's storage beyond its operands, pooled like
-// the series' work: the basis blocks, M^{-1} of the newest, the
-// per-column scalars and the scratch of the small eigenproblems.
+// lanczos is the Lanczos recurrence's storage: the basis blocks, M^{-1}
+// of the newest, the per-column scalars and the eigenproblems' scratch.
 type lanczos struct {
 	p              []multivec.MultiVec // p_0, p_1, ...: the basis, unnormalised
 	r              multivec.MultiVec   // M^{-1} p_i
@@ -307,18 +308,11 @@ type lanczos struct {
 	ev, tBuf, vBuf []float64   // T_k's eigenvalues; t's and v's storage
 }
 
-var lanczosPool = sync.Pool{New: func() any { return new(lanczos) }}
-
 func (w *lanczos) reset(n, m int) {
 	w.r.Reshape(n, m)
 	w.pr, w.rw, w.uu = resize(w.pr, m), resize(w.rw, m), resize(w.uu, m)
-	w.alpha = resize(w.alpha, m)
-	w.g = resize(w.g, m)
-	w.h = resize(w.h, m)
-	if cap(w.cols) < m {
-		w.cols = make([]column, m)
-	}
-	w.cols = w.cols[:m]
+	w.alpha, w.g, w.h = resize(w.alpha, m), resize(w.g, m), resize(w.h, m)
+	w.cols = resize(w.cols, m)
 	for j := range w.cols {
 		c := &w.cols[j]
 		c.scale, c.moved, c.norm, c.done, c.rootOK, c.written = 0, 0, 0, false, false, false
@@ -328,12 +322,8 @@ func (w *lanczos) reset(n, m int) {
 	w.p = w.p[:0]
 }
 
-func resize(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
+// resize returns s at length n, contents unspecified, reallocated if short.
+func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
 // basis returns p_i, shaped like r, growing the basis by one block.
 func (w *lanczos) basis(i int) *multivec.MultiVec {
@@ -441,10 +431,7 @@ func (w *lanczos) combine(y *multivec.MultiVec, cols []int) error {
 	clear(w.sums)
 	clear(w.cy)
 	clear(w.cd)
-	if cap(w.listed) < m {
-		w.listed = make([]bool, m)
-	}
-	w.listed = w.listed[:m]
+	w.listed = resize(w.listed, m)
 	clear(w.listed)
 	// The basis is unnormalised, so the coefficients are divided by its
 	// norms instead: cy[t*m+j] for the result, cd[t*m+j] for the change,

@@ -60,7 +60,7 @@ func TestPrecondSqrtMatchesDenseOracle(t *testing.T) {
 	}{{"fresh", r0}, {"stale", r8}} {
 		want := exactPrecondSqrt(t, c.r, ic, z)
 		got := multivec.New(n, nz)
-		st, err := chebyshev.PrecondSqrt(c.r, ic, got, z, chebyshev.DefaultOrder, 0)
+		st, err := chebyshev.PrecondSqrt(nil, c.r, ic, got, z, chebyshev.DefaultOrder, 0)
 		if err != nil || st.Unconverged != 0 {
 			t.Fatalf("%s block: %+v, %v", c.name, st, err)
 		}
@@ -68,7 +68,7 @@ func TestPrecondSqrtMatchesDenseOracle(t *testing.T) {
 		y1 := make([]float64, n)
 		for k := 0; k < nz; k++ {
 			z.Col(k, zc)
-			st1, err := chebyshev.PrecondSqrt(c.r, ic, multivec.FromVector(y1), multivec.FromVector(zc), chebyshev.DefaultOrder, 0)
+			st1, err := chebyshev.PrecondSqrt(nil, c.r, ic, multivec.FromVector(y1), multivec.FromVector(zc), chebyshev.DefaultOrder, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,7 +91,7 @@ func TestPrecondSqrtMatchesDenseOracle(t *testing.T) {
 		series := 0.0
 		for k := 0; k < nz; k++ {
 			z.Col(k, zc)
-			s.ApplyBlock(multivec.FromVector(y1), multivec.FromVector(zc))
+			s.ApplyBlock(nil, multivec.FromVector(y1), multivec.FromVector(zc))
 			series = max(series, relErr(y1, ref.ColVector(k)))
 		}
 		t.Logf("%s matrix: the order-30 series on [floor, Gershgorin] errs by %.2g", c.name, series)
@@ -224,7 +224,7 @@ func TestPrecondInvSqrtMatchesDenseOracle(t *testing.T) {
 	}{{"fresh", r0}, {"stale", r15}} {
 		want := exactPrecondSqrt(t, c.r, ic, z)
 		yb := multivec.New(n, nz)
-		st, err := chebyshev.PrecondInvSqrt(c.r, ic, yb, z, chebyshev.DefaultOrder, 0)
+		st, err := chebyshev.PrecondInvSqrt(nil, c.r, ic, yb, z, chebyshev.DefaultOrder, 0)
 		if err != nil || st.Unconverged != 0 {
 			t.Fatalf("%s block: %+v, %v", c.name, st, err)
 		}
@@ -232,7 +232,7 @@ func TestPrecondInvSqrtMatchesDenseOracle(t *testing.T) {
 		y1, u, f, ru := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
 		for k := 0; k < nz; k++ {
 			z.Col(k, zc)
-			st1, err := chebyshev.PrecondInvSqrt(c.r, ic, multivec.FromVector(y1), multivec.FromVector(zc), chebyshev.DefaultOrder, 0)
+			st1, err := chebyshev.PrecondInvSqrt(nil, c.r, ic, multivec.FromVector(y1), multivec.FromVector(zc), chebyshev.DefaultOrder, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

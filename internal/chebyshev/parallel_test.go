@@ -53,7 +53,7 @@ func TestApplyBlockExactAcrossThreadCounts(t *testing.T) {
 				if inverse {
 					sqrt = PrecondInvSqrt
 				}
-				st, err := sqrt(a, ic, y, z, 0, tol)
+				st, err := sqrt(nil, a, ic, y, z, 0, tol)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -63,7 +63,7 @@ func TestApplyBlockExactAcrossThreadCounts(t *testing.T) {
 			}
 		}
 		for name, apply := range map[string]func(y *multivec.MultiVec){
-			"series":          func(y *multivec.MultiVec) { op.ApplyBlock(y, z) },
+			"series":          func(y *multivec.MultiVec) { op.ApplyBlock(nil, y, z) },
 			"lanczos":         root(false),
 			"inverse lanczos": root(true),
 		} {

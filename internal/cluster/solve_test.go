@@ -55,9 +55,9 @@ func TestDistributedBlockCG(t *testing.T) {
 		b.Data[i] = rnd.NormFloat64()
 	}
 	serial := multivec.New(a.N(), m)
-	stS := solver.BlockCG(a, serial, b, solver.Options{Tol: 1e-10})
+	stS := solver.BlockCG(nil, a, serial, b, solver.Options{Tol: 1e-10})
 	dist := multivec.New(a.N(), m)
-	stD := solver.BlockCG(cl, dist, b, solver.Options{Tol: 1e-10})
+	stD := solver.BlockCG(nil, cl, dist, b, solver.Options{Tol: 1e-10})
 	if !stS.Converged || !stD.Converged {
 		t.Fatalf("convergence: serial=%v distributed=%v", stS.Converged, stD.Converged)
 	}

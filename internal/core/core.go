@@ -281,6 +281,9 @@ type Runner struct {
 	// F^B, augmented solutions U — reshaped chunk to chunk (a last chunk
 	// may be narrower); none outlives its chunk.
 	chunk struct{ z, fb, u multivec.MultiVec }
+	// The storage of every solve and Brownian force, allocated once.
+	solve solver.Workspace
+	sqrt  chebyshev.Workspace
 
 	Timings Timings
 	Records []StepRecord
@@ -363,10 +366,12 @@ func (r *Runner) obsReg() *obs.Registry {
 	return obs.Default
 }
 
-// phaseDeltas returns the wall time each phase accumulated between
-// two Timings snapshots, keyed by PhaseMetricNames.
-func phaseDeltas(before, after Timings) map[string]time.Duration {
-	return map[string]time.Duration{
+// observePhases returns the wall time each phase accumulated since the
+// before snapshot, keyed by PhaseMetricNames, and observes the nonzero
+// ones in the phase metrics.
+func (r *Runner) observePhases(before Timings) map[string]time.Duration {
+	after := r.Timings
+	deltas := map[string]time.Duration{
 		"construct":    after.Construct - before.Construct,
 		"cheb_vectors": after.ChebVectors - before.ChebVectors,
 		"calc_guesses": after.CalcGuesses - before.CalcGuesses,
@@ -374,6 +379,12 @@ func phaseDeltas(before, after Timings) map[string]time.Duration {
 		"first_solve":  after.FirstSolve - before.FirstSolve,
 		"second_solve": after.SecondSolve - before.SecondSolve,
 	}
+	for phase, d := range deltas {
+		if d > 0 {
+			r.obsReg().ObservePhase(phase, d)
+		}
+	}
+	return deltas
 }
 
 // emitStep records one completed step's metrics and, when an event
@@ -386,12 +397,7 @@ func (r *Runner) emitStep(rec StepRecord, sq *chebyshev.Stats, alg string, befor
 	if sq != nil {
 		r.countSqrt(*sq)
 	}
-	deltas := phaseDeltas(before, r.Timings)
-	for phase, d := range deltas {
-		if d > 0 {
-			reg.ObservePhase(phase, d)
-		}
-	}
+	deltas := r.observePhases(before)
 	reg.Counter(obs.Label("core_steps_total", "alg", alg)).Inc()
 	reg.Counter("core_first_solve_iterations_total").Add(int64(rec.FirstIters))
 	velocity := "solve"
@@ -421,12 +427,7 @@ func (r *Runner) emitStep(rec StepRecord, sq *chebyshev.Stats, alg string, befor
 		if sq != nil {
 			sqrtFields(f, *sq)
 		}
-		for phase, d := range deltas {
-			if d > 0 {
-				f[phase+"_s"] = d.Seconds()
-			}
-		}
-		r.precondFields(f, rec.Step, before)
+		r.phaseFields(f, deltas, rec.Step, before)
 		r.Events.Emit("step", f)
 	}
 }
@@ -447,12 +448,7 @@ type chunkGuesses struct {
 func (r *Runner) emitChunk(m int, g chunkGuesses, sq chebyshev.Stats, before Timings) {
 	reg := r.obsReg()
 	r.countSqrt(sq)
-	deltas := phaseDeltas(before, r.Timings)
-	for phase, d := range deltas {
-		if d > 0 {
-			reg.ObservePhase(phase, d)
-		}
-	}
+	deltas := r.observePhases(before)
 	st := g.block
 	reg.Counter("core_chunks_total").Inc()
 	if g.direct {
@@ -479,12 +475,7 @@ func (r *Runner) emitChunk(m int, g chunkGuesses, sq chebyshev.Stats, before Tim
 			}
 		}
 		sqrtFields(f, sq)
-		for phase, d := range deltas {
-			if d > 0 {
-				f[phase+"_s"] = d.Seconds()
-			}
-		}
-		r.precondFields(f, r.k, before)
+		r.phaseFields(f, deltas, r.k, before)
 		r.Events.Emit("chunk", f)
 	}
 }
@@ -546,13 +537,13 @@ func (r *Runner) operator(a *bcrs.Matrix, c Configuration) DistOp {
 // bracketed from a (Gershgorin) and the configuration's floor.
 func (r *Runner) brownian(a *bcrs.Matrix, op DistOp, y, z *multivec.MultiVec) (chebyshev.Stats, error) {
 	if f, ok := r.pre.(chebyshev.Factor); ok {
-		return chebyshev.PrecondSqrt(op, f, y, z, r.cfg.ChebOrder, r.cfg.ChebTol)
+		return chebyshev.PrecondSqrt(&r.sqrt, op, f, y, z, r.cfg.ChebOrder, r.cfg.ChebTol)
 	}
 	s, err := chebyshev.NewSqrtAuto(op, a, r.cur.SpectrumFloor(), r.cfg.ChebOrder, r.cfg.ChebTol)
 	if err != nil {
 		return chebyshev.Stats{}, err
 	}
-	if err := s.ApplyBlock(y, z); err != nil {
+	if err := s.ApplyBlock(&r.sqrt, y, z); err != nil {
 		return chebyshev.Stats{}, err
 	}
 	return chebyshev.Stats{Iterations: s.Order()}, nil
@@ -575,7 +566,7 @@ func (r *Runner) directVelocity(f chebyshev.Factor, op DistOp, u, rhs, z []float
 	yp := r.vec(&r.buf.fb)
 	r.one.y = multivec.MultiVec{N: len(yp), M: 1, Data: yp}
 	r.one.z = multivec.MultiVec{N: len(z), M: 1, Data: z}
-	sq, err := chebyshev.PrecondInvSqrt(op, f, &r.one.y, &r.one.z, r.cfg.ChebOrder, r.cfg.ChebTol)
+	sq, err := chebyshev.PrecondInvSqrt(&r.sqrt, op, f, &r.one.y, &r.one.z, r.cfg.ChebOrder, r.cfg.ChebTol)
 	if err != nil {
 		return chebyshev.Stats{}, err
 	}
@@ -616,11 +607,16 @@ func (r *Runner) beginWindow(a *bcrs.Matrix) {
 	reg.FloatCounter("core_precond_factor_seconds_total").Add(d.Seconds())
 }
 
-// precondFields adds to a step or chunk record the factor time spent
-// since the before snapshot and the age in steps of the preconditioner
-// the record's solves ran under, so a window going stale shows as
-// iterations rising with age.
-func (r *Runner) precondFields(f map[string]any, step int, before Timings) {
+// phaseFields adds to a step or chunk record each phase's seconds, the
+// factor time spent since the before snapshot and the age in steps of
+// the preconditioner the record's solves ran under, so a window going
+// stale shows as iterations rising with age.
+func (r *Runner) phaseFields(f map[string]any, deltas map[string]time.Duration, step int, before Timings) {
+	for phase, d := range deltas {
+		if d > 0 {
+			f[phase+"_s"] = d.Seconds()
+		}
+	}
 	if d := r.Timings.Factor - before.Factor; d > 0 {
 		f["factor_s"] = d.Seconds()
 	}
@@ -642,7 +638,7 @@ func (r *Runner) firstSolve(a *bcrs.Matrix, op DistOp, x, b []float64, solved bo
 	case solved:
 		st.Converged = true
 	default:
-		st = solver.CG(op, x, b, r.solveOpts())
+		st = solver.CGWith(&r.solve, op, x, b, r.solveOpts())
 	}
 	if r.audit != nil && st.Converged {
 		r.audit("first", a, x, b)
@@ -743,7 +739,7 @@ func (r *Runner) finish(rec StepRecord, u, rhs []float64, sq *chebyshev.Stats, b
 	uHalf := r.vec(&r.buf.uHalf)
 	copy(uHalf, u)
 	t0 = time.Now()
-	st := solver.CG(opHalf, uHalf, rhs, r.solveOpts())
+	st := solver.CGWith(&r.solve, opHalf, uHalf, rhs, r.solveOpts())
 	r.Timings.SecondSolve += time.Since(t0)
 	if !st.Converged {
 		r.noteFailure("second_solve")
@@ -823,7 +819,7 @@ func (r *Runner) StepMRHS(steps int) error {
 	var sq chebyshev.Stats
 	var err error
 	if direct {
-		sq, err = chebyshev.PrecondInvSqrt(op0, f, fb, z, r.cfg.ChebOrder, r.cfg.ChebTol)
+		sq, err = chebyshev.PrecondInvSqrt(&r.sqrt, op0, f, fb, z, r.cfg.ChebOrder, r.cfg.ChebTol)
 	} else {
 		sq, err = r.brownian(a0, op0, fb, z)
 	}
@@ -928,7 +924,7 @@ func (r *Runner) blockGuesses(op0 DistOp, u, b *multivec.MultiVec, u0, rhs0 []fl
 	}
 	opts.Tol = r.blockTol()
 	u.Zero()
-	st := solver.BlockCG(op0, u, b, opts)
+	st := solver.BlockCG(&r.solve, op0, u, b, opts)
 	r.BlockIters += st.Iterations
 	g := chunkGuesses{block: st, tol: opts.Tol}
 	if !st.Converged {
@@ -942,7 +938,7 @@ func (r *Runner) blockGuesses(op0 DistOp, u, b *multivec.MultiVec, u0, rhs0 []fl
 	b.Col(0, rhs0)
 	if opts.Tol > r.cfg.Tol {
 		opts.Tol = r.cfg.Tol
-		st0 := solver.CG(op0, u0, rhs0, opts)
+		st0 := solver.CGWith(&r.solve, op0, u0, rhs0, opts)
 		g.finish = st0.Iterations
 		if !st0.Converged {
 			r.noteFailure("block_solve")

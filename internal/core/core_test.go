@@ -677,7 +677,7 @@ func TestBrownianForceCovariance(t *testing.T) {
 					f.SetCol(j, rhs)
 				}
 			case "chunk":
-				if _, err = chebyshev.PrecondInvSqrt(a, fac, y, z, r.cfg.ChebOrder, r.cfg.ChebTol); err == nil {
+				if _, err = chebyshev.PrecondInvSqrt(nil, a, fac, y, z, r.cfg.ChebOrder, r.cfg.ChebTol); err == nil {
 					r.directGuesses(fac, a, guesses, y, u, rhs)
 					a.Mul(f, guesses)
 					f.Scale(-1)

@@ -331,7 +331,7 @@ func TestDirectGuessesSolveTheirColumns(t *testing.T) {
 		}
 		z, f := make([]float64, len(b)), make([]float64, len(b))
 		rng.Substream(seed, uint64(k)).FillNormal(z)
-		if _, err := chebyshev.PrecondSqrt(a, ic, multivec.FromVector(f), multivec.FromVector(z), 0, 0); err != nil {
+		if _, err := chebyshev.PrecondSqrt(nil, a, ic, multivec.FromVector(f), multivec.FromVector(z), 0, 0); err != nil {
 			t.Fatal(err)
 		}
 		var dd, ff float64

@@ -37,7 +37,7 @@ func TestBlockCGSameOnBothPaths(t *testing.T) {
 
 	solve := func() (*multivec.MultiVec, solver.BlockStats) {
 		x := multivec.New(a.N(), m)
-		return x, solver.BlockCG(a, x, b, solver.Options{})
+		return x, solver.BlockCG(nil, a, x, b, solver.Options{})
 	}
 	x, st := solve()
 	var xRef *multivec.MultiVec

@@ -191,11 +191,12 @@ type Engine struct {
 	carry     *call   // dispatcher-only: pulled but did not fit the batch
 
 	// Dispatcher-owned scratch, reused across batches. Only the single
-	// dispatcher goroutine (run) touches these, so no locking is
-	// needed; reuse keeps the steady-state dispatch path free of
-	// per-batch allocations for everything that does not escape to
-	// callers (Result.X does escape and stays freshly allocated).
-	ws      *solver.MultiCGWorkspace
+	// dispatcher goroutine (run) touches these, so no locking is needed;
+	// reuse keeps the steady-state dispatch path free of per-batch
+	// allocations for everything that does not escape to callers
+	// (Result.X does, and stays freshly allocated). ws is its own heap
+	// object, off the cache lines Submit's callers write.
+	ws      *solver.Workspace
 	bsBuf   [][]float64
 	optsBuf []solver.Options
 }
@@ -211,7 +212,7 @@ func NewEngine(op solver.BlockOperator, cfg Config) *Engine {
 		queue:     make(chan *call, cfg.QueueCap),
 		done:      make(chan struct{}),
 		itersEWMA: cfg.SeedIters,
-		ws:        solver.NewMultiCGWorkspace(),
+		ws:        new(solver.Workspace),
 	}
 	go e.run()
 	return e

@@ -3,7 +3,6 @@ package solver
 import (
 	"math"
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/blas"
@@ -39,13 +38,12 @@ type BlockStats struct {
 // threshold sits four decades or more from both.
 const rankTol = 1e-10
 
-// blockWork is the storage of one BlockCG call: the block vectors,
+// blockWork is BlockCG's storage in a Workspace: the block vectors,
 // the m-by-m Gram and coefficient matrices, and the LU and rank-test
-// scratch. Calls draw it from a pool, so a simulation's chunk after
-// chunk of same-shaped solves allocates it once; every buffer is fully
-// overwritten before it is read, so reuse cannot reach a result. The
-// search block and its matrices narrow to r < m columns after a drop,
-// over the same storage.
+// scratch, allocated when the solve's shape changes, so a simulation's
+// chunk after chunk of same-shaped solves allocates it once. The search
+// block and its matrices narrow to r < m columns after a drop, over the
+// same storage.
 type blockWork struct {
 	r, p, s, pNew *multivec.MultiVec
 	z             *multivec.MultiVec // preconditioned solves only
@@ -59,11 +57,8 @@ type blockWork struct {
 	keep             []int
 }
 
-var blockWorkPool = sync.Pool{New: func() any { return new(blockWork) }}
-
-// getBlockWork returns a workspace for an n-by-m solve.
-func getBlockWork(n, m int, precond bool) *blockWork {
-	w := blockWorkPool.Get().(*blockWork)
+// reshape readies w for an n-by-m solve.
+func (w *blockWork) reshape(n, m int, precond bool) {
 	if w.r == nil || w.r.N != n || w.r.M != m {
 		*w = blockWork{
 			r: multivec.New(n, m), p: multivec.New(n, m),
@@ -77,7 +72,6 @@ func getBlockWork(n, m int, precond bool) *blockWork {
 	if precond && w.z == nil {
 		w.z = multivec.New(n, m)
 	}
-	return w
 }
 
 // shape makes d, allocated m-by-m, an r-by-c matrix over its own
@@ -174,7 +168,8 @@ func colNorms(dst []float64, v *multivec.MultiVec) {
 // A guess block that is all ±0 starts from R = B with no multiply, so
 // a cold solve of k iterations counts k multiplies and a warm one k+1.
 // The preconditioner is applied to the whole block by one ApplyBlock
-// per iteration. An iteration allocates nothing, on any pool.
+// per iteration. ws holds the block storage (nil: a fresh workspace);
+// an iteration allocates nothing, on any pool.
 //
 // Convergence is per column: the iteration stops when every column's
 // residual satisfies ||r_j|| <= tol*||b_j||. Each iteration's PᵀAP
@@ -189,7 +184,7 @@ func colNorms(dst []float64, v *multivec.MultiVec) {
 // iterate with Converged == false. A residual or Gram entry that is
 // not finite ends the solve at once with Err = ErrBreakdown: the
 // iteration mixes columns, so one NaN reaches all.
-func BlockCG(a BlockOperator, x, b *multivec.MultiVec, opt Options) (stats BlockStats) {
+func BlockCG(ws *Workspace, a BlockOperator, x, b *multivec.MultiVec, opt Options) (stats BlockStats) {
 	n := a.N()
 	if x.N != n || b.N != n || x.M != b.M {
 		panic("solver: BlockCG dimension mismatch")
@@ -202,14 +197,17 @@ func BlockCG(a BlockOperator, x, b *multivec.MultiVec, opt Options) (stats Block
 		ColumnConverged: make([]bool, m),
 		ColumnResiduals: make([]float64, m),
 	}
-	w := getBlockWork(n, m, opt.Precond != nil)
+	if ws == nil {
+		ws = new(Workspace)
+	}
+	w := &ws.block
+	w.reshape(n, m, opt.Precond != nil)
 	// On return, mirror the per-column final residuals into
 	// Stats.Residuals so block solves feed the same residual
 	// reporting as single-vector CG, and record the obs metrics.
 	// stats is a named result, so these deferred writes reach the
 	// caller.
 	defer func() {
-		blockWorkPool.Put(w)
 		stats.VecSeconds = time.Since(start).Seconds() - stats.MulSeconds
 		stats.Residuals = append(stats.Residuals[:0], stats.ColumnResiduals...)
 		recordBlockCG(&stats)

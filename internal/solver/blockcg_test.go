@@ -5,7 +5,6 @@ import (
 	"errors"
 	"hash/fnv"
 	"math"
-	"runtime/debug"
 	"testing"
 
 	"repro/internal/bcrs"
@@ -17,30 +16,20 @@ import (
 	"repro/internal/rng"
 )
 
-// poolDropsPuts is set under -race (race_test.go), where sync.Pool
-// discards a random quarter of Puts and BlockCG's workspace is
-// reallocated at random: allocation counts mean nothing there.
-var poolDropsPuts bool
-
 // An unreachable tolerance makes BlockCG run exactly MaxIter
 // iterations, so the allocation count of a call can be compared
-// across iteration counts. BlockCG draws its workspace from a
-// sync.Pool, which a collection empties, so the collector is held off
-// while the count runs. The count runs on a default pool of the given
-// threads; on more than one, a worker that parks its goroutine inside
-// AllocsPerRun can charge the runtime's allocation to the call at
-// random (TestDispatchDoesNotAllocate pins the pool's own contract).
-func blockCGAllocs(t *testing.T, threads int, a *bcrs.Matrix, b *multivec.MultiVec, opt Options) float64 {
-	if poolDropsPuts {
-		t.Skip("sync.Pool drops items under -race")
-	}
+// across iteration counts. The calls share one workspace, which the
+// count's own first call warms. The count runs on a default pool of the
+// given threads; on more than one, a worker that parks its goroutine
+// inside AllocsPerRun can charge the runtime's allocation to the call
+// at random (TestDispatchDoesNotAllocate pins the pool's own contract).
+func blockCGAllocs(threads int, a *bcrs.Matrix, b *multivec.MultiVec, opt Options) float64 {
 	defer parallel.SetThreads(parallel.Threads())
 	parallel.SetThreads(threads)
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	x := multivec.New(b.N, b.M)
+	x, ws := multivec.New(b.N, b.M), new(Workspace)
 	return testing.AllocsPerRun(5, func() {
 		x.Zero()
-		if st := BlockCG(a, x, b, opt); st.Iterations != opt.MaxIter {
+		if st := BlockCG(ws, a, x, b, opt); st.Iterations != opt.MaxIter {
 			panic("BlockCG stopped early")
 		}
 	})
@@ -68,7 +57,7 @@ func TestBlockCGIterationDoesNotAllocate(t *testing.T) {
 	} {
 		short, long := tc.opt, tc.opt
 		short.MaxIter, long.MaxIter = 2, 12
-		few, many := blockCGAllocs(t, 1, a, b, short), blockCGAllocs(t, 1, a, b, long)
+		few, many := blockCGAllocs(1, a, b, short), blockCGAllocs(1, a, b, long)
 		if few != many {
 			t.Errorf("%s: %v allocations for 2 iterations, %v for 12: the iteration allocates", tc.name, few, many)
 		}
@@ -94,7 +83,7 @@ func TestBlockCGIterationDoesNotAllocate(t *testing.T) {
 	rhs := multivec.New(sd.N(), 16)
 	rng.New(12).FillNormal(rhs.Data)
 	short, long := Options{Tol: 1e-300, MaxIter: 2}, Options{Tol: 1e-300, MaxIter: 12}
-	few, many := blockCGAllocs(t, 2, sd, rhs, short), blockCGAllocs(t, 2, sd, rhs, long)
+	few, many := blockCGAllocs(2, sd, rhs, short), blockCGAllocs(2, sd, rhs, long)
 	t.Logf("two threads: %v allocations for 2 iterations, %v for 12", few, many)
 	if many > few+5 {
 		t.Errorf("two threads: the iteration allocates")
@@ -111,10 +100,10 @@ func TestBlockCGDropPathDoesNotAllocate(t *testing.T) {
 	opt := Options{Tol: 1e-300}
 	short, long := opt, opt
 	short.MaxIter, long.MaxIter = 2, 8
-	if st := BlockCG(a, multivec.New(a.N(), 2), b, short); st.Dropped == 0 {
+	if st := BlockCG(nil, a, multivec.New(a.N(), 2), b, short); st.Dropped == 0 {
 		t.Fatal("no direction dropped: the test needs a rank-deficient block")
 	}
-	if few, many := blockCGAllocs(t, 1, a, b, short), blockCGAllocs(t, 1, a, b, long); few != many {
+	if few, many := blockCGAllocs(1, a, b, short), blockCGAllocs(1, a, b, long); few != many {
 		t.Errorf("%v allocations for 2 iterations, %v for 8", few, many)
 	}
 }
@@ -130,7 +119,7 @@ func TestBlockCGStarvedSolve(t *testing.T) {
 	for j := 0; j < m; j++ {
 		b.SetCol(j, randVec(int64(10+j), n))
 	}
-	st := BlockCG(a, multivec.New(n, m), b, Options{Tol: 1e-8, MaxIter: 2})
+	st := BlockCG(nil, a, multivec.New(n, m), b, Options{Tol: 1e-8, MaxIter: 2})
 	if st.Converged || st.Err != nil || st.Iterations != 2 {
 		t.Fatalf("converged %v, Err %v after %d iterations: want an unconverged, error-free return after 2", st.Converged, st.Err, st.Iterations)
 	}
@@ -175,7 +164,7 @@ func TestBlockCGDependentColumns(t *testing.T) {
 		precond Preconditioner
 	}{{"plain", nil}, {"ic0", ic}} {
 		opt := Options{Tol: tol, Precond: pc.precond}
-		indep := BlockCG(a, multivec.New(n, 3), multivec.FromColumns(c0, c1, c2), opt)
+		indep := BlockCG(nil, a, multivec.New(n, 3), multivec.FromColumns(c0, c1, c2), opt)
 		if !indep.Converged || indep.Dropped != 0 {
 			t.Fatalf("%s: independent block converged %v with %d dropped", pc.name, indep.Converged, indep.Dropped)
 		}
@@ -195,7 +184,7 @@ func TestBlockCGDependentColumns(t *testing.T) {
 			if tc.guess != nil {
 				x.CopyFrom(tc.guess)
 			}
-			st := BlockCG(a, x, tc.b, opt)
+			st := BlockCG(nil, a, x, tc.b, opt)
 			if st.Err != nil || !st.Converged || st.Dropped == 0 || st.Iterations > indep.Iterations {
 				t.Errorf("%s, %s: Err %v, converged %v, %d dropped, %d iterations (independent block: %d)",
 					pc.name, tc.name, st.Err, st.Converged, st.Dropped, st.Iterations, indep.Iterations)
@@ -219,7 +208,7 @@ func TestBlockStatsSplitsMultiplyAndVectorTime(t *testing.T) {
 	a := spdMatrix(35, 60, 6)
 	b := multivec.New(a.N(), 4)
 	rng.New(36).FillNormal(b.Data)
-	st := BlockCG(a, multivec.New(a.N(), 4), b, Options{})
+	st := BlockCG(nil, a, multivec.New(a.N(), 4), b, Options{})
 	if st.MulSeconds <= 0 || st.VecSeconds <= 0 {
 		t.Fatalf("MulSeconds %v, VecSeconds %v: both must be positive", st.MulSeconds, st.VecSeconds)
 	}
@@ -244,7 +233,7 @@ func BenchmarkBlockCG(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		x.Zero()
-		st := BlockCG(a, x, rhs, Options{})
+		st := BlockCG(nil, a, x, rhs, Options{})
 		if !st.Converged {
 			b.Fatalf("not converged: %+v", st.Stats)
 		}
@@ -295,7 +284,7 @@ func TestBlockCGNonFinite(t *testing.T) {
 		if tc.poison != 0 {
 			b.Data[(n/3)*m+2] = tc.poison
 		}
-		st := BlockCG(&nanAfter{Matrix: a, n: tc.nanMul}, multivec.New(n, m), b, Options{})
+		st := BlockCG(nil, &nanAfter{Matrix: a, n: tc.nanMul}, multivec.New(n, m), b, Options{})
 		if !errors.Is(st.Err, ErrBreakdown) || st.Converged || st.Dropped != 0 || st.Iterations > tc.maxIters {
 			t.Errorf("%s: Err %v, converged %v, %d dropped after %d iterations (want ErrBreakdown within %d)",
 				tc.name, st.Err, st.Converged, st.Dropped, st.Iterations, tc.maxIters)
@@ -316,7 +305,7 @@ func TestBlockCGZeroGuessNaNOperator(t *testing.T) {
 	rng.New(41).FillNormal(b.Data)
 	x := multivec.New(n, m)
 	x.Data[0] = math.Copysign(0, -1)
-	st := BlockCG(a, x, b, Options{})
+	st := BlockCG(nil, a, x, b, Options{})
 	if !errors.Is(st.Err, ErrBreakdown) || st.Converged || st.Iterations != 0 || st.MatMuls != 1 {
 		t.Fatalf("zero guess: Err %v, converged %v, %d iterations, %d multiplies", st.Err, st.Converged, st.Iterations, st.MatMuls)
 	}
@@ -327,7 +316,7 @@ func TestBlockCGZeroGuessNaNOperator(t *testing.T) {
 	}
 	warm := multivec.New(n, m)
 	rng.New(42).FillNormal(warm.Data)
-	if st := BlockCG(a, warm, b, Options{}); !errors.Is(st.Err, ErrBreakdown) || st.Iterations != 0 || st.MatMuls != 1 {
+	if st := BlockCG(nil, a, warm, b, Options{}); !errors.Is(st.Err, ErrBreakdown) || st.Iterations != 0 || st.MatMuls != 1 {
 		t.Fatalf("nonzero guess: Err %v, %d iterations, %d multiplies", st.Err, st.Iterations, st.MatMuls)
 	}
 }
@@ -398,7 +387,7 @@ func TestBlockCGPinned(t *testing.T) {
 		if tc.warm {
 			x.CopyFrom(guess)
 		}
-		st := BlockCG(a, x, b, Options{Tol: 1e-8, Precond: tc.precond})
+		st := BlockCG(nil, a, x, b, Options{Tol: 1e-8, Precond: tc.precond})
 		if !st.Converged || st.Err != nil {
 			t.Fatalf("%s: converged %v, Err %v", tc.name, st.Converged, st.Err)
 		}

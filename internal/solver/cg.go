@@ -3,7 +3,6 @@ package solver
 import (
 	"context"
 	"errors"
-	"sync"
 	"time"
 
 	"repro/internal/multivec"
@@ -114,31 +113,37 @@ type Preconditioner interface {
 	ApplyBlock(z, r *multivec.MultiVec)
 }
 
-// CG solves A*x = b for SPD A by (preconditioned) conjugate
-// gradients, starting from the initial guess already stored in x.
-// The warm start is the mechanism the MRHS algorithm exploits: a good
-// guess from the augmented solve cuts the iteration count by 30-40%
-// (paper Table V).
+// CG is CGWith on a fresh workspace.
+func CG(a Operator, x, b []float64, opt Options) Stats { return CGWith(nil, a, x, b, opt) }
+
+// CGWith solves A*x = b for SPD A by (preconditioned) conjugate
+// gradients from the guess in x, on the workspace ws (nil: a fresh one;
+// a warmed one allocates nothing). The warm start is the mechanism the
+// MRHS algorithm exploits: a good guess from the augmented solve cuts
+// the iteration count by 30-40% (paper Table V).
 //
-// CG is the fused solve of MultiCG at one column (the package comment
-// has the contract), so a column of a batch equals the lone solve of
-// it by construction. x is written when the solve ends, not during it.
-func CG(a Operator, x, b []float64, opt Options) Stats {
+// CGWith is MultiCGWith's fused solve at one column (the package comment
+// has the contract), so a column of a batch equals its lone solve by
+// construction. x is written when the solve ends.
+func CGWith(ws *Workspace, a Operator, x, b []float64, opt Options) (st Stats) {
 	n := a.N()
 	if len(x) != n || len(b) != n {
 		panic("solver: CG dimension mismatch")
 	}
-	ws := cgWork.Get().(*MultiCGWorkspace)
-	defer cgWork.Put(ws)
-	stats := make([]Stats, 1)
-	defer recordCG(&stats[0])
-	ws.solve(vecOperator{a}, [][]float64{x}, [][]float64{b}, []Options{opt}, stats)
-	return stats[0]
+	if ws == nil {
+		ws = new(Workspace)
+	}
+	o := &ws.one
+	o.op = vecOperator{a}
+	o.xs[0], o.bs[0], o.opts[0], o.stats[0] = x, b, opt, Stats{}
+	defer func() {
+		st = o.stats[0]
+		o.op, o.xs[0], o.bs[0], o.opts[0] = vecOperator{}, nil, nil, Options{} // unpin the caller's
+		recordCG(&st)
+	}()
+	ws.solve(&o.op, o.xs[:], o.bs[:], o.opts[:], o.stats[:])
+	return st
 }
-
-// cgWork pools the workspaces of solves whose caller brought none:
-// every CG, and MultiCGWith(nil, ...).
-var cgWork = sync.Pool{New: func() any { return NewMultiCGWorkspace() }}
 
 // vecOperator presents a single-vector Operator as the n-by-1 block
 // operator the fused solve multiplies through.

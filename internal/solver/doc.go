@@ -23,12 +23,13 @@
 // # The fused-solve contract
 //
 // There is one CG in this package: MultiCGWith solves q independent
-// systems with it, and CG is the same solve at q = 1.
+// systems with it, and CGWith (CG on a fresh workspace) is the same
+// solve at q = 1.
 //
 //   - Layout. The state of all q columns lives in four row-major
 //     n-by-w blocks X, R, P, AP (w = KernelCeil(q); a fifth, Z, only
-//     when the batch is preconditioned) owned by a
-//     MultiCGWorkspace — the layout the GSPMV kernels multiply in.
+//     when the batch is preconditioned) owned by the caller's
+//     Workspace — the layout the GSPMV kernels multiply in.
 //     Guesses and right-hand sides are packed once on entry, each
 //     column's iterate is copied out once when it retires, and an
 //     iteration is one fused multiply AP = A*P plus three column

@@ -18,7 +18,7 @@ func Example() {
 	rng.New(2).FillNormal(b.Data)
 
 	x := multivec.New(a.N(), 4)
-	st := solver.BlockCG(a, x, b, solver.Options{Tol: 1e-8})
+	st := solver.BlockCG(nil, a, x, b, solver.Options{Tol: 1e-8})
 	fmt.Println("converged:", st.Converged)
 	fmt.Println("GSPMV calls == iterations:", st.MatMuls == st.Iterations)
 	// Output:

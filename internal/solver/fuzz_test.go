@@ -178,12 +178,12 @@ func FuzzBlockCGDependentColumns(f *testing.F) {
 		x := multivec.New(n, q)
 		if plant != 0 {
 			b.Data[int(plant)%len(b.Data)] = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[plant%3]
-			if st := BlockCG(a, x, b, opt); !errors.Is(st.Err, ErrBreakdown) || st.Converged {
+			if st := BlockCG(nil, a, x, b, opt); !errors.Is(st.Err, ErrBreakdown) || st.Converged {
 				t.Fatalf("non-finite B: Err %v, converged %v", st.Err, st.Converged)
 			}
 			return
 		}
-		st := BlockCG(a, x, b, opt)
+		st := BlockCG(nil, a, x, b, opt)
 		if st.Err != nil || !st.Converged {
 			t.Fatalf("Err %v, converged %v after %d iterations, residuals %v", st.Err, st.Converged, st.Iterations, st.ColumnResiduals)
 		}
@@ -207,7 +207,7 @@ func FuzzBlockCGDependentColumns(f *testing.F) {
 		}
 		if len(bases) > 0 {
 			opt.Tol = baseTol
-			indep := BlockCG(a, multivec.New(n, len(bases)), multivec.FromColumns(bases...), opt)
+			indep := BlockCG(nil, a, multivec.New(n, len(bases)), multivec.FromColumns(bases...), opt)
 			if st.Iterations > indep.Iterations {
 				t.Fatalf("%d iterations, %d for the %d bases alone to %g (%d dropped)", st.Iterations, indep.Iterations, len(bases), baseTol, st.Dropped)
 			}

@@ -401,8 +401,8 @@ func TestBlockCGBlockPrecondMatchesColumns(t *testing.T) {
 	b := multivec.New(a.N(), m)
 	copy(b.Data, randVec(62, a.N()*m))
 	x1, x2 := multivec.New(a.N(), m), multivec.New(a.N(), m)
-	st1 := BlockCG(a, x1, b, Options{Precond: ic})
-	st2 := BlockCG(a, x2, b, Options{Precond: columnOnly{ic}})
+	st1 := BlockCG(nil, a, x1, b, Options{Precond: ic})
+	st2 := BlockCG(nil, a, x2, b, Options{Precond: columnOnly{ic}})
 	if !st1.Converged || st1.Iterations != st2.Iterations {
 		t.Fatalf("block path %+v, column path %+v", st1.Stats, st2.Stats)
 	}

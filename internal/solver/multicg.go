@@ -29,15 +29,15 @@ func KernelCeil(q int) int {
 	return q
 }
 
-// MultiCGWorkspace owns the state of a fused solve — the interleaved
-// blocks X, R, P, AP (and Z when the batch is preconditioned) and the
-// per-column scalars — so a long-lived caller (the batching server's
-// dispatcher) allocates it once instead of per solve. A workspace
-// serves one solve at a time; it is not safe for concurrent use.
-type MultiCGWorkspace struct {
-	// MulSeconds is the wall time the most recent solve spent inside
-	// the operator's multiplies and VecSeconds the rest of it: packing,
-	// the column sweeps, preconditioning, retirement.
+// Workspace owns every temporary of the package's solves — a fused
+// solve's blocks and per-column scalars, CGWith's batch of one, BlockCG's
+// block storage — grown on first use and kept, so a long-lived caller (a
+// stepper, the server's dispatcher) allocates them once. Every buffer is
+// overwritten before it is read. A zero Workspace is ready, and a nil one
+// means a fresh one for the call. It serves one solve at a time.
+type Workspace struct {
+	// MulSeconds is the wall time of the last CGWith or MultiCGWith solve
+	// inside the operator's multiplies, VecSeconds the rest of it.
 	MulSeconds, VecSeconds float64
 
 	x, r, p, ap, z multivec.MultiVec
@@ -49,6 +49,14 @@ type MultiCGWorkspace struct {
 
 	keep, outLanes []int
 	outCols        [][]float64
+
+	one struct { // CGWith's batch of one
+		op     vecOperator
+		xs, bs [1][]float64
+		opts   [1]Options
+		stats  [1]Stats
+	}
+	block blockWork
 }
 
 // lane is the scalar state of one column of a fused solve. Lane j of
@@ -61,12 +69,6 @@ type lane struct {
 	// A retired lane leaves the blocks at the next iteration boundary;
 	// copyOut says its iterate is still to be copied out of X then.
 	retired, copyOut bool
-}
-
-// NewMultiCGWorkspace returns an empty workspace; buffers are grown on
-// first use and retained across calls.
-func NewMultiCGWorkspace() *MultiCGWorkspace {
-	return &MultiCGWorkspace{}
 }
 
 // MultiCGWith solves the q independent systems A*x_j = b_j by running one
@@ -93,10 +95,8 @@ func NewMultiCGWorkspace() *MultiCGWorkspace {
 // mismatch does. xs[j] supplies the initial guess and receives the
 // solution.
 //
-// ws, when non-nil, supplies every temporary the solve needs (a nil ws
-// borrows one from the pool lone CG solves draw on). Results are
-// bitwise-identical with or without a workspace.
-func MultiCGWith(ws *MultiCGWorkspace, a BlockOperator, xs, bs [][]float64, opts []Options) []Stats {
+// ws holds every temporary (nil: a fresh one); its history moves no bit.
+func MultiCGWith(ws *Workspace, a BlockOperator, xs, bs [][]float64, opts []Options) []Stats {
 	n := a.N()
 	q := len(xs)
 	if len(bs) != q || len(opts) != q {
@@ -115,8 +115,7 @@ func MultiCGWith(ws *MultiCGWorkspace, a BlockOperator, xs, bs [][]float64, opts
 		return stats
 	}
 	if ws == nil {
-		ws = cgWork.Get().(*MultiCGWorkspace)
-		defer cgWork.Put(ws)
+		ws = new(Workspace)
 	}
 	defer recordMultiCG(stats, ws)
 	ws.solve(a, xs, bs, opts, stats)
@@ -137,10 +136,10 @@ func (l *lane) retire(copyOut bool) {
 	l.retired, l.copyOut = true, copyOut
 }
 
-// solve is the one CG in the package: CG runs it at q = 1 through a
+// solve is the one CG in the package: CGWith runs it at q = 1 through a
 // vecOperator, MultiCGWith at any q. The package comment states the
 // contract; the comments below only say which rule a step implements.
-func (ws *MultiCGWorkspace) solve(a BlockOperator, xs, bs [][]float64, opts []Options, stats []Stats) {
+func (ws *Workspace) solve(a BlockOperator, xs, bs [][]float64, opts []Options, stats []Stats) {
 	start := time.Now()
 	ws.MulSeconds = 0
 	defer func() {
@@ -315,7 +314,7 @@ func (ws *MultiCGWorkspace) solve(a BlockOperator, xs, bs [][]float64, opts []Op
 }
 
 // mul is one fused multiply, timed.
-func (ws *MultiCGWorkspace) mul(a BlockOperator, y, x *multivec.MultiVec) {
+func (ws *Workspace) mul(a BlockOperator, y, x *multivec.MultiVec) {
 	t0 := time.Now()
 	a.Mul(y, x)
 	ws.MulSeconds += time.Since(t0).Seconds()
@@ -327,7 +326,7 @@ func (ws *MultiCGWorkspace) mul(a BlockOperator, y, x *multivec.MultiVec) {
 // the lanes retired since the last boundary are swept with the rest:
 // ApplyBlock's columns are independent, so no lane's bits depend on
 // another's.
-func (ws *MultiCGWorkspace) precondition(rz []float64) {
+func (ws *Workspace) precondition(rz []float64) {
 	if ws.r.M == 1 {
 		ws.pre.Apply(ws.z.Data, ws.r.Data)
 	} else {
@@ -342,7 +341,7 @@ func (ws *MultiCGWorkspace) precondition(rz []float64) {
 // kernel width, or into the narrower one when KernelCeil of their
 // count drops — with zero padding after them. It returns the number of
 // surviving lanes.
-func (ws *MultiCGWorkspace) flush(xs [][]float64) int {
+func (ws *Workspace) flush(xs [][]float64) int {
 	keep, outLanes, outCols := ws.keep[:0], ws.outLanes[:0], ws.outCols[:0]
 	for j := range ws.lanes {
 		switch l := &ws.lanes[j]; {

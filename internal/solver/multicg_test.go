@@ -431,7 +431,7 @@ func TestPastDeadlineStopsAtFirstBoundary(t *testing.T) {
 	for j := 0; j < 4; j++ {
 		b.SetCol(j, testRHS(n, uint64(40+j)))
 	}
-	if st := BlockCG(a, multivec.New(n, 4), b, opt); st.Err != ErrCanceled || st.Iterations != 0 {
+	if st := BlockCG(nil, a, multivec.New(n, 4), b, opt); st.Err != ErrCanceled || st.Iterations != 0 {
 		t.Errorf("BlockCG: %+v", st)
 	}
 }
@@ -989,7 +989,7 @@ func TestCGBreakdownStopsAtOnce(t *testing.T) {
 // TestMultiCGSteadyStateAllocs: with a warmed workspace a fused solve
 // allocates its stats and PackColumns' two closures — a count that
 // does not grow with the number of iterations, nor by more than a
-// constant per column. The served shape (NB = 6000, q = 32) on a
+// constant per column; a lone CG allocates nothing. The served shape (NB = 6000, q = 32) on a
 // two-thread pool, where the lane reductions' four row chunks and
 // UnpackLanes run over the pool, allocates no more than the small one.
 func TestMultiCGSteadyStateAllocs(t *testing.T) {
@@ -1000,7 +1000,7 @@ func TestMultiCGSteadyStateAllocs(t *testing.T) {
 			bs[j] = testRHS(n, uint64(40+j))
 			opts[j] = Options{Tol: 1e-300, MaxIter: iters + j%3} // staggered: compaction included
 		}
-		ws := NewMultiCGWorkspace()
+		ws := new(Workspace)
 		MultiCGWith(ws, a, xs, bs, opts)
 		return testing.AllocsPerRun(10, func() {
 			for j := range xs {
@@ -1021,6 +1021,33 @@ func TestMultiCGSteadyStateAllocs(t *testing.T) {
 	}
 	if short > 8 {
 		t.Errorf("%v allocations for a warmed 8-column solve", short)
+	}
+
+	// A lone CG on a warmed workspace allocates nothing: its one-column
+	// batch is the workspace's too. Cold and warm, plain and through
+	// IC(0).
+	spd := spdMatrix(41, 100, 6)
+	ic, err := NewIC0(spd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, x, b := new(Workspace), make([]float64, spd.N()), testRHS(spd.N(), 42)
+	for _, pre := range []Preconditioner{nil, ic} {
+		for _, cold := range []bool{true, false} {
+			opt := Options{Tol: 1e-300, MaxIter: 5, Precond: pre}
+			cg := func() {
+				if cold {
+					clear(x)
+				}
+				if st := CGWith(ws, spd, x, b, opt); st.Iterations != 5 {
+					t.Fatalf("ran %d iterations, want 5", st.Iterations)
+				}
+			}
+			cg()
+			if n := testing.AllocsPerRun(10, cg); n != 0 {
+				t.Errorf("a lone CG (preconditioned %v, cold %v) on a warmed workspace allocates %v times, want 0", pre != nil, cold, n)
+			}
+		}
 	}
 
 	defer parallel.SetThreads(parallel.Threads())
@@ -1062,7 +1089,7 @@ func BenchmarkMultiCG(b *testing.B) {
 				bs[j] = testRHS(n, uint64(j+1))
 				opts[j] = Options{Tol: 2e-6, Precond: c.pre}
 			}
-			ws := NewMultiCGWorkspace()
+			ws := new(Workspace)
 			var mul, vec float64
 			iters := 0
 			b.ResetTimer()

@@ -92,7 +92,7 @@ func recordBlockCG(st *BlockStats) {
 	}
 }
 
-func recordMultiCG(stats []Stats, ws *MultiCGWorkspace) {
+func recordMultiCG(stats []Stats, ws *Workspace) {
 	multiSolves.Inc()
 	multiColumns.Add(int64(len(stats)))
 	multiMulSeconds.Add(ws.MulSeconds)

@@ -44,7 +44,7 @@ func TestBlockCGConsistentWithCGProperty(t *testing.T) {
 		b := multivec.New(a.N(), m)
 		rng.Substream(seed, 2).FillNormal(b.Data)
 		x := multivec.New(a.N(), m)
-		st := BlockCG(a, x, b, Options{Tol: 1e-9})
+		st := BlockCG(nil, a, x, b, Options{Tol: 1e-9})
 		if !st.Converged {
 			return false
 		}

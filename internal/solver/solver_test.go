@@ -118,7 +118,7 @@ func TestBlockCGMatchesColumnwiseCG(t *testing.T) {
 		b.Data[i] = rnd.NormFloat64()
 	}
 	x := multivec.New(a.N(), m)
-	st := BlockCG(a, x, b, Options{Tol: 1e-10})
+	st := BlockCG(nil, a, x, b, Options{Tol: 1e-10})
 	if !st.Converged {
 		t.Fatalf("BlockCG did not converge: %+v", st.Stats)
 	}
@@ -143,7 +143,7 @@ func TestBlockCGOneGSPMVPerIteration(t *testing.T) {
 		b.Data[i] = rnd.NormFloat64()
 	}
 	x := multivec.New(a.N(), 4)
-	st := BlockCG(a, x, b, Options{})
+	st := BlockCG(nil, a, x, b, Options{})
 	if st.MatMuls != st.Iterations { // a zero guess: no entry multiply
 		t.Fatalf("BlockCG must cost one GSPMV per iteration: %+v", st.Stats)
 	}
@@ -161,7 +161,7 @@ func TestBlockCGFewerIterationsThanCG(t *testing.T) {
 		b.Data[i] = rnd.NormFloat64()
 	}
 	x := multivec.New(a.N(), m)
-	stBlock := BlockCG(a, x, b, Options{})
+	stBlock := BlockCG(nil, a, x, b, Options{})
 	single := make([]float64, a.N())
 	stSingle := CG(a, single, b.ColVector(0), Options{})
 	if stBlock.Iterations > stSingle.Iterations {
@@ -187,7 +187,7 @@ func TestBlockCGZeroColumn(t *testing.T) {
 		for i := range x.Data {
 			x.Data[i] = guess
 		}
-		st := BlockCG(a, x, b, Options{})
+		st := BlockCG(nil, a, x, b, Options{})
 		if !st.Converged {
 			t.Fatalf("guess %v: BlockCG with zero column did not converge: %+v", guess, st.Stats)
 		}
@@ -207,7 +207,7 @@ func TestBlockCGRepeatedColumns(t *testing.T) {
 	col := randVec(23, a.N())
 	b := multivec.FromColumns(col, col)
 	x := multivec.New(a.N(), 2)
-	st := BlockCG(a, x, b, Options{})
+	st := BlockCG(nil, a, x, b, Options{})
 	ref := make([]float64, a.N())
 	CG(a, ref, col, Options{Tol: 1e-10})
 	for j := 0; j < 2; j++ {
@@ -229,12 +229,12 @@ func TestBlockCGWarmStart(t *testing.T) {
 		b.Data[i] = rnd.NormFloat64()
 	}
 	cold := multivec.New(a.N(), m)
-	stCold := BlockCG(a, cold, b, Options{})
+	stCold := BlockCG(nil, a, cold, b, Options{})
 	warm := cold.Clone()
 	for i := range warm.Data {
 		warm.Data[i] *= 1 + 1e-5*rnd.NormFloat64()
 	}
-	stWarm := BlockCG(a, warm, b, Options{})
+	stWarm := BlockCG(nil, a, warm, b, Options{})
 	if stWarm.Iterations >= stCold.Iterations {
 		t.Fatalf("warm block start did not help: %d vs %d",
 			stWarm.Iterations, stCold.Iterations)
@@ -250,13 +250,13 @@ func TestBlockPCGMatchesBlockCG(t *testing.T) {
 		b.Data[i] = rnd.NormFloat64()
 	}
 	plain := multivec.New(a.N(), m)
-	stPlain := BlockCG(a, plain, b, Options{Tol: 1e-10})
+	stPlain := BlockCG(nil, a, plain, b, Options{Tol: 1e-10})
 	ic, err := NewIC0(a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pre := multivec.New(a.N(), m)
-	stPre := BlockCG(a, pre, b, Options{Tol: 1e-10, Precond: ic})
+	stPre := BlockCG(nil, a, pre, b, Options{Tol: 1e-10, Precond: ic})
 	if !stPre.Converged {
 		t.Fatal("block PCG stalled")
 	}

@@ -25,7 +25,7 @@ func TestBenchObsSnapshot(t *testing.T) {
 	b := multivec.New(a.N(), 4)
 	rng.New(3).FillNormal(b.Data)
 	x := multivec.New(a.N(), 4)
-	st := solver.BlockCG(a, x, b, solver.Options{Tol: 1e-6})
+	st := solver.BlockCG(nil, a, x, b, solver.Options{Tol: 1e-6})
 	if !st.Converged {
 		t.Fatalf("fixture block solve did not converge (residual %.2e)", st.Residual)
 	}
