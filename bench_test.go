@@ -294,6 +294,8 @@ func BenchmarkWidthSweep(b *testing.B) {
 // buys are ext-techniques' table. Every kernel with an assembly path
 // runs a second time as "-go", with the switch its tests use cleared,
 // so every scalar-to-SIMD ratio DESIGN quotes is two lines of one run.
+// The m = 1 rows run on a one-thread pool, so mulvec times the kernel,
+// not the pool's split of it.
 func BenchmarkIC0(b *testing.B) {
 	sys, err := particles.New(particles.Options{N: 1000, Phi: 0.4, Seed: 1})
 	if err != nil {
@@ -310,16 +312,22 @@ func BenchmarkIC0(b *testing.B) {
 	rb, zb := multivec.New(a.N(), m), multivec.New(a.N(), m)
 	rng.New(17).FillNormal(rb.Data)
 	for _, k := range []struct {
-		name string
-		op   func()
-		asm  bool // has an assembly path that reads cpufeat.AVX2 per call
+		name   string
+		op     func()
+		asm    bool // has an assembly path that reads cpufeat.AVX2 per call
+		serial bool // runs on a one-thread pool
 	}{
-		{"mulvec", func() { a.MulVec(z, r) }, true},
-		{"apply", func() { ic.Apply(z, r) }, true},
-		{"mul-m16", func() { a.Mul(zb, rb) }, true},
-		{"apply-block-m16", func() { ic.ApplyBlock(zb, rb) }, true},
+		{"mulvec", func() { a.MulVec(z, r) }, true, true},
+		{"apply", func() { ic.Apply(z, r) }, true, true},
+		{"mul-m16", func() { a.Mul(zb, rb) }, true, false},
+		{"apply-block-m16", func() { ic.ApplyBlock(zb, rb) }, true, false},
 	} {
 		loop := func(b *testing.B) {
+			if k.serial {
+				defer parallel.SetThreads(parallel.Threads())
+				parallel.SetThreads(1)
+				b.ResetTimer()
+			}
 			for i := 0; i < b.N; i++ {
 				k.op()
 			}

@@ -422,6 +422,20 @@ zdone:
 	VZEROUPPER
 	RET
 
+// Columns 0, 1, 2 of the row-major 3x3 block v at base into Y1..Y3,
+// rows (0, 1, 2) in lanes (0, 3, 2): loads of v[0:4], v[4:8] and v[8]
+// (a broadcast: no read past the block), then shuffles. Y7, Y8 temps.
+#define BLOCKCOLS(base) \
+	VMOVUPD      (base), Y1; \
+	VMOVUPD      32(base), Y2; \
+	VBROADCASTSD 64(base), Y3; \
+	VPERM2F128   $0x21, Y3, Y1, Y3; \
+	VPERM2F128   $0, Y2, Y2, Y7; \
+	VBLENDPD     $12, Y2, Y1, Y8; \
+	VBLENDPD     $4, Y2, Y1, Y1; \
+	VSHUFPD      $5, Y7, Y8, Y2; \
+	VSHUFPD      $8, Y7, Y3, Y3
+
 // func spmv1AVX2(rowPtr, colIdx *int32, vals, x, y *float64, lo, hi int)
 //
 // The m = 1 multiply over block rows [lo, hi): y[3i..3i+2] = sum_k
@@ -432,16 +446,13 @@ zdone:
 //
 //	t = a_r0*x0; t = fma(a_r1, x1, t); t = fma(a_r2, x2, t); acc += t
 //
-// so the three results carry the Go kernel's bits. That lane order is
-// what makes column c of the row-major block (v[c], v[3+c], v[6+c])
-// two overlapping loads and a blend, with no shuffle: the load at
-// vals[c:] has v[c] in lane 0 and v[c+3] in lane 3, the load at
-// vals[4+c:] has v[6+c] in lane 2. For c = 2 the second load would
-// pass the end of the block, so v[8] comes from a broadcast: nothing
-// is read outside [vals, vals + 72*nblk) or outside the three x values
-// a block addresses.
+// so the three results carry the Go kernel's bits. BLOCKCOLS builds
+// the block's three columns from three loads: nothing is read outside
+// [vals, vals + 72*nblk) or outside the three x values a block
+// addresses.
 //
-// Y0 accumulator, Y1..Y3 block columns, Y4..Y6 x broadcasts.
+// Y0 accumulator, Y1..Y3 block columns, Y4..Y6 x broadcasts, Y7/Y8
+// temps.
 TEXT ·spmv1AVX2(SB), NOSPLIT, $0-56
 	MOVQ rowPtr+0(FP), R8
 	MOVQ colIdx+8(FP), DI
@@ -468,13 +479,7 @@ spmv1blk:
 	MOVLQSX (DI)(R11*4), R14
 	LEAQ    (R14)(R14*2), R14
 	LEAQ    (DX)(R14*8), R14    // &x[3j]
-	VMOVUPD      (R13), Y1
-	VBLENDPD     $4, 32(R13), Y1, Y1    // column 0
-	VMOVUPD      8(R13), Y2
-	VBLENDPD     $4, 40(R13), Y2, Y2    // column 1
-	VMOVUPD      16(R13), Y3
-	VBROADCASTSD 64(R13), Y7
-	VBLENDPD     $4, Y7, Y3, Y3         // column 2
+	BLOCKCOLS(R13)
 	VBROADCASTSD (R14), Y4
 	VBROADCASTSD 8(R14), Y5
 	VBROADCASTSD 16(R14), Y6

@@ -845,10 +845,10 @@ zdone:
 // in lanes, so each write puts the block's three outputs in lanes:
 //
 //   - the direct part keeps row i's three accumulators in lanes
-//     (0, 3, 2) of Y0, spmv1AVX2's layout: block column c is the load
-//     at vals[c:] blended with lane 2 of the load at vals[4+c:] (for
-//     c = 2, a broadcast of v[8]), and the chain is three VFMADD231PD
-//     against x_j's broadcasts;
+//     (0, 3, 2) of Y0, spmv1AVX2's lane layout, built here from its own
+//     loads: block column c is the load at vals[c:] blended with lane 2
+//     of the load at vals[4+c:] (for c = 2, a broadcast of v[8]), and
+//     the chain is three VFMADD231PD against x_j's broadcasts;
 //   - the transposed scatter keeps destination row j's three values in
 //     lanes (0, 1, 2), ic0BackwardAVX2's layout: block row q is the
 //     load at vals[3q:] (row 2 the load at vals[5:] moved down a lane,

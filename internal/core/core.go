@@ -284,6 +284,7 @@ type Runner struct {
 	// The storage of every solve and Brownian force, allocated once.
 	solve solver.Workspace
 	sqrt  chebyshev.Workspace
+	met   runnerMetrics
 
 	Timings Timings
 	Records []StepRecord
@@ -354,9 +355,21 @@ func (r *Runner) Cfg() Config { return r.cfg }
 // PhaseMetricNames maps the Timings fields to the phase label used in
 // the obs metrics and the `<phase>_s` field keys of the JSONL step
 // records, in PhaseOrder order.
-var PhaseMetricNames = []string{
+var PhaseMetricNames = [...]string{
 	"construct", "cheb_vectors", "calc_guesses",
 	"cheb_single", "first_solve", "second_solve",
+}
+
+// phaseDeltas holds the wall time of each phase in PhaseMetricNames
+// order.
+type phaseDeltas [len(PhaseMetricNames)]time.Duration
+
+// runnerMetrics holds the runner's labelled metrics in reg, each
+// resolved at its first use, so a step or chunk formats no metric name.
+type runnerMetrics struct {
+	reg    *obs.Registry
+	phases [len(PhaseMetricNames)]*obs.Phase
+	steps  [2]*obs.Counter // core_steps_total, alg "original" and "mrhs"
 }
 
 func (r *Runner) obsReg() *obs.Registry {
@@ -366,22 +379,34 @@ func (r *Runner) obsReg() *obs.Registry {
 	return obs.Default
 }
 
-// observePhases returns the wall time each phase accumulated since the
-// before snapshot, keyed by PhaseMetricNames, and observes the nonzero
-// ones in the phase metrics.
-func (r *Runner) observePhases(before Timings) map[string]time.Duration {
-	after := r.Timings
-	deltas := map[string]time.Duration{
-		"construct":    after.Construct - before.Construct,
-		"cheb_vectors": after.ChebVectors - before.ChebVectors,
-		"calc_guesses": after.CalcGuesses - before.CalcGuesses,
-		"cheb_single":  after.ChebSingle - before.ChebSingle,
-		"first_solve":  after.FirstSolve - before.FirstSolve,
-		"second_solve": after.SecondSolve - before.SecondSolve,
+// metrics returns the runner's metric handles, resolved anew when Obs
+// has changed since the last call.
+func (r *Runner) metrics() *runnerMetrics {
+	if reg := r.obsReg(); r.met.reg != reg {
+		r.met = runnerMetrics{reg: reg}
 	}
-	for phase, d := range deltas {
+	return &r.met
+}
+
+// observePhases returns the wall time each phase accumulated since the
+// before snapshot and observes the nonzero ones in the phase metrics.
+func (r *Runner) observePhases(before Timings) phaseDeltas {
+	after := r.Timings
+	deltas := phaseDeltas{
+		after.Construct - before.Construct,
+		after.ChebVectors - before.ChebVectors,
+		after.CalcGuesses - before.CalcGuesses,
+		after.ChebSingle - before.ChebSingle,
+		after.FirstSolve - before.FirstSolve,
+		after.SecondSolve - before.SecondSolve,
+	}
+	m := r.metrics()
+	for i, d := range deltas {
 		if d > 0 {
-			r.obsReg().ObservePhase(phase, d)
+			if m.phases[i] == nil {
+				m.phases[i] = m.reg.Phase(PhaseMetricNames[i])
+			}
+			m.phases[i].Observe(d)
 		}
 	}
 	return deltas
@@ -392,13 +417,20 @@ func (r *Runner) observePhases(before Timings) map[string]time.Duration {
 // taken when the step's work began, so the deltas are this step's
 // phase costs alone; sq is the step's own square root, nil for a
 // chunk's first step, whose force came from the chunk's.
-func (r *Runner) emitStep(rec StepRecord, sq *chebyshev.Stats, alg string, before Timings) {
+func (r *Runner) emitStep(rec StepRecord, sq *chebyshev.Stats, before Timings) {
 	reg := r.obsReg()
 	if sq != nil {
 		r.countSqrt(*sq)
 	}
 	deltas := r.observePhases(before)
-	reg.Counter(obs.Label("core_steps_total", "alg", alg)).Inc()
+	alg, steps := "original", &r.metrics().steps[0]
+	if rec.HadGuess {
+		alg, steps = "mrhs", &r.metrics().steps[1]
+	}
+	if *steps == nil {
+		*steps = reg.Counter(obs.Label("core_steps_total", "alg", alg))
+	}
+	(*steps).Inc()
 	reg.Counter("core_first_solve_iterations_total").Add(int64(rec.FirstIters))
 	velocity := "solve"
 	if rec.Direct {
@@ -611,10 +643,10 @@ func (r *Runner) beginWindow(a *bcrs.Matrix) {
 // factor time spent since the before snapshot and the age in steps of
 // the preconditioner the record's solves ran under, so a window going
 // stale shows as iterations rising with age.
-func (r *Runner) phaseFields(f map[string]any, deltas map[string]time.Duration, step int, before Timings) {
-	for phase, d := range deltas {
+func (r *Runner) phaseFields(f map[string]any, deltas phaseDeltas, step int, before Timings) {
+	for i, d := range deltas {
 		if d > 0 {
-			f[phase+"_s"] = d.Seconds()
+			f[PhaseMetricNames[i]+"_s"] = d.Seconds()
 		}
 	}
 	if d := r.Timings.Factor - before.Factor; d > 0 {
@@ -753,11 +785,7 @@ func (r *Runner) finish(rec StepRecord, u, rhs []float64, sq *chebyshev.Stats, b
 	rec.SecondIters = st.Iterations
 	r.Records = append(r.Records, rec)
 	r.advance(uHalf)
-	alg := "original"
-	if rec.HadGuess {
-		alg = "mrhs"
-	}
-	r.emitStep(rec, sq, alg, before)
+	r.emitStep(rec, sq, before)
 	return nil
 }
 

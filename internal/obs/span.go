@@ -44,10 +44,25 @@ func (s *Span) End() time.Duration {
 	return d
 }
 
-// ObservePhase records an externally measured duration under the
-// phase metrics — the non-span entry point used by code that already
-// times its phases (core.Runner's Timings).
-func (r *Registry) ObservePhase(phase string, d time.Duration) {
-	r.FloatCounter(Label("phase_seconds_total", "phase", phase)).Add(d.Seconds())
-	r.Counter(Label("phase_calls_total", "phase", phase)).Inc()
+// Phase is one phase's metrics, phase_seconds_total and
+// phase_calls_total under its label, resolved once — the non-span
+// entry point for code that already times its phases (core.Runner's
+// Timings), which then formats no metric name per observation.
+type Phase struct {
+	seconds *FloatCounter
+	calls   *Counter
+}
+
+// Phase resolves the metrics of phase in r.
+func (r *Registry) Phase(phase string) *Phase {
+	return &Phase{
+		seconds: r.FloatCounter(Label("phase_seconds_total", "phase", phase)),
+		calls:   r.Counter(Label("phase_calls_total", "phase", phase)),
+	}
+}
+
+// Observe records an externally measured duration of the phase.
+func (p *Phase) Observe(d time.Duration) {
+	p.seconds.Add(d.Seconds())
+	p.calls.Inc()
 }

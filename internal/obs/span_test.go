@@ -19,8 +19,8 @@ func TestSpanDoubleEnd(t *testing.T) {
 
 func TestObservePhase(t *testing.T) {
 	r := NewRegistry()
-	r.ObservePhase("construct", 250*time.Millisecond)
-	r.ObservePhase("construct", 750*time.Millisecond)
+	r.Phase("construct").Observe(250 * time.Millisecond)
+	r.Phase("construct").Observe(750 * time.Millisecond)
 	secs := r.FloatCounter(Label("phase_seconds_total", "phase", "construct")).Value()
 	if secs < 0.999 || secs > 1.001 {
 		t.Fatalf("phase seconds = %g, want 1", secs)

@@ -17,13 +17,26 @@
 
 #include "textflag.h"
 
+// Columns 0, 1, 2 of the row-major 3x3 block v at base into Y1..Y3,
+// rows (0, 1, 2) in lanes (0, 3, 2): loads of v[0:4], v[4:8] and v[8]
+// (a broadcast: no read past the block), then shuffles. Y7, Y8 temps.
+#define BLOCKCOLS(base) \
+	VMOVUPD      (base), Y1; \
+	VMOVUPD      32(base), Y2; \
+	VBROADCASTSD 64(base), Y3; \
+	VPERM2F128   $0x21, Y3, Y1, Y3; \
+	VPERM2F128   $0, Y2, Y2, Y7; \
+	VBLENDPD     $12, Y2, Y1, Y8; \
+	VBLENDPD     $4, Y2, Y1, Y1; \
+	VSHUFPD      $5, Y7, Y8, Y2; \
+	VSHUFPD      $8, Y7, Y3, Y3
+
 // func ic0ForwardAVX2(rowPtr, colIdx *int32, lower, inv, z, r *float64, nb int)
 //
 // Forward substitution L*y = r, y into z, on one vector. It is
 // bcrs.spmv1AVX2 with the accumulator seeded from r and a subtract:
-// block rows (0, 1, 2) in lanes (0, 3, 2), column c of the row-major
-// block the blend of the loads at lower[c:] and lower[4+c:], its last
-// value broadcast, so no load leaves the block.
+// block rows (0, 1, 2) in lanes (0, 3, 2), the block's columns built
+// by BLOCKCOLS, so no load leaves the block.
 TEXT ·ic0ForwardAVX2(SB), NOSPLIT, $0-56
 	MOVQ rowPtr+0(FP), R8
 	MOVQ colIdx+8(FP), DI
@@ -53,13 +66,7 @@ fwdblk:
 	MOVLQSX (DI)(R11*4), R14
 	LEAQ    (R14)(R14*2), R14
 	LEAQ    (DX)(R14*8), R14    // &z[3j]
-	VMOVUPD      (R13), Y1
-	VBLENDPD     $4, 32(R13), Y1, Y1
-	VMOVUPD      8(R13), Y2
-	VBLENDPD     $4, 40(R13), Y2, Y2
-	VMOVUPD      16(R13), Y3
-	VBROADCASTSD 64(R13), Y7
-	VBLENDPD     $4, Y7, Y3, Y3
+	BLOCKCOLS(R13)
 	VBROADCASTSD (R14), Y4
 	VBROADCASTSD 8(R14), Y5
 	VBROADCASTSD 16(R14), Y6
