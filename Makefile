@@ -16,7 +16,8 @@ GO ?= go
 # nothing depends on real parallelism (the process pool defaults to
 # GOMAXPROCS, so this is also the one-thread default), one wide pass
 # of the multiply's packages with GOMAXPROCS=4 (an oversubscribed
-# pool, sixteen row ranges per multiply, on any host), one short pass
+# pool on any host, whose split tests must see their pooled runs
+# dispatch), one short pass
 # of the kernel packages with AVX-512 compiled out (noavx512), ten seconds of
 # fuzzing the
 # fault-spec parser (its input is a command-line flag), ten of the
@@ -184,10 +185,14 @@ serial:
 	GOMAXPROCS=1 $(GO) test -count=1 ./...
 
 # wide runs the packages a multiply reaches with a four-thread default
-# pool: every matrix splits into sixteen row ranges, more threads than
-# a two-core host has cores. Served, distributed and batched solves
-# must keep their pinned bits and their allocation contracts there too.
-# -count=1 as in serial.
+# pool, more threads than a two-core host has cores. How many parts an
+# op splits into is the pool's split rule (internal/parallel): the
+# split tests (TestThreadedMatchesSerial, TestMultiCGBitwiseAcrossThreads,
+# TestColumnSweepsIgnoreThreadCount and the like) use inputs that
+# stream enough to split and fail when a pooled run dispatched nothing,
+# so here they run on up to sixteen parts. Served, distributed and
+# batched solves must keep their pinned bits and their allocation
+# contracts there too. -count=1 as in serial.
 wide:
 	GOMAXPROCS=4 $(GO) test -count=1 ./internal/bcrs/ ./internal/solver/ ./internal/serve/ ./internal/cluster/... ./internal/multivec/
 

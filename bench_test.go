@@ -164,13 +164,12 @@ func BenchmarkAblationWarmSecondSolve(b *testing.B) {
 	// One representative pair: solve R u = f, then solve the
 	// perturbed-system corrector warm vs cold.
 	f := make([]float64, fixMat.N())
-	s, err := chebyshev.NewSqrtAuto(fixMat, fixMat, slices.Min(hydro.FarFieldCoefficients(fixSys, hydro.Options{Phi: 0.5})), 30, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
 	z := make([]float64, fixMat.N())
 	rng.New(10).FillNormal(z)
-	s.ApplyBlock(nil, multivec.FromVector(f), multivec.FromVector(z))
+	floor := slices.Min(hydro.FarFieldCoefficients(fixSys, hydro.Options{Phi: 0.5}))
+	if _, err := chebyshev.SeriesSqrt(nil, fixMat, fixMat, floor, 30, 0, multivec.FromVector(f), multivec.FromVector(z)); err != nil {
+		b.Fatal(err)
+	}
 	u := make([]float64, fixMat.N())
 	if st := solver.CG(fixMat, u, f, solver.Options{}); !st.Converged {
 		b.Fatal("setup solve stalled")
@@ -481,21 +480,17 @@ func BenchmarkBrownianSqrt(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("seed=%d/series/m=1", seed), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s, err := chebyshev.NewSqrtAuto(r0, r0, floor, chebyshev.DefaultOrder, 0)
-				if err != nil {
+				if _, err := chebyshev.SeriesSqrt(nil, r0, r0, floor, chebyshev.DefaultOrder, 0, multivec.FromVector(y1), multivec.FromVector(z1)); err != nil {
 					b.Fatal(err)
 				}
-				s.ApplyBlock(nil, multivec.FromVector(y1), multivec.FromVector(z1))
 			}
 			report(b)
 		})
 		b.Run(fmt.Sprintf("seed=%d/series/m=%d", seed, m), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s, err := chebyshev.NewSqrtAuto(r0, r0, floor, chebyshev.DefaultOrder, 0)
-				if err != nil {
+				if _, err := chebyshev.SeriesSqrt(nil, r0, r0, floor, chebyshev.DefaultOrder, 0, y, z); err != nil {
 					b.Fatal(err)
 				}
-				s.ApplyBlock(nil, y, z)
 			}
 			report(b)
 		})
@@ -702,3 +697,66 @@ func BenchmarkConfBuild(b *testing.B) {
 }
 
 var confBuildSink *bcrs.Matrix
+
+// BenchmarkPoolSplit is the probe the pool's split floor comes from
+// (DESIGN §9, "Threads"): the m = 1 multiply on the SD systems at
+// N = 1000 and 5000, and the two row-split vector sweeps, Scale and
+// ColDirection, at n × w = 3000 × 8, 18 000 × 4 and 18 000 × 32, each on
+// a one-thread and a two-thread pool, and an empty two-part dispatch on
+// the two-thread pool — what a split costs before any work. SetBytes is
+// what the op streams, so MB/s is its streaming rate. Compare trees with
+// -count and alternating runs: single runs on a shared two-core host
+// swing.
+func BenchmarkPoolSplit(b *testing.B) {
+	defer parallel.SetThreads(parallel.Threads())
+	b.Run("dispatch/pool2", func(b *testing.B) {
+		parallel.SetThreads(2)
+		task := func(int) {}
+		for i := 0; i < b.N; i++ {
+			parallel.Default().DoOp("", 2, 1<<40, task)
+		}
+	})
+	for _, n := range []int{1000, 5000} {
+		sys, err := particles.New(particles.Options{N: n, Phi: 0.4, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		a := hydro.Build(sys, hydro.Options{Phi: 0.4})
+		x, y := make([]float64, a.N()), make([]float64, a.N())
+		rng.New(1).FillNormal(x)
+		for _, threads := range []int{1, 2} {
+			b.Run(fmt.Sprintf("mulvec-N%d/pool%d", n, threads), func(b *testing.B) {
+				parallel.SetThreads(threads)
+				b.SetBytes(a.TrafficBytes(1))
+				for i := 0; i < b.N; i++ {
+					a.MulVec(y, x)
+				}
+			})
+		}
+	}
+	for _, s := range [][2]int{{3000, 8}, {18000, 4}, {18000, 32}} {
+		n, w := s[0], s[1]
+		p, z := multivec.New(n, w), multivec.New(n, w)
+		rng.New(2).FillNormal(z.Data)
+		beta := make([]float64, w)
+		for j := range beta {
+			beta[j] = 0.5
+		}
+		for _, threads := range []int{1, 2} {
+			b.Run(fmt.Sprintf("scale-%dx%d/pool%d", n, w, threads), func(b *testing.B) {
+				parallel.SetThreads(threads)
+				b.SetBytes(int64(2 * n * w * 8))
+				for i := 0; i < b.N; i++ {
+					z.Scale(1)
+				}
+			})
+			b.Run(fmt.Sprintf("coldirection-%dx%d/pool%d", n, w, threads), func(b *testing.B) {
+				parallel.SetThreads(threads)
+				b.SetBytes(int64(3 * n * w * 8))
+				for i := 0; i < b.N; i++ {
+					multivec.ColDirection(p, z, beta)
+				}
+			})
+		}
+	}
+}

@@ -31,7 +31,7 @@ func main() {
 		clusterNB = flag.Int("cluster-nb", 0, "block rows for the multi-node experiments (default 100000; paper 300k)")
 		steps     = flag.Int("steps", 0, "time-step horizon for convergence experiments (default 24)")
 		seed      = flag.Uint64("seed", 0, "random seed")
-		threads   = flag.Int("threads", 0, "worker-pool threads every multiply and vector op splits over (default 1)")
+		threads   = flag.Int("threads", 0, "worker-pool threads the multiplies and vector ops split over (default 1)")
 		format    = flag.String("format", "table", "output format: table or csv")
 	)
 	flag.Parse()

@@ -47,7 +47,7 @@ func main() {
 		np     = flag.Int("n", 500, "sd: particle count")
 		phi    = flag.Float64("phi", 0.30, "sd: volume occupancy")
 
-		threads    = flag.Int("threads", 0, "worker-pool threads every multiply splits over (0: the pool's default, GOMAXPROCS)")
+		threads    = flag.Int("threads", 0, "worker-pool threads the multiplies split over (0: the pool's default, GOMAXPROCS)")
 		tol        = flag.Float64("tol", 1e-6, "default relative-residual tolerance")
 		maxIter    = flag.Int("max-iter", 1000, "default iteration cap")
 		maxBatch   = flag.Int("max-batch", 32, "max right-hand sides per dispatch")

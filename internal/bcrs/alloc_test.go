@@ -12,7 +12,8 @@ import (
 // iteration of every solve goes through one of them, so a closure, a
 // job or a boxed key per call is garbage at the rate of the inner loop.
 func TestSymMulDoesNotAllocate(t *testing.T) {
-	a := Random(RandomOptions{NB: 150, BlocksPerRow: 8, Seed: 21})
+	// 2.7 MB at m = 1: the general multiply splits on three threads.
+	a := Random(RandomOptions{NB: 4000, BlocksPerRow: 8, Seed: 21})
 	s, err := NewSym(a)
 	if err != nil {
 		t.Fatal(err)

@@ -29,9 +29,9 @@ type Matrix struct {
 	colIdx []int32   // len nnzb; block column of each block
 	vals   []float64 // len nnzb*BlockSize; blocks row-major
 
-	// split is a spare record of a multiply split over the pool: a
-	// multiply takes it and puts it back, and one that finds it taken,
-	// by a concurrent multiply, makes its own.
+	// split is a spare record of a multiply split over the pool, for
+	// the last part count: a multiply takes it and puts it back, and one
+	// that finds it taken, by a concurrent multiply, makes its own.
 	split atomic.Pointer[mulSplit]
 }
 

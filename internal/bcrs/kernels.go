@@ -48,36 +48,38 @@ func (a *Matrix) mul(y, x *multivec.MultiVec, forceGeneric bool) {
 	a.recordMul(x.M, time.Since(t0).Seconds())
 }
 
-// run multiplies flat row-major data with m columns, split over the
-// process pool in its Chunks() nnz-balanced block-row ranges. Each
+// run multiplies flat row-major data with m columns, split into the
+// pool's Parts of its traffic as nnz-balanced block-row ranges. Each
 // range writes a disjoint slice of the output with the kernel the
 // serial path runs, so the result is bitwise-identical at every pool
-// size. On a serial pool it is the serial kernel, with nothing to make
-// or recycle.
+// size. A multiply too small to split is the serial kernel, with
+// nothing to make or recycle.
 func (a *Matrix) run(y, x []float64, m int, forceGeneric bool) {
 	pool := parallel.Default()
-	if pool.Threads() == 1 {
+	bytes := int(a.TrafficBytes(m))
+	k := pool.Parts(bytes)
+	if k == 1 {
 		a.mulRange(y, x, m, forceGeneric, 0, a.nb)
 		return
 	}
 	s := a.split.Swap(nil)
-	if s == nil || s.threads != pool.Threads() {
-		s = &mulSplit{a: a, threads: pool.Threads(), ranges: balanceRows(a.rowPtr, a.nb, pool.Chunks())}
+	if s == nil || s.k != k {
+		s = &mulSplit{a: a, k: k, ranges: balanceRows(a.rowPtr, a.nb, k)}
 		s.fn = s.runRange
 	}
 	s.y, s.x, s.m, s.generic = y, x, m, forceGeneric
-	pool.DoOp(KernelMetricPrefix, len(s.ranges), s.fn)
+	pool.DoOp(KernelMetricPrefix, len(s.ranges), bytes, s.fn)
 	s.y, s.x = nil, nil
 	a.split.Store(s)
 }
 
-// mulSplit is one multiply split over a pool of threads threads: its
-// block-row ranges, its operands, and runRange bound once to fn —
-// handing the pool fn instead of a fresh closure is what keeps a
-// warmed split multiply allocation-free.
+// mulSplit is one multiply split into k parts: its block-row ranges,
+// its operands, and runRange bound once to fn — handing the pool fn
+// instead of a fresh closure is what keeps a warmed multiply
+// allocation-free.
 type mulSplit struct {
 	a       *Matrix
-	threads int
+	k       int
 	ranges  []rowRange
 	y, x    []float64
 	m       int

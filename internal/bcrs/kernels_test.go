@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/blas"
 	"repro/internal/multivec"
+	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/rng"
 )
@@ -142,12 +143,13 @@ func TestGSPMVColumnsIndependent(t *testing.T) {
 
 // TestConcurrentMulWhilePoolResizes multiplies one matrix from four
 // goroutines while the pool flips between one and two threads: the
-// spare split record — the ranges for one pool size and the operands —
+// spare split record — the ranges for one part count and the operands —
 // is shared state of the matrix, and under -race this is the test that
-// it is handed over safely. Every product must still be the serial one.
+// it is handed over safely. The matrix, 3.6 MB a multiply, splits on
+// two threads. Every product must still be the serial one.
 func TestConcurrentMulWhilePoolResizes(t *testing.T) {
 	usePool(t, 1)
-	a := Random(RandomOptions{NB: 400, BlocksPerRow: 8, Seed: 19})
+	a := Random(RandomOptions{NB: 4000, BlocksPerRow: 8, Seed: 19})
 	const m = 4
 	x := multivec.New(a.N(), m)
 	rng.New(20).FillNormal(x.Data)
@@ -168,13 +170,17 @@ func TestConcurrentMulWhilePoolResizes(t *testing.T) {
 			}
 		}
 	}()
+	jobs := obs.Default.Counter("parallel_jobs_total")
+	before := jobs.Value()
 	var muls sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		muls.Add(1)
 		go func() {
 			defer muls.Done()
 			y := multivec.New(a.N(), m)
-			for it := 0; it < 50; it++ {
+			// Fifty products, and more until one has split: a flipper
+			// that is not scheduled at first leaves the pool at one.
+			for it := 0; it < 50 || jobs.Value() == before && it < 1e5; it++ {
 				a.Mul(y, x)
 				for i := range y.Data {
 					if y.Data[i] != want.Data[i] {
@@ -188,6 +194,9 @@ func TestConcurrentMulWhilePoolResizes(t *testing.T) {
 	muls.Wait()
 	close(stop)
 	flips.Wait()
+	if jobs.Value() == before {
+		t.Fatal("no multiply split over the two-thread pool")
+	}
 }
 
 func TestMulOverwritesOutput(t *testing.T) {

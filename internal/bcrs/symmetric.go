@@ -60,8 +60,10 @@ type SymMatrix struct {
 	ndiag  int // stored diagonal blocks (scattered once, not twice)
 	span   int // max block-column reach of any row: max(colmax(i)+1-i)
 
-	// The split for a pool of threads threads (0: none made yet).
+	// The split for a pool of threads threads (0: none made yet), and
+	// the chunks its fold runs in.
 	threads int
+	folds   int
 	ranges  []rowRange
 	winHi   []int // per range: max block column + 1, >= range hi
 	winOff  []int // per range: prefix sum of window rows (winHi - hi)
@@ -74,7 +76,7 @@ type SymMatrix struct {
 	m       int
 	generic bool
 	fillFn  func(w int)
-	foldFn  func(lo, hi int)
+	foldFn  func(c int)
 }
 
 // NewSym extracts the symmetric storage from a full matrix. It
@@ -145,8 +147,9 @@ func (s *SymMatrix) Bytes() int64 {
 }
 
 // splitFor makes the split for pool p current: p.Threads()
-// nnz-balanced ranges, each with its scatter window. One range per
-// thread, not the general multiply's p.Chunks(): every extra range
+// nnz-balanced ranges, each with its scatter window, and the fold's
+// chunk count. One range per thread, not the general multiply's four
+// parts per thread: every extra range
 // adds a window to the fold, and at the benchmark's sizes that cost
 // more than the finer balance saved (DESIGN.md, "Threads").
 func (s *SymMatrix) splitFor(p *parallel.Pool) {
@@ -154,6 +157,7 @@ func (s *SymMatrix) splitFor(p *parallel.Pool) {
 		return
 	}
 	s.threads = p.Threads()
+	s.folds = max(1, min(4*s.threads, s.nb/foldRows))
 	s.ranges = balanceRows(s.rowPtr, s.nb, s.threads)
 	s.winHi = make([]int, len(s.ranges))
 	s.winOff = make([]int, len(s.ranges))
@@ -242,13 +246,16 @@ func (s *SymMatrix) run(y, x []float64, m int, forceGeneric bool) {
 		s.scratch = make([]float64, need)
 	}
 	s.y, s.x, s.m, s.generic = y, x, m, forceGeneric
+	// The multiply's traffic decides whether both phases run on the
+	// pool; where they run never changes their bits.
+	bytes := int(s.TrafficBytes(m))
 	// Phase 1: each range zeroes and fills its own y rows plus its
 	// column-bounded partial window. Disjoint writes; no races.
-	pool.DoOp(SymKernelMetricPrefix, len(s.ranges), s.fillFn)
+	pool.DoOp(SymKernelMetricPrefix, len(s.ranges), bytes, s.fillFn)
 	// Phase 2: the windows fold into y, each y row touched by exactly
 	// one chunk, partials added in ascending range order — a
 	// deterministic ordered reduction at fixed thread count.
-	pool.ForOp("bcrs_sym_reduce", s.nb, 256, s.foldFn)
+	pool.DoOp("bcrs_sym_reduce", s.folds, bytes, s.foldFn)
 	s.y, s.x = nil, nil
 }
 
@@ -261,8 +268,13 @@ func (s *SymMatrix) fill(w int) {
 	s.mulRange(s.y, s.x, part, s.m, s.generic, r.lo, r.hi)
 }
 
-// fold is phase 2 over y's block rows [lo, hi).
-func (s *SymMatrix) fold(lo, hi int) {
+// foldRows is the fewest block rows a fold chunk holds: the fold runs in
+// up to four chunks per thread of at least this many rows.
+const foldRows = 256
+
+// fold is phase 2 over fold chunk c of y's block rows.
+func (s *SymMatrix) fold(c int) {
+	lo, hi := parallel.ChunkBounds(s.nb, s.folds, c)
 	bm := BlockDim * s.m
 	for w, r := range s.ranges {
 		a, b := max(r.hi, lo), min(s.winHi[w], hi)

@@ -7,7 +7,7 @@
 // polynomial costs C multiplications by R via the three-term Chebyshev
 // recurrence, and on a block of noise vectors Z — the MRHS algorithm's
 // step 2, F^B = S(R_0)*Z — every multiplication is a GSPMV, where
-// Algorithm 2 harvests its first batch of savings. NewSqrtAuto takes
+// Algorithm 2 harvests its first batch of savings. SeriesSqrt takes
 // the bracket from the Gershgorin bound (upper) and the far-field
 // diagonal floor (lower). Both are rigorous, so the bracket holds every
 // eigenvalue; the approximation is not uniformly good on it. On SD
@@ -45,14 +45,20 @@ func Coefficients(f func(float64) float64, a, b float64, order int) []float64 {
 	if order < 0 {
 		panic("chebyshev: negative order")
 	}
-	np := order + 1
+	c := make([]float64, order+1)
+	coefficients(c, make([]float64, order+1), f, a, b)
+	return c
+}
+
+// coefficients is Coefficients into c, of length order+1, sampling f
+// into fv, of the same length.
+func coefficients(c, fv []float64, f func(float64) float64, a, b float64) {
+	np := len(c)
 	cos := cosTable(np)
-	fv := make([]float64, np)
 	for k := 0; k < np; k++ {
 		// Chebyshev node t_k in (-1, 1), mapped to [a, b].
 		fv[k] = f(0.5*(b-a)*cos[np*np+k] + 0.5*(b+a))
 	}
-	c := make([]float64, np)
 	for j := 0; j < np; j++ {
 		var s float64
 		for k, w := range cos[j*np : (j+1)*np] {
@@ -60,7 +66,6 @@ func Coefficients(f func(float64) float64, a, b float64, order int) []float64 {
 		}
 		c[j] = 2 * s / float64(np)
 	}
-	return c
 }
 
 // cosTables holds, per np = order+1 ever asked for, what Coefficients
@@ -100,6 +105,7 @@ type SqrtOp struct {
 	a          Op
 	lmin, lmax float64
 	c          []float64
+	samples    []float64 // the function samples c comes from
 }
 
 // DefaultOrder is the paper's maximum Chebyshev polynomial order
@@ -113,13 +119,25 @@ const DefaultOrder = 30
 // first tail whose coefficients all fall below tol*|c0| — the
 // adaptive-order optimization.
 func NewSqrt(a Op, lmin, lmax float64, order int, tol float64) (*SqrtOp, error) {
+	s := new(SqrtOp)
+	if err := s.reset(a, lmin, lmax, order, tol); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// reset makes s NewSqrt's operator for its arguments, in s's own
+// storage, grown as needed.
+func (s *SqrtOp) reset(a Op, lmin, lmax float64, order int, tol float64) error {
 	if !(lmin > 0) || !(lmax > lmin) || math.IsInf(lmax, 1) {
-		return nil, errors.New("chebyshev: need 0 < lmin < lmax < +Inf")
+		return errors.New("chebyshev: need 0 < lmin < lmax < +Inf")
 	}
 	if order <= 0 {
 		order = DefaultOrder
 	}
-	c := Coefficients(math.Sqrt, lmin, lmax, order)
+	c := resize(s.c, order+1)
+	s.samples = resize(s.samples, order+1)
+	coefficients(c, s.samples, math.Sqrt, lmin, lmax)
 	if tol > 0 {
 		thresh := tol * math.Abs(c[0])
 		cut := len(c)
@@ -128,27 +146,52 @@ func NewSqrt(a Op, lmin, lmax float64, order int, tol float64) (*SqrtOp, error) 
 		}
 		c = c[:cut]
 	}
-	return &SqrtOp{a: a, lmin: lmin, lmax: lmax, c: c}, nil
+	s.a, s.lmin, s.lmax, s.c = a, lmin, lmax, c
+	return nil
 }
 
-// NewSqrtAuto is NewSqrt over op with the spectrum bracketed from a, the
-// matrix op multiplies by: its Gershgorin bounds, the lower raised to floor
-// (SD's minimum far-field coefficient). A NaN or infinity in a is an error.
-func NewSqrtAuto(op Op, a *bcrs.Matrix, floor float64, order int, tol float64) (*SqrtOp, error) {
-	lo, hi := a.GershgorinInterval()
+// SeriesSqrt computes Y = S(A)*Z with NewSqrt's series over op, the
+// spectrum bracketed from a, the matrix op multiplies by: its Gershgorin
+// bounds, the lower raised to floor (SD's minimum far-field
+// coefficient). A NaN or infinity in a is an error. The series'
+// operator and coefficients live in ws (nil: a fresh workspace) with
+// the recurrence's blocks, so a caller that evaluates every force on its
+// own workspace allocates them once. Stats.Iterations is the series'
+// order.
+func SeriesSqrt(ws *Workspace, op Op, a *bcrs.Matrix, floor float64, order int, tol float64, y, z *multivec.MultiVec) (Stats, error) {
+	if ws == nil {
+		ws = new(Workspace)
+	}
+	lo, hi, err := bracket(a, floor)
+	if err == nil {
+		err = ws.series.reset(op, lo, hi, order, tol)
+	}
+	if err == nil {
+		err = ws.series.ApplyBlock(ws, y, z)
+	}
+	ws.series.a = nil // the workspace must not pin the step's operator
+	if err != nil {
+		return Stats{}, err
+	}
+	return Stats{Iterations: ws.series.Order()}, nil
+}
+
+// bracket returns SeriesSqrt's spectrum bracket for a and floor.
+func bracket(a *bcrs.Matrix, floor float64) (lo, hi float64, err error) {
+	lo, hi = a.GershgorinInterval()
 	if lo-lo != 0 || hi-hi != 0 {
-		return nil, errors.New("chebyshev: spectrum bracket not finite")
+		return 0, 0, errors.New("chebyshev: spectrum bracket not finite")
 	}
 	if lo > floor {
 		floor = lo
 	}
 	if !(floor > 0) {
-		return nil, errors.New("chebyshev: spectrum floor must be positive")
+		return 0, 0, errors.New("chebyshev: spectrum floor must be positive")
 	}
 	if hi <= floor {
 		hi = floor * (1 + 1e-6)
 	}
-	return NewSqrt(op, floor, hi, order, tol)
+	return floor, hi, nil
 }
 
 // Order returns the number of matrix multiplications one evaluation
@@ -162,6 +205,7 @@ func (s *SqrtOp) Order() int { return len(s.c) - 1 }
 type Workspace struct {
 	work    work
 	lanczos lanczos
+	series  SqrtOp // SeriesSqrt's operator, its coefficients kept
 }
 
 // work is the series' storage: its three rotating blocks, inBracket's
@@ -283,20 +327,17 @@ func firstTerm(y, t, z, _ []float64, alpha, beta, c float64) {
 	}
 }
 
-// elemGrain matches the multivec streaming grain: below ~8k scalars a
-// parallel dispatch costs more than the loop.
-const elemGrain = 8192
-
 // elementwise runs one of the two passes over its arrays, split across
-// the pool when they are long enough: chunks write disjoint ranges, so
-// the bits are the same for any thread count. The pool runs w.rows,
-// bound once, over the operands left in w, so no call allocates.
+// the pool when the six streams it reads and writes pay for a split:
+// chunks write disjoint ranges, so the bits are the same for any thread
+// count. The pool runs w.rows, bound once, over the operands left in w,
+// so no call allocates.
 func (w *work) elementwise(pass func(y, t, a, b []float64, alpha, beta, c float64), y, t, a, b []float64, alpha, beta, c float64) {
 	if w.rowsFn == nil {
 		w.rowsFn = w.rows
 	}
 	w.pass, w.y, w.t, w.a, w.b, w.alpha, w.beta, w.coef = pass, y, t, a, b, alpha, beta, c
-	parallel.Default().ForOp("chebyshev_recurrence", len(y), elemGrain, w.rowsFn)
+	parallel.Default().ForOp("chebyshev_recurrence", len(y), 48*len(y), w.rowsFn)
 }
 
 // rows runs the split pass on rows [lo, hi) of its operands.

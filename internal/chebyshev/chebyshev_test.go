@@ -198,19 +198,44 @@ func TestAdaptiveTruncation(t *testing.T) {
 	}
 }
 
-func TestNewSqrtAuto(t *testing.T) {
+// TestSeriesSqrtBracketsSpectrum: SeriesSqrt's bracket — the Gershgorin
+// bounds, the lower raised to the floor — holds the whole spectrum, and
+// its force is NewSqrt's series on that bracket, bit for bit, on a fresh
+// workspace and on one the last evaluation left.
+func TestSeriesSqrtBracketsSpectrum(t *testing.T) {
 	a, lo, _ := randSPDMatrix(8, 10)
-	op, err := NewSqrtAuto(a, a, lo, 40, 0)
+	lmin, lmax, err := bracket(a, lo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lmin, lmax := op.lmin, op.lmax
 	emin, emax, err := blas.ExtremeEigSym(a.Dense())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if emin < lmin-1e-10 || emax > lmax+1e-10 {
 		t.Fatalf("auto interval [%v, %v] misses spectrum [%v, %v]", lmin, lmax, emin, emax)
+	}
+	op, err := NewSqrt(a, lmin, lmax, 40, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	z, want := multivec.New(a.N(), 3), multivec.New(a.N(), 3)
+	rng.New(9).FillNormal(z.Data)
+	if err := op.ApplyBlock(nil, want, z); err != nil {
+		t.Fatal(err)
+	}
+	ws := new(Workspace)
+	for pass := range 2 {
+		got := multivec.New(a.N(), 3)
+		st, err := SeriesSqrt(ws, a, a, lo, 40, 0, got, z)
+		if err != nil || st.Iterations != op.Order() {
+			t.Fatalf("pass %d: %d iterations, error %v; want %d", pass, st.Iterations, err, op.Order())
+		}
+		for i := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("pass %d: y[%d] = %v, NewSqrt's %v", pass, i, got.Data[i], want.Data[i])
+			}
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/multivec"
+	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/rng"
 	"repro/internal/solver"
@@ -76,9 +77,9 @@ func TestApplyBlockMatchesUnfusedRecurrence(t *testing.T) {
 // the preconditioned roots, whose basis, scalars and small
 // eigenproblems the workspace also keeps and whose lane sweeps reuse
 // multivec's spare records: the inverse root, on one vector and on a
-// block, is what every default step runs. On two threads a block of
-// more than elemGrain elements splits each pass over the pool, through
-// the row function the workspace binds once.
+// block, is what every default step runs. On two threads a block that
+// streams enough splits each pass over the pool, through the row
+// function the workspace binds once.
 func TestChebyshevApplyDoesNotAllocate(t *testing.T) {
 	a, lo, hi := randSPDMatrix(43, 60)
 	z, y := multivec.New(a.N(), 16), multivec.New(a.N(), 16)
@@ -111,9 +112,9 @@ func TestChebyshevApplyDoesNotAllocate(t *testing.T) {
 		}
 	}
 
-	// The stepper's width on a matrix of 1200 rows: 19200 elements, two
-	// chunks of at least elemGrain on two threads.
-	big, lo, hi := randSPDMatrix(47, 400)
+	// The stepper's width on a matrix of 3600 rows: 57 600 elements,
+	// whose 2.8 MB a pass streams split in two on two threads.
+	big, lo, hi := randSPDMatrix(47, 1200)
 	sb, err := NewSqrt(big, lo, hi, DefaultOrder, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -122,11 +123,13 @@ func TestChebyshevApplyDoesNotAllocate(t *testing.T) {
 	rng.New(48).FillNormal(zb.Data)
 	defer parallel.SetThreads(parallel.Threads())
 	parallel.SetThreads(2)
-	if !parallel.Default().Parallel(len(yb.Data), elemGrain) {
+	f := func() { sb.ApplyBlock(ws, yb, zb) }
+	jobs := obs.Default.Counter("parallel_jobs_total")
+	before := jobs.Value()
+	f()
+	if jobs.Value() == before {
 		t.Fatalf("%d elements do not split on two threads", len(yb.Data))
 	}
-	f := func() { sb.ApplyBlock(ws, yb, zb) }
-	f()
 	if n := testing.AllocsPerRun(10, f); n != 0 {
 		t.Errorf("ApplyBlock split over two threads allocates %v times per call, want 0", n)
 	}

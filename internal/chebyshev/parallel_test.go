@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/hydro"
 	"repro/internal/multivec"
+	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/particles"
 	"repro/internal/rng"
@@ -18,16 +19,17 @@ import (
 // in fixed row chunks added in chunk order whichever thread runs a
 // chunk, an elementwise update — so every Brownian-force block, and the
 // inverse root's, must be bitwise-identical whatever the pool size. At
-// NB = 1500 the roots' passes run inline around the threaded multiply;
-// at NB = 6000 and m = 4 (n*m = 72 000) their reductions sum four row
-// chunks over the pool and their update splits its rows. The matrices
+// NB = 3000 the roots' passes run inline around the split multiply; at
+// NB = 6000 and m = 4 their reductions sum four row chunks inline and
+// their update splits its rows over the pool. Every pooled run must
+// have split something. The matrices
 // are SD resistance matrices at phi = 0.4, on which IC(0) leaves the
 // roots at a tolerance of 1e-8 ten or more steps to run, so the
 // pool-split recurrence is compared over that many updates.
 func TestApplyBlockExactAcrossThreadCounts(t *testing.T) {
 	defer parallel.SetThreads(parallel.Threads())
 	const m, tol, minSteps = 4, 1e-8, 10
-	for _, nb := range []int{1500, 6000} {
+	for _, nb := range []int{3000, 6000} {
 		sys, err := particles.New(particles.Options{N: nb, Phi: 0.4, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
@@ -77,7 +79,12 @@ func TestApplyBlockExactAcrossThreadCounts(t *testing.T) {
 			want := run()
 			for _, threads := range []int{2, 4} {
 				parallel.SetThreads(threads)
+				jobs := obs.Default.Counter("parallel_jobs_total")
+				before := jobs.Value()
 				got := run()
+				if jobs.Value() == before {
+					t.Fatalf("%s, threads=%d: nothing split over the pool", name, threads)
+				}
 				for i := range want {
 					if got[i] != want[i] {
 						t.Fatalf("%s, threads=%d: y[%d] = %x, serial %x", name, threads, i, got[i], want[i])

@@ -274,6 +274,9 @@ type Runner struct {
 	// velocity — reused from step to step. None outlives its step:
 	// OnStep must not retain its slice.
 	buf struct{ noise, fb, rhs, guess, u, uHalf []float64 }
+	// noiseRNG is the stream z_k is drawn from, reset to step k's
+	// substream for each draw.
+	noiseRNG rng.Stream
 	// one holds the headers a single-vector Brownian force evaluation
 	// wraps buf.fb and its noise in.
 	one struct{ y, z multivec.MultiVec }
@@ -550,7 +553,8 @@ func (r *Runner) vec(b *[]float64) []float64 {
 // noise returns z_k for global step k in the runner's noise buffer.
 func (r *Runner) noise(k int) []float64 {
 	z := r.vec(&r.buf.noise)
-	rng.Substream(r.cfg.Seed, uint64(k)).FillNormal(z)
+	r.noiseRNG.Reset(r.cfg.Seed, uint64(k))
+	r.noiseRNG.FillNormal(z)
 	return z
 }
 
@@ -571,14 +575,7 @@ func (r *Runner) brownian(a *bcrs.Matrix, op DistOp, y, z *multivec.MultiVec) (c
 	if f, ok := r.pre.(chebyshev.Factor); ok {
 		return chebyshev.PrecondSqrt(&r.sqrt, op, f, y, z, r.cfg.ChebOrder, r.cfg.ChebTol)
 	}
-	s, err := chebyshev.NewSqrtAuto(op, a, r.cur.SpectrumFloor(), r.cfg.ChebOrder, r.cfg.ChebTol)
-	if err != nil {
-		return chebyshev.Stats{}, err
-	}
-	if err := s.ApplyBlock(&r.sqrt, y, z); err != nil {
-		return chebyshev.Stats{}, err
-	}
-	return chebyshev.Stats{Iterations: s.Order()}, nil
+	return chebyshev.SeriesSqrt(&r.sqrt, op, a, r.cur.SpectrumFloor(), r.cfg.ChebOrder, r.cfg.ChebTol, y, z)
 }
 
 // brownianOne is brownian on one vector: fb = S*z.

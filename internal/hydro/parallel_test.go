@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/bcrs"
+	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/particles"
 )
@@ -12,9 +13,10 @@ import (
 // and writes block rows in parallel, each into its own slots and in a
 // fixed summation order, so the assembled matrix — probed here through
 // a matrix-vector product — must be bitwise-identical for any pool
-// size, from a fresh assembler and from one that reuses its list.
+// size, from a fresh assembler and from one that reuses its list. At
+// N = 800 the candidate pass streams enough to split, and must.
 func TestBuildExactAcrossThreadCounts(t *testing.T) {
-	sys, err := particles.New(particles.Options{N: 400, Phi: 0.45, Seed: 9})
+	sys, err := particles.New(particles.Options{N: 800, Phi: 0.45, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +46,12 @@ func TestBuildExactAcrossThreadCounts(t *testing.T) {
 		wantY, wantNNZB := probe(build())
 		for _, threads := range []int{2, 4} {
 			parallel.SetThreads(threads)
+			jobs := obs.Default.Counter("parallel_jobs_total")
+			before := jobs.Value()
 			gotY, gotNNZB := probe(build())
+			if jobs.Value() == before {
+				t.Fatalf("%s threads=%d: assembly split nothing over the pool", name, threads)
+			}
 			parallel.SetThreads(1)
 			if gotNNZB != wantNNZB {
 				t.Fatalf("%s threads=%d: nnzb %d, serial %d", name, threads, gotNNZB, wantNNZB)

@@ -264,11 +264,6 @@ func newAssembler(sys *particles.System, opt Options, far []float64) *Assembler 
 // interval for the Chebyshev square root.
 func (as *Assembler) MinFarField() float64 { return slices.Min(as.far) }
 
-// pairGrain is the minimum candidates per parallel chunk: a kept pair
-// costs a logarithm and a few dozen flops, so chunks this size
-// comfortably amortize a dispatch.
-const pairGrain = 256
-
 // Build assembles the matrix at pos, reusing the neighbor candidates
 // when pos has drifted less than the list's skin since they were found.
 func (as *Assembler) Build(pos []blas.Vec3) *bcrs.Matrix {
@@ -356,7 +351,9 @@ func assemble(as *Assembler, pos []blas.Vec3) *bcrs.Matrix {
 	n := len(as.cand)
 	as.kept, as.tens = sized(as.kept, n+1), sized(as.tens, n+1)
 	as.kept[n], as.tens[n] = 1, negZero
-	parallel.Default().ForOp("hydro_pair_tensors", n, pairGrain, as.tensorsFn)
+	// A candidate costs about 8 ns (a square root, five divisions and a
+	// logarithm per four): 720 bytes at the pool's 90 bytes a ns.
+	parallel.Default().ForOp("hydro_pair_tensors", n, 720*n, as.tensorsFn)
 
 	if as.lent != nil { // not handed back: its arrays stay its own
 		as.rowPtr, as.colIdx, as.vals = nil, nil, nil

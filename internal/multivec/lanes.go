@@ -26,11 +26,12 @@ import (
 // package comment: the n rows split into reduceChunks(n) equal chunks,
 // each summed in row order, and the chunk sums added in chunk order.
 // The chunks are a function of n alone, so they run over the pool
-// (DoOp) once a sweep is worth waking a worker for and inline below
-// that, with the same bits. ColDirection, ColThreeTerm, AddMul,
+// (DoOp) or inline with the same bits; the sweep's bytes decide which,
+// by the pool's one split rule. ColDirection, ColThreeTerm, AddMul,
 // SetMulAdd, Scale, PackColumns and UnpackLanes have no reduction: they
-// split their rows over the pool (sweep.split), and every element is
-// the same expression whichever thread computes it. Splitting the lanes
+// cut their rows into the parts that rule gives their bytes
+// (sweep.split), and every element is the same expression whichever
+// thread computes it. Splitting the lanes
 // instead — each thread a run of whole cache lines of every row —
 // keeps the bits but measured slower than one thread at w = 16 and 32
 // (DESIGN §12), so no sweep does.
@@ -69,7 +70,7 @@ func ColDots(dst []float64, x, y *MultiVec) {
 	}
 	s := getSweep(n)
 	s.v[0], s.v[1], s.out[0] = x, y, dst
-	s.reduce("multivec_coldots", 1, s.dotsFn)
+	s.reduce("multivec_coldots", 1, 2*laneBytes(x), s.dotsFn)
 }
 
 // ColResidual computes R = B - AX over the len(bb) leading columns
@@ -86,7 +87,7 @@ func ColResidual(r, b, ax *MultiVec, bb, rr []float64) {
 	}
 	s := getSweep(n)
 	s.v[0], s.v[1], s.v[2], s.out[0], s.out[1] = r, b, ax, bb, rr
-	s.reduce("multivec_colresidual", 2, s.residualFn)
+	s.reduce("multivec_colresidual", 2, 3*laneBytes(r), s.residualFn)
 }
 
 // ColUpdate is the CG iterate/residual update of the len(alpha)
@@ -103,26 +104,20 @@ func ColUpdate(x, r, p, ap *MultiVec, alpha, rr []float64) {
 	}
 	s := getSweep(n)
 	s.v[0], s.v[1], s.v[2], s.v[3], s.s[0], s.out[0] = x, r, p, ap, alpha, rr
-	s.reduce("multivec_colupdate", 1, s.updateFn)
+	s.reduce("multivec_colupdate", 1, 6*laneBytes(x), s.updateFn)
 }
 
 // ColDirection is the CG direction update P = Z + P*diag(beta) of the
-// len(beta) leading columns. z may be the residual block itself. At
-// w > 1 the rows split over the pool, in For's blocked ranges of at
-// least dirGrain elements.
+// len(beta) leading columns. z may be the residual block itself.
 func ColDirection(p, z *MultiVec, beta []float64) {
 	q := len(beta)
-	n, w := laneShape(q, p, z)
+	n, _ := laneShape(q, p, z)
 	if q == 0 {
-		return
-	}
-	if !splits(n, w) {
-		colDirectionRows(p, z, beta, 0, n)
 		return
 	}
 	s := getSweep(n)
 	s.v[0], s.v[1], s.s[0] = p, z, beta
-	s.split("multivec_coldirection", dirRows(w), s.directionFn)
+	s.split("multivec_coldirection", 3*laneBytes(p), s.directionFn)
 }
 
 // ColThreeTerm is the Lanczos three-term update of the len(alpha)
@@ -134,37 +129,19 @@ func ColThreeTerm(u, q, prev *MultiVec, alpha, g, h []float64) {
 	if len(g) != nq || len(h) != nq {
 		panic("multivec: ColThreeTerm scalar length mismatch")
 	}
-	n, w := laneShape(nq, u, q, prev)
+	n, _ := laneShape(nq, u, q, prev)
 	if nq == 0 {
-		return
-	}
-	if !splits(n, w) {
-		colThreeTermRows(u, q, prev, alpha, g, h, 0, n)
 		return
 	}
 	s := getSweep(n)
 	s.v[0], s.v[1], s.v[2], s.s = u, q, prev, [3][]float64{alpha, g, h}
-	s.split("multivec_colthreeterm", dirRows(w), s.threeTermFn)
+	s.split("multivec_colthreeterm", 4*laneBytes(u), s.threeTermFn)
 }
 
-// dirGrain is the fewest elements an elementwise sweep's chunk holds:
-// four times elemGrain, because the AVX2 pass streams an element in
-// about a third of a nanosecond, so a smaller chunk costs less than
-// waking a worker for it (n = 3000, w = 8 read 9 µs on one thread and
-// 22 µs split in two, DESIGN §9). A reduction's chunks go to the pool
-// once the sweep holds twice that.
-const dirGrain = 4 * elemGrain
-
-// dirRows is the fewest rows of an n-by-w block an elementwise lane
-// sweep's chunk holds: dirGrain elements.
-func dirRows(w int) int { return max(dirGrain/w, 1) }
-
-// splits reports whether an elementwise sweep over n-by-w blocks runs
-// its rows over the pool: never at w = 1, and otherwise once For would
-// cut them into chunks of at least dirGrain elements.
-func splits(n, w int) bool {
-	return w > 1 && parallel.Default().Parallel(n, dirRows(w))
-}
+// laneBytes is what one pass over block b streams: its whole rows,
+// whichever lanes are live, since a row's lanes share cache lines. A
+// sweep states it once per block it reads or writes.
+func laneBytes(b *MultiVec) int { return 8 * len(b.Data) }
 
 // sweep is one call of a pooled op — a lane sweep, a Gram product, a
 // block update, a scale, a pack or an unpack: its operands, a
@@ -206,8 +183,9 @@ func getSweep(n int) *sweep {
 
 // reduce sums nout lanes' worth of q columns with chunk: chunk c of k
 // accumulates its rows into out (c = 0) or its own runs of part, and
-// the chunk sums are then added to out in chunk order.
-func (s *sweep) reduce(op string, nout int, chunk func(c int)) {
+// the chunk sums are then added to out in chunk order. The op's bytes
+// decide only whether the k chunks run on the pool or inline.
+func (s *sweep) reduce(op string, nout, bytes int, chunk func(c int)) {
 	q := len(s.out[0])
 	s.nout = nout
 	if need := (s.k - 1) * nout * q; cap(s.part) < need {
@@ -219,13 +197,7 @@ func (s *sweep) reduce(op string, nout int, chunk func(c int)) {
 	for i := range nout {
 		clear(s.out[i])
 	}
-	if s.k > 1 && s.n*q >= 2*dirGrain {
-		parallel.Default().DoOp(op, s.k, chunk)
-	} else {
-		for c := range s.k {
-			chunk(c)
-		}
-	}
+	parallel.Default().DoOp(op, s.k, bytes, chunk)
 	// Run r of part holds chunk r/nout+1's sums of out[r%nout], so
 	// taking the runs in order adds the chunk sums in chunk order.
 	for r := 0; r*q < len(s.part); r++ {
@@ -237,10 +209,10 @@ func (s *sweep) reduce(op string, nout int, chunk func(c int)) {
 	s.release()
 }
 
-// split runs rows on the pool over For's blocked ranges of the n rows,
-// at least grain rows each.
-func (s *sweep) split(op string, grain int, rows func(lo, hi int)) {
-	parallel.Default().ForOp(op, s.n, grain, rows)
+// split runs rows over the n rows, cut into the pool's Parts of the
+// op's bytes.
+func (s *sweep) split(op string, bytes int, rows func(lo, hi int)) {
+	parallel.Default().ForOp(op, s.n, bytes, rows)
 	s.release()
 }
 
@@ -315,18 +287,13 @@ func UnpackLanes(cols [][]float64, src *MultiVec, lanes []int) {
 			panic("multivec: UnpackLanes column mismatch")
 		}
 	}
-	grain := rowGrain(src.M)
-	switch {
-	case src.M == 1 && len(cols) == 1:
+	if src.M == 1 && len(cols) == 1 {
 		copy(cols[0], src.Data)
-		return
-	case !parallel.Default().Parallel(src.N, grain):
-		unpackRows(cols, src, lanes, 0, src.N)
 		return
 	}
 	s := getSweep(src.N)
 	s.v[0], s.cols, s.lanes = src, cols, lanes
-	s.split("multivec_unpack", grain, s.unpackFn)
+	s.split("multivec_unpack", 8*src.N*(src.M+len(cols)), s.unpackFn)
 }
 
 // colDotsRows adds rows [lo, hi) of the lane inner products into d.

@@ -359,7 +359,10 @@ func TestUnpackLanes(t *testing.T) {
 // (AddMul, SetMulAdd) are elementwise, so a parallel pool must not
 // change one bit — at w = 4 and at the served width 32, at 9000 rows
 // (two chunks) and 18000 (four, the served system), with the AVX2
-// kernels and the Go loops, which must agree with each other too. The
+// kernels and the Go loops, which must agree with each other too. At
+// w = 32 every sweep streams enough to split over a pool of two or
+// more, and the test checks that some op did; at w = 4 the blocks are
+// too small to split, and the pooled runs check the inline path. The
 // Gram product must be the per-chunk sum refDot spells out, entry by
 // entry.
 func TestColumnSweepsIgnoreThreadCount(t *testing.T) {
@@ -399,7 +402,11 @@ func TestColumnSweepsIgnoreThreadCount(t *testing.T) {
 			for _, threads := range []int{1, 2, 4} {
 				for _, on := range []bool{true, false} {
 					withThreads(t, threads, func() {
-						got := run()
+						var got []float64
+						split := dispatches(func() { got = run() })
+						if threads > 1 && w == 32 && !split {
+							t.Fatalf("n=%d w=%d threads=%d: no sweep split over the pool", n, w, threads)
+						}
 						if !on {
 							withoutSIMD(func() { got = run() })
 						}

@@ -47,29 +47,13 @@ import (
 	"fmt"
 
 	"repro/internal/blas"
-	"repro/internal/parallel"
 )
-
-// elemGrain is the minimum number of scalar elements a parallel chunk
-// must hold: below this the dispatch overhead exceeds the streaming
-// work. Row-blocked ops convert it with rowGrain.
-const elemGrain = 8192
 
 // simdShape reports whether a row-range kernel whose small operand is
 // rows-by-cols runs in multivec_amd64.s: it needs AVX2 and a square
 // operand with 4 columns per ymm group.
 func simdShape(rows, cols int) bool {
 	return simd && rows == cols && cols%4 == 0
-}
-
-// rowGrain returns the minimum rows per chunk for an op touching m
-// scalars per row.
-func rowGrain(m int) int {
-	g := elemGrain / m
-	if g < 1 {
-		g = 1
-	}
-	return g
 }
 
 // MultiVec is an n-by-m block of column vectors stored row-major:
@@ -188,7 +172,7 @@ func PackColumns(dst *MultiVec, cols [][]float64) {
 	}
 	s := getSweep(dst.N)
 	s.v[0], s.cols = dst, cols
-	s.split("multivec_pack", rowGrain(dst.M), s.packFn)
+	s.split("multivec_pack", 8*dst.N*(dst.M+len(cols)), s.packFn)
 }
 
 // packRows is PackColumns on rows [lo, hi).
@@ -241,7 +225,7 @@ func (v *MultiVec) Zero() {
 func (v *MultiVec) Scale(c float64) {
 	s := getSweep(v.N)
 	s.v[0], s.fac = v, c
-	s.split("multivec_scale", rowGrain(v.M), s.scaleFn)
+	s.split("multivec_scale", 16*len(v.Data), s.scaleFn)
 }
 
 // AddMul computes v += x * a, where a is a small x.M-by-v.M dense
@@ -254,15 +238,17 @@ func (v *MultiVec) AddMul(x *MultiVec, a *blas.Dense) {
 	}
 	addMulCalls.Inc()
 	addMulFlops.Add(2 * int64(v.N) * int64(x.M) * int64(v.M))
-	grain := rowGrain(v.M)
-	if !parallel.Default().Parallel(v.N, grain) {
-		addMulRange(v, x, a.Data, 0, v.N)
-		return
-	}
 	s := getSweep(v.N)
 	s.v[0], s.v[1], s.s[0] = v, x, a.Data
-	s.split("multivec_addmul", grain, s.addMulFn)
+	s.split("multivec_addmul", updateBytes(v.N, x.M, v.M), s.addMulFn)
 }
+
+// updateBytes is what an n-row block update by a k-by-m matrix states
+// to the pool: the rows it streams, 8(k + 2m) bytes each, and the
+// byte-equivalent of its k·m multiply-adds a row at 4 bytes each — the
+// AVX2 pass takes 0.035–0.05 ns a multiply-add, so 3000 × 16 × 16 takes
+// 27–40 µs on one core where its rows alone would stream in 13.
+func updateBytes(n, k, m int) int { return 8*n*(k+2*m) + 4*n*k*m }
 
 // addMulRange applies the AddMul update by the x.M-by-v.M matrix a to
 // rows [lo, hi).
@@ -292,14 +278,9 @@ func (v *MultiVec) SetMulAdd(r, p *MultiVec, b *blas.Dense) {
 	}
 	setMulAddCalls.Inc()
 	setMulAddFlops.Add(2 * int64(v.N) * int64(p.M) * int64(v.M))
-	grain := rowGrain(v.M)
-	if !parallel.Default().Parallel(v.N, grain) {
-		setMulAddRange(v, r, p, b.Data, 0, v.N)
-		return
-	}
 	s := getSweep(v.N)
 	s.v[0], s.v[1], s.v[2], s.s[0] = v, r, p, b.Data
-	s.split("multivec_setmuladd", grain, s.setMulAddFn)
+	s.split("multivec_setmuladd", updateBytes(v.N, p.M, v.M), s.setMulAddFn)
 }
 
 // setMulAddRange applies the SetMulAdd update by the p.M-by-v.M matrix
@@ -336,7 +317,7 @@ func GramInto(g *blas.Dense, x, y *MultiVec) {
 	gramFlops.Add(2 * int64(x.N) * int64(x.M) * int64(y.M))
 	s := getSweep(x.N)
 	s.v[0], s.v[1], s.out[0] = x, y, g.Data
-	s.reduce("multivec_gram", 1, s.gramFn)
+	s.reduce("multivec_gram", 1, 8*x.N*(x.M+y.M)+4*x.N*x.M*y.M, s.gramFn)
 }
 
 // gramRange accumulates rows [lo, hi) of the Gram product into g.

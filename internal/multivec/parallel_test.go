@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/blas"
+	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/rng"
 )
@@ -35,8 +36,18 @@ func withThreads(t *testing.T, threads int, fn func()) {
 	fn()
 }
 
+// dispatches reports whether fn split some op over the pool: whether
+// parallel_jobs_total moved. A thread-count test whose ops all ran
+// inline would compare the serial path with itself.
+func dispatches(fn func()) bool {
+	jobs := obs.Default.Counter("parallel_jobs_total")
+	before := jobs.Value()
+	fn()
+	return jobs.Value() != before
+}
+
 func TestDisjointOpsExactAcrossThreadCounts(t *testing.T) {
-	const n, seed = 5000, 7
+	const n, seed = 40000, 7 // 2.6 MB a block at m = 5: every op splits
 	// m=5 exercises the Go loops, m=8 the AVX2 kernels.
 	for _, m := range []int{5, 8} {
 		x := fillMV(n, m, seed)
@@ -61,7 +72,11 @@ func TestDisjointOpsExactAcrossThreadCounts(t *testing.T) {
 		withThreads(t, 1, func() { want = run() })
 		for _, threads := range []int{2, 3, 4} {
 			var got result
-			withThreads(t, threads, func() { got = run() })
+			withThreads(t, threads, func() {
+				if !dispatches(func() { got = run() }) {
+					t.Fatalf("m=%d threads=%d: no op split over the pool", m, threads)
+				}
+			})
 			for _, c := range []struct {
 				op         string
 				want, data []float64
@@ -90,11 +105,11 @@ func TestGramParallelDeterministicAndAccurate(t *testing.T) {
 		withThreads(t, 1, func() { serial = gram(x, y) })
 
 		withThreads(t, 4, func() {
-			if !parallel.Default().Parallel(n, 1) {
-				t.Fatal("pool unexpectedly serial")
-			}
 			for rep := 0; rep < 10; rep++ {
-				g := gram(x, y)
+				var g *blas.Dense
+				if !dispatches(func() { g = gram(x, y) }) {
+					t.Fatalf("m=%d: the Gram product ran its chunks inline", m)
+				}
 				if i := sameBits(g.Data, serial.Data); i >= 0 {
 					t.Fatalf("m=%d rep %d: Gram element %d = %v, serial %v", m, rep, i, g.Data[i], serial.Data[i])
 				}

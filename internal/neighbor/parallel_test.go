@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/blas"
+	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/rng"
 )
@@ -22,7 +23,7 @@ func randomPositions(n int, box float64, seed uint64) []blas.Vec3 {
 }
 
 func TestForEachPairExactAcrossThreadCounts(t *testing.T) {
-	const n, box, cutoff = 3000, 20.0, 1.5
+	const n, box, cutoff = 5000, 20.0, 1.5 // the wrap and bin passes split
 	pos := randomPositions(n, box, 21)
 
 	collect := func() []Pair {
@@ -38,7 +39,12 @@ func TestForEachPairExactAcrossThreadCounts(t *testing.T) {
 	}
 	for _, threads := range []int{2, 4} {
 		parallel.SetThreads(threads)
+		jobs := obs.Default.Counter("parallel_jobs_total")
+		before := jobs.Value()
 		got := collect()
+		if jobs.Value() == before {
+			t.Fatalf("threads=%d: no pass split over the pool", threads)
+		}
 		parallel.SetThreads(1)
 		if len(got) != len(want) {
 			t.Fatalf("threads=%d: %d pairs, serial %d", threads, len(got), len(want))
@@ -52,7 +58,7 @@ func TestForEachPairExactAcrossThreadCounts(t *testing.T) {
 }
 
 func TestListPairsExactAcrossThreadCounts(t *testing.T) {
-	const n, box, cutoff = 3000, 20.0, 1.5
+	const n, box, cutoff = 5000, 20.0, 1.5 // the wrap and bin passes split
 	pos := randomPositions(n, box, 22)
 
 	collect := func() []Pair {
@@ -73,7 +79,12 @@ func TestListPairsExactAcrossThreadCounts(t *testing.T) {
 	}
 	for _, threads := range []int{2, 4} {
 		parallel.SetThreads(threads)
+		jobs := obs.Default.Counter("parallel_jobs_total")
+		before := jobs.Value()
 		got := collect()
+		if jobs.Value() == before {
+			t.Fatalf("threads=%d: no pass split over the pool", threads)
+		}
 		parallel.SetThreads(1)
 		if len(got) != len(want) {
 			t.Fatalf("threads=%d: %d pairs, serial %d", threads, len(got), len(want))

@@ -7,17 +7,27 @@ import (
 	"time"
 )
 
-// overPartition is how many chunks each thread gets: load-balance slack
-// for skewed work, and the slack that lets the dispatching goroutine
-// start on a region while a worker joins, so a worker that joins late
-// takes only what is left. Chunk boundaries stay a pure function of
-// (n, grain, threads).
+// overPartition is how many parts each thread gets at most: load-balance
+// slack for skewed work, and the slack that lets the dispatching
+// goroutine start on a part while a worker joins, so a worker that joins
+// late takes only what is left.
 const overPartition = 4
+
+// floor is the fewest bytes a part streams: an op splits into k parts
+// only when each carries at least this much (Parts). A split into two
+// saves half the op's stream time and costs about 8 µs on the reference
+// host (5–18 measured) — little of it the dispatch, 0.2 µs to a polling
+// worker, most of it the second core fetching operands another core's
+// cache holds — while one core streams 80–100 GB/s from its caches; the
+// two break even near 0.7 MB a part, and the floor sits above that
+// (DESIGN §9, "Threads"). A compute-bound pass states the bytes its time
+// would stream at 90 bytes a nanosecond.
+const floor = 1 << 20
 
 // Pool is a fixed-size team of persistent workers. The zero value is
 // not usable; create pools with NewPool. Pools are immutable: the
-// thread count is fixed at construction, which is what keeps chunk
-// plans deterministic.
+// thread count is fixed at construction, which is what keeps part
+// counts deterministic.
 type Pool struct {
 	threads int
 	workers int // threads-1 persistent goroutines
@@ -165,9 +175,11 @@ func (j *job) runChunk(c int) {
 }
 
 // dispatch fans k chunks out over the pool and the calling goroutine,
-// returning when all k have completed. k must be >= 2. Exactly one of
-// do and span is set; span splits [0, n).
-func (p *Pool) dispatch(k int, do func(chunk int), span func(lo, hi int), n int) {
+// returning when all k have completed, and adds its wall time to
+// parallel_op_seconds_total{op="..."} when op is set: a per-op view of
+// where the pool's time goes. k must be >= 2. Exactly one of do and
+// span is set; span splits [0, n).
+func (p *Pool) dispatch(op string, k int, do func(chunk int), span func(lo, hi int), n int) {
 	j := p.newJob()
 	j.do, j.span, j.n, j.k = do, span, n, int32(k)
 	j.sent = time.Now()
@@ -192,6 +204,9 @@ wake:
 
 	j.help()
 	j.wg.Wait()
+	if op != "" {
+		opSeconds(op).Add(time.Since(j.sent).Seconds())
+	}
 	obsJobs.Inc()
 	obsChunks.Add(int64(k))
 	panicked, val := j.panicked.Load(), j.panicVal
@@ -225,24 +240,17 @@ func (p *Pool) release(j *job) {
 	}
 }
 
-// chunkCount returns the number of chunks a blocked region of n
-// elements with the given minimum grain splits into — a pure function
-// of (n, grain, threads), which is the determinism contract.
-func (p *Pool) chunkCount(n, grain int) int {
-	if p.threads <= 1 || n <= 0 {
+// Parts returns how many parts an op that streams bytes splits into on
+// p: min(threads × overPartition, bytes / floor), and at least 1, which
+// means it runs inline — as everything does on a serial pool, which has
+// no thread to balance. It is the pool's one split rule. A part count is
+// a function of (bytes, threads) alone, never of load or timing, so a
+// split op's ranges are as deterministic as its inputs.
+func (p *Pool) Parts(bytes int) int {
+	if p.workers == 0 {
 		return 1
 	}
-	if grain < 1 {
-		grain = 1
-	}
-	k := n / grain // every chunk holds at least grain elements
-	if max := p.threads * overPartition; k > max {
-		k = max
-	}
-	if k < 1 {
-		k = 1
-	}
-	return k
+	return max(1, min(p.threads*overPartition, bytes/floor))
 }
 
 // ChunkBounds returns the half-open range of chunk c of k over [0, n):
@@ -252,74 +260,43 @@ func ChunkBounds(n, k, c int) (lo, hi int) {
 	return n * c / k, n * (c + 1) / k
 }
 
-// Parallel reports whether a ForOp over n elements with the given
-// grain would actually split: callers use it to keep a
-// zero-allocation serial fast path.
-func (p *Pool) Parallel(n, grain int) bool {
-	return p.chunkCount(n, grain) > 1
-}
-
-// Chunks returns how many pieces a pre-partitioned region that wants
-// every thread — a matrix's block rows — should be cut into for DoOp:
-// overPartition per thread, or 1 on a serial pool.
-func (p *Pool) Chunks() int {
-	if p.threads <= 1 {
-		return 1
-	}
-	return p.threads * overPartition
-}
-
-// ForOp runs fn over the fixed blocked partition of [0, n); each chunk
-// holds at least grain elements (grain < 1 means 1). fn must be safe
-// to call concurrently on disjoint ranges. When the region does not
-// split (serial pool, or n <= grain), fn(0, n) runs inline — the
-// exact serial path. The wall time of parallel dispatches is
-// accumulated into parallel_op_seconds_total{op="..."}, giving a
-// per-op view of where the pool's time goes.
-func (p *Pool) ForOp(op string, n, grain int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	k := p.chunkCount(n, grain)
-	if k <= 1 {
+// ForOp runs fn over [0, n) cut into min(n, Parts(bytes)) blocked
+// ranges, bytes being what the whole op streams. fn must be safe to call
+// concurrently on disjoint ranges. When the op does not split, fn(0, n)
+// runs inline — the exact serial path. op labels a split's wall time.
+func (p *Pool) ForOp(op string, n, bytes int, fn func(lo, hi int)) {
+	if k := min(n, p.Parts(bytes)); k > 1 {
+		p.dispatch(op, k, nil, fn, n)
+	} else if n > 0 {
 		obsSerial.Inc()
 		fn(0, n)
-		return
-	}
-	t0 := time.Now()
-	p.dispatch(k, nil, fn, n)
-	if op != "" {
-		opSeconds(op).Add(time.Since(t0).Seconds())
 	}
 }
 
-// DoOp runs fn(i) for every i in [0, k), distributing the k tasks
-// over the pool. It is the dispatch surface for pre-partitioned work
-// such as the nnz-balanced block-row ranges of a BCRS matrix. Tasks
-// must write disjoint outputs. Like ForOp, a split DoOp allocates
-// nothing of its own; op labels its time as ForOp's does.
-func (p *Pool) DoOp(op string, k int, fn func(i int)) {
-	if k <= 0 {
+// DoOp runs fn(i) for every i in [0, k): pre-partitioned work, such as
+// the nnz-balanced block-row ranges of a BCRS matrix or a reduction's
+// row chunks. The k tasks go over the pool when the op's bytes would
+// split it (Parts(bytes) > 1) and run inline in order otherwise; which
+// one never changes what the tasks compute. Tasks must write disjoint
+// outputs. Like ForOp, a split DoOp allocates nothing of its own; op
+// labels its time as ForOp's does.
+func (p *Pool) DoOp(op string, k, bytes int, fn func(i int)) {
+	if k > 1 && p.Parts(bytes) > 1 {
+		p.dispatch(op, k, fn, nil, 0)
 		return
 	}
-	if k == 1 || p.threads <= 1 {
+	if k > 0 {
 		obsSerial.Inc()
-		for i := 0; i < k; i++ {
-			fn(i)
-		}
-		return
 	}
-	t0 := time.Now()
-	p.dispatch(k, fn, nil, 0)
-	if op != "" {
-		opSeconds(op).Add(time.Since(t0).Seconds())
+	for i := range k {
+		fn(i)
 	}
 }
 
 // defaultPool holds the process-wide pool the instrumented packages
-// dispatch through. It starts with one thread per GOMAXPROCS, so a
-// multiply uses every core the runtime was given unless SetThreads
-// says otherwise.
+// dispatch through. It starts with one thread per GOMAXPROCS, so an op
+// that pays for a split uses every core the runtime was given unless
+// SetThreads says otherwise.
 var defaultPool atomic.Pointer[Pool]
 
 func init() {
@@ -330,14 +307,14 @@ func init() {
 
 // Default returns the current process-wide pool. Callers that issue
 // several related dispatches should capture the pool once so an
-// intervening SetThreads cannot change the chunk plan mid-operation.
+// intervening SetThreads cannot change the part count mid-operation.
 func Default() *Pool {
 	return defaultPool.Load()
 }
 
 // SetThreads resizes the process-wide pool. This is the single
 // threads knob of the runtime: sd.NewConf and the command-line flags
-// funnel here, and every matrix splits its multiplies over the pool.
+// funnel here, and every op that pays for a split splits over the pool.
 // Setting the current count is a no-op; otherwise the old pool is
 // closed (in-flight work completes) and a fresh pool takes its place.
 func SetThreads(t int) {

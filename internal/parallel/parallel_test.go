@@ -7,19 +7,24 @@ import (
 	"testing"
 )
 
+// huge is an op's bytes that split it on any pool: threads × 4 parts.
+const huge = 1 << 40
+
 func TestForCoversEveryIndexOnce(t *testing.T) {
 	for _, threads := range []int{1, 2, 3, 8} {
 		p := NewPool(threads)
 		for _, n := range []int{0, 1, 5, 100, 4097} {
-			hits := make([]int32, n)
-			p.ForOp("", n, 16, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					atomic.AddInt32(&hits[i], 1)
-				}
-			})
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("threads=%d n=%d: index %d visited %d times", threads, n, i, h)
+			for _, bytes := range []int{0, 3 * floor, huge} {
+				hits := make([]int32, n)
+				p.ForOp("", n, bytes, func(lo, hi int) {
+					for i := lo; i < hi; i++ {
+						atomic.AddInt32(&hits[i], 1)
+					}
+				})
+				for i, h := range hits {
+					if h != 1 {
+						t.Fatalf("threads=%d n=%d bytes=%d: index %d visited %d times", threads, n, bytes, i, h)
+					}
 				}
 			}
 		}
@@ -27,25 +32,37 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 	}
 }
 
-func TestForGrainKeepsChunksLargeEnough(t *testing.T) {
+// TestForPartsFollowBytes: an op splits into one part per floor of the
+// bytes it streams, at most four per thread and at most one per
+// element; below two floors it runs inline, whatever the pool size.
+func TestForPartsFollowBytes(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
-	var mu sync.Mutex
-	var sizes []int
-	p.ForOp("", 1000, 300, func(lo, hi int) {
-		mu.Lock()
-		sizes = append(sizes, hi-lo)
-		mu.Unlock()
-	})
-	if len(sizes) > 3 { // ceil(1000/300) = 4 would under-fill; cap is 3
-		t.Fatalf("got %d chunks for n=1000 grain=300, want <= 3", len(sizes))
+	for _, c := range []struct{ n, bytes, parts int }{
+		{1000, 0, 1},
+		{1000, 2*floor - 1, 1},
+		{1000, 2 * floor, 2},
+		{1000, 3*floor + floor/2, 3},
+		{1000, huge, 16},
+		{5, huge, 5},
+	} {
+		var mu sync.Mutex
+		var sizes []int
+		p.ForOp("", c.n, c.bytes, func(lo, hi int) {
+			mu.Lock()
+			sizes = append(sizes, hi-lo)
+			mu.Unlock()
+		})
+		total := 0
+		for _, s := range sizes {
+			total += s
+		}
+		if len(sizes) != c.parts || total != c.n {
+			t.Errorf("n=%d bytes=%d: %d chunks covering %d elements, want %d covering %d", c.n, c.bytes, len(sizes), total, c.parts, c.n)
+		}
 	}
-	total := 0
-	for _, s := range sizes {
-		total += s
-	}
-	if total != 1000 {
-		t.Fatalf("chunks cover %d elements, want 1000", total)
+	if got := NewPool(1).Parts(huge); got != 1 {
+		t.Errorf("a serial pool splits an op into %d parts", got)
 	}
 }
 
@@ -54,10 +71,13 @@ func TestDoRunsEveryTask(t *testing.T) {
 		p := NewPool(threads)
 		for _, k := range []int{0, 1, 3, 64} {
 			hits := make([]int32, k)
-			p.DoOp("", k, func(i int) { atomic.AddInt32(&hits[i], 1) })
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("threads=%d k=%d: task %d ran %d times", threads, k, i, h)
+			for _, bytes := range []int{0, huge} {
+				clear(hits)
+				p.DoOp("", k, bytes, func(i int) { atomic.AddInt32(&hits[i], 1) })
+				for i, h := range hits {
+					if h != 1 {
+						t.Fatalf("threads=%d k=%d bytes=%d: task %d ran %d times", threads, k, bytes, i, h)
+					}
 				}
 			}
 		}
@@ -73,7 +93,7 @@ func TestPanicPropagatesToCaller(t *testing.T) {
 			t.Fatalf("recovered %v, want \"boom\"", r)
 		}
 	}()
-	p.ForOp("", 1000, 1, func(lo, hi int) {
+	p.ForOp("", 1000, huge, func(lo, hi int) {
 		if lo == 0 {
 			panic("boom")
 		}
@@ -91,7 +111,7 @@ func TestConcurrentDispatchDoesNotDeadlock(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for it := 0; it < 50; it++ {
-				p.ForOp("", 257, 8, func(lo, hi int) {
+				p.ForOp("", 257, huge, func(lo, hi int) {
 					total.Add(int64(hi - lo))
 				})
 			}
@@ -121,7 +141,7 @@ func TestSetThreadsSwapsDefaultPool(t *testing.T) {
 	}
 	// The old pool still works after being closed (caller-side runs).
 	var n atomic.Int64
-	p.ForOp("", 100, 1, func(lo, hi int) { n.Add(int64(hi - lo)) })
+	p.ForOp("", 100, huge, func(lo, hi int) { n.Add(int64(hi - lo)) })
 	if n.Load() != 100 {
 		t.Fatalf("closed pool covered %d elements, want 100", n.Load())
 	}
@@ -132,12 +152,12 @@ func TestSerialPoolRunsInline(t *testing.T) {
 	// With one thread everything must run on the calling goroutine in
 	// ascending order — the exact serial path.
 	var order []int
-	p.ForOp("", 10, 1, func(lo, hi int) { order = append(order, lo) })
+	p.ForOp("", 10, huge, func(lo, hi int) { order = append(order, lo) })
 	if len(order) != 1 || order[0] != 0 {
 		t.Fatalf("serial For split the range: %v", order)
 	}
 	order = order[:0]
-	p.DoOp("", 4, func(i int) { order = append(order, i) })
+	p.DoOp("", 4, huge, func(i int) { order = append(order, i) })
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("serial Do out of order: %v", order)
@@ -168,8 +188,8 @@ func TestDispatchDoesNotAllocate(t *testing.T) {
 	span := func(lo, hi int) { sum.Add(int64(hi - lo)) }
 	task := func(i int) { sum.Add(int64(i)) }
 	for name, f := range map[string]func(){
-		"For": func() { p.ForOp("test", 1000, 1, span) },
-		"Do":  func() { p.DoOp("", 12, task) },
+		"For": func() { p.ForOp("test", 1000, huge, span) },
+		"Do":  func() { p.DoOp("", 12, huge, task) },
 	} {
 		f()
 		if n := testing.AllocsPerRun(50, f); n != 0 {
@@ -187,7 +207,7 @@ func TestJobsSurviveLateWorkers(t *testing.T) {
 	defer p.Close()
 	for it := 0; it < 2000; it++ {
 		hits := make([]int32, 16)
-		p.DoOp("", len(hits), func(i int) { atomic.AddInt32(&hits[i], 1) })
+		p.DoOp("", len(hits), huge, func(i int) { atomic.AddInt32(&hits[i], 1) })
 		for i, h := range hits {
 			if h != 1 {
 				t.Fatalf("dispatch %d: task %d ran %d times", it, i, h)

@@ -27,7 +27,7 @@ func splitmix64(state *uint64) uint64 {
 }
 
 // Stream is a deterministic random number stream. The zero value is
-// not useful; construct with New or Substream.
+// not useful; construct with New or Substream, or Reset one.
 type Stream struct {
 	state uint64
 	// Cached second Box-Muller deviate.
@@ -47,13 +47,21 @@ func New(seed uint64) *Stream {
 // master seed. Streams with different (seed, id) pairs are
 // decorrelated by the SplitMix64 mixing function.
 func Substream(seed, id uint64) *Stream {
-	s := seed
-	splitmix64(&s)
+	s := new(Stream)
+	s.Reset(seed, id)
+	return s
+}
+
+// Reset makes s the stream Substream(seed, id) returns, in place, so a
+// caller that draws from a fresh substream every step keeps one Stream.
+func (s *Stream) Reset(seed, id uint64) {
+	st := seed
+	splitmix64(&st)
 	// Fold the id through the mixer twice so that sequential ids do
 	// not produce sequential states.
-	s ^= 0x632be59bd9b4e019 * (id + 1)
-	splitmix64(&s)
-	return &Stream{state: s}
+	st ^= 0x632be59bd9b4e019 * (id + 1)
+	splitmix64(&st)
+	*s = Stream{state: st}
 }
 
 // Uint64 returns the next 64-bit value.

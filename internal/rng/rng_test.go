@@ -74,6 +74,23 @@ func TestSubstreamReproducible(t *testing.T) {
 	}
 }
 
+// TestResetIsSubstream: a Stream reset to (seed, id) draws what
+// Substream(seed, id) does, whatever it drew before — a cached second
+// Box-Muller deviate included, which an odd draw count leaves behind.
+func TestResetIsSubstream(t *testing.T) {
+	var s Stream
+	for id := uint64(0); id < 4; id++ {
+		s.Reset(99, id)
+		x := make([]float64, 7)
+		s.FillNormal(x)
+		for i, want := range normals(99, id, 7) {
+			if x[i] != want {
+				t.Fatalf("id %d: normal %d = %v after Reset, %v from Substream", id, i, x[i], want)
+			}
+		}
+	}
+}
+
 func TestFloat64Range(t *testing.T) {
 	s := New(3)
 	for i := 0; i < 10000; i++ {

@@ -114,7 +114,10 @@ func TestStepAllocsIgnoreCollector(t *testing.T) {
 const perCollection = 3
 
 // maxPerStep bounds the objects a warmed time step allocates. Measured:
-// 9.5 to 12.4 per step on one thread, 15.9 to 18.4 on two (the records a
-// parked worker waits on). A metric name formatted per step and phase
-// costs 11 more per step.
-const maxPerStep = 20
+// 8.2 to 8.9 per step on pools 1 and 2 alike, 9.2 at most under -race.
+// At N = 1000 only assembly's candidate pass splits over the pool, so a
+// second thread adds next to no records a parked worker waits on (15.9
+// to 18.4 when every multiply split); the noise stream and the paper's
+// series live on the runner (9.5 to 12.4 when each step made its own).
+// A metric name formatted per step and phase costs 11 more per step.
+const maxPerStep = 10

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cluster/faults"
 	"repro/internal/core"
 	"repro/internal/hydro"
+	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/particles"
 )
@@ -29,7 +30,9 @@ func newTestSystem(t *testing.T) *particles.System {
 // run's checksum from moving with -threads. Both algorithms run under
 // both windows, the default IC(0) one and the paper's unpreconditioned
 // one. At N = 3000 (9000 rows) the block solve's Gram products and the
-// lane reductions sum two row chunks and split them over the pool.
+// lane reductions sum two row chunks, and the multiply (2.2 MB) and
+// assembly's candidate pass split over the pool, which every pooled run
+// must show.
 func TestRunIgnoresThreadCount(t *testing.T) {
 	saved := parallel.Threads()
 	t.Cleanup(func() { parallel.SetThreads(saved) })
@@ -50,8 +53,8 @@ func TestRunIgnoresThreadCount(t *testing.T) {
 				if alg == "original" {
 					run = sim.RunOriginal
 				}
-				if err := run(8); err != nil {
-					t.Fatal(err)
+				if !dispatched(t, func() error { return run(8) }) && threads > 1 {
+					t.Errorf("%s window, %s, %d threads: nothing split over the pool", window, alg, threads)
 				}
 				got := sim.System().Checksum()
 				if threads == 1 {
@@ -81,10 +84,18 @@ func TestChaosRunWithThreadsMatchesCleanChecksum(t *testing.T) {
 	t.Cleanup(func() { parallel.SetThreads(saved) })
 	opt := hydro.Options{}
 	cfg := core.Config{Dt: 0.5, M: 3, Seed: seed, ChebOrder: 10}
+	// At N = 800 assembly's candidate pass streams enough to split.
+	newSystem := func() *particles.System {
+		sys, err := particles.New(particles.Options{N: 800, Phi: 0.3, Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
 
-	clean := NewDistributedOpts(newTestSystem(t), opt, cfg, DistOptions{P: p, Threads: threads})
-	if err := clean.RunMRHS(steps); err != nil {
-		t.Fatal(err)
+	clean := NewDistributedOpts(newSystem(), opt, cfg, DistOptions{P: p, Threads: threads})
+	if !dispatched(t, func() error { return clean.RunMRHS(steps) }) {
+		t.Fatal("the clean run split nothing over the pool")
 	}
 	want := clean.System().Checksum()
 
@@ -99,7 +110,7 @@ func TestChaosRunWithThreadsMatchesCleanChecksum(t *testing.T) {
 		MaxRetries:  5,
 		Snapshotter: FileSnapshotter(ckpt, opt, threads, seed),
 	}
-	chaos := NewDistributedOpts(newTestSystem(t), opt, ccfg, DistOptions{
+	chaos := NewDistributedOpts(newSystem(), opt, ccfg, DistOptions{
 		P:       p,
 		Threads: threads,
 		Faults:  inj,
@@ -117,6 +128,18 @@ func TestChaosRunWithThreadsMatchesCleanChecksum(t *testing.T) {
 	if got := chaos.System().Checksum(); got != want {
 		t.Fatalf("threads=%d chaos checksum %016x differs from clean run %016x", threads, got, want)
 	}
+}
+
+// dispatched runs fn, failing t on its error, and reports whether it
+// split some op over the pool: whether parallel_jobs_total moved.
+func dispatched(t *testing.T, fn func() error) bool {
+	t.Helper()
+	jobs := obs.Default.Counter("parallel_jobs_total")
+	before := jobs.Value()
+	if err := fn(); err != nil {
+		t.Fatal(err)
+	}
+	return jobs.Value() != before
 }
 
 // TestTwoChainsShareNoWorkspace steps two simulations over one particle

@@ -90,8 +90,8 @@ type Info struct {
 	WaitFactor float64 `json:"wait_factor"`
 	Tol        float64 `json:"tol"`
 	HasModel   bool    `json:"has_model"`
-	// Threads is the process pool's size, which every multiply splits
-	// its block rows over.
+	// Threads is the process pool's size, which a multiply that streams
+	// enough splits its block rows over.
 	Threads int `json:"threads"`
 	// MaxEnsemble is the widest /v1/ensemble accepted (== MaxBatch);
 	// DefaultEnsemble the member count used when a request names none.

@@ -69,8 +69,8 @@ func TestBlockCGIterationDoesNotAllocate(t *testing.T) {
 	}
 
 	// On a two-thread pool the SD system's solve (N = 1000, m = 16)
-	// splits its multiplies and block updates over the pool, and its
-	// Gram products and norms sum fixed row chunks: every split runs a
+	// splits its block updates over the pool, and its Gram products and
+	// norms sum fixed row chunks: every split runs a
 	// bound function on a recycled job, so an iteration allocates
 	// nothing there either. The slack of 5 is for the runtime's own
 	// allocations a parking worker may charge to the call (the sudog

@@ -13,6 +13,7 @@ import (
 	"repro/internal/bcrs"
 	"repro/internal/blas"
 	"repro/internal/multivec"
+	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/rng"
 )
@@ -276,10 +277,11 @@ func TestMultiCGBitwiseMatchesCG(t *testing.T) {
 // parallel worker pool: the fused path and the lone path share the
 // same deterministic dispatch, and the multiply's split rows give the
 // one-thread bits, so every solve is bitwise the one-thread lone CG at
-// any pool size.
+// any pool size. The matrix, 5.6 MB a multiply, splits on every pooled
+// run, which must show.
 func TestMultiCGBitwiseAcrossThreads(t *testing.T) {
 	defer parallel.SetThreads(parallel.Threads())
-	a := bcrs.Random(bcrs.RandomOptions{NB: 200, BlocksPerRow: 8, Seed: 4})
+	a := bcrs.Random(bcrs.RandomOptions{NB: 3000, BlocksPerRow: 24, Seed: 4})
 	n := a.N()
 	const q = 8
 	serial := make([][]float64, q)
@@ -293,7 +295,12 @@ func TestMultiCGBitwiseAcrossThreads(t *testing.T) {
 			bs[j] = testRHS(n, uint64(7+j))
 			opts[j] = Options{}
 		}
+		jobs := obs.Default.Counter("parallel_jobs_total")
+		before := jobs.Value()
 		MultiCGWith(nil, a, xs, bs, opts)
+		if threads > 1 && jobs.Value() == before {
+			t.Fatalf("threads=%d: the fused solve split nothing over the pool", threads)
+		}
 		for j := 0; j < q; j++ {
 			ref := make([]float64, n)
 			CG(a, ref, testRHS(n, uint64(7+j)), Options{})
