@@ -1,6 +1,6 @@
 // Command mrhs-server runs the MRHS batching solve server: an HTTP
 // API that coalesces concurrent solve requests into multi-right-hand-
-// side batches sized to the specialized GSPMV kernels.
+// side batches, each solved by one fused solve exactly as wide as it.
 //
 // The operator is either a synthetic SPD block matrix (-matrix random)
 // or an assembled Stokesian-dynamics resistance matrix (-matrix sd).
@@ -53,7 +53,7 @@ func main() {
 		maxBatch   = flag.Int("max-batch", 32, "max right-hand sides per dispatch")
 		queueCap   = flag.Int("queue-cap", 0, "admission queue bound (0: 4*max-batch)")
 		maxWait    = flag.Duration("max-wait", 2*time.Millisecond, "hard cap on the batching window")
-		waitFactor = flag.Float64("wait-factor", 1.5, "latency stretch allowed to reach the next kernel size")
+		waitFactor = flag.Float64("wait-factor", 1.5, "latency stretch allowed to take one more request")
 		useModel   = flag.Bool("model", true, "calibrate this host and drive the batching window with the r(m) cost model")
 
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /metrics.json and /debug/pprof separately on this address")

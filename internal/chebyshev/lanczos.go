@@ -121,7 +121,7 @@ func precondLanczos(ws *Workspace, a Op, f Factor, y, z *multivec.MultiVec, maxI
 	// its M^{-1}-norm, so no pass rescales a block; r = M^{-1} p_i.
 	p0 := w.basis(0)
 	f.MulL(p0, z)
-	w.precondition(f, &w.r, p0)
+	f.ApplyBlock(&w.r, p0)
 	var st Stats
 	for i := 0; ; i++ {
 		// p_{i+1} starts as A r_i = gamma_i * u. Two lane passes then give
@@ -208,7 +208,7 @@ func precondLanczos(ws *Workspace, a Op, f Factor, y, z *multivec.MultiVec, maxI
 				break
 			}
 		}
-		w.precondition(f, &w.r, next)
+		f.ApplyBlock(&w.r, next)
 	}
 	// Columns that stopped without a passing check — the cap, an
 	// invariant subspace, a zero z — are written with what they have.
@@ -336,17 +336,6 @@ func (w *lanczos) basis(i int) *multivec.MultiVec {
 	}
 	w.p[i].Reshape(w.r.N, w.r.M)
 	return &w.p[i]
-}
-
-// precondition sets z = M^{-1} r, through the single-vector sweeps when
-// the block is one column (Apply and ApplyBlock agree bit for bit on a
-// column; Apply is the faster of the two there).
-func (w *lanczos) precondition(f Factor, z, r *multivec.MultiVec) {
-	if z.M == 1 {
-		f.Apply(z.Data, r.Data)
-		return
-	}
-	f.ApplyBlock(z, r)
 }
 
 // coefficients sets c.coef to |z|*sqrt(T_k)*e_1 for the k steps c has

@@ -76,6 +76,5 @@ func TestDistributedBlockCG(t *testing.T) {
 
 // TestClusterSatisfiesOperatorInterfaces pins the adapter contract.
 func TestClusterSatisfiesOperatorInterfaces(t *testing.T) {
-	var _ solver.Operator = (*Cluster)(nil)
 	var _ solver.BlockOperator = (*Cluster)(nil)
 }

@@ -75,47 +75,42 @@ func TestChebyshevStepStaysInsideItsArrays(t *testing.T) {
 }
 
 // TestColumnSweepsStayInsideTheirLanes runs the column sweeps, AVX2
-// and Go, on blocks whose storage ends with lane q-1 of the last row,
-// flush against an unreadable page, and on scalar slices of exactly q
-// elements that do too: a kernel that touches a padding lane of the
-// last row, or anything past a slice, faults. q runs through the
-// four-wide groups' remainders at widths 8 and 32.
+// and Go, on blocks whose storage ends with the last lane of the last
+// row, flush against an unreadable page, and on scalar slices of
+// exactly w elements that do too: a kernel that reads or writes past a
+// block or a slice faults. w runs through the four-wide groups'
+// remainders.
 func TestColumnSweepsStayInsideTheirLanes(t *testing.T) {
 	const n = 50
 	s := rng.New(4)
-	for _, w := range []int{8, 32} {
-		for _, q := range []int{1, 3, 4, 5, 7, 8, 17, 31, 32} {
-			if q > w {
-				continue
+	for _, w := range []int{1, 3, 4, 5, 7, 8, 17, 31, 32, 33} {
+		block := func() *MultiVec {
+			v := hostileBlock(n, w, s, false)
+			return &MultiVec{N: n, M: w, Data: guarded(t, v.Data, 0)}
+		}
+		scalars := func() []float64 {
+			a := make([]float64, w)
+			s.FillNormal(a)
+			return guarded(t, a, 0)
+		}
+		x, r, p, ap := block(), block(), block(), block()
+		alpha, rr, dots := scalars(), scalars(), scalars()
+		for _, on := range []bool{true, false} {
+			sweeps := func() {
+				ColDots(dots, p, ap)
+				ColUpdate(x, r, p, ap, alpha, rr)
+				ColDirection(p, r, alpha)
+				ColThreeTerm(x, r, p, alpha, rr, dots)
+				ColResidual(r, p, ap, dots, rr)
 			}
-			block := func() *MultiVec {
-				v := hostileBlock(n, w, s, false)
-				return &MultiVec{N: n, M: w, Data: guarded(t, v.Data[:(n-1)*w+q], 0)}
+			faulted := false
+			if on {
+				faulted = faults(sweeps)
+			} else {
+				withoutSIMD(func() { faulted = faults(sweeps) })
 			}
-			scalars := func() []float64 {
-				a := make([]float64, q)
-				s.FillNormal(a)
-				return guarded(t, a, 0)
-			}
-			x, r, p, ap := block(), block(), block(), block()
-			alpha, rr, dots := scalars(), scalars(), scalars()
-			for _, on := range []bool{true, false} {
-				sweeps := func() {
-					ColDots(dots, p, ap)
-					ColUpdate(x, r, p, ap, alpha, rr)
-					ColDirection(p, r, alpha)
-					ColThreeTerm(x, r, p, alpha, rr, dots)
-					ColResidual(r, p, ap, dots, rr)
-				}
-				faulted := false
-				if on {
-					faulted = faults(sweeps)
-				} else {
-					withoutSIMD(func() { faulted = faults(sweeps) })
-				}
-				if faulted {
-					t.Fatalf("w=%d q=%d simd=%v: a sweep touched memory past its lanes", w, q, on)
-				}
+			if faulted {
+				t.Fatalf("w=%d simd=%v: a sweep touched memory past its block or slices", w, on)
 			}
 		}
 	}

@@ -7,15 +7,14 @@ import (
 	"repro/internal/parallel"
 )
 
-// Column-lane sweeps: the vector work of both Krylov recurrences on q
-// independent columns held in the leading lanes of n-by-w row-major
-// blocks — conjugate gradients (solver.MultiCGWith, and at w = 1
-// solver.CG itself, where the block is the vector) and the
-// preconditioned Lanczos root (chebyshev.PrecondSqrt and
-// PrecondInvSqrt: its inner products are ColDots, its update
-// ColThreeTerm). The inner index is the column, so one sweep streams
-// every operand once at memory speed whatever q is; the lanes at and
-// beyond q are kernel padding and are neither read nor written. With
+// Column-lane sweeps: the vector work of both Krylov recurrences on the
+// q independent columns of n-by-q row-major blocks, one lane a column —
+// conjugate gradients (solver.MultiCGWith, and at q = 1 solver.CG
+// itself, where the block is the vector) and the preconditioned Lanczos
+// root (chebyshev.PrecondSqrt and PrecondInvSqrt: its inner products
+// are ColDots, its update ColThreeTerm). The inner index is the column,
+// so one sweep streams every operand once at memory speed whatever q
+// is. A sweep's scalar slices are as long as its blocks are wide. With
 // AVX2, ColDots, ColUpdate and ColDirection run the lanes four to a ymm
 // and the last q%4 one at a time, in one pass over the rows;
 // ColResidual, once per solve, and ColThreeTerm are the Go loops alone.
@@ -45,26 +44,23 @@ const reduceRows = 4096
 // rows sums separately.
 func reduceChunks(n int) int { return max(1, n/reduceRows) }
 
-// laneShape checks that the blocks share one n-by-w shape with room
-// for q lanes and returns that shape.
-func laneShape(q int, blocks ...*MultiVec) (n, w int) {
-	n, w = blocks[0].N, blocks[0].M
-	for _, b := range blocks[1:] {
-		if b.N != n || b.M != w {
+// laneShape checks that the blocks share one n-by-q shape and returns
+// n.
+func laneShape(q int, blocks ...*MultiVec) (n int) {
+	n = blocks[0].N
+	for _, b := range blocks {
+		if b.N != n || b.M != q {
 			panic("multivec: column sweep over blocks of different shape")
 		}
 	}
-	if q > w {
-		panic("multivec: column sweep has more lanes than the block has columns")
-	}
-	return n, w
+	return n
 }
 
 // ColDots sets dst[j] to the inner product of column j of x with
-// column j of y, for the len(dst) leading columns.
+// column j of y, for each of their len(dst) columns.
 func ColDots(dst []float64, x, y *MultiVec) {
 	q := len(dst)
-	n, _ := laneShape(q, x, y)
+	n := laneShape(q, x, y)
 	if q == 0 {
 		return
 	}
@@ -73,15 +69,15 @@ func ColDots(dst []float64, x, y *MultiVec) {
 	s.reduce("multivec_coldots", 1, 2*laneBytes(x), s.dotsFn)
 }
 
-// ColResidual computes R = B - AX over the len(bb) leading columns
-// and, in the same pass, the column sums of squares of B (into bb) and
-// of the new R (into rr). r may alias b or ax.
+// ColResidual computes R = B - AX over the len(bb) columns and, in
+// the same pass, the column sums of squares of B (into bb) and of the
+// new R (into rr). r may alias b or ax.
 func ColResidual(r, b, ax *MultiVec, bb, rr []float64) {
 	q := len(bb)
 	if len(rr) != q {
 		panic("multivec: ColResidual scalar length mismatch")
 	}
-	n, _ := laneShape(q, r, b, ax)
+	n := laneShape(q, r, b, ax)
 	if q == 0 {
 		return
 	}
@@ -91,14 +87,14 @@ func ColResidual(r, b, ax *MultiVec, bb, rr []float64) {
 }
 
 // ColUpdate is the CG iterate/residual update of the len(alpha)
-// leading columns in one pass: X += P*diag(alpha), R -= AP*diag(alpha),
+// columns in one pass: X += P*diag(alpha), R -= AP*diag(alpha),
 // and rr[j] = the sum of squares of the new column j of R.
 func ColUpdate(x, r, p, ap *MultiVec, alpha, rr []float64) {
 	q := len(alpha)
 	if len(rr) != q {
 		panic("multivec: ColUpdate scalar length mismatch")
 	}
-	n, _ := laneShape(q, x, r, p, ap)
+	n := laneShape(q, x, r, p, ap)
 	if q == 0 {
 		return
 	}
@@ -108,10 +104,10 @@ func ColUpdate(x, r, p, ap *MultiVec, alpha, rr []float64) {
 }
 
 // ColDirection is the CG direction update P = Z + P*diag(beta) of the
-// len(beta) leading columns. z may be the residual block itself.
+// len(beta) columns. z may be the residual block itself.
 func ColDirection(p, z *MultiVec, beta []float64) {
 	q := len(beta)
-	n, _ := laneShape(q, p, z)
+	n := laneShape(q, p, z)
 	if q == 0 {
 		return
 	}
@@ -121,7 +117,7 @@ func ColDirection(p, z *MultiVec, beta []float64) {
 }
 
 // ColThreeTerm is the Lanczos three-term update of the len(alpha)
-// leading columns: U = (U - Q*diag(alpha))*diag(g) - Prev*diag(h), each
+// columns: U = (U - Q*diag(alpha))*diag(g) - Prev*diag(h), each
 // product rounded before its add or subtract. prev may be q. Its rows
 // split over the pool as ColDirection's do; there is no AVX2 kernel.
 func ColThreeTerm(u, q, prev *MultiVec, alpha, g, h []float64) {
@@ -129,7 +125,7 @@ func ColThreeTerm(u, q, prev *MultiVec, alpha, g, h []float64) {
 	if len(g) != nq || len(h) != nq {
 		panic("multivec: ColThreeTerm scalar length mismatch")
 	}
-	n, _ := laneShape(nq, u, q, prev)
+	n := laneShape(nq, u, q, prev)
 	if nq == 0 {
 		return
 	}
@@ -138,9 +134,8 @@ func ColThreeTerm(u, q, prev *MultiVec, alpha, g, h []float64) {
 	s.split("multivec_colthreeterm", 4*laneBytes(u), s.threeTermFn)
 }
 
-// laneBytes is what one pass over block b streams: its whole rows,
-// whichever lanes are live, since a row's lanes share cache lines. A
-// sweep states it once per block it reads or writes.
+// laneBytes is what one pass over block b streams. A sweep states it
+// once per block it reads or writes.
 func laneBytes(b *MultiVec) int { return 8 * len(b.Data) }
 
 // sweep is one call of a pooled op — a lane sweep, a Gram product, a
@@ -298,7 +293,7 @@ func UnpackLanes(cols [][]float64, src *MultiVec, lanes []int) {
 
 // colDotsRows adds rows [lo, hi) of the lane inner products into d.
 func colDotsRows(d []float64, x, y *MultiVec, lo, hi int) {
-	w, q := x.M, len(d)
+	w := x.M
 	if w == 1 {
 		s := d[0]
 		yd := y.Data[lo:hi]
@@ -313,8 +308,8 @@ func colDotsRows(d []float64, x, y *MultiVec, lo, hi int) {
 		return
 	}
 	for i := lo; i < hi; i++ {
-		xr := x.Data[i*w : i*w+q : i*w+q]
-		yr := y.Data[i*w : i*w+q : i*w+q]
+		xr := x.Data[i*w : i*w+w : i*w+w]
+		yr := y.Data[i*w : i*w+w : i*w+w]
 		d := d[:len(xr)]
 		for j, v := range xr {
 			d[j] += float64(v * yr[j])
@@ -325,7 +320,7 @@ func colDotsRows(d []float64, x, y *MultiVec, lo, hi int) {
 // colResidualRows is ColResidual on rows [lo, hi), adding into sb and
 // sr.
 func colResidualRows(r, b, ax *MultiVec, sb, sr []float64, lo, hi int) {
-	w, q := r.M, len(sb)
+	w := r.M
 	if w == 1 {
 		vb, vr := sb[0], sr[0]
 		rd, ad := r.Data[lo:hi], ax.Data[lo:hi]
@@ -339,9 +334,9 @@ func colResidualRows(r, b, ax *MultiVec, sb, sr []float64, lo, hi int) {
 		return
 	}
 	for i := lo; i < hi; i++ {
-		br := b.Data[i*w : i*w+q : i*w+q]
-		ar := ax.Data[i*w : i*w+q : i*w+q]
-		rw := r.Data[i*w : i*w+q : i*w+q]
+		br := b.Data[i*w : i*w+w : i*w+w]
+		ar := ax.Data[i*w : i*w+w : i*w+w]
+		rw := r.Data[i*w : i*w+w : i*w+w]
 		sb, sr := sb[:len(br)], sr[:len(br)]
 		for j, bv := range br {
 			v := bv - ar[j]
@@ -354,7 +349,7 @@ func colResidualRows(r, b, ax *MultiVec, sb, sr []float64, lo, hi int) {
 
 // colUpdateRows is ColUpdate on rows [lo, hi), adding into rr.
 func colUpdateRows(x, r, p, ap *MultiVec, alpha, rr []float64, lo, hi int) {
-	w, q := x.M, len(alpha)
+	w := x.M
 	if w == 1 {
 		a, s := alpha[0], rr[0]
 		xd, rd, apd := x.Data[lo:hi], r.Data[lo:hi], ap.Data[lo:hi]
@@ -372,10 +367,10 @@ func colUpdateRows(x, r, p, ap *MultiVec, alpha, rr []float64, lo, hi int) {
 		return
 	}
 	for i := lo; i < hi; i++ {
-		xr := x.Data[i*w : i*w+q : i*w+q]
-		rw := r.Data[i*w : i*w+q : i*w+q]
-		pr := p.Data[i*w : i*w+q : i*w+q]
-		ar := ap.Data[i*w : i*w+q : i*w+q]
+		xr := x.Data[i*w : i*w+w : i*w+w]
+		rw := r.Data[i*w : i*w+w : i*w+w]
+		pr := p.Data[i*w : i*w+w : i*w+w]
+		ar := ap.Data[i*w : i*w+w : i*w+w]
 		al, s := alpha[:len(xr)], rr[:len(xr)]
 		for j, a := range al {
 			xr[j] += float64(pr[j] * a)
@@ -388,7 +383,7 @@ func colUpdateRows(x, r, p, ap *MultiVec, alpha, rr []float64, lo, hi int) {
 
 // colDirectionRows is ColDirection on rows [lo, hi).
 func colDirectionRows(p, z *MultiVec, beta []float64, lo, hi int) {
-	w, q := p.M, len(beta)
+	w := p.M
 	if w == 1 {
 		b := beta[0]
 		pd := p.Data[lo:hi]
@@ -402,8 +397,8 @@ func colDirectionRows(p, z *MultiVec, beta []float64, lo, hi int) {
 		return
 	}
 	for i := lo; i < hi; i++ {
-		pr := p.Data[i*w : i*w+q : i*w+q]
-		zr := z.Data[i*w : i*w+q : i*w+q]
+		pr := p.Data[i*w : i*w+w : i*w+w]
+		zr := z.Data[i*w : i*w+w : i*w+w]
 		be := beta[:len(pr)]
 		for j, b := range be {
 			pr[j] = zr[j] + float64(pr[j]*b)
@@ -413,10 +408,10 @@ func colDirectionRows(p, z *MultiVec, beta []float64, lo, hi int) {
 
 // colThreeTermRows is ColThreeTerm on rows [lo, hi). The lanes go four
 // at a time, each group's scalars held in registers over the rows, and
-// the last q%4 one at a time: a row-major pass that reloads every
+// the last w%4 one at a time: a row-major pass that reloads every
 // lane's three scalars per element measured 1.4x slower at w = 16.
 func colThreeTermRows(u, q, prev *MultiVec, alpha, g, h []float64, lo, hi int) {
-	w, nq := u.M, len(alpha)
+	w := u.M
 	if w == 1 {
 		a, gg, hh := alpha[0], g[0], h[0]
 		ud := u.Data[lo:hi]
@@ -429,10 +424,10 @@ func colThreeTermRows(u, q, prev *MultiVec, alpha, g, h []float64, lo, hi int) {
 	if lo >= hi {
 		return
 	}
-	ud := u.Data[:(hi-1)*w+nq] // ends with the last row's last live lane
+	ud := u.Data[:hi*w]
 	qd, pd := q.Data[:len(ud)], prev.Data[:len(ud)]
 	j := 0
-	for ; j+4 <= nq; j += 4 {
+	for ; j+4 <= w; j += 4 {
 		a0, a1, a2, a3 := alpha[j], alpha[j+1], alpha[j+2], alpha[j+3]
 		g0, g1, g2, g3 := g[j], g[j+1], g[j+2], g[j+3]
 		h0, h1, h2, h3 := h[j], h[j+1], h[j+2], h[j+3]
@@ -444,7 +439,7 @@ func colThreeTermRows(u, q, prev *MultiVec, alpha, g, h []float64, lo, hi int) {
 			x[3] = float64((x[3]-float64(a3*y[3]))*g3) - float64(h3*z[3])
 		}
 	}
-	for ; j < nq; j++ {
+	for ; j < w; j++ {
 		a, gg, hh := alpha[j], g[j], h[j]
 		for e := lo*w + j; e < len(ud); e += w {
 			ud[e] = float64((ud[e]-float64(a*qd[e]))*gg) - float64(hh*pd[e])
@@ -463,17 +458,12 @@ func unpackRows(cols [][]float64, src *MultiVec, lanes []int, lo, hi int) {
 	}
 }
 
-// CompactColumns keeps the columns listed in keep (ascending), moves
-// them to the leading lanes of an n-by-w block laid out in the same
-// storage, and zero-fills the lanes after them; v becomes that block.
-// w must be at least len(keep) and at most v.M. Each element moves to
-// an address no higher than its own and rows are taken in order, so
-// nothing is overwritten before it is read.
-func (v *MultiVec) CompactColumns(keep []int, w int) {
+// CompactColumns keeps the columns listed in keep (ascending) and
+// makes v the n-by-len(keep) block of them, laid out in the same
+// storage. Each element moves to an address no higher than its own and
+// rows are taken in order, so nothing is overwritten before it is read.
+func (v *MultiVec) CompactColumns(keep []int) {
 	q, w0 := len(keep), v.M
-	if q > w || w > w0 {
-		panic("multivec: CompactColumns width out of range")
-	}
 	for d, s := range keep {
 		if s < d || s >= w0 || (d > 0 && s <= keep[d-1]) {
 			panic("multivec: CompactColumns wants ascending in-range columns")
@@ -482,11 +472,10 @@ func (v *MultiVec) CompactColumns(keep []int, w int) {
 	data := v.Data
 	for i := 0; i < v.N; i++ {
 		src := data[i*w0 : i*w0+w0]
-		dst := data[i*w : i*w+w]
+		dst := data[i*q : i*q+q]
 		for d, s := range keep {
 			dst[d] = src[s]
 		}
-		clear(dst[q:])
 	}
-	v.M, v.Data = w, data[:v.N*w]
+	v.M, v.Data = q, data[:v.N*q]
 }

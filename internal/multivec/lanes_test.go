@@ -2,7 +2,6 @@ package multivec
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -14,46 +13,15 @@ import (
 // The column sweeps against one column at a time: each lane must hold
 // exactly what a lone contiguous vector gets from the textbook loop
 // (y += a*x in row order, product rounded before the add, and refDot's
-// chunked sum), and the padding lanes must come back untouched — with
-// the AVX2 kernels and the Go loops, on every pool size.
+// chunked sum) — with the AVX2 kernels and the Go loops, on every pool
+// size.
 
-// hostileBlock returns an n-by-w block, padding lanes included, of
-// normal deviates with NaN, +-Inf, +-0 and a subnormal planted.
+// hostileBlock returns an n-by-w block of normal deviates with NaN,
+// +-Inf, +-0 and a subnormal planted.
 func hostileBlock(n, w int, s *rng.Stream, hostile bool) *MultiVec {
 	v := &MultiVec{N: n, M: w, Data: make([]float64, n*w)}
 	fillHostile(v.Data, s, hostile)
 	return v
-}
-
-// poison is the NaN the padding lanes of a swept block hold: a kernel
-// that wrote one back, even as some other NaN, changes its bits.
-var poison = math.Float64frombits(0x7ff4_dead_beef_0001)
-
-// poisonPadding sets lanes q and after of every row of v to poison.
-func poisonPadding(v *MultiVec, q int) *MultiVec {
-	for i := 0; i < v.N; i++ {
-		row := v.Data[i*v.M : (i+1)*v.M]
-		for j := q; j < len(row); j++ {
-			row[j] = poison
-		}
-	}
-	return v
-}
-
-// kernelSizes mirrors solver.KernelSizes, the widths MultiCG pads its
-// blocks to (solver imports this package, so it cannot be named here).
-var kernelSizes = []int{1, 2, 4, 8, 16, 32}
-
-// laneWidths returns the block widths a q-lane sweep is tried at: the
-// exact fit and every kernel width that holds q lanes.
-func laneWidths(q int) []int {
-	ws := []int{q}
-	for _, w := range kernelSizes {
-		if w > q {
-			ws = append(ws, w)
-		}
-	}
-	return ws
 }
 
 // refDot is a lane reduction's order spelled out: the n rows in
@@ -78,30 +46,21 @@ func refDot(x, y []float64) float64 {
 	return s
 }
 
-// checkLanes fails unless the q leading columns of got equal want's
-// contiguous columns and every other lane still holds the poison's
-// bits.
+// checkLanes fails unless the columns of got equal want's contiguous
+// columns.
 func checkLanes(t *testing.T, what string, got *MultiVec, want [][]float64) {
 	t.Helper()
-	q := len(want)
-	for j := 0; j < got.M; j++ {
-		i := -1
-		if j < q {
-			i = sameBits(got.ColVector(j), want[j])
-		} else {
-			i = slices.IndexFunc(got.ColVector(j), func(v float64) bool { return math.Float64bits(v) != math.Float64bits(poison) })
-		}
-		if i >= 0 {
-			t.Fatalf("%s: lane %d (of %d live, width %d) differs at row %d: %v",
-				what, j, q, got.M, i, got.At(i, j))
+	for j := range want {
+		if i := sameBits(got.ColVector(j), want[j]); i >= 0 {
+			t.Fatalf("%s: lane %d of %d differs at row %d: %v", what, j, got.M, i, got.At(i, j))
 		}
 	}
 }
 
-func checkSweeps(t *testing.T, n, q, w int, seed uint64, hostile bool) {
+func checkSweeps(t *testing.T, n, q int, seed uint64, hostile bool) {
 	t.Helper()
 	s := rng.New(seed)
-	block := func() *MultiVec { return poisonPadding(hostileBlock(n, w, s, hostile), q) }
+	block := func() *MultiVec { return hostileBlock(n, q, s, hostile) }
 	x, r, p, ap := block(), block(), block(), block()
 	alpha, beta, g, h := make([]float64, q), make([]float64, q), make([]float64, q), make([]float64, q)
 	fillHostile(alpha, s, hostile)
@@ -115,7 +74,7 @@ func checkSweeps(t *testing.T, n, q, w int, seed uint64, hostile bool) {
 		}
 		return c
 	}
-	what := func(op string) string { return fmt.Sprintf("%s n=%d q=%d w=%d seed=%d", op, n, q, w, seed) }
+	what := func(op string) string { return fmt.Sprintf("%s n=%d q=%d seed=%d", op, n, q, seed) }
 
 	// ColDots.
 	dots := make([]float64, q)
@@ -206,18 +165,18 @@ func checkSweeps(t *testing.T, n, q, w int, seed uint64, hostile bool) {
 	checkLanes(t, what("ColDirection"), gp, pc)
 }
 
-// TestColumnSweepsMatchPerColumnLoops runs every lane count q in 1..33
-// at its exact width and at every kernel width above it, with the AVX2
-// kernels on and off, on pools of 1, 2 and 4 threads — ColDirection and
+// TestColumnSweepsMatchPerColumnLoops runs every block width w in
+// 1..33 — so every ymm group count and every w%4 tail — with the AVX2
+// kernels on and off, on pools of 1, 2 and 4 threads: ColDirection and
 // ColThreeTerm split their rows on the larger pools once a block has
 // 2 x 8192 elements. Past 2 x 4096 rows the reductions sum two and more row
 // chunks (9000 rows: two, 12500: three uneven ones), inline or, from
-// n*q = 65536 on, over the pool; those long blocks run at a few shapes,
+// n*w = 65536 on, over the pool; those long blocks run at a few widths,
 // and at two, one of each kind, under -short.
 func TestColumnSweepsMatchPerColumnLoops(t *testing.T) {
-	long := [][3]int{ // n, q, w
-		{9000, 32, 32}, {12500, 3, 4},
-		{9000, 1, 1}, {9000, 1, 32}, {9000, 8, 8}, {12500, 17, 32},
+	long := [][2]int{ // n, w
+		{9000, 32}, {12500, 3},
+		{9000, 1}, {9000, 8}, {12500, 17},
 	}
 	if testing.Short() {
 		long = long[:2]
@@ -226,20 +185,18 @@ func TestColumnSweepsMatchPerColumnLoops(t *testing.T) {
 		for _, on := range []bool{true, false} {
 			sweep := func() {
 				for _, n := range []int{0, 1, 7, 3000} {
-					for q := 1; q <= 33; q++ {
-						if n == 3000 && q > 5 && q != 17 && q < 31 {
-							continue // the long blocks at a few lane counts only
+					for w := 1; w <= 33; w++ {
+						if n == 3000 && w > 5 && w != 17 && w < 31 {
+							continue // the long blocks at a few widths only
 						}
-						for _, w := range laneWidths(q) {
-							checkSweeps(t, n, q, w, uint64(1000*n+q), false)
-							checkSweeps(t, n, q, w, uint64(1000*n+q)+7, true)
-						}
+						checkSweeps(t, n, w, uint64(1000*n+w), false)
+						checkSweeps(t, n, w, uint64(1000*n+w)+7, true)
 					}
 				}
 				for _, c := range long {
-					n, q, w := c[0], c[1], c[2]
-					checkSweeps(t, n, q, w, uint64(1000*n+q), false)
-					checkSweeps(t, n, q, w, uint64(1000*n+q)+7, true)
+					n, w := c[0], c[1]
+					checkSweeps(t, n, w, uint64(1000*n+w), false)
+					checkSweeps(t, n, w, uint64(1000*n+w)+7, true)
 				}
 			}
 			withThreads(t, threads, func() {
@@ -259,16 +216,43 @@ func FuzzColumnSweeps(f *testing.F) {
 	f.Add(uint16(0), uint8(1), uint64(3))
 	f.Fuzz(func(t *testing.T, nRaw uint16, qRaw uint8, seed uint64) {
 		n, q := int(nRaw)%400, 1+int(qRaw)%40
-		for _, w := range laneWidths(q) {
-			checkSweeps(t, n, q, w, seed, seed%2 == 1)
-		}
+		checkSweeps(t, n, q, seed, seed%2 == 1)
 	})
 }
 
-// TestCompactColumns: survivors land in the leading lanes of the
-// narrower layout in order, zero padding follows, and the block is
-// re-shaped over the same storage — for every way of narrowing,
-// including none (in place inside a width) and 33 -> 32.
+// TestColumnSweepsRejectOtherWidths: a sweep's scalar slices are as
+// long as its blocks are wide, and its blocks share one shape — a
+// narrower lane count or a mismatched block panics instead of sweeping
+// part of a row.
+func TestColumnSweepsRejectOtherWidths(t *testing.T) {
+	s := rng.New(4)
+	x, y, other := hostileBlock(10, 4, s, false), hostileBlock(10, 4, s, false), hostileBlock(10, 5, s, false)
+	for name, fn := range map[string]func(){
+		"ColDots narrower":      func() { ColDots(make([]float64, 3), x, y) },
+		"ColDots wider":         func() { ColDots(make([]float64, 5), x, y) },
+		"ColDots mismatched":    func() { ColDots(make([]float64, 4), x, other) },
+		"ColDirection narrower": func() { ColDirection(x, y, make([]float64, 3)) },
+		"ColUpdate narrower": func() {
+			ColUpdate(x, y, x.Clone(), y.Clone(), make([]float64, 3), make([]float64, 3))
+		},
+		"ColThreeTerm narrower": func() {
+			ColThreeTerm(x, y, x.Clone(), make([]float64, 3), make([]float64, 3), make([]float64, 3))
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
+// TestCompactColumns: survivors land in order in a block exactly as
+// wide as their count, re-shaped over the same storage — for every way
+// of narrowing, including none and 33 -> 32.
 func TestCompactColumns(t *testing.T) {
 	s := rng.New(5)
 	for _, n := range []int{0, 1, 7, 200} {
@@ -281,25 +265,18 @@ func TestCompactColumns(t *testing.T) {
 						keep = append(keep, j)
 					}
 				}
-				w := len(keep) + s.Intn(w0-len(keep)+1)
-				if w == 0 {
-					w = 1
-				}
 				want := make([][]float64, len(keep))
 				for d, j := range keep {
 					want[d] = v.ColVector(j)
 				}
 				storage := v.Data
-				v.CompactColumns(keep, w)
-				if v.M != w || v.N != n || len(v.Data) != n*w || (n > 0 && &v.Data[0] != &storage[0]) {
+				v.CompactColumns(keep)
+				w := len(keep)
+				if v.M != w || v.N != n || len(v.Data) != n*w || (n > 0 && w > 0 && &v.Data[0] != &storage[0]) {
 					t.Fatalf("n=%d %d->%d: block is %dx%d over %d values", n, w0, w, v.N, v.M, len(v.Data))
 				}
-				for j := 0; j < w; j++ {
-					ref := make([]float64, n) // +0 padding
-					if j < len(keep) {
-						ref = want[j]
-					}
-					if i := sameBits(v.ColVector(j), ref); i >= 0 {
+				for j := range want {
+					if i := sameBits(v.ColVector(j), want[j]); i >= 0 {
 						t.Fatalf("n=%d %d->%d keep=%v: lane %d differs at row %d", n, w0, w, keep, j, i)
 					}
 				}
@@ -310,11 +287,10 @@ func TestCompactColumns(t *testing.T) {
 
 func TestCompactColumnsRejectsBadLists(t *testing.T) {
 	for name, fn := range map[string]func(v *MultiVec){
-		"descending":   func(v *MultiVec) { v.CompactColumns([]int{2, 1}, 4) },
-		"repeated":     func(v *MultiVec) { v.CompactColumns([]int{1, 1}, 4) },
-		"out of range": func(v *MultiVec) { v.CompactColumns([]int{4}, 4) },
-		"too narrow":   func(v *MultiVec) { v.CompactColumns([]int{0, 1, 2}, 2) },
-		"wider":        func(v *MultiVec) { v.CompactColumns([]int{0}, 8) },
+		"descending":   func(v *MultiVec) { v.CompactColumns([]int{2, 1}) },
+		"repeated":     func(v *MultiVec) { v.CompactColumns([]int{1, 1}) },
+		"out of range": func(v *MultiVec) { v.CompactColumns([]int{4}) },
+		"wider":        func(v *MultiVec) { v.CompactColumns([]int{0, 1, 2, 3, 4}) },
 	} {
 		func() {
 			defer func() {
@@ -375,16 +351,24 @@ func TestColumnSweepsIgnoreThreadCount(t *testing.T) {
 				s.FillNormal(a.Data)
 				return x, r, p, ap, a
 			}
+			// Per-lane scalars: a fixed pattern, w long.
+			lanes := func(v ...float64) []float64 {
+				out := make([]float64, w)
+				for j := range out {
+					out[j] = v[j%len(v)]
+				}
+				return out
+			}
 			run := func() []float64 {
 				x, r, p, ap, a := operands()
 				g := blas.NewDense(w, w)
 				GramInto(g, p, ap)
-				out := make([]float64, 12)
-				ColDots(out[0:3], p, ap)
-				ColUpdate(x, r, p, ap, []float64{0.5, -2, 3}, out[3:6])
-				ColDirection(p, r, []float64{0.25, 1.5, -1})
-				ColThreeTerm(x, p, r, []float64{0.5, -2, 3}, []float64{1.25, -0.5, 2}, []float64{0.75, 1, -3})
-				ColResidual(ap, r, x, out[6:9], out[9:12])
+				out := make([]float64, 4*w)
+				ColDots(out[0:w], p, ap)
+				ColUpdate(x, r, p, ap, lanes(0.5, -2, 3), out[w:2*w])
+				ColDirection(p, r, lanes(0.25, 1.5, -1))
+				ColThreeTerm(x, p, r, lanes(0.5, -2, 3), lanes(1.25, -0.5, 2), lanes(0.75, 1, -3))
+				ColResidual(ap, r, x, out[2*w:3*w], out[3*w:])
 				x.AddMul(p, a)
 				r.SetMulAdd(ap, x, a)
 				return slices.Concat(g.Data, out, ap.Data, p.Data, x.Data, r.Data)

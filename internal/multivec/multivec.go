@@ -150,29 +150,25 @@ func (v *MultiVec) SetCol(j int, src []float64) {
 	}
 }
 
-// PackColumns gathers the given equal-length column vectors into the
-// leading columns of dst, zero-filling any remaining columns. The
-// zero padding is what lets a caller round a batch of q vectors up to
-// the next specialized-kernel width: a zero column costs the GSPMV
-// nothing numerically and its output column is simply ignored. Rows
-// are written disjointly, so the result is bitwise-identical for any
-// thread count.
+// PackColumns gathers the given equal-length column vectors, one per
+// column of dst, into dst. Rows are written disjointly, so the result
+// is bitwise-identical for any thread count.
 func PackColumns(dst *MultiVec, cols [][]float64) {
-	if len(cols) > dst.M {
-		panic("multivec: PackColumns has more columns than dst")
+	if len(cols) != dst.M {
+		panic("multivec: PackColumns column count mismatch")
 	}
 	for _, c := range cols {
 		if len(c) != dst.N {
 			panic("multivec: PackColumns length mismatch")
 		}
 	}
-	if dst.M == 1 && len(cols) == 1 {
+	if dst.M == 1 {
 		copy(dst.Data, cols[0]) // the block is the vector
 		return
 	}
 	s := getSweep(dst.N)
 	s.v[0], s.cols = dst, cols
-	s.split("multivec_pack", 8*dst.N*(dst.M+len(cols)), s.packFn)
+	s.split("multivec_pack", 16*len(dst.Data), s.packFn)
 }
 
 // packRows is PackColumns on rows [lo, hi).
@@ -183,7 +179,6 @@ func packRows(dst *MultiVec, cols [][]float64, lo, hi int) {
 		for j, c := range cols {
 			row[j] = c[i]
 		}
-		clear(row[len(cols):])
 	}
 }
 

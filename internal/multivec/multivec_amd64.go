@@ -8,9 +8,9 @@ import "repro/internal/cpufeat"
 func mulAddAVX2(dst, src, x, a *float64, nrows, m int)
 func gramAVX2(acc, x, y *float64, nrows, m int)
 func chebStepAVX2(y, t, cur, prev *float64, n int, alpha, beta, c float64)
-func colDotsAVX2(dst, x, y *float64, nrows, w, lanes int)
-func colUpdateAVX2(x, r, p, ap, alpha, rr *float64, nrows, w, lanes int)
-func colDirectionAVX2(p, z, beta *float64, nrows, w, lanes int)
+func colDotsAVX2(dst, x, y *float64, nrows, w int)
+func colUpdateAVX2(x, r, p, ap, alpha, rr *float64, nrows, w int)
+func colDirectionAVX2(p, z, beta *float64, nrows, w int)
 
 // simd enables the AVX2 row-range kernels. Tests may clear it to
 // force the generic Go loops, which are the oracle.
@@ -45,28 +45,25 @@ func chebStepSIMD(y, t, cur, prev []float64, alpha, beta, c float64) {
 	chebStepAVX2(&y[0], &t[0], &cur[0], &prev[0], len(y), alpha, beta, c)
 }
 
-// The lane sweeps below run lanes [0, q) of rows [lo, hi), lo < hi, of
-// n-by-w blocks, q = the length of their scalar slice, q <= w.
+// The lane sweeps below run every lane of rows [lo, hi), lo < hi, of
+// n-by-w blocks whose scalar slices are w long (laneShape).
 
-// rowBase returns the address of row lo of v after checking that lane
-// q-1 of row hi-1 is inside it.
-func rowBase(v *MultiVec, q, lo, hi int) *float64 {
-	_ = v.Data[(hi-1)*v.M+q-1]
+// rowBase returns the address of row lo of v after checking that row
+// hi-1 is inside it.
+func rowBase(v *MultiVec, lo, hi int) *float64 {
+	_ = v.Data[hi*v.M-1]
 	return &v.Data[lo*v.M]
 }
 
 func colDotsSIMD(dst []float64, x, y *MultiVec, lo, hi int) {
-	q := len(dst)
-	colDotsAVX2(&dst[0], rowBase(x, q, lo, hi), rowBase(y, q, lo, hi), hi-lo, x.M, q)
+	colDotsAVX2(&dst[0], rowBase(x, lo, hi), rowBase(y, lo, hi), hi-lo, x.M)
 }
 
 func colUpdateSIMD(x, r, p, ap *MultiVec, alpha, rr []float64, lo, hi int) {
-	q := len(alpha)
-	colUpdateAVX2(rowBase(x, q, lo, hi), rowBase(r, q, lo, hi), rowBase(p, q, lo, hi), rowBase(ap, q, lo, hi),
-		&alpha[0], &rr[0], hi-lo, x.M, q)
+	colUpdateAVX2(rowBase(x, lo, hi), rowBase(r, lo, hi), rowBase(p, lo, hi), rowBase(ap, lo, hi),
+		&alpha[0], &rr[0], hi-lo, x.M)
 }
 
 func colDirectionSIMD(p, z *MultiVec, beta []float64, lo, hi int) {
-	q := len(beta)
-	colDirectionAVX2(rowBase(p, q, lo, hi), rowBase(z, q, lo, hi), &beta[0], hi-lo, p.M, q)
+	colDirectionAVX2(rowBase(p, lo, hi), rowBase(z, lo, hi), &beta[0], hi-lo, p.M)
 }

@@ -260,37 +260,34 @@ chebdone:
 	VZEROUPPER
 	RET
 
-// The column-lane sweeps. Each takes the leading `lanes` columns of
-// nrows rows of w-wide row-major blocks, every block pointer at lane 0
-// of the first row, and walks the rows in increasing order. Per row
-// the lanes are covered four to a ymm and then one at a time for the
-// last lanes%4, in one pass, so every lane is the one sequential
-// row-order recurrence of its Go loop — the product rounded before the
-// add, VMULPD/VSUBPD/VADDPD kept apart. The reductions accumulate into
+// The column-lane sweeps. Each takes every column of nrows rows of
+// w-wide row-major blocks, every block pointer at lane 0 of the first
+// row, and walks the rows in increasing order. Per row the lanes are
+// covered four to a ymm and then one at a time for the last w%4, in
+// one pass, so every lane is the one sequential row-order recurrence
+// of its Go loop — the product rounded before the add,
+// VMULPD/VSUBPD/VADDPD kept apart. The reductions accumulate into
 // memory the caller cleared; a lane's add chain goes through its
-// store. Nothing at or past lane `lanes` of a row is read or written.
-// nrows >= 1, lanes >= 1.
+// store. nrows >= 1, w >= 1.
 
-// LANEPROLOGUE loads w and lanes and leaves R8 = row stride in bytes,
-// R9 = bytes of the lanes, R10 = bytes of their whole ymm groups.
-#define LANEPROLOGUE(woff, loff) \
+// LANEPROLOGUE loads w and leaves R8 = row stride in bytes, the bytes
+// of all the lanes, and R10 = bytes of their whole ymm groups.
+#define LANEPROLOGUE(woff) \
 	MOVQ woff(FP), R8; \
-	SHLQ $3, R8; \
-	MOVQ loff(FP), R9; \
-	MOVQ R9, R10; \
+	MOVQ R8, R10; \
 	ANDQ $-4, R10; \
-	SHLQ $3, R9; \
+	SHLQ $3, R8; \
 	SHLQ $3, R10
 
-// func colDotsAVX2(dst, x, y *float64, nrows, w, lanes int)
+// func colDotsAVX2(dst, x, y *float64, nrows, w int)
 //
-// dst[j] += x[i][j]*y[i][j] over the rows i, for the lanes j < lanes.
-TEXT ·colDotsAVX2(SB), NOSPLIT, $0-48
+// dst[j] += x[i][j]*y[i][j] over the rows i, for the lanes j < w.
+TEXT ·colDotsAVX2(SB), NOSPLIT, $0-40
 	MOVQ dst+0(FP), DI
 	MOVQ x+8(FP), SI
 	MOVQ y+16(FP), DX
 	MOVQ nrows+24(FP), CX
-	LANEPROLOGUE(w+32, lanes+40)
+	LANEPROLOGUE(w+32)
 
 dotrow:
 	XORQ AX, AX
@@ -307,7 +304,7 @@ dot4:
 	JLT     dot4
 
 dottail:
-	CMPQ   AX, R9
+	CMPQ   AX, R8
 	JGE    dotnext
 	VMOVSD (SI)(AX*1), X0
 	VMULSD (DX)(AX*1), X0, X0
@@ -325,11 +322,11 @@ dotnext:
 	VZEROUPPER
 	RET
 
-// func colUpdateAVX2(x, r, p, ap, alpha, rr *float64, nrows, w, lanes int)
+// func colUpdateAVX2(x, r, p, ap, alpha, rr *float64, nrows, w int)
 //
 // Per row i and lane j: x += p*alpha; v = r - ap*alpha; r = v;
 // rr[j] += v*v.
-TEXT ·colUpdateAVX2(SB), NOSPLIT, $0-72
+TEXT ·colUpdateAVX2(SB), NOSPLIT, $0-64
 	MOVQ x+0(FP), DI
 	MOVQ r+8(FP), SI
 	MOVQ p+16(FP), DX
@@ -337,7 +334,7 @@ TEXT ·colUpdateAVX2(SB), NOSPLIT, $0-72
 	MOVQ alpha+32(FP), R11
 	MOVQ rr+40(FP), R12
 	MOVQ nrows+48(FP), CX
-	LANEPROLOGUE(w+56, lanes+64)
+	LANEPROLOGUE(w+56)
 
 updrow:
 	XORQ AX, AX
@@ -361,7 +358,7 @@ upd4:
 	JLT     upd4
 
 updtail:
-	CMPQ   AX, R9
+	CMPQ   AX, R8
 	JGE    updnext
 	VMOVSD (R11)(AX*1), X2
 	VMULSD (DX)(AX*1), X2, X0
@@ -388,15 +385,15 @@ updnext:
 	VZEROUPPER
 	RET
 
-// func colDirectionAVX2(p, z, beta *float64, nrows, w, lanes int)
+// func colDirectionAVX2(p, z, beta *float64, nrows, w int)
 //
 // Per row i and lane j: p = z + p*beta.
-TEXT ·colDirectionAVX2(SB), NOSPLIT, $0-48
+TEXT ·colDirectionAVX2(SB), NOSPLIT, $0-40
 	MOVQ p+0(FP), DI
 	MOVQ z+8(FP), SI
 	MOVQ beta+16(FP), DX
 	MOVQ nrows+24(FP), CX
-	LANEPROLOGUE(w+32, lanes+40)
+	LANEPROLOGUE(w+32)
 
 dirrow:
 	XORQ AX, AX
@@ -413,7 +410,7 @@ dir4:
 	JLT     dir4
 
 dirtail:
-	CMPQ   AX, R9
+	CMPQ   AX, R8
 	JGE    dirnext
 	VMOVSD (DX)(AX*1), X1
 	VMULSD (DI)(AX*1), X1, X0

@@ -38,7 +38,7 @@ func (e *Engine) run() {
 // enterBatch marks the queue->batch transition on a traced call: the
 // queue_wait span ends (handed off from the submitting goroutine)
 // and the batch_wait span opens, covering the time the dispatcher
-// holds the request hoping for a fuller kernel.
+// holds the request hoping for a fuller batch.
 func (c *call) enterBatch() {
 	if c.tr == nil {
 		return
@@ -50,7 +50,7 @@ func (c *call) enterBatch() {
 // gather coalesces submissions around first: everything already
 // queued is taken immediately; after that the planner decides, from
 // the r(m) cost model and the arrival-rate estimate, whether
-// dispatching now beats holding the batch open for a fuller kernel.
+// dispatching now beats holding the batch open for a wider one.
 // Widths are counted in right-hand sides, not calls — an ensemble
 // call contributes all its members at once. A pulled call that would
 // push the batch past MaxBatch is carried over to seed the next batch
@@ -102,73 +102,49 @@ func (e *Engine) gather(first *call) []*call {
 // sides in hand it returns how much longer to hold the batch open, or
 // <= 0 to dispatch immediately.
 //
-// The target is the next useful width: filling the zero-padding of
-// the current kernel ceiling costs no extra kernel time (a padded
-// column rides for free), while stepping to the next kernel size
-// costs T(next) - T(cur). The model prices one solve as
-// iters * T(m) (iters is an EWMA of observed iteration counts), and
-// waiting is allowed only while
+// The target is one more request: a fused solve is exactly as wide as
+// its columns, so taking it costs T(q+1) - T(q) per iteration. The
+// model prices one solve as iters * T(m) (iters is an EWMA of observed
+// iteration counts), and waiting is allowed only while
 //
-//	wait + iters*T(target) <= WaitFactor * iters*T(cur),
+//	wait + iters*T(q+1) <= WaitFactor * iters*T(q),
 //
 // so once GSPMV goes compute-bound — T(m) growing linearly, r(m) ~ m
 // — the inequality fails and batches stop growing: the batcher's
 // window tracks the paper's m_s switch point by construction. The
-// wait actually scheduled is the arrival-rate estimate of the time to
-// fill the target, clamped by that budget, by each request's context
-// deadline slack, and by the hard MaxWait cap.
+// wait actually scheduled is the arrival-rate estimate of one arrival
+// gap, clamped by that budget, by each request's context deadline
+// slack, and by the hard MaxWait cap.
 func (e *Engine) planWait(q int, batch []*call, waited time.Duration) time.Duration {
 	if q >= e.cfg.MaxBatch {
 		return 0
 	}
-	rem := e.cfg.MaxWait - waited
-	if rem <= 0 {
+	budget := e.cfg.MaxWait - waited
+	if budget <= 0 {
 		return 0
 	}
-	cur := solver.KernelCeil(q)
-	target := cur
-	if q == cur {
-		target = solver.KernelCeil(cur + 1)
-		if target > e.cfg.MaxBatch {
-			return 0
-		}
-	}
-
-	budget := rem
-	var tTarget float64
+	var tNext float64
 	if e.cfg.Model != nil {
 		iters := e.itersEWMA
-		tCur := iters * e.cfg.Model.T(cur)
-		tTarget = iters * e.cfg.Model.T(target)
-		if q == cur {
-			// Stepping kernels is only worth the modeled latency
-			// stretch; filling padding (q < cur) is free throughput
-			// and is bounded by rem alone.
-			lat := time.Duration((e.cfg.WaitFactor*tCur - tTarget) * float64(time.Second))
-			if lat < budget {
-				budget = lat
-			}
-		}
+		tNext = iters * e.cfg.Model.T(q+1)
+		budget = min(budget, time.Duration((e.cfg.WaitFactor*iters*e.cfg.Model.T(q)-tNext)*float64(time.Second)))
 	}
-	// A request whose deadline would expire during the bigger solve
+	// A request whose deadline would expire during the wider solve
 	// must not be held: dispatch now.
 	now := time.Now()
 	for _, c := range batch {
 		if dl, ok := c.ctx.Deadline(); ok {
-			slack := dl.Sub(now) - time.Duration(tTarget*float64(time.Second))
-			if slack < budget {
-				budget = slack
-			}
+			budget = min(budget, dl.Sub(now)-time.Duration(tNext*float64(time.Second)))
 		}
 	}
 	if budget <= 0 {
 		return 0
 	}
 	if gap := e.arrivalGap(); gap > 0 {
-		need := time.Duration(float64(target-q) * gap * float64(time.Second))
+		need := time.Duration(gap * float64(time.Second))
 		if need > budget {
-			// Arrivals are too slow to fill the target inside the
-			// budget: waiting would be pure added latency.
+			// Arrivals are too slow to bring one more request inside
+			// the budget: waiting would be pure added latency.
 			return 0
 		}
 		return need
@@ -212,10 +188,6 @@ func (e *Engine) dispatch(batch []*call) {
 	for _, c := range live {
 		q += c.width()
 	}
-	kernelM := solver.KernelCeil(q)
-	if kernelM > e.cfg.MaxBatch {
-		kernelM = q
-	}
 	var solveSpans []*obs.Span
 	for _, c := range live {
 		if c.tr == nil {
@@ -223,7 +195,7 @@ func (e *Engine) dispatch(batch []*call) {
 		}
 		c.tr.SetAttr("batch", e.batchSeq)
 		c.tr.SetAttr("batch_size", int64(q))
-		c.tr.SetAttr("kernel_m", int64(kernelM))
+		c.tr.SetAttr("kernel_m", int64(q))
 		solveSpans = append(solveSpans, c.tr.StartSpan("solve"))
 	}
 	xs := make([][]float64, q)
@@ -255,7 +227,7 @@ func (e *Engine) dispatch(batch []*call) {
 				X:         xs[j],
 				Stats:     st,
 				BatchSize: q,
-				KernelM:   kernelM,
+				KernelM:   q,
 				QueueWait: dispatchT0.Sub(c.enq),
 				SolveTime: elapsed,
 				Err:       st.Err,

@@ -1,8 +1,8 @@
 // Package serve turns the MRHS solver stack into a batching solve
 // server: independent solve requests are held briefly in a bounded
 // admission queue and coalesced by a dynamic batcher into one
-// multi-right-hand-side solve sized to the specialized GSPMV kernels
-// (m in {1, 2, 4, 8, 16, 32}).
+// multi-right-hand-side solve exactly as wide as the batch: every width
+// up to MaxBatch has its own GSPMV kernel pass.
 //
 // The economics are the paper's Eq. 8 applied to serving: a solve
 // with m fused right-hand sides costs r(m) << m times a single solve,
@@ -18,13 +18,13 @@
 //
 // # Ensembles
 //
-// Traffic batching only fills kernels when concurrent requests happen
+// Traffic batching only widens a solve when concurrent requests happen
 // to overlap; at low load the batcher dispatches singletons and the
 // MRHS advantage evaporates. SubmitEnsemble (HTTP: POST /v1/ensemble)
 // removes that dependence on luck: a client submits K right-hand
 // sides as one atomic admission unit — one queue slot, shed or
 // accepted as a whole, always solved inside the same fused dispatch —
-// so the kernel width is >= K structurally, even at concurrency 1.
+// so the solve's width is >= K structurally, even at concurrency 1.
 // This is the ensemble fusion of Krasnopolsky's papers surfaced as an
 // API: K independent trajectories advanced by one client cost r(K)
 // single solves instead of K.

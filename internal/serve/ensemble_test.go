@@ -60,10 +60,10 @@ func TestServeEnsembleBitwiseEquivalence(t *testing.T) {
 			}
 		}
 		// The fused dispatch must report the structural width: all K
-		// members in one batch, kernel rounded up from >= K.
-		if r.BatchSize < k || r.KernelM < solver.KernelCeil(k) {
-			t.Errorf("member %d batch=%d kernel=%d, want >= %d / %d",
-				i, r.BatchSize, r.KernelM, k, solver.KernelCeil(k))
+		// members in one batch, solved at its width.
+		if r.BatchSize < k || r.KernelM < k || r.KernelM != r.BatchSize {
+			t.Errorf("member %d batch=%d kernel=%d, want both >= %d and equal",
+				i, r.BatchSize, r.KernelM, k)
 		}
 	}
 }

@@ -44,7 +44,7 @@ type SolveResponse struct {
 }
 
 // EnsembleRequest is the JSON body of POST /v1/ensemble: K
-// right-hand sides solved as one atomic fused dispatch (kernel m >= K
+// right-hand sides solved as one atomic fused dispatch (width >= K
 // regardless of server load). Exactly one of Bs (explicit vectors),
 // Seeds (server-generated standard-normal vectors, one per seed), or
 // Members+Seed (Members seeds counted up from Seed; Members defaults

@@ -22,7 +22,7 @@ var (
 	batchRHS = obs.Default.Counter("serve_batch_rhs_total")
 
 	// Ensemble submissions: whole-ensemble admissions, their member
-	// count, and the width distribution (the structural kernel m the
+	// count, and the width distribution (the structural solve width the
 	// client bought regardless of load).
 	ensembles       = obs.Default.Counter("serve_ensembles_total")
 	ensembleMembers = obs.Default.Counter("serve_ensemble_members_total")

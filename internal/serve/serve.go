@@ -54,8 +54,8 @@ type Config struct {
 	// preconditioner per fused solve, shared by all its columns and
 	// swept over the lane block by one ApplyBlock per iteration.
 	Precond solver.Preconditioner
-	// MaxBatch caps the right-hand sides coalesced into one dispatch
-	// (clamped to the largest specialized kernel, 32). Default 32.
+	// MaxBatch caps the right-hand sides coalesced into one dispatch,
+	// and so the width of its fused solve (at most 32). Default 32.
 	MaxBatch int
 	// QueueCap bounds the admission queue; a full queue sheds
 	// requests with ErrOverloaded. Default 4*MaxBatch.
@@ -64,8 +64,8 @@ type Config struct {
 	// hoping for a fuller batch. Default 2ms.
 	MaxWait time.Duration
 	// WaitFactor is the latency stretch the cost model may spend to
-	// reach the next kernel size: the batcher waits only while
-	// wait + T_solve(next) <= WaitFactor * T_solve(now). Default 1.5.
+	// take one more request: with q in hand the batcher waits only while
+	// wait + T_solve(q+1) <= WaitFactor * T_solve(q). Default 1.5.
 	WaitFactor float64
 	// Model, if non-nil, prices T(m) for the dispatch-now-vs-wait
 	// decision (see planWait). Without a model the batcher falls back
@@ -129,8 +129,10 @@ type Result struct {
 	// Stats is this request's solver outcome.
 	Stats solver.Stats
 	// BatchSize is the number of requests coalesced into the dispatch
-	// that served this one; KernelM is the padded multivector width
-	// the GSPMV actually ran at.
+	// that served this one; KernelM is the multivector width the GSPMV
+	// ran at, which is BatchSize: a fused solve is exactly as wide as
+	// its columns. KernelM stays for the clients that read it (HTTP
+	// kernel_m).
 	BatchSize int
 	KernelM   int
 	// QueueWait is the time spent in the admission queue and batching
@@ -256,7 +258,7 @@ func (e *Engine) Submit(ctx context.Context, req Req) (Result, error) {
 // SubmitEnsemble enqueues K right-hand sides as one atomic admission
 // unit: the ensemble occupies a single queue slot, is shed or
 // accepted as a whole, and its members are always solved inside the
-// same fused dispatch — so the solve's kernel width is >= K no matter
+// same fused dispatch — so the solve's width is >= K no matter
 // how idle the server is. This is Krasnopolsky's ensemble fusion at
 // the serving tier: one client simulating K trajectories gets full
 // MRHS economics at concurrency 1.
@@ -369,7 +371,7 @@ func (c *call) finishTrace(outcome string, err error) {
 }
 
 // noteArrival feeds the inter-arrival EWMA the cost model uses to
-// predict how long the next kernel size would take to fill. Callers
+// predict how long one more request would take to arrive. Callers
 // hold e.mu.
 func (e *Engine) noteArrival(now time.Time) {
 	if !e.lastArr.IsZero() {

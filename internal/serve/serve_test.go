@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -344,11 +345,88 @@ func TestServePlanWait(t *testing.T) {
 	if w := e.planWait(1, mk(1), 0); w <= 0 {
 		t.Error("fresh singleton refuses to wait; batching can never happen")
 	}
-	// When the next kernel size is unreachable under MaxBatch there is
-	// nothing to wait for: q=2's next width is 4, over a cap of 3.
+	// One short of MaxBatch, the target is the last request the cap
+	// admits, and the wait is one arrival gap.
 	e2 := NewEngine(testMatrix(), Config{MaxBatch: 3, MaxWait: time.Millisecond})
 	defer e2.Close(context.Background())
-	if w := e2.planWait(2, mk(2), 0); w > 0 {
-		t.Errorf("q=2 under cap 3 waits %v, but kernel width 4 is unreachable", w)
+	const gap = 200 * time.Microsecond
+	e2.mu.Lock()
+	e2.gapEWMA = gap.Seconds()
+	e2.mu.Unlock()
+	if w := e2.planWait(2, mk(2), 0); w != gap {
+		t.Errorf("q=2 under cap 3 waits %v, want one arrival gap, %v", w, gap)
+	}
+}
+
+// widthOp records the width of every multiply, and holds the first
+// until release is closed, after closing entered.
+type widthOp struct {
+	inner            *bcrs.Matrix
+	entered, release chan struct{}
+	once             sync.Once
+	mu               sync.Mutex
+	widths           []int
+}
+
+func (w *widthOp) N() int { return w.inner.N() }
+
+func (w *widthOp) Mul(y, x *multivec.MultiVec) {
+	w.mu.Lock()
+	w.widths = append(w.widths, x.M)
+	w.mu.Unlock()
+	w.once.Do(func() {
+		close(w.entered)
+		<-w.release
+	})
+	w.inner.Mul(y, x)
+}
+
+// TestServeSolvesAtBatchWidth: 20 requests queued behind a solve in
+// flight, under MaxBatch 24, are one dispatch whose fused solve runs at
+// width 20 — no wider — and reports KernelM == BatchSize == 20.
+func TestServeSolvesAtBatchWidth(t *testing.T) {
+	a := testMatrix()
+	n := a.N()
+	op := &widthOp{inner: a, entered: make(chan struct{}), release: make(chan struct{})}
+	e := NewEngine(op, Config{Tol: 1e-8, MaxIter: 500, MaxBatch: 24})
+	defer e.Close(context.Background())
+
+	gate := make(chan error, 1)
+	go func() {
+		_, err := e.Submit(context.Background(), Req{B: testRHS(n, 700)})
+		gate <- err
+	}()
+	<-op.entered // the dispatcher is inside the gate's first multiply
+	const q = 20
+	results := make([]Result, q)
+	errs := make([]error, q)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = e.Submit(context.Background(), Req{B: testRHS(n, uint64(710+i))})
+		}()
+	}
+	for len(e.queue) < q {
+		time.Sleep(time.Millisecond)
+	}
+	close(op.release)
+	wg.Wait()
+	if err := <-gate; err != nil {
+		t.Fatalf("gate request: %v", err)
+	}
+	for i, r := range results {
+		if errs[i] != nil || !r.Stats.Converged {
+			t.Fatalf("request %d: err=%v converged=%v", i, errs[i], r.Stats.Converged)
+		}
+		if r.BatchSize != q || r.KernelM != q {
+			t.Errorf("request %d: batch=%d kernel_m=%d, want both %d", i, r.BatchSize, r.KernelM, q)
+		}
+	}
+	op.mu.Lock()
+	defer op.mu.Unlock()
+	if w := slices.Max(op.widths); w != q {
+		t.Errorf("widest multiply ran at %d, want %d: %v", w, q, op.widths)
 	}
 }

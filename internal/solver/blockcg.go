@@ -299,7 +299,7 @@ func BlockCG(ws *Workspace, a BlockOperator, x, b *multivec.MultiVec, opt Option
 		dst.CopyFrom(z)
 		if len(keep) < m {
 			stats.Dropped += m - len(keep)
-			dst.CompactColumns(keep, len(keep))
+			dst.CompactColumns(keep)
 		}
 	}
 	// A preconditioner that maps a nonzero residual to zero keeps no
@@ -330,8 +330,8 @@ func BlockCG(ws *Workspace, a BlockOperator, x, b *multivec.MultiVec, opt Option
 		if len(keep) < p.M {
 			stats.Dropped += p.M - len(keep)
 			full = false
-			p.CompactColumns(keep, len(keep))
-			s.CompactColumns(keep, len(keep))
+			p.CompactColumns(keep)
+			s.CompactColumns(keep)
 			pts = shape(pts, p.M, p.M)
 			multivec.GramInto(pts, p, s)
 		}

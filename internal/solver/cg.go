@@ -114,7 +114,7 @@ type Preconditioner interface {
 }
 
 // CG is CGWith on a fresh workspace.
-func CG(a Operator, x, b []float64, opt Options) Stats { return CGWith(nil, a, x, b, opt) }
+func CG(a BlockOperator, x, b []float64, opt Options) Stats { return CGWith(nil, a, x, b, opt) }
 
 // CGWith solves A*x = b for SPD A by (preconditioned) conjugate
 // gradients from the guess in x, on the workspace ws (nil: a fresh one;
@@ -124,8 +124,9 @@ func CG(a Operator, x, b []float64, opt Options) Stats { return CGWith(nil, a, x
 //
 // CGWith is MultiCGWith's fused solve at one column (the package comment
 // has the contract), so a column of a batch equals its lone solve by
-// construction. x is written when the solve ends.
-func CGWith(ws *Workspace, a Operator, x, b []float64, opt Options) (st Stats) {
+// construction: its multiplies are a's at width 1. x is written when
+// the solve ends.
+func CGWith(ws *Workspace, a BlockOperator, x, b []float64, opt Options) (st Stats) {
 	n := a.N()
 	if len(x) != n || len(b) != n {
 		panic("solver: CG dimension mismatch")
@@ -134,19 +135,12 @@ func CGWith(ws *Workspace, a Operator, x, b []float64, opt Options) (st Stats) {
 		ws = new(Workspace)
 	}
 	o := &ws.one
-	o.op = vecOperator{a}
 	o.xs[0], o.bs[0], o.opts[0], o.stats[0] = x, b, opt, Stats{}
 	defer func() {
 		st = o.stats[0]
-		o.op, o.xs[0], o.bs[0], o.opts[0] = vecOperator{}, nil, nil, Options{} // unpin the caller's
+		o.xs[0], o.bs[0], o.opts[0] = nil, nil, Options{} // unpin the caller's
 		recordCG(&st)
 	}()
-	ws.solve(&o.op, o.xs[:], o.bs[:], o.opts[:], o.stats[:])
+	ws.solve(a, o.xs[:], o.bs[:], o.opts[:], o.stats[:])
 	return st
 }
-
-// vecOperator presents a single-vector Operator as the n-by-1 block
-// operator the fused solve multiplies through.
-type vecOperator struct{ Operator }
-
-func (v vecOperator) Mul(y, x *multivec.MultiVec) { v.MulVec(y.Data, x.Data) }

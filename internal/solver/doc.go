@@ -27,16 +27,18 @@
 // solve at q = 1.
 //
 //   - Layout. The state of all q columns lives in four row-major
-//     n-by-w blocks X, R, P, AP (w = KernelCeil(q); a fifth, Z, only
-//     when the batch is preconditioned) owned by the caller's
-//     Workspace — the layout the GSPMV kernels multiply in.
+//     n-by-q blocks X, R, P, AP (a fifth, Z, only when the batch is
+//     preconditioned) owned by the caller's Workspace — the layout the
+//     GSPMV kernels multiply in. A block is exactly as wide as its live
+//     columns: the kernels have a pass for every width, so there are no
+//     padding lanes.
 //     Guesses and right-hand sides are packed once on entry, each
 //     column's iterate is copied out once when it retires, and an
 //     iteration is one fused multiply AP = A*P plus three column
 //     sweeps of internal/multivec: ColDots (p.Ap), ColUpdate
 //     (X += P*diag(alpha), R -= AP*diag(alpha) and the sums of squares
 //     of the new R, in one pass) and ColDirection
-//     (P = Z + P*diag(beta)). At w = 1 a block is the vector.
+//     (P = Z + P*diag(beta)). At q = 1 a block is the vector.
 //   - Zero guesses. R = B - A*X on entry, except that a column whose
 //     guess is all ±0 (checked up to its first nonzero entry) takes
 //     R = B: that is B - (+0), bit for bit, for an operator whose
@@ -54,19 +56,18 @@
 //     row-chunk order (k = max(1, n/4096) row chunks, each in row
 //     order, the chunk sums in chunk order: a plan of n alone), the
 //     split sweeps elementwise — so a lane's bits depend on neither q,
-//     w, the lane's position, the thread count, nor whether the AVX2
+//     the lane's position, the thread count, nor whether the AVX2
 //     sweeps or the Go loops ran. With the GSPMV kernels' identical
 //     per-column order this makes column j of MultiCG BITWISE what
 //     CG(a, x_j, b_j, opts[j]) returns: iterate, iteration count,
 //     multiply count, residual.
 //   - Preconditioning. A batch has one preconditioner or none: every
 //     column's Options.Precond names the same one, and a batch whose
-//     columns name different ones panics. Z = M^{-1} R is one Apply at
-//     w = 1 and one ApplyBlock over the whole lane block above it —
-//     padding lanes and the lanes retired since the last boundary
-//     included, since the block's columns do not mix — and r.z goes
-//     through ColDots. The contract of ApplyBlock makes each lane's z
-//     the lone solve's.
+//     columns name different ones panics. Z = M^{-1} R is one
+//     ApplyBlock over the whole lane block — the lanes retired since
+//     the last boundary included, since the block's columns do not mix
+//     — and r.z goes through ColDots. The contract of ApplyBlock makes
+//     each lane's z the lone solve's; at q = 1 it runs Apply's sweeps.
 //   - Norms. A norm is the square root of the lane's chunked sum of
 //     squares: ||r||^2 is the same unscaled sum r.z and p.Ap always
 //     were (for an unpreconditioned column it *is* r.z, and is reused
@@ -76,10 +77,8 @@
 //     one whose square overflows is a breakdown.
 //   - Retirement. A column leaves at an iteration boundary — converged,
 //     out of budget (MaxIter), cancelled (Ctx), broken down — in CG's
-//     own order of tests. The survivors are compacted to the leading
-//     lanes, in place while KernelCeil of their count holds and into
-//     the narrower block (the same storage, restrided) when it drops,
-//     with zero padding after them.
+//     own order of tests. The survivors are compacted into a block
+//     exactly as wide as their count, in the same storage, restrided.
 //   - Breakdown. When p.Ap is not a finite number > 0, or a sum of
 //     squares (of b on entry, of r after any update) is not finite,
 //     the column retires at once with Stats.Err = ErrBreakdown and the

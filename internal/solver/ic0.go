@@ -236,19 +236,9 @@ func invLower3(dst []float64, l blas.Mat3) {
 }
 
 // Apply computes z = (L L^T)^{-1} r: one forward and one backward
-// block substitution. It satisfies the Preconditioner interface and
-// allocates nothing.
+// block substitution, ApplyBlock on the vector as a block of width 1.
+// It satisfies the Preconditioner interface and allocates nothing.
 func (ic *IC0) Apply(z, r []float64) {
-	if n := ic.nb * 3; len(z) != n || len(r) != n {
-		panic("solver: IC0 dimension mismatch")
-	}
-	// ic0_amd64.s wants AVX2 and a strict-lower block to point at;
-	// ApplyBlock's loops at m = 1 are its oracle and every other host's
-	// path.
-	if cpufeat.AVX2 && len(ic.colIdx) > 0 {
-		ic.sweepSIMD(z, r, 1, 1)
-		return
-	}
 	ic.ApplyBlock(&multivec.MultiVec{N: len(z), M: 1, Data: z}, &multivec.MultiVec{N: len(r), M: 1, Data: r})
 }
 
@@ -296,8 +286,11 @@ func (ic *IC0) buildL() {
 // ApplyBlock is Apply on every column of a block at once: each sweep
 // runs once, a stored block is loaded once for all m row-major
 // columns, and column j of z is bitwise what Apply gives on column j
-// of r. BlockCG preconditions through it. With AVX2 only the m%4 last
-// columns go through the loops here.
+// of r. Every solver preconditions through it. With AVX2 (and a
+// strict-lower block for ic0_amd64.s to point at) m = 1 runs the
+// single-vector sweeps and a wider block all but its m%4 last columns,
+// which go through the loops here; those loops are the oracle of both
+// and every other host's path.
 func (ic *IC0) ApplyBlock(z, r *multivec.MultiVec) {
 	const bs = bcrs.BlockSize
 	m := z.M
@@ -305,8 +298,8 @@ func (ic *IC0) ApplyBlock(z, r *multivec.MultiVec) {
 		panic("solver: IC0 dimension mismatch")
 	}
 	c0 := 0 // the loops take columns [c0, m)
-	if m >= 4 && cpufeat.AVX2 && len(ic.colIdx) > 0 {
-		c0 = m &^ 3
+	if cpufeat.AVX2 && len(ic.colIdx) > 0 && (m == 1 || m >= 4) {
+		c0 = max(m&^3, 1)
 		ic.sweepSIMD(z.Data, r.Data, m, c0)
 	}
 	if c0 == m {

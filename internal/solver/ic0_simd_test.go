@@ -10,6 +10,7 @@ import (
 	"repro/internal/bcrs"
 	"repro/internal/cpufeat"
 	"repro/internal/hydro"
+	"repro/internal/multivec"
 	"repro/internal/particles"
 )
 
@@ -102,11 +103,12 @@ func sweepCases(t *testing.T) map[string]*IC0 {
 	return out
 }
 
-// TestIC0ApplyBitwiseMatchesReference: Apply, through the assembly
-// sweeps and through the Go loops, gives the reference substitutions'
-// bits — on finite right-hand sides and on ones with NaN, infinities,
-// signed zeros and a subnormal — and so does each assembly sweep alone
-// (checkSweeps, where there is assembly).
+// TestIC0ApplyBitwiseMatchesReference: Apply and ApplyBlock on an
+// n-by-1 block, through the assembly sweeps and through the Go loops,
+// give the reference substitutions' bits — on finite right-hand sides
+// and on ones with NaN, infinities, signed zeros and a subnormal — and
+// so does each assembly sweep alone (checkSweeps, where there is
+// assembly).
 func TestIC0ApplyBitwiseMatchesReference(t *testing.T) {
 	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 5e-324}
 	for name, ic := range sweepCases(t) {
@@ -121,10 +123,16 @@ func TestIC0ApplyBitwiseMatchesReference(t *testing.T) {
 			copy(want, fwd)
 			refBackward(ic, want)
 			for _, simd := range simdModes {
-				got := make([]float64, n)
-				withSIMD(simd, func() { ic.Apply(got, r) })
+				got, block := make([]float64, n), make([]float64, n)
+				withSIMD(simd, func() {
+					ic.Apply(got, r)
+					ic.ApplyBlock(&multivec.MultiVec{N: n, M: 1, Data: block}, &multivec.MultiVec{N: n, M: 1, Data: r})
+				})
 				if i := firstDiff(got, want); i >= 0 {
 					t.Fatalf("%s hostile=%d simd=%v: z[%d] = %v, want %v", name, hostile, simd, i, got[i], want[i])
+				}
+				if i := firstDiff(block, want); i >= 0 {
+					t.Fatalf("%s hostile=%d simd=%v: ApplyBlock at m = 1: z[%d] = %v, want %v", name, hostile, simd, i, block[i], want[i])
 				}
 			}
 			checkSweeps(t, name, ic, r, fwd, want)
@@ -147,10 +155,11 @@ func TestIC0RejectsNegativeColumn(t *testing.T) {
 	}
 }
 
-// TestMultiCGWidthOnePreconditionsInPlace: at kernel width 1 the block IS the
-// column, so MultiCG preconditions it where it lies through Apply; the
-// solve must be bitwise the one a two-column solve of the same system
-// twice gives, which sweeps both columns through one ApplyBlock.
+// TestMultiCGWidthOnePreconditionsInPlace: at width 1 the block IS the
+// column, so MultiCG preconditions it where it lies, through
+// ApplyBlock's single-vector sweeps; the solve must be bitwise the one a
+// two-column solve of the same system twice gives, which sweeps both
+// columns through ApplyBlock's two-column loops.
 func TestMultiCGWidthOnePreconditionsInPlace(t *testing.T) {
 	a := spdMatrix(85, 70, 7)
 	ic, err := NewIC0(a)
@@ -167,6 +176,6 @@ func TestMultiCGWidthOnePreconditionsInPlace(t *testing.T) {
 		t.Fatalf("lone solve: converged=%v in %d iterations, fused column in %d", st.Converged, st.Iterations, sts[0].Iterations)
 	}
 	if i := firstDiff(lone, xs[0]); i >= 0 {
-		t.Fatalf("x[%d] = %v through Apply, %v through ApplyBlock", i, lone[i], xs[0][i])
+		t.Fatalf("x[%d] = %v at width 1, %v at width 2", i, lone[i], xs[0][i])
 	}
 }

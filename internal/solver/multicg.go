@@ -9,26 +9,6 @@ import (
 	"repro/internal/multivec"
 )
 
-// KernelSizes lists the block widths fused multiplies are padded to:
-// the batching solve server rounds batch widths up to these sizes, and
-// MultiCG pads its multiplies and sweeps the same way. Every width has
-// an assembly multiply on an AVX2 + FMA host (internal/bcrs runs the
-// last m % 8 columns under a lane mask), so there the padding no longer
-// selects a kernel; without AVX2 and FMA the Go loops serve every
-// width.
-var KernelSizes = [...]int{1, 2, 4, 8, 16, 32}
-
-// KernelCeil returns the smallest kernel width that is >= q, or q
-// itself when q exceeds the largest.
-func KernelCeil(q int) int {
-	for _, k := range KernelSizes {
-		if k >= q {
-			return k
-		}
-	}
-	return q
-}
-
 // Workspace owns every temporary of the package's solves — a fused
 // solve's blocks and per-column scalars, CGWith's batch of one, BlockCG's
 // block storage — grown on first use and kept, so a long-lived caller (a
@@ -44,14 +24,13 @@ type Workspace struct {
 	pre            Preconditioner // the batch's, shared by every column; Z is in use when set
 
 	lanes   []lane
-	scalars []float64 // pap/bb, alpha, rr, beta: one kernel width each
+	scalars []float64 // pap/bb, alpha, rr, beta: q each
 	zero    []bool    // column j's guess is all ±0
 
 	keep, outLanes []int
 	outCols        [][]float64
 
 	one struct { // CGWith's batch of one
-		op     vecOperator
 		xs, bs [1][]float64
 		opts   [1]Options
 		stats  [1]Stats
@@ -136,8 +115,8 @@ func (l *lane) retire(copyOut bool) {
 	l.retired, l.copyOut = true, copyOut
 }
 
-// solve is the one CG in the package: CGWith runs it at q = 1 through a
-// vecOperator, MultiCGWith at any q. The package comment states the
+// solve is the one CG in the package: CGWith runs it at q = 1,
+// MultiCGWith at any q. The package comment states the
 // contract; the comments below only say which rule a step implements.
 func (ws *Workspace) solve(a BlockOperator, xs, bs [][]float64, opts []Options, stats []Stats) {
 	start := time.Now()
@@ -151,15 +130,14 @@ func (ws *Workspace) solve(a BlockOperator, xs, bs [][]float64, opts []Options, 
 	}()
 
 	n, q := a.N(), len(xs)
-	w := KernelCeil(q)
 	x, r, p, ap, z := &ws.x, &ws.r, &ws.p, &ws.ap, &ws.z
 	for _, b := range []*multivec.MultiVec{x, r, p, ap} {
-		b.Reshape(n, w)
+		b.Reshape(n, q)
 	}
-	if cap(ws.scalars) < 4*w {
-		ws.scalars = make([]float64, 4*w)
+	if cap(ws.scalars) < 4*q {
+		ws.scalars = make([]float64, 4*q)
 	}
-	pap, alpha, rr, beta := ws.scalars[0:w], ws.scalars[w:2*w], ws.scalars[2*w:3*w], ws.scalars[3*w:4*w]
+	pap, alpha, rr, beta := ws.scalars[0:q], ws.scalars[q:2*q], ws.scalars[2*q:3*q], ws.scalars[3*q:4*q]
 
 	lanes := ws.lanes[:0]
 	for j := 0; j < q; j++ {
@@ -186,15 +164,15 @@ func (ws *Workspace) solve(a BlockOperator, xs, bs [][]float64, opts []Options, 
 		ws.mul(a, ap, x)
 		for j, z := range zero {
 			if z { // A*0 is +0, whatever a non-finite operator gave there
-				for i := j; i < len(ap.Data); i += w {
+				for i := j; i < len(ap.Data); i += q {
 					ap.Data[i] = 0
 				}
 			}
 		}
-		multivec.ColResidual(r, r, ap, bb[:q], rr[:q])
+		multivec.ColResidual(r, r, ap, bb, rr)
 	} else {
-		multivec.ColDots(bb[:q], r, r)
-		copy(rr, bb[:q])
+		multivec.ColDots(bb, r, r)
+		copy(rr, bb)
 	}
 	live := 0
 	for j := range lanes {
@@ -227,9 +205,9 @@ func (ws *Workspace) solve(a BlockOperator, xs, bs [][]float64, opts []Options, 
 	}
 	zsrc := r // z aliases r when the batch is not preconditioned
 	if ws.pre != nil {
-		z.Reshape(n, w)
+		z.Reshape(n, q)
 		zsrc = z
-		ws.precondition(rr[:q])
+		ws.precondition(rr)
 		for j := range lanes {
 			lanes[j].rz = rr[j]
 		}
@@ -320,27 +298,20 @@ func (ws *Workspace) mul(a BlockOperator, y, x *multivec.MultiVec) {
 	ws.MulSeconds += time.Since(t0).Seconds()
 }
 
-// precondition sets Z = M^{-1} R over the whole lane block — Apply at
-// width 1, where the block is the column, one ApplyBlock above it —
-// and rz[j] to lane j's r_j.z_j. Padding lanes are zero in and out, and
-// the lanes retired since the last boundary are swept with the rest:
-// ApplyBlock's columns are independent, so no lane's bits depend on
-// another's.
+// precondition sets Z = M^{-1} R over the whole lane block — one
+// ApplyBlock, which is Apply's sweeps at width 1 — and rz[j] to lane
+// j's r_j.z_j. The lanes retired since the last boundary are swept with
+// the rest: ApplyBlock's columns are independent, so no lane's bits
+// depend on another's.
 func (ws *Workspace) precondition(rz []float64) {
-	if ws.r.M == 1 {
-		ws.pre.Apply(ws.z.Data, ws.r.Data)
-	} else {
-		ws.pre.ApplyBlock(&ws.z, &ws.r)
-	}
+	ws.pre.ApplyBlock(&ws.z, &ws.r)
 	multivec.ColDots(rz, &ws.r, &ws.z)
 }
 
 // flush is the iteration boundary: the iterates of the lanes retired
 // since the last one are copied out of X in one pass, and the
-// survivors are compacted to the leading lanes — within the same
-// kernel width, or into the narrower one when KernelCeil of their
-// count drops — with zero padding after them. It returns the number of
-// surviving lanes.
+// survivors are compacted into a block exactly as wide as their count,
+// in the same storage. It returns the number of surviving lanes.
 func (ws *Workspace) flush(xs [][]float64) int {
 	keep, outLanes, outCols := ws.keep[:0], ws.outLanes[:0], ws.outCols[:0]
 	for j := range ws.lanes {
@@ -360,14 +331,13 @@ func (ws *Workspace) flush(xs [][]float64) int {
 	if len(keep) == len(ws.lanes) || len(keep) == 0 {
 		return len(keep)
 	}
-	w := KernelCeil(len(keep))
 	for _, b := range []*multivec.MultiVec{&ws.x, &ws.r, &ws.p} {
-		b.CompactColumns(keep, w)
+		b.CompactColumns(keep)
 	}
 	// AP and Z are rewritten in full before their next use.
-	ws.ap.Reshape(ws.x.N, w)
+	ws.ap.Reshape(ws.x.N, len(keep))
 	if ws.pre != nil {
-		ws.z.Reshape(ws.x.N, w)
+		ws.z.Reshape(ws.x.N, len(keep))
 	}
 	for d, s := range keep {
 		ws.lanes[d] = ws.lanes[s]

@@ -70,13 +70,13 @@ func laneDot(x, y []float64) float64 {
 // CG itself is held to, so a fault shared by CG and MultiCG cannot hide
 // behind their agreement. A zero guess starts from r = b without a
 // multiply; breakdown stops it as the contract says.
-func textbookCG(a Operator, x, b []float64, opt Options) Stats {
+func textbookCG(a BlockOperator, x, b []float64, opt Options) Stats {
 	n := a.N()
 	opt = opt.withDefaults(n)
 	r := append([]float64(nil), b...)
 	var st Stats
 	if slices.ContainsFunc(x, func(v float64) bool { return v != 0 }) {
-		a.MulVec(r, x)
+		mulVec(a, r, x)
 		blas.Sub(r, b, r)
 		st.MatMuls = 1
 	}
@@ -109,7 +109,7 @@ func textbookCG(a Operator, x, b []float64, opt Options) Stats {
 			st.Err = ErrCanceled
 			break
 		}
-		a.MulVec(ap, p)
+		mulVec(a, ap, p)
 		st.MatMuls++
 		pap := laneDot(p, ap)
 		if !(pap > 0) || math.IsInf(pap, 1) {
@@ -144,6 +144,9 @@ func textbookCG(a Operator, x, b []float64, opt Options) Stats {
 	return finish()
 }
 
+// mulVec is y = A*x through a's multiply at width 1.
+func mulVec(a BlockOperator, y, x []float64) { a.Mul(multivec.FromVector(y), multivec.FromVector(x)) }
+
 // checkColumn fails unless a fused column's outcome is, bit for bit,
 // the reference solve's.
 func checkColumn(t *testing.T, what string, x []float64, st Stats, ref []float64, rst Stats) {
@@ -168,7 +171,7 @@ func checkColumn(t *testing.T, what string, x []float64, st Stats, ref []float64
 // column alone through lone, by CG and by the textbook recurrence, from
 // copies of the guesses in xs0, and wants all three the same. It
 // returns the fused stats.
-func checkFusedMatchesLone(t *testing.T, what string, a BlockOperator, lone Operator, xs0, bs [][]float64, opts []Options) []Stats {
+func checkFusedMatchesLone(t *testing.T, what string, a, lone BlockOperator, xs0, bs [][]float64, opts []Options) []Stats {
 	t.Helper()
 	xs := make([][]float64, len(xs0))
 	for j := range xs {
@@ -187,12 +190,12 @@ func checkFusedMatchesLone(t *testing.T, what string, a BlockOperator, lone Oper
 }
 
 // spyOp is an operator over one matrix that records the width and
-// live-column count of every fused multiply and can run a hook before
-// the k-th multiply (fused or single) it is asked for.
+// live-column count of every multiply and can run a hook before the
+// k-th multiply it is asked for.
 type spyOp struct {
 	a      *bcrs.Matrix
 	calls  int
-	shapes [][2]int // {kernel width, live columns} per fused multiply
+	shapes [][2]int // {block width, live columns} per multiply
 	before func(call int)
 }
 
@@ -205,8 +208,6 @@ func (s *spyOp) tick() {
 	s.calls++
 }
 
-func (s *spyOp) MulVec(y, x []float64) { s.tick(); s.a.MulVec(y, x) }
-
 func (s *spyOp) Mul(y, x *multivec.MultiVec) {
 	s.tick()
 	s.shapes = append(s.shapes, [2]int{x.M, liveCols(x)})
@@ -214,8 +215,8 @@ func (s *spyOp) Mul(y, x *multivec.MultiVec) {
 }
 
 // liveCols counts the leading columns of x up to its last nonzero one:
-// the fused solve's padding lanes follow its live ones and are zero on
-// input.
+// a fused solve's multiply has as many when no lane of it is an
+// all-zero pad.
 func liveCols(x *multivec.MultiVec) int {
 	live := 0
 	for i := 0; i < x.N; i++ {
@@ -445,9 +446,9 @@ func TestPastDeadlineStopsAtFirstBoundary(t *testing.T) {
 
 // TestMultiCGRetiresAcrossEveryWidth staggers 32 columns' budgets and
 // tolerances so the live count falls 32 -> 20 -> 16 -> 11 -> 8 -> 5 ->
-// 4 -> 3 -> 2 -> 1: survivors are compacted in place inside a kernel
-// width and moved into every narrower one, and each column must still
-// be the lone solve of it.
+// 4 -> 3 -> 2 -> 1: survivors are compacted into a block exactly as
+// wide as their count, every multiply runs at that count, and each
+// column must still be the lone solve of it.
 func TestMultiCGRetiresAcrossEveryWidth(t *testing.T) {
 	a := bcrs.Random(bcrs.RandomOptions{NB: 150, BlocksPerRow: 6, Seed: 3})
 	n := a.N()
@@ -498,28 +499,20 @@ func TestMultiCGRetiresAcrossEveryWidth(t *testing.T) {
 		spy := &spyOp{a: a}
 		checkFusedMatchesLone(t, "staggered batch", spy, a, zeroGuesses(q, n), bs, opts)
 
-		// Zero guesses need no entry multiply: the first is iteration
-		// 1's, with all q columns live.
-		if spy.shapes[0] != [2]int{q, q} {
-			t.Fatalf("first multiply ran %d columns at width %d, want all %d", spy.shapes[0][1], spy.shapes[0][0], q)
+		// Zero guesses need no entry multiply: multiply i is iteration
+		// i+1's, run on the columns that have not left after the i
+		// before it, and at exactly their count.
+		if len(spy.shapes) <= len(leave) {
+			t.Fatalf("%d multiplies, want more than %d: %v", len(spy.shapes), len(leave), spy.shapes)
 		}
-		widths, inPlace := map[int]bool{}, false
+		live := q
 		for i, s := range spy.shapes {
-			widths[s[0]] = true
-			if s[0] != KernelCeil(s[1]) {
-				t.Fatalf("multiply %d ran %d columns at width %d", i, s[1], s[0])
+			if i > 0 && i <= len(leave) {
+				live -= leave[i-1]
 			}
-			if i > 0 && s[0] == spy.shapes[i-1][0] && s[1] < spy.shapes[i-1][1] {
-				inPlace = true
+			if s[0] != s[1] || s[0] != live {
+				t.Fatalf("multiply %d ran %d columns at width %d, want %d live: %v", i, s[1], s[0], live, spy.shapes)
 			}
-		}
-		for _, w := range KernelSizes {
-			if !widths[w] {
-				t.Errorf("no multiply at kernel width %d: %v", w, spy.shapes)
-			}
-		}
-		if !inPlace {
-			t.Errorf("no compaction inside a kernel width: %v", spy.shapes)
 		}
 	})
 }
@@ -777,10 +770,10 @@ func (s *sweepSpy) ApplyBlock(z, r *multivec.MultiVec) {
 }
 
 // TestMultiCGSharedIC0MatchesLone: one IC(0) factor shared by a whole
-// batch, applied by one ApplyBlock over the lane block per iteration
-// (Apply at width 1), leaves every column its lone PCG solve bit for
-// bit — at batch widths on and off the kernel widths, on pools of 1, 2
-// and 4 threads, with budgets that retire a third of the columns at
+// batch, applied by one ApplyBlock over the lane block per iteration,
+// leaves every column its lone PCG solve bit for bit — at every
+// remainder of ApplyBlock's four-column groups, on pools of 1, 2 and 4
+// threads, with budgets that retire a third of the columns at
 // staggered iterations (so the block narrows through the widths), a
 // column whose context is already cancelled and one whose NaN
 // right-hand side retires it at entry while its lane still rides the
@@ -797,7 +790,7 @@ func TestMultiCGSharedIC0MatchesLone(t *testing.T) {
 	cancel()
 	for _, threads := range []int{1, 2, 4} {
 		parallel.SetThreads(threads)
-		for _, q := range []int{1, 2, 3, 5, 8, 17, 32, 33} {
+		for _, q := range []int{1, 2, 3, 5, 7, 8, 17, 32, 33} {
 			spy := &sweepSpy{IC0: ic}
 			bs, opts := make([][]float64, q), make([]Options, q)
 			for j := range bs {
@@ -832,14 +825,14 @@ func TestMultiCGSharedIC0MatchesLone(t *testing.T) {
 					t.Errorf("%s: column %d did not converge: %+v", what, j, st)
 				}
 			}
-			// Lone solves run at width 1 and sweep through Apply, so
-			// every ApplyBlock was the fused solve's, over its whole
-			// block: the batch's kernel width first.
-			if q > 1 && (len(spy.widths) == 0 || spy.widths[0] != KernelCeil(q)) {
-				t.Errorf("%s: ApplyBlock widths %v, want the first at %d", what, spy.widths, KernelCeil(q))
+			// The fused solve sweeps its whole block, first at the
+			// batch's width, then at its survivors' count; the lone
+			// solves after it sweep at width 1.
+			if len(spy.widths) == 0 || spy.widths[0] != q {
+				t.Errorf("%s: ApplyBlock widths %v, want the first at %d", what, spy.widths, q)
 			}
 			for _, w := range spy.widths {
-				if w < 2 || KernelCeil(w) != w {
+				if w < 1 || w > q {
 					t.Fatalf("%s: ApplyBlock at width %d", what, w)
 				}
 			}
@@ -899,9 +892,9 @@ func TestMultiCGCancelMidSolve(t *testing.T) {
 type negated struct{ a *bcrs.Matrix }
 
 func (m negated) N() int { return m.a.N() }
-func (m negated) MulVec(y, x []float64) {
-	m.a.MulVec(y, x)
-	blas.Scal(-1, y)
+func (m negated) Mul(y, x *multivec.MultiVec) {
+	m.a.Mul(y, x)
+	blas.Scal(-1, y.Data)
 }
 
 // blockDiag is [A 0; 0 -B]: positive definite on A's rows, negative
@@ -909,12 +902,6 @@ func (m negated) MulVec(y, x []float64) {
 type blockDiag struct{ a, b *bcrs.Matrix }
 
 func (d blockDiag) N() int { return d.a.N() + d.b.N() }
-
-func (d blockDiag) MulVec(y, x []float64) {
-	na := d.a.N()
-	d.a.MulVec(y[:na], x[:na])
-	negated{d.b}.MulVec(y[na:], x[na:])
-}
 
 func (d blockDiag) Mul(y, x *multivec.MultiVec) {
 	na, nb, m := d.a.N(), d.b.N(), x.M
@@ -935,11 +922,8 @@ func TestMultiCGBreakdownIsolated(t *testing.T) {
 	n := a.N()
 	indef := blockDiag{a, bcrs.Random(bcrs.RandomOptions{NB: 50, BlocksPerRow: 5, Seed: 91})}
 	for _, tc := range []struct {
-		name string
-		op   interface {
-			BlockOperator
-			Operator
-		}
+		name   string
+		op     BlockOperator
 		poison func(b []float64)
 	}{
 		{"NaN rhs", a, func(b []float64) { b[n/2] = math.NaN() }},
@@ -1067,8 +1051,9 @@ func TestMultiCGSteadyStateAllocs(t *testing.T) {
 
 // BenchmarkMultiCG is the fused solve at the served shape (the
 // benchmark's serve_* matrix: NB = 6000, 24 blocks per row, solved to
-// 2e-6 from zero guesses) at widths 1, 8 and 32, and under one IC(0)
-// factor shared by the batch (ic0/) at 2, 4 and 32. vec-share is the
+// 2e-6 from zero guesses) at widths 1, 3, 5, 7, 8, 12, 17, 24 and 32,
+// and under one IC(0) factor shared by the batch (ic0/) at 2 to 8 and
+// 32 — every remainder of ApplyBlock's four-column groups. vec-share is the
 // fraction of the solve outside its multiplies — what the paper's
 // "m right-hand sides for the price of ~2" does not cover — and
 // mul-ms/iter and vec-ms/iter the two halves per iteration of column
@@ -1086,8 +1071,10 @@ func BenchmarkMultiCG(b *testing.B) {
 		q    int
 		pre  Preconditioner
 	}{
-		{"q=1", 1, nil}, {"q=8", 8, nil}, {"q=32", 32, nil},
-		{"ic0/q=2", 2, ic}, {"ic0/q=4", 4, ic}, {"ic0/q=32", 32, ic},
+		{"q=1", 1, nil}, {"q=3", 3, nil}, {"q=5", 5, nil}, {"q=7", 7, nil}, {"q=8", 8, nil},
+		{"q=12", 12, nil}, {"q=17", 17, nil}, {"q=24", 24, nil}, {"q=32", 32, nil},
+		{"ic0/q=2", 2, ic}, {"ic0/q=3", 3, ic}, {"ic0/q=4", 4, ic}, {"ic0/q=5", 5, ic},
+		{"ic0/q=6", 6, ic}, {"ic0/q=7", 7, ic}, {"ic0/q=8", 8, ic}, {"ic0/q=32", 32, ic},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			q := c.q

@@ -2,24 +2,14 @@ package solver
 
 import "repro/internal/multivec"
 
-// Operator is what the single-vector iterative solvers need from a
-// linear operator: its scalar dimension and a matrix-vector product.
-// *bcrs.Matrix satisfies it directly; *cluster.Cluster wraps its
-// distributed multiply into the same shape, so the same CG runs
-// unchanged on one node or on the simulated cluster — the
-// distributed-memory SD groundwork the paper defers ("We do not
-// currently have a distributed memory SD simulation code",
-// Section V-A).
-type Operator interface {
-	// N returns the scalar dimension.
-	N() int
-	// MulVec computes y = A*x; y must not alias x.
-	MulVec(y, x []float64)
-}
-
-// BlockOperator is the multiple-vector counterpart used by the block
-// solvers and the Chebyshev recurrence: one call multiplies the
-// operator by a block of vectors (the GSPMV of the paper).
+// BlockOperator is what every solver needs from a linear operator: its
+// scalar dimension and one multiply by a block of vectors (the GSPMV of
+// the paper), a vector being the block of width 1. *bcrs.Matrix
+// satisfies it directly; *cluster.Cluster runs its distributed multiply
+// in the same shape, so the same solvers run unchanged on one node or on
+// the simulated cluster — the distributed-memory SD groundwork the paper
+// defers ("We do not currently have a distributed memory SD simulation
+// code", Section V-A).
 type BlockOperator interface {
 	// N returns the scalar dimension.
 	N() int
