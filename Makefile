@@ -22,8 +22,9 @@ GO ?= go
 # fuzzing the
 # fault-spec parser (its input is a command-line flag), ten of the
 # periodic wrap (its input is every coordinate a step produces), ten
-# of the preconditioned Brownian roots, square and inverse square (their input is every matrix
-# a step assembles, through a factor up to a window old) and ten of the
+# of the preconditioned Brownian root, the inverse square root whose
+# force every default step draws (its input is every matrix a step
+# assembles, through a factor up to a window old) and ten of the
 # block solve on dependent right-hand sides, ten of the HTTP solve
 # endpoints on arbitrary bodies, ten of checkpoint restore on arbitrary
 # bytes. Performance is not gated here: bench/run.sh's paired parent
@@ -140,14 +141,16 @@ fuzz-neighbor:
 	$(GO) test -run '^$$' -fuzz '^FuzzAssemblerMatchesOracle$$' -fuzztime 10s ./internal/hydro/
 	$(GO) test -run '^$$' -fuzz '^FuzzLogLanesMatchArchLog$$' -fuzztime 10s ./internal/hydro/
 
-# fuzz-sqrt fuzzes chebyshev.PrecondSqrt and PrecondInvSqrt (the
-# direct velocity's force, A*M^{-1} times it) for ten seconds, both on
-# every input, over small SPD block matrices seen through the IC(0)
-# factor of a drifted copy, at one to five columns, with a NaN, an
-# infinity or a negative diagonal entry planted in the operator or a NaN
-# in the noise on request: each returns, every column's force meets the
-# tolerance against the dense oracle and equals the column run alone, or
-# it fails with ErrNotSPD — which a planted fault must produce.
+# fuzz-sqrt fuzzes chebyshev.PrecondInvSqrt's force (A*M^{-1} times the
+# root, what every default step draws) for ten seconds over small SPD
+# block matrices seen through the IC(0) factor of a drifted copy, at one
+# to five columns, with a NaN, an infinity or a negative diagonal entry
+# planted in the operator or a NaN in the noise on request: it returns,
+# stays within its cap, and every column's force meets the tolerance
+# against the dense oracle and equals the column run alone, or it fails
+# with ErrNotSPD — which a planted fault must produce. The target keeps
+# the name FuzzPrecondSqrt, and its committed corpus under
+# internal/chebyshev/testdata replays with every go test.
 fuzz-sqrt:
 	$(GO) test -run '^$$' -fuzz '^FuzzPrecondSqrt$$' -fuzztime 10s ./internal/chebyshev/
 

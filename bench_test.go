@@ -167,7 +167,7 @@ func BenchmarkAblationWarmSecondSolve(b *testing.B) {
 	z := make([]float64, fixMat.N())
 	rng.New(10).FillNormal(z)
 	floor := slices.Min(hydro.FarFieldCoefficients(fixSys, hydro.Options{Phi: 0.5}))
-	if _, err := chebyshev.SeriesSqrt(nil, fixMat, fixMat, floor, 30, 0, multivec.FromVector(f), multivec.FromVector(z)); err != nil {
+	if _, err := chebyshev.SeriesSqrt(nil, fixMat, fixMat, floor, 30, multivec.FromVector(f), multivec.FromVector(z)); err != nil {
 		b.Fatal(err)
 	}
 	u := make([]float64, fixMat.N())
@@ -308,6 +308,7 @@ func BenchmarkIC0(b *testing.B) {
 	const m = 16
 	r, z := make([]float64, a.N()), make([]float64, a.N())
 	rng.New(16).FillNormal(r)
+	rv, zv := multivec.FromVector(r), multivec.FromVector(z)
 	rb, zb := multivec.New(a.N(), m), multivec.New(a.N(), m)
 	rng.New(17).FillNormal(rb.Data)
 	for _, k := range []struct {
@@ -317,7 +318,7 @@ func BenchmarkIC0(b *testing.B) {
 		serial bool // runs on a one-thread pool
 	}{
 		{"mulvec", func() { a.MulVec(z, r) }, true, true},
-		{"apply", func() { ic.Apply(z, r) }, true, true},
+		{"apply", func() { ic.ApplyBlock(zv, rv) }, true, true},
 		{"mul-m16", func() { a.Mul(zb, rb) }, true, false},
 		{"apply-block-m16", func() { ic.ApplyBlock(zb, rb) }, true, false},
 	} {
@@ -358,16 +359,15 @@ func BenchmarkIC0(b *testing.B) {
 
 // BenchmarkBrownianSqrt prices and scores both Brownian square roots on
 // the system bench/ steps (N = 1000, φ = 0.4) at seeds 1, 3 and 17 — the
-// table in DESIGN §9, "The Brownian square root". The preconditioned
-// Lanczos path runs through the IC(0) factor of R_0 on R_0 ("fresh") and
-// on R_15, fifteen default Algorithm 1 steps later ("stale", the oldest
-// matrix a 16-step window factor serves), at m = 1 and m = 16; its
-// rel_err is the worst over 16 noise vectors against an order-150 series
-// for L*(L^{-1}RL^{-T})^{1/2}*z on that operator's spectrum, and kappa is
-// L^{-1}RL^{-T}'s condition number. The inverse-* rows are the direct
-// velocity's inverse root (chebyshev.PrecondInvSqrt) on the same
-// operators; their rel_err is that of the force R*M^{-1}*y' it stands
-// for, against the same reference. The paper's order-30 series runs on
+// table in DESIGN §9, "The Brownian square root". The inverse-* rows are
+// the default force: the preconditioned Lanczos inverse root
+// (chebyshev.PrecondInvSqrt) through the IC(0) factor of R_0, on R_0
+// ("fresh") and on R_15, fifteen default Algorithm 1 steps later
+// ("stale", the oldest matrix a 16-step window factor serves), at m = 1
+// and m = 16. Their rel_err is that of the force R*M^{-1}*y' the root
+// stands for, the worst over 16 noise vectors against an order-150
+// series for L*(L^{-1}RL^{-T})^{1/2}*z on that operator's spectrum, and
+// kappa is L^{-1}RL^{-T}'s condition number. The paper's order-30 series runs on
 // [far-field floor, Gershgorin]; its rel_err is the worst relative error
 // of the scalar series over R's true spectrum, and kappa is R's. True
 // spectra are the extreme Ritz values of 300 fully reorthogonalised
@@ -395,6 +395,7 @@ func BenchmarkBrownianSqrt(b *testing.B) {
 		rng.New(seed).FillNormal(z.Data)
 		z1, y1 := z.ColVector(0), make([]float64, r0.N())
 		y := multivec.New(r0.N(), m)
+		u1, f1 := make([]float64, r0.N()), make([]float64, r0.N())
 
 		for _, c := range []struct {
 			name string
@@ -411,43 +412,18 @@ func BenchmarkBrownianSqrt(b *testing.B) {
 			s.ApplyBlock(nil, ref, lz)
 			worst, iters := 0.0, 0
 			for j := 0; j < m; j++ {
-				zc := z.ColVector(j)
-				st, err := chebyshev.PrecondSqrt(nil, c.r, ic, multivec.FromVector(y1), multivec.FromVector(zc), 0, 0)
+				st, err := chebyshev.PrecondInvSqrt(nil, c.r, ic, multivec.FromVector(y1), multivec.FromVector(z.ColVector(j)), 0, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
-				worst, iters = max(worst, relDiff(y1, ref.ColVector(j))), max(iters, st.Iterations)
+				ic.ApplyBlock(multivec.FromVector(u1), multivec.FromVector(y1))
+				c.r.MulVec(f1, u1)
+				worst, iters = max(worst, relDiff(f1, ref.ColVector(j))), max(iters, st.Iterations)
 			}
 			report := func(b *testing.B) {
 				b.ReportMetric(float64(iters), "iters")
 				b.ReportMetric(worst, "rel_err")
 				b.ReportMetric(hi/lo, "kappa")
-			}
-			b.Run(fmt.Sprintf("seed=%d/lanczos-%s/m=1", seed, c.name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					chebyshev.PrecondSqrt(nil, c.r, ic, multivec.FromVector(y1), multivec.FromVector(z1), 0, 0)
-				}
-				report(b)
-			})
-			b.Run(fmt.Sprintf("seed=%d/lanczos-%s/m=%d", seed, c.name, m), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					chebyshev.PrecondSqrt(nil, c.r, ic, y, z, 0, 0)
-				}
-				report(b)
-			})
-
-			// The direct velocity's force R*M^{-1}*y', y' the inverse root,
-			// against the same reference.
-			worst, iters = 0, 0
-			u1, f1 := make([]float64, r0.N()), make([]float64, r0.N())
-			for j := 0; j < m; j++ {
-				st, err := chebyshev.PrecondInvSqrt(nil, c.r, ic, multivec.FromVector(y1), multivec.FromVector(z.ColVector(j)), 0, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				ic.Apply(u1, y1)
-				c.r.MulVec(f1, u1)
-				worst, iters = max(worst, relDiff(f1, ref.ColVector(j))), max(iters, st.Iterations)
 			}
 			b.Run(fmt.Sprintf("seed=%d/inverse-%s/m=1", seed, c.name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
@@ -480,7 +456,7 @@ func BenchmarkBrownianSqrt(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("seed=%d/series/m=1", seed), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := chebyshev.SeriesSqrt(nil, r0, r0, floor, chebyshev.DefaultOrder, 0, multivec.FromVector(y1), multivec.FromVector(z1)); err != nil {
+				if _, err := chebyshev.SeriesSqrt(nil, r0, r0, floor, chebyshev.DefaultOrder, multivec.FromVector(y1), multivec.FromVector(z1)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -488,7 +464,7 @@ func BenchmarkBrownianSqrt(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("seed=%d/series/m=%d", seed, m), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := chebyshev.SeriesSqrt(nil, r0, r0, floor, chebyshev.DefaultOrder, 0, y, z); err != nil {
+				if _, err := chebyshev.SeriesSqrt(nil, r0, r0, floor, chebyshev.DefaultOrder, y, z); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -514,14 +490,14 @@ func (p precondOp) Mul(y, x *multivec.MultiVec) {
 
 // ritzBounds returns the extreme Ritz values of k Lanczos steps, fully
 // reorthogonalised, on L^{-1}AL^{-T} (on A when ic is nil), carried in
-// the M^{-1}-inner product as chebyshev.PrecondSqrt carries it.
+// the M^{-1}-inner product as chebyshev.PrecondInvSqrt carries it.
 func ritzBounds(a *bcrs.Matrix, ic *solver.IC0, k int) (lo, hi float64) {
 	n := a.N()
 	minv := func(s, q []float64) {
 		if ic == nil {
 			copy(s, q)
 		} else {
-			ic.Apply(s, q)
+			ic.ApplyBlock(multivec.FromVector(s), multivec.FromVector(q))
 		}
 	}
 	dot := func(x, y []float64) (d float64) {

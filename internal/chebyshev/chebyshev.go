@@ -15,13 +15,15 @@
 // order 30 errs by 22-58 % at its lower end, the slow modes (DESIGN §9,
 // "The Brownian square root").
 //
-// PrecondSqrt is the default stepper's (Chow & Saad, SISC 2014): f =
-// L*sqrt(L^{-1} R L^{-T})*z with L the factor of the preconditioner
-// the step's solves already use, covariance R for any L. With L an
-// incomplete Cholesky factor the operator under the root has a
-// condition number of a few units, and a Lanczos recurrence reaches a
-// stated tolerance in four to seven multiplies, each column of a block
-// stopping by its own test.
+// PrecondInvSqrt is the default stepper's (Chow & Saad, SISC 2014): it
+// samples through the precision matrix, y' = L*(L^{-1} R L^{-T})^{-1/2}*z
+// with L the factor of the preconditioner the step's solves already
+// use, and f = R*M^{-1}*y' = L*(L^{-1} R L^{-T})^{1/2}*z is a force of
+// covariance R for any L, whose velocity M^{-1}*y' needs no solve. With
+// L an incomplete Cholesky factor the operator under the root has a
+// condition number of a few units, and one Lanczos recurrence reaches a
+// stated tolerance on f in four to eight multiplies, each column of a
+// block stopping by its own test.
 package chebyshev
 
 import (
@@ -156,15 +158,15 @@ func (s *SqrtOp) reset(a Op, lmin, lmax float64, order int, tol float64) error {
 // coefficient). A NaN or infinity in a is an error. The series'
 // operator and coefficients live in ws (nil: a fresh workspace) with
 // the recurrence's blocks, so a caller that evaluates every force on its
-// own workspace allocates them once. Stats.Iterations is the series'
-// order.
-func SeriesSqrt(ws *Workspace, op Op, a *bcrs.Matrix, floor float64, order int, tol float64, y, z *multivec.MultiVec) (Stats, error) {
+// own workspace allocates them once. The series is never truncated:
+// Stats.Iterations is its order.
+func SeriesSqrt(ws *Workspace, op Op, a *bcrs.Matrix, floor float64, order int, y, z *multivec.MultiVec) (Stats, error) {
 	if ws == nil {
 		ws = new(Workspace)
 	}
 	lo, hi, err := bracket(a, floor)
 	if err == nil {
-		err = ws.series.reset(op, lo, hi, order, tol)
+		err = ws.series.reset(op, lo, hi, order, 0)
 	}
 	if err == nil {
 		err = ws.series.ApplyBlock(ws, y, z)

@@ -128,7 +128,7 @@ func TestApplySquaredIsMatrix(t *testing.T) {
 
 // TestApplyBlockMatchesColumnwise: a block evaluation is its columns'
 // evaluations — to rounding for the series, bit for bit for the
-// preconditioned Lanczos square root, whose columns each stop by their
+// preconditioned Lanczos inverse root, whose columns each stop by their
 // own test.
 func TestApplyBlockMatchesColumnwise(t *testing.T) {
 	a, lo, hi := randSPDMatrix(6, 12)
@@ -145,7 +145,7 @@ func TestApplyBlockMatchesColumnwise(t *testing.T) {
 	rng.New(11).FillNormal(z.Data)
 	y, yl := multivec.New(a.N(), m), multivec.New(a.N(), m)
 	op.ApplyBlock(nil, y, z)
-	if _, err := PrecondSqrt(nil, a, ic, yl, z, 0, 0); err != nil {
+	if _, err := PrecondInvSqrt(nil, a, ic, yl, z, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	for j := 0; j < m; j++ {
@@ -157,7 +157,7 @@ func TestApplyBlockMatchesColumnwise(t *testing.T) {
 				t.Fatalf("block apply column %d differs at %d", j, i)
 			}
 		}
-		if _, err := PrecondSqrt(nil, a, ic, multivec.FromVector(yc), multivec.FromVector(zc), 0, 0); err != nil {
+		if _, err := PrecondInvSqrt(nil, a, ic, multivec.FromVector(yc), multivec.FromVector(zc), 0, 0); err != nil {
 			t.Fatal(err)
 		}
 		for i := range yc {
@@ -227,7 +227,7 @@ func TestSeriesSqrtBracketsSpectrum(t *testing.T) {
 	ws := new(Workspace)
 	for pass := range 2 {
 		got := multivec.New(a.N(), 3)
-		st, err := SeriesSqrt(ws, a, a, lo, 40, 0, got, z)
+		st, err := SeriesSqrt(ws, a, a, lo, 40, got, z)
 		if err != nil || st.Iterations != op.Order() {
 			t.Fatalf("pass %d: %d iterations, error %v; want %d", pass, st.Iterations, err, op.Order())
 		}
@@ -292,7 +292,7 @@ func TestBrownianCovariance(t *testing.T) {
 	// modes: an error of 58 % on the smallest eigenvalues moves no entry
 	// by that much. The accuracy of a square root is held instead by
 	// the dense oracles (TestApplyMatchesDenseSqrt, and for the default
-	// path TestPrecondSqrtMatchesDenseOracle).
+	// path TestPrecondInvSqrtMatchesDenseOracle).
 	a, lo, hi := randSPDMatrix(10, 3) // 9x9 scalar
 	op, err := NewSqrt(a, lo, hi, 40, 0)
 	if err != nil {

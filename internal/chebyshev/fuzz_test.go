@@ -22,16 +22,16 @@ const (
 	fuzzNoise    // one noise entry NaN
 )
 
-// FuzzPrecondSqrt runs both preconditioned roots — PrecondSqrt, and
-// PrecondInvSqrt followed by the direct velocity's A*M^{-1} — on small
-// random SPD block matrices through the IC(0) factor of a drifted copy
-// (the stale factor of a window's late steps), on m columns at once and
-// on each alone, optionally with a NaN, an infinity or a strongly
-// negative diagonal entry planted in the operator or a NaN in the
-// noise. Each must return, never panic, and either give every column's
-// force within the tolerance of the dense oracle, bitwise equal to the
-// column alone, or fail with ErrNotSPD, which it must for the planted
-// faults.
+// FuzzPrecondSqrt runs the preconditioned root — PrecondInvSqrt
+// followed by the direct velocity's A*M^{-1}, the force every default
+// step draws — on small random SPD block matrices through the IC(0)
+// factor of a drifted copy (the stale factor of a window's late steps),
+// on m columns at once and on each alone, optionally with a NaN, an
+// infinity or a strongly negative diagonal entry planted in the operator
+// or a NaN in the noise. It must return, never panic, never run past its
+// cap, and either give every column's force within the tolerance of the
+// dense oracle, bitwise equal to the column alone, or fail with
+// ErrNotSPD, which it must for the planted faults.
 func FuzzPrecondSqrt(f *testing.F) {
 	f.Add(uint64(1), uint8(5), uint8(3), 0.2, uint8(fuzzClean))
 	f.Add(uint64(2), uint8(9), uint8(1), 0.0, uint8(fuzzClean))
@@ -59,52 +59,41 @@ func FuzzPrecondSqrt(f *testing.F) {
 			z.Data[int(seed%uint64(len(z.Data)))] = math.NaN()
 		}
 
-		var want *multivec.MultiVec
-		for _, root := range []struct {
-			name string
-			eval func(ws *chebyshev.Workspace, a chebyshev.Op, f chebyshev.Factor, y, z *multivec.MultiVec, maxIter int, tol float64) (chebyshev.Stats, error)
-		}{{"PrecondSqrt", chebyshev.PrecondSqrt}, {"PrecondInvSqrt", chebyshev.PrecondInvSqrt}} {
-			y := multivec.New(a.N(), mm)
-			st, err := root.eval(nil, op, ic, y, z, chebyshev.DefaultOrder, tol)
-			if err != nil {
-				if !errors.Is(err, chebyshev.ErrNotSPD) {
-					t.Fatalf("%s: untyped error %v", root.name, err)
-				}
-				if fault == fuzzClean {
-					t.Fatalf("%s: an SPD operator failed: %v", root.name, err)
-				}
-				continue
+		y := multivec.New(a.N(), mm)
+		st, err := chebyshev.PrecondInvSqrt(nil, op, ic, y, z, chebyshev.DefaultOrder, tol)
+		if err != nil {
+			if !errors.Is(err, chebyshev.ErrNotSPD) {
+				t.Fatalf("untyped error %v", err)
 			}
-			if fault != fuzzClean {
-				t.Fatalf("%s: fault %d went unnoticed: %+v", root.name, fault, st)
+			if fault == fuzzClean {
+				t.Fatalf("an SPD operator failed: %v", err)
 			}
-			if st.Iterations > chebyshev.DefaultOrder {
-				t.Fatalf("%s: %d multiplies past a cap of %d", root.name, st.Iterations, chebyshev.DefaultOrder)
+			return
+		}
+		if fault != fuzzClean {
+			t.Fatalf("fault %d went unnoticed: %+v", fault, st)
+		}
+		if st.Iterations > chebyshev.DefaultOrder {
+			t.Fatalf("%d multiplies past a cap of %d", st.Iterations, chebyshev.DefaultOrder)
+		}
+		want := exactForce(t, op, ic, z)
+		y1, u, force := make([]float64, a.N()), make([]float64, a.N()), make([]float64, a.N())
+		for j := 0; j < mm; j++ {
+			zc := z.ColVector(j)
+			if _, err := chebyshev.PrecondInvSqrt(nil, op, ic, multivec.FromVector(y1), multivec.FromVector(zc), chebyshev.DefaultOrder, tol); err != nil {
+				t.Fatalf("column %d alone: %v", j, err)
 			}
-			if want == nil {
-				want = exactPrecondSqrt(t, op, ic, z)
+			yc := y.ColVector(j)
+			for i := range y1 {
+				if math.Float64bits(y1[i]) != math.Float64bits(yc[i]) {
+					t.Fatalf("column %d row %d: block %v, alone %v", j, i, yc[i], y1[i])
+				}
 			}
-			y1, u, force := make([]float64, a.N()), make([]float64, a.N()), make([]float64, a.N())
-			for j := 0; j < mm; j++ {
-				zc := z.ColVector(j)
-				if _, err := root.eval(nil, op, ic, multivec.FromVector(y1), multivec.FromVector(zc), chebyshev.DefaultOrder, tol); err != nil {
-					t.Fatalf("%s: column %d alone: %v", root.name, j, err)
-				}
-				yc := y.ColVector(j)
-				for i := range y1 {
-					if math.Float64bits(y1[i]) != math.Float64bits(yc[i]) {
-						t.Fatalf("%s: column %d row %d: block %v, alone %v", root.name, j, i, yc[i], y1[i])
-					}
-				}
-				if root.name == "PrecondInvSqrt" {
-					ic.Apply(u, yc)
-					op.MulVec(force, u)
-					yc = force
-				}
-				if st.Unconverged == 0 {
-					if e := relErr(yc, want.ColVector(j)); !(e <= tol) {
-						t.Fatalf("%s: column %d: relative error %.3g", root.name, j, e)
-					}
+			ic.ApplyBlock(multivec.FromVector(u), multivec.FromVector(yc))
+			op.MulVec(force, u)
+			if st.Unconverged == 0 {
+				if e := relErr(force, want.ColVector(j)); !(e <= tol) {
+					t.Fatalf("column %d: force error %.3g", j, e)
 				}
 			}
 		}

@@ -10,24 +10,23 @@ import (
 )
 
 // Factor is a preconditioner that is the product M = L*L^T of a factor
-// the square root can also multiply by: Apply and ApplyBlock compute
-// M^{-1} times a vector or a block, MulL computes L times a block.
+// the square root can also multiply by: ApplyBlock computes M^{-1}
+// times a block (m = 1 is a vector), MulL computes L times a block.
 // *solver.IC0 satisfies it.
 type Factor interface {
-	Apply(z, r []float64)
 	ApplyBlock(z, r *multivec.MultiVec)
 	MulL(y, x *multivec.MultiVec)
 }
 
-// DefaultTol is PrecondSqrt's stopping tolerance when none is given:
+// DefaultTol is PrecondInvSqrt's stopping tolerance when none is given:
 // the largest relative error a Brownian force may carry.
 const DefaultTol = 1e-3
 
-// ErrNotSPD is returned by PrecondSqrt when the operator, seen through
-// the factor, is not symmetric positive definite — a Rayleigh quotient
-// or an eigenvalue of the Lanczos matrix that is not positive, a
-// negative M^{-1}-norm — or when any scalar of the recurrence is not a
-// finite number.
+// ErrNotSPD is returned by PrecondInvSqrt when the operator, seen
+// through the factor, is not symmetric positive definite — a Rayleigh
+// quotient or an eigenvalue of the Lanczos matrix that is not positive,
+// a negative M^{-1}-norm — or when any scalar of the recurrence is not
+// a finite number.
 var ErrNotSPD = errors.New("chebyshev: operator not positive definite or not finite")
 
 // Stats describes one square-root evaluation.
@@ -40,70 +39,53 @@ type Stats struct {
 	Unconverged int
 }
 
-// PrecondSqrt computes, column by column, Y = L*f(L^{-1} A L^{-T})*Z
-// with f the square root, M = L*L^T the factor's preconditioner and A
-// the SPD operator a multiplies by (Chow & Saad, "Preconditioned Krylov
-// subspace methods for sampling multivariate Gaussian distributions",
-// SISC 2014). Cov(Y) = L*(L^{-1} A L^{-T})*L^T = A for any invertible L,
-// so a column is a Brownian force of covariance A, and with L an
-// incomplete Cholesky factor of A the operator under the square root
-// has a condition number of a few units instead of A's thousands.
+// PrecondInvSqrt computes, column by column, Y = L*X^{-1/2}*Z with
+// X = L^{-1} A L^{-T}, M = L*L^T the factor's preconditioner and A the
+// SPD operator a multiplies by, and stops when the Brownian force Y
+// samples is accurate. It samples through the precision matrix (Chow &
+// Saad, "Preconditioned Krylov subspace methods for sampling
+// multivariate Gaussian distributions", SISC 2014): the force is
+// F = A*M^{-1}*Y = L*X^{1/2}*Z, and Cov(F) = L*X*L^T = A for any
+// invertible L, so a column of F is a Brownian force of covariance A;
+// with L an incomplete Cholesky factor of A, X has a condition number
+// of a few units instead of A's thousands. U = M^{-1}*Y solves A*U = F
+// to rounding, so the velocity of that force costs one ApplyBlock and,
+// for F, one multiply, where a solve would cost a Krylov run.
 //
-// f is evaluated by the Lanczos process on X = L^{-1} A L^{-T}, carried
-// in the variables q = L*v, where X's inner product is the
-// M^{-1}-inner product: q_1 = L*z/|z|, s_j = M^{-1} q_j, u = A*s_j,
+// The root is evaluated by the Lanczos process on X, carried in the
+// variables q = L*v, where X's inner product is the M^{-1}-inner
+// product: q_1 = L*z/|z|, s_j = M^{-1} q_j, u = A*s_j,
 // alpha_j = s_j^T u, u -= alpha_j q_j + beta_{j-1} q_{j-1},
 // beta_j = sqrt(u^T M^{-1} u), q_{j+1} = u/beta_j. After k steps the
-// column is |z|*Q_k*sqrt(T_k)*e_1, T_k the tridiagonal matrix of the
-// alphas and betas, from an eigendecomposition of T_k. A column stops
-// at the first k >= 2 at which the iterate moved by at most tol relative
-// to its length in the 2-norm, or at maxIter steps, which
-// Stats.Unconverged counts; tol <= 0 means DefaultTol. The move is read
-// in coefficient space first, where it is free but measures the
-// M^{-1}-norm — on SD matrices 1.5 to 10 times smaller than the 2-norm
-// move, so it cannot stop a column by itself — and only a column that
-// passes there pays for the 2-norm over the basis, which also writes its
-// result.
+// column is |z|*Q_k*T_k^{-1/2}*e_1, T_k the tridiagonal matrix of the
+// alphas and betas, from an eigendecomposition of T_k.
+//
+// The stop bounds the error of the force, not of Y. By the Lanczos
+// relation A*M^{-1}*Q_k*c = Q_k*T_k*c + beta_k*c_k*q_{k+1} with
+// c = T_k^{-1/2}*e_1*|z|, the force of step k is the root iterate
+// Q_k*T_k^{1/2}*e_1*|z| plus a tail beta_k*c_k*q_{k+1}, which is c_k
+// times the next unnormalised basis vector. A column's root iterate is
+// checked first, and its check passes, once, at the first k >= 2 at
+// which it moved by at most tol relative to its length in the 2-norm
+// (tol <= 0 means DefaultTol). The move is read in coefficient space
+// first, where it is free but measures the M^{-1}-norm — on SD matrices
+// 1.5 to 10 times smaller than the 2-norm move, so it cannot pass a
+// column by itself — and only a column that passes there pays for the
+// 2-norm over the basis. From then on the column stops at the first
+// step whose tail has a 2-norm — one dot product over the updated basis
+// vector — of at most tol relative to the root iterate's. The force is
+// then within the root's error plus tol; against dense oracles it stays
+// within tol (DESIGN §9, "The direct velocity"). A column that reaches
+// maxIter steps first stops there, counted in Stats.Unconverged.
 //
 // The m columns run in lockstep: each step is one width-m multiply by
 // a (the GSPMV), one ApplyBlock and column dot products, and every
 // column's bits are those of the same call on that column alone.
 // Y and Z must not alias. The storage is ws's (nil: a fresh one).
-func PrecondSqrt(ws *Workspace, a Op, f Factor, y, z *multivec.MultiVec, maxIter int, tol float64) (Stats, error) {
-	return precondLanczos(ws, a, f, y, z, maxIter, tol, false)
-}
-
-// PrecondInvSqrt is PrecondSqrt's recurrence with the inverse root for
-// f: Y = L*(L^{-1} A L^{-T})^{-1/2}*Z, the column |z|*Q_k*T_k^{-1/2}*e_1.
-// It samples through the precision matrix (Chow & Saad): U = M^{-1} Y =
-// L^{-T}*X^{-1/2}*Z, and A*U = L*X^{1/2}*Z is PrecondSqrt's force, of
-// covariance A, while A*U = F holds to rounding — the velocity of that
-// force costs one ApplyBlock and, for F, one multiply, where a solve
-// would cost a Krylov run.
-//
-// The stop bounds the error of that force, not of Y. By the Lanczos
-// relation A*M^{-1}*Q_k*c = Q_k*T_k*c + beta_k*c_k*q_{k+1} with
-// c = T_k^{-1/2}*e_1*|z|, the force of step k is PrecondSqrt's iterate
-// Q_k*T_k^{1/2}*e_1*|z| plus a tail beta_k*c_k*q_{k+1}, which is c_k
-// times the next unnormalised basis vector. A column's root iterate is
-// checked as in PrecondSqrt until its move passes, once; from then on
-// the column stops at the first step whose tail has a 2-norm — one dot
-// product over the updated basis vector — of at most tol relative to
-// the root iterate's. The force is then within the root's error plus
-// tol; against dense oracles it stays within tol (DESIGN §9, "The
-// direct velocity"). The inverse root takes the root's multiplies or
-// one or two more, since 1/sqrt is steeper than sqrt at the bottom of
-// the spectrum.
 func PrecondInvSqrt(ws *Workspace, a Op, f Factor, y, z *multivec.MultiVec, maxIter int, tol float64) (Stats, error) {
-	return precondLanczos(ws, a, f, y, z, maxIter, tol, true)
-}
-
-// precondLanczos is the recurrence of PrecondSqrt (inverse false) and
-// PrecondInvSqrt (inverse true).
-func precondLanczos(ws *Workspace, a Op, f Factor, y, z *multivec.MultiVec, maxIter int, tol float64, inverse bool) (Stats, error) {
 	n, m := a.N(), z.M
 	if z.N != n || y.N != n || y.M != m {
-		panic("chebyshev: PrecondSqrt dimension mismatch")
+		panic("chebyshev: PrecondInvSqrt dimension mismatch")
 	}
 	if maxIter <= 0 {
 		maxIter = DefaultOrder
@@ -157,7 +139,7 @@ func precondLanczos(ws *Workspace, a Op, f Factor, y, z *multivec.MultiVec, maxI
 				return Stats{}, ErrNotSPD
 			}
 			c.alpha = append(c.alpha, al)
-			moved, ok := w.coefficients(c, inverse)
+			moved, ok := w.coefficients(c)
 			if !ok {
 				return Stats{}, ErrNotSPD
 			}
@@ -169,11 +151,9 @@ func precondLanczos(ws *Workspace, a Op, f Factor, y, z *multivec.MultiVec, maxI
 			return Stats{}, err
 		}
 		for _, j := range w.check {
-			c := &w.cols[j]
-			// The inverse root's column still owes its tail, which the
-			// update below makes; its root is not checked again.
-			c.done = c.moved <= tol && !inverse
-			c.rootOK = c.moved <= tol && inverse
+			// A passing column still owes its tail, which the update below
+			// makes; its root is not checked again.
+			w.cols[j].rootOK = w.cols[j].moved <= tol
 		}
 		active := 0
 		for j := range w.cols {
@@ -199,31 +179,22 @@ func precondLanczos(ws *Workspace, a Op, f Factor, y, z *multivec.MultiVec, maxI
 		// M^{-1}-norm is beta_i.
 		prev := &w.p[max(i-1, 0)] // h is 0 at i = 0
 		multivec.ColThreeTerm(next, &w.p[i], prev, w.alpha, w.g, w.h)
-		if inverse {
-			stopped, err := w.tails(next, tol, i+1 == maxIter, &st)
-			if err != nil {
-				return Stats{}, err
-			}
-			if active -= stopped; active == 0 {
-				break
-			}
+		stopped, err := w.tails(next, tol, i+1 == maxIter, &st)
+		if err != nil {
+			return Stats{}, err
+		}
+		if active -= stopped; active == 0 {
+			break
 		}
 		f.ApplyBlock(&w.r, next)
 	}
-	// Columns that stopped without a passing check — the cap, an
-	// invariant subspace, a zero z — are written with what they have.
-	// The inverse root writes every column once, from its own
-	// coefficients: what the checks wrote was the root's iterate.
+	// Every column is written once, from its inverse-root coefficients:
+	// what the checks wrote was the root's iterate.
 	w.check = w.check[:0]
 	for j := range w.cols {
 		c := &w.cols[j]
-		if inverse {
-			c.coef, c.inv = c.inv, c.coef
-			c.prev, c.written = c.prev[:0], false
-		}
-		if !c.written {
-			w.check = append(w.check, j)
-		}
+		c.coef, c.inv, c.prev = c.inv, c.coef, c.prev[:0]
+		w.check = append(w.check, j)
 	}
 	if err := w.combine(y, w.check); err != nil {
 		return Stats{}, err
@@ -231,13 +202,13 @@ func precondLanczos(ws *Workspace, a Op, f Factor, y, z *multivec.MultiVec, maxI
 	return st, nil
 }
 
-// tails settles the inverse root's columns whose root iterate has passed
-// its check: u holds each one's next unnormalised basis vector, so its
-// force's tail is the last inverse-root coefficient times u's column. A
-// column stops when the tail's 2-norm is at most tol relative to the
-// root iterate's, or unconverged at the cap; tails returns how many
-// stopped. The 2-norms are one lane pass over u, taken only in a step
-// with such a column.
+// tails settles the columns whose root iterate has passed its check: u
+// holds each one's next unnormalised basis vector, so its force's tail
+// is the last inverse-root coefficient times u's column. A column stops
+// when the tail's 2-norm is at most tol relative to the root iterate's,
+// or unconverged at the cap; tails returns how many stopped. The
+// 2-norms are one lane pass over u, taken only in a step with such a
+// column.
 func (w *lanczos) tails(u *multivec.MultiVec, tol float64, capped bool, st *Stats) (int, error) {
 	settling := false
 	for j := range w.cols {
@@ -281,12 +252,11 @@ type column struct {
 	alpha, beta []float64 // T_k's diagonal and off-diagonal
 	gamma       []float64 // |p_t|_{M^{-1}}: |z|, then beta_0, beta_1, ...
 	coef, prev  []float64 // |z|*sqrt(T_k)*e_1 at this step and the last
-	inv         []float64 // |z|*T_k^{-1/2}*e_1, on the inverse root's path
+	inv         []float64 // |z|*T_k^{-1/2}*e_1
 	moved       float64   // the 2-norm move of the last checked step
 	norm        float64   // the 2-norm of the last checked iterate
 	done        bool
-	rootOK      bool // on the inverse root's path: the root's check passed
-	written     bool // y's column holds this column's coef
+	rootOK      bool // the root's check passed
 }
 
 // lanczos is the Lanczos recurrence's storage: the basis blocks, M^{-1}
@@ -315,7 +285,7 @@ func (w *lanczos) reset(n, m int) {
 	w.cols = resize(w.cols, m)
 	for j := range w.cols {
 		c := &w.cols[j]
-		c.scale, c.moved, c.norm, c.done, c.rootOK, c.written = 0, 0, 0, false, false, false
+		c.scale, c.moved, c.norm, c.done, c.rootOK = 0, 0, 0, false, false
 		c.alpha, c.beta, c.gamma = c.alpha[:0], c.beta[:0], c.gamma[:0]
 		c.coef, c.prev, c.inv = c.coef[:0], c.prev[:0], c.inv[:0]
 	}
@@ -339,14 +309,14 @@ func (w *lanczos) basis(i int) *multivec.MultiVec {
 }
 
 // coefficients sets c.coef to |z|*sqrt(T_k)*e_1 for the k steps c has
-// taken, and with inverse c.inv to |z|*T_k^{-1/2}*e_1 from the same
-// eigenpairs, and returns how far c.coef moved from the last step's,
-// relative to its length: the M^{-1}-norm move of the column, since the
-// basis is M^{-1}-orthonormal. ok is false when T_k has an eigenvalue
+// taken, and c.inv to |z|*T_k^{-1/2}*e_1 from the same eigenpairs, and
+// returns how far c.coef moved from the last step's, relative to its
+// length: the M^{-1}-norm move of the column, since the basis is
+// M^{-1}-orthonormal. ok is false when T_k has an eigenvalue
 // that is not a finite positive number. T_k is decomposed scaled by its
 // largest alpha, so the Jacobi sweep's absolute stopping test sees
 // entries of order one.
-func (w *lanczos) coefficients(c *column, inverse bool) (moved float64, ok bool) {
+func (w *lanczos) coefficients(c *column) (moved float64, ok bool) {
 	k := len(c.alpha)
 	c.scale = max(c.scale, c.alpha[k-1])
 	w.tBuf, w.vBuf, w.ev = resize(w.tBuf, k*k), resize(w.vBuf, k*k), resize(w.ev, k)
@@ -369,7 +339,7 @@ func (w *lanczos) coefficients(c *column, inverse bool) (moved float64, ok bool)
 		}
 	}
 	c.prev = append(c.prev[:0], c.coef...)
-	c.coef, c.written = resize(c.coef, k), false
+	c.coef = resize(c.coef, k)
 	g := c.gamma[0] * math.Sqrt(c.scale)
 	var norm, diff float64
 	for r := range c.coef {
@@ -389,16 +359,14 @@ func (w *lanczos) coefficients(c *column, inverse bool) (moved float64, ok bool)
 	if !(norm < math.Inf(1)) {
 		return 0, false
 	}
-	if inverse {
-		c.inv = resize(c.inv, k)
-		g := c.gamma[0] / math.Sqrt(c.scale)
-		for r := range c.inv {
-			var s float64
-			for t, l := range w.ev {
-				s += w.vBuf[r*k+t] / math.Sqrt(l) * w.vBuf[t]
-			}
-			c.inv[r] = s * g
+	c.inv = resize(c.inv, k)
+	gi := c.gamma[0] / math.Sqrt(c.scale)
+	for r := range c.inv {
+		var s float64
+		for t, l := range w.ev {
+			s += w.vBuf[r*k+t] / math.Sqrt(l) * w.vBuf[t]
 		}
+		c.inv[r] = s * gi
 	}
 	return math.Sqrt(diff / norm), true
 }
@@ -516,7 +484,6 @@ func (w *lanczos) combine(y *multivec.MultiVec, cols []int) error {
 		if yy > 0 {
 			c.moved = math.Sqrt(dd / yy)
 		}
-		c.written = true
 	}
 	return nil
 }

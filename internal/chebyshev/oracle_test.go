@@ -18,9 +18,9 @@ import (
 
 // TestPrecondSqrtMatchesDenseOracle holds the default Brownian force to
 // its acceptance bound on a real SD system (N = 64, phi = 0.4): every
-// column of PrecondSqrt, alone and in a block of 32, is within 1e-3 of
-// L*(L^{-1} R L^{-T})^{1/2}*z computed through a dense
-// eigendecomposition, with L the IC(0) factor of the step's matrix
+// column of R*M^{-1}*y', y' from PrecondInvSqrt, alone and in a block of
+// 32, is within 1e-3 of L*(L^{-1} R L^{-T})^{1/2}*z computed through a
+// dense eigendecomposition, with L the IC(0) factor of the step's matrix
 // (fresh) and of the matrix eight steps earlier (stale, as late in a
 // window as the factor serves). The paper's order-30 series is logged
 // against R^{1/2}*z, not asserted: on its [floor, Gershgorin] bracket it
@@ -58,22 +58,27 @@ func TestPrecondSqrtMatchesDenseOracle(t *testing.T) {
 		name string
 		r    *bcrs.Matrix
 	}{{"fresh", r0}, {"stale", r8}} {
-		want := exactPrecondSqrt(t, c.r, ic, z)
-		got := multivec.New(n, nz)
-		st, err := chebyshev.PrecondSqrt(nil, c.r, ic, got, z, chebyshev.DefaultOrder, 0)
+		want := exactForce(t, c.r, ic, z)
+		yb := multivec.New(n, nz)
+		st, err := chebyshev.PrecondInvSqrt(nil, c.r, ic, yb, z, chebyshev.DefaultOrder, 0)
 		if err != nil || st.Unconverged != 0 {
 			t.Fatalf("%s block: %+v, %v", c.name, st, err)
 		}
 		worst := 0.0
-		y1 := make([]float64, n)
+		y1, u, f := make([]float64, n), make([]float64, n), make([]float64, n)
+		force := func(y []float64) []float64 {
+			ic.ApplyBlock(multivec.FromVector(u), multivec.FromVector(y))
+			c.r.MulVec(f, u)
+			return f
+		}
 		for k := 0; k < nz; k++ {
 			z.Col(k, zc)
-			st1, err := chebyshev.PrecondSqrt(nil, c.r, ic, multivec.FromVector(y1), multivec.FromVector(zc), chebyshev.DefaultOrder, 0)
+			st1, err := chebyshev.PrecondInvSqrt(nil, c.r, ic, multivec.FromVector(y1), multivec.FromVector(zc), chebyshev.DefaultOrder, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, y := range [][]float64{y1, got.ColVector(k)} {
-				e := relErr(y, want.ColVector(k))
+			for _, y := range [][]float64{y1, yb.ColVector(k)} {
+				e := relErr(force(y), want.ColVector(k))
 				worst = max(worst, e)
 				if !(e <= tol) {
 					t.Errorf("%s column %d: relative error %.3g after %d iterations, want <= %g", c.name, k, e, st1.Iterations, tol)
@@ -87,7 +92,7 @@ func TestPrecondSqrtMatchesDenseOracle(t *testing.T) {
 		series := 0.0
 		for k := 0; k < nz; k++ {
 			z.Col(k, zc)
-			if _, err := chebyshev.SeriesSqrt(nil, c.r, c.r, conf.SpectrumFloor(), chebyshev.DefaultOrder, 0, multivec.FromVector(y1), multivec.FromVector(zc)); err != nil {
+			if _, err := chebyshev.SeriesSqrt(nil, c.r, c.r, conf.SpectrumFloor(), chebyshev.DefaultOrder, multivec.FromVector(y1), multivec.FromVector(zc)); err != nil {
 				t.Fatal(err)
 			}
 			series = max(series, relErr(y1, ref.ColVector(k)))
@@ -96,10 +101,11 @@ func TestPrecondSqrtMatchesDenseOracle(t *testing.T) {
 	}
 }
 
-// exactPrecondSqrt returns L*(L^{-1} R L^{-T})^{1/2}*Z, through a dense
-// eigendecomposition that shares nothing with the recurrence but L,
-// which it reads off MulL on the identity.
-func exactPrecondSqrt(t *testing.T, r *bcrs.Matrix, ic *solver.IC0, z *multivec.MultiVec) *multivec.MultiVec {
+// exactForce returns L*(L^{-1} R L^{-T})^{1/2}*Z, the force the
+// inverse root samples, through a dense eigendecomposition that shares
+// nothing with the recurrence but L, which it reads off MulL on the
+// identity.
+func exactForce(t *testing.T, r *bcrs.Matrix, ic *solver.IC0, z *multivec.MultiVec) *multivec.MultiVec {
 	t.Helper()
 	n := r.N()
 	id, l := multivec.New(n, n), multivec.New(n, n)
@@ -220,7 +226,7 @@ func TestPrecondInvSqrtMatchesDenseOracle(t *testing.T) {
 		name string
 		r    *bcrs.Matrix
 	}{{"fresh", r0}, {"stale", r15}} {
-		want := exactPrecondSqrt(t, c.r, ic, z)
+		want := exactForce(t, c.r, ic, z)
 		yb := multivec.New(n, nz)
 		st, err := chebyshev.PrecondInvSqrt(nil, c.r, ic, yb, z, chebyshev.DefaultOrder, 0)
 		if err != nil || st.Unconverged != 0 {
@@ -240,7 +246,7 @@ func TestPrecondInvSqrtMatchesDenseOracle(t *testing.T) {
 					t.Fatalf("%s column %d row %d: block %v, alone %v", c.name, k, i, v, y1[i])
 				}
 			}
-			ic.Apply(u, y1)
+			ic.ApplyBlock(multivec.FromVector(u), multivec.FromVector(y1))
 			c.r.MulVec(f, u)
 			denseMulVec(ru, c.r, u)
 			if e := relErr(ru, f); !(e <= 1e-12) {

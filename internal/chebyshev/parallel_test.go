@@ -17,8 +17,9 @@ import (
 // Chebyshev recurrence writes disjoint ranges, and the preconditioned
 // roots' vector passes are multivec's lane sweeps — dot products summed
 // in fixed row chunks added in chunk order whichever thread runs a
-// chunk, an elementwise update — so every Brownian-force block, and the
-// inverse root's, must be bitwise-identical whatever the pool size. At
+// chunk, an elementwise update — so every Brownian-force block, the
+// series' and the inverse root's, must be bitwise-identical whatever
+// the pool size. At
 // NB = 3000 the roots' passes run inline around the split multiply; at
 // NB = 6000 and m = 4 their reductions sum four row chunks inline and
 // their update splits its rows over the pool. Every pooled run must
@@ -49,25 +50,17 @@ func TestApplyBlockExactAcrossThreadCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		root := func(inverse bool) func(y *multivec.MultiVec) {
-			return func(y *multivec.MultiVec) {
-				sqrt := PrecondSqrt
-				if inverse {
-					sqrt = PrecondInvSqrt
-				}
-				st, err := sqrt(nil, a, ic, y, z, 0, tol)
+		for name, apply := range map[string]func(y *multivec.MultiVec){
+			"series": func(y *multivec.MultiVec) { op.ApplyBlock(nil, y, z) },
+			"inverse lanczos": func(y *multivec.MultiVec) {
+				st, err := PrecondInvSqrt(nil, a, ic, y, z, 0, tol)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if st.Iterations < minSteps {
-					t.Fatalf("NB=%d inverse %v: the root stopped after %d steps, want at least %d", nb, inverse, st.Iterations, minSteps)
+					t.Fatalf("NB=%d: the root stopped after %d steps, want at least %d", nb, st.Iterations, minSteps)
 				}
-			}
-		}
-		for name, apply := range map[string]func(y *multivec.MultiVec){
-			"series":          func(y *multivec.MultiVec) { op.ApplyBlock(nil, y, z) },
-			"lanczos":         root(false),
-			"inverse lanczos": root(true),
+			},
 		} {
 			name := fmt.Sprintf("NB=%d %s", nb, name)
 			run := func() []float64 {

@@ -55,14 +55,6 @@ type Config struct {
 	// Precond). A Lanczos column that reaches it is counted in
 	// core_sqrt_unconverged_total and its step or chunk record.
 	ChebOrder int
-	// ChebTol, if positive, is the square root's tolerance: on the
-	// preconditioned path the relative 2-norm error a Lanczos force may
-	// carry by its stopping test (chebyshev.DefaultTol, 1e-3, when not
-	// positive) — the root iterate's move, and for the direct velocity
-	// also the tail its force carries past that iterate; on the paper's path the
-	// coefficient size at which the series is truncated (none when not
-	// positive).
-	ChebTol float64
 	// Seed drives the noise streams; step k's noise depends only on
 	// (Seed, k), so the original and MRHS algorithms integrate
 	// identical noise histories.
@@ -106,26 +98,27 @@ type Config struct {
 	// columns by one ApplyBlock per iteration.
 	//
 	// A window preconditioner that is also a chebyshev.Factor (IC(0)
-	// is) preconditions the Brownian force too: each force is
-	// L*sqrt(L^{-1} R L^{-T})*z by chebyshev.PrecondSqrt, of covariance
-	// R exactly whatever the factor, to ChebTol. Algorithm 1 under such
-	// a window samples the first velocity itself instead of solving for
-	// it (the direct velocity): u = -M^{-1}*L*(L^{-1} R L^{-T})^{-1/2}*z
-	// by chebyshev.PrecondInvSqrt and one Apply, and f^B = -R*u by one
-	// multiply, the same force to ChebTol with R*u = -f^B to rounding, so
-	// no first solve runs unless FirstSolve asks for one. Algorithm 2
-	// under such a window draws its chunk's augmented solution the same
-	// way, m columns at once, and
-	// runs no block solve (the direct guesses): column 0 is step 0's
-	// direct velocity, columns 1..m-1 the guesses its later steps solve
-	// warm from. Any other window — NoPrecond, a broken-down IC(0), a
-	// preconditioner without a factor — takes the paper's order-ChebOrder
-	// Chebyshev series on [SpectrumFloor, Gershgorin], Algorithm 1's cold
-	// first solve and Algorithm 2's block solve.
+	// is) preconditions the Brownian force too, and samples the first
+	// velocity with it (the direct velocity): u =
+	// -M^{-1}*L*(L^{-1} R L^{-T})^{-1/2}*z by chebyshev.PrecondInvSqrt
+	// and one ApplyBlock, and f^B = -R*u = L*(L^{-1} R L^{-T})^{1/2}*z by
+	// one multiply, a force of covariance R exactly whatever the factor,
+	// to chebyshev.DefaultTol, with R*u = -f^B to rounding. Algorithm 1's
+	// steps then run no first solve unless FirstSolve asks for one.
+	// Algorithm 2 under such a window draws its chunk's augmented
+	// solution the same way, m columns at once, and runs no block solve
+	// (the direct guesses): column 0 is step 0's direct velocity, columns
+	// 1..m-1 the guesses its later steps solve warm from, each on the
+	// right-hand side of its own step's direct velocity — bitwise
+	// Algorithm 1's at the same configuration. Any other window —
+	// NoPrecond, a broken-down IC(0), a preconditioner without a factor —
+	// takes the paper's order-ChebOrder Chebyshev series on
+	// [SpectrumFloor, Gershgorin], Algorithm 1's cold first solve and
+	// Algorithm 2's block solve.
 	Precond func(a *bcrs.Matrix) solver.Preconditioner
 	// BlockPrecond, if non-nil, is called with each chunk's R_0 where the
 	// chunk's guesses are made — after its m-vector square root, before
-	// the block solve or the direct guesses' Apply — and marks that
+	// the block solve or the direct guesses' ApplyBlock — and marks that
 	// point: the traced benchmark tags the multiplies that follow as the
 	// guesses'. A nil result keeps the chunk's own way of making them.
 	// A non-nil result selects block CG under that preconditioner alone,
@@ -277,9 +270,10 @@ type Runner struct {
 	// noiseRNG is the stream z_k is drawn from, reset to step k's
 	// substream for each draw.
 	noiseRNG rng.Stream
-	// one holds the headers a single-vector Brownian force evaluation
-	// wraps buf.fb and its noise in.
-	one struct{ y, z multivec.MultiVec }
+	// one holds the width-1 headers a single-vector Brownian force
+	// evaluation wraps buf.fb and its noise in, and the direct velocity
+	// its u.
+	one struct{ y, z, u multivec.MultiVec }
 	// chunk holds StepMRHS's three n×m blocks — noise Z, Brownian forces
 	// F^B, augmented solutions U — reshaped chunk to chunk (a last chunk
 	// may be narrower); none outlives its chunk.
@@ -567,15 +561,13 @@ func (r *Runner) operator(a *bcrs.Matrix, c Configuration) DistOp {
 	return a
 }
 
-// brownian computes the Brownian forces Y = S*Z of the matrix a,
-// multiplying through op: through the window's factor when it has one
-// (chebyshev.PrecondSqrt), else by the paper's series on the spectrum
-// bracketed from a (Gershgorin) and the configuration's floor.
+// brownian computes the Brownian forces Y = S*Z of the matrix a by the
+// paper's series on the spectrum bracketed from a (Gershgorin) and the
+// configuration's floor, multiplying through op: the force of a window
+// without a factor. A factor's forces are the inverse root's
+// (directVelocity, directGuesses).
 func (r *Runner) brownian(a *bcrs.Matrix, op DistOp, y, z *multivec.MultiVec) (chebyshev.Stats, error) {
-	if f, ok := r.pre.(chebyshev.Factor); ok {
-		return chebyshev.PrecondSqrt(&r.sqrt, op, f, y, z, r.cfg.ChebOrder, r.cfg.ChebTol)
-	}
-	return chebyshev.SeriesSqrt(&r.sqrt, op, a, r.cur.SpectrumFloor(), r.cfg.ChebOrder, r.cfg.ChebTol, y, z)
+	return chebyshev.SeriesSqrt(&r.sqrt, op, a, r.cur.SpectrumFloor(), r.cfg.ChebOrder, y, z)
 }
 
 // brownianOne is brownian on one vector: fb = S*z.
@@ -588,18 +580,19 @@ func (r *Runner) brownianOne(a *bcrs.Matrix, op DistOp, fb, z []float64) (chebys
 // directVelocity samples a step's first velocity through the window's
 // factor f = L: y' = L*X^{-1/2}*z with X = L^{-1} R L^{-T}
 // (chebyshev.PrecondInvSqrt), u = -M^{-1} y' and rhs = R*u through op.
-// Then -rhs = L*X^{1/2}*z is the force brownianOne samples, to ChebTol,
-// and R*u = rhs holds to rounding: u needs no solve. The Brownian
-// force's minus is the paper's sign (Eq. 5).
+// Then -rhs = L*X^{1/2}*z is a Brownian force of covariance R, to the
+// root's tolerance, and R*u = rhs holds to rounding: u needs no solve.
+// The Brownian force's minus is the paper's sign (Eq. 5).
 func (r *Runner) directVelocity(f chebyshev.Factor, op DistOp, u, rhs, z []float64) (chebyshev.Stats, error) {
 	yp := r.vec(&r.buf.fb)
 	r.one.y = multivec.MultiVec{N: len(yp), M: 1, Data: yp}
 	r.one.z = multivec.MultiVec{N: len(z), M: 1, Data: z}
-	sq, err := chebyshev.PrecondInvSqrt(&r.sqrt, op, f, &r.one.y, &r.one.z, r.cfg.ChebOrder, r.cfg.ChebTol)
+	sq, err := chebyshev.PrecondInvSqrt(&r.sqrt, op, f, &r.one.y, &r.one.z, r.cfg.ChebOrder, 0)
 	if err != nil {
 		return chebyshev.Stats{}, err
 	}
-	f.Apply(u, yp)
+	r.one.u = multivec.MultiVec{N: len(u), M: 1, Data: u}
+	f.ApplyBlock(&r.one.u, &r.one.y)
 	blas.Scal(-1, u)
 	op.MulVec(rhs, u)
 	return sq, nil
@@ -685,12 +678,14 @@ func (r *Runner) StepOriginal() error {
 }
 
 // step advances one time step on noise z, or, when z is nil, on the
-// step's own draw, timed with its Brownian force. A nil guess is
-// Algorithm 1's step: a window opens every M steps and at a runner's
+// step's own draw, timed with its Brownian force. Under a factor the
+// force is the direct velocity's, else the paper's series. A nil guess
+// is Algorithm 1's step: a window opens every M steps and at a runner's
 // first, and the first velocity is the direct one under a factor, else
-// a cold solve. Any other guess is a chunk's warm step: the forward
-// root's force and a first solve from the guess, under the chunk's
-// window.
+// a cold solve. Any other guess is a chunk's warm step under the
+// chunk's window: its first solve starts from the guess, even where the
+// direct velocity already solved the system, since that solve is what
+// Algorithm 2 measures.
 func (r *Runner) step(z, guess []float64) error {
 	before := r.Timings
 
@@ -711,11 +706,10 @@ func (r *Runner) step(z, guess []float64) error {
 		z = r.noise(r.k)
 	}
 	u, rhs := r.vec(&r.buf.u), r.vec(&r.buf.rhs)
-	f, direct := r.pre.(chebyshev.Factor)
-	direct = direct && guess == nil
+	f, factored := r.pre.(chebyshev.Factor)
 	var sq chebyshev.Stats
 	var err error
-	if direct {
+	if factored {
 		sq, err = r.directVelocity(f, op, u, rhs, z)
 	} else {
 		fb := r.vec(&r.buf.fb)
@@ -734,6 +728,7 @@ func (r *Runner) step(z, guess []float64) error {
 	}
 	r.Timings.ChebSingle += time.Since(t0)
 	copy(u, guess) // a warm step's first solve starts from its guess
+	direct := factored && guess == nil
 
 	t0 = time.Now()
 	st1 := r.firstSolve(a, op, u, rhs, direct)
@@ -844,7 +839,7 @@ func (r *Runner) StepMRHS(steps int) error {
 	var sq chebyshev.Stats
 	var err error
 	if direct {
-		sq, err = chebyshev.PrecondInvSqrt(&r.sqrt, op0, f, fb, z, r.cfg.ChebOrder, r.cfg.ChebTol)
+		sq, err = chebyshev.PrecondInvSqrt(&r.sqrt, op0, f, fb, z, r.cfg.ChebOrder, 0)
 	} else {
 		sq, err = r.brownian(a0, op0, fb, z)
 	}

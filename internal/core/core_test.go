@@ -621,11 +621,10 @@ func TestDirectVelocityHookSolvesInNoIterations(t *testing.T) {
 
 // TestBrownianForceCovariance checks the distribution, not one call, of
 // every Brownian force the stepper draws: the paper's series (a window
-// without a factor), the root through a window's factor — both drawn in
-// blocks, as a chunk draws them, a block's column being bitwise the
-// column drawn alone — the direct velocity's -R*u, one step's at a
-// time, and a chunk's direct guesses' -R*u_j from the block inverse
-// root, whose column 0 is step 0's force. Over 20000 noise vectors each
+// without a factor), drawn in blocks as a chunk draws it, and under a
+// window's factor the direct velocity's -R*u, one step's at a time, and
+// a chunk's direct guesses' -R*u_j from the block inverse root, whose
+// column 0 is step 0's force. Over 20000 noise vectors each
 // force is whitened by R's dense Cholesky factor, w = C^{-1} f, and the
 // sample covariance of w must be the identity within 0.05 in every
 // entry — five standard deviations of a diagonal entry at this sample
@@ -650,7 +649,7 @@ func TestBrownianForceCovariance(t *testing.T) {
 	n := a.N()
 	u, rhs := make([]float64, n), make([]float64, n)
 	z, f, y, guesses := multivec.New(n, width), multivec.New(n, width), multivec.New(n, width), multivec.New(n, width)
-	for _, path := range []string{"series", "root", "direct", "chunk", "L*z"} {
+	for _, path := range []string{"series", "direct", "chunk", "L*z"} {
 		precond := NoPrecond
 		if path != "series" {
 			precond = nil
@@ -668,7 +667,7 @@ func TestBrownianForceCovariance(t *testing.T) {
 				z.SetCol(j, r.noise(k0+j))
 			}
 			switch path {
-			case "series", "root":
+			case "series":
 				_, err = r.brownian(a, a, f, z)
 			case "direct":
 				for j := 0; j < width && err == nil; j++ {
@@ -677,7 +676,7 @@ func TestBrownianForceCovariance(t *testing.T) {
 					f.SetCol(j, rhs)
 				}
 			case "chunk":
-				if _, err = chebyshev.PrecondInvSqrt(nil, a, fac, y, z, r.cfg.ChebOrder, r.cfg.ChebTol); err == nil {
+				if _, err = chebyshev.PrecondInvSqrt(nil, a, fac, y, z, r.cfg.ChebOrder, 0); err == nil {
 					r.directGuesses(fac, a, guesses, y, u, rhs)
 					a.Mul(f, guesses)
 					f.Scale(-1)

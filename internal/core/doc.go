@@ -45,9 +45,8 @@
 // figures regenerate under.
 //
 // The window opens before the step's Brownian force, which runs through
-// its factor too: S(R_k) z_k is L*sqrt(L^{-1} R_k L^{-T})*z_k by
-// preconditioned Lanczos (chebyshev.PrecondSqrt), covariance R_k exactly
-// whatever the factor's age, to Config.ChebTol in four to seven
+// its factor too, by the direct velocity below: covariance R_k exactly
+// whatever the factor's age, to chebyshev.DefaultTol in four to eight
 // multiplies where the paper's series on [floor, Gershgorin] takes 30
 // and errs by up to 58 % on the slow modes. A window without a factor
 // takes the paper's series, which fails with chebyshev.ErrNotSPD when
@@ -55,14 +54,17 @@
 //
 // # The direct velocity
 //
-// Algorithm 1 under a factor window does not solve for its first
-// velocity; it samples it (Chow & Saad's precision-matrix sampling).
-// With X = L^{-1} R_k L^{-T}, u = -L^{-T} X^{-1/2} z_k =
-// -M^{-1} L X^{-1/2} z_k costs the inverse root
-// (chebyshev.PrecondInvSqrt) and one Apply, and R_k u = -L X^{1/2} z_k
-// is minus the force above, got by one multiply, with R_k u = -f^B to
-// rounding. No first solve runs; the FirstSolve hook, when set, still
-// receives the system and finds it solved.
+// Under a factor window a step samples its first velocity with its
+// force (Chow & Saad's precision-matrix sampling). With
+// X = L^{-1} R_k L^{-T}, u = -L^{-T} X^{-1/2} z_k = -M^{-1} L X^{-1/2} z_k
+// costs the inverse root (chebyshev.PrecondInvSqrt) and one
+// ApplyBlock, and R_k u = -L X^{1/2} z_k, minus a force of covariance
+// R_k, is got by one multiply, with R_k u = -f^B to rounding. So one
+// Lanczos recurrence draws every force under a factor, and both
+// algorithms draw bitwise the same one at a configuration. Algorithm 1
+// runs no first solve; the FirstSolve hook, when set, still receives
+// the system and finds it solved. Algorithm 2's warm steps keep their
+// first solve, from their guess, on that right-hand side.
 //
 // # The direct guesses
 //
@@ -72,8 +74,8 @@
 // ApplyBlock, whose column j is the direct velocity for z_j at R_0,
 // and step 0's right-hand side R_0 u_0 by one multiply. No
 // block solve runs; step 0 is Algorithm 1's step bit for bit, and
-// columns 1..m-1 are the guesses, whose steps keep the forward root
-// and their warm first solves. The chunk record's guesses field
+// columns 1..m-1 are the guesses, whose steps draw their own direct
+// velocity's right-hand side and solve it warm from their guess. The chunk record's guesses field
 // ("direct" or "block") and core_direct_guess_chunks_total say which
 // path a chunk took. Which algorithm to run is a question for the cost
 // model, not for this package.
@@ -95,8 +97,8 @@
 //
 // Both algorithms run one time step, Runner.step: Algorithm 1's with no
 // guess (its window rule, the direct velocity or a cold first solve),
-// Algorithm 2's steps 1..m-1 with their column of U as the guess, a
-// forward root and a warm first solve. Every step, a chunk's step 0
+// Algorithm 2's steps 1..m-1 with their column of U as the guess, the
+// same Brownian force and a warm first solve. Every step, a chunk's step 0
 // included, ends in one tail, Runner.finish: the second solve at the
 // midpoint, the record, the advance and the step event.
 //

@@ -306,12 +306,64 @@ func TestChunkStepZeroIsAlgorithmOne(t *testing.T) {
 	}
 }
 
+// TestChunkWarmStepDrawsAlgorithmOnesForce: under the default window a
+// chunk's step 1 hands its first solve the right-hand side Algorithm 1
+// hands its own at step 1, bit for bit. Both take step 1 from the same
+// configuration (TestChunkStepZeroIsAlgorithmOne) under R_0's factor,
+// and both draw its force by the inverse root, R_1*u* with
+// u* = -M^{-1}*y'; the chunk still solves from its guess.
+func TestChunkWarmStepDrawsAlgorithmOnesForce(t *testing.T) {
+	const m = 4
+	sys, err := particles.New(particles.Options{N: 200, Phi: 0.4, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type atStep1 struct {
+		b        []float64
+		checksum uint64
+	}
+	run := func(mrhs bool) atStep1 {
+		var got atStep1
+		var r *core.Runner
+		cfg := core.Config{Dt: 2, M: m, Seed: 11}
+		cfg.FirstSolve = func(a *bcrs.Matrix, x, b []float64, opt solver.Options) solver.Stats {
+			if r.StepIndex() == 1 {
+				got.b = slices.Clone(b)
+				got.checksum = systemOf(r.Current()).Checksum()
+			}
+			return solver.CG(a, x, b, opt)
+		}
+		r = core.NewRunner(sd.NewConf(sys.Clone(), hydro.Options{Phi: 0.4}, 1), cfg)
+		if mrhs {
+			err = r.StepMRHS(m)
+		} else {
+			err = r.RunOriginal(2)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.b == nil {
+			t.Fatalf("mrhs %v: step 1 ran no first solve", mrhs)
+		}
+		return got
+	}
+	want, got := run(false), run(true)
+	if got.checksum != want.checksum {
+		t.Fatalf("configuration at step 1: chunk %#x, Algorithm 1 %#x", got.checksum, want.checksum)
+	}
+	for i := range want.b {
+		if math.Float64bits(got.b[i]) != math.Float64bits(want.b[i]) {
+			t.Fatalf("step 1's right-hand side entry %d: chunk %v, Algorithm 1 %v", i, got.b[i], want.b[i])
+		}
+	}
+}
+
 // TestDirectGuessesSolveTheirColumns: a chunk under the default window
 // hands the audit every column of its direct guesses, and R_0*u_j equals
 // the right-hand side it was handed to rounding, by a multiply written
-// here. That right-hand side is -f_j: minus the force the root draws
-// from z_j through a fresh IC(0) factor of R_0, to the two roots'
-// tolerance.
+// here. That right-hand side is -f_j, to rounding: minus the force the
+// inverse root draws from z_j alone through a fresh IC(0) factor of R_0,
+// f_j = R_0*M^{-1}*y'_j, so column j of the chunk is step j's noise.
 func TestDirectGuessesSolveTheirColumns(t *testing.T) {
 	const m, chunks, seed = 4, 2, 12
 	sim := sd.New(precondSystem(t, seed), hydro.Options{Phi: 0.35}, core.Config{Dt: 2, M: m, Seed: seed}, 1)
@@ -329,18 +381,20 @@ func TestDirectGuessesSolveTheirColumns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		z, f := make([]float64, len(b)), make([]float64, len(b))
+		z, y, u, f := make([]float64, len(b)), make([]float64, len(b)), make([]float64, len(b)), make([]float64, len(b))
 		rng.Substream(seed, uint64(k)).FillNormal(z)
-		if _, err := chebyshev.PrecondSqrt(nil, a, ic, multivec.FromVector(f), multivec.FromVector(z), 0, 0); err != nil {
+		if _, err := chebyshev.PrecondInvSqrt(nil, a, ic, multivec.FromVector(y), multivec.FromVector(z), 0, 0); err != nil {
 			t.Fatal(err)
 		}
+		ic.ApplyBlock(multivec.FromVector(u), multivec.FromVector(y))
+		a.MulVec(f, u)
 		var dd, ff float64
 		for i := range f {
 			d := b[i] + f[i]
 			dd, ff = dd+d*d, ff+f[i]*f[i]
 		}
-		if e := math.Sqrt(dd / ff); !(e <= 2*chebyshev.DefaultTol) {
-			t.Errorf("step %d's guess: its right-hand side is %.3g from minus the root's force", k, e)
+		if e := math.Sqrt(dd / ff); !(e <= 1e-12) {
+			t.Errorf("step %d's guess: its right-hand side is %.3g from minus the inverse root's force", k, e)
 		}
 	})
 	if err := sim.RunMRHS(chunks * m); err != nil {

@@ -249,8 +249,8 @@ func table6(cfg Config) ([]*Table, error) {
 		{"Table VI under the default step: one IC(0) factor per 16 steps preconditions every solve", nil,
 			[]string{
 				"Calc guesses (MRHS) and 1st solve (orig) include the window's factorisation; beyond the paper",
-				"Algorithm 1 samples its first velocity through the factor (the direct velocity) and runs no first solve: its 1st solve row is the factorisation alone and its Cheb single row the inverse root, one Apply and one multiply",
-				"Algorithm 2 draws its chunk's guesses through the factor too (the direct guesses: Cheb vectors is the m-wide inverse root, Calc guesses one ApplyBlock, one multiply and the factorisation, no block solve) but keeps its guessed first solves on steps 1..m-1, so the step speed-up falls below 1",
+				"Algorithm 1 samples its first velocity through the factor (the direct velocity) and runs no first solve: its 1st solve row is the factorisation alone and its Cheb single row the inverse root, one ApplyBlock and one multiply",
+				"Algorithm 2 draws its chunk's guesses through the factor too (the direct guesses: Cheb vectors is the m-wide inverse root, Calc guesses one ApplyBlock, one multiply and the factorisation, no block solve) but keeps its guessed first solves on steps 1..m-1, whose Cheb single rows are Algorithm 1's, so the step speed-up falls below 1",
 			}},
 	} {
 		var mrhs, orig []map[string]float64

@@ -11,8 +11,8 @@ import (
 // q independent columns of n-by-q row-major blocks, one lane a column —
 // conjugate gradients (solver.MultiCGWith, and at q = 1 solver.CG
 // itself, where the block is the vector) and the preconditioned Lanczos
-// root (chebyshev.PrecondSqrt and PrecondInvSqrt: its inner products
-// are ColDots, its update ColThreeTerm). The inner index is the column,
+// root (chebyshev.PrecondInvSqrt: its inner products are ColDots, its
+// update ColThreeTerm). The inner index is the column,
 // so one sweep streams every operand once at memory speed whatever q
 // is. A sweep's scalar slices are as long as its blocks are wide. With
 // AVX2, ColDots, ColUpdate and ColDirection run the lanes four to a ymm

@@ -117,9 +117,9 @@ func TestMRHSPartialChunk(t *testing.T) {
 // algorithm must produce the *same physical trajectory* as the
 // original algorithm — initial guesses change the cost of the solves,
 // never their converged solutions. The original samples its velocity
-// through the window's factor and the MRHS steps solve for theirs, two
-// Brownian forces that agree to ChebTol, so ChebTol is as tight as the
-// solves.
+// through the window's factor and the MRHS steps solve for theirs, on
+// the right-hand side of the same Brownian force, so only the solves'
+// tolerance separates the two.
 func TestMRHSMatchesOriginalTrajectory(t *testing.T) {
 	mk := func() *Simulation {
 		sys, err := particles.New(particles.Options{N: 35, Phi: 0.35, Seed: 7})
@@ -127,7 +127,7 @@ func TestMRHSMatchesOriginalTrajectory(t *testing.T) {
 			t.Fatal(err)
 		}
 		return New(sys, hydro.Options{Phi: 0.35}, core.Config{
-			Dt: 2, M: 5, Seed: 99, Tol: 1e-11, ChebTol: 1e-11,
+			Dt: 2, M: 5, Seed: 99, Tol: 1e-11,
 		}, 1)
 	}
 	orig := mk()

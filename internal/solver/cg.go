@@ -103,13 +103,12 @@ func (o Options) withDefaults(n int) Options {
 	return o
 }
 
-// Preconditioner applies z = M^{-1} r, to one vector or to every
-// column of a row-major block in one pass. Column j of ApplyBlock is
-// bitwise Apply on column j: a fused solve sweeps its whole lane block
-// through ApplyBlock and still gives each column its lone solve's bits,
-// and BlockCG preconditions only through it.
+// Preconditioner applies Z = M^{-1} R to every column of a row-major
+// block in one pass (m = 1 is a vector). Column j of ApplyBlock is
+// bitwise ApplyBlock on column j alone: a fused solve sweeps its whole
+// lane block through it and still gives each column its lone solve's
+// bits, and BlockCG preconditions through it too.
 type Preconditioner interface {
-	Apply(z, r []float64)
 	ApplyBlock(z, r *multivec.MultiVec)
 }
 

@@ -5,14 +5,14 @@
 // the augmented multiple-right-hand-side systems, and the block
 // incomplete Cholesky factor IC0 that the SD stepper reuses for every
 // solve of a window of time steps (the first technique of the paper's
-// Section III). IC0 keeps its factor in flat bcrs-style arrays, so Apply
-// is two sweeps at about the cost of one multiply, ApplyBlock runs them
-// once for all columns of a block, and Refactor refills the storage for
-// the next window's matrix; none of the three allocates.
+// Section III). IC0 keeps its factor in flat bcrs-style arrays, so
+// ApplyBlock is two sweeps at about the cost of one multiply, run once
+// for all columns of a block, and Refactor refills the storage for the
+// next window's matrix; neither allocates.
 //
-// A Preconditioner is Apply on one vector and ApplyBlock on every
-// column of a row-major block, column j bitwise Apply on column j, and
-// each solver has one way to use it: BlockCG sweeps the whole block by
+// A Preconditioner is ApplyBlock on every column of a row-major block
+// (m = 1 is a vector), column j bitwise the same call on column j
+// alone, and each solver has one way to use it: BlockCG sweeps the whole block by
 // one ApplyBlock per iteration, and a fused solve shares one
 // preconditioner across all its columns (below).
 //
@@ -67,7 +67,8 @@
 //     ApplyBlock over the whole lane block — the lanes retired since
 //     the last boundary included, since the block's columns do not mix
 //     — and r.z goes through ColDots. The contract of ApplyBlock makes
-//     each lane's z the lone solve's; at q = 1 it runs Apply's sweeps.
+//     each lane's z the lone solve's; at q = 1 it runs the
+//     single-vector sweeps.
 //   - Norms. A norm is the square root of the lane's chunked sum of
 //     squares: ||r||^2 is the same unscaled sum r.z and p.Ap always
 //     were (for an unpreconditioned column it *is* r.z, and is reused

@@ -43,8 +43,8 @@ func faults(fn func()) (faulted bool) {
 	return false
 }
 
-// TestIC0SweepsReadNothingPastTheirArrays runs Apply and ApplyBlock,
-// assembly and Go, on a factor whose arrays each end at an unreadable
+// TestIC0SweepsReadNothingPastTheirArrays runs ApplyBlock at m = 1, 4
+// and 7, assembly and Go, on a factor whose arrays each end at an unreadable
 // page, as do z and r. The one read the assembly makes outside a
 // block — the backward sweep loads a block's last row four wide — must
 // land in the float64 of slack setPattern keeps behind lower.
@@ -71,9 +71,6 @@ func TestIC0SweepsReadNothingPastTheirArrays(t *testing.T) {
 			z := &multivec.MultiVec{N: n, M: m, Data: guarded(t, make([]float64, n*m), 0)}
 			gr := &multivec.MultiVec{N: n, M: m, Data: guarded(t, r.Data, 0)}
 			sweep := func() { g.ApplyBlock(z, gr) }
-			if m == 1 {
-				sweep = func() { g.Apply(z.Data, gr.Data) }
-			}
 			faulted := false
 			withSIMD(simd, func() { faulted = faults(sweep) })
 			if faulted {

@@ -235,13 +235,6 @@ func invLower3(dst []float64, l blas.Mat3) {
 	dst[6], dst[7], dst[8] = -(l[6]*i0+l[7]*i10)*i2, -l[7]*i1*i2, i2
 }
 
-// Apply computes z = (L L^T)^{-1} r: one forward and one backward
-// block substitution, ApplyBlock on the vector as a block of width 1.
-// It satisfies the Preconditioner interface and allocates nothing.
-func (ic *IC0) Apply(z, r []float64) {
-	ic.ApplyBlock(&multivec.MultiVec{N: len(z), M: 1, Data: z}, &multivec.MultiVec{N: len(r), M: 1, Data: r})
-}
-
 // MulL computes y = L*x, the factor itself rather than its inverse, on
 // every column of a block (m = 1 is a vector): a chunk's Brownian forces
 // are L times a function of L^{-1} A L^{-T}, so the square root needs L
@@ -283,10 +276,12 @@ func (ic *IC0) buildL() {
 	ic.l = bcrs.NewMatrix(nb, nb, rowPtr, colIdx, vals)
 }
 
-// ApplyBlock is Apply on every column of a block at once: each sweep
+// ApplyBlock computes Z = (L L^T)^{-1} R, one forward and one backward
+// block substitution, on every column of a block at once: each sweep
 // runs once, a stored block is loaded once for all m row-major
-// columns, and column j of z is bitwise what Apply gives on column j
-// of r. Every solver preconditions through it. With AVX2 (and a
+// columns, and column j of z is bitwise what ApplyBlock gives on
+// column j of r alone. It satisfies the Preconditioner interface, and
+// every solver preconditions through it; it allocates nothing. With AVX2 (and a
 // strict-lower block for ic0_amd64.s to point at) m = 1 runs the
 // single-vector sweeps and a wider block all but its m%4 last columns,
 // which go through the loops here; those loops are the oracle of both

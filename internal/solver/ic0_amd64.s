@@ -1,6 +1,5 @@
 // AVX2 sweeps of the IC(0) preconditioner: the two block substitutions
-// of IC0.Apply on one vector and of IC0.ApplyBlock on m interleaved
-// columns.
+// of IC0.ApplyBlock on one vector and on m interleaved columns.
 //
 // As in internal/bcrs/gspmv_amd64.s a SIMD lane never crosses a
 // reduction: each lane carries one output value's scalar recurrence in
@@ -187,7 +186,7 @@ bwddone:
 
 // The block sweeps: z and r are row-major with m columns, and the four
 // lanes of a ymm are four adjacent columns, each running ApplyBlock's
-// recurrence for its column — hence Apply's. They cover columns
+// recurrence for its column — hence a lone column's. They cover columns
 // [0, mc), mc a positive multiple of 4, eight at a time while eight are
 // left — two registers per value, so one broadcast of a matrix entry
 // serves both — and then four; ic0.go's loops take columns [mc, m).

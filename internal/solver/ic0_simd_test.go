@@ -46,8 +46,8 @@ func dot3(a0, a1, a2, y0, y1, y2 float64) float64 {
 	return float64(t + u)
 }
 
-// refForward and refBackward are the two substitutions as Apply
-// promises them, written without its loops or its assembly.
+// refForward and refBackward are the two substitutions as ApplyBlock
+// promises them on one vector, written without its loops or its assembly.
 func refForward(ic *IC0, z, r []float64) {
 	for i := 0; i < ic.nb; i++ {
 		s := [3]float64{r[3*i], r[3*i+1], r[3*i+2]}
@@ -103,8 +103,8 @@ func sweepCases(t *testing.T) map[string]*IC0 {
 	return out
 }
 
-// TestIC0ApplyBitwiseMatchesReference: Apply and ApplyBlock on an
-// n-by-1 block, through the assembly sweeps and through the Go loops,
+// TestIC0ApplyBitwiseMatchesReference: ApplyBlock on an n-by-1 block,
+// through the assembly sweeps and through the Go loops,
 // give the reference substitutions' bits — on finite right-hand sides
 // and on ones with NaN, infinities, signed zeros and a subnormal — and
 // so does each assembly sweep alone (checkSweeps, where there is
@@ -123,14 +123,8 @@ func TestIC0ApplyBitwiseMatchesReference(t *testing.T) {
 			copy(want, fwd)
 			refBackward(ic, want)
 			for _, simd := range simdModes {
-				got, block := make([]float64, n), make([]float64, n)
-				withSIMD(simd, func() {
-					ic.Apply(got, r)
-					ic.ApplyBlock(&multivec.MultiVec{N: n, M: 1, Data: block}, &multivec.MultiVec{N: n, M: 1, Data: r})
-				})
-				if i := firstDiff(got, want); i >= 0 {
-					t.Fatalf("%s hostile=%d simd=%v: z[%d] = %v, want %v", name, hostile, simd, i, got[i], want[i])
-				}
+				block := make([]float64, n)
+				withSIMD(simd, func() { ic.ApplyBlock(multivec.FromVector(block), multivec.FromVector(r)) })
 				if i := firstDiff(block, want); i >= 0 {
 					t.Fatalf("%s hostile=%d simd=%v: ApplyBlock at m = 1: z[%d] = %v, want %v", name, hostile, simd, i, block[i], want[i])
 				}

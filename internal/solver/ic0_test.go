@@ -43,8 +43,8 @@ func TestIC0ExactOnBlockDiagonal(t *testing.T) {
 }
 
 func TestIC0ApplyIsInverseOfLLt(t *testing.T) {
-	// Apply must invert exactly the operator L L^T the factorization
-	// produced (even though L L^T only approximates A).
+	// ApplyBlock must invert exactly the operator L L^T the
+	// factorization produced (even though L L^T only approximates A).
 	a := spdMatrix(3, 30, 5)
 	ic, err := NewIC0(a)
 	if err != nil {
@@ -53,7 +53,7 @@ func TestIC0ApplyIsInverseOfLLt(t *testing.T) {
 	n := a.N()
 	z := randVec(4, n)
 	y := make([]float64, n)
-	ic.Apply(y, z)
+	ic.ApplyBlock(multivec.FromVector(y), multivec.FromVector(z))
 	// Verify L L^T y == z by building L densely from the factor.
 	l := denseFactor(t, ic)
 	llt := l.Mul(l.Transpose())
@@ -61,7 +61,7 @@ func TestIC0ApplyIsInverseOfLLt(t *testing.T) {
 	llt.MatVec(back, y)
 	for i := range back {
 		if math.Abs(back[i]-z[i]) > 1e-8*(1+math.Abs(z[i])) {
-			t.Fatalf("L L^T Apply(z) != z at %d: %v vs %v", i, back[i], z[i])
+			t.Fatalf("L L^T M^{-1} z != z at %d: %v vs %v", i, back[i], z[i])
 		}
 	}
 }
@@ -118,8 +118,8 @@ func inv3(m blas.Mat3) (blas.Mat3, bool) {
 	}, true
 }
 
-// TestIC0MulLIsTheFactor: MulL multiplies by the L whose L L^T Apply
-// inverts, at every width, and column j of a block is bitwise MulL on
+// TestIC0MulLIsTheFactor: MulL multiplies by the L whose L L^T
+// ApplyBlock inverts, at every width, and column j of a block is bitwise MulL on
 // column j alone.
 func TestIC0MulLIsTheFactor(t *testing.T) {
 	a := spdMatrix(5, 40, 6)
@@ -298,7 +298,7 @@ func TestIC0ShiftRetry(t *testing.T) {
 		t.Fatalf("shifted retry failed: %v", err)
 	}
 	z, r := make([]float64, 6), []float64{1, 2, 3, 4, 5, 6}
-	ic.Apply(z, r)
+	ic.ApplyBlock(multivec.FromVector(z), multivec.FromVector(r))
 	for _, v := range z {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatalf("shifted factor applied to %v gave %v", r, z)
@@ -324,19 +324,19 @@ func TestIC0RefactorMatchesFresh(t *testing.T) {
 		}
 		r := randVec(46, a.N())
 		got, want := make([]float64, a.N()), make([]float64, a.N())
-		ic.Apply(got, r)
-		fresh.Apply(want, r)
+		ic.ApplyBlock(multivec.FromVector(got), multivec.FromVector(r))
+		fresh.ApplyBlock(multivec.FromVector(want), multivec.FromVector(r))
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("nb=%d: refactored Apply differs from fresh at %d: %v vs %v", a.NB(), i, got[i], want[i])
+				t.Fatalf("nb=%d: refactored ApplyBlock differs from fresh at %d: %v vs %v", a.NB(), i, got[i], want[i])
 			}
 		}
 	}
 }
 
 // TestIC0ApplyBlockMatchesApply: column j of the block sweep is
-// bitwise the single-vector sweep of column j — the Preconditioner
-// contract — at every width 1..33, which covers every width a fused
+// bitwise the single-vector sweep (ApplyBlock at m = 1) of column j —
+// the Preconditioner contract — at every width 1..33, which covers every width a fused
 // solve compacts to: those the Go loops serve alone (1-3), those the
 // assembly takes whole (multiples of 4) and those where it takes the
 // leading columns and the loops the m%4 tail; with the assembly on and
@@ -360,11 +360,11 @@ func TestIC0ApplyBlockMatchesApply(t *testing.T) {
 			rc, zc, want := make([]float64, n), make([]float64, n), make([]float64, n)
 			for j := 0; j < m; j++ {
 				r.Col(j, rc)
-				withSIMD(!simd, func() { ic.Apply(want, rc) })
+				withSIMD(!simd, func() { ic.ApplyBlock(multivec.FromVector(want), multivec.FromVector(rc)) })
 				z.Col(j, zc)
 				for i := range want {
 					if zc[i] != want[i] {
-						t.Fatalf("m=%d simd=%v column %d row %d: ApplyBlock %v, Apply %v", m, simd, j, i, zc[i], want[i])
+						t.Fatalf("m=%d simd=%v column %d row %d: ApplyBlock %v, alone %v", m, simd, j, i, zc[i], want[i])
 					}
 				}
 			}
@@ -373,24 +373,22 @@ func TestIC0ApplyBlockMatchesApply(t *testing.T) {
 }
 
 // columnOnly is the Preconditioner contract's oracle: its ApplyBlock
-// copies each column out, applies the wrapped Apply to it and copies it
-// back.
+// copies each column out, applies the wrapped ApplyBlock to it alone
+// and copies it back.
 type columnOnly struct{ p Preconditioner }
-
-func (c columnOnly) Apply(z, r []float64) { c.p.Apply(z, r) }
 
 func (c columnOnly) ApplyBlock(z, r *multivec.MultiVec) {
 	rc, zc := make([]float64, r.N), make([]float64, r.N)
 	for j := 0; j < r.M; j++ {
 		r.Col(j, rc)
-		c.p.Apply(zc, rc)
+		c.p.ApplyBlock(multivec.FromVector(zc), multivec.FromVector(rc))
 		z.SetCol(j, zc)
 	}
 }
 
 // TestBlockCGBlockPrecondMatchesColumns: preconditioning a block solve
-// through IC0.ApplyBlock is bitwise what the copy-out / Apply / copy-in
-// loop computes.
+// through IC0.ApplyBlock is bitwise what the copy-out / ApplyBlock /
+// copy-in loop computes.
 func TestBlockCGBlockPrecondMatchesColumns(t *testing.T) {
 	a := spdMatrix(61, 80, 7)
 	ic, err := NewIC0(a)
@@ -414,8 +412,8 @@ func TestBlockCGBlockPrecondMatchesColumns(t *testing.T) {
 }
 
 // TestIC0DoesNotAllocate pins the sweeps and the in-place refactor at
-// zero heap allocations once warm: Apply runs in every iteration of
-// every solve of the SD step.
+// zero heap allocations once warm: ApplyBlock runs in every iteration
+// of every solve of the SD step.
 func TestIC0DoesNotAllocate(t *testing.T) {
 	a := spdMatrix(71, 150, 8)
 	ic, err := NewIC0(a)
@@ -428,8 +426,8 @@ func TestIC0DoesNotAllocate(t *testing.T) {
 			t.Errorf("%s allocates %v times per call, want 0", name, n)
 		}
 	}
-	r, z := randVec(72, a.N()), make([]float64, a.N())
-	check("Apply", func() { ic.Apply(z, r) })
+	r, z := multivec.FromVector(randVec(72, a.N())), multivec.FromVector(make([]float64, a.N()))
+	check("ApplyBlock/1", func() { ic.ApplyBlock(z, r) })
 	rb, zb := multivec.New(a.N(), 16), multivec.New(a.N(), 16)
 	copy(rb.Data, randVec(73, a.N()*16))
 	check("ApplyBlock", func() { ic.ApplyBlock(zb, rb) })

@@ -299,8 +299,8 @@ func (ws *Workspace) mul(a BlockOperator, y, x *multivec.MultiVec) {
 }
 
 // precondition sets Z = M^{-1} R over the whole lane block — one
-// ApplyBlock, which is Apply's sweeps at width 1 — and rz[j] to lane
-// j's r_j.z_j. The lanes retired since the last boundary are swept with
+// ApplyBlock, which runs the single-vector sweeps at width 1 — and
+// rz[j] to lane j's r_j.z_j. The lanes retired since the last boundary are swept with
 // the rest: ApplyBlock's columns are independent, so no lane's bits
 // depend on another's.
 func (ws *Workspace) precondition(rz []float64) {

@@ -99,7 +99,7 @@ func textbookCG(a BlockOperator, x, b []float64, opt Options) Stats {
 	z := r
 	if opt.Precond != nil {
 		z = make([]float64, n)
-		opt.Precond.Apply(z, r)
+		opt.Precond.ApplyBlock(multivec.FromVector(z), multivec.FromVector(r))
 	}
 	p := append([]float64(nil), z...)
 	rz := laneDot(r, z)
@@ -132,7 +132,7 @@ func textbookCG(a BlockOperator, x, b []float64, opt Options) Stats {
 		}
 		rzNew := rr
 		if opt.Precond != nil {
-			opt.Precond.Apply(z, r)
+			opt.Precond.ApplyBlock(multivec.FromVector(z), multivec.FromVector(r))
 			rzNew = laneDot(r, z)
 		}
 		beta := rzNew / rz
