@@ -403,7 +403,7 @@ func BenchmarkBrownianSqrt(b *testing.B) {
 		}{{"fresh", r0}, {"stale", r15}} {
 			lo, hi := ritzBounds(c.r, ic, 300)
 			ref := multivec.New(r0.N(), m)
-			s, err := chebyshev.NewSqrt(precondOp{c.r, ic}, lo*(1-1e-3), hi*(1+1e-3), 150, 0)
+			s, err := chebyshev.NewSqrt(precondOp{c.r, ic}, lo*(1-1e-3), hi*(1+1e-3), 150)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -47,14 +47,12 @@ func main() {
 		np     = flag.Int("n", 500, "sd: particle count")
 		phi    = flag.Float64("phi", 0.30, "sd: volume occupancy")
 
-		threads    = flag.Int("threads", 0, "worker-pool threads the multiplies split over (0: the pool's default, GOMAXPROCS)")
-		tol        = flag.Float64("tol", 1e-6, "default relative-residual tolerance")
-		maxIter    = flag.Int("max-iter", 1000, "default iteration cap")
-		maxBatch   = flag.Int("max-batch", 32, "max right-hand sides per dispatch")
-		queueCap   = flag.Int("queue-cap", 0, "admission queue bound (0: 4*max-batch)")
-		maxWait    = flag.Duration("max-wait", 2*time.Millisecond, "hard cap on the batching window")
-		waitFactor = flag.Float64("wait-factor", 1.5, "latency stretch allowed to take one more request")
-		useModel   = flag.Bool("model", true, "calibrate this host and drive the batching window with the r(m) cost model")
+		threads  = flag.Int("threads", 0, "worker-pool threads the multiplies split over (0: the pool's default, GOMAXPROCS)")
+		tol      = flag.Float64("tol", 1e-6, "default relative-residual tolerance")
+		maxIter  = flag.Int("max-iter", 1000, "default iteration cap")
+		maxBatch = flag.Int("max-batch", 32, "max right-hand sides per dispatch")
+		queueCap = flag.Int("queue-cap", 0, "admission queue bound (0: 4*max-batch)")
+		maxWait  = flag.Duration("max-wait", 2*time.Millisecond, "hard cap on the batching window")
 
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /metrics.json and /debug/pprof separately on this address")
 		traceJSONL  = flag.String("trace-jsonl", "", "append every finished request trace as one JSON line to this file")
@@ -80,23 +78,20 @@ func main() {
 		fail(fmt.Errorf("unknown -matrix %q (want random or sd)", *matrix))
 	}
 
+	mc := perf.CalibratedMachine()
+	fmt.Printf("model: B=%.2f GB/s F=%.2f Gflop/s\n", mc.B/1e9, mc.F/1e9)
 	cfg := serve.Config{
-		Tol:         *tol,
-		MaxIter:     *maxIter,
-		MaxBatch:    *maxBatch,
-		QueueCap:    *queueCap,
-		MaxWait:     *maxWait,
-		WaitFactor:  *waitFactor,
-		TraceSample: *traceSample,
-	}
-	if *useModel {
-		mc := perf.CalibratedMachine()
-		cfg.Model = &model.GSPMV{
+		Tol:      *tol,
+		MaxIter:  *maxIter,
+		MaxBatch: *maxBatch,
+		QueueCap: *queueCap,
+		MaxWait:  *maxWait,
+		Model: &model.GSPMV{
 			Machine: mc,
 			Shape:   model.Shape{NB: a.NB(), NNZB: a.NNZB()},
 			K:       model.DefaultK,
-		}
-		fmt.Printf("model: B=%.2f GB/s F=%.2f Gflop/s\n", mc.B/1e9, mc.F/1e9)
+		},
+		TraceSample: *traceSample,
 	}
 
 	if *metricsAddr != "" {

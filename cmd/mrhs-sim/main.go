@@ -153,7 +153,6 @@ func run(args []string, stdout io.Writer) (err error) {
 			defer os.Remove(path)
 		}
 		cfg.Recovery = &core.Recovery{
-			MaxRetries:  5,
 			Snapshotter: sd.FileSnapshotter(path, hopt, *threads, *seed),
 		}
 		printf("faults: plan %q armed on %d nodes (recovery checkpoint %s)\n", plan, *nodes, path)

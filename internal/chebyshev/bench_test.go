@@ -17,7 +17,7 @@ func BenchmarkApplyBlockVsColumns(b *testing.B) {
 	if lo <= 0 {
 		lo = 1e-3
 	}
-	op, err := NewSqrt(a, lo, hi, 30, 0)
+	op, err := NewSqrt(a, lo, hi, 30)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -117,12 +117,10 @@ const DefaultOrder = 30
 
 // NewSqrt builds the square-root operator for the SPD matrix a whose
 // spectrum lies in [lmin, lmax]. order is the polynomial degree
-// (DefaultOrder if <= 0). If tol > 0, the series is truncated at the
-// first tail whose coefficients all fall below tol*|c0| — the
-// adaptive-order optimization.
-func NewSqrt(a Op, lmin, lmax float64, order int, tol float64) (*SqrtOp, error) {
+// (DefaultOrder if <= 0).
+func NewSqrt(a Op, lmin, lmax float64, order int) (*SqrtOp, error) {
 	s := new(SqrtOp)
-	if err := s.reset(a, lmin, lmax, order, tol); err != nil {
+	if err := s.reset(a, lmin, lmax, order); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -130,7 +128,7 @@ func NewSqrt(a Op, lmin, lmax float64, order int, tol float64) (*SqrtOp, error) 
 
 // reset makes s NewSqrt's operator for its arguments, in s's own
 // storage, grown as needed.
-func (s *SqrtOp) reset(a Op, lmin, lmax float64, order int, tol float64) error {
+func (s *SqrtOp) reset(a Op, lmin, lmax float64, order int) error {
 	if !(lmin > 0) || !(lmax > lmin) || math.IsInf(lmax, 1) {
 		return errors.New("chebyshev: need 0 < lmin < lmax < +Inf")
 	}
@@ -140,14 +138,6 @@ func (s *SqrtOp) reset(a Op, lmin, lmax float64, order int, tol float64) error {
 	c := resize(s.c, order+1)
 	s.samples = resize(s.samples, order+1)
 	coefficients(c, s.samples, math.Sqrt, lmin, lmax)
-	if tol > 0 {
-		thresh := tol * math.Abs(c[0])
-		cut := len(c)
-		for cut > 1 && math.Abs(c[cut-1]) < thresh {
-			cut--
-		}
-		c = c[:cut]
-	}
 	s.a, s.lmin, s.lmax, s.c = a, lmin, lmax, c
 	return nil
 }
@@ -158,15 +148,15 @@ func (s *SqrtOp) reset(a Op, lmin, lmax float64, order int, tol float64) error {
 // coefficient). A NaN or infinity in a is an error. The series'
 // operator and coefficients live in ws (nil: a fresh workspace) with
 // the recurrence's blocks, so a caller that evaluates every force on its
-// own workspace allocates them once. The series is never truncated:
-// Stats.Iterations is its order.
+// own workspace allocates them once. Stats.Iterations is the series'
+// order.
 func SeriesSqrt(ws *Workspace, op Op, a *bcrs.Matrix, floor float64, order int, y, z *multivec.MultiVec) (Stats, error) {
 	if ws == nil {
 		ws = new(Workspace)
 	}
 	lo, hi, err := bracket(a, floor)
 	if err == nil {
-		err = ws.series.reset(op, lo, hi, order, 0)
+		err = ws.series.reset(op, lo, hi, order)
 	}
 	if err == nil {
 		err = ws.series.ApplyBlock(ws, y, z)
@@ -197,7 +187,7 @@ func bracket(a *bcrs.Matrix, floor float64) (lo, hi float64, err error) {
 }
 
 // Order returns the number of matrix multiplications one evaluation
-// performs (the truncated polynomial degree).
+// performs (the polynomial degree).
 func (s *SqrtOp) Order() int { return len(s.c) - 1 }
 
 // Workspace is the square roots' storage beyond their operands, grown on

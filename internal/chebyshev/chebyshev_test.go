@@ -77,7 +77,7 @@ func TestGershgorinBracketsSpectrum(t *testing.T) {
 func TestApplyMatchesDenseSqrt(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		a, lo, hi := randSPDMatrix(seed, 10)
-		op, err := NewSqrt(a, lo, hi, 60, 0)
+		op, err := NewSqrt(a, lo, hi, 60)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func TestApplyMatchesDenseSqrt(t *testing.T) {
 func TestApplySquaredIsMatrix(t *testing.T) {
 	// S(A) approximates sqrt(A): applying twice must reproduce A*z.
 	a, lo, hi := randSPDMatrix(5, 15)
-	op, err := NewSqrt(a, lo, hi, 80, 0)
+	op, err := NewSqrt(a, lo, hi, 80)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestApplySquaredIsMatrix(t *testing.T) {
 // own test.
 func TestApplyBlockMatchesColumnwise(t *testing.T) {
 	a, lo, hi := randSPDMatrix(6, 12)
-	op, err := NewSqrt(a, lo, hi, 30, 0)
+	op, err := NewSqrt(a, lo, hi, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,36 +168,6 @@ func TestApplyBlockMatchesColumnwise(t *testing.T) {
 	}
 }
 
-func TestAdaptiveTruncation(t *testing.T) {
-	a, lo, hi := randSPDMatrix(7, 12)
-	full, err := NewSqrt(a, lo, hi, 60, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trunc, err := NewSqrt(a, lo, hi, 60, 1e-8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if trunc.Order() >= full.Order() {
-		t.Fatalf("truncation did not shorten the series: %d vs %d", trunc.Order(), full.Order())
-	}
-	// Truncated result still accurate.
-	z := make([]float64, a.N())
-	rng.New(13).FillNormal(z)
-	yf := make([]float64, a.N())
-	yt := make([]float64, a.N())
-	full.ApplyBlock(nil, multivec.FromVector(yf), multivec.FromVector(z))
-	trunc.ApplyBlock(nil, multivec.FromVector(yt), multivec.FromVector(z))
-	var num, den float64
-	for i := range yf {
-		num += (yf[i] - yt[i]) * (yf[i] - yt[i])
-		den += yf[i] * yf[i]
-	}
-	if rel := math.Sqrt(num / den); rel > 1e-6 {
-		t.Fatalf("truncated series error %v", rel)
-	}
-}
-
 // TestSeriesSqrtBracketsSpectrum: SeriesSqrt's bracket — the Gershgorin
 // bounds, the lower raised to the floor — holds the whole spectrum, and
 // its force is NewSqrt's series on that bracket, bit for bit, on a fresh
@@ -215,7 +185,7 @@ func TestSeriesSqrtBracketsSpectrum(t *testing.T) {
 	if emin < lmin-1e-10 || emax > lmax+1e-10 {
 		t.Fatalf("auto interval [%v, %v] misses spectrum [%v, %v]", lmin, lmax, emin, emax)
 	}
-	op, err := NewSqrt(a, lmin, lmax, 40, 0)
+	op, err := NewSqrt(a, lmin, lmax, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,15 +211,15 @@ func TestSeriesSqrtBracketsSpectrum(t *testing.T) {
 
 func TestNewSqrtRejectsBadInterval(t *testing.T) {
 	a, _, _ := randSPDMatrix(9, 6)
-	if _, err := NewSqrt(a, 0, 1, 10, 0); err == nil {
+	if _, err := NewSqrt(a, 0, 1, 10); err == nil {
 		t.Fatal("lmin=0 must fail")
 	}
-	if _, err := NewSqrt(a, 2, 1, 10, 0); err == nil {
+	if _, err := NewSqrt(a, 2, 1, 10); err == nil {
 		t.Fatal("lmin>lmax must fail")
 	}
 	// Non-finite bounds are errors too, not NaN coefficients.
 	for _, b := range [][2]float64{{1, math.Inf(1)}, {1, math.NaN()}, {math.NaN(), 2}, {math.Inf(1), math.Inf(1)}, {math.Inf(-1), 2}} {
-		if _, err := NewSqrt(a, b[0], b[1], 10, 0); err == nil {
+		if _, err := NewSqrt(a, b[0], b[1], 10); err == nil {
 			t.Fatalf("interval [%v, %v] must fail", b[0], b[1])
 		}
 	}
@@ -294,7 +264,7 @@ func TestBrownianCovariance(t *testing.T) {
 	// the dense oracles (TestApplyMatchesDenseSqrt, and for the default
 	// path TestPrecondInvSqrtMatchesDenseOracle).
 	a, lo, hi := randSPDMatrix(10, 3) // 9x9 scalar
-	op, err := NewSqrt(a, lo, hi, 40, 0)
+	op, err := NewSqrt(a, lo, hi, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +298,7 @@ func TestBrownianCovariance(t *testing.T) {
 
 func TestOrderCountsMultiplications(t *testing.T) {
 	a, lo, hi := randSPDMatrix(11, 8)
-	op, err := NewSqrt(a, lo, hi, 25, 0)
+	op, err := NewSqrt(a, lo, hi, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +309,7 @@ func TestOrderCountsMultiplications(t *testing.T) {
 
 func TestApplyDeterministic(t *testing.T) {
 	a, lo, hi := randSPDMatrix(12, 10)
-	op, err := NewSqrt(a, lo, hi, 30, 0)
+	op, err := NewSqrt(a, lo, hi, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +360,7 @@ func TestSeriesRejectsOperatorBelowItsBracket(t *testing.T) {
 		nan  bool
 		want error
 	}{{"SPD", a, false, nil}, {"indefinite", bad, false, ErrNotSPD}, {"NaN noise", a, true, ErrNotSPD}} {
-		s, err := NewSqrt(c.op, lo, hi, 30, 0)
+		s, err := NewSqrt(c.op, lo, hi, 30)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -47,7 +47,7 @@ func unfused(s *SqrtOp, y, z *multivec.MultiVec) {
 // behind by a larger evaluation.
 func TestApplyBlockMatchesUnfusedRecurrence(t *testing.T) {
 	a, lo, hi := randSPDMatrix(41, 40)
-	s, err := NewSqrt(a, lo, hi, DefaultOrder, 0)
+	s, err := NewSqrt(a, lo, hi, DefaultOrder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestChebyshevApplyDoesNotAllocate(t *testing.T) {
 	rng.New(44).FillNormal(z.Data)
 	z1, y1 := make([]float64, a.N()), make([]float64, a.N())
 	rng.New(45).FillNormal(z1)
-	s, err := NewSqrt(a, lo, hi, DefaultOrder, 0)
+	s, err := NewSqrt(a, lo, hi, DefaultOrder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestChebyshevApplyDoesNotAllocate(t *testing.T) {
 	// The stepper's width on a matrix of 3600 rows: 57 600 elements,
 	// whose 2.8 MB a pass streams split in two on two threads.
 	big, lo, hi := randSPDMatrix(47, 1200)
-	sb, err := NewSqrt(big, lo, hi, DefaultOrder, 0)
+	sb, err := NewSqrt(big, lo, hi, DefaultOrder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestChebyshevApplyDoesNotAllocate(t *testing.T) {
 // gives alone.
 func TestConcurrentEvaluationsShareNoBlock(t *testing.T) {
 	a, lo, hi := randSPDMatrix(46, 50)
-	s, err := NewSqrt(a, lo, hi, DefaultOrder, 0)
+	s, err := NewSqrt(a, lo, hi, DefaultOrder)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func TestApplyBlockExactAcrossThreadCounts(t *testing.T) {
 		if lo <= 0 {
 			lo = 1e-3
 		}
-		op, err := NewSqrt(a, lo, hi, 20, 0)
+		op, err := NewSqrt(a, lo, hi, 20)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -113,9 +113,9 @@ func TestSaveFileAtomic(t *testing.T) {
 // steps straight versus run 4, checkpoint, restore in a "new
 // process", run 4 more — identical final positions. The checkpoint
 // falls on a chunk boundary, so where a chunk's guesses come from a
-// block solve — under NoPrecond, or through IC(0) when BlockPrecond
-// asks for it — the resumed run's first block solve stops at the
-// tolerance the straight run's previous chunk set, which only the
+// block solve — under NoPrecond, unpreconditioned or through the IC(0)
+// BlockPrecond hands it — the resumed run's first block solve stops at
+// the tolerance the straight run's previous chunk set, which only the
 // snapshot's GuessErr carries across.
 func TestResumeReproducesTrajectory(t *testing.T) {
 	const (
@@ -141,7 +141,7 @@ func TestResumeReproducesTrajectory(t *testing.T) {
 	}{
 		{"ic0", nil, nil},
 		{"none", core.NoPrecond, nil},
-		{"ic0-block", nil, blockIC0},
+		{"ic0-block", core.NoPrecond, blockIC0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := core.Config{Dt: 2, M: 4, Seed: seed, Tol: 1e-11, Precond: tc.precond, BlockPrecond: tc.block}

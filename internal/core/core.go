@@ -120,10 +120,10 @@ type Config struct {
 	// chunk's guesses are made — after its m-vector square root, before
 	// the block solve or the direct guesses' ApplyBlock — and marks that
 	// point: the traced benchmark tags the multiplies that follow as the
-	// guesses'. A nil result keeps the chunk's own way of making them.
-	// A non-nil result selects block CG under that preconditioner alone,
-	// also where the window would have drawn the direct guesses. The
-	// matrix is valid for the call only.
+	// guesses'. A non-nil result preconditions the chunk's block solve in
+	// place of the window's preconditioner; a chunk that draws the direct
+	// guesses runs no block solve and ignores it. The matrix is valid for
+	// the call only.
 	BlockPrecond func(a *bcrs.Matrix) solver.Preconditioner
 	// Recovery, if non-nil, arms crash recovery in the Run loops:
 	// transport faults that unwind out of a step or chunk restore the
@@ -861,15 +861,8 @@ func (r *Runner) StepMRHS(steps int) error {
 	g := chunkGuesses{direct: direct}
 	if direct {
 		r.directGuesses(f, op0, u, fb, u0, rhs0)
-		if bp != nil {
-			// Block CG on the forces the inverse root drew: -F^B = R_0*U.
-			op0.Mul(fb, u)
-			g.direct = false
-		}
 	} else {
 		fb.Scale(-1) // the systems are R u = -f^B (Eq. 5's sign)
-	}
-	if !g.direct {
 		g, err = r.blockGuesses(op0, u, fb, u0, rhs0, bp)
 	}
 	r.Timings.CalcGuesses += time.Since(t0)

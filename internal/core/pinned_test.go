@@ -176,7 +176,7 @@ func checkPinned(t *testing.T, set pinnedSet, wrap func(core.Configuration) core
 	inj := plan.NewInjector(1)
 	armed := false
 	rcfg := cfg
-	rcfg.Recovery = &core.Recovery{MaxRetries: 3}
+	rcfg.Recovery = &core.Recovery{}
 	rcfg.Distribute = func(a *bcrs.Matrix, c core.Configuration) core.DistOp {
 		const p = 2
 		cl, err := cluster.New(a, partition.RCB(a, systemOf(c).Pos, p).Part, p)

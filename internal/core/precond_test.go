@@ -408,7 +408,7 @@ func TestDirectGuessesSolveTheirColumns(t *testing.T) {
 // TestChunkGuessesObservability: the chunk record says how its guesses
 // were made — "direct" under the default window, counted in
 // core_direct_guess_chunks_total with step 0's record Direct; "block"
-// under NoPrecond or a non-nil BlockPrecond, with the block solve's
+// under NoPrecond, with or without a BlockPrecond, with the block solve's
 // tolerance, which is Tol for a runner's first chunk and c times the
 // smallest guess error of the previous chunk's warm steps after it.
 func TestChunkGuessesObservability(t *testing.T) {
@@ -419,6 +419,7 @@ func TestChunkGuessesObservability(t *testing.T) {
 		case "NoPrecond":
 			cfg.Precond = core.NoPrecond
 		case "BlockPrecond":
+			cfg.Precond = core.NoPrecond
 			cfg.BlockPrecond = func(a *bcrs.Matrix) solver.Preconditioner {
 				ic, err := solver.NewIC0(a)
 				if err != nil {

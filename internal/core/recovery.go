@@ -25,16 +25,18 @@ type Snapshotter interface {
 // crash, an undeliverable halo message, an expired deadline — the
 // runner restores the last snapshot and replays it. Because the noise
 // z_k is a pure function of (Seed, k) and solvers are pure in their
-// inputs, a replay reproduces the interrupted trajectory bitwise.
+// inputs, a replay reproduces the interrupted trajectory bitwise. A
+// step or chunk is replayed at most maxRetries times before its fault
+// is surfaced to the caller.
 type Recovery struct {
-	// MaxRetries bounds the replays of a single step or chunk before
-	// the fault is surfaced to the caller. Default 3.
-	MaxRetries int
 	// Snapshotter, if non-nil, additionally persists each snapshot
 	// and is the restore source on replay, so recovery exercises the
 	// same path as a process restart. Nil recovers in memory only.
 	Snapshotter Snapshotter
 }
+
+// maxRetries bounds the replays of a single step or chunk.
+const maxRetries = 5
 
 // memSnap is the in-memory rollback point taken at a step or chunk
 // boundary. The configuration is safe to retain by reference:
@@ -108,16 +110,12 @@ func guardFaults(step func() error) (err error) {
 
 // runRecoverable executes one step or chunk with fault recovery:
 // snapshot, run, and on a transport fault restore and replay, up to
-// MaxRetries times. Non-fault errors (a genuinely stalled solve)
+// maxRetries times. Non-fault errors (a genuinely stalled solve)
 // surface immediately — replaying deterministic numerics cannot help
 // them.
 func (r *Runner) runRecoverable(label string, step func() error) error {
 	if r.cfg.Recovery == nil {
 		return guardFaults(step)
-	}
-	maxRetries := r.cfg.Recovery.MaxRetries
-	if maxRetries <= 0 {
-		maxRetries = 3
 	}
 	snap, err := r.takeSnap()
 	if err != nil {

@@ -57,7 +57,7 @@ func TestRecoveryReplayMatchesCleanRunMRHS(t *testing.T) {
 	reg := obs.NewRegistry()
 	chaos := NewRunner(newToy(24, 6), cfg)
 	chaos.cfg.Distribute = distToy(p, inj, 1)
-	chaos.cfg.Recovery = &Recovery{MaxRetries: 5}
+	chaos.cfg.Recovery = &Recovery{}
 	chaos.Obs = reg
 	var frames []int
 	chaos.OnStep = func(step int, _ []float64, _ float64) { frames = append(frames, step) }
@@ -150,7 +150,8 @@ func TestFaultSurfacesAsErrorWithoutRecovery(t *testing.T) {
 }
 
 // Persistent faults exhaust the retry budget and surface the last
-// fault.
+// fault: six crash rules outlast the first attempt and maxRetries = 5
+// replays.
 func TestRecoveryGivesUpAfterMaxRetries(t *testing.T) {
 	spec := strings.TrimSuffix(strings.Repeat("crash:node=0,at=1;", 6), ";")
 	plan, err := faults.Parse(spec)
@@ -159,16 +160,16 @@ func TestRecoveryGivesUpAfterMaxRetries(t *testing.T) {
 	}
 	r := NewRunner(newToy(16, 2), Config{Dt: 0.05, M: 4, Seed: 1})
 	r.cfg.Distribute = distToy(2, plan.NewInjector(4), 4)
-	r.cfg.Recovery = &Recovery{MaxRetries: 2}
+	r.cfg.Recovery = &Recovery{}
 	r.Obs = obs.NewRegistry()
 	err = r.RunMRHS(4)
 	if err == nil {
-		t.Fatal("run survived 6 crash rules with 2 retries")
+		t.Fatal("run survived 6 crash rules with 5 retries")
 	}
 	if !faults.IsFault(err) {
 		t.Fatalf("error %v does not wrap the fault", err)
 	}
-	if !strings.Contains(err.Error(), "after 2 replays") {
+	if !strings.Contains(err.Error(), "after 5 replays") {
 		t.Fatalf("error %v does not report the exhausted budget", err)
 	}
 }

@@ -489,7 +489,7 @@ func fig8(cfg Config) ([]*Table, error) {
 	defer parallel.SetThreads(cfg.Threads)
 	for _, th := range threads {
 		parallel.SetThreads(th)
-		gspmv := perf.TimeMultiply(a, 16, 0) * 1e3
+		gspmv := perf.TimeMultiply(a, 16) * 1e3
 		thCfg := cfg
 		thCfg.Threads = th
 		m, o, err := breakdown(thCfg, cfg.SizeMedium, 0.5, 8, core.NoPrecond)

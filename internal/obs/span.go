@@ -14,23 +14,14 @@ import (
 // end the same span (a canceled submitter and the dispatcher both
 // closing it out), exactly one records and the other gets zero. The
 // handoff itself must still be published through a synchronized
-// channel or mutex (Handoff documents the transfer point); the
-// atomicity here only de-duplicates the recording.
+// channel or mutex; the atomicity here only de-duplicates the
+// recording.
 type Span struct {
 	tr    *Trace
 	name  string
 	start time.Time
 	ended atomic.Bool
 }
-
-// Handoff marks the point where span ownership moves to another
-// goroutine and returns the span for the receiver. The span's fields
-// are published by whatever synchronization carries the span across
-// (channel send, mutex); Handoff exists so the transfer is explicit
-// at the call site, and so the receiving side may safely race End
-// against a late End from the originating side — the atomic end
-// guarantees a single recording.
-func (s *Span) Handoff() *Span { return s }
 
 // End stops the span and records its duration as a span of its trace.
 // Ending more than once — including concurrently from two goroutines —

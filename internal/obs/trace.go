@@ -92,7 +92,7 @@ func (t *Trace) ID() string { return t.id }
 
 // StartSpan begins a named phase recorded into the trace when the
 // span ends. The returned span may be ended from a different
-// goroutine than the one that started it (see Span.Handoff).
+// goroutine than the one that started it (see Span).
 func (t *Trace) StartSpan(name string) *Span {
 	return &Span{tr: t, name: name, start: time.Now()}
 }

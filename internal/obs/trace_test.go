@@ -153,7 +153,7 @@ func TestSpanHandoffConcurrentEnd(t *testing.T) {
 		tc := tracer.Start("")
 		sp := tc.StartSpan("handoff_phase")
 		ch := make(chan *Span, 1)
-		ch <- sp.Handoff()
+		ch <- sp
 		var wg sync.WaitGroup
 		wg.Add(2)
 		go func() { defer wg.Done(); (<-ch).End() }()

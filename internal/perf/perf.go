@@ -85,7 +85,7 @@ func MeasureKernelFlops(ms []int) float64 {
 	a := bcrs.Random(bcrs.RandomOptions{NB: 1000, BlocksPerRow: 20, Seed: 99})
 	var total float64
 	for _, m := range ms {
-		secs := TimeMultiply(a, m, 0)
+		secs := TimeMultiply(a, m)
 		total += float64(a.FlopCount(m)) / secs
 	}
 	return total / float64(len(ms))
@@ -99,25 +99,11 @@ type BlockMultiplier interface {
 }
 
 // TimeMultiply returns the wall time in seconds of one Y = A*X with m
-// vectors, taking the minimum over enough repetitions to accumulate
-// at least ~20 ms of work (or reps repetitions if reps > 0). X is
+// vectors: multiplies are batched until one batch takes at least
+// ~20 ms, and the per-multiply average of that batch is returned. X is
 // filled deterministically.
-func TimeMultiply(a BlockMultiplier, m, reps int) float64 {
+func TimeMultiply(a BlockMultiplier, m int) float64 {
 	y, x := operands(a, m)
-	if reps > 0 {
-		best := 1e300
-		for i := 0; i < reps; i++ {
-			t0 := time.Now()
-			a.Mul(y, x)
-			if s := time.Since(t0).Seconds(); s < best {
-				best = s
-			}
-		}
-		sink += y.Data[0]
-		return best
-	}
-	// Auto-rep: batch multiplies until 20 ms elapsed, then report the
-	// per-multiply average of the best batch.
 	const target = 20 * time.Millisecond
 	batch := 1
 	for {
@@ -211,7 +197,7 @@ type Rates struct {
 // Table II quantities, charging traffic with the model's Mtr(m) at
 // the given k.
 func MeasureRates(a *bcrs.Matrix, m int, k float64) Rates {
-	secs := TimeMultiply(a, m, 0)
+	secs := TimeMultiply(a, m)
 	g := model.GSPMV{
 		Shape: model.Shape{NB: a.NB(), NNZB: a.NNZB()},
 		K:     model.ConstK(k),

@@ -30,7 +30,7 @@ func TestMeasureKernelFlopsPlausible(t *testing.T) {
 
 func TestTimeMultiplyPositive(t *testing.T) {
 	a := bcrs.Random(bcrs.RandomOptions{NB: 500, BlocksPerRow: 8, Seed: 1})
-	s := TimeMultiply(a, 4, 2)
+	s := TimeMultiply(a, 4)
 	if s <= 0 {
 		t.Fatalf("TimeMultiply = %v", s)
 	}

@@ -48,7 +48,6 @@ func TestChaosRunMatchesCleanChecksum(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "chaos.ckpt")
 	ccfg := cfg
 	ccfg.Recovery = &core.Recovery{
-		MaxRetries:  5,
 		Snapshotter: FileSnapshotter(ckpt, opt, 1, seed),
 	}
 	chaos := NewDistributedOpts(newSys(), opt, ccfg, DistOptions{

@@ -107,7 +107,6 @@ func TestChaosRunWithThreadsMatchesCleanChecksum(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "chaos-threads.ckpt")
 	ccfg := cfg
 	ccfg.Recovery = &core.Recovery{
-		MaxRetries:  5,
 		Snapshotter: FileSnapshotter(ckpt, opt, threads, seed),
 	}
 	chaos := NewDistributedOpts(newSystem(), opt, ccfg, DistOptions{

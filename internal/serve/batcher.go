@@ -98,6 +98,14 @@ func (e *Engine) gather(first *call) []*call {
 	return batch
 }
 
+// waitFactor is the latency stretch the cost model may spend to take
+// one more request (planWait), and seedIters the iteration count it
+// multiplies T(m) by before real dispatches refine the estimate.
+const (
+	waitFactor = 1.5
+	seedIters  = 50
+)
+
 // planWait is the dispatch-now-vs-wait decision. With q right-hand
 // sides in hand it returns how much longer to hold the batch open, or
 // <= 0 to dispatch immediately.
@@ -107,7 +115,7 @@ func (e *Engine) gather(first *call) []*call {
 // model prices one solve as iters * T(m) (iters is an EWMA of observed
 // iteration counts), and waiting is allowed only while
 //
-//	wait + iters*T(q+1) <= WaitFactor * iters*T(q),
+//	wait + iters*T(q+1) <= waitFactor * iters*T(q),
 //
 // so once GSPMV goes compute-bound — T(m) growing linearly, r(m) ~ m
 // — the inequality fails and batches stop growing: the batcher's
@@ -127,7 +135,7 @@ func (e *Engine) planWait(q int, batch []*call, waited time.Duration) time.Durat
 	if e.cfg.Model != nil {
 		iters := e.itersEWMA
 		tNext = iters * e.cfg.Model.T(q+1)
-		budget = min(budget, time.Duration((e.cfg.WaitFactor*iters*e.cfg.Model.T(q)-tNext)*float64(time.Second)))
+		budget = min(budget, time.Duration((waitFactor*iters*e.cfg.Model.T(q)-tNext)*float64(time.Second)))
 	}
 	// A request whose deadline would expire during the wider solve
 	// must not be held: dispatch now.

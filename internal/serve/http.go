@@ -83,19 +83,17 @@ type EnsembleResponse struct {
 
 // Info is the JSON body of GET /v1/info.
 type Info struct {
-	N          int     `json:"n"`
-	MaxBatch   int     `json:"max_batch"`
-	QueueCap   int     `json:"queue_cap"`
-	MaxWaitMS  float64 `json:"max_wait_ms"`
-	WaitFactor float64 `json:"wait_factor"`
-	Tol        float64 `json:"tol"`
-	HasModel   bool    `json:"has_model"`
+	N         int     `json:"n"`
+	MaxBatch  int     `json:"max_batch"`
+	QueueCap  int     `json:"queue_cap"`
+	MaxWaitMS float64 `json:"max_wait_ms"`
+	Tol       float64 `json:"tol"`
+	HasModel  bool    `json:"has_model"`
 	// Threads is the process pool's size, which a multiply that streams
 	// enough splits its block rows over.
 	Threads int `json:"threads"`
-	// MaxEnsemble is the widest /v1/ensemble accepted (== MaxBatch);
-	// DefaultEnsemble the member count used when a request names none.
-	MaxEnsemble     int `json:"max_ensemble"`
+	// DefaultEnsemble is the member count used when a request names
+	// none; the widest /v1/ensemble accepted is MaxBatch.
 	DefaultEnsemble int `json:"default_ensemble"`
 }
 
@@ -286,11 +284,9 @@ func Handler(e *Engine) http.Handler {
 			MaxBatch:        cfg.MaxBatch,
 			QueueCap:        cfg.QueueCap,
 			MaxWaitMS:       float64(cfg.MaxWait) / float64(time.Millisecond),
-			WaitFactor:      cfg.WaitFactor,
 			Tol:             cfg.Tol,
 			HasModel:        cfg.Model != nil,
 			Threads:         parallel.Threads(),
-			MaxEnsemble:     cfg.MaxBatch,
 			DefaultEnsemble: min(defaultEnsemble, cfg.MaxBatch),
 		})
 	})

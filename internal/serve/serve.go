@@ -63,17 +63,10 @@ type Config struct {
 	// MaxWait is the hard cap on how long the batcher holds a request
 	// hoping for a fuller batch. Default 2ms.
 	MaxWait time.Duration
-	// WaitFactor is the latency stretch the cost model may spend to
-	// take one more request: with q in hand the batcher waits only while
-	// wait + T_solve(q+1) <= WaitFactor * T_solve(q). Default 1.5.
-	WaitFactor float64
 	// Model, if non-nil, prices T(m) for the dispatch-now-vs-wait
 	// decision (see planWait). Without a model the batcher falls back
 	// to waiting at most MaxWait whenever the batch is not full.
 	Model *model.GSPMV
-	// SeedIters seeds the iteration-count estimate the cost model
-	// multiplies T(m) by, before real dispatches refine it. Default 50.
-	SeedIters float64
 	// Tracer receives one request trace per sampled Submit (queue
 	// wait, batch wait, solve span, batch attribution). Default
 	// obs.DefaultTracer; requests whose context already carries a
@@ -98,12 +91,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxWait == 0 {
 		c.MaxWait = 2 * time.Millisecond
-	}
-	if c.WaitFactor <= 1 {
-		c.WaitFactor = 1.5
-	}
-	if c.SeedIters <= 0 {
-		c.SeedIters = 50
 	}
 	if c.Tracer == nil {
 		c.Tracer = obs.DefaultTracer
@@ -213,7 +200,7 @@ func NewEngine(op solver.BlockOperator, cfg Config) *Engine {
 		cfg:       cfg,
 		queue:     make(chan *call, cfg.QueueCap),
 		done:      make(chan struct{}),
-		itersEWMA: cfg.SeedIters,
+		itersEWMA: seedIters,
 		ws:        new(solver.Workspace),
 	}
 	go e.run()
@@ -318,7 +305,7 @@ func (e *Engine) submit(ctx context.Context, reqs []Req) ([]Result, error) {
 		if len(reqs) > 1 {
 			c.tr.SetAttr("ensemble_members", int64(len(reqs)))
 		}
-		c.qspan = c.tr.StartSpan("queue_wait").Handoff() // ended by the dispatcher
+		c.qspan = c.tr.StartSpan("queue_wait") // ended by the dispatcher
 	}
 	select {
 	case e.queue <- c:

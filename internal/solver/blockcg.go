@@ -202,14 +202,10 @@ func BlockCG(ws *Workspace, a BlockOperator, x, b *multivec.MultiVec, opt Option
 	}
 	w := &ws.block
 	w.reshape(n, m, opt.Precond != nil)
-	// On return, mirror the per-column final residuals into
-	// Stats.Residuals so block solves feed the same residual
-	// reporting as single-vector CG, and record the obs metrics.
-	// stats is a named result, so these deferred writes reach the
-	// caller.
+	// On return, record the vector time and the obs metrics. stats is
+	// a named result, so these deferred writes reach the caller.
 	defer func() {
 		stats.VecSeconds = time.Since(start).Seconds() - stats.MulSeconds
-		stats.Residuals = append(stats.Residuals[:0], stats.ColumnResiduals...)
 		recordBlockCG(&stats)
 	}()
 	mul := func(y, x *multivec.MultiVec) {

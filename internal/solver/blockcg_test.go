@@ -123,8 +123,8 @@ func TestBlockCGStarvedSolve(t *testing.T) {
 	if st.Converged || st.Err != nil || st.Iterations != 2 {
 		t.Fatalf("converged %v, Err %v after %d iterations: want an unconverged, error-free return after 2", st.Converged, st.Err, st.Iterations)
 	}
-	if len(st.Residuals) != m || st.Residual <= 1e-8 {
-		t.Errorf("Residuals %v, Residual %g: want %d columns, the worst above tolerance", st.Residuals, st.Residual, m)
+	if len(st.ColumnResiduals) != m || st.Residual <= 1e-8 {
+		t.Errorf("ColumnResiduals %v, Residual %g: want %d columns, the worst above tolerance", st.ColumnResiduals, st.Residual, m)
 	}
 }
 

@@ -37,11 +37,6 @@ type Stats struct {
 	// Residual is the final relative residual norm ||b-Ax||/||b||
 	// (max over columns for block solves).
 	Residual float64
-	// Residuals holds the relative residual after each iteration
-	// when Options.TrackResiduals is set (convergence curves). Block
-	// solves instead store one entry per right-hand side: the final
-	// relative residual of each column.
-	Residuals []float64
 	// Err is ErrCanceled when the solve was stopped by Options.Ctx and
 	// ErrBreakdown when the recurrence broke down; nil otherwise
 	// (running out of iterations is not an error, it is reported
@@ -59,9 +54,6 @@ type Options struct {
 	// Precond, if non-nil, turns CG into preconditioned CG. Every
 	// column of one MultiCGWith batch names the same one (or none).
 	Precond Preconditioner
-	// TrackResiduals records the per-iteration relative residual in
-	// Stats.Residuals (single-vector CG only).
-	TrackResiduals bool
 	// Ctx, if non-nil, is checked once per iteration: when it is
 	// canceled or its deadline has passed by the clock, the solve
 	// returns early with Stats.Err = ErrCanceled and the current

@@ -259,9 +259,6 @@ func (ws *Workspace) solve(a BlockOperator, xs, bs [][]float64, opts []Options, 
 			}
 			l.st.Iterations++
 			l.rnorm = math.Sqrt(rr[j])
-			if l.opt.TrackResiduals {
-				l.st.Residuals = append(l.st.Residuals, l.rnorm/l.bnorm)
-			}
 			switch {
 			case !finite(rr[j]):
 				l.st.Err = ErrBreakdown

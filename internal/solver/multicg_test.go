@@ -456,9 +456,14 @@ func TestMultiCGRetiresAcrossEveryWidth(t *testing.T) {
 	// leave[k] columns are gone after iteration k+1, alternately by
 	// budget and by a tolerance a lone solve meets at that iteration.
 	leave := []int{12, 4, 5, 3, 3, 1, 1, 1, 1}
-	probe := CG(a, make([]float64, n), testRHS(n, 500), Options{Tol: 1e-14, TrackResiduals: true})
-	if len(probe.Residuals) < len(leave)+3 {
-		t.Fatalf("probe solve too short to stagger: %d iterations", len(probe.Residuals))
+	probe := CG(a, make([]float64, n), testRHS(n, 500), Options{Tol: 1e-14})
+	if probe.Iterations < len(leave)+3 {
+		t.Fatalf("probe solve too short to stagger: %d iterations", probe.Iterations)
+	}
+	// loneResidual is the relative residual a lone solve of b stands at
+	// after k iterations.
+	loneResidual := func(b []float64, k int) float64 {
+		return CG(a, make([]float64, n), b, Options{Tol: 1e-14, MaxIter: k}).Residual
 	}
 	forThreads(t, func(t *testing.T) {
 		bs := make([][]float64, q)
@@ -480,14 +485,13 @@ func TestMultiCGRetiresAcrossEveryWidth(t *testing.T) {
 				bs[j] = testRHS(n, uint64(500+j))
 				opts[j] = Options{Tol: 1e-14, MaxIter: k + 1}
 				if c%2 == 1 {
-					// By tolerance: this column's own residual history
-					// says where iteration k+1 lands.
-					h := CG(a, make([]float64, n), bs[j], Options{Tol: 1e-14, TrackResiduals: true}).Residuals
+					// By tolerance: this column's own lone solve says
+					// where iteration k+1 lands.
 					prev := 1.0 // the zero guess's relative residual
 					if k > 0 {
-						prev = h[k-1]
+						prev = loneResidual(bs[j], k)
 					}
-					opts[j] = Options{Tol: math.Sqrt(h[k] * prev)}
+					opts[j] = Options{Tol: math.Sqrt(loneResidual(bs[j], k+1) * prev)}
 				}
 			}
 		}

@@ -270,28 +270,3 @@ func TestBlockPCGMatchesBlockCG(t *testing.T) {
 			stPre.Iterations, stPlain.Iterations)
 	}
 }
-
-func TestCGTrackResiduals(t *testing.T) {
-	a := spdMatrix(40, 50, 6)
-	b := randVec(41, a.N())
-	x := make([]float64, a.N())
-	st := CG(a, x, b, Options{Tol: 1e-8, TrackResiduals: true})
-	if !st.Converged {
-		t.Fatal("did not converge")
-	}
-	if len(st.Residuals) != st.Iterations {
-		t.Fatalf("recorded %d residuals for %d iterations", len(st.Residuals), st.Iterations)
-	}
-	last := st.Residuals[len(st.Residuals)-1]
-	if last > 1e-8 {
-		t.Fatalf("last residual %v above tolerance", last)
-	}
-	if last != st.Residual {
-		t.Fatal("final entry must equal Stats.Residual")
-	}
-	// Default: no tracking, no allocation.
-	st2 := CG(a, make([]float64, a.N()), b, Options{})
-	if st2.Residuals != nil {
-		t.Fatal("residuals recorded without TrackResiduals")
-	}
-}
