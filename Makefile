@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci docs-gate reach vet build test bench-test bench-trace race race-kernels chaos fuzz-faults fuzz-neighbor fuzz-sqrt fuzz-blockcg fuzz-serve fuzz-checkpoint serial wide noavx512 serve-smoke bench experiments
+.PHONY: ci docs-gate reach vet build test bench-test bench-trace race race-kernels chaos fuzz-faults fuzz-neighbor fuzz-sqrt fuzz-blockcg fuzz-serve fuzz-checkpoint serial wide noavx512 fma serve-smoke bench experiments
 
 # ci is the gate: vet, build everything, the benchmark module's own
 # vet and tests (bench-test), one traced run of each SD workload
@@ -18,7 +18,8 @@ GO ?= go
 # of the multiply's packages with GOMAXPROCS=4 (an oversubscribed
 # pool on any host, whose split tests must see their pooled runs
 # dispatch), one short pass
-# of the kernel packages with AVX-512 compiled out (noavx512), ten seconds of
+# of the kernel packages with AVX-512 compiled out (noavx512), one of
+# the reduction packages built for x86-64-v3 (fma), ten seconds of
 # fuzzing the
 # fault-spec parser (its input is a command-line flag), ten of the
 # periodic wrap (its input is every coordinate a step produces), ten
@@ -30,7 +31,7 @@ GO ?= go
 # bytes. Performance is not gated here: bench/run.sh's paired parent
 # and change runs under BENCHMARK.json's bounds are the one regression
 # instrument.
-ci: vet build bench-test bench-trace docs-gate reach race-kernels race chaos fuzz-faults fuzz-neighbor fuzz-sqrt fuzz-blockcg fuzz-serve fuzz-checkpoint serve-smoke serial wide noavx512
+ci: vet build bench-test bench-trace docs-gate reach race-kernels race chaos fuzz-faults fuzz-neighbor fuzz-sqrt fuzz-blockcg fuzz-serve fuzz-checkpoint serve-smoke serial wide noavx512 fma
 
 # docs-gate fails when an internal/ package lacks a package comment,
 # a tracked markdown file has a broken relative link, README.md /
@@ -61,7 +62,7 @@ reach:
 # the third fails when any file is not gofmt-clean.
 vet:
 	$(GO) vet ./...
-	GOARCH=arm64 $(GO) vet ./internal/cpufeat/ ./internal/bcrs/ ./internal/multivec/ ./internal/solver/ ./internal/hydro/
+	GOARCH=arm64 $(GO) vet ./internal/cpufeat/ ./internal/bcrs/ ./internal/multivec/ ./internal/solver/ ./internal/hydro/ ./internal/chebyshev/
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 build:
@@ -208,6 +209,14 @@ wide:
 # build tag is the switch. -count=1 as in serial.
 noavx512:
 	$(GO) test -tags noavx512 -short -count=1 ./internal/cpufeat/ ./internal/bcrs/ ./internal/multivec/ ./internal/solver/
+
+# fma runs the packages whose Go loops are the reduction kernels'
+# oracles built for x86-64-v3, where the compiler fuses a multiply and
+# an add unless the product is spelled float64(x*y): a loop that fuses
+# rounds once where the assembly rounds twice, and its bitwise test
+# against the kernel fails. -count=1 as in serial.
+fma:
+	GOAMD64=v3 $(GO) test -count=1 ./internal/multivec/ ./internal/solver/ ./internal/chebyshev/
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .

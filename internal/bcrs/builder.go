@@ -19,18 +19,49 @@ func NewMatrix(nb, ncb int, rowPtr, colIdx []int32, vals []float64) *Matrix {
 	}
 	// The m = 1 kernel is assembly and checks no index, so a corrupt
 	// one stops here, with its row, and not as a wild read there.
+	if !indicesValid(ncb, rowPtr, colIdx) {
+		panic(badIndex(ncb, rowPtr, colIdx))
+	}
+	return &Matrix{nb: nb, ncb: ncb, rowPtr: rowPtr, colIdx: colIdx, vals: vals}
+}
+
+// indicesValid reports whether rowPtr runs monotone from 0 to its last
+// entry, len(colIdx), and every column is in [0, ncb): one flat pass
+// over each array.
+func indicesValid(ncb int, rowPtr, colIdx []int32) bool {
+	prev := rowPtr[0]
+	if prev != 0 {
+		return false
+	}
+	for _, p := range rowPtr[1:] {
+		if p < prev {
+			return false
+		}
+		prev = p
+	}
+	for _, c := range colIdx {
+		if uint32(c) >= uint32(ncb) {
+			return false
+		}
+	}
+	return true
+}
+
+// badIndex names the first row whose rowPtr or columns indicesValid
+// rejects.
+func badIndex(ncb int, rowPtr, colIdx []int32) string {
 	for i, end := range rowPtr[1:] {
 		k := rowPtr[i]
 		if k > end || int(end) > len(colIdx) || (i == 0 && k != 0) {
-			panic(fmt.Sprintf("bcrs: NewMatrix row %d: rowPtr not monotone from 0", i))
+			return fmt.Sprintf("bcrs: NewMatrix row %d: rowPtr not monotone from 0", i)
 		}
 		for _, c := range colIdx[k:end] {
 			if uint32(c) >= uint32(ncb) {
-				panic(fmt.Sprintf("bcrs: NewMatrix row %d: column %d outside [0, %d)", i, c, ncb))
+				return fmt.Sprintf("bcrs: NewMatrix row %d: column %d outside [0, %d)", i, c, ncb)
 			}
 		}
 	}
-	return &Matrix{nb: nb, ncb: ncb, rowPtr: rowPtr, colIdx: colIdx, vals: vals}
+	panic("bcrs: badIndex on valid indices")
 }
 
 // Builder accumulates 3x3 blocks in coordinate form and assembles them

@@ -80,7 +80,11 @@ type Stats struct {
 //
 // The m columns run in lockstep: each step is one width-m multiply by
 // a (the GSPMV), one ApplyBlock and column dot products, and every
-// column's bits are those of the same call on that column alone.
+// column's bits are those of the same call on that column alone: the
+// dot products (multivec.ColDots) and the squared 2-norms behind the
+// root's and the tail's checks (combine's, tails') all sum in
+// multivec's one lane-reduction order — eight partials per row chunk,
+// combined by one fixed tree — at every m.
 // Y and Z must not alias. The storage is ws's (nil: a fresh one).
 func PrecondInvSqrt(ws *Workspace, a Op, f Factor, y, z *multivec.MultiVec, maxIter int, tol float64) (Stats, error) {
 	n, m := a.N(), z.M
@@ -375,15 +379,22 @@ func (w *lanczos) coefficients(c *column) (moved float64, ok bool) {
 // sum_t coef_j[t]/gamma_j[t] * p_t — the column's result at its current
 // step — and sets its moved to the 2-norm of the step's change,
 // sum_t (coef_j[t] - prev_j[t])/gamma_j[t] * p_t, relative to |y_j|.
+// Each row's sum over the basis runs in increasing t; the squared
+// norms over the rows are multivec's lane reductions in its order
+// (reduceRows, phases, laneSum), so a column has the bits it would have
+// alone.
 func (w *lanczos) combine(y *multivec.MultiVec, cols []int) error {
 	if len(cols) == 0 {
 		return nil
 	}
-	m, kmax := y.M, 0
+	n, m, kmax := y.N, y.M, 0
 	for _, j := range cols {
 		kmax = max(kmax, len(w.cols[j].coef))
 	}
-	w.sums = resize(w.sums, 2*m)
+	// sums holds chunk c's partials: partial p of column j's |y|^2 at
+	// (2c*phases+p)*m+j, of its |move|^2 at ((2c+1)*phases+p)*m+j.
+	chunks := max(1, n/reduceRows)
+	w.sums = resize(w.sums, 2*chunks*phases*m)
 	w.cy, w.cd = resize(w.cy, kmax*m), resize(w.cd, kmax*m)
 	clear(w.sums)
 	clear(w.cy)
@@ -409,10 +420,44 @@ func (w *lanczos) combine(y *multivec.MultiVec, cols []int) error {
 	for t := range w.p[:kmax] {
 		w.ps = append(w.ps, w.p[t].Data)
 	}
-	// Columns go four at a time, their sums in registers, in one sweep
-	// over the rows; the last m % 4 go one at a time.
 	g4 := m &^ 3
-	for i := 0; i < y.N && g4 > 0; i++ {
+	for c := range chunks {
+		lo, hi := n*c/chunks, n*(c+1)/chunks
+		ys, ds := w.sums[2*c*phases*m:], w.sums[(2*c+1)*phases*m:]
+		if g4 > 0 {
+			w.combineFours(y, ys, ds, g4, lo, hi)
+		}
+		for _, j := range cols {
+			if j >= g4 {
+				w.combineColumn(y, ys[j:], ds[j:], j, lo, hi)
+			}
+		}
+	}
+	for _, j := range cols {
+		c := &w.cols[j]
+		var yy, dd float64
+		for ch := range chunks {
+			yy += laneSum(w.sums[2*ch*phases*m:], m, j)
+			dd += laneSum(w.sums[(2*ch+1)*phases*m:], m, j)
+		}
+		if !(yy < math.Inf(1)) || !(dd < math.Inf(1)) {
+			return ErrNotSPD
+		}
+		c.moved, c.norm = 0, math.Sqrt(yy)
+		if yy > 0 {
+			c.moved = math.Sqrt(dd / yy)
+		}
+	}
+	return nil
+}
+
+// combineFours is combine's first g4 columns on rows [lo, hi): four
+// columns at a time, their sums in registers, in one sweep over the
+// rows; row lo+i adds its squares into partial i%phases of ys and ds.
+func (w *lanczos) combineFours(y *multivec.MultiVec, ys, ds []float64, g4, lo, hi int) {
+	m := y.M
+	for i := lo; i < hi; i++ {
+		ph := (i - lo) % phases * m
 		for j := 0; j < g4; j += 4 {
 			lj := w.listed[j : j+4 : j+4]
 			if !(lj[0] || lj[1] || lj[2] || lj[3]) {
@@ -445,45 +490,77 @@ func (w *lanczos) combine(y *multivec.MultiVec, cols []int) error {
 			if lj[3] {
 				yr[3] = s3
 			}
-			ys, ds := w.sums[j:j+4:j+4], w.sums[m+j:m+j+4:m+j+4]
-			ys[0], ys[1], ys[2], ys[3] = ys[0]+float64(s0*s0), ys[1]+float64(s1*s1), ys[2]+float64(s2*s2), ys[3]+float64(s3*s3)
-			ds[0], ds[1], ds[2], ds[3] = ds[0]+float64(d0*d0), ds[1]+float64(d1*d1), ds[2]+float64(d2*d2), ds[3]+float64(d3*d3)
+			py, pd := ys[ph+j:ph+j+4:ph+j+4], ds[ph+j:ph+j+4:ph+j+4]
+			py[0], py[1], py[2], py[3] = py[0]+float64(s0*s0), py[1]+float64(s1*s1), py[2]+float64(s2*s2), py[3]+float64(s3*s3)
+			pd[0], pd[1], pd[2], pd[3] = pd[0]+float64(d0*d0), pd[1]+float64(d1*d1), pd[2]+float64(d2*d2), pd[3]+float64(d3*d3)
 		}
 	}
-	for _, j := range cols {
-		if j < g4 {
-			continue
-		}
-		k := len(w.cols[j].coef)
-		w.sy, w.sd = resize(w.sy, k), resize(w.sd, k)
-		for t := range w.sy {
-			w.sy[t], w.sd[t] = w.cy[t*m+j], w.cd[t*m+j]
-		}
-		sy, sd, ps := w.sy, w.sd[:k], w.ps[:k]
-		var yy, dd float64
-		for e := j; e < len(y.Data); e += m {
-			var s, d float64
-			for t, ct := range sy {
-				v := ps[t][e]
-				s += float64(ct * v)
-				d += float64(sd[t] * v)
-			}
-			y.Data[e] = s
-			yy += float64(s * s)
-			dd += float64(d * d)
-		}
-		w.sums[j], w.sums[m+j] = yy, dd
+}
+
+// combineColumn is combine's column j on rows [lo, hi), four rows at a
+// time: row lo+i adds its squares into ys[(i%phases)*m] and
+// ds[(i%phases)*m]. A one-column y runs in assembly where there is
+// AVX2 (combineSIMD), eight rows at a time with the same bits.
+func (w *lanczos) combineColumn(y *multivec.MultiVec, ys, ds []float64, j, lo, hi int) {
+	m := y.M
+	k := len(w.cols[j].coef)
+	w.sy, w.sd = resize(w.sy, k), resize(w.sd, k)
+	for t := range w.sy {
+		w.sy[t], w.sd[t] = w.cy[t*m+j], w.cd[t*m+j]
 	}
-	for _, j := range cols {
-		c := &w.cols[j]
-		yy, dd := w.sums[j], w.sums[m+j]
-		if !(yy < math.Inf(1)) || !(dd < math.Inf(1)) {
-			return ErrNotSPD
-		}
-		c.moved, c.norm = 0, math.Sqrt(yy)
-		if yy > 0 {
-			c.moved = math.Sqrt(dd / yy)
-		}
+	sy, sd, ps := w.sy, w.sd[:k], w.ps[:k]
+	if m == 1 && combineSIMD(y.Data, ps, sy, sd, ys, ds, k, lo, hi) {
+		return
 	}
-	return nil
+	i := lo
+	for ; i+4 <= hi; i += 4 {
+		e := i*m + j
+		var s0, s1, s2, s3, d0, d1, d2, d3 float64
+		for t, ct := range sy {
+			v := ps[t][e : e+3*m+1 : e+3*m+1]
+			dt := sd[t]
+			v0, v1, v2, v3 := v[0], v[m], v[2*m], v[3*m]
+			s0 += float64(ct * v0)
+			d0 += float64(dt * v0)
+			s1 += float64(ct * v1)
+			d1 += float64(dt * v1)
+			s2 += float64(ct * v2)
+			d2 += float64(dt * v2)
+			s3 += float64(ct * v3)
+			d3 += float64(dt * v3)
+		}
+		yr := y.Data[e : e+3*m+1 : e+3*m+1]
+		yr[0], yr[m], yr[2*m], yr[3*m] = s0, s1, s2, s3
+		ph := (i - lo) % phases * m // rows i..i+3 take partials ph/m..ph/m+3
+		py, pd := ys[ph:ph+3*m+1:ph+3*m+1], ds[ph:ph+3*m+1:ph+3*m+1]
+		py[0], py[m], py[2*m], py[3*m] = py[0]+float64(s0*s0), py[m]+float64(s1*s1), py[2*m]+float64(s2*s2), py[3*m]+float64(s3*s3)
+		pd[0], pd[m], pd[2*m], pd[3*m] = pd[0]+float64(d0*d0), pd[m]+float64(d1*d1), pd[2*m]+float64(d2*d2), pd[3*m]+float64(d3*d3)
+	}
+	for ; i < hi; i++ {
+		e := i*m + j
+		var s, d float64
+		for t, ct := range sy {
+			v := ps[t][e]
+			s += float64(ct * v)
+			d += float64(sd[t] * v)
+		}
+		y.Data[e] = s
+		ph := (i - lo) % phases * m
+		ys[ph] += float64(s * s)
+		ds[ph] += float64(d * d)
+	}
+}
+
+// reduceRows and phases are multivec's lane-reduction order (its
+// package comment): the rows in max(1, n/reduceRows) chunks, row lo+i
+// of chunk [lo, hi) adding into partial i%phases.
+const (
+	reduceRows = 4096
+	phases     = 8
+)
+
+// laneSum is multivec's tree over the eight partials of column j,
+// partial p at a[p*m+j].
+func laneSum(a []float64, m, j int) float64 {
+	return ((a[j] + a[4*m+j]) + (a[2*m+j] + a[6*m+j])) + ((a[m+j] + a[5*m+j]) + (a[3*m+j] + a[7*m+j]))
 }

@@ -87,29 +87,34 @@ type pinnedSet struct {
 // taken again when its warm steps began drawing their force through the
 // inverse root too, Algorithm 1's force at the same configuration, where
 // they had run a forward root of their own: the first solves took 22
-// iterations where they took 23. Each set is checked again over
+// iterations where they took 23. Every pin was taken again when the
+// lane reductions — CG's and the Lanczos root's inner products and
+// norms, and the root's combine sums — took multivec's eight-partial
+// order: under NoPrecond Algorithm 1's first solves at noise seed 5
+// took 264 iterations where they took 265; every other count held.
+// Each set is checked again over
 // configurations that poison every matrix the stepper hands back
 // (poisonConf): the same pins.
 func TestPinnedTrajectories(t *testing.T) {
 	for _, set := range []pinnedSet{
 		{
 			name: "NoPrecond", precond: core.NoPrecond, crashAt: 40,
-			original: pinned{0x791558fe718f9ca0, 262, 156, 0},
-			mrhs:     pinned{0xd6e74479e38dca0e, 116, 156, 36},
-			chaos:    pinned{0xb502205a5bd51677, 115, 156, 37},
+			original: pinned{0xe409aa5fab8c0323, 262, 156, 0},
+			mrhs:     pinned{0xb53ff57029a08bf5, 116, 156, 36},
+			chaos:    pinned{0x214f7daffabe9018, 115, 156, 37},
 			reseeded: [2]pinned{
-				{0x8c81930d9075538c, 265, 153, 0},
-				{0xdda8ab7dc709c43b, 265, 158, 0},
+				{0x967d9cb4aa89366e, 265, 153, 0},
+				{0xec62a6206ed505d3, 264, 158, 0},
 			},
 		},
 		{
 			name: "default", precond: nil, crashAt: 4,
-			original: pinned{0x06ad5c1c8caee5b6, 0, 31, 0},
-			mrhs:     pinned{0x70956de4144cf1fb, 22, 31, 0},
-			chaos:    pinned{0xe7d1a3b7e323338b, 22, 31, 0},
+			original: pinned{0x159943c1cf367234, 0, 31, 0},
+			mrhs:     pinned{0x69d869a5ddf6c5ff, 22, 31, 0},
+			chaos:    pinned{0x375c8df298fb9710, 22, 31, 0},
 			reseeded: [2]pinned{
-				{0x1958f224f9824cb2, 0, 28, 0},
-				{0xc160bd9b7256fa80, 0, 31, 0},
+				{0x1cc65d650e699e9f, 0, 28, 0},
+				{0x2174e18cc633d72d, 0, 31, 0},
 			},
 		},
 	} {

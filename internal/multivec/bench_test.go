@@ -63,11 +63,12 @@ func BenchmarkSetMulAdd(b *testing.B) {
 // Lanczos root's update at the served shape (n = 18000 rows: NB = 6000
 // blocks of 3) and at the SD benchmark's (n = 3000), all w lanes live,
 // on a pool of one and of two threads — the rows of DESIGN §9's
-// "Threads" table. "-go" runs the Go loops (simd cleared) on the same
-// split; ColThreeTerm has no other.
+// "Threads" table; w = 1 is a lone CG's or Lanczos column's pass, rows
+// in the ymm lanes. "-go" runs the Go loops (simd cleared) on the same
+// split; ColThreeTerm and ColResidual above w = 1 have no other.
 func BenchmarkColumnSweeps(b *testing.B) {
 	for _, n := range []int{18000, benchN} {
-		for _, w := range []int{8, 16, 32} {
+		for _, w := range []int{1, 4, 8, 16, 32} {
 			x, r, p, ap := New(n, w), New(n, w), New(n, w), New(n, w)
 			for i := range x.Data {
 				x.Data[i] = float64(i%7) + 0.5

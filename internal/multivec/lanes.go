@@ -14,17 +14,22 @@ import (
 // root (chebyshev.PrecondInvSqrt: its inner products are ColDots, its
 // update ColThreeTerm). The inner index is the column,
 // so one sweep streams every operand once at memory speed whatever q
-// is. A sweep's scalar slices are as long as its blocks are wide. With
-// AVX2, ColDots, ColUpdate and ColDirection run the lanes four to a ymm
-// and the last q%4 one at a time, in one pass over the rows;
-// ColResidual, once per solve, and ColThreeTerm are the Go loops alone.
+// is. A sweep's scalar slices are as long as its blocks are wide. The
+// AVX2 kernels of multivec_amd64.s:
+//
+//   - q = 1: all five sweeps (ColDots, ColUpdate, ColResidual,
+//     ColDirection, ColThreeTerm), the rows eight to two ymm, a
+//     reduction's eight partials in them.
+//   - q > 1: ColDots, ColUpdate and ColDirection, the lanes four to a
+//     ymm and the last q%4 one at a time, in one pass over the rows, a
+//     reduction's partials in the sweep's scratch. ColResidual, once
+//     per solve, and ColThreeTerm run the Go loops.
 //
 // This file is also the package's one engine for pooled work: a lane
-// reduction (ColDots, ColResidual, ColUpdate's sums of squares) and
-// block CG's Gram product (GramInto) are the fixed row-chunk sum of the
-// package comment: the n rows split into reduceChunks(n) equal chunks,
-// each summed in row order, and the chunk sums added in chunk order.
-// The chunks are a function of n alone, so they run over the pool
+// reduction (ColDots, ColResidual, ColUpdate's sums of squares) is the
+// eight-phase row-chunk sum of the package comment, and block CG's Gram
+// product (GramInto) the same chunks summed in row order. The chunks
+// are a function of n alone, so they run over the pool
 // (DoOp) or inline with the same bits; the sweep's bytes decide which,
 // by the pool's one split rule. ColDirection, ColThreeTerm, AddMul,
 // SetMulAdd, Scale, PackColumns and UnpackLanes have no reduction: they
@@ -35,14 +40,24 @@ import (
 // keeps the bits but measured slower than one thread at w = 16 and 32
 // (DESIGN §12), so no sweep does.
 
-// reduceRows is the row count a lane reduction's chunks hold: at or
-// below it (every SD system of the benchmark, n = 3000) a reduction is
-// one chunk, the whole-column sequential sum.
+// reduceRows is the row count a reduction's chunks hold: at or below
+// it (every SD system of the benchmark, n = 3000) a reduction is one
+// chunk.
 const reduceRows = 4096
 
-// reduceChunks is the number of row chunks a lane reduction over n
-// rows sums separately.
+// reduceChunks is the number of row chunks a reduction over n rows sums
+// separately.
 func reduceChunks(n int) int { return max(1, n/reduceRows) }
+
+// phases is how many partial sums a lane reduction keeps per lane in a
+// chunk: row lo+i of chunk [lo, hi) adds into partial i%phases.
+const phases = 8
+
+// laneSum is the package comment's tree over the eight partials of lane
+// j, partial p at a[p*q+j].
+func laneSum(a []float64, q, j int) float64 {
+	return ((a[j] + a[4*q+j]) + (a[2*q+j] + a[6*q+j])) + ((a[q+j] + a[5*q+j]) + (a[3*q+j] + a[7*q+j]))
+}
 
 // laneShape checks that the blocks share one n-by-q shape and returns
 // n.
@@ -66,7 +81,7 @@ func ColDots(dst []float64, x, y *MultiVec) {
 	}
 	s := getSweep(n)
 	s.v[0], s.v[1], s.out[0] = x, y, dst
-	s.reduce("multivec_coldots", 1, 2*laneBytes(x), s.dotsFn)
+	s.reduce("multivec_coldots", 1, phases, 2*laneBytes(x), s.dotsFn)
 }
 
 // ColResidual computes R = B - AX over the len(bb) columns and, in
@@ -83,7 +98,7 @@ func ColResidual(r, b, ax *MultiVec, bb, rr []float64) {
 	}
 	s := getSweep(n)
 	s.v[0], s.v[1], s.v[2], s.out[0], s.out[1] = r, b, ax, bb, rr
-	s.reduce("multivec_colresidual", 2, 3*laneBytes(r), s.residualFn)
+	s.reduce("multivec_colresidual", 2, phases, 3*laneBytes(r), s.residualFn)
 }
 
 // ColUpdate is the CG iterate/residual update of the len(alpha)
@@ -100,7 +115,7 @@ func ColUpdate(x, r, p, ap *MultiVec, alpha, rr []float64) {
 	}
 	s := getSweep(n)
 	s.v[0], s.v[1], s.v[2], s.v[3], s.s[0], s.out[0] = x, r, p, ap, alpha, rr
-	s.reduce("multivec_colupdate", 1, 6*laneBytes(x), s.updateFn)
+	s.reduce("multivec_colupdate", 1, phases, 6*laneBytes(x), s.updateFn)
 }
 
 // ColDirection is the CG direction update P = Z + P*diag(beta) of the
@@ -119,7 +134,7 @@ func ColDirection(p, z *MultiVec, beta []float64) {
 // ColThreeTerm is the Lanczos three-term update of the len(alpha)
 // columns: U = (U - Q*diag(alpha))*diag(g) - Prev*diag(h), each
 // product rounded before its add or subtract. prev may be q. Its rows
-// split over the pool as ColDirection's do; there is no AVX2 kernel.
+// split over the pool as ColDirection's do.
 func ColThreeTerm(u, q, prev *MultiVec, alpha, g, h []float64) {
 	nq := len(alpha)
 	if len(g) != nq || len(h) != nq {
@@ -140,7 +155,7 @@ func laneBytes(b *MultiVec) int { return 8 * len(b.Data) }
 
 // sweep is one call of a pooled op — a lane sweep, a Gram product, a
 // block update, a scale, a pack or an unpack: its operands, a
-// reduction's chunk sums, and each op's chunk or row function bound
+// reduction's partial sums, and each op's chunk or row function bound
 // once — handing the pool a bound function instead of a fresh closure
 // is what keeps a warmed split allocation-free (block CG, MultiCG and
 // the Lanczos root call these every iteration). spareSweep holds one
@@ -151,8 +166,8 @@ type sweep struct {
 	v     [4]*MultiVec // block operands, in argument order
 	s     [3][]float64 // scalar operands (AddMul's and SetMulAdd's matrix), in argument order
 	out   [2][]float64 // a reduction's sums: ColDots' dst; bb, rr; rr; the Gram matrix
-	nout  int          // how many of out are in use
-	part  []float64    // chunk c > 0's sums: nout runs of q from (c-1)*nout*q
+	run   int          // partials per output and chunk: phases*q, or q for Gram
+	acc   []float64    // chunk c's partials: a run per output in use, from c*nout*run
 	fac   float64      // Scale's factor
 	cols  [][]float64  // PackColumns' sources, UnpackLanes' destinations
 	lanes []int        // and the lanes UnpackLanes copies
@@ -176,29 +191,35 @@ func getSweep(n int) *sweep {
 	return s
 }
 
-// reduce sums nout lanes' worth of q columns with chunk: chunk c of k
-// accumulates its rows into out (c = 0) or its own runs of part, and
-// the chunk sums are then added to out in chunk order. The op's bytes
-// decide only whether the k chunks run on the pool or inline.
-func (s *sweep) reduce(op string, nout, bytes int, chunk func(c int)) {
+// reduce sums nout outputs of q columns with chunk: chunk c of k
+// accumulates its rows into its own cleared partials, p per column
+// (phases for a lane reduction, 1 for Gram), and each output is then
+// the chunk sums — laneSum of its partials at p = phases — added in
+// chunk order. The op's bytes decide only whether the k chunks run on
+// the pool or inline.
+func (s *sweep) reduce(op string, nout, p, bytes int, chunk func(c int)) {
 	q := len(s.out[0])
-	s.nout = nout
-	if need := (s.k - 1) * nout * q; cap(s.part) < need {
-		s.part = make([]float64, need)
+	s.run = p * q
+	if need := s.k * nout * s.run; cap(s.acc) < need {
+		s.acc = make([]float64, need)
 	} else {
-		s.part = s.part[:need]
-		clear(s.part)
-	}
-	for i := range nout {
-		clear(s.out[i])
+		s.acc = s.acc[:need]
+		clear(s.acc)
 	}
 	parallel.Default().DoOp(op, s.k, bytes, chunk)
-	// Run r of part holds chunk r/nout+1's sums of out[r%nout], so
-	// taking the runs in order adds the chunk sums in chunk order.
-	for r := 0; r*q < len(s.part); r++ {
-		dst := s.out[r%nout]
-		for j, v := range s.part[r*q : (r+1)*q] {
-			dst[j] += v
+	for i, dst := range s.out[:nout] {
+		clear(dst)
+		for c := range s.k {
+			a := s.acc[(c*nout+i)*s.run:][:s.run]
+			if p == 1 {
+				for j, v := range a {
+					dst[j] += v
+				}
+				continue
+			}
+			for j := range dst {
+				dst[j] += laneSum(a, q, j)
+			}
 		}
 	}
 	s.release()
@@ -219,37 +240,32 @@ func (s *sweep) release() {
 	spareSweep.Store(s)
 }
 
-// rows returns chunk c's row range and where its sums go.
-func (s *sweep) rows(c int) (lo, hi int, out [2][]float64) {
+// rows returns chunk c's row range and its partials, one run per
+// output.
+func (s *sweep) rows(c int) (lo, hi int, acc []float64) {
 	lo, hi = parallel.ChunkBounds(s.n, s.k, c)
-	out = s.out
-	if c > 0 {
-		q, run := len(out[0]), (c-1)*s.nout
-		for i := range s.nout {
-			out[i] = s.part[(run+i)*q : (run+i+1)*q]
-		}
-	}
-	return lo, hi, out
+	stride := len(s.acc) / s.k
+	return lo, hi, s.acc[c*stride : (c+1)*stride]
 }
 
 func (s *sweep) dots(c int) {
-	lo, hi, out := s.rows(c)
-	colDotsRows(out[0], s.v[0], s.v[1], lo, hi)
+	lo, hi, acc := s.rows(c)
+	colDotsRows(acc, s.v[0], s.v[1], lo, hi)
 }
 
 func (s *sweep) residual(c int) {
-	lo, hi, out := s.rows(c)
-	colResidualRows(s.v[0], s.v[1], s.v[2], out[0], out[1], lo, hi)
+	lo, hi, acc := s.rows(c)
+	colResidualRows(s.v[0], s.v[1], s.v[2], acc[:s.run], acc[s.run:], lo, hi)
 }
 
 func (s *sweep) update(c int) {
-	lo, hi, out := s.rows(c)
-	colUpdateRows(s.v[0], s.v[1], s.v[2], s.v[3], s.s[0], out[0], lo, hi)
+	lo, hi, acc := s.rows(c)
+	colUpdateRows(s.v[0], s.v[1], s.v[2], s.v[3], s.s[0], acc, lo, hi)
 }
 
 func (s *sweep) gram(c int) {
-	lo, hi, out := s.rows(c)
-	gramRange(out[0], s.v[0], s.v[1], lo, hi)
+	lo, hi, acc := s.rows(c)
+	gramRange(acc, s.v[0], s.v[1], lo, hi)
 }
 
 func (s *sweep) direction(lo, hi int) { colDirectionRows(s.v[0], s.v[1], s.s[0], lo, hi) }
@@ -291,87 +307,104 @@ func UnpackLanes(cols [][]float64, src *MultiVec, lanes []int) {
 	s.split("multivec_unpack", 8*src.N*(src.M+len(cols)), s.unpackFn)
 }
 
-// colDotsRows adds rows [lo, hi) of the lane inner products into d.
-func colDotsRows(d []float64, x, y *MultiVec, lo, hi int) {
+// The reductions' Go loops below are the oracle of the package
+// comment's order: row lo+i of [lo, hi) adds into partial i%phases of
+// its lane, acc[(i%phases)*w+j] for lane j, so every lane of a w-wide
+// block sums in the order of the same rows at w = 1.
+
+// colDotsRows adds rows [lo, hi) of the lane inner products into the
+// partials acc.
+func colDotsRows(acc []float64, x, y *MultiVec, lo, hi int) {
+	if simd && lo < hi {
+		colDotsSIMD(acc, x, y, lo, hi)
+		return
+	}
 	w := x.M
 	if w == 1 {
-		s := d[0]
-		yd := y.Data[lo:hi]
+		a, yd := acc[:phases:phases], y.Data[lo:hi]
 		for i, v := range x.Data[lo:hi] {
-			s += float64(v * yd[i])
+			a[i%phases] += float64(v * yd[i])
 		}
-		d[0] = s
 		return
 	}
-	if simd && lo < hi {
-		colDotsSIMD(d, x, y, lo, hi)
-		return
-	}
-	for i := lo; i < hi; i++ {
+	for i, ph := lo, 0; i < hi; i, ph = i+1, nextPhase(ph, w) {
 		xr := x.Data[i*w : i*w+w : i*w+w]
 		yr := y.Data[i*w : i*w+w : i*w+w]
-		d := d[:len(xr)]
+		a := acc[ph : ph+w : ph+w]
 		for j, v := range xr {
-			d[j] += float64(v * yr[j])
+			a[j] += float64(v * yr[j])
 		}
 	}
 }
 
-// colResidualRows is ColResidual on rows [lo, hi), adding into sb and
-// sr.
+// nextPhase returns the offset of the partials the row after one at
+// offset ph adds into, for w lanes: the next run of w, after the last
+// the first.
+func nextPhase(ph, w int) int {
+	if ph += w; ph == phases*w {
+		return 0
+	}
+	return ph
+}
+
+// colResidualRows is ColResidual on rows [lo, hi), adding into the
+// partials sb and sr.
 func colResidualRows(r, b, ax *MultiVec, sb, sr []float64, lo, hi int) {
 	w := r.M
+	if simd && w == 1 && lo < hi {
+		colResidualSIMD(r, b, ax, sb, sr, lo, hi)
+		return
+	}
 	if w == 1 {
-		vb, vr := sb[0], sr[0]
+		pb, pr := sb[:phases:phases], sr[:phases:phases]
 		rd, ad := r.Data[lo:hi], ax.Data[lo:hi]
 		for i, bv := range b.Data[lo:hi] {
 			v := bv - ad[i]
 			rd[i] = v
-			vb += float64(bv * bv)
-			vr += float64(v * v)
+			pb[i%phases] += float64(bv * bv)
+			pr[i%phases] += float64(v * v)
 		}
-		sb[0], sr[0] = vb, vr
 		return
 	}
-	for i := lo; i < hi; i++ {
+	for i, ph := lo, 0; i < hi; i, ph = i+1, nextPhase(ph, w) {
 		br := b.Data[i*w : i*w+w : i*w+w]
 		ar := ax.Data[i*w : i*w+w : i*w+w]
 		rw := r.Data[i*w : i*w+w : i*w+w]
-		sb, sr := sb[:len(br)], sr[:len(br)]
+		pb, pr := sb[ph:ph+w:ph+w], sr[ph:ph+w:ph+w]
 		for j, bv := range br {
 			v := bv - ar[j]
 			rw[j] = v
-			sb[j] += float64(bv * bv)
-			sr[j] += float64(v * v)
+			pb[j] += float64(bv * bv)
+			pr[j] += float64(v * v)
 		}
 	}
 }
 
-// colUpdateRows is ColUpdate on rows [lo, hi), adding into rr.
+// colUpdateRows is ColUpdate on rows [lo, hi), adding into the
+// partials rr.
 func colUpdateRows(x, r, p, ap *MultiVec, alpha, rr []float64, lo, hi int) {
+	if simd && lo < hi {
+		colUpdateSIMD(x, r, p, ap, alpha, rr, lo, hi)
+		return
+	}
 	w := x.M
 	if w == 1 {
-		a, s := alpha[0], rr[0]
+		a, s := alpha[0], rr[:phases:phases]
 		xd, rd, apd := x.Data[lo:hi], r.Data[lo:hi], ap.Data[lo:hi]
 		for i, pv := range p.Data[lo:hi] {
 			xd[i] += float64(pv * a)
 			v := rd[i] - float64(apd[i]*a)
 			rd[i] = v
-			s += float64(v * v)
+			s[i%phases] += float64(v * v)
 		}
-		rr[0] = s
 		return
 	}
-	if simd && lo < hi {
-		colUpdateSIMD(x, r, p, ap, alpha, rr, lo, hi)
-		return
-	}
-	for i := lo; i < hi; i++ {
+	for i, ph := lo, 0; i < hi; i, ph = i+1, nextPhase(ph, w) {
 		xr := x.Data[i*w : i*w+w : i*w+w]
 		rw := r.Data[i*w : i*w+w : i*w+w]
 		pr := p.Data[i*w : i*w+w : i*w+w]
 		ar := ap.Data[i*w : i*w+w : i*w+w]
-		al, s := alpha[:len(xr)], rr[:len(xr)]
+		al, s := alpha[:len(xr)], rr[ph:ph+w:ph+w]
 		for j, a := range al {
 			xr[j] += float64(pr[j] * a)
 			v := rw[j] - float64(ar[j]*a)
@@ -383,17 +416,16 @@ func colUpdateRows(x, r, p, ap *MultiVec, alpha, rr []float64, lo, hi int) {
 
 // colDirectionRows is ColDirection on rows [lo, hi).
 func colDirectionRows(p, z *MultiVec, beta []float64, lo, hi int) {
+	if simd && lo < hi {
+		colDirectionSIMD(p, z, beta, lo, hi)
+		return
+	}
 	w := p.M
 	if w == 1 {
-		b := beta[0]
-		pd := p.Data[lo:hi]
+		b, pd := beta[0], p.Data[lo:hi]
 		for i, zv := range z.Data[lo:hi] {
 			pd[i] = zv + float64(pd[i]*b)
 		}
-		return
-	}
-	if simd && lo < hi {
-		colDirectionSIMD(p, z, beta, lo, hi)
 		return
 	}
 	for i := lo; i < hi; i++ {
@@ -412,16 +444,11 @@ func colDirectionRows(p, z *MultiVec, beta []float64, lo, hi int) {
 // lane's three scalars per element measured 1.4x slower at w = 16.
 func colThreeTermRows(u, q, prev *MultiVec, alpha, g, h []float64, lo, hi int) {
 	w := u.M
-	if w == 1 {
-		a, gg, hh := alpha[0], g[0], h[0]
-		ud := u.Data[lo:hi]
-		qd, pd := q.Data[lo:hi], prev.Data[lo:hi]
-		for i, v := range ud {
-			ud[i] = float64((v-float64(a*qd[i]))*gg) - float64(hh*pd[i])
-		}
+	if lo >= hi {
 		return
 	}
-	if lo >= hi {
+	if simd && w == 1 {
+		colThreeTermSIMD(u, q, prev, alpha[0], g[0], h[0], lo, hi)
 		return
 	}
 	ud := u.Data[:hi*w]

@@ -13,7 +13,7 @@ import (
 // The column sweeps against one column at a time: each lane must hold
 // exactly what a lone contiguous vector gets from the textbook loop
 // (y += a*x in row order, product rounded before the add, and refDot's
-// chunked sum) — with the AVX2 kernels and the Go loops, on every pool
+// eight-phase chunked sum) — with the AVX2 kernels and the Go loops, on every pool
 // size.
 
 // hostileBlock returns an n-by-w block of normal deviates with NaN,
@@ -24,11 +24,34 @@ func hostileBlock(n, w int, s *rng.Stream, hostile bool) *MultiVec {
 	return v
 }
 
-// refDot is a lane reduction's order spelled out: the n rows in
-// k = max(1, n/4096) equal chunks [n*c/k, n*(c+1)/k), each summed in
-// row order, and the chunk sums added in chunk order. At n <= 8191 that
-// is one chunk, the whole-column sequential sum.
+// refDot is a lane reduction's order spelled out apart from the
+// kernels: the n rows in k = max(1, n/4096) equal chunks
+// [n*c/k, n*(c+1)/k); in each, eight partials, row lo+i adding into
+// partial i%8, combined as ((p0+p4)+(p2+p6)) + ((p1+p5)+(p3+p7)); and
+// the chunk sums added in chunk order.
 func refDot(x, y []float64) float64 {
+	n := len(x)
+	k := max(1, n/4096)
+	var s float64
+	for c := 0; c < k; c++ {
+		var p [8]float64
+		lo, hi := n*c/k, n*(c+1)/k
+		for i := lo; i < hi; i++ {
+			p[(i-lo)%8] += float64(x[i] * y[i])
+		}
+		part := ((p[0] + p[4]) + (p[2] + p[6])) + ((p[1] + p[5]) + (p[3] + p[7]))
+		if c == 0 {
+			s = part
+		} else {
+			s += part
+		}
+	}
+	return s
+}
+
+// refGram is the Gram product's order: refDot's chunks, each summed in
+// row order.
+func refGram(x, y []float64) float64 {
 	n := len(x)
 	k := max(1, n/4096)
 	var s float64
@@ -210,10 +233,122 @@ func TestColumnSweepsMatchPerColumnLoops(t *testing.T) {
 	}
 }
 
+// TestLaneReductionOrder holds ColDots, ColUpdate's sums of squares and
+// both sums of ColResidual to refDot's order at every width 1..33, at
+// row counts on both sides of the eight-row phase and of the 4096-row
+// chunks, with the AVX2 kernels on and off, on one thread and four. The
+// operands are normal deviates, terms of one scale with full mantissas,
+// so a sum that takes even two of its terms in another order seldom
+// keeps its bits; and a column whose row-order sum is 0 and whose
+// eight-phase sum is 2, in every lane, pins the order itself, refDot's
+// included.
+func TestLaneReductionOrder(t *testing.T) {
+	col := []float64{1, 1e16, 1, -1e16, 0, 0, 0, 0, 0}
+	ones := []float64{1, 1, 1, 1, 1, 1, 1, 1, 1}
+	var rowOrder float64
+	for _, v := range col {
+		rowOrder += v
+	}
+	if rowOrder != 0 || refDot(col, ones) != 2 {
+		t.Fatalf("row order gives %v and refDot %v, want 0 and 2", rowOrder, refDot(col, ones))
+	}
+	widths := make([]int, 33)
+	for w := range widths {
+		widths[w] = w + 1
+	}
+	if testing.Short() {
+		widths = []int{1, 2, 4, 5, 8, 32, 33}
+	}
+	type config struct {
+		threads int
+		simd    bool
+	}
+	configs := []config{{1, true}, {1, false}, {4, true}, {4, false}}
+	run := func(c config, fn func()) {
+		withThreads(t, c.threads, func() {
+			if c.simd {
+				fn()
+			} else {
+				withoutSIMD(fn)
+			}
+		})
+	}
+	for _, w := range widths {
+		x, y := New(len(col), w), New(len(col), w)
+		for i, v := range col {
+			for j := range w {
+				x.Set(i, j, v)
+				y.Set(i, j, ones[i])
+			}
+		}
+		for _, c := range configs {
+			dots := make([]float64, w)
+			run(c, func() { ColDots(dots, x, y) })
+			for j, d := range dots {
+				if d != 2 {
+					t.Fatalf("%+v w=%d: lane %d of the pinned column sums to %v, want 2", c, w, j, d)
+				}
+			}
+		}
+		for _, n := range []int{0, 1, 7, 8, 9, 4095, 8192, 8193, 18000} {
+			want, ops := laneReductions(n, w, uint64(100*n+w))
+			for _, c := range configs {
+				var got [][]float64
+				run(c, func() { got = ops() })
+				for k, op := range []string{"ColDots", "ColResidual bb", "ColResidual rr", "ColUpdate"} {
+					if j := sameBits(got[k], want[k]); j >= 0 {
+						t.Fatalf("%+v %s n=%d w=%d: lane %d = %v, want %v", c, op, n, w, j, got[k][j], want[k][j])
+					}
+				}
+			}
+		}
+	}
+}
+
+// laneReductions returns refDot's sums of ColDots, ColResidual and
+// ColUpdate on n-by-w blocks of normal deviates, lane by lane, and
+// a function that runs the three sweeps on copies of the blocks and
+// returns their sums in the same order.
+func laneReductions(n, w int, seed uint64) (want [][]float64, ops func() [][]float64) {
+	s := rng.New(seed)
+	block := func() *MultiVec {
+		v := New(n, w)
+		s.FillNormal(v.Data)
+		return v
+	}
+	r, p, ap := block(), block(), block()
+	alpha := make([]float64, w)
+	s.FillNormal(alpha)
+	want = [][]float64{make([]float64, w), make([]float64, w), make([]float64, w), make([]float64, w)}
+	res, upd := make([]float64, n), make([]float64, n)
+	for j := range w {
+		rc, pc, apc := r.ColVector(j), p.ColVector(j), ap.ColVector(j)
+		for i := range rc {
+			res[i] = rc[i] - apc[i]
+			upd[i] = rc[i] - float64(apc[i]*alpha[j])
+		}
+		want[0][j], want[1][j] = refDot(pc, apc), refDot(rc, rc)
+		want[2][j], want[3][j] = refDot(res, res), refDot(upd, upd)
+	}
+	return want, func() [][]float64 {
+		got := [][]float64{make([]float64, w), make([]float64, w), make([]float64, w), make([]float64, w)}
+		ColDots(got[0], p, ap)
+		ColResidual(New(n, w), r, ap, got[1], got[2])
+		ColUpdate(New(n, w), r.Clone(), p, ap, alpha, got[3])
+		return got
+	}
+}
+
 func FuzzColumnSweeps(f *testing.F) {
 	f.Add(uint16(7), uint8(3), uint64(1))
 	f.Add(uint16(100), uint8(32), uint64(2))
 	f.Add(uint16(0), uint8(1), uint64(3))
+	// One to four lanes over row counts that leave a partial eight-row
+	// group: the one-lane kernels' tails and the narrow widths' phases.
+	f.Add(uint16(13), uint8(0), uint64(4))
+	f.Add(uint16(399), uint8(1), uint64(5))
+	f.Add(uint16(22), uint8(2), uint64(6))
+	f.Add(uint16(5), uint8(3), uint64(7))
 	f.Fuzz(func(t *testing.T, nRaw uint16, qRaw uint8, seed uint64) {
 		n, q := int(nRaw)%400, 1+int(qRaw)%40
 		checkSweeps(t, n, q, seed, seed%2 == 1)
@@ -339,8 +474,8 @@ func TestUnpackLanes(t *testing.T) {
 // w = 32 every sweep streams enough to split over a pool of two or
 // more, and the test checks that some op did; at w = 4 the blocks are
 // too small to split, and the pooled runs check the inline path. The
-// Gram product must be the per-chunk sum refDot spells out, entry by
-// entry.
+// Gram product must be the per-chunk row-order sum refGram spells out,
+// entry by entry.
 func TestColumnSweepsIgnoreThreadCount(t *testing.T) {
 	for _, n := range []int{9000, 18000} {
 		for _, w := range []int{4, 32} {
@@ -378,7 +513,7 @@ func TestColumnSweepsIgnoreThreadCount(t *testing.T) {
 			_, _, p, ap, _ := operands()
 			for i := 0; i < w; i++ {
 				for j := 0; j < w; j++ {
-					if want, got := refDot(p.ColVector(i), ap.ColVector(j)), serial[i*w+j]; sameBits([]float64{got}, []float64{want}) >= 0 {
+					if want, got := refGram(p.ColVector(i), ap.ColVector(j)), serial[i*w+j]; sameBits([]float64{got}, []float64{want}) >= 0 {
 						t.Fatalf("n=%d w=%d: Gram (%d, %d) = %v, per-chunk sum %v", n, w, i, j, got, want)
 					}
 				}

@@ -18,28 +18,34 @@
 // disjoint rows (Scale, AddMul, SetMulAdd, PackColumns, and the
 // elementwise column sweeps ColDirection and ColThreeTerm) split their
 // rows over the pool, and every element is the same expression
-// whichever thread computes it. Every reduction — GramInto and the lane
-// reductions of lanes.go (ColDots, ColResidual, ColUpdate's sums of
-// squares) — is one fixed row-chunk sum: the n rows split into
-// k = max(1, n/4096) equal chunks, each summed in row order, and the k
-// chunk sums added in chunk order. That plan is a function of n alone,
-// so the chunks run over the pool or inline with the same bits, and at
-// n <= 8191 it is the whole-column sequential sum.
+// whichever thread computes it. Every reduction splits the n rows into
+// k = max(1, n/4096) equal row chunks [lo, hi) and adds the k chunk
+// sums in chunk order; the plan is a function of n alone, so the
+// chunks run over the pool or inline with the same bits.
 //
-// Within a chunk every output element is one scalar recurrence,
+// The lane reductions of lanes.go (ColDots, both sums of ColResidual,
+// ColUpdate's sums of squares) sum a chunk into eight partials per
+// lane: row lo+i adds into partial i%8, and the partials combine by
+// the one tree ((p0+p4)+(p2+p6)) + ((p1+p5)+(p3+p7)), what two ymm or
+// one zmm of them reduce to. So a lone column's eight rows at a time
+// fill two ymm, and a lane's sum is the same at every block width.
+// GramInto keeps each chunk in row order: its entries are already
+// independent chains, one per pair of columns.
+//
+// Within those orders every output element is a scalar recurrence,
 // acc = acc + (x*a) with the product rounded before the add, taken in
-// increasing k (AddMul, SetMulAdd) or increasing row (Gram, the lane
-// reductions). Each kernel has the Go loops of this file or lanes.go
-// and, on amd64 with AVX2, one in multivec_amd64.s — for AddMul,
-// SetMulAdd and Gram on square small operands whose m is a multiple of
-// 4, for ColDots, ColUpdate and ColDirection four lanes to a ymm — and
+// increasing k (AddMul, SetMulAdd) or increasing row (Gram, each
+// partial of a lane reduction). Each kernel has the Go loops of this
+// file or lanes.go and, on amd64 with AVX2, one in multivec_amd64.s —
+// for AddMul, SetMulAdd and Gram on square small operands whose m is a
+// multiple of 4, and for the column sweeps as lanes.go lists — and
 // both follow that recurrence, so which one runs is chosen by CPU and
 // shape alone and never changes a result bit; the Go loops spell the
 // product float64(x*a) so the compiler may not fuse it (GOAMD64=v3,
 // arm64). A lane's result does not depend on the block width or the
-// lane's position either: it is what the chunked loop over the one
-// contiguous column gives. PackColumns, CompactColumns and UnpackLanes
-// only move values. The one freedom left is which payload a NaN result
+// lane's position either: it is what the same sweep gives the one
+// contiguous column. PackColumns, CompactColumns and UnpackLanes only
+// move values. The one freedom left is which payload a NaN result
 // carries when both addends are NaN.
 package multivec
 
@@ -312,7 +318,7 @@ func GramInto(g *blas.Dense, x, y *MultiVec) {
 	gramFlops.Add(2 * int64(x.N) * int64(x.M) * int64(y.M))
 	s := getSweep(x.N)
 	s.v[0], s.v[1], s.out[0] = x, y, g.Data
-	s.reduce("multivec_gram", 1, 8*x.N*(x.M+y.M)+4*x.N*x.M*y.M, s.gramFn)
+	s.reduce("multivec_gram", 1, 1, 8*x.N*(x.M+y.M)+4*x.N*x.M*y.M, s.gramFn)
 }
 
 // gramRange accumulates rows [lo, hi) of the Gram product into g.

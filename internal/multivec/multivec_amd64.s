@@ -1,6 +1,7 @@
 // AVX2 block-vector kernels for block CG: V = R + X*A (AddMul and
-// SetMulAdd) and G += X^T*Y (Gram); and for MultiCG, the column-lane sweeps of lanes.go (ColDots, ColUpdate,
-// ColDirection) over a run of lanes.
+// SetMulAdd) and G += X^T*Y (Gram); and the column-lane sweeps of
+// lanes.go: ColDots, ColUpdate and ColDirection over a run of lanes,
+// and all five sweeps on one-lane blocks, rows in the lanes.
 //
 // As in internal/bcrs/gspmv_amd64.s the SIMD lanes run ACROSS the
 // columns (4 per ymm group), never across a reduction: each lane
@@ -264,11 +265,12 @@ chebdone:
 // w-wide row-major blocks, every block pointer at lane 0 of the first
 // row, and walks the rows in increasing order. Per row the lanes are
 // covered four to a ymm and then one at a time for the last w%4, in
-// one pass, so every lane is the one sequential row-order recurrence
-// of its Go loop — the product rounded before the add,
-// VMULPD/VSUBPD/VADDPD kept apart. The reductions accumulate into
-// memory the caller cleared; a lane's add chain goes through its
-// store. nrows >= 1, w >= 1.
+// one pass, so every lane is its Go loop's recurrence — the product
+// rounded before the add, VMULPD/VSUBPD/VADDPD kept apart. A
+// reduction adds row i of the call into run i%8 of its partials, eight
+// runs of w lanes the caller cleared: the current run's address cycles
+// through the eight, and a lane's add chain goes through its store.
+// nrows >= 1, w >= 1.
 
 // LANEPROLOGUE loads w and leaves R8 = row stride in bytes, the bytes
 // of all the lanes, and R10 = bytes of their whole ymm groups.
@@ -279,15 +281,17 @@ chebdone:
 	SHLQ $3, R8; \
 	SHLQ $3, R10
 
-// func colDotsAVX2(dst, x, y *float64, nrows, w int)
+// func colDotsAVX2(acc, x, y *float64, nrows, w int)
 //
-// dst[j] += x[i][j]*y[i][j] over the rows i, for the lanes j < w.
+// acc[i%8][j] += x[i][j]*y[i][j] over the rows i, for the lanes j < w.
 TEXT ·colDotsAVX2(SB), NOSPLIT, $0-40
-	MOVQ dst+0(FP), DI
+	MOVQ acc+0(FP), DI
 	MOVQ x+8(FP), SI
 	MOVQ y+16(FP), DX
 	MOVQ nrows+24(FP), CX
 	LANEPROLOGUE(w+32)
+	MOVQ DI, R11            // run 0 of the partials
+	LEAQ (DI)(R8*8), R12    // past run 7
 
 dotrow:
 	XORQ AX, AX
@@ -316,25 +320,33 @@ dottail:
 dotnext:
 	ADDQ R8, SI
 	ADDQ R8, DX
+	ADDQ R8, DI
+	CMPQ DI, R12
+	JLT  dotrun
+	MOVQ R11, DI
+
+dotrun:
 	DECQ CX
 	JNZ  dotrow
 
 	VZEROUPPER
 	RET
 
-// func colUpdateAVX2(x, r, p, ap, alpha, rr *float64, nrows, w int)
+// func colUpdateAVX2(x, r, p, ap, alpha, acc *float64, nrows, w int)
 //
 // Per row i and lane j: x += p*alpha; v = r - ap*alpha; r = v;
-// rr[j] += v*v.
+// acc[i%8][j] += v*v.
 TEXT ·colUpdateAVX2(SB), NOSPLIT, $0-64
 	MOVQ x+0(FP), DI
 	MOVQ r+8(FP), SI
 	MOVQ p+16(FP), DX
 	MOVQ ap+24(FP), BX
 	MOVQ alpha+32(FP), R11
-	MOVQ rr+40(FP), R12
+	MOVQ acc+40(FP), R12
 	MOVQ nrows+48(FP), CX
 	LANEPROLOGUE(w+56)
+	MOVQ R12, R13           // run 0 of the partials
+	LEAQ (R12)(R8*8), R14   // past run 7
 
 updrow:
 	XORQ AX, AX
@@ -352,7 +364,7 @@ upd4:
 	VMOVUPD Y0, (SI)(AX*1)        // r
 	VMULPD  Y0, Y0, Y0
 	VADDPD  (R12)(AX*1), Y0, Y0
-	VMOVUPD Y0, (R12)(AX*1)       // rr
+	VMOVUPD Y0, (R12)(AX*1)       // acc
 	ADDQ    $32, AX
 	CMPQ    AX, R10
 	JLT     upd4
@@ -379,6 +391,12 @@ updnext:
 	ADDQ R8, SI
 	ADDQ R8, DX
 	ADDQ R8, BX
+	ADDQ R8, R12
+	CMPQ R12, R14
+	JLT  updrun
+	MOVQ R13, R12
+
+updrun:
 	DECQ CX
 	JNZ  updrow
 
@@ -420,10 +438,282 @@ dirtail:
 	JMP    dirtail
 
 dirnext:
-	ADDQ R8, DI
 	ADDQ R8, SI
+	ADDQ R8, DI
 	DECQ CX
 	JNZ  dirrow
 
+	VZEROUPPER
+	RET
+
+// The one-lane sweeps: n >= 1 rows of one column, eight rows an
+// iteration in two ymm and the last n%8 one at a time. Row i of a
+// reduction adds into partial i%8 — rows 0-3 of an iteration are lanes
+// of the first accumulator, rows 4-7 of the second, loaded from the
+// caller's partials and stored back before the tail, whose row i adds
+// into partial i&7 in memory. Every element is its Go loop's
+// expression in its order.
+
+// ONELANE starts a one-lane sweep over CX = n rows: AX = 0, the row,
+// and R9 = n-8, the last row an eight-row iteration may start at; it
+// jumps to tail when n < 8.
+#define ONELANE(tail) \
+	XORQ AX, AX; \
+	MOVQ CX, R9; \
+	SUBQ $8, R9; \
+	JLT  tail
+
+// PHASE leaves R10 = AX&7, the tail row's partial.
+#define PHASE \
+	MOVQ AX, R10; \
+	ANDQ $7, R10
+
+// func colDots1AVX2(acc, x, y *float64, n int)
+//
+// acc[i%8] += x[i]*y[i].
+TEXT ·colDots1AVX2(SB), NOSPLIT, $0-32
+	MOVQ    acc+0(FP), DI
+	MOVQ    x+8(FP), SI
+	MOVQ    y+16(FP), DX
+	MOVQ    n+24(FP), CX
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	ONELANE(dot1tail)
+
+dot1loop:
+	VMOVUPD (SI)(AX*8), Y2
+	VMOVUPD 32(SI)(AX*8), Y3
+	VMULPD  (DX)(AX*8), Y2, Y2
+	VMULPD  32(DX)(AX*8), Y3, Y3
+	VADDPD  Y2, Y0, Y0
+	VADDPD  Y3, Y1, Y1
+	ADDQ    $8, AX
+	CMPQ    AX, R9
+	JLE     dot1loop
+
+dot1tail:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+
+dot1one:
+	CMPQ   AX, CX
+	JGE    dot1done
+	PHASE
+	VMOVSD (SI)(AX*8), X2
+	VMULSD (DX)(AX*8), X2, X2
+	VADDSD (DI)(R10*8), X2, X2
+	VMOVSD X2, (DI)(R10*8)
+	INCQ   AX
+	JMP    dot1one
+
+dot1done:
+	VZEROUPPER
+	RET
+
+// func colUpdate1AVX2(x, r, p, ap, acc *float64, n int, alpha float64)
+//
+// x[i] += p[i]*alpha; v = r[i] - ap[i]*alpha; r[i] = v; acc[i%8] += v*v.
+TEXT ·colUpdate1AVX2(SB), NOSPLIT, $0-56
+	MOVQ         x+0(FP), DI
+	MOVQ         r+8(FP), SI
+	MOVQ         p+16(FP), DX
+	MOVQ         ap+24(FP), BX
+	MOVQ         acc+32(FP), R8
+	MOVQ         n+40(FP), CX
+	VBROADCASTSD alpha+48(FP), Y15
+	VMOVUPD      (R8), Y0
+	VMOVUPD      32(R8), Y1
+	ONELANE(upd1tail)
+
+upd1loop:
+	VMULPD  (DX)(AX*8), Y15, Y2     // p*alpha
+	VMULPD  32(DX)(AX*8), Y15, Y3
+	VADDPD  (DI)(AX*8), Y2, Y2
+	VADDPD  32(DI)(AX*8), Y3, Y3
+	VMOVUPD Y2, (DI)(AX*8)          // x
+	VMOVUPD Y3, 32(DI)(AX*8)
+	VMULPD  (BX)(AX*8), Y15, Y4     // ap*alpha
+	VMULPD  32(BX)(AX*8), Y15, Y5
+	VMOVUPD (SI)(AX*8), Y2
+	VMOVUPD 32(SI)(AX*8), Y3
+	VSUBPD  Y4, Y2, Y2              // r - ap*alpha
+	VSUBPD  Y5, Y3, Y3
+	VMOVUPD Y2, (SI)(AX*8)          // r
+	VMOVUPD Y3, 32(SI)(AX*8)
+	VMULPD  Y2, Y2, Y2
+	VMULPD  Y3, Y3, Y3
+	VADDPD  Y2, Y0, Y0
+	VADDPD  Y3, Y1, Y1
+	ADDQ    $8, AX
+	CMPQ    AX, R9
+	JLE     upd1loop
+
+upd1tail:
+	VMOVUPD Y0, (R8)
+	VMOVUPD Y1, 32(R8)
+
+upd1one:
+	CMPQ   AX, CX
+	JGE    upd1done
+	PHASE
+	VMULSD (DX)(AX*8), X15, X2
+	VADDSD (DI)(AX*8), X2, X2
+	VMOVSD X2, (DI)(AX*8)
+	VMULSD (BX)(AX*8), X15, X4
+	VMOVSD (SI)(AX*8), X2
+	VSUBSD X4, X2, X2
+	VMOVSD X2, (SI)(AX*8)
+	VMULSD X2, X2, X2
+	VADDSD (R8)(R10*8), X2, X2
+	VMOVSD X2, (R8)(R10*8)
+	INCQ   AX
+	JMP    upd1one
+
+upd1done:
+	VZEROUPPER
+	RET
+
+// func colResidual1AVX2(r, b, ax, accB, accR *float64, n int)
+//
+// v = b[i] - ax[i]; r[i] = v; accB[i%8] += b[i]*b[i];
+// accR[i%8] += v*v. r may be b or ax: a row's loads precede its store.
+TEXT ·colResidual1AVX2(SB), NOSPLIT, $0-48
+	MOVQ    r+0(FP), DI
+	MOVQ    b+8(FP), SI
+	MOVQ    ax+16(FP), DX
+	MOVQ    accB+24(FP), BX
+	MOVQ    accR+32(FP), R8
+	MOVQ    n+40(FP), CX
+	VMOVUPD (BX), Y0
+	VMOVUPD 32(BX), Y1
+	VMOVUPD (R8), Y2
+	VMOVUPD 32(R8), Y3
+	ONELANE(res1tail)
+
+res1loop:
+	VMOVUPD (SI)(AX*8), Y4          // b
+	VMOVUPD 32(SI)(AX*8), Y5
+	VSUBPD  (DX)(AX*8), Y4, Y6      // b - ax
+	VSUBPD  32(DX)(AX*8), Y5, Y7
+	VMOVUPD Y6, (DI)(AX*8)          // r
+	VMOVUPD Y7, 32(DI)(AX*8)
+	VMULPD  Y4, Y4, Y4
+	VMULPD  Y5, Y5, Y5
+	VADDPD  Y4, Y0, Y0
+	VADDPD  Y5, Y1, Y1
+	VMULPD  Y6, Y6, Y6
+	VMULPD  Y7, Y7, Y7
+	VADDPD  Y6, Y2, Y2
+	VADDPD  Y7, Y3, Y3
+	ADDQ    $8, AX
+	CMPQ    AX, R9
+	JLE     res1loop
+
+res1tail:
+	VMOVUPD Y0, (BX)
+	VMOVUPD Y1, 32(BX)
+	VMOVUPD Y2, (R8)
+	VMOVUPD Y3, 32(R8)
+
+res1one:
+	CMPQ   AX, CX
+	JGE    res1done
+	PHASE
+	VMOVSD (SI)(AX*8), X4
+	VSUBSD (DX)(AX*8), X4, X6
+	VMOVSD X6, (DI)(AX*8)
+	VMULSD X4, X4, X4
+	VADDSD (BX)(R10*8), X4, X4
+	VMOVSD X4, (BX)(R10*8)
+	VMULSD X6, X6, X6
+	VADDSD (R8)(R10*8), X6, X6
+	VMOVSD X6, (R8)(R10*8)
+	INCQ   AX
+	JMP    res1one
+
+res1done:
+	VZEROUPPER
+	RET
+
+// func colDirection1AVX2(p, z *float64, n int, beta float64)
+//
+// p[i] = z[i] + p[i]*beta.
+TEXT ·colDirection1AVX2(SB), NOSPLIT, $0-32
+	MOVQ         p+0(FP), DI
+	MOVQ         z+8(FP), SI
+	MOVQ         n+16(FP), CX
+	VBROADCASTSD beta+24(FP), Y15
+	ONELANE(dir1one)
+
+dir1loop:
+	VMULPD  (DI)(AX*8), Y15, Y0
+	VMULPD  32(DI)(AX*8), Y15, Y1
+	VADDPD  (SI)(AX*8), Y0, Y0
+	VADDPD  32(SI)(AX*8), Y1, Y1
+	VMOVUPD Y0, (DI)(AX*8)
+	VMOVUPD Y1, 32(DI)(AX*8)
+	ADDQ    $8, AX
+	CMPQ    AX, R9
+	JLE     dir1loop
+
+dir1one:
+	CMPQ   AX, CX
+	JGE    dir1done
+	VMULSD (DI)(AX*8), X15, X0
+	VADDSD (SI)(AX*8), X0, X0
+	VMOVSD X0, (DI)(AX*8)
+	INCQ   AX
+	JMP    dir1one
+
+dir1done:
+	VZEROUPPER
+	RET
+
+// func colThreeTerm1AVX2(u, q, prev *float64, n int, alpha, gi, h float64)
+//
+// u[i] = ((u[i] - alpha*q[i])*gi) - h*prev[i]. prev may be q.
+TEXT ·colThreeTerm1AVX2(SB), NOSPLIT, $0-56
+	MOVQ         u+0(FP), DI
+	MOVQ         q+8(FP), SI
+	MOVQ         prev+16(FP), DX
+	MOVQ         n+24(FP), CX
+	VBROADCASTSD alpha+32(FP), Y13
+	VBROADCASTSD gi+40(FP), Y14
+	VBROADCASTSD h+48(FP), Y15
+	ONELANE(tt1one)
+
+tt1loop:
+	VMULPD  (SI)(AX*8), Y13, Y0     // alpha*q
+	VMULPD  32(SI)(AX*8), Y13, Y1
+	VMOVUPD (DI)(AX*8), Y2
+	VMOVUPD 32(DI)(AX*8), Y3
+	VSUBPD  Y0, Y2, Y2              // u - alpha*q
+	VSUBPD  Y1, Y3, Y3
+	VMULPD  Y14, Y2, Y2             // (...)*gi
+	VMULPD  Y14, Y3, Y3
+	VMULPD  (DX)(AX*8), Y15, Y0     // h*prev
+	VMULPD  32(DX)(AX*8), Y15, Y1
+	VSUBPD  Y0, Y2, Y2
+	VSUBPD  Y1, Y3, Y3
+	VMOVUPD Y2, (DI)(AX*8)
+	VMOVUPD Y3, 32(DI)(AX*8)
+	ADDQ    $8, AX
+	CMPQ    AX, R9
+	JLE     tt1loop
+
+tt1one:
+	CMPQ   AX, CX
+	JGE    tt1done
+	VMULSD (SI)(AX*8), X13, X0
+	VMOVSD (DI)(AX*8), X2
+	VSUBSD X0, X2, X2
+	VMULSD X14, X2, X2
+	VMULSD (DX)(AX*8), X15, X0
+	VSUBSD X0, X2, X2
+	VMOVSD X2, (DI)(AX*8)
+	INCQ   AX
+	JMP    tt1one
+
+tt1done:
 	VZEROUPPER
 	RET

@@ -53,9 +53,11 @@
 //   - Lane recurrence. Each column is a lane. Every lane value is the
 //     textbook recurrence on that column alone — products rounded
 //     before they are added, reductions summed in multivec's fixed
-//     row-chunk order (k = max(1, n/4096) row chunks, each in row
-//     order, the chunk sums in chunk order: a plan of n alone), the
-//     split sweeps elementwise — so a lane's bits depend on neither q,
+//     lane-reduction order (k = max(1, n/4096) row chunks, each summed
+//     into eight partials, row lo+i into partial i%8, the partials by
+//     one fixed tree and the chunk sums in chunk order: a plan of n
+//     alone, the same at every q), the split sweeps elementwise — so a
+//     lane's bits depend on neither q,
 //     the lane's position, the thread count, nor whether the AVX2
 //     sweeps or the Go loops ran. With the GSPMV kernels' identical
 //     per-column order this makes column j of MultiCG BITWISE what

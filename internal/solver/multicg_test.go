@@ -45,17 +45,21 @@ func axpy(alpha float64, x, y []float64) {
 }
 
 // laneDot is a lane reduction's order spelled out: the n rows in
-// max(1, n/4096) equal chunks, each summed in row order, and the chunk
-// sums added in chunk order.
+// max(1, n/4096) equal chunks [lo, hi); in each, eight partials, row
+// lo+i adding into partial i%8, combined as
+// ((p0+p4)+(p2+p6)) + ((p1+p5)+(p3+p7)); and the chunk sums added in
+// chunk order.
 func laneDot(x, y []float64) float64 {
 	n := len(x)
 	k := max(1, n/4096)
 	var s float64
 	for c := 0; c < k; c++ {
-		var part float64
-		for i := n * c / k; i < n*(c+1)/k; i++ {
-			part += float64(x[i] * y[i])
+		var p [8]float64
+		lo, hi := n*c/k, n*(c+1)/k
+		for i := lo; i < hi; i++ {
+			p[(i-lo)%8] += float64(x[i] * y[i])
 		}
+		part := ((p[0] + p[4]) + (p[2] + p[6])) + ((p[1] + p[5]) + (p[3] + p[7]))
 		if c == 0 {
 			s = part
 		} else {
