@@ -205,10 +205,12 @@ wide:
 # and everything built on them otherwise never reach the AVX2 row
 # kernel, and the half storage's AVX2 row kernel runs only the last
 # m % 8 columns, so the oracles and the whole-solve pins would cover
-# one of the two. There is no flag or environment variable for this; the
-# build tag is the switch. -count=1 as in serial.
+# one of the two; the same holds for the IC(0) block sweeps, whose
+# AVX-512 kernels take every width, so the served suite runs here too.
+# There is no flag or environment variable for this; the build tag is
+# the switch. -count=1 as in serial.
 noavx512:
-	$(GO) test -tags noavx512 -short -count=1 ./internal/cpufeat/ ./internal/bcrs/ ./internal/multivec/ ./internal/solver/
+	$(GO) test -tags noavx512 -short -count=1 ./internal/cpufeat/ ./internal/bcrs/ ./internal/multivec/ ./internal/solver/ ./internal/serve/
 
 # fma runs the packages whose Go loops are the reduction kernels'
 # oracles built for x86-64-v3, where the compiler fuses a multiply and

@@ -312,8 +312,10 @@ func (e *Engine) colOptions(c *call, r Req) solver.Options {
 	opt := solver.Options{
 		Tol:     r.Tol,
 		MaxIter: r.MaxIter,
-		Precond: e.cfg.Precond,
 		Ctx:     c.ctx,
+	}
+	if e.pre != nil { // a nil *IC0 would be a non-nil Preconditioner
+		opt.Precond = e.pre
 	}
 	if opt.Tol == 0 {
 		opt.Tol = e.cfg.Tol

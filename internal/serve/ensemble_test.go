@@ -22,8 +22,9 @@ func mustUnmarshal(t *testing.T, data []byte, v any) {
 func ptrU64(v uint64) *uint64 { return &v }
 
 // TestServeEnsembleBitwiseEquivalence: a K-member SubmitEnsemble must
-// answer each member bitwise-identically to solving it alone with
-// plain CG — the fused dispatch is invisible to results, and its
+// answer each member bitwise-identically to solving it alone with PCG
+// under the engine's IC(0) factor — the fused dispatch is invisible to
+// results, and its
 // kernel width is at least K even with no other traffic.
 func TestServeEnsembleBitwiseEquivalence(t *testing.T) {
 	a := testMatrix()
@@ -45,9 +46,10 @@ func TestServeEnsembleBitwiseEquivalence(t *testing.T) {
 	if len(rs) != k {
 		t.Fatalf("%d results, want %d", len(rs), k)
 	}
+	ic := loneIC0(t, a)
 	for i, r := range rs {
 		ref := make([]float64, n)
-		st := solver.CG(a, ref, testRHS(n, uint64(300+i)), solver.Options{Tol: tol, MaxIter: 500})
+		st := solver.CG(a, ref, testRHS(n, uint64(300+i)), solver.Options{Tol: tol, MaxIter: 500, Precond: ic})
 		if !r.Stats.Converged || !st.Converged {
 			t.Fatalf("member %d converged=%v ref=%v", i, r.Stats.Converged, st.Converged)
 		}

@@ -89,6 +89,9 @@ type Info struct {
 	MaxWaitMS float64 `json:"max_wait_ms"`
 	Tol       float64 `json:"tol"`
 	HasModel  bool    `json:"has_model"`
+	// Precond is "ic0" when every solve is preconditioned by one IC(0)
+	// factor of the served matrix, "none" when solves are plain CG.
+	Precond string `json:"precond"`
 	// Threads is the process pool's size, which a multiply that streams
 	// enough splits its block rows over.
 	Threads int `json:"threads"`
@@ -286,6 +289,7 @@ func Handler(e *Engine) http.Handler {
 			MaxWaitMS:       float64(cfg.MaxWait) / float64(time.Millisecond),
 			Tol:             cfg.Tol,
 			HasModel:        cfg.Model != nil,
+			Precond:         e.Precond(),
 			Threads:         parallel.Threads(),
 			DefaultEnsemble: min(defaultEnsemble, cfg.MaxBatch),
 		})

@@ -54,7 +54,8 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 }
 
 // TestServeHTTPSolve round-trips a solve over HTTP and checks the
-// answer is bitwise-identical to a local unbatched CG.
+// answer is bitwise-identical to a local unbatched PCG under the IC(0)
+// factor the engine shares.
 func TestServeHTTPSolve(t *testing.T) {
 	const tol = 1e-8
 	s := startTestServer(t, Config{Tol: tol, MaxIter: 500})
@@ -64,7 +65,7 @@ func TestServeHTTPSolve(t *testing.T) {
 	n := a.N()
 	b := testRHS(n, 42)
 	ref := make([]float64, n)
-	refSt := solver.CG(a, ref, b, solver.Options{Tol: tol, MaxIter: 500})
+	refSt := solver.CG(a, ref, b, solver.Options{Tol: tol, MaxIter: 500, Precond: loneIC0(t, a)})
 
 	resp, data := postJSON(t, base+"/v1/solve", SolveRequest{B: b})
 	if resp.StatusCode != http.StatusOK {
@@ -248,7 +249,7 @@ func TestServeHTTPHealthAndInfo(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if info.N != s.Engine.N() || info.MaxBatch != 8 || info.Threads != parallel.Threads() {
+	if info.N != s.Engine.N() || info.MaxBatch != 8 || info.Threads != parallel.Threads() || info.Precond != "ic0" {
 		t.Errorf("info = %+v", info)
 	}
 
@@ -307,10 +308,11 @@ func TestServeHTTPConcurrentMixed(t *testing.T) {
 	n := a.N()
 
 	const nreq = 10
+	ic := loneIC0(t, a)
 	refs := make([][]float64, nreq)
 	for i := range refs {
 		refs[i] = make([]float64, n)
-		solver.CG(a, refs[i], testRHS(n, uint64(300+i)), solver.Options{Tol: tol, MaxIter: 500})
+		solver.CG(a, refs[i], testRHS(n, uint64(300+i)), solver.Options{Tol: tol, MaxIter: 500, Precond: ic})
 	}
 
 	type out struct {

@@ -17,6 +17,9 @@ var (
 	canceledQueued = obs.Default.Counter("serve_canceled_in_queue_total")
 	nonConverged   = obs.Default.Counter("serve_nonconverged_total")
 	operatorFailed = obs.Default.Counter("serve_operator_failures_total")
+	// precondFailures counts engines whose operator handed over a
+	// matrix that IC(0) could not factor: they serve unpreconditioned.
+	precondFailures = obs.Default.Counter("serve_precond_failures_total")
 
 	batches  = obs.Default.Counter("serve_batches_total")
 	batchRHS = obs.Default.Counter("serve_batch_rhs_total")

@@ -49,7 +49,7 @@ func recordPost(h http.Handler, body, id string) *httptest.ResponseRecorder {
 
 // TestServeOperatorPanic: a Mul that panics answers the batch in flight
 // 500 with a JSON error body and the request's ID, and the engine goes
-// on serving: the next request is a 200 whose solution is its lone CG
+// on serving: the next request is a 200 whose solution is its lone PCG
 // solve bit for bit, so the failed solve left nothing behind in the
 // dispatcher's reused workspace.
 func TestServeOperatorPanic(t *testing.T) {
@@ -84,10 +84,10 @@ func TestServeOperatorPanic(t *testing.T) {
 		t.Fatalf("next solve did not converge: %s", w.Body)
 	}
 	x := make([]float64, n)
-	solver.CG(a, x, b, solver.Options{Tol: 1e-8, MaxIter: 500})
+	solver.CG(a, x, b, solver.Options{Tol: 1e-8, MaxIter: 500, Precond: loneIC0(t, a)})
 	for i := range x {
 		if sr.X[i] != x[i] {
-			t.Fatalf("next solve: x[%d] = %v, lone CG %v", i, sr.X[i], x[i])
+			t.Fatalf("next solve: x[%d] = %v, lone PCG %v", i, sr.X[i], x[i])
 		}
 	}
 }

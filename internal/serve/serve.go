@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bcrs"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/solver"
@@ -50,10 +52,6 @@ type Config struct {
 	// that do not override them.
 	Tol     float64
 	MaxIter int
-	// Precond, if non-nil, preconditions every solve: one
-	// preconditioner per fused solve, shared by all its columns and
-	// swept over the lane block by one ApplyBlock per iteration.
-	Precond solver.Preconditioner
 	// MaxBatch caps the right-hand sides coalesced into one dispatch,
 	// and so the width of its fused solve (at most 32). Default 32.
 	MaxBatch int
@@ -163,6 +161,10 @@ type Engine struct {
 	op  solver.BlockOperator
 	n   int
 	cfg Config
+	// pre is the one IC(0) factor of op's matrix every batch is
+	// preconditioned with, nil when op hands over no matrix or the
+	// factorization failed: then every solve is plain CG.
+	pre *solver.IC0
 
 	queue chan *call
 	done  chan struct{}
@@ -192,12 +194,22 @@ type Engine struct {
 
 // NewEngine starts an engine serving solves against op. Close it to
 // drain.
+//
+// When op has a block matrix behind it — op is a *bcrs.Matrix, or a
+// struct holding one, embedded or in a field, as a wrapper that times
+// its multiplies does (matrixOf) — NewEngine factors it once with block
+// IC(0), and every batch is preconditioned through that one factor: the
+// served matrix never changes, so the factor never ages. An operator
+// with no matrix behind it (half storage, a distributed multiply, a
+// closure) is solved unpreconditioned, and so is one whose
+// factorization fails, which serve_precond_failures_total counts.
 func NewEngine(op solver.BlockOperator, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	e := &Engine{
 		op:        op,
 		n:         op.N(),
 		cfg:       cfg,
+		pre:       factor(op),
 		queue:     make(chan *call, cfg.QueueCap),
 		done:      make(chan struct{}),
 		itersEWMA: seedIters,
@@ -205,6 +217,62 @@ func NewEngine(op solver.BlockOperator, cfg Config) *Engine {
 	}
 	go e.run()
 	return e
+}
+
+// factor returns the IC(0) factor of op's block matrix, nil when op has
+// none or the factorization fails.
+func factor(op solver.BlockOperator) *solver.IC0 {
+	a := matrixOf(op)
+	if a == nil {
+		return nil
+	}
+	ic, err := solver.NewIC0(a)
+	if err != nil {
+		precondFailures.Inc()
+		return nil
+	}
+	return ic
+}
+
+// matrixOf returns the block matrix behind op: op itself when it is a
+// *bcrs.Matrix, else the first non-nil *bcrs.Matrix field of op's
+// dimension in the struct op is or points to — an embedded matrix, or
+// the one a wrapper that times or traces its multiplies keeps — and nil
+// when there is none. A field that is not op's own matrix costs
+// iterations, never answers:
+// a factor that succeeds is L·Lᵀ with positive pivots, an SPD
+// preconditioner, and PCG under any SPD preconditioner converges to
+// op's solution.
+func matrixOf(op solver.BlockOperator) *bcrs.Matrix {
+	if a, ok := op.(*bcrs.Matrix); ok {
+		return a
+	}
+	v := reflect.ValueOf(op)
+	if v.Kind() == reflect.Pointer && !v.IsNil() {
+		v = v.Elem()
+	}
+	if v.Kind() != reflect.Struct {
+		return nil
+	}
+	matrix := reflect.TypeFor[*bcrs.Matrix]()
+	for i := range v.NumField() {
+		if f := v.Field(i); f.Type() == matrix && !f.IsNil() {
+			// A field need not be exported to be read this way.
+			if a := (*bcrs.Matrix)(f.UnsafePointer()); a.N() == op.N() {
+				return a
+			}
+		}
+	}
+	return nil
+}
+
+// Precond names how the engine preconditions its solves: "ic0" for one
+// shared IC(0) factor of its matrix, "none" for plain CG.
+func (e *Engine) Precond() string {
+	if e.pre == nil {
+		return "none"
+	}
+	return "ic0"
 }
 
 // N returns the scalar dimension requests must match.

@@ -11,12 +11,26 @@ import (
 
 	"repro/internal/bcrs"
 	"repro/internal/multivec"
+	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/rng"
 	"repro/internal/solver"
 )
 
 func testMatrix() *bcrs.Matrix {
 	return bcrs.Random(bcrs.RandomOptions{NB: 150, BlocksPerRow: 6, Seed: 3})
+}
+
+// loneIC0 is the IC(0) factor of a that an engine over a shares across
+// every batch, and so the one its reference solves are preconditioned
+// with: a served answer is bitwise the lone PCG solve under it.
+func loneIC0(t testing.TB, a *bcrs.Matrix) *solver.IC0 {
+	t.Helper()
+	ic, err := solver.NewIC0(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ic
 }
 
 func testRHS(n int, seed uint64) []float64 {
@@ -46,13 +60,14 @@ func (s *sleepyOp) Mul(y, x *multivec.MultiVec) {
 
 // TestServeBatchedBitwiseEquivalence is the acceptance test: concurrent
 // requests coalesced into multi-RHS batches must produce solutions
-// bitwise-identical to solving each request alone with plain CG at the
-// same thread count.
+// bitwise-identical to solving each request alone with PCG under the
+// engine's IC(0) factor at the same thread count.
 func TestServeBatchedBitwiseEquivalence(t *testing.T) {
 	a := testMatrix()
 	n := a.N()
 	const nreq = 12
 	const tol = 1e-8
+	ic := loneIC0(t, a)
 
 	// Unbatched references, solved one at a time.
 	refs := make([][]float64, nreq)
@@ -60,7 +75,7 @@ func TestServeBatchedBitwiseEquivalence(t *testing.T) {
 	for i := range refs {
 		b := testRHS(n, uint64(100+i))
 		x := make([]float64, n)
-		refStats[i] = solver.CG(a, x, b, solver.Options{Tol: tol, MaxIter: 500})
+		refStats[i] = solver.CG(a, x, b, solver.Options{Tol: tol, MaxIter: 500, Precond: ic})
 		if !refStats[i].Converged {
 			t.Fatalf("reference CG %d did not converge", i)
 		}
@@ -115,7 +130,7 @@ func TestServeBatchedBitwiseEquivalence(t *testing.T) {
 // TestServeBreakdownIsolated submits a 32-wide ensemble — one fused
 // dispatch by construction — in which one right-hand side holds a NaN:
 // that member alone comes back ErrBreakdown, without iterating, and
-// the other 31 are their lone CG solves bit for bit.
+// the other 31 are their lone PCG solves bit for bit.
 func TestServeBreakdownIsolated(t *testing.T) {
 	a := testMatrix()
 	n := a.N()
@@ -125,6 +140,7 @@ func TestServeBreakdownIsolated(t *testing.T) {
 		reqs[i] = Req{B: testRHS(n, uint64(100+i))}
 	}
 	reqs[victim].B[n/3] = math.NaN()
+	ic := loneIC0(t, a)
 
 	e := NewEngine(a, Config{Tol: tol, MaxIter: 500})
 	defer e.Close(context.Background())
@@ -143,7 +159,7 @@ func TestServeBreakdownIsolated(t *testing.T) {
 			continue
 		}
 		ref := make([]float64, n)
-		rst := solver.CG(a, ref, reqs[i].B, solver.Options{Tol: tol, MaxIter: 500})
+		rst := solver.CG(a, ref, reqs[i].B, solver.Options{Tol: tol, MaxIter: 500, Precond: ic})
 		if r.Err != nil || !r.Stats.Converged || r.Stats.Iterations != rst.Iterations {
 			t.Fatalf("member %d: err=%v stats=%+v, alone %+v", i, r.Err, r.Stats, rst)
 		}
@@ -428,5 +444,143 @@ func TestServeSolvesAtBatchWidth(t *testing.T) {
 	defer op.mu.Unlock()
 	if w := slices.Max(op.widths); w != q {
 		t.Errorf("widest multiply ran at %d, want %d: %v", w, q, op.widths)
+	}
+}
+
+// embeddedOp holds its matrix the way bench/'s untraced serving
+// operator does, by embedding it, and fieldOp the way its tracing
+// wrapper does, in an unexported field; opaqueOp holds none, only a
+// function that multiplies.
+type embeddedOp struct{ *bcrs.Matrix }
+
+type fieldOp struct{ inner *bcrs.Matrix }
+
+func (o *fieldOp) N() int                      { return o.inner.N() }
+func (o *fieldOp) Mul(y, x *multivec.MultiVec) { o.inner.Mul(y, x) }
+
+type opaqueOp struct {
+	n   int
+	mul func(y, x *multivec.MultiVec)
+}
+
+func (o opaqueOp) N() int                      { return o.n }
+func (o opaqueOp) Mul(y, x *multivec.MultiVec) { o.mul(y, x) }
+
+// TestServePrecondFollowsOperator: an engine factors the matrix behind
+// its operator — a *bcrs.Matrix, a type embedding one, a wrapper
+// holding one in a field — and reports ic0; behind an operator that
+// holds no matrix the same matrix is served unpreconditioned, reports
+// none and takes more iterations. A matrix whose factorization breaks
+// down is served unpreconditioned too, and counted.
+func TestServePrecondFollowsOperator(t *testing.T) {
+	a := testMatrix()
+	b := testRHS(a.N(), 7)
+	iters := map[string]int{}
+	for name, op := range map[string]solver.BlockOperator{
+		"matrix": a, "embedded": embeddedOp{a}, "field": &fieldOp{a}, "opaque": opaqueOp{a.N(), a.Mul},
+	} {
+		e := NewEngine(op, Config{Tol: 1e-8, MaxIter: 500})
+		r, err := e.Submit(context.Background(), Req{B: b})
+		e.Close(context.Background())
+		if err != nil || !r.Stats.Converged {
+			t.Fatalf("%s: err=%v stats=%+v", name, err, r.Stats)
+		}
+		want := "ic0"
+		if name == "opaque" {
+			want = "none"
+		}
+		if got := e.Precond(); got != want {
+			t.Errorf("%s: Precond() = %q, want %q", name, got, want)
+		}
+		iters[name] = r.Stats.Iterations
+	}
+	if iters["matrix"] != iters["embedded"] || iters["matrix"] != iters["field"] || iters["matrix"] >= iters["opaque"] {
+		t.Errorf("iterations %v: want matrix = embedded = field < opaque", iters)
+	}
+
+	// A matrix field of another dimension is not the operator's matrix.
+	other := struct {
+		opaqueOp
+		m *bcrs.Matrix
+	}{opaqueOp{a.N(), a.Mul}, bcrs.Random(bcrs.RandomOptions{NB: 40, BlocksPerRow: 4, Seed: 5})}
+	e := NewEngine(other, Config{})
+	e.Close(context.Background())
+	if e.Precond() != "none" {
+		t.Errorf("matrix field of dimension %d under an operator of %d: Precond() = %q", other.m.N(), a.N(), e.Precond())
+	}
+
+	neg := bcrs.NewBuilder(20)
+	neg.AddDiag(-1)
+	failures := obs.Default.Counter("serve_precond_failures_total")
+	before := failures.Value()
+	e = NewEngine(neg.Build(), Config{})
+	defer e.Close(context.Background())
+	if e.Precond() != "none" || failures.Value() != before+1 {
+		t.Errorf("indefinite matrix: Precond() = %q, failures %d -> %d", e.Precond(), before, failures.Value())
+	}
+}
+
+// TestServeBatchedMatchesLonePCG: under the shared factor a served
+// answer is its lone PCG solve bit for bit at every width — the
+// AVX-512 sweeps' masked groups (q = 1, 2, 3, 5, 17, 33), their whole
+// ones (8, 16, 32), and past MaxBatch, where the batch splits into
+// dispatches — on pools of 1, 2 and 4 threads. The matrix, 5.6 MB a
+// multiply, splits on every pooled run.
+func TestServeBatchedMatchesLonePCG(t *testing.T) {
+	defer parallel.SetThreads(parallel.Threads())
+	a := bcrs.Random(bcrs.RandomOptions{NB: 3000, BlocksPerRow: 24, Seed: 4})
+	n := a.N()
+	const tol = 1e-8
+	ic := loneIC0(t, a)
+	const widest = 33
+	refs := make([][]float64, widest)
+	refStats := make([]solver.Stats, widest)
+	for i := range refs {
+		refs[i] = make([]float64, n)
+		refStats[i] = solver.CG(a, refs[i], testRHS(n, uint64(500+i)), solver.Options{Tol: tol, MaxIter: 500, Precond: ic})
+	}
+	for _, threads := range []int{1, 2, 4} {
+		parallel.SetThreads(threads)
+		e := NewEngine(a, Config{Tol: tol, MaxIter: 500})
+		jobs := obs.Default.Counter("parallel_jobs_total")
+		before := jobs.Value()
+		for _, q := range []int{1, 2, 3, 5, 8, 16, 17, 32, 33} {
+			// Members go in ensembles of at most MaxBatch, so every
+			// dispatch width is known: q, or 32 and q-32.
+			rs := make([]Result, q)
+			var wg sync.WaitGroup
+			for lo := 0; lo < q; lo += 32 {
+				hi := min(lo+32, q)
+				reqs := make([]Req, hi-lo)
+				for i := range reqs {
+					reqs[i] = Req{B: testRHS(n, uint64(500+lo+i))}
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got, err := e.SubmitEnsemble(context.Background(), reqs)
+					if err != nil {
+						t.Errorf("threads=%d q=%d: %v", threads, q, err)
+						return
+					}
+					copy(rs[lo:], got)
+				}()
+			}
+			wg.Wait()
+			for i, r := range rs {
+				if r.Err != nil || r.Stats.Iterations != refStats[i].Iterations {
+					t.Fatalf("threads=%d q=%d member %d: err=%v stats=%+v, alone %+v", threads, q, i, r.Err, r.Stats, refStats[i])
+				}
+				for j := range r.X {
+					if r.X[j] != refs[i][j] {
+						t.Fatalf("threads=%d q=%d member %d (batch %d): x[%d] = %v, alone %v", threads, q, i, r.BatchSize, j, r.X[j], refs[i][j])
+					}
+				}
+			}
+		}
+		e.Close(context.Background())
+		if threads > 1 && jobs.Value() == before {
+			t.Fatalf("threads=%d: the served solves split nothing over the pool", threads)
+		}
 	}
 }

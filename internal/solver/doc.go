@@ -5,10 +5,15 @@
 // the augmented multiple-right-hand-side systems, and the block
 // incomplete Cholesky factor IC0 that the SD stepper reuses for every
 // solve of a window of time steps (the first technique of the paper's
-// Section III). IC0 keeps its factor in flat bcrs-style arrays, so
-// ApplyBlock is two sweeps at about the cost of one multiply, run once
-// for all columns of a block, and Refactor refills the storage for the
-// next window's matrix; neither allocates.
+// Section III), and that the served engine takes once of its matrix.
+// IC0 keeps its factor in flat bcrs-style arrays, so ApplyBlock is two
+// sweeps at about the cost of one multiply, run once for all columns
+// of a block, and Refactor refills the storage for the next window's
+// matrix; neither allocates. The block sweeps run in assembly with the
+// Go loops' bits: where the host has AVX-512 at every width m >= 2, 16
+// columns a zmm pass, a last 5-8 under an opmask and a last 1-4 in a
+// masked ymm, so no lane is read or written past its column; with AVX2
+// alone on the leading multiple of 4, the rest in the Go loops.
 //
 // A Preconditioner is ApplyBlock on every column of a row-major block
 // (m = 1 is a vector), column j bitwise the same call on column j

@@ -43,11 +43,13 @@ func faults(fn func()) (faulted bool) {
 	return false
 }
 
-// TestIC0SweepsReadNothingPastTheirArrays runs ApplyBlock at m = 1, 4
-// and 7, assembly and Go, on a factor whose arrays each end at an unreadable
-// page, as do z and r. The one read the assembly makes outside a
-// block — the backward sweep loads a block's last row four wide — must
-// land in the float64 of slack setPattern keeps behind lower.
+// TestIC0SweepsReadNothingPastTheirArrays runs ApplyBlock at m = 1 to
+// 5, 7, 17 and 31, assembly and Go, on a factor whose arrays each end
+// at an unreadable page, as do z and r: the widths whose last group
+// runs under an AVX-512 opmask must touch nothing past their lanes. The
+// one read the assembly makes outside a block — the backward sweep
+// loads a block's last row four wide — must land in the float64 of
+// slack setPattern keeps behind lower.
 func TestIC0SweepsReadNothingPastTheirArrays(t *testing.T) {
 	a := spdMatrix(91, 37, 5)
 	ic, err := NewIC0(a)
@@ -62,7 +64,7 @@ func TestIC0SweepsReadNothingPastTheirArrays(t *testing.T) {
 	if !faults(func() { guardSink = *(*float64)(unsafe.Add(unsafe.Pointer(&g.lower[0]), 8*(len(g.lower)+1))) }) {
 		t.Fatal("the guard page is readable: this test proves nothing")
 	}
-	for _, m := range []int{1, 4, 7} {
+	for _, m := range []int{1, 2, 3, 4, 5, 7, 17, 31} {
 		r := multivec.New(n, m)
 		copy(r.Data, randVec(int64(92+m), n*m))
 		want := multivec.New(n, m)

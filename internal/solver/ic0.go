@@ -283,9 +283,15 @@ func (ic *IC0) buildL() {
 // column j of r alone. It satisfies the Preconditioner interface, and
 // every solver preconditions through it; it allocates nothing. With AVX2 (and a
 // strict-lower block for ic0_amd64.s to point at) m = 1 runs the
-// single-vector sweeps and a wider block all but its m%4 last columns,
-// which go through the loops here; those loops are the oracle of both
-// and every other host's path.
+// single-vector sweeps, and a wider block the block sweeps: the
+// AVX-512 ones on every column where cpufeat.AVX512, else the AVX2
+// ones on all but the m%4 last columns, which go through the loops
+// here. Those loops are the oracle of all of them and every other
+// host's path.
+//
+// The sweeps run on the calling goroutine. Splitting the columns over
+// the pool (each part streams the whole factor) made the served q = 32
+// solve slower on the reference host, not faster (DESIGN §12).
 func (ic *IC0) ApplyBlock(z, r *multivec.MultiVec) {
 	const bs = bcrs.BlockSize
 	m := z.M
@@ -293,9 +299,8 @@ func (ic *IC0) ApplyBlock(z, r *multivec.MultiVec) {
 		panic("solver: IC0 dimension mismatch")
 	}
 	c0 := 0 // the loops take columns [c0, m)
-	if cpufeat.AVX2 && len(ic.colIdx) > 0 && (m == 1 || m >= 4) {
-		c0 = max(m&^3, 1)
-		ic.sweepSIMD(z.Data, r.Data, m, c0)
+	if cpufeat.AVX2 && len(ic.colIdx) > 0 {
+		c0 = ic.sweepSIMD(z.Data, r.Data, m)
 	}
 	if c0 == m {
 		return

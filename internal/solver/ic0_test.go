@@ -2,6 +2,7 @@ package solver
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -437,4 +438,25 @@ func TestIC0DoesNotAllocate(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// BenchmarkIC0ApplyBlock is the factor's two sweeps at the served shape
+// (NB = 6000, 24 blocks per row) at the widths a served batch runs:
+// m = 2, 3 and 5 take the AVX-512 sweeps' masked groups where the host
+// has them, and the AVX2 sweeps' Go loops where it has not.
+func BenchmarkIC0ApplyBlock(b *testing.B) {
+	a := bcrs.Random(bcrs.RandomOptions{NB: 6000, BlocksPerRow: 24, Seed: 1})
+	ic, err := NewIC0(a)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, m := range []int{1, 2, 3, 4, 5, 8, 16, 32} {
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
+			r, z := multivec.New(a.N(), m), multivec.New(a.N(), m)
+			copy(r.Data, randVec(int64(m), a.N()*m))
+			for i := 0; i < b.N; i++ {
+				ic.ApplyBlock(z, r)
+			}
+		})
+	}
 }

@@ -28,7 +28,6 @@ var censusTypes = map[string][]string{
 var censusExceptions = map[string]string{
 	"core.Config.ChebOrder": "tests cap the Brownian force's multiplies to stay fast",
 	"core.Config.MaxIter":   "tests starve the solves to force their failures",
-	"serve.Config.Precond":  "the shared-factor serve path that would set it is ROADMAP item 6(a)",
 	"serve.Config.Tracer":   "a test seam: tests read their requests' traces from a tracer of their own",
 }
 
