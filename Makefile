@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci docs-gate reach vet build test bench-test bench-trace race race-kernels chaos fuzz-faults fuzz-neighbor fuzz-sqrt fuzz-blockcg fuzz-serve fuzz-checkpoint serial wide noavx512 fma serve-smoke bench experiments
+.PHONY: ci docs-gate reach vet build test bench-test bench-trace race race-kernels chaos fuzz-faults fuzz-neighbor fuzz-sqrt fuzz-blockcg fuzz-serve fuzz-checkpoint serial wide noavx512 fma serve-smoke bench experiments trajectory
 
 # ci is the gate: vet, build everything, the benchmark module's own
 # vet and tests (bench-test), one traced run of each SD workload
@@ -229,6 +229,14 @@ bench:
 # cores). EXPERIMENTS.md records the host and commit it was produced at.
 experiments:
 	$(GO) run ./cmd/experiments -run all > experiments_output.txt
+
+# trajectory runs every benchmark workload once at seed 1 and writes
+# BENCH_trajectory.json (scripts/trajectory.sh): the commit, a dirty
+# flag, the Go version, a host fingerprint, and per workload the
+# report line and the digests. About three minutes on two cores; the
+# file is committed as the perf record of the tree it ran on.
+trajectory:
+	bash scripts/trajectory.sh
 
 # serve-smoke runs the batching-server suite (engine + HTTP) under
 # -race: the dispatcher/submitter handoff and the drain path are the

@@ -123,19 +123,19 @@ func TestCheckTreePaths(t *testing.T) {
 // unregistered section is reported.
 func TestCheckExperiments(t *testing.T) {
 	dir := t.TempDir()
-	ids := []string{"ext-symmetric", "fig8", "table1"}
+	ids := []string{"ext-techniques", "fig8", "table1"}
 
 	good := write(t, dir, "GOOD.md", strings.Join([]string{
 		"Prose may say go run ./cmd/experiments -run fig9.",
 		"```sh",
 		"go run ./cmd/experiments -run all > experiments_output.txt",
 		"go run ./cmd/experiments -run fig8 -threads 2   # -run fig9 in a comment",
-		"go run ./cmd/experiments --run=ext-symmetric \\",
+		"go run ./cmd/experiments --run=ext-techniques \\",
 		"    -matrix-nb 150000",
 		"go run ./cmd/other -run fig9",
 		"```",
 	}, "\n"))
-	artifact := write(t, dir, "out.txt", "--- ext-symmetric: a ---\n== t ==\n--- fig8: b ---\n--- table1: c ---\n")
+	artifact := write(t, dir, "out.txt", "--- ext-techniques: a ---\n== t ==\n--- fig8: b ---\n--- table1: c ---\n")
 	if p := checkExperiments(ids, artifact, good); len(p) != 0 {
 		t.Errorf("clean document and artifact reported: %q", p)
 	}
@@ -147,7 +147,7 @@ func TestCheckExperiments(t *testing.T) {
 		stale + `: "go run ./cmd/experiments -run fig9": no registered experiment fig9`,
 		stale + `: "go run ./cmd/experiments -steps 4 -run=table9": no registered experiment table9`,
 		staleOut + `: section fig9 is not a registered experiment`,
-		staleOut + `: 0 sections for experiment ext-symmetric, want 1`,
+		staleOut + `: 0 sections for experiment ext-techniques, want 1`,
 		staleOut + `: 2 sections for experiment fig8, want 1`,
 	}
 	if len(got) != len(want) {

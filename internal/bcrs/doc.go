@@ -25,9 +25,9 @@
 //
 // Thread blocking partitions block rows into contiguous ranges with
 // approximately equal non-zero counts; each range is processed by one
-// goroutine. The half-storage symmetric variant (SymMatrix), only
-// measured (gspmv benchmarks, ext-symmetric) since it lost every SD and
-// serve point, keeps the upper triangle and scatters transpose
+// goroutine. The half-storage symmetric variant (SymMatrix), timed only
+// by the benchmark's gspmv_* workloads since it lost every SD and serve
+// point, keeps the upper triangle and scatters transpose
 // contributions through a two-phase conflict-free schedule. Its
 // kernels run an FMA chain, so their assembly needs FMA3 as well; with
 // AVX-512 they run 16 columns a pass, and the last m % 8 in the AVX2

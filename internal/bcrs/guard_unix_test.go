@@ -145,7 +145,7 @@ func TestSymReadsNothingPastItsArrays(t *testing.T) {
 		if !slices.Contains(s.colIdx, int32(s.nb-1)) {
 			t.Fatalf("%s: no block in the last block column", name)
 		}
-		g := &SymMatrix{nb: s.nb, ndiag: s.ndiag, span: s.span,
+		g := &SymMatrix{nb: s.nb, ndiag: s.ndiag,
 			rowPtr: guarded(t, s.rowPtr, 0), colIdx: guarded(t, s.colIdx, 0), vals: guarded(t, s.vals, 0)}
 		g.fillFn, g.foldFn = g.fill, g.fold
 		for _, threads := range []int{1, 2} {

@@ -51,14 +51,13 @@ import (
 //
 // Mul and MulVec use receiver-owned scratch for the partial buffers;
 // concurrent multiplies on the same receiver are not safe (the
-// benchmarks and experiments that run it multiply serially).
+// benchmarks that run it multiply serially).
 type SymMatrix struct {
 	nb     int
 	rowPtr []int32
 	colIdx []int32
 	vals   []float64
 	ndiag  int // stored diagonal blocks (scattered once, not twice)
-	span   int // max block-column reach of any row: max(colmax(i)+1-i)
 
 	// The split for a pool of threads threads (0: none made yet), and
 	// the chunks its fold runs in.
@@ -117,13 +116,6 @@ func NewSym(a *Matrix) (*SymMatrix, error) {
 			s.vals = append(s.vals, a.vals[k*BlockSize:(k+1)*BlockSize]...)
 		}
 		s.rowPtr[i+1] = int32(len(s.colIdx))
-		// Columns are strictly increasing within a row, so the last
-		// stored block holds the row's reach.
-		if k := len(s.colIdx); k > int(s.rowPtr[i]) {
-			if w := int(s.colIdx[k-1]) + 1 - i; w > s.span {
-				s.span = w
-			}
-		}
 	}
 	s.fillFn, s.foldFn = s.fill, s.fold
 	return s, nil
@@ -134,17 +126,6 @@ func (s *SymMatrix) N() int { return s.nb * BlockDim }
 
 // NNZB returns the stored block count (upper triangle only).
 func (s *SymMatrix) NNZB() int { return len(s.colIdx) }
-
-// Span returns the block-column reach of the storage: the maximum
-// over rows of (max stored column + 1 - row). The X gathers and the
-// transposed Y scatter of one block row stay within this window, so
-// span bounds the rows of X and Y a pass must keep resident.
-func (s *SymMatrix) Span() int { return s.span }
-
-// Bytes returns the storage footprint.
-func (s *SymMatrix) Bytes() int64 {
-	return int64(len(s.vals))*8 + int64(len(s.colIdx))*4 + int64(len(s.rowPtr))*4
-}
 
 // splitFor makes the split for pool p current: p.Threads()
 // nnz-balanced ranges, each with its scatter window, and the fold's

@@ -152,7 +152,7 @@ func TestEstimateSingleNodeMatchesModel(t *testing.T) {
 	if est.CommSec != 0 {
 		t.Fatalf("single node must not communicate: %+v", est)
 	}
-	g := model.GSPMV{Machine: cm.Machine, Shape: model.Shape{NB: a.NB(), NNZB: a.NNZB()}, K: cm.K}
+	g := model.GSPMV{Machine: cm.Machine, Shape: model.Shape{NB: a.NB(), NNZB: a.NNZB()}, K: model.DefaultK}
 	if !almostEqual(est.TotalSec, g.T(8), 1e-12) {
 		t.Fatalf("single-node estimate %v, model %v", est.TotalSec, g.T(8))
 	}
@@ -223,25 +223,6 @@ func TestCommFractionFallsWithM(t *testing.T) {
 	}
 }
 
-func TestOverlapNeverSlower(t *testing.T) {
-	a, pos, box := testMatrix(10, 400)
-	r := partition.Coordinate(a, pos, box, 8, 0)
-	cl, err := New(a, r.Part, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	with := paperModel()
-	without := with
-	without.Overlap = false
-	for _, m := range []int{1, 8, 32} {
-		tw := cl.Estimate(m, with).TotalSec
-		to := cl.Estimate(m, without).TotalSec
-		if tw > to {
-			t.Fatalf("m=%d: overlap slower (%v > %v)", m, tw, to)
-		}
-	}
-}
-
 func TestLargePRelativeTimeFlattens(t *testing.T) {
 	// Figure 3/4's key qualitative result: at large node counts,
 	// communication (latency) dominates and extra vectors are nearly
@@ -263,8 +244,8 @@ func TestLargePRelativeTimeFlattens(t *testing.T) {
 }
 
 func TestCostModelVolumeScaling(t *testing.T) {
-	// Communication volume term must scale with m: with overlap off
-	// and latency zeroed, comm time at m=8 is 8x comm at m=1.
+	// Communication volume term must scale with m: with latency
+	// zeroed, comm time at m=8 is 8x comm at m=1.
 	a, pos, box := testMatrix(12, 300)
 	r := partition.Coordinate(a, pos, box, 4, 0)
 	cl, err := New(a, r.Part, 4)

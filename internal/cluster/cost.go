@@ -26,27 +26,24 @@ type Network struct {
 // bandwidth.
 var InfiniBand = Network{LatencySec: 1.5e-6, BandwidthBps: 3380 * (1 << 20)}
 
-// CostModel prices a distributed multiply.
+// CostModel prices a distributed multiply: each node's compute time is
+// the single-node model at k = model.DefaultK on its local shape, and
+// its time is max(compute, comm), the computation/communication
+// overlap of the paper's implementation.
 type CostModel struct {
 	// Machine gives each node's single-node (B, F) parameters.
 	Machine model.Machine
-	// K is the cache-reuse function k(m) of the single-node model.
-	K model.KFunc
 	// Net is the interconnect.
 	Net Network
-	// Overlap enables the computation/communication overlap of the
-	// paper's implementation: a node's time is max(compute, comm)
-	// rather than compute + comm.
-	Overlap bool
 }
 
 // PaperCost returns the cost model configured like the paper's
 // cluster: Westmere nodes (single socket, 2.9 GHz — slightly slower
-// than the 3.3 GHz single-node WSM), InfiniBand, and overlap enabled.
-// Communication is priced at hardware cost only.
+// than the 3.3 GHz single-node WSM) and InfiniBand. Communication is
+// priced at hardware cost only.
 func PaperCost() CostModel {
 	wsm29 := model.Machine{B: model.WSM.B, F: model.WSM.F * 2.9 / 3.3}
-	return CostModel{Machine: wsm29, Net: InfiniBand, Overlap: true}
+	return CostModel{Machine: wsm29, Net: InfiniBand}
 }
 
 // CalibratedPaperCost is PaperCost with a per-message software
@@ -85,8 +82,8 @@ type NodeEstimate struct {
 	// Messages and HaloRows count the node's communication (send and
 	// receive combined).
 	Messages, HaloRows int
-	// ComputeSec and CommSec are the modeled phase times; TotalSec
-	// applies the overlap rule.
+	// ComputeSec and CommSec are the modeled phase times; TotalSec is
+	// their maximum, the overlap rule.
 	ComputeSec, CommSec, TotalSec float64
 }
 
@@ -96,7 +93,7 @@ func (c *Cluster) NodeEstimates(m int, cm CostModel) []NodeEstimate {
 	out := make([]NodeEstimate, c.p)
 	for id, nd := range c.nodes {
 		shape := c.NodeShape(id)
-		g := model.GSPMV{Machine: cm.Machine, Shape: shape, K: cm.K}
+		g := model.GSPMV{Machine: cm.Machine, Shape: shape, K: model.DefaultK}
 		comp := g.T(m)
 
 		// Count this node's messages and payload rows in both
@@ -119,17 +116,10 @@ func (c *Cluster) NodeEstimates(m int, cm CostModel) []NodeEstimate {
 		comm := float64(msgs)*(cm.Net.LatencySec+cm.Net.SoftwareOverheadSec) +
 			bytes/cm.Net.BandwidthBps
 
-		total := comp + comm
-		if cm.Overlap {
-			total = comp
-			if comm > total {
-				total = comm
-			}
-		}
 		out[id] = NodeEstimate{
 			Node: id, Rows: shape.NB, NNZB: shape.NNZB,
 			Messages: msgs, HaloRows: rows,
-			ComputeSec: comp, CommSec: comm, TotalSec: total,
+			ComputeSec: comp, CommSec: comm, TotalSec: max(comp, comm),
 		}
 	}
 	return out

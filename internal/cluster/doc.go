@@ -22,9 +22,9 @@
 // model on the node's local shape, and communication time is
 // latency*messages + volume/bandwidth with the paper's published
 // interconnect parameters (1.5 us one-way latency, 3380 MiB/s
-// unidirectional bandwidth). With overlap enabled, a node's time is
-// max(compute, comm), matching the nonblocking-MPI design of Section
-// IV-A2; the cluster time is the maximum over nodes. The figures this
+// unidirectional bandwidth). A node's time is max(compute, comm),
+// matching the nonblocking-MPI design of Section IV-A2; the cluster
+// time is the maximum over nodes. The figures this
 // reproduces are ratios (relative time r(m,p), communication
 // fractions), which depend only on these modeled ratios, not on
 // absolute host speed.

@@ -90,8 +90,8 @@
 // receives is valid for the call (Distribute's operator: until the solve
 // its matrix was built for returns — the midpoint matrix gets its own).
 // A step multiplies through that matrix or Config.Distribute's operator
-// over it; half storage (bcrs.SymMatrix) lost every SD step it was
-// measured in and has no switch here.
+// over it; half storage lost every SD step it was measured in and has
+// no switch here.
 //
 // # One step body
 //

@@ -34,8 +34,8 @@ const ensemblePairs = 5
 // host, and every member must come back bit for bit as its lone solve.
 func extEnsemble(cfg Config) ([]*Table, error) {
 	a := bcrs.Random(bcrs.RandomOptions{NB: cfg.MatrixNB, BlocksPerRow: 24, Seed: cfg.Seed})
-	host := perf.EffectiveMachine(a, 3)
-	g := model.GSPMV{Machine: host, Shape: model.Shape{NB: a.NB(), NNZB: a.NNZB()}}
+	host := perf.EffectiveMachine(a)
+	g := model.GSPMV{Machine: host, Shape: model.Shape{NB: a.NB(), NNZB: a.NNZB()}, K: model.DefaultK}
 	e := serve.NewEngine(a, serve.Config{Model: &g})
 	ctx := context.Background()
 	defer e.Close(ctx)

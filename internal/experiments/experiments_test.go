@@ -18,7 +18,7 @@ func tinyConfig() Config {
 
 func TestIDsRegistered(t *testing.T) {
 	want := []string{
-		"ext-ensemble", "ext-symmetric", "ext-techniques",
+		"ext-ensemble", "ext-techniques",
 		"fig1", "fig2a", "fig2b", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
 		"table1", "table2", "table3", "table4", "table5", "table6", "table7", "table8",
 	}
@@ -262,28 +262,6 @@ func TestExtTechniques(t *testing.T) {
 	for _, row := range rows {
 		if ms, err := strconv.ParseFloat(row[4], 64); err != nil || !(ms > 0) {
 			t.Fatalf("row %q has no ms/step: %q", row[0], row[4])
-		}
-	}
-}
-
-// TestExtSymmetric: every (threads, m) row carries a finite positive
-// measured speed-up and a true bitwise-determinism flag.
-func TestExtSymmetric(t *testing.T) {
-	tabs, err := Run("ext-symmetric", tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := tabs[0].Rows
-	if len(rows) == 0 || len(rows)%6 != 0 {
-		t.Fatalf("ext-symmetric rows %d, want six per thread count", len(rows))
-	}
-	for _, row := range rows {
-		sp, err := strconv.ParseFloat(strings.TrimSuffix(row[2], "x"), 64)
-		if err != nil || sp <= 0 || math.IsInf(sp, 0) {
-			t.Fatalf("threads=%s m=%s: speed-up cell %q", row[0], row[1], row[2])
-		}
-		if row[7] != "true" {
-			t.Fatalf("threads=%s m=%s: symmetric multiply not bitwise deterministic", row[0], row[1])
 		}
 	}
 }

@@ -358,13 +358,13 @@ func mrhsModelFor(cfg Config, n int, phi float64) (model.MRHS, error) {
 		return model.MRHS{}, err
 	}
 	a := sim.Current().(*sd.Conf).Build()
-	mach := perf.EffectiveMachine(a, 3)
+	mach := perf.EffectiveMachine(a)
 	N, N1, N2, err := iterCounts(cfg, n, phi)
 	if err != nil {
 		return model.MRHS{}, err
 	}
 	return model.MRHS{
-		GSPMV: model.GSPMV{Machine: mach, Shape: model.Shape{NB: a.NB(), NNZB: a.NNZB()}},
+		GSPMV: model.GSPMV{Machine: mach, Shape: model.Shape{NB: a.NB(), NNZB: a.NNZB()}, K: model.DefaultK},
 		N:     N, N1: N1, N2: N2, Cmax: 30,
 	}, nil
 }

@@ -5,7 +5,7 @@
 // The GSPMV model bounds the time to multiply by m vectors as the
 // maximum of a bandwidth bound and a compute bound:
 //
-//	Mtr(m) = m*nb*(3+k(m))*sx + 4*nb + nnzb*(4+sa)   (bytes moved)
+//	Mtr(m) = m*nb*(3+k)*sx + 4*nb + nnzb*(4+sa)      (bytes moved)
 //	Tbw(m)   = Mtr(m)/B
 //	Tcomp(m) = fa*m*nnzb/F
 //	T(m)     = max(Tbw(m), Tcomp(m))
@@ -14,8 +14,9 @@
 // where B is achievable memory bandwidth, F achievable kernel flop
 // rate, sa the bytes per stored block (72 for double-precision 3x3),
 // sx the bytes per vector scalar (8), fa the flops per block per
-// vector (18), and k(m) the extra per-element X accesses caused by
-// imperfect cache reuse.
+// vector (18), and k the extra per-element X accesses caused by
+// imperfect cache reuse (the paper's k(m), about 3 and flat in m for
+// its SD matrices, so a constant here).
 //
 // The MRHS model (Eq. 9) prices one simulation step of Algorithm 2:
 //
@@ -70,48 +71,21 @@ type Shape struct {
 	NNZB int // stored non-zero blocks
 }
 
-// KFunc gives k(m), the number of additional memory accesses per
-// element of X beyond the compulsory read of X and read+write of Y.
-// It depends on matrix structure and cache behavior; for the SD
-// matrices of the paper it is a weak function of m, approximately 3.
-type KFunc func(m int) float64
-
-// ConstK returns a k(m) that is constant in m.
-func ConstK(k float64) KFunc { return func(int) float64 { return k } }
-
-// DefaultK is the paper's quoted value for typical SD matrices
-// (~25 blocks per block row): k(m) ~ 3 for m between 1 and 42.
-var DefaultK = ConstK(3)
+// DefaultK is k, the number of additional memory accesses per element
+// of X beyond the compulsory read of X and read+write of Y, at the
+// paper's quoted value for typical SD matrices (~25 blocks per block
+// row): k(m) ~ 3 for m between 1 and 42, so the model holds it
+// constant.
+const DefaultK = 3
 
 // GSPMV evaluates the kernel-level model for one machine and matrix
 // shape.
 type GSPMV struct {
 	Machine Machine
 	Shape   Shape
-	K       KFunc
-	// KSym, when set, replaces K for the symmetric-kernel bounds.
-	// The symmetric kernel's cache window is wider than the general
-	// kernel's — its transposed scatter read-modify-writes a
-	// span-wide window of Y on top of the X gathers — so under a
-	// capacity model (CapacityK) it overflows at roughly half the
-	// vector count and deserves its own k.
-	KSym KFunc
-}
-
-// k returns k(m), defaulting to DefaultK when unset.
-func (g GSPMV) k(m int) float64 {
-	if g.K == nil {
-		return DefaultK(m)
-	}
-	return g.K(m)
-}
-
-// kSym returns the symmetric kernel's k(m), defaulting to k.
-func (g GSPMV) kSym(m int) float64 {
-	if g.KSym == nil {
-		return g.k(m)
-	}
-	return g.KSym(m)
+	// K is k of Mtr(m); zero means no extra X accesses (Figure 1's
+	// optimistic k = 0), so product models set DefaultK.
+	K float64
 }
 
 // TrafficBytes returns Mtr(m): the bytes moved by one multiply with m
@@ -119,7 +93,7 @@ func (g GSPMV) kSym(m int) float64 {
 func (g GSPMV) TrafficBytes(m int) float64 {
 	nb := float64(g.Shape.NB)
 	nnzb := float64(g.Shape.NNZB)
-	return float64(m)*nb*(3+g.k(m))*Sx + IdxRow*nb + nnzb*(IdxBlock+Sa)
+	return float64(m)*nb*(3+g.K)*Sx + IdxRow*nb + nnzb*(IdxBlock+Sa)
 }
 
 // Tbw returns the bandwidth-bound time for m vectors, in seconds.
@@ -171,7 +145,7 @@ func (g GSPMV) VectorsAtRatio(ratio float64, maxM int) int {
 }
 
 // Fig1Cell evaluates the Figure 1 profile at a single (nnzb/nb, B/F)
-// point with k(m)=0 as the figure optimistically assumes: the number
+// point with k = 0 as the figure optimistically assumes: the number
 // of vectors computable in twice the single-vector time. The absolute
 // scale of nb cancels in r(m), so a nominal nb is used.
 func Fig1Cell(blocksPerRow, byteFlop float64, maxM int) int {
@@ -179,7 +153,6 @@ func Fig1Cell(blocksPerRow, byteFlop float64, maxM int) int {
 	g := GSPMV{
 		Machine: Machine{B: byteFlop, F: 1}, // only the ratio matters
 		Shape:   Shape{NB: nb, NNZB: int(blocksPerRow * nb)},
-		K:       ConstK(0),
 	}
 	return g.VectorsAtRatio(2, maxM)
 }

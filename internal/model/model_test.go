@@ -10,7 +10,7 @@ import (
 var sdShape = Shape{NB: 300000, NNZB: 300000 * 25}
 
 func TestRelativeTimeAtOne(t *testing.T) {
-	g := GSPMV{Machine: WSM, Shape: sdShape}
+	g := GSPMV{Machine: WSM, Shape: sdShape, K: DefaultK}
 	// r(1) = T(1)/Tbw(1); with the default k, T(1) is bandwidth
 	// bound, so r(1) must be exactly 1.
 	if r := g.RelativeTime(1); math.Abs(r-1) > 1e-12 {
@@ -19,7 +19,7 @@ func TestRelativeTimeAtOne(t *testing.T) {
 }
 
 func TestRelativeTimeMonotone(t *testing.T) {
-	g := GSPMV{Machine: WSM, Shape: sdShape}
+	g := GSPMV{Machine: WSM, Shape: sdShape, K: DefaultK}
 	prev := 0.0
 	for m := 1; m <= 64; m++ {
 		r := g.RelativeTime(m)
@@ -34,14 +34,14 @@ func TestRelativeTimeSublinear(t *testing.T) {
 	// The entire point of GSPMV: r(m) must grow much slower than m
 	// while bandwidth-bound. For the paper's typical SD matrix on
 	// WSM, 8-16 vectors cost at most ~2x one vector.
-	g := GSPMV{Machine: WSM, Shape: sdShape}
+	g := GSPMV{Machine: WSM, Shape: sdShape, K: DefaultK}
 	if r8 := g.RelativeTime(8); r8 > 2.0 {
 		t.Fatalf("r(8) = %v, want <= 2 for the typical SD matrix", r8)
 	}
 }
 
 func TestTrafficBytesFormula(t *testing.T) {
-	g := GSPMV{Machine: WSM, Shape: Shape{NB: 10, NNZB: 40}, K: ConstK(2)}
+	g := GSPMV{Machine: WSM, Shape: Shape{NB: 10, NNZB: 40}, K: 2}
 	// m*nb*(3+k)*8 + 4*nb + nnzb*(4+72)
 	want := 5.0*10*(3+2)*8 + 4*10 + 40*(4+72)
 	if got := g.TrafficBytes(5); got != want {
@@ -50,14 +50,14 @@ func TestTrafficBytesFormula(t *testing.T) {
 }
 
 func TestTcompLinearInM(t *testing.T) {
-	g := GSPMV{Machine: SNB, Shape: sdShape}
+	g := GSPMV{Machine: SNB, Shape: sdShape, K: DefaultK}
 	if math.Abs(g.Tcomp(10)-10*g.Tcomp(1)) > 1e-18 {
 		t.Fatal("Tcomp must be linear in m")
 	}
 }
 
 func TestBoundCrossover(t *testing.T) {
-	g := GSPMV{Machine: WSM, Shape: sdShape}
+	g := GSPMV{Machine: WSM, Shape: sdShape, K: DefaultK}
 	ms := g.MSwitch(64)
 	if ms <= 1 || ms > 64 {
 		t.Fatalf("m_s = %d, expected an interior crossover for the SD matrix", ms)
@@ -73,7 +73,7 @@ func TestBoundCrossover(t *testing.T) {
 func TestDiagonalMatrixAlwaysBandwidthBound(t *testing.T) {
 	// Section IV-B1: a very large diagonal matrix has no vector
 	// reuse; GSPMV stays bandwidth-bound for any m.
-	g := GSPMV{Machine: WSM, Shape: Shape{NB: 1000000, NNZB: 1000000}}
+	g := GSPMV{Machine: WSM, Shape: Shape{NB: 1000000, NNZB: 1000000}, K: DefaultK}
 	if ms := g.MSwitch(128); ms != 129 {
 		t.Fatalf("diagonal matrix switched to compute-bound at m=%d", ms)
 	}
@@ -83,9 +83,9 @@ func TestVectorsAtRatioPaperHeadline(t *testing.T) {
 	// Paper abstract: on these machines one can typically multiply
 	// 8-16 vectors in twice the single-vector time. Check the model
 	// reproduces that band for the mat2- and mat3-like shapes.
-	mat2 := GSPMV{Machine: WSM, Shape: Shape{NB: 395000, NNZB: 9000000}}  // 24.9 b/row
-	mat3 := GSPMV{Machine: SNB, Shape: Shape{NB: 395000, NNZB: 18000000}} // 45.3 b/row
-	mat1 := GSPMV{Machine: WSM, Shape: Shape{NB: 300000, NNZB: 1700000}}  // 5.6 b/row
+	mat2 := GSPMV{Machine: WSM, Shape: Shape{NB: 395000, NNZB: 9000000}, K: DefaultK}  // 24.9 b/row
+	mat3 := GSPMV{Machine: SNB, Shape: Shape{NB: 395000, NNZB: 18000000}, K: DefaultK} // 45.3 b/row
+	mat1 := GSPMV{Machine: WSM, Shape: Shape{NB: 300000, NNZB: 1700000}, K: DefaultK}  // 5.6 b/row
 	v2 := mat2.VectorsAtRatio(2, 64)
 	v3 := mat3.VectorsAtRatio(2, 64)
 	v1 := mat1.VectorsAtRatio(2, 64)
@@ -135,7 +135,7 @@ func TestMachineByteFlopRatio(t *testing.T) {
 func mrhsForTest() MRHS {
 	// Figure 7 parameters: 300,000 particles, 50%% occupancy.
 	return MRHS{
-		GSPMV: GSPMV{Machine: WSM, Shape: sdShape},
+		GSPMV: GSPMV{Machine: WSM, Shape: sdShape, K: DefaultK},
 		N:     162, N1: 80, N2: 63, Cmax: 30,
 	}
 }
@@ -215,13 +215,5 @@ func TestMRHSDegenerateM1(t *testing.T) {
 	p := mrhsForTest()
 	if math.Abs(p.StepTime(1)-p.OriginalStepTime()) > 1e-12*p.OriginalStepTime() {
 		t.Fatalf("StepTime(1) = %v, OriginalStepTime = %v", p.StepTime(1), p.OriginalStepTime())
-	}
-}
-
-func TestDefaultKUsedWhenNil(t *testing.T) {
-	g := GSPMV{Machine: WSM, Shape: sdShape}
-	g2 := GSPMV{Machine: WSM, Shape: sdShape, K: ConstK(3)}
-	if g.TrafficBytes(7) != g2.TrafficBytes(7) {
-		t.Fatal("nil K must default to k=3")
 	}
 }

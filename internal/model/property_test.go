@@ -19,6 +19,7 @@ func TestRelativeTimePropertyBounds(t *testing.T) {
 		g := GSPMV{
 			Machine: Machine{B: b, F: f},
 			Shape:   Shape{NB: nb, NNZB: nb * bpr},
+			K:       DefaultK,
 		}
 		prev := 0.0
 		for m := 1; m <= 32; m++ {
@@ -50,7 +51,7 @@ func TestMRHSModelSaneProperty(t *testing.T) {
 		n := n1 + int(nRaw)%100
 		bpr := 2 + int(bprRaw)%80
 		p := MRHS{
-			GSPMV: GSPMV{Machine: WSM, Shape: Shape{NB: 100000, NNZB: 100000 * bpr}},
+			GSPMV: GSPMV{Machine: WSM, Shape: Shape{NB: 100000, NNZB: 100000 * bpr}, K: DefaultK},
 			N:     n, N1: n1, N2: n2, Cmax: 30,
 		}
 		mo := p.MOptimal(64)

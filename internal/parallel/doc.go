@@ -20,8 +20,8 @@
 // cost and a core's stream rate (DESIGN §9, "Threads"). A compute-bound
 // pass — assembly's pair tensors, the neighbour list's wrap and binning,
 // the block updates' multiply-adds — states the bytes its measured time
-// would stream. No other package holds a grain, bar the half-storage
-// multiply's fold (bcrs.SymMatrix, below). For an op whose parts
+// would stream. No other package holds a grain, bar the fold of bcrs's
+// half-storage multiply (below). For an op whose parts
 // write disjoint outputs — the general multiply's nnz-balanced ranges
 // (DoOp), every ForOp — the rule picks k; for a reduction, whose chunks
 // are fixed by n alone, it picks only whether those chunks run on the
@@ -39,10 +39,10 @@
 // however the range is cut. A reduction fixes k from n, runs chunk c
 // over ChunkBounds(n, k, c) through DoOp, and adds the chunk sums in
 // chunk order (multivec's lane engine is the one that does). The one
-// exception is bcrs.SymMatrix, the half-storage multiply: its ordered
-// fold of per-thread partials follows the pool's thread count, so its
-// bits hold at a fixed thread count only, and no SD step or served
-// solve runs it.
+// exception is bcrs's half-storage multiply: its ordered fold of
+// per-thread partials follows the pool's thread count, so its bits hold
+// at a fixed thread count only, and only the benchmark's gspmv_*
+// workloads run it.
 //
 // Scheduling. A Pool with t threads keeps t-1 persistent workers
 // parked on a channel; ForOp/DoOp enqueue a job, wake up to t-1

@@ -91,18 +91,11 @@ func MeasureKernelFlops(ms []int) float64 {
 	return total / float64(len(ms))
 }
 
-// BlockMultiplier is the measurable multiply surface shared by the
-// general and symmetric BCRS matrices.
-type BlockMultiplier interface {
-	N() int
-	Mul(y, x *multivec.MultiVec)
-}
-
 // TimeMultiply returns the wall time in seconds of one Y = A*X with m
 // vectors: multiplies are batched until one batch takes at least
 // ~20 ms, and the per-multiply average of that batch is returned. X is
 // filled deterministically.
-func TimeMultiply(a BlockMultiplier, m int) float64 {
+func TimeMultiply(a *bcrs.Matrix, m int) float64 {
 	y, x := operands(a, m)
 	const target = 20 * time.Millisecond
 	batch := 1
@@ -130,7 +123,7 @@ func TimeMultiply(a BlockMultiplier, m int) float64 {
 
 // operands returns a deterministic m-wide X and its product Y = A*X;
 // the multiply is the warm-up that faults Y's pages in.
-func operands(a BlockMultiplier, m int) (y, x *multivec.MultiVec) {
+func operands(a *bcrs.Matrix, m int) (y, x *multivec.MultiVec) {
 	x = multivec.New(a.N(), m)
 	rng.New(7).FillNormal(x.Data)
 	y = multivec.New(a.N(), m)
@@ -164,7 +157,7 @@ func median(v []float64) float64 {
 }
 
 // relativePairs is the number of back-to-back pairs behind each paired
-// ratio: r(m) here, and the speed-ups and r(m) of MeasureSymSpeedups.
+// ratio r(m).
 const relativePairs = 11
 
 // RelativeTimes measures r(m) = T(m)/T(1) for each m: the median ratio
@@ -195,12 +188,12 @@ type Rates struct {
 
 // MeasureRates times one multiply with m vectors and converts to the
 // Table II quantities, charging traffic with the model's Mtr(m) at
-// the given k.
-func MeasureRates(a *bcrs.Matrix, m int, k float64) Rates {
+// k = model.DefaultK.
+func MeasureRates(a *bcrs.Matrix, m int) Rates {
 	secs := TimeMultiply(a, m)
 	g := model.GSPMV{
 		Shape: model.Shape{NB: a.NB(), NNZB: a.NNZB()},
-		K:     model.ConstK(k),
+		K:     model.DefaultK,
 	}
 	return Rates{
 		GBps:   g.TrafficBytes(m) / secs / 1e9,
@@ -235,9 +228,9 @@ func CalibratedMachine() model.Machine {
 // SPMV bandwidth sits well below STREAM; feeding the model the rates
 // the kernel can actually reach keeps Eq. 8's *shape* predictive (see
 // DESIGN.md substitutions).
-func EffectiveMachine(a *bcrs.Matrix, k float64) model.Machine {
-	r1 := MeasureRates(a, 1, k)
-	r16 := MeasureRates(a, 16, k)
+func EffectiveMachine(a *bcrs.Matrix) model.Machine {
+	r1 := MeasureRates(a, 1)
+	r16 := MeasureRates(a, 16)
 	mc := model.Machine{B: r1.GBps * 1e9, F: r16.Gflops * 1e9}
 	obs.Default.Gauge("perf_effective_bandwidth_bytes_per_second").Set(mc.B)
 	obs.Default.Gauge("perf_effective_kernel_flops_per_second").Set(mc.F)

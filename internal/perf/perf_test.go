@@ -88,7 +88,7 @@ func TestTimePairedMedians(t *testing.T) {
 
 func TestMeasureRatesConsistent(t *testing.T) {
 	a := bcrs.Random(bcrs.RandomOptions{NB: 1000, BlocksPerRow: 10, Seed: 3})
-	r := MeasureRates(a, 2, 3)
+	r := MeasureRates(a, 2)
 	if r.Secs <= 0 || r.GBps <= 0 || r.Gflops <= 0 {
 		t.Fatalf("rates must be positive: %+v", r)
 	}

@@ -200,9 +200,9 @@ type Engine struct {
 // its multiplies does (matrixOf) — NewEngine factors it once with block
 // IC(0), and every batch is preconditioned through that one factor: the
 // served matrix never changes, so the factor never ages. An operator
-// with no matrix behind it (half storage, a distributed multiply, a
-// closure) is solved unpreconditioned, and so is one whose
-// factorization fails, which serve_precond_failures_total counts.
+// with no matrix behind it (a distributed multiply, a closure) is
+// solved unpreconditioned, and so is one whose factorization fails,
+// which serve_precond_failures_total counts.
 func NewEngine(op solver.BlockOperator, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	e := &Engine{

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/bcrs"
+	"repro/internal/blas"
 	"repro/internal/multivec"
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -517,6 +518,78 @@ func TestServePrecondFollowsOperator(t *testing.T) {
 	defer e.Close(context.Background())
 	if e.Precond() != "none" || failures.Value() != before+1 {
 		t.Errorf("indefinite matrix: Precond() = %q, failures %d -> %d", e.Precond(), before, failures.Value())
+	}
+}
+
+// heldOp holds its matrix behind a solver.BlockOperator field, which
+// matrixOf does not look through: to the engine it is an operator with
+// no matrix behind it.
+type heldOp struct{ inner solver.BlockOperator }
+
+func (o heldOp) N() int                      { return o.inner.N() }
+func (o heldOp) Mul(y, x *multivec.MultiVec) { o.inner.Mul(y, x) }
+
+// TestServeAnyBlockOperator runs the engine over an operator that is
+// not a *bcrs.Matrix and shows it none: it serves unpreconditioned,
+// solves converge against the full matrix's residual (the storage is
+// the operator's business, not the engine's) and repeated identical
+// requests are bitwise-reproducible.
+func TestServeAnyBlockOperator(t *testing.T) {
+	a := testMatrix()
+	n := a.N()
+	const tol = 1e-9
+
+	e := NewEngine(heldOp{a}, Config{Tol: tol, MaxIter: 500, MaxWait: 20 * time.Millisecond})
+	defer e.Close(context.Background())
+	if got := e.Precond(); got != "none" {
+		t.Fatalf("Precond() = %q, want none", got)
+	}
+
+	const nreq = 6
+	results := make([]Result, nreq)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var err error
+			results[i], err = e.Submit(context.Background(), Req{B: testRHS(n, uint64(500+i))})
+			if err != nil {
+				t.Errorf("request %d: %v", i, err)
+			}
+		}()
+	}
+	wg.Wait()
+
+	y := make([]float64, n)
+	for i, res := range results {
+		if !res.Stats.Converged {
+			t.Fatalf("request %d did not converge: %+v", i, res.Stats)
+		}
+		b := testRHS(n, uint64(500+i))
+		a.MulVec(y, res.X)
+		blas.Sub(y, y, b)
+		if r := blas.Nrm2(y) / blas.Nrm2(b); r > 10*tol {
+			t.Fatalf("request %d: residual %v against the full matrix", i, r)
+		}
+	}
+
+	// The same request solved again, alone so the batch composition
+	// cannot differ, must match bit for bit: MultiCG's columns are
+	// independent, so batch-mates do not perturb it.
+	b := testRHS(n, 777)
+	r1, err := e.Submit(context.Background(), Req{B: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := e.Submit(context.Background(), Req{B: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range r1.X {
+		if math.Float64bits(r1.X[i]) != math.Float64bits(r2.X[i]) {
+			t.Fatalf("serve over an opaque operator not reproducible at %d: %v vs %v", i, r1.X[i], r2.X[i])
+		}
 	}
 }
 

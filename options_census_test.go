@@ -17,9 +17,11 @@ import (
 // censusTypes are the option structs the field census covers, by
 // declaring package.
 var censusTypes = map[string][]string{
-	"repro/internal/core":   {"Config", "Recovery"},
-	"repro/internal/serve":  {"Config"},
-	"repro/internal/solver": {"Options"},
+	"repro/internal/cluster": {"CostModel"},
+	"repro/internal/core":    {"Config", "Recovery"},
+	"repro/internal/model":   {"GSPMV"},
+	"repro/internal/serve":   {"Config"},
+	"repro/internal/solver":  {"Options"},
 }
 
 // censusExceptions are the covered fields that may have no setter in
@@ -31,11 +33,11 @@ var censusExceptions = map[string]string{
 	"serve.Config.Tracer":   "a test seam: tests read their requests' traces from a tracer of their own",
 }
 
-// TestOptionFieldCensus fails when an exported field of core.Config,
-// core.Recovery, serve.Config or solver.Options has no setter in a
-// non-test .go file under internal/, cmd/ or bench/, unless
-// censusExceptions names it; and when an exception names a field that
-// is gone or has a setter. A setter is a key of a keyed composite
+// TestOptionFieldCensus fails when an exported field of
+// cluster.CostModel, core.Config, core.Recovery, model.GSPMV,
+// serve.Config or solver.Options has no setter in a non-test .go file
+// under internal/, cmd/ or bench/, unless censusExceptions names it;
+// and when an exception names a field that is gone or has a setter. A setter is a key of a keyed composite
 // literal of the field's type, or an assignment, increment or address
 // of the field outside the type's own methods: a default the type
 // fills in itself is not a second value. An option that only its
